@@ -1,7 +1,7 @@
 //! The multi-zone solver driver: zones stepped with loop-level
-//! parallelism, with Taft-style multi-level parallelism (MLP —
-//! paper Section 8), or via the [`zones`] task-graph scheduler, with
-//! zonal injection between steps.
+//! parallelism, or with Taft-style multi-level parallelism (MLP —
+//! paper Section 8) via the [`zones`] task-graph scheduler, with zonal
+//! injection between steps.
 //!
 //! Within one time step the zones are independent (injection happens
 //! at step boundaries), so the MLP outer level is embarrassingly
@@ -21,7 +21,7 @@ use crate::bc::{self, BcKind, Face, ZoneBcs};
 use crate::risc_impl::RiscStepper;
 use crate::solver::{SolverConfig, ZoneSolver};
 use llp::obs::{SpanGuard, SpanKind};
-use llp::{LoopProfiler, Teams, Workers};
+use llp::{LoopProfiler, Workers};
 use mesh::{Axis, Metrics, MultiZoneGrid};
 
 /// A multi-zone solver: zone states, steppers, and per-zone BCs.
@@ -127,14 +127,6 @@ impl MultiZoneSolver {
         zones::Topology::chain(self.zones.len())
     }
 
-    /// Zonal injection across all interfaces (zone i → i+1 chains).
-    fn inject_all(&mut self) {
-        for i in 0..self.zones.len().saturating_sub(1) {
-            let (a, b) = self.zones.split_at_mut(i + 1);
-            bc::inject(&mut a[i], &mut b[0]);
-        }
-    }
-
     /// One time step, pure loop-level parallelism: zones stepped one
     /// after another, all workers inside each zone's loops.
     pub fn step_loop_level(&mut self, workers: &Workers, profiler: Option<&LoopProfiler>) {
@@ -226,25 +218,6 @@ impl MultiZoneSolver {
         )
     }
 
-    /// One time step, multi-level parallelism: one team per zone, zones
-    /// stepped concurrently, loop-level parallelism inside each team.
-    ///
-    /// # Panics
-    /// Panics if the team count differs from the zone count.
-    pub fn step_mlp(&mut self, teams: &Teams) {
-        assert_eq!(teams.len(), self.zones.len(), "MLP needs one team per zone");
-        let bcs = &self.bcs;
-        let mut work: Vec<(&mut ZoneSolver, &mut RiscStepper)> = self
-            .zones
-            .iter_mut()
-            .zip(self.steppers.iter_mut())
-            .collect();
-        teams.run_on(&mut work, |i, team_workers, (zone, stepper)| {
-            stepper.step(zone, &bcs[i], team_workers, None);
-        });
-        self.inject_all();
-    }
-
     /// Maximum freestream deviation over all zones.
     #[must_use]
     pub fn freestream_deviation(&self) -> f64 {
@@ -287,20 +260,6 @@ mod tests {
             }
         }
         s
-    }
-
-    #[test]
-    fn loop_level_and_mlp_are_identical() {
-        let config = SolverConfig::supersonic();
-        let mut a = perturbed(config);
-        let mut b = perturbed(config);
-        let workers = Workers::new(3);
-        let teams = Teams::split(3, &b.zone_weights());
-        for _ in 0..4 {
-            a.step_loop_level(&workers, None);
-            b.step_mlp(&teams);
-            assert_eq!(a.max_abs_diff(&b), 0.0);
-        }
     }
 
     #[test]
@@ -430,29 +389,5 @@ mod tests {
             assert_eq!(zone_span.kind, llp::SpanKind::Zone);
             assert_eq!(zone_span.children.len(), 7);
         }
-    }
-
-    #[test]
-    fn mlp_teams_record_per_zone_reports() {
-        let mut s = perturbed(SolverConfig::supersonic());
-        let mut teams = Teams::split(3, &s.zone_weights());
-        teams.record_all();
-        s.step_mlp(&teams);
-        let reports = teams.take_reports("mlp");
-        assert_eq!(reports.len(), 3);
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.case, format!("mlp/team{i}"));
-            assert_eq!(r.sync_events(), 6);
-            // Teams see the kernel spans opened inside step().
-            assert_eq!(r.kernel_summaries().len(), 7);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one team per zone")]
-    fn mlp_team_count_mismatch_panics() {
-        let mut s = perturbed(SolverConfig::subsonic());
-        let teams = Teams::with_sizes(&[1, 1]);
-        s.step_mlp(&teams);
     }
 }

@@ -414,32 +414,17 @@ pub struct ServiceRun {
 /// # Errors
 /// Returns the [`ServiceCase::validate`] error for out-of-bounds cases.
 pub fn run(case: &ServiceCase, pool: &Workers) -> Result<ServiceRun, String> {
-    run_scheduled(case, pool, None)
+    run_tuned(case, pool, None, None)
 }
 
-/// [`run`] with per-kernel scheduling overrides: kernels named in
-/// `schedules` execute on a [`Workers::kernel_view`] carrying their
-/// tuned worker count and policy, everything else falls back to the
-/// case's configuration. This is the `"schedule": "auto"` path — the
-/// serve layer resolves a tune database into a [`llp::ScheduleMap`]
-/// and the results stay bit-exact with any other configuration.
-///
-/// # Errors
-/// Returns the [`ServiceCase::validate`] error for out-of-bounds cases.
-pub fn run_scheduled(
-    case: &ServiceCase,
-    pool: &Workers,
-    schedules: Option<&llp::ScheduleMap>,
-) -> Result<ServiceRun, String> {
-    run_tuned(case, pool, schedules, None)
-}
-
-/// [`run_scheduled`] with per-kernel SLP width overrides layered on
-/// top: the case's `vector_width` sets the default lane width and any
-/// `widths` entries (from the tune database's per-kernel decisions)
-/// win over it, mirroring how `schedules` overrides the case's chunk
-/// policy. Both axes are bit-exact, so mixing them never changes a
-/// result — only the performance shape.
+/// [`run`] with per-kernel overrides — the `"schedule": "auto"` path,
+/// where the serve layer resolves a tune database into the two maps.
+/// Kernels named in `schedules` execute on a [`Workers::kernel_view`]
+/// carrying their tuned worker count and policy, everything else falls
+/// back to the case's configuration; likewise the case's
+/// `vector_width` sets the default SLP lane width and any `widths`
+/// entries win over it. Both axes are bit-exact, so mixing them never
+/// changes a result — only the performance shape.
 ///
 /// # Errors
 /// Returns the [`ServiceCase::validate`] error for out-of-bounds cases.
@@ -763,7 +748,7 @@ mod tests {
         map.set("rhs", 1, Policy::Dynamic { chunk: 2 });
         map.set("update", 2, Policy::Guided { min_chunk: 1 });
         map.set("l_factor_solve", 2, Policy::Dynamic { chunk: 1 });
-        let tuned = run_scheduled(&base, &Workers::new(2), Some(&map)).unwrap();
+        let tuned = run_tuned(&base, &Workers::new(2), Some(&map), None).unwrap();
         // Numerics are invariant to per-kernel overrides...
         assert_eq!(reference.residuals, tuned.residuals);
         assert_eq!(reference.checksums, tuned.checksums);

@@ -63,4 +63,4 @@ pub use pencil::with_pencil_scratch;
 pub use pool::{default_worker_count, ChunkClaimer, Workers};
 pub use profile::{LoopProfiler, LoopReport};
 pub use schedule::{chunk_bounds, Policy, ScheduleMap, StaticSchedule};
-pub use teams::{partition_processors, Teams};
+pub use teams::partition_processors;

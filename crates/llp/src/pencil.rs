@@ -47,30 +47,6 @@ pub fn with_pencil_scratch<S: Send>(
     });
 }
 
-/// Whether a pencil scratch of `len` elements × `components` × 8-byte
-/// words fits in a cache of `cache_bytes`, with `occupancy` the fraction
-/// of the cache the scratch may claim (the paper sizes scratch to
-/// "comfortably fit" — e.g. half of a 1-MB cache holds pencils for zone
-/// dimensions up to about 1,000).
-#[must_use]
-pub fn pencil_fits_in_cache(
-    len: usize,
-    components: usize,
-    cache_bytes: usize,
-    occupancy: f64,
-) -> bool {
-    assert!((0.0..=1.0).contains(&occupancy));
-    let bytes = len * components * std::mem::size_of::<f64>();
-    (bytes as f64) <= cache_bytes as f64 * occupancy
-}
-
-/// Bytes of scratch needed to process a whole plane (the vector code's
-/// choice) vs a single pencil (the tuned code's choice).
-#[must_use]
-pub fn scratch_bytes(plane_or_pencil_len: usize, components: usize) -> usize {
-    plane_or_pencil_len * components * std::mem::size_of::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +110,5 @@ mod tests {
         let w = Workers::new(2);
         with_pencil_scratch(&w, 0, || panic!("no scratch"), |_: usize, _: &mut ()| {});
         assert_eq!(w.sync_event_count(), 0);
-    }
-
-    #[test]
-    fn cache_fit_math() {
-        // Paper: pencils for zone dimensions up to ~1000 fit a 1-MB
-        // cache. 1000 points x ~20 scratch components x 8 B = 160 KB.
-        assert!(pencil_fits_in_cache(1000, 20, 1 << 20, 0.5));
-        // A 450x350 plane of the 59M case does not: 157,500 x 20 x 8 = 25 MB.
-        assert!(!pencil_fits_in_cache(450 * 350, 20, 1 << 20, 1.0));
-        assert_eq!(scratch_bytes(1000, 20), 160_000);
     }
 }

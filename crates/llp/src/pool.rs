@@ -142,12 +142,6 @@ impl Workers {
         Self::new(default_worker_count())
     }
 
-    /// Like [`Workers::default_sized`] with span recording enabled.
-    #[must_use]
-    pub fn default_sized_recorded() -> Self {
-        Self::recorded(default_worker_count())
-    }
-
     /// Number of workers ("processors") in the team.
     #[must_use]
     pub fn processors(&self) -> usize {
@@ -341,14 +335,6 @@ impl Workers {
                 .attach_region(self.processors, start.elapsed().as_secs_f64());
         }
         out
-    }
-
-    /// Run a closure as a (serial) unit on the team. With scoped
-    /// threads there is no persistent pool to pin work to, so this
-    /// simply invokes the closure; it exists to keep call sites that
-    /// distinguish "on the team" from "on the caller" explicit.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        f()
     }
 }
 
@@ -646,6 +632,5 @@ mod tests {
         let w = Workers::default_sized();
         assert!(w.processors() >= 1);
         assert!(!w.recorder().is_enabled());
-        assert!(Workers::default_sized_recorded().recorder().is_enabled());
     }
 }

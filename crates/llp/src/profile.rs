@@ -117,21 +117,6 @@ impl LoopProfiler {
     pub fn clear(&self) {
         self.stats.lock().expect("profiler lock").clear();
     }
-
-    /// Fold an observability report's per-kernel aggregates into the
-    /// profiler, bridging span tracing and the prof-style workflow:
-    /// each kernel summary lands as `invocations` recorded calls with
-    /// its total time, available parallelism, and parallelized flag.
-    pub fn absorb_report(&self, report: &crate::obs::ObsReport) {
-        for kernel in report.kernel_summaries() {
-            let mut stats = self.stats.lock().expect("profiler lock");
-            let e = stats.entry(kernel.name.clone()).or_default();
-            e.invocations += kernel.invocations;
-            e.total_seconds += kernel.seconds;
-            e.parallelism = e.parallelism.max(kernel.parallelism);
-            e.parallelized = kernel.parallelized;
-        }
-    }
 }
 
 /// One row of a profile report.
@@ -218,36 +203,6 @@ mod tests {
         assert!(p.get("x").is_none());
         assert_eq!(p.total_seconds(), 0.0);
         assert!(p.report().is_empty());
-    }
-
-    #[test]
-    fn absorbs_report_kernels() {
-        use crate::obs::{ObsReport, SpanKind, SpanNode, REPORT_SCHEMA_VERSION};
-        let mut kernel = SpanNode::new("rhs", SpanKind::Kernel);
-        kernel.seconds = 2.0;
-        let mut region = SpanNode::new("region", SpanKind::Region);
-        region.workers = 4;
-        region.iterations = 70;
-        region.sync_events = 1;
-        kernel.children.push(region);
-        let mut step = SpanNode::new("step", SpanKind::Step);
-        step.children.push(kernel);
-        let report = ObsReport {
-            schema_version: REPORT_SCHEMA_VERSION,
-            source: "measured".into(),
-            case: "t".into(),
-            workers: 4,
-            requested_workers: None,
-            spans: vec![step],
-        };
-        let p = LoopProfiler::new();
-        p.record("rhs", 1.0, 70, true);
-        p.absorb_report(&report);
-        let s = p.get("rhs").unwrap();
-        assert_eq!(s.invocations, 2);
-        assert!((s.total_seconds - 3.0).abs() < 1e-12);
-        assert_eq!(s.parallelism, 70);
-        assert!(s.parallelized);
     }
 
     #[test]

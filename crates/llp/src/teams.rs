@@ -1,4 +1,4 @@
-//! Multi-level parallelism (MLP): teams of workers, one per zone.
+//! Multi-level parallelism (MLP): apportioning processors to zones.
 //!
 //! Section 8 of the paper discusses James Taft's OVERFLOW-MLP approach
 //! at NASA Ames: a coarse level of parallelism across zones, each zone
@@ -8,12 +8,9 @@
 //! extent) by multiplying it across concurrently running zones, at the
 //! price of zone-level load imbalance.
 //!
-//! [`Teams`] realizes it: a processor budget is partitioned across
-//! teams (largest-remainder by zone weight), each team owns its own
-//! [`Workers`] pool, and [`Teams::run`] executes one closure per team
-//! concurrently on dedicated coordinator threads.
-
-use crate::pool::Workers;
+//! The runtime for it is the `zones` crate (zone shards as views of
+//! the one shared pool); what lives here is the pure apportionment the
+//! MLP model and its ablation share.
 
 /// Partition `total` processors across `weights.len()` teams,
 /// proportional to the weights, each team receiving at least one
@@ -57,172 +54,9 @@ pub fn partition_processors(total: usize, weights: &[f64]) -> Vec<usize> {
     alloc
 }
 
-/// A set of worker teams for multi-level parallelism.
-///
-/// ```
-/// use llp::{doacross, Teams};
-/// use std::sync::atomic::{AtomicU64, Ordering};
-///
-/// // One team per zone: a 1-processor team and a 3-processor team.
-/// let teams = Teams::with_sizes(&[1, 3]);
-/// assert_eq!(teams.team(0).processors(), 1);
-/// assert_eq!(teams.team(1).processors(), 3);
-/// assert_eq!(teams.total_processors(), 4);
-///
-/// // Zones run CONCURRENTLY; each runs doacross loops inside its team.
-/// let counts = [AtomicU64::new(0), AtomicU64::new(0)];
-/// teams.run(|zone, workers| {
-///     doacross(workers, 50, |_| {
-///         counts[zone].fetch_add(1, Ordering::Relaxed);
-///     });
-/// });
-/// assert_eq!(counts[0].load(Ordering::Relaxed), 50);
-/// assert_eq!(counts[1].load(Ordering::Relaxed), 50);
-/// ```
-pub struct Teams {
-    teams: Vec<Workers>,
-}
-
-impl std::fmt::Debug for Teams {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Teams")
-            .field(
-                "sizes",
-                &self
-                    .teams
-                    .iter()
-                    .map(Workers::processors)
-                    .collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-impl Teams {
-    /// Split `total` processors into teams proportional to `weights`
-    /// (e.g. zone point counts).
-    #[must_use]
-    pub fn split(total: usize, weights: &[f64]) -> Self {
-        let sizes = partition_processors(total, weights);
-        Self {
-            teams: sizes.into_iter().map(Workers::new).collect(),
-        }
-    }
-
-    /// Explicit team sizes.
-    ///
-    /// # Panics
-    /// Panics if `sizes` is empty or contains a zero.
-    #[must_use]
-    pub fn with_sizes(sizes: &[usize]) -> Self {
-        assert!(!sizes.is_empty(), "need at least one team");
-        Self {
-            teams: sizes.iter().map(|&s| Workers::new(s)).collect(),
-        }
-    }
-
-    /// Number of teams.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.teams.len()
-    }
-
-    /// Whether there are no teams (never true for a constructed value).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.teams.is_empty()
-    }
-
-    /// One team's worker pool.
-    #[must_use]
-    pub fn team(&self, i: usize) -> &Workers {
-        &self.teams[i]
-    }
-
-    /// Total processors across teams.
-    #[must_use]
-    pub fn total_processors(&self) -> usize {
-        self.teams.iter().map(Workers::processors).sum()
-    }
-
-    /// Total synchronization events across teams.
-    #[must_use]
-    pub fn sync_event_count(&self) -> u64 {
-        self.teams.iter().map(Workers::sync_event_count).sum()
-    }
-
-    /// Run `f(team_index, team_workers)` for every team **concurrently**
-    /// (one coordinator thread per team), returning the per-team results
-    /// in team order. This is the MLP outer level; each closure
-    /// typically runs doacross regions on its team.
-    pub fn run<T, F>(&self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &Workers) -> T + Sync,
-    {
-        let mut out: Vec<Option<T>> = (0..self.teams.len()).map(|_| None).collect();
-        // std's scope re-raises any team panic when the scope exits.
-        std::thread::scope(|scope| {
-            let f = &f;
-            for (i, (team, slot)) in self.teams.iter().zip(out.iter_mut()).enumerate() {
-                scope.spawn(move || {
-                    *slot = Some(f(i, team));
-                });
-            }
-        });
-        out.into_iter()
-            .map(|o| o.expect("every team ran"))
-            .collect()
-    }
-
-    /// Run a mutable workload per team concurrently: `items[i]` is
-    /// handed to team `i`'s closure together with its workers. The item
-    /// count must equal the team count.
-    ///
-    /// # Panics
-    /// Panics on a count mismatch.
-    pub fn run_on<I, F>(&self, items: &mut [I], f: F)
-    where
-        I: Send,
-        F: Fn(usize, &Workers, &mut I) + Sync,
-    {
-        assert_eq!(items.len(), self.teams.len(), "one item per team required");
-        std::thread::scope(|scope| {
-            let f = &f;
-            for (i, (team, item)) in self.teams.iter().zip(items.iter_mut()).enumerate() {
-                scope.spawn(move || f(i, team, item));
-            }
-        });
-    }
-
-    /// Enable span recording on every team (fresh recorder per team —
-    /// the teams run concurrently, so each gets its own span tree).
-    pub fn record_all(&mut self) {
-        for team in &mut self.teams {
-            team.set_recorder(crate::obs::Recorder::enabled());
-        }
-    }
-
-    /// Drain one [`crate::obs::ObsReport`] per team, labelled
-    /// `"{case}/team{i}"`, in team order.
-    #[must_use]
-    pub fn take_reports(&self, case: &str) -> Vec<crate::obs::ObsReport> {
-        self.teams
-            .iter()
-            .enumerate()
-            .map(|(i, team)| {
-                team.recorder()
-                    .take_report(&format!("{case}/team{i}"), team.processors())
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doacross::doacross;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn partition_sums_to_total_with_min_one() {
@@ -248,52 +82,6 @@ mod tests {
                 .sum::<usize>(),
             13
         );
-    }
-
-    #[test]
-    fn teams_run_concurrently_and_return_in_order() {
-        let teams = Teams::with_sizes(&[1, 2, 1]);
-        assert_eq!(teams.len(), 3);
-        assert_eq!(teams.total_processors(), 4);
-        let results = teams.run(|i, w| (i, w.processors()));
-        assert_eq!(results, vec![(0, 1), (1, 2), (2, 1)]);
-    }
-
-    #[test]
-    fn teams_run_doacross_within_teams() {
-        let teams = Teams::split(4, &[1.0, 3.0]);
-        let counters: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        teams.run(|i, workers| {
-            doacross(workers, 50, |_| {
-                counters[i].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(counters[0].load(Ordering::Relaxed), 50);
-        assert_eq!(counters[1].load(Ordering::Relaxed), 50);
-        // Each team's doacross was one sync event.
-        assert_eq!(teams.sync_event_count(), 2);
-    }
-
-    #[test]
-    fn run_on_hands_each_team_its_item() {
-        let teams = Teams::with_sizes(&[2, 2]);
-        let mut items = vec![vec![0u32; 10], vec![0u32; 20]];
-        teams.run_on(&mut items, |i, workers, item| {
-            doacross(workers, item.len(), |_| {});
-            for v in item.iter_mut() {
-                *v = i as u32 + 1;
-            }
-        });
-        assert!(items[0].iter().all(|&v| v == 1));
-        assert!(items[1].iter().all(|&v| v == 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "one item per team")]
-    fn run_on_count_mismatch_panics() {
-        let teams = Teams::with_sizes(&[1, 1]);
-        let mut items = vec![0u8];
-        teams.run_on(&mut items, |_, _, _| {});
     }
 
     #[test]

@@ -1,4 +1,12 @@
-//! Service counters behind `GET /metrics`.
+//! Service counters behind `GET /metrics`, stated once.
+//!
+//! Every metric is one row of a static table — `SCALARS` for plain
+//! counters and gauges, `FAMILIES` for labelled counter families,
+//! `HISTOGRAMS` for the two distributions — carrying its Prometheus
+//! name, kind, HELP text and JSON path. [`Metrics`] holds one atomic
+//! cell per row (per label, for a family), indexed by the row's id, and
+//! both expositions are loops over the tables: adding a metric is one
+//! row here and one `inc`/`add`/`set`/`bump` call where it happens.
 //!
 //! Everything is a relaxed atomic: connection threads bump request and
 //! status counters, the executor bumps job and observability totals,
@@ -8,10 +16,11 @@
 //! they must agree with the pool's own synchronization-event counter —
 //! an invariant the integration tests check end to end.
 
-use crate::solvers::KINDS as SOLVERS;
-use f3d::kernels::SUPPORTED_WIDTHS;
+use crate::solvers;
 use llp::obs::json::Json;
 use llp::obs::Histogram;
+use solver::SUPPORTED_WIDTHS;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The status codes the service emits, each with its own counter.
@@ -22,71 +31,285 @@ pub const ENDPOINTS: [&str; 9] = [
     "solve", "advise", "model", "metrics", "trace", "tune", "health", "stats", "other",
 ];
 
-/// The parallel kernels with per-kernel solve-seconds counters — the
-/// f3d vocabulary followed by the fdtd one — plus a fold-in slot for
-/// anything outside the fixed set.
-pub const KERNELS: [&str; 9] = [
-    "j_factor",
-    "k_factor",
-    "l_factor_scatter",
-    "l_factor_solve",
-    "rhs",
-    "update",
-    "update_e",
-    "update_h",
-    "other",
-];
-
 /// Requested-schedule labels for executed solves.
 pub const SCHEDULES: [&str; 4] = ["static", "dynamic", "guided", "auto"];
 
-/// All service counters and gauges.
+/// The values `/metrics` reports that the server owns, not [`Metrics`]:
+/// the shared pool's width and counters and the executor shard count.
+#[derive(Debug, Clone, Copy)]
+pub struct PoolContext {
+    /// Worker lanes in the shared pool.
+    pub pool_workers: usize,
+    /// Executor shards configured.
+    pub executor_shards: usize,
+    /// Synchronization events the pool has executed.
+    pub pool_sync_events: u64,
+    /// Parallel regions the pool has executed.
+    pub pool_regions: u64,
+}
+
+/// Prometheus `# TYPE` of a monotone row; its name ends in `_total`.
+const COUNTER: &str = "counter";
+/// Prometheus `# TYPE` of a row that moves both ways.
+const GAUGE: &str = "gauge";
+
+/// Where a row's value lives.
+#[derive(Clone, Copy)]
+enum Value {
+    /// An integer in the row's cell.
+    U64,
+    /// An `f64` accumulated as its bit pattern in the row's cell.
+    F64,
+    /// Read off the caller's [`PoolContext`]; the row's cell is unused.
+    Pool(fn(&PoolContext) -> u64),
+}
+use Value::{Pool, F64, U64};
+
+/// One scalar metric: everything either exposition says about it.
+struct ScalarRow {
+    /// Prometheus name without the `llpd_` prefix.
+    name: &'static str,
+    /// [`COUNTER`] (the name ends in `_total`) or [`GAUGE`].
+    kind: &'static str,
+    /// JSON path: a top-level key, or `group/key` inside a group object.
+    json: &'static str,
+    value: Value,
+    help: &'static str,
+}
+
+/// Which slot a label outside a family's vocabulary lands in.
+#[derive(Clone, Copy)]
+enum Fold {
+    /// The first label (the default: `f3d`, width `1`, `static`).
+    First,
+    /// The last label (the vocabulary's own `other`).
+    Last,
+    /// Nowhere: the observation is not counted.
+    Drop,
+}
+
+/// One labelled counter family.
+struct FamilyRow {
+    /// Prometheus family name without the `llpd_` prefix.
+    name: &'static str,
+    /// Prometheus label name.
+    label: &'static str,
+    /// Top-level JSON key of the `{label value: count}` object.
+    json: &'static str,
+    /// [`U64`] or [`F64`].
+    value: Value,
+    /// The label vocabulary, in exposition order.
+    labels: fn() -> Vec<String>,
+    fold: Fold,
+    help: &'static str,
+}
+
+/// One histogram.
+struct HistogramRow {
+    /// Prometheus family name without the `llpd_` prefix.
+    name: &'static str,
+    /// Top-level JSON key.
+    json: &'static str,
+    help: &'static str,
+    /// The bucket ladder.
+    new: fn() -> Histogram,
+}
+
+/// Declare an id enum and its row table from one list, so a row's id
+/// is its index and neither can be stated without the other.
+macro_rules! table {
+    ($(#[$doc:meta])* $id:ident indexes $table:ident: [$row:ty] { $($variant:ident => $value:expr,)* }) => {
+        $(#[$doc])*
+        #[allow(missing_docs)] // each variant is described by its row
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $id { $($variant),* }
+
+        /// The rows, in exposition order; a row's index is its id.
+        const $table: &[$row] = &[$($value),*];
+    };
+}
+
+table! {
+    /// Scalar metric ids.
+    Scalar indexes SCALARS: [ScalarRow] {
+        RequestsTotal => ScalarRow { name: "requests_total", kind: COUNTER, json: "requests_total", value: U64, help: "Requests routed, all endpoints." },
+        RejectedTotal => ScalarRow { name: "rejected_total", kind: COUNTER, json: "rejected_total", value: U64, help: "Requests rejected with 429 back-pressure." },
+        TimeoutsTotal => ScalarRow { name: "timeouts_total", kind: COUNTER, json: "timeouts_total", value: U64, help: "Requests abandoned at their deadline." },
+        JobsTotal => ScalarRow { name: "jobs_total", kind: COUNTER, json: "jobs_total", value: U64, help: "Executor jobs completed." },
+        ExecutorPanicsTotal => ScalarRow { name: "executor_panics_total", kind: COUNTER, json: "executor_panics_total", value: U64, help: "Jobs that panicked and were contained." },
+        QueueDepth => ScalarRow { name: "queue_depth", kind: GAUGE, json: "queue_depth", value: U64, help: "Jobs currently queued." },
+        ExecutorBusy => ScalarRow { name: "executor_busy", kind: GAUGE, json: "executor_busy", value: U64, help: "Executor shards currently mid-job." },
+        ExecutorShards => ScalarRow { name: "executor_shards", kind: GAUGE, json: "executor_shards", value: Pool(|c| c.executor_shards as u64), help: "Executor shards configured." },
+        OpenConnections => ScalarRow { name: "open_connections", kind: GAUGE, json: "open_connections", value: U64, help: "Connections currently open." },
+        PoolWorkers => ScalarRow { name: "pool_workers", kind: GAUGE, json: "pool_workers", value: Pool(|c| c.pool_workers as u64), help: "Worker lanes in the shared pool." },
+        PoolSyncEventsTotal => ScalarRow { name: "pool_sync_events_total", kind: COUNTER, json: "pool_sync_events_total", value: Pool(|c| c.pool_sync_events), help: "Synchronization events executed by the pool." },
+        PoolRegionsTotal => ScalarRow { name: "pool_regions_total", kind: COUNTER, json: "pool_regions_total", value: Pool(|c| c.pool_regions), help: "Parallel regions executed by the pool." },
+        ObsReportsTotal => ScalarRow { name: "obs_reports_total", kind: COUNTER, json: "obs_reports_total", value: U64, help: "Span reports folded into the totals." },
+        ObsSyncEventsTotal => ScalarRow { name: "obs_sync_events_total", kind: COUNTER, json: "obs_sync_events_total", value: U64, help: "Sync events attributed by span reports." },
+        ObsSecondsTotal => ScalarRow { name: "obs_seconds_total", kind: COUNTER, json: "obs_seconds_total", value: F64, help: "Solver wall seconds attributed by span reports." },
+        TuneEntriesStale => ScalarRow { name: "tune_entries_stale", kind: GAUGE, json: "tune_entries_stale", value: U64, help: "Tune entries the drift watchdog has flagged stale." },
+        SolvesRejectedMemoryTotal => ScalarRow { name: "solves_rejected_memory_total", kind: COUNTER, json: "solves_rejected_memory_total", value: U64, help: "Solves rejected by memory-budget admission control." },
+        CacheHitsTotal => ScalarRow { name: "cache_hits_total", kind: COUNTER, json: "cache/hits", value: U64, help: "Solves served from the result cache." },
+        CacheMissesTotal => ScalarRow { name: "cache_misses_total", kind: COUNTER, json: "cache/misses", value: U64, help: "Solves that missed the cache and executed." },
+        CacheCoalescedTotal => ScalarRow { name: "cache_coalesced_total", kind: COUNTER, json: "cache/coalesced", value: U64, help: "Solves coalesced onto in-flight executions." },
+        CacheBypassTotal => ScalarRow { name: "cache_bypass_total", kind: COUNTER, json: "cache/bypass", value: U64, help: "Solves that bypassed the cache on request." },
+        CacheEvictionsTotal => ScalarRow { name: "cache_evictions_total", kind: COUNTER, json: "cache/evictions", value: U64, help: "Cache entries evicted." },
+        ZoneJobsTotal => ScalarRow { name: "zone_jobs_total", kind: COUNTER, json: "zones/jobs", value: U64, help: "Zone-scheduled solves executed." },
+        ZoneTasksTotal => ScalarRow { name: "zone_tasks_total", kind: COUNTER, json: "zones/tasks", value: U64, help: "Zone tasks stepped across zone-scheduled solves." },
+        CacheEntries => ScalarRow { name: "cache_entries", kind: GAUGE, json: "cache/entries", value: U64, help: "Cache entries currently resident." },
+        ZoneShardsLast => ScalarRow { name: "zone_shards_last", kind: GAUGE, json: "zones/shards_last", value: U64, help: "Shards the most recent zone job dispatched over." },
+        ZonePeakReadyLast => ScalarRow { name: "zone_peak_ready_last", kind: GAUGE, json: "zones/peak_ready_last", value: U64, help: "Peak ready-queue occupancy of the most recent zone job." },
+    }
+}
+
+table! {
+    /// Labelled family ids.
+    Family indexes FAMILIES: [FamilyRow] {
+        RequestsByEndpoint => FamilyRow {
+            name: "requests_by_endpoint_total",
+            label: "endpoint",
+            json: "endpoints",
+            value: U64,
+            labels: || strings(&ENDPOINTS),
+            fold: Fold::Last,
+            help: "Requests routed, by endpoint family.",
+        },
+        Responses => FamilyRow {
+            name: "responses_total",
+            label: "status",
+            json: "status",
+            value: U64,
+            labels: || strings(&TRACKED_STATUSES),
+            fold: Fold::Drop,
+            help: "Responses sent, by status code.",
+        },
+        SolvesBySolver => FamilyRow {
+            name: "solves_by_solver_total",
+            label: "solver",
+            json: "solves_by_solver",
+            value: U64,
+            labels: || strings(&solvers::KINDS),
+            fold: Fold::First,
+            help: "Executed solves, by solver kind.",
+        },
+        SolvesByVectorWidth => FamilyRow {
+            name: "solves_by_vector_width_total",
+            label: "vector_width",
+            json: "solves_by_vector_width",
+            value: U64,
+            labels: || strings(&SUPPORTED_WIDTHS),
+            fold: Fold::First,
+            help: "Executed solves, by SLP lane width.",
+        },
+        SolvesBySchedule => FamilyRow {
+            name: "solves_by_schedule_total",
+            label: "schedule",
+            json: "solves_by_schedule",
+            value: U64,
+            labels: || strings(&SCHEDULES),
+            fold: Fold::First,
+            help: "Executed solves, by requested schedule.",
+        },
+        KernelSeconds => FamilyRow {
+            name: "kernel_seconds_total",
+            label: "kernel",
+            json: "kernel_seconds",
+            value: F64,
+            labels: kernel_labels,
+            fold: Fold::Last,
+            help: "Attributed wall seconds, by kernel.",
+        },
+    }
+}
+
+table! {
+    /// Histogram ids.
+    Hist indexes HISTOGRAMS: [HistogramRow] {
+        LatencyMs => HistogramRow {
+            name: "request_latency_ms",
+            json: "latency_ms",
+            help: "End-to-end request latency in milliseconds.",
+            new: Histogram::latency_ms,
+        },
+        // The distribution a single `queue_depth` gauge cannot show.
+        QueueDepths => HistogramRow {
+            name: "queue_depth_observed",
+            json: "queue_depths",
+            help: "Queue depth sampled at each admission attempt.",
+            new: Histogram::queue_depth,
+        },
+    }
+}
+
+fn strings<T: ToString>(items: &[T]) -> Vec<String> {
+    items.iter().map(ToString::to_string).collect()
+}
+
+/// Every served solver's kernel vocabulary in [`solvers::KINDS`] order,
+/// then `other` for spans outside it (the serial `bc`/`source` phases).
+fn kernel_labels() -> Vec<String> {
+    let mut labels = strings(&solvers::kernel_names().concat());
+    labels.push("other".to_string());
+    labels
+}
+
+/// A value as both expositions print it: integers exactly, `f64` in
+/// shortest form with infinities as `+Inf`/`-Inf`.
+#[derive(Clone, Copy)]
+enum Reading {
+    Int(u64),
+    Real(f64),
+}
+
+impl Reading {
+    fn of(value: Value, cell: &AtomicU64, ctx: &PoolContext) -> Self {
+        match value {
+            U64 => Reading::Int(cell.load(Ordering::Relaxed)),
+            F64 => Reading::Real(f64::from_bits(cell.load(Ordering::Relaxed))),
+            Pool(read) => Reading::Int(read(ctx)),
+        }
+    }
+
+    fn to_json(self) -> Json {
+        match self {
+            Reading::Int(v) => Json::from_u64(v),
+            Reading::Real(v) => Json::Num(v),
+        }
+    }
+}
+
+impl fmt::Display for Reading {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Reading::Int(v) => write!(f, "{v}"),
+            Reading::Real(v) if v == f64::INFINITY => f.write_str("+Inf"),
+            Reading::Real(v) if v == f64::NEG_INFINITY => f.write_str("-Inf"),
+            Reading::Real(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// `f64` accumulation on a bit-pattern cell.
+fn add_f64(cell: &AtomicU64, v: f64) {
+    cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+        Some((f64::from_bits(bits) + v).to_bits())
+    })
+    .expect("the update closure never declines");
+}
+
+/// One family's label vocabulary and a cell per label.
+#[derive(Debug)]
+struct FamilyCells {
+    labels: Vec<String>,
+    cells: Vec<AtomicU64>,
+}
+
+/// All service counters and gauges: one cell per table row.
 #[derive(Debug)]
 pub struct Metrics {
-    requests_total: AtomicU64,
-    rejected_total: AtomicU64,
-    timeouts_total: AtomicU64,
-    queue_depth: AtomicU64,
-    executor_busy: AtomicU64,
-    executor_panics_total: AtomicU64,
-    open_connections: AtomicU64,
-    jobs_total: AtomicU64,
-    obs_reports_total: AtomicU64,
-    obs_sync_events_total: AtomicU64,
-    obs_seconds_total_bits: AtomicU64,
-    cache_hits_total: AtomicU64,
-    cache_misses_total: AtomicU64,
-    cache_coalesced_total: AtomicU64,
-    cache_bypass_total: AtomicU64,
-    cache_evictions_total: AtomicU64,
-    cache_entries: AtomicU64,
-    zone_jobs_total: AtomicU64,
-    zone_tasks_total: AtomicU64,
-    zone_shards_last: AtomicU64,
-    zone_peak_ready_last: AtomicU64,
-    /// Executed solves by solver kind, indexed in
-    /// [`crate::solvers::KINDS`] order.
-    solves_by_solver: [AtomicU64; SOLVERS.len()],
-    /// Solves rejected by memory-budget admission control (413).
-    solves_rejected_memory_total: AtomicU64,
-    /// Executed solves by the vector width they ran at, indexed in
-    /// [`SUPPORTED_WIDTHS`] order.
-    solves_by_width: [AtomicU64; SUPPORTED_WIDTHS.len()],
-    /// Executed solves by the schedule the request asked for, indexed
-    /// in [`SCHEDULES`] order.
-    solves_by_schedule: [AtomicU64; SCHEDULES.len()],
-    /// Attributed wall seconds per kernel (f64 bits), indexed in
-    /// [`KERNELS`] order.
-    kernel_seconds_bits: [AtomicU64; KERNELS.len()],
-    /// Tune entries currently flagged stale by the drift watchdog.
-    tune_entries_stale: AtomicU64,
-    by_endpoint: [AtomicU64; ENDPOINTS.len()],
-    by_status: [AtomicU64; TRACKED_STATUSES.len()],
-    /// End-to-end request latency (parse through response build), ms.
-    latency: Histogram,
-    /// Queue depth sampled at every admission — the distribution a
-    /// single `queue_depth` gauge cannot show.
-    queue_depths: Histogram,
+    scalars: [AtomicU64; SCALARS.len()],
+    families: [FamilyCells; FAMILIES.len()],
+    histograms: [Histogram; HISTOGRAMS.len()],
 }
 
 impl Default for Metrics {
@@ -100,159 +323,116 @@ impl Metrics {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            requests_total: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
-            timeouts_total: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            executor_busy: AtomicU64::new(0),
-            executor_panics_total: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            jobs_total: AtomicU64::new(0),
-            obs_reports_total: AtomicU64::new(0),
-            obs_sync_events_total: AtomicU64::new(0),
-            obs_seconds_total_bits: AtomicU64::new(0),
-            cache_hits_total: AtomicU64::new(0),
-            cache_misses_total: AtomicU64::new(0),
-            cache_coalesced_total: AtomicU64::new(0),
-            cache_bypass_total: AtomicU64::new(0),
-            cache_evictions_total: AtomicU64::new(0),
-            cache_entries: AtomicU64::new(0),
-            zone_jobs_total: AtomicU64::new(0),
-            zone_tasks_total: AtomicU64::new(0),
-            zone_shards_last: AtomicU64::new(0),
-            zone_peak_ready_last: AtomicU64::new(0),
-            solves_by_solver: std::array::from_fn(|_| AtomicU64::new(0)),
-            solves_rejected_memory_total: AtomicU64::new(0),
-            solves_by_width: std::array::from_fn(|_| AtomicU64::new(0)),
-            solves_by_schedule: std::array::from_fn(|_| AtomicU64::new(0)),
-            kernel_seconds_bits: std::array::from_fn(|_| AtomicU64::new(0)),
-            tune_entries_stale: AtomicU64::new(0),
-            by_endpoint: std::array::from_fn(|_| AtomicU64::new(0)),
-            by_status: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency: Histogram::latency_ms(),
-            queue_depths: Histogram::queue_depth(),
+            scalars: std::array::from_fn(|_| AtomicU64::new(0)),
+            families: std::array::from_fn(|i| {
+                let labels = (FAMILIES[i].labels)();
+                let cells = labels.iter().map(|_| AtomicU64::new(0)).collect();
+                FamilyCells { labels, cells }
+            }),
+            histograms: std::array::from_fn(|i| (HISTOGRAMS[i].new)()),
         }
     }
 
-    /// Count one request routed to `endpoint` (see [`ENDPOINTS`]).
-    pub fn request(&self, endpoint: &str) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
-        let idx = ENDPOINTS
-            .iter()
-            .position(|&e| e == endpoint)
-            .unwrap_or(ENDPOINTS.len() - 1);
-        self.by_endpoint[idx].fetch_add(1, Ordering::Relaxed);
+    fn cell(&self, id: Scalar) -> &AtomicU64 {
+        debug_assert!(
+            !matches!(SCALARS[id as usize].value, Pool(_)),
+            "{id:?} is read off the PoolContext, not stored"
+        );
+        &self.scalars[id as usize]
     }
 
-    /// Count one response with `status`.
+    /// Add one to `id`.
+    pub fn inc(&self, id: Scalar) {
+        self.add(id, 1);
+    }
+
+    /// Take one off gauge `id`.
+    pub fn dec(&self, id: Scalar) {
+        self.cell(id).fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Add `n` to `id`.
+    pub fn add(&self, id: Scalar, n: u64) {
+        self.cell(id).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Set gauge `id` to `value`.
+    pub fn set(&self, id: Scalar, value: u64) {
+        self.cell(id).store(value, Ordering::Relaxed);
+    }
+
+    /// Current value of integer metric `id`.
+    #[must_use]
+    pub fn get(&self, id: Scalar) -> u64 {
+        self.cell(id).load(Ordering::Relaxed)
+    }
+
+    /// The cell of `family`'s slot `idx`; `None` (a label outside the
+    /// vocabulary) resolves through the family's [`Fold`].
+    fn slot(&self, family: Family, idx: Option<usize>) -> Option<&AtomicU64> {
+        let cells = &self.families[family as usize].cells;
+        match (idx, FAMILIES[family as usize].fold) {
+            (Some(idx), _) => cells.get(idx),
+            (None, Fold::First) => cells.first(),
+            (None, Fold::Last) => cells.last(),
+            (None, Fold::Drop) => None,
+        }
+    }
+
+    fn slot_of(&self, family: Family, label: &str) -> Option<&AtomicU64> {
+        let labels = &self.families[family as usize].labels;
+        self.slot(family, labels.iter().position(|l| l == label))
+    }
+
+    /// Add one to `family`'s counter for `label`; a label outside the
+    /// vocabulary folds as the family's row says.
+    pub fn bump(&self, family: Family, label: &str) {
+        debug_assert!(matches!(FAMILIES[family as usize].value, U64));
+        if let Some(cell) = self.slot_of(family, label) {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Add `seconds` to `family`'s `f64` counter for `label`, folding
+    /// unknown labels like [`Metrics::bump`].
+    pub fn add_seconds(&self, family: Family, label: &str, seconds: f64) {
+        debug_assert!(matches!(FAMILIES[family as usize].value, F64));
+        if let Some(cell) = self.slot_of(family, label) {
+            add_f64(cell, seconds);
+        }
+    }
+
+    /// Record one observation in `hist`.
+    pub fn observe(&self, hist: Hist, value: f64) {
+        self.histograms[hist as usize].record(value);
+    }
+
+    /// Count one request routed to `endpoint` (see [`ENDPOINTS`]), in
+    /// the total and in its family.
+    pub fn request(&self, endpoint: &str) {
+        self.inc(Scalar::RequestsTotal);
+        self.bump(Family::RequestsByEndpoint, endpoint);
+    }
+
+    /// Count one response with `status`; a 429 is also a rejection.
     pub fn response(&self, status: u16) {
-        if let Some(idx) = TRACKED_STATUSES.iter().position(|&s| s == status) {
-            self.by_status[idx].fetch_add(1, Ordering::Relaxed);
+        let idx = TRACKED_STATUSES.iter().position(|&s| s == status);
+        if let Some(cell) = self.slot(Family::Responses, idx) {
+            cell.fetch_add(1, Ordering::Relaxed);
         }
         if status == 429 {
-            self.rejected_total.fetch_add(1, Ordering::Relaxed);
+            self.inc(Scalar::RejectedTotal);
         }
-    }
-
-    /// Count one request abandoned at its deadline.
-    pub fn timeout(&self) {
-        self.timeouts_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total 429 responses so far.
-    #[must_use]
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_total.load(Ordering::Relaxed)
-    }
-
-    /// Set the queued-job gauge.
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.queue_depth.store(depth as u64, Ordering::Relaxed);
-    }
-
-    /// Record one end-to-end request latency in milliseconds.
-    pub fn observe_latency_ms(&self, ms: f64) {
-        self.latency.record(ms);
-    }
-
-    /// Sample the queue depth seen by one admission attempt.
-    pub fn observe_queue_depth(&self, depth: usize) {
-        #[allow(clippy::cast_precision_loss)]
-        self.queue_depths.record(depth as f64);
-    }
-
-    /// Estimated request-latency quantile in milliseconds (`None`
-    /// before any request completed).
-    #[must_use]
-    pub fn latency_quantile_ms(&self, q: f64) -> Option<f64> {
-        self.latency.quantile(q)
-    }
-
-    /// One executor shard started computing a job: the `executor_busy`
-    /// gauge counts shards currently mid-job.
-    pub fn executor_started(&self) {
-        self.executor_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// See [`Metrics::executor_started`].
-    pub fn executor_finished(&self) {
-        self.executor_busy.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Number of executor shards currently computing a job.
-    #[must_use]
-    pub fn executors_busy(&self) -> u64 {
-        self.executor_busy.load(Ordering::Relaxed)
-    }
-
-    /// Count one job that panicked and was contained by its shard.
-    pub fn executor_panicked(&self) {
-        self.executor_panics_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adjust the open-connection gauge by +1 / -1.
-    pub fn connection_opened(&self) {
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// See [`Metrics::connection_opened`].
-    pub fn connection_closed(&self) {
-        self.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Number of connections currently open.
-    #[must_use]
-    pub fn open_connections(&self) -> u64 {
-        self.open_connections.load(Ordering::Relaxed)
-    }
-
-    /// Count one executed job that produced no observability report
-    /// (advice is pure computation — no pool work, no spans).
-    pub fn job_executed(&self) {
-        self.jobs_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fold one completed pool job's observability report totals in.
+    /// (A job without a report — advice is pure computation — is just
+    /// `inc(Scalar::JobsTotal)`.)
     pub fn job_done(&self, report_sync_events: u64, report_seconds: f64) {
-        self.jobs_total.fetch_add(1, Ordering::Relaxed);
-        self.obs_reports_total.fetch_add(1, Ordering::Relaxed);
-        self.obs_sync_events_total
-            .fetch_add(report_sync_events, Ordering::Relaxed);
-        // f64 accumulation via compare-exchange on the bit pattern: the
-        // executor is the only writer, so this loop runs once.
-        let mut current = self.obs_seconds_total_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + report_seconds).to_bits();
-            match self.obs_seconds_total_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
+        self.inc(Scalar::JobsTotal);
+        self.inc(Scalar::ObsReportsTotal);
+        self.add(Scalar::ObsSyncEventsTotal, report_sync_events);
+        add_f64(self.cell(Scalar::ObsSecondsTotal), report_seconds);
     }
 
     /// Fold one zone-scheduled solve's step statistics in: how many
@@ -261,716 +441,326 @@ impl Metrics {
     /// occupancy (`U_zones`). The shard and peak gauges keep the last
     /// value — the queue picture of the most recent zone job.
     pub fn zone_job(&self, shards: u64, zone_tasks: u64, peak_ready: u64) {
-        self.zone_jobs_total.fetch_add(1, Ordering::Relaxed);
-        self.zone_tasks_total
-            .fetch_add(zone_tasks, Ordering::Relaxed);
-        self.zone_shards_last.store(shards, Ordering::Relaxed);
-        self.zone_peak_ready_last
-            .store(peak_ready, Ordering::Relaxed);
-    }
-
-    /// Count one executed solve of `kind` (see [`crate::solvers::KINDS`];
-    /// unknown kinds fold into the first slot — they cannot reach the
-    /// executor, admission rejects them).
-    pub fn solve_solver(&self, kind: &str) {
-        let idx = SOLVERS.iter().position(|&k| k == kind).unwrap_or(0);
-        self.solves_by_solver[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one solve rejected with 413 because its estimated memory
-    /// footprint exceeded the configured budget.
-    pub fn solve_rejected_memory(&self) {
-        self.solves_rejected_memory_total
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one executed solve at `width` lanes. Unsupported widths
-    /// cannot reach the executor (admission validates them), but an
-    /// unknown value folds into the scalar bucket rather than panicking
-    /// in the metrics path.
-    pub fn solve_width(&self, width: usize) {
-        let idx = SUPPORTED_WIDTHS
-            .iter()
-            .position(|&w| w == width)
-            .unwrap_or(0);
-        self.solves_by_width[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one executed solve under the requested schedule label
-    /// (see [`SCHEDULES`]; unknown labels fold into `static`).
-    pub fn solve_schedule(&self, schedule: &str) {
-        let idx = SCHEDULES.iter().position(|&s| s == schedule).unwrap_or(0);
-        self.solves_by_schedule[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold attributed wall seconds into `kernel`'s counter (see
-    /// [`KERNELS`]; names outside the vocabulary fold into `other`).
-    pub fn kernel_seconds(&self, kernel: &str, seconds: f64) {
-        let idx = KERNELS
-            .iter()
-            .position(|&k| k == kernel)
-            .unwrap_or(KERNELS.len() - 1);
-        let cell = &self.kernel_seconds_bits[idx];
-        let mut current = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + seconds).to_bits();
-            match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Set the stale-tune-entries gauge (the drift watchdog's count).
-    pub fn set_tune_entries_stale(&self, n: usize) {
-        self.tune_entries_stale.store(n as u64, Ordering::Relaxed);
-    }
-
-    /// Count one solve served straight from the content-addressed
-    /// cache (no execution).
-    pub fn cache_hit(&self) {
-        self.cache_hits_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one solve that missed the cache and executed (its result
-    /// was inserted afterwards).
-    pub fn cache_miss(&self) {
-        self.cache_misses_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one solve coalesced onto an identical in-flight execution
-    /// (it waited for that execution instead of queueing its own job).
-    pub fn cache_coalesced(&self) {
-        self.cache_coalesced_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one `"cache": "bypass"` solve (executed unconditionally).
-    pub fn cache_bypass(&self) {
-        self.cache_bypass_total.fetch_add(1, Ordering::Relaxed);
+        self.inc(Scalar::ZoneJobsTotal);
+        self.add(Scalar::ZoneTasksTotal, zone_tasks);
+        self.set(Scalar::ZoneShardsLast, shards);
+        self.set(Scalar::ZonePeakReadyLast, peak_ready);
     }
 
     /// Count `n` evicted cache entries and set the resident-entry gauge.
     pub fn cache_evicted(&self, n: u64, entries: usize) {
-        self.cache_evictions_total.fetch_add(n, Ordering::Relaxed);
-        self.cache_entries.store(entries as u64, Ordering::Relaxed);
+        self.add(Scalar::CacheEvictionsTotal, n);
+        self.set(Scalar::CacheEntries, entries as u64);
     }
 
-    /// Total cache hits so far.
+    /// Render the snapshot as a JSON document: each scalar at its
+    /// path, each family as a `{label: value}` object, each histogram
+    /// under its key.
     #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits_total.load(Ordering::Relaxed)
-    }
-
-    /// Render the snapshot, including the shared pool's own counters
-    /// and shard count (passed in by the server, which owns the pool).
-    #[must_use]
-    pub fn to_json(
-        &self,
-        pool_workers: usize,
-        executor_shards: usize,
-        pool_sync_events: u64,
-        pool_regions: u64,
-    ) -> Json {
-        let load = |a: &AtomicU64| Json::from_u64(a.load(Ordering::Relaxed));
-        Json::object(vec![
-            ("requests_total", load(&self.requests_total)),
-            ("rejected_total", load(&self.rejected_total)),
-            ("timeouts_total", load(&self.timeouts_total)),
-            ("queue_depth", load(&self.queue_depth)),
-            ("executor_busy", load(&self.executor_busy)),
-            ("executor_shards", Json::from_usize(executor_shards)),
-            ("executor_panics_total", load(&self.executor_panics_total)),
-            ("open_connections", load(&self.open_connections)),
-            ("jobs_total", load(&self.jobs_total)),
-            (
-                "cache",
-                Json::object(vec![
-                    ("hits", load(&self.cache_hits_total)),
-                    ("misses", load(&self.cache_misses_total)),
-                    ("coalesced", load(&self.cache_coalesced_total)),
-                    ("bypass", load(&self.cache_bypass_total)),
-                    ("evictions", load(&self.cache_evictions_total)),
-                    ("entries", load(&self.cache_entries)),
-                ]),
-            ),
-            (
-                "zones",
-                Json::object(vec![
-                    ("jobs", load(&self.zone_jobs_total)),
-                    ("tasks", load(&self.zone_tasks_total)),
-                    ("shards_last", load(&self.zone_shards_last)),
-                    ("peak_ready_last", load(&self.zone_peak_ready_last)),
-                ]),
-            ),
-            (
-                "solves_by_solver",
-                Json::Object(
-                    SOLVERS
-                        .iter()
-                        .zip(&self.solves_by_solver)
-                        .map(|(&kind, counter)| (kind.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "solves_rejected_memory_total",
-                load(&self.solves_rejected_memory_total),
-            ),
-            (
-                "solves_by_vector_width",
-                Json::Object(
-                    SUPPORTED_WIDTHS
-                        .iter()
-                        .zip(&self.solves_by_width)
-                        .map(|(&w, counter)| (w.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "solves_by_schedule",
-                Json::Object(
-                    SCHEDULES
-                        .iter()
-                        .zip(&self.solves_by_schedule)
-                        .map(|(&name, counter)| (name.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "kernel_seconds",
-                Json::Object(
-                    KERNELS
-                        .iter()
-                        .zip(&self.kernel_seconds_bits)
-                        .map(|(&name, bits)| {
-                            (
-                                name.to_string(),
-                                Json::Num(f64::from_bits(bits.load(Ordering::Relaxed))),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            ("tune_entries_stale", load(&self.tune_entries_stale)),
-            (
-                "endpoints",
-                Json::Object(
-                    ENDPOINTS
-                        .iter()
-                        .zip(&self.by_endpoint)
-                        .map(|(&name, counter)| (name.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "status",
-                Json::Object(
-                    TRACKED_STATUSES
-                        .iter()
-                        .zip(&self.by_status)
-                        .map(|(&status, counter)| (status.to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            ("pool_workers", Json::from_usize(pool_workers)),
-            ("pool_sync_events_total", Json::from_u64(pool_sync_events)),
-            ("pool_regions_total", Json::from_u64(pool_regions)),
-            ("obs_reports_total", load(&self.obs_reports_total)),
-            ("obs_sync_events_total", load(&self.obs_sync_events_total)),
-            (
-                "obs_seconds_total",
-                Json::Num(f64::from_bits(
-                    self.obs_seconds_total_bits.load(Ordering::Relaxed),
-                )),
-            ),
-            ("latency_ms", self.latency.to_json()),
-            ("queue_depths", self.queue_depths.to_json()),
-        ])
+    pub fn to_json(&self, ctx: &PoolContext) -> Json {
+        let mut doc: Vec<(String, Json)> = Vec::new();
+        for (row, cell) in SCALARS.iter().zip(&self.scalars) {
+            let value = Reading::of(row.value, cell, ctx).to_json();
+            match row.json.split_once('/') {
+                None => doc.push((row.json.to_string(), value)),
+                Some((group, key)) => group_of(&mut doc, group).push((key.to_string(), value)),
+            }
+        }
+        for (row, family) in FAMILIES.iter().zip(&self.families) {
+            let members = family
+                .labels
+                .iter()
+                .zip(&family.cells)
+                .map(|(label, cell)| (label.clone(), Reading::of(row.value, cell, ctx).to_json()))
+                .collect();
+            doc.push((row.json.to_string(), Json::Object(members)));
+        }
+        for (row, hist) in HISTOGRAMS.iter().zip(&self.histograms) {
+            doc.push((row.json.to_string(), hist.to_json()));
+        }
+        Json::Object(doc)
     }
 
     /// Render the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): one `# TYPE`d family per signal, labels for
-    /// endpoint / status / kernel / schedule / `vector_width`, and the
-    /// two histograms as cumulative `_bucket` / `_sum` / `_count`
-    /// series. Takes the same pool context as [`Metrics::to_json`] —
-    /// the two renderings are views of one set of counters.
+    /// (version 0.0.4): one `# TYPE`d family per row, in table order,
+    /// the histograms as cumulative `_bucket` / `_sum` / `_count`
+    /// series. A view of the same cells as [`Metrics::to_json`].
     #[must_use]
-    pub fn to_prometheus(
-        &self,
-        pool_workers: usize,
-        executor_shards: usize,
-        pool_sync_events: u64,
-        pool_regions: u64,
-    ) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut out = String::with_capacity(4096);
-        let mut plain = |name: &str, kind: &str, help: &str, value: String| {
-            out.push_str(&format!(
-                "# HELP llpd_{name} {help}\n# TYPE llpd_{name} {kind}\nllpd_{name} {value}\n"
-            ));
+    pub fn to_prometheus(&self, ctx: &PoolContext) -> String {
+        // Writing to a `String` cannot fail, hence the dropped results.
+        let mut out = String::with_capacity(8192);
+        let header = |out: &mut String, name: &str, kind: &str, help: &str| {
+            let _ = write!(
+                out,
+                "# HELP llpd_{name} {help}\n# TYPE llpd_{name} {kind}\n"
+            );
         };
-        plain(
-            "requests_total",
-            "counter",
-            "Requests routed, all endpoints.",
-            load(&self.requests_total).to_string(),
-        );
-        plain(
-            "rejected_total",
-            "counter",
-            "Requests rejected with 429 back-pressure.",
-            load(&self.rejected_total).to_string(),
-        );
-        plain(
-            "timeouts_total",
-            "counter",
-            "Requests abandoned at their deadline.",
-            load(&self.timeouts_total).to_string(),
-        );
-        plain(
-            "jobs_total",
-            "counter",
-            "Executor jobs completed.",
-            load(&self.jobs_total).to_string(),
-        );
-        plain(
-            "executor_panics_total",
-            "counter",
-            "Jobs that panicked and were contained.",
-            load(&self.executor_panics_total).to_string(),
-        );
-        plain(
-            "queue_depth",
-            "gauge",
-            "Jobs currently queued.",
-            load(&self.queue_depth).to_string(),
-        );
-        plain(
-            "executor_busy",
-            "gauge",
-            "Executor shards currently mid-job.",
-            load(&self.executor_busy).to_string(),
-        );
-        plain(
-            "executor_shards",
-            "gauge",
-            "Executor shards configured.",
-            executor_shards.to_string(),
-        );
-        plain(
-            "open_connections",
-            "gauge",
-            "Connections currently open.",
-            self.open_connections().to_string(),
-        );
-        plain(
-            "pool_workers",
-            "gauge",
-            "Worker lanes in the shared pool.",
-            pool_workers.to_string(),
-        );
-        plain(
-            "pool_sync_events_total",
-            "counter",
-            "Synchronization events executed by the pool.",
-            pool_sync_events.to_string(),
-        );
-        plain(
-            "pool_regions_total",
-            "counter",
-            "Parallel regions executed by the pool.",
-            pool_regions.to_string(),
-        );
-        plain(
-            "obs_reports_total",
-            "counter",
-            "Span reports folded into the totals.",
-            load(&self.obs_reports_total).to_string(),
-        );
-        plain(
-            "obs_sync_events_total",
-            "counter",
-            "Sync events attributed by span reports.",
-            load(&self.obs_sync_events_total).to_string(),
-        );
-        plain(
-            "obs_seconds_total",
-            "counter",
-            "Solver wall seconds attributed by span reports.",
-            prom_f64(f64::from_bits(
-                self.obs_seconds_total_bits.load(Ordering::Relaxed),
-            )),
-        );
-        plain(
-            "tune_entries_stale",
-            "gauge",
-            "Tune entries the drift watchdog has flagged stale.",
-            load(&self.tune_entries_stale).to_string(),
-        );
-        plain(
-            "solves_rejected_memory_total",
-            "counter",
-            "Solves rejected by memory-budget admission control.",
-            load(&self.solves_rejected_memory_total).to_string(),
-        );
-        // Cache and zone counter families.
-        for (name, help, cell) in [
-            (
-                "cache_hits_total",
-                "Solves served from the result cache.",
-                &self.cache_hits_total,
-            ),
-            (
-                "cache_misses_total",
-                "Solves that missed the cache and executed.",
-                &self.cache_misses_total,
-            ),
-            (
-                "cache_coalesced_total",
-                "Solves coalesced onto in-flight executions.",
-                &self.cache_coalesced_total,
-            ),
-            (
-                "cache_bypass_total",
-                "Solves that bypassed the cache on request.",
-                &self.cache_bypass_total,
-            ),
-            (
-                "cache_evictions_total",
-                "Cache entries evicted.",
-                &self.cache_evictions_total,
-            ),
-            (
-                "zone_jobs_total",
-                "Zone-scheduled solves executed.",
-                &self.zone_jobs_total,
-            ),
-            (
-                "zone_tasks_total",
-                "Zone tasks stepped across zone-scheduled solves.",
-                &self.zone_tasks_total,
-            ),
-        ] {
-            plain(name, "counter", help, load(cell).to_string());
+        for (row, cell) in SCALARS.iter().zip(&self.scalars) {
+            header(&mut out, row.name, row.kind, row.help);
+            let value = Reading::of(row.value, cell, ctx);
+            let _ = writeln!(out, "llpd_{} {value}", row.name);
         }
-        for (name, help, cell) in [
-            (
-                "cache_entries",
-                "Cache entries currently resident.",
-                &self.cache_entries,
-            ),
-            (
-                "zone_shards_last",
-                "Shards the most recent zone job dispatched over.",
-                &self.zone_shards_last,
-            ),
-            (
-                "zone_peak_ready_last",
-                "Peak ready-queue occupancy of the most recent zone job.",
-                &self.zone_peak_ready_last,
-            ),
-        ] {
-            plain(name, "gauge", help, load(cell).to_string());
+        for (row, family) in FAMILIES.iter().zip(&self.families) {
+            header(&mut out, row.name, COUNTER, row.help);
+            for (label, cell) in family.labels.iter().zip(&family.cells) {
+                let value = Reading::of(row.value, cell, ctx);
+                let _ = writeln!(
+                    out,
+                    "llpd_{}{{{}=\"{label}\"}} {value}",
+                    row.name, row.label
+                );
+            }
         }
-        // Labeled families.
-        out.push_str(
-            "# HELP llpd_requests_by_endpoint_total Requests routed, by endpoint family.\n\
-             # TYPE llpd_requests_by_endpoint_total counter\n",
-        );
-        for (name, counter) in ENDPOINTS.iter().zip(&self.by_endpoint) {
-            out.push_str(&format!(
-                "llpd_requests_by_endpoint_total{{endpoint=\"{name}\"}} {}\n",
-                load(counter)
-            ));
+        for (row, hist) in HISTOGRAMS.iter().zip(&self.histograms) {
+            header(&mut out, row.name, "histogram", row.help);
+            for (bound, cumulative) in hist.cumulative_buckets() {
+                let le = Reading::Real(bound);
+                let _ = writeln!(out, "llpd_{}_bucket{{le=\"{le}\"}} {cumulative}", row.name);
+            }
+            let sum = Reading::Real(hist.sum());
+            let _ = writeln!(out, "llpd_{}_sum {sum}", row.name);
+            let _ = writeln!(out, "llpd_{}_count {}", row.name, hist.count());
         }
-        out.push_str(
-            "# HELP llpd_responses_total Responses sent, by status code.\n\
-             # TYPE llpd_responses_total counter\n",
-        );
-        for (status, counter) in TRACKED_STATUSES.iter().zip(&self.by_status) {
-            out.push_str(&format!(
-                "llpd_responses_total{{status=\"{status}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_solves_by_solver_total Executed solves, by solver kind.\n\
-             # TYPE llpd_solves_by_solver_total counter\n",
-        );
-        for (kind, counter) in SOLVERS.iter().zip(&self.solves_by_solver) {
-            out.push_str(&format!(
-                "llpd_solves_by_solver_total{{solver=\"{kind}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_solves_by_vector_width_total Executed solves, by SLP lane width.\n\
-             # TYPE llpd_solves_by_vector_width_total counter\n",
-        );
-        for (width, counter) in SUPPORTED_WIDTHS.iter().zip(&self.solves_by_width) {
-            out.push_str(&format!(
-                "llpd_solves_by_vector_width_total{{vector_width=\"{width}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_solves_by_schedule_total Executed solves, by requested schedule.\n\
-             # TYPE llpd_solves_by_schedule_total counter\n",
-        );
-        for (schedule, counter) in SCHEDULES.iter().zip(&self.solves_by_schedule) {
-            out.push_str(&format!(
-                "llpd_solves_by_schedule_total{{schedule=\"{schedule}\"}} {}\n",
-                load(counter)
-            ));
-        }
-        out.push_str(
-            "# HELP llpd_kernel_seconds_total Attributed wall seconds, by kernel.\n\
-             # TYPE llpd_kernel_seconds_total counter\n",
-        );
-        for (kernel, bits) in KERNELS.iter().zip(&self.kernel_seconds_bits) {
-            out.push_str(&format!(
-                "llpd_kernel_seconds_total{{kernel=\"{kernel}\"}} {}\n",
-                prom_f64(f64::from_bits(bits.load(Ordering::Relaxed)))
-            ));
-        }
-        // Histograms.
-        prom_histogram(
-            &mut out,
-            "request_latency_ms",
-            "End-to-end request latency in milliseconds.",
-            &self.latency,
-        );
-        prom_histogram(
-            &mut out,
-            "queue_depth_observed",
-            "Queue depth sampled at each admission attempt.",
-            &self.queue_depths,
-        );
         out
     }
 }
 
-/// Format an `f64` for the exposition format (finite shortest form;
-/// infinities as `+Inf`/`-Inf`).
-fn prom_f64(v: f64) -> String {
-    if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+/// The member list of `doc`'s `group` object, appended on first use.
+fn group_of<'a>(doc: &'a mut Vec<(String, Json)>, group: &str) -> &'a mut Vec<(String, Json)> {
+    let idx = doc.iter().position(|(k, _)| k == group).unwrap_or_else(|| {
+        doc.push((group.to_string(), Json::Object(Vec::new())));
+        doc.len() - 1
+    });
+    match &mut doc[idx].1 {
+        Json::Object(members) => members,
+        _ => unreachable!("`{group}` is both a scalar path and a group"),
     }
-}
-
-/// Append one histogram family: cumulative `_bucket{le=...}` series
-/// (ending at `le="+Inf"`), `_sum`, and `_count`.
-fn prom_histogram(out: &mut String, name: &str, help: &str, hist: &Histogram) {
-    out.push_str(&format!(
-        "# HELP llpd_{name} {help}\n# TYPE llpd_{name} histogram\n"
-    ));
-    for (bound, cumulative) in hist.cumulative_buckets() {
-        out.push_str(&format!(
-            "llpd_{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-            prom_f64(bound)
-        ));
-    }
-    out.push_str(&format!("llpd_{name}_sum {}\n", prom_f64(hist.sum())));
-    out.push_str(&format!("llpd_{name}_count {}\n", hist.count()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    const CTX: PoolContext = PoolContext {
+        pool_workers: 4,
+        executor_shards: 2,
+        pool_sync_events: 36,
+        pool_regions: 19,
+    };
+
+    /// Recursively sort object members: documents compare as parsed
+    /// JSON, where member order carries no meaning.
+    fn canonical(json: &Json) -> Json {
+        match json {
+            Json::Object(members) => {
+                let mut members: Vec<_> = members
+                    .iter()
+                    .map(|(k, v)| (k.clone(), canonical(v)))
+                    .collect();
+                members.sort_by(|a, b| a.0.cmp(&b.0));
+                Json::Object(members)
+            }
+            Json::Array(items) => Json::Array(items.iter().map(canonical).collect()),
+            other => other.clone(),
+        }
+    }
+
+    /// The JSON value at a table path (`key` or `group/key`).
+    fn at<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
+        path.split('/').try_fold(doc, |j, key| j.get(key))
+    }
+
+    /// The golden files were written by the hand-rolled renderer this
+    /// table replaced, driven by the same script (through its named
+    /// bump methods): every scalar, every family including a label
+    /// outside its vocabulary, both histograms.
+    #[test]
+    fn expositions_match_the_goldens_of_the_hand_written_renderer() {
+        let m = Metrics::new();
+        for endpoint in ["solve", "solve", "solve", "metrics", "nonsense"] {
+            m.request(endpoint);
+        }
+        for status in [200, 200, 413, 429, 999] {
+            m.response(status);
+        }
+        m.add(Scalar::TimeoutsTotal, 2);
+        m.set(Scalar::QueueDepth, 7);
+        m.add(Scalar::ExecutorBusy, 3);
+        m.dec(Scalar::ExecutorBusy);
+        m.inc(Scalar::ExecutorPanicsTotal);
+        m.add(Scalar::OpenConnections, 4);
+        m.dec(Scalar::OpenConnections);
+        m.inc(Scalar::JobsTotal);
+        m.job_done(18, 0.25);
+        m.job_done(36, 0.5);
+        m.zone_job(2, 12, 4);
+        m.zone_job(4, 16, 3);
+        for kind in ["f3d", "fdtd", "fdtd", "nonsense"] {
+            m.bump(Family::SolvesBySolver, kind);
+        }
+        m.inc(Scalar::SolvesRejectedMemoryTotal);
+        for width in ["1", "4", "4", "999"] {
+            m.bump(Family::SolvesByVectorWidth, width);
+        }
+        for schedule in ["dynamic", "auto", "auto", "weird"] {
+            m.bump(Family::SolvesBySchedule, schedule);
+        }
+        for (kernel, seconds) in [
+            ("rhs", 0.5),
+            ("rhs", 0.25),
+            ("j_factor", 1.5),
+            ("update_e", 0.0625),
+            ("no_such_kernel", 0.125),
+        ] {
+            m.add_seconds(Family::KernelSeconds, kernel, seconds);
+        }
+        m.set(Scalar::TuneEntriesStale, 3);
+        m.add(Scalar::CacheHitsTotal, 6);
+        m.add(Scalar::CacheMissesTotal, 5);
+        m.add(Scalar::CacheCoalescedTotal, 4);
+        m.add(Scalar::CacheBypassTotal, 2);
+        m.cache_evicted(9, 11);
+        for ms in [0.7, 3.0, 40.0, 700.0] {
+            m.observe(Hist::LatencyMs, ms);
+        }
+        m.observe(Hist::QueueDepths, 0.0);
+        m.observe(Hist::QueueDepths, 5.0);
+
+        assert_eq!(
+            m.to_prometheus(&CTX),
+            include_str!("../tests/golden/metrics.prom"),
+            "Prometheus exposition must stay byte-for-byte"
+        );
+        let golden = Json::parse(include_str!("../tests/golden/metrics.json")).unwrap();
+        assert_eq!(canonical(&m.to_json(&CTX)), canonical(&golden));
+    }
 
     #[test]
-    fn counters_land_in_the_snapshot() {
+    fn table_names_and_paths_are_unique_and_every_row_renders_twice() {
         let m = Metrics::new();
-        m.request("solve");
-        m.request("solve");
-        m.request("model");
-        m.request("nonsense"); // folds into "other"
+        let text = m.to_prometheus(&CTX);
+        let doc = m.to_json(&CTX);
+        let rows = SCALARS
+            .iter()
+            .map(|r| (r.name, r.kind, r.json))
+            .chain(FAMILIES.iter().map(|r| (r.name, "counter", r.json)))
+            .chain(HISTOGRAMS.iter().map(|r| (r.name, "histogram", r.json)));
+        let (mut names, mut paths) = (HashSet::new(), HashSet::new());
+        for (name, kind, path) in rows {
+            assert!(names.insert(name), "duplicate Prometheus name {name}");
+            assert!(paths.insert(path), "duplicate JSON path {path}");
+            assert_eq!(
+                kind == "counter",
+                name.ends_with("_total"),
+                "{name}: exactly the counters end in _total"
+            );
+            assert!(
+                text.contains(&format!("# TYPE llpd_{name} {kind}\nllpd_{name}")),
+                "{name} missing from the Prometheus exposition"
+            );
+            assert!(at(&doc, path).is_some(), "{path} missing from the JSON");
+        }
+        for (row, family) in FAMILIES.iter().zip(&m.families) {
+            let distinct: HashSet<_> = family.labels.iter().collect();
+            assert_eq!(distinct.len(), family.labels.len(), "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn every_solver_kernel_has_its_own_seconds_bucket() {
+        for (kind, names) in solvers::KINDS.iter().zip(solvers::kernel_names()) {
+            assert!(!names.is_empty(), "{kind} names no kernels");
+            for name in names {
+                let m = Metrics::new();
+                m.add_seconds(Family::KernelSeconds, name, 0.5);
+                let doc = m.to_json(&CTX);
+                let kernels = doc.get("kernel_seconds").unwrap();
+                assert_eq!(kernels.get(name).and_then(Json::as_f64), Some(0.5));
+                assert_eq!(kernels.get("other").and_then(Json::as_f64), Some(0.0));
+                assert!(m.to_prometheus(&CTX).contains(&format!(
+                    "llpd_kernel_seconds_total{{kernel=\"{name}\"}} 0.5\n"
+                )));
+            }
+        }
+    }
+
+    #[test]
+    fn a_429_is_also_a_rejection_and_an_untracked_status_is_dropped() {
+        let m = Metrics::new();
         m.response(200);
         m.response(429);
-        m.timeout();
-        m.connection_opened();
-        m.job_done(18, 0.25);
-        m.job_done(18, 0.25);
-        let j = m.to_json(4, 2, 36, 36);
-        assert_eq!(j.get("requests_total").unwrap().as_u64(), Some(4));
-        assert_eq!(j.get("rejected_total").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("timeouts_total").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("open_connections").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("jobs_total").unwrap().as_u64(), Some(2));
-        let endpoints = j.get("endpoints").unwrap();
-        assert_eq!(endpoints.get("solve").unwrap().as_u64(), Some(2));
-        assert_eq!(endpoints.get("model").unwrap().as_u64(), Some(1));
-        assert_eq!(endpoints.get("other").unwrap().as_u64(), Some(1));
-        let status = j.get("status").unwrap();
+        m.response(418);
+        assert_eq!(m.get(Scalar::RejectedTotal), 1);
+        let doc = m.to_json(&CTX);
+        let status = doc.get("status").unwrap();
         assert_eq!(status.get("200").unwrap().as_u64(), Some(1));
         assert_eq!(status.get("429").unwrap().as_u64(), Some(1));
-        assert_eq!(j.get("pool_sync_events_total").unwrap().as_u64(), Some(36));
-        assert_eq!(j.get("obs_sync_events_total").unwrap().as_u64(), Some(36));
-        assert_eq!(j.get("obs_seconds_total").unwrap().as_f64(), Some(0.5));
-        assert_eq!(j.get("executor_shards").unwrap().as_u64(), Some(2));
-        assert_eq!(j.get("executor_panics_total").unwrap().as_u64(), Some(0));
+        let counted: u64 = status
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(_, v)| v.as_u64().unwrap())
+            .sum();
+        assert_eq!(counted, 2);
     }
 
     #[test]
-    fn solve_width_counters_land_in_the_snapshot() {
+    fn unknown_labels_fold_into_the_slot_their_row_names() {
         let m = Metrics::new();
-        m.solve_width(1);
-        m.solve_width(4);
-        m.solve_width(4);
-        m.solve_width(999); // unknown widths fold into the scalar bucket
-        let j = m.to_json(1, 1, 0, 0);
-        let by_width = j.get("solves_by_vector_width").unwrap();
-        assert_eq!(by_width.get("1").unwrap().as_u64(), Some(2));
-        assert_eq!(by_width.get("2").unwrap().as_u64(), Some(0));
-        assert_eq!(by_width.get("4").unwrap().as_u64(), Some(2));
-        assert_eq!(by_width.get("8").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn solver_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
-        m.solve_solver("f3d");
-        m.solve_solver("fdtd");
-        m.solve_solver("fdtd");
-        m.solve_solver("nonsense"); // folds into the first slot
-        m.solve_rejected_memory();
-        let j = m.to_json(1, 1, 0, 0);
-        let by_solver = j.get("solves_by_solver").unwrap();
-        assert_eq!(by_solver.get("f3d").unwrap().as_u64(), Some(2));
-        assert_eq!(by_solver.get("fdtd").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            j.get("solves_rejected_memory_total").unwrap().as_u64(),
-            Some(1)
-        );
-        let text = m.to_prometheus(1, 1, 0, 0);
-        assert!(text.contains("llpd_solves_by_solver_total{solver=\"f3d\"} 2\n"));
-        assert!(text.contains("llpd_solves_by_solver_total{solver=\"fdtd\"} 2\n"));
-        assert!(text.contains("llpd_solves_rejected_memory_total 1\n"));
-    }
-
-    #[test]
-    fn fdtd_kernels_have_their_own_seconds_buckets() {
-        let m = Metrics::new();
-        m.kernel_seconds("update_e", 0.25);
-        m.kernel_seconds("update_h", 0.5);
-        let kernels = m.to_json(1, 1, 0, 0).get("kernel_seconds").unwrap().clone();
-        assert_eq!(kernels.get("update_e").unwrap().as_f64(), Some(0.25));
-        assert_eq!(kernels.get("update_h").unwrap().as_f64(), Some(0.5));
-        assert_eq!(kernels.get("other").unwrap().as_f64(), Some(0.0));
-    }
-
-    #[test]
-    fn cache_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
-        m.cache_miss();
-        m.cache_hit();
-        m.cache_hit();
-        m.cache_coalesced();
-        m.cache_bypass();
-        m.cache_evicted(1, 7);
-        assert_eq!(m.cache_hits(), 2);
-        let cache = m.to_json(1, 1, 0, 0).get("cache").unwrap().clone();
-        assert_eq!(cache.get("hits").unwrap().as_u64(), Some(2));
-        assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("coalesced").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("bypass").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("evictions").unwrap().as_u64(), Some(1));
-        assert_eq!(cache.get("entries").unwrap().as_u64(), Some(7));
-    }
-
-    #[test]
-    fn zone_counters_land_in_the_snapshot() {
-        let m = Metrics::new();
-        let zones = m.to_json(1, 1, 0, 0).get("zones").unwrap().clone();
-        assert_eq!(zones.get("jobs").unwrap().as_u64(), Some(0));
-        m.zone_job(2, 12, 4);
-        m.zone_job(4, 16, 4);
-        let zones = m.to_json(1, 1, 0, 0).get("zones").unwrap().clone();
-        assert_eq!(zones.get("jobs").unwrap().as_u64(), Some(2));
-        assert_eq!(zones.get("tasks").unwrap().as_u64(), Some(28));
-        assert_eq!(zones.get("shards_last").unwrap().as_u64(), Some(4));
-        assert_eq!(zones.get("peak_ready_last").unwrap().as_u64(), Some(4));
+        m.request("nonsense");
+        m.bump(Family::Responses, "999");
+        m.bump(Family::SolvesBySolver, "nonsense");
+        m.bump(Family::SolvesByVectorWidth, "999");
+        m.bump(Family::SolvesBySchedule, "weird");
+        m.add_seconds(Family::KernelSeconds, "bc", 0.125);
+        let doc = m.to_json(&CTX);
+        for (path, expect) in [
+            ("requests_total", 1.0),
+            ("endpoints/other", 1.0),
+            ("solves_by_solver/f3d", 1.0),
+            ("solves_by_vector_width/1", 1.0),
+            ("solves_by_schedule/static", 1.0),
+            ("kernel_seconds/other", 0.125),
+        ] {
+            assert_eq!(
+                at(&doc, path).and_then(Json::as_f64),
+                Some(expect),
+                "{path}"
+            );
+        }
+        let responses = doc.get("status").unwrap().as_object().unwrap();
+        assert!(responses.iter().all(|(_, v)| v.as_u64() == Some(0)));
     }
 
     #[test]
     fn gauges_move_both_ways() {
         let m = Metrics::new();
-        m.set_queue_depth(3);
-        m.executor_started();
-        m.executor_started();
-        m.connection_opened();
-        m.connection_opened();
-        m.connection_closed();
-        let j = m.to_json(1, 1, 0, 0);
+        m.set(Scalar::QueueDepth, 3);
+        m.inc(Scalar::ExecutorBusy);
+        m.inc(Scalar::ExecutorBusy);
+        m.inc(Scalar::OpenConnections);
+        m.inc(Scalar::OpenConnections);
+        m.dec(Scalar::OpenConnections);
+        let j = m.to_json(&CTX);
         assert_eq!(j.get("queue_depth").unwrap().as_u64(), Some(3));
         assert_eq!(j.get("executor_busy").unwrap().as_u64(), Some(2));
-        assert_eq!(m.executors_busy(), 2);
+        assert_eq!(m.get(Scalar::ExecutorBusy), 2);
         assert_eq!(j.get("open_connections").unwrap().as_u64(), Some(1));
-        m.set_queue_depth(0);
-        m.executor_finished();
-        m.executor_finished();
-        m.executor_panicked();
-        let j = m.to_json(1, 1, 0, 0);
+        m.set(Scalar::QueueDepth, 0);
+        m.dec(Scalar::ExecutorBusy);
+        m.dec(Scalar::ExecutorBusy);
+        let j = m.to_json(&CTX);
         assert_eq!(j.get("queue_depth").unwrap().as_u64(), Some(0));
         assert_eq!(j.get("executor_busy").unwrap().as_u64(), Some(0));
-        assert_eq!(j.get("executor_panics_total").unwrap().as_u64(), Some(1));
     }
 
     #[test]
-    fn schedule_kernel_and_stale_counters_land_in_the_snapshot() {
+    fn prometheus_lines_parse_and_histogram_buckets_are_cumulative() {
         let m = Metrics::new();
-        m.solve_schedule("dynamic");
-        m.solve_schedule("auto");
-        m.solve_schedule("weird"); // folds into static
-        m.kernel_seconds("rhs", 0.25);
-        m.kernel_seconds("rhs", 0.25);
-        m.kernel_seconds("no_such_kernel", 0.125);
-        m.set_tune_entries_stale(3);
-        let j = m.to_json(1, 1, 0, 0);
-        let sched = j.get("solves_by_schedule").unwrap();
-        assert_eq!(sched.get("dynamic").unwrap().as_u64(), Some(1));
-        assert_eq!(sched.get("auto").unwrap().as_u64(), Some(1));
-        assert_eq!(sched.get("static").unwrap().as_u64(), Some(1));
-        let kernels = j.get("kernel_seconds").unwrap();
-        assert_eq!(kernels.get("rhs").unwrap().as_f64(), Some(0.5));
-        assert_eq!(kernels.get("other").unwrap().as_f64(), Some(0.125));
-        assert_eq!(j.get("tune_entries_stale").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn prometheus_rendering_is_typed_labeled_and_cumulative() {
-        let m = Metrics::new();
-        m.request("solve");
-        m.request("metrics");
-        m.response(200);
-        m.response(429);
-        m.solve_width(4);
-        m.solve_schedule("auto");
-        m.kernel_seconds("rhs", 0.5);
-        m.set_tune_entries_stale(1);
-        m.observe_latency_ms(3.0);
-        m.observe_latency_ms(700.0);
-        let text = m.to_prometheus(4, 2, 36, 18);
-        // Typed families.
-        assert!(text.contains("# TYPE llpd_requests_total counter\n"));
-        assert!(text.contains("# TYPE llpd_queue_depth gauge\n"));
-        assert!(text.contains("# TYPE llpd_request_latency_ms histogram\n"));
-        assert!(text.contains("# TYPE llpd_tune_entries_stale gauge\n"));
-        // Values and labels.
-        assert!(text.contains("\nllpd_requests_total 2\n"), "{text}");
-        assert!(text.contains("llpd_requests_by_endpoint_total{endpoint=\"solve\"} 1\n"));
-        assert!(text.contains("llpd_responses_total{status=\"429\"} 1\n"));
-        assert!(text.contains("llpd_solves_by_vector_width_total{vector_width=\"4\"} 1\n"));
-        assert!(text.contains("llpd_solves_by_schedule_total{schedule=\"auto\"} 1\n"));
-        assert!(text.contains("llpd_kernel_seconds_total{kernel=\"rhs\"} 0.5\n"));
-        assert!(text.contains("llpd_tune_entries_stale 1\n"));
-        assert!(text.contains("llpd_pool_workers 4\n"));
-        assert!(text.contains("llpd_pool_sync_events_total 36\n"));
-        // Histogram: cumulative buckets end at +Inf and match count.
+        m.observe(Hist::LatencyMs, 3.0);
+        m.observe(Hist::LatencyMs, 700.0);
+        let text = m.to_prometheus(&CTX);
         assert!(text.contains("llpd_request_latency_ms_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("llpd_request_latency_ms_count 2\n"));
         assert!(text.contains("llpd_request_latency_ms_sum 703\n"));
@@ -997,29 +787,5 @@ mod tests {
                 "unparseable value in {line}"
             );
         }
-    }
-
-    #[test]
-    fn histograms_land_in_the_snapshot() {
-        let m = Metrics::new();
-        m.observe_latency_ms(0.7);
-        m.observe_latency_ms(3.0);
-        m.observe_latency_ms(40.0);
-        m.observe_queue_depth(0);
-        m.observe_queue_depth(5);
-        let j = m.to_json(1, 1, 0, 0);
-        let lat = j.get("latency_ms").unwrap();
-        assert_eq!(lat.get("count").and_then(Json::as_u64), Some(3));
-        assert!(lat.get("p50").unwrap().as_f64().unwrap() <= 5.0);
-        assert!(lat.get("p99").unwrap().as_f64().unwrap() >= 40.0);
-        let q = j.get("queue_depths").unwrap();
-        assert_eq!(q.get("count").and_then(Json::as_u64), Some(2));
-        assert_eq!(m.latency_quantile_ms(0.5), Some(5.0));
-        // Cumulative buckets end at +Inf.
-        let buckets = lat.get("buckets").and_then(Json::as_array).unwrap();
-        assert_eq!(
-            buckets.last().unwrap().get("le").and_then(Json::as_str),
-            Some("+Inf")
-        );
     }
 }

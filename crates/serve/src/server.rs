@@ -64,7 +64,7 @@ use crate::api;
 use crate::cache::{ContentKey, SolveCache, DEFAULT_CACHE_CAPACITY};
 use crate::evloop::{self, Conn, PollFd, ReadOutcome, WakeReceiver, Waker, POLLIN, POLLOUT};
 use crate::http::{parse_request_bytes, render_response, Parse, Request, Response, MAX_HEAD_BYTES};
-use crate::metrics::Metrics;
+use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar};
 use crate::solvers::{AnyCase, AnyRun, KINDS};
 use crate::trace::{TraceEntry, TraceStore};
 use f3d::service::MAX_WORKERS;
@@ -499,7 +499,7 @@ impl Server {
     /// Total requests rejected with 429 so far.
     #[must_use]
     pub fn rejected_total(&self) -> u64 {
-        self.shared.metrics.rejected_total()
+        self.shared.metrics.get(Scalar::RejectedTotal)
     }
 
     /// Drain and stop: new work is refused with 503, everything already
@@ -560,7 +560,7 @@ fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
             let mut queue = lock_clean(&shared.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
-                    shared.metrics.set_queue_depth(queue.len());
+                    shared.metrics.set(Scalar::QueueDepth, queue.len() as u64);
                     break job;
                 }
                 if shared.draining.load(Ordering::SeqCst) {
@@ -572,7 +572,7 @@ fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        shared.metrics.executor_started();
+        shared.metrics.inc(Scalar::ExecutorBusy);
         if let Some(gate) = &shared.config.job_gate {
             // Test hook: block here while a test holds the gate.
             drop(lock_clean(gate));
@@ -590,7 +590,7 @@ fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
                 // Every parked waiter gets the 500 and the in-flight
                 // entry is removed, so the next identical request
                 // executes instead of parking on a dead entry.
-                shared.metrics.executor_panicked();
+                shared.metrics.inc(Scalar::ExecutorPanicsTotal);
                 slice.recorder().reset();
                 let _ = slice.flight().take_timeline();
                 fail_job(
@@ -600,7 +600,7 @@ fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
                 )
             }
         };
-        shared.metrics.executor_finished();
+        shared.metrics.dec(Scalar::ExecutorBusy);
         shared.drain_rate.record_completion();
         for completion in completions {
             // The event loop may already be gone at hard teardown.
@@ -665,7 +665,7 @@ fn observe_solve(shared: &Arc<Shared>, run: &AnyRun, auto: bool, db: Option<&Tun
     for k in &overheads {
         shared
             .metrics
-            .kernel_seconds(&k.kernel, k.wall_ns as f64 / 1e9);
+            .add_seconds(Family::KernelSeconds, &k.kernel, k.wall_ns as f64 / 1e9);
     }
     let total_seconds = run.report().total_seconds();
     shared.series.record_solve(
@@ -768,13 +768,19 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                     shared
                         .metrics
                         .job_done(run.sync_events(), run.report().total_seconds());
-                    shared.metrics.solve_solver(run.kind());
-                    shared.metrics.solve_width(case.vector_width());
-                    shared.metrics.solve_schedule(if *auto {
-                        "auto"
-                    } else {
-                        case.schedule().name()
-                    });
+                    shared.metrics.bump(Family::SolvesBySolver, run.kind());
+                    shared.metrics.bump(
+                        Family::SolvesByVectorWidth,
+                        &case.vector_width().to_string(),
+                    );
+                    shared.metrics.bump(
+                        Family::SolvesBySchedule,
+                        if *auto {
+                            "auto"
+                        } else {
+                            case.schedule().name()
+                        },
+                    );
                     if let AnyRun::F3d(r) = &run {
                         if let Some(stats) = &r.zone_stats {
                             shared.metrics.zone_job(
@@ -831,7 +837,7 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
             }
         }
         JobKind::Advise(query) => {
-            shared.metrics.job_executed();
+            shared.metrics.inc(Scalar::JobsTotal);
             // Measured tune-db entries overlay the analytic advice —
             // the response reports both and their (dis)agreement. The
             // advisor speaks the f3d kernel vocabulary.
@@ -1038,7 +1044,9 @@ impl EventLoop {
         }
         drop(guard);
         if any_db {
-            self.shared.metrics.set_tune_entries_stale(stale_count);
+            self.shared
+                .metrics
+                .set(Scalar::TuneEntriesStale, stale_count as u64);
         }
     }
 
@@ -1050,7 +1058,7 @@ impl EventLoop {
 
     fn close(&mut self, id: u64) {
         if self.conns.remove(&id).is_some() {
-            self.shared.metrics.connection_closed();
+            self.shared.metrics.dec(Scalar::OpenConnections);
         }
     }
 
@@ -1074,7 +1082,7 @@ impl EventLoop {
             }
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    self.shared.metrics.connection_opened();
+                    self.shared.metrics.inc(Scalar::OpenConnections);
                     match Conn::new(stream) {
                         Ok(conn) => {
                             let id = self.next_conn_id;
@@ -1088,7 +1096,7 @@ impl EventLoop {
                                 },
                             );
                         }
-                        Err(_) => self.shared.metrics.connection_closed(),
+                        Err(_) => self.shared.metrics.dec(Scalar::OpenConnections),
                     }
                 }
                 Err(_) => return,
@@ -1211,7 +1219,7 @@ impl EventLoop {
     /// ahead of the client, whatever number of keep-alive connections
     /// those jobs arrived on.
     fn retry_after(&self, queued: usize) -> u64 {
-        let ahead = queued + self.shared.metrics.executors_busy() as usize;
+        let ahead = queued + self.shared.metrics.get(Scalar::ExecutorBusy) as usize;
         self.shared.drain_rate.retry_after_secs(ahead)
     }
 
@@ -1243,7 +1251,7 @@ impl EventLoop {
             if let Some(budget) = self.shared.config.memory_budget {
                 let estimated = case.memory_usage_estimate();
                 if estimated > budget {
-                    self.shared.metrics.solve_rejected_memory();
+                    self.shared.metrics.inc(Scalar::SolvesRejectedMemoryTotal);
                     let body = Json::object(vec![
                         (
                             "error",
@@ -1269,7 +1277,7 @@ impl EventLoop {
                 let generation = self.shared.tune.generation.load(Ordering::SeqCst);
                 let key = ContentKey::for_case(case, *auto, generation);
                 if let Some(body) = self.shared.cache.get(&key) {
-                    self.shared.metrics.cache_hit();
+                    self.shared.metrics.inc(Scalar::CacheHitsTotal);
                     self.shared.series.record_cache(true);
                     let response = Response::ok((*body).clone());
                     self.finish_request(id, response, request.keep_alive, started, log);
@@ -1285,7 +1293,7 @@ impl EventLoop {
                 if let Some(waiters) = inflight.get_mut(key.canonical()) {
                     waiters.push(waiter);
                     drop(inflight);
-                    self.shared.metrics.cache_coalesced();
+                    self.shared.metrics.inc(Scalar::CacheCoalescedTotal);
                     self.park(id, token, request, started, req_id);
                     return;
                 }
@@ -1293,7 +1301,9 @@ impl EventLoop {
                 // enqueue while holding the inflight lock (lock order
                 // inflight → queue; the executors take them singly).
                 let mut queue = lock_clean(&self.shared.queue);
-                self.shared.metrics.observe_queue_depth(queue.len());
+                self.shared
+                    .metrics
+                    .observe(Hist::QueueDepths, queue.len() as f64);
                 if queue.len() >= self.shared.config.queue_capacity {
                     let queued = queue.len();
                     drop(queue);
@@ -1304,13 +1314,15 @@ impl EventLoop {
                     return;
                 }
                 inflight.insert(key.canonical().to_string(), vec![waiter]);
-                self.shared.metrics.cache_miss();
+                self.shared.metrics.inc(Scalar::CacheMissesTotal);
                 self.shared.series.record_cache(false);
                 queue.push_back(Job {
                     kind,
                     origin: JobOrigin::Keyed(key),
                 });
-                self.shared.metrics.set_queue_depth(queue.len());
+                self.shared
+                    .metrics
+                    .set(Scalar::QueueDepth, queue.len() as u64);
                 drop(queue);
                 drop(inflight);
                 self.shared.queue_signal.notify_one();
@@ -1318,7 +1330,7 @@ impl EventLoop {
                 return;
             }
             JobKind::Solve { .. } => {
-                self.shared.metrics.cache_bypass();
+                self.shared.metrics.inc(Scalar::CacheBypassTotal);
                 JobOrigin::Direct(Waiter {
                     conn: id,
                     token: self.alloc_token(),
@@ -1335,7 +1347,9 @@ impl EventLoop {
             unreachable!("keyed admissions return above");
         };
         let mut queue = lock_clean(&self.shared.queue);
-        self.shared.metrics.observe_queue_depth(queue.len());
+        self.shared
+            .metrics
+            .observe(Hist::QueueDepths, queue.len() as f64);
         if queue.len() >= self.shared.config.queue_capacity {
             let queued = queue.len();
             drop(queue);
@@ -1348,7 +1362,9 @@ impl EventLoop {
             kind,
             origin: JobOrigin::Direct(waiter),
         });
-        self.shared.metrics.set_queue_depth(queue.len());
+        self.shared
+            .metrics
+            .set(Scalar::QueueDepth, queue.len() as u64);
         drop(queue);
         self.shared.queue_signal.notify_one();
         self.park(id, waiter.token, request, started, req_id);
@@ -1382,7 +1398,7 @@ impl EventLoop {
         let status = response.status;
         let elapsed_ms = started.elapsed().as_secs_f64() * 1_000.0;
         self.shared.metrics.response(status);
-        self.shared.metrics.observe_latency_ms(elapsed_ms);
+        self.shared.metrics.observe(Hist::LatencyMs, elapsed_ms);
         self.shared.series.record_request(status, elapsed_ms);
         // Structured NDJSON access line: parse/queue/compute end to
         // end, one JSON object per request (gated by LLPD_LOG).
@@ -1459,7 +1475,7 @@ impl EventLoop {
             let Some(p) = state.pending.take() else {
                 continue;
             };
-            self.shared.metrics.timeout();
+            self.shared.metrics.inc(Scalar::TimeoutsTotal);
             let queued = lock_clean(&self.shared.queue).len();
             let response = Response::error(503, "deadline exceeded")
                 .with_retry_after(self.retry_after(queued));
@@ -1645,25 +1661,16 @@ fn metrics_response(request: &Request, shared: &Arc<Shared>) -> Response {
             )
         }
     };
+    let ctx = PoolContext {
+        pool_workers: shared.pool.processors(),
+        executor_shards: shared.shards,
+        pool_sync_events: shared.pool.sync_event_count(),
+        pool_regions: shared.pool.region_count(),
+    };
     if json {
-        Response::ok(
-            shared
-                .metrics
-                .to_json(
-                    shared.pool.processors(),
-                    shared.shards,
-                    shared.pool.sync_event_count(),
-                    shared.pool.region_count(),
-                )
-                .to_string(),
-        )
+        Response::ok(shared.metrics.to_json(&ctx).to_string())
     } else {
-        Response::prometheus(shared.metrics.to_prometheus(
-            shared.pool.processors(),
-            shared.shards,
-            shared.pool.sync_event_count(),
-            shared.pool.region_count(),
-        ))
+        Response::prometheus(shared.metrics.to_prometheus(&ctx))
     }
 }
 
@@ -1736,7 +1743,7 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
                 // Fresh measurements supersede every drift verdict: the
                 // watchdog restarts from scratch against the new entries.
                 lock_clean(&shared.drift).reset();
-                shared.metrics.set_tune_entries_stale(stale);
+                shared.metrics.set(Scalar::TuneEntriesStale, stale as u64);
             }
             Ok(Err(msg)) => eprintln!("llpd: calibration failed: {msg}"),
             Err(_) => eprintln!("llpd: calibration panicked"),

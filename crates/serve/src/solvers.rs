@@ -26,6 +26,13 @@ const fn fdtd_kind() -> &'static str {
     "fdtd"
 }
 
+/// Every registered solver's span-tree kernel vocabulary, in [`KINDS`]
+/// order (the array length ties the two together).
+#[must_use]
+pub fn kernel_names() -> [&'static [&'static str]; KINDS.len()] {
+    [F3dSolver::kernel_names(), FdtdSolver::kernel_names()]
+}
+
 /// A validated solve request for any registered solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnyCase {

@@ -11,9 +11,8 @@ use std::path::Path;
 /// Version 2 added the per-entry `vector_width` (the SLP axis);
 /// version 3 added the per-entry `stale` flag the drift watchdog
 /// maintains (see [`crate::drift`]); version 4 added the top-level
-/// `solver` kind for multi-physics serving. Version-2 and -3 files
-/// still load — entries start fresh (`stale: false`) and the solver
-/// defaults to `"f3d"`, the only workload those files could describe.
+/// `solver` kind for multi-physics serving. Only the current version
+/// loads.
 pub const TUNE_SCHEMA_VERSION: u64 = 4;
 
 /// One kernel's calibration outcome.
@@ -132,8 +131,7 @@ impl TuneEntry {
             model_agrees: field("model_agrees")?
                 .as_bool()
                 .ok_or("model_agrees must be a boolean")?,
-            // Absent in schema v2 files: entries start un-flagged.
-            stale: j.get("stale").and_then(Json::as_bool).unwrap_or(false),
+            stale: field("stale")?.as_bool().ok_or("stale must be a boolean")?,
         })
     }
 }
@@ -194,12 +192,7 @@ impl TuneDb {
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or("tune db missing schema_version")?;
-        // v2 and v3 are strict subsets of v4 (no `stale` flags / no
-        // `solver` kind): load them, let every entry start un-flagged,
-        // and attribute the file to F3D — the only solver those
-        // schemas could describe. Anything else is rejected rather
-        // than misread.
-        if version != TUNE_SCHEMA_VERSION && version != 2 && version != 3 {
+        if version != TUNE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported tune db schema_version {version} (expected {TUNE_SCHEMA_VERSION})"
             ));
@@ -217,12 +210,11 @@ impl TuneDb {
             .map(TuneEntry::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
-            // Normalized on load: a v2/v3 file round-trips out as v4.
-            schema_version: TUNE_SCHEMA_VERSION,
+            schema_version: version,
             solver: j
                 .get("solver")
                 .and_then(Json::as_str)
-                .unwrap_or("f3d")
+                .ok_or("tune db missing \"solver\"")?
                 .to_string(),
             pool_width: field("pool_width")?,
             zones: field("zones")?,
@@ -256,7 +248,7 @@ impl TuneDb {
     }
 
     /// The per-kernel overrides a solver consumes
-    /// ([`f3d::service::run_scheduled`]).
+    /// ([`f3d::service::run_tuned`]).
     #[must_use]
     pub fn schedule_map(&self) -> ScheduleMap {
         let mut map = ScheduleMap::new();
@@ -462,58 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn schema_v2_files_load_with_fresh_staleness() {
-        // A v4 document with the v3+-only fields removed is exactly
-        // what a PR-8-era file on disk looks like.
-        let mut j = sample().to_json();
-        if let Json::Object(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "solver");
-            for (k, v) in pairs.iter_mut() {
-                if k == "schema_version" {
-                    *v = Json::from_u64(2);
-                }
-                if k == "entries" {
-                    if let Json::Array(entries) = v {
-                        for e in entries {
-                            if let Json::Object(fields) = e {
-                                fields.retain(|(k, _)| k != "stale");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let db = TuneDb::from_json(&j).unwrap();
-        assert_eq!(db.schema_version, TUNE_SCHEMA_VERSION, "normalized up");
-        assert_eq!(db.solver, "f3d", "pre-multi-physics files are F3D's");
-        assert!(db.entries.iter().all(|e| !e.stale));
-        assert!(db.same_decisions(&sample()));
-    }
-
-    #[test]
-    fn schema_v3_files_load_as_f3d() {
-        // A v4 document minus the `solver` field is a v3 file: it
-        // loads, attributes itself to F3D, and normalizes up — while a
-        // different solver kind breaks decision equality.
-        let mut j = sample().to_json();
-        if let Json::Object(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "solver");
-            for (k, v) in pairs.iter_mut() {
-                if k == "schema_version" {
-                    *v = Json::from_u64(3);
-                }
-            }
-        }
-        let db = TuneDb::from_json(&j).unwrap();
-        assert_eq!(db.schema_version, TUNE_SCHEMA_VERSION);
-        assert_eq!(db.solver, "f3d");
-        assert!(db.same_decisions(&sample()));
-        let mut other = sample();
-        other.solver = "fdtd".to_string();
-        assert!(!db.same_decisions(&other), "the solver kind is a decision");
-    }
-
-    #[test]
     fn staleness_helpers_flag_and_list() {
         let mut db = sample();
         assert_eq!(db.stale_kernels(), vec!["update".to_string()]);
@@ -542,6 +482,34 @@ mod tests {
         let err = TuneDb::from_str("{}").unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
         assert!(TuneDb::from_str("not json").is_err());
+        // Only the current schema loads: older versions are rejected by
+        // number, and a current document missing a field names it.
+        let without = |doc: &Json, key: &str| match doc {
+            Json::Object(pairs) => {
+                Json::Object(pairs.iter().filter(|(k, _)| k != key).cloned().collect())
+            }
+            other => other.clone(),
+        };
+        for old in [2, 3] {
+            let mut doc = without(&sample().to_json(), "schema_version");
+            if let Json::Object(pairs) = &mut doc {
+                pairs.push(("schema_version".to_string(), Json::from_u64(old)));
+            }
+            let err = TuneDb::from_json(&doc).unwrap_err();
+            assert!(err.contains(&format!("schema_version {old}")), "{err}");
+        }
+        let err = TuneDb::from_json(&without(&sample().to_json(), "solver")).unwrap_err();
+        assert!(err.contains("solver"), "{err}");
+        let mut doc = sample().to_json();
+        if let Json::Object(pairs) = &mut doc {
+            for (key, value) in pairs.iter_mut() {
+                if let ("entries", Json::Array(entries)) = (key.as_str(), value) {
+                    entries[0] = without(&entries[0], "stale");
+                }
+            }
+        }
+        let err = TuneDb::from_json(&doc).unwrap_err();
+        assert!(err.contains("stale"), "{err}");
     }
 
     #[test]
@@ -589,5 +557,8 @@ mod tests {
         let mut d = sample();
         d.entries[0].stale = true;
         assert!(a.same_decisions(&d), "staleness is runtime state");
+        let mut e = sample();
+        e.solver = "fdtd".to_string();
+        assert!(!a.same_decisions(&e), "the solver kind is a decision");
     }
 }
