@@ -309,11 +309,15 @@ impl SolverInstance for F3dInstance {
 
     fn step(&mut self, pool: &Workers, step: usize, schedules: Option<&llp::ScheduleMap>) {
         match self.case.zone_schedule {
-            ZoneSchedule::Sequential => self.solver.step_loop_level_scheduled(pool, None, schedules),
+            ZoneSchedule::Sequential => {
+                self.solver.step_loop_level_scheduled(pool, None, schedules)
+            }
             ZoneSchedule::Zones(shards) => {
                 self.zone_stats =
-                    Some(self.solver
-                        .step_zone_parallel(pool, shards, schedules, step as u64));
+                    Some(
+                        self.solver
+                            .step_zone_parallel(pool, shards, schedules, step as u64),
+                    );
             }
         }
         self.residuals.push(self.solver.freestream_deviation());

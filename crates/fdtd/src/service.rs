@@ -182,8 +182,7 @@ impl Solver for FdtdSolver {
         const FIELDS: u64 = 3;
         const F64: u64 = 8;
         const PER_WORKER: u64 = 4096;
-        (case.size as u64) * (case.size as u64) * FIELDS * F64
-            + (case.workers as u64) * PER_WORKER
+        (case.size as u64) * (case.size as u64) * FIELDS * F64 + (case.workers as u64) * PER_WORKER
     }
 
     fn create_instance(case: &FdtdCase, widths: &WidthMap) -> FdtdInstance {

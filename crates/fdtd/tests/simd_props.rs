@@ -35,13 +35,7 @@ fn policy() -> impl Strategy<Value = Policy> {
 
 /// A grid with every point of every field drawn at random — no
 /// physical smoothness, so cancellation-order bugs cannot hide.
-fn seeded_grid(
-    nx: usize,
-    ny: usize,
-    b: Boundary,
-    e0: &[(f64, f64)],
-    hz0: &[f64],
-) -> TezGrid {
+fn seeded_grid(nx: usize, ny: usize, b: Boundary, e0: &[(f64, f64)], hz0: &[f64]) -> TezGrid {
     let mut g = TezGrid::new(nx, ny, b, 0.5);
     for (p, &(ex, ey)) in g.e.iter_mut().zip(e0) {
         *p = [ex, ey];

@@ -742,7 +742,11 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
             // configurations. The schedules only reorder work within
             // each doacross region, so results stay bit-exact with the
             // default path — the overlay changes cost, never answers.
-            let db = if *auto { shared.tune_db(case.kind()) } else { None };
+            let db = if *auto {
+                shared.tune_db(case.kind())
+            } else {
+                None
+            };
             let map = db.as_ref().map(|d| d.schedule_map());
             // Tuned per-kernel widths overlay the case-level width the
             // same way tuned schedules overlay the case-level policy:
@@ -754,10 +758,8 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                 llp::obs::json::Json::Null
             };
             let outcome = match case {
-                AnyCase::F3d(c) => {
-                    f3d::service::run_tuned(c, &view, map.as_ref(), widths.as_ref())
-                        .map(AnyRun::F3d)
-                }
+                AnyCase::F3d(c) => f3d::service::run_tuned(c, &view, map.as_ref(), widths.as_ref())
+                    .map(AnyRun::F3d),
                 AnyCase::Fdtd(c) => {
                     fdtd::service::run_tuned(c, &view, map.as_ref(), widths.as_ref())
                         .map(AnyRun::Fdtd)
@@ -1531,11 +1533,12 @@ fn tune_query_solver(query: &str) -> Result<&'static str, String> {
     let Some(kind) = query.strip_prefix("solver=") else {
         return Err(format!("unknown query `{query}` (use ?solver=<kind>)"));
     };
-    KINDS
-        .iter()
-        .find(|k| **k == kind)
-        .copied()
-        .ok_or_else(|| format!("unknown solver `{kind}`; known solvers: {}", KINDS.join(", ")))
+    KINDS.iter().find(|k| **k == kind).copied().ok_or_else(|| {
+        format!(
+            "unknown solver `{kind}`; known solvers: {}",
+            KINDS.join(", ")
+        )
+    })
 }
 
 fn route(request: &Request, shared: &Arc<Shared>) -> RouteOutcome {
@@ -1629,7 +1632,9 @@ fn route(request: &Request, shared: &Arc<Shared>) -> RouteOutcome {
                     } else {
                         "idle"
                     };
-                    Response::ok(api::tune_status_response(solver, status, db.as_deref()).to_string())
+                    Response::ok(
+                        api::tune_status_response(solver, status, db.as_deref()).to_string(),
+                    )
                 }
             }
         } else {
@@ -1725,12 +1730,11 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
         }
         let width = (shared.pool.processors() / shared.shards).max(1);
         let slice = shared.pool.sized_view(width);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || match solver.as_str() {
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match solver.as_str() {
                 "fdtd" => calibrate_fdtd(&slice, &spec),
                 _ => calibrate(&slice, &spec),
-            },
-        ));
+            }));
         match outcome {
             Ok(Ok(db)) => {
                 let mut guard = lock_clean(&shared.tune.db);

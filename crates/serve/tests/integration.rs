@@ -2109,7 +2109,10 @@ fn fdtd_solve_round_trips_and_caches() {
     assert_eq!(hits, Some(1));
 
     // Both physics tick their own per-solver counter series.
-    assert_eq!(post(addr, "/v1/solve", r#"{"zones": 1, "steps": 1}"#).status, 200);
+    assert_eq!(
+        post(addr, "/v1/solve", r#"{"zones": 1, "steps": 1}"#).status,
+        200
+    );
     let by_solver = get(addr, "/metrics?format=json")
         .json()
         .get("solves_by_solver")
@@ -2182,7 +2185,10 @@ fn fdtd_tune_calibrates_and_auto_solves_bit_exact() {
     assert!(kernels.contains(&"update_e") && kernels.contains(&"update_h"));
     // The f3d slot is untouched by an fdtd calibration.
     assert_eq!(
-        get(addr, "/v1/tune").json().get("solver").and_then(Json::as_str),
+        get(addr, "/v1/tune")
+            .json()
+            .get("solver")
+            .and_then(Json::as_str),
         Some("f3d")
     );
 
