@@ -68,106 +68,6 @@ impl TextTable {
     }
 }
 
-/// Command-line conventions shared by the bench binaries: one optional
-/// positional output path plus `--name value` flags from a declared
-/// set. Extracted so `perf_baseline`, `serve_load`, and future report
-/// binaries parse argv identically.
-#[derive(Debug)]
-pub struct BenchArgs {
-    output: String,
-    flags: Vec<(String, String)>,
-}
-
-impl BenchArgs {
-    /// Parse an argv slice (without the program name).
-    ///
-    /// # Errors
-    /// Rejects flags outside `allowed`, duplicate or value-less flags,
-    /// and more than one positional argument.
-    pub fn parse(args: &[String], allowed: &[&str], default_output: &str) -> Result<Self, String> {
-        let mut output = None;
-        let mut flags: Vec<(String, String)> = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                if !allowed.contains(&name) {
-                    return Err(format!("unknown flag `--{name}`"));
-                }
-                if flags.iter().any(|(k, _)| k == name) {
-                    return Err(format!("duplicate flag `--{name}`"));
-                }
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("--{name} requires a value"))?;
-                flags.push((name.to_string(), value.clone()));
-            } else if output.is_none() {
-                output = Some(arg.clone());
-            } else {
-                return Err(format!("unexpected argument `{arg}`"));
-            }
-        }
-        Ok(Self {
-            output: output.unwrap_or_else(|| default_output.to_string()),
-            flags,
-        })
-    }
-
-    /// Parse the process argv, exiting with status 2 on a usage error.
-    #[must_use]
-    pub fn from_env(allowed: &[&str], default_output: &str) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse(&args, allowed, default_output) {
-            Ok(parsed) => parsed,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The output path (positional argument or the binary's default).
-    #[must_use]
-    pub fn output(&self) -> &str {
-        &self.output
-    }
-
-    /// Raw value of `--name`, if given.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// `--name` as a positive integer, with a default when absent.
-    ///
-    /// # Errors
-    /// Non-numeric or zero values are usage errors.
-    pub fn positive_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => match raw.parse() {
-                Ok(v) if v > 0 => Ok(v),
-                _ => Err(format!("--{name} must be a positive integer")),
-            },
-        }
-    }
-}
-
-/// Nearest-rank percentile of an unsorted sample (`p` in [0, 100]).
-/// Returns 0.0 for an empty sample.
-#[must_use]
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 /// Format a float with a fixed number of decimals.
 #[must_use]
 pub fn f(value: f64, decimals: usize) -> String {
@@ -294,45 +194,5 @@ mod tests {
     fn row_width_checked() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(vec!["only".into()]);
-    }
-
-    #[test]
-    fn bench_args_parse() {
-        let argv = |s: &[&str]| -> Vec<String> { s.iter().map(ToString::to_string).collect() };
-        let args = BenchArgs::parse(&argv(&[]), &["requests"], "OUT.json").unwrap();
-        assert_eq!(args.output(), "OUT.json");
-        assert_eq!(args.positive_usize("requests", 7), Ok(7));
-
-        let args = BenchArgs::parse(
-            &argv(&["--requests", "24", "custom.json"]),
-            &["requests"],
-            "OUT.json",
-        )
-        .unwrap();
-        assert_eq!(args.output(), "custom.json");
-        assert_eq!(args.get("requests"), Some("24"));
-        assert_eq!(args.positive_usize("requests", 7), Ok(24));
-
-        assert!(BenchArgs::parse(&argv(&["--bogus", "1"]), &["requests"], "o").is_err());
-        assert!(BenchArgs::parse(&argv(&["--requests"]), &["requests"], "o").is_err());
-        assert!(BenchArgs::parse(
-            &argv(&["--requests", "1", "--requests", "2"]),
-            &["requests"],
-            "o"
-        )
-        .is_err());
-        assert!(BenchArgs::parse(&argv(&["a", "b"]), &[], "o").is_err());
-        let args = BenchArgs::parse(&argv(&["--requests", "0"]), &["requests"], "o").unwrap();
-        assert!(args.positive_usize("requests", 7).is_err());
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&samples, 50.0), 50.0);
-        assert_eq!(percentile(&samples, 99.0), 99.0);
-        assert_eq!(percentile(&samples, 100.0), 100.0);
-        assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

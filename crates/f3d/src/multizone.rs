@@ -111,15 +111,6 @@ impl MultiZoneSolver {
         }
     }
 
-    /// Point counts per zone — the natural MLP team weights.
-    #[must_use]
-    pub fn zone_weights(&self) -> Vec<f64> {
-        self.zones
-            .iter()
-            .map(|z| z.dims().points() as f64)
-            .collect()
-    }
-
     /// The zonal-BC interface graph: a J-chain, zone `i` exchanging
     /// with zone `i + 1` through the one-point overlap planes.
     #[must_use]
@@ -331,15 +322,6 @@ mod tests {
             (down[0] - fs[0]).abs() > 1e-6,
             "injection did not propagate"
         );
-    }
-
-    #[test]
-    fn weights_match_zone_sizes() {
-        let s = perturbed(SolverConfig::subsonic());
-        let w = s.zone_weights();
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0], (5 * 12 * 10) as f64);
-        assert_eq!(w[2], (11 * 12 * 10) as f64);
     }
 
     #[test]

@@ -170,14 +170,6 @@ impl ServiceCase {
             self.zones, self.steps, self.workers, schedule, zone_schedule, self.vector_width
         )
     }
-
-    /// FNV-1a checksum of [`Self::canonical_string`]: the content hash
-    /// a cache key embeds. Stable across processes and platforms (pure
-    /// integer arithmetic over the canonical bytes).
-    #[must_use]
-    pub fn content_hash(&self) -> u64 {
-        fnv1a64(self.canonical_string().as_bytes())
-    }
 }
 
 impl SolverSpec for ServiceCase {
@@ -585,7 +577,7 @@ mod tests {
             .canonical_string(),
             "zones=2;steps=3;workers=4;schedule=static;zone_schedule=sequential;vector_width=4"
         );
-        // Every single-field change moves the hash.
+        // Every single-field change moves the canonical string.
         let variants = [
             ServiceCase { zones: 3, ..base },
             ServiceCase { steps: 4, ..base },
@@ -620,10 +612,10 @@ mod tests {
             },
         ];
         for v in &variants {
-            assert_ne!(v.content_hash(), base.content_hash(), "{:?}", v);
+            assert_ne!(v.canonical_string(), base.canonical_string(), "{:?}", v);
         }
-        // Identical cases hash identically (pure function of fields).
-        assert_eq!(base.content_hash(), { base }.content_hash());
+        // Identical cases canonicalize identically (pure function of fields).
+        assert_eq!(base.canonical_string(), { base }.canonical_string());
     }
 
     #[test]

@@ -201,8 +201,7 @@ pub struct KernelOverhead {
     pub claim_ns: u64,
     /// Mean participating lanes per region.
     pub mean_lanes: f64,
-    /// Measured overhead: `(barrier + claim) / total` attributed ns —
-    /// the `overhead_measured` column of the perf_baseline bench.
+    /// Measured overhead: `(barrier + claim) / total` attributed ns.
     pub overhead_measured: f64,
     /// Overhead fraction the Table 1 formula predicts for this kernel
     /// from the timeline-wide mean sync cost (see [`ModelCheck`]).

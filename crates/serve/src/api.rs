@@ -1267,8 +1267,8 @@ mod tests {
         let omitted = parse_solve_body("{}", 4).unwrap();
         assert_eq!(explicit.case, omitted.case);
         assert_eq!(
-            f3d_case(&explicit).content_hash(),
-            f3d_case(&omitted).content_hash()
+            f3d_case(&explicit).canonical_string(),
+            f3d_case(&omitted).canonical_string()
         );
         // Out-of-vocabulary widths are rejected by case validation.
         assert!(parse_solve_body(r#"{"vector_width": 0}"#, 4).is_err());

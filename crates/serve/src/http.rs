@@ -149,6 +149,7 @@ pub fn reason(status: u16) -> &'static str {
         408 => "Request Timeout",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -180,7 +181,8 @@ fn parse_request_line(line: &str) -> Result<RequestLine, HttpError> {
 /// The header fields this service interprets, accumulated line by line.
 #[derive(Default)]
 struct HeaderFields {
-    content_length: usize,
+    /// Declared body length; `None` (no header) means no body.
+    content_length: Option<usize>,
     /// Lowercased `Connection` header value, if sent.
     connection: Option<String>,
     /// Lowercased `Accept` header value, if sent.
@@ -194,16 +196,40 @@ impl HeaderFields {
         };
         let name = name.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            self.content_length = value
-                .trim()
+            let value = value.trim();
+            // Digits only: `usize::from_str` alone would accept `+5`.
+            let length = value
                 .parse()
-                .map_err(|_| HttpError::new(400, "malformed Content-Length"))?;
+                .ok()
+                .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| HttpError::new(400, "malformed Content-Length"))?;
+            if self.content_length.is_some_and(|first| first != length) {
+                return Err(HttpError::new(400, "conflicting Content-Length headers"));
+            }
+            self.content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Bodies are framed by `Content-Length` only; parsing a
+            // chunked request as body-less would dispatch its chunk
+            // bytes as the next pipelined request.
+            return Err(HttpError::new(501, "Transfer-Encoding is not supported"));
         } else if name.eq_ignore_ascii_case("connection") {
             self.connection = Some(value.trim().to_ascii_lowercase());
         } else if name.eq_ignore_ascii_case("accept") {
             self.accept = Some(value.trim().to_ascii_lowercase());
         }
         Ok(())
+    }
+
+    /// The declared body length, refused with 413 beyond `max_body`.
+    fn body_length(&self, max_body: usize) -> Result<usize, HttpError> {
+        let length = self.content_length.unwrap_or(0);
+        if length > max_body {
+            return Err(HttpError::new(
+                413,
+                format!("body of {length} bytes exceeds limit {max_body}"),
+            ));
+        }
+        Ok(length)
     }
 
     fn keep_alive(&self, http10: bool) -> bool {
@@ -249,16 +275,8 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
         headers.apply(&line)?;
     }
 
-    if headers.content_length > max_body {
-        return Err(HttpError::new(
-            413,
-            format!(
-                "body of {} bytes exceeds limit {max_body}",
-                headers.content_length
-            ),
-        ));
-    }
-    let mut body = vec![0u8; headers.content_length];
+    let length = headers.body_length(max_body)?;
+    let mut body = vec![0u8; length];
     std::io::Read::read_exact(stream, &mut body).map_err(io_to_http)?;
     let body = String::from_utf8(body).map_err(|_| HttpError::new(400, "body is not UTF-8"))?;
     Ok(assemble(request_line, &headers, body))
@@ -322,22 +340,14 @@ pub fn parse_request_bytes(buf: &[u8], max_body: usize) -> Result<Parse, HttpErr
     }
     let request_line = request_line.expect("loop breaks only after the request line");
 
-    if headers.content_length > max_body {
-        return Err(HttpError::new(
-            413,
-            format!(
-                "body of {} bytes exceeds limit {max_body}",
-                headers.content_length
-            ),
-        ));
-    }
-    if buf.len() - pos < headers.content_length {
+    let length = headers.body_length(max_body)?;
+    if buf.len() - pos < length {
         return Ok(Parse::Partial);
     }
-    let body = std::str::from_utf8(&buf[pos..pos + headers.content_length])
+    let body = std::str::from_utf8(&buf[pos..pos + length])
         .map_err(|_| HttpError::new(400, "body is not UTF-8"))?
         .to_string();
-    let consumed = pos + headers.content_length;
+    let consumed = pos + length;
     Ok(Parse::Complete(
         assemble(request_line, &headers, body),
         consumed,
@@ -528,18 +538,42 @@ mod tests {
 
     #[test]
     fn incremental_parser_rejects_what_the_oneshot_rejects() {
-        for raw in [
-            "nonsense\r\n\r\n",
-            "GET /x SPDY/3\r\n\r\n",
-            "POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
-            "POST /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
-            "POST /v1/solve HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
+        for (raw, status) in [
+            ("nonsense\r\n\r\n", 400),
+            ("GET /x SPDY/3\r\n\r\n", 400),
+            ("POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            ("POST /x HTTP/1.1\r\nno-colon-here\r\n\r\n", 400),
+            (
+                "POST /v1/solve HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
+                413,
+            ),
+            // What a `Content-Length`-only parser must not guess at: a
+            // signed or empty length, two lengths that disagree, and
+            // any transfer coding (whose chunk bytes are never parsed).
+            ("POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello", 400),
+            ("POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n", 400),
+            (
+                "POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\nhello",
+                400,
+            ),
+            (
+                "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                501,
+            ),
+            (
+                "POST /x HTTP/1.1\r\nContent-Length: 5\r\ntransfer-encoding: gzip\r\n\r\nhello",
+                501,
+            ),
         ] {
             let expect = parse(raw).unwrap_err();
+            assert_eq!(expect.status, status, "{raw:?}");
             let got = parse_request_bytes(raw.as_bytes(), 1024).unwrap_err();
             assert_eq!(got.status, expect.status, "{raw:?}");
             assert_eq!(got.message, expect.message, "{raw:?}");
         }
+        // A repeated but identical length is one length.
+        let twice = "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi";
+        assert_eq!(parse(twice).unwrap().body, "hi");
         // An unterminated over-budget head fails without waiting for
         // the newline that will never fit.
         let huge = format!("GET / HTTP/1.1\r\nX-Junk: {}", "a".repeat(20_000));

@@ -24,7 +24,7 @@ use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The status codes the service emits, each with its own counter.
-pub const TRACKED_STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 429, 500, 503];
+pub const TRACKED_STATUSES: [u16; 10] = [200, 400, 404, 405, 408, 413, 429, 500, 501, 503];
 
 /// Request endpoint families, each with its own counter.
 pub const ENDPOINTS: [&str; 9] = [

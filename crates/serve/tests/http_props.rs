@@ -177,6 +177,39 @@ proptest! {
         prop_assert_eq!(consumed_b, b.raw.len());
     }
 
+    /// A chunked POST with a second request pipelined behind it: the
+    /// parser has no chunk decoder, so it must refuse the request (501)
+    /// rather than frame it as body-less. At no arrival boundary does it
+    /// complete, so no byte is consumed and the chunk bytes and the
+    /// follow-on request are never parsed, let alone routed.
+    #[test]
+    fn chunked_requests_never_release_their_follow_on_bytes(
+        follow in valid_request(),
+        chunk in prop::collection::vec(32u8..127, 1..32),
+        with_length in 0usize..2,
+    ) {
+        let mut bytes = b"POST /v1/solve HTTP/1.1\r\nHost: t\r\n".to_vec();
+        if with_length == 1 {
+            bytes.extend_from_slice(b"Content-Length: 0\r\n");
+        }
+        bytes.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
+        bytes.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+        bytes.extend_from_slice(&chunk);
+        bytes.extend_from_slice(b"\r\n0\r\n\r\n");
+        bytes.extend_from_slice(&follow.raw);
+        for i in 0..=bytes.len() {
+            match incremental(&bytes[..i]) {
+                Ok(Parse::Partial) => {}
+                Ok(Parse::Complete(request, consumed)) => {
+                    prop_assert!(false, "prefix {i} framed {request:?} ({consumed} bytes)");
+                }
+                Err(e) => prop_assert_eq!(e.status, 501, "prefix {}: {}", i, e.message),
+            }
+        }
+        prop_assert_eq!(incremental(&bytes).expect_err("chunked request").status, 501);
+        prop_assert_eq!(oneshot(&bytes).expect_err("chunked request").status, 501);
+    }
+
     /// Arbitrary byte soup: the incremental parser never panics, and
     /// whenever it reaches a verdict it is exactly the oracle's. Errors
     /// are sticky: once a prefix fails, every extension fails the same

@@ -18,7 +18,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tune::{TuneDb, TuneEntry, TUNE_SCHEMA_VERSION};
+use tune::{CalibrationSpec, DriftConfig, TuneDb, TuneEntry, TUNE_SCHEMA_VERSION};
 
 struct Reply {
     status: u16,
@@ -721,6 +721,26 @@ fn http_robustness() {
         413
     );
     assert_eq!(send_raw(addr, "nonsense\r\n\r\n").status, 400);
+    // Framing this server cannot delimit is refused and the connection
+    // closed: the bytes behind it (here a smuggled second request) are
+    // never answered. `send_raw` reads to EOF, so one reply is all.
+    for (framing, status) in [
+        ("Transfer-Encoding: chunked", 501),
+        ("Content-Length: 0\r\nContent-Length: 27", 400),
+        ("Content-Length: +0", 400),
+    ] {
+        let reply = send_raw(
+            addr,
+            &format!("POST /v1/solve HTTP/1.1\r\n{framing}\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n"),
+        );
+        assert_eq!(reply.status, status, "{framing}");
+        assert_eq!(reply.header("Connection"), Some("close"), "{framing}");
+        assert!(
+            !reply.body.contains("HTTP/1.1"),
+            "{framing}: {}",
+            reply.body
+        );
+    }
     // Every error body is parseable JSON with an `error` key.
     assert!(get(addr, "/nope").json().get("error").is_some());
     // Malformed schedule selections are 400s, never 500s.
@@ -1907,6 +1927,109 @@ fn disabled_telemetry_reports_itself_cleanly() {
     assert_eq!(health.get("telemetry"), Some(&Json::Bool(false)));
     assert_eq!(health.get("windows_sealed").and_then(Json::as_u64), Some(0));
     server.shutdown();
+}
+
+#[test]
+fn drift_watchdog_cuts_both_ways() {
+    // One machine-calibrated database watched twice: exactly as
+    // measured, under the default policy, it must stay quiet; with its
+    // model inputs falsified (the pool clamps the absurd worker claim,
+    // so the executed configurations are unchanged and live cost
+    // becomes a multiple of the expectation) it must trip.
+    let honest = {
+        let pool = llp::Workers::new(2);
+        let spec = CalibrationSpec {
+            zones: 2,
+            steps: 2,
+            trials: 1,
+            deterministic: false,
+        };
+        tune::calibrate(&pool, &spec).expect("calibration")
+    };
+    let mut falsified = honest.clone();
+    falsified.sync_cost_ns = 1;
+    for entry in &mut falsified.entries {
+        entry.workers = 64;
+    }
+
+    // Auto solves (cache bypassed, so each one feeds the watchdog a
+    // measurement), paced to span several 100 ms windows, until the
+    // verdict settles or a deadline passes; returns that `/v1/health`
+    // and the stale-entries gauge. A tripping phase settles once health
+    // degrades (about a dozen solves). A quiet phase runs 32 solves and
+    // settles if nothing is flagged then. A region here costs tens of
+    // microseconds, so a neighbouring test's CPU burst can double it
+    // and flag even an honest entry; the watchdog heals on the first
+    // calm window with traffic, so the phase keeps the traffic flowing
+    // until it does. A watchdog that flags honest entries regardless
+    // never heals, and fails at the deadline.
+    let watch = |db: TuneDb, drift_config: DriftConfig, expect_trip: bool| {
+        let server = Server::start(ServerConfig {
+            // One shard: the executor is the 2-wide pool calibrated above.
+            workers: 2,
+            shards: 1,
+            telemetry_window_ms: 100,
+            drift_config,
+            tune_db: Some(db),
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let addr = server.addr();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut solves = 0;
+        let health = loop {
+            let body = r#"{"zones": 2, "steps": 2, "schedule": "auto", "cache": "bypass"}"#;
+            assert_eq!(post(addr, "/v1/solve", body).status, 200);
+            solves += 1;
+            let health = get(addr, "/v1/health").json();
+            let degraded = health.get("status").and_then(Json::as_str) == Some("degraded");
+            let settled = health.get("windows_sealed").and_then(Json::as_u64) >= Some(2)
+                && if expect_trip {
+                    degraded
+                } else {
+                    solves >= 32 && !degraded
+                };
+            if settled || Instant::now() >= deadline {
+                break health;
+            }
+            std::thread::sleep(Duration::from_millis(12));
+        };
+        let stale_gauge = prom_value(&get(addr, "/metrics").body, "llpd_tune_entries_stale");
+        server.shutdown();
+        (health, stale_gauge)
+    };
+
+    let (health, stale_gauge) = watch(honest.clone(), DriftConfig::default(), false);
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    assert!(
+        matches!(health.get("stale_kernels"), Some(Json::Array(a)) if a.is_empty()),
+        "a genuine database was flagged: {health:?}"
+    );
+    assert_eq!(stale_gauge, 0.0);
+
+    let tight = DriftConfig {
+        threshold: 0.5,
+        windows: 2,
+        alpha: 0.5,
+        min_samples: 3,
+    };
+    let (health, stale_gauge) = watch(falsified, tight, true);
+    assert_eq!(
+        health.get("status").and_then(Json::as_str),
+        Some("degraded")
+    );
+    let stale = health
+        .get("stale_kernels")
+        .and_then(Json::as_array)
+        .expect("stale_kernels");
+    assert!(!stale.is_empty() && stale_gauge >= 1.0, "{health:?}");
+    for kernel in stale {
+        let name = kernel.as_str().expect("kernel name");
+        assert!(
+            honest.entries.iter().any(|e| e.kernel == name),
+            "stale kernel `{name}` was never calibrated"
+        );
+    }
 }
 
 #[test]

@@ -497,48 +497,50 @@ mod tests {
 
     #[test]
     fn calibration_runs_and_selected_configs_never_lose_to_default() {
-        let pool = Workers::new(2);
         let spec = CalibrationSpec {
             zones: 1,
             steps: 1,
             trials: 1,
             deterministic: false,
         };
-        let db = calibrate(&pool, &spec).unwrap();
-        assert_eq!(db.schema_version, TUNE_SCHEMA_VERSION);
-        assert_eq!(db.solver, "f3d");
-        assert_eq!(db.pool_width, 2);
-        // The six parallel kernels, sorted; serial bc/inject excluded.
-        let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "j_factor",
-                "k_factor",
-                "l_factor_scatter",
-                "l_factor_solve",
-                "rhs",
-                "update"
-            ]
-        );
-        for e in &db.entries {
-            assert!(e.workers >= 1 && e.workers <= 2);
-            assert!(e.candidates_tried >= 2);
-            assert!(e.iterations > 0);
-            assert!(
-                f3d::kernels::SUPPORTED_WIDTHS.contains(&e.vector_width),
-                "{}: width {}",
-                e.kernel,
-                e.vector_width
+        for width in [1, 2, 4, 8] {
+            let pool = Workers::new(width);
+            let db = calibrate(&pool, &spec).unwrap();
+            assert_eq!(db.schema_version, TUNE_SCHEMA_VERSION);
+            assert_eq!(db.solver, "f3d");
+            assert_eq!(db.pool_width, width);
+            // The six parallel kernels, sorted; serial bc/inject excluded.
+            let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "j_factor",
+                    "k_factor",
+                    "l_factor_scatter",
+                    "l_factor_solve",
+                    "rhs",
+                    "update"
+                ]
             );
-            // Measured selection: the winner never loses to the default.
-            assert!(
-                e.measured_cost_ns <= e.default_cost_ns,
-                "{}: {} > {}",
-                e.kernel,
-                e.measured_cost_ns,
-                e.default_cost_ns
-            );
+            for e in &db.entries {
+                assert!(e.workers >= 1 && e.workers <= width, "{}", e.kernel);
+                assert!(e.candidates_tried >= 2);
+                assert!(e.iterations > 0);
+                assert!(
+                    f3d::kernels::SUPPORTED_WIDTHS.contains(&e.vector_width),
+                    "{}: width {}",
+                    e.kernel,
+                    e.vector_width
+                );
+                // Measured selection: the winner never loses to the default.
+                assert!(
+                    e.measured_cost_ns <= e.default_cost_ns,
+                    "{} at pool width {width}: {} > {}",
+                    e.kernel,
+                    e.measured_cost_ns,
+                    e.default_cost_ns
+                );
+            }
         }
     }
 
@@ -576,6 +578,27 @@ mod tests {
         )
         .unwrap();
         assert!(!db.same_decisions(&f3d_db));
+        // Measured mode: same two sweeps, and neither winner loses to
+        // the default configuration.
+        let measured = calibrate_fdtd(
+            &pool,
+            &CalibrationSpec {
+                deterministic: false,
+                ..spec
+            },
+        )
+        .unwrap();
+        let names: Vec<&str> = measured.entries.iter().map(|e| e.kernel.as_str()).collect();
+        assert_eq!(names, ["update_e", "update_h"]);
+        for e in &measured.entries {
+            assert!(
+                e.measured_cost_ns <= e.default_cost_ns,
+                "{}: {} > {}",
+                e.kernel,
+                e.measured_cost_ns,
+                e.default_cost_ns
+            );
+        }
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub mod space;
 pub use calibrate::{calibrate, calibrate_fdtd, calibrate_solver, CalibrationSpec};
 pub use db::{TuneDb, TuneEntry, TUNE_SCHEMA_VERSION};
 pub use drift::{expected_cost_ns, DriftConfig, DriftTracker};
-pub use space::{candidates, worker_counts, zone_splits, Candidate, ZoneSplit};
+pub use space::{candidates, worker_counts, Candidate};

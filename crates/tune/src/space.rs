@@ -99,64 +99,6 @@ pub fn worker_counts(
     counts
 }
 
-/// One point of the zone-level axis: a way of splitting the pool
-/// between the zone level and the loop level, `P ≈ shards ×
-/// loop_workers` — the paper's multi-level picture, where zone
-/// parallelism multiplies with the loop parallelism under it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZoneSplit {
-    /// Zone shards to dispatch ready zones over.
-    pub zone_shards: usize,
-    /// Loop workers left to each shard's doacross team.
-    pub loop_workers: usize,
-}
-
-/// Shard counts worth proposing for a case of `zones` zones on a pool
-/// of `pool_width` workers: the stair-step plateau edges of the
-/// *zone-level* law (`speedup = U_zones / ceil(U_zones/s)`), each
-/// paired with the per-shard worker budget `pool_width / s` — the
-/// same pruning [`worker_counts`] applies to loops, lifted one level
-/// up. Shard count 1 (the sequential zone order) always survives; it
-/// is the degenerate split every other entry is measured against.
-///
-/// Degenerate inputs never panic: `zones == 0` and `pool_width == 0`
-/// both collapse to the single sequential split (`pool_width` treated
-/// as 1), and the plateau scan is bounded by `min(pool_width, zones)`
-/// for the same reason as in [`worker_counts`].
-#[must_use]
-pub fn zone_splits(zones: u64, pool_width: usize) -> Vec<ZoneSplit> {
-    let width = pool_width.max(1);
-    if zones == 0 {
-        return vec![ZoneSplit {
-            zone_shards: 1,
-            loop_workers: width,
-        }];
-    }
-    let max_s = u32::try_from(zones)
-        .unwrap_or(u32::MAX)
-        .min(u32::try_from(width).unwrap_or(u32::MAX));
-    let mut splits: Vec<ZoneSplit> = plateau_edges(zones, max_s)
-        .into_iter()
-        .map(|s| {
-            let zone_shards = usize::try_from(s).unwrap_or(usize::MAX);
-            ZoneSplit {
-                zone_shards,
-                loop_workers: (width / zone_shards.max(1)).max(1),
-            }
-        })
-        .collect();
-    if !splits.iter().any(|s| s.zone_shards == 1) {
-        splits.insert(
-            0,
-            ZoneSplit {
-                zone_shards: 1,
-                loop_workers: width,
-            },
-        );
-    }
-    splits
-}
-
 /// Enumerate the candidates for one kernel: the pruned worker counts
 /// crossed with the policy vocabulary, crossed with the SLP lane
 /// widths. Serial (`P = 1`) gets only [`Policy::Static`] — scheduling
@@ -235,62 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_splits_cover_the_plateau_edges() {
-        // U_zones = 4 on a 4-wide pool: edges s = 1, 2, 4, each with
-        // the per-shard leftover of the worker budget.
-        let splits = zone_splits(4, 4);
-        assert_eq!(
-            splits,
-            vec![
-                ZoneSplit {
-                    zone_shards: 1,
-                    loop_workers: 4
-                },
-                ZoneSplit {
-                    zone_shards: 2,
-                    loop_workers: 2
-                },
-                ZoneSplit {
-                    zone_shards: 4,
-                    loop_workers: 1
-                },
-            ]
-        );
-        // Shards beyond U_zones never help (ceil(3/s) = 1 from s = 3
-        // on), so the edges stop at U_zones even on a wider pool.
-        let splits = zone_splits(3, 8);
-        assert_eq!(
-            splits.iter().map(|s| s.zone_shards).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(
-            splits.iter().map(|s| s.loop_workers).collect::<Vec<_>>(),
-            vec![8, 4, 2]
-        );
-        // Degenerate pools and zone counts still propose the
-        // sequential split.
-        assert_eq!(
-            zone_splits(0, 4),
-            vec![ZoneSplit {
-                zone_shards: 1,
-                loop_workers: 4
-            }]
-        );
-        assert_eq!(
-            zone_splits(5, 1),
-            vec![ZoneSplit {
-                zone_shards: 1,
-                loop_workers: 1
-            }]
-        );
-        // Every split keeps at least one loop worker.
-        for s in zone_splits(64, 6) {
-            assert!(s.loop_workers >= 1);
-            assert!(s.zone_shards >= 1);
-        }
-    }
-
-    #[test]
     fn serial_gets_static_only_and_default_is_always_present() {
         let c = candidates(0, 4, None);
         assert!(c.contains(&Candidate::default_config(4)));
@@ -344,10 +230,6 @@ mod tests {
         // pool_width == 0: treated as a 1-wide pool, serial only.
         assert_eq!(worker_counts(10, 0, None), vec![1]);
         assert_eq!(worker_counts(0, 0, None), vec![1]);
-        let splits = zone_splits(4, 0);
-        assert_eq!(splits[0].zone_shards, 1);
-        assert_eq!(splits[0].loop_workers, 1);
-        assert!(splits.iter().all(|s| s.loop_workers >= 1));
         let c = candidates(10, 0, None);
         assert!(c.contains(&Candidate::default_config(0)));
         assert!(c.iter().all(|c| c.workers == 1));
@@ -360,12 +242,6 @@ mod tests {
         let counts = worker_counts(3, usize::MAX, None);
         assert!(counts.contains(&1) && counts.contains(&usize::MAX));
         assert!(counts.iter().all(|&p| p == usize::MAX || p <= 3));
-        let splits = zone_splits(u64::MAX, 2);
-        assert!(splits.iter().all(|s| s.zone_shards <= 2));
-        let splits = zone_splits(2, usize::MAX);
-        assert!(splits
-            .iter()
-            .all(|s| s.zone_shards <= 2 && s.loop_workers >= 1));
         // The coarse-chunk divisor saturates rather than overflowing.
         let c = candidates(u64::MAX, 2, None);
         assert!(c.iter().all(|c| match c.policy {
