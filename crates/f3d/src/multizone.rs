@@ -172,7 +172,7 @@ impl MultiZoneSolver {
 
     /// One time step on the [`zones`] sharded scheduler: compute tasks
     /// dispatched across `shards` zone shards (each an
-    /// [`llp::Workers::kernel_view`] of `pool` carrying the leftover
+    /// [`llp::Workers::shard_view`] of `pool` carrying the leftover
     /// worker budget), zonal injection applied at the step barrier in
     /// canonical interface order. Numerically bit-identical to
     /// [`MultiZoneSolver::step_loop_level_scheduled`] for every shard

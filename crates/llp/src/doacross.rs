@@ -17,7 +17,11 @@
 //! steal the tail instead of waiting on the largest static block. Every
 //! chunk is still executed exactly once, and mutable data is pre-split
 //! along chunk boundaries before the region starts, so the handoff
-//! stays safe (this crate forbids `unsafe`).
+//! needs no `unsafe` here (the crate's only `unsafe` is the worker
+//! team's job dispatch, [`crate::pool`]'s `team` module). A claimant is
+//! a task, not a thread: on a busy or oversubscribed team one worker
+//! may run several claimants one after another, the later ones finding
+//! the chunk list already empty.
 //!
 //! When the team's [`crate::obs::Recorder`] is enabled, every entry
 //! point additionally times the work and annotates the recorded region

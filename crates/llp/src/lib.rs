@@ -4,7 +4,7 @@
 //! ARL-TR-2556 parallelizes vectorizable programs by applying
 //! `C$doacross`/OpenMP-style directives to *outer* loops of RISC-tuned
 //! code on shared-memory SMPs. This crate provides the same mechanism
-//! over scoped [`std::thread`] teams, preserving the semantics the
+//! over a persistent [`std::thread`] team, preserving the semantics the
 //! paper's analysis depends on:
 //!
 //! * **Static chunked scheduling** ([`schedule`]): iterations are
@@ -35,7 +35,7 @@
 //!   events in lock-free rings) feeding overhead attribution against
 //!   the paper's Table 1 bound and Chrome trace-event export.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advisor;
@@ -47,6 +47,8 @@ pub mod pencil;
 pub mod pool;
 pub mod profile;
 pub mod schedule;
+#[allow(unsafe_code)]
+mod team;
 pub mod teams;
 
 pub use advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice, MeasuredChoice};

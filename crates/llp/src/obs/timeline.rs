@@ -13,11 +13,14 @@
 //! [`crate::obs::Recorder::disabled`] contract.
 //!
 //! Safety of the lock-free writes rests on two structural facts rather
-//! than on `unsafe` (this crate forbids it): during a region each lane
-//! has exactly one writer (the task that owns the chunk or claimant
-//! index), and the coordinator only reads lanes after the region's
-//! barrier — the scoped-thread join that *is* the synchronization event
-//! — so every store happens-before every read.
+//! than on `unsafe` (there is none in this module): during a region
+//! each lane has exactly one writer (the task that owns the chunk or
+//! claimant index), and the coordinator only reads lanes after the
+//! region's barrier — the worker team's release/acquire barrier that
+//! *is* the synchronization event (protocol in the `team` module
+//! beneath [`crate::pool`]) — so every store happens-before every read,
+//! and before the next region's writer of the same lane, which may be a
+//! different thread.
 //!
 //! Setting the environment variable `LLP_FLIGHT=1` force-enables a
 //! flight recorder on every [`crate::pool::Workers`] team, which is how
@@ -235,7 +238,7 @@ impl Timeline {
 ///
 /// Single-writer during a region; the coordinator reads only after the
 /// barrier, so relaxed ordering suffices (visibility rides on the
-/// scoped-thread join).
+/// worker team's barrier).
 #[derive(Debug)]
 struct Lane {
     head: AtomicUsize,

@@ -1,13 +1,19 @@
-//! The worker pool: scoped worker threads plus the
+//! The worker pool: a persistent worker team plus the
 //! synchronization-event accounting the paper's cost model budgets for.
 //!
-//! Built directly on [`std::thread::scope`] — the environment has no
-//! external thread-pool crates — so a parallel region spawns its worker
-//! threads at entry and joins them at the barrier. That join *is* the
-//! synchronization event the paper's model charges for: each exit from
-//! a parallel region increments the counter by one, mirroring "the main
-//! cost of parallelization is … the synchronization cost associated
-//! with exiting a parallel section of code".
+//! A root [`Workers`] owns one long-lived team of helper threads (the
+//! crate-private `team` module, `src/team.rs`, states the protocol:
+//! helpers are spawned on first use, spin briefly and then park between
+//! regions, and are joined when the last handle drops); every view is a
+//! range of that team's lanes.
+//!
+//! A parallel region publishes its tasks to the team, the calling
+//! thread works alongside the helpers, and the region ends on a
+//! barrier. That barrier *is* the synchronization event the paper's
+//! model charges for: each exit from a parallel region increments the
+//! counter by one, mirroring "the main cost of parallelization is … the
+//! synchronization cost associated with exiting a parallel section of
+//! code".
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -17,19 +23,19 @@ use std::time::Instant;
 use crate::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use crate::obs::{FlightRecorder, Recorder};
 use crate::schedule::Policy;
-
-/// A boxed task queued on a [`RegionScope`].
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
+use crate::team::{TaskSlot, Team};
 
 /// The spawning interface handed to a region body: tasks queued here
 /// all complete before [`Workers::region`] returns.
 ///
-/// Tasks are collected first and launched together when the body
-/// finishes, one OS thread per task except the last, which runs on the
-/// calling thread — so a single-chunk (serial) region spawns no thread
-/// at all.
+/// Tasks are collected first and published together when the body
+/// finishes: the calling thread and the team's helpers claim them one
+/// at a time, in order, until none are left. A region may queue more
+/// tasks than the team has workers, and a single-task (serial) region
+/// or a one-worker team involves no other thread at all — so tasks
+/// must not wait on one another.
 pub struct RegionScope<'env> {
-    tasks: RefCell<Vec<Task<'env>>>,
+    tasks: RefCell<Vec<TaskSlot<'env>>>,
 }
 
 impl std::fmt::Debug for RegionScope<'_> {
@@ -43,7 +49,7 @@ impl std::fmt::Debug for RegionScope<'_> {
 impl<'env> RegionScope<'env> {
     /// Queue one task for the region.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        self.tasks.borrow_mut().push(Box::new(task));
+        self.tasks.borrow_mut().push(TaskSlot::new(task));
     }
 }
 
@@ -57,6 +63,11 @@ impl<'env> RegionScope<'env> {
 /// observability span; by default the recorder is disabled and costs
 /// one branch per region.
 pub struct Workers {
+    /// The helper threads every view of this pool shares.
+    team: Arc<Team>,
+    /// This view's lanes of the team are `first_lane..first_lane +
+    /// processors`; the thread calling `region` stands in for the first.
+    first_lane: usize,
     processors: usize,
     /// What the caller asked for before any [`Workers::sized_view`]
     /// clamp; equals `processors` for a directly-constructed team.
@@ -106,6 +117,8 @@ impl Workers {
             FlightRecorder::disabled()
         };
         Self {
+            team: Arc::new(Team::new(processors)),
+            first_lane: 0,
             processors,
             requested: processors,
             counters: Arc::new(Counters::default()),
@@ -155,7 +168,7 @@ impl Workers {
     ///
     /// This is how a service runs requests that ask for fewer workers
     /// than the pool owns while keeping one set of pool-wide totals:
-    /// `pool.sized_view(w)` costs two `Arc` clones, and
+    /// `pool.sized_view(w)` costs a few `Arc` clones, and
     /// [`Workers::sync_event_count`] on the parent still reflects every
     /// region the view ran.
     ///
@@ -171,15 +184,9 @@ impl Workers {
     /// Panics if `processors == 0`.
     #[must_use]
     pub fn sized_view(&self, processors: usize) -> Self {
-        assert!(processors > 0, "worker count must be positive");
         Self {
-            processors: processors.min(self.processors),
-            requested: processors,
-            counters: Arc::clone(&self.counters),
             local: Arc::new(Counters::default()),
-            recorder: self.recorder.clone(),
-            flight: self.flight.clone(),
-            policy: self.policy,
+            ..self.kernel_view(processors, self.policy)
         }
     }
 
@@ -209,13 +216,9 @@ impl Workers {
     #[must_use]
     pub fn with_policy(&self, policy: Policy) -> Self {
         Self {
-            processors: self.processors,
             requested: self.requested,
-            counters: Arc::clone(&self.counters),
             local: Arc::new(Counters::default()),
-            recorder: self.recorder.clone(),
-            flight: self.flight.clone(),
-            policy,
+            ..self.kernel_view(self.processors, policy)
         }
     }
 
@@ -236,6 +239,8 @@ impl Workers {
     pub fn kernel_view(&self, processors: usize, policy: Policy) -> Self {
         assert!(processors > 0, "worker count must be positive");
         Self {
+            team: Arc::clone(&self.team),
+            first_lane: self.first_lane,
             processors: processors.min(self.processors),
             requested: processors,
             counters: Arc::clone(&self.counters),
@@ -243,6 +248,27 @@ impl Workers {
             recorder: self.recorder.clone(),
             flight: self.flight.clone(),
             policy,
+        }
+    }
+
+    /// The `index`-th of `of` disjoint shards of this view: a
+    /// [`Workers::kernel_view`] of `processors() / of` workers (at
+    /// least one) under this view's policy, on team lanes no other
+    /// shard index of the same split uses — so shards running regions
+    /// concurrently from different threads each keep their full width,
+    /// where plain views of one pool start at the same lane and
+    /// compete for its helpers. With more shards than workers every
+    /// shard is one worker wide and runs on its calling thread alone.
+    ///
+    /// # Panics
+    /// Panics if `index >= of`.
+    #[must_use]
+    pub fn shard_view(&self, index: usize, of: usize) -> Self {
+        assert!(index < of, "shard {index} of {of}");
+        let width = (self.processors / of).max(1);
+        Self {
+            first_lane: self.first_lane + (index * width).min(self.processors - width),
+            ..self.kernel_view(width, self.policy)
         }
     }
 
@@ -327,7 +353,8 @@ impl Workers {
             tasks: RefCell::new(Vec::new()),
         };
         let out = f(&scope);
-        run_tasks(scope.tasks.into_inner());
+        self.team
+            .run(self.first_lane, self.processors, scope.tasks.into_inner());
         self.counters.sync_events.fetch_add(1, Ordering::Relaxed);
         self.local.sync_events.fetch_add(1, Ordering::Relaxed);
         if let Some(start) = start {
@@ -412,22 +439,6 @@ impl ChunkClaimer {
     }
 }
 
-/// Run queued region tasks to completion: the last task runs on the
-/// calling thread, the rest on scoped threads.
-fn run_tasks(mut tasks: Vec<Task<'_>>) {
-    let Some(last) = tasks.pop() else { return };
-    if tasks.is_empty() {
-        last();
-        return;
-    }
-    std::thread::scope(|scope| {
-        for task in tasks {
-            scope.spawn(task);
-        }
-        last();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +469,189 @@ mod tests {
         });
         // all tasks complete before region returns
         assert_eq!(counter.load(Ordering::Relaxed), 10);
+    }
+
+    /// Run one `n`-task region whose tasks wait for one another, and
+    /// report how many were alive at once: `n` only if `n` distinct
+    /// threads took part. (Waiting tasks are exactly what a region must
+    /// not contain — here the deadline makes a narrow team a failed
+    /// assertion instead of a hang.)
+    fn concurrent_tasks(w: &Workers, n: usize) -> usize {
+        let arrived = AtomicUsize::new(0);
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        w.region(|scope| {
+            for _ in 0..n {
+                scope.spawn(|| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+        });
+        arrived.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn back_to_back_regions_keep_exact_counts() {
+        let pool = Workers::new(2);
+        let view = pool.sized_view(2);
+        let ran = AtomicUsize::new(0);
+        for _ in 0..100_000 {
+            view.region(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 200_000);
+        for w in [&pool, &view] {
+            assert_eq!(w.sync_event_count(), 100_000);
+            assert_eq!(w.region_count(), 100_000);
+        }
+        assert_eq!(view.local_sync_event_count(), 100_000);
+    }
+
+    #[test]
+    fn disjoint_shards_keep_full_width_concurrently() {
+        let pool = Workers::new(4);
+        std::thread::scope(|threads| {
+            for shard in 0..2 {
+                let pool = &pool;
+                threads.spawn(move || {
+                    // A fresh-counter view of the shard, as serve makes
+                    // one per request.
+                    let view = pool.shard_view(shard, 2).sized_view(2);
+                    assert_eq!(view.processors(), 2);
+                    for _ in 0..200 {
+                        assert_eq!(concurrent_tasks(&view, 2), 2);
+                    }
+                    assert_eq!(view.local_sync_event_count(), 200);
+                });
+            }
+        });
+        assert_eq!(pool.sync_event_count(), 400);
+    }
+
+    #[test]
+    fn shard_views_partition_the_lanes() {
+        let pool = Workers::new(5);
+        let lanes = |w: &Workers| w.first_lane..w.first_lane + w.processors();
+        assert_eq!(lanes(&pool.shard_view(0, 2)), 0..2);
+        assert_eq!(lanes(&pool.shard_view(1, 2)), 2..4);
+        // Shards of a shard stay inside it.
+        assert_eq!(lanes(&pool.shard_view(1, 2).shard_view(1, 2)), 3..4);
+        // More shards than workers: one lane each, all inside the pool.
+        for shard in 0..8 {
+            let view = pool.shard_view(shard, 8);
+            assert_eq!(view.processors(), 1);
+            assert!(lanes(&view).end <= 5);
+        }
+        // Like a kernel view, a shard bills its parent's local counter.
+        let request = pool.sized_view(4);
+        request.shard_view(1, 2).region(|_| {});
+        assert_eq!(request.local_sync_event_count(), 1);
+    }
+
+    #[test]
+    fn overlapping_views_both_finish() {
+        // Two threads drive views of the *same* lanes: whichever finds
+        // the helper busy runs narrower, neither waits for the other.
+        let pool = Workers::new(2);
+        let ran = AtomicUsize::new(0);
+        std::thread::scope(|threads| {
+            for _ in 0..2 {
+                threads.spawn(|| {
+                    let view = pool.sized_view(2);
+                    for _ in 0..5_000 {
+                        view.region(|scope| {
+                            for _ in 0..2 {
+                                scope.spawn(|| {
+                                    ran.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                        });
+                    }
+                    assert_eq!(view.local_sync_event_count(), 5_000);
+                });
+            }
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 20_000);
+        assert_eq!(pool.sync_event_count(), 10_000);
+    }
+
+    #[test]
+    fn nested_region_finishes() {
+        // Whichever worker runs an outer task is the caller of the
+        // inner region; its own helper slot reads busy and is skipped.
+        let w = Workers::new(3);
+        let ran = AtomicUsize::new(0);
+        w.region(|outer| {
+            for _ in 0..3 {
+                outer.spawn(|| {
+                    w.region(|inner| {
+                        for _ in 0..3 {
+                            inner.spawn(|| {
+                                ran.fetch_add(1, Ordering::Relaxed);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 9);
+        assert_eq!(w.sync_event_count(), 4);
+    }
+
+    #[test]
+    fn panicking_task_is_reraised_after_the_barrier() {
+        let w = Workers::new(3);
+        let ran = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.region(|scope| {
+                for task in 0..6 {
+                    let ran = &ran;
+                    scope.spawn(move || {
+                        assert!(task != 1, "task one fails");
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+        }));
+        // The original payload, not a generic "a thread panicked"...
+        let payload = outcome.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task one fails"));
+        // ...raised only after every other task had run...
+        assert_eq!(ran.load(Ordering::Relaxed), 5);
+        // ...and the team is as wide as before.
+        assert_eq!(concurrent_tasks(&w, 3), 3);
+    }
+
+    #[test]
+    fn panicking_chunk_leaves_the_team_usable() {
+        let body = |i: usize| (i as f64).sqrt().sin();
+        let serial: Vec<f64> = (0..90).map(body).collect();
+        for policy in [Policy::Static, Policy::Dynamic { chunk: 10 }] {
+            let w = Workers::new(3).with_policy(policy);
+            let mut out = vec![0.0f64; 90];
+            // Iteration 45 sits in the middle chunk under either policy.
+            let faulted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                crate::doacross_into(&w, &mut out, |i| {
+                    assert!(i != 45, "iteration 45 fails");
+                    body(i)
+                });
+            }));
+            assert!(faulted.is_err(), "{policy:?}");
+            // The identical region on the same team: exact, one more
+            // sync event, and every worker still there.
+            let before = w.sync_event_count();
+            crate::doacross_into(&w, &mut out, body);
+            assert_eq!(out, serial, "{policy:?}");
+            assert_eq!(w.sync_event_count(), before + 1, "{policy:?}");
+            assert_eq!(concurrent_tasks(&w, 3), 3, "{policy:?}");
+        }
     }
 
     #[test]

@@ -228,3 +228,64 @@ fn reduce_and_slabs_record_regions_too() {
     assert_eq!(t.regions[0].iterations, 90);
     assert_eq!(t.regions[1].iterations, 12);
 }
+
+#[test]
+fn a_thousand_regions_leave_every_lane_complete_and_monotone() {
+    // The rings are single-writer and relaxed: what orders the task
+    // that wrote a lane in region r before the (possibly different)
+    // thread that writes it in region r + 1, and before this drain, is
+    // the team's barrier alone. A barrier too weak for that shows up
+    // here as a torn, missing or out-of-order event.
+    const REGIONS: u64 = 1000;
+    for policy in [Policy::Static, Policy::Dynamic { chunk: 4 }] {
+        let mut w = Workers::new(4);
+        w.set_policy(policy);
+        w.set_flight(FlightRecorder::enabled(4, 16 * 1024));
+        for _ in 0..REGIONS {
+            llp::doacross(&w, 16, |i| {
+                std::hint::black_box(i);
+            });
+        }
+        let t = w.flight().take_timeline();
+        assert_eq!(t.dropped_events(), 0, "{policy:?}");
+        assert_eq!(t.regions.len() as u64, REGIONS, "{policy:?}");
+        let mut starts = vec![0u64; REGIONS as usize];
+        for (lane, timeline) in t.lanes.iter().enumerate() {
+            let events = &timeline.events;
+            assert!(
+                events
+                    .windows(2)
+                    .all(|w| w[0].ts_ns <= w[1].ts_ns && w[0].region <= w[1].region),
+                "{policy:?} lane {lane} is not monotone"
+            );
+            // Every start is followed on its lane by its own end.
+            let mut open = None;
+            for e in events {
+                match e.kind {
+                    EventKind::ChunkStart => {
+                        assert_eq!(open, None, "{policy:?} lane {lane}");
+                        open = Some((e.arg, e.region));
+                        starts[e.region as usize] += 1;
+                    }
+                    EventKind::ChunkEnd => {
+                        assert_eq!(
+                            open.take(),
+                            Some((e.arg, e.region)),
+                            "{policy:?} lane {lane}"
+                        );
+                    }
+                    _ => assert_eq!(open, None, "{policy:?} lane {lane}"),
+                }
+            }
+            assert_eq!(open, None, "{policy:?} lane {lane}");
+            // A lane that wrote in a region got that region's barrier wait.
+            let waits = count(&t, lane, EventKind::BarrierWait) as u64;
+            if policy == Policy::Static {
+                assert_eq!(waits, REGIONS, "{policy:?} lane {lane}");
+                assert_eq!(events.len() as u64, 3 * REGIONS, "{policy:?} lane {lane}");
+            }
+        }
+        // Four chunks per region under either policy, each started once.
+        assert!(starts.iter().all(|&n| n == 4), "{policy:?}");
+    }
+}

@@ -1,0 +1,71 @@
+//! The worker team's thread lifecycle, counted from outside through
+//! `/proc/self/task`. One test function on purpose: a test binary runs
+//! its tests on parallel threads, and a second test spawning helpers of
+//! its own would move the count under this one's feet.
+
+use llp::Workers;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Threads of this process, or `None` where `/proc` is not mounted.
+fn threads() -> Option<usize> {
+    std::fs::read_dir("/proc/self/task")
+        .ok()
+        .map(Iterator::count)
+}
+
+#[test]
+fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
+    let Some(before) = threads() else { return };
+
+    // One-worker teams, and one-worker views of wide pools, run every
+    // region on the calling thread: no helper is ever spawned.
+    let ran = AtomicUsize::new(0);
+    let queue_four = |w: &Workers| {
+        w.region(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+    };
+    let serial = Workers::new(1);
+    let wide = Workers::new(8);
+    queue_four(&serial);
+    queue_four(&wide.sized_view(1));
+    queue_four(&wide.shard_view(3, 8));
+    assert_eq!(ran.load(Ordering::Relaxed), 12);
+    assert_eq!(threads(), Some(before));
+    // Helpers are spawned on first use, one per task beyond the
+    // caller's own...
+    wide.region(|scope| {
+        scope.spawn(|| {});
+        scope.spawn(|| {});
+    });
+    assert_eq!(threads(), Some(before + 1));
+    drop((serial, wide));
+    assert_eq!(threads(), Some(before));
+
+    // ...and never again: a thousand regions later the team is still
+    // its three helpers, whichever view ran them.
+    let pool = Workers::new(4);
+    let view = pool.sized_view(4);
+    let shard = pool.shard_view(1, 2);
+    queue_four(&pool);
+    assert_eq!(threads(), Some(before + 3));
+    for _ in 0..1000 {
+        queue_four(&view);
+        queue_four(&shard);
+    }
+    assert_eq!(threads(), Some(before + 3));
+
+    // Dropping the pool while views live keeps the team; dropping the
+    // last handle joins every helper before `drop` returns.
+    drop(pool);
+    queue_four(&view);
+    assert_eq!(ran.load(Ordering::Relaxed), 12 + 4 * 2002);
+    drop(view);
+    assert_eq!(threads(), Some(before + 3));
+    drop(shard);
+    assert_eq!(threads(), Some(before));
+}

@@ -19,7 +19,7 @@
 //! are answered inline on the event loop. Pool-backed work
 //! (`/v1/solve`, `/v1/advise`) goes through admission control: a
 //! bounded queue in front of **N executor shards**, each a thread
-//! owning a disjoint [`Workers::sized_view`] slice of the shared pool
+//! owning a disjoint [`Workers::shard_view`] slice of the shared pool
 //! with its own span recorder and flight recorder. Executors push
 //! completions over a channel and wake the event loop, which writes the
 //! response on the requester's connection — or drops it, if the
@@ -459,19 +459,22 @@ impl Server {
                 EventLoop::new(shared, listener, wake_rx, completions_rx).run();
             })
         };
-        let shard_width = (workers / shards).max(1);
         let executors = (0..shards)
-            .map(|_| {
+            .map(|shard| {
                 let shared = Arc::clone(&shared);
-                // Each shard slice shares the pool's counters but owns
+                // Each shard slice is its own lanes of the pool's one
+                // worker team and shares the pool's counters, but owns
                 // a private recorder and flight recorder: concurrent
-                // jobs never interleave spans or timelines, and
-                // /metrics pool totals stay exact. Jobs on one shard
-                // are serial, so each job drains exactly its own
-                // flight events.
-                let mut slice = shared.pool.sized_view(shard_width);
+                // jobs never compete for a helper or interleave spans
+                // or timelines, and /metrics pool totals stay exact.
+                // Jobs on one shard are serial, so each job drains
+                // exactly its own flight events.
+                let mut slice = shared.pool.shard_view(shard, shards);
                 slice.set_recorder(Recorder::enabled());
-                slice.set_flight(FlightRecorder::enabled(shard_width, DEFAULT_EVENT_CAPACITY));
+                slice.set_flight(FlightRecorder::enabled(
+                    slice.processors(),
+                    DEFAULT_EVENT_CAPACITY,
+                ));
                 thread::spawn(move || executor_loop(&shared, &slice))
             })
             .collect();
@@ -516,7 +519,13 @@ impl Server {
     /// writes this to `--telemetry-out` (or stderr) on SIGTERM so an
     /// operator keeps the last windows of a dying process.
     pub fn shutdown_with_telemetry(mut self) -> Json {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        // Set under the queue lock: an executor that has just read
+        // `draining == false` still holds it until it is waiting, so it
+        // cannot miss the wake-up and sleep through the drain.
+        {
+            let _queue = lock_clean(&self.shared.queue);
+            self.shared.draining.store(true, Ordering::SeqCst);
+        }
         self.shared.queue_signal.notify_all();
         self.shared.waker.wake();
         for handle in self.executors.drain(..) {

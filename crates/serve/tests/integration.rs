@@ -1172,17 +1172,23 @@ fn malformed_schedule_bodies_name_the_offender() {
 
 #[test]
 fn panicking_job_gets_500_and_the_shard_recovers() {
-    let fault = Arc::new(AtomicBool::new(true));
+    let fault = Arc::new(AtomicBool::new(false));
     let server = Server::start(ServerConfig {
-        workers: 1,
+        workers: 2,
         shards: 1,
         job_fault: Some(Arc::clone(&fault)),
         ..ServerConfig::default()
     })
     .expect("bind");
     let addr = server.addr();
+    // Bypass, so every solve below really executes on the one shard.
+    let body = r#"{"zones": 1, "steps": 2, "workers": 2, "cache": "bypass"}"#;
+    let reply = post(addr, "/v1/solve", body);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let reference = reply.json();
 
-    let reply = post(addr, "/v1/solve", r#"{"zones": 1, "steps": 1}"#);
+    fault.store(true, Ordering::SeqCst);
+    let reply = post(addr, "/v1/solve", body);
     assert_eq!(reply.status, 500, "{}", reply.body);
     assert!(
         reply
@@ -1196,21 +1202,23 @@ fn panicking_job_gets_500_and_the_shard_recovers() {
     );
     assert_eq!(metric(addr, "executor_panics_total"), 1);
 
-    // The same shard keeps serving, and its recorder was reset: the
-    // next report covers exactly the next run.
+    // The same shard keeps serving on the same worker team, and its
+    // recorder was reset: the next report covers exactly the next run,
+    // at full width, and the answer is bit-exact.
     fault.store(false, Ordering::SeqCst);
-    let reply = post(addr, "/v1/solve", r#"{"zones": 1, "steps": 1}"#);
+    let reply = post(addr, "/v1/solve", body);
     assert_eq!(reply.status, 200, "{}", reply.body);
     let served = reply.json();
+    for field in ["residuals", "checksums", "forces", "sync_events"] {
+        assert_eq!(served.get(field), reference.get(field), "{field}");
+    }
     let sync_events = served.get("sync_events").unwrap().as_u64().unwrap();
+    let report = served.get("report").unwrap();
     assert_eq!(
-        served
-            .get("report")
-            .unwrap()
-            .get("sync_events")
-            .and_then(Json::as_u64),
+        report.get("sync_events").and_then(Json::as_u64),
         Some(sync_events)
     );
+    assert_eq!(report.get("workers").and_then(Json::as_u64), Some(2));
     assert_eq!(metric(addr, "executor_busy"), 0);
     server.shutdown();
 }

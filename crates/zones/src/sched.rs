@@ -98,9 +98,10 @@ pub fn run_in_order<Z>(
 /// Dispatch one step's compute tasks across `shards` zone shards, then
 /// apply the exchanges in canonical order.
 ///
-/// Each shard owns a [`Workers::kernel_view`] of `pool` carrying
-/// `pool.processors() / shards` (at least 1) inner workers — kernel
-/// views share the pool view's local counters, so the caller's
+/// Each shard owns a [`Workers::shard_view`] of `pool`: its own
+/// `pool.processors() / shards` (at least 1) lanes of the worker team,
+/// so concurrent shards never compete for a helper — shard views share
+/// the pool view's local counters, so the caller's
 /// synchronization-event bill covers every region the shards ran, and
 /// the split realizes `U_zones × U_loops`. Shard views run with span
 /// and flight recording disabled (those instruments assume one
@@ -136,8 +137,8 @@ where
     let shards = shards.clamp(1, blocks.len());
     let loop_workers = (pool.processors() / shards).max(1);
     let flight = pool.flight();
-    let shard_view = || {
-        let mut view = pool.kernel_view(loop_workers, pool.policy());
+    let shard_view = |shard| {
+        let mut view = pool.shard_view(shard, shards);
         view.set_recorder(Recorder::disabled());
         view.set_flight(FlightRecorder::disabled());
         view
@@ -145,7 +146,7 @@ where
 
     if shards == 1 {
         // Degenerate case: the sequential sweep on the calling thread.
-        let view = shard_view();
+        let view = shard_view(0);
         for (b, block) in blocks.iter_mut().enumerate() {
             flight.zone_start(0, b as u64, step);
             compute(b, &view, block);
@@ -155,7 +156,7 @@ where
         let cells: Vec<Mutex<&mut Z>> = blocks.iter_mut().map(Mutex::new).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for (shard, view) in (0..shards).map(|s| (s, shard_view())) {
+            for (shard, view) in (0..shards).map(|s| (s, shard_view(s))) {
                 let cells = &cells;
                 let next = &next;
                 let compute = &compute;
