@@ -117,7 +117,7 @@ impl RiscStepper {
     }
 
     /// [`RiscStepper::step`] with per-kernel scheduling overrides: each
-    /// parallel phase runs on a [`Workers::kernel_view`] carrying the
+    /// parallel phase runs on a [`Workers::scheduled_view`] carrying the
     /// worker count and policy `schedules` maps its kernel name to
     /// (`rhs`, `j_factor`, `k_factor`, `l_factor_solve`,
     /// `l_factor_scatter`, `update`), falling back to `workers`'s own
@@ -131,13 +131,6 @@ impl RiscStepper {
         profiler: Option<&LoopProfiler>,
         schedules: Option<&ScheduleMap>,
     ) {
-        // Every kernel runs on a kernel_view — uniform, so the sync
-        // accounting (shared local counters) is identical whether or
-        // not any override applies.
-        let kernel_pool = |name: &str| match schedules.and_then(|m| m.get(name)) {
-            Some((p, policy)) => workers.kernel_view(p, policy),
-            None => workers.kernel_view(workers.processors(), workers.policy()),
-        };
         let d = zone.dims();
         let (jmax, kmax, lmax) = (d.j, d.k, d.l);
         let eps2 = zone.config.eps2;
@@ -168,7 +161,7 @@ impl RiscStepper {
         let t = Instant::now();
         {
             let _span = rec.span("rhs", SpanKind::Kernel);
-            let kw = kernel_pool("rhs");
+            let kw = workers.scheduled_view(schedules, "rhs");
             let zone_ref: &ZoneSolver = zone;
             doacross_slabs_scratch(
                 &kw,
@@ -207,7 +200,7 @@ impl RiscStepper {
         let t = Instant::now();
         {
             let _span = rec.span("j_factor", SpanKind::Kernel);
-            let kw = kernel_pool("j_factor");
+            let kw = workers.scheduled_view(schedules, "j_factor");
             let zone_ref: &ZoneSolver = zone;
             doacross_slabs_scratch(
                 &kw,
@@ -242,7 +235,7 @@ impl RiscStepper {
         let t = Instant::now();
         {
             let _span = rec.span("k_factor", SpanKind::Kernel);
-            let kw = kernel_pool("k_factor");
+            let kw = workers.scheduled_view(schedules, "k_factor");
             let zone_ref: &ZoneSolver = zone;
             doacross_slabs_scratch(
                 &kw,
@@ -280,7 +273,7 @@ impl RiscStepper {
         solutions.resize(kmax, Vec::new());
         {
             let _span = rec.span("l_factor_solve", SpanKind::Kernel);
-            let kw = kernel_pool("l_factor_solve");
+            let kw = workers.scheduled_view(schedules, "l_factor_solve");
             let zone_ref: &ZoneSolver = zone;
             let rhs_ref: &StateField = &self.rhs;
             doacross_into_scratch(
@@ -313,7 +306,7 @@ impl RiscStepper {
         let t = Instant::now();
         {
             let _span = rec.span("l_factor_scatter", SpanKind::Kernel);
-            let kw = kernel_pool("l_factor_scatter");
+            let kw = workers.scheduled_view(schedules, "l_factor_scatter");
             let solutions_ref: &[Vec<[f64; NCONS]>] = &solutions;
             doacross_slabs(&kw, self.rhs.as_mut_slice(), slab, |l, slab_data| {
                 for k in 1..kmax - 1 {
@@ -332,7 +325,7 @@ impl RiscStepper {
         let t = Instant::now();
         {
             let _span = rec.span("update", SpanKind::Kernel);
-            let kw = kernel_pool("update");
+            let kw = workers.scheduled_view(schedules, "update");
             let rhs_ref: &StateField = &self.rhs;
             doacross_slabs(&kw, zone.q.as_mut_slice(), slab, |l, slab_data| {
                 if l == 0 || l == lmax - 1 {

@@ -24,7 +24,7 @@ use crate::solver::SolverConfig;
 use crate::validation::{FieldChecksum, ResidualHistory};
 use llp::{ObsReport, Policy, Timeline, Workers};
 use mesh::{Axis, Dims, MultiZoneGrid};
-use solver::{Solver, SolverInstance, SolverSpec};
+use solver::{check_range, Solver, SolverInstance, SolverSpec};
 
 /// Maximum zones a service case may request.
 pub const MAX_ZONES: usize = 4;
@@ -93,23 +93,31 @@ impl ServiceCase {
     /// # Errors
     /// Returns a message naming the offending field and its bound.
     pub fn validate(&self) -> Result<(), String> {
-        let check = |name: &str, v: usize, max: usize| {
-            if (1..=max).contains(&v) {
-                Ok(())
-            } else {
-                Err(format!("{name} must be in 1..={max}, got {v}"))
-            }
-        };
-        check("zones", self.zones, MAX_ZONES)?;
-        check("steps", self.steps, MAX_STEPS)?;
-        check("workers", self.workers, MAX_WORKERS)?;
+        check_range("zones", self.zones, MAX_ZONES)?;
+        check_range("steps", self.steps, MAX_STEPS)?;
+        check_range("workers", self.workers, MAX_WORKERS)?;
         if let ZoneSchedule::Zones(shards) = self.zone_schedule {
-            check("zone_shards", shards, MAX_ZONES)?;
+            check_range("zone_shards", shards, MAX_ZONES)?;
         }
         kernels::validate_width(self.vector_width)?;
         match self.schedule.chunk_param() {
             None => Ok(()),
-            Some(chunk) => check("chunk", chunk, MAX_CHUNK),
+            Some(chunk) => check_range("chunk", chunk, MAX_CHUNK),
+        }
+    }
+
+    /// The case an autotuner calibration measures: `zones` × `steps` at
+    /// the default configuration (static, sequential zones, scalar),
+    /// which is the configuration every candidate is compared against.
+    #[must_use]
+    pub fn calibration(zones: usize, steps: usize, workers: usize) -> Self {
+        Self {
+            zones,
+            steps,
+            workers,
+            schedule: Policy::Static,
+            zone_schedule: ZoneSchedule::Sequential,
+            vector_width: 1,
         }
     }
 
@@ -121,12 +129,11 @@ impl ServiceCase {
     /// mistaken for a scalar one.
     #[must_use]
     pub fn label(&self) -> String {
-        let base = format!("service/z{}s{}w{}", self.zones, self.steps, self.workers);
-        let base = match self.schedule {
-            Policy::Static => base,
-            Policy::Dynamic { chunk } => format!("{base}-dyn{chunk}"),
-            Policy::Guided { min_chunk } => format!("{base}-gui{min_chunk}"),
-        };
+        let schedule = self.schedule.label_suffix();
+        let base = format!(
+            "service/z{}s{}w{}{schedule}",
+            self.zones, self.steps, self.workers
+        );
         let base = match self.zone_schedule {
             ZoneSchedule::Sequential => base,
             ZoneSchedule::Zones(shards) => format!("{base}-zp{shards}"),
@@ -156,11 +163,7 @@ impl ServiceCase {
     /// identically.
     #[must_use]
     pub fn canonical_string(&self) -> String {
-        let schedule = match self.schedule {
-            Policy::Static => "static".to_string(),
-            Policy::Dynamic { chunk } => format!("dynamic,chunk={chunk}"),
-            Policy::Guided { min_chunk } => format!("guided,chunk={min_chunk}"),
-        };
+        let schedule = self.schedule.canonical();
         let zone_schedule = match self.zone_schedule {
             ZoneSchedule::Sequential => "sequential".to_string(),
             ZoneSchedule::Zones(shards) => format!("zones,shards={shards}"),

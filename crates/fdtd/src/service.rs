@@ -5,7 +5,7 @@
 use crate::grid::{Boundary, FieldChecksum, TezGrid};
 use crate::kernels;
 use llp::{ObsReport, Policy, ScheduleMap, SpanKind, Timeline, Workers};
-use solver::{validate_width, Solver, SolverInstance, SolverSpec, WidthMap};
+use solver::{check_range, validate_width, Solver, SolverInstance, SolverSpec, WidthMap};
 
 /// Smallest served grid edge: below this the doacross rows cannot
 /// cover even a modest worker count and the case tests nothing.
@@ -58,19 +58,27 @@ impl FdtdCase {
                 self.size
             ));
         }
-        let check = |name: &str, v: usize, max: usize| {
-            if (1..=max).contains(&v) {
-                Ok(())
-            } else {
-                Err(format!("{name} must be in 1..={max}, got {v}"))
-            }
-        };
-        check("steps", self.steps, MAX_STEPS)?;
-        check("workers", self.workers, MAX_WORKERS)?;
+        check_range("steps", self.steps, MAX_STEPS)?;
+        check_range("workers", self.workers, MAX_WORKERS)?;
         validate_width(self.vector_width)?;
         match self.schedule.chunk_param() {
             None => Ok(()),
-            Some(chunk) => check("chunk", chunk, MAX_CHUNK),
+            Some(chunk) => check_range("chunk", chunk, MAX_CHUNK),
+        }
+    }
+
+    /// The case an autotuner calibration measures, at the default
+    /// configuration (static, scalar). `scale` is the calibration
+    /// spec's `zones` knob: it sets the grid edge (`16 × scale`
+    /// points), so one `/v1/tune` vocabulary drives every solver.
+    #[must_use]
+    pub fn calibration(scale: usize, steps: usize, workers: usize) -> Self {
+        Self {
+            size: 16 * scale,
+            steps,
+            workers,
+            schedule: Policy::Static,
+            vector_width: 1,
         }
     }
 
@@ -79,12 +87,11 @@ impl FdtdCase {
     /// `-vw{width}`).
     #[must_use]
     pub fn label(&self) -> String {
-        let base = format!("fdtd/n{}s{}w{}", self.size, self.steps, self.workers);
-        let base = match self.schedule {
-            Policy::Static => base,
-            Policy::Dynamic { chunk } => format!("{base}-dyn{chunk}"),
-            Policy::Guided { min_chunk } => format!("{base}-gui{min_chunk}"),
-        };
+        let schedule = self.schedule.label_suffix();
+        let base = format!(
+            "fdtd/n{}s{}w{}{schedule}",
+            self.size, self.steps, self.workers
+        );
         if self.vector_width > 1 {
             format!("{base}-vw{}", self.vector_width)
         } else {
@@ -99,11 +106,7 @@ impl FdtdCase {
     /// at the scalar default.
     #[must_use]
     pub fn canonical_string(&self) -> String {
-        let schedule = match self.schedule {
-            Policy::Static => "static".to_string(),
-            Policy::Dynamic { chunk } => format!("dynamic,chunk={chunk}"),
-            Policy::Guided { min_chunk } => format!("guided,chunk={min_chunk}"),
-        };
+        let schedule = self.schedule.canonical();
         format!(
             "size={};steps={};workers={};schedule={};vector_width={}",
             self.size, self.steps, self.workers, schedule, self.vector_width
@@ -200,26 +203,18 @@ impl SolverInstance for FdtdInstance {
 
     fn step(&mut self, pool: &Workers, step: usize, schedules: Option<&ScheduleMap>) {
         let rec = pool.recorder();
-        // Kernels named in the schedule map run on a kernel_view
-        // carrying their tuned worker count and policy; everything
-        // else inherits the pool's configuration — the same dispatch
-        // seam as the F3D stepper.
-        let kernel_pool = |name: &str| match schedules.and_then(|m| m.get(name)) {
-            Some((p, policy)) => pool.kernel_view(p, policy),
-            None => pool.kernel_view(pool.processors(), pool.policy()),
-        };
         {
             let _span = rec.span("source", SpanKind::Kernel);
             self.grid.inject_soft_source(step);
         }
         {
             let _span = rec.span("update_h", SpanKind::Kernel);
-            let kw = kernel_pool("update_h");
+            let kw = pool.scheduled_view(schedules, "update_h");
             kernels::update_h(&kw, &mut self.grid, self.w_h);
         }
         {
             let _span = rec.span("update_e", SpanKind::Kernel);
-            let kw = kernel_pool("update_e");
+            let kw = pool.scheduled_view(schedules, "update_e");
             kernels::update_e(&kw, &mut self.grid, self.w_e);
         }
         self.energy.push(self.grid.energy());

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use crate::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use crate::obs::{FlightRecorder, Recorder};
-use crate::schedule::Policy;
+use crate::schedule::{Policy, ScheduleMap};
 use crate::team::{TaskSlot, Team};
 
 /// The spawning interface handed to a region body: tasks queued here
@@ -249,6 +249,20 @@ impl Workers {
             flight: self.flight.clone(),
             policy,
         }
+    }
+
+    /// The [`Workers::kernel_view`] the kernel named `kernel` runs on:
+    /// its `schedules` entry's worker count and policy when it has one,
+    /// this view's own otherwise. Every kernel goes through a
+    /// `kernel_view` either way, so the sync accounting (shared local
+    /// counters) is the same whether or not an override applies — the
+    /// one dispatch seam every solver's step uses.
+    #[must_use]
+    pub fn scheduled_view(&self, schedules: Option<&ScheduleMap>, kernel: &str) -> Self {
+        let (processors, policy) = schedules
+            .and_then(|m| m.get(kernel))
+            .unwrap_or((self.processors, self.policy));
+        self.kernel_view(processors, policy)
     }
 
     /// The `index`-th of `of` disjoint shards of this view: a
@@ -786,6 +800,22 @@ mod tests {
         let wide = request.kernel_view(16, Policy::Static);
         assert_eq!(wide.processors(), 2);
         assert_eq!(wide.requested_processors(), 16);
+        // The schedule-map seam: mapped kernels get their entry,
+        // unmapped ones the view's own width and policy.
+        let mut map = ScheduleMap::new();
+        map.set("rhs", 1, Policy::Guided { min_chunk: 2 });
+        let config = |map, kernel| {
+            let view = request.scheduled_view(map, kernel);
+            view.region(|_| {});
+            (view.processors(), view.policy())
+        };
+        assert_eq!(
+            config(Some(&map), "rhs"),
+            (1, Policy::Guided { min_chunk: 2 })
+        );
+        assert_eq!(config(Some(&map), "update"), (2, Policy::Static));
+        assert_eq!(config(None, "rhs"), (2, Policy::Static));
+        assert_eq!(request.local_sync_event_count(), 5);
     }
 
     #[test]

@@ -175,6 +175,28 @@ impl Policy {
         }
     }
 
+    /// The canonical content spelling every served case embeds in its
+    /// cache-key string: `static`, `dynamic,chunk=N`, or
+    /// `guided,chunk=N`.
+    #[must_use]
+    pub fn canonical(&self) -> String {
+        match self.chunk_param() {
+            None => self.name().to_string(),
+            Some(chunk) => format!("{},chunk={chunk}", self.name()),
+        }
+    }
+
+    /// The case-label suffix that keeps a self-scheduled run from being
+    /// mistaken for a static one: empty, `-dynN`, or `-guiN`.
+    #[must_use]
+    pub fn label_suffix(&self) -> String {
+        match *self {
+            Policy::Static => String::new(),
+            Policy::Dynamic { chunk } => format!("-dyn{chunk}"),
+            Policy::Guided { min_chunk } => format!("-gui{min_chunk}"),
+        }
+    }
+
     /// Parse a policy from its wire name plus optional chunk parameter
     /// (defaults to 1 for the dynamic policies).
     ///
@@ -519,13 +541,25 @@ mod tests {
 
     #[test]
     fn names_and_parse_round_trip() {
-        for (policy, chunk) in [
-            (Policy::Static, None),
-            (Policy::Dynamic { chunk: 4 }, Some(4)),
-            (Policy::Guided { min_chunk: 2 }, Some(2)),
+        for (policy, chunk, canonical, suffix) in [
+            (Policy::Static, None, "static", ""),
+            (
+                Policy::Dynamic { chunk: 4 },
+                Some(4),
+                "dynamic,chunk=4",
+                "-dyn4",
+            ),
+            (
+                Policy::Guided { min_chunk: 2 },
+                Some(2),
+                "guided,chunk=2",
+                "-gui2",
+            ),
         ] {
             assert_eq!(Policy::parse(policy.name(), chunk), Ok(policy));
             assert_eq!(policy.chunk_param(), chunk);
+            assert_eq!(policy.canonical(), canonical);
+            assert_eq!(policy.label_suffix(), suffix);
         }
         assert_eq!(
             Policy::parse("dynamic", None),

@@ -445,8 +445,7 @@ pub struct TuneRequest {
 /// Parse a `POST /v1/tune` body: an optional object overriding the
 /// calibration case (`zones`, `steps`, `trials`) and selecting the
 /// solver to calibrate (`"solver"`, default `"f3d"`); an empty body
-/// means the defaults. The `deterministic` flag is the server's to set
-/// (it follows the job-gate test hook), never the client's.
+/// means the defaults.
 ///
 /// # Errors
 /// Unknown solvers, unknown fields, mistyped values, and out-of-cap
@@ -509,7 +508,6 @@ pub fn tune_started_response(solver: &str, spec: &CalibrationSpec) -> Json {
         ("zones", Json::from_usize(spec.zones)),
         ("steps", Json::from_usize(spec.steps)),
         ("trials", Json::from_usize(spec.trials)),
-        ("deterministic", Json::Bool(spec.deterministic)),
     ])
 }
 
@@ -1203,7 +1201,6 @@ mod tests {
         let req = parse_tune_body(r#"{"zones": 1, "steps": 3, "trials": 1}"#).unwrap();
         let spec = req.spec;
         assert_eq!((spec.zones, spec.steps, spec.trials), (1, 3, 1));
-        assert!(!spec.deterministic, "deterministic is the server's call");
         // The solver field picks whose database gets rebuilt.
         let req = parse_tune_body(r#"{"solver": "fdtd", "trials": 1}"#).unwrap();
         assert_eq!(req.solver, "fdtd");
@@ -1212,7 +1209,6 @@ mod tests {
         assert!(parse_tune_body(r#"{"solver": 1}"#).is_err());
         assert!(parse_tune_body(r#"{"zones": 99}"#).is_err());
         assert!(parse_tune_body(r#"{"trials": 0}"#).is_err());
-        assert!(parse_tune_body(r#"{"deterministic": true}"#).is_err());
         assert!(parse_tune_body("[1]").is_err());
     }
 

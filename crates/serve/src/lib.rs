@@ -18,7 +18,7 @@
 //!   ([`llp::advisor`]) for a submitted loop profile, overlaid with the
 //!   tune database's measured choices when kernels match;
 //! * `POST /v1/tune` — start a bounded background calibration
-//!   ([`tune::calibrate`]) on a dedicated pool slice (one at a time;
+//!   ([`tune::calibrate_solver`]) on a dedicated pool slice (one at a time;
 //!   concurrent requests get 429); `GET /v1/tune` polls its status and
 //!   returns the current database;
 //! * `GET /v1/model/{stairstep,overhead,work_per_sync}` — batched

@@ -65,7 +65,7 @@ use crate::cache::{ContentKey, SolveCache, DEFAULT_CACHE_CAPACITY};
 use crate::evloop::{self, Conn, PollFd, ReadOutcome, WakeReceiver, Waker, POLLIN, POLLOUT};
 use crate::http::{parse_request_bytes, render_response, Parse, Request, Response, MAX_HEAD_BYTES};
 use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar};
-use crate::solvers::{AnyCase, AnyRun, KINDS};
+use crate::solvers::{self, AnyCase, AnyRun, KINDS};
 use crate::trace::{TraceEntry, TraceStore};
 use f3d::service::MAX_WORKERS;
 use llp::obs::attr::kernel_overheads;
@@ -80,9 +80,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-use tune::{
-    calibrate, calibrate_fdtd, expected_cost_ns, CalibrationSpec, DriftConfig, DriftTracker, TuneDb,
-};
+use tune::{predicted_cost_ns, DriftConfig, DriftTracker, TuneDb};
 
 /// Default shard width used when [`ServerConfig::shards`] is 0 and
 /// `LLPD_SHARDS` is unset: the pool is cut into slices of this many
@@ -701,8 +699,9 @@ fn observe_solve(shared: &Arc<Shared>, run: &AnyRun, auto: bool, db: Option<&Tun
     }
     let mut drift = lock_clean(&shared.drift);
     // Score each tuned kernel's live cost against the analytic form the
-    // calibration trusted. Only `auto` solves run the tuned
-    // configurations, so only they can indict a tune entry.
+    // calibration reported, at the entry's own workers and schedule.
+    // Only `auto` solves run the tuned configurations, so only they can
+    // indict a tune entry.
     if auto {
         if let Some(db) = db {
             for k in &overheads {
@@ -713,9 +712,10 @@ fn observe_solve(shared: &Arc<Shared>, run: &AnyRun, auto: bool, db: Option<&Tun
                     continue;
                 }
                 let u = k.iterations as f64 / k.regions as f64;
-                let expected = expected_cost_ns(
+                let expected = predicted_cost_ns(
                     k.compute_ns as f64,
                     u,
+                    entry.schedule,
                     entry.workers,
                     k.regions,
                     db.sync_cost_ns,
@@ -1708,13 +1708,13 @@ fn health_response(shared: &Arc<Shared>) -> Response {
 /// At most one calibration runs at a time — a second request while one
 /// is in flight gets `429`. The calibration runs on a *dedicated*
 /// shard-width slice of the pool (its own thread, recorder, and flight
-/// rings — `calibrate` instruments its own view), so the executor
-/// shards keep serving while it measures. With the `job_gate` test
-/// hook installed the calibration honors the gate before starting and
-/// selects winners in deterministic (structural) mode, so tests can
-/// pin it mid-flight and reproduce its decisions exactly. A completed
-/// calibration bumps the tune generation, which invalidates every
-/// cached `auto` solve (their content keys embed the generation).
+/// rings — `calibrate_solver` instruments its own view), so the
+/// executor shards keep serving while it measures. With the `job_gate`
+/// test hook installed the calibration honors the gate before
+/// starting, so tests can pin it mid-flight; the hook changes nothing
+/// about how winners are selected. A completed calibration bumps the
+/// tune generation, which invalidates every cached `auto` solve (their
+/// content keys embed the generation).
 fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return Response::error(503, "shutting down");
@@ -1723,15 +1723,11 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
         Ok(req) => req,
         Err(msg) => return Response::error(400, &msg),
     };
-    let spec = CalibrationSpec {
-        deterministic: shared.config.job_gate.is_some(),
-        ..req.spec
-    };
     if shared.tune.running.swap(true, Ordering::SeqCst) {
         return Response::error(429, "calibration already running").with_retry_after(1);
     }
-    let started = api::tune_started_response(&req.solver, &spec);
-    let solver = req.solver;
+    let started = api::tune_started_response(&req.solver, &req.spec);
+    let api::TuneRequest { solver, spec } = req;
     let shared = Arc::clone(shared);
     thread::spawn(move || {
         if let Some(gate) = &shared.config.job_gate {
@@ -1739,11 +1735,9 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
         }
         let width = (shared.pool.processors() / shared.shards).max(1);
         let slice = shared.pool.sized_view(width);
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match solver.as_str() {
-                "fdtd" => calibrate_fdtd(&slice, &spec),
-                _ => calibrate(&slice, &spec),
-            }));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solvers::calibrate(&solver, &slice, &spec)
+        }));
         match outcome {
             Ok(Ok(db)) => {
                 let mut guard = lock_clean(&shared.tune.db);

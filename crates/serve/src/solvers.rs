@@ -10,8 +10,9 @@
 
 use f3d::service::{F3dSolver, ServiceCase, ServiceRun};
 use fdtd::{FdtdCase, FdtdRun, FdtdSolver};
-use llp::{ObsReport, Policy, Timeline};
+use llp::{ObsReport, Policy, Timeline, Workers};
 use solver::{Solver, SolverSpec};
+use tune::{calibrate_solver, CalibrationSpec, TuneDb};
 
 /// Every solver kind the service can name, in the `"solver"` request
 /// vocabulary, in a stable order (`f3d` first — the default when the
@@ -31,6 +32,25 @@ const fn fdtd_kind() -> &'static str {
 #[must_use]
 pub fn kernel_names() -> [&'static [&'static str]; KINDS.len()] {
     [F3dSolver::kernel_names(), FdtdSolver::kernel_names()]
+}
+
+/// Calibrate the solver named `kind` (one of [`KINDS`]) on `pool`: the
+/// one generic [`calibrate_solver`] over that solver's own calibration
+/// case.
+///
+/// # Errors
+/// As [`calibrate_solver`].
+pub fn calibrate(kind: &str, pool: &Workers, spec: &CalibrationSpec) -> Result<TuneDb, String> {
+    let CalibrationSpec { zones, steps, .. } = *spec;
+    if kind == FdtdSolver::kind() {
+        calibrate_solver::<FdtdSolver, _>(pool, spec, |workers| {
+            FdtdCase::calibration(zones, steps, workers)
+        })
+    } else {
+        calibrate_solver::<F3dSolver, _>(pool, spec, |workers| {
+            ServiceCase::calibration(zones, steps, workers)
+        })
+    }
 }
 
 /// A validated solve request for any registered solver.

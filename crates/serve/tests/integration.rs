@@ -1033,6 +1033,11 @@ fn tune_calibration_runs_in_the_background_and_rejects_concurrency() {
     // Malformed specs are rejected before anything starts.
     assert_eq!(post(addr, "/v1/tune", r#"{"zones": 99}"#).status, 400);
     assert_eq!(post(addr, "/v1/tune", r#"{"surprise": 1}"#).status, 400);
+    // There is one way winners are selected; no request field picks another.
+    assert_eq!(
+        post(addr, "/v1/tune", r#"{"deterministic": true}"#).status,
+        400
+    );
     assert_eq!(
         get(addr, "/v1/tune")
             .json()
@@ -1046,10 +1051,18 @@ fn tune_calibration_runs_in_the_background_and_rejects_concurrency() {
     let held = gate.lock().unwrap();
     let reply = post(addr, "/v1/tune", r#"{"zones": 1, "steps": 1, "trials": 1}"#);
     assert_eq!(reply.status, 200, "{}", reply.body);
+    let ack = reply.json();
     assert_eq!(
-        reply.json().get("status").and_then(Json::as_str),
+        ack.get("status").and_then(Json::as_str),
         Some("calibrating")
     );
+    // The job-gate hook only pins the calibration; the ack names the
+    // solver and the case, nothing about a selection mode.
+    let Json::Object(members) = &ack else {
+        panic!("ack is not an object: {ack:?}");
+    };
+    let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["status", "solver", "zones", "steps", "trials"]);
     let rejected = post(addr, "/v1/tune", "");
     assert_eq!(rejected.status, 429, "{}", rejected.body);
     retry_after(&rejected);
@@ -1077,6 +1090,8 @@ fn tune_calibration_runs_in_the_background_and_rejects_concurrency() {
     for e in &db.entries {
         assert!((1..=2).contains(&e.workers), "{e:?}");
         assert!(e.iterations > 0 && e.candidates_tried >= 2, "{e:?}");
+        // Gated or not, winners are selected by measurement.
+        assert!(e.measured_cost_ns <= e.default_cost_ns, "{e:?}");
     }
 
     // The freshly calibrated db now resolves "auto" solves.
@@ -1094,47 +1109,6 @@ fn tune_calibration_runs_in_the_background_and_rejects_concurrency() {
             .get("source")
             .and_then(Json::as_str),
         Some("tune-db")
-    );
-    server.shutdown();
-}
-
-#[test]
-fn job_gated_calibration_reproduces_its_decisions() {
-    // With the job-gate hook installed the calibration selects winners
-    // structurally — two runs must produce the same decisions.
-    let server = Server::start(ServerConfig {
-        workers: 2,
-        shards: 1,
-        job_gate: Some(Arc::new(Mutex::new(()))),
-        ..ServerConfig::default()
-    })
-    .expect("bind");
-    let addr = server.addr();
-    let spec = r#"{"zones": 1, "steps": 1, "trials": 1}"#;
-
-    let mut dbs = Vec::new();
-    for _ in 0..2 {
-        let reply = post(addr, "/v1/tune", spec);
-        assert_eq!(reply.status, 200, "{}", reply.body);
-        assert_eq!(
-            reply.json().get("deterministic").and_then(Json::as_bool),
-            Some(true)
-        );
-        wait_until("calibration ready", || {
-            get(addr, "/v1/tune")
-                .json()
-                .get("status")
-                .and_then(Json::as_str)
-                == Some("ready")
-        });
-        let doc = get(addr, "/v1/tune").json();
-        dbs.push(TuneDb::from_json(doc.get("db").unwrap()).unwrap());
-    }
-    assert!(
-        dbs[0].same_decisions(&dbs[1]),
-        "job-gated calibrations diverged:\n{}\nvs\n{}",
-        dbs[0].to_json().to_pretty_string(),
-        dbs[1].to_json().to_pretty_string()
     );
     server.shutdown();
 }
@@ -1950,9 +1924,8 @@ fn drift_watchdog_cuts_both_ways() {
             zones: 2,
             steps: 2,
             trials: 1,
-            deterministic: false,
         };
-        tune::calibrate(&pool, &spec).expect("calibration")
+        serve::solvers::calibrate("f3d", &pool, &spec).expect("calibration")
     };
     let mut falsified = honest.clone();
     falsified.sync_cost_ns = 1;

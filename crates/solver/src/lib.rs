@@ -71,6 +71,20 @@ pub trait SolverSpec {
     fn vector_width(&self) -> usize;
 }
 
+/// The range check every spec's `validate` applies to its counted
+/// fields: `value` must lie in `1..=max`. One statement, so every 400
+/// the service answers for an out-of-cap field reads the same.
+///
+/// # Errors
+/// Returns a message naming the field, its bound, and the value.
+pub fn check_range(name: &str, value: usize, max: usize) -> Result<(), String> {
+    if (1..=max).contains(&value) {
+        Ok(())
+    } else {
+        Err(format!("{name} must be in 1..={max}, got {value}"))
+    }
+}
+
 /// One physics workload: the factory tying a spec to its instance
 /// type. Implementations are zero-sized marker types (`F3dSolver`,
 /// `FdtdSolver`) — the state lives in [`Solver::Instance`].
@@ -111,7 +125,7 @@ pub trait SolverInstance {
     type Output;
 
     /// Advance one time step on `pool`. Kernels named in `schedules`
-    /// execute on a [`Workers::kernel_view`] carrying their tuned
+    /// execute on a [`Workers::scheduled_view`] carrying their tuned
     /// worker count and policy; everything else inherits the pool's
     /// configuration. Results must be bit-exact across worker counts,
     /// schedules, and widths — determinism is the serving contract.
@@ -209,10 +223,7 @@ mod tests {
 
     impl SolverSpec for ToySpec {
         fn validate(&self) -> Result<(), String> {
-            if self.n == 0 {
-                return Err("n must be in 1..=1024, got 0".to_string());
-            }
-            Ok(())
+            check_range("n", self.n, 1024)
         }
         fn canonical_string(&self) -> String {
             format!("n={};steps={}", self.n, self.steps)
@@ -243,10 +254,7 @@ mod tests {
         type Output = (f64, usize);
 
         fn step(&mut self, pool: &Workers, _step: usize, schedules: Option<&ScheduleMap>) {
-            let kw = match schedules.and_then(|m| m.get("toy")) {
-                Some((p, policy)) => pool.kernel_view(p, policy),
-                None => pool.kernel_view(pool.processors(), pool.policy()),
-            };
+            let kw = pool.scheduled_view(schedules, "toy");
             llp::doacross_slabs(&kw, &mut self.data, 1, |i, slab| {
                 slab[0] += i as f64;
             });

@@ -1,6 +1,7 @@
-//! The deterministic measurement loop: run the candidate
-//! configurations through an instrumented pool view, confront measured
-//! cost with modeled cost, and pick each kernel's winner.
+//! The measurement loop: run the candidate configurations through an
+//! instrumented pool view and pick each kernel's winner **by measured
+//! cost**. The paper's laws prune what is measured and are reported
+//! next to every winner; they never select.
 //!
 //! Measurement protocol:
 //!
@@ -11,55 +12,57 @@
 //!    the timeline-wide mean sync cost `S` — the inputs the paper's
 //!    models need.
 //! 2. **Search** — [`crate::space::candidates`] enumerates each
-//!    kernel's pruned space. Candidates are measured in rounds: round
-//!    `r` assigns every kernel its `r mod len`-th candidate (kernels
-//!    are measured independently, so one run prices one candidate per
-//!    kernel), and each round is repeated `trials` times. A kernel's
-//!    cost for a candidate is the **median** of its measurements —
-//!    summed region wall nanoseconds from the flight recorder's
-//!    attribution.
-//! 3. **Selection** — the winner minimizes the median measured cost;
-//!    since the default configuration is always a candidate, the
-//!    winner's cost never exceeds the default's. Ties and near-ties
-//!    break deterministically (modeled cost, then fewer workers, then
-//!    policy order, then smaller chunk, then smaller vector width).
-//!    The analytic model ranks the
-//!    same candidates by predicted cost `W/speedup(U,P) +
-//!    S·events(U,P)`; the db records whether it agrees.
-//!
-//! **Deterministic mode** ([`CalibrationSpec::deterministic`], used
-//! under the serve layer's job-gate test hook): selection ignores the
-//! wall clock entirely and scores candidates with a *structural* cost
-//! — ideal makespan and scheduling-event counts over a synthetic
-//! work/sync ratio — and skips the measured-work Table 1 pruning, so
-//! two calibrations of the same case produce databases with
-//! [`crate::TuneDb::same_decisions`] equality. Timing fields are still
-//! measured and recorded; they are just not load-bearing.
+//!    kernel's space, pruned by the stair-step plateau edges and the
+//!    Table 1 bound at the measured `W` and `S`. Candidates are
+//!    measured in rounds: round `r` assigns every kernel its
+//!    `r mod len`-th candidate (kernels are measured independently, so
+//!    one run prices one candidate per kernel), and each round is
+//!    repeated `trials` times. A kernel's cost for a candidate is the
+//!    **median** of its measurements — summed region wall nanoseconds
+//!    from the flight recorder's attribution.
+//! 3. **Selection** — `select` on the measured medians: the
+//!    structurally simplest candidate within 2 % of the cheapest. The
+//!    default configuration is always a candidate and is the
+//!    no-regression floor: a winner that measured worse than it
+//!    (possible only inside the band) is replaced by it, so the
+//!    published `measured_cost_ns` never exceeds `default_cost_ns`.
+//! 4. **Report** — [`crate::model::predicted_cost_ns`] prices the same
+//!    candidates; the db records the winner's predicted cost and
+//!    whether ranking by prediction would have picked the same
+//!    candidate (`model_agrees`). That column is the standing
+//!    validation of the paper's model, not an input to step 3.
 
 use crate::db::{TuneDb, TuneEntry, TUNE_SCHEMA_VERSION};
+use crate::model::predicted_cost_ns;
 use crate::space::{candidates, Candidate};
-use f3d::service::{F3dSolver, ServiceCase, MAX_STEPS, MAX_WORKERS, MAX_ZONES};
-use fdtd::service::FdtdSolver;
-use llp::obs::attr::{kernel_overheads, AttributionReport};
+use llp::obs::attr::{kernel_overheads, AttributionReport, KernelOverhead};
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::{FlightRecorder, Policy, Recorder, ScheduleMap, Workers};
 use perfmodel::OverheadBound;
-use solver::{Solver, WidthMap};
+use solver::{check_range, Solver, WidthMap};
+
+/// Largest `zones` a calibration case may ask for.
+pub const MAX_ZONES: usize = 4;
+/// Largest `steps` a calibration case may ask for.
+pub const MAX_STEPS: usize = 32;
+/// Largest `trials` (the K of median-of-K).
+pub const MAX_TRIALS: usize = 9;
+/// Widest pool view a calibration measures on; wider pools calibrate
+/// on their first `MAX_WORKERS` lanes.
+pub const MAX_WORKERS: usize = 64;
 
 /// What to calibrate and how hard to try.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CalibrationSpec {
-    /// Zones of the calibration case (1..=[`MAX_ZONES`]).
+    /// Size knob of the calibration case (1..=[`MAX_ZONES`]): zones for
+    /// F3D, the grid-edge scale for FDTD — the solver's calibration
+    /// constructor says what it means.
     pub zones: usize,
     /// Steps of the calibration case (1..=[`MAX_STEPS`]).
     pub steps: usize,
-    /// Trials per candidate — the K of median-of-K (1..=9, odd
-    /// recommended).
+    /// Trials per candidate — the K of median-of-K
+    /// (1..=[`MAX_TRIALS`], odd recommended).
     pub trials: usize,
-    /// Select winners by the structural model instead of the wall
-    /// clock, making the calibration bit-reproducible (the job-gate
-    /// test mode; see the module docs).
-    pub deterministic: bool,
 }
 
 impl Default for CalibrationSpec {
@@ -68,97 +71,44 @@ impl Default for CalibrationSpec {
             zones: 2,
             steps: 2,
             trials: 3,
-            deterministic: false,
         }
     }
 }
 
 impl CalibrationSpec {
-    /// Check the spec against the service caps.
+    /// Check the spec against the calibration caps.
     ///
     /// # Errors
     /// Returns a message naming the offending field and its bound.
     pub fn validate(&self) -> Result<(), String> {
-        let check = |name: &str, v: usize, max: usize| {
-            if (1..=max).contains(&v) {
-                Ok(())
-            } else {
-                Err(format!("{name} must be in 1..={max}, got {v}"))
-            }
-        };
-        check("zones", self.zones, MAX_ZONES)?;
-        check("steps", self.steps, MAX_STEPS)?;
-        check("trials", self.trials, 9)
-    }
-
-    fn case(&self, workers: usize) -> ServiceCase {
-        ServiceCase {
-            zones: self.zones,
-            steps: self.steps,
-            workers,
-            schedule: Policy::Static,
-            zone_schedule: f3d::service::ZoneSchedule::Sequential,
-            vector_width: 1,
-        }
+        check_range("zones", self.zones, MAX_ZONES)?;
+        check_range("steps", self.steps, MAX_STEPS)?;
+        check_range("trials", self.trials, MAX_TRIALS)
     }
 }
 
-/// Structural cost constants for deterministic mode: a synthetic
-/// work/sync ratio (iteration work in "units", one scheduling event's
-/// cost in the same units). The absolute values are arbitrary; only
-/// the ranking they induce matters, and it must not depend on any
-/// measurement.
-const STRUCTURAL_WORK_PER_ITERATION: u64 = 1_000;
-const STRUCTURAL_SYNC_COST: u64 = 50;
-
-/// One kernel's seed-pass profile.
+/// One kernel's seed-pass profile and search space.
 struct KernelSeed {
-    kernel: String,
+    /// The seed run's row: kernel name, regions, iterations, compute.
+    row: KernelOverhead,
     /// Mean iterations per region (stair-step `U`).
     units: u64,
-    /// Mean compute nanoseconds per region (empirical `W`).
-    work_ns: u64,
     candidates: Vec<Candidate>,
 }
 
-/// Run a full calibration of the F3D service kernels on a view of
-/// `pool` and return the winning per-kernel configurations.
+/// Calibrate solver `S` on a view of `pool`: seed pass, candidate
+/// search and selection all run through [`solver::run_instrumented`],
+/// so any workload implementing the [`Solver`] trait calibrates with
+/// the same protocol and lands in the same versioned database (keyed
+/// by [`Solver::kind`]). `case_for(workers)` builds the solver's
+/// calibration case at the default configuration — each solver states
+/// it next to its `Config` (`ServiceCase::calibration`,
+/// `FdtdCase::calibration`), so this crate names no physics.
 ///
 /// The measurement runs on a `pool.sized_view` of the pool's own width
 /// with a *private* span recorder and flight recorder, so concurrent
 /// users of the pool keep their observability streams; shared
 /// sync-event totals still accumulate on the pool, as for any view.
-///
-/// # Errors
-/// Invalid specs, service failures, and a seed pass that yields no
-/// flight data are reported as a message.
-pub fn calibrate(pool: &Workers, spec: &CalibrationSpec) -> Result<TuneDb, String> {
-    calibrate_solver::<F3dSolver, _>(pool, spec, |workers| spec.case(workers))
-}
-
-/// [`calibrate`] for the FDTD Maxwell workload: the identical
-/// measurement protocol over the `update_e` / `update_h` sweeps. The
-/// spec's `zones` knob sets the calibration grid scale (edge
-/// `16 × zones` points), so the same `/v1/tune` vocabulary drives both
-/// solvers.
-///
-/// # Errors
-/// As [`calibrate`].
-pub fn calibrate_fdtd(pool: &Workers, spec: &CalibrationSpec) -> Result<TuneDb, String> {
-    calibrate_solver::<FdtdSolver, _>(pool, spec, |workers| fdtd::service::FdtdCase {
-        size: 16 * spec.zones,
-        steps: spec.steps,
-        workers,
-        schedule: Policy::Static,
-        vector_width: 1,
-    })
-}
-
-/// The solver-generic calibration core both entry points share: seed
-/// pass, candidate search, and selection run through
-/// [`solver::run_instrumented`], so any workload implementing the
-/// [`Solver`] trait calibrates with the same protocol and lands in the
-/// same versioned database (keyed by [`Solver::kind`]).
 ///
 /// # Errors
 /// Invalid specs, solver failures, and a seed pass that yields no
@@ -193,24 +143,15 @@ where
     let bound = OverheadBound::paper_default(sync_cost_ns);
 
     let seeds: Vec<KernelSeed> = seed_rows
-        .iter()
+        .into_iter()
         .filter(|row| row.regions > 0)
         .map(|row| {
             let units = row.iterations / row.regions;
             let work_ns = row.compute_ns / row.regions;
-            // Deterministic mode must not let measured work steer the
-            // candidate set (Table 1 pruning), only the structural
-            // stair-step law.
-            let prune = if spec.deterministic {
-                None
-            } else {
-                Some((&bound, work_ns))
-            };
             KernelSeed {
-                kernel: row.kernel.clone(),
+                candidates: candidates(units, width, Some((&bound, work_ns))),
                 units,
-                work_ns,
-                candidates: candidates(units, width, prune),
+                row,
             }
         })
         .collect();
@@ -227,15 +168,15 @@ where
         let mut widths = WidthMap::new();
         for seed in &seeds {
             let cand = seed.candidates[round % seed.candidates.len()];
-            map.set(&seed.kernel, cand.workers, cand.policy);
-            widths.set(&seed.kernel, cand.vector_width);
+            map.set(&seed.row.kernel, cand.workers, cand.policy);
+            widths.set(&seed.row.kernel, cand.vector_width);
         }
         for _ in 0..spec.trials {
             let run = solver::run_instrumented::<S>(&case, &view, Some(&map), Some(&widths))?;
             let attr = AttributionReport::from_timeline(&run.timeline);
             let rows = kernel_overheads(&run.report, &attr);
             for (si, seed) in seeds.iter().enumerate() {
-                if let Some(row) = rows.iter().find(|r| r.kernel == seed.kernel) {
+                if let Some(row) = rows.iter().find(|r| r.kernel == seed.row.kernel) {
                     let ci = round % seed.candidates.len();
                     costs[si][ci].push(row.wall_ns);
                 }
@@ -243,44 +184,43 @@ where
         }
     }
 
-    // --- Selection. ---
+    // --- Selection (measured) and report (modeled). ---
     let mut entries = Vec::with_capacity(seeds.len());
-    for (si, seed) in seeds.iter().enumerate() {
+    for (seed, costs) in seeds.iter().zip(&costs) {
+        let kernel = &seed.row.kernel;
         let default = Candidate::default_config(width);
         let default_ci = seed
             .candidates
             .iter()
             .position(|c| *c == default)
-            .ok_or_else(|| format!("default config missing from {} search", seed.kernel))?;
-        let measured: Vec<u64> = costs[si].iter().map(|m| median(m)).collect();
+            .ok_or_else(|| format!("default config missing from {kernel} search"))?;
+        let measured: Vec<u64> = costs.iter().map(|m| median(m)).collect();
         let modeled: Vec<u64> = seed
             .candidates
             .iter()
-            .map(|c| modeled_cost_ns(seed, c, sync_cost_ns))
+            .map(|c| {
+                predicted_cost_ns(
+                    seed.row.compute_ns as f64,
+                    seed.units as f64,
+                    c.policy,
+                    c.workers,
+                    seed.row.regions,
+                    sync_cost_ns,
+                )
+                .round() as u64
+            })
             .collect();
-        let structural: Vec<u64> = seed
-            .candidates
-            .iter()
-            .map(|c| structural_cost(seed.units, c))
-            .collect();
-        let primary = if spec.deterministic {
-            &structural
-        } else {
-            &measured
-        };
-        let mut win = select(&seed.candidates, primary, &modeled);
-        // The near-tie band in `select` lets the modeled cost promote a
-        // candidate that measured slightly worse than the default.
-        // Never publish such a winner: the default is the
-        // no-regression floor (`TuneEntry::default_cost_ns` docs).
-        // Deterministic mode keeps the structural pick — its contract
-        // is reproducibility, not measured cost.
-        if !spec.deterministic && measured[win] > measured[default_ci] {
+        let mut win = select(&seed.candidates, &measured);
+        // The near-tie band lets a simpler candidate that measured up
+        // to 2 % worse than the default win. Never publish such a
+        // winner: the default is the no-regression floor
+        // (`TuneEntry::default_cost_ns` docs).
+        if measured[win] > measured[default_ci] {
             win = default_ci;
         }
-        let model_win = select(&seed.candidates, &modeled, &structural);
+        let model_win = select(&seed.candidates, &modeled);
         entries.push(TuneEntry {
-            kernel: seed.kernel.clone(),
+            kernel: kernel.clone(),
             workers: seed.candidates[win].workers,
             schedule: seed.candidates[win].policy,
             vector_width: seed.candidates[win].vector_width,
@@ -307,79 +247,41 @@ where
     })
 }
 
-/// The analytic prediction for one candidate: parallel work per the
-/// policy's ideal speedup under the stair-step law, plus one measured
-/// sync cost per scheduling event, scaled by the kernel's region count
-/// — everything in nanoseconds so it is directly comparable with the
-/// measured wall cost.
+/// The one selection rule: among the candidates whose cost is within
+/// 2 % of the cheapest, the structurally simplest wins — fewer workers,
+/// then policy order (static < dynamic < guided), then smaller chunk,
+/// then narrower vector width, then (for identical configurations
+/// only) lower cost. The band is anchored at the minimum, which is a
+/// property of the candidate *set*, so the winner does not depend on
+/// the order the candidates are listed in. Costs are whatever the
+/// caller ranks: measured medians to select, predicted costs to ask
+/// what the model would have picked.
 ///
-/// The model is deliberately **width-agnostic**: the paper's laws
-/// price loop-level parallelism (workers, chunks, sync events) and
-/// have no superword term, so candidates differing only in
-/// `vector_width` are modeled identically and the *measured* cost is
-/// what separates them. The width-1 bias in [`select`]'s tie key keeps
-/// the ranking total anyway.
-fn modeled_cost_ns(seed: &KernelSeed, cand: &Candidate, sync_cost_ns: u64) -> u64 {
-    let u = usize::try_from(seed.units).unwrap_or(usize::MAX);
-    let speedup = cand.policy.ideal_speedup(u, cand.workers);
-    let events = cand.policy.scheduling_events(u, cand.workers) as u64;
-    let work = (seed.work_ns as f64 / speedup).round() as u64;
-    work.saturating_add(events.saturating_mul(sync_cost_ns))
-}
-
-/// Purely structural cost (deterministic mode): the same shape as
-/// [`modeled_cost_ns`] with a fixed synthetic work/sync ratio instead
-/// of measurements.
-fn structural_cost(units: u64, cand: &Candidate) -> u64 {
-    let u = usize::try_from(units).unwrap_or(usize::MAX);
-    let makespan = cand.policy.ideal_makespan(u, cand.workers) as u64;
-    let events = cand.policy.scheduling_events(u, cand.workers) as u64;
-    makespan
-        .saturating_mul(STRUCTURAL_WORK_PER_ITERATION)
-        .saturating_add(events.saturating_mul(STRUCTURAL_SYNC_COST))
-}
-
-/// Pick the winning candidate index: minimum primary cost, near-ties
-/// (within 2 %) broken by secondary cost, then fewer workers, then
-/// policy order (static < dynamic < guided), then smaller chunk, then
-/// smaller vector width — a total, deterministic order. The width
-/// tiebreak means a wide variant only wins when it *measures* better:
-/// both cost models are width-agnostic, so without it the order would
-/// not be total and deterministic mode could not reproduce decisions.
-fn select(cands: &[Candidate], primary: &[u64], secondary: &[u64]) -> usize {
-    let rank = |c: &Candidate| match c.policy {
-        Policy::Static => (0usize, 0usize),
-        Policy::Dynamic { chunk } => (1, chunk),
-        Policy::Guided { min_chunk } => (2, min_chunk),
-    };
-    let mut best = 0;
-    for i in 1..cands.len() {
-        let (lo, hi) = (primary[i].min(primary[best]), primary[i].max(primary[best]));
-        let near_tie = hi.saturating_sub(lo) * 50 <= hi; // within 2%
-        let better = if near_tie {
-            let key = |j: usize| {
-                (
-                    secondary[j],
-                    cands[j].workers,
-                    rank(&cands[j]),
-                    cands[j].vector_width,
-                )
-            };
-            key(i) < key(best)
-        } else {
-            primary[i] < primary[best]
+/// The width tiebreak means a wide variant only wins when it
+/// *measures* better: the cost model is width-agnostic. The slice is
+/// never empty — the default configuration is always a candidate.
+fn select(cands: &[Candidate], cost: &[u64]) -> usize {
+    let cheapest = *cost.iter().min().expect("at least the default candidate");
+    let key = |i: usize| {
+        let c = &cands[i];
+        let policy = match c.policy {
+            Policy::Static => (0usize, 0usize),
+            Policy::Dynamic { chunk } => (1, chunk),
+            Policy::Guided { min_chunk } => (2, min_chunk),
         };
-        if better {
-            best = i;
-        }
-    }
-    best
+        (c.workers, policy, c.vector_width, cost[i])
+    };
+    (0..cands.len())
+        // Within 2 %: `(c − min)·50 ≤ c`, divided so `u64::MAX` (an
+        // unmeasured candidate) cannot overflow into the band.
+        .filter(|&i| cost[i] - cheapest <= cost[i] / 50)
+        .min_by_key(|&i| key(i))
+        .expect("the cheapest candidate is in its own band")
 }
 
-/// Median of a measurement set (upper median for even counts; 0 when
-/// empty — an unmeasured candidate never wins because the default is
-/// always measured... except it would with cost 0, so map empty to
-/// `u64::MAX`).
+/// Median of a measurement set (upper median for even counts). An
+/// empty set maps to `u64::MAX`, so a candidate that was never
+/// measured never wins.
 fn median(samples: &[u64]) -> u64 {
     if samples.is_empty() {
         return u64::MAX;
@@ -392,6 +294,8 @@ fn median(samples: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f3d::service::{F3dSolver, ServiceCase};
+    use fdtd::{FdtdCase, FdtdSolver};
 
     #[test]
     fn spec_validation_names_the_field() {
@@ -418,81 +322,121 @@ mod tests {
         assert_eq!(median(&[1, 2, 3, 1000]), 3);
     }
 
+    fn cand(workers: usize, policy: Policy, vector_width: usize) -> Candidate {
+        Candidate {
+            workers,
+            policy,
+            vector_width,
+        }
+    }
+
     #[test]
     fn selection_is_deterministic_and_prefers_cheap_simple_configs() {
         let cands = [
-            Candidate {
-                workers: 4,
-                policy: Policy::Static,
-                vector_width: 1,
-            },
-            Candidate {
-                workers: 2,
-                policy: Policy::Static,
-                vector_width: 1,
-            },
-            Candidate {
-                workers: 4,
-                policy: Policy::Dynamic { chunk: 1 },
-                vector_width: 1,
-            },
+            cand(4, Policy::Static, 1),
+            cand(2, Policy::Static, 1),
+            cand(4, Policy::Dynamic { chunk: 1 }, 1),
         ];
-        // Clear winner by primary cost.
-        assert_eq!(select(&cands, &[100, 50, 90], &[0, 0, 0]), 1);
-        // Near-tie: secondary cost decides.
-        assert_eq!(select(&cands, &[100, 100, 100], &[5, 9, 1]), 2);
-        // Full tie: fewer workers, then simpler policy.
-        assert_eq!(select(&cands, &[100, 100, 100], &[5, 5, 5]), 1);
+        // Clear winner by measured cost.
+        assert_eq!(select(&cands, &[100, 50, 90]), 1);
+        assert_eq!(select(&cands, &[100, 90, 50]), 2);
+        // Near-tie: fewer workers, then simpler policy.
+        assert_eq!(select(&cands, &[100, 100, 100]), 1);
+        assert_eq!(select(&cands, &[99, 200, 100]), 0);
+        // Just outside the 2 % band the cheaper candidate wins.
+        assert_eq!(select(&cands, &[100, 103, 200]), 0);
+        // An unmeasured candidate (`median(&[])`) is never a near-tie:
+        // `(u64::MAX − 100)·50` overflowed here — a debug-build panic,
+        // and a wrapped "within 2 %" verdict in release.
+        assert_eq!(select(&cands[..2], &[u64::MAX, 100]), 1);
+        assert_eq!(select(&cands[..2], &[u64::MAX, u64::MAX]), 1);
     }
 
     #[test]
     fn width_ties_break_toward_scalar() {
         // Same (workers, policy) at two widths with identical costs —
-        // the width-agnostic models guarantee this shape — must pick
-        // the scalar variant, never the wide one.
-        let cands = [
-            Candidate {
-                workers: 2,
-                policy: Policy::Static,
-                vector_width: 4,
-            },
-            Candidate {
-                workers: 2,
-                policy: Policy::Static,
-                vector_width: 1,
-            },
-        ];
-        assert_eq!(select(&cands, &[100, 100], &[5, 5]), 1);
+        // the width-agnostic model guarantees this shape for predicted
+        // costs — must pick the scalar variant, never the wide one.
+        let cands = [cand(2, Policy::Static, 4), cand(2, Policy::Static, 1)];
+        assert_eq!(select(&cands, &[100, 100]), 1);
         // But a measured win at a wide width takes it.
-        assert_eq!(select(&cands, &[80, 100], &[5, 5]), 0);
-        // Width never changes the width-agnostic structural cost.
-        assert_eq!(
-            structural_cost(10, &cands[0]),
-            structural_cost(10, &cands[1])
-        );
+        assert_eq!(select(&cands, &[80, 100]), 0);
     }
 
     #[test]
-    fn structural_cost_rewards_plateau_edges() {
-        // U = 10: P=5 halves the makespan of P=2 under static.
-        let c2 = Candidate {
-            workers: 2,
-            policy: Policy::Static,
-            vector_width: 1,
-        };
-        let c5 = Candidate {
-            workers: 5,
-            policy: Policy::Static,
-            vector_width: 1,
-        };
-        assert!(structural_cost(10, &c5) < structural_cost(10, &c2));
-        // Dynamic unit chunks pay for their hand-outs.
-        let d5 = Candidate {
-            workers: 5,
-            policy: Policy::Dynamic { chunk: 1 },
-            vector_width: 1,
-        };
-        assert!(structural_cost(10, &d5) > structural_cost(10, &c5));
+    fn selection_does_not_depend_on_candidate_order() {
+        // Costs chosen so pairwise "within 2 %" is not transitive
+        // (100 ~ 101.5 ~ 103, but 100 !~ 103): a pairwise tournament
+        // would crown a different winner per listing order.
+        let listed = [
+            (cand(4, Policy::Guided { min_chunk: 1 }, 1), 1000),
+            (cand(4, Policy::Static, 2), 1015),
+            (cand(2, Policy::Dynamic { chunk: 3 }, 1), 1030),
+            (cand(2, Policy::Dynamic { chunk: 1 }, 8), 1016),
+            (cand(1, Policy::Static, 1), 1500),
+            (cand(4, Policy::Static, 1), 1019),
+        ];
+        // 1030 is outside the band anchored at the minimum (1000), so
+        // the simplest in-band candidate is the 2-worker dynamic one.
+        let expected = listed[3].0;
+        let mut order: Vec<usize> = (0..listed.len()).collect();
+        // Every rotation of every pairwise swap: enough orders to put
+        // each candidate first, last, and next to every other.
+        for a in 0..listed.len() {
+            for b in a..listed.len() {
+                order.swap(a, b);
+                for _ in 0..listed.len() {
+                    order.rotate_left(1);
+                    let cands: Vec<Candidate> = order.iter().map(|&i| listed[i].0).collect();
+                    let cost: Vec<u64> = order.iter().map(|&i| listed[i].1).collect();
+                    assert_eq!(cands[select(&cands, &cost)], expected, "{order:?}");
+                }
+                order.swap(a, b);
+            }
+        }
+    }
+
+    /// Calibrate `S` through the one entry point at `width` and check
+    /// what every calibration must hold: the solver's kernel
+    /// vocabulary, sane entries, and the no-regression floor.
+    fn calibrated<S: Solver>(
+        width: usize,
+        spec: &CalibrationSpec,
+        case_for: impl Fn(usize) -> S::Config,
+    ) -> TuneDb {
+        let db = calibrate_solver::<S, _>(&Workers::new(width), spec, case_for).unwrap();
+        assert_eq!(db.schema_version, TUNE_SCHEMA_VERSION);
+        assert_eq!(db.solver, S::kind());
+        assert_eq!(db.pool_width, width);
+        assert_eq!(
+            (db.zones, db.steps, db.trials),
+            (spec.zones, spec.steps, spec.trials),
+            "the calibration case is recorded"
+        );
+        // The parallel kernels, sorted; serial phases excluded.
+        let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
+        assert_eq!(names, S::kernel_names());
+        for e in &db.entries {
+            let kernel = &e.kernel;
+            assert!(e.workers >= 1 && e.workers <= width, "{kernel}");
+            assert!(e.candidates_tried >= 2, "{kernel}");
+            assert!(e.iterations > 0, "{kernel}");
+            assert!(
+                solver::SUPPORTED_WIDTHS.contains(&e.vector_width),
+                "{kernel}: width {}",
+                e.vector_width
+            );
+            assert!(!e.stale, "{kernel}: a fresh calibration is never stale");
+            // Measured selection: the winner never loses to the default.
+            assert!(
+                e.measured_cost_ns <= e.default_cost_ns,
+                "{kernel} ({}) at pool width {width}: {} > {}",
+                db.solver,
+                e.measured_cost_ns,
+                e.default_cost_ns
+            );
+        }
+        db
     }
 
     #[test]
@@ -501,121 +445,38 @@ mod tests {
             zones: 1,
             steps: 1,
             trials: 1,
-            deterministic: false,
         };
         for width in [1, 2, 4, 8] {
-            let pool = Workers::new(width);
-            let db = calibrate(&pool, &spec).unwrap();
-            assert_eq!(db.schema_version, TUNE_SCHEMA_VERSION);
-            assert_eq!(db.solver, "f3d");
-            assert_eq!(db.pool_width, width);
-            // The six parallel kernels, sorted; serial bc/inject excluded.
-            let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
-            assert_eq!(
-                names,
-                [
-                    "j_factor",
-                    "k_factor",
-                    "l_factor_scatter",
-                    "l_factor_solve",
-                    "rhs",
-                    "update"
-                ]
-            );
-            for e in &db.entries {
-                assert!(e.workers >= 1 && e.workers <= width, "{}", e.kernel);
-                assert!(e.candidates_tried >= 2);
-                assert!(e.iterations > 0);
-                assert!(
-                    f3d::kernels::SUPPORTED_WIDTHS.contains(&e.vector_width),
-                    "{}: width {}",
-                    e.kernel,
-                    e.vector_width
-                );
-                // Measured selection: the winner never loses to the default.
-                assert!(
-                    e.measured_cost_ns <= e.default_cost_ns,
-                    "{} at pool width {width}: {} > {}",
-                    e.kernel,
-                    e.measured_cost_ns,
-                    e.default_cost_ns
-                );
-            }
+            let db = calibrated::<F3dSolver>(width, &spec, |w| {
+                ServiceCase::calibration(spec.zones, spec.steps, w)
+            });
+            assert_eq!(db.entries.len(), 6);
+            let db = calibrated::<FdtdSolver>(width, &spec, |w| {
+                FdtdCase::calibration(spec.zones, spec.steps, w)
+            });
+            assert_eq!(db.entries.len(), 2);
         }
     }
 
     #[test]
     fn fdtd_calibration_covers_both_sweeps() {
-        let pool = Workers::new(2);
         let spec = CalibrationSpec {
             zones: 1,
             steps: 2,
             trials: 1,
-            deterministic: true,
         };
-        let db = calibrate_fdtd(&pool, &spec).unwrap();
+        let db = calibrated::<FdtdSolver>(2, &spec, |w| {
+            FdtdCase::calibration(spec.zones, spec.steps, w)
+        });
         assert_eq!(db.solver, "fdtd");
-        assert_eq!(db.zones, 1, "the calibration scale is recorded");
         // The two parallel sweeps, sorted; the serial source excluded.
         let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
         assert_eq!(names, ["update_e", "update_h"]);
+        // 16 × 1 rows per sweep, and the reported prediction is a cost
+        // for the whole case, comparable with the measured one.
         for e in &db.entries {
-            assert!(e.iterations > 0);
-            assert!(e.candidates_tried >= 2);
+            assert_eq!(e.iterations, 16, "{}", e.kernel);
+            assert!(e.modeled_cost_ns > 0, "{}", e.kernel);
         }
-        // Deterministic mode reproduces FDTD decisions too.
-        let again = calibrate_fdtd(&pool, &spec).unwrap();
-        assert!(db.same_decisions(&again));
-        // And the two solvers' databases are never decision-equal.
-        let f3d_db = calibrate(
-            &pool,
-            &CalibrationSpec {
-                zones: 1,
-                steps: 1,
-                trials: 1,
-                deterministic: true,
-            },
-        )
-        .unwrap();
-        assert!(!db.same_decisions(&f3d_db));
-        // Measured mode: same two sweeps, and neither winner loses to
-        // the default configuration.
-        let measured = calibrate_fdtd(
-            &pool,
-            &CalibrationSpec {
-                deterministic: false,
-                ..spec
-            },
-        )
-        .unwrap();
-        let names: Vec<&str> = measured.entries.iter().map(|e| e.kernel.as_str()).collect();
-        assert_eq!(names, ["update_e", "update_h"]);
-        for e in &measured.entries {
-            assert!(
-                e.measured_cost_ns <= e.default_cost_ns,
-                "{}: {} > {}",
-                e.kernel,
-                e.measured_cost_ns,
-                e.default_cost_ns
-            );
-        }
-    }
-
-    #[test]
-    fn deterministic_mode_reproduces_decisions() {
-        let pool = Workers::new(2);
-        let spec = CalibrationSpec {
-            zones: 1,
-            steps: 1,
-            trials: 1,
-            deterministic: true,
-        };
-        let a = calibrate(&pool, &spec).unwrap();
-        let b = calibrate(&pool, &spec).unwrap();
-        assert!(a.same_decisions(&b));
-        // And the decisions survive a JSON round trip.
-        let text = a.to_json().to_pretty_string();
-        let back: TuneDb = text.parse().unwrap();
-        assert!(a.same_decisions(&back));
     }
 }

@@ -2,9 +2,9 @@
 //! their measured and modeled costs, serialized with the suite's own
 //! JSON layer so `llpd` can persist and reload it.
 
-use f3d::kernels::WidthMap;
 use llp::obs::json::Json;
 use llp::{MeasuredChoice, Policy, ScheduleMap};
+use solver::WidthMap;
 use std::path::Path;
 
 /// Schema version of [`TuneDb::to_json`]; bumped on layout changes.
@@ -35,19 +35,19 @@ pub struct TuneEntry {
     pub measured_cost_ns: u64,
     /// Median measured cost of the default configuration (full pool
     /// width, static). Selection guarantees `measured_cost_ns <=
-    /// default_cost_ns` when measured selection ran.
+    /// default_cost_ns`.
     pub default_cost_ns: u64,
-    /// The analytic model's predicted cost for the winner.
+    /// [`crate::model::predicted_cost_ns`] for the winner over the
+    /// calibration case — reported, never selected on.
     pub modeled_cost_ns: u64,
-    /// Whether the analytic model, ranking the same candidates by
-    /// predicted cost, agrees with the measured winner.
+    /// Whether ranking the same candidates by predicted cost picks the
+    /// measured winner.
     pub model_agrees: bool,
     /// Whether the drift watchdog has flagged this entry as stale —
     /// live solves under this configuration persistently cost more
     /// than the calibration-time model predicted, so the entry is due
-    /// a recalibration. Runtime state, not a calibration decision:
-    /// [`TuneDb::same_decisions`] ignores it, and a fresh calibration
-    /// always writes `false`.
+    /// a recalibration. Runtime state, not a calibration decision: a
+    /// fresh calibration always writes `false`.
     pub stale: bool,
 }
 
@@ -137,7 +137,7 @@ impl TuneEntry {
 }
 
 /// A full calibration result: the winning configuration for every
-/// parallel kernel of the F3D service case, plus the calibration
+/// parallel kernel of one solver's calibration case, plus the calibration
 /// context needed to interpret (and invalidate) it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneDb {
@@ -248,7 +248,7 @@ impl TuneDb {
     }
 
     /// The per-kernel overrides a solver consumes
-    /// ([`f3d::service::run_tuned`]).
+    /// ([`solver::run_instrumented`]).
     #[must_use]
     pub fn schedule_map(&self) -> ScheduleMap {
         let mut map = ScheduleMap::new();
@@ -259,7 +259,7 @@ impl TuneDb {
     }
 
     /// The per-kernel SLP widths a solver consumes
-    /// ([`f3d::service::run_tuned`]). Scalar winners are recorded too —
+    /// ([`solver::run_instrumented`]). Scalar winners are recorded too —
     /// an explicit width-1 entry and no entry resolve identically, but
     /// the map should say what the calibration decided.
     #[must_use]
@@ -316,32 +316,6 @@ impl TuneDb {
             .collect();
         out.sort();
         out
-    }
-
-    /// Whether two databases made the same *decisions* — identical
-    /// structural fields (winners, kernels, iteration counts, search
-    /// sizes, calibration context), ignoring the timing fields
-    /// (`*_cost_ns`, `sync_cost_ns`, `model_agrees`) that no two
-    /// wall-clock runs reproduce exactly, and ignoring the runtime
-    /// `stale` flags. This is the determinism contract the job-gate
-    /// calibration mode is tested against.
-    #[must_use]
-    pub fn same_decisions(&self, other: &Self) -> bool {
-        self.schema_version == other.schema_version
-            && self.solver == other.solver
-            && self.pool_width == other.pool_width
-            && self.zones == other.zones
-            && self.steps == other.steps
-            && self.trials == other.trials
-            && self.entries.len() == other.entries.len()
-            && self.entries.iter().zip(&other.entries).all(|(a, b)| {
-                a.kernel == b.kernel
-                    && a.workers == b.workers
-                    && a.schedule == b.schedule
-                    && a.vector_width == b.vector_width
-                    && a.iterations == b.iterations
-                    && a.candidates_tried == b.candidates_tried
-            })
     }
 }
 
@@ -539,26 +513,5 @@ mod tests {
         assert_eq!(widths.get("rhs"), 4);
         assert_eq!(widths.get("update"), 1);
         assert_eq!(widths.get("unknown"), 1, "unmapped kernels stay scalar");
-    }
-
-    #[test]
-    fn same_decisions_ignores_timing_fields_only() {
-        let a = sample();
-        let mut b = sample();
-        b.entries[0].measured_cost_ns = 1;
-        b.sync_cost_ns = 7;
-        b.entries[1].model_agrees = true;
-        assert!(a.same_decisions(&b));
-        b.entries[0].workers = 2;
-        assert!(!a.same_decisions(&b));
-        let mut c = sample();
-        c.entries[0].vector_width = 2;
-        assert!(!a.same_decisions(&c), "the width is a decision");
-        let mut d = sample();
-        d.entries[0].stale = true;
-        assert!(a.same_decisions(&d), "staleness is runtime state");
-        let mut e = sample();
-        e.solver = "fdtd".to_string();
-        assert!(!a.same_decisions(&e), "the solver kind is a decision");
     }
 }

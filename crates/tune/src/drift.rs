@@ -12,11 +12,12 @@
 //! score = measured_cost / expected_cost − 1
 //! ```
 //!
-//! where `expected_cost` is the same analytic form calibration uses
-//! (`work · ceil(U/P)/U + regions · S`, see
-//! [`super::calibrate`]) evaluated at the live run's work, extent,
-//! and the entry's chosen configuration. A score of 0 means the model
-//! nailed it; +1.0 means the solve cost twice the prediction.
+//! where `expected_cost` is [`crate::model::predicted_cost_ns`] — the
+//! one analytic form, the same function calibration reports next to
+//! its winners — evaluated at the live run's work, extent and region
+//! count, the entry's own workers and schedule, and the calibrated
+//! `S`. A score of 0 means the model nailed it; +1.0 means the solve
+//! cost twice the prediction.
 //!
 //! Per (kernel, config) key the tracker maintains an exponentially
 //! weighted moving average and variance of the score
@@ -270,32 +271,11 @@ impl DriftTracker {
     }
 }
 
-/// The analytic expected cost the drift score divides by: the
-/// calibration-time model (`work · ceil(U/P)/U + regions · S`)
-/// evaluated at a live run's measurements. `work_ns` is the total
-/// chunk-execution time (serial work), `u` the mean parallel-loop
-/// extent per region, `workers` the configured lane count, `regions`
-/// the parallel regions executed, and `sync_cost_ns` the calibrated
-/// per-region synchronization cost `S`.
-#[must_use]
-#[allow(clippy::cast_precision_loss)]
-pub fn expected_cost_ns(
-    work_ns: f64,
-    u: f64,
-    workers: usize,
-    regions: u64,
-    sync_cost_ns: u64,
-) -> f64 {
-    if work_ns <= 0.0 || u < 1.0 || workers == 0 {
-        return 0.0;
-    }
-    let steps = (u / workers as f64).ceil();
-    work_ns * steps / u + regions as f64 * sync_cost_ns as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::predicted_cost_ns;
+    use llp::Policy;
 
     fn tight() -> DriftConfig {
         DriftConfig {
@@ -396,15 +376,16 @@ mod tests {
 
     #[test]
     fn expected_cost_follows_the_stairstep_plus_sync() {
-        // 12 units of work over U=12, P=4 -> 3 steps of work/12 each,
-        // plus 2 regions x 10 ns sync.
-        let e = expected_cost_ns(1200.0, 12.0, 4, 2, 10);
+        // What a static entry's score divides by: 12 units of work over
+        // U=12, P=4 -> 3 steps of work/12 each, plus 2 regions x 10 ns
+        // sync.
+        let e = predicted_cost_ns(1200.0, 12.0, Policy::Static, 4, 2, 10);
         assert!((e - (1200.0 * 3.0 / 12.0 + 20.0)).abs() < 1e-9);
         // P > U cannot beat one step.
-        let e1 = expected_cost_ns(1200.0, 12.0, 32, 0, 0);
+        let e1 = predicted_cost_ns(1200.0, 12.0, Policy::Static, 32, 0, 0);
         assert!((e1 - 100.0).abs() < 1e-9);
-        assert_eq!(expected_cost_ns(0.0, 12.0, 4, 1, 10), 0.0);
-        assert_eq!(expected_cost_ns(100.0, 0.5, 4, 1, 10), 0.0);
+        assert_eq!(predicted_cost_ns(0.0, 12.0, Policy::Static, 4, 1, 10), 0.0);
+        assert_eq!(predicted_cost_ns(100.0, 0.5, Policy::Static, 4, 1, 10), 0.0);
     }
 
     #[test]

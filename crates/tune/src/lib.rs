@@ -5,33 +5,40 @@
 //! two laws: the stair-step speedup `U / ceil(U/P)` and the Table 1
 //! minimum-work rule `W ≥ P·S/f`. The observability layer
 //! (`llp::obs`) *measures* the same quantities on live runs. This
-//! crate confronts the two:
+//! crate confronts the two, on one path: **measurement selects, the
+//! model prunes and is reported.**
 //!
 //! * [`space`] enumerates per-kernel candidate configurations
-//!   (worker count × schedule policy × chunk), pruned **before any
-//!   measurement** by the stair-step law (never propose a `P` whose
-//!   `ceil(U/P)` duplicates a cheaper one) and the Table 1 bound.
-//! * [`calibrate`](mod@calibrate) prices the surviving candidates with
-//!   a deterministic measurement loop — median-of-K trials on an
-//!   instrumented pool view — and picks each kernel's winner, always
+//!   (worker count × schedule policy × chunk × SLP width), pruned
+//!   **before any measurement** by the stair-step law (never propose a
+//!   `P` whose `ceil(U/P)` duplicates a cheaper one) and the Table 1
+//!   bound.
+//! * [`calibrate`](mod@calibrate) prices the surviving candidates by
+//!   running them — median-of-K trials on an instrumented pool view —
+//!   and picks each kernel's winner by measured cost alone, always
 //!   comparing against the default configuration so tuning can only
-//!   break even or help.
+//!   break even or help. [`calibrate_solver`] is the one entry point;
+//!   it is generic over [`solver::Solver`], and each solver states its
+//!   calibration case next to its own `Config`, so this crate names no
+//!   physics.
+//! * [`model`] is the one statement of the analytic cost form,
+//!   [`predicted_cost_ns`].
 //! * [`db`] persists the outcome as a versioned, JSON-serialized
 //!   [`TuneDb`] the serve layer loads at startup and applies when a
 //!   request asks for `"schedule": "auto"`.
 //!
-//! The db records both the measured and the modeled cost of every
+//! The db records both the measured and the predicted cost of every
 //! winner, and whether the model would have picked the same
-//! configuration — so every calibration doubles as a validation run
-//! for the paper's models.
+//! configuration (`model_agrees`) — so every calibration doubles as a
+//! validation run for the paper's models, without the models steering
+//! it.
 //!
 //! Validation does not stop at calibration time: [`drift`] keeps
-//! scoring every *live* solve against the same analytic cost form,
+//! scoring every *live* solve against the same [`predicted_cost_ns`],
 //! maintaining a per-(kernel, config) EWMA of the
 //! measured-over-predicted excess, and flags a [`TuneEntry`] as stale
 //! when the prediction stays badly wrong for consecutive telemetry
-//! windows — the signal that a recalibration (or a plan re-race,
-//! ROADMAP item 4) is due.
+//! windows — the signal that a recalibration is due.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,9 +46,11 @@
 pub mod calibrate;
 pub mod db;
 pub mod drift;
+pub mod model;
 pub mod space;
 
-pub use calibrate::{calibrate, calibrate_fdtd, calibrate_solver, CalibrationSpec};
+pub use calibrate::{calibrate_solver, CalibrationSpec};
 pub use db::{TuneDb, TuneEntry, TUNE_SCHEMA_VERSION};
-pub use drift::{expected_cost_ns, DriftConfig, DriftTracker};
+pub use drift::{DriftConfig, DriftTracker};
+pub use model::predicted_cost_ns;
 pub use space::{candidates, worker_counts, Candidate};

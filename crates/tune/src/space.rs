@@ -15,14 +15,14 @@
 //! The surviving worker counts are crossed with the schedule policies
 //! (static, dynamic, guided — small chunk vocabularies, since the
 //! service caps loop extents) and with the SLP lane widths
-//! ([`f3d::kernels::SUPPORTED_WIDTHS`]) — the paper's loop-level axis
+//! ([`solver::SUPPORTED_WIDTHS`]) — the paper's loop-level axis
 //! times the superword axis, searched as one space because the best
 //! `(P, schedule)` can change with the width and vice versa.
 
-use f3d::kernels::SUPPORTED_WIDTHS;
 use llp::Policy;
 use perfmodel::stairstep::plateau_edges;
 use perfmodel::OverheadBound;
+use solver::SUPPORTED_WIDTHS;
 
 /// One point of the search space: a worker count, a policy, and an SLP
 /// lane width.

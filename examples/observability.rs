@@ -26,9 +26,9 @@ use f3d::trace;
 use llp::obs::attr::kernel_overheads;
 use llp::obs::chrome::chrome_trace_with_summary;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use llp::{AttributionReport, FlightRecorder, ObsReport, SpanNode, Workers};
+use llp::{AttributionReport, FlightRecorder, ObsReport, Policy, SpanNode, Workers};
 use mesh::MultiZoneGrid;
-use tune::{expected_cost_ns, DriftConfig, DriftTracker};
+use tune::{predicted_cost_ns, DriftConfig, DriftTracker};
 
 fn print_tree(node: &SpanNode, depth: usize) {
     let indent = "  ".repeat(depth);
@@ -165,12 +165,15 @@ fn main() {
     // once with honest model inputs and once with corrupted ones — a
     // calibration claiming 64 free-synchronizing lanes. The honest
     // sync cost is calibrated from this very run (the seed pass of
-    // `tune::calibrate` does the same), so honest scores hover near
+    // `tune::calibrate_solver` does the same), so honest scores hover near
     // zero; the corrupted expectation undershoots the live cost by an
     // order of magnitude, so its EWMA crosses the threshold and the
     // watchdog marks every kernel stale. This is exactly the check
     // `llpd` runs per auto solve to flag stale tune entries
     // (`/v1/health`, `tune_entries_stale`).
+    let expected_cost_ns = |work_ns, u, workers, regions, sync_cost_ns| {
+        predicted_cost_ns(work_ns, u, Policy::Static, workers, regions, sync_cost_ns)
+    };
     let (mut excess_ns, mut total_regions) = (0.0, 0.0);
     for o in &overheads {
         if o.regions == 0 {
