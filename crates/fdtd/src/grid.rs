@@ -8,8 +8,7 @@
 //! sweep mutates exactly one array while reading the other: the
 //! aliasing shape [`llp::doacross_slabs`] wants.
 //!
-//! Yee staggering is implicit in the indices: `Ex(i, j)` sits at
-//! `(i, j+1/2)`… no — the convention used throughout is `Ex` at
+//! Yee staggering is implicit in the indices: `Ex` sits at
 //! `(i+1/2, j)`, `Ey` at `(i, j+1/2)`, `Hz` at `(i+1/2, j+1/2)`, with
 //! every array allocated `nx × ny` and the unused staggered edge
 //! entries simply never updated (PEC) or wrapped (periodic).
@@ -82,6 +81,24 @@ pub struct TezGrid {
     pub courant: f64,
 }
 
+/// One row's energy partial: a plain left fold of `ex² + ey² + hz²`
+/// over the row's points, in storage order.
+#[must_use]
+pub(crate) fn row_energy(e_row: &[[f64; 2]], hz_row: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (e, h) in e_row.iter().zip(hz_row) {
+        acc += e[0] * e[0] + e[1] * e[1] + h * h;
+    }
+    acc
+}
+
+/// The total energy from the `row_energy` partials of rows `0..ny`,
+/// in that order: their left fold, halved.
+#[must_use]
+pub(crate) fn fold_energy(row_partials: impl Iterator<Item = f64>) -> f64 {
+    row_partials.fold(0.0, |acc, partial| acc + partial) / 2.0
+}
+
 impl TezGrid {
     /// A zero-initialized `nx × ny` grid.
     ///
@@ -110,16 +127,24 @@ impl TezGrid {
         self.hz[center] += (-((t - t0) / w).powi(2)).exp();
     }
 
-    /// Total electromagnetic field energy `Σ (Ex² + Ey² + Hz²) / 2`,
-    /// accumulated in a fixed serial order so it is exactly
-    /// reproducible — the residual-history analogue for FDTD solves.
+    /// Total electromagnetic field energy `Σ (Ex² + Ey² + Hz²) / 2` —
+    /// the residual-history analogue for FDTD solves — as **row
+    /// partials folded in row order**: `row_energy` of each of the
+    /// `ny` rows, then `fold_energy` over them `0..ny`. The order is
+    /// part of the value's definition, so it is exactly reproducible;
+    /// and because a row's partial depends on that row alone, the
+    /// served step computes the same partials inside its `update_e`
+    /// region (`kernels::update_e_energy`), on whichever worker just
+    /// wrote the row, and gets this number bit for bit at every worker
+    /// count, schedule and lane width. This serial form is the same
+    /// fold, so the two cannot disagree.
     #[must_use]
     pub fn energy(&self) -> f64 {
-        let mut acc = 0.0;
-        for (e, h) in self.e.iter().zip(&self.hz) {
-            acc += e[0] * e[0] + e[1] * e[1] + h * h;
-        }
-        acc / 2.0
+        let rows = self
+            .e
+            .chunks_exact(self.nx)
+            .zip(self.hz.chunks_exact(self.nx));
+        fold_energy(rows.map(|(e_row, hz_row)| row_energy(e_row, hz_row)))
     }
 
     /// Order-independent per-field checksums (`ex`, `ey`, `hz`).

@@ -22,8 +22,8 @@
 //! while reading `hz` — each doacross body takes `&mut` to its own
 //! row and shared references to the other array.
 
-use crate::grid::{Boundary, TezGrid};
-use llp::{doacross_slabs, Workers};
+use crate::grid::{row_energy, Boundary, TezGrid};
+use llp::{doacross_slabs, doacross_slabs_zip, Workers};
 use solver::Variant;
 
 /// Advance `Hz` one half-step: `∂Hz/∂t = ∂Ex/∂y − ∂Ey/∂x`, parallel
@@ -69,22 +69,84 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, width: usize) {
 /// parallel over rows at SLP lane width `width`. PEC walls keep
 /// tangential `E` clamped by never updating it.
 pub fn update_e(workers: &Workers, grid: &mut TezGrid, width: usize) {
-    let TezGrid {
-        nx,
-        ny,
+    let (sweep, e) = ESweep::of(grid, width);
+    doacross_slabs(workers, e, sweep.nx, move |j, row| sweep.row(j, row));
+}
+
+/// [`update_e`] fused with the energy reduction (the paper's Example 2
+/// applied to the step): the same sweep, the same single region, and
+/// whichever worker just wrote row `j` also leaves that row's
+/// [`crate::grid::TezGrid::energy`] partial in `row_partials[j]` while
+/// the row is in its cache. Folding the partials `0..ny` afterwards is
+/// all the caller has left to do — no pass drags the fields back to one
+/// core.
+///
+/// # Panics
+/// Panics unless `row_partials` holds one entry per grid row.
+pub fn update_e_energy(
+    workers: &Workers,
+    grid: &mut TezGrid,
+    width: usize,
+    row_partials: &mut [f64],
+) {
+    let (sweep, e) = ESweep::of(grid, width);
+    doacross_slabs_zip(
+        workers,
         e,
-        hz,
-        boundary,
-        courant,
-    } = grid;
-    let (nx, ny, s) = (*nx, *ny, *courant);
-    let periodic = *boundary == Boundary::Periodic;
-    let hz: &[f64] = hz;
-    let variant = Variant::from_width(width).unwrap_or_default();
-    doacross_slabs(workers, e.as_mut_slice(), nx, move |j, row| {
-        let hz_row = &hz[j * nx..(j + 1) * nx];
-        let jm1 = if j == 0 { ny - 1 } else { j - 1 };
-        let hz_dn = &hz[jm1 * nx..jm1 * nx + nx];
+        sweep.nx,
+        row_partials,
+        1,
+        move |j, row, partial| {
+            sweep.row(j, row);
+            partial[0] = row_energy(row, sweep.hz_row(j));
+        },
+    );
+}
+
+/// Everything one `E` row update reads besides its own row — the one
+/// statement of the row body both `E` sweeps run.
+#[derive(Clone, Copy)]
+struct ESweep<'g> {
+    nx: usize,
+    ny: usize,
+    s: f64,
+    periodic: bool,
+    hz: &'g [f64],
+    variant: Variant,
+}
+
+impl<'g> ESweep<'g> {
+    /// Split `grid` into the sweep's read-only half and the `E` array
+    /// it mutates.
+    fn of(grid: &'g mut TezGrid, width: usize) -> (Self, &'g mut [[f64; 2]]) {
+        let sweep = ESweep {
+            nx: grid.nx,
+            ny: grid.ny,
+            s: grid.courant,
+            periodic: grid.boundary == Boundary::Periodic,
+            hz: &grid.hz,
+            variant: Variant::from_width(width).unwrap_or_default(),
+        };
+        (sweep, &mut grid.e)
+    }
+
+    /// Row `j` of `Hz`.
+    fn hz_row(&self, j: usize) -> &'g [f64] {
+        &self.hz[j * self.nx..(j + 1) * self.nx]
+    }
+
+    /// Update row `j` of `E` in place.
+    fn row(&self, j: usize, row: &mut [[f64; 2]]) {
+        let ESweep {
+            nx,
+            ny,
+            s,
+            periodic,
+            variant,
+            ..
+        } = *self;
+        let hz_row = self.hz_row(j);
+        let hz_dn = self.hz_row(if j == 0 { ny - 1 } else { j - 1 });
         // Which components this row updates (see the grid's stagger
         // docs): under PEC, Ex is tangential to the y walls and Ey's
         // top row sits outside the box.
@@ -117,7 +179,7 @@ pub fn update_e(workers: &Workers, grid: &mut TezGrid, width: usize) {
             Variant::Wide4 => e_row_lanes::<4>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
             Variant::Wide8 => e_row_lanes::<8>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
         }
-    });
+    }
 }
 
 /// `Hz` lane kernel over `i ∈ [0, end)`: `W` independent points per

@@ -22,7 +22,16 @@
 //! variant vectorizes across *independent outputs* (points of a row)
 //! and never across a reduction, so results are bit-exact at every
 //! width, worker count, and schedule — pinned by the `simd_props`
-//! property suite. The physics is pinned separately by an analytic
+//! property suite. The crate has exactly one reduction, the per-step
+//! field energy, and its order is fixed *by construction*, not by being
+//! serial: [`TezGrid::energy`] is defined as each row's plain left fold
+//! of `ex² + ey² + hz²`, the `ny` row partials then folded `0..ny` and
+//! halved. A row partial depends on its row alone, so the served step
+//! computes it inside the `update_e` region, on whichever worker just
+//! wrote the row ([`kernels::update_e_energy`]), and the history is the
+//! same number at every worker count, schedule and width — there is no
+//! serial pass over the fields between steps. The physics is pinned
+//! separately by an analytic
 //! plane-wave regression: the discrete scheme's exact eigenmode
 //! propagates to machine precision, and its numerical dispersion
 //! stays within the textbook bound.

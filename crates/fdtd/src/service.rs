@@ -2,7 +2,7 @@
 //! contract [`f3d::service`] exposes, implemented over the generic
 //! [`solver::Solver`] driver.
 
-use crate::grid::{Boundary, FieldChecksum, TezGrid};
+use crate::grid::{fold_energy, Boundary, FieldChecksum, TezGrid};
 use crate::kernels;
 use llp::{ObsReport, Policy, ScheduleMap, SpanKind, Timeline, Workers};
 use solver::{check_range, validate_width, Solver, SolverInstance, SolverSpec, WidthMap};
@@ -143,11 +143,13 @@ impl SolverSpec for FdtdCase {
 pub struct FdtdSolver;
 
 /// One allocated FDTD solve: the Yee-grid state, the per-kernel lane
-/// widths, and the per-step energy history the output carries.
+/// widths, the per-row energy partials the `update_e` region refills
+/// every step, and the per-step energy history the output carries.
 pub struct FdtdInstance {
     grid: TezGrid,
     w_e: usize,
     w_h: usize,
+    row_energy: Vec<f64>,
     energy: Vec<f64>,
 }
 
@@ -155,7 +157,9 @@ pub struct FdtdInstance {
 pub struct FdtdOutput {
     /// Total field energy after each step — the residual-history
     /// analogue (for a soft-sourced PEC cavity it rises during the
-    /// pulse, then stays bounded).
+    /// pulse, then stays bounded). Each entry is
+    /// [`TezGrid::energy`]'s value bit for bit — row partials folded in
+    /// row order — at every worker count, schedule and lane width.
     pub energy: Vec<f64>,
     /// Per-field checksums (`ex`, `ey`, `hz`) after the final step.
     pub checksums: Vec<FieldChecksum>,
@@ -193,6 +197,7 @@ impl Solver for FdtdSolver {
             grid: TezGrid::new(case.size, case.size, Boundary::PecBox, SERVICE_COURANT),
             w_e: widths.get("update_e"),
             w_h: widths.get("update_h"),
+            row_energy: vec![0.0; case.size],
             energy: Vec::with_capacity(case.steps),
         }
     }
@@ -215,9 +220,10 @@ impl SolverInstance for FdtdInstance {
         {
             let _span = rec.span("update_e", SpanKind::Kernel);
             let kw = pool.scheduled_view(schedules, "update_e");
-            kernels::update_e(&kw, &mut self.grid, self.w_e);
+            kernels::update_e_energy(&kw, &mut self.grid, self.w_e, &mut self.row_energy);
         }
-        self.energy.push(self.grid.energy());
+        self.energy
+            .push(fold_energy(self.row_energy.iter().copied()));
     }
 
     fn finish(self) -> FdtdOutput {

@@ -13,8 +13,12 @@
 //! Under [`Policy::Dynamic`] or [`Policy::Guided`] the chunk list is
 //! still computed up front, but chunks are *claimed* at runtime through
 //! the pool's atomic [`ChunkClaimer`]: `min(P, chunks)` claimant tasks
-//! each loop `while let Some(i) = claimer.claim()`, so idle workers
-//! steal the tail instead of waiting on the largest static block. Every
+//! each loop `while let Some(i) = claimer.claim_as(t)`. Claimant `t`
+//! starts on the chunks of its own static share of `0..n` and steals
+//! from the other claimants' shares only once its own is empty, so an
+//! idle worker still takes the tail instead of waiting on the largest
+//! static block, while a balanced loop keeps every iteration on the
+//! worker that ran it in the previous region. Every
 //! chunk is still executed exactly once, and mutable data is pre-split
 //! along chunk boundaries before the region starts, so the handoff
 //! needs no `unsafe` here (the crate's only `unsafe` is the worker
@@ -67,21 +71,23 @@ fn annotate_chunks(workers: &Workers, n: usize, times: &[f64]) {
     }
 }
 
-/// Execute one per-chunk payload list as a single parallel region under
-/// the team's policy. `work(chunk_index, payload, scratch)` runs once
-/// per payload; `make_scratch` runs once per executing task (chunk for
-/// static, claimant for dynamic), preserving the paper's Example 3
+/// Execute `chunks` (the policy's cut of `0..n`) with one payload per
+/// chunk as a single parallel region under the team's policy.
+/// `work(chunk_index, payload, scratch)` runs once per chunk;
+/// `make_scratch` runs once per executing task (chunk for static,
+/// claimant for dynamic), preserving the paper's Example 3
 /// per-worker-scratch semantics.
 fn run_chunks<T: Send, S>(
     workers: &Workers,
-    n: usize,
+    chunks: &[Range<usize>],
     payloads: Vec<T>,
     make_scratch: impl Fn() -> S + Sync,
     work: impl Fn(usize, T, &mut S) + Sync,
 ) {
-    if payloads.is_empty() {
+    debug_assert_eq!(chunks.len(), payloads.len());
+    let Some(n) = chunks.last().map(|c| c.end) else {
         return;
-    }
+    };
     match workers.policy() {
         Policy::Static => {
             // One task per chunk, bound at region entry: the vendor
@@ -132,7 +138,7 @@ fn run_chunks<T: Send, S>(
             let claimants = workers.processors().min(payloads.len());
             let chunk_count = payloads.len();
             let mut times = chunk_time_slots(workers, claimants);
-            let claimer = ChunkClaimer::new(chunk_count);
+            let claimer = ChunkClaimer::blocked(chunks, claimants);
             // Flight lane = claimant index: the claimant is the unit of
             // execution here, chunks migrate between lanes at runtime.
             let flight = workers.flight().begin_region(
@@ -162,14 +168,14 @@ fn run_chunks<T: Send, S>(
                                 // attempt also marks the lane's claim miss.
                                 let ci = match flight {
                                     Some(f) => {
-                                        let (claimed, wait_ns) = claimer.claim_timed();
+                                        let (claimed, wait_ns) = claimer.claim_timed(ti);
                                         f.claim_wait(ti, wait_ns);
                                         if claimed.is_none() {
                                             f.claim_miss(ti);
                                         }
                                         claimed
                                     }
-                                    None => claimer.claim(),
+                                    None => claimer.claim_as(ti),
                                 };
                                 let Some(ci) = ci else { break };
                                 if let Some(f) = flight {
@@ -199,20 +205,34 @@ fn run_chunks<T: Send, S>(
 }
 
 /// Split `data` along the chunk boundaries (in iteration units times
-/// `stride` elements), pairing each piece with its chunk range.
-fn split_chunks<'d, T>(
-    chunks: &[Range<usize>],
-    data: &'d mut [T],
+/// `stride` elements): piece `i` is chunk `i`'s share. Lazy, so a
+/// caller zipping two splits collects one payload list, not three.
+fn split_chunks<'a, T>(
+    chunks: &'a [Range<usize>],
+    data: &'a mut [T],
     stride: usize,
-) -> Vec<(Range<usize>, &'d mut [T])> {
-    let mut out = Vec::with_capacity(chunks.len());
+) -> impl Iterator<Item = &'a mut [T]> {
     let mut rest = data;
-    for chunk in chunks {
-        let (mine, tail) = rest.split_at_mut(chunk.len() * stride);
+    chunks.iter().map(move |chunk| {
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(chunk.len() * stride);
         rest = tail;
-        out.push((chunk.clone(), mine));
-    }
-    out
+        mine
+    })
+}
+
+/// Slab count of `data` cut into length-`slab_len` slabs.
+///
+/// # Panics
+/// Panics if `slab_len == 0` or does not divide `data.len()`.
+fn slab_count<T>(data: &[T], slab_len: usize) -> usize {
+    assert!(slab_len > 0, "slab length must be positive");
+    assert!(
+        data.len().is_multiple_of(slab_len),
+        "data length {} is not a multiple of slab length {}",
+        data.len(),
+        slab_len
+    );
+    data.len() / slab_len
 }
 
 /// Execute `body(i)` for every `i` in `0..n` as one parallel region
@@ -235,17 +255,14 @@ fn split_chunks<'d, T>(
 /// assert_eq!(workers.sync_event_count(), 1);
 /// ```
 pub fn doacross(workers: &Workers, n: usize, body: impl Fn(usize) + Sync) {
-    if n == 0 {
-        return;
-    }
     let chunks = workers.policy().chunks(n, workers.processors());
     run_chunks(
         workers,
-        n,
-        chunks,
+        &chunks,
+        vec![(); chunks.len()],
         || (),
-        |_, chunk, (): &mut ()| {
-            for i in chunk {
+        |ci, (), (): &mut ()| {
+            for i in chunks[ci].clone() {
                 body(i);
             }
         },
@@ -300,9 +317,12 @@ pub fn doacross_slabs<T: Send + Sync>(
 /// under every scheduling policy. `combine` must still be associative
 /// and commutative with `identity` as its neutral element — chunk
 /// shapes differ across worker counts and policies, so floating-point
-/// sums can differ by round-off between configurations (use max/min
-/// style reductions when bitwise reproducibility across worker counts
-/// is required, as the solver's residual monitors do).
+/// sums can differ by round-off between configurations. When bitwise
+/// reproducibility across worker counts is required, use a max/min
+/// style reduction (as the solver's residual monitors do), or make the
+/// partials independent of the chunking: one per iteration, written by
+/// [`doacross_slabs_zip`] or [`doacross_into`] and folded in index
+/// order afterwards (as the FDTD energy history does).
 ///
 /// ```
 /// use llp::{doacross_reduce, Workers};
@@ -324,17 +344,15 @@ pub fn doacross_reduce<T: Send + Clone>(
     }
     let chunks = workers.policy().chunks(n, workers.processors());
     let partials: Vec<Mutex<Option<T>>> = (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-    // Seeds ride in the payloads so the tasks never share `identity`.
-    let payloads: Vec<(Range<usize>, T)> =
-        chunks.into_iter().map(|c| (c, identity.clone())).collect();
     run_chunks(
         workers,
-        n,
-        payloads,
+        &chunks,
+        // Seeds ride in the payloads so the tasks never share `identity`.
+        vec![identity.clone(); chunks.len()],
         || (),
-        |ci, (chunk, seed), (): &mut ()| {
+        |ci, seed, (): &mut ()| {
             let mut acc = seed;
-            for i in chunk {
+            for i in chunks[ci].clone() {
                 acc = combine(acc, map(i));
             }
             *partials[ci].lock().unwrap_or_else(PoisonError::into_inner) = Some(acc);
@@ -364,27 +382,67 @@ pub fn doacross_slabs_scratch<T: Send + Sync, S>(
     make_scratch: impl Fn() -> S + Sync,
     body: impl Fn(usize, &mut [T], &mut S) + Sync,
 ) {
-    assert!(slab_len > 0, "slab length must be positive");
-    assert!(
-        data.len().is_multiple_of(slab_len),
-        "data length {} is not a multiple of slab length {}",
-        data.len(),
-        slab_len
-    );
-    let n = data.len() / slab_len;
-    if n == 0 {
-        return;
-    }
+    let n = slab_count(data, slab_len);
     let chunks = workers.policy().chunks(n, workers.processors());
-    let payloads = split_chunks(&chunks, data, slab_len);
+    let payloads = split_chunks(&chunks, data, slab_len).collect();
     run_chunks(
         workers,
-        n,
+        &chunks,
         payloads,
         make_scratch,
-        |_, (chunk, mine), scratch| {
+        |ci, mine, scratch| {
             for (s, slab) in mine.chunks_mut(slab_len).enumerate() {
-                body(chunk.start + s, slab, scratch);
+                body(chunks[ci].start + s, slab, scratch);
+            }
+        },
+    );
+}
+
+/// [`doacross_slabs`] over two arrays at once: `body(s, a_slab, b_slab)`
+/// for every slab index `s`, with `a` cut into length-`a_slab_len` slabs
+/// and `b` into length-`b_slab_len` slabs along the *same* chunk
+/// boundaries, as one parallel region (one synchronization event).
+///
+/// This is the owner-computes idiom: whichever worker updates slab `s`
+/// of `a` also produces slab `s` of `b` — a per-row partial of a
+/// reduction, say — while the row is still in its cache, so no later
+/// pass has to pull the whole of `a` back to one core. Folding the `b`
+/// slabs in index order afterwards gives a reduction whose value does
+/// not depend on worker count or policy (what [`doacross_reduce`] cannot
+/// promise for floating-point sums).
+///
+/// # Panics
+/// Panics if either slab length is zero or does not divide its array,
+/// or if the two arrays hold different numbers of slabs.
+pub fn doacross_slabs_zip<A: Send + Sync, B: Send + Sync>(
+    workers: &Workers,
+    a: &mut [A],
+    a_slab_len: usize,
+    b: &mut [B],
+    b_slab_len: usize,
+    body: impl Fn(usize, &mut [A], &mut [B]) + Sync,
+) {
+    let n = slab_count(a, a_slab_len);
+    assert_eq!(
+        n,
+        slab_count(b, b_slab_len),
+        "zipped arrays must hold the same number of slabs"
+    );
+    let chunks = workers.policy().chunks(n, workers.processors());
+    let payloads = split_chunks(&chunks, a, a_slab_len)
+        .zip(split_chunks(&chunks, b, b_slab_len))
+        .collect();
+    run_chunks(
+        workers,
+        &chunks,
+        payloads,
+        || (),
+        |ci, (mine_a, mine_b), (): &mut ()| {
+            let slabs = mine_a
+                .chunks_mut(a_slab_len)
+                .zip(mine_b.chunks_mut(b_slab_len));
+            for (s, (a_slab, b_slab)) in slabs.enumerate() {
+                body(chunks[ci].start + s, a_slab, b_slab);
             }
         },
     );
@@ -398,20 +456,16 @@ pub fn doacross_into_scratch<T: Send, S>(
     make_scratch: impl Fn() -> S + Sync,
     body: impl Fn(usize, &mut S) -> T + Sync,
 ) {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    let chunks = workers.policy().chunks(n, workers.processors());
-    let payloads = split_chunks(&chunks, out, 1);
+    let chunks = workers.policy().chunks(out.len(), workers.processors());
+    let payloads = split_chunks(&chunks, out, 1).collect();
     run_chunks(
         workers,
-        n,
+        &chunks,
         payloads,
         make_scratch,
-        |_, (chunk, mine), scratch| {
+        |ci, mine, scratch| {
             for (off, out_slot) in mine.iter_mut().enumerate() {
-                *out_slot = body(chunk.start + off, scratch);
+                *out_slot = body(chunks[ci].start + off, scratch);
             }
         },
     );
@@ -684,6 +738,45 @@ mod tests {
                 assert_eq!(v as usize, 1 + i / 3, "{policy:?}");
             }
         }
+    }
+
+    #[test]
+    fn zip_visits_every_slab_pair_once_with_matching_index() {
+        // n not divisible by P, n < P and n = 0, at two slab lengths.
+        for policy in POLICIES {
+            for (n, p) in [(17usize, 4usize), (103, 3), (3, 8), (1, 2), (0, 4)] {
+                let w = team(p, policy);
+                let mut a = vec![0u32; n * 5];
+                let mut b = vec![0u64; n * 2];
+                doacross_slabs_zip(&w, &mut a, 5, &mut b, 2, |s, a_slab, b_slab| {
+                    assert_eq!((a_slab.len(), b_slab.len()), (5, 2));
+                    for v in a_slab.iter_mut() {
+                        *v += 1 + s as u32;
+                    }
+                    for v in b_slab.iter_mut() {
+                        *v += 1000 + s as u64;
+                    }
+                });
+                // `+=` from zero: a slab visited twice, or under the
+                // wrong index, cannot produce these values.
+                for (i, &v) in a.iter().enumerate() {
+                    assert_eq!(v as usize, 1 + i / 5, "{policy:?} n={n} p={p}");
+                }
+                for (i, &v) in b.iter().enumerate() {
+                    assert_eq!(v as usize, 1000 + i / 2, "{policy:?} n={n} p={p}");
+                }
+                // One region, one sync event; none for an empty loop.
+                assert_eq!(w.sync_event_count(), u64::from(n > 0), "{policy:?} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "same number of slabs")]
+    fn zip_length_mismatch_panics() {
+        let w = Workers::new(2);
+        let (mut a, mut b) = (vec![0u8; 12], vec![0u8; 5]);
+        doacross_slabs_zip(&w, &mut a, 3, &mut b, 1, |_, _, _| {});
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod teams;
 pub use advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice, MeasuredChoice};
 pub use doacross::{
     doacross, doacross_into, doacross_into_scratch, doacross_reduce, doacross_slabs,
-    doacross_slabs_scratch,
+    doacross_slabs_scratch, doacross_slabs_zip,
 };
 pub use fusion::FusedRegion;
 pub use obs::{

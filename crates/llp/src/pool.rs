@@ -16,13 +16,14 @@
 //! code".
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use crate::obs::{FlightRecorder, Recorder};
-use crate::schedule::{Policy, ScheduleMap};
+use crate::schedule::{chunk_bounds, Policy, ScheduleMap};
 use crate::team::{TaskSlot, Team};
 
 /// The spawning interface handed to a region body: tasks queued here
@@ -404,44 +405,111 @@ pub fn default_worker_count() -> usize {
     })
 }
 
-/// The atomic iteration-claim counter behind dynamic (self-scheduling)
-/// and guided chunk policies: a pre-computed chunk list is indexed by a
-/// single shared counter, and each claimant loops
-/// `while let Some(i) = claimer.claim()` until the list is exhausted.
+/// The atomic chunk-claim counters behind the dynamic (self-scheduling)
+/// and guided policies: a pre-computed chunk list is cut into one
+/// contiguous **block** of chunk indices per claimant, each block
+/// indexed by a counter of its own, and claimant `t` loops
+/// `while let Some(i) = claimer.claim_as(t)` until every block is
+/// exhausted.
+///
+/// The blocks are a static partition used as the *starting point* of a
+/// dynamic one: block `t` holds the chunks whose first iteration falls
+/// in claimant `t`'s [`chunk_bounds`] share of `0..n` — the rows the
+/// static schedule would have given it — so back-to-back regions over
+/// the same extent keep a chunk on the core whose cache holds it, and
+/// only a claimant that has drained its own block steals, round-robin,
+/// from the others. [`ChunkClaimer::new`] is the one-block case: every
+/// claimant shares one counter and indices come out in order.
 ///
 /// Each successful claim is one scheduling interaction — the extra cost
 /// the paper's static-scheduling model avoids and
 /// [`Policy::scheduling_events`] accounts for.
 #[derive(Debug)]
 pub struct ChunkClaimer {
+    /// Never empty; the blocks tile `0..limit` in order.
+    blocks: Box<[Block]>,
+}
+
+/// One claimant's block of chunk indices, on cache lines of its own:
+/// an uncontended claimant touches no counter another core writes.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Block {
+    /// Next unclaimed chunk index of this block (runs past `end` once
+    /// the block is empty).
     next: AtomicUsize,
-    limit: usize,
+    end: usize,
 }
 
 impl ChunkClaimer {
-    /// A claimer over chunk indices `0..limit`.
+    /// A one-block claimer over chunk indices `0..limit`.
     #[must_use]
     pub fn new(limit: usize) -> Self {
         Self {
-            next: AtomicUsize::new(0),
-            limit,
+            blocks: Box::new([Block {
+                next: AtomicUsize::new(0),
+                end: limit,
+            }]),
         }
     }
 
-    /// Claim the next chunk index, or `None` once all are handed out.
-    /// Indices are handed out exactly once, in order.
-    pub fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.limit).then_some(i)
+    /// A claimer over `chunks` (contiguous, in iteration order, as
+    /// [`Policy::chunks`] returns them) with one block per claimant,
+    /// balanced by **iterations**: block `t` is the run of chunks that
+    /// start inside the `t`-th of `claimants` static shares of the
+    /// iteration space, however many chunks that is.
+    ///
+    /// # Panics
+    /// Panics if `claimants == 0`.
+    #[must_use]
+    pub fn blocked(chunks: &[Range<usize>], claimants: usize) -> Self {
+        assert!(claimants > 0, "claimant count must be positive");
+        let n = chunks.last().map_or(0, |c| c.end);
+        let shares = chunk_bounds(n, claimants);
+        let mut first = 0;
+        let blocks = (0..claimants)
+            .map(|t| {
+                // With more claimants than iterations the surplus
+                // claimants have no share: their blocks are empty.
+                let share_end = shares.get(t).map_or(n, |share| share.end);
+                let end = first + chunks[first..].partition_point(|c| c.start < share_end);
+                let next = AtomicUsize::new(first);
+                first = end;
+                Block { next, end }
+            })
+            .collect();
+        Self { blocks }
     }
 
-    /// [`ChunkClaimer::claim`] plus the nanoseconds the claim took —
+    /// [`ChunkClaimer::claim_as`] for claimant 0: with one block (or
+    /// one claimant) chunk indices are handed out exactly once, in
+    /// order.
+    pub fn claim(&self) -> Option<usize> {
+        self.claim_as(0)
+    }
+
+    /// Claim a chunk index for `claimant`, or `None` once every block
+    /// is exhausted: the next index of the claimant's own block, else
+    /// of the first non-empty block after it. Every index is handed out
+    /// exactly once whoever asks.
+    pub fn claim_as(&self, claimant: usize) -> Option<usize> {
+        let own = claimant % self.blocks.len();
+        let (before, from_own) = self.blocks.split_at(own);
+        from_own.iter().chain(before).find_map(|block| {
+            // Relaxed: the index publishes nothing — the payloads it
+            // names were published with the region.
+            let i = block.next.fetch_add(1, Ordering::Relaxed);
+            (i < block.end).then_some(i)
+        })
+    }
+
+    /// [`ChunkClaimer::claim_as`] plus the nanoseconds the claim took —
     /// the scheduling-interaction cost the flight recorder attributes
     /// as claim wait. Only the instrumented (flight-enabled) doacross
-    /// path calls this; the plain path keeps the clock-free `claim`.
-    pub fn claim_timed(&self) -> (Option<usize>, u64) {
+    /// path calls this; the plain path keeps the clock-free claim.
+    pub fn claim_timed(&self, claimant: usize) -> (Option<usize>, u64) {
         let start = Instant::now();
-        let claimed = self.claim();
+        let claimed = self.claim_as(claimant);
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         (claimed, ns)
     }
@@ -449,7 +517,7 @@ impl ChunkClaimer {
     /// Number of chunks this claimer hands out in total.
     #[must_use]
     pub fn limit(&self) -> usize {
-        self.limit
+        self.blocks.last().map_or(0, |block| block.end)
     }
 }
 
@@ -833,21 +901,95 @@ mod tests {
 
     #[test]
     fn claimer_is_exact_under_contention() {
-        let claimer = ChunkClaimer::new(1000);
-        let total = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let mut local = 0usize;
-                    while let Some(i) = claimer.claim() {
-                        assert!(i < 1000);
-                        local += 1;
-                    }
-                    total.fetch_add(local, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 1000);
+        // Eight claimants hammering one block, and eight hammering
+        // their own blocks and then each other's: every index exactly
+        // once either way.
+        let chunks = Policy::Dynamic { chunk: 3 }.chunks(3000, 8);
+        for claimer in [
+            ChunkClaimer::new(chunks.len()),
+            ChunkClaimer::blocked(&chunks, 8),
+        ] {
+            let hits: Vec<AtomicUsize> = (0..chunks.len()).map(|_| AtomicUsize::new(0)).collect();
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|scope| {
+                for claimant in 0..8 {
+                    let (claimer, hits, start) = (&claimer, &hits, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        while let Some(i) = claimer.claim_as(claimant) {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            assert_eq!((0..8).find_map(|t| claimer.claim_as(t)), None);
+        }
+    }
+
+    /// Drain `claimer` as `claimant` alone.
+    fn drain_as(claimer: &ChunkClaimer, claimant: usize) -> Vec<usize> {
+        std::iter::from_fn(|| claimer.claim_as(claimant)).collect()
+    }
+
+    #[test]
+    fn blocked_claimer_prefers_its_own_share() {
+        // 103 iterations in chunks of 7 over 4 claimants: the static
+        // shares are 26/26/26/25 iterations, i.e. chunk starts
+        // 0..=21 | 28..=49 | 56..=77 | 84..=98.
+        let chunks = Policy::Dynamic { chunk: 7 }.chunks(103, 4);
+        assert_eq!(chunks.len(), 15);
+        let blocks = [0..4, 4..8, 8..12, 12..15];
+
+        // A lone claimant sees every index, in order.
+        let claimer = ChunkClaimer::blocked(&chunks, 4);
+        assert_eq!(claimer.limit(), 15);
+        assert_eq!(drain_as(&claimer, 0), (0..15).collect::<Vec<_>>());
+
+        // An uncontended claimant drains its own block before it
+        // touches another, then steals round-robin from the next.
+        let claimer = ChunkClaimer::blocked(&chunks, 4);
+        let seen = drain_as(&claimer, 2);
+        let expected: Vec<usize> = [8..12, 12..15, 0..4, 4..8].into_iter().flatten().collect();
+        assert_eq!(seen, expected);
+
+        // A stalled claimant strands nothing: claimants 0, 1 and 3 take
+        // their own blocks, claimant 2 never shows up, and whoever
+        // finishes first takes all of block 2.
+        let claimer = ChunkClaimer::blocked(&chunks, 4);
+        for t in [0, 1, 3] {
+            let own: Vec<usize> = (0..blocks[t].len())
+                .map(|_| claimer.claim_as(t).expect("own block"))
+                .collect();
+            assert_eq!(own, blocks[t].clone().collect::<Vec<_>>(), "claimant {t}");
+        }
+        assert_eq!(drain_as(&claimer, 3), blocks[2].clone().collect::<Vec<_>>());
+        assert_eq!(claimer.claim_as(0), None);
+    }
+
+    #[test]
+    fn blocked_claimer_balances_iterations_not_chunk_counts() {
+        // Guided chunks shrink: 64, 32, 16, 8, 4, 2, 2 for 128 over 2.
+        // Half the *iterations* is the first chunk alone.
+        let chunks = Policy::Guided { min_chunk: 2 }.chunks(128, 2);
+        assert_eq!(chunks.len(), 7);
+        let claimer = ChunkClaimer::blocked(&chunks, 2);
+        let own_iterations = |t: usize, take: usize| -> usize {
+            (0..take)
+                .map(|_| chunks[claimer.claim_as(t).expect("own block")].len())
+                .sum()
+        };
+        assert_eq!(own_iterations(0, 1), 64);
+        assert_eq!(own_iterations(1, 6), 64);
+        assert_eq!(claimer.claim_as(0), None);
+
+        // More claimants than iterations: the surplus blocks are empty
+        // and their claimants go straight to stealing.
+        let chunks = Policy::Dynamic { chunk: 1 }.chunks(2, 4);
+        let claimer = ChunkClaimer::blocked(&chunks, 4);
+        assert_eq!(drain_as(&claimer, 3), vec![0, 1]);
+        // No chunks at all.
+        assert_eq!(ChunkClaimer::blocked(&[], 3).claim_as(1), None);
     }
 
     #[test]

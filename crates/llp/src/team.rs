@@ -19,9 +19,9 @@
 //!
 //! **Spin, then park.** An idle helper polls its word for [`SPIN`] of
 //! wall clock and then parks ([`std::thread::park`]) until the word
-//! changes. Waking a parked thread costs about as much as the
-//! spawn-and-join this module replaces, so the window is sized to cover
-//! the serial gap between two regions of one time step; measuring it in
+//! changes. Waking a parked thread costs the caller more than a small
+//! region does (see [`SPIN`]), so the window is sized to cover the
+//! serial gaps between the regions of a run of time steps; measuring it in
 //! wall clock rather than iterations means a helper that lost its CPU
 //! during the window parks as soon as it runs again.
 //!
@@ -77,10 +77,17 @@ use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// How long an idle helper (and a caller at the barrier) polls before
-/// it parks. FDTD's serial source + `energy` between the last region of
-/// one step and the first of the next is 10–20 µs, and a futex wake of
-/// a parked thread is ≈ 35 µs on the 2-vCPU host: parking inside a step
-/// would cost more than the regions themselves.
+/// it parks. Inside a solve the gap between regions is small — FDTD's
+/// is one source-point update plus a 128-add fold, ≈ 0.3 µs, now that
+/// the energy partials are computed in the `update_e` region — so the
+/// window is there for the gaps *around* steps: a caller's own
+/// bookkeeping, the next request of a served stream. The spin-window
+/// probe (EXPERIMENTS.md; two 6 µs tasks per region, 2-vCPU host) has
+/// the helper take its task in 94–99.7 % of regions for gaps up to
+/// 40 µs at 8 µs a region; past the window it is parked, the futex wake
+/// costs the caller ≈ 9 µs and lands after the caller has run both
+/// tasks itself (23–24 µs a region), i.e. a wake costs more than the
+/// region it was meant to help.
 const SPIN: Duration = Duration::from_micros(50);
 
 /// A boxed task queued on a region.
