@@ -10,8 +10,8 @@
 
 use bench::{f, TextTable};
 use f3d::trace::{injection_trace, risc_step_trace, risc_zone_traces};
-use llp::partition_processors;
 use mesh::MultiZoneGrid;
+use perfmodel::partition_processors;
 use smpsim::presets::origin2000_r12k_128;
 
 fn main() {

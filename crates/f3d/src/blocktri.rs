@@ -6,6 +6,14 @@
 //! is the recurrence that makes those sweeps non-parallelizable along
 //! the sweep direction — the "dependencies in one direction" the whole
 //! paper is about. Includes a small dense 5×5 LU for the block inverses.
+//!
+//! **No lane width here.** The solve is serial along the pencil and
+//! within the LU; the only independent outputs are the five columns
+//! (or rows) of a block product — shorter than a useful lane group,
+//! and width-chunked products never measured faster than these plain
+//! loops (DESIGN §6g has the numbers). [`solve_block_tridiagonal_w`]
+//! keeps a width-taking signature for callers that carry one and
+//! forwards to the one solve.
 
 use mesh::NCONS;
 
@@ -84,81 +92,6 @@ pub fn matmul(a: &Block, b: &Block) -> Block {
 pub fn matvec(a: &Block, x: &Vec5) -> Vec5 {
     let mut y = [0.0; NCONS];
     for (yi, row) in y.iter_mut().zip(a.iter()) {
-        *yi = row.iter().zip(x.iter()).map(|(m, v)| m * v).sum();
-    }
-    y
-}
-
-/// [`matmul`] with the output row walked in `width`-column chunks
-/// (`chunks_exact` lanes rustc can lower to SIMD). Each output entry
-/// accumulates `a[i][k] * b[k][j]` over the same ascending `k` with the
-/// same zero-skip as the scalar product, so the result is bit-exact at
-/// every width. Widths outside `{2, 4, 8}` — and the remainder columns
-/// a width does not cover (all of them at width 8, since blocks are
-/// 5 wide) — run the scalar form.
-#[must_use]
-pub fn matmul_w(a: &Block, b: &Block, width: usize) -> Block {
-    match width {
-        2 => matmul_chunked::<2>(a, b),
-        4 => matmul_chunked::<4>(a, b),
-        8 => matmul_chunked::<8>(a, b),
-        _ => matmul(a, b),
-    }
-}
-
-fn matmul_chunked<const W: usize>(a: &Block, b: &Block) -> Block {
-    let split = NCONS - NCONS % W;
-    let mut out = [[0.0; NCONS]; NCONS];
-    for (row, arow) in out.iter_mut().zip(a.iter()) {
-        for (k, bk) in b.iter().enumerate() {
-            let aik = arow[k];
-            if aik == 0.0 {
-                continue;
-            }
-            let (head, tail) = row.split_at_mut(split);
-            for (oc, bc) in head.chunks_exact_mut(W).zip(bk[..split].chunks_exact(W)) {
-                for lane in 0..W {
-                    oc[lane] += aik * bc[lane];
-                }
-            }
-            for (o, &bv) in tail.iter_mut().zip(bk[split..].iter()) {
-                *o += aik * bv;
-            }
-        }
-    }
-    out
-}
-
-/// [`matvec`] with the output rows walked in `width`-row chunks: `W`
-/// dot products advance together, each accumulating its own row in the
-/// same ascending-`j` order as the scalar product — chunking rows, not
-/// the dot product itself, is what keeps the result bit-exact (a
-/// `j`-chunked reduction would reassociate). Widths outside `{2, 4, 8}`
-/// and remainder rows run the scalar form.
-#[must_use]
-pub fn matvec_w(a: &Block, x: &Vec5, width: usize) -> Vec5 {
-    match width {
-        2 => matvec_chunked::<2>(a, x),
-        4 => matvec_chunked::<4>(a, x),
-        8 => matvec_chunked::<8>(a, x),
-        _ => matvec(a, x),
-    }
-}
-
-fn matvec_chunked<const W: usize>(a: &Block, x: &Vec5) -> Vec5 {
-    let split = NCONS - NCONS % W;
-    let mut y = [0.0; NCONS];
-    let (head, tail) = y.split_at_mut(split);
-    for (yc, ac) in head.chunks_exact_mut(W).zip(a[..split].chunks_exact(W)) {
-        let mut acc = [0.0; W];
-        for j in 0..NCONS {
-            for lane in 0..W {
-                acc[lane] += ac[lane][j] * x[j];
-            }
-        }
-        yc.copy_from_slice(&acc);
-    }
-    for (yi, row) in tail.iter_mut().zip(a[split..].iter()) {
         *yi = row.iter().zip(x.iter()).map(|(m, v)| m * v).sum();
     }
     y
@@ -304,26 +237,6 @@ pub fn solve_block_tridiagonal(
     rhs: &mut [Vec5],
     scratch: &mut BlockTriScratch,
 ) {
-    solve_block_tridiagonal_w(lower, diag, upper, rhs, scratch, 1);
-}
-
-/// [`solve_block_tridiagonal`] with the off-diagonal block products
-/// ([`matmul_w`] / [`matvec_w`]) running at the given lane width. The
-/// Thomas recurrence itself and the LU factor/solve stay scalar — they
-/// are serial along the pencil and within the block by construction —
-/// so every width produces bit-identical solutions (the block products
-/// are exact at every width; see their docs).
-///
-/// # Panics
-/// As [`solve_block_tridiagonal`].
-pub fn solve_block_tridiagonal_w(
-    lower: &[Block],
-    diag: &[Block],
-    upper: &[Block],
-    rhs: &mut [Vec5],
-    scratch: &mut BlockTriScratch,
-    width: usize,
-) {
     let n = diag.len();
     assert!(n > 0, "empty system");
     assert_eq!(lower.len(), n, "lower length mismatch");
@@ -337,13 +250,13 @@ pub fn solve_block_tridiagonal_w(
     scratch.dp[0] = lu0.solve(&rhs[0]);
     for i in 1..n {
         // pivot = diag[i] - lower[i] * cp[i-1]
-        let pivot = sub(&diag[i], &matmul_w(&lower[i], &scratch.cp[i - 1], width));
+        let pivot = sub(&diag[i], &matmul(&lower[i], &scratch.cp[i - 1]));
         let lu = Lu::factor(&pivot).unwrap_or_else(|| panic!("singular pivot block at {i}"));
         if i + 1 < n {
             scratch.cp[i] = lu.solve_block(&upper[i]);
         }
         // d'[i] = inv(pivot) (rhs[i] - lower[i] d'[i-1])
-        let ld = matvec_w(&lower[i], &scratch.dp[i - 1], width);
+        let ld = matvec(&lower[i], &scratch.dp[i - 1]);
         let mut r = rhs[i];
         for (rv, &lv) in r.iter_mut().zip(ld.iter()) {
             *rv -= lv;
@@ -354,13 +267,30 @@ pub fn solve_block_tridiagonal_w(
     // Back substitution.
     rhs[n - 1] = scratch.dp[n - 1];
     for i in (0..n - 1).rev() {
-        let cx = matvec_w(&scratch.cp[i], &rhs[i + 1], width);
+        let cx = matvec(&scratch.cp[i], &rhs[i + 1]);
         let mut x = scratch.dp[i];
         for (xv, &cv) in x.iter_mut().zip(cx.iter()) {
             *xv -= cv;
         }
         rhs[i] = x;
     }
+}
+
+/// [`solve_block_tridiagonal`] for callers that carry a lane width:
+/// the solve does not read it (see the module docs), so every width —
+/// supported or not — is the same call.
+///
+/// # Panics
+/// As [`solve_block_tridiagonal`].
+pub fn solve_block_tridiagonal_w(
+    lower: &[Block],
+    diag: &[Block],
+    upper: &[Block],
+    rhs: &mut [Vec5],
+    scratch: &mut BlockTriScratch,
+    _width: usize,
+) {
+    solve_block_tridiagonal(lower, diag, upper, rhs, scratch);
 }
 
 #[cfg(test)]
@@ -551,29 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_block_products_are_bit_exact() {
-        for seed in 1..10u64 {
-            let mut a = diag_dominant_block(seed, 2.0);
-            // Plant zeros so the chunked product must honor the
-            // scalar zero-skip to match bitwise.
-            a[1][3] = 0.0;
-            a[4][0] = 0.0;
-            let b = diag_dominant_block(seed + 50, 0.0);
-            let x = [0.25, -1.5, 3.0, seed as f64, -0.125];
-            let mm = matmul(&a, &b);
-            let mv = matvec(&a, &x);
-            for width in [0, 1, 2, 3, 4, 8] {
-                let mmw = matmul_w(&a, &b, width);
-                let mvw = matvec_w(&a, &x, width);
-                for i in 0..NCONS {
-                    assert_eq!(mmw[i].map(f64::to_bits), mm[i].map(f64::to_bits));
-                }
-                assert_eq!(mvw.map(f64::to_bits), mv.map(f64::to_bits));
-            }
-        }
-    }
-
-    #[test]
     fn wide_tridiagonal_solve_is_bit_exact() {
         let n = 11;
         let lower: Vec<Block> = (0..n)
@@ -591,7 +498,7 @@ mod tests {
         let mut scratch = BlockTriScratch::new(n);
         let mut reference = rhs0.clone();
         solve_block_tridiagonal(&lower, &diag, &upper, &mut reference, &mut scratch);
-        for width in [2, 4, 8] {
+        for width in [1, 2, 4, 8, 3, 0, usize::MAX] {
             let mut rhs = rhs0.clone();
             solve_block_tridiagonal_w(&lower, &diag, &upper, &mut rhs, &mut scratch, width);
             for i in 0..n {

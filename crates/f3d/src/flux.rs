@@ -309,16 +309,6 @@ pub fn flux_jacobian_lanes<const W: usize>(
     a
 }
 
-/// Multiply a 5×5 matrix by a 5-vector.
-#[must_use]
-pub fn matvec(a: &[[f64; NCONS]; NCONS], x: &[f64; NCONS]) -> [f64; NCONS] {
-    let mut y = [0.0; NCONS];
-    for (yi, row) in y.iter_mut().zip(a.iter()) {
-        *yi = row.iter().zip(x.iter()).map(|(aij, xj)| aij * xj).sum();
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,7 +387,7 @@ mod tests {
         for q in states() {
             for n in directions() {
                 let a = flux_jacobian(&q, n);
-                let aq = matvec(&a, &q);
+                let aq = crate::blocktri::matvec(&a, &q);
                 let f = directed_flux(&q, n);
                 for i in 0..NCONS {
                     assert!(

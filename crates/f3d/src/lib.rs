@@ -41,7 +41,6 @@ pub mod blocktri;
 pub mod costmodel;
 pub mod flux;
 pub mod forces;
-pub mod kernels;
 pub mod multizone;
 pub mod risc_impl;
 pub mod sequencing;

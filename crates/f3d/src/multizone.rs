@@ -102,10 +102,10 @@ impl MultiZoneSolver {
         &mut self.zones[i]
     }
 
-    /// Select the SLP lane widths every zone's stepper dispatches its
-    /// kernel variants at (see [`RiscStepper::set_widths`] — bit-exact
-    /// at every width, only the performance shape changes).
-    pub fn set_kernel_widths(&mut self, widths: &crate::kernels::WidthMap) {
+    /// Select the SLP lane widths every zone's stepper runs its wide
+    /// kernels at (see [`RiscStepper::set_widths`] — bit-exact at every
+    /// width, only the performance shape changes).
+    pub fn set_kernel_widths(&mut self, widths: &solver::WidthMap) {
         for stepper in &mut self.steppers {
             stepper.set_widths(widths);
         }

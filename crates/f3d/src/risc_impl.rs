@@ -27,7 +27,6 @@
 //! disjointness argument.
 
 use crate::bc::{self, ZoneBcs};
-use crate::kernels::WidthMap;
 use crate::solver::{
     implicit_central_pencil_w, implicit_upwind_pencil_w, pencil_point, residual_rhs_row_w,
     PencilScratch, SolverConfig, ZoneSolver,
@@ -38,6 +37,7 @@ use llp::{
     Workers,
 };
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
+use solver::WidthMap;
 use std::time::Instant;
 
 /// The tuned stepper.
@@ -88,11 +88,11 @@ impl RiscStepper {
         }
     }
 
-    /// Select the SLP lane width each kernel's variant runs at. The
-    /// widths change only how many points the inner loops process per
-    /// lane group — every width is bit-exact with the scalar reference
-    /// (`update` and `l_factor_scatter` are pure data movement and
-    /// ignore their entries).
+    /// Select the SLP lane width each kernel runs at. The widths change
+    /// only how many points the inner loops process per lane group —
+    /// every width is bit-exact with every other (`update` and
+    /// `l_factor_scatter` are pure data movement and ignore their
+    /// entries).
     pub fn set_widths(&mut self, widths: &WidthMap) {
         self.widths = widths.clone();
     }
@@ -156,8 +156,8 @@ impl RiscStepper {
         let rec = workers.recorder();
 
         // --- Explicit residual: rhs = -dt R(Q); parallel over L. Each
-        // worker carries a J-row buffer so interior rows can run the
-        // lane variant (width from the WidthMap, scalar remainder). ---
+        // worker carries a J-row buffer so interior rows run in lane
+        // groups (width from the WidthMap, one-lane tail). ---
         let t = Instant::now();
         {
             let _span = rec.span("rhs", SpanKind::Kernel);

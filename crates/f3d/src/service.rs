@@ -18,13 +18,12 @@
 
 use crate::bc::Face;
 use crate::forces::{self, SurfaceForces};
-use crate::kernels::{self, WidthMap};
 use crate::multizone::MultiZoneSolver;
 use crate::solver::SolverConfig;
 use crate::validation::{FieldChecksum, ResidualHistory};
 use llp::{ObsReport, Policy, Timeline, Workers};
 use mesh::{Axis, Dims, MultiZoneGrid};
-use solver::{check_range, Solver, SolverInstance, SolverSpec};
+use solver::{check_range, validate_width, Solver, SolverInstance, SolverSpec, WidthMap};
 
 /// Maximum zones a service case may request.
 pub const MAX_ZONES: usize = 4;
@@ -80,10 +79,10 @@ pub struct ServiceCase {
     /// selects zone shards). Results are bit-exact across every mode —
     /// pinned by tests — so this is purely a performance knob.
     pub zone_schedule: ZoneSchedule,
-    /// SLP lane width the kernel variants run at (one of
-    /// [`kernels::SUPPORTED_WIDTHS`]; 1 is the scalar reference).
-    /// Results are bit-exact at every width — see [`crate::kernels`]'s
-    /// exactness policy — so this too is purely a performance knob.
+    /// SLP lane width the wide kernels run at (one of
+    /// [`solver::SUPPORTED_WIDTHS`]). Results are bit-exact at every
+    /// width — see [`solver::widths`]'s exactness policy — so this too
+    /// is purely a performance knob.
     pub vector_width: usize,
 }
 
@@ -99,7 +98,7 @@ impl ServiceCase {
         if let ZoneSchedule::Zones(shards) = self.zone_schedule {
             check_range("zone_shards", shards, MAX_ZONES)?;
         }
-        kernels::validate_width(self.vector_width)?;
+        validate_width(self.vector_width)?;
         match self.schedule.chunk_param() {
             None => Ok(()),
             Some(chunk) => check_range("chunk", chunk, MAX_CHUNK),
@@ -250,6 +249,12 @@ impl Solver for F3dSolver {
             "rhs",
             "update",
         ]
+    }
+
+    fn wide_kernels() -> &'static [&'static str] {
+        // The four kernels built on the flux lane bodies. `update` and
+        // `l_factor_scatter` are data movement: one loop at every width.
+        &["j_factor", "k_factor", "l_factor_solve", "rhs"]
     }
 
     fn memory_usage_estimate(case: &ServiceCase) -> u64 {
@@ -524,7 +529,7 @@ mod tests {
             assert!(err.contains("vector_width must be one of"), "{err}");
             assert!(run(&bad, &Workers::serial()).is_err());
         }
-        for w in crate::kernels::SUPPORTED_WIDTHS {
+        for w in solver::SUPPORTED_WIDTHS {
             assert!(ServiceCase {
                 vector_width: w,
                 ..ok

@@ -36,6 +36,7 @@ use crate::blocktri::{self, Block, BlockTriScratch, Vec5};
 use crate::flux;
 use crate::state::FlowState;
 use mesh::{Arrangement, Axis, Dims, Ijk, Layout, Metrics, StateField, NCONS};
+use solver::{for_lane_groups, LaneBody};
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -299,52 +300,6 @@ pub mod flops {
         RHS_UPWIND + 2 * RHS_CENTRAL + IMPLICIT_UPWIND + 2 * IMPLICIT_CENTRAL;
 }
 
-/// Accumulate the upwind (J-direction) residual of one J-pencil into
-/// `scratch.rhs_line`: `δ⁻F⁺ + δ⁺F⁻` with first-order one-sided
-/// differences. Boundary points (i = 0, n−1) receive zero residual —
-/// they are owned by the boundary conditions.
-///
-/// Requires `scratch.q_line` and `scratch.n_line` to be gathered.
-pub fn rhs_upwind_pencil(scratch: &mut PencilScratch, n: usize) {
-    assert!(n >= 2, "pencil too short");
-    for i in 1..n - 1 {
-        let ni = scratch.n_line[i];
-        let fp_i = flux::steger_warming(&scratch.q_line[i], ni, true);
-        let fp_im = flux::steger_warming(&scratch.q_line[i - 1], ni, true);
-        let fm_ip = flux::steger_warming(&scratch.q_line[i + 1], ni, false);
-        let fm_i = flux::steger_warming(&scratch.q_line[i], ni, false);
-        for c in 0..NCONS {
-            scratch.rhs_line[i][c] += (fp_i[c] - fp_im[c]) + (fm_ip[c] - fm_i[c]);
-        }
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
-/// Accumulate the central residual of one K- or L-pencil into
-/// `scratch.rhs_line`: second-order central flux differences plus
-/// scalar second-difference artificial dissipation scaled by the local
-/// spectral radius. Boundary points receive zero residual.
-pub fn rhs_central_pencil(scratch: &mut PencilScratch, n: usize, eps2: f64) {
-    assert!(n >= 2, "pencil too short");
-    for i in 1..n - 1 {
-        let ni = scratch.n_line[i];
-        let f_ip = flux::directed_flux(&scratch.q_line[i + 1], ni);
-        let f_im = flux::directed_flux(&scratch.q_line[i - 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        for c in 0..NCONS {
-            let central = 0.5 * (f_ip[c] - f_im[c]);
-            let diss = eps2
-                * sigma
-                * (scratch.q_line[i + 1][c] - 2.0 * scratch.q_line[i][c]
-                    + scratch.q_line[i - 1][c]);
-            scratch.rhs_line[i][c] += central - diss;
-        }
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
 /// The thin-layer viscous flux at the midpoint between two adjacent
 /// points along the wall-normal (L) direction (Pulliam's `Ŝ`):
 ///
@@ -389,307 +344,188 @@ pub fn viscous_flux_midpoint(
     ]
 }
 
+/// The three-point stencil of one lane group of a gathered pencil:
+/// state at each lane's point and at its two neighbours, and the
+/// metric direction at the point. The gather every pencil kernel
+/// starts with, stated once.
+struct Stencil<const W: usize> {
+    q: [Vec5; W],
+    q_minus: [Vec5; W],
+    q_plus: [Vec5; W],
+    n: [[f64; 3]; W],
+}
+
+impl<const W: usize> Stencil<W> {
+    #[inline]
+    fn gather(scratch: &PencilScratch, first: usize) -> Self {
+        let mut st = Self {
+            q: [[0.0; NCONS]; W],
+            q_minus: [[0.0; NCONS]; W],
+            q_plus: [[0.0; NCONS]; W],
+            n: [[0.0; 3]; W],
+        };
+        for lane in 0..W {
+            let i = first + lane;
+            st.q[lane] = scratch.q_line[i];
+            st.q_minus[lane] = scratch.q_line[i - 1];
+            st.q_plus[lane] = scratch.q_line[i + 1];
+            st.n[lane] = scratch.n_line[i];
+        }
+        st
+    }
+}
+
+/// Accumulate the upwind (J-direction) residual of one J-pencil into
+/// `scratch.rhs_line`: `δ⁻F⁺ + δ⁺F⁻` with first-order one-sided
+/// differences, `width` interior points per lane group. Boundary
+/// points (i = 0, n−1) receive zero residual — they are owned by the
+/// boundary conditions. Bit-identical at every width and pencil
+/// length.
+///
+/// Requires `scratch.q_line` and `scratch.n_line` to be gathered.
+pub fn rhs_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
+    assert!(n >= 2, "pencil too short");
+    for_lane_groups(width, 1..n - 1, &mut RhsUpwind(scratch));
+    scratch.rhs_line[0] = [0.0; NCONS];
+    scratch.rhs_line[n - 1] = [0.0; NCONS];
+}
+
+struct RhsUpwind<'a>(&'a mut PencilScratch);
+
+impl LaneBody for RhsUpwind<'_> {
+    #[inline]
+    fn group<const W: usize>(&mut self, first: usize) {
+        let st = Stencil::<W>::gather(self.0, first);
+        let fp_i = flux::steger_warming_lanes(&st.q, &st.n, true);
+        let fp_im = flux::steger_warming_lanes(&st.q_minus, &st.n, true);
+        let fm_ip = flux::steger_warming_lanes(&st.q_plus, &st.n, false);
+        let fm_i = flux::steger_warming_lanes(&st.q, &st.n, false);
+        for lane in 0..W {
+            for c in 0..NCONS {
+                self.0.rhs_line[first + lane][c] +=
+                    (fp_i[lane][c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[lane][c]);
+            }
+        }
+    }
+}
+
+/// Accumulate the central residual of one K- or L-pencil into
+/// `scratch.rhs_line`: second-order central flux differences plus
+/// scalar second-difference artificial dissipation scaled by the local
+/// spectral radius. Boundary points receive zero residual. Same lane
+/// grouping and exactness contract as [`rhs_upwind_pencil_w`].
+pub fn rhs_central_pencil_w(scratch: &mut PencilScratch, n: usize, eps2: f64, width: usize) {
+    assert!(n >= 2, "pencil too short");
+    for_lane_groups(width, 1..n - 1, &mut RhsCentral { scratch, eps2 });
+    scratch.rhs_line[0] = [0.0; NCONS];
+    scratch.rhs_line[n - 1] = [0.0; NCONS];
+}
+
+struct RhsCentral<'a> {
+    scratch: &'a mut PencilScratch,
+    eps2: f64,
+}
+
+impl LaneBody for RhsCentral<'_> {
+    #[inline]
+    fn group<const W: usize>(&mut self, first: usize) {
+        let st = Stencil::<W>::gather(self.scratch, first);
+        let f_ip = flux::directed_flux_lanes(&st.q_plus, &st.n);
+        let f_im = flux::directed_flux_lanes(&st.q_minus, &st.n);
+        let sigma = flux::spectral_radius_lanes(&st.q, &st.n);
+        for lane in 0..W {
+            for c in 0..NCONS {
+                let central = 0.5 * (f_ip[lane][c] - f_im[lane][c]);
+                let diss = self.eps2
+                    * sigma[lane]
+                    * (st.q_plus[lane][c] - 2.0 * st.q[lane][c] + st.q_minus[lane][c]);
+                self.scratch.rhs_line[first + lane][c] += central - diss;
+            }
+        }
+    }
+}
+
+/// Identity rows pinning the two boundary points of an implicit factor.
+fn pin_boundary_rows(scratch: &mut PencilScratch, n: usize) {
+    for i in [0, n - 1] {
+        scratch.lower[i] = [[0.0; NCONS]; NCONS];
+        scratch.diag[i] = blocktri::identity();
+        scratch.upper[i] = [[0.0; NCONS]; NCONS];
+    }
+}
+
+/// Solve the assembled block-tridiagonal factor in place: on return
+/// `scratch.rhs_line` holds the solution.
+fn solve_factor(scratch: &mut PencilScratch, n: usize) {
+    blocktri::solve_block_tridiagonal(
+        &scratch.lower[..n],
+        &scratch.diag[..n],
+        &scratch.upper[..n],
+        &mut scratch.rhs_line[..n],
+        &mut scratch.tri,
+    );
+}
+
 /// Solve the upwind (J) implicit factor along one pencil:
 /// `(I + Δt (δ⁻A⁺ + δ⁺A⁻)) Δ = rhs`, with identity rows pinning the
 /// boundary points. `scratch.rhs_line` holds the right-hand side on
 /// entry and the solution on return; the per-point time step comes
 /// from `scratch.dt_line` (filled by [`PencilScratch::gather`] — the
 /// global `dt` or the local-time-stepping value).
-pub fn implicit_upwind_pencil(scratch: &mut PencilScratch, n: usize) {
+///
+/// The Jacobians and spectral radii of `width` interior points are
+/// evaluated per lane group; the Thomas recurrence is serial along the
+/// pencil and does not read the width. Bit-identical at every width.
+pub fn implicit_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
     assert!(n >= 2, "pencil too short");
-    let rho = |q: &Vec5, nv: [f64; 3]| flux::spectral_radius(q, nv);
-    for i in 0..n {
-        if i == 0 || i == n - 1 {
-            scratch.lower[i] = [[0.0; NCONS]; NCONS];
-            scratch.diag[i] = blocktri::identity();
-            scratch.upper[i] = [[0.0; NCONS]; NCONS];
-            continue;
-        }
-        let ni = scratch.n_line[i];
-        // Approximate split Jacobians: A± = (A ± ρ I) / 2.
-        let a_i = flux::flux_jacobian(&scratch.q_line[i], ni);
-        let r_i = rho(&scratch.q_line[i], ni);
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let r_im = rho(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let r_ip = rho(&scratch.q_line[i + 1], ni);
+    pin_boundary_rows(scratch, n);
+    for_lane_groups(width, 1..n - 1, &mut ImplicitUpwind(scratch));
+    solve_factor(scratch, n);
+}
 
+struct ImplicitUpwind<'a>(&'a mut PencilScratch);
+
+impl LaneBody for ImplicitUpwind<'_> {
+    #[inline]
+    fn group<const W: usize>(&mut self, first: usize) {
+        let st = Stencil::<W>::gather(self.0, first);
+        let a_i = flux::flux_jacobian_lanes(&st.q, &st.n);
+        let r_i = flux::spectral_radius_lanes(&st.q, &st.n);
+        let a_im = flux::flux_jacobian_lanes(&st.q_minus, &st.n);
+        let r_im = flux::spectral_radius_lanes(&st.q_minus, &st.n);
+        let a_ip = flux::flux_jacobian_lanes(&st.q_plus, &st.n);
+        let r_ip = flux::spectral_radius_lanes(&st.q_plus, &st.n);
         let ident = blocktri::identity();
-        let ap_i = blocktri::scale(&blocktri::add(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let am_i = blocktri::scale(&blocktri::sub(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let ap_im = blocktri::scale(&blocktri::add(&a_im, &blocktri::scale(&ident, r_im)), 0.5);
-        let am_ip = blocktri::scale(&blocktri::sub(&a_ip, &blocktri::scale(&ident, r_ip)), 0.5);
-
-        // δ⁻A⁺ Δ = A⁺_i Δ_i − A⁺_{i−1} Δ_{i−1};
-        // δ⁺A⁻ Δ = A⁻_{i+1} Δ_{i+1} − A⁻_i Δ_i.
-        let dt = scratch.dt_line[i];
-        scratch.lower[i] = blocktri::scale(&ap_im, -dt);
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
-        scratch.upper[i] = blocktri::scale(&am_ip, dt);
+        // Approximate split Jacobians: A± = (A ± ρ I) / 2.
+        let plus = |a: &Block, r: f64| {
+            blocktri::scale(&blocktri::add(a, &blocktri::scale(&ident, r)), 0.5)
+        };
+        let minus = |a: &Block, r: f64| {
+            blocktri::scale(&blocktri::sub(a, &blocktri::scale(&ident, r)), 0.5)
+        };
+        for lane in 0..W {
+            let i = first + lane;
+            let ap_i = plus(&a_i[lane], r_i[lane]);
+            let am_i = minus(&a_i[lane], r_i[lane]);
+            let ap_im = plus(&a_im[lane], r_im[lane]);
+            let am_ip = minus(&a_ip[lane], r_ip[lane]);
+            // δ⁻A⁺ Δ = A⁺_i Δ_i − A⁺_{i−1} Δ_{i−1};
+            // δ⁺A⁻ Δ = A⁻_{i+1} Δ_{i+1} − A⁻_i Δ_i.
+            let dt = self.0.dt_line[i];
+            self.0.lower[i] = blocktri::scale(&ap_im, -dt);
+            self.0.diag[i] =
+                blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
+            self.0.upper[i] = blocktri::scale(&am_ip, dt);
+        }
     }
-    blocktri::solve_block_tridiagonal(
-        &scratch.lower[..n],
-        &scratch.diag[..n],
-        &scratch.upper[..n],
-        &mut scratch.rhs_line[..n],
-        &mut scratch.tri,
-    );
 }
 
 /// Solve a central (K or L) implicit factor along one pencil:
 /// `(I + Δt δ(A)/2 + Δt (ε σ + σ_v) ∇²) Δ = rhs`, identity rows at the
 /// ends. `mu_vis` enables the implicit viscous stabilization
 /// (`σ_v = 2 μ |∇ζ|² / ρ`) for the wall-normal factor; pass 0 for the
-/// K factor and for inviscid runs.
-pub fn implicit_central_pencil(scratch: &mut PencilScratch, n: usize, eps_imp: f64, mu_vis: f64) {
-    assert!(n >= 2, "pencil too short");
-    for i in 0..n {
-        if i == 0 || i == n - 1 {
-            scratch.lower[i] = [[0.0; NCONS]; NCONS];
-            scratch.diag[i] = blocktri::identity();
-            scratch.upper[i] = [[0.0; NCONS]; NCONS];
-            continue;
-        }
-        let ni = scratch.n_line[i];
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        let ident = blocktri::identity();
-        let sigma_v = if mu_vis > 0.0 {
-            let phi = ni[0] * ni[0] + ni[1] * ni[1] + ni[2] * ni[2];
-            2.0 * mu_vis * phi / scratch.q_line[i][0]
-        } else {
-            0.0
-        };
-        let dt = scratch.dt_line[i];
-        let d = dt * (eps_imp * sigma + sigma_v);
-
-        scratch.lower[i] = blocktri::add(
-            &blocktri::scale(&a_im, -0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
-        scratch.upper[i] = blocktri::add(
-            &blocktri::scale(&a_ip, 0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
-    }
-    blocktri::solve_block_tridiagonal(
-        &scratch.lower[..n],
-        &scratch.diag[..n],
-        &scratch.upper[..n],
-        &mut scratch.rhs_line[..n],
-        &mut scratch.tri,
-    );
-}
-
-/// [`rhs_upwind_pencil`] at the given lane width: interior points are
-/// processed `W` at a time through [`flux::steger_warming_lanes`], with
-/// a scalar remainder loop for trailing points — so any pencil length,
-/// divisible by `W` or not, produces bit-identical residuals.
-/// Unsupported widths (and width 1) run the scalar reference.
-pub fn rhs_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
-    match width {
-        2 => rhs_upwind_lanes::<2>(scratch, n),
-        4 => rhs_upwind_lanes::<4>(scratch, n),
-        8 => rhs_upwind_lanes::<8>(scratch, n),
-        _ => rhs_upwind_pencil(scratch, n),
-    }
-}
-
-fn rhs_upwind_lanes<const W: usize>(scratch: &mut PencilScratch, n: usize) {
-    assert!(n >= 2, "pencil too short");
-    let mut i = 1;
-    while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
-        for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let fp_i = flux::steger_warming_lanes::<W>(&qi, &ni, true);
-        let fp_im = flux::steger_warming_lanes::<W>(&qm, &ni, true);
-        let fm_ip = flux::steger_warming_lanes::<W>(&qp, &ni, false);
-        let fm_i = flux::steger_warming_lanes::<W>(&qi, &ni, false);
-        for lane in 0..W {
-            for c in 0..NCONS {
-                scratch.rhs_line[i + lane][c] +=
-                    (fp_i[lane][c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[lane][c]);
-            }
-        }
-        i += W;
-    }
-    while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let fp_i = flux::steger_warming(&scratch.q_line[i], ni, true);
-        let fp_im = flux::steger_warming(&scratch.q_line[i - 1], ni, true);
-        let fm_ip = flux::steger_warming(&scratch.q_line[i + 1], ni, false);
-        let fm_i = flux::steger_warming(&scratch.q_line[i], ni, false);
-        for c in 0..NCONS {
-            scratch.rhs_line[i][c] += (fp_i[c] - fp_im[c]) + (fm_ip[c] - fm_i[c]);
-        }
-        i += 1;
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
-/// [`rhs_central_pencil`] at the given lane width — same remainder and
-/// exactness contract as [`rhs_upwind_pencil_w`].
-pub fn rhs_central_pencil_w(scratch: &mut PencilScratch, n: usize, eps2: f64, width: usize) {
-    match width {
-        2 => rhs_central_lanes::<2>(scratch, n, eps2),
-        4 => rhs_central_lanes::<4>(scratch, n, eps2),
-        8 => rhs_central_lanes::<8>(scratch, n, eps2),
-        _ => rhs_central_pencil(scratch, n, eps2),
-    }
-}
-
-fn rhs_central_lanes<const W: usize>(scratch: &mut PencilScratch, n: usize, eps2: f64) {
-    assert!(n >= 2, "pencil too short");
-    let mut i = 1;
-    while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
-        for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let f_ip = flux::directed_flux_lanes::<W>(&qp, &ni);
-        let f_im = flux::directed_flux_lanes::<W>(&qm, &ni);
-        let sigma = flux::spectral_radius_lanes::<W>(&qi, &ni);
-        for lane in 0..W {
-            for c in 0..NCONS {
-                let central = 0.5 * (f_ip[lane][c] - f_im[lane][c]);
-                let diss = eps2 * sigma[lane] * (qp[lane][c] - 2.0 * qi[lane][c] + qm[lane][c]);
-                scratch.rhs_line[i + lane][c] += central - diss;
-            }
-        }
-        i += W;
-    }
-    while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let f_ip = flux::directed_flux(&scratch.q_line[i + 1], ni);
-        let f_im = flux::directed_flux(&scratch.q_line[i - 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        for c in 0..NCONS {
-            let central = 0.5 * (f_ip[c] - f_im[c]);
-            let diss = eps2
-                * sigma
-                * (scratch.q_line[i + 1][c] - 2.0 * scratch.q_line[i][c]
-                    + scratch.q_line[i - 1][c]);
-            scratch.rhs_line[i][c] += central - diss;
-        }
-        i += 1;
-    }
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
-/// [`implicit_upwind_pencil`] at the given lane width: the Jacobians
-/// and spectral radii of `W` interior points are evaluated through the
-/// lane kernels and the block products of the Thomas solve run
-/// `width`-chunked ([`blocktri::solve_block_tridiagonal_w`]); the
-/// recurrence itself stays scalar. Bit-exact at every width, remainder
-/// points included.
-pub fn implicit_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
-    match width {
-        2 => implicit_upwind_lanes::<2>(scratch, n),
-        4 => implicit_upwind_lanes::<4>(scratch, n),
-        8 => implicit_upwind_lanes::<8>(scratch, n),
-        _ => implicit_upwind_pencil(scratch, n),
-    }
-}
-
-fn implicit_upwind_lanes<const W: usize>(scratch: &mut PencilScratch, n: usize) {
-    assert!(n >= 2, "pencil too short");
-    for i in [0, n - 1] {
-        scratch.lower[i] = [[0.0; NCONS]; NCONS];
-        scratch.diag[i] = blocktri::identity();
-        scratch.upper[i] = [[0.0; NCONS]; NCONS];
-    }
-    let ident = blocktri::identity();
-    let mut i = 1;
-    while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
-        for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let a_i = flux::flux_jacobian_lanes::<W>(&qi, &ni);
-        let r_i = flux::spectral_radius_lanes::<W>(&qi, &ni);
-        let a_im = flux::flux_jacobian_lanes::<W>(&qm, &ni);
-        let r_im = flux::spectral_radius_lanes::<W>(&qm, &ni);
-        let a_ip = flux::flux_jacobian_lanes::<W>(&qp, &ni);
-        let r_ip = flux::spectral_radius_lanes::<W>(&qp, &ni);
-        for lane in 0..W {
-            let ap_i = blocktri::scale(
-                &blocktri::add(&a_i[lane], &blocktri::scale(&ident, r_i[lane])),
-                0.5,
-            );
-            let am_i = blocktri::scale(
-                &blocktri::sub(&a_i[lane], &blocktri::scale(&ident, r_i[lane])),
-                0.5,
-            );
-            let ap_im = blocktri::scale(
-                &blocktri::add(&a_im[lane], &blocktri::scale(&ident, r_im[lane])),
-                0.5,
-            );
-            let am_ip = blocktri::scale(
-                &blocktri::sub(&a_ip[lane], &blocktri::scale(&ident, r_ip[lane])),
-                0.5,
-            );
-            let dt = scratch.dt_line[i + lane];
-            scratch.lower[i + lane] = blocktri::scale(&ap_im, -dt);
-            scratch.diag[i + lane] =
-                blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
-            scratch.upper[i + lane] = blocktri::scale(&am_ip, dt);
-        }
-        i += W;
-    }
-    while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let a_i = flux::flux_jacobian(&scratch.q_line[i], ni);
-        let r_i = flux::spectral_radius(&scratch.q_line[i], ni);
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let r_im = flux::spectral_radius(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let r_ip = flux::spectral_radius(&scratch.q_line[i + 1], ni);
-        let ap_i = blocktri::scale(&blocktri::add(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let am_i = blocktri::scale(&blocktri::sub(&a_i, &blocktri::scale(&ident, r_i)), 0.5);
-        let ap_im = blocktri::scale(&blocktri::add(&a_im, &blocktri::scale(&ident, r_im)), 0.5);
-        let am_ip = blocktri::scale(&blocktri::sub(&a_ip, &blocktri::scale(&ident, r_ip)), 0.5);
-        let dt = scratch.dt_line[i];
-        scratch.lower[i] = blocktri::scale(&ap_im, -dt);
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
-        scratch.upper[i] = blocktri::scale(&am_ip, dt);
-        i += 1;
-    }
-    blocktri::solve_block_tridiagonal_w(
-        &scratch.lower[..n],
-        &scratch.diag[..n],
-        &scratch.upper[..n],
-        &mut scratch.rhs_line[..n],
-        &mut scratch.tri,
-        W,
-    );
-}
-
-/// [`implicit_central_pencil`] at the given lane width — same structure
-/// and exactness contract as [`implicit_upwind_pencil_w`].
+/// K factor and for inviscid runs. Same lane grouping and exactness
+/// contract as [`implicit_upwind_pencil_w`].
 pub fn implicit_central_pencil_w(
     scratch: &mut PencilScratch,
     n: usize,
@@ -697,96 +533,53 @@ pub fn implicit_central_pencil_w(
     mu_vis: f64,
     width: usize,
 ) {
-    match width {
-        2 => implicit_central_lanes::<2>(scratch, n, eps_imp, mu_vis),
-        4 => implicit_central_lanes::<4>(scratch, n, eps_imp, mu_vis),
-        8 => implicit_central_lanes::<8>(scratch, n, eps_imp, mu_vis),
-        _ => implicit_central_pencil(scratch, n, eps_imp, mu_vis),
-    }
+    assert!(n >= 2, "pencil too short");
+    pin_boundary_rows(scratch, n);
+    let mut body = ImplicitCentral {
+        scratch,
+        eps_imp,
+        mu_vis,
+    };
+    for_lane_groups(width, 1..n - 1, &mut body);
+    solve_factor(scratch, n);
 }
 
-fn implicit_central_lanes<const W: usize>(
-    scratch: &mut PencilScratch,
-    n: usize,
+struct ImplicitCentral<'a> {
+    scratch: &'a mut PencilScratch,
     eps_imp: f64,
     mu_vis: f64,
-) {
-    assert!(n >= 2, "pencil too short");
-    for i in [0, n - 1] {
-        scratch.lower[i] = [[0.0; NCONS]; NCONS];
-        scratch.diag[i] = blocktri::identity();
-        scratch.upper[i] = [[0.0; NCONS]; NCONS];
-    }
-    let ident = blocktri::identity();
-    let mut i = 1;
-    while i + W < n {
-        let mut qi = [[0.0; NCONS]; W];
-        let mut qm = [[0.0; NCONS]; W];
-        let mut qp = [[0.0; NCONS]; W];
-        let mut ni = [[0.0; 3]; W];
+}
+
+impl LaneBody for ImplicitCentral<'_> {
+    #[inline]
+    fn group<const W: usize>(&mut self, first: usize) {
+        let st = Stencil::<W>::gather(self.scratch, first);
+        let a_im = flux::flux_jacobian_lanes(&st.q_minus, &st.n);
+        let a_ip = flux::flux_jacobian_lanes(&st.q_plus, &st.n);
+        let sigma = flux::spectral_radius_lanes(&st.q, &st.n);
+        let ident = blocktri::identity();
         for lane in 0..W {
-            qi[lane] = scratch.q_line[i + lane];
-            qm[lane] = scratch.q_line[i + lane - 1];
-            qp[lane] = scratch.q_line[i + lane + 1];
-            ni[lane] = scratch.n_line[i + lane];
-        }
-        let a_im = flux::flux_jacobian_lanes::<W>(&qm, &ni);
-        let a_ip = flux::flux_jacobian_lanes::<W>(&qp, &ni);
-        let sigma = flux::spectral_radius_lanes::<W>(&qi, &ni);
-        for lane in 0..W {
-            let nl = ni[lane];
-            let sigma_v = if mu_vis > 0.0 {
+            let i = first + lane;
+            let nl = st.n[lane];
+            let sigma_v = if self.mu_vis > 0.0 {
                 let phi = nl[0] * nl[0] + nl[1] * nl[1] + nl[2] * nl[2];
-                2.0 * mu_vis * phi / qi[lane][0]
+                2.0 * self.mu_vis * phi / st.q[lane][0]
             } else {
                 0.0
             };
-            let dt = scratch.dt_line[i + lane];
-            let d = dt * (eps_imp * sigma[lane] + sigma_v);
-            scratch.lower[i + lane] = blocktri::add(
+            let dt = self.scratch.dt_line[i];
+            let d = dt * (self.eps_imp * sigma[lane] + sigma_v);
+            self.scratch.lower[i] = blocktri::add(
                 &blocktri::scale(&a_im[lane], -0.5 * dt),
                 &blocktri::scale(&ident, -d),
             );
-            scratch.diag[i + lane] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
-            scratch.upper[i + lane] = blocktri::add(
+            self.scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
+            self.scratch.upper[i] = blocktri::add(
                 &blocktri::scale(&a_ip[lane], 0.5 * dt),
                 &blocktri::scale(&ident, -d),
             );
         }
-        i += W;
     }
-    while i < n - 1 {
-        let ni = scratch.n_line[i];
-        let a_im = flux::flux_jacobian(&scratch.q_line[i - 1], ni);
-        let a_ip = flux::flux_jacobian(&scratch.q_line[i + 1], ni);
-        let sigma = flux::spectral_radius(&scratch.q_line[i], ni);
-        let sigma_v = if mu_vis > 0.0 {
-            let phi = ni[0] * ni[0] + ni[1] * ni[1] + ni[2] * ni[2];
-            2.0 * mu_vis * phi / scratch.q_line[i][0]
-        } else {
-            0.0
-        };
-        let dt = scratch.dt_line[i];
-        let d = dt * (eps_imp * sigma + sigma_v);
-        scratch.lower[i] = blocktri::add(
-            &blocktri::scale(&a_im, -0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
-        scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
-        scratch.upper[i] = blocktri::add(
-            &blocktri::scale(&a_ip, 0.5 * dt),
-            &blocktri::scale(&ident, -d),
-        );
-        i += 1;
-    }
-    blocktri::solve_block_tridiagonal_w(
-        &scratch.lower[..n],
-        &scratch.diag[..n],
-        &scratch.upper[..n],
-        &mut scratch.rhs_line[..n],
-        &mut scratch.tri,
-        W,
-    );
 }
 
 /// The full explicit residual at one *interior* point, in a fixed
@@ -948,11 +741,10 @@ pub fn residual_points_lanes<const W: usize>(
 }
 
 /// Fill `row[j] = −Δt(p)·R(p)` for the interior points `j ∈ 1..jmax−1`
-/// of one `(k, l)` row, dispatching [`residual_points_lanes`] at the
-/// given width with a scalar remainder — the `rhs`-kernel body both
-/// steppers share. Boundary entries of `row` are left untouched;
-/// results are bit-identical to the scalar per-point path at every
-/// width.
+/// of one `(k, l)` row, [`residual_points_lanes`] at `width` points
+/// per lane group — the `rhs`-kernel body both steppers share.
+/// Boundary entries of `row` are left untouched; every entry is
+/// bit-identical to [`residual_point`] at that point, at every width.
 ///
 /// # Panics
 /// Panics if `row` is shorter than the J extent.
@@ -966,51 +758,35 @@ pub fn residual_rhs_row_w(
 ) {
     let jmax = zone.dims().j;
     assert!(row.len() >= jmax, "row buffer too small");
-    match width {
-        2 => residual_rhs_row_lanes::<2>(zone, k, l, eps2, row),
-        4 => residual_rhs_row_lanes::<4>(zone, k, l, eps2, row),
-        8 => residual_rhs_row_lanes::<8>(zone, k, l, eps2, row),
-        _ => {
-            for (j, out) in row.iter_mut().enumerate().take(jmax - 1).skip(1) {
-                let p = Ijk::new(j, k, l);
-                let r = residual_point(zone, p, eps2);
-                let dt_p = local_dt(zone, p);
-                for c in 0..NCONS {
-                    out[c] = -dt_p * r[c];
-                }
-            }
-        }
-    }
+    let mut body = ResidualRow {
+        zone,
+        k,
+        l,
+        eps2,
+        row,
+    };
+    for_lane_groups(width, 1..jmax - 1, &mut body);
 }
 
-fn residual_rhs_row_lanes<const W: usize>(
-    zone: &ZoneSolver,
+struct ResidualRow<'a> {
+    zone: &'a ZoneSolver,
     k: usize,
     l: usize,
     eps2: f64,
-    row: &mut [Vec5],
-) {
-    let jmax = zone.dims().j;
-    let mut j = 1;
-    while j + W < jmax {
-        let r = residual_points_lanes::<W>(zone, Ijk::new(j, k, l), eps2);
-        for lane in 0..W {
-            let p = Ijk::new(j + lane, k, l);
-            let dt_p = local_dt(zone, p);
-            for c in 0..NCONS {
-                row[j + lane][c] = -dt_p * r[lane][c];
+    row: &'a mut [Vec5],
+}
+
+impl LaneBody for ResidualRow<'_> {
+    #[inline]
+    fn group<const W: usize>(&mut self, first: usize) {
+        let r = residual_points_lanes::<W>(self.zone, Ijk::new(first, self.k, self.l), self.eps2);
+        for (lane, r) in r.iter().enumerate() {
+            let j = first + lane;
+            let dt_p = local_dt(self.zone, Ijk::new(j, self.k, self.l));
+            for (out, &v) in self.row[j].iter_mut().zip(r) {
+                *out = -dt_p * v;
             }
         }
-        j += W;
-    }
-    while j < jmax - 1 {
-        let p = Ijk::new(j, k, l);
-        let r = residual_point(zone, p, eps2);
-        let dt_p = local_dt(zone, p);
-        for c in 0..NCONS {
-            row[j][c] = -dt_p * r[c];
-        }
-        j += 1;
     }
 }
 
@@ -1043,7 +819,7 @@ mod tests {
         let mut s = PencilScratch::new(n);
         s.gather(&zone, Axis::J, Ijk::new(0, 2, 2));
         s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_upwind_pencil(&mut s, n);
+        rhs_upwind_pencil_w(&mut s, n, 1);
         for r in &s.rhs_line[..n] {
             for &v in r {
                 assert!(v.abs() < 1e-13, "upwind residual {v}");
@@ -1052,7 +828,7 @@ mod tests {
         let mut s = PencilScratch::new(6);
         s.gather(&zone, Axis::K, Ijk::new(3, 0, 2));
         s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_central_pencil(&mut s, 6, 0.1);
+        rhs_central_pencil_w(&mut s, 6, 0.1, 1);
         for r in &s.rhs_line[..6] {
             for &v in r {
                 assert!(v.abs() < 1e-13, "central residual {v}");
@@ -1068,7 +844,7 @@ mod tests {
         s.gather(&zone, Axis::J, Ijk::new(0, 1, 1));
         s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
         s.dt_line[..n].fill(0.1);
-        implicit_upwind_pencil(&mut s, n);
+        implicit_upwind_pencil_w(&mut s, n, 1);
         for r in &s.rhs_line[..n] {
             for &v in r {
                 assert_eq!(v, 0.0);
@@ -1096,7 +872,7 @@ mod tests {
             }
         }
         s.dt_line[..n].fill(0.5);
-        implicit_upwind_pencil(&mut s, n);
+        implicit_upwind_pencil_w(&mut s, n, 1);
         let mut max_out = 0.0f64;
         for r in &s.rhs_line[..n] {
             for &v in r {
@@ -1116,7 +892,7 @@ mod tests {
         let rhs_in: Vec<Vec5> = (0..n).map(|i| [i as f64 * 0.01; NCONS]).collect();
         s.rhs_line[..n].copy_from_slice(&rhs_in);
         s.dt_line[..n].fill(0.0);
-        implicit_central_pencil(&mut s, n, 0.3, 0.0);
+        implicit_central_pencil_w(&mut s, n, 0.3, 0.0, 1);
         for (i, r) in s.rhs_line[..n].iter().enumerate() {
             for (c, &v) in r.iter().enumerate() {
                 assert!(
@@ -1138,7 +914,7 @@ mod tests {
         }
         // Boundary RHS rows are preserved untouched by the identity rows.
         s.dt_line[..n].fill(0.2);
-        implicit_upwind_pencil(&mut s, n);
+        implicit_upwind_pencil_w(&mut s, n, 1);
         assert_eq!(s.rhs_line[0], [1.0; NCONS]);
         assert_eq!(s.rhs_line[n - 1], [1.0; NCONS]);
     }
@@ -1198,48 +974,45 @@ mod tests {
     #[test]
     fn residual_point_matches_pencil_kernels() {
         // residual_point must reproduce the sum of the three pencil
-        // kernels exactly for a perturbed field.
-        let mut zone = cartesian_zone(SolverConfig::subsonic(), Dims::new(7, 6, 5));
-        for p in zone.dims().iter_jkl() {
-            let mut q = zone.q.get(p);
-            q[0] *= 1.0 + 0.01 * ((p.j * 3 + p.k * 5 + p.l * 7) as f64).sin();
-            q[4] *= 1.0 + 0.005 * ((p.j + 2 * p.k + 3 * p.l) as f64).cos();
-            zone.q.set(p, q);
-        }
+        // kernels exactly for a perturbed field, at every lane width.
+        let zone = perturbed_zone(SolverConfig::subsonic(), Dims::new(7, 6, 5));
         let eps2 = 0.08;
         let probe = Ijk::new(3, 2, 2);
-
-        let mut total = [0.0f64; NCONS];
-        let mut s = PencilScratch::new(7);
-        s.gather(&zone, Axis::J, probe);
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_upwind_pencil(&mut s, 7);
-        for (t, v) in total.iter_mut().zip(s.rhs_line[probe.j]) {
-            *t += v;
-        }
-        let mut s = PencilScratch::new(6);
-        s.gather(&zone, Axis::K, probe);
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_central_pencil(&mut s, 6, eps2);
-        for (t, v) in total.iter_mut().zip(s.rhs_line[probe.k]) {
-            *t += v;
-        }
-        let mut s = PencilScratch::new(5);
-        s.gather(&zone, Axis::L, probe);
-        s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_central_pencil(&mut s, 5, eps2);
-        for (t, v) in total.iter_mut().zip(s.rhs_line[probe.l]) {
-            *t += v;
-        }
-
         let direct = residual_point(&zone, probe, eps2);
-        for c in 0..NCONS {
-            assert!(
-                (direct[c] - total[c]).abs() < 1e-14,
-                "comp {c}: {} vs {}",
-                direct[c],
-                total[c]
-            );
+
+        for width in solver::SUPPORTED_WIDTHS {
+            let mut total = [0.0f64; NCONS];
+            for axis in Axis::ALL {
+                let n = zone.dims().extent(axis);
+                let mut s = PencilScratch::new(n);
+                s.gather(&zone, axis, probe);
+                s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
+                let at = match axis {
+                    Axis::J => {
+                        rhs_upwind_pencil_w(&mut s, n, width);
+                        probe.j
+                    }
+                    Axis::K => {
+                        rhs_central_pencil_w(&mut s, n, eps2, width);
+                        probe.k
+                    }
+                    Axis::L => {
+                        rhs_central_pencil_w(&mut s, n, eps2, width);
+                        probe.l
+                    }
+                };
+                for (t, v) in total.iter_mut().zip(s.rhs_line[at]) {
+                    *t += v;
+                }
+            }
+            for c in 0..NCONS {
+                assert!(
+                    (direct[c] - total[c]).abs() < 1e-14,
+                    "width {width} comp {c}: {} vs {}",
+                    direct[c],
+                    total[c]
+                );
+            }
         }
     }
 
@@ -1334,11 +1107,50 @@ mod tests {
         zone
     }
 
+    /// FNV-1a over the bits of `rhs_line[..n]`, point-major.
+    fn rhs_digest(s: &PencilScratch, n: usize) -> u64 {
+        let bytes: Vec<u8> = s.rhs_line[..n]
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        crate::service::fnv1a64(&bytes)
+    }
+
     #[test]
     fn wide_pencil_kernels_are_bit_exact() {
         // Pencil lengths chosen so every width leaves a different
         // remainder (interior counts 5, 6, 7 against W = 2, 4, 8).
-        for d in [Dims::new(7, 6, 5), Dims::new(8, 7, 6), Dims::new(9, 6, 5)] {
+        //
+        // The width-1 golden: digests of what four independent scalar
+        // statements of these kernels (one plain loop per kernel over
+        // the scalar `flux` functions) produced on these pencils,
+        // captured by running exactly this loop over them at the last
+        // commit that carried them. They pin the `::<1>` instantiation
+        // to that reference; the wider widths are then compared to
+        // width 1 bit for bit.
+        const GOLDEN: [[u64; 4]; 3] = [
+            [
+                0x4907_2e0c_ed35_ddba,
+                0xfd34_2f6a_03c3_5430,
+                0x5084_642f_11b2_5b08,
+                0x6a40_f5c3_c742_e60a,
+            ],
+            [
+                0x29f7_e809_d93f_dbbd,
+                0x2f99_ee5a_1f14_d9b7,
+                0x0e6e_7eb6_7874_9c56,
+                0xd3f8_ef27_b629_4da8,
+            ],
+            [
+                0x6b99_6664_1d41_9d5a,
+                0xe6b7_f053_130f_4a6c,
+                0xa1fb_b020_dec5_5d87,
+                0xfa0f_bf6d_f2d9_9943,
+            ],
+        ];
+        let dims = [Dims::new(7, 6, 5), Dims::new(8, 7, 6), Dims::new(9, 6, 5)];
+        for (d, golden) in dims.into_iter().zip(GOLDEN) {
             let zone = perturbed_zone(SolverConfig::subsonic(), d);
             let n = d.j;
             let base = Ijk::new(0, 1, 1);
@@ -1359,8 +1171,14 @@ mod tests {
                     _ => implicit_central_pencil_w(s, n, 0.3, 0.002, width),
                 }
             };
-            for kernel in 0..4 {
+            for (kernel, want) in golden.into_iter().enumerate() {
                 run(&mut reference, kernel, 1);
+                assert_eq!(
+                    rhs_digest(&reference, n),
+                    want,
+                    "kernel {kernel} width 1 dims {d:?}: {:#018x}",
+                    rhs_digest(&reference, n)
+                );
                 for width in [2, 4, 8] {
                     run(&mut wide, kernel, width);
                     for i in 0..n {
@@ -1378,27 +1196,31 @@ mod tests {
     #[test]
     fn residual_row_is_bit_exact_across_widths() {
         // Viscous + local time stepping exercises every branch of the
-        // lane residual; jmax = 9 leaves remainders at widths 2 and 4
-        // and falls back entirely to scalar at width 8.
+        // lane residual; jmax = 9 leaves tails at widths 2 and 4 and
+        // runs entirely as the one-lane tail at width 8. Every width —
+        // 1 included — is compared with the scalar `residual_point`.
         let config = SolverConfig::viscous(2.0, 1.0e4).with_local_time_stepping(2.0);
         let d = Dims::new(9, 6, 6);
         let zone = perturbed_zone(config, d);
         let jmax = d.j;
-        let mut reference = vec![[0.0; NCONS]; jmax];
-        let mut wide = vec![[0.0; NCONS]; jmax];
+        let mut row = vec![[0.0; NCONS]; jmax];
         for k in 1..d.k - 1 {
             for l in 1..d.l - 1 {
-                residual_rhs_row_w(&zone, k, l, 0.08, 1, &mut reference);
-                for width in [2, 4, 8] {
-                    wide.iter_mut().for_each(|r| *r = [f64::NAN; NCONS]);
-                    residual_rhs_row_w(&zone, k, l, 0.08, width, &mut wide);
-                    for j in 1..jmax - 1 {
+                for width in solver::SUPPORTED_WIDTHS {
+                    row.iter_mut().for_each(|r| *r = [f64::NAN; NCONS]);
+                    residual_rhs_row_w(&zone, k, l, 0.08, width, &mut row);
+                    for (j, got) in row.iter().enumerate().take(jmax - 1).skip(1) {
+                        let p = Ijk::new(j, k, l);
+                        let dt_p = local_dt(&zone, p);
+                        let want = residual_point(&zone, p, 0.08).map(|r| -dt_p * r);
                         assert_eq!(
-                            wide[j].map(f64::to_bits),
-                            reference[j].map(f64::to_bits),
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
                             "width {width} at j={j} k={k} l={l}"
                         );
                     }
+                    // Boundary entries are left untouched.
+                    assert!(row[0][0].is_nan() && row[jmax - 1][0].is_nan());
                 }
             }
         }

@@ -19,12 +19,12 @@
 //! kernels in [`crate::solver`].
 
 use crate::bc::{self, ZoneBcs};
-use crate::kernels::WidthMap;
 use crate::solver::{
     implicit_central_pencil_w, implicit_upwind_pencil_w, pencil_point, residual_rhs_row_w,
     PencilScratch, SolverConfig, ZoneSolver,
 };
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
+use solver::WidthMap;
 
 /// The vector-style stepper: owns the plane-sized scratch (like the
 /// Fortran original's static work arrays).
@@ -70,7 +70,7 @@ impl VectorStepper {
         }
     }
 
-    /// Select the SLP lane width each kernel's variant runs at — same
+    /// Select the SLP lane width each kernel runs at — same
     /// contract as `RiscStepper::set_widths`: bit-exact at every width.
     pub fn set_widths(&mut self, widths: &WidthMap) {
         self.widths = widths.clone();
@@ -92,7 +92,7 @@ impl VectorStepper {
 
         // --- Explicit residual: rhs = -dt * R(Q), faces zero. ---
         // Legacy loop order: L outer, K middle, J inner (long vectors);
-        // interior J-rows run the lane variant at the selected width.
+        // interior J-rows run in lane groups of the selected width.
         let w_rhs = self.widths.get("rhs");
         let w_j = self.widths.get("j_factor");
         let w_k = self.widths.get("k_factor");

@@ -56,7 +56,7 @@ proptest! {
     fn flux_homogeneity(prim in primitive(), n in direction()) {
         let q = prim.to_conserved();
         let a = flux::flux_jacobian(&q, n);
-        let aq = flux::matvec(&a, &q);
+        let aq = blocktri::matvec(&a, &q);
         let f = flux::directed_flux(&q, n);
         for c in 0..NCONS {
             prop_assert!((aq[c] - f[c]).abs() < 1e-9 * (1.0 + f[c].abs()));

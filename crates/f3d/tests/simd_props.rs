@@ -1,28 +1,28 @@
-//! Property tests for the SLP kernel variants' exactness contract.
+//! Property tests for the SLP lane widths' exactness contract.
 //!
-//! Every width-parameterized kernel claims *bit*-exactness with its
-//! scalar reference: the wide forms vectorize only across independent
-//! outputs (block columns, block rows, pencil points) and never chunk a
-//! reduction, so no floating-point operation is reassociated. These
+//! Every width-aware kernel is one lane body run at `W` points per
+//! group with a one-lane tail, and claims *bit*-exactness across `W`:
+//! lanes are independent outputs (pencil points) and no reduction is
+//! ever chunked, so no floating-point operation is reassociated. These
 //! tests pin that contract over random states, random directions, and
 //! — critically — random extents that are not multiples of the lane
-//! width, so every remainder loop is exercised. All comparisons are
-//! `==` on `f64`: a single ULP of drift is a failure.
+//! width, so every tail is exercised. The reference is the width-1
+//! instantiation, itself pinned to the scalar flux functions per lane
+//! below and to golden digests in `f3d::solver`'s unit tests. All
+//! comparisons are `==` on `f64`: a single ULP of drift is a failure.
 
 use f3d::blocktri::{
-    self, matmul, matmul_w, matvec, matvec_w, solve_block_tridiagonal, solve_block_tridiagonal_w,
-    Block, BlockTriScratch, Vec5,
+    self, solve_block_tridiagonal, solve_block_tridiagonal_w, Block, BlockTriScratch, Vec5,
 };
 use f3d::flux;
-use f3d::kernels::SUPPORTED_WIDTHS;
 use f3d::solver::{
-    implicit_central_pencil, implicit_central_pencil_w, implicit_upwind_pencil,
-    implicit_upwind_pencil_w, rhs_central_pencil, rhs_central_pencil_w, rhs_upwind_pencil,
-    rhs_upwind_pencil_w, PencilScratch,
+    implicit_central_pencil_w, implicit_upwind_pencil_w, rhs_central_pencil_w, rhs_upwind_pencil_w,
+    PencilScratch,
 };
 use f3d::state::Primitive;
 use mesh::NCONS;
 use proptest::prelude::*;
+use solver::SUPPORTED_WIDTHS;
 
 /// Longest pencil the tests draw: enough interior points to cover a
 /// full lane group plus remainder at every supported width.
@@ -47,7 +47,7 @@ fn direction() -> impl Strategy<Value = [f64; 3]> {
 }
 
 /// A random 5×5 block with entries sprinkled with exact zeros, so the
-/// zero-skip branch the scalar and chunked products share is exercised.
+/// block product's zero-skip branch is exercised.
 fn block() -> impl Strategy<Value = Block> {
     prop::array::uniform5(prop::array::uniform5(-3.0f64..3.0)).prop_map(|mut b| {
         for (i, row) in b.iter_mut().enumerate() {
@@ -103,30 +103,10 @@ fn filled_scratch(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The chunked block product is the scalar product, bitwise, at
-    /// every supported width (and at nonsense widths, which fall back).
-    #[test]
-    fn matmul_is_bit_exact_at_every_width(a in block(), b in block()) {
-        let reference = matmul(&a, &b);
-        for &w in &SUPPORTED_WIDTHS {
-            prop_assert_eq!(matmul_w(&a, &b, w), reference, "width {}", w);
-        }
-        prop_assert_eq!(matmul_w(&a, &b, 3), reference, "fallback width");
-    }
-
-    /// The row-chunked matrix–vector product is bit-exact at every
-    /// width: rows are independent dot products, never reassociated.
-    #[test]
-    fn matvec_is_bit_exact_at_every_width(a in block(), x in vec5()) {
-        let reference = matvec(&a, &x);
-        for &w in &SUPPORTED_WIDTHS {
-            prop_assert_eq!(matvec_w(&a, &x, w), reference, "width {}", w);
-        }
-    }
-
-    /// The width-chunked Thomas solve produces bit-identical solutions
-    /// for random diagonally dominant systems of every length —
-    /// including lengths that leave remainders at every width.
+    /// The Thomas solve does not read the width: the width-taking
+    /// entry point returns the plain solve's bits for random diagonally
+    /// dominant systems of every length, at every supported width and
+    /// at an unsupported one.
     #[test]
     fn block_tridiagonal_solve_is_bit_exact_at_every_width(
         n in 1usize..12,
@@ -143,7 +123,7 @@ proptest! {
         let mut scratch = BlockTriScratch::new(n);
         solve_block_tridiagonal(lower, diag, upper, &mut reference, &mut scratch);
 
-        for &w in &SUPPORTED_WIDTHS {
+        for w in SUPPORTED_WIDTHS.into_iter().chain([3]) {
             let mut rhs = rhs0[..n].to_vec();
             let mut scratch = BlockTriScratch::new(n);
             solve_block_tridiagonal_w(lower, diag, upper, &mut rhs, &mut scratch, w);
@@ -151,9 +131,9 @@ proptest! {
         }
     }
 
-    /// The lane-parallel Steger–Warming RHS equals the scalar sweep
-    /// bitwise for every pencil length and width — the remainder points
-    /// past the last full lane group run the identical scalar body.
+    /// The Steger–Warming RHS at every width equals its one-lane
+    /// instantiation bitwise for every pencil length — the tail points
+    /// past the last full lane group run the same body at one lane.
     #[test]
     fn upwind_rhs_is_bit_exact_at_every_width(
         n in 2usize..=MAX_PENCIL,
@@ -163,7 +143,7 @@ proptest! {
         rhs in prop::collection::vec(vec5(), MAX_PENCIL),
     ) {
         let mut reference = filled_scratch(n, &prims, &dirs, &dts, &rhs);
-        rhs_upwind_pencil(&mut reference, n);
+        rhs_upwind_pencil_w(&mut reference, n, 1);
         for &w in &SUPPORTED_WIDTHS {
             let mut s = filled_scratch(n, &prims, &dirs, &dts, &rhs);
             rhs_upwind_pencil_w(&mut s, n, w);
@@ -182,7 +162,7 @@ proptest! {
         rhs in prop::collection::vec(vec5(), MAX_PENCIL),
     ) {
         let mut reference = filled_scratch(n, &prims, &dirs, &dts, &rhs);
-        rhs_central_pencil(&mut reference, n, eps2);
+        rhs_central_pencil_w(&mut reference, n, eps2, 1);
         for &w in &SUPPORTED_WIDTHS {
             let mut s = filled_scratch(n, &prims, &dirs, &dts, &rhs);
             rhs_central_pencil_w(&mut s, n, eps2, w);
@@ -190,8 +170,8 @@ proptest! {
         }
     }
 
-    /// The implicit upwind factor — lane-evaluated Jacobians feeding a
-    /// width-chunked Thomas solve — returns bit-identical solutions.
+    /// The implicit upwind factor — lane-evaluated Jacobians feeding
+    /// the Thomas solve — returns bit-identical solutions.
     #[test]
     fn implicit_upwind_factor_is_bit_exact_at_every_width(
         n in 2usize..=13,
@@ -201,7 +181,7 @@ proptest! {
         rhs in prop::collection::vec(vec5(), 13),
     ) {
         let mut reference = filled_scratch(n, &prims, &dirs, &dts, &rhs);
-        implicit_upwind_pencil(&mut reference, n);
+        implicit_upwind_pencil_w(&mut reference, n, 1);
         for &w in &SUPPORTED_WIDTHS {
             let mut s = filled_scratch(n, &prims, &dirs, &dts, &rhs);
             implicit_upwind_pencil_w(&mut s, n, w);
@@ -225,7 +205,7 @@ proptest! {
     ) {
         for visc in [0.0, mu_vis] {
             let mut reference = filled_scratch(n, &prims, &dirs, &dts, &rhs);
-            implicit_central_pencil(&mut reference, n, eps_imp, visc);
+            implicit_central_pencil_w(&mut reference, n, eps_imp, visc, 1);
             for &w in &SUPPORTED_WIDTHS {
                 let mut s = filled_scratch(n, &prims, &dirs, &dts, &rhs);
                 implicit_central_pencil_w(&mut s, n, eps_imp, visc, w);

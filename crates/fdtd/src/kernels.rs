@@ -1,21 +1,28 @@
-//! The two FDTD update sweeps as width-parameterized doacross
-//! kernels.
+//! The two FDTD update sweeps as doacross kernels.
 //!
 //! Each sweep parallelizes its *outer* loop over grid rows with
 //! [`llp::doacross_slabs`] — one row is one slab, the paper's
-//! loop-level discipline — and runs its inner x loop through a
-//! const-generic lane kernel (`W ∈ {1, 2, 4, 8}` points per lane
-//! group, `chunks_exact_mut` + scalar remainder) that rustc can lower
-//! to SIMD.
+//! loop-level discipline — and runs its inner x loop as one plain loop
+//! over the row.
 //!
-//! **Exactness.** The lane kernels vectorize across *independent
-//! outputs* (points of a row) and never across a reduction: every
-//! point executes the identical floating-point operation sequence at
-//! every width, so results are bit-exact across `W` — the suite-wide
-//! policy, pinned for these kernels by `tests/simd_props.rs`. They
-//! are equally bit-exact across worker counts and schedules, because
-//! a row's updates depend only on the *previous* half-step's other
-//! field, never on a concurrently mutated row.
+//! **The `width` argument selects nothing.** Both sweeps take the SLP
+//! lane width every kernel of the suite is handed (validated, echoed,
+//! labelled and cache-keyed upstream) and run the same loop at every
+//! value — the policy [`solver::widths`] documents for kernels with
+//! no lanes to gain. The inner loop is a two-point stencil over an
+//! AoS `[ex, ey]` row: an explicit lane group de-interleaves on every
+//! load and measures slower than the plain loop (128², serial:
+//! `update_e` 0.7–0.8 ns/point vs 0.9–1.1 at four lanes; DESIGN §6g).
+//! Lanes belong here only if a layout change (SoA `ex`/`ey`) makes
+//! them measure faster, and then as a `solver::LaneBody` with a
+//! benchmark workload on each side of the choice.
+//!
+//! **Exactness.** Every point executes one fixed floating-point
+//! operation sequence, so results are identical across widths by
+//! construction, and bit-exact across worker counts and schedules
+//! because a row's updates depend only on the *previous* half-step's
+//! other field, never on a concurrently mutated row — pinned by
+//! `tests/simd_props.rs`.
 //!
 //! The aliasing discipline makes that structurally true: `update_h`
 //! mutates only `hz` while reading `e`, `update_e` mutates only `e`
@@ -24,12 +31,10 @@
 
 use crate::grid::{row_energy, Boundary, TezGrid};
 use llp::{doacross_slabs, doacross_slabs_zip, Workers};
-use solver::Variant;
 
 /// Advance `Hz` one half-step: `∂Hz/∂t = ∂Ex/∂y − ∂Ey/∂x`, parallel
-/// over rows at SLP lane width `width` (one of
-/// [`solver::SUPPORTED_WIDTHS`]; anything else runs scalar).
-pub fn update_h(workers: &Workers, grid: &mut TezGrid, width: usize) {
+/// over rows. `_width` is accepted and ignored (see the module docs).
+pub fn update_h(workers: &Workers, grid: &mut TezGrid, _width: usize) {
     let TezGrid {
         nx,
         ny,
@@ -41,7 +46,6 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, width: usize) {
     let (nx, ny, s) = (*nx, *ny, *courant);
     let periodic = *boundary == Boundary::Periodic;
     let e: &[[f64; 2]] = e;
-    let variant = Variant::from_width(width).unwrap_or_default();
     doacross_slabs(workers, hz.as_mut_slice(), nx, move |j, row| {
         // PEC: the top Hz row sits outside the staggered interior.
         if !periodic && j == ny - 1 {
@@ -50,12 +54,8 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, width: usize) {
         let jp1 = if j + 1 == ny { 0 } else { j + 1 };
         let e_row = &e[j * nx..(j + 1) * nx];
         let e_up = &e[jp1 * nx..jp1 * nx + nx];
-        let end = nx - 1;
-        match variant {
-            Variant::Scalar => h_row_lanes::<1>(row, e_row, e_up, s, end),
-            Variant::Wide2 => h_row_lanes::<2>(row, e_row, e_up, s, end),
-            Variant::Wide4 => h_row_lanes::<4>(row, e_row, e_up, s, end),
-            Variant::Wide8 => h_row_lanes::<8>(row, e_row, e_up, s, end),
+        for (i, out) in row[..nx - 1].iter_mut().enumerate() {
+            *out += s * ((e_up[i][0] - e_row[i][0]) - (e_row[i + 1][1] - e_row[i][1]));
         }
         if periodic {
             // Wrap column: Ey neighbor comes from i = 0.
@@ -66,10 +66,11 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, width: usize) {
 }
 
 /// Advance `E` one half-step: `∂Ex/∂t = ∂Hz/∂y`, `∂Ey/∂t = −∂Hz/∂x`,
-/// parallel over rows at SLP lane width `width`. PEC walls keep
-/// tangential `E` clamped by never updating it.
-pub fn update_e(workers: &Workers, grid: &mut TezGrid, width: usize) {
-    let (sweep, e) = ESweep::of(grid, width);
+/// parallel over rows. PEC walls keep tangential `E` clamped by never
+/// updating it. `_width` is accepted and ignored (see the module
+/// docs).
+pub fn update_e(workers: &Workers, grid: &mut TezGrid, _width: usize) {
+    let (sweep, e) = ESweep::of(grid);
     doacross_slabs(workers, e, sweep.nx, move |j, row| sweep.row(j, row));
 }
 
@@ -86,10 +87,10 @@ pub fn update_e(workers: &Workers, grid: &mut TezGrid, width: usize) {
 pub fn update_e_energy(
     workers: &Workers,
     grid: &mut TezGrid,
-    width: usize,
+    _width: usize,
     row_partials: &mut [f64],
 ) {
-    let (sweep, e) = ESweep::of(grid, width);
+    let (sweep, e) = ESweep::of(grid);
     doacross_slabs_zip(
         workers,
         e,
@@ -112,20 +113,18 @@ struct ESweep<'g> {
     s: f64,
     periodic: bool,
     hz: &'g [f64],
-    variant: Variant,
 }
 
 impl<'g> ESweep<'g> {
     /// Split `grid` into the sweep's read-only half and the `E` array
     /// it mutates.
-    fn of(grid: &'g mut TezGrid, width: usize) -> (Self, &'g mut [[f64; 2]]) {
+    fn of(grid: &'g mut TezGrid) -> (Self, &'g mut [[f64; 2]]) {
         let sweep = ESweep {
             nx: grid.nx,
             ny: grid.ny,
             s: grid.courant,
             periodic: grid.boundary == Boundary::Periodic,
             hz: &grid.hz,
-            variant: Variant::from_width(width).unwrap_or_default(),
         };
         (sweep, &mut grid.e)
     }
@@ -142,7 +141,6 @@ impl<'g> ESweep<'g> {
             ny,
             s,
             periodic,
-            variant,
             ..
         } = *self;
         let hz_row = self.hz_row(j);
@@ -155,8 +153,8 @@ impl<'g> ESweep<'g> {
         if !do_ex && !do_ey {
             return;
         }
-        // Scalar prologue at the x edge, lanes over the interior.
-        let (start, end) = if periodic {
+        // Prologue at the x edge, then one loop over the interior.
+        let end = if periodic {
             // i = 0 wraps Ey's neighbor to nx-1; Ex has no x stencil.
             if do_ex {
                 row[0][0] += s * (hz_row[0] - hz_dn[0]);
@@ -164,85 +162,23 @@ impl<'g> ESweep<'g> {
             if do_ey {
                 row[0][1] -= s * (hz_row[0] - hz_row[nx - 1]);
             }
-            (1, nx)
+            nx
         } else {
             // PEC: Ex also lives at i = 0 (interior in x); Ey starts
             // at i = 1 and both stop short of the right wall.
             if do_ex {
                 row[0][0] += s * (hz_row[0] - hz_dn[0]);
             }
-            (1, nx - 1)
+            nx - 1
         };
-        match variant {
-            Variant::Scalar => e_row_lanes::<1>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
-            Variant::Wide2 => e_row_lanes::<2>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
-            Variant::Wide4 => e_row_lanes::<4>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
-            Variant::Wide8 => e_row_lanes::<8>(row, hz_row, hz_dn, s, start, end, do_ex, do_ey),
-        }
-    }
-}
-
-/// `Hz` lane kernel over `i ∈ [0, end)`: `W` independent points per
-/// group, identical per-point operation sequence at every `W`.
-fn h_row_lanes<const W: usize>(
-    hz: &mut [f64],
-    e_row: &[[f64; 2]],
-    e_up: &[[f64; 2]],
-    s: f64,
-    end: usize,
-) {
-    let span = &mut hz[..end];
-    let mut chunks = span.chunks_exact_mut(W);
-    let mut base = 0;
-    for chunk in &mut chunks {
-        for (l, out) in chunk.iter_mut().enumerate() {
-            let i = base + l;
-            *out += s * ((e_up[i][0] - e_row[i][0]) - (e_row[i + 1][1] - e_row[i][1]));
-        }
-        base += W;
-    }
-    for (off, out) in chunks.into_remainder().iter_mut().enumerate() {
-        let i = base + off;
-        *out += s * ((e_up[i][0] - e_row[i][0]) - (e_row[i + 1][1] - e_row[i][1]));
-    }
-}
-
-/// `E` lane kernel over `i ∈ [start, end)`: both components of `W`
-/// independent points per group, identical per-point operation
-/// sequence at every `W`.
-#[allow(clippy::too_many_arguments)]
-fn e_row_lanes<const W: usize>(
-    e: &mut [[f64; 2]],
-    hz_row: &[f64],
-    hz_dn: &[f64],
-    s: f64,
-    start: usize,
-    end: usize,
-    do_ex: bool,
-    do_ey: bool,
-) {
-    let span = &mut e[start..end];
-    let mut chunks = span.chunks_exact_mut(W);
-    let mut base = start;
-    for chunk in &mut chunks {
-        for (l, p) in chunk.iter_mut().enumerate() {
-            let i = base + l;
+        for (off, p) in row[1..end].iter_mut().enumerate() {
+            let i = 1 + off;
             if do_ex {
                 p[0] += s * (hz_row[i] - hz_dn[i]);
             }
             if do_ey {
                 p[1] -= s * (hz_row[i] - hz_row[i - 1]);
             }
-        }
-        base += W;
-    }
-    for (off, p) in chunks.into_remainder().iter_mut().enumerate() {
-        let i = base + off;
-        if do_ex {
-            p[0] += s * (hz_row[i] - hz_dn[i]);
-        }
-        if do_ey {
-            p[1] -= s * (hz_row[i] - hz_row[i - 1]);
         }
     }
 }

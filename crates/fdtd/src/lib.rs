@@ -12,19 +12,21 @@
 //! loops over the contiguous x direction are vectorizable but short.
 //!
 //! The update kernels (`update_e`, `update_h`) run on the same
-//! [`llp::Workers`] pool as F3D, dispatch per-kernel schedule
-//! overrides through [`llp::ScheduleMap`] and SLP lane widths through
+//! [`llp::Workers`] pool as F3D, take per-kernel schedule overrides
+//! through [`llp::ScheduleMap`] and an SLP lane width through
 //! [`solver::WidthMap`], and emit the same span/flight-recorder
 //! vocabulary — so the autotuner, drift watchdog, and Prometheus
 //! telemetry apply unchanged.
 //!
-//! **Exactness policy**, inherited from the suite: every wide kernel
-//! variant vectorizes across *independent outputs* (points of a row)
-//! and never across a reduction, so results are bit-exact at every
-//! width, worker count, and schedule — pinned by the `simd_props`
-//! property suite. The crate has exactly one reduction, the per-step
-//! field energy, and its order is fixed *by construction*, not by being
-//! serial: [`TezGrid::energy`] is defined as each row's plain left fold
+//! **Exactness policy**, inherited from the suite: results are
+//! bit-exact at every width, worker count, and schedule — pinned by
+//! the `simd_props` property suite. Across widths that holds
+//! trivially: each sweep is one loop that does not read its width
+//! (lane groups lose on this layout; see [`kernels`]). Across workers
+//! and schedules it holds because a row's update reads only the other
+//! field's previous half-step. The crate has exactly one reduction,
+//! the per-step field energy, and its order is fixed *by
+//! construction*, not by being serial: [`TezGrid::energy`] is defined as each row's plain left fold
 //! of `ex² + ey² + hz²`, the `ny` row partials then folded `0..ny` and
 //! halved. A row partial depends on its row alone, so the served step
 //! computes it inside the `update_e` region, on whichever worker just

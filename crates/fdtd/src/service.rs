@@ -40,9 +40,10 @@ pub struct FdtdCase {
     /// ([`Policy::Static`] unless the request selects otherwise; chunk
     /// parameters are capped at [`MAX_CHUNK`]).
     pub schedule: Policy,
-    /// SLP lane width the update kernels run at (one of
-    /// [`solver::SUPPORTED_WIDTHS`]; 1 is the scalar reference).
-    /// Bit-exact at every width — a pure performance knob.
+    /// SLP lane width (one of [`solver::SUPPORTED_WIDTHS`]): validated,
+    /// echoed, labelled and cache-keyed like F3D's, but neither update
+    /// sweep reads it (see [`crate::kernels`]) — results and code path
+    /// are the same at every width.
     pub vector_width: usize,
 }
 
@@ -178,6 +179,11 @@ impl Solver for FdtdSolver {
         // database and the metrics labels use. The serial `source`
         // phase is deliberately absent, like F3D's `bc`.
         &["update_e", "update_h"]
+    }
+
+    fn wide_kernels() -> &'static [&'static str] {
+        // Neither sweep reads its width (see `kernels`).
+        &[]
     }
 
     fn memory_usage_estimate(case: &FdtdCase) -> u64 {

@@ -51,9 +51,9 @@ pub struct MeasuredChoice {
     pub workers: usize,
     /// Measured-best schedule.
     pub schedule: Policy,
-    /// Measured-best SLP lane width for the loop's kernel variant
-    /// (1 = the scalar reference; the width vocabulary lives in the
-    /// solver crate, so this layer carries it as a plain count).
+    /// Measured-best SLP lane width for the loop's kernel (the width
+    /// vocabulary lives in the solver crate, so this layer carries it
+    /// as a plain count).
     pub vector_width: usize,
     /// Median measured cost of the winning configuration, nanoseconds.
     pub measured_cost_ns: u64,

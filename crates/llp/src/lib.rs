@@ -19,7 +19,8 @@
 //!   idiom (paper Example 1).
 //! * **Loop fusion** ([`fusion`]): merging adjacent loops under one
 //!   parallel region to reduce synchronization events (paper Example 2).
-//! * **Parent-loop hoisting with pencil scratch** ([`pencil`]): hoisting
+//! * **Parent-loop hoisting with pencil scratch**
+//!   ([`doacross_slabs_scratch`], [`doacross_into_scratch`]): hoisting
 //!   the parallel loop into a parent subroutine while each worker
 //!   carries a cache-resident 1-D scratch buffer (paper Example 3) —
 //!   this reduced synchronization events by 1–3 orders of magnitude and
@@ -43,13 +44,11 @@ pub mod doacross;
 pub mod env;
 pub mod fusion;
 pub mod obs;
-pub mod pencil;
 pub mod pool;
 pub mod profile;
 pub mod schedule;
 #[allow(unsafe_code)]
 mod team;
-pub mod teams;
 
 pub use advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice, MeasuredChoice};
 pub use doacross::{
@@ -61,8 +60,6 @@ pub use obs::{
     AttributionReport, FlightRecorder, Histogram, KernelSummary, ObsReport, Recorder, SpanKind,
     SpanNode, Timeline,
 };
-pub use pencil::with_pencil_scratch;
 pub use pool::{default_worker_count, ChunkClaimer, Workers};
 pub use profile::{LoopProfiler, LoopReport};
 pub use schedule::{chunk_bounds, Policy, ScheduleMap, StaticSchedule};
-pub use teams::partition_processors;

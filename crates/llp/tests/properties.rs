@@ -1,7 +1,7 @@
 //! Property-based tests for the loop-level parallelism runtime.
 
 use llp::schedule::Policy;
-use llp::{chunk_bounds, doacross, doacross_into, doacross_slabs, partition_processors, Workers};
+use llp::{chunk_bounds, doacross, doacross_into, doacross_slabs, Workers};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -165,27 +165,6 @@ proptest! {
         prop_assert!(oversubscribed.iter().all(|c| c.end > c.start));
         let covered: usize = oversubscribed.iter().map(std::ops::Range::len).sum();
         prop_assert_eq!(covered, n);
-    }
-
-    /// Team partitioning sums to the total with each team >= 1, and is
-    /// monotone in the weights (a heavier team never gets fewer).
-    #[test]
-    fn partition_properties(
-        total_extra in 0usize..200,
-        w in prop::collection::vec(1.0f64..1000.0, 1..8)
-    ) {
-        let total = w.len() + total_extra;
-        let alloc = partition_processors(total, &w);
-        prop_assert_eq!(alloc.iter().sum::<usize>(), total);
-        prop_assert!(alloc.iter().all(|&a| a >= 1));
-        // Weak monotonicity up to largest-remainder rounding (±1).
-        for i in 0..w.len() {
-            for j in 0..w.len() {
-                if w[i] >= w[j] {
-                    prop_assert!(alloc[i] + 1 >= alloc[j], "{:?} {:?}", w, alloc);
-                }
-            }
-        }
     }
 }
 

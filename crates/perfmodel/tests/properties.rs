@@ -1,7 +1,9 @@
 //! Property-based tests for the analytic models.
 
 use perfmodel::overhead::{max_efficient_processors, min_work_for_overhead};
-use perfmodel::stairstep::{ideal_speedup, max_units_per_processor, plateau_edges};
+use perfmodel::stairstep::{
+    ideal_speedup, max_units_per_processor, partition_processors, plateau_edges,
+};
 use perfmodel::work_per_sync::{GridNest, LoopLevel};
 use perfmodel::{amdahl_speedup, serial_fraction_limit};
 use proptest::prelude::*;
@@ -111,5 +113,26 @@ proptest! {
         prop_assert_eq!(nest.available_parallelism(LoopLevel::Outer), Some(outer));
         prop_assert_eq!(nest.available_parallelism(LoopLevel::Middle), Some(middle));
         prop_assert_eq!(nest.available_parallelism(LoopLevel::Inner), Some(inner));
+    }
+
+    /// Team partitioning sums to the total with each team >= 1, and is
+    /// monotone in the weights (a heavier team never gets fewer).
+    #[test]
+    fn partition_properties(
+        total_extra in 0usize..200,
+        w in prop::collection::vec(1.0f64..1000.0, 1..8)
+    ) {
+        let total = w.len() + total_extra;
+        let alloc = partition_processors(total, &w);
+        prop_assert_eq!(alloc.iter().sum::<usize>(), total);
+        prop_assert!(alloc.iter().all(|&a| a >= 1));
+        // Weak monotonicity up to largest-remainder rounding (±1).
+        for i in 0..w.len() {
+            for j in 0..w.len() {
+                if w[i] >= w[j] {
+                    prop_assert!(alloc[i] + 1 >= alloc[j], "{:?} {:?}", w, alloc);
+                }
+            }
+        }
     }
 }

@@ -80,7 +80,7 @@ fn fields() -> impl Strategy<Value = Fields> {
         0usize..4,
         1usize..=8,
         0usize..=4,
-        0usize..f3d::kernels::SUPPORTED_WIDTHS.len(),
+        0usize..solver::SUPPORTED_WIDTHS.len(),
     )
         .prop_map(
             |(zones, steps, workers, schedule, chunk, zone_shards, width_at)| Fields {
@@ -90,7 +90,7 @@ fn fields() -> impl Strategy<Value = Fields> {
                 schedule,
                 chunk,
                 zone_shards,
-                vector_width: f3d::kernels::SUPPORTED_WIDTHS[width_at],
+                vector_width: solver::SUPPORTED_WIDTHS[width_at],
             },
         )
 }
@@ -185,7 +185,7 @@ proptest! {
             5 => {
                 // Step to the next supported width (cyclically): always
                 // a different, valid width.
-                let widths = f3d::kernels::SUPPORTED_WIDTHS;
+                let widths = solver::SUPPORTED_WIDTHS;
                 let at = widths.iter().position(|&w| w == g.vector_width).unwrap();
                 g.vector_width = widths[(at + 1) % widths.len()];
             }

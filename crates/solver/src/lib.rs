@@ -34,7 +34,7 @@
 
 pub mod widths;
 
-pub use widths::{validate_width, Variant, WidthMap, SUPPORTED_WIDTHS};
+pub use widths::{for_lane_groups, validate_width, LaneBody, WidthMap, SUPPORTED_WIDTHS};
 
 use llp::{ObsReport, Policy, ScheduleMap, Timeline, Workers};
 
@@ -102,6 +102,14 @@ pub trait Solver {
     /// stable order: the names the tune database, schedule map, width
     /// map, and metrics labels key on.
     fn kernel_names() -> &'static [&'static str];
+
+    /// The kernels whose code reads their lane width — a subset of
+    /// [`Solver::kernel_names`]. Every other kernel runs one body at
+    /// every width (see [`widths`]), so a calibration has nothing to
+    /// race there and measures it at width 1 only.
+    fn wide_kernels() -> &'static [&'static str] {
+        Self::kernel_names()
+    }
 
     /// Estimated peak bytes an instance of `config` allocates (fields
     /// plus per-worker scratch). An *estimate* for admission control —
@@ -331,6 +339,8 @@ mod tests {
         assert_eq!(run.output.1, 4);
         assert_eq!(ToySolver::kind(), "toy");
         assert_eq!(ToySolver::kernel_names(), &["toy"]);
+        // Unless a solver says otherwise, every kernel reads its width.
+        assert_eq!(ToySolver::wide_kernels(), ToySolver::kernel_names());
         assert_eq!(ToySolver::memory_usage_estimate(&spec), 32);
     }
 

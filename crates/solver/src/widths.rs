@@ -3,30 +3,42 @@
 //! The paper parallelizes *outer* loops because the inner loops of the
 //! sweeps were "vectorizable but short" — on a RISC SMP the vector
 //! hardware is gone, but the instruction-level form of that inner
-//! parallelism is not. This module names the widths the explicitly
-//! vectorized kernel variants come in (`W ∈ {1, 2, 4, 8}` lanes of
-//! array-chunked safe Rust that rustc can lower to SIMD) and carries
-//! the per-kernel selection ([`WidthMap`]) from the tune database down
-//! into the steppers, the same road the per-kernel
-//! [`llp::ScheduleMap`] travels. It lives in the workload-agnostic
-//! `solver` crate because the axis is: every physics dispatches its
-//! kernel variants through the same vocabulary.
+//! parallelism is not. This module names the lane widths a kernel can
+//! run at (`W ∈ {1, 2, 4, 8}` lanes of array-chunked safe Rust that
+//! rustc can lower to SIMD), carries the per-kernel selection
+//! ([`WidthMap`]) from the tune database down into the steppers — the
+//! same road the per-kernel [`llp::ScheduleMap`] travels — and holds
+//! the one place a runtime width becomes a compile-time one
+//! ([`for_lane_groups`]). It lives in the workload-agnostic `solver`
+//! crate because the axis is: every physics speaks the same
+//! vocabulary.
 //!
-//! **Exactness policy.** Every wide variant vectorizes across
-//! *independent outputs* (points of a pencil, rows or columns of a
-//! block) and never across a reduction, so each output's
-//! floating-point operation sequence is identical to the scalar
-//! reference and the results are bit-exact at every width — asserted
-//! per workload by its property suite. No kernel needs a tolerance.
+//! **One body per kernel.** A width-aware kernel states its arithmetic
+//! once, as a [`LaneBody`] whose `group::<W>` handles `W` consecutive
+//! indices; [`for_lane_groups`] runs full groups at the selected `W`
+//! and the tail through the *same* body at `W = 1`. Width 1 is that
+//! body's `::<1>` instantiation, not a second implementation, and no
+//! kernel carries a pasted remainder loop.
 //!
-//! Kernels whose inner loop is pure data movement have no arithmetic
-//! to widen: they accept a width entry but execute the same code at
-//! every width.
+//! **Exactness policy.** A lane body vectorizes across *independent
+//! outputs* (points of a pencil) and never across a reduction, so each
+//! output's floating-point operation sequence is the same at every
+//! `W` and the results are bit-exact at every width — asserted per
+//! workload by its property suite. No kernel needs a tolerance.
+//!
+//! **Where the axis selects nothing.** A kernel keeps lane groups only
+//! where they measure faster (F3D's flux kernels: isomorphic
+//! independent operations on gathered operands). Kernels whose inner
+//! loop is data movement, a 5-wide block product or an AoS stencil
+//! accept a width — it is validated, echoed, labelled and cache-keyed
+//! like any other — and execute the same code at every width; a
+//! solver lists the kernels that do read it in
+//! [`crate::Solver::wide_kernels`].
 
-/// The lane widths the kernel variants are compiled for. Width 1 is
-/// the scalar reference; kernels whose natural unit is smaller than a
-/// lane group degenerate to the scalar remainder (documented on the
-/// variants).
+use std::ops::Range;
+
+/// The lane widths kernels are compiled for. Width 1 is the one-lane
+/// instantiation of the same body the wider widths run.
 pub const SUPPORTED_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Check a width against [`SUPPORTED_WIDTHS`].
@@ -43,53 +55,47 @@ pub fn validate_width(width: usize) -> Result<(), String> {
     }
 }
 
-/// One compiled kernel variant: the scalar reference or a fixed-width
-/// lane version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Variant {
-    /// The scalar reference (width 1).
-    #[default]
-    Scalar,
-    /// Two-lane variant.
-    Wide2,
-    /// Four-lane variant.
-    Wide4,
-    /// Eight-lane variant.
-    Wide8,
+/// One kernel's arithmetic, stated once for every lane width.
+pub trait LaneBody {
+    /// Process the `W` consecutive indices `first..first + W`. Each
+    /// index must execute the same floating-point operation sequence
+    /// at every `W` (the exactness policy above).
+    fn group<const W: usize>(&mut self, first: usize);
 }
 
-impl Variant {
-    /// The variant for a supported width.
-    ///
-    /// # Errors
-    /// Rejects widths outside [`SUPPORTED_WIDTHS`].
-    pub fn from_width(width: usize) -> Result<Self, String> {
-        validate_width(width)?;
-        Ok(match width {
-            2 => Self::Wide2,
-            4 => Self::Wide4,
-            8 => Self::Wide8,
-            _ => Self::Scalar,
-        })
+/// Run `body` over `range` at lane width `width`: full groups of
+/// `width` indices, then the tail one index at a time through the same
+/// body. This is the suite's only runtime-to-compile-time width
+/// dispatch; a width outside [`SUPPORTED_WIDTHS`] runs as width 1
+/// (requests are validated long before, so that arm is a safe default,
+/// not a reachable configuration).
+pub fn for_lane_groups<B: LaneBody>(width: usize, range: Range<usize>, body: &mut B) {
+    match width {
+        2 => lane_groups::<2, B>(range, body),
+        4 => lane_groups::<4, B>(range, body),
+        8 => lane_groups::<8, B>(range, body),
+        _ => lane_groups::<1, B>(range, body),
     }
+}
 
-    /// The lane width this variant runs at.
-    #[must_use]
-    pub fn width(self) -> usize {
-        match self {
-            Self::Scalar => 1,
-            Self::Wide2 => 2,
-            Self::Wide4 => 4,
-            Self::Wide8 => 8,
-        }
+#[inline]
+fn lane_groups<const W: usize, B: LaneBody>(range: Range<usize>, body: &mut B) {
+    let mut first = range.start;
+    while first + W <= range.end {
+        body.group::<W>(first);
+        first += W;
+    }
+    while first < range.end {
+        body.group::<1>(first);
+        first += 1;
     }
 }
 
 /// Per-kernel width selection: kernel names (the span-tree vocabulary
 /// — `rhs`, `update_e`, …) mapped to lane widths, with a default width
 /// for unmapped kernels. The SLP analogue of [`llp::ScheduleMap`]:
-/// the tune database resolves into one of these and the steppers
-/// dispatch each kernel's variant from it.
+/// the tune database resolves into one of these and the steppers read
+/// each kernel's width from it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WidthMap {
     default_width: usize,
@@ -165,14 +171,51 @@ mod tests {
     fn width_vocabulary_is_validated() {
         for w in SUPPORTED_WIDTHS {
             assert!(validate_width(w).is_ok());
-            assert_eq!(Variant::from_width(w).unwrap().width(), w);
         }
         for w in [0, 3, 5, 16, usize::MAX] {
             let err = validate_width(w).unwrap_err();
             assert!(err.contains("vector_width"), "{err}");
-            assert!(Variant::from_width(w).is_err());
         }
-        assert_eq!(Variant::default(), Variant::Scalar);
+    }
+
+    /// Records every `(W, first)` the driver hands out.
+    #[derive(Default)]
+    struct Recorded(Vec<(usize, usize)>);
+
+    impl LaneBody for Recorded {
+        fn group<const W: usize>(&mut self, first: usize) {
+            self.0.push((W, first));
+        }
+    }
+
+    fn groups(width: usize, range: Range<usize>) -> Vec<(usize, usize)> {
+        let mut body = Recorded::default();
+        for_lane_groups(width, range, &mut body);
+        body.0
+    }
+
+    #[test]
+    fn dispatch_runs_full_groups_then_a_one_lane_tail() {
+        // Every index exactly once and in order, at every supported
+        // width and for ranges that leave every possible remainder.
+        for w in SUPPORTED_WIDTHS {
+            for len in 0..=2 * w + 1 {
+                let got = groups(w, 3..3 + len);
+                let full = len / w;
+                let mut want: Vec<(usize, usize)> = (0..full).map(|g| (w, 3 + g * w)).collect();
+                want.extend((full * w..len).map(|i| (1, 3 + i)));
+                assert_eq!(got, want, "width {w} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn unsupported_widths_run_exactly_what_width_one_runs() {
+        let scalar = groups(1, 1..20);
+        for w in [0, 3, 5, 16, usize::MAX] {
+            assert!(validate_width(w).is_err());
+            assert_eq!(groups(w, 1..20), scalar, "width {w}");
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!    models need.
 //! 2. **Search** — [`crate::space::candidates`] enumerates each
 //!    kernel's space, pruned by the stair-step plateau edges and the
-//!    Table 1 bound at the measured `W` and `S`. Candidates are
+//!    Table 1 bound at the measured `W` and `S`; only the solver's
+//!    [`Solver::wide_kernels`] are raced across lane widths, the rest
+//!    run one body at every width and are measured at width 1 (racing
+//!    identical code can only publish a noise-picked width). Candidates are
 //!    measured in rounds: round `r` assigns every kernel its
 //!    `r mod len`-th candidate (kernels are measured independently, so
 //!    one run prices one candidate per kernel), and each round is
@@ -39,7 +42,7 @@ use llp::obs::attr::{kernel_overheads, AttributionReport, KernelOverhead};
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::{FlightRecorder, Policy, Recorder, ScheduleMap, Workers};
 use perfmodel::OverheadBound;
-use solver::{check_range, Solver, WidthMap};
+use solver::{check_range, Solver, WidthMap, SUPPORTED_WIDTHS};
 
 /// Largest `zones` a calibration case may ask for.
 pub const MAX_ZONES: usize = 4;
@@ -148,8 +151,13 @@ where
         .map(|row| {
             let units = row.iterations / row.regions;
             let work_ns = row.compute_ns / row.regions;
+            let lane_widths: &[usize] = if S::wide_kernels().contains(&row.kernel.as_str()) {
+                &SUPPORTED_WIDTHS
+            } else {
+                &[1]
+            };
             KernelSeed {
-                candidates: candidates(units, width, Some((&bound, work_ns))),
+                candidates: candidates(units, width, Some((&bound, work_ns)), lane_widths),
                 units,
                 row,
             }
@@ -419,7 +427,15 @@ mod tests {
         for e in &db.entries {
             let kernel = &e.kernel;
             assert!(e.workers >= 1 && e.workers <= width, "{kernel}");
-            assert!(e.candidates_tried >= 2, "{kernel}");
+            // Lane widths are raced only where the code reads them;
+            // a one-wide pool leaves such a kernel its default alone.
+            let wide = S::wide_kernels().contains(&kernel.as_str());
+            let floor = if wide || width > 1 { 2 } else { 1 };
+            assert!(e.candidates_tried >= floor, "{kernel}");
+            assert!(
+                wide || e.vector_width == 1,
+                "{kernel}: raced across identical code"
+            );
             assert!(e.iterations > 0, "{kernel}");
             assert!(
                 solver::SUPPORTED_WIDTHS.contains(&e.vector_width),
@@ -477,6 +493,15 @@ mod tests {
         for e in &db.entries {
             assert_eq!(e.iterations, 16, "{}", e.kernel);
             assert!(e.modeled_cost_ns > 0, "{}", e.kernel);
+            // Neither sweep reads its width, so only width 1 is
+            // measured: serial + four policies at P = 2, not 4x that.
+            assert!(
+                e.candidates_tried <= 5,
+                "{}: {}",
+                e.kernel,
+                e.candidates_tried
+            );
+            assert_eq!(e.vector_width, 1, "{}", e.kernel);
         }
     }
 }

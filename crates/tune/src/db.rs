@@ -2,9 +2,10 @@
 //! their measured and modeled costs, serialized with the suite's own
 //! JSON layer so `llpd` can persist and reload it.
 
+use crate::calibrate::MAX_WORKERS;
 use llp::obs::json::Json;
 use llp::{MeasuredChoice, Policy, ScheduleMap};
-use solver::WidthMap;
+use solver::{check_range, validate_width, WidthMap};
 use std::path::Path;
 
 /// Schema version of [`TuneDb::to_json`]; bumped on layout changes.
@@ -24,7 +25,7 @@ pub struct TuneEntry {
     pub workers: usize,
     /// Winning schedule.
     pub schedule: Policy,
-    /// Winning SLP lane width (1 = the scalar kernel variant).
+    /// Winning SLP lane width (one of [`solver::SUPPORTED_WIDTHS`]).
     pub vector_width: usize,
     /// Mean parallel-loop iterations per region (the stair-step `U`).
     pub iterations: u64,
@@ -101,18 +102,27 @@ impl TuneEntry {
             .as_str()
             .ok_or("schedule must be a string")?;
         let chunk = j.get("chunk").and_then(Json::as_usize);
+        let kernel = field("kernel")?
+            .as_str()
+            .ok_or("kernel must be a string")?
+            .to_string();
+        // The file is outside input (`--tune-db`, `LLPD_TUNE_DB`) and
+        // these two fields configure a pool view and a kernel: a count
+        // no calibration can write must not load.
+        let in_entry = |e: String| format!("entry {kernel:?}: {e}");
+        let workers = field("workers")?
+            .as_usize()
+            .ok_or("workers must be an integer")?;
+        check_range("workers", workers, MAX_WORKERS).map_err(in_entry)?;
+        let vector_width = field("vector_width")?
+            .as_usize()
+            .ok_or("vector_width must be an integer")?;
+        validate_width(vector_width).map_err(in_entry)?;
         Ok(Self {
-            kernel: field("kernel")?
-                .as_str()
-                .ok_or("kernel must be a string")?
-                .to_string(),
-            workers: field("workers")?
-                .as_usize()
-                .ok_or("workers must be an integer")?,
+            kernel,
+            workers,
             schedule: Policy::parse(name, chunk)?,
-            vector_width: field("vector_width")?
-                .as_usize()
-                .ok_or("vector_width must be an integer")?,
+            vector_width,
             iterations: field("iterations")?
                 .as_u64()
                 .ok_or("iterations must be an integer")?,
@@ -484,6 +494,20 @@ mod tests {
         }
         let err = TuneDb::from_json(&doc).unwrap_err();
         assert!(err.contains("stale"), "{err}");
+        // Values no calibration can write are rejected by entry and
+        // field: a worker count a pool view would panic on, a lane
+        // width outside the vocabulary.
+        let text = sample().to_json().to_pretty_string();
+        for (field, good, bad) in [
+            ("workers", "\"workers\": 4", "\"workers\": 0"),
+            ("workers", "\"workers\": 4", "\"workers\": 65"),
+            ("vector_width", "\"vector_width\": 4", "\"vector_width\": 3"),
+            ("vector_width", "\"vector_width\": 4", "\"vector_width\": 0"),
+        ] {
+            assert!(text.contains(good), "{good} in {text}");
+            let err = TuneDb::from_str(&text.replacen(good, bad, 1)).unwrap_err();
+            assert!(err.contains("\"rhs\"") && err.contains(field), "{err}");
+        }
     }
 
     #[test]

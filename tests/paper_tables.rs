@@ -177,7 +177,7 @@ fn mlp_overtakes_loop_level_past_the_stair_ceiling() {
     // Section 8 (Taft): complementary techniques. Below the per-zone
     // loop extents, pure loop-level wins; past them, MLP keeps scaling.
     use f3d::trace::{injection_trace, risc_zone_traces};
-    use llp::partition_processors;
+    use perfmodel::partition_processors;
     let sgi = origin2000_r12k_128();
     let grid = MultiZoneGrid::paper_one_million();
     let flat = risc_step_trace(&grid, &sgi.memory);
