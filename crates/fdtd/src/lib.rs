@@ -15,8 +15,8 @@
 //! [`llp::Workers`] pool as F3D, take per-kernel schedule overrides
 //! through [`llp::ScheduleMap`] and an SLP lane width through
 //! [`solver::WidthMap`], and emit the same span/flight-recorder
-//! vocabulary — so the autotuner, drift watchdog, and Prometheus
-//! telemetry apply unchanged.
+//! vocabulary — so the autotuner and Prometheus telemetry apply
+//! unchanged.
 //!
 //! **Exactness policy**, inherited from the suite: results are
 //! bit-exact at every width, worker count, and schedule — pinned by

@@ -16,7 +16,7 @@
 //! * **One schema, two sources.** Measured runs (a real
 //!   [`crate::pool::Workers`] stepping a solver) and modeled runs (a
 //!   trace on a simulated machine) emit the same [`ObsReport`] shape,
-//!   so model drift can be diffed kernel-by-kernel.
+//!   so model and measurement can be diffed kernel-by-kernel.
 //!
 //! Beyond span tracing, the module carries the **flight recorder**
 //! ([`timeline`]): per-worker rings of timestamped chunk/barrier/claim
@@ -27,7 +27,7 @@
 //! and the [`chrome`] trace exporter; [`hist`] adds the fixed-bucket
 //! histograms the serve layer publishes, and [`series`] rolls those
 //! signals up into a fixed-capacity ring of time windows for
-//! continuous telemetry (`/v1/stats`, the drift watchdog).
+//! continuous telemetry (`/v1/stats`).
 
 pub mod attr;
 pub mod chrome;

@@ -11,8 +11,8 @@
 //! supplies monotonic milliseconds (the serve event loop feeds its
 //! poll-tick clock), which keeps the module deterministic under test.
 //!
-//! Per window the series rolls up exactly the signals the drift
-//! watchdog and `/v1/stats` need: request count and per-status split,
+//! Per window the series rolls up exactly the signals `/v1/stats`
+//! serves: request count and per-status split,
 //! latency distribution (same 1-2-5 bucket ladder and quantile rule as
 //! [`Histogram::latency_ms`]), cache hits/misses, solve count and
 //! seconds, per-kernel solve seconds, the mean measured sync fraction

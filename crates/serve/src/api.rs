@@ -13,7 +13,7 @@ use f3d::service::{ServiceCase, ServiceRun, ZoneSchedule};
 use f3d::validation::FieldChecksum;
 use fdtd::{FdtdCase, FdtdRun};
 use llp::advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice};
-use llp::obs::attr::{kernel_overheads, KernelOverhead};
+use llp::obs::attr::KernelOverhead;
 use llp::obs::chrome::chrome_trace_with_summary;
 use llp::obs::json::Json;
 use llp::obs::AttributionReport;
@@ -254,11 +254,16 @@ fn checksum_json(zone: &str, sum: &FieldChecksum) -> Json {
 /// Render the pair of trace documents retained for a finished solve:
 /// the `/v1/trace/{id}` attribution body (per-worker / per-region
 /// overhead split, measured-vs-modeled check, per-kernel overheads)
-/// and the `?trace=chrome` trace-event document.
+/// and the `?trace=chrome` trace-event document. `attr` and `kernels`
+/// are the run's attribution, derived once by the caller however many
+/// waiters the execution fans out to.
 #[must_use]
-pub fn trace_documents(run: &AnyRun, trace_id: u64) -> (Json, Json) {
-    let attr = AttributionReport::from_timeline(run.timeline());
-    let kernels = kernel_overheads(run.report(), &attr);
+pub fn trace_documents(
+    run: &AnyRun,
+    trace_id: u64,
+    attr: &AttributionReport,
+    kernels: &[KernelOverhead],
+) -> (Json, Json) {
     let attribution = Json::object(vec![
         ("trace_id", Json::from_u64(trace_id)),
         ("case", Json::str(&run.label())),
@@ -268,7 +273,7 @@ pub fn trace_documents(run: &AnyRun, trace_id: u64) -> (Json, Json) {
             Json::Array(kernels.iter().map(KernelOverhead::to_json).collect()),
         ),
     ]);
-    let chrome = chrome_trace_with_summary(run.timeline(), &attr);
+    let chrome = chrome_trace_with_summary(run.timeline(), attr);
     (attribution, chrome)
 }
 
@@ -436,8 +441,9 @@ pub fn fdtd_solve_response(run: &FdtdRun, trace_id: Option<u64>, tuned: Json, ca
 /// solver whose database the calibration (re)builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneRequest {
-    /// Which solver to calibrate (`"f3d"` when the field is omitted).
-    pub solver: String,
+    /// Which solver to calibrate, one of [`KINDS`] (`"f3d"` when the
+    /// field is omitted).
+    pub solver: &'static str,
     /// The bounded calibration case.
     pub spec: CalibrationSpec,
 }
@@ -454,47 +460,53 @@ pub fn parse_tune_body(text: &str) -> Result<TuneRequest, String> {
     let mut spec = CalibrationSpec::default();
     if text.trim().is_empty() {
         return Ok(TuneRequest {
-            solver: "f3d".to_string(),
+            solver: KINDS[0],
             spec,
         });
     }
     let body = Json::parse(text)?;
     parse_object(&body, &["solver", "zones", "steps", "trials"])?;
     let solver = match body.get("solver") {
-        None => "f3d",
-        Some(v) => v.as_str().ok_or("`solver` must be a string")?,
+        None => KINDS[0],
+        Some(v) => known_solver(v.as_str().ok_or("`solver` must be a string")?)?,
     };
-    if !KINDS.contains(&solver) {
-        return Err(format!(
-            "unknown solver `{solver}`; known solvers: {}",
-            KINDS.join(", ")
-        ));
-    }
     spec.zones = usize_field(&body, "zones", spec.zones)?;
     spec.steps = usize_field(&body, "steps", spec.steps)?;
     spec.trials = usize_field(&body, "trials", spec.trials)?;
     spec.validate()?;
-    Ok(TuneRequest {
-        solver: solver.to_string(),
-        spec,
+    Ok(TuneRequest { solver, spec })
+}
+
+/// The [`KINDS`] entry a tune request names, or the 400 message listing
+/// the vocabulary.
+fn known_solver(name: &str) -> Result<&'static str, String> {
+    KINDS.iter().copied().find(|k| *k == name).ok_or_else(|| {
+        format!(
+            "unknown solver `{name}`; known solvers: {}",
+            KINDS.join(", ")
+        )
     })
 }
 
+/// Parse the `GET /v1/tune` query: an optional `solver=<kind>` naming
+/// the slot to report; an empty query means the `f3d` default.
+///
+/// # Errors
+/// Unknown parameters, duplicates, and unknown solvers.
+pub fn parse_tune_query(query: &str) -> Result<&'static str, String> {
+    let pairs = parse_query(query, &["solver"])?;
+    query_value(&pairs, "solver").map_or(Ok(KINDS[0]), known_solver)
+}
+
 /// Render the `GET /v1/tune` body: the queried solver, its calibration
-/// status (`"idle"`, `"calibrating"`, or `"ready"`), its current
-/// database, if any, and the kernels the drift watchdog currently
-/// flags stale.
+/// status (`"idle"`, `"calibrating"`, or `"ready"`) and its current
+/// database, if any.
 #[must_use]
 pub fn tune_status_response(solver: &str, status: &str, db: Option<&TuneDb>) -> Json {
-    let stale = db.map_or_else(Vec::new, TuneDb::stale_kernels);
     Json::object(vec![
         ("solver", Json::str(solver)),
         ("status", Json::str(status)),
         ("db", db.map_or(Json::Null, TuneDb::to_json)),
-        (
-            "stale_kernels",
-            Json::Array(stale.into_iter().map(Json::Str).collect()),
-        ),
     ])
 }
 
@@ -552,37 +564,15 @@ pub fn stats_response(series: Json, enabled: bool) -> Json {
     ])
 }
 
-/// Render the `GET /v1/health` body.
-///
-/// `status` is `"ok"` unless the drift watchdog flags stale tune
-/// entries (`"degraded"`) or the server is draining (`"draining"` —
-/// strongest verdict wins). Degraded is still HTTP 200: the service
-/// answers correctly, just possibly slower than its calibration
-/// promised.
+/// Render the `GET /v1/health` body: `status` is `"ok"`, or
+/// `"draining"` once shutdown has begun.
 #[must_use]
-pub fn health_response(
-    stale_kernels: &[String],
-    draining: bool,
-    telemetry_enabled: bool,
-    windows_sealed: u64,
-    drift: &Json,
-) -> Json {
-    let status = if draining {
-        "draining"
-    } else if stale_kernels.is_empty() {
-        "ok"
-    } else {
-        "degraded"
-    };
+pub fn health_response(draining: bool, telemetry_enabled: bool, windows_sealed: u64) -> Json {
+    let status = if draining { "draining" } else { "ok" };
     Json::object(vec![
         ("status", Json::str(status)),
-        (
-            "stale_kernels",
-            Json::Array(stale_kernels.iter().map(|k| Json::str(k)).collect()),
-        ),
         ("telemetry", Json::Bool(telemetry_enabled)),
         ("windows_sealed", Json::from_u64(windows_sealed)),
-        ("drift", drift.clone()),
     ])
 }
 
@@ -1235,7 +1225,6 @@ mod tests {
                 default_cost_ns: 120,
                 modeled_cost_ns: 90,
                 model_agrees: true,
-                stale: false,
             }],
         };
         let some = tuned_resolution(Some(&db));

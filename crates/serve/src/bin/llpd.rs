@@ -22,7 +22,7 @@
 //! warned about and skipped — the server still starts.
 //!
 //! `--telemetry-window-ms` sets the width of the continuous-telemetry
-//! windows (`/v1/stats`, the drift watchdog); 0 disables telemetry.
+//! windows (`/v1/stats`); 0 disables telemetry.
 //! `--telemetry-out` names a file the final drain snapshot is written
 //! to on shutdown; without it the snapshot goes to stderr.
 //!

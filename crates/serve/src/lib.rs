@@ -27,8 +27,8 @@
 //!   counters, request-latency and queue-depth histograms, and the
 //!   shared pool's synchronization-event totals (`Accept:
 //!   application/json` or `?format=json` selects the JSON form);
-//! * `GET /v1/health` — liveness plus the drift watchdog's verdict:
-//!   `degraded` when tune entries have gone stale;
+//! * `GET /v1/health` — liveness (`ok` or `draining`) and the
+//!   telemetry clock;
 //! * `GET /v1/stats` — recent telemetry windows from the in-process
 //!   time series ([`llp::obs::series`]);
 //! * `GET /v1/trace/{id}` — per-worker overhead attribution for a

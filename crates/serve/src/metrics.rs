@@ -147,7 +147,6 @@ table! {
         ObsReportsTotal => ScalarRow { name: "obs_reports_total", kind: COUNTER, json: "obs_reports_total", value: U64, help: "Span reports folded into the totals." },
         ObsSyncEventsTotal => ScalarRow { name: "obs_sync_events_total", kind: COUNTER, json: "obs_sync_events_total", value: U64, help: "Sync events attributed by span reports." },
         ObsSecondsTotal => ScalarRow { name: "obs_seconds_total", kind: COUNTER, json: "obs_seconds_total", value: F64, help: "Solver wall seconds attributed by span reports." },
-        TuneEntriesStale => ScalarRow { name: "tune_entries_stale", kind: GAUGE, json: "tune_entries_stale", value: U64, help: "Tune entries the drift watchdog has flagged stale." },
         SolvesRejectedMemoryTotal => ScalarRow { name: "solves_rejected_memory_total", kind: COUNTER, json: "solves_rejected_memory_total", value: U64, help: "Solves rejected by memory-budget admission control." },
         CacheHitsTotal => ScalarRow { name: "cache_hits_total", kind: COUNTER, json: "cache/hits", value: U64, help: "Solves served from the result cache." },
         CacheMissesTotal => ScalarRow { name: "cache_misses_total", kind: COUNTER, json: "cache/misses", value: U64, help: "Solves that missed the cache and executed." },
@@ -615,7 +614,6 @@ mod tests {
         ] {
             m.add_seconds(Family::KernelSeconds, kernel, seconds);
         }
-        m.set(Scalar::TuneEntriesStale, 3);
         m.add(Scalar::CacheHitsTotal, 6);
         m.add(Scalar::CacheMissesTotal, 5);
         m.add(Scalar::CacheCoalescedTotal, 4);

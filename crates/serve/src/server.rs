@@ -65,10 +65,10 @@ use crate::cache::{ContentKey, SolveCache, DEFAULT_CACHE_CAPACITY};
 use crate::evloop::{self, Conn, PollFd, ReadOutcome, WakeReceiver, Waker, POLLIN, POLLOUT};
 use crate::http::{parse_request_bytes, render_response, Parse, Request, Response, MAX_HEAD_BYTES};
 use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar};
-use crate::solvers::{self, AnyCase, AnyRun, KINDS};
+use crate::solvers::{self, AnyCase, AnyRun};
 use crate::trace::{TraceEntry, TraceStore};
 use f3d::service::MAX_WORKERS;
-use llp::obs::attr::kernel_overheads;
+use llp::obs::attr::{kernel_overheads, KernelOverhead};
 use llp::obs::json::Json;
 use llp::obs::series::DEFAULT_WINDOW_MS;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
@@ -80,7 +80,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-use tune::{predicted_cost_ns, DriftConfig, DriftTracker, TuneDb};
+use tune::TuneDb;
 
 /// Default shard width used when [`ServerConfig::shards`] is 0 and
 /// `LLPD_SHARDS` is unset: the pool is cut into slices of this many
@@ -155,16 +155,10 @@ pub struct ServerConfig {
     /// rejected with `413` before it touches the cache, the queue, or
     /// the pool. `None` (the default) admits everything.
     pub memory_budget: Option<u64>,
-    /// Width of one telemetry window in milliseconds (`/v1/stats`, the
-    /// drift watchdog). `0` disables continuous telemetry entirely —
-    /// the series records nothing and allocates nothing, and the drift
-    /// watchdog (which advances on window boundaries) never fires.
+    /// Width of one telemetry window in milliseconds (`/v1/stats`).
+    /// `0` disables continuous telemetry entirely — the series records
+    /// nothing and allocates nothing.
     pub telemetry_window_ms: u64,
-    /// Drift-watchdog thresholds; the defaults flag a tune entry after
-    /// [`tune::DriftConfig::windows`] consecutive windows in which live
-    /// solves cost more than `1 + threshold` times the model's
-    /// prediction.
-    pub drift_config: DriftConfig,
 }
 
 impl Default for ServerConfig {
@@ -182,7 +176,6 @@ impl Default for ServerConfig {
             tune_db: None,
             memory_budget: None,
             telemetry_window_ms: DEFAULT_WINDOW_MS,
-            drift_config: DriftConfig::default(),
         }
     }
 }
@@ -326,14 +319,14 @@ struct Completion {
     response: Response,
 }
 
-/// The autotuner's server-side state: whether a calibration is
-/// running (one at a time across every solver; concurrent requests get
-/// 429), one database slot per solver kind — seeded from
-/// [`ServerConfig::tune_db`], each replaced by its solver's completed
-/// calibrations — and a generation counter the solve-cache keys embed
-/// so a recalibration invalidates `auto` entries.
+/// The autotuner's server-side state: which solver, if any, is being
+/// calibrated (one calibration at a time across every solver;
+/// concurrent requests get 429), one database slot per solver kind —
+/// seeded from [`ServerConfig::tune_db`], each replaced by its solver's
+/// completed calibrations — and a generation counter the solve-cache
+/// keys embed so a recalibration invalidates `auto` entries.
 struct TuneState {
-    running: AtomicBool,
+    calibrating: Mutex<Option<&'static str>>,
     db: Mutex<HashMap<String, Arc<TuneDb>>>,
     generation: AtomicU64,
 }
@@ -362,10 +355,6 @@ struct Shared {
     /// Windowed telemetry ring (`/v1/stats`); disabled (and free) when
     /// [`ServerConfig::telemetry_window_ms`] is 0.
     series: Series,
-    /// Drift watchdog: per-(kernel, config) EWMA of live solves'
-    /// measured-over-predicted cost excess, advanced on telemetry
-    /// window boundaries by the event loop.
-    drift: Mutex<DriftTracker>,
     /// Server start instant — the telemetry series' time origin.
     started: Instant,
     config: ServerConfig,
@@ -375,17 +364,6 @@ impl Shared {
     /// Snapshot a solver's current tune database (cheap Arc clone).
     fn tune_db(&self, kind: &str) -> Option<Arc<TuneDb>> {
         lock_clean(&self.tune.db).get(kind).cloned()
-    }
-
-    /// Kernels whose tune entries the watchdog currently flags stale,
-    /// across every solver's database (kernel vocabularies are
-    /// disjoint), in a stable order.
-    fn stale_kernels(&self) -> Vec<String> {
-        let guard = lock_clean(&self.tune.db);
-        let mut all: Vec<String> = guard.values().flat_map(|db| db.stale_kernels()).collect();
-        drop(guard);
-        all.sort();
-        all
     }
 }
 
@@ -423,7 +401,7 @@ impl Server {
             drain_rate: DrainEstimator::new(),
             traces: TraceStore::default(),
             tune: TuneState {
-                running: AtomicBool::new(false),
+                calibrating: Mutex::new(None),
                 db: Mutex::new(
                     config
                         .tune_db
@@ -446,7 +424,6 @@ impl Server {
                     llp::obs::series::DEFAULT_CAPACITY,
                 )
             },
-            drift: Mutex::new(DriftTracker::new(config.drift_config)),
             started: Instant::now(),
             config,
         });
@@ -512,10 +489,10 @@ impl Server {
 
     /// [`Server::shutdown`], returning a final telemetry snapshot after
     /// the drain: the open window is force-sealed (so requests served
-    /// moments before the drain are visible), every sealed window is
-    /// included, and the drift watchdog's state rides along. `llpd`
-    /// writes this to `--telemetry-out` (or stderr) on SIGTERM so an
-    /// operator keeps the last windows of a dying process.
+    /// moments before the drain are visible) and every sealed window
+    /// is included. `llpd` writes this to `--telemetry-out` (or stderr)
+    /// on SIGTERM so an operator keeps the last windows of a dying
+    /// process.
     pub fn shutdown_with_telemetry(mut self) -> Json {
         // Set under the queue lock: an executor that has just read
         // `draining == false` still holds it until it is waiting, so it
@@ -548,11 +525,6 @@ impl Server {
         Json::object(vec![
             ("event", Json::str("llpd.drain")),
             ("series", windows),
-            ("drift", lock_clean(&shared.drift).to_json()),
-            (
-                "stale_kernels",
-                Json::Array(shared.stale_kernels().into_iter().map(Json::Str).collect()),
-            ),
         ])
     }
 }
@@ -643,13 +615,18 @@ fn fail_job(shared: &Arc<Shared>, origin: &JobOrigin, response: &Response) -> Ve
 /// return the id the response advertises. Each waiter of a coalesced
 /// fan-out gets its *own* trace entry and id: the documents describe
 /// the one shared execution, but every client can fetch and correlate
-/// independently.
-fn retain_trace(shared: &Arc<Shared>, run: &AnyRun) -> Option<u64> {
+/// independently — from the one attribution `execute_job` derived.
+fn retain_trace(
+    shared: &Arc<Shared>,
+    run: &AnyRun,
+    attr: &AttributionReport,
+    kernels: &[KernelOverhead],
+) -> Option<u64> {
     if run.timeline().is_empty() {
         return None;
     }
     let id = shared.traces.allocate_id();
-    let (attribution, chrome) = api::trace_documents(run, id);
+    let (attribution, chrome) = api::trace_documents(run, id, attr, kernels);
     shared.traces.insert(TraceEntry {
         id,
         case: run.label(),
@@ -659,17 +636,19 @@ fn retain_trace(shared: &Arc<Shared>, run: &AnyRun) -> Option<u64> {
     Some(id)
 }
 
-/// Feed one completed solve into the windowed telemetry series and the
-/// drift watchdog. Gated on the series being enabled, so a server with
-/// telemetry off pays nothing — not even the attribution derivation.
-fn observe_solve(shared: &Arc<Shared>, run: &AnyRun, auto: bool, db: Option<&TuneDb>) {
+/// Feed one completed solve into the windowed telemetry series
+/// (`/v1/stats`) and the per-kernel seconds of `/metrics`. Gated on the
+/// series being enabled.
+fn observe_solve(
+    shared: &Arc<Shared>,
+    run: &AnyRun,
+    attr: &AttributionReport,
+    kernels: &[KernelOverhead],
+) {
     if !shared.series.is_enabled() {
         return;
     }
-    let attr = AttributionReport::from_timeline(run.timeline());
-    let overheads = kernel_overheads(run.report(), &attr);
-    let check = attr.model_check();
-    for k in &overheads {
+    for k in kernels {
         shared
             .metrics
             .add_seconds(Family::KernelSeconds, &k.kernel, k.wall_ns as f64 / 1e9);
@@ -677,12 +656,12 @@ fn observe_solve(shared: &Arc<Shared>, run: &AnyRun, auto: bool, db: Option<&Tun
     let total_seconds = run.report().total_seconds();
     shared.series.record_solve(
         total_seconds,
-        check.as_ref().map(|c| c.measured_fraction),
+        attr.model_check().map(|c| c.measured_fraction),
         || {
             // A per-solver pseudo-kernel rides along with the real
             // kernel rows, so /v1/stats windows carry one series per
             // physics without a schema change.
-            let mut rows: Vec<(String, f64)> = overheads
+            let mut rows: Vec<(String, f64)> = kernels
                 .iter()
                 .map(|k| (k.kernel.clone(), k.wall_ns as f64 / 1e9))
                 .collect();
@@ -696,44 +675,6 @@ fn observe_solve(shared: &Arc<Shared>, run: &AnyRun, auto: bool, db: Option<&Tun
                 .series
                 .record_zone_job(stats.zone_tasks * r.case.steps as u64);
         }
-    }
-    let mut drift = lock_clean(&shared.drift);
-    // Score each tuned kernel's live cost against the analytic form the
-    // calibration reported, at the entry's own workers and schedule.
-    // Only `auto` solves run the tuned configurations, so only they can
-    // indict a tune entry.
-    if auto {
-        if let Some(db) = db {
-            for k in &overheads {
-                let Some(entry) = db.entries.iter().find(|e| e.kernel == k.kernel) else {
-                    continue;
-                };
-                if k.regions == 0 {
-                    continue;
-                }
-                let u = k.iterations as f64 / k.regions as f64;
-                let expected = predicted_cost_ns(
-                    k.compute_ns as f64,
-                    u,
-                    entry.schedule,
-                    entry.workers,
-                    k.regions,
-                    db.sync_cost_ns,
-                );
-                drift.observe(&k.kernel, &entry.config_label(), k.wall_ns as f64, expected);
-            }
-        }
-    }
-    // The pool-wide sync fraction is scored as a pseudo-kernel: it maps
-    // to no tune entry (so it can never flag one) but its EWMA shows up
-    // in /v1/health as an overall model-health signal.
-    if let Some(check) = &check {
-        drift.observe(
-            "sync_fraction",
-            "pool",
-            check.measured_fraction,
-            check.modeled_fraction,
-        );
     }
 }
 
@@ -801,14 +742,18 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                             );
                         }
                     }
-                    observe_solve(shared, &run, *auto, db.as_deref());
+                    // Where the time went, derived once: the series and
+                    // every waiter's trace documents read the same two.
+                    let attr = AttributionReport::from_timeline(run.timeline());
+                    let kernels = kernel_overheads(run.report(), &attr);
+                    observe_solve(shared, &run, &attr, &kernels);
                     let render = |trace_id: Option<u64>, tuned: Json, cache: &str| match &run {
                         AnyRun::F3d(r) => api::solve_response(r, trace_id, tuned, cache),
                         AnyRun::Fdtd(r) => api::fdtd_solve_response(r, trace_id, tuned, cache),
                     };
                     match &job.origin {
                         JobOrigin::Direct(waiter) => {
-                            let trace_id = retain_trace(shared, &run);
+                            let trace_id = retain_trace(shared, &run, &attr, &kernels);
                             let body = render(trace_id, tuned, "bypass");
                             vec![Completion {
                                 waiter: *waiter,
@@ -830,7 +775,7 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                             take_waiters(shared, &job.origin)
                                 .into_iter()
                                 .map(|waiter| {
-                                    let trace_id = retain_trace(shared, &run);
+                                    let trace_id = retain_trace(shared, &run, &attr, &kernels);
                                     let body = render(trace_id, tuned.clone(), "miss");
                                     Completion {
                                         waiter,
@@ -1003,61 +948,13 @@ impl EventLoop {
         }
     }
 
-    /// Advance the telemetry clock on the poll tick: seal windows that
-    /// have elapsed, advance the drift watchdog once per sealed window,
-    /// and reconcile the tune database's stale flags with the
-    /// watchdog's verdict.
+    /// Advance the telemetry clock on the poll tick: seal the windows
+    /// that have elapsed.
     fn tick_telemetry(&mut self) {
-        if !self.shared.series.is_enabled() {
-            return;
-        }
-        let now_ms = u64::try_from(self.shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let sealed = self.shared.series.tick(now_ms);
-        if sealed == 0 {
-            return;
-        }
-        {
-            let mut drift = lock_clean(&self.shared.drift);
-            // One drift window per sealed telemetry window; a long poll
-            // stall seals many at once, and each empty window freezes
-            // (not resets) streaks, so iterating is cheap and correct.
-            // Cap defensively against clock jumps.
-            for _ in 0..sealed.min(128) {
-                drift.end_window();
-            }
-        }
-        // Reconcile staleness wholesale — flagging and healing both —
-        // across every solver's database (kernel vocabularies are
-        // disjoint, so one verdict list serves all slots), and
-        // clone-and-swap a shared database only when a flag actually
-        // moved. The tune *generation* is untouched: staleness never
-        // changes answers, so cached solves stay valid.
-        let verdict = lock_clean(&self.shared.drift).stale_kernels();
-        let mut guard = lock_clean(&self.shared.tune.db);
-        let any_db = !guard.is_empty();
-        let mut stale_count = 0;
-        for slot in guard.values_mut() {
-            let mut next = (**slot).clone();
-            let mut changed = false;
-            for kernel in next
-                .entries
-                .iter()
-                .map(|e| e.kernel.clone())
-                .collect::<Vec<_>>()
-            {
-                let stale = verdict.iter().any(|k| k == &kernel);
-                changed |= next.set_stale(&kernel, stale);
-            }
-            if changed {
-                *slot = Arc::new(next);
-            }
-            stale_count += slot.stale_kernels().len();
-        }
-        drop(guard);
-        if any_db {
-            self.shared
-                .metrics
-                .set(Scalar::TuneEntriesStale, stale_count as u64);
+        if self.shared.series.is_enabled() {
+            let now_ms =
+                u64::try_from(self.shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
+            self.shared.series.tick(now_ms);
         }
     }
 
@@ -1533,23 +1430,6 @@ impl EventLoop {
 
 // -------------------------------------------------------------- routing
 
-/// Resolve the `?solver=` query on `GET /v1/tune` to a registered
-/// solver kind; an empty query means the `f3d` default.
-fn tune_query_solver(query: &str) -> Result<&'static str, String> {
-    if query.is_empty() {
-        return Ok(KINDS[0]);
-    }
-    let Some(kind) = query.strip_prefix("solver=") else {
-        return Err(format!("unknown query `{query}` (use ?solver=<kind>)"));
-    };
-    KINDS.iter().find(|k| **k == kind).copied().ok_or_else(|| {
-        format!(
-            "unknown solver `{kind}`; known solvers: {}",
-            KINDS.join(", ")
-        )
-    })
-}
-
 fn route(request: &Request, shared: &Arc<Shared>) -> RouteOutcome {
     let (endpoint, expect_post) = match request.path.as_str() {
         "/metrics" => ("metrics", false),
@@ -1630,11 +1510,15 @@ fn route(request: &Request, shared: &Arc<Shared>) -> RouteOutcome {
             }
         }
         "tune" => RouteOutcome::Inline(if request.method == "GET" {
-            match tune_query_solver(&request.query) {
+            match api::parse_tune_query(&request.query) {
                 Err(msg) => Response::error(400, &msg),
                 Ok(solver) => {
+                    // Flag before slot: a finishing calibration fills the
+                    // slot and then clears the flag, so a status other
+                    // than `calibrating` always comes with its result.
+                    let calibrating = *lock_clean(&shared.tune.calibrating) == Some(solver);
                     let db = shared.tune_db(solver);
-                    let status = if shared.tune.running.load(Ordering::SeqCst) {
+                    let status = if calibrating {
                         "calibrating"
                     } else if db.is_some() {
                         "ready"
@@ -1688,17 +1572,13 @@ fn metrics_response(request: &Request, shared: &Arc<Shared>) -> Response {
     }
 }
 
-/// `GET /v1/health`: liveness plus the drift watchdog's verdict. The
-/// service reports `degraded` (still HTTP 200 — it serves correctly,
-/// just possibly slower than tuned) when any tune entry is stale.
+/// `GET /v1/health`: liveness (`ok` or `draining`) and the telemetry
+/// clock.
 fn health_response(shared: &Arc<Shared>) -> Response {
-    let stale = shared.stale_kernels();
     let body = api::health_response(
-        &stale,
         shared.draining.load(Ordering::SeqCst),
         shared.series.is_enabled(),
         shared.series.windows_sealed(),
-        &lock_clean(&shared.drift).to_json(),
     );
     Response::ok(body.to_string())
 }
@@ -1723,10 +1603,14 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
         Ok(req) => req,
         Err(msg) => return Response::error(400, &msg),
     };
-    if shared.tune.running.swap(true, Ordering::SeqCst) {
-        return Response::error(429, "calibration already running").with_retry_after(1);
+    {
+        let mut calibrating = lock_clean(&shared.tune.calibrating);
+        if calibrating.is_some() {
+            return Response::error(429, "calibration already running").with_retry_after(1);
+        }
+        *calibrating = Some(req.solver);
     }
-    let started = api::tune_started_response(&req.solver, &req.spec);
+    let started = api::tune_started_response(req.solver, &req.spec);
     let api::TuneRequest { solver, spec } = req;
     let shared = Arc::clone(shared);
     thread::spawn(move || {
@@ -1736,26 +1620,17 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
         let width = (shared.pool.processors() / shared.shards).max(1);
         let slice = shared.pool.sized_view(width);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solvers::calibrate(&solver, &slice, &spec)
+            solvers::calibrate(solver, &slice, &spec)
         }));
         match outcome {
             Ok(Ok(db)) => {
-                let mut guard = lock_clean(&shared.tune.db);
-                guard.insert(db.solver.clone(), Arc::new(db));
-                // Freshly-measured entries are never stale; the other
-                // solvers' verdicts carry over untouched.
-                let stale: usize = guard.values().map(|d| d.stale_kernels().len()).sum();
-                drop(guard);
+                lock_clean(&shared.tune.db).insert(db.solver.clone(), Arc::new(db));
                 shared.tune.generation.fetch_add(1, Ordering::SeqCst);
-                // Fresh measurements supersede every drift verdict: the
-                // watchdog restarts from scratch against the new entries.
-                lock_clean(&shared.drift).reset();
-                shared.metrics.set(Scalar::TuneEntriesStale, stale as u64);
             }
             Ok(Err(msg)) => eprintln!("llpd: calibration failed: {msg}"),
             Err(_) => eprintln!("llpd: calibration panicked"),
         }
-        shared.tune.running.store(false, Ordering::SeqCst);
+        *lock_clean(&shared.tune.calibrating) = None;
     });
     Response::ok(started.to_string())
 }

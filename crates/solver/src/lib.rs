@@ -8,9 +8,9 @@
 //! encodes that claim as an interface: a physics workload implements
 //! [`Solver`] (configuration → instance → stepped state), and in
 //! return every layer built above the [`llp`] pool — sharded
-//! executors, flight recorder, autotuner, drift watchdog, Prometheus
-//! telemetry, content-addressed caching — applies to it at near-zero
-//! marginal cost.
+//! executors, flight recorder, autotuner, Prometheus telemetry,
+//! content-addressed caching — applies to it at near-zero marginal
+//! cost.
 //!
 //! The split follows the `Config → Instance → State` shape of
 //! jgraef/fdtd's solver traits (see SNIPPETS.md): a [`SolverSpec`] is

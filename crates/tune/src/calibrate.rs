@@ -238,7 +238,6 @@ where
             default_cost_ns: measured[default_ci],
             modeled_cost_ns: modeled[win],
             model_agrees: seed.candidates[model_win] == seed.candidates[win],
-            stale: false,
         });
     }
     entries.sort_by(|a, b| a.kernel.cmp(&b.kernel));
@@ -442,7 +441,6 @@ mod tests {
                 "{kernel}: width {}",
                 e.vector_width
             );
-            assert!(!e.stale, "{kernel}: a fresh calibration is never stale");
             // Measured selection: the winner never loses to the default.
             assert!(
                 e.measured_cost_ns <= e.default_cost_ns,

@@ -10,10 +10,10 @@ use std::path::Path;
 
 /// Schema version of [`TuneDb::to_json`]; bumped on layout changes.
 /// Version 2 added the per-entry `vector_width` (the SLP axis);
-/// version 3 added the per-entry `stale` flag the drift watchdog
-/// maintains (see [`crate::drift`]); version 4 added the top-level
-/// `solver` kind for multi-physics serving. Only the current version
-/// loads.
+/// version 3 added a per-entry `stale` flag that is no longer written
+/// (entries are read by key, so a version-4 file that still carries it
+/// loads unchanged); version 4 added the top-level `solver` kind for
+/// multi-physics serving. Only the current version loads.
 pub const TUNE_SCHEMA_VERSION: u64 = 4;
 
 /// One kernel's calibration outcome.
@@ -44,36 +44,9 @@ pub struct TuneEntry {
     /// Whether ranking the same candidates by predicted cost picks the
     /// measured winner.
     pub model_agrees: bool,
-    /// Whether the drift watchdog has flagged this entry as stale —
-    /// live solves under this configuration persistently cost more
-    /// than the calibration-time model predicted, so the entry is due
-    /// a recalibration. Runtime state, not a calibration decision: a
-    /// fresh calibration always writes `false`.
-    pub stale: bool,
 }
 
 impl TuneEntry {
-    /// Compact label of the chosen configuration, the drift tracker's
-    /// key vocabulary: `w{workers}:{schedule}[.{chunk}]:v{width}`.
-    #[must_use]
-    pub fn config_label(&self) -> String {
-        match self.schedule.chunk_param() {
-            Some(chunk) => format!(
-                "w{}:{}.{}:v{}",
-                self.workers,
-                self.schedule.name(),
-                chunk,
-                self.vector_width
-            ),
-            None => format!(
-                "w{}:{}:v{}",
-                self.workers,
-                self.schedule.name(),
-                self.vector_width
-            ),
-        }
-    }
-
     fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("kernel", Json::Str(self.kernel.clone())),
@@ -91,7 +64,6 @@ impl TuneEntry {
             ("default_cost_ns", Json::from_u64(self.default_cost_ns)),
             ("modeled_cost_ns", Json::from_u64(self.modeled_cost_ns)),
             ("model_agrees", Json::Bool(self.model_agrees)),
-            ("stale", Json::Bool(self.stale)),
         ]);
         Json::object(pairs)
     }
@@ -141,7 +113,6 @@ impl TuneEntry {
             model_agrees: field("model_agrees")?
                 .as_bool()
                 .ok_or("model_agrees must be a boolean")?,
-            stale: field("stale")?.as_bool().ok_or("stale must be a boolean")?,
         })
     }
 }
@@ -301,32 +272,6 @@ impl TuneDb {
             })
             .collect()
     }
-
-    /// Mark the entry for `kernel` stale (or fresh). Returns whether
-    /// an entry changed — the serve layer uses this to know when the
-    /// `tune_entries_stale` gauge moved.
-    pub fn set_stale(&mut self, kernel: &str, stale: bool) -> bool {
-        match self.entries.iter_mut().find(|e| e.kernel == kernel) {
-            Some(e) if e.stale != stale => {
-                e.stale = stale;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Kernels whose entries the drift watchdog has flagged, sorted.
-    #[must_use]
-    pub fn stale_kernels(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .entries
-            .iter()
-            .filter(|e| e.stale)
-            .map(|e| e.kernel.clone())
-            .collect();
-        out.sort();
-        out
-    }
 }
 
 impl std::str::FromStr for TuneDb {
@@ -364,7 +309,6 @@ mod tests {
                     default_cost_ns: 95_000,
                     modeled_cost_ns: 78_000,
                     model_agrees: true,
-                    stale: false,
                 },
                 TuneEntry {
                     kernel: "update".to_string(),
@@ -377,7 +321,6 @@ mod tests {
                     default_cost_ns: 41_000,
                     modeled_cost_ns: 52_000,
                     model_agrees: false,
-                    stale: true,
                 },
             ],
         }
@@ -411,10 +354,15 @@ mod tests {
         }
         let entries = j.get("entries").and_then(Json::as_array).unwrap();
         let e = &entries[0];
-        for key in [
+        let keys = |e: &Json| -> Vec<String> {
+            let pairs = e.as_object().unwrap();
+            pairs.iter().map(|(k, _)| k.clone()).collect()
+        };
+        let mut expected = vec![
             "kernel",
             "workers",
             "schedule",
+            "chunk",
             "vector_width",
             "iterations",
             "candidates_tried",
@@ -422,41 +370,35 @@ mod tests {
             "default_cost_ns",
             "modeled_cost_ns",
             "model_agrees",
-            "stale",
-        ] {
-            assert!(e.get(key).is_some(), "missing entry key {key}");
-        }
+        ];
+        assert_eq!(keys(e), expected);
         // Static entries omit the chunk; dynamic ones carry it.
         assert_eq!(e.get("chunk").and_then(Json::as_u64), Some(1));
-        assert!(entries[1].get("chunk").is_none());
+        expected.retain(|k| *k != "chunk");
+        assert_eq!(keys(&entries[1]), expected);
         // The width is always explicit, even for scalar winners.
         assert_eq!(e.get("vector_width").and_then(Json::as_u64), Some(4));
         assert_eq!(
             entries[1].get("vector_width").and_then(Json::as_u64),
             Some(1)
         );
-    }
-
-    #[test]
-    fn staleness_helpers_flag_and_list() {
-        let mut db = sample();
-        assert_eq!(db.stale_kernels(), vec!["update".to_string()]);
-        assert!(db.set_stale("rhs", true), "fresh -> stale changed");
-        assert!(!db.set_stale("rhs", true), "idempotent");
-        assert!(!db.set_stale("absent", true), "unknown kernel is a no-op");
-        assert_eq!(
-            db.stale_kernels(),
-            vec!["rhs".to_string(), "update".to_string()]
-        );
-        assert!(db.set_stale("update", false), "healing clears the flag");
-        assert_eq!(db.stale_kernels(), vec!["rhs".to_string()]);
-    }
-
-    #[test]
-    fn config_labels_name_the_whole_choice() {
-        let db = sample();
-        assert_eq!(db.entries[0].config_label(), "w4:guided.1:v4");
-        assert_eq!(db.entries[1].config_label(), "w2:static:v1");
+        // Version 4 as it was written while entries still carried a
+        // `stale` boolean: entries are read by key, so such a file loads
+        // to the same database, and nothing writes the key back.
+        let old = j
+            .to_string()
+            .replace(
+                "\"model_agrees\":true",
+                "\"model_agrees\":true,\"stale\":false",
+            )
+            .replace(
+                "\"model_agrees\":false",
+                "\"model_agrees\":false,\"stale\":true",
+            );
+        assert_eq!(old.matches("\"stale\"").count(), 2);
+        let loaded = TuneDb::from_str(&old).unwrap();
+        assert_eq!(loaded, sample());
+        assert_eq!(loaded.to_json(), j);
     }
 
     #[test]
@@ -488,12 +430,12 @@ mod tests {
         if let Json::Object(pairs) = &mut doc {
             for (key, value) in pairs.iter_mut() {
                 if let ("entries", Json::Array(entries)) = (key.as_str(), value) {
-                    entries[0] = without(&entries[0], "stale");
+                    entries[0] = without(&entries[0], "model_agrees");
                 }
             }
         }
         let err = TuneDb::from_json(&doc).unwrap_err();
-        assert!(err.contains("stale"), "{err}");
+        assert!(err.contains("model_agrees"), "{err}");
         // Values no calibration can write are rejected by entry and
         // field: a worker count a pool view would panic on, a lane
         // width outside the vocabulary.

@@ -31,26 +31,18 @@
 //! winner, and whether the model would have picked the same
 //! configuration (`model_agrees`) — so every calibration doubles as a
 //! validation run for the paper's models, without the models steering
-//! it.
-//!
-//! Validation does not stop at calibration time: [`drift`] keeps
-//! scoring every *live* solve against the same [`predicted_cost_ns`],
-//! maintaining a per-(kernel, config) EWMA of the
-//! measured-over-predicted excess, and flags a [`TuneEntry`] as stale
-//! when the prediction stays badly wrong for consecutive telemetry
-//! windows — the signal that a recalibration is due.
+//! it. That column is where the comparison ends: nothing scores live
+//! solves against the model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calibrate;
 pub mod db;
-pub mod drift;
 pub mod model;
 pub mod space;
 
 pub use calibrate::{calibrate_solver, CalibrationSpec};
 pub use db::{TuneDb, TuneEntry, TUNE_SCHEMA_VERSION};
-pub use drift::{DriftConfig, DriftTracker};
 pub use model::predicted_cost_ns;
 pub use space::{candidates, worker_counts, Candidate};

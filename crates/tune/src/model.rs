@@ -1,8 +1,8 @@
-//! The one statement of the paper's analytic cost form: calibration
+//! The one statement of the paper's analytic cost form. Calibration
 //! reports it next to every measured winner
-//! ([`crate::TuneEntry::modeled_cost_ns`], `model_agrees`) and the drift
-//! watchdog divides every live solve by it ([`crate::drift`]), so there
-//! is one place where the Table 1 form can be wrong.
+//! ([`crate::TuneEntry::modeled_cost_ns`], `model_agrees`) and nothing
+//! else consumes it, so there is one place where the Table 1 form can
+//! be wrong and one column that shows it.
 
 use llp::Policy;
 
@@ -38,7 +38,7 @@ use llp::Policy;
 /// separates them.
 ///
 /// Degenerate inputs (`work_ns <= 0`, `u < 1`, `workers == 0`) predict
-/// 0 — a modeling hole the drift tracker skips, not a cost.
+/// 0 — a modeling hole, not a cost.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
 pub fn predicted_cost_ns(
@@ -66,10 +66,10 @@ pub fn predicted_cost_ns(
 mod tests {
     use super::*;
 
-    /// `drift::expected_cost_ns` as the parent commit had it — the
-    /// reference the static arm must reproduce bit for bit, so the
-    /// drift watchdog's static scores do not move.
-    fn parent_expected_cost_ns(work_ns: f64, u: f64, workers: usize, regions: u64, s: u64) -> f64 {
+    /// The static arm's closed form, stair-step plus one `S` per
+    /// region, written out independently — the reference the static
+    /// arm must reproduce bit for bit.
+    fn static_closed_form_ns(work_ns: f64, u: f64, workers: usize, regions: u64, s: u64) -> f64 {
         if work_ns <= 0.0 || u < 1.0 || workers == 0 {
             return 0.0;
         }
@@ -91,7 +91,7 @@ mod tests {
                     for regions in REGIONS {
                         for s in SYNC {
                             let new = predicted_cost_ns(work, u, Policy::Static, p, regions, s);
-                            let old = parent_expected_cost_ns(work, u, p, regions, s);
+                            let old = static_closed_form_ns(work, u, p, regions, s);
                             assert_eq!(
                                 new.to_bits(),
                                 old.to_bits(),

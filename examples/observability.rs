@@ -1,7 +1,7 @@
 //! Observability walkthrough: record a real multi-zone solver step
 //! with the span recorder, print its hierarchical report, then produce
 //! the *modeled* report for the same case from the machine model — the
-//! two share one schema, so model-vs-measurement drift is directly
+//! two share one schema, so model and measurement are directly
 //! diffable.
 //!
 //! The same run also flies with the per-worker flight recorder on: the
@@ -10,11 +10,6 @@
 //! trace-event file of the full three-level nest (step → kernel spans →
 //! per-worker chunk slices) that `chrome://tracing` or Perfetto opens
 //! directly.
-//!
-//! Finally, the same measurements feed the drift watchdog: scored
-//! against honest model inputs they pass, scored against a corrupted
-//! calibration (64 free-synchronizing lanes) every kernel goes STALE —
-//! the verdict `llpd` surfaces through `/v1/health`.
 //!
 //! ```text
 //! cargo run --release --example observability
@@ -26,9 +21,8 @@ use f3d::trace;
 use llp::obs::attr::kernel_overheads;
 use llp::obs::chrome::chrome_trace_with_summary;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use llp::{AttributionReport, FlightRecorder, ObsReport, Policy, SpanNode, Workers};
+use llp::{AttributionReport, FlightRecorder, ObsReport, SpanNode, Workers};
 use mesh::MultiZoneGrid;
-use tune::{predicted_cost_ns, DriftConfig, DriftTracker};
 
 fn print_tree(node: &SpanNode, depth: usize) {
     let indent = "  ".repeat(depth);
@@ -149,87 +143,13 @@ fn main() {
         "\n{:<18} {:>8} {:>10} {:>10}",
         "kernel", "regions", "measured", "modeled"
     );
-    let overheads = kernel_overheads(&measured, &attr);
-    for o in &overheads {
+    for o in &kernel_overheads(&measured, &attr) {
         println!(
             "{:<18} {:>8} {:>9.1}% {:>9.1}%",
             o.kernel,
             o.regions,
             o.overhead_measured * 100.0,
             o.overhead_modeled * 100.0,
-        );
-    }
-
-    // Drift watchdog: the same per-kernel measurements scored against
-    // the analytic expectation (`work · ceil(U/P)/U + regions · S`),
-    // once with honest model inputs and once with corrupted ones — a
-    // calibration claiming 64 free-synchronizing lanes. The honest
-    // sync cost is calibrated from this very run (the seed pass of
-    // `tune::calibrate_solver` does the same), so honest scores hover near
-    // zero; the corrupted expectation undershoots the live cost by an
-    // order of magnitude, so its EWMA crosses the threshold and the
-    // watchdog marks every kernel stale. This is exactly the check
-    // `llpd` runs per auto solve to flag stale tune entries
-    // (`/v1/health`, `tune_entries_stale`).
-    let expected_cost_ns = |work_ns, u, workers, regions, sync_cost_ns| {
-        predicted_cost_ns(work_ns, u, Policy::Static, workers, regions, sync_cost_ns)
-    };
-    let (mut excess_ns, mut total_regions) = (0.0, 0.0);
-    for o in &overheads {
-        if o.regions == 0 {
-            continue;
-        }
-        let u = o.iterations as f64 / o.regions as f64;
-        let compute_term = expected_cost_ns(o.compute_ns as f64, u, 4, o.regions, 0);
-        excess_ns += (o.wall_ns as f64 - compute_term).max(0.0);
-        total_regions += o.regions as f64;
-    }
-    let sync_cost_ns = if total_regions > 0.0 {
-        excess_ns / total_regions
-    } else {
-        10_000.0
-    };
-    let config = DriftConfig {
-        windows: 2,
-        alpha: 0.5,
-        min_samples: 2,
-        ..DriftConfig::default()
-    };
-    let mut honest = DriftTracker::new(config);
-    let mut corrupted = DriftTracker::new(config);
-    for _window in 0..3 {
-        for o in &overheads {
-            if o.regions == 0 {
-                continue;
-            }
-            let u = o.iterations as f64 / o.regions as f64;
-            let wall = o.wall_ns as f64;
-            let expected =
-                expected_cost_ns(o.compute_ns as f64, u, 4, o.regions, sync_cost_ns as u64);
-            honest.observe(&o.kernel, "w4", wall, expected);
-            let wrong = expected_cost_ns(o.compute_ns as f64, u, 64, o.regions, 1);
-            corrupted.observe(&o.kernel, "w64", wall, wrong);
-        }
-        honest.end_window();
-        corrupted.end_window();
-    }
-    println!(
-        "\n== drift watchdog verdict (threshold {}) ==",
-        config.threshold
-    );
-    println!(
-        "{:<18} {:>14} {:>10} {:>14} {:>10}",
-        "kernel", "honest score", "verdict", "corrupt score", "verdict"
-    );
-    let verdict = |stale: bool| if stale { "STALE" } else { "ok" };
-    for (h, c) in honest.states().iter().zip(corrupted.states()) {
-        println!(
-            "{:<18} {:>14.3} {:>10} {:>14.3} {:>10}",
-            h.kernel,
-            h.ewma,
-            verdict(h.stale),
-            c.ewma,
-            verdict(c.stale),
         );
     }
 
