@@ -9,7 +9,7 @@
 
 use bench::{f, TextTable};
 use f3d::trace::{risc_step_trace, risc_step_trace_parallel_bc};
-use llp::{Advisor, LoopDecision, LoopProfiler};
+use llp::{Advisor, KernelSummary, LoopDecision};
 use mesh::MultiZoneGrid;
 use perfmodel::overhead::OverheadBound;
 use smpsim::presets::origin2000_r12k_128;
@@ -73,21 +73,27 @@ fn main() {
     // The Table-1 verdict: the BC face loops violate the 1% overhead
     // budget at 64 processors even when they narrowly win on wall
     // clock — the paper's engineering margin argument.
-    let profiler = LoopProfiler::new();
-    for phase in &parallel_bc.phases {
-        let secs = phase.work_cycles() / sgi.machine.clock_hz;
-        let (parallelism, parallel) = match phase {
-            smpsim::Phase::Parallel(pl) => (pl.parallelism, true),
-            smpsim::Phase::Serial(_) => (1, false),
-        };
-        profiler.record(phase.name(), secs, parallelism, parallel);
-    }
+    // The profile is modeled, not measured: one row per phase of the
+    // trace (phase names are unique), stated directly.
+    let profile: Vec<KernelSummary> = parallel_bc
+        .phases
+        .iter()
+        .map(|phase| KernelSummary {
+            invocations: 1,
+            seconds: phase.work_cycles() / sgi.machine.clock_hz,
+            parallelism: match phase {
+                smpsim::Phase::Parallel(pl) => pl.parallelism,
+                smpsim::Phase::Serial(_) => 1,
+            },
+            ..KernelSummary::named(phase.name())
+        })
+        .collect();
     let advisor = Advisor::new(
         sgi.machine.clock_hz,
         OverheadBound::paper_default(sgi.machine.sync.cycles(64) as u64),
         64,
     );
-    let advice = advisor.advise(&profiler.report());
+    let advice = advisor.advise(&profile);
     let (mut bc_serial, mut bc_parallel) = (0usize, 0usize);
     for l in &advice.loops {
         if l.name.contains(":Bc[") {

@@ -1,5 +1,6 @@
-//! Golden regression tests: the `table1`–`table5` binaries must
-//! reproduce the checked-in `paper_output/` files byte for byte. These
+//! Golden regression tests: the `table1`–`table5` binaries and
+//! `amdahl_bc` (the one paper binary that goes through `llp::Advisor`)
+//! must reproduce the checked-in `paper_output/` files byte for byte. These
 //! outputs are analytic (no wall-clock content), so any diff is a real
 //! behavior change — regenerate deliberately with
 //! `./regenerate_paper.sh` and review the diff.
@@ -45,4 +46,9 @@ fn table4_matches_golden() {
 #[test]
 fn table5_matches_golden() {
     golden(env!("CARGO_BIN_EXE_table5"), "table5");
+}
+
+#[test]
+fn amdahl_bc_matches_golden() {
+    golden(env!("CARGO_BIN_EXE_amdahl_bc"), "amdahl_bc");
 }

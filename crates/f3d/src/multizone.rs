@@ -21,7 +21,7 @@ use crate::bc::{self, BcKind, Face, ZoneBcs};
 use crate::risc_impl::RiscStepper;
 use crate::solver::{SolverConfig, ZoneSolver};
 use llp::obs::{SpanGuard, SpanKind};
-use llp::{LoopProfiler, Workers};
+use llp::Workers;
 use mesh::{Axis, Metrics, MultiZoneGrid};
 
 /// A multi-zone solver: zone states, steppers, and per-zone BCs.
@@ -119,21 +119,11 @@ impl MultiZoneSolver {
     }
 
     /// One time step, pure loop-level parallelism: zones stepped one
-    /// after another, all workers inside each zone's loops.
-    pub fn step_loop_level(&mut self, workers: &Workers, profiler: Option<&LoopProfiler>) {
-        self.step_loop_level_scheduled(workers, profiler, None);
-    }
-
-    /// [`MultiZoneSolver::step_loop_level`] with per-kernel scheduling
-    /// overrides threaded to every zone's stepper (see
-    /// [`RiscStepper::step_scheduled`]). The serial `inject` kernel has
-    /// no parallel region and takes no override.
-    pub fn step_loop_level_scheduled(
-        &mut self,
-        workers: &Workers,
-        profiler: Option<&LoopProfiler>,
-        schedules: Option<&llp::ScheduleMap>,
-    ) {
+    /// after another, all workers inside each zone's loops, with the
+    /// per-kernel scheduling overrides of `schedules` threaded to every
+    /// zone's stepper (see [`RiscStepper::step`]). The serial `inject`
+    /// kernel has no parallel region and takes no override.
+    pub fn step_loop_level(&mut self, workers: &Workers, schedules: Option<&llp::ScheduleMap>) {
         let rec = workers.recorder().clone();
         let _step = rec.span("step", SpanKind::Step);
         let topo = self.topology();
@@ -153,7 +143,7 @@ impl MultiZoneSolver {
             &topo,
             |i, (zone, stepper)| {
                 let _zone = rec.span(&names[i], SpanKind::Zone);
-                stepper.step_scheduled(zone, &bcs[i], workers, profiler, schedules);
+                stepper.step(zone, &bcs[i], workers, schedules);
             },
             |_i, (up, _), (down, _)| {
                 if inject_span.is_none() {
@@ -175,7 +165,7 @@ impl MultiZoneSolver {
     /// [`llp::Workers::shard_view`] of `pool` carrying the leftover
     /// worker budget), zonal injection applied at the step barrier in
     /// canonical interface order. Numerically bit-identical to
-    /// [`MultiZoneSolver::step_loop_level_scheduled`] for every shard
+    /// [`MultiZoneSolver::step_loop_level`] for every shard
     /// count — the sequential sweep is the 1-shard degenerate case.
     ///
     /// Zone occupancy events land on `pool`'s flight recorder (lane =
@@ -203,7 +193,7 @@ impl MultiZoneSolver {
             &mut blocks,
             &topo,
             |i, shard_workers, (zone, stepper)| {
-                stepper.step_scheduled(zone, &bcs[i], shard_workers, None, schedules);
+                stepper.step(zone, &bcs[i], shard_workers, schedules);
             },
             |_i, (up, _), (down, _)| bc::inject(up, down),
         )

@@ -32,13 +32,9 @@ use crate::solver::{
     PencilScratch, SolverConfig, ZoneSolver,
 };
 use llp::obs::SpanKind;
-use llp::{
-    doacross_into_scratch, doacross_slabs, doacross_slabs_scratch, LoopProfiler, ScheduleMap,
-    Workers,
-};
+use llp::{doacross_into_scratch, doacross_slabs, doacross_slabs_scratch, ScheduleMap, Workers};
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
 use solver::WidthMap;
-use std::time::Instant;
 
 /// The tuned stepper.
 #[derive(Debug)]
@@ -104,31 +100,22 @@ impl RiscStepper {
         PencilScratch::new(self.max_pencil).bytes()
     }
 
-    /// Advance one time step using `workers`; phase timings are
-    /// recorded into `profiler` when given.
+    /// Advance one time step using `workers`. Each parallel phase runs
+    /// on a [`Workers::scheduled_view`] carrying the worker count and
+    /// policy `schedules` maps its kernel name to (`rhs`, `j_factor`,
+    /// `k_factor`, `l_factor_solve`, `l_factor_scatter`, `update`),
+    /// falling back to `workers`'s own configuration for unmapped
+    /// kernels and for `None`. Numerics are invariant to the overrides
+    /// — only the performance shape changes.
+    ///
+    /// Every phase opens one kernel span on `workers`' recorder (free
+    /// when disabled), so the per-loop profile of a run on
+    /// [`Workers::recorded`] is `take_report(..).kernel_summaries()`.
     pub fn step(
         &mut self,
         zone: &mut ZoneSolver,
         bcs: &ZoneBcs,
         workers: &Workers,
-        profiler: Option<&LoopProfiler>,
-    ) {
-        self.step_scheduled(zone, bcs, workers, profiler, None);
-    }
-
-    /// [`RiscStepper::step`] with per-kernel scheduling overrides: each
-    /// parallel phase runs on a [`Workers::scheduled_view`] carrying the
-    /// worker count and policy `schedules` maps its kernel name to
-    /// (`rhs`, `j_factor`, `k_factor`, `l_factor_solve`,
-    /// `l_factor_scatter`, `update`), falling back to `workers`'s own
-    /// configuration for unmapped kernels. Numerics are invariant to
-    /// the overrides — only the performance shape changes.
-    pub fn step_scheduled(
-        &mut self,
-        zone: &mut ZoneSolver,
-        bcs: &ZoneBcs,
-        workers: &Workers,
-        profiler: Option<&LoopProfiler>,
         schedules: Option<&ScheduleMap>,
     ) {
         let d = zone.dims();
@@ -141,11 +128,6 @@ impl RiscStepper {
         // Element offset of (j, k, component c) within an L-slab under
         // AoS + JKL layout.
         let at = move |j: usize, k: usize, c: usize| (k * jmax + j) * NCONS + c;
-        let record = |name: &str, parallelism: u64, parallel: bool, t: Instant| {
-            if let Some(p) = profiler {
-                p.record(name, t.elapsed().as_secs_f64(), parallelism, parallel);
-            }
-        };
         let w_rhs = self.widths.get("rhs");
         let w_j = self.widths.get("j_factor");
         let w_k = self.widths.get("k_factor");
@@ -158,7 +140,6 @@ impl RiscStepper {
         // --- Explicit residual: rhs = -dt R(Q); parallel over L. Each
         // worker carries a J-row buffer so interior rows run in lane
         // groups (width from the WidthMap, one-lane tail). ---
-        let t = Instant::now();
         {
             let _span = rec.span("rhs", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "rhs");
@@ -192,12 +173,10 @@ impl RiscStepper {
                 },
             );
         }
-        record("rhs", lmax as u64, true, t);
 
         // --- J factor: pencils along J, parallel over L, pencil scratch
         // per worker (Example 3). Boundary pencils carry zero RHS and
         // are skipped. ---
-        let t = Instant::now();
         {
             let _span = rec.span("j_factor", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "j_factor");
@@ -229,10 +208,8 @@ impl RiscStepper {
                 },
             );
         }
-        record("j_factor", lmax as u64, true, t);
 
         // --- K factor: pencils along K, parallel over L. ---
-        let t = Instant::now();
         {
             let _span = rec.span("k_factor", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "k_factor");
@@ -264,11 +241,9 @@ impl RiscStepper {
                 },
             );
         }
-        record("k_factor", lmax as u64, true, t);
 
         // --- L factor, phase 1: solve pencils along L into private
         // per-K buffers; parallel over K. ---
-        let t = Instant::now();
         let mut solutions: Vec<Vec<[f64; NCONS]>> = Vec::new();
         solutions.resize(kmax, Vec::new());
         {
@@ -300,10 +275,8 @@ impl RiscStepper {
                 },
             );
         }
-        record("l_factor_solve", kmax as u64, true, t);
 
         // --- L factor, phase 2: scatter solutions; parallel over L. ---
-        let t = Instant::now();
         {
             let _span = rec.span("l_factor_scatter", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "l_factor_scatter");
@@ -319,10 +292,8 @@ impl RiscStepper {
                 }
             });
         }
-        record("l_factor_scatter", lmax as u64, true, t);
 
         // --- Update interior points; parallel over L. ---
-        let t = Instant::now();
         {
             let _span = rec.span("update", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "update");
@@ -341,15 +312,12 @@ impl RiscStepper {
                 }
             });
         }
-        record("update", lmax as u64, true, t);
 
         // --- Boundary conditions: serial, as the paper recommends. ---
-        let t = Instant::now();
         {
             let _span = rec.span("bc", SpanKind::Kernel);
             bc::apply_all(zone, bcs);
         }
-        record("bc", 1, false, t);
     }
 }
 
@@ -464,38 +432,6 @@ mod tests {
         }
         assert_eq!(results[0].max_abs_diff(&results[1]), 0.0);
         assert_eq!(results[0].max_abs_diff(&results[2]), 0.0);
-    }
-
-    #[test]
-    fn profiler_sees_all_phases() {
-        let (mut zone, mut stepper) = small_case();
-        let workers = Workers::new(2);
-        let profiler = LoopProfiler::new();
-        stepper.step(
-            &mut zone,
-            &ZoneBcs::all_freestream(),
-            &workers,
-            Some(&profiler),
-        );
-        let report = profiler.report();
-        let names: Vec<&str> = report.iter().map(|r| r.name.as_str()).collect();
-        for expect in [
-            "rhs",
-            "j_factor",
-            "k_factor",
-            "l_factor_solve",
-            "l_factor_scatter",
-            "update",
-            "bc",
-        ] {
-            assert!(names.contains(&expect), "missing phase {expect}");
-        }
-        // BC is flagged serial; sweeps parallel.
-        let bc = report.iter().find(|r| r.name == "bc").unwrap();
-        assert!(!bc.stats.parallelized);
-        let rhs = report.iter().find(|r| r.name == "rhs").unwrap();
-        assert!(rhs.stats.parallelized);
-        assert_eq!(rhs.stats.parallelism, 6); // L extent
     }
 
     #[test]

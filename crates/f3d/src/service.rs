@@ -309,9 +309,7 @@ impl SolverInstance for F3dInstance {
 
     fn step(&mut self, pool: &Workers, step: usize, schedules: Option<&llp::ScheduleMap>) {
         match self.case.zone_schedule {
-            ZoneSchedule::Sequential => {
-                self.solver.step_loop_level_scheduled(pool, None, schedules)
-            }
+            ZoneSchedule::Sequential => self.solver.step_loop_level(pool, schedules),
             ZoneSchedule::Zones(shards) => {
                 self.zone_stats =
                     Some(

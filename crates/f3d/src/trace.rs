@@ -462,7 +462,7 @@ mod tests {
         use crate::bc::ZoneBcs;
         use crate::risc_impl::RiscStepper;
         use crate::solver::SolverConfig;
-        use llp::{LoopProfiler, Workers};
+        use llp::Workers;
         use mesh::Metrics;
 
         let d = Dims::new(6, 7, 8);
@@ -470,13 +470,14 @@ mod tests {
             SolverConfig::subsonic(),
             Metrics::cartesian(d, (0.5, 0.5, 0.5)),
         );
-        let workers = Workers::new(2);
-        let prof = LoopProfiler::new();
-        stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, Some(&prof));
+        let workers = Workers::recorded(2);
+        stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, None);
+        let kernels = workers.recorder().take_report("z", 2).kernel_summaries();
+        let measured = |name: &str| kernels.iter().find(|k| k.name == name).unwrap().parallelism;
         // Real run: rhs/j/k/update parallel over L (8), l_factor over K (7).
-        assert_eq!(prof.get("rhs").unwrap().parallelism, 8);
-        assert_eq!(prof.get("j_factor").unwrap().parallelism, 8);
-        assert_eq!(prof.get("l_factor_solve").unwrap().parallelism, 7);
+        assert_eq!(measured("rhs"), 8);
+        assert_eq!(measured("j_factor"), 8);
+        assert_eq!(measured("l_factor_solve"), 7);
         // Analytic trace for a single-zone grid of the same dims.
         let grid = MultiZoneGrid::chained(vec![mesh::ZoneSpec {
             name: "z".into(),

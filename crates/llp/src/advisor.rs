@@ -3,8 +3,11 @@
 //! The paper's workflow: profile the serial code, then parallelize the
 //! expensive loops "one (or a few) at a time", leaving loops whose work
 //! cannot justify the synchronization overhead — boundary conditions
-//! above all — serial. The advisor automates the decision with the
-//! models of `perfmodel`:
+//! above all — serial. The profile is the span report's per-kernel
+//! rows ([`crate::obs::ObsReport::kernel_summaries`], or
+//! [`KernelSummary`] rows stated by hand for a modeled or remote
+//! profile); the advisor automates the decision with the models of
+//! `perfmodel`:
 //!
 //! * a loop is worth parallelizing on `P` processors only if its work
 //!   per invocation exceeds the Table-1 bound `P × sync / f`;
@@ -12,11 +15,11 @@
 //!   parallelism;
 //! * the cost of the loops left serial is an Amdahl term.
 //!
-//! The resulting [`Advice`] both ranks the loops (what to parallelize
-//! first) and predicts the whole-program speedup of the recommended
-//! configuration.
+//! The resulting [`Advice`] judges every loop (with its share of the
+//! profiled time, so a caller can rank what to parallelize first) and
+//! predicts the whole-program speedup of the recommended configuration.
 
-use crate::profile::LoopReport;
+use crate::obs::KernelSummary;
 use crate::schedule::Policy;
 use perfmodel::overhead::OverheadBound;
 use perfmodel::stairstep::ideal_speedup;
@@ -110,8 +113,9 @@ impl LoopAdvice {
 /// Whole-program advice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Advice {
-    /// Per-loop advice, ordered by descending cost (parallelize the top
-    /// of the list first — the incremental workflow).
+    /// Per-loop advice, in the order the profile rows were given. A
+    /// caller that wants the incremental workflow's "most expensive
+    /// first" sorts by [`LoopAdvice::fraction_of_total`].
     pub loops: Vec<LoopAdvice>,
     /// Fraction of profiled time left serial under the recommendation.
     pub serial_fraction: f64,
@@ -150,8 +154,8 @@ impl Advisor {
 
     /// Judge one loop: should it be parallelized on this machine?
     #[must_use]
-    pub fn judge(&self, report: &LoopReport) -> LoopDecision {
-        if report.stats.parallelism < 2 {
+    pub fn judge(&self, report: &KernelSummary) -> LoopDecision {
+        if report.parallelism < 2 {
             return LoopDecision::NoParallelism;
         }
         let work_cycles = (report.seconds_per_invocation() * self.clock_hz) as u64;
@@ -162,7 +166,7 @@ impl Advisor {
                 required_cycles: required,
             };
         }
-        let stair = ideal_speedup(report.stats.parallelism, self.processors);
+        let stair = ideal_speedup(report.parallelism, self.processors);
         // Parallel time per invocation = serial/stair + sync cost.
         let serial_s = report.seconds_per_invocation();
         let sync_s = self.bound.sync_cost_cycles as f64 / self.clock_hz;
@@ -192,11 +196,11 @@ impl Advisor {
     ///
     /// Loops the advisor would leave serial get [`Policy::Static`].
     #[must_use]
-    pub fn recommend_schedule(&self, report: &LoopReport) -> Policy {
+    pub fn recommend_schedule(&self, report: &KernelSummary) -> Policy {
         if !matches!(self.judge(report), LoopDecision::Parallelize { .. }) {
             return Policy::Static;
         }
-        let u = report.stats.parallelism;
+        let u = report.parallelism;
         let p = u64::from(self.processors);
         // u <= p: static gives every unit its own processor already;
         // u % p == 0: static blocks are perfectly balanced.
@@ -223,10 +227,12 @@ impl Advisor {
         }
     }
 
-    /// Advise on a full profile.
+    /// Advise on a full profile. Loops come back in the order given;
+    /// each one's `fraction_of_total` is its share of the rows' summed
+    /// seconds (0 for an all-zero profile).
     #[must_use]
-    pub fn advise(&self, reports: &[LoopReport]) -> Advice {
-        let total: f64 = reports.iter().map(|r| r.stats.total_seconds).sum();
+    pub fn advise(&self, reports: &[KernelSummary]) -> Advice {
+        let total: f64 = reports.iter().map(|r| r.seconds).sum();
         let mut loops = Vec::with_capacity(reports.len());
         let mut serial_time = 0.0;
         let mut predicted_time = 0.0;
@@ -235,18 +241,17 @@ impl Advisor {
             let decision = self.judge(r);
             match decision {
                 LoopDecision::Parallelize { .. } => {
-                    let stair = ideal_speedup(r.stats.parallelism, self.processors);
-                    predicted_time +=
-                        r.stats.total_seconds / stair + sync_s * r.stats.invocations as f64;
+                    let stair = ideal_speedup(r.parallelism, self.processors);
+                    predicted_time += r.seconds / stair + sync_s * r.invocations as f64;
                 }
                 _ => {
-                    serial_time += r.stats.total_seconds;
-                    predicted_time += r.stats.total_seconds;
+                    serial_time += r.seconds;
+                    predicted_time += r.seconds;
                 }
             }
             loops.push(LoopAdvice {
                 name: r.name.clone(),
-                fraction_of_total: r.fraction_of_total,
+                fraction_of_total: if total > 0.0 { r.seconds / total } else { 0.0 },
                 schedule: self.recommend_schedule(r),
                 decision,
                 measured: None,
@@ -277,7 +282,7 @@ impl Advisor {
     #[must_use]
     pub fn advise_with_measured(
         &self,
-        reports: &[LoopReport],
+        reports: &[KernelSummary],
         measured: &[(String, MeasuredChoice)],
     ) -> Advice {
         let mut advice = self.advise(reports);
@@ -296,18 +301,13 @@ impl Advisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{LoopReport, LoopStats};
 
-    fn report(name: &str, seconds: f64, invocations: u64, parallelism: u64) -> LoopReport {
-        LoopReport {
-            name: name.into(),
-            stats: LoopStats {
-                invocations,
-                total_seconds: seconds,
-                parallelism,
-                parallelized: false,
-            },
-            fraction_of_total: 0.0,
+    fn report(name: &str, seconds: f64, invocations: u64, parallelism: u64) -> KernelSummary {
+        KernelSummary {
+            invocations,
+            seconds,
+            parallelism,
+            ..KernelSummary::named(name)
         }
     }
 

@@ -25,10 +25,12 @@
 //!   carries a cache-resident 1-D scratch buffer (paper Example 3) —
 //!   this reduced synchronization events by 1–3 orders of magnitude and
 //!   shrank plane-sized scratch arrays to pencils.
-//! * **Per-loop profiling** ([`profile`]) and an **incremental
-//!   parallelization advisor** ([`advisor`]): profile first, then
-//!   parallelize only the loops whose work justifies the synchronization
-//!   cost — the paper's alternative to all-or-nothing MPI/HPF porting.
+//! * An **incremental parallelization advisor** ([`advisor`]): profile
+//!   first, then parallelize only the loops whose work justifies the
+//!   synchronization cost — the paper's alternative to all-or-nothing
+//!   MPI/HPF porting. The profile is not a second instrument: kernel
+//!   spans recorded under [`Workers::recorded`] →
+//!   [`ObsReport::kernel_summaries`] → [`Advisor::advise`].
 //! * **Observability** ([`obs`]): hierarchical span tracing (time step →
 //!   zone → kernel → parallel region) with sync-event counts and chunk
 //!   imbalance, exported as versioned JSON, free when disabled; plus a
@@ -45,7 +47,6 @@ pub mod env;
 pub mod fusion;
 pub mod obs;
 pub mod pool;
-pub mod profile;
 pub mod schedule;
 #[allow(unsafe_code)]
 mod team;
@@ -61,5 +62,4 @@ pub use obs::{
     SpanNode, Timeline,
 };
 pub use pool::{default_worker_count, ChunkClaimer, Workers};
-pub use profile::{LoopProfiler, LoopReport};
-pub use schedule::{chunk_bounds, Policy, ScheduleMap, StaticSchedule};
+pub use schedule::{chunk_bounds, Policy, ScheduleMap};

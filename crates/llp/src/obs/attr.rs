@@ -274,12 +274,15 @@ impl AttributionReport {
                 claim_ns: 0,
             })
             .collect();
+        // `timeline.regions` is in sequence order (its contract), so
+        // `regions` is too, index for index. An event whose region has
+        // no mark (a session abandoned before its barrier) counts in
+        // its lane's totals and in no region.
+        let region_index = |seq: u64| timeline.regions.binary_search_by_key(&seq, |r| r.seq).ok();
         for (lane, data) in timeline.lanes.iter().enumerate() {
-            let region_index = |seq: u64| regions.iter().position(|r| r.seq == seq);
             let w = &mut workers[lane];
             let mut open_start: Option<(u64, u64)> = None; // (ts, chunk)
             let mut open_zone: Option<(u64, u64)> = None; // (ts, zone)
-            let mut per_region: Vec<(usize, u64, u64, u64)> = Vec::new();
             for e in &data.events {
                 match e.kind {
                     EventKind::ChunkStart => open_start = Some((e.ts_ns, e.arg)),
@@ -290,7 +293,7 @@ impl AttributionReport {
                                 w.compute_ns += dur;
                                 w.chunks += 1;
                                 if let Some(ri) = region_index(e.region) {
-                                    per_region.push((ri, dur, 0, 0));
+                                    regions[ri].compute_ns += dur;
                                 }
                             }
                         }
@@ -298,13 +301,13 @@ impl AttributionReport {
                     EventKind::BarrierWait => {
                         w.barrier_ns += e.arg;
                         if let Some(ri) = region_index(e.region) {
-                            per_region.push((ri, 0, e.arg, 0));
+                            regions[ri].barrier_ns += e.arg;
                         }
                     }
                     EventKind::ClaimWait => {
                         w.claim_ns += e.arg;
                         if let Some(ri) = region_index(e.region) {
-                            per_region.push((ri, 0, 0, e.arg));
+                            regions[ri].claim_ns += e.arg;
                         }
                     }
                     EventKind::ClaimMiss => w.claim_misses += 1,
@@ -318,11 +321,6 @@ impl AttributionReport {
                         }
                     }
                 }
-            }
-            for (ri, compute, barrier, claim) in per_region {
-                regions[ri].compute_ns += compute;
-                regions[ri].barrier_ns += barrier;
-                regions[ri].claim_ns += claim;
             }
         }
         Self {
@@ -626,7 +624,7 @@ fn collect_region_kernels(node: &SpanNode, kernel: Option<&str>, out: &mut Vec<S
 mod tests {
     use super::*;
     use crate::obs::report::REPORT_SCHEMA_VERSION;
-    use crate::obs::timeline::FlightRecorder;
+    use crate::obs::timeline::{FlightRecorder, TimelineEvent};
 
     /// A synthetic two-lane timeline: lane 0 computes 100 µs, lane 1
     /// computes 60 µs then waits 40 µs at the barrier; both claim once.
@@ -665,6 +663,57 @@ mod tests {
         assert!(a.sync_fraction() > 0.0);
         assert!(a.imbalance() >= 1.0);
         assert_eq!(a.dropped_events, 0);
+
+        // Four regions, the second abandoned before its barrier (its
+        // session dropped without `finish`, as a panicking region's
+        // is): its events are on the lanes but it has no mark, so the
+        // marks' `seq` run 0, 2, 3. Lane `l` of region `r` claims for
+        // `(l + 1) * claim[r]` ns and runs one chunk.
+        let claim = [1_000u64, 10_000, 100_000, 1_000_000];
+        let fr = FlightRecorder::enabled(2, 64);
+        for (seq, claim) in claim.iter().enumerate() {
+            let s = fr.begin_region(2, 2, 100, 2, "dynamic").unwrap();
+            for lane in 0..2 {
+                s.claim_wait(lane, claim * (lane as u64 + 1));
+                s.chunk_start(lane, lane);
+                s.chunk_end(lane, lane);
+            }
+            if seq != 1 {
+                s.finish();
+            }
+        }
+        let t = fr.take_timeline();
+        let a = AttributionReport::from_timeline(&t);
+        let seqs: Vec<u64> = a.regions.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 2, 3]);
+        // Each marked region gets exactly its own events; the oracle is
+        // a linear scan of every lane for one `seq`.
+        let scan = |seq: u64, kind: EventKind, field: fn(&TimelineEvent) -> u64| -> u64 {
+            let events = t.lanes.iter().flat_map(|l| &l.events);
+            events
+                .filter(|e| e.region == seq && e.kind == kind)
+                .map(field)
+                .sum()
+        };
+        let compute = |seq| {
+            scan(seq, EventKind::ChunkEnd, |e| e.ts_ns)
+                - scan(seq, EventKind::ChunkStart, |e| e.ts_ns)
+        };
+        for r in &a.regions {
+            assert_eq!(r.claim_ns, 3 * claim[r.seq as usize], "region {}", r.seq);
+            assert_eq!(r.compute_ns, compute(r.seq), "region {}", r.seq);
+            let waits = scan(r.seq, EventKind::BarrierWait, |e| e.arg);
+            assert_eq!(r.barrier_ns, waits, "region {}", r.seq);
+        }
+        // The unmarked region's events still count per worker — and in
+        // no region (it never reached its barrier, so it has no waits).
+        assert_eq!(a.workers[0].chunks, 4);
+        assert_eq!(a.workers[1].chunks, 4);
+        assert_eq!(a.claim_ns(), 3 * claim.iter().sum::<u64>());
+        let in_regions = |f: fn(&RegionAttribution) -> u64| a.regions.iter().map(f).sum::<u64>();
+        assert_eq!(a.claim_ns() - in_regions(|r| r.claim_ns), 3 * claim[1]);
+        assert_eq!(a.compute_ns() - in_regions(|r| r.compute_ns), compute(1));
+        assert_eq!(a.barrier_ns(), in_regions(|r| r.barrier_ns));
     }
 
     #[test]

@@ -17,11 +17,11 @@ use crate::obs::report::{ObsReport, SpanKind, SpanNode, REPORT_SCHEMA_VERSION};
 /// A handle for recording a tree of execution spans.
 ///
 /// Clones share the same underlying span store, so one recorder can be
-/// threaded through a solver, its worker pool, and its profiler. The
-/// coordinator thread opens and closes spans; parallel workers never
-/// touch the recorder (chunk timings are gathered by the doacross entry
-/// points and attached after the region's barrier), so the interior
-/// mutex is uncontended by construction.
+/// threaded through a solver and its worker pool. The coordinator
+/// thread opens and closes spans; parallel workers never touch the
+/// recorder (chunk timings are gathered by the doacross entry points
+/// and attached after the region's barrier), so the interior mutex is
+/// uncontended by construction.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<State>>>,

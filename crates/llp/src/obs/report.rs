@@ -244,7 +244,10 @@ fn num(v: u64) -> Json {
     Json::Num(v as f64)
 }
 
-/// Per-kernel aggregate over a whole report.
+/// Per-kernel aggregate over a whole report — the suite's one profile
+/// row: the solve body's `report.kernels[]`, the input of
+/// [`crate::advisor::Advisor`], and what the benchmark's per-kernel
+/// metrics are read from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelSummary {
     /// Kernel name.
@@ -264,6 +267,34 @@ pub struct KernelSummary {
 }
 
 impl KernelSummary {
+    /// A row for `name` that has seen nothing yet: zero counts, serial,
+    /// and the neutral `max_imbalance` of 1.0.
+    /// [`ObsReport::kernel_summaries`] folds kernel spans into it; a
+    /// profile stated by hand (a modeled run, a `/v1/advise` body)
+    /// fills in what it knows with struct-update syntax.
+    #[must_use]
+    pub fn named(name: impl Into<String>) -> Self {
+        Self {
+            name: name.into(),
+            invocations: 0,
+            seconds: 0.0,
+            sync_events: 0,
+            parallelized: false,
+            parallelism: 0,
+            max_imbalance: 1.0,
+        }
+    }
+
+    /// Seconds per invocation (0 if never invoked).
+    #[must_use]
+    pub fn seconds_per_invocation(&self) -> f64 {
+        if self.invocations == 0 {
+            0.0
+        } else {
+            self.seconds / self.invocations as f64
+        }
+    }
+
     fn to_json(&self) -> Json {
         Json::object(vec![
             ("name", Json::Str(self.name.clone())),
@@ -452,15 +483,7 @@ fn collect_kernels(
         let entry = match out.iter_mut().find(|k| k.name == name) {
             Some(e) => e,
             None => {
-                out.push(KernelSummary {
-                    name,
-                    invocations: 0,
-                    seconds: 0.0,
-                    sync_events: 0,
-                    parallelized: false,
-                    parallelism: 0,
-                    max_imbalance: 1.0,
-                });
+                out.push(KernelSummary::named(name));
                 out.last_mut().expect("just pushed")
             }
         };
@@ -538,6 +561,7 @@ mod tests {
         assert_eq!(ks[1].parallelism, 60);
         assert_eq!(ks[1].sync_events, 1);
         assert!((ks[1].max_imbalance - 1.2).abs() < 1e-12);
+        assert!((ks[1].seconds_per_invocation() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -9,52 +9,6 @@
 
 use std::ops::Range;
 
-/// The static schedule of `n` iterations over `p` workers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticSchedule {
-    /// Iteration count.
-    pub n: usize,
-    /// Worker count.
-    pub p: usize,
-    /// Contiguous per-worker iteration ranges; empty ranges are omitted,
-    /// so `chunks.len() == min(n, p)` whenever `n > 0`.
-    pub chunks: Vec<Range<usize>>,
-}
-
-impl StaticSchedule {
-    /// Compute the schedule. Degenerate inputs (`n == 0` or `p == 0`)
-    /// yield an empty chunk list rather than panicking: a service that
-    /// derives worker counts from untrusted input must get a schedule
-    /// with no work, not a crash.
-    #[must_use]
-    pub fn new(n: usize, p: usize) -> Self {
-        Self {
-            n,
-            p,
-            chunks: chunk_bounds(n, p),
-        }
-    }
-
-    /// Size of the largest chunk — the quantity that bounds the parallel
-    /// runtime and drives the stair-step law. Zero for `n == 0`.
-    #[must_use]
-    pub fn max_chunk(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).max().unwrap_or(0)
-    }
-
-    /// Ideal speedup of this schedule relative to serial execution,
-    /// assuming uniform cost per iteration: `n / max_chunk` (1.0 for
-    /// the degenerate schedules with no chunks).
-    #[must_use]
-    pub fn ideal_speedup(&self) -> f64 {
-        if self.n == 0 || self.max_chunk() == 0 {
-            1.0
-        } else {
-            self.n as f64 / self.max_chunk() as f64
-        }
-    }
-}
-
 /// Divide `0..n` into at most `p` contiguous chunks with the block-static
 /// rule: the first `n % p` chunks get `ceil(n/p)` iterations, the rest
 /// `floor(n/p)`. Chunks that would be empty are omitted.
@@ -355,16 +309,11 @@ mod tests {
     fn max_chunk_is_ceil() {
         for n in [1usize, 2, 7, 15, 70, 350, 1000] {
             for p in [1usize, 2, 3, 7, 16, 64, 128] {
-                let s = StaticSchedule::new(n, p);
-                assert_eq!(
-                    s.max_chunk(),
-                    n.div_ceil(p).max(n.div_ceil(p.min(n))),
-                    "n={n} p={p}"
-                );
-                assert_eq!(s.max_chunk(), n.div_ceil(p.min(n)), "n={n} p={p}");
+                let max_chunk = chunk_bounds(n, p).iter().map(Range::len).max();
+                assert_eq!(max_chunk, Some(n.div_ceil(p.min(n))), "n={n} p={p}");
                 // Which equals ceil(n/p) because p.min(n) only matters
                 // when p > n, where both give 1.
-                assert_eq!(s.max_chunk(), n.div_ceil(p), "n={n} p={p}");
+                assert_eq!(max_chunk, Some(n.div_ceil(p)), "n={n} p={p}");
             }
         }
     }
@@ -386,13 +335,11 @@ mod tests {
         // The schedule realizes perfmodel's predicted speedup exactly.
         for n in [15u32, 70, 350] {
             for p in 1..=(n + 5) {
-                let s = StaticSchedule::new(n as usize, p as usize);
+                let speedup = Policy::Static.ideal_speedup(n as usize, p as usize);
                 let model = perfmodel::ideal_speedup(u64::from(n), p);
                 assert!(
-                    (s.ideal_speedup() - model).abs() < 1e-12,
-                    "n={n} p={p}: {} vs {}",
-                    s.ideal_speedup(),
-                    model
+                    (speedup - model).abs() < 1e-12,
+                    "n={n} p={p}: {speedup} vs {model}"
                 );
             }
         }
@@ -401,19 +348,18 @@ mod tests {
     #[test]
     fn table3_realized_by_schedule() {
         // Paper Table 3: 15 units on 4 processors -> 3.75.
-        assert!((StaticSchedule::new(15, 4).ideal_speedup() - 3.75).abs() < 1e-12);
+        assert!((Policy::Static.ideal_speedup(15, 4) - 3.75).abs() < 1e-12);
         // 8..14 processors -> 7.5.
         for p in 8..=14 {
-            assert!((StaticSchedule::new(15, p).ideal_speedup() - 7.5).abs() < 1e-12);
+            assert!((Policy::Static.ideal_speedup(15, p) - 7.5).abs() < 1e-12);
         }
     }
 
     #[test]
     fn empty_range() {
         assert!(chunk_bounds(0, 4).is_empty());
-        let s = StaticSchedule::new(0, 4);
-        assert_eq!(s.max_chunk(), 0);
-        assert_eq!(s.ideal_speedup(), 1.0);
+        assert!(Policy::Static.chunks(0, 4).is_empty());
+        assert_eq!(Policy::Static.ideal_speedup(0, 4), 1.0);
     }
 
     #[test]
@@ -427,9 +373,7 @@ mod tests {
     fn zero_workers_yields_empty_schedule() {
         // Degenerate inputs are total: no panic, no zero-length chunks.
         assert!(chunk_bounds(5, 0).is_empty());
-        let s = StaticSchedule::new(5, 0);
-        assert_eq!(s.max_chunk(), 0);
-        assert_eq!(s.ideal_speedup(), 1.0);
+        assert_eq!(Policy::Static.ideal_speedup(5, 0), 1.0);
         for policy in [
             Policy::Static,
             Policy::Dynamic { chunk: 2 },

@@ -29,24 +29,26 @@ proptest! {
         prop_assert_eq!(max, n.div_ceil(p));
     }
 
-    /// A `StaticSchedule` covers `0..n` disjointly, its largest chunk
+    /// `Policy::Static` covers `0..n` disjointly, its largest chunk
     /// is exactly `ceil(n/p)`, and its ideal speedup follows from it,
     /// never exceeding `min(n, p)`.
     #[test]
     fn static_schedule_invariants(n in 0usize..5_000, p in 1usize..256) {
-        let s = llp::StaticSchedule::new(n, p);
+        let chunks = Policy::Static.chunks(n, p);
         let mut covered = 0;
-        for c in &s.chunks {
+        for c in &chunks {
             prop_assert_eq!(c.start, covered, "chunks must be disjoint and in order");
             prop_assert!(c.end > c.start);
             covered = c.end;
         }
         prop_assert_eq!(covered, n);
-        prop_assert_eq!(s.max_chunk(), if n == 0 { 0 } else { n.div_ceil(p) });
+        let max_chunk = chunks.iter().map(std::ops::Range::len).max().unwrap_or(0);
+        prop_assert_eq!(max_chunk, if n == 0 { 0 } else { n.div_ceil(p) });
+        let speedup = Policy::Static.ideal_speedup(n, p);
         if n > 0 {
-            let ideal = n as f64 / s.max_chunk() as f64;
-            prop_assert!((s.ideal_speedup() - ideal).abs() < 1e-12);
-            prop_assert!(s.ideal_speedup() <= n.min(p) as f64 + 1e-12);
+            let ideal = n as f64 / max_chunk as f64;
+            prop_assert!((speedup - ideal).abs() < 1e-12);
+            prop_assert!(speedup <= n.min(p) as f64 + 1e-12);
         }
     }
 
@@ -63,9 +65,8 @@ proptest! {
             // p > n yields exactly n unit chunks, never padding.
             prop_assert_eq!(chunks.len(), n.min(p));
         }
-        let s = llp::StaticSchedule::new(n, p);
-        prop_assert_eq!(&s.chunks, &chunks);
-        prop_assert!(s.ideal_speedup() >= 1.0 - 1e-12);
+        prop_assert_eq!(&Policy::Static.chunks(n, p), &chunks);
+        prop_assert!(Policy::Static.ideal_speedup(n, p) >= 1.0 - 1e-12);
         for policy in [
             Policy::Static,
             Policy::Dynamic { chunk: 0 },

@@ -16,8 +16,7 @@ use llp::advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice};
 use llp::obs::attr::KernelOverhead;
 use llp::obs::chrome::chrome_trace_with_summary;
 use llp::obs::json::Json;
-use llp::obs::AttributionReport;
-use llp::profile::{LoopReport, LoopStats};
+use llp::obs::{AttributionReport, KernelSummary};
 use llp::Policy;
 use perfmodel::overhead::{OverheadBound, PAPER_OVERHEAD_FRACTION};
 use perfmodel::stairstep::{ideal_speedup, plateau_edges};
@@ -585,7 +584,7 @@ pub struct AdviseQuery {
     /// Machine parameters to judge against.
     pub advisor: Advisor,
     /// Profiled loops, in submitted order.
-    pub reports: Vec<LoopReport>,
+    pub reports: Vec<KernelSummary>,
     /// Zone count for zone-level advice (`U_zones`), when the caller
     /// has a multi-zone case and wants the two-level split judged too.
     pub zones: Option<u64>,
@@ -596,9 +595,11 @@ pub struct AdviseQuery {
 /// The body carries the [`Advisor`] machine parameters (`clock_hz`,
 /// `sync_cost_cycles`, `processors`, optional `max_overhead_fraction`)
 /// and a `loops` array of profile rows (`name`, `invocations`,
-/// `total_seconds`, `parallelism`, optional `parallelized`).
-/// `fraction_of_total` is derived from the submitted totals, exactly as
-/// [`llp::LoopProfiler::report`] derives it.
+/// `total_seconds`, `parallelism`, optional `parallelized`), built into
+/// the [`KernelSummary`] rows a span report's `kernel_summaries()`
+/// yields (over [`KernelSummary::named`]: `sync_events: 0`,
+/// `max_imbalance: 1.0`). [`Advisor::advise`] derives each loop's
+/// `fraction_of_total` from the submitted totals.
 ///
 /// # Errors
 /// Rejects unknown fields, out-of-range machine parameters (which would
@@ -678,25 +679,16 @@ pub fn parse_advise_body(text: &str) -> Result<AdviseQuery, String> {
         if total_seconds < 0.0 {
             return Err("`total_seconds` must be non-negative".to_string());
         }
-        rows.push(LoopReport {
-            name: name.to_string(),
-            stats: LoopStats {
-                invocations: require_u64(item, "invocations")?,
-                total_seconds,
-                parallelism: require_u64(item, "parallelism")?,
-                parallelized: item
-                    .get("parallelized")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false),
-            },
-            fraction_of_total: 0.0,
+        rows.push(KernelSummary {
+            invocations: require_u64(item, "invocations")?,
+            seconds: total_seconds,
+            parallelized: item
+                .get("parallelized")
+                .and_then(Json::as_bool)
+                .unwrap_or(false),
+            parallelism: require_u64(item, "parallelism")?,
+            ..KernelSummary::named(name)
         });
-    }
-    let total: f64 = rows.iter().map(|r| r.stats.total_seconds).sum();
-    if total > 0.0 {
-        for r in &mut rows {
-            r.fraction_of_total = r.stats.total_seconds / total;
-        }
     }
 
     Ok(AdviseQuery {
@@ -722,7 +714,7 @@ pub fn parse_advise_body(text: &str) -> Result<AdviseQuery, String> {
 /// zone parallelism multiplies with the loop parallelism underneath it
 /// instead of competing for the same ceiling.
 #[must_use]
-pub fn zone_level_advice(zones: u64, reports: &[LoopReport], advisor: &Advisor) -> Json {
+pub fn zone_level_advice(zones: u64, reports: &[KernelSummary], advisor: &Advisor) -> Json {
     let pool = advisor.processors;
     let single_level = advisor.advise(reports).predicted_speedup;
     let mut best: Option<(f64, Json)> = None;
@@ -1275,8 +1267,8 @@ mod tests {
         }"#;
         let q = parse_advise_body(body).unwrap();
         assert_eq!(q.reports.len(), 2);
-        assert!((q.reports[0].fraction_of_total - 0.9).abs() < 1e-12);
         let advice = q.advisor.advise(&q.reports);
+        assert!((advice.loops[0].fraction_of_total - 0.9).abs() < 1e-12);
         assert!((advice.serial_fraction - 0.1).abs() < 1e-9);
         let json = advise_response(&advice, Json::Null);
         let loops = json.get("loops").unwrap().as_array().unwrap();

@@ -20,7 +20,7 @@
 //! `Connection: keep-alive`). Responses to malformed requests always
 //! close.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Maximum bytes of request line + headers accepted.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -414,17 +414,6 @@ pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     out
 }
 
-/// Write `response` to `stream` with `Connection: close` (errors are
-/// returned for the caller to ignore — a peer that hung up mid-response
-/// is its own problem).
-///
-/// # Errors
-/// Propagates the underlying socket write error.
-pub fn write_response(stream: &mut impl Write, response: &Response) -> std::io::Result<()> {
-    stream.write_all(&render_response(response, false))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,12 +576,10 @@ mod tests {
 
     #[test]
     fn writes_responses_with_retry_after() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let out = render_response(
             &Response::error(429, "queue full").with_retry_after(1),
-        )
-        .unwrap();
+            false,
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));

@@ -249,4 +249,51 @@ mod tests {
         let big = AnyCase::F3d(f3d_case_with(4)).memory_usage_estimate();
         assert!(small > 0 && big > small);
     }
+
+    /// The profile → advise loop is not F3D's: any solver's span report
+    /// feeds the advisor. A served-maximum FDTD sweep (128 rows,
+    /// ≈ 15 µs ≈ 1.5·10⁴ cycles at 1 GHz) is two orders of magnitude
+    /// under the Table-1 bound `100·P·S` = 2·10⁶ cycles for P = 2 and
+    /// S = 10⁴ — `fdtd_sync_bound`'s premise — and the serial `source`
+    /// kernel runs no region at all.
+    #[test]
+    fn fdtd_span_report_feeds_the_advisor() {
+        use llp::{Advisor, LoopDecision};
+        use perfmodel::overhead::OverheadBound;
+
+        let case = FdtdCase {
+            size: 128,
+            steps: 4,
+            workers: 2,
+            schedule: Policy::Static,
+            vector_width: 1,
+        };
+        let run = fdtd::service::run(&case, &Workers::recorded(2)).unwrap();
+        let profile = run.report.kernel_summaries();
+        let names: Vec<&str> = profile.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, ["source", "update_e", "update_h"]);
+
+        let advisor = Advisor::new(1e9, OverheadBound::paper_default(10_000), 2);
+        let advice = advisor.advise(&profile);
+        for (row, loop_advice) in profile.iter().zip(&advice.loops) {
+            assert_eq!(row.invocations, 4, "{}", row.name);
+            if row.name == "source" {
+                assert_eq!(loop_advice.decision, LoopDecision::NoParallelism);
+            } else {
+                assert_eq!(row.parallelism, 128, "{}", row.name);
+                assert!(
+                    matches!(
+                        loop_advice.decision,
+                        LoopDecision::TooLittleWork {
+                            required_cycles: 2_000_000,
+                            ..
+                        }
+                    ),
+                    "{}: {:?}",
+                    row.name,
+                    loop_advice.decision
+                );
+            }
+        }
+    }
 }

@@ -9,7 +9,7 @@
 
 use llp::advisor::Advisor;
 use llp::obs::json::Json;
-use llp::profile::{LoopReport, LoopStats};
+use llp::obs::KernelSummary;
 use llp::Policy;
 use perfmodel::overhead::OverheadBound;
 use serve::{Server, ServerConfig};
@@ -423,28 +423,13 @@ fn advise_matches_the_advisor_exactly() {
         },
         32,
     );
-    let reports = vec![
-        LoopReport {
-            name: "rhs".to_string(),
-            stats: LoopStats {
-                invocations: 10,
-                total_seconds: 90.0,
-                parallelism: 320,
-                parallelized: false,
-            },
-            fraction_of_total: 90.0 / 100.0,
-        },
-        LoopReport {
-            name: "bc".to_string(),
-            stats: LoopStats {
-                invocations: 1000,
-                total_seconds: 10.0,
-                parallelism: 75,
-                parallelized: false,
-            },
-            fraction_of_total: 10.0 / 100.0,
-        },
-    ];
+    let row = |name: &str, invocations, seconds, parallelism| KernelSummary {
+        invocations,
+        seconds,
+        parallelism,
+        ..KernelSummary::named(name)
+    };
+    let reports = vec![row("rhs", 10, 90.0, 320), row("bc", 1000, 10.0, 75)];
     let expected = advisor.advise(&reports);
 
     assert_eq!(
@@ -462,6 +447,10 @@ fn advise_matches_the_advisor_exactly() {
             served_loop.get("name").unwrap().as_str(),
             Some(expected_loop.name.as_str())
         );
+        assert_eq!(
+            served_loop.get("fraction_of_total").unwrap().as_f64(),
+            Some(expected_loop.fraction_of_total)
+        );
         let kind = served_loop
             .get("decision")
             .unwrap()
@@ -475,6 +464,36 @@ fn advise_matches_the_advisor_exactly() {
             llp::advisor::LoopDecision::NoParallelism => "no_parallelism",
         };
         assert_eq!(kind, expected_kind);
+    }
+    server.shutdown();
+}
+
+/// With no tune db loaded the `/v1/advise` document is a pure function
+/// of the body (no timing content), so three responses are pinned byte
+/// for byte: `ADVISE_BODY`, the same body with `"zones": 4`, and the
+/// body CI's smoke job posts.
+#[test]
+fn advise_responses_match_goldens() {
+    let server = small_server();
+    let with_zones = ADVISE_BODY.replacen("\"loops\"", "\"zones\": 4,\n    \"loops\"", 1);
+    assert_ne!(with_zones, ADVISE_BODY);
+    let smoke = r#"{"clock_hz": 300e6, "sync_cost_cycles": 10000, "processors": 32, "loops": [{"name": "rhs", "invocations": 10, "total_seconds": 90.0, "parallelism": 320}]}"#;
+    for (name, body, golden) in [
+        ("advise", ADVISE_BODY, include_str!("golden/advise.json")),
+        (
+            "advise_zones4",
+            with_zones.as_str(),
+            include_str!("golden/advise_zones4.json"),
+        ),
+        (
+            "advise_smoke",
+            smoke,
+            include_str!("golden/advise_smoke.json"),
+        ),
+    ] {
+        let reply = post(server.addr(), "/v1/advise", body);
+        assert_eq!(reply.status, 200, "{name}: {}", reply.body);
+        assert_eq!(reply.body, golden, "{name} drifted from its golden");
     }
     server.shutdown();
 }

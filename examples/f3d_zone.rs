@@ -9,7 +9,7 @@ use f3d::bc::{self, BcKind, Face, ZoneBcs};
 use f3d::risc_impl::RiscStepper;
 use f3d::solver::{SolverConfig, ZoneSolver};
 use f3d::vector_impl::VectorStepper;
-use llp::{LoopProfiler, Workers};
+use llp::Workers;
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, MultiZoneGrid};
 use std::time::Instant;
 
@@ -70,8 +70,9 @@ fn main() {
         risc_zones.push((rz, rs));
     }
 
-    let workers = Workers::default_sized();
-    let profiler = LoopProfiler::new();
+    // Span recording on: the RISC stepper's kernel spans are the
+    // per-loop profile printed below.
+    let workers = Workers::recorded(llp::default_worker_count());
     let nzones = grid.zones().len();
     let steps = 8;
 
@@ -88,7 +89,7 @@ fn main() {
 
         // RISC implementation: parallel sweeps, serial BCs + injection.
         for (i, (zone, stepper)) in risc_zones.iter_mut().enumerate() {
-            stepper.step(zone, &zone_bcs(i, nzones), &workers, Some(&profiler));
+            stepper.step(zone, &zone_bcs(i, nzones), &workers, None);
         }
         for i in 0..nzones - 1 {
             let (a, b) = risc_zones.split_at_mut(i + 1);
@@ -120,14 +121,20 @@ fn main() {
     );
 
     println!("\nper-loop profile of the RISC implementation:");
-    for row in profiler.report() {
+    let mut profile = workers
+        .recorder()
+        .take_report("f3d_zone", workers.processors())
+        .kernel_summaries();
+    profile.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
+    let total: f64 = profile.iter().map(|k| k.seconds).sum();
+    for row in &profile {
         println!(
             "  {:16} {:8.2} ms total  {:5.1}%  parallelism {:>3}  {}",
             row.name,
-            row.stats.total_seconds * 1e3,
-            row.fraction_of_total * 100.0,
-            row.stats.parallelism,
-            if row.stats.parallelized {
+            row.seconds * 1e3,
+            row.seconds / total * 100.0,
+            row.parallelism,
+            if row.parallelized {
                 "parallel"
             } else {
                 "SERIAL"

@@ -14,7 +14,7 @@ use f3d::risc_impl::RiscStepper;
 use f3d::solver::{SolverConfig, ZoneSolver};
 use f3d::state::FlowState;
 use f3d::validation::ResidualHistory;
-use llp::{LoopProfiler, Workers};
+use llp::Workers;
 use mesh::{Arrangement, Axis, Dims, Layout, Zone};
 
 fn main() {
@@ -51,8 +51,9 @@ fn main() {
     let zone0 = ZoneSolver::freestream(config, metrics, Layout::jkl(), Arrangement::ComponentInner);
     let mut zone = zone0;
     let mut stepper = RiscStepper::for_zone(&zone);
-    let workers = Workers::default_sized();
-    let profiler = LoopProfiler::new();
+    // Span recording on: the stepper's kernel spans are the per-loop
+    // profile printed at the end.
+    let workers = Workers::recorded(llp::default_worker_count());
     let mut history = ResidualHistory::new();
 
     println!(
@@ -68,7 +69,7 @@ fn main() {
 
     let reference_area = 2.0 * 1.0 * 8.0; // projected body area (2 r Lx)
     for step in 1..=60 {
-        stepper.step(&mut zone, &bcs, &workers, Some(&profiler));
+        stepper.step(&mut zone, &bcs, &workers, None);
         history.record(&zone);
         if step % 10 == 0 {
             let f = pressure_force(
@@ -96,12 +97,18 @@ fn main() {
     println!("\nall {} states physical after 60 steps", d.points());
 
     println!("\nper-loop profile (the Section 4 workflow's raw input):");
-    for row in profiler.report().into_iter().take(5) {
+    let mut profile = workers
+        .recorder()
+        .take_report("projectile_flow", workers.processors())
+        .kernel_summaries();
+    profile.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
+    let total: f64 = profile.iter().map(|k| k.seconds).sum();
+    for row in profile.iter().take(5) {
         println!(
             "  {:16} {:6.1}%  parallelism {:>3}",
             row.name,
-            row.fraction_of_total * 100.0,
-            row.stats.parallelism
+            row.seconds / total * 100.0,
+            row.parallelism
         );
     }
     println!(

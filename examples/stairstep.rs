@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example stairstep`
 
 use f3d::trace::risc_step_trace;
-use llp::StaticSchedule;
+use llp::Policy;
 use mesh::MultiZoneGrid;
 use perfmodel::{ideal_speedup, plateau_edges};
 use smpsim::presets::origin2000_r12k_128;
@@ -27,11 +27,11 @@ fn main() {
     // --- 2. The schedule. ---
     println!("2. the static schedule realizes the law (U = 70, the 1M case's L extent):\n");
     for p in [16usize, 32, 48, 64, 70, 96] {
-        let s = StaticSchedule::new(70, p);
+        let chunks = Policy::Static.chunks(70, p);
         println!(
             "   P={p:<3} max chunk {} planes  -> speedup {:>5.2}",
-            s.max_chunk(),
-            s.ideal_speedup()
+            chunks.iter().map(|c| c.len()).max().unwrap_or(0),
+            Policy::Static.ideal_speedup(70, p)
         );
     }
     println!(

@@ -1,11 +1,11 @@
 //! Integration tests across the tooling stack: llp ↔ perfmodel
-//! consistency, cachesim ↔ smpsim contention inputs, profiler ↔ advisor
-//! on a real solver run.
+//! consistency, cachesim ↔ smpsim contention inputs, span report ↔
+//! advisor on a real solver run.
 
 use f3d::bc::ZoneBcs;
 use f3d::risc_impl::RiscStepper;
 use f3d::solver::SolverConfig;
-use llp::{Advisor, LoopDecision, LoopProfiler, StaticSchedule, Workers};
+use llp::{Advisor, LoopDecision, Policy, Workers};
 use mesh::{Axis, Dims, Layout, Metrics};
 use perfmodel::overhead::OverheadBound;
 
@@ -15,12 +15,13 @@ fn llp_schedule_matches_perfmodel_everywhere() {
     // a broad (n, p) grid.
     for n in 1..=200usize {
         for p in 1..=64usize {
-            let sched = StaticSchedule::new(n, p);
+            let speedup = Policy::Static.ideal_speedup(n, p);
             let model = perfmodel::ideal_speedup(n as u64, p as u32);
-            assert!((sched.ideal_speedup() - model).abs() < 1e-12, "n={n} p={p}");
+            assert!((speedup - model).abs() < 1e-12, "n={n} p={p}");
+            let max_chunk = Policy::Static.chunks(n, p).iter().map(|c| c.len()).max();
             assert_eq!(
-                sched.max_chunk() as u64,
-                perfmodel::max_units_per_processor(n as u64, p as u32)
+                max_chunk.map(|c| c as u64),
+                Some(perfmodel::max_units_per_processor(n as u64, p as u32))
             );
         }
     }
@@ -59,30 +60,31 @@ fn profiled_solver_run_drives_the_advisor() {
         SolverConfig::supersonic(),
         Metrics::cartesian(d, (0.2, 0.2, 0.2)),
     );
-    let workers = Workers::new(2);
-    let profiler = LoopProfiler::new();
+    let workers = Workers::recorded(2);
     for _ in 0..3 {
-        stepper.step(&mut zone, &ZoneBcs::projectile(), &workers, Some(&profiler));
+        stepper.step(&mut zone, &ZoneBcs::projectile(), &workers, None);
     }
-    let report = profiler.report();
+    let report = workers
+        .recorder()
+        .take_report("pipeline", 2)
+        .kernel_summaries();
     assert!(report.len() >= 7);
-    // The sweeps dominate the profile; BC is a sliver.
-    let bc = report.iter().find(|r| r.name == "bc").unwrap();
-    assert!(bc.fraction_of_total < 0.1, "{}", bc.fraction_of_total);
 
     // Judge for a small cheap-sync SMP (host-scale work is tiny, so the
     // bound must be scaled to the host too: 1 GHz, 2k-cycle sync, 4p).
     let advisor = Advisor::new(1e9, OverheadBound::paper_default(2_000), 4);
     let advice = advisor.advise(&report);
-    let decision_of = |name: &str| {
+    let advice_of = |name: &str| {
         advice
             .loops
             .iter()
             .find(|l| l.name == name)
             .unwrap_or_else(|| panic!("loop {name} missing"))
-            .decision
-            .clone()
     };
+    let decision_of = |name: &str| advice_of(name).decision.clone();
+    // The sweeps dominate the profile; BC is a sliver.
+    let bc_share = advice_of("bc").fraction_of_total;
+    assert!(bc_share < 0.1, "{bc_share}");
     assert!(
         matches!(decision_of("j_factor"), LoopDecision::Parallelize { .. }),
         "{:?}",
