@@ -5,15 +5,30 @@
 //! block-tridiagonal system with 5×5 blocks. The Thomas algorithm here
 //! is the recurrence that makes those sweeps non-parallelizable along
 //! the sweep direction — the "dependencies in one direction" the whole
-//! paper is about. Includes a small dense 5×5 LU for the block inverses.
+//! paper is about.
 //!
-//! **No lane width here.** The solve is serial along the pencil and
-//! within the LU; the only independent outputs are the five columns
-//! (or rows) of a block product — shorter than a useful lane group,
-//! and width-chunked products never measured faster than these plain
-//! loops (DESIGN §6g has the numbers). [`solve_block_tridiagonal_w`]
-//! keeps a width-taking signature for callers that carry one and
-//! forwards to the one solve.
+//! **The lanes are systems, not points or columns.** Along one pencil
+//! the solve is a single dependent chain — pivot search, a reciprocal,
+//! the row updates, five serial divides per right-hand column, and
+//! every point waiting on the previous point's result — so neither an
+//! along-pencil lane width nor the five columns of a block product
+//! (shorter than a useful lane group; DESIGN §6g has the numbers) give
+//! it anything to overlap. Adjacent pencils do: they are independent
+//! and isomorphic. `BlockTriScratch::eliminate` therefore advances
+//! `W` systems one point at a time with the lane index innermost in
+//! every loop, pivoting per lane, and
+//! [`solve_block_tridiagonal_lanes`] is the whole solve on `W` slices;
+//! the one-pencil [`solve_block_tridiagonal`] is its `::<1>`
+//! instantiation, not a second elimination. A lane's result never
+//! depends on `W` or on its neighbours: each element sees the same
+//! operands in the same order, no reciprocal the dense [`Lu`] does not
+//! take, nothing reassociated. The implicit kernels in
+//! [`crate::solver`] stream points through `eliminate` as they
+//! assemble them, so only what back substitution needs is ever stored.
+//!
+//! [`Lu`] is the dense statement of the same pivoted factorization,
+//! one block at a time; the solve no longer goes through it, and the
+//! tests hold the fused elimination to it bit for bit.
 
 use mesh::NCONS;
 
@@ -23,38 +38,20 @@ pub type Block = [[f64; NCONS]; NCONS];
 /// A 5-vector.
 pub type Vec5 = [f64; NCONS];
 
+/// The same entry of `W` blocks side by side, lane innermost: what a
+/// lockstep solve of `W` systems loads as one contiguous run.
+pub type LaneBlock<const W: usize> = [[[f64; W]; NCONS]; NCONS];
+
 /// The 5×5 identity.
 #[must_use]
-pub fn identity() -> Block {
+pub const fn identity() -> Block {
     let mut m = [[0.0; NCONS]; NCONS];
-    for (i, row) in m.iter_mut().enumerate() {
-        row[i] = 1.0;
+    let mut i = 0;
+    while i < NCONS {
+        m[i][i] = 1.0;
+        i += 1;
     }
     m
-}
-
-/// `a + b`.
-#[must_use]
-pub fn add(a: &Block, b: &Block) -> Block {
-    let mut out = *a;
-    for (ro, rb) in out.iter_mut().zip(b.iter()) {
-        for (o, &v) in ro.iter_mut().zip(rb.iter()) {
-            *o += v;
-        }
-    }
-    out
-}
-
-/// `a - b`.
-#[must_use]
-pub fn sub(a: &Block, b: &Block) -> Block {
-    let mut out = *a;
-    for (ro, rb) in out.iter_mut().zip(b.iter()) {
-        for (o, &v) in ro.iter_mut().zip(rb.iter()) {
-            *o -= v;
-        }
-    }
-    out
 }
 
 /// `s * a`.
@@ -185,51 +182,326 @@ impl Lu {
     }
 }
 
-/// Scratch for a block-tridiagonal solve of length `n`: reused across
-/// pencils so the tuned solver allocates once per worker (the paper's
-/// cache-resident pencil scratch).
+/// Columns of the augmented matrix one point's elimination carries:
+/// the pivot block, the upper block and the right-hand side.
+const AUG: usize = 2 * NCONS + 1;
+
+/// Scratch for block-tridiagonal solves: what back substitution needs
+/// from the forward sweep (the modified upper blocks and right-hand
+/// sides), for every point of every lane. Reused across pencils so the
+/// tuned solver allocates once per worker (the paper's cache-resident
+/// pencil scratch).
+///
+/// The layout is lane-innermost — point `i`, entry `(r, c)`, lane —
+/// with the lane count of the solve in progress as the stride, so a
+/// scratch sized for a bundle also serves any narrower solve.
 #[derive(Debug, Clone)]
 pub struct BlockTriScratch {
-    /// Modified upper blocks.
-    cp: Vec<Block>,
-    /// Modified right-hand sides.
-    dp: Vec<Vec5>,
+    /// Modified upper blocks, `cp[((i·5 + r)·5 + c)·W + lane]`.
+    cp: Vec<f64>,
+    /// Modified right-hand sides, `dp[(i·5 + r)·W + lane]`.
+    dp: Vec<f64>,
 }
 
 impl BlockTriScratch {
-    /// Scratch for pencils up to `n` points long.
+    /// Scratch for one pencil of up to `n` points.
     #[must_use]
     pub fn new(n: usize) -> Self {
+        Self::for_lanes(n, 1)
+    }
+
+    /// Scratch for `lanes` pencils of up to `n` points each, solved in
+    /// lockstep.
+    #[must_use]
+    pub fn for_lanes(n: usize, lanes: usize) -> Self {
         Self {
-            cp: vec![[[0.0; NCONS]; NCONS]; n],
-            dp: vec![[0.0; NCONS]; n],
+            cp: vec![0.0; n * lanes * NCONS * NCONS],
+            dp: vec![0.0; n * lanes * NCONS],
         }
     }
 
-    /// Capacity in points.
+    /// Capacity in pencil-points: a `W`-lane solve of length `n` needs
+    /// `n · W`.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.cp.len()
+        self.dp.len() / NCONS
     }
 
     /// Scratch bytes (for cache-fit assertions).
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.cp.len() * std::mem::size_of::<Block>() + self.dp.len() * std::mem::size_of::<Vec5>()
+        (self.cp.len() + self.dp.len()) * std::mem::size_of::<f64>()
+    }
+
+    /// Forward-eliminate point `i` of `W` independent systems in
+    /// lockstep (lane = system): form `pivot = diag − lower·cp[i−1]`
+    /// and `r = rhs − lower·dp[i−1]` in one 5×6 product, then reduce
+    /// the augmented matrix `[pivot | upper | r]` by Gaussian
+    /// elimination with partial pivoting *per lane* and store
+    /// `cp[i] = pivot⁻¹ upper`, `dp[i] = pivot⁻¹ r`. Points must be fed
+    /// in order `0, 1, …`; `lower` is ignored at `i = 0`.
+    ///
+    /// Every loop's innermost index is the lane, so the recurrence runs
+    /// `W` independent divide/multiply chains at once and the row
+    /// operations are fixed-trip loops over contiguous lanes. Each
+    /// lane's elements see the operation sequence of a dense LU with
+    /// row pivoting applied to one system at a time — same operands,
+    /// same order — so a lane's result does not depend on `W` or on its
+    /// neighbours.
+    ///
+    /// # Panics
+    /// Panics with `singular pivot block at {i}` if any lane's pivot
+    /// block is numerically singular, or if the scratch is too small.
+    #[inline]
+    #[allow(clippy::needless_range_loop)] // rows, columns and lanes index several arrays at once
+    pub(crate) fn eliminate<const W: usize>(
+        &mut self,
+        i: usize,
+        lower: &LaneBlock<W>,
+        diag: &LaneBlock<W>,
+        upper: &LaneBlock<W>,
+        rhs: &[Vec5; W],
+    ) {
+        const RHS: usize = AUG - 1;
+        let (bw, vw) = (NCONS * NCONS * W, NCONS * W);
+        let mut m = [[[0.0f64; W]; AUG]; NCONS];
+        if i == 0 {
+            for r in 0..NCONS {
+                m[r][..NCONS].copy_from_slice(&diag[r]);
+                for lane in 0..W {
+                    m[r][RHS][lane] = rhs[lane][r];
+                }
+            }
+        } else {
+            let cp = &self.cp[(i - 1) * bw..][..bw];
+            let dp = &self.dp[(i - 1) * vw..][..vw];
+            for r in 0..NCONS {
+                // Row r of lower·[cp | dp]: the block columns summed
+                // from +0.0 as `matmul` does, the vector column from
+                // f64's additive identity −0.0 as `matvec` does.
+                // `matmul` skips exact-zero multipliers; their ±0.0
+                // products leave a sum that started at +0.0 unchanged
+                // bit for bit (for finite `cp`), so adding them gives
+                // its result and keeps the lanes in lockstep.
+                let mut acc = [[0.0f64; W]; NCONS];
+                let mut ld = [-0.0f64; W];
+                for k in 0..NCONS {
+                    let a = lower[r][k];
+                    for c in 0..NCONS {
+                        for lane in 0..W {
+                            acc[c][lane] += a[lane] * cp[(k * NCONS + c) * W + lane];
+                        }
+                    }
+                    for lane in 0..W {
+                        ld[lane] += a[lane] * dp[k * W + lane];
+                    }
+                }
+                for c in 0..NCONS {
+                    for lane in 0..W {
+                        m[r][c][lane] = diag[r][c][lane] - acc[c][lane];
+                    }
+                }
+                for lane in 0..W {
+                    m[r][RHS][lane] = rhs[lane][r] - ld[lane];
+                }
+            }
+        }
+        for r in 0..NCONS {
+            m[r][NCONS..RHS].copy_from_slice(&upper[r]);
+        }
+
+        for col in 0..NCONS {
+            // Partial pivot, per lane: the first row of largest
+            // magnitude in this column.
+            let mut best = [0.0f64; W];
+            let mut pivot_row = [col; W];
+            for lane in 0..W {
+                best[lane] = m[col][col][lane].abs();
+            }
+            for r in col + 1..NCONS {
+                for lane in 0..W {
+                    let v = m[r][col][lane].abs();
+                    if v > best[lane] {
+                        best[lane] = v;
+                        pivot_row[lane] = r;
+                    }
+                }
+            }
+            let (mut singular, mut swaps) = (false, false);
+            for lane in 0..W {
+                singular |= best[lane] < 1e-300;
+                swaps |= pivot_row[lane] != col;
+            }
+            assert!(!singular, "singular pivot block at {i}");
+            if swaps {
+                swap_pivot_rows(&mut m, col, &pivot_row);
+            }
+            let mut inv = [0.0f64; W];
+            for lane in 0..W {
+                inv[lane] = 1.0 / m[col][col][lane];
+            }
+            for r in col + 1..NCONS {
+                let mut f = [0.0f64; W];
+                for lane in 0..W {
+                    f[lane] = m[r][col][lane] * inv[lane];
+                }
+                for c in col + 1..AUG {
+                    for lane in 0..W {
+                        m[r][c][lane] -= f[lane] * m[col][c][lane];
+                    }
+                }
+            }
+        }
+        // Back substitution of the six right-hand columns.
+        for r in (0..NCONS).rev() {
+            for j in r + 1..NCONS {
+                for c in NCONS..AUG {
+                    for lane in 0..W {
+                        m[r][c][lane] -= m[r][j][lane] * m[j][c][lane];
+                    }
+                }
+            }
+            for c in NCONS..AUG {
+                for lane in 0..W {
+                    m[r][c][lane] /= m[r][r][lane];
+                }
+            }
+        }
+
+        let cp = &mut self.cp[i * bw..][..bw];
+        let dp = &mut self.dp[i * vw..][..vw];
+        for r in 0..NCONS {
+            for c in 0..NCONS {
+                for lane in 0..W {
+                    cp[(r * NCONS + c) * W + lane] = m[r][NCONS + c][lane];
+                }
+            }
+            for lane in 0..W {
+                dp[r * W + lane] = m[r][RHS][lane];
+            }
+        }
+    }
+
+    /// Back-substitute the `n` points [`eliminate`](Self::eliminate)
+    /// was fed, last to first, handing each lane's solution at each
+    /// point to `put(i, lane, x)`.
+    #[inline]
+    #[allow(clippy::needless_range_loop)] // as in `eliminate`
+    pub(crate) fn back_substitute<const W: usize>(
+        &self,
+        n: usize,
+        mut put: impl FnMut(usize, usize, Vec5),
+    ) {
+        let (bw, vw) = (NCONS * NCONS * W, NCONS * W);
+        // x[c][lane] of the point solved last.
+        let mut x = [[0.0f64; W]; NCONS];
+        for i in (0..n).rev() {
+            let cp = &self.cp[i * bw..][..bw];
+            let dp = &self.dp[i * vw..][..vw];
+            let mut cur = [[0.0f64; W]; NCONS];
+            for r in 0..NCONS {
+                for lane in 0..W {
+                    cur[r][lane] = dp[r * W + lane];
+                }
+                if i + 1 < n {
+                    let mut cx = [-0.0f64; W];
+                    for c in 0..NCONS {
+                        for lane in 0..W {
+                            cx[lane] += cp[(r * NCONS + c) * W + lane] * x[c][lane];
+                        }
+                    }
+                    for lane in 0..W {
+                        cur[r][lane] -= cx[lane];
+                    }
+                }
+            }
+            x = cur;
+            for lane in 0..W {
+                put(i, lane, std::array::from_fn(|c| x[c][lane]));
+            }
+        }
     }
 }
 
-/// Solve the block-tridiagonal system
-/// `lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]`
-/// in place: on return `rhs` holds the solution. `lower[0]` and
-/// `upper[n-1]` are ignored.
+/// Bring each lane's pivot row up to row `col` of the augmented
+/// matrix. Out of line: diagonally dominant factors never get here,
+/// and the per-lane indexing would otherwise sit in the hot loop.
+#[cold]
+#[inline(never)]
+fn swap_pivot_rows<const W: usize>(
+    m: &mut [[[f64; W]; AUG]; NCONS],
+    col: usize,
+    pivot_row: &[usize; W],
+) {
+    for (lane, &p) in pivot_row.iter().enumerate() {
+        if p != col {
+            let (above, below) = m.split_at_mut(p);
+            for (up, down) in above[col][col..].iter_mut().zip(&mut below[0][col..]) {
+                std::mem::swap(&mut up[lane], &mut down[lane]);
+            }
+        }
+    }
+}
+
+/// Solve `W` block-tridiagonal systems of equal length in lockstep,
+/// lane = system:
+/// `lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]`,
+/// in place — on return each `rhs` holds its system's solution.
+/// `lower[0]` and `upper[n-1]` are ignored.
 ///
 /// This is the Thomas algorithm — a forward recurrence followed by a
-/// backward recurrence, serial along the pencil by construction.
+/// backward recurrence, serial along the pencil by construction and
+/// independent across lanes. Each lane's result is bit-identical to
+/// solving that system alone.
 ///
 /// # Panics
 /// Panics on length mismatches, empty systems, scratch that is too
 /// small, or a singular pivot block.
+#[allow(clippy::needless_range_loop)] // `i` indexes every lane's slices, not one array
+pub fn solve_block_tridiagonal_lanes<const W: usize>(
+    lower: [&[Block]; W],
+    diag: [&[Block]; W],
+    upper: [&[Block]; W],
+    mut rhs: [&mut [Vec5]; W],
+    scratch: &mut BlockTriScratch,
+) {
+    let n = diag[0].len();
+    assert!(n > 0, "empty system");
+    for lane in 0..W {
+        assert_eq!(lower[lane].len(), n, "lower length mismatch");
+        assert_eq!(diag[lane].len(), n, "diag length mismatch");
+        assert_eq!(upper[lane].len(), n, "upper length mismatch");
+        assert_eq!(rhs[lane].len(), n, "rhs length mismatch");
+    }
+    assert!(scratch.capacity() >= n * W, "scratch too small");
+    let side_by_side = |blocks: &[&[Block]; W], i: usize| {
+        let mut out = [[[0.0; W]; NCONS]; NCONS];
+        for (lane, system) in blocks.iter().enumerate() {
+            for r in 0..NCONS {
+                for c in 0..NCONS {
+                    out[r][c][lane] = system[i][r][c];
+                }
+            }
+        }
+        out
+    };
+    for i in 0..n {
+        scratch.eliminate(
+            i,
+            &side_by_side(&lower, i),
+            &side_by_side(&diag, i),
+            &side_by_side(&upper, i),
+            &std::array::from_fn(|lane| rhs[lane][i]),
+        );
+    }
+    scratch.back_substitute::<W>(n, |i, lane, x| rhs[lane][i] = x);
+}
+
+/// One system: the one-lane instantiation of
+/// [`solve_block_tridiagonal_lanes`].
+///
+/// # Panics
+/// As [`solve_block_tridiagonal_lanes`].
 pub fn solve_block_tridiagonal(
     lower: &[Block],
     diag: &[Block],
@@ -237,48 +509,13 @@ pub fn solve_block_tridiagonal(
     rhs: &mut [Vec5],
     scratch: &mut BlockTriScratch,
 ) {
-    let n = diag.len();
-    assert!(n > 0, "empty system");
-    assert_eq!(lower.len(), n, "lower length mismatch");
-    assert_eq!(upper.len(), n, "upper length mismatch");
-    assert_eq!(rhs.len(), n, "rhs length mismatch");
-    assert!(scratch.capacity() >= n, "scratch too small");
-
-    // Forward elimination.
-    let lu0 = Lu::factor(&diag[0]).expect("singular pivot block at 0");
-    scratch.cp[0] = lu0.solve_block(&upper[0]);
-    scratch.dp[0] = lu0.solve(&rhs[0]);
-    for i in 1..n {
-        // pivot = diag[i] - lower[i] * cp[i-1]
-        let pivot = sub(&diag[i], &matmul(&lower[i], &scratch.cp[i - 1]));
-        let lu = Lu::factor(&pivot).unwrap_or_else(|| panic!("singular pivot block at {i}"));
-        if i + 1 < n {
-            scratch.cp[i] = lu.solve_block(&upper[i]);
-        }
-        // d'[i] = inv(pivot) (rhs[i] - lower[i] d'[i-1])
-        let ld = matvec(&lower[i], &scratch.dp[i - 1]);
-        let mut r = rhs[i];
-        for (rv, &lv) in r.iter_mut().zip(ld.iter()) {
-            *rv -= lv;
-        }
-        scratch.dp[i] = lu.solve(&r);
-    }
-
-    // Back substitution.
-    rhs[n - 1] = scratch.dp[n - 1];
-    for i in (0..n - 1).rev() {
-        let cx = matvec(&scratch.cp[i], &rhs[i + 1]);
-        let mut x = scratch.dp[i];
-        for (xv, &cv) in x.iter_mut().zip(cx.iter()) {
-            *xv -= cv;
-        }
-        rhs[i] = x;
-    }
+    solve_block_tridiagonal_lanes::<1>([lower], [diag], [upper], [rhs], scratch);
 }
 
-/// [`solve_block_tridiagonal`] for callers that carry a lane width:
-/// the solve does not read it (see the module docs), so every width —
-/// supported or not — is the same call.
+/// [`solve_block_tridiagonal`] for callers that carry an along-pencil
+/// lane width: one pencil's recurrence has nothing for that width to
+/// select (see the module docs), so every width — supported or not —
+/// is the same call.
 ///
 /// # Panics
 /// As [`solve_block_tridiagonal`].
@@ -371,6 +608,30 @@ mod tests {
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((v - expect).abs() < 1e-10, "[{i}][{j}]");
             }
+        }
+    }
+
+    #[test]
+    fn one_point_elimination_is_the_dense_lu() {
+        // The Thomas solve carries its own fused elimination; `Lu` is
+        // the dense statement of the same pivoted factorization. On a
+        // one-point system the two must agree to the bit — with row
+        // swaps (no dominance, and the permutation block) and without.
+        let zero = [[0.0; NCONS]; NCONS];
+        let mut cyclic = zero;
+        for i in 0..NCONS {
+            cyclic[i][(i + 1) % NCONS] = 1.0;
+        }
+        let blocks = (1..20u64)
+            .map(|seed| diag_dominant_block(seed, if seed % 2 == 0 { 3.0 } else { 0.0 }))
+            .chain([cyclic]);
+        let b = [0.5, -1.0, 2.0, 0.25, 3.5];
+        let mut scratch = BlockTriScratch::new(1);
+        for a in blocks {
+            let mut x = [b];
+            solve_block_tridiagonal(&[zero], &[a], &[zero], &mut x, &mut scratch);
+            let dense = Lu::factor(&a).expect("nonsingular").solve(&b);
+            assert_eq!(x[0].map(f64::to_bits), dense.map(f64::to_bits), "{a:?}");
         }
     }
 

@@ -172,9 +172,12 @@ pub fn kernel_cost(kernel: Kernel, impl_kind: ImplKind) -> KernelCost {
 }
 
 /// Cache bytes the tuned implementation needs resident per worker:
-/// one pencil's scratch for the paper's larger zone dimensions
-/// (≈ `PencilScratch::new(450)`, dominated by the three 5×5 block
-/// diagonals). On machines whose largest cache is smaller than this,
+/// the scratch of the paper's own code for its larger zone dimensions
+/// — one 450-point pencil with its three 5×5 block diagonals, which
+/// dominate it. (This suite's stepper holds a bundle of four pencils
+/// and no diagonals — `PencilScratch::for_pencils(450, PENCIL_BUNDLE)`,
+/// 619 KiB: the same side of every cache this threshold separates.)
+/// On machines whose largest cache is smaller than this,
 /// "it was impossible to perform many of the cache optimizations"
 /// (Section 8, the Cray T3D/T3E and IBM SP with 16–128-KB caches).
 pub const PENCIL_SCRATCH_BYTES: usize = 448 << 10;

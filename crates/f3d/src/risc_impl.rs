@@ -6,12 +6,17 @@
 //!
 //! * **Component-inner (AoS) storage** — all five conserved variables
 //!   of a point share a cache line, maximizing work per cache miss.
-//! * **Pencil-sized scratch** — each implicit sweep processes one
-//!   pencil at a time from a scratch buffer that "comfortably fits in a
-//!   1-MB cache for zone dimensions ranging up to about 1,000"; one
-//!   scratch lives per *worker* and is reused across all its pencils
-//!   (paper Example 3: the parallel loop is hoisted into the parent and
-//!   the 2-D buffer shrinks to 1-D).
+//! * **Pencil-sized scratch** — each implicit sweep works from a
+//!   scratch buffer that "comfortably fits in a 1-MB cache for zone
+//!   dimensions ranging up to about 1,000"; one scratch lives per
+//!   *worker* and is reused across all its pencils (paper Example 3:
+//!   the parallel loop is hoisted into the parent and the 2-D buffer
+//!   shrinks to 1-D).
+//! * **Pencil bundles** — the 1-D buffer holds [`PENCIL_BUNDLE`]
+//!   adjacent pencils, eliminated in lockstep: one pencil's block-Thomas
+//!   recurrence is a single dependent chain, a bundle's is that many
+//!   independent ones over contiguous lanes. The plane buffer cut down
+//!   to what fits in cache, rather than all the way to one pencil.
 //! * **Outer-loop doacross parallelism** — every sweep parallelizes an
 //!   outer loop orthogonal to its recurrence: the J and K factors and
 //!   the residual over L, the L factor over K (paper Example 1). Each
@@ -21,26 +26,31 @@
 //!
 //! The L factor needs one extra region: its pencils run across the
 //! L-slabs that partition memory, so workers first solve pencils into
-//! private buffers (parallel over K) and a second region scatters the
-//! results (parallel over L). Safe Rust makes the two-phase structure
-//! explicit where the Fortran original relied on the programmer's
-//! disjointness argument.
+//! disjoint K-slabs of a second buffer (parallel over K) and a second
+//! region scatters the results (parallel over L). Safe Rust makes the
+//! two-phase structure explicit where the Fortran original relied on
+//! the programmer's disjointness argument.
 
 use crate::bc::{self, ZoneBcs};
 use crate::solver::{
-    implicit_central_pencil_w, implicit_upwind_pencil_w, pencil_point, residual_rhs_row_w,
-    PencilScratch, SolverConfig, ZoneSolver,
+    implicit_factor_bundle, pencil_point, residual_rhs_row_w, CentralFactor, ImplicitFactor,
+    PencilScratch, SolverConfig, UpwindFactor, ZoneSolver, PENCIL_BUNDLE,
 };
 use llp::obs::SpanKind;
-use llp::{doacross_into_scratch, doacross_slabs, doacross_slabs_scratch, ScheduleMap, Workers};
+use llp::{doacross_slabs, doacross_slabs_scratch, ScheduleMap, Workers};
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
-use solver::WidthMap;
+use solver::{for_lane_groups, LaneBody, WidthMap};
 
 /// The tuned stepper.
 #[derive(Debug)]
 pub struct RiscStepper {
     /// Residual / ΔQ field (AoS like the solution).
     rhs: StateField,
+    /// L-factor solutions between its two regions: one K-slab per `k`,
+    /// each `l`-major with the interior `j` (and then the component)
+    /// innermost, so a bundle of adjacent-`j` pencils writes, and the
+    /// scatter reads, contiguous runs.
+    l_solution: Vec<f64>,
     /// Longest pencil of the zone (scratch sizing).
     max_pencil: usize,
     /// Per-kernel SLP lane widths (scalar unless overridden).
@@ -79,25 +89,27 @@ impl RiscStepper {
         let d = zone.dims();
         Self {
             rhs: StateField::zeros(d, zone.q.layout(), zone.q.arrangement()),
+            l_solution: vec![0.0; d.k * d.l * (d.j - 2) * NCONS],
             max_pencil: d.j.max(d.k).max(d.l),
             widths: WidthMap::new(),
         }
     }
 
-    /// Select the SLP lane width each kernel runs at. The widths change
-    /// only how many points the inner loops process per lane group —
-    /// every width is bit-exact with every other (`update` and
-    /// `l_factor_scatter` are pure data movement and ignore their
-    /// entries).
+    /// Select the SLP lane width each kernel runs at. Only `rhs` reads
+    /// its entry — the width is how many points of a J-row its flux
+    /// evaluations process per lane group, bit-exact at every width.
+    /// The implicit factors run [`PENCIL_BUNDLE`] pencils per group
+    /// whatever the map says; `update` and `l_factor_scatter` are pure
+    /// data movement.
     pub fn set_widths(&mut self, widths: &WidthMap) {
         self.widths = widths.clone();
     }
 
-    /// Bytes of scratch *per worker* — pencil-sized, the quantity the
-    /// paper fits into cache.
+    /// Bytes of scratch *per worker* — one pencil bundle, the quantity
+    /// the paper fits into cache.
     #[must_use]
     pub fn scratch_bytes_per_worker(&self) -> usize {
-        PencilScratch::new(self.max_pencil).bytes()
+        PencilScratch::for_pencils(self.max_pencil, PENCIL_BUNDLE).bytes()
     }
 
     /// Advance one time step using `workers`. Each parallel phase runs
@@ -129,9 +141,9 @@ impl RiscStepper {
         // AoS + JKL layout.
         let at = move |j: usize, k: usize, c: usize| (k * jmax + j) * NCONS + c;
         let w_rhs = self.widths.get("rhs");
-        let w_j = self.widths.get("j_factor");
-        let w_k = self.widths.get("k_factor");
-        let w_l = self.widths.get("l_factor_solve");
+        // One K-slab of `l_solution`, and one of its (l) rows.
+        let l_row = (jmax - 2) * NCONS;
+        let k_slab = lmax * l_row;
         // Kernel spans (free when the recorder is disabled). Each phase
         // opens one; the doacross inside attaches its region span as a
         // child, classifying the kernel as parallelized.
@@ -174,9 +186,9 @@ impl RiscStepper {
             );
         }
 
-        // --- J factor: pencils along J, parallel over L, pencil scratch
-        // per worker (Example 3). Boundary pencils carry zero RHS and
-        // are skipped. ---
+        // --- J factor: pencils along J, parallel over L, one pencil
+        // bundle of scratch per worker (Example 3), adjacent-K pencils
+        // per bundle. Boundary pencils carry zero RHS and are skipped. ---
         {
             let _span = rec.span("j_factor", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "j_factor");
@@ -185,31 +197,29 @@ impl RiscStepper {
                 &kw,
                 self.rhs.as_mut_slice(),
                 slab,
-                || PencilScratch::new(max_pencil),
-                |l, slab_data, s| {
+                || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
+                |l, slab_data, scratch| {
                     if l == 0 || l == lmax - 1 {
                         return;
                     }
-                    for k in 1..kmax - 1 {
-                        let base = Ijk::new(0, k, l);
-                        s.gather(zone_ref, Axis::J, base);
-                        for j in 0..jmax {
-                            for c in 0..NCONS {
-                                s.rhs_line[j][c] = slab_data[at(j, k, c)];
-                            }
-                        }
-                        implicit_upwind_pencil_w(s, jmax, w_j);
-                        for j in 0..jmax {
-                            for c in 0..NCONS {
-                                slab_data[at(j, k, c)] = s.rhs_line[j][c];
-                            }
-                        }
-                    }
+                    let mut sweep = FactorSweep {
+                        zone: zone_ref,
+                        factor: UpwindFactor,
+                        axis: Axis::J,
+                        across: Axis::K,
+                        origin: Ijk::new(0, 0, l),
+                        rhs: None,
+                        out: slab_data,
+                        offset: |p: Ijk| at(p.j, p.k, 0),
+                        scratch,
+                    };
+                    for_lane_groups(PENCIL_BUNDLE, 1..kmax - 1, &mut sweep);
                 },
             );
         }
 
-        // --- K factor: pencils along K, parallel over L. ---
+        // --- K factor: pencils along K, parallel over L, adjacent-J
+        // pencils per bundle. ---
         {
             let _span = rec.span("k_factor", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "k_factor");
@@ -218,60 +228,59 @@ impl RiscStepper {
                 &kw,
                 self.rhs.as_mut_slice(),
                 slab,
-                || PencilScratch::new(max_pencil),
-                |l, slab_data, s| {
+                || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
+                |l, slab_data, scratch| {
                     if l == 0 || l == lmax - 1 {
                         return;
                     }
-                    for j in 1..jmax - 1 {
-                        let base = Ijk::new(j, 0, l);
-                        s.gather(zone_ref, Axis::K, base);
-                        for k in 0..kmax {
-                            for c in 0..NCONS {
-                                s.rhs_line[k][c] = slab_data[at(j, k, c)];
-                            }
-                        }
-                        implicit_central_pencil_w(s, kmax, eps_imp, 0.0, w_k);
-                        for k in 0..kmax {
-                            for c in 0..NCONS {
-                                slab_data[at(j, k, c)] = s.rhs_line[k][c];
-                            }
-                        }
-                    }
+                    let mut sweep = FactorSweep {
+                        zone: zone_ref,
+                        factor: CentralFactor {
+                            eps_imp,
+                            mu_vis: 0.0,
+                        },
+                        axis: Axis::K,
+                        across: Axis::J,
+                        origin: Ijk::new(0, 0, l),
+                        rhs: None,
+                        out: slab_data,
+                        offset: |p: Ijk| at(p.j, p.k, 0),
+                        scratch,
+                    };
+                    for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut sweep);
                 },
             );
         }
 
-        // --- L factor, phase 1: solve pencils along L into private
-        // per-K buffers; parallel over K. ---
-        let mut solutions: Vec<Vec<[f64; NCONS]>> = Vec::new();
-        solutions.resize(kmax, Vec::new());
+        // --- L factor, phase 1: solve pencils along L into the K-slabs
+        // of `l_solution`; parallel over K, adjacent-J pencils per
+        // bundle. ---
         {
             let _span = rec.span("l_factor_solve", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "l_factor_solve");
             let zone_ref: &ZoneSolver = zone;
             let rhs_ref: &StateField = &self.rhs;
-            doacross_into_scratch(
+            doacross_slabs_scratch(
                 &kw,
-                &mut solutions,
-                || PencilScratch::new(max_pencil),
-                |k, s| {
+                &mut self.l_solution,
+                k_slab,
+                || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
+                |k, solution, scratch| {
                     if k == 0 || k == kmax - 1 {
-                        return Vec::new();
+                        return;
                     }
-                    let mut out = vec![[0.0; NCONS]; (jmax - 2) * lmax];
-                    for j in 1..jmax - 1 {
-                        let base = Ijk::new(j, k, 0);
-                        s.gather(zone_ref, Axis::L, base);
-                        for l in 0..lmax {
-                            s.rhs_line[l] = rhs_ref.get(pencil_point(base, Axis::L, l));
-                        }
-                        implicit_central_pencil_w(s, lmax, eps_imp, mu_vis, w_l);
-                        for l in 0..lmax {
-                            out[(j - 1) * lmax + l] = s.rhs_line[l];
-                        }
-                    }
-                    out
+                    let mut sweep = FactorSweep {
+                        zone: zone_ref,
+                        factor: CentralFactor { eps_imp, mu_vis },
+                        axis: Axis::L,
+                        across: Axis::J,
+                        origin: Ijk::new(0, k, 0),
+                        rhs: Some(rhs_ref),
+                        out: solution,
+                        offset: |p: Ijk| p.l * l_row + (p.j - 1) * NCONS,
+                        scratch,
+                    };
+                    for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut sweep);
                 },
             );
         }
@@ -280,15 +289,11 @@ impl RiscStepper {
         {
             let _span = rec.span("l_factor_scatter", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "l_factor_scatter");
-            let solutions_ref: &[Vec<[f64; NCONS]>] = &solutions;
+            let solution: &[f64] = &self.l_solution;
             doacross_slabs(&kw, self.rhs.as_mut_slice(), slab, |l, slab_data| {
                 for k in 1..kmax - 1 {
-                    for j in 1..jmax - 1 {
-                        let v = solutions_ref[k][(j - 1) * lmax + l];
-                        for c in 0..NCONS {
-                            slab_data[at(j, k, c)] = v[c];
-                        }
-                    }
+                    slab_data[at(1, k, 0)..at(jmax - 1, k, 0)]
+                        .copy_from_slice(&solution[k * k_slab + l * l_row..][..l_row]);
                 }
             });
         }
@@ -317,6 +322,53 @@ impl RiscStepper {
         {
             let _span = rec.span("bc", SpanKind::Kernel);
             bc::apply_all(zone, bcs);
+        }
+    }
+}
+
+/// One sweep's share of an implicit factor — the pencils along `axis`
+/// that one slab of `out` receives — solved a bundle at a time: lane =
+/// pencil, adjacent along `across`.
+struct FactorSweep<'a, F, O> {
+    zone: &'a ZoneSolver,
+    factor: F,
+    /// The recurrence direction.
+    axis: Axis,
+    /// The direction the pencils of a bundle are adjacent in.
+    across: Axis,
+    /// Point 0 of pencil 0.
+    origin: Ijk,
+    /// Where the right-hand sides are; `None` solves in place in `out`.
+    rhs: Option<&'a StateField>,
+    out: &'a mut [f64],
+    /// Offset of a point's five components within `out`.
+    offset: O,
+    scratch: &'a mut PencilScratch,
+}
+
+impl<F: ImplicitFactor, O: Fn(Ijk) -> usize> LaneBody for FactorSweep<'_, F, O> {
+    #[inline]
+    fn group<const W: usize>(&mut self, first: usize) {
+        let n = self.zone.dims().extent(self.axis);
+        let bases: [Ijk; W] =
+            std::array::from_fn(|lane| pencil_point(self.origin, self.across, first + lane));
+        self.scratch.gather_bundle(self.zone, self.axis, bases);
+        for i in 0..n {
+            for (lane, &base) in bases.iter().enumerate() {
+                let p = pencil_point(base, self.axis, i);
+                let line = &mut self.scratch.rhs_line[i * W + lane];
+                match self.rhs {
+                    Some(field) => *line = field.get(p),
+                    None => line.copy_from_slice(&self.out[(self.offset)(p)..][..NCONS]),
+                }
+            }
+        }
+        implicit_factor_bundle::<W, F>(self.scratch, n, &self.factor);
+        for i in 0..n {
+            for (lane, &base) in bases.iter().enumerate() {
+                let at = (self.offset)(pencil_point(base, self.axis, i));
+                self.out[at..at + NCONS].copy_from_slice(&self.scratch.rhs_line[i * W + lane]);
+            }
         }
     }
 }
@@ -382,32 +434,55 @@ mod tests {
     fn matches_vector_implementation_exactly() {
         // The paper's hard constraint: the parallelized code runs the
         // same algorithm. Both implementations must produce identical
-        // fields from identical initial conditions.
-        let d = Dims::new(9, 8, 7);
-        let metrics = Metrics::cartesian(d, (0.3, 0.3, 0.3));
-        let config = SolverConfig::subsonic();
+        // fields from identical initial conditions — to the bit: the
+        // vector stepper solves one pencil at a time, this one solves
+        // bundles with a one-pencil remainder, through two independent
+        // loop structures. The interior extents leave every remainder
+        // mod PENCIL_BUNDLE in all three sweeps (J bundles over K, K and
+        // L over J); the viscous, locally time-stepped configuration
+        // exercises `mu_vis` and a per-point `dt` in every lane.
         let bcs = ZoneBcs::projectile();
-
-        let (mut vz, mut vstep) =
-            crate::vector_impl::VectorStepper::new_zone(config, metrics.clone());
-        let (mut rz, mut rstep) = RiscStepper::new_zone(config, metrics);
-        // identical perturbed initial condition
-        for p in d.iter_jkl() {
-            let mut q = vz.q.get(p);
-            q[0] *= 1.0 + 0.02 * ((p.j + 2 * p.k + 3 * p.l) as f64).sin();
-            q[4] *= 1.0 + 0.01 * ((2 * p.j + p.k + p.l) as f64).cos();
-            vz.q.set(p, q);
-            rz.q.set(p, q);
-        }
-        let workers = Workers::new(4);
-        for step in 0..5 {
-            vstep.step(&mut vz, &bcs);
-            rstep.step(&mut rz, &bcs, &workers, None);
-            let diff = vz.q.max_abs_diff(&rz.q);
-            assert!(
-                diff < 1e-12,
-                "implementations diverged at step {step}: {diff}"
-            );
+        let configs = [
+            SolverConfig::subsonic(),
+            SolverConfig::viscous(2.0, 1e4).with_local_time_stepping(2.0),
+        ];
+        for config in configs {
+            for (nj, nk) in (4..=7).flat_map(|nj| (4..=7).map(move |nk| (nj, nk))) {
+                let d = Dims::new(nj + 2, nk + 2, 6);
+                let metrics = Metrics::cartesian(d, (0.3, 0.3, 0.3));
+                let perturb = |zone: &mut ZoneSolver| {
+                    for p in d.iter_jkl() {
+                        let mut q = zone.q.get(p);
+                        q[0] *= 1.0 + 0.02 * ((p.j + 2 * p.k + 3 * p.l) as f64).sin();
+                        q[4] *= 1.0 + 0.01 * ((2 * p.j + p.k + p.l) as f64).cos();
+                        zone.q.set(p, q);
+                    }
+                };
+                let (mut vz, mut vstep) =
+                    crate::vector_impl::VectorStepper::new_zone(config, metrics.clone());
+                perturb(&mut vz);
+                let mut expected = Vec::new();
+                for _ in 0..3 {
+                    vstep.step(&mut vz, &bcs);
+                    expected.push(vz.q.clone());
+                }
+                for p in [1, 3] {
+                    for policy in [llp::Policy::Static, llp::Policy::Dynamic { chunk: 1 }] {
+                        let workers = Workers::new(p).with_policy(policy);
+                        let (mut rz, mut rstep) = RiscStepper::new_zone(config, metrics.clone());
+                        perturb(&mut rz);
+                        for (step, want) in expected.iter().enumerate() {
+                            rstep.step(&mut rz, &bcs, &workers, None);
+                            assert_eq!(
+                                want.max_abs_diff(&rz.q),
+                                0.0,
+                                "diverged at step {step}: {d:?}, P = {p}, {policy:?}, viscous {}",
+                                config.is_viscous()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

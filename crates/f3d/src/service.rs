@@ -37,6 +37,11 @@ pub const MAX_WORKERS: usize = 64;
 /// and reports.
 pub const MAX_CHUNK: usize = 1024;
 
+/// What [`F3dSolver::memory_usage_estimate`] charges per worker for
+/// its pencil-bundle scratch (a bound, checked against the real
+/// scratch of every service grid in this module's tests).
+const SCRATCH_PER_WORKER: u64 = 64 * 1024;
+
 /// Transverse (K × L) extent of the service grid; the J extent before
 /// zonal splitting. Small enough that a maximal case stays well under a
 /// second.
@@ -252,9 +257,12 @@ impl Solver for F3dSolver {
     }
 
     fn wide_kernels() -> &'static [&'static str] {
-        // The four kernels built on the flux lane bodies. `update` and
-        // `l_factor_scatter` are data movement: one loop at every width.
-        &["j_factor", "k_factor", "l_factor_solve", "rhs"]
+        // The residual evaluates its fluxes `vector_width` points of a
+        // J-row at a time. The three implicit factors run a fixed
+        // bundle of pencils per group (`solver::PENCIL_BUNDLE`) and
+        // `update` / `l_factor_scatter` are data movement: one loop at
+        // every width.
+        &["rhs"]
     }
 
     fn memory_usage_estimate(case: &ServiceCase) -> u64 {
@@ -274,7 +282,6 @@ impl Solver for F3dSolver {
             .sum();
         const NCONS: u64 = 5;
         const F64: u64 = 8;
-        const SCRATCH_PER_WORKER: u64 = 64 * 1024;
         (points as u64) * NCONS * F64 * 2 + (case.workers as u64) * SCRATCH_PER_WORKER
     }
 
@@ -460,6 +467,27 @@ pub fn run_tuned(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memory_estimate_covers_the_real_worker_scratch() {
+        // The admission formula charges a flat amount per worker; the
+        // pencil-bundle scratch a worker really allocates, on every
+        // grid a case can ask for, must fit inside it.
+        for zones in 1..=MAX_ZONES {
+            for zone in MultiZoneGrid::split_j(SERVICE_DIMS, zones).zones() {
+                let (_, stepper) = crate::risc_impl::RiscStepper::new_zone(
+                    SolverConfig::supersonic(),
+                    mesh::Metrics::cartesian(zone.dims, (0.3, 0.3, 0.3)),
+                );
+                let real = stepper.scratch_bytes_per_worker() as u64;
+                assert!(
+                    real <= SCRATCH_PER_WORKER,
+                    "{zones} zones, {:?}: {real} B of scratch per worker",
+                    zone.dims
+                );
+            }
+        }
+    }
 
     #[test]
     fn validation_enforces_caps() {

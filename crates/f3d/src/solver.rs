@@ -32,7 +32,7 @@
 //! direction and is freely parallel in the other two: the structure the
 //! paper's whole loop-level-parallelization story is built on.
 
-use crate::blocktri::{self, Block, BlockTriScratch, Vec5};
+use crate::blocktri::{self, Block, BlockTriScratch, LaneBlock, Vec5};
 use crate::flux;
 use crate::state::FlowState;
 use mesh::{Arrangement, Axis, Dims, Ijk, Layout, Metrics, StateField, NCONS};
@@ -213,44 +213,61 @@ pub fn local_dt(zone: &ZoneSolver, p: Ijk) -> f64 {
     }
 }
 
-/// Scratch for one pencil of the solver: state line, metric line,
-/// residual line, and the block-tridiagonal workspace. Sized for the
-/// longest pencil of a zone; in the RISC implementation one of these
-/// lives per worker and stays cache-resident (paper Example 3), in the
-/// vector implementation a whole plane of them is materialized.
+/// Pencils an implicit factor eliminates in lockstep (lane = pencil).
+///
+/// One pencil's block-Thomas recurrence is a single dependent chain;
+/// adjacent pencils are independent and contiguous in memory, so a
+/// bundle keeps this many chains in flight and its row operations are
+/// fixed-trip loops over the lanes. A constant fixed by measurement
+/// (EXPERIMENTS.md "Pencil bundles": 2, 4 and 8 compared), not a
+/// tuning axis — every bundle size is bit-exact with one pencil.
+pub const PENCIL_BUNDLE: usize = 4;
+
+/// Scratch for the pencils one worker has in flight: state, metric,
+/// time-step and residual lines and the block-tridiagonal workspace.
+/// [`PencilScratch::new`] holds one pencil,
+/// [`PencilScratch::for_pencils`] a bundle. In the RISC implementation
+/// one [`PENCIL_BUNDLE`] lives per worker and stays cache-resident
+/// (paper Example 3, with the plane buffer cut down to what fits
+/// rather than to one pencil); the vector implementation materializes
+/// a whole plane of one-pencil scratches.
+///
+/// The lines are point-major with the lane innermost — point `i` of
+/// lane `lane` of a `W`-pencil bundle is entry `i * W + lane` — so one
+/// pencil (`W = 1`) is simply indexed by point, and a scratch sized
+/// for a bundle also serves any narrower one.
 #[derive(Debug, Clone)]
 pub struct PencilScratch {
-    /// Conserved state along the pencil.
+    /// Conserved state along the pencils.
     pub q_line: Vec<Vec5>,
-    /// Metric gradient (direction vector) along the pencil.
+    /// Metric gradient (direction vector) along the pencils.
     pub n_line: Vec<[f64; 3]>,
-    /// Right-hand side / solution along the pencil.
+    /// Right-hand side / solution along the pencils.
     pub rhs_line: Vec<Vec5>,
-    /// Per-point time step along the pencil (filled by `gather`).
+    /// Per-point time step along the pencils (filled by `gather`).
     pub dt_line: Vec<f64>,
-    /// Block-tridiagonal coefficients.
-    pub lower: Vec<Block>,
-    /// Diagonal blocks.
-    pub diag: Vec<Block>,
-    /// Upper blocks.
-    pub upper: Vec<Block>,
     /// Thomas-algorithm workspace.
-    pub tri: BlockTriScratch,
+    tri: BlockTriScratch,
 }
 
 impl PencilScratch {
-    /// Scratch for pencils up to `n` points.
+    /// Scratch for one pencil of up to `n` points.
     #[must_use]
     pub fn new(n: usize) -> Self {
+        Self::for_pencils(n, 1)
+    }
+
+    /// Scratch for a bundle of `pencils` pencils of up to `n` points
+    /// each.
+    #[must_use]
+    pub fn for_pencils(n: usize, pencils: usize) -> Self {
+        let points = n * pencils;
         Self {
-            q_line: vec![[0.0; NCONS]; n],
-            n_line: vec![[0.0; 3]; n],
-            rhs_line: vec![[0.0; NCONS]; n],
-            dt_line: vec![0.0; n],
-            lower: vec![[[0.0; NCONS]; NCONS]; n],
-            diag: vec![[[0.0; NCONS]; NCONS]; n],
-            upper: vec![[[0.0; NCONS]; NCONS]; n],
-            tri: BlockTriScratch::new(n),
+            q_line: vec![[0.0; NCONS]; points],
+            n_line: vec![[0.0; 3]; points],
+            rhs_line: vec![[0.0; NCONS]; points],
+            dt_line: vec![0.0; points],
+            tri: BlockTriScratch::for_lanes(n, pencils),
         }
     }
 
@@ -258,22 +275,34 @@ impl PencilScratch {
     /// pencil-resident tuning to work.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        let n = self.q_line.len();
-        n * (std::mem::size_of::<Vec5>() * 2
-            + std::mem::size_of::<[f64; 3]>()
-            + std::mem::size_of::<f64>())
-            + n * 3 * std::mem::size_of::<Block>()
+        self.q_line.len()
+            * (std::mem::size_of::<Vec5>() * 2
+                + std::mem::size_of::<[f64; 3]>()
+                + std::mem::size_of::<f64>())
             + self.tri.bytes()
     }
 
     /// Gather the state and metrics of one pencil from zone storage.
     pub fn gather(&mut self, zone: &ZoneSolver, axis: Axis, base: Ijk) {
+        self.gather_bundle(zone, axis, [base]);
+    }
+
+    /// Gather `W` pencils along `axis`, lane `lane` starting at
+    /// `bases[lane]`.
+    pub fn gather_bundle<const W: usize>(
+        &mut self,
+        zone: &ZoneSolver,
+        axis: Axis,
+        bases: [Ijk; W],
+    ) {
         let n = zone.dims().extent(axis);
         for i in 0..n {
-            let p = pencil_point(base, axis, i);
-            self.q_line[i] = zone.q.get(p);
-            self.n_line[i] = zone.metrics.grad(p, axis);
-            self.dt_line[i] = local_dt(zone, p);
+            for (lane, &base) in bases.iter().enumerate() {
+                let p = pencil_point(base, axis, i);
+                self.q_line[i * W + lane] = zone.q.get(p);
+                self.n_line[i * W + lane] = zone.metrics.grad(p, axis);
+                self.dt_line[i * W + lane] = local_dt(zone, p);
+            }
         }
     }
 }
@@ -445,141 +474,182 @@ impl LaneBody for RhsCentral<'_> {
     }
 }
 
-/// Identity rows pinning the two boundary points of an implicit factor.
-fn pin_boundary_rows(scratch: &mut PencilScratch, n: usize) {
-    for i in [0, n - 1] {
-        scratch.lower[i] = [[0.0; NCONS]; NCONS];
-        scratch.diag[i] = blocktri::identity();
-        scratch.upper[i] = [[0.0; NCONS]; NCONS];
-    }
+/// Point `i` of each lane of a `W`-pencil bundle line.
+#[inline]
+fn lanes_at<const W: usize, T>(line: &[T], i: usize) -> &[T; W] {
+    line[i * W..]
+        .first_chunk()
+        .expect("line shorter than the bundle")
 }
 
-/// Solve the assembled block-tridiagonal factor in place: on return
-/// `scratch.rhs_line` holds the solution.
-fn solve_factor(scratch: &mut PencilScratch, n: usize) {
-    blocktri::solve_block_tridiagonal(
-        &scratch.lower[..n],
-        &scratch.diag[..n],
-        &scratch.upper[..n],
-        &mut scratch.rhs_line[..n],
-        &mut scratch.tri,
-    );
+/// One implicit factor of the approximate factorization: the
+/// block-tridiagonal coefficients it couples a pencil's points with.
+pub trait ImplicitFactor {
+    /// Assemble the `[lower, diag, upper]` blocks of interior point
+    /// `i` of the `W` gathered pencils of `scratch`, lane innermost.
+    /// Each lane's blocks depend on that lane's lines alone, through
+    /// the same operation sequence at every `W`.
+    fn assemble<const W: usize>(&self, scratch: &PencilScratch, i: usize) -> [LaneBlock<W>; 3];
 }
 
-/// Solve the upwind (J) implicit factor along one pencil:
-/// `(I + Δt (δ⁻A⁺ + δ⁺A⁻)) Δ = rhs`, with identity rows pinning the
-/// boundary points. `scratch.rhs_line` holds the right-hand side on
-/// entry and the solution on return; the per-point time step comes
-/// from `scratch.dt_line` (filled by [`PencilScratch::gather`] — the
-/// global `dt` or the local-time-stepping value).
+/// Solve `factor` along the `W` gathered pencils of `scratch` in
+/// lockstep, identity rows pinning the boundary points: on entry
+/// `scratch.rhs_line` holds the right-hand sides, on return the
+/// solutions; the per-point time step comes from `scratch.dt_line`
+/// (the global `dt` or the local-time-stepping value).
 ///
-/// The Jacobians and spectral radii of `width` interior points are
-/// evaluated per lane group; the Thomas recurrence is serial along the
-/// pencil and does not read the width. Bit-identical at every width.
-pub fn implicit_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
+/// Each point is assembled and eliminated before the next is touched,
+/// so only what back substitution needs is ever stored. Every lane's
+/// solution is bit-identical to the one-pencil (`W = 1`) solve of that
+/// pencil.
+///
+/// # Panics
+/// Panics if `n < 2`, the scratch is too small, or a pivot block is
+/// singular.
+pub fn implicit_factor_bundle<const W: usize, F: ImplicitFactor>(
+    scratch: &mut PencilScratch,
+    n: usize,
+    factor: &F,
+) {
     assert!(n >= 2, "pencil too short");
-    pin_boundary_rows(scratch, n);
-    for_lane_groups(width, 1..n - 1, &mut ImplicitUpwind(scratch));
-    solve_factor(scratch, n);
+    assert!(scratch.tri.capacity() >= n * W, "scratch too small");
+    let zero = [[[0.0; W]; NCONS]; NCONS];
+    for i in 0..n {
+        let [lower, diag, upper] = if i == 0 || i == n - 1 {
+            [
+                zero,
+                std::array::from_fn(|r| std::array::from_fn(|c| [IDENT[r][c]; W])),
+                zero,
+            ]
+        } else {
+            factor.assemble::<W>(scratch, i)
+        };
+        scratch
+            .tri
+            .eliminate(i, &lower, &diag, &upper, lanes_at(&scratch.rhs_line, i));
+    }
+    let rhs_line = &mut scratch.rhs_line;
+    scratch
+        .tri
+        .back_substitute::<W>(n, |i, lane, x| rhs_line[i * W + lane] = x);
 }
 
-struct ImplicitUpwind<'a>(&'a mut PencilScratch);
+/// The assemblies below do their block algebra one element at a time,
+/// identity terms included (`0.0 * x` is not a no-op for the sign of a
+/// zero), so each element sees one fixed expression at every `W`.
+const IDENT: Block = blocktri::identity();
 
-impl LaneBody for ImplicitUpwind<'_> {
+/// The upwind (J) implicit factor `I + Δt (δ⁻A⁺ + δ⁺A⁻)`, with the
+/// approximate split Jacobians `A± = (A ± ρ I) / 2`:
+/// `δ⁻A⁺ Δ = A⁺_i Δ_i − A⁺_{i−1} Δ_{i−1}` and
+/// `δ⁺A⁻ Δ = A⁻_{i+1} Δ_{i+1} − A⁻_i Δ_i`.
+#[derive(Debug, Clone, Copy)]
+pub struct UpwindFactor;
+
+impl ImplicitFactor for UpwindFactor {
     #[inline]
-    fn group<const W: usize>(&mut self, first: usize) {
-        let st = Stencil::<W>::gather(self.0, first);
-        let a_i = flux::flux_jacobian_lanes(&st.q, &st.n);
-        let r_i = flux::spectral_radius_lanes(&st.q, &st.n);
-        let a_im = flux::flux_jacobian_lanes(&st.q_minus, &st.n);
-        let r_im = flux::spectral_radius_lanes(&st.q_minus, &st.n);
-        let a_ip = flux::flux_jacobian_lanes(&st.q_plus, &st.n);
-        let r_ip = flux::spectral_radius_lanes(&st.q_plus, &st.n);
-        let ident = blocktri::identity();
-        // Approximate split Jacobians: A± = (A ± ρ I) / 2.
-        let plus = |a: &Block, r: f64| {
-            blocktri::scale(&blocktri::add(a, &blocktri::scale(&ident, r)), 0.5)
-        };
-        let minus = |a: &Block, r: f64| {
-            blocktri::scale(&blocktri::sub(a, &blocktri::scale(&ident, r)), 0.5)
-        };
-        for lane in 0..W {
-            let i = first + lane;
-            let ap_i = plus(&a_i[lane], r_i[lane]);
-            let am_i = minus(&a_i[lane], r_i[lane]);
-            let ap_im = plus(&a_im[lane], r_im[lane]);
-            let am_ip = minus(&a_ip[lane], r_ip[lane]);
-            // δ⁻A⁺ Δ = A⁺_i Δ_i − A⁺_{i−1} Δ_{i−1};
-            // δ⁺A⁻ Δ = A⁻_{i+1} Δ_{i+1} − A⁻_i Δ_i.
-            let dt = self.0.dt_line[i];
-            self.0.lower[i] = blocktri::scale(&ap_im, -dt);
-            self.0.diag[i] =
-                blocktri::add(&ident, &blocktri::scale(&blocktri::sub(&ap_i, &am_i), dt));
-            self.0.upper[i] = blocktri::scale(&am_ip, dt);
+    fn assemble<const W: usize>(&self, scratch: &PencilScratch, i: usize) -> [LaneBlock<W>; 3] {
+        let q = lanes_at::<W, _>(&scratch.q_line, i);
+        let n = lanes_at::<W, _>(&scratch.n_line, i);
+        let dt = lanes_at::<W, _>(&scratch.dt_line, i);
+        let a_i = flux::flux_jacobian_lanes(q, n);
+        let r_i = flux::spectral_radius_lanes(q, n);
+        let q_minus = lanes_at::<W, _>(&scratch.q_line, i - 1);
+        let a_im = flux::flux_jacobian_lanes(q_minus, n);
+        let r_im = flux::spectral_radius_lanes(q_minus, n);
+        let q_plus = lanes_at::<W, _>(&scratch.q_line, i + 1);
+        let a_ip = flux::flux_jacobian_lanes(q_plus, n);
+        let r_ip = flux::spectral_radius_lanes(q_plus, n);
+        let mut out = [[[[0.0; W]; NCONS]; NCONS]; 3];
+        for r in 0..NCONS {
+            for c in 0..NCONS {
+                let id = IDENT[r][c];
+                for lane in 0..W {
+                    let ap_i = (a_i[lane][r][c] + id * r_i[lane]) * 0.5;
+                    let am_i = (a_i[lane][r][c] - id * r_i[lane]) * 0.5;
+                    let ap_im = (a_im[lane][r][c] + id * r_im[lane]) * 0.5;
+                    let am_ip = (a_ip[lane][r][c] - id * r_ip[lane]) * 0.5;
+                    out[0][r][c][lane] = ap_im * -dt[lane];
+                    out[1][r][c][lane] = id + (ap_i - am_i) * dt[lane];
+                    out[2][r][c][lane] = am_ip * dt[lane];
+                }
+            }
         }
+        out
     }
 }
 
-/// Solve a central (K or L) implicit factor along one pencil:
-/// `(I + Δt δ(A)/2 + Δt (ε σ + σ_v) ∇²) Δ = rhs`, identity rows at the
-/// ends. `mu_vis` enables the implicit viscous stabilization
-/// (`σ_v = 2 μ |∇ζ|² / ρ`) for the wall-normal factor; pass 0 for the
-/// K factor and for inviscid runs. Same lane grouping and exactness
-/// contract as [`implicit_upwind_pencil_w`].
+/// A central (K or L) implicit factor
+/// `I + Δt δ(A)/2 + Δt (ε σ + σ_v) ∇²`. `mu_vis` enables the implicit
+/// viscous stabilization (`σ_v = 2 μ |∇ζ|² / ρ`) for the wall-normal
+/// factor; 0 for the K factor and for inviscid runs.
+#[derive(Debug, Clone, Copy)]
+pub struct CentralFactor {
+    /// Implicit dissipation coefficient.
+    pub eps_imp: f64,
+    /// Nondimensional viscosity of the implicit viscous term.
+    pub mu_vis: f64,
+}
+
+impl ImplicitFactor for CentralFactor {
+    #[inline]
+    fn assemble<const W: usize>(&self, scratch: &PencilScratch, i: usize) -> [LaneBlock<W>; 3] {
+        let q = lanes_at::<W, _>(&scratch.q_line, i);
+        let n = lanes_at::<W, _>(&scratch.n_line, i);
+        let dt = lanes_at::<W, _>(&scratch.dt_line, i);
+        let a_im = flux::flux_jacobian_lanes(lanes_at::<W, _>(&scratch.q_line, i - 1), n);
+        let a_ip = flux::flux_jacobian_lanes(lanes_at::<W, _>(&scratch.q_line, i + 1), n);
+        let sigma = flux::spectral_radius_lanes(q, n);
+        let mut d = [0.0; W];
+        for lane in 0..W {
+            let nl = n[lane];
+            let sigma_v = if self.mu_vis > 0.0 {
+                let phi = nl[0] * nl[0] + nl[1] * nl[1] + nl[2] * nl[2];
+                2.0 * self.mu_vis * phi / q[lane][0]
+            } else {
+                0.0
+            };
+            d[lane] = dt[lane] * (self.eps_imp * sigma[lane] + sigma_v);
+        }
+        let mut out = [[[[0.0; W]; NCONS]; NCONS]; 3];
+        for r in 0..NCONS {
+            for c in 0..NCONS {
+                let id = IDENT[r][c];
+                for lane in 0..W {
+                    out[0][r][c][lane] = a_im[lane][r][c] * (-0.5 * dt[lane]) + id * -d[lane];
+                    out[1][r][c][lane] = id + id * (2.0 * d[lane]);
+                    out[2][r][c][lane] = a_ip[lane][r][c] * (0.5 * dt[lane]) + id * -d[lane];
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Solve the upwind (J) implicit factor along one gathered pencil: the
+/// one-pencil instantiation of [`implicit_factor_bundle`]. The
+/// recurrence is serial along the pencil, so an along-pencil lane
+/// `width` has nothing to select and every width is the same call.
+///
+/// # Panics
+/// As [`implicit_factor_bundle`].
+pub fn implicit_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, _width: usize) {
+    implicit_factor_bundle::<1, _>(scratch, n, &UpwindFactor);
+}
+
+/// Solve a central (K or L) implicit factor along one gathered pencil;
+/// same contract as [`implicit_upwind_pencil_w`].
+///
+/// # Panics
+/// As [`implicit_factor_bundle`].
 pub fn implicit_central_pencil_w(
     scratch: &mut PencilScratch,
     n: usize,
     eps_imp: f64,
     mu_vis: f64,
-    width: usize,
+    _width: usize,
 ) {
-    assert!(n >= 2, "pencil too short");
-    pin_boundary_rows(scratch, n);
-    let mut body = ImplicitCentral {
-        scratch,
-        eps_imp,
-        mu_vis,
-    };
-    for_lane_groups(width, 1..n - 1, &mut body);
-    solve_factor(scratch, n);
-}
-
-struct ImplicitCentral<'a> {
-    scratch: &'a mut PencilScratch,
-    eps_imp: f64,
-    mu_vis: f64,
-}
-
-impl LaneBody for ImplicitCentral<'_> {
-    #[inline]
-    fn group<const W: usize>(&mut self, first: usize) {
-        let st = Stencil::<W>::gather(self.scratch, first);
-        let a_im = flux::flux_jacobian_lanes(&st.q_minus, &st.n);
-        let a_ip = flux::flux_jacobian_lanes(&st.q_plus, &st.n);
-        let sigma = flux::spectral_radius_lanes(&st.q, &st.n);
-        let ident = blocktri::identity();
-        for lane in 0..W {
-            let i = first + lane;
-            let nl = st.n[lane];
-            let sigma_v = if self.mu_vis > 0.0 {
-                let phi = nl[0] * nl[0] + nl[1] * nl[1] + nl[2] * nl[2];
-                2.0 * self.mu_vis * phi / st.q[lane][0]
-            } else {
-                0.0
-            };
-            let dt = self.scratch.dt_line[i];
-            let d = dt * (self.eps_imp * sigma[lane] + sigma_v);
-            self.scratch.lower[i] = blocktri::add(
-                &blocktri::scale(&a_im[lane], -0.5 * dt),
-                &blocktri::scale(&ident, -d),
-            );
-            self.scratch.diag[i] = blocktri::add(&ident, &blocktri::scale(&ident, 2.0 * d));
-            self.scratch.upper[i] = blocktri::add(
-                &blocktri::scale(&a_ip[lane], 0.5 * dt),
-                &blocktri::scale(&ident, -d),
-            );
-        }
-    }
+    implicit_factor_bundle::<1, _>(scratch, n, &CentralFactor { eps_imp, mu_vis });
 }
 
 /// The full explicit residual at one *interior* point, in a fixed
@@ -921,16 +991,18 @@ mod tests {
 
     #[test]
     fn scratch_fits_cache_for_paper_pencils() {
-        // The tuned code's claim: pencil scratch for dimensions up to
-        // ~1000 fits an 8-MB cache (and 450 fits comfortably in 1 MB
-        // per the SPP-1000 discussion scaled to our richer scratch).
-        let s = PencilScratch::new(1000);
+        // The tuned code's claim: the scratch a worker holds — one
+        // pencil bundle — for dimensions up to ~1000 fits an 8-MB
+        // cache (and 450 fits comfortably in 1 MB per the SPP-1000
+        // discussion scaled to our richer scratch).
+        let s = PencilScratch::for_pencils(1000, PENCIL_BUNDLE);
         assert!(s.bytes() < 8 << 20, "{} bytes", s.bytes());
-        let s59 = PencilScratch::new(450);
+        let s59 = PencilScratch::for_pencils(450, PENCIL_BUNDLE);
         assert!(s59.bytes() < (8 << 20) / 2, "{} bytes", s59.bytes());
-        // A 450 x 350 plane of the same scratch would NOT fit: the
-        // vector code's plane buffers are ~350x larger.
-        let plane_bytes = s59.bytes() * 350;
+        assert_eq!(s59.bytes(), PENCIL_BUNDLE * PencilScratch::new(450).bytes());
+        // A 450 x 350 plane of pencils would NOT fit: the vector code's
+        // plane buffers are ~90x larger than the bundle.
+        let plane_bytes = PencilScratch::new(450).bytes() * 350;
         assert!(plane_bytes > 8 << 20);
     }
 

@@ -94,9 +94,6 @@ impl VectorStepper {
         // Legacy loop order: L outer, K middle, J inner (long vectors);
         // interior J-rows run in lane groups of the selected width.
         let w_rhs = self.widths.get("rhs");
-        let w_j = self.widths.get("j_factor");
-        let w_k = self.widths.get("k_factor");
-        let w_l = self.widths.get("l_factor_solve");
         for l in 0..d.l {
             for k in 0..d.k {
                 if l == 0 || l == d.l - 1 || k == 0 || k == d.k - 1 {
@@ -129,7 +126,7 @@ impl VectorStepper {
             }
             // solve the whole plane
             for s in self.plane_scratch[..d.k].iter_mut() {
-                implicit_upwind_pencil_w(s, d.j, w_j);
+                implicit_upwind_pencil_w(s, d.j, 1);
             }
             // scatter the whole plane
             for k in 0..d.k {
@@ -152,7 +149,7 @@ impl VectorStepper {
                 }
             }
             for s in self.plane_scratch[..d.j].iter_mut() {
-                implicit_central_pencil_w(s, d.k, eps_imp, 0.0, w_k);
+                implicit_central_pencil_w(s, d.k, eps_imp, 0.0, 1);
             }
             for j in 0..d.j {
                 let base = Ijk::new(j, 0, l);
@@ -174,7 +171,7 @@ impl VectorStepper {
                 }
             }
             for s in self.plane_scratch[..d.j].iter_mut() {
-                implicit_central_pencil_w(s, d.l, eps_imp, mu_vis, w_l);
+                implicit_central_pencil_w(s, d.l, eps_imp, mu_vis, 1);
             }
             for j in 0..d.j {
                 let base = Ijk::new(j, k, 0);

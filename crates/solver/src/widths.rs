@@ -26,14 +26,19 @@
 //! `W` and the results are bit-exact at every width — asserted per
 //! workload by its property suite. No kernel needs a tolerance.
 //!
-//! **Where the axis selects nothing.** A kernel keeps lane groups only
-//! where they measure faster (F3D's flux kernels: isomorphic
-//! independent operations on gathered operands). Kernels whose inner
-//! loop is data movement, a 5-wide block product or an AoS stencil
-//! accept a width — it is validated, echoed, labelled and cache-keyed
-//! like any other — and execute the same code at every width; a
-//! solver lists the kernels that do read it in
-//! [`crate::Solver::wide_kernels`].
+//! **Where the axis selects nothing.** A kernel reads the width only
+//! where lane groups of that width measure faster (F3D's residual:
+//! isomorphic independent operations on gathered operands). Kernels
+//! whose inner loop is data movement or an AoS stencil accept a width
+//! — it is validated, echoed, labelled and cache-keyed like any other
+//! — and execute the same code at every width; a solver lists the
+//! kernels that do read it in [`crate::Solver::wide_kernels`]. So do
+//! kernels whose lane count is not the request's to choose: F3D's
+//! implicit factors drive this same [`for_lane_groups`] over *pencils*
+//! at a constant fixed by measurement (`f3d::solver::PENCIL_BUNDLE`),
+//! because one pencil's block-Thomas recurrence is a dependent chain
+//! that an along-pencil width cannot shorten and adjacent pencils can
+//! overlap.
 
 use std::ops::Range;
 

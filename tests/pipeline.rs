@@ -54,8 +54,9 @@ fn profiled_solver_run_drives_the_advisor() {
     // Large enough that each sweep invocation clears the Table-1
     // minimum-work bound below with ~2x headroom on a fast host; at
     // 16x14x12 the per-invocation j_factor work sat within noise of
-    // the 800k-cycle threshold.
-    let d = Dims::new(20, 18, 16);
+    // the 800k-cycle threshold, and since the factors run in pencil
+    // bundles (roughly half the time per point) so would 20x18x16.
+    let d = Dims::new(24, 22, 20);
     let (mut zone, mut stepper) = RiscStepper::new_zone(
         SolverConfig::supersonic(),
         Metrics::cartesian(d, (0.2, 0.2, 0.2)),
