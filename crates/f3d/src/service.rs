@@ -21,9 +21,16 @@ use crate::forces::{self, SurfaceForces};
 use crate::multizone::MultiZoneSolver;
 use crate::solver::SolverConfig;
 use crate::validation::{FieldChecksum, ResidualHistory};
-use llp::{ObsReport, Policy, Timeline, Workers};
+use llp::obs::json::Json;
+use llp::{Policy, Workers};
 use mesh::{Axis, Dims, MultiZoneGrid};
-use solver::{check_range, validate_width, Solver, SolverInstance, SolverSpec, WidthMap};
+use solver::wire::{self, SolveFields};
+use solver::{
+    check_range, validate_width, Solver, SolverInstance, SolverOutput, SolverRun, SolverSpec,
+    WidthMap, ZoneDispatch,
+};
+
+pub use solver::fnv1a64;
 
 /// Maximum zones a service case may request.
 pub const MAX_ZONES: usize = 4;
@@ -92,11 +99,19 @@ pub struct ServiceCase {
 }
 
 impl ServiceCase {
-    /// Check every field against its cap.
-    ///
-    /// # Errors
-    /// Returns a message naming the offending field and its bound.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The grid this case solves on.
+    #[must_use]
+    pub fn grid(&self) -> MultiZoneGrid {
+        MultiZoneGrid::split_j(SERVICE_DIMS, self.zones)
+    }
+}
+
+impl SolverSpec for ServiceCase {
+    fn kind(&self) -> &'static str {
+        F3dSolver::KIND
+    }
+
+    fn validate(&self) -> Result<(), String> {
         check_range("zones", self.zones, MAX_ZONES)?;
         check_range("steps", self.steps, MAX_STEPS)?;
         check_range("workers", self.workers, MAX_WORKERS)?;
@@ -110,29 +125,32 @@ impl ServiceCase {
         }
     }
 
-    /// The case an autotuner calibration measures: `zones` × `steps` at
-    /// the default configuration (static, sequential zones, scalar),
-    /// which is the configuration every candidate is compared against.
-    #[must_use]
-    pub fn calibration(zones: usize, steps: usize, workers: usize) -> Self {
-        Self {
-            zones,
-            steps,
-            workers,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        }
+    /// Every semantic field in a fixed order with a fixed spelling, so
+    /// two requests that parse to the same case — whatever their JSON
+    /// key order or whitespace — produce byte-identical canonical
+    /// strings, and any change to zones, steps, workers, schedule kind,
+    /// chunk parameter, or vector width changes the string.
+    /// `vector_width` always appears — explicitly, even at the scalar
+    /// default — so a request spelling `"vector_width": 1` and one
+    /// omitting the field canonicalize identically.
+    fn canonical_string(&self) -> String {
+        let schedule = self.schedule.canonical();
+        let zone_schedule = match self.zone_schedule {
+            ZoneSchedule::Sequential => "sequential".to_string(),
+            ZoneSchedule::Zones(shards) => format!("zones,shards={shards}"),
+        };
+        format!(
+            "zones={};steps={};workers={};schedule={};zone_schedule={};vector_width={}",
+            self.zones, self.steps, self.workers, schedule, zone_schedule, self.vector_width
+        )
     }
 
-    /// Stable label for this case, used as the obs-report case name.
     /// Static runs keep the original `service/z{}s{}w{}` form; dynamic
     /// policies append a `-dyn{chunk}` / `-gui{min_chunk}` suffix so a
     /// self-scheduled run is never mistaken for a static one, and wide
     /// runs append a final `-vw{width}` so a SIMD-variant run is never
     /// mistaken for a scalar one.
-    #[must_use]
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         let schedule = self.schedule.label_suffix();
         let base = format!(
             "service/z{}s{}w{}{schedule}",
@@ -149,46 +167,6 @@ impl ServiceCase {
         }
     }
 
-    /// The grid this case solves on.
-    #[must_use]
-    pub fn grid(&self) -> MultiZoneGrid {
-        MultiZoneGrid::split_j(SERVICE_DIMS, self.zones)
-    }
-
-    /// Canonical content string for this case, the basis of
-    /// content-addressed result reuse: every semantic field appears in a
-    /// fixed order with a fixed spelling, so two requests that parse to
-    /// the same case — whatever their JSON key order or whitespace —
-    /// produce byte-identical canonical strings, and any change to
-    /// zones, steps, workers, schedule kind, chunk parameter, or vector
-    /// width changes the string. `vector_width` always appears —
-    /// explicitly, even at the scalar default — so a request spelling
-    /// `"vector_width": 1` and one omitting the field canonicalize
-    /// identically.
-    #[must_use]
-    pub fn canonical_string(&self) -> String {
-        let schedule = self.schedule.canonical();
-        let zone_schedule = match self.zone_schedule {
-            ZoneSchedule::Sequential => "sequential".to_string(),
-            ZoneSchedule::Zones(shards) => format!("zones,shards={shards}"),
-        };
-        format!(
-            "zones={};steps={};workers={};schedule={};zone_schedule={};vector_width={}",
-            self.zones, self.steps, self.workers, schedule, zone_schedule, self.vector_width
-        )
-    }
-}
-
-impl SolverSpec for ServiceCase {
-    fn validate(&self) -> Result<(), String> {
-        ServiceCase::validate(self)
-    }
-    fn canonical_string(&self) -> String {
-        ServiceCase::canonical_string(self)
-    }
-    fn label(&self) -> String {
-        ServiceCase::label(self)
-    }
     fn workers(&self) -> usize {
         self.workers
     }
@@ -200,6 +178,77 @@ impl SolverSpec for ServiceCase {
     }
     fn vector_width(&self) -> usize {
         self.vector_width
+    }
+
+    fn memory_usage_estimate(&self) -> u64 {
+        // Two full conservative-state fields per zone (Q and the RHS
+        // accumulator, 5 components of f64 per point) dominate; the
+        // pencil scratch is per worker and cache-sized by design. A
+        // deterministic formula, not a measurement — the admission
+        // contract only needs it to scale with the request.
+        let points: usize = self
+            .grid()
+            .zones()
+            .iter()
+            .map(|z| {
+                let d = z.dims;
+                d.j * d.k * d.l
+            })
+            .sum();
+        const NCONS: u64 = 5;
+        const F64: u64 = 8;
+        (points as u64) * NCONS * F64 * 2 + (self.workers as u64) * SCRATCH_PER_WORKER
+    }
+
+    fn echo(&self) -> Json {
+        let zone_schedule = match self.zone_schedule {
+            ZoneSchedule::Sequential => Json::str("sequential"),
+            ZoneSchedule::Zones(shards) => Json::from_usize(shards),
+        };
+        wire::echo(
+            self,
+            ("zones", self.zones),
+            vec![("zone_schedule", zone_schedule)],
+        )
+    }
+
+    /// Omitted fields fall back to a small default case: three zones,
+    /// stepped sequentially.
+    fn from_request(fields: &SolveFields<'_>) -> Result<Self, String> {
+        let zone_schedule = match fields.body.get("zone_schedule") {
+            None => ZoneSchedule::Sequential,
+            Some(v) => match (v.as_str(), v.as_usize()) {
+                (Some("sequential"), _) => ZoneSchedule::Sequential,
+                (None, Some(shards)) => ZoneSchedule::Zones(shards),
+                _ => {
+                    return Err(
+                        "`zone_schedule` must be \"sequential\" or a positive shard count"
+                            .to_string(),
+                    )
+                }
+            },
+        };
+        Ok(Self {
+            zones: fields.count("zones", 3)?,
+            steps: fields.steps()?,
+            workers: fields.workers()?,
+            schedule: fields.schedule,
+            zone_schedule,
+            vector_width: fields.vector_width()?,
+        })
+    }
+
+    /// `scale` zones × `steps` at the default configuration (static,
+    /// sequential zones, scalar).
+    fn calibration(scale: usize, steps: usize, workers: usize) -> Self {
+        Self {
+            zones: scale,
+            steps,
+            workers,
+            schedule: Policy::Static,
+            zone_schedule: ZoneSchedule::Sequential,
+            vector_width: 1,
+        }
     }
 }
 
@@ -217,7 +266,9 @@ pub struct F3dInstance {
 }
 
 /// The physics half of a completed F3D run — everything
-/// [`ServiceRun`] carries except the uniform observability payload.
+/// [`ServiceRun`] carries except the case and the uniform
+/// observability payload.
+#[derive(Debug, Clone)]
 pub struct F3dOutput {
     /// Zone names, in grid order.
     pub zone_names: Vec<String>,
@@ -229,61 +280,94 @@ pub struct F3dOutput {
     pub lift: f64,
     /// Per-zone field checksums after the final step.
     pub checksums: Vec<FieldChecksum>,
-    /// Per-step zone-scheduler statistics (`None` when sequential).
+    /// Per-step zone-scheduler statistics (`None` for sequential zone
+    /// order). Deterministic — derived from the topology and the shard
+    /// count — so cached responses can carry it soundly.
     pub zone_stats: Option<zones::StepStats>,
+}
+
+impl SolverOutput for F3dOutput {
+    /// `zone_level`, `residuals`, `forces`, and one [`FieldChecksum`]
+    /// per zone — the paper's Section 6 "diff" primitive.
+    fn payload(&self) -> Vec<(&'static str, Json)> {
+        let nums = |v: &[f64]| Json::Array(v.iter().map(|&x| Json::Num(x)).collect());
+        let zone_level = self.zone_stats.map_or(Json::Null, |s| {
+            Json::object(vec![
+                ("shards", Json::from_usize(s.shards)),
+                ("loop_workers", Json::from_usize(s.loop_workers)),
+                ("zone_tasks", Json::from_u64(s.zone_tasks)),
+                ("exchange_tasks", Json::from_u64(s.exchange_tasks)),
+                ("exchange_waves", Json::from_u64(s.exchange_waves)),
+                ("peak_ready", Json::from_u64(s.peak_ready)),
+            ])
+        });
+        let checksums = self
+            .zone_names
+            .iter()
+            .zip(&self.checksums)
+            .map(|(zone, sum)| {
+                Json::object(vec![
+                    ("zone", Json::str(zone)),
+                    ("sum", nums(&sum.sum)),
+                    ("sum_sq", nums(&sum.sum_sq)),
+                    ("min", nums(&sum.min)),
+                    ("max", nums(&sum.max)),
+                ])
+            })
+            .collect();
+        vec![
+            ("zone_level", zone_level),
+            ("residuals", nums(&self.residuals)),
+            (
+                "forces",
+                Json::object(vec![
+                    ("drag", Json::Num(self.drag)),
+                    ("lift", Json::Num(self.lift)),
+                ]),
+            ),
+            ("checksums", Json::Array(checksums)),
+        ]
+    }
+
+    fn zone_dispatch(&self) -> Option<ZoneDispatch> {
+        // One residual per step: the per-step task count times the
+        // steps is the run's.
+        self.zone_stats.map(|s| ZoneDispatch {
+            shards: s.shards as u64,
+            zone_tasks: s.zone_tasks * self.residuals.len() as u64,
+            peak_ready: s.peak_ready,
+        })
+    }
 }
 
 impl Solver for F3dSolver {
     type Config = ServiceCase;
     type Instance = F3dInstance;
 
-    fn kind() -> &'static str {
-        "f3d"
-    }
+    const KIND: &'static str = "f3d";
 
-    fn kernel_names() -> &'static [&'static str] {
-        // The six parallel kernels of the RISC stepper, sorted — the
-        // vocabulary the tune database and the metrics labels use.
-        // The serial `bc` phase is deliberately absent: it is never
-        // tuned and the metrics fold it into "other".
-        &[
-            "j_factor",
-            "k_factor",
-            "l_factor_scatter",
-            "l_factor_solve",
-            "rhs",
-            "update",
-        ]
-    }
+    // The six parallel kernels of the RISC stepper, sorted — the
+    // vocabulary the tune database and the metrics labels use. The
+    // serial `bc` phase is deliberately absent: it is never tuned and
+    // the metrics fold it into "other".
+    const KERNELS: &'static [&'static str] = &[
+        "j_factor",
+        "k_factor",
+        "l_factor_scatter",
+        "l_factor_solve",
+        "rhs",
+        "update",
+    ];
 
-    fn wide_kernels() -> &'static [&'static str] {
-        // The residual evaluates its fluxes `vector_width` points of a
-        // J-row at a time. The three implicit factors run a fixed
-        // bundle of pencils per group (`solver::PENCIL_BUNDLE`) and
-        // `update` / `l_factor_scatter` are data movement: one loop at
-        // every width.
-        &["rhs"]
-    }
+    // The residual evaluates its fluxes `vector_width` points of a
+    // J-row at a time. The three implicit factors run a fixed bundle
+    // of pencils per group (`solver::PENCIL_BUNDLE`) and `update` /
+    // `l_factor_scatter` are data movement: one loop at every width.
+    const WIDE_KERNELS: &'static [&'static str] = &["rhs"];
 
-    fn memory_usage_estimate(case: &ServiceCase) -> u64 {
-        // Two full conservative-state fields per zone (Q and the RHS
-        // accumulator, 5 components of f64 per point) dominate; the
-        // pencil scratch is per worker and cache-sized by design. A
-        // deterministic formula, not a measurement — the admission
-        // contract only needs it to scale with the request.
-        let points: usize = case
-            .grid()
-            .zones()
-            .iter()
-            .map(|z| {
-                let d = z.dims;
-                d.j * d.k * d.l
-            })
-            .sum();
-        const NCONS: u64 = 5;
-        const F64: u64 = 8;
-        (points as u64) * NCONS * F64 * 2 + (case.workers as u64) * SCRATCH_PER_WORKER
-    }
+    const OWN_FIELDS: &'static [&'static str] = &["zones", "zone_schedule"];
+
+    const MAX_WORKERS: usize = self::MAX_WORKERS;
 
     fn create_instance(case: &ServiceCase, widths: &WidthMap) -> F3dInstance {
         let grid = case.grid();
@@ -364,51 +448,11 @@ impl SolverInstance for F3dInstance {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`: tiny, dependency-free, and stable — the
-/// right shape for a content checksum that must never move between
-/// builds (unlike [`std::hash::Hasher`], whose output is unspecified).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-/// Everything one bounded run produces.
-#[derive(Debug, Clone)]
-pub struct ServiceRun {
-    /// The case that was run.
-    pub case: ServiceCase,
-    /// Zone names, in grid order.
-    pub zone_names: Vec<String>,
-    /// Freestream deviation after each step.
-    pub residuals: Vec<f64>,
-    /// Drag coefficient on the low-L wall faces.
-    pub drag: f64,
-    /// Lift coefficient on the low-L wall faces.
-    pub lift: f64,
-    /// Per-zone field checksums after the final step, in grid order.
-    pub checksums: Vec<FieldChecksum>,
-    /// Synchronization events this run added to the pool.
-    pub sync_events: u64,
-    /// Span report drained from the pool's recorder (empty when the
-    /// pool does not record).
-    pub report: ObsReport,
-    /// Flight-recorder timeline drained from the pool (empty when the
-    /// pool carries no flight recorder): per-worker chunk/barrier/claim
-    /// events covering exactly this run's parallel regions, plus zone
-    /// occupancy events when the case ran zone-scheduled.
-    pub timeline: Timeline,
-    /// Per-step zone-scheduler statistics (`None` for sequential zone
-    /// order). Deterministic — derived from the topology and the shard
-    /// count — so cached responses can carry it soundly.
-    pub zone_stats: Option<zones::StepStats>,
-}
+/// Everything one bounded run produces: the case, its [`F3dOutput`],
+/// and the observability payload (sync events, span report, flight
+/// timeline — the last with zone occupancy events when the case ran
+/// zone-scheduled).
+pub type ServiceRun = SolverRun<ServiceCase, F3dOutput>;
 
 /// Execute a validated case on `pool` and collect the results.
 ///
@@ -420,48 +464,14 @@ pub struct ServiceRun {
 /// When the pool records spans, the report covering exactly this run is
 /// drained from the recorder — the caller must not have open spans.
 ///
-/// # Errors
-/// Returns the [`ServiceCase::validate`] error for out-of-bounds cases.
-pub fn run(case: &ServiceCase, pool: &Workers) -> Result<ServiceRun, String> {
-    run_tuned(case, pool, None, None)
-}
-
-/// [`run`] with per-kernel overrides — the `"schedule": "auto"` path,
-/// where the serve layer resolves a tune database into the two maps.
-/// Kernels named in `schedules` execute on a [`Workers::kernel_view`]
-/// carrying their tuned worker count and policy, everything else falls
-/// back to the case's configuration; likewise the case's
-/// `vector_width` sets the default SLP lane width and any `widths`
-/// entries win over it. Both axes are bit-exact, so mixing them never
-/// changes a result — only the performance shape.
+/// This is [`solver::run_instrumented`] with no per-kernel overrides;
+/// the `"schedule": "auto"` path calls the driver with a tune
+/// database's two maps.
 ///
 /// # Errors
-/// Returns the [`ServiceCase::validate`] error for out-of-bounds cases.
-pub fn run_tuned(
-    case: &ServiceCase,
-    pool: &Workers,
-    schedules: Option<&llp::ScheduleMap>,
-    widths: Option<&WidthMap>,
-) -> Result<ServiceRun, String> {
-    // The generic driver owns the exact instrumentation sequence this
-    // function always executed (policy view, width resolution, local
-    // sync billing, report/timeline drain) — the refactor behind the
-    // `solver` trait changes no result, pinned by the bit-exactness
-    // tests below and in the serve integration suite.
-    let run = solver::run_instrumented::<F3dSolver>(case, pool, schedules, widths)?;
-    let out = run.output;
-    Ok(ServiceRun {
-        case: *case,
-        zone_names: out.zone_names,
-        residuals: out.residuals,
-        drag: out.drag,
-        lift: out.lift,
-        checksums: out.checksums,
-        sync_events: run.sync_events,
-        report: run.report,
-        timeline: run.timeline,
-        zone_stats: out.zone_stats,
-    })
+/// Returns the [`SolverSpec::validate`] error for out-of-bounds cases.
+pub fn run(case: &ServiceCase, pool: &Workers) -> Result<ServiceRun, String> {
+    solver::run_instrumented::<F3dSolver>(case, pool, None, None)
 }
 
 #[cfg(test)]
@@ -491,14 +501,7 @@ mod tests {
 
     #[test]
     fn validation_enforces_caps() {
-        let ok = ServiceCase {
-            zones: 3,
-            steps: 4,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let ok = ServiceCase::calibration(3, 4, 2);
         assert!(ok.validate().is_ok());
         assert!(ServiceCase {
             schedule: Policy::Dynamic { chunk: MAX_CHUNK },
@@ -567,14 +570,7 @@ mod tests {
 
     #[test]
     fn canonical_strings_cover_every_semantic_field() {
-        let base = ServiceCase {
-            zones: 2,
-            steps: 3,
-            workers: 4,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let base = ServiceCase::calibration(2, 3, 4);
         assert_eq!(
             base.canonical_string(),
             "zones=2;steps=3;workers=4;schedule=static;zone_schedule=sequential;vector_width=1"
@@ -653,44 +649,22 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_the_published_test_vectors() {
-        // Reference vectors for 64-bit FNV-1a.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn runs_are_deterministic_across_worker_counts() {
-        let base = ServiceCase {
-            zones: 2,
-            steps: 3,
-            workers: 1,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let base = ServiceCase::calibration(2, 3, 1);
         let a = run(&base, &Workers::new(1)).unwrap();
         let b = run(&ServiceCase { workers: 3, ..base }, &Workers::new(3)).unwrap();
-        assert_eq!(a.residuals, b.residuals);
-        assert_eq!(a.checksums, b.checksums);
-        assert_eq!(a.drag, b.drag);
-        assert_eq!(a.lift, b.lift);
-        assert_eq!(a.zone_names, vec!["zone1", "zone2"]);
-        assert_eq!(a.residuals.len(), 3);
-        assert!(a.drag.is_finite() && a.lift.is_finite());
+        assert_eq!(a.output.residuals, b.output.residuals);
+        assert_eq!(a.output.checksums, b.output.checksums);
+        assert_eq!(a.output.drag, b.output.drag);
+        assert_eq!(a.output.lift, b.output.lift);
+        assert_eq!(a.output.zone_names, vec!["zone1", "zone2"]);
+        assert_eq!(a.output.residuals.len(), 3);
+        assert!(a.output.drag.is_finite() && a.output.lift.is_finite());
     }
 
     #[test]
     fn runs_are_bit_exact_across_scheduling_policies() {
-        let base = ServiceCase {
-            zones: 2,
-            steps: 3,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let base = ServiceCase::calibration(2, 3, 2);
         let reference = run(&base, &Workers::new(2)).unwrap();
         for schedule in [
             Policy::Dynamic { chunk: 1 },
@@ -699,10 +673,16 @@ mod tests {
         ] {
             let case = ServiceCase { schedule, ..base };
             let out = run(&case, &Workers::new(2)).unwrap();
-            assert_eq!(reference.residuals, out.residuals, "{schedule:?}");
-            assert_eq!(reference.checksums, out.checksums, "{schedule:?}");
-            assert_eq!(reference.drag, out.drag, "{schedule:?}");
-            assert_eq!(reference.lift, out.lift, "{schedule:?}");
+            assert_eq!(
+                reference.output.residuals, out.output.residuals,
+                "{schedule:?}"
+            );
+            assert_eq!(
+                reference.output.checksums, out.output.checksums,
+                "{schedule:?}"
+            );
+            assert_eq!(reference.output.drag, out.output.drag, "{schedule:?}");
+            assert_eq!(reference.output.lift, out.output.lift, "{schedule:?}");
             // Same region structure, so the same sync-event bill.
             assert_eq!(reference.sync_events, out.sync_events, "{schedule:?}");
             assert_ne!(case.label(), base.label());
@@ -723,14 +703,7 @@ mod tests {
         // The acceptance pin: a many-zone solve produces byte-identical
         // results whether the zones run sequentially or are dispatched
         // across any number of zone shards, under any loop schedule.
-        let base = ServiceCase {
-            zones: MAX_ZONES,
-            steps: 3,
-            workers: 4,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let base = ServiceCase::calibration(MAX_ZONES, 3, 4);
         let reference = run(&base, &Workers::new(4)).unwrap();
         for schedule in [Policy::Static, Policy::Dynamic { chunk: 2 }] {
             for shards in 1..=MAX_ZONES {
@@ -740,19 +713,24 @@ mod tests {
                     ..base
                 };
                 let out = run(&case, &Workers::new(4)).unwrap();
-                assert_eq!(reference.residuals, out.residuals, "{case:?}");
-                assert_eq!(reference.checksums, out.checksums, "{case:?}");
-                assert_eq!(reference.drag, out.drag, "{case:?}");
-                assert_eq!(reference.lift, out.lift, "{case:?}");
-                let stats = out.zone_stats.expect("zone runs report step stats");
+                assert_eq!(reference.output.residuals, out.output.residuals, "{case:?}");
+                assert_eq!(reference.output.checksums, out.output.checksums, "{case:?}");
+                assert_eq!(reference.output.drag, out.output.drag, "{case:?}");
+                assert_eq!(reference.output.lift, out.output.lift, "{case:?}");
+                let stats = out.output.zone_stats.expect("zone runs report step stats");
                 assert_eq!(stats.shards, shards.min(MAX_ZONES));
                 assert_eq!(stats.zone_tasks as usize, MAX_ZONES);
                 assert_eq!(stats.exchange_tasks as usize, MAX_ZONES - 1);
+                // The service's zone gauges read the run's totals.
+                let zones = out.output.zone_dispatch().unwrap();
+                assert_eq!(zones.shards as usize, stats.shards);
+                assert_eq!(zones.zone_tasks as usize, MAX_ZONES * 3);
                 assert_ne!(case.label(), base.label());
             }
         }
         // Sequential runs do not fabricate zone stats.
-        assert!(reference.zone_stats.is_none());
+        assert!(reference.output.zone_stats.is_none());
+        assert!(reference.output.zone_dispatch().is_none());
         assert_eq!(
             ServiceCase {
                 zone_schedule: ZoneSchedule::Zones(2),
@@ -765,25 +743,20 @@ mod tests {
 
     #[test]
     fn per_kernel_schedules_stay_bit_exact_and_bill_the_run() {
-        let base = ServiceCase {
-            zones: 2,
-            steps: 3,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let base = ServiceCase::calibration(2, 3, 2);
         let reference = run(&base, &Workers::new(2)).unwrap();
         let mut map = llp::ScheduleMap::new();
         map.set("rhs", 1, Policy::Dynamic { chunk: 2 });
         map.set("update", 2, Policy::Guided { min_chunk: 1 });
         map.set("l_factor_solve", 2, Policy::Dynamic { chunk: 1 });
-        let tuned = run_tuned(&base, &Workers::new(2), Some(&map), None).unwrap();
+        let tuned =
+            solver::run_instrumented::<F3dSolver>(&base, &Workers::new(2), Some(&map), None)
+                .unwrap();
         // Numerics are invariant to per-kernel overrides...
-        assert_eq!(reference.residuals, tuned.residuals);
-        assert_eq!(reference.checksums, tuned.checksums);
-        assert_eq!(reference.drag, tuned.drag);
-        assert_eq!(reference.lift, tuned.lift);
+        assert_eq!(reference.output.residuals, tuned.output.residuals);
+        assert_eq!(reference.output.checksums, tuned.output.checksums);
+        assert_eq!(reference.output.drag, tuned.output.drag);
+        assert_eq!(reference.output.lift, tuned.output.lift);
         // ...and so is the sync bill: the kernel views share the
         // request view's local counters, one event per region.
         assert_eq!(reference.sync_events, tuned.sync_events);
@@ -791,14 +764,7 @@ mod tests {
 
     #[test]
     fn wide_runs_are_bit_exact_and_labeled() {
-        let base = ServiceCase {
-            zones: 2,
-            steps: 3,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let base = ServiceCase::calibration(2, 3, 2);
         let reference = run(&base, &Workers::new(2)).unwrap();
         for width in [2, 4, 8] {
             let case = ServiceCase {
@@ -806,10 +772,16 @@ mod tests {
                 ..base
             };
             let out = run(&case, &Workers::new(2)).unwrap();
-            assert_eq!(reference.residuals, out.residuals, "width {width}");
-            assert_eq!(reference.checksums, out.checksums, "width {width}");
-            assert_eq!(reference.drag, out.drag, "width {width}");
-            assert_eq!(reference.lift, out.lift, "width {width}");
+            assert_eq!(
+                reference.output.residuals, out.output.residuals,
+                "width {width}"
+            );
+            assert_eq!(
+                reference.output.checksums, out.output.checksums,
+                "width {width}"
+            );
+            assert_eq!(reference.output.drag, out.output.drag, "width {width}");
+            assert_eq!(reference.output.lift, out.output.lift, "width {width}");
             assert_eq!(reference.sync_events, out.sync_events, "width {width}");
             assert_eq!(case.label(), format!("service/z2s3w2-vw{width}"));
         }
@@ -823,21 +795,16 @@ mod tests {
             vector_width: 8,
             ..base
         };
-        let tuned = run_tuned(&case, &Workers::new(2), None, Some(&widths)).unwrap();
-        assert_eq!(reference.residuals, tuned.residuals);
-        assert_eq!(reference.checksums, tuned.checksums);
+        let tuned =
+            solver::run_instrumented::<F3dSolver>(&case, &Workers::new(2), None, Some(&widths))
+                .unwrap();
+        assert_eq!(reference.output.residuals, tuned.output.residuals);
+        assert_eq!(reference.output.checksums, tuned.output.checksums);
     }
 
     #[test]
     fn flight_instrumented_run_carries_a_timeline() {
-        let case = ServiceCase {
-            zones: 2,
-            steps: 2,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let case = ServiceCase::calibration(2, 2, 2);
         let mut pool = Workers::recorded(2);
         pool.set_flight(llp::FlightRecorder::enabled(2, 4096));
         let out = run(&case, &pool).unwrap();
@@ -856,14 +823,7 @@ mod tests {
 
     #[test]
     fn oversubscribed_runs_surface_the_clamp() {
-        let case = ServiceCase {
-            zones: 2,
-            steps: 1,
-            workers: MAX_WORKERS,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let case = ServiceCase::calibration(2, 1, MAX_WORKERS);
         let pool = Workers::recorded(2);
         let out = run(&case, &pool.sized_view(case.workers)).unwrap();
         // The view clamps to the base pool's width, and the report says
@@ -877,14 +837,7 @@ mod tests {
 
     #[test]
     fn recorded_run_reports_its_sync_events() {
-        let case = ServiceCase {
-            zones: 2,
-            steps: 2,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        };
+        let case = ServiceCase::calibration(2, 2, 2);
         let pool = Workers::recorded(4);
         let out = run(&case, &pool.sized_view(case.workers)).unwrap();
         assert!(out.sync_events > 0);

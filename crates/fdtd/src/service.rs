@@ -4,8 +4,13 @@
 
 use crate::grid::{fold_energy, Boundary, FieldChecksum, TezGrid};
 use crate::kernels;
-use llp::{ObsReport, Policy, ScheduleMap, SpanKind, Timeline, Workers};
-use solver::{check_range, validate_width, Solver, SolverInstance, SolverSpec, WidthMap};
+use llp::obs::json::Json;
+use llp::{Policy, ScheduleMap, SpanKind, Workers};
+use solver::wire::{self, SolveFields};
+use solver::{
+    check_range, validate_width, Solver, SolverInstance, SolverOutput, SolverRun, SolverSpec,
+    WidthMap,
+};
 
 /// Smallest served grid edge: below this the doacross rows cannot
 /// cover even a modest worker count and the case tests nothing.
@@ -47,12 +52,12 @@ pub struct FdtdCase {
     pub vector_width: usize,
 }
 
-impl FdtdCase {
-    /// Check every field against its cap.
-    ///
-    /// # Errors
-    /// Returns a message naming the offending field and its bound.
-    pub fn validate(&self) -> Result<(), String> {
+impl SolverSpec for FdtdCase {
+    fn kind(&self) -> &'static str {
+        FdtdSolver::KIND
+    }
+
+    fn validate(&self) -> Result<(), String> {
         if !(MIN_SIZE..=MAX_SIZE).contains(&self.size) {
             return Err(format!(
                 "size must be in {MIN_SIZE}..={MAX_SIZE}, got {}",
@@ -68,26 +73,22 @@ impl FdtdCase {
         }
     }
 
-    /// The case an autotuner calibration measures, at the default
-    /// configuration (static, scalar). `scale` is the calibration
-    /// spec's `zones` knob: it sets the grid edge (`16 × scale`
-    /// points), so one `/v1/tune` vocabulary drives every solver.
-    #[must_use]
-    pub fn calibration(scale: usize, steps: usize, workers: usize) -> Self {
-        Self {
-            size: 16 * scale,
-            steps,
-            workers,
-            schedule: Policy::Static,
-            vector_width: 1,
-        }
+    /// Every semantic field in a fixed order with a fixed spelling
+    /// (the schedule grammar shared with F3D), so equal cases
+    /// canonicalize byte-identically whatever their JSON spelling, and
+    /// `vector_width` always appears — explicitly, even at the scalar
+    /// default.
+    fn canonical_string(&self) -> String {
+        let schedule = self.schedule.canonical();
+        format!(
+            "size={};steps={};workers={};schedule={};vector_width={}",
+            self.size, self.steps, self.workers, schedule, self.vector_width
+        )
     }
 
-    /// Stable label for this case, the obs-report case name — same
-    /// suffix grammar as the F3D labels (`-dyn{chunk}` / `-gui{min}` /
-    /// `-vw{width}`).
-    #[must_use]
-    pub fn label(&self) -> String {
+    /// Same suffix grammar as the F3D labels (`-dyn{chunk}` /
+    /// `-gui{min}` / `-vw{width}`).
+    fn label(&self) -> String {
         let schedule = self.schedule.label_suffix();
         let base = format!(
             "fdtd/n{}s{}w{}{schedule}",
@@ -100,31 +101,6 @@ impl FdtdCase {
         }
     }
 
-    /// Canonical content string: every semantic field in a fixed order
-    /// with a fixed spelling (the schedule grammar shared with F3D), so
-    /// equal cases canonicalize byte-identically whatever their JSON
-    /// spelling, and `vector_width` always appears — explicitly, even
-    /// at the scalar default.
-    #[must_use]
-    pub fn canonical_string(&self) -> String {
-        let schedule = self.schedule.canonical();
-        format!(
-            "size={};steps={};workers={};schedule={};vector_width={}",
-            self.size, self.steps, self.workers, schedule, self.vector_width
-        )
-    }
-}
-
-impl SolverSpec for FdtdCase {
-    fn validate(&self) -> Result<(), String> {
-        FdtdCase::validate(self)
-    }
-    fn canonical_string(&self) -> String {
-        FdtdCase::canonical_string(self)
-    }
-    fn label(&self) -> String {
-        FdtdCase::label(self)
-    }
     fn workers(&self) -> usize {
         self.workers
     }
@@ -136,6 +112,45 @@ impl SolverSpec for FdtdCase {
     }
     fn vector_width(&self) -> usize {
         self.vector_width
+    }
+
+    fn memory_usage_estimate(&self) -> u64 {
+        // Three scalar fields of f64 per point (Ex, Ey, Hz) dominate;
+        // the pool's per-worker footprint for these kernels is a few
+        // control words, budgeted generously. Deterministic by
+        // construction — the admission contract only needs it to scale
+        // with the request.
+        const FIELDS: u64 = 3;
+        const F64: u64 = 8;
+        const PER_WORKER: u64 = 4096;
+        (self.size as u64) * (self.size as u64) * FIELDS * F64 + (self.workers as u64) * PER_WORKER
+    }
+
+    fn echo(&self) -> Json {
+        wire::echo(self, ("size", self.size), Vec::new())
+    }
+
+    /// An omitted `size` is a 16 × 16 cavity.
+    fn from_request(fields: &SolveFields<'_>) -> Result<Self, String> {
+        Ok(Self {
+            size: fields.count("size", 16)?,
+            steps: fields.steps()?,
+            workers: fields.workers()?,
+            schedule: fields.schedule,
+            vector_width: fields.vector_width()?,
+        })
+    }
+
+    /// `scale` sets the grid edge (`16 × scale` points), so one
+    /// `/v1/tune` vocabulary drives every solver.
+    fn calibration(scale: usize, steps: usize, workers: usize) -> Self {
+        Self {
+            size: 16 * scale,
+            steps,
+            workers,
+            schedule: Policy::Static,
+            vector_width: 1,
+        }
     }
 }
 
@@ -155,6 +170,7 @@ pub struct FdtdInstance {
 }
 
 /// The physics half of a completed FDTD run.
+#[derive(Debug, Clone)]
 pub struct FdtdOutput {
     /// Total field energy after each step — the residual-history
     /// analogue (for a soft-sourced PEC cavity it rises during the
@@ -166,37 +182,50 @@ pub struct FdtdOutput {
     pub checksums: Vec<FieldChecksum>,
 }
 
+impl SolverOutput for FdtdOutput {
+    /// The per-step energy history and one whole-field checksum per
+    /// field (`ex`, `ey`, `hz`).
+    fn payload(&self) -> Vec<(&'static str, Json)> {
+        let checksums = self
+            .checksums
+            .iter()
+            .map(|sum| {
+                Json::object(vec![
+                    ("field", Json::str(&sum.field)),
+                    ("sum", Json::Num(sum.sum)),
+                    ("sum_sq", Json::Num(sum.sum_sq)),
+                    ("min", Json::Num(sum.min)),
+                    ("max", Json::Num(sum.max)),
+                ])
+            })
+            .collect();
+        vec![
+            (
+                "energy",
+                Json::Array(self.energy.iter().map(|&e| Json::Num(e)).collect()),
+            ),
+            ("checksums", Json::Array(checksums)),
+        ]
+    }
+}
+
 impl Solver for FdtdSolver {
     type Config = FdtdCase;
     type Instance = FdtdInstance;
 
-    fn kind() -> &'static str {
-        "fdtd"
-    }
+    const KIND: &'static str = "fdtd";
 
-    fn kernel_names() -> &'static [&'static str] {
-        // The two parallel sweeps, sorted — the vocabulary the tune
-        // database and the metrics labels use. The serial `source`
-        // phase is deliberately absent, like F3D's `bc`.
-        &["update_e", "update_h"]
-    }
+    // The two parallel sweeps, sorted — the vocabulary the tune
+    // database and the metrics labels use. The serial `source` phase
+    // is deliberately absent, like F3D's `bc`.
+    const KERNELS: &'static [&'static str] = &["update_e", "update_h"];
 
-    fn wide_kernels() -> &'static [&'static str] {
-        // Neither sweep reads its width (see `kernels`).
-        &[]
-    }
+    // Neither sweep reads its width (see `kernels`).
+    const WIDE_KERNELS: &'static [&'static str] = &[];
 
-    fn memory_usage_estimate(case: &FdtdCase) -> u64 {
-        // Three scalar fields of f64 per point (Ex, Ey, Hz) dominate;
-        // the pool's per-worker footprint for these kernels is a few
-        // control words, budgeted generously. Deterministic by
-        // construction — the admission contract only needs it to scale
-        // with the request.
-        const FIELDS: u64 = 3;
-        const F64: u64 = 8;
-        const PER_WORKER: u64 = 4096;
-        (case.size as u64) * (case.size as u64) * FIELDS * F64 + (case.workers as u64) * PER_WORKER
-    }
+    const OWN_FIELDS: &'static [&'static str] = &["size"];
+
+    const MAX_WORKERS: usize = self::MAX_WORKERS;
 
     fn create_instance(case: &FdtdCase, widths: &WidthMap) -> FdtdInstance {
         FdtdInstance {
@@ -240,26 +269,9 @@ impl SolverInstance for FdtdInstance {
     }
 }
 
-/// Everything one bounded FDTD run produces — the FDTD analogue of
-/// [`f3d::service::ServiceRun`], carrying the identical observability
-/// payload so the serving layer treats both uniformly.
-#[derive(Debug, Clone)]
-pub struct FdtdRun {
-    /// The case that was run.
-    pub case: FdtdCase,
-    /// Total field energy after each step.
-    pub energy: Vec<f64>,
-    /// Per-field checksums (`ex`, `ey`, `hz`) after the final step.
-    pub checksums: Vec<FieldChecksum>,
-    /// Synchronization events this run added to the pool.
-    pub sync_events: u64,
-    /// Span report drained from the pool's recorder (empty when the
-    /// pool does not record).
-    pub report: ObsReport,
-    /// Flight-recorder timeline drained from the pool (empty when the
-    /// pool carries no flight recorder).
-    pub timeline: Timeline,
-}
+/// Everything one bounded FDTD run produces: the case, its
+/// [`FdtdOutput`], and the same observability payload as every solver.
+pub type FdtdRun = SolverRun<FdtdCase, FdtdOutput>;
 
 /// Execute a validated case on `pool` and collect the results.
 ///
@@ -267,34 +279,12 @@ pub struct FdtdRun {
 /// pulse and the kernels are worker-count-invariant, so checksum
 /// equality across invocations is exact.
 ///
-/// # Errors
-/// Returns the [`FdtdCase::validate`] error for out-of-bounds cases.
-pub fn run(case: &FdtdCase, pool: &Workers) -> Result<FdtdRun, String> {
-    run_tuned(case, pool, None, None)
-}
-
-/// [`run`] with per-kernel schedule and SLP-width overrides — the
-/// `"schedule": "auto"` path, fed from the tune database exactly as
-/// for F3D. Both axes are bit-exact, so tuning never changes a result.
+/// This is [`solver::run_instrumented`] with no per-kernel overrides.
 ///
 /// # Errors
-/// Returns the [`FdtdCase::validate`] error for out-of-bounds cases.
-pub fn run_tuned(
-    case: &FdtdCase,
-    pool: &Workers,
-    schedules: Option<&ScheduleMap>,
-    widths: Option<&WidthMap>,
-) -> Result<FdtdRun, String> {
-    let run = solver::run_instrumented::<FdtdSolver>(case, pool, schedules, widths)?;
-    let out = run.output;
-    Ok(FdtdRun {
-        case: *case,
-        energy: out.energy,
-        checksums: out.checksums,
-        sync_events: run.sync_events,
-        report: run.report,
-        timeline: run.timeline,
-    })
+/// Returns the [`SolverSpec::validate`] error for out-of-bounds cases.
+pub fn run(case: &FdtdCase, pool: &Workers) -> Result<FdtdRun, String> {
+    solver::run_instrumented::<FdtdSolver>(case, pool, None, None)
 }
 
 #[cfg(test)]
@@ -302,13 +292,7 @@ mod tests {
     use super::*;
 
     fn base_case() -> FdtdCase {
-        FdtdCase {
-            size: 16,
-            steps: 8,
-            workers: 2,
-            schedule: Policy::Static,
-            vector_width: 1,
-        }
+        FdtdCase::calibration(1, 8, 2) // 16 × 16, static, scalar
     }
 
     #[test]
@@ -389,9 +373,9 @@ mod tests {
         let pool = Workers::recorded(2);
         let a = run(&base_case(), &pool).unwrap();
         let b = run(&base_case(), &pool).unwrap();
-        assert_eq!(a.checksums, b.checksums);
-        assert_eq!(a.energy, b.energy);
-        assert_eq!(a.energy.len(), base_case().steps);
+        assert_eq!(a.output.checksums, b.output.checksums);
+        assert_eq!(a.output.energy, b.output.energy);
+        assert_eq!(a.output.energy.len(), base_case().steps);
         // Two doacross sweeps per step, each one synchronization.
         assert_eq!(a.sync_events, 2 * base_case().steps as u64);
         // The report carries all three spans under the case label.
@@ -413,9 +397,15 @@ mod tests {
         let mut widths = WidthMap::new();
         widths.set("update_h", 8);
         widths.set("update_e", 2);
-        let tuned = run_tuned(&base_case(), &pool, Some(&schedules), Some(&widths)).unwrap();
-        assert_eq!(tuned.checksums, reference.checksums);
-        assert_eq!(tuned.energy, reference.energy);
+        let tuned = solver::run_instrumented::<FdtdSolver>(
+            &base_case(),
+            &pool,
+            Some(&schedules),
+            Some(&widths),
+        )
+        .unwrap();
+        assert_eq!(tuned.output.checksums, reference.output.checksums);
+        assert_eq!(tuned.output.energy, reference.output.energy);
 
         // The case-level width knob is equally inert on results.
         let wide = FdtdCase {
@@ -423,16 +413,17 @@ mod tests {
             ..base_case()
         };
         let wide_run = run(&wide, &pool).unwrap();
-        assert_eq!(wide_run.checksums, reference.checksums);
+        assert_eq!(wide_run.output.checksums, reference.output.checksums);
     }
 
     #[test]
     fn memory_estimate_scales_with_the_request() {
-        let small = FdtdSolver::memory_usage_estimate(&base_case());
-        let big = FdtdSolver::memory_usage_estimate(&FdtdCase {
+        let small = base_case().memory_usage_estimate();
+        let big = FdtdCase {
             size: MAX_SIZE,
             ..base_case()
-        });
+        }
+        .memory_usage_estimate();
         assert!(big > small);
         // 3 f64 fields on a size² grid, plus the per-worker term.
         assert_eq!(small, 16 * 16 * 3 * 8 + 2 * 4096);

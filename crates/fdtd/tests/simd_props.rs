@@ -10,7 +10,7 @@
 
 use fdtd::grid::{Boundary, TezGrid};
 use fdtd::kernels::{update_e, update_h};
-use fdtd::service::{run_tuned, FdtdCase, SERVICE_COURANT};
+use fdtd::service::{FdtdCase, FdtdSolver, SERVICE_COURANT};
 use llp::{Policy, ScheduleMap, Workers};
 use proptest::prelude::*;
 use solver::SUPPORTED_WIDTHS;
@@ -141,10 +141,14 @@ fn served_energy_is_the_serial_row_fold_under_every_configuration() {
         let (energy, checksums) = serial_reference(size, STEPS);
         assert!(energy.iter().all(|&bits| f64::from_bits(bits) > 0.0));
         let check = |case: &FdtdCase, schedules: Option<&ScheduleMap>| {
-            let run = run_tuned(case, &pool.sized_view(case.workers), schedules, None).unwrap();
-            let served: Vec<u64> = run.energy.iter().map(|e| e.to_bits()).collect();
+            let view = pool.sized_view(case.workers);
+            let run = solver::run_instrumented::<FdtdSolver>(case, &view, schedules, None).unwrap();
+            let served: Vec<u64> = run.output.energy.iter().map(|e| e.to_bits()).collect();
             assert_eq!(served, energy, "{case:?} overrides {schedules:?}");
-            assert_eq!(run.checksums, checksums, "{case:?} overrides {schedules:?}");
+            assert_eq!(
+                run.output.checksums, checksums,
+                "{case:?} overrides {schedules:?}"
+            );
             assert_eq!(run.sync_events, 2 * STEPS as u64, "{case:?}");
         };
         for workers in 1..=4 {

@@ -2,7 +2,7 @@
 //!
 //! The paper's solves are deterministic: identical cases produce
 //! bit-identical residuals, forces, and checksums regardless of worker
-//! count or schedule (`f3d::service` pins this). That makes result
+//! count or schedule (each solver's service tests pin this). That makes result
 //! reuse sound by construction — the serve layer should never
 //! re-execute work whose result it has already proven out.
 //!
@@ -53,14 +53,15 @@ impl ContentKey {
     #[must_use]
     pub fn for_case(case: &AnyCase, auto: bool, tune_generation: u64) -> Self {
         let generation = if auto { tune_generation } else { 0 };
+        let spec = case.spec();
         let canonical = format!(
             "solve/{}/{};auto={};tune_gen={}",
-            case.kind(),
-            case.canonical_string(),
+            spec.kind(),
+            spec.canonical_string(),
             auto,
             generation
         );
-        let hash = f3d::service::fnv1a64(canonical.as_bytes());
+        let hash = solver::fnv1a64(canonical.as_bytes());
         Self { canonical, hash }
     }
 
@@ -177,23 +178,15 @@ mod tests {
     use super::*;
     use f3d::service::{ServiceCase, ZoneSchedule};
     use llp::Policy;
+    use solver::SolverSpec;
     use std::sync::Arc;
 
     fn case(zones: usize) -> AnyCase {
-        AnyCase::F3d(ServiceCase {
-            zones,
-            steps: 3,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: ZoneSchedule::Sequential,
-            vector_width: 1,
-        })
+        AnyCase::F3d(ServiceCase::calibration(zones, 3, 2))
     }
 
     fn f3d_variant(f: impl FnOnce(&mut ServiceCase)) -> AnyCase {
-        let AnyCase::F3d(mut c) = case(2) else {
-            unreachable!()
-        };
+        let mut c = ServiceCase::calibration(2, 3, 2);
         f(&mut c);
         AnyCase::F3d(c)
     }

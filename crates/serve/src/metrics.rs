@@ -244,10 +244,13 @@ fn strings<T: ToString>(items: &[T]) -> Vec<String> {
     items.iter().map(ToString::to_string).collect()
 }
 
-/// Every served solver's kernel vocabulary in [`solvers::KINDS`] order,
+/// Every served solver's kernel vocabulary in [`solvers::TABLE`] order,
 /// then `other` for spans outside it (the serial `bc`/`source` phases).
 fn kernel_labels() -> Vec<String> {
-    let mut labels = strings(&solvers::kernel_names().concat());
+    let mut labels: Vec<String> = solvers::TABLE
+        .iter()
+        .flat_map(|row| strings(row.kernels))
+        .collect();
     labels.push("other".to_string());
     labels
 }
@@ -667,9 +670,8 @@ mod tests {
 
     #[test]
     fn every_solver_kernel_has_its_own_seconds_bucket() {
-        for (kind, names) in solvers::KINDS.iter().zip(solvers::kernel_names()) {
-            assert!(!names.is_empty(), "{kind} names no kernels");
-            for name in names {
+        for row in &solvers::TABLE {
+            for name in row.kernels {
                 let m = Metrics::new();
                 m.add_seconds(Family::KernelSeconds, name, 0.5);
                 let doc = m.to_json(&CTX);

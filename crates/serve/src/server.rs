@@ -65,15 +65,15 @@ use crate::cache::{ContentKey, SolveCache, DEFAULT_CACHE_CAPACITY};
 use crate::evloop::{self, Conn, PollFd, ReadOutcome, WakeReceiver, Waker, POLLIN, POLLOUT};
 use crate::http::{parse_request_bytes, render_response, Parse, Request, Response, MAX_HEAD_BYTES};
 use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar};
-use crate::solvers::{self, AnyCase, AnyRun};
+use crate::solvers::{self, AnyCase, MAX_WORKERS};
 use crate::trace::{TraceEntry, TraceStore};
-use f3d::service::MAX_WORKERS;
 use llp::obs::attr::{kernel_overheads, KernelOverhead};
 use llp::obs::json::Json;
 use llp::obs::series::DEFAULT_WINDOW_MS;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::obs::{AttributionReport, Series};
 use llp::{FlightRecorder, Recorder, Workers};
+use solver::FinishedRun;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -151,7 +151,7 @@ pub struct ServerConfig {
     pub tune_db: Option<TuneDb>,
     /// Peak estimated solve footprint in bytes admitted per request
     /// (`llpd --memory-budget` / `LLPD_MEM_BUDGET`): a solve whose
-    /// [`AnyCase::memory_usage_estimate`] exceeds the budget is
+    /// [`solver::SolverSpec::memory_usage_estimate`] exceeds the budget is
     /// rejected with `413` before it touches the cache, the queue, or
     /// the pool. `None` (the default) admits everything.
     pub memory_budget: Option<u64>,
@@ -618,7 +618,7 @@ fn fail_job(shared: &Arc<Shared>, origin: &JobOrigin, response: &Response) -> Ve
 /// independently — from the one attribution `execute_job` derived.
 fn retain_trace(
     shared: &Arc<Shared>,
-    run: &AnyRun,
+    run: &dyn FinishedRun,
     attr: &AttributionReport,
     kernels: &[KernelOverhead],
 ) -> Option<u64> {
@@ -629,7 +629,7 @@ fn retain_trace(
     let (attribution, chrome) = api::trace_documents(run, id, attr, kernels);
     shared.traces.insert(TraceEntry {
         id,
-        case: run.label(),
+        case: run.case().label(),
         attribution,
         chrome,
     });
@@ -641,7 +641,7 @@ fn retain_trace(
 /// series being enabled.
 fn observe_solve(
     shared: &Arc<Shared>,
-    run: &AnyRun,
+    run: &dyn FinishedRun,
     attr: &AttributionReport,
     kernels: &[KernelOverhead],
 ) {
@@ -665,16 +665,12 @@ fn observe_solve(
                 .iter()
                 .map(|k| (k.kernel.clone(), k.wall_ns as f64 / 1e9))
                 .collect();
-            rows.push((format!("solver/{}", run.kind()), total_seconds));
+            rows.push((format!("solver/{}", run.case().kind()), total_seconds));
             rows
         },
     );
-    if let AnyRun::F3d(r) = run {
-        if let Some(stats) = &r.zone_stats {
-            shared
-                .series
-                .record_zone_job(stats.zone_tasks * r.case.steps as u64);
-        }
+    if let Some(zones) = run.output().zone_dispatch() {
+        shared.series.record_zone_job(zones.zone_tasks);
     }
 }
 
@@ -687,13 +683,14 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
     }
     match &job.kind {
         JobKind::Solve { case, auto } => {
-            let view = slice.sized_view(case.workers());
+            let spec = case.spec();
+            let view = slice.sized_view(spec.workers());
             // "auto": overlay the solver's tune database's per-kernel
             // configurations. The schedules only reorder work within
             // each doacross region, so results stay bit-exact with the
             // default path — the overlay changes cost, never answers.
             let db = if *auto {
-                shared.tune_db(case.kind())
+                shared.tune_db(spec.kind())
             } else {
                 None
             };
@@ -707,54 +704,39 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
             } else {
                 llp::obs::json::Json::Null
             };
-            let outcome = match case {
-                AnyCase::F3d(c) => f3d::service::run_tuned(c, &view, map.as_ref(), widths.as_ref())
-                    .map(AnyRun::F3d),
-                AnyCase::Fdtd(c) => {
-                    fdtd::service::run_tuned(c, &view, map.as_ref(), widths.as_ref())
-                        .map(AnyRun::Fdtd)
-                }
-            };
-            match outcome {
+            match case.run(&view, map.as_ref(), widths.as_ref()) {
                 Ok(run) => {
+                    let run = &*run;
                     shared
                         .metrics
                         .job_done(run.sync_events(), run.report().total_seconds());
-                    shared.metrics.bump(Family::SolvesBySolver, run.kind());
+                    shared.metrics.bump(Family::SolvesBySolver, spec.kind());
                     shared.metrics.bump(
                         Family::SolvesByVectorWidth,
-                        &case.vector_width().to_string(),
+                        &spec.vector_width().to_string(),
                     );
                     shared.metrics.bump(
                         Family::SolvesBySchedule,
                         if *auto {
                             "auto"
                         } else {
-                            case.schedule().name()
+                            spec.schedule().name()
                         },
                     );
-                    if let AnyRun::F3d(r) = &run {
-                        if let Some(stats) = &r.zone_stats {
-                            shared.metrics.zone_job(
-                                stats.shards as u64,
-                                stats.zone_tasks * r.case.steps as u64,
-                                stats.peak_ready,
-                            );
-                        }
+                    if let Some(zones) = run.output().zone_dispatch() {
+                        shared
+                            .metrics
+                            .zone_job(zones.shards, zones.zone_tasks, zones.peak_ready);
                     }
                     // Where the time went, derived once: the series and
                     // every waiter's trace documents read the same two.
                     let attr = AttributionReport::from_timeline(run.timeline());
                     let kernels = kernel_overheads(run.report(), &attr);
-                    observe_solve(shared, &run, &attr, &kernels);
-                    let render = |trace_id: Option<u64>, tuned: Json, cache: &str| match &run {
-                        AnyRun::F3d(r) => api::solve_response(r, trace_id, tuned, cache),
-                        AnyRun::Fdtd(r) => api::fdtd_solve_response(r, trace_id, tuned, cache),
-                    };
+                    observe_solve(shared, run, &attr, &kernels);
                     match &job.origin {
                         JobOrigin::Direct(waiter) => {
-                            let trace_id = retain_trace(shared, &run, &attr, &kernels);
-                            let body = render(trace_id, tuned, "bypass");
+                            let trace_id = retain_trace(shared, run, &attr, &kernels);
+                            let body = api::solve_response(run, trace_id, tuned, "bypass");
                             vec![Completion {
                                 waiter: *waiter,
                                 response: Response::ok(body.to_string()).with_trace_id(trace_id),
@@ -767,7 +749,7 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                             // The cached body is rendered with a null
                             // trace_id and a "hit" marker — a hit serves
                             // no fresh trace.
-                            let cached = render(None, tuned.clone(), "hit");
+                            let cached = api::solve_response(run, None, tuned.clone(), "hit");
                             let evicted = shared.cache.insert(key, Arc::new(cached.to_string()));
                             shared
                                 .metrics
@@ -775,8 +757,9 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                             take_waiters(shared, &job.origin)
                                 .into_iter()
                                 .map(|waiter| {
-                                    let trace_id = retain_trace(shared, &run, &attr, &kernels);
-                                    let body = render(trace_id, tuned.clone(), "miss");
+                                    let trace_id = retain_trace(shared, run, &attr, &kernels);
+                                    let body =
+                                        api::solve_response(run, trace_id, tuned.clone(), "miss");
                                     Completion {
                                         waiter,
                                         response: Response::ok(body.to_string())
@@ -795,10 +778,9 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
         JobKind::Advise(query) => {
             shared.metrics.inc(Scalar::JobsTotal);
             // Measured tune-db entries overlay the analytic advice —
-            // the response reports both and their (dis)agreement. The
-            // advisor speaks the f3d kernel vocabulary.
+            // the response reports both and their (dis)agreement.
             let measured = shared
-                .tune_db("f3d")
+                .tune_db(solvers::ADVISE_KIND)
                 .map_or_else(Vec::new, |db| db.measured_choices());
             let advice = query
                 .advisor
@@ -1157,7 +1139,7 @@ impl EventLoop {
         // check costs arithmetic, never pool work.
         if let JobKind::Solve { case, .. } = &kind {
             if let Some(budget) = self.shared.config.memory_budget {
-                let estimated = case.memory_usage_estimate();
+                let estimated = case.spec().memory_usage_estimate();
                 if estimated > budget {
                     self.shared.metrics.inc(Scalar::SolvesRejectedMemoryTotal);
                     let body = Json::object(vec![
@@ -1180,7 +1162,7 @@ impl EventLoop {
                 }
             }
         }
-        let origin = match &kind {
+        let key = match &kind {
             JobKind::Solve { case, auto } if !bypass => {
                 let generation = self.shared.tune.generation.load(Ordering::SeqCst);
                 let key = ContentKey::for_case(case, *auto, generation);
@@ -1191,91 +1173,80 @@ impl EventLoop {
                     self.finish_request(id, response, request.keep_alive, started, log);
                     return;
                 }
-                let token = self.alloc_token();
-                let waiter = Waiter { conn: id, token };
-                // Coalesce: if an identical solve is queued or
-                // executing, park on its in-flight entry. The executor
-                // removes entries under this same lock, so a join
-                // cannot race a fan-out.
-                let mut inflight = lock_clean(&self.shared.inflight);
-                if let Some(waiters) = inflight.get_mut(key.canonical()) {
-                    waiters.push(waiter);
-                    drop(inflight);
-                    self.shared.metrics.inc(Scalar::CacheCoalescedTotal);
-                    self.park(id, token, request, started, req_id);
-                    return;
-                }
-                // Fresh execution: reserve the in-flight entry and
-                // enqueue while holding the inflight lock (lock order
-                // inflight → queue; the executors take them singly).
-                let mut queue = lock_clean(&self.shared.queue);
-                self.shared
-                    .metrics
-                    .observe(Hist::QueueDepths, queue.len() as f64);
-                if queue.len() >= self.shared.config.queue_capacity {
-                    let queued = queue.len();
-                    drop(queue);
-                    drop(inflight);
-                    let response = Response::error(429, "queue full")
-                        .with_retry_after(self.retry_after(queued));
-                    self.finish_request(id, response, request.keep_alive, started, log);
-                    return;
-                }
-                inflight.insert(key.canonical().to_string(), vec![waiter]);
-                self.shared.metrics.inc(Scalar::CacheMissesTotal);
-                self.shared.series.record_cache(false);
-                queue.push_back(Job {
-                    kind,
-                    origin: JobOrigin::Keyed(key),
-                });
-                self.shared
-                    .metrics
-                    .set(Scalar::QueueDepth, queue.len() as u64);
-                drop(queue);
-                drop(inflight);
-                self.shared.queue_signal.notify_one();
-                self.park(id, token, request, started, req_id);
-                return;
+                Some(key)
             }
             JobKind::Solve { .. } => {
                 self.shared.metrics.inc(Scalar::CacheBypassTotal);
-                JobOrigin::Direct(Waiter {
-                    conn: id,
-                    token: self.alloc_token(),
-                })
+                None
             }
-            JobKind::Advise(_) => JobOrigin::Direct(Waiter {
-                conn: id,
-                token: self.alloc_token(),
-            }),
+            JobKind::Advise(_) => None,
         };
-        // Direct path (advise, bypass solves): plain bounded-queue
-        // admission.
-        let JobOrigin::Direct(waiter) = origin else {
-            unreachable!("keyed admissions return above");
+        let waiter = Waiter {
+            conn: id,
+            token: self.alloc_token(),
         };
-        let mut queue = lock_clean(&self.shared.queue);
-        self.shared
+        let origin = key.map_or(JobOrigin::Direct(waiter), JobOrigin::Keyed);
+        self.enqueue(request, kind, origin, waiter, started, req_id);
+    }
+
+    /// Bounded-queue admission, stated once for both origins: sample
+    /// the depth, answer 429 + `Retry-After` when full, else push,
+    /// publish the depth, wake an executor and park the requester. A
+    /// keyed job first looks for an identical solve queued or
+    /// executing and parks on its in-flight entry instead; otherwise
+    /// it reserves its own entry under the in-flight lock, held until
+    /// the job is queued (lock order inflight → queue; the executors
+    /// take them singly, and remove entries under the same lock, so a
+    /// join cannot race a fan-out).
+    fn enqueue(
+        &mut self,
+        request: &Request,
+        kind: JobKind,
+        origin: JobOrigin,
+        waiter: Waiter,
+        started: Instant,
+        req_id: u64,
+    ) {
+        let shared = Arc::clone(&self.shared);
+        let mut inflight = match &origin {
+            JobOrigin::Direct(_) => None,
+            JobOrigin::Keyed(key) => {
+                let mut inflight = lock_clean(&shared.inflight);
+                if let Some(waiters) = inflight.get_mut(key.canonical()) {
+                    waiters.push(waiter);
+                    drop(inflight);
+                    shared.metrics.inc(Scalar::CacheCoalescedTotal);
+                    self.park(waiter.conn, waiter.token, request, started, req_id);
+                    return;
+                }
+                Some(inflight)
+            }
+        };
+        let mut queue = lock_clean(&shared.queue);
+        shared
             .metrics
             .observe(Hist::QueueDepths, queue.len() as f64);
-        if queue.len() >= self.shared.config.queue_capacity {
+        if queue.len() >= shared.config.queue_capacity {
             let queued = queue.len();
             drop(queue);
+            drop(inflight);
             let response =
                 Response::error(429, "queue full").with_retry_after(self.retry_after(queued));
-            self.finish_request(id, response, request.keep_alive, started, log);
+            let log = Some((req_id, request.method.clone(), request.path.clone()));
+            self.finish_request(waiter.conn, response, request.keep_alive, started, log);
             return;
         }
-        queue.push_back(Job {
-            kind,
-            origin: JobOrigin::Direct(waiter),
-        });
-        self.shared
-            .metrics
-            .set(Scalar::QueueDepth, queue.len() as u64);
+        if let (Some(inflight), JobOrigin::Keyed(key)) = (&mut inflight, &origin) {
+            inflight.insert(key.canonical().to_string(), vec![waiter]);
+            shared.metrics.inc(Scalar::CacheMissesTotal);
+            shared.series.record_cache(false);
+        }
+        queue.push_back(Job { kind, origin });
+        shared.metrics.set(Scalar::QueueDepth, queue.len() as u64);
         drop(queue);
-        self.shared.queue_signal.notify_one();
-        self.park(id, waiter.token, request, started, req_id);
+        drop(inflight);
+        shared.queue_signal.notify_one();
+        self.park(waiter.conn, waiter.token, request, started, req_id);
     }
 
     fn park(&mut self, id: u64, token: u64, request: &Request, started: Instant, req_id: u64) {
@@ -1620,7 +1591,7 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
         let width = (shared.pool.processors() / shared.shards).max(1);
         let slice = shared.pool.sized_view(width);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solvers::calibrate(solver, &slice, &spec)
+            (solvers::known(solver)?.calibrate)(&slice, &spec)
         }));
         match outcome {
             Ok(Ok(db)) => {

@@ -1,56 +1,104 @@
-//! The serving layer's solver registry: one closed enum over every
-//! physics workload `llpd` can run.
+//! The serving layer's solver table: the one place `llpd` names its
+//! physics.
 //!
-//! The generic [`solver`] crate keeps the *run* machinery
-//! workload-agnostic via traits; the serving layer, which must parse a
-//! `"solver"` field off the wire, key caches, and label metrics,
-//! needs a closed dispatch point instead. [`AnyCase`] and [`AnyRun`]
-//! are that point: every match arm added here is a new physics served
-//! by the same pool, cache, tuner, and telemetry stack.
+//! The generic [`solver`] crate keeps a solver's whole contract behind
+//! traits — run machinery, wire vocabulary, calibration case — so the
+//! serving layer needs only a closed dispatch point for the `"solver"`
+//! field it parses off the wire. That point is [`TABLE`], one
+//! [`SolverRow`] per kind built generically from its [`Solver`] impl,
+//! plus [`AnyCase`], the closed enum of validated cases with exactly
+//! two matches: to the spec ([`AnyCase::spec`]) and to run it
+//! ([`AnyCase::run`]). A new physics is a `Solver` impl, one row and
+//! one variant; `api`, `server`, `cache` and `metrics` name none.
 
-use f3d::service::{F3dSolver, ServiceCase, ServiceRun};
-use fdtd::{FdtdCase, FdtdRun, FdtdSolver};
-use llp::{ObsReport, Policy, Timeline, Workers};
-use solver::{Solver, SolverSpec};
+use f3d::service::{F3dSolver, ServiceCase};
+use fdtd::{FdtdCase, FdtdSolver};
+use llp::{ScheduleMap, Workers};
+use solver::wire::SolveFields;
+use solver::{run_instrumented, FinishedRun, Solver, SolverSpec, WidthMap};
 use tune::{calibrate_solver, CalibrationSpec, TuneDb};
 
-/// Every solver kind the service can name, in the `"solver"` request
-/// vocabulary, in a stable order (`f3d` first — the default when the
-/// field is omitted).
-pub const KINDS: [&str; 2] = [f3d_kind(), fdtd_kind()];
-
-const fn f3d_kind() -> &'static str {
-    "f3d"
+/// What the service knows about one solver kind — everything but how
+/// to run a case, which needs the case's type ([`AnyCase::run`]).
+pub struct SolverRow {
+    /// The `"solver"` request value ([`Solver::KIND`]).
+    pub kind: &'static str,
+    /// The span-tree kernel vocabulary ([`Solver::KERNELS`]).
+    pub kernels: &'static [&'static str],
+    /// The request fields only it reads ([`Solver::OWN_FIELDS`]).
+    pub own_fields: &'static [&'static str],
+    /// Most workers a case may ask for ([`Solver::MAX_WORKERS`]).
+    pub max_workers: usize,
+    /// Build and validate the case a request body describes.
+    pub parse: fn(&SolveFields<'_>) -> Result<AnyCase, String>,
+    /// Calibrate this solver on a pool ([`calibrate_solver`]).
+    pub calibrate: fn(&Workers, &CalibrationSpec) -> Result<TuneDb, String>,
 }
 
-const fn fdtd_kind() -> &'static str {
-    "fdtd"
+impl SolverRow {
+    const fn of<S: Solver>() -> Self
+    where
+        AnyCase: From<S::Config>,
+    {
+        Self {
+            kind: S::KIND,
+            kernels: S::KERNELS,
+            own_fields: S::OWN_FIELDS,
+            max_workers: S::MAX_WORKERS,
+            parse: |fields| {
+                let case = S::Config::from_request(fields)?;
+                case.validate()?;
+                Ok(case.into())
+            },
+            calibrate: calibrate_solver::<S>,
+        }
+    }
 }
 
-/// Every registered solver's span-tree kernel vocabulary, in [`KINDS`]
-/// order (the array length ties the two together).
-#[must_use]
-pub fn kernel_names() -> [&'static [&'static str]; KINDS.len()] {
-    [F3dSolver::kernel_names(), FdtdSolver::kernel_names()]
-}
+/// Every registered solver, in a stable order (`f3d` first — the
+/// default when a request names none).
+pub static TABLE: [SolverRow; 2] = [SolverRow::of::<F3dSolver>(), SolverRow::of::<FdtdSolver>()];
 
-/// Calibrate the solver named `kind` (one of [`KINDS`]) on `pool`: the
-/// one generic [`calibrate_solver`] over that solver's own calibration
-/// case.
+/// The `"solver"` request vocabulary, in [`TABLE`] order.
+pub const KINDS: [&str; TABLE.len()] = {
+    let mut kinds = [""; TABLE.len()];
+    let mut i = 0;
+    while i < TABLE.len() {
+        kinds[i] = TABLE[i].kind;
+        i += 1;
+    }
+    kinds
+};
+
+/// Widest case any registered solver admits: the cap on the shared
+/// pool and on the `workers` an omitted field defaults to.
+pub const MAX_WORKERS: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < TABLE.len() {
+        if TABLE[i].max_workers > max {
+            max = TABLE[i].max_workers;
+        }
+        i += 1;
+    }
+    max
+};
+
+/// The solver whose tune database overlays `/v1/advise`: the advisor
+/// speaks F3D's kernel vocabulary (`rhs`, `j_factor`, …).
+pub const ADVISE_KIND: &str = F3dSolver::KIND;
+
+/// The row of the solver named `kind`.
 ///
 /// # Errors
-/// As [`calibrate_solver`].
-pub fn calibrate(kind: &str, pool: &Workers, spec: &CalibrationSpec) -> Result<TuneDb, String> {
-    let CalibrationSpec { zones, steps, .. } = *spec;
-    if kind == FdtdSolver::kind() {
-        calibrate_solver::<FdtdSolver, _>(pool, spec, |workers| {
-            FdtdCase::calibration(zones, steps, workers)
-        })
-    } else {
-        calibrate_solver::<F3dSolver, _>(pool, spec, |workers| {
-            ServiceCase::calibration(zones, steps, workers)
-        })
-    }
+/// The 400 text for a kind outside [`KINDS`], listing the vocabulary.
+pub fn known(kind: &str) -> Result<&'static SolverRow, String> {
+    TABLE.iter().find(|row| row.kind == kind).ok_or_else(|| {
+        format!(
+            "unknown solver `{kind}`; known solvers: {}",
+            KINDS.join(", ")
+        )
+    })
 }
 
 /// A validated solve request for any registered solver.
@@ -62,129 +110,48 @@ pub enum AnyCase {
     Fdtd(FdtdCase),
 }
 
+impl From<ServiceCase> for AnyCase {
+    fn from(case: ServiceCase) -> Self {
+        AnyCase::F3d(case)
+    }
+}
+
+impl From<FdtdCase> for AnyCase {
+    fn from(case: FdtdCase) -> Self {
+        AnyCase::Fdtd(case)
+    }
+}
+
 impl AnyCase {
-    /// The case's solver kind — the cache-key namespace, tune-db slot,
-    /// and metrics label.
-    pub fn kind(&self) -> &'static str {
+    /// The case as its solver-agnostic contract: kind, caps, label,
+    /// canonical string, echo, memory estimate.
+    #[must_use]
+    pub fn spec(&self) -> &dyn SolverSpec {
         match self {
-            AnyCase::F3d(_) => F3dSolver::kind(),
-            AnyCase::Fdtd(_) => FdtdSolver::kind(),
+            AnyCase::F3d(case) => case,
+            AnyCase::Fdtd(case) => case,
         }
     }
 
-    /// Check every field against the solver's service caps.
+    /// Run the case on `pool` through the one driver, with its physics
+    /// erased from the result.
     ///
     /// # Errors
-    /// Returns a message naming the offending field and its bound.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            AnyCase::F3d(c) => SolverSpec::validate(c),
-            AnyCase::Fdtd(c) => SolverSpec::validate(c),
-        }
-    }
-
-    /// Stable case label (obs-report case name, trace registry entry).
-    pub fn label(&self) -> String {
-        match self {
-            AnyCase::F3d(c) => SolverSpec::label(c),
-            AnyCase::Fdtd(c) => SolverSpec::label(c),
-        }
-    }
-
-    /// Canonical content string *without* the solver kind; the cache
-    /// key prefixes [`AnyCase::kind`] so equal field spellings of
-    /// different physics can never collide.
-    pub fn canonical_string(&self) -> String {
-        match self {
-            AnyCase::F3d(c) => SolverSpec::canonical_string(c),
-            AnyCase::Fdtd(c) => SolverSpec::canonical_string(c),
-        }
-    }
-
-    /// Worker count the case asks for.
-    pub fn workers(&self) -> usize {
-        match self {
-            AnyCase::F3d(c) => SolverSpec::workers(c),
-            AnyCase::Fdtd(c) => SolverSpec::workers(c),
-        }
-    }
-
-    /// The case's chunk-scheduling policy.
-    pub fn schedule(&self) -> Policy {
-        match self {
-            AnyCase::F3d(c) => SolverSpec::schedule(c),
-            AnyCase::Fdtd(c) => SolverSpec::schedule(c),
-        }
-    }
-
-    /// Default SLP lane width.
-    pub fn vector_width(&self) -> usize {
-        match self {
-            AnyCase::F3d(c) => SolverSpec::vector_width(c),
-            AnyCase::Fdtd(c) => SolverSpec::vector_width(c),
-        }
-    }
-
-    /// Estimated peak bytes the solve allocates
-    /// ([`Solver::memory_usage_estimate`]) — the admission-control
-    /// input checked against `--memory-budget` before any pool work.
-    pub fn memory_usage_estimate(&self) -> u64 {
-        match self {
-            AnyCase::F3d(c) => F3dSolver::memory_usage_estimate(c),
-            AnyCase::Fdtd(c) => FdtdSolver::memory_usage_estimate(c),
-        }
-    }
-}
-
-/// One completed solve of any registered solver, carrying the uniform
-/// observability payload the serving layer drains.
-#[derive(Debug, Clone)]
-pub enum AnyRun {
-    /// A completed F3D run.
-    F3d(ServiceRun),
-    /// A completed FDTD run.
-    Fdtd(FdtdRun),
-}
-
-impl AnyRun {
-    /// The run's solver kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            AnyRun::F3d(_) => F3dSolver::kind(),
-            AnyRun::Fdtd(_) => FdtdSolver::kind(),
-        }
-    }
-
-    /// The run's case label.
-    pub fn label(&self) -> String {
-        match self {
-            AnyRun::F3d(r) => SolverSpec::label(&r.case),
-            AnyRun::Fdtd(r) => SolverSpec::label(&r.case),
-        }
-    }
-
-    /// Synchronization events the run billed.
-    pub fn sync_events(&self) -> u64 {
-        match self {
-            AnyRun::F3d(r) => r.sync_events,
-            AnyRun::Fdtd(r) => r.sync_events,
-        }
-    }
-
-    /// The run's drained span report.
-    pub fn report(&self) -> &ObsReport {
-        match self {
-            AnyRun::F3d(r) => &r.report,
-            AnyRun::Fdtd(r) => &r.report,
-        }
-    }
-
-    /// The run's drained flight timeline.
-    pub fn timeline(&self) -> &Timeline {
-        match self {
-            AnyRun::F3d(r) => &r.timeline,
-            AnyRun::Fdtd(r) => &r.timeline,
-        }
+    /// As [`run_instrumented`].
+    pub fn run(
+        &self,
+        pool: &Workers,
+        schedules: Option<&ScheduleMap>,
+        widths: Option<&WidthMap>,
+    ) -> Result<Box<dyn FinishedRun>, String> {
+        Ok(match self {
+            AnyCase::F3d(case) => Box::new(run_instrumented::<F3dSolver>(
+                case, pool, schedules, widths,
+            )?),
+            AnyCase::Fdtd(case) => Box::new(run_instrumented::<FdtdSolver>(
+                case, pool, schedules, widths,
+            )?),
+        })
     }
 }
 
@@ -192,62 +159,74 @@ impl AnyRun {
 mod tests {
     use super::*;
 
-    fn f3d_case_with(zones: usize) -> ServiceCase {
-        ServiceCase {
-            zones,
-            steps: 3,
-            workers: 2,
-            schedule: Policy::Static,
-            zone_schedule: f3d::service::ZoneSchedule::Sequential,
-            vector_width: 1,
-        }
-    }
-
-    fn f3d_case() -> AnyCase {
-        AnyCase::F3d(f3d_case_with(2))
-    }
-
-    fn fdtd_case() -> AnyCase {
-        AnyCase::Fdtd(FdtdCase {
-            size: 16,
-            steps: 4,
-            workers: 2,
-            schedule: Policy::Static,
-            vector_width: 1,
-        })
-    }
-
+    /// The table is total: every row, driven through nothing but the
+    /// row and the wire, honours the whole contract the service relies
+    /// on. A new solver gets all of it by being listed.
     #[test]
-    fn kinds_and_delegation_cover_both_solvers() {
+    fn every_row_of_the_table_honours_the_contract() {
+        use crate::api::parse_solve_body;
+        use crate::cache::ContentKey;
+
         assert_eq!(KINDS, ["f3d", "fdtd"]);
-        let f = f3d_case();
-        assert_eq!(f.kind(), "f3d");
-        assert!(f.validate().is_ok());
-        assert!(f.canonical_string().starts_with("zones=2;"));
-        assert_eq!(f.workers(), 2);
+        assert_eq!(MAX_WORKERS, 64);
+        assert_eq!(ADVISE_KIND, KINDS[0]);
+        for (row, kind) in TABLE.iter().zip(KINDS) {
+            assert_eq!(row.kind, kind);
+            assert!(std::ptr::eq(known(kind).unwrap(), row));
 
-        let d = fdtd_case();
-        assert_eq!(d.kind(), "fdtd");
-        assert!(d.validate().is_ok());
-        assert_eq!(
-            d.canonical_string(),
-            "size=16;steps=4;workers=2;schedule=static;vector_width=1"
-        );
-        assert_eq!(d.label(), "fdtd/n16s4w2");
-        assert_eq!(d.vector_width(), 1);
-    }
+            // The body naming only the solver is that solver's default
+            // case: it validates, knows its kind, and keys under it.
+            let body = format!(r#"{{"solver": "{kind}"}}"#);
+            let case = parse_solve_body(&body, 2).unwrap().case;
+            let spec = case.spec();
+            assert!(spec.validate().is_ok(), "{kind}");
+            assert_eq!(spec.kind(), kind);
+            assert_eq!(spec.workers(), 2, "{kind}: workers default to the pool");
+            let key = ContentKey::for_case(&case, false, 0);
+            assert!(
+                key.canonical().starts_with(&format!("solve/{kind}/")),
+                "{}",
+                key.canonical()
+            );
+            assert_eq!(spec.echo().get("steps").and_then(|s| s.as_usize()), Some(4));
 
-    #[test]
-    fn memory_estimates_follow_the_solver_formulas() {
-        // fdtd: size^2 * 3 fields * 8 bytes + workers * 4 KiB scratch.
-        assert_eq!(
-            fdtd_case().memory_usage_estimate(),
-            16 * 16 * 3 * 8 + 2 * 4096
-        );
-        // f3d's estimate is positive and grows with zones.
-        let small = f3d_case().memory_usage_estimate();
-        let big = AnyCase::F3d(f3d_case_with(4)).memory_usage_estimate();
-        assert!(small > 0 && big > small);
+            // Kernel vocabulary: non-empty and sorted (the tune db and
+            // the metrics labels list it in this order).
+            assert!(!row.kernels.is_empty(), "{kind}");
+            assert!(row.kernels.is_sorted(), "{kind}: {:?}", row.kernels);
+
+            // The solver's first own field is its size field: the
+            // memory estimate grows with it, over every value the caps
+            // admit.
+            let size = row.own_fields[0];
+            let estimates: Vec<u64> = [1, 2, 4, 8, 16, 32, 64, 128]
+                .iter()
+                .filter_map(|n| {
+                    let body = format!(r#"{{"solver": "{kind}", "{size}": {n}}}"#);
+                    parse_solve_body(&body, 2).ok()
+                })
+                .map(|req| req.case.spec().memory_usage_estimate())
+                .collect();
+            assert!(estimates.len() >= 3, "{kind}: {size} admits {estimates:?}");
+            assert!(
+                estimates.is_sorted_by(|a, b| a < b),
+                "{kind}: {estimates:?}"
+            );
+
+            // The calibration case validates and runs, and the
+            // database it yields speaks the row's vocabulary.
+            let spec = CalibrationSpec {
+                zones: 1,
+                steps: 1,
+                trials: 1,
+            };
+            let db = (row.calibrate)(&Workers::new(1), &spec).unwrap();
+            assert_eq!(db.solver, kind);
+            let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
+            assert_eq!(names, row.kernels, "{kind}");
+        }
+        let err = known("mhd").err().unwrap();
+        assert_eq!(err, "unknown solver `mhd`; known solvers: f3d, fdtd");
     }
 
     /// The profile → advise loop is not F3D's: any solver's span report
@@ -261,13 +240,7 @@ mod tests {
         use llp::{Advisor, LoopDecision};
         use perfmodel::overhead::OverheadBound;
 
-        let case = FdtdCase {
-            size: 128,
-            steps: 4,
-            workers: 2,
-            schedule: Policy::Static,
-            vector_width: 1,
-        };
+        let case = FdtdCase::calibration(8, 4, 2); // 128 × 128, static, scalar
         let run = fdtd::service::run(&case, &Workers::recorded(2)).unwrap();
         let profile = run.report.kernel_summaries();
         let names: Vec<&str> = profile.iter().map(|k| k.name.as_str()).collect();

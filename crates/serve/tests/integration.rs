@@ -269,7 +269,8 @@ fn solve_matches_direct_invocation_exactly() {
     let served = reply.json();
 
     let pool = llp::Workers::recorded(2);
-    let direct = f3d::service::run(&case, &pool).unwrap();
+    let run = f3d::service::run(&case, &pool).unwrap();
+    let direct = &run.output;
 
     // The service case is deterministic, and the JSON layer formats
     // f64 round-trip exactly — so equality here is exact, not
@@ -314,7 +315,7 @@ fn solve_matches_direct_invocation_exactly() {
 
     assert_eq!(
         served.get("sync_events").unwrap().as_u64(),
-        Some(direct.sync_events)
+        Some(run.sync_events)
     );
     // The span report is the service's own observability schema.
     let report = served.get("report").unwrap();
@@ -823,7 +824,9 @@ fn solve_is_bit_exact_across_shards_and_policies() {
         zone_schedule: f3d::service::ZoneSchedule::Sequential,
         vector_width: 1,
     };
-    let direct = f3d::service::run(&case, &llp::Workers::recorded(2)).unwrap();
+    let direct = f3d::service::run(&case, &llp::Workers::recorded(2))
+        .unwrap()
+        .output;
 
     for shards in [1, 2] {
         let server = Server::start(ServerConfig {
@@ -911,7 +914,9 @@ fn auto_solve_resolves_tuned_configs_and_stays_bit_exact() {
         zone_schedule: f3d::service::ZoneSchedule::Sequential,
         vector_width: 1,
     };
-    let direct = f3d::service::run(&case, &llp::Workers::recorded(2)).unwrap();
+    let direct = f3d::service::run(&case, &llp::Workers::recorded(2))
+        .unwrap()
+        .output;
     let body = r#"{"zones": 2, "steps": 2, "workers": 2, "schedule": "auto"}"#;
 
     // With a loaded db, "auto" applies the per-kernel overrides — and
@@ -2085,7 +2090,9 @@ fn fdtd_solve_round_trips_and_caches() {
         schedule: Policy::Static,
         vector_width: 1,
     };
-    let direct = fdtd::service::run(&case, &llp::Workers::recorded(2)).unwrap();
+    let direct = fdtd::service::run(&case, &llp::Workers::recorded(2))
+        .unwrap()
+        .output;
 
     let server = Server::start(ServerConfig {
         workers: 2,
@@ -2246,7 +2253,9 @@ fn fdtd_tune_calibrates_and_auto_solves_bit_exact() {
         schedule: Policy::Static,
         vector_width: 1,
     };
-    let direct = fdtd::service::run(&case, &llp::Workers::recorded(2)).unwrap();
+    let direct = fdtd::service::run(&case, &llp::Workers::recorded(2))
+        .unwrap()
+        .output;
     let reply = post(
         addr,
         "/v1/solve",

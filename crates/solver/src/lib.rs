@@ -21,27 +21,44 @@
 //! reduces the stepped state to the workload's output (checksums,
 //! integrated observables).
 //!
-//! [`run_instrumented`] is the one shared run driver: it owns the
+//! **The seam.** A solver owns its whole wire vocabulary, next to the
+//! `validate`/`label`/`canonical_string` it always owned: its request
+//! fields and defaults ([`SolverSpec::from_request`] over the shared
+//! [`wire::SolveFields`]), its `case` echo ([`SolverSpec::echo`]), its
+//! memory estimate and calibration case, and its result payload
+//! ([`SolverOutput::payload`]). A finished run of any solver is one
+//! struct, [`SolverRun`], read with the physics erased through
+//! [`FinishedRun`] — so a physics is a [`Solver`] impl plus one row of
+//! `serve::solvers::TABLE` and one `AnyCase` variant, and nothing else
+//! in `serve` names it.
+//!
+//! [`run_instrumented`] is the one run driver: it owns the
 //! instrumentation sequence every served solve follows — policy view,
 //! width-map resolution, local sync-event billing, span-report and
-//! flight-timeline drain — so a new physics gets byte-identical
-//! observability semantics for free, and the F3D refactor behind this
-//! trait provably changes no result (the sequence is the one
-//! `f3d::service::run_tuned` always executed, now shared).
+//! flight-timeline drain (`f3d::service::run` and `fdtd::service::run`
+//! are this call).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod widths;
+pub mod wire;
 
 pub use widths::{for_lane_groups, validate_width, LaneBody, WidthMap, SUPPORTED_WIDTHS};
 
+use llp::obs::json::Json;
 use llp::{ObsReport, Policy, ScheduleMap, Timeline, Workers};
+use wire::SolveFields;
 
 /// A validated, canonicalizable solve request: the `Config` half of
-/// the trait split. Everything the serving layer needs to admit,
-/// cache-key, label, and schedule a solve without knowing the physics.
+/// the trait split. Everything the serving layer needs to parse,
+/// admit, cache-key, label, schedule and echo a solve without knowing
+/// the physics (object-safe: the constructors are `Self: Sized`).
 pub trait SolverSpec {
+    /// The solver this case belongs to ([`Solver::KIND`]): the
+    /// cache-key namespace, tune-db slot and metrics label.
+    fn kind(&self) -> &'static str;
+
     /// Check every field against its service cap.
     ///
     /// # Errors
@@ -52,6 +69,7 @@ pub trait SolverSpec {
     /// with a fixed spelling, the basis of content-addressed result
     /// reuse. Two requests that parse to the same case must produce
     /// byte-identical strings; any semantic change must change it.
+    /// (The cache key prefixes [`SolverSpec::kind`].)
     fn canonical_string(&self) -> String;
 
     /// Stable case label, used as the obs-report case name.
@@ -69,6 +87,35 @@ pub trait SolverSpec {
     /// Default SLP lane width (one of [`SUPPORTED_WIDTHS`]); the
     /// width map's per-kernel entries win over it.
     fn vector_width(&self) -> usize;
+
+    /// Estimated peak bytes an instance of this case allocates (fields
+    /// plus per-worker scratch). An *estimate* for admission control —
+    /// deliberately simple and deterministic, never a measurement —
+    /// so the serving layer can reject a solve that cannot fit before
+    /// any pool work happens.
+    fn memory_usage_estimate(&self) -> u64;
+
+    /// The `case` object a solve response echoes (see [`wire::echo`]
+    /// for the member order every solver shares).
+    fn echo(&self) -> Json;
+
+    /// The (unvalidated) case a request body describes: the solver's
+    /// [`Solver::OWN_FIELDS`] with its defaults for omitted ones, then
+    /// the shared fields off `fields`.
+    ///
+    /// # Errors
+    /// Returns a message naming the first mistyped field.
+    fn from_request(fields: &SolveFields<'_>) -> Result<Self, String>
+    where
+        Self: Sized;
+
+    /// The case an autotuner calibration measures: the default
+    /// configuration (static, scalar) every candidate is compared
+    /// against, at the calibration spec's one size knob `scale` (the
+    /// solver says what it means).
+    fn calibration(scale: usize, steps: usize, workers: usize) -> Self
+    where
+        Self: Sized;
 }
 
 /// The range check every spec's `validate` applies to its counted
@@ -85,38 +132,53 @@ pub fn check_range(name: &str, value: usize, max: usize) -> Result<(), String> {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`: tiny, dependency-free, and stable — the
+/// right shape for a content checksum that must never move between
+/// builds (unlike [`std::hash::Hasher`], whose output is unspecified).
+/// A hash, not physics (`f3d::service` re-exports it).
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = OFFSET;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(PRIME);
+    }
+    hash
+}
+
 /// One physics workload: the factory tying a spec to its instance
 /// type. Implementations are zero-sized marker types (`F3dSolver`,
 /// `FdtdSolver`) — the state lives in [`Solver::Instance`].
 pub trait Solver {
     /// The validated request this solver runs.
-    type Config: SolverSpec;
+    type Config: SolverSpec + Clone;
     /// The allocated, steppable state.
     type Instance: SolverInstance;
 
     /// Stable lower-case solver kind — the `"solver"` vocabulary of
     /// the serving API and the cache-key / tune-db namespace prefix.
-    fn kind() -> &'static str;
+    const KIND: &'static str;
 
-    /// The span-tree kernel vocabulary this solver's steps emit, in a
-    /// stable order: the names the tune database, schedule map, width
-    /// map, and metrics labels key on.
-    fn kernel_names() -> &'static [&'static str];
+    /// The span-tree kernel vocabulary this solver's steps emit,
+    /// sorted: the names the tune database, schedule map, width map,
+    /// and metrics labels key on.
+    const KERNELS: &'static [&'static str];
 
     /// The kernels whose code reads their lane width — a subset of
-    /// [`Solver::kernel_names`]. Every other kernel runs one body at
-    /// every width (see [`widths`]), so a calibration has nothing to
-    /// race there and measures it at width 1 only.
-    fn wide_kernels() -> &'static [&'static str] {
-        Self::kernel_names()
-    }
+    /// [`Solver::KERNELS`]. Every other kernel runs one body at every
+    /// width (see [`widths`]), so a calibration has nothing to race
+    /// there and measures it at width 1 only.
+    const WIDE_KERNELS: &'static [&'static str] = Self::KERNELS;
 
-    /// Estimated peak bytes an instance of `config` allocates (fields
-    /// plus per-worker scratch). An *estimate* for admission control —
-    /// deliberately simple and deterministic, never a measurement —
-    /// so the serving layer can reject a solve that cannot fit before
-    /// any pool work happens.
-    fn memory_usage_estimate(config: &Self::Config) -> u64;
+    /// The request fields only this solver reads, beside
+    /// [`wire::SHARED_FIELDS`] — its size field first; anything else in
+    /// a body is a 400.
+    const OWN_FIELDS: &'static [&'static str];
+
+    /// Most workers a case may ask for.
+    const MAX_WORKERS: usize;
 
     /// Allocate the instance: grids, fields, deterministic initial
     /// condition, and the per-kernel width selection (`widths` already
@@ -130,7 +192,7 @@ pub trait SolverInstance {
     /// What one completed run produces (residual history, checksums,
     /// integrated observables) — everything except the observability
     /// payload, which [`run_instrumented`] drains uniformly.
-    type Output;
+    type Output: SolverOutput;
 
     /// Advance one time step on `pool`. Kernels named in `schedules`
     /// execute on a [`Workers::scheduled_view`] carrying their tuned
@@ -143,10 +205,36 @@ pub trait SolverInstance {
     fn finish(self) -> Self::Output;
 }
 
-/// Everything [`run_instrumented`] produces: the physics output plus
-/// the uniform observability payload.
+/// The physics half of a finished run, as the serving layer reads it.
+pub trait SolverOutput {
+    /// The solver's result payload: the members a solve response
+    /// carries between `case` and `sync_events`, in order.
+    fn payload(&self) -> Vec<(&'static str, Json)>;
+
+    /// What the run dispatched at the zone level, if the solver has
+    /// one and ran with it: the input of the service's zone gauges.
+    fn zone_dispatch(&self) -> Option<ZoneDispatch> {
+        None
+    }
+}
+
+/// Zone-level dispatch totals of one run ([`SolverOutput::zone_dispatch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZoneDispatch {
+    /// Zone shards each step dispatched over.
+    pub shards: u64,
+    /// Zone tasks executed over the whole run.
+    pub zone_tasks: u64,
+    /// Peak simultaneously-ready tasks of a step.
+    pub peak_ready: u64,
+}
+
+/// Everything [`run_instrumented`] produces: the case, its physics
+/// output, and the uniform observability payload.
 #[derive(Debug, Clone)]
-pub struct SolverRun<O> {
+pub struct SolverRun<C, O> {
+    /// The case that was run.
+    pub case: C,
     /// The workload's own results.
     pub output: O,
     /// Synchronization events this run added to the pool (billed on
@@ -157,8 +245,42 @@ pub struct SolverRun<O> {
     /// pool does not record).
     pub report: ObsReport,
     /// Flight-recorder timeline drained from the pool (empty when the
-    /// pool carries no flight recorder).
+    /// pool carries no flight recorder): per-worker chunk/barrier/claim
+    /// events covering exactly this run's parallel regions.
     pub timeline: Timeline,
+}
+
+/// A finished run with its physics erased — every [`SolverRun`] is
+/// one. What the serving layer renders, traces and counts.
+pub trait FinishedRun {
+    /// The case that was run.
+    fn case(&self) -> &dyn SolverSpec;
+    /// The run's physics output.
+    fn output(&self) -> &dyn SolverOutput;
+    /// Synchronization events the run billed.
+    fn sync_events(&self) -> u64;
+    /// The run's drained span report.
+    fn report(&self) -> &ObsReport;
+    /// The run's drained flight timeline.
+    fn timeline(&self) -> &Timeline;
+}
+
+impl<C: SolverSpec, O: SolverOutput> FinishedRun for SolverRun<C, O> {
+    fn case(&self) -> &dyn SolverSpec {
+        &self.case
+    }
+    fn output(&self) -> &dyn SolverOutput {
+        &self.output
+    }
+    fn sync_events(&self) -> u64 {
+        self.sync_events
+    }
+    fn report(&self) -> &ObsReport {
+        &self.report
+    }
+    fn timeline(&self) -> &Timeline {
+        &self.timeline
+    }
 }
 
 /// Execute a validated spec on `pool` with the instrumentation
@@ -173,8 +295,11 @@ pub struct SolverRun<O> {
 ///    the requested-vs-granted worker clamp) and the flight timeline;
 /// 5. reduce the instance to its output.
 ///
-/// This is extracted verbatim from the pre-trait `f3d::service`
-/// driver, so refactoring a workload behind it changes no result.
+/// `schedules` and `widths` are the overlays a tune database resolves
+/// `"schedule": "auto"` to: named kernels run on a
+/// [`Workers::scheduled_view`] with their tuned worker count and
+/// policy, and `widths` entries win over the spec's `vector_width`.
+/// Both axes are bit-exact: they change cost, never a result.
 ///
 /// # Errors
 /// Returns the spec's [`SolverSpec::validate`] error for out-of-bounds
@@ -184,7 +309,7 @@ pub fn run_instrumented<S: Solver>(
     pool: &Workers,
     schedules: Option<&ScheduleMap>,
     widths: Option<&WidthMap>,
-) -> Result<SolverRun<<S::Instance as SolverInstance>::Output>, String> {
+) -> Result<SolverRun<S::Config, <S::Instance as SolverInstance>::Output>, String> {
     config.validate()?;
     // The spec's scheduling policy governs every doacross region of
     // the run; the view shares the caller pool's counters and
@@ -210,6 +335,7 @@ pub fn run_instrumented<S: Solver>(
     let timeline = pool.flight().take_timeline();
 
     Ok(SolverRun {
+        case: config.clone(),
         output: instance.finish(),
         sync_events,
         report,
@@ -223,6 +349,7 @@ mod tests {
 
     /// A toy workload exercising the driver: `steps` doacross sweeps
     /// incrementing a vector, output = final sum.
+    #[derive(Clone)]
     struct ToySpec {
         n: usize,
         steps: usize,
@@ -230,6 +357,9 @@ mod tests {
     }
 
     impl SolverSpec for ToySpec {
+        fn kind(&self) -> &'static str {
+            ToySolver::KIND
+        }
         fn validate(&self) -> Result<(), String> {
             check_range("n", self.n, 1024)
         }
@@ -251,6 +381,26 @@ mod tests {
         fn vector_width(&self) -> usize {
             1
         }
+        fn memory_usage_estimate(&self) -> u64 {
+            (self.n * std::mem::size_of::<f64>()) as u64
+        }
+        fn echo(&self) -> Json {
+            wire::echo(self, ("n", self.n), Vec::new())
+        }
+        fn from_request(fields: &SolveFields<'_>) -> Result<Self, String> {
+            Ok(Self {
+                n: fields.count("n", 8)?,
+                steps: fields.steps()?,
+                workers: fields.workers()?,
+            })
+        }
+        fn calibration(scale: usize, steps: usize, workers: usize) -> Self {
+            Self {
+                n: 8 * scale,
+                steps,
+                workers,
+            }
+        }
     }
 
     struct ToyInstance {
@@ -258,8 +408,17 @@ mod tests {
         width: usize,
     }
 
+    /// Output = (final sum, the width the instance was built at).
+    struct ToyOutput(f64, usize);
+
+    impl SolverOutput for ToyOutput {
+        fn payload(&self) -> Vec<(&'static str, Json)> {
+            vec![("sum", Json::Num(self.0))]
+        }
+    }
+
     impl SolverInstance for ToyInstance {
-        type Output = (f64, usize);
+        type Output = ToyOutput;
 
         fn step(&mut self, pool: &Workers, _step: usize, schedules: Option<&ScheduleMap>) {
             let kw = pool.scheduled_view(schedules, "toy");
@@ -268,8 +427,8 @@ mod tests {
             });
         }
 
-        fn finish(self) -> (f64, usize) {
-            (self.data.iter().sum(), self.width)
+        fn finish(self) -> ToyOutput {
+            ToyOutput(self.data.iter().sum(), self.width)
         }
     }
 
@@ -279,15 +438,11 @@ mod tests {
         type Config = ToySpec;
         type Instance = ToyInstance;
 
-        fn kind() -> &'static str {
-            "toy"
-        }
-        fn kernel_names() -> &'static [&'static str] {
-            &["toy"]
-        }
-        fn memory_usage_estimate(config: &ToySpec) -> u64 {
-            (config.n * std::mem::size_of::<f64>()) as u64
-        }
+        const KIND: &'static str = "toy";
+        const KERNELS: &'static [&'static str] = &["toy"];
+        const OWN_FIELDS: &'static [&'static str] = &["n"];
+        const MAX_WORKERS: usize = 4;
+
         fn create_instance(config: &ToySpec, widths: &WidthMap) -> ToyInstance {
             ToyInstance {
                 data: vec![0.0; config.n],
@@ -320,6 +475,14 @@ mod tests {
         assert_eq!(run.output.0, 3.0 * (0..8).sum::<usize>() as f64);
         // No widths passed: the spec's scalar default applies.
         assert_eq!(run.output.1, 1);
+        // The run carries its case, and reads the same with the
+        // physics erased.
+        assert_eq!(run.case.n, 8);
+        let erased: &dyn FinishedRun = &run;
+        assert_eq!(erased.case().kind(), "toy");
+        assert_eq!(erased.sync_events(), 3);
+        assert_eq!(erased.output().payload()[0].0, "sum");
+        assert!(erased.output().zone_dispatch().is_none());
         // A second run drains cleanly — the report covers only itself.
         let again = run_instrumented::<ToySolver>(&spec, &pool, None, None).unwrap();
         assert_eq!(again.report.sync_events(), 3);
@@ -337,11 +500,9 @@ mod tests {
         let run =
             run_instrumented::<ToySolver>(&spec, &Workers::serial(), None, Some(&widths)).unwrap();
         assert_eq!(run.output.1, 4);
-        assert_eq!(ToySolver::kind(), "toy");
-        assert_eq!(ToySolver::kernel_names(), &["toy"]);
         // Unless a solver says otherwise, every kernel reads its width.
-        assert_eq!(ToySolver::wide_kernels(), ToySolver::kernel_names());
-        assert_eq!(ToySolver::memory_usage_estimate(&spec), 32);
+        assert_eq!(ToySolver::WIDE_KERNELS, ToySolver::KERNELS);
+        assert_eq!(spec.memory_usage_estimate(), 32);
     }
 
     #[test]
@@ -359,5 +520,13 @@ mod tests {
         // Scheduling is a performance knob: results identical.
         assert_eq!(tuned.output.0, plain.output.0);
         assert_eq!(tuned.sync_events, plain.sync_events);
+    }
+
+    #[test]
+    fn fnv_matches_the_published_test_vectors() {
+        // Reference vectors for 64-bit FNV-1a.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -32,7 +32,7 @@
 //! whose inner loop is data movement or an AoS stencil accept a width
 //! — it is validated, echoed, labelled and cache-keyed like any other
 //! — and execute the same code at every width; a solver lists the
-//! kernels that do read it in [`crate::Solver::wide_kernels`]. So do
+//! kernels that do read it in [`crate::Solver::WIDE_KERNELS`]. So do
 //! kernels whose lane count is not the request's to choose: F3D's
 //! implicit factors drive this same [`for_lane_groups`] over *pencils*
 //! at a constant fixed by measurement (`f3d::solver::PENCIL_BUNDLE`),

@@ -14,7 +14,7 @@
 //! 2. **Search** — [`crate::space::candidates`] enumerates each
 //!    kernel's space, pruned by the stair-step plateau edges and the
 //!    Table 1 bound at the measured `W` and `S`; only the solver's
-//!    [`Solver::wide_kernels`] are raced across lane widths, the rest
+//!    [`Solver::WIDE_KERNELS`] are raced across lane widths, the rest
 //!    run one body at every width and are measured at width 1 (racing
 //!    identical code can only publish a noise-picked width). Candidates are
 //!    measured in rounds: round `r` assigns every kernel its
@@ -42,7 +42,7 @@ use llp::obs::attr::{kernel_overheads, AttributionReport, KernelOverhead};
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::{FlightRecorder, Policy, Recorder, ScheduleMap, Workers};
 use perfmodel::OverheadBound;
-use solver::{check_range, Solver, WidthMap, SUPPORTED_WIDTHS};
+use solver::{check_range, Solver, SolverSpec, WidthMap, SUPPORTED_WIDTHS};
 
 /// Largest `zones` a calibration case may ask for.
 pub const MAX_ZONES: usize = 4;
@@ -103,10 +103,9 @@ struct KernelSeed {
 /// search and selection all run through [`solver::run_instrumented`],
 /// so any workload implementing the [`Solver`] trait calibrates with
 /// the same protocol and lands in the same versioned database (keyed
-/// by [`Solver::kind`]). `case_for(workers)` builds the solver's
-/// calibration case at the default configuration — each solver states
-/// it next to its `Config` (`ServiceCase::calibration`,
-/// `FdtdCase::calibration`), so this crate names no physics.
+/// by [`Solver::KIND`]). The case measured is the solver's own
+/// [`SolverSpec::calibration`] at `spec.zones` × `spec.steps` and the
+/// view's width, so this crate names no physics.
 ///
 /// The measurement runs on a `pool.sized_view` of the pool's own width
 /// with a *private* span recorder and flight recorder, so concurrent
@@ -116,21 +115,16 @@ struct KernelSeed {
 /// # Errors
 /// Invalid specs, solver failures, and a seed pass that yields no
 /// flight data are reported as a message.
-pub fn calibrate_solver<S, F>(
+pub fn calibrate_solver<S: Solver>(
     pool: &Workers,
     spec: &CalibrationSpec,
-    case_for: F,
-) -> Result<TuneDb, String>
-where
-    S: Solver,
-    F: Fn(usize) -> S::Config,
-{
+) -> Result<TuneDb, String> {
     spec.validate()?;
     let width = pool.processors().min(MAX_WORKERS);
     let mut view = pool.sized_view(width);
     view.set_recorder(Recorder::enabled());
     view.set_flight(FlightRecorder::enabled(width, DEFAULT_EVENT_CAPACITY));
-    let case = case_for(width);
+    let case = S::Config::calibration(spec.zones, spec.steps, width);
 
     // --- Seed pass: measure U, W and S at the default config. ---
     let seed_run = solver::run_instrumented::<S>(&case, &view, None, None)?;
@@ -151,7 +145,7 @@ where
         .map(|row| {
             let units = row.iterations / row.regions;
             let work_ns = row.compute_ns / row.regions;
-            let lane_widths: &[usize] = if S::wide_kernels().contains(&row.kernel.as_str()) {
+            let lane_widths: &[usize] = if S::WIDE_KERNELS.contains(&row.kernel.as_str()) {
                 &SUPPORTED_WIDTHS
             } else {
                 &[1]
@@ -244,7 +238,7 @@ where
 
     Ok(TuneDb {
         schema_version: TUNE_SCHEMA_VERSION,
-        solver: S::kind().to_string(),
+        solver: S::KIND.to_string(),
         pool_width: width,
         zones: spec.zones,
         steps: spec.steps,
@@ -301,8 +295,8 @@ fn median(samples: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f3d::service::{F3dSolver, ServiceCase};
-    use fdtd::{FdtdCase, FdtdSolver};
+    use f3d::service::F3dSolver;
+    use fdtd::FdtdSolver;
 
     #[test]
     fn spec_validation_names_the_field() {
@@ -406,14 +400,10 @@ mod tests {
     /// Calibrate `S` through the one entry point at `width` and check
     /// what every calibration must hold: the solver's kernel
     /// vocabulary, sane entries, and the no-regression floor.
-    fn calibrated<S: Solver>(
-        width: usize,
-        spec: &CalibrationSpec,
-        case_for: impl Fn(usize) -> S::Config,
-    ) -> TuneDb {
-        let db = calibrate_solver::<S, _>(&Workers::new(width), spec, case_for).unwrap();
+    fn calibrated<S: Solver>(width: usize, spec: &CalibrationSpec) -> TuneDb {
+        let db = calibrate_solver::<S>(&Workers::new(width), spec).unwrap();
         assert_eq!(db.schema_version, TUNE_SCHEMA_VERSION);
-        assert_eq!(db.solver, S::kind());
+        assert_eq!(db.solver, S::KIND);
         assert_eq!(db.pool_width, width);
         assert_eq!(
             (db.zones, db.steps, db.trials),
@@ -422,13 +412,13 @@ mod tests {
         );
         // The parallel kernels, sorted; serial phases excluded.
         let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
-        assert_eq!(names, S::kernel_names());
+        assert_eq!(names, S::KERNELS);
         for e in &db.entries {
             let kernel = &e.kernel;
             assert!(e.workers >= 1 && e.workers <= width, "{kernel}");
             // Lane widths are raced only where the code reads them;
             // a one-wide pool leaves such a kernel its default alone.
-            let wide = S::wide_kernels().contains(&kernel.as_str());
+            let wide = S::WIDE_KERNELS.contains(&kernel.as_str());
             let floor = if wide || width > 1 { 2 } else { 1 };
             assert!(e.candidates_tried >= floor, "{kernel}");
             assert!(
@@ -461,13 +451,9 @@ mod tests {
             trials: 1,
         };
         for width in [1, 2, 4, 8] {
-            let db = calibrated::<F3dSolver>(width, &spec, |w| {
-                ServiceCase::calibration(spec.zones, spec.steps, w)
-            });
+            let db = calibrated::<F3dSolver>(width, &spec);
             assert_eq!(db.entries.len(), 6);
-            let db = calibrated::<FdtdSolver>(width, &spec, |w| {
-                FdtdCase::calibration(spec.zones, spec.steps, w)
-            });
+            let db = calibrated::<FdtdSolver>(width, &spec);
             assert_eq!(db.entries.len(), 2);
         }
     }
@@ -479,9 +465,7 @@ mod tests {
             steps: 2,
             trials: 1,
         };
-        let db = calibrated::<FdtdSolver>(2, &spec, |w| {
-            FdtdCase::calibration(spec.zones, spec.steps, w)
-        });
+        let db = calibrated::<FdtdSolver>(2, &spec);
         assert_eq!(db.solver, "fdtd");
         // The two parallel sweeps, sorted; the serial source excluded.
         let names: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
