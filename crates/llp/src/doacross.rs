@@ -162,25 +162,20 @@ fn run_chunks<T: Send, S>(
                     scope.spawn(move || {
                         timed(slot, || {
                             let mut scratch = make_scratch();
+                            // With the flight recorder on, every claim
+                            // attempt is timed on two clock reads per
+                            // chunk: one when the claim returns (the end
+                            // of the claim wait *is* the chunk's start;
+                            // the final, losing attempt marks the lane's
+                            // claim miss instead) and one when the work
+                            // does, where the next claim starts.
+                            let mut claim_from = flight.as_ref().map_or(0, |f| f.now_ns());
                             loop {
-                                // Every claim attempt is timed when the
-                                // flight recorder is on; the final (losing)
-                                // attempt also marks the lane's claim miss.
-                                let ci = match flight {
-                                    Some(f) => {
-                                        let (claimed, wait_ns) = claimer.claim_timed(ti);
-                                        f.claim_wait(ti, wait_ns);
-                                        if claimed.is_none() {
-                                            f.claim_miss(ti);
-                                        }
-                                        claimed
-                                    }
-                                    None => claimer.claim_as(ti),
-                                };
-                                let Some(ci) = ci else { break };
+                                let ci = claimer.claim_as(ti);
                                 if let Some(f) = flight {
-                                    f.chunk_start(ti, ci);
+                                    f.claimed(ti, claim_from, ci);
                                 }
+                                let Some(ci) = ci else { break };
                                 let payload = parked[ci]
                                     .lock()
                                     .unwrap_or_else(PoisonError::into_inner)
@@ -189,7 +184,7 @@ fn run_chunks<T: Send, S>(
                                     work(ci, payload, &mut scratch);
                                 }
                                 if let Some(f) = flight {
-                                    f.chunk_end(ti, ci);
+                                    claim_from = f.chunk_end(ti, ci);
                                 }
                             }
                         });

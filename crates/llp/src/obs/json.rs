@@ -172,9 +172,47 @@ impl Json {
                 push_indent(out, depth);
                 out.push('}');
             }
-            other => {
-                use fmt::Write as _;
-                let _ = write!(out, "{other}");
+            other => other.write_compact(out),
+        }
+    }
+
+    /// Append the compact single-line form to `out`: one buffer for the
+    /// whole tree, no formatter re-entry and no temporary per node.
+    fn write_compact(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => {
+                if n.is_finite() {
+                    use fmt::Write as _;
+                    let _ = write!(out, "{n}");
+                } else {
+                    // JSON has no NaN/inf; a null is at least parseable.
+                    out.push_str("null");
+                }
+            }
+            Json::Str(s) => write_escaped(out, s),
+            Json::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_compact(out);
+                }
+                out.push(']');
+            }
+            Json::Object(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write_compact(out);
+                }
+                out.push('}');
             }
         }
     }
@@ -204,45 +242,9 @@ impl Json {
 impl fmt::Display for Json {
     /// Compact single-line form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    write!(f, "{n}")
-                } else {
-                    // JSON has no NaN/inf; a null is at least parseable.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => {
-                let mut buf = String::new();
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Json::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Object(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut key = String::new();
-                    write_escaped(&mut key, k);
-                    write!(f, "{key}:{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_compact(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -254,20 +256,28 @@ fn push_indent(out: &mut String, depth: usize) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
+    // Copy the runs between escapes whole. Every escaped byte is ASCII,
+    // so each run boundary is a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..0x20) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
                 use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -447,6 +457,9 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Rejected;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn round_trips_compact_and_pretty() {
@@ -553,6 +566,138 @@ mod tests {
         assert_eq!(v.as_object().map(<[(String, Json)]>::len), Some(3));
         assert!(Json::Num(1.5).as_object().is_none());
         assert_eq!(v.get("s"), Some(&Json::Str("x".into())));
+    }
+
+    /// The rendering `Display` had before `write_compact`, kept as the
+    /// oracle: one formatter re-entry per node, one temporary per key
+    /// and per string, one `char` at a time.
+    fn reference_compact(v: &Json, out: &mut String) {
+        use fmt::Write as _;
+        fn escaped(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => out.push_str(&escaped(s)),
+            Json::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference_compact(item, out);
+                }
+                out.push(']');
+            }
+            Json::Object(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&escaped(k));
+                    out.push(':');
+                    reference_compact(v, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Strings that exercise every escape, the run copying between
+    /// them, and multi-byte characters on either side of an escape.
+    fn arbitrary_string(rng: &mut TestRng) -> String {
+        const ALPHABET: [char; 16] = [
+            'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}',
+            'ü', '→', '𝄞',
+        ];
+        (0..rng.gen_u64(0, 12))
+            .map(|_| ALPHABET[rng.gen_u64(0, ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    fn arbitrary_tree(rng: &mut TestRng, depth: u64) -> Json {
+        // Leaves only at the depth cap; containers may be empty.
+        match rng.gen_u64(0, if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_u64(0, 2) == 1),
+            2 => Json::Num(match rng.gen_u64(0, 6) {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                2 => -0.0,
+                3 => rng.gen_u64(0, 1 << 53) as f64,
+                4 => rng.gen_f64(-1e-9, 1e-9),
+                _ => rng.gen_f64(-1e18, 1e18),
+            }),
+            3 | 4 => Json::Str(arbitrary_string(rng)),
+            5 => Json::Array(
+                (0..rng.gen_u64(0, 5))
+                    .map(|_| arbitrary_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Object(
+                (0..rng.gen_u64(0, 5))
+                    .map(|_| (arbitrary_string(rng), arbitrary_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct TreeStrategy;
+
+    impl Strategy for TreeStrategy {
+        type Value = Json;
+        fn generate(&self, rng: &mut TestRng) -> Result<Json, Rejected> {
+            Ok(arbitrary_tree(rng, 4))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn compact_form_is_the_reference_rendering(tree in TreeStrategy) {
+            let mut reference = String::new();
+            reference_compact(&tree, &mut reference);
+            prop_assert_eq!(tree.to_string(), reference);
+            // `Display` through any formatter is the same bytes, and the
+            // pretty form's leaves are the compact form.
+            prop_assert_eq!(format!("{tree:>4}"), tree.to_string());
+            let is_leaf = match &tree {
+                Json::Array(items) => items.is_empty(),
+                Json::Object(pairs) => pairs.is_empty(),
+                _ => true,
+            };
+            if is_leaf {
+                prop_assert_eq!(
+                    Json::Array(vec![tree.clone()]).to_pretty_string(),
+                    format!("[\n  {tree}\n]\n")
+                );
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,10 @@ pub enum EventKind {
     /// A worker sat `arg` nanoseconds between its last event and the
     /// region barrier completing (recorded at region exit).
     BarrierWait,
-    /// A worker spent `arg` nanoseconds in one [`crate::ChunkClaimer`]
-    /// claim (dynamic/guided scheduling only).
+    /// A worker spent `arg` nanoseconds getting its next chunk from the
+    /// [`crate::ChunkClaimer`] — from the end of its previous chunk (or
+    /// its start as a claimant) to the claim's return (dynamic/guided
+    /// scheduling only).
     ClaimWait,
     /// A claim came back empty: the chunk list was exhausted and the
     /// worker headed for the barrier.
@@ -478,10 +480,18 @@ pub struct RegionSession<'a> {
 }
 
 impl RegionSession<'_> {
-    fn record(&self, lane: usize, kind: EventKind, arg: u64) {
+    /// Record one event on `lane` stamped `ts_ns`.
+    fn record_at(&self, lane: usize, ts_ns: u64, kind: EventKind, arg: u64) {
         if let Some(lane) = self.state.lanes.get(lane) {
-            lane.record(self.state.now_ns(), kind, arg, self.seq);
+            lane.record(ts_ns, kind, arg, self.seq);
         }
+    }
+
+    /// Record one event on `lane` stamped now; returns the stamp.
+    fn record(&self, lane: usize, kind: EventKind, arg: u64) -> u64 {
+        let now_ns = self.now_ns();
+        self.record_at(lane, now_ns, kind, arg);
+        now_ns
     }
 
     /// The region's sequence number (matches [`TimelineEvent::region`]).
@@ -490,14 +500,22 @@ impl RegionSession<'_> {
         self.seq
     }
 
+    /// Nanoseconds since the recorder's epoch: where a claimant's first
+    /// [`RegionSession::claimed`] counts from.
+    #[must_use]
+    pub fn now_ns(&self) -> u64 {
+        self.state.now_ns()
+    }
+
     /// Lane `lane` began executing chunk `chunk`.
     pub fn chunk_start(&self, lane: usize, chunk: usize) {
         self.record(lane, EventKind::ChunkStart, chunk as u64);
     }
 
-    /// Lane `lane` finished executing chunk `chunk`.
-    pub fn chunk_end(&self, lane: usize, chunk: usize) {
-        self.record(lane, EventKind::ChunkEnd, chunk as u64);
+    /// Lane `lane` finished executing chunk `chunk`. Returns the event's
+    /// stamp — a self-scheduled lane's next claim starts there.
+    pub fn chunk_end(&self, lane: usize, chunk: usize) -> u64 {
+        self.record(lane, EventKind::ChunkEnd, chunk as u64)
     }
 
     /// Lane `lane` spent `ns` nanoseconds inside one chunk claim.
@@ -508,6 +526,26 @@ impl RegionSession<'_> {
     /// Lane `lane` found the chunk list exhausted.
     pub fn claim_miss(&self, lane: usize) {
         self.record(lane, EventKind::ClaimMiss, 0);
+    }
+
+    /// One self-scheduled claim by lane `lane`, begun at `since_ns` (the
+    /// lane's previous [`RegionSession::chunk_end`], or
+    /// [`RegionSession::now_ns`] before its first) and ended now, on one
+    /// clock read: a [`EventKind::ClaimWait`] of `now − since_ns`, then
+    /// the [`EventKind::ChunkStart`] of the chunk it won or, for `None`,
+    /// the [`EventKind::ClaimMiss`] — both carrying the same stamp.
+    pub fn claimed(&self, lane: usize, since_ns: u64, chunk: Option<usize>) {
+        let now_ns = self.now_ns();
+        self.record_at(
+            lane,
+            now_ns,
+            EventKind::ClaimWait,
+            now_ns.saturating_sub(since_ns),
+        );
+        match chunk {
+            Some(chunk) => self.record_at(lane, now_ns, EventKind::ChunkStart, chunk as u64),
+            None => self.record_at(lane, now_ns, EventKind::ClaimMiss, 0),
+        }
     }
 
     /// Close the region: called by the coordinator after the barrier.
@@ -582,6 +620,38 @@ mod tests {
         let s = fr.begin_region(1, 2, 1, 1, "static").unwrap();
         assert_eq!(s.seq(), 0);
         s.finish();
+    }
+
+    #[test]
+    fn a_claim_and_its_outcome_share_one_stamp() {
+        let fr = FlightRecorder::enabled(1, 16);
+        let s = fr.begin_region(1, 1, 2, 2, "dynamic").unwrap();
+        let from = s.now_ns();
+        s.claimed(0, from, Some(1));
+        let end = s.chunk_end(0, 1);
+        s.claimed(0, end, None);
+        s.finish();
+        let events = fr.take_timeline().lanes.remove(0).events;
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::ClaimWait,
+                EventKind::ChunkStart,
+                EventKind::ChunkEnd,
+                EventKind::ClaimWait,
+                EventKind::ClaimMiss,
+                EventKind::BarrierWait,
+            ]
+        );
+        // The wait ends where the chunk starts, and runs from the stamp
+        // the caller handed in; the next one runs from the chunk's end.
+        assert_eq!(events[0].ts_ns, events[1].ts_ns);
+        assert_eq!(events[0].arg, events[0].ts_ns - from);
+        assert_eq!(events[1].arg, 1);
+        assert_eq!(events[2].ts_ns, end);
+        assert_eq!(events[3].ts_ns, events[4].ts_ns);
+        assert_eq!(events[3].arg, events[3].ts_ns - end);
     }
 
     #[test]

@@ -503,17 +503,6 @@ impl ChunkClaimer {
         })
     }
 
-    /// [`ChunkClaimer::claim_as`] plus the nanoseconds the claim took —
-    /// the scheduling-interaction cost the flight recorder attributes
-    /// as claim wait. Only the instrumented (flight-enabled) doacross
-    /// path calls this; the plain path keeps the clock-free claim.
-    pub fn claim_timed(&self, claimant: usize) -> (Option<usize>, u64) {
-        let start = Instant::now();
-        let claimed = self.claim_as(claimant);
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        (claimed, ns)
-    }
-
     /// Number of chunks this claimer hands out in total.
     #[must_use]
     pub fn limit(&self) -> usize {

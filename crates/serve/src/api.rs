@@ -9,11 +9,12 @@
 //! proportionally to it.
 
 use crate::solvers::{self, AnyCase, KINDS};
+use crate::trace::TracedRun;
 use llp::advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice};
 use llp::obs::attr::KernelOverhead;
 use llp::obs::chrome::chrome_trace_with_summary;
 use llp::obs::json::Json;
-use llp::obs::{AttributionReport, KernelSummary};
+use llp::obs::KernelSummary;
 use llp::Policy;
 use perfmodel::overhead::{OverheadBound, PAPER_OVERHEAD_FRACTION};
 use perfmodel::stairstep::{ideal_speedup, plateau_edges};
@@ -153,30 +154,28 @@ pub fn parse_solve_body(text: &str, default_workers: usize) -> Result<SolveReque
     Ok(SolveRequest { case, auto, bypass })
 }
 
-/// Render the pair of trace documents retained for a finished solve:
-/// the `/v1/trace/{id}` attribution body (per-worker / per-region
-/// overhead split, measured-vs-modeled check, per-kernel overheads)
-/// and the `?trace=chrome` trace-event document. `attr` and `kernels`
-/// are the run's attribution, derived once by the caller however many
-/// waiters the execution fans out to.
+/// Render the `GET /v1/trace/{id}` attribution body of a retained
+/// run: per-worker / per-region overhead split, measured-vs-modeled
+/// check, per-kernel overheads. Rendered when it is asked for — the
+/// store keeps the run, not this document ([`crate::trace`]).
 #[must_use]
-pub fn trace_documents(
-    run: &dyn FinishedRun,
-    trace_id: u64,
-    attr: &AttributionReport,
-    kernels: &[KernelOverhead],
-) -> (Json, Json) {
-    let attribution = Json::object(vec![
+pub fn trace_attribution(traced: &TracedRun, trace_id: u64) -> Json {
+    Json::object(vec![
         ("trace_id", Json::from_u64(trace_id)),
-        ("case", Json::str(&run.case().label())),
-        ("attribution", attr.to_json()),
+        ("case", Json::str(&traced.run.case().label())),
+        ("attribution", traced.attr.to_json()),
         (
             "kernels",
-            Json::Array(kernels.iter().map(KernelOverhead::to_json).collect()),
+            Json::Array(traced.kernels.iter().map(KernelOverhead::to_json).collect()),
         ),
-    ]);
-    let chrome = chrome_trace_with_summary(run.timeline(), attr);
-    (attribution, chrome)
+    ])
+}
+
+/// Render the `GET /v1/trace/{id}?trace=chrome` trace-event document
+/// of a retained run, likewise on request.
+#[must_use]
+pub fn trace_chrome(traced: &TracedRun) -> Json {
+    chrome_trace_with_summary(traced.run.timeline(), &traced.attr)
 }
 
 /// Render the per-kernel configurations an `"auto"` solve resolved:
@@ -217,6 +216,28 @@ pub fn tuned_resolution(db: Option<&TuneDb>) -> Json {
     }
 }
 
+/// The members of a `/v1/solve` body every copy of one run shares:
+/// `solver`, `case`, the result payload, `sync_events` and `report`.
+fn solve_head(run: &dyn FinishedRun) -> Vec<(&'static str, Json)> {
+    let case = run.case();
+    let mut members = vec![("solver", Json::str(case.kind())), ("case", case.echo())];
+    members.extend(run.output().payload());
+    members.extend([
+        ("sync_events", Json::from_u64(run.sync_events())),
+        ("report", run.report().to_json()),
+    ]);
+    members
+}
+
+/// The three members in which the copies of one run's body differ.
+fn solve_tail(trace_id: Option<u64>, tuned: Json, cache: &str) -> [(&'static str, Json); 3] {
+    [
+        ("trace_id", trace_id.map_or(Json::Null, Json::from_u64)),
+        ("tuned", tuned),
+        ("cache", Json::str(cache)),
+    ]
+}
+
 /// Render a completed run of any solver as the `/v1/solve` response
 /// body: the envelope every solver shares around the run's own `case`
 /// echo ([`solver::SolverSpec::echo`]) and result payload
@@ -236,17 +257,40 @@ pub fn solve_response(
     tuned: Json,
     cache: &str,
 ) -> Json {
-    let case = run.case();
-    let mut members = vec![("solver", Json::str(case.kind())), ("case", case.echo())];
-    members.extend(run.output().payload());
-    members.extend([
-        ("sync_events", Json::from_u64(run.sync_events())),
-        ("report", run.report().to_json()),
-        ("trace_id", trace_id.map_or(Json::Null, Json::from_u64)),
-        ("tuned", tuned),
-        ("cache", Json::str(cache)),
-    ]);
+    let mut members = solve_head(run);
+    members.extend(solve_tail(trace_id, tuned, cache));
     Json::object(members)
+}
+
+/// The shared members of one run's `/v1/solve` bodies, serialised once.
+/// The executor needs up to `1 + waiters` copies of a body — the cached
+/// `"hit"` one and each waiter's `"miss"` — that differ in the last
+/// three members only; [`SolveBody::finish`] completes a copy, and each
+/// is byte for byte the [`solve_response`] of the same arguments.
+pub struct SolveBody {
+    /// `{"solver":…,"report":{…}` — the object still open.
+    head: String,
+}
+
+impl SolveBody {
+    /// Render and serialise `run`'s shared members.
+    #[must_use]
+    pub fn new(run: &dyn FinishedRun) -> Self {
+        let mut head = Json::object(solve_head(run)).to_string();
+        head.pop(); // the closing brace: `finish` continues the object
+        Self { head }
+    }
+
+    /// One complete body; arguments as [`solve_response`].
+    #[must_use]
+    pub fn finish(&self, trace_id: Option<u64>, tuned: Json, cache: &str) -> String {
+        let tail = Json::object(solve_tail(trace_id, tuned, cache).into()).to_string();
+        let mut body = String::with_capacity(self.head.len() + tail.len());
+        body.push_str(&self.head);
+        body.push(',');
+        body.push_str(&tail[1..]); // past its opening brace
+        body
+    }
 }
 
 /// [`solve_response`] under the name `benchmark/` renders FDTD runs
@@ -835,6 +879,41 @@ mod tests {
         match &req.case {
             AnyCase::Fdtd(c) => *c,
             other => panic!("expected an fdtd case, got {other:?}"),
+        }
+    }
+
+    /// The executor's spliced copies against the one-tree rendering the
+    /// goldens pin: every provenance × trace id × tuned block, for
+    /// every solver of the table.
+    #[test]
+    fn solve_body_copies_equal_the_single_tree_rendering() {
+        for row in &solvers::TABLE {
+            let body = format!(r#"{{"solver": "{}", "steps": 2}}"#, row.kind);
+            let case = parse_solve_body(&body, 2).unwrap().case;
+            let run = case.run(&llp::Workers::recorded(2), None, None).unwrap();
+            let spec = CalibrationSpec {
+                zones: 1,
+                steps: 1,
+                trials: 1,
+            };
+            let db = (row.calibrate)(&llp::Workers::new(1), &spec).unwrap();
+            let shared = SolveBody::new(&*run);
+            for cache in ["hit", "miss", "bypass"] {
+                for trace_id in [None, Some(7), Some((1 << 53) - 1)] {
+                    for tuned in [
+                        Json::Null,
+                        tuned_resolution(None),
+                        tuned_resolution(Some(&db)),
+                    ] {
+                        assert_eq!(
+                            shared.finish(trace_id, tuned.clone(), cache),
+                            solve_response(&*run, trace_id, tuned, cache).to_string(),
+                            "{} {cache} {trace_id:?}",
+                            row.kind
+                        );
+                    }
+                }
+            }
         }
     }
 

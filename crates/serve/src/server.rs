@@ -66,14 +66,12 @@ use crate::evloop::{self, Conn, PollFd, ReadOutcome, WakeReceiver, Waker, POLLIN
 use crate::http::{parse_request_bytes, render_response, Parse, Request, Response, MAX_HEAD_BYTES};
 use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar};
 use crate::solvers::{self, AnyCase, MAX_WORKERS};
-use crate::trace::{TraceEntry, TraceStore};
-use llp::obs::attr::{kernel_overheads, KernelOverhead};
+use crate::trace::{TraceEntry, TraceStore, TracedRun};
 use llp::obs::json::Json;
 use llp::obs::series::DEFAULT_WINDOW_MS;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use llp::obs::{AttributionReport, Series};
+use llp::obs::Series;
 use llp::{FlightRecorder, Recorder, Workers};
-use solver::FinishedRun;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -611,27 +609,21 @@ fn fail_job(shared: &Arc<Shared>, origin: &JobOrigin, response: &Response) -> Ve
         .collect()
 }
 
-/// Retain the run's flight trace (attribution + Chrome documents) and
-/// return the id the response advertises. Each waiter of a coalesced
-/// fan-out gets its *own* trace entry and id: the documents describe
-/// the one shared execution, but every client can fetch and correlate
-/// independently — from the one attribution `execute_job` derived.
-fn retain_trace(
-    shared: &Arc<Shared>,
-    run: &dyn FinishedRun,
-    attr: &AttributionReport,
-    kernels: &[KernelOverhead],
-) -> Option<u64> {
-    if run.timeline().is_empty() {
+/// Retain the run's flight trace and return the id the response
+/// advertises. Each waiter of a coalesced fan-out gets its *own* trace
+/// entry and id over the one shared execution, so every client can
+/// fetch and correlate independently. Only the handle is stored: the
+/// documents are rendered when `GET /v1/trace/{id}` asks ([`route`]),
+/// never here on the shard.
+fn retain_trace(shared: &Arc<Shared>, traced: &Arc<TracedRun>) -> Option<u64> {
+    if traced.run.timeline().is_empty() {
         return None;
     }
     let id = shared.traces.allocate_id();
-    let (attribution, chrome) = api::trace_documents(run, id, attr, kernels);
     shared.traces.insert(TraceEntry {
         id,
-        case: run.case().label(),
-        attribution,
-        chrome,
+        case: traced.run.case().label(),
+        run: Arc::clone(traced),
     });
     Some(id)
 }
@@ -639,15 +631,11 @@ fn retain_trace(
 /// Feed one completed solve into the windowed telemetry series
 /// (`/v1/stats`) and the per-kernel seconds of `/metrics`. Gated on the
 /// series being enabled.
-fn observe_solve(
-    shared: &Arc<Shared>,
-    run: &dyn FinishedRun,
-    attr: &AttributionReport,
-    kernels: &[KernelOverhead],
-) {
+fn observe_solve(shared: &Arc<Shared>, traced: &TracedRun) {
     if !shared.series.is_enabled() {
         return;
     }
+    let TracedRun { run, attr, kernels } = traced;
     for k in kernels {
         shared
             .metrics
@@ -706,7 +694,10 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
             };
             match case.run(&view, map.as_ref(), widths.as_ref()) {
                 Ok(run) => {
-                    let run = &*run;
+                    // Where the time went, derived once: the series and
+                    // every waiter's trace entry share the one handle.
+                    let traced = Arc::new(TracedRun::new(run));
+                    let run = &*traced.run;
                     shared
                         .metrics
                         .job_done(run.sync_events(), run.report().total_seconds());
@@ -728,18 +719,17 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                             .metrics
                             .zone_job(zones.shards, zones.zone_tasks, zones.peak_ready);
                     }
-                    // Where the time went, derived once: the series and
-                    // every waiter's trace documents read the same two.
-                    let attr = AttributionReport::from_timeline(run.timeline());
-                    let kernels = kernel_overheads(run.report(), &attr);
-                    observe_solve(shared, run, &attr, &kernels);
+                    observe_solve(shared, &traced);
+                    // One render of what every copy of the body shares;
+                    // each copy adds its own trace_id/tuned/cache tail.
+                    let body = api::SolveBody::new(run);
                     match &job.origin {
                         JobOrigin::Direct(waiter) => {
-                            let trace_id = retain_trace(shared, run, &attr, &kernels);
-                            let body = api::solve_response(run, trace_id, tuned, "bypass");
+                            let trace_id = retain_trace(shared, &traced);
                             vec![Completion {
                                 waiter: *waiter,
-                                response: Response::ok(body.to_string()).with_trace_id(trace_id),
+                                response: Response::ok(body.finish(trace_id, tuned, "bypass"))
+                                    .with_trace_id(trace_id),
                             }]
                         }
                         JobOrigin::Keyed(key) => {
@@ -749,21 +739,23 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                             // The cached body is rendered with a null
                             // trace_id and a "hit" marker — a hit serves
                             // no fresh trace.
-                            let cached = api::solve_response(run, None, tuned.clone(), "hit");
-                            let evicted = shared.cache.insert(key, Arc::new(cached.to_string()));
+                            let cached = body.finish(None, tuned.clone(), "hit");
+                            let evicted = shared.cache.insert(key, Arc::new(cached));
                             shared
                                 .metrics
                                 .cache_evicted(evicted as u64, shared.cache.len());
                             take_waiters(shared, &job.origin)
                                 .into_iter()
                                 .map(|waiter| {
-                                    let trace_id = retain_trace(shared, run, &attr, &kernels);
-                                    let body =
-                                        api::solve_response(run, trace_id, tuned.clone(), "miss");
+                                    let trace_id = retain_trace(shared, &traced);
                                     Completion {
                                         waiter,
-                                        response: Response::ok(body.to_string())
-                                            .with_trace_id(trace_id),
+                                        response: Response::ok(body.finish(
+                                            trace_id,
+                                            tuned.clone(),
+                                            "miss",
+                                        ))
+                                        .with_trace_id(trace_id),
                                     }
                                 })
                                 .collect()
@@ -1456,9 +1448,11 @@ fn route(request: &Request, shared: &Arc<Shared>) -> RouteOutcome {
                     None => {
                         Response::error(404, &format!("no trace {id} (evicted or never existed)"))
                     }
+                    // The store retains the run; the document asked for
+                    // is rendered here, for the reader who did come.
                     Some(entry) => match request.query.as_str() {
-                        "" => Response::ok(entry.attribution.to_string()),
-                        "trace=chrome" => Response::ok(entry.chrome.to_string()),
+                        "" => Response::ok(api::trace_attribution(&entry.run, id).to_string()),
+                        "trace=chrome" => Response::ok(api::trace_chrome(&entry.run).to_string()),
                         other => Response::error(
                             400,
                             &format!("unknown query `{other}` (use ?trace=chrome)"),
@@ -1609,6 +1603,85 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llp::obs::attr::{kernel_overheads, KernelOverhead};
+    use llp::obs::chrome::chrome_trace_with_summary;
+    use llp::obs::AttributionReport;
+
+    /// What the event loop writes for an inline `GET`.
+    fn inline_get(shared: &Arc<Shared>, path: &str, query: &str) -> Response {
+        let request = Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            query: query.to_string(),
+            body: String::new(),
+            accept: String::new(),
+            keep_alive: false,
+        };
+        match route(&request, shared) {
+            RouteOutcome::Inline(response) => response,
+            RouteOutcome::Submit(..) => panic!("{path} is answered inline"),
+        }
+    }
+
+    /// The store keeps the run; what `GET /v1/trace/{id}` serves must be
+    /// the documents of *that* run and id — here rendered a second time,
+    /// straight from the run's timeline and span report.
+    #[test]
+    fn trace_documents_on_demand_are_the_direct_renderings() {
+        let server = Server::start(ServerConfig {
+            workers: 2,
+            shards: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let shared = &server.shared;
+        // A shard's slice, built as `Server::start` builds them; the
+        // server's own shard sits idle throughout.
+        let mut slice = shared.pool.shard_view(0, 1);
+        slice.set_recorder(Recorder::enabled());
+        slice.set_flight(FlightRecorder::enabled(2, DEFAULT_EVENT_CAPACITY));
+
+        for body in [
+            r#"{"zones": 2, "steps": 2, "schedule": "dynamic", "chunk": 2}"#,
+            r#"{"solver": "fdtd", "size": 32, "steps": 4, "schedule": "dynamic", "chunk": 1}"#,
+        ] {
+            let job = Job {
+                kind: JobKind::Solve {
+                    case: api::parse_solve_body(body, 2).unwrap().case,
+                    auto: false,
+                },
+                origin: JobOrigin::Direct(Waiter { conn: 0, token: 0 }),
+            };
+            let completions = execute_job(shared, &slice, &job);
+            let id = completions[0].response.trace_id.expect("a flight trace");
+            let entry = shared.traces.get(id).expect("retained");
+            assert_eq!(entry.case, entry.run.run.case().label());
+
+            let run = &*entry.run.run;
+            let attr = AttributionReport::from_timeline(run.timeline());
+            let kernels = kernel_overheads(run.report(), &attr);
+            let attribution = Json::object(vec![
+                ("trace_id", Json::from_u64(id)),
+                ("case", Json::str(&run.case().label())),
+                ("attribution", attr.to_json()),
+                (
+                    "kernels",
+                    Json::Array(kernels.iter().map(KernelOverhead::to_json).collect()),
+                ),
+            ]);
+            let chrome = chrome_trace_with_summary(run.timeline(), &attr);
+            assert!(chrome.to_string().contains(r#""name":"claim""#), "{body}");
+
+            let path = format!("/v1/trace/{id}");
+            for _ in 0..2 {
+                let served = inline_get(shared, &path, "");
+                assert_eq!((served.status, served.body), (200, attribution.to_string()));
+                let served = inline_get(shared, &path, "trace=chrome");
+                assert_eq!((served.status, served.body), (200, chrome.to_string()));
+            }
+        }
+        server.shutdown();
+    }
 
     #[test]
     fn shard_resolution_clamps_and_defaults() {

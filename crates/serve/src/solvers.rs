@@ -134,7 +134,8 @@ impl AnyCase {
     }
 
     /// Run the case on `pool` through the one driver, with its physics
-    /// erased from the result.
+    /// erased from the result (`Send + Sync`: the trace store hands the
+    /// run from the executor shard to the event loop).
     ///
     /// # Errors
     /// As [`run_instrumented`].
@@ -143,7 +144,7 @@ impl AnyCase {
         pool: &Workers,
         schedules: Option<&ScheduleMap>,
         widths: Option<&WidthMap>,
-    ) -> Result<Box<dyn FinishedRun>, String> {
+    ) -> Result<Box<dyn FinishedRun + Send + Sync>, String> {
         Ok(match self {
             AnyCase::F3d(case) => Box::new(run_instrumented::<F3dSolver>(
                 case, pool, schedules, widths,

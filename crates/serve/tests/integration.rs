@@ -15,7 +15,7 @@ use perfmodel::overhead::OverheadBound;
 use serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tune::{TuneDb, TuneEntry, TUNE_SCHEMA_VERSION};
@@ -1321,6 +1321,15 @@ fn solve_trace_id(addr: SocketAddr, body: &str) -> u64 {
         .expect("flight-instrumented solve advertises a trace_id")
 }
 
+/// Both documents of a retained trace, `(attribution, chrome)`, as
+/// served.
+fn trace_documents(addr: SocketAddr, id: u64) -> (String, String) {
+    let attribution = get(addr, &format!("/v1/trace/{id}"));
+    let chrome = get(addr, &format!("/v1/trace/{id}?trace=chrome"));
+    assert_eq!((attribution.status, chrome.status), (200, 200));
+    (attribution.body, chrome.body)
+}
+
 #[test]
 fn solve_trace_attribution_agrees_with_the_model() {
     let server = small_server();
@@ -1470,6 +1479,46 @@ fn trace_endpoint_rejects_unknowns_cleanly() {
         .and_then(Json::as_u64)
         .unwrap();
     assert!(traces >= 4);
+    server.shutdown();
+}
+
+#[test]
+fn trace_documents_repeat_until_the_seventeenth_trace_evicts_them() {
+    let server = small_server();
+    let addr = server.addr();
+    const TINY: &str = r#"{"zones": 1, "steps": 1, "cache": "bypass"}"#;
+
+    let first = solve_trace_id(
+        addr,
+        r#"{"solver": "fdtd", "size": 32, "steps": 4, "schedule": "dynamic", "chunk": 1}"#,
+    );
+    // The documents are rendered per request from the retained run, so
+    // asking twice must give the same bytes.
+    let documents = trace_documents(addr, first);
+    assert!(
+        documents.1.contains("\"claim\""),
+        "a dynamic run has claims"
+    );
+    assert_eq!(trace_documents(addr, first), documents);
+
+    // The store retains 16: fifteen more solves leave the first in
+    // place, the seventeenth trace evicts it — and only it.
+    let second = solve_trace_id(addr, TINY);
+    for _ in 0..14 {
+        solve_trace_id(addr, TINY);
+    }
+    assert_eq!(trace_documents(addr, first), documents);
+    let seventeenth = solve_trace_id(addr, TINY);
+    for query in ["", "?trace=chrome"] {
+        let gone = get(addr, &format!("/v1/trace/{first}{query}"));
+        assert_eq!(gone.status, 404);
+        assert_eq!(
+            gone.json().get("error").and_then(Json::as_str),
+            Some(format!("no trace {first} (evicted or never existed)").as_str())
+        );
+    }
+    assert_eq!(get(addr, &format!("/v1/trace/{second}")).status, 200);
+    assert_eq!(get(addr, &format!("/v1/trace/{seventeenth}")).status, 200);
     server.shutdown();
 }
 
@@ -1685,6 +1734,20 @@ fn identical_concurrent_solves_coalesce_into_one_execution() {
     trace_ids.sort_unstable();
     trace_ids.dedup();
     assert_eq!(trace_ids.len(), N, "trace ids must be distinct per waiter");
+    // Each waiter's own id resolves to the documents of the one shared
+    // execution: the same bytes modulo the id the attribution echoes.
+    let documents: Vec<(String, String)> = trace_ids
+        .iter()
+        .map(|&id| {
+            let (attribution, chrome) = trace_documents(addr, id);
+            assert!(attribution.starts_with(&format!("{{\"trace_id\":{id},")));
+            (mask_trace_id(&attribution), chrome)
+        })
+        .collect();
+    assert!(
+        documents.windows(2).all(|w| w[0] == w[1]),
+        "waiters' traces diverged"
+    );
 
     // A later identical solve is a pure cache hit: no execution, no
     // fresh trace, marked "hit".
@@ -1997,10 +2060,11 @@ fn prometheus_counters_stay_consistent_under_concurrent_scrapes() {
     // A background client keeps solves in flight while the main thread
     // scrapes; bypass defeats the cache so executions overlap scrapes.
     let stop = Arc::new(AtomicBool::new(false));
+    let replies = Arc::new(AtomicU64::new(0));
     let load = {
         let stop = Arc::clone(&stop);
+        let replies = Arc::clone(&replies);
         std::thread::spawn(move || {
-            let mut sent = 0u64;
             while !stop.load(Ordering::SeqCst) {
                 let reply = post(
                     addr,
@@ -2013,15 +2077,24 @@ fn prometheus_counters_stay_consistent_under_concurrent_scrapes() {
                     reply.status,
                     reply.body
                 );
-                sent += 1;
+                replies.fetch_add(1, Ordering::SeqCst);
             }
-            sent
         })
     };
 
+    // At least 15 scrapes, and as many more as it takes for the load
+    // thread to have counted a reply: on two vCPUs fifteen scrapes can
+    // finish before the first solve does, and then no load overlapped
+    // them.
     let mut last_requests = 0.0;
     let mut last_sum = 0.0;
-    for _ in 0..15 {
+    let started = Instant::now();
+    let mut scrapes = 0;
+    while scrapes < 15 || replies.load(Ordering::SeqCst) == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "no load flowed during {scrapes} scrapes"
+        );
         let prom = get(addr, "/metrics");
         assert_eq!(prom.status, 200);
         let requests = prom_value(&prom.body, "llpd_requests_total");
@@ -2036,12 +2109,10 @@ fn prometheus_counters_stay_consistent_under_concurrent_scrapes() {
             "responses outran requests: {requests} < {sum}"
         );
         (last_requests, last_sum) = (requests, sum);
+        scrapes += 1;
     }
     stop.store(true, Ordering::SeqCst);
-    assert!(
-        load.join().unwrap() > 0,
-        "no load flowed during the scrapes"
-    );
+    load.join().expect("the load thread's own assertions held");
 
     wait_until("queue drained", || {
         metric(addr, "queue_depth") == 0 && metric(addr, "executor_busy") == 0
