@@ -58,8 +58,8 @@ pub use doacross::{
 };
 pub use fusion::FusedRegion;
 pub use obs::{
-    AttributionReport, FlightRecorder, Histogram, KernelSummary, ObsReport, Recorder, SpanKind,
-    SpanNode, Timeline,
+    AttributionReport, FlightRecorder, KernelSummary, ObsReport, Recorder, SpanKind, SpanNode,
+    Timeline,
 };
 pub use pool::{default_worker_count, ChunkClaimer, Workers};
 pub use schedule::{chunk_bounds, Policy, ScheduleMap};

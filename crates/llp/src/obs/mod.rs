@@ -24,27 +24,20 @@
 //! the same disabled-is-free contract. Drained timelines feed the
 //! overhead [`attr`]ibution report (compute vs. barrier vs. claim, per
 //! worker and per region, checked against `perfmodel`'s Table 1 bound)
-//! and the [`chrome`] trace exporter; [`hist`] adds the fixed-bucket
-//! histograms the serve layer publishes, and [`series`] rolls those
-//! signals up into a fixed-capacity ring of time windows for
-//! continuous telemetry (`/v1/stats`).
+//! and the [`chrome`] trace exporter.
 
 pub mod attr;
 pub mod chrome;
-pub mod hist;
 pub mod json;
 mod recorder;
 mod report;
-pub mod series;
 pub mod timeline;
 
 pub use attr::{
     AttributionReport, KernelOverhead, ModelCheck, RegionAttribution, WorkerAttribution,
 };
-pub use hist::Histogram;
 pub use recorder::{Recorder, SpanGuard};
 pub use report::{KernelSummary, ObsReport, SpanKind, SpanNode, REPORT_SCHEMA_VERSION};
-pub use series::{Series, SERIES_SCHEMA_VERSION};
 pub use timeline::{
     EventKind, FlightRecorder, LaneTimeline, RegionMark, RegionSession, Timeline, TimelineEvent,
 };

@@ -66,7 +66,6 @@ fn disabled_recorder_allocates_nothing() {
     assert!(after > before, "enabled path should allocate span nodes");
 
     disabled_flight_recorder_allocates_nothing();
-    disabled_series_allocates_nothing();
 }
 
 /// Same contract for the flight recorder: every recording call on a
@@ -142,42 +141,4 @@ fn disabled_flight_recorder_allocates_nothing() {
         after > before,
         "enabled flight path should allocate on drain"
     );
-}
-
-/// Same contract for the windowed time series: every record/tick call
-/// on a disabled [`llp::obs::Series`] is a single `None` branch — no
-/// allocation, no lock, no clock read. The per-kernel list is passed
-/// as a closure precisely so a disabled series never builds it; this
-/// loop would fail if that closure were ever invoked. Called from the
-/// one `#[test]` above (the counter is process-global).
-fn disabled_series_allocates_nothing() {
-    let series = llp::obs::Series::disabled();
-    assert!(!series.is_enabled());
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        series.record_request(200, 1.5);
-        series.record_cache(i % 2 == 0);
-        series.record_solve(0.01, Some(0.2), || {
-            vec![("rhs".to_string(), 0.01)] // must never run when disabled
-        });
-        series.record_zone_job(4);
-        series.tick(i);
-    }
-    assert_eq!(series.windows_sealed(), 0);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "disabled series must not allocate on the record/tick path"
-    );
-
-    // Sanity: the enabled series does allocate when sealing windows.
-    let enabled = llp::obs::Series::enabled(10, 4);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    enabled.record_request(200, 1.5);
-    enabled.record_solve(0.01, None, || vec![("rhs".to_string(), 0.01)]);
-    enabled.tick(20);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert!(after > before, "enabled series should allocate on seal");
 }

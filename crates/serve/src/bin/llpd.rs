@@ -22,7 +22,8 @@
 //! warned about and skipped — the server still starts.
 //!
 //! `--telemetry-window-ms` sets the width of the continuous-telemetry
-//! windows (`/v1/stats`); 0 disables telemetry.
+//! windows (`/v1/stats`); 0 disables the windows (`/metrics` counts
+//! the same either way).
 //! `--telemetry-out` names a file the final drain snapshot is written
 //! to on shutdown; without it the snapshot goes to stderr.
 //!
@@ -249,7 +250,7 @@ mod tests {
         // The window default comes from the library, not the flag.
         assert_eq!(
             config.telemetry_window_ms,
-            llp::obs::series::DEFAULT_WINDOW_MS
+            serve::telemetry::DEFAULT_WINDOW_MS
         );
         assert!(parse_args(&["--telemetry-out".to_string()]).is_err());
     }

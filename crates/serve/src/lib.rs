@@ -29,8 +29,9 @@
 //!   application/json` or `?format=json` selects the JSON form);
 //! * `GET /v1/health` — liveness (`ok` or `draining`) and the
 //!   telemetry clock;
-//! * `GET /v1/stats` — recent telemetry windows from the in-process
-//!   time series ([`llp::obs::series`]);
+//! * `GET /v1/stats` — recent telemetry windows ([`telemetry`]), each
+//!   the difference of two snapshots of the `/metrics` table
+//!   ([`metrics`]);
 //! * `GET /v1/trace/{id}` — per-worker overhead attribution for a
 //!   recent solve (append `?trace=chrome` for a Chrome trace-event
 //!   download), backed by a bounded in-memory [`trace`] ring fed by
@@ -51,12 +52,14 @@
 pub mod api;
 pub mod cache;
 pub mod evloop;
+pub mod hist;
 pub mod http;
 pub mod log;
 pub mod metrics;
 pub mod server;
 pub mod signal;
 pub mod solvers;
+pub mod telemetry;
 pub mod trace;
 
 pub use server::{Server, ServerConfig};

@@ -4,9 +4,17 @@
 //! counters and gauges, `FAMILIES` for labelled counter families,
 //! `HISTOGRAMS` for the two distributions — carrying its Prometheus
 //! name, kind, HELP text and JSON path. [`Metrics`] holds one atomic
-//! cell per row (per label, for a family), indexed by the row's id, and
-//! both expositions are loops over the tables: adding a metric is one
-//! row here and one `inc`/`add`/`set`/`bump` call where it happens.
+//! cell per row (per label, for a family), indexed by the row's id;
+//! [`Metrics::snapshot`] copies the cells into a [`Snapshot`], and both
+//! expositions are loops over the tables rendering one. Adding a metric
+//! is one row here and one `inc`/`add`/`set`/`bump` call where it
+//! happens.
+//!
+//! Counting happens here and nowhere else. A telemetry window
+//! (`/v1/stats`, [`crate::telemetry`]) is the difference of two
+//! snapshots ([`Snapshot::since`]): counters, families and histogram
+//! buckets subtract, gauges keep their value at the window's end, so a
+//! new row windows itself.
 //!
 //! Everything is a relaxed atomic: connection threads bump request and
 //! status counters, the executor bumps job and observability totals,
@@ -16,12 +24,13 @@
 //! they must agree with the pool's own synchronization-event counter —
 //! an invariant the integration tests check end to end.
 
+use crate::hist::{add_f64, Buckets, Histogram};
 use crate::solvers;
 use llp::obs::json::Json;
-use llp::obs::Histogram;
 use solver::SUPPORTED_WIDTHS;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The status codes the service emits, each with its own counter.
 pub const TRACKED_STATUSES: [u16; 10] = [200, 400, 404, 405, 408, 413, 429, 500, 501, 503];
@@ -147,6 +156,8 @@ table! {
         ObsReportsTotal => ScalarRow { name: "obs_reports_total", kind: COUNTER, json: "obs_reports_total", value: U64, help: "Span reports folded into the totals." },
         ObsSyncEventsTotal => ScalarRow { name: "obs_sync_events_total", kind: COUNTER, json: "obs_sync_events_total", value: U64, help: "Sync events attributed by span reports." },
         ObsSecondsTotal => ScalarRow { name: "obs_seconds_total", kind: COUNTER, json: "obs_seconds_total", value: F64, help: "Solver wall seconds attributed by span reports." },
+        ObsSyncNsTotal => ScalarRow { name: "obs_sync_ns_total", kind: COUNTER, json: "obs_sync_ns_total", value: U64, help: "Barrier and claim nanoseconds attributed by flight timelines." },
+        ObsBusyNsTotal => ScalarRow { name: "obs_busy_ns_total", kind: COUNTER, json: "obs_busy_ns_total", value: U64, help: "Compute, barrier and claim nanoseconds attributed by flight timelines." },
         SolvesRejectedMemoryTotal => ScalarRow { name: "solves_rejected_memory_total", kind: COUNTER, json: "solves_rejected_memory_total", value: U64, help: "Solves rejected by memory-budget admission control." },
         CacheHitsTotal => ScalarRow { name: "cache_hits_total", kind: COUNTER, json: "cache/hits", value: U64, help: "Solves served from the result cache." },
         CacheMissesTotal => ScalarRow { name: "cache_misses_total", kind: COUNTER, json: "cache/misses", value: U64, help: "Solves that missed the cache and executed." },
@@ -257,7 +268,7 @@ fn kernel_labels() -> Vec<String> {
 
 /// A value as both expositions print it: integers exactly, `f64` in
 /// shortest form with infinities as `+Inf`/`-Inf`.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Reading {
     Int(u64),
     Real(f64),
@@ -269,6 +280,22 @@ impl Reading {
             U64 => Reading::Int(cell.load(Ordering::Relaxed)),
             F64 => Reading::Real(f64::from_bits(cell.load(Ordering::Relaxed))),
             Pool(read) => Reading::Int(read(ctx)),
+        }
+    }
+
+    /// The counter increase from `earlier` to `self`.
+    fn minus(self, earlier: Reading) -> Self {
+        match (self, earlier) {
+            (Reading::Int(now), Reading::Int(then)) => Reading::Int(now.saturating_sub(then)),
+            (Reading::Real(now), Reading::Real(then)) => Reading::Real(now - then),
+            _ => unreachable!("a row's value keeps its type"),
+        }
+    }
+
+    fn as_f64(self) -> f64 {
+        match self {
+            Reading::Int(v) => v as f64,
+            Reading::Real(v) => v,
         }
     }
 
@@ -291,18 +318,10 @@ impl fmt::Display for Reading {
     }
 }
 
-/// `f64` accumulation on a bit-pattern cell.
-fn add_f64(cell: &AtomicU64, v: f64) {
-    cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-        Some((f64::from_bits(bits) + v).to_bits())
-    })
-    .expect("the update closure never declines");
-}
-
 /// One family's label vocabulary and a cell per label.
 #[derive(Debug)]
 struct FamilyCells {
-    labels: Vec<String>,
+    labels: Arc<[String]>,
     cells: Vec<AtomicU64>,
 }
 
@@ -327,7 +346,7 @@ impl Metrics {
         Self {
             scalars: std::array::from_fn(|_| AtomicU64::new(0)),
             families: std::array::from_fn(|i| {
-                let labels = (FAMILIES[i].labels)();
+                let labels: Arc<[String]> = (FAMILIES[i].labels)().into();
                 let cells = labels.iter().map(|_| AtomicU64::new(0)).collect();
                 FamilyCells { labels, cells }
             }),
@@ -455,40 +474,101 @@ impl Metrics {
         self.set(Scalar::CacheEntries, entries as u64);
     }
 
-    /// Render the snapshot as a JSON document: each scalar at its
-    /// path, each family as a `{label: value}` object, each histogram
-    /// under its key.
+    /// Copy every cell out, reading the pool's rows off `ctx`.
     #[must_use]
-    pub fn to_json(&self, ctx: &PoolContext) -> Json {
+    pub fn snapshot(&self, ctx: &PoolContext) -> Snapshot {
+        Snapshot {
+            scalars: std::array::from_fn(|i| Reading::of(SCALARS[i].value, &self.scalars[i], ctx)),
+            families: std::array::from_fn(|i| {
+                let family = &self.families[i];
+                let readings = family
+                    .cells
+                    .iter()
+                    .map(|cell| Reading::of(FAMILIES[i].value, cell, ctx))
+                    .collect();
+                (Arc::clone(&family.labels), readings)
+            }),
+            histograms: std::array::from_fn(|i| self.histograms[i].snapshot()),
+        }
+    }
+}
+
+/// Every cell of the table, copied at one instant. Both expositions
+/// render one, and so does a telemetry window: the difference of two.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Snapshot {
+    scalars: [Reading; SCALARS.len()],
+    /// Per family, its label vocabulary and a reading per label.
+    families: [(Arc<[String]>, Vec<Reading>); FAMILIES.len()],
+    histograms: [Buckets; HISTOGRAMS.len()],
+}
+
+impl Snapshot {
+    /// What happened after `earlier`, a snapshot of the same table:
+    /// counters, families and histograms are differences; gauges keep
+    /// their value here, at the later end.
+    #[must_use]
+    pub fn since(&self, earlier: &Snapshot) -> Snapshot {
+        Snapshot {
+            scalars: std::array::from_fn(|i| {
+                let now = self.scalars[i];
+                if SCALARS[i].kind == GAUGE {
+                    now
+                } else {
+                    now.minus(earlier.scalars[i])
+                }
+            }),
+            families: std::array::from_fn(|i| {
+                let ((labels, now), (_, then)) = (&self.families[i], &earlier.families[i]);
+                let delta = now.iter().zip(then).map(|(n, t)| n.minus(*t)).collect();
+                (Arc::clone(labels), delta)
+            }),
+            histograms: std::array::from_fn(|i| self.histograms[i].since(&earlier.histograms[i])),
+        }
+    }
+
+    /// The pooled synchronization share Σ sync_ns / Σ busy_ns over every
+    /// attributed solve counted here — one
+    /// `AttributionReport::sync_fraction` over all of their timelines.
+    /// `None` when nothing was attributed.
+    #[must_use]
+    pub fn sync_fraction(&self) -> Option<f64> {
+        let sync = self.scalars[Scalar::ObsSyncNsTotal as usize].as_f64();
+        let busy = self.scalars[Scalar::ObsBusyNsTotal as usize].as_f64();
+        (busy > 0.0).then(|| sync / busy)
+    }
+
+    /// Render as a JSON document: each scalar at its path, each family
+    /// as a `{label: value}` object, each histogram under its key.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
         let mut doc: Vec<(String, Json)> = Vec::new();
-        for (row, cell) in SCALARS.iter().zip(&self.scalars) {
-            let value = Reading::of(row.value, cell, ctx).to_json();
+        for (row, value) in SCALARS.iter().zip(&self.scalars) {
+            let value = value.to_json();
             match row.json.split_once('/') {
                 None => doc.push((row.json.to_string(), value)),
                 Some((group, key)) => group_of(&mut doc, group).push((key.to_string(), value)),
             }
         }
-        for (row, family) in FAMILIES.iter().zip(&self.families) {
-            let members = family
-                .labels
+        for (row, (labels, readings)) in FAMILIES.iter().zip(&self.families) {
+            let members = labels
                 .iter()
-                .zip(&family.cells)
-                .map(|(label, cell)| (label.clone(), Reading::of(row.value, cell, ctx).to_json()))
+                .zip(readings)
+                .map(|(label, value)| (label.clone(), value.to_json()))
                 .collect();
             doc.push((row.json.to_string(), Json::Object(members)));
         }
-        for (row, hist) in HISTOGRAMS.iter().zip(&self.histograms) {
-            doc.push((row.json.to_string(), hist.to_json()));
+        for (row, buckets) in HISTOGRAMS.iter().zip(&self.histograms) {
+            doc.push((row.json.to_string(), buckets.to_json()));
         }
         Json::Object(doc)
     }
 
-    /// Render the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): one `# TYPE`d family per row, in table order,
-    /// the histograms as cumulative `_bucket` / `_sum` / `_count`
-    /// series. A view of the same cells as [`Metrics::to_json`].
+    /// Render in the Prometheus text exposition format (version 0.0.4):
+    /// one `# TYPE`d family per row, in table order, the histograms as
+    /// cumulative `_bucket` / `_sum` / `_count` series.
     #[must_use]
-    pub fn to_prometheus(&self, ctx: &PoolContext) -> String {
+    pub fn to_prometheus(&self) -> String {
         // Writing to a `String` cannot fail, hence the dropped results.
         let mut out = String::with_capacity(8192);
         let header = |out: &mut String, name: &str, kind: &str, help: &str| {
@@ -497,15 +577,13 @@ impl Metrics {
                 "# HELP llpd_{name} {help}\n# TYPE llpd_{name} {kind}\n"
             );
         };
-        for (row, cell) in SCALARS.iter().zip(&self.scalars) {
+        for (row, value) in SCALARS.iter().zip(&self.scalars) {
             header(&mut out, row.name, row.kind, row.help);
-            let value = Reading::of(row.value, cell, ctx);
             let _ = writeln!(out, "llpd_{} {value}", row.name);
         }
-        for (row, family) in FAMILIES.iter().zip(&self.families) {
+        for (row, (labels, readings)) in FAMILIES.iter().zip(&self.families) {
             header(&mut out, row.name, COUNTER, row.help);
-            for (label, cell) in family.labels.iter().zip(&family.cells) {
-                let value = Reading::of(row.value, cell, ctx);
+            for (label, value) in labels.iter().zip(readings) {
                 let _ = writeln!(
                     out,
                     "llpd_{}{{{}=\"{label}\"}} {value}",
@@ -513,15 +591,15 @@ impl Metrics {
                 );
             }
         }
-        for (row, hist) in HISTOGRAMS.iter().zip(&self.histograms) {
+        for (row, buckets) in HISTOGRAMS.iter().zip(&self.histograms) {
             header(&mut out, row.name, "histogram", row.help);
-            for (bound, cumulative) in hist.cumulative_buckets() {
+            for (bound, cumulative) in buckets.cumulative() {
                 let le = Reading::Real(bound);
                 let _ = writeln!(out, "llpd_{}_bucket{{le=\"{le}\"}} {cumulative}", row.name);
             }
-            let sum = Reading::Real(hist.sum());
+            let sum = Reading::Real(buckets.sum());
             let _ = writeln!(out, "llpd_{}_sum {sum}", row.name);
-            let _ = writeln!(out, "llpd_{}_count {}", row.name, hist.count());
+            let _ = writeln!(out, "llpd_{}_count {}", row.name, buckets.count());
         }
         out
     }
@@ -576,7 +654,9 @@ mod tests {
     /// The golden files were written by the hand-rolled renderer this
     /// table replaced, driven by the same script (through its named
     /// bump methods): every scalar, every family including a label
-    /// outside its vocabulary, both histograms.
+    /// outside its vocabulary, both histograms. The two attribution
+    /// rows (`obs_sync_ns_total`, `obs_busy_ns_total`) came later and
+    /// are the goldens' only additions.
     #[test]
     fn expositions_match_the_goldens_of_the_hand_written_renderer() {
         let m = Metrics::new();
@@ -596,6 +676,8 @@ mod tests {
         m.inc(Scalar::JobsTotal);
         m.job_done(18, 0.25);
         m.job_done(36, 0.5);
+        m.add(Scalar::ObsSyncNsTotal, 40);
+        m.add(Scalar::ObsBusyNsTotal, 4000);
         m.zone_job(2, 12, 4);
         m.zone_job(4, 16, 3);
         for kind in ["f3d", "fdtd", "fdtd", "nonsense"] {
@@ -629,19 +711,19 @@ mod tests {
         m.observe(Hist::QueueDepths, 5.0);
 
         assert_eq!(
-            m.to_prometheus(&CTX),
+            m.snapshot(&CTX).to_prometheus(),
             include_str!("../tests/golden/metrics.prom"),
             "Prometheus exposition must stay byte-for-byte"
         );
         let golden = Json::parse(include_str!("../tests/golden/metrics.json")).unwrap();
-        assert_eq!(canonical(&m.to_json(&CTX)), canonical(&golden));
+        assert_eq!(canonical(&m.snapshot(&CTX).to_json()), canonical(&golden));
     }
 
     #[test]
     fn table_names_and_paths_are_unique_and_every_row_renders_twice() {
         let m = Metrics::new();
-        let text = m.to_prometheus(&CTX);
-        let doc = m.to_json(&CTX);
+        let text = m.snapshot(&CTX).to_prometheus();
+        let doc = m.snapshot(&CTX).to_json();
         let rows = SCALARS
             .iter()
             .map(|r| (r.name, r.kind, r.json))
@@ -674,11 +756,11 @@ mod tests {
             for name in row.kernels {
                 let m = Metrics::new();
                 m.add_seconds(Family::KernelSeconds, name, 0.5);
-                let doc = m.to_json(&CTX);
+                let doc = m.snapshot(&CTX).to_json();
                 let kernels = doc.get("kernel_seconds").unwrap();
                 assert_eq!(kernels.get(name).and_then(Json::as_f64), Some(0.5));
                 assert_eq!(kernels.get("other").and_then(Json::as_f64), Some(0.0));
-                assert!(m.to_prometheus(&CTX).contains(&format!(
+                assert!(m.snapshot(&CTX).to_prometheus().contains(&format!(
                     "llpd_kernel_seconds_total{{kernel=\"{name}\"}} 0.5\n"
                 )));
             }
@@ -692,7 +774,7 @@ mod tests {
         m.response(429);
         m.response(418);
         assert_eq!(m.get(Scalar::RejectedTotal), 1);
-        let doc = m.to_json(&CTX);
+        let doc = m.snapshot(&CTX).to_json();
         let status = doc.get("status").unwrap();
         assert_eq!(status.get("200").unwrap().as_u64(), Some(1));
         assert_eq!(status.get("429").unwrap().as_u64(), Some(1));
@@ -714,7 +796,7 @@ mod tests {
         m.bump(Family::SolvesByVectorWidth, "999");
         m.bump(Family::SolvesBySchedule, "weird");
         m.add_seconds(Family::KernelSeconds, "bc", 0.125);
-        let doc = m.to_json(&CTX);
+        let doc = m.snapshot(&CTX).to_json();
         for (path, expect) in [
             ("requests_total", 1.0),
             ("endpoints/other", 1.0),
@@ -742,7 +824,7 @@ mod tests {
         m.inc(Scalar::OpenConnections);
         m.inc(Scalar::OpenConnections);
         m.dec(Scalar::OpenConnections);
-        let j = m.to_json(&CTX);
+        let j = m.snapshot(&CTX).to_json();
         assert_eq!(j.get("queue_depth").unwrap().as_u64(), Some(3));
         assert_eq!(j.get("executor_busy").unwrap().as_u64(), Some(2));
         assert_eq!(m.get(Scalar::ExecutorBusy), 2);
@@ -750,7 +832,7 @@ mod tests {
         m.set(Scalar::QueueDepth, 0);
         m.dec(Scalar::ExecutorBusy);
         m.dec(Scalar::ExecutorBusy);
-        let j = m.to_json(&CTX);
+        let j = m.snapshot(&CTX).to_json();
         assert_eq!(j.get("queue_depth").unwrap().as_u64(), Some(0));
         assert_eq!(j.get("executor_busy").unwrap().as_u64(), Some(0));
     }
@@ -760,7 +842,7 @@ mod tests {
         let m = Metrics::new();
         m.observe(Hist::LatencyMs, 3.0);
         m.observe(Hist::LatencyMs, 700.0);
-        let text = m.to_prometheus(&CTX);
+        let text = m.snapshot(&CTX).to_prometheus();
         assert!(text.contains("llpd_request_latency_ms_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("llpd_request_latency_ms_count 2\n"));
         assert!(text.contains("llpd_request_latency_ms_sum 703\n"));

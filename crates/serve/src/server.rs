@@ -64,13 +64,12 @@ use crate::api;
 use crate::cache::{ContentKey, SolveCache, DEFAULT_CACHE_CAPACITY};
 use crate::evloop::{self, Conn, PollFd, ReadOutcome, WakeReceiver, Waker, POLLIN, POLLOUT};
 use crate::http::{parse_request_bytes, render_response, Parse, Request, Response, MAX_HEAD_BYTES};
-use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar};
+use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar, Snapshot};
 use crate::solvers::{self, AnyCase, MAX_WORKERS};
+use crate::telemetry::{self, Windows};
 use crate::trace::{TraceEntry, TraceStore, TracedRun};
 use llp::obs::json::Json;
-use llp::obs::series::DEFAULT_WINDOW_MS;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use llp::obs::Series;
 use llp::{FlightRecorder, Recorder, Workers};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -154,8 +153,8 @@ pub struct ServerConfig {
     /// the pool. `None` (the default) admits everything.
     pub memory_budget: Option<u64>,
     /// Width of one telemetry window in milliseconds (`/v1/stats`).
-    /// `0` disables continuous telemetry entirely — the series records
-    /// nothing and allocates nothing.
+    /// `0` disables the windows: no snapshot of the metrics is kept and
+    /// `/v1/stats` answers `null`. `/metrics` counts the same either way.
     pub telemetry_window_ms: u64,
 }
 
@@ -173,7 +172,7 @@ impl Default for ServerConfig {
             job_fault: None,
             tune_db: None,
             memory_budget: None,
-            telemetry_window_ms: DEFAULT_WINDOW_MS,
+            telemetry_window_ms: telemetry::DEFAULT_WINDOW_MS,
         }
     }
 }
@@ -350,10 +349,11 @@ struct Shared {
     waker: Waker,
     /// Monotone per-process request ids for the access log.
     request_seq: AtomicU64,
-    /// Windowed telemetry ring (`/v1/stats`); disabled (and free) when
-    /// [`ServerConfig::telemetry_window_ms`] is 0.
-    series: Series,
-    /// Server start instant — the telemetry series' time origin.
+    /// Snapshots of `metrics` at the telemetry window boundaries
+    /// (`/v1/stats`); `None` when [`ServerConfig::telemetry_window_ms`]
+    /// is 0.
+    telemetry: Option<Windows>,
+    /// Server start instant — the telemetry clock's origin.
     started: Instant,
     config: ServerConfig,
 }
@@ -362,6 +362,27 @@ impl Shared {
     /// Snapshot a solver's current tune database (cheap Arc clone).
     fn tune_db(&self, kind: &str) -> Option<Arc<TuneDb>> {
         lock_clean(&self.tune.db).get(kind).cloned()
+    }
+
+    /// Every metric now, the pool's own counters included.
+    fn snapshot(&self) -> Snapshot {
+        self.metrics
+            .snapshot(&pool_context(&self.pool, self.shards))
+    }
+
+    /// Milliseconds since start on the telemetry clock.
+    fn clock_ms(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+}
+
+/// The `/metrics` values the pool and the shard count own.
+fn pool_context(pool: &Workers, shards: usize) -> PoolContext {
+    PoolContext {
+        pool_workers: pool.processors(),
+        executor_shards: shards,
+        pool_sync_events: pool.sync_event_count(),
+        pool_regions: pool.region_count(),
     }
 }
 
@@ -389,9 +410,18 @@ impl Server {
         let workers = config.workers.clamp(1, MAX_WORKERS);
         let shards = config.resolved_shards().min(workers);
         let cache_capacity = config.cache_capacity;
+        let (metrics, pool) = (Metrics::new(), Workers::new(workers));
+        let telemetry = (config.telemetry_window_ms > 0).then(|| {
+            let origin = metrics.snapshot(&pool_context(&pool, shards));
+            Windows::new(
+                config.telemetry_window_ms,
+                telemetry::DEFAULT_CAPACITY,
+                origin,
+            )
+        });
         let shared = Arc::new(Shared {
-            metrics: Metrics::new(),
-            pool: Workers::new(workers),
+            metrics,
+            pool,
             shards,
             queue: Mutex::new(VecDeque::new()),
             queue_signal: Condvar::new(),
@@ -414,14 +444,7 @@ impl Server {
             completions: completions_tx,
             waker,
             request_seq: AtomicU64::new(1),
-            series: if config.telemetry_window_ms == 0 {
-                Series::disabled()
-            } else {
-                Series::enabled(
-                    config.telemetry_window_ms,
-                    llp::obs::series::DEFAULT_CAPACITY,
-                )
-            },
+            telemetry,
             started: Instant::now(),
             config,
         });
@@ -513,17 +536,14 @@ impl Server {
         // Everything is drained; seal the in-progress window by ticking
         // one full window past "now" so the drain snapshot includes it.
         let shared = &self.shared;
-        if shared.series.is_enabled() {
-            let now_ms = u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-            shared
-                .series
-                .tick(now_ms.saturating_add(shared.config.telemetry_window_ms));
-        }
-        let windows = shared.series.snapshot(usize::MAX);
-        Json::object(vec![
-            ("event", Json::str("llpd.drain")),
-            ("series", windows),
-        ])
+        let series = shared.telemetry.as_ref().map_or(Json::Null, |windows| {
+            let past_now = shared
+                .clock_ms()
+                .saturating_add(shared.config.telemetry_window_ms);
+            windows.tick(past_now, || shared.snapshot());
+            windows.to_json(usize::MAX)
+        });
+        Json::object(vec![("event", Json::str("llpd.drain")), ("series", series)])
     }
 }
 
@@ -628,40 +648,6 @@ fn retain_trace(shared: &Arc<Shared>, traced: &Arc<TracedRun>) -> Option<u64> {
     Some(id)
 }
 
-/// Feed one completed solve into the windowed telemetry series
-/// (`/v1/stats`) and the per-kernel seconds of `/metrics`. Gated on the
-/// series being enabled.
-fn observe_solve(shared: &Arc<Shared>, traced: &TracedRun) {
-    if !shared.series.is_enabled() {
-        return;
-    }
-    let TracedRun { run, attr, kernels } = traced;
-    for k in kernels {
-        shared
-            .metrics
-            .add_seconds(Family::KernelSeconds, &k.kernel, k.wall_ns as f64 / 1e9);
-    }
-    let total_seconds = run.report().total_seconds();
-    shared.series.record_solve(
-        total_seconds,
-        attr.model_check().map(|c| c.measured_fraction),
-        || {
-            // A per-solver pseudo-kernel rides along with the real
-            // kernel rows, so /v1/stats windows carry one series per
-            // physics without a schema change.
-            let mut rows: Vec<(String, f64)> = kernels
-                .iter()
-                .map(|k| (k.kernel.clone(), k.wall_ns as f64 / 1e9))
-                .collect();
-            rows.push((format!("solver/{}", run.case().kind()), total_seconds));
-            rows
-        },
-    );
-    if let Some(zones) = run.output().zone_dispatch() {
-        shared.series.record_zone_job(zones.zone_tasks);
-    }
-}
-
 fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completion> {
     if let Some(fault) = &shared.config.job_fault {
         assert!(
@@ -694,13 +680,21 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
             };
             match case.run(&view, map.as_ref(), widths.as_ref()) {
                 Ok(run) => {
-                    // Where the time went, derived once: the series and
-                    // every waiter's trace entry share the one handle.
+                    // Where the time went, derived once: the counters
+                    // and every waiter's trace entry share the one handle.
                     let traced = Arc::new(TracedRun::new(run));
-                    let run = &*traced.run;
+                    let TracedRun { run, attr, kernels } = &*traced;
                     shared
                         .metrics
                         .job_done(run.sync_events(), run.report().total_seconds());
+                    shared.metrics.add(Scalar::ObsSyncNsTotal, attr.sync_ns());
+                    shared.metrics.add(Scalar::ObsBusyNsTotal, attr.busy_ns());
+                    for k in kernels {
+                        let seconds = k.wall_ns as f64 / 1e9;
+                        shared
+                            .metrics
+                            .add_seconds(Family::KernelSeconds, &k.kernel, seconds);
+                    }
                     shared.metrics.bump(Family::SolvesBySolver, spec.kind());
                     shared.metrics.bump(
                         Family::SolvesByVectorWidth,
@@ -719,10 +713,9 @@ fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completi
                             .metrics
                             .zone_job(zones.shards, zones.zone_tasks, zones.peak_ready);
                     }
-                    observe_solve(shared, &traced);
                     // One render of what every copy of the body shares;
                     // each copy adds its own trace_id/tuned/cache tail.
-                    let body = api::SolveBody::new(run);
+                    let body = api::SolveBody::new(&**run);
                     match &job.origin {
                         JobOrigin::Direct(waiter) => {
                             let trace_id = retain_trace(shared, &traced);
@@ -925,10 +918,9 @@ impl EventLoop {
     /// Advance the telemetry clock on the poll tick: seal the windows
     /// that have elapsed.
     fn tick_telemetry(&mut self) {
-        if self.shared.series.is_enabled() {
-            let now_ms =
-                u64::try_from(self.shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-            self.shared.series.tick(now_ms);
+        let shared = &self.shared;
+        if let Some(windows) = &shared.telemetry {
+            windows.tick(shared.clock_ms(), || shared.snapshot());
         }
     }
 
@@ -1160,7 +1152,6 @@ impl EventLoop {
                 let key = ContentKey::for_case(case, *auto, generation);
                 if let Some(body) = self.shared.cache.get(&key) {
                     self.shared.metrics.inc(Scalar::CacheHitsTotal);
-                    self.shared.series.record_cache(true);
                     let response = Response::ok((*body).clone());
                     self.finish_request(id, response, request.keep_alive, started, log);
                     return;
@@ -1231,7 +1222,6 @@ impl EventLoop {
         if let (Some(inflight), JobOrigin::Keyed(key)) = (&mut inflight, &origin) {
             inflight.insert(key.canonical().to_string(), vec![waiter]);
             shared.metrics.inc(Scalar::CacheMissesTotal);
-            shared.series.record_cache(false);
         }
         queue.push_back(Job { kind, origin });
         shared.metrics.set(Scalar::QueueDepth, queue.len() as u64);
@@ -1270,7 +1260,6 @@ impl EventLoop {
         let elapsed_ms = started.elapsed().as_secs_f64() * 1_000.0;
         self.shared.metrics.response(status);
         self.shared.metrics.observe(Hist::LatencyMs, elapsed_ms);
-        self.shared.series.record_request(status, elapsed_ms);
         // Structured NDJSON access line: parse/queue/compute end to
         // end, one JSON object per request (gated by LLPD_LOG).
         let (req_id, method, path) = log.unwrap_or_else(|| {
@@ -1428,10 +1417,11 @@ fn route(request: &Request, shared: &Arc<Shared>) -> RouteOutcome {
         "health" => RouteOutcome::Inline(health_response(shared)),
         "stats" => RouteOutcome::Inline(match api::parse_stats_query(&request.query) {
             Err(msg) => Response::error(400, &msg),
-            Ok(windows) => Response::ok(
-                api::stats_response(shared.series.snapshot(windows), shared.series.is_enabled())
-                    .to_string(),
-            ),
+            Ok(newest) => {
+                let telemetry = shared.telemetry.as_ref();
+                let series = telemetry.map_or(Json::Null, |windows| windows.to_json(newest));
+                Response::ok(api::stats_response(series, telemetry.is_some()).to_string())
+            }
         }),
         "model" => {
             let kind = &request.path["/v1/model/".len()..];
@@ -1524,16 +1514,11 @@ fn metrics_response(request: &Request, shared: &Arc<Shared>) -> Response {
             )
         }
     };
-    let ctx = PoolContext {
-        pool_workers: shared.pool.processors(),
-        executor_shards: shared.shards,
-        pool_sync_events: shared.pool.sync_event_count(),
-        pool_regions: shared.pool.region_count(),
-    };
+    let snapshot = shared.snapshot();
     if json {
-        Response::ok(shared.metrics.to_json(&ctx).to_string())
+        Response::ok(snapshot.to_json().to_string())
     } else {
-        Response::prometheus(shared.metrics.to_prometheus(&ctx))
+        Response::prometheus(snapshot.to_prometheus())
     }
 }
 
@@ -1542,8 +1527,8 @@ fn metrics_response(request: &Request, shared: &Arc<Shared>) -> Response {
 fn health_response(shared: &Arc<Shared>) -> Response {
     let body = api::health_response(
         shared.draining.load(Ordering::SeqCst),
-        shared.series.is_enabled(),
-        shared.series.windows_sealed(),
+        shared.telemetry.is_some(),
+        shared.telemetry.as_ref().map_or(0, Windows::windows_sealed),
     );
     Response::ok(body.to_string())
 }

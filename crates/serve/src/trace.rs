@@ -36,8 +36,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub const DEFAULT_TRACE_CAPACITY: usize = 16;
 
 /// A finished run with where its time went, derived once per
-/// execution: what the telemetry series, every waiter's trace entry and
-/// the trace documents all read.
+/// execution: what the `/metrics` counters, every waiter's trace entry
+/// and the trace documents all read.
 pub struct TracedRun {
     /// The run, physics erased.
     pub run: Box<dyn FinishedRun + Send + Sync>,

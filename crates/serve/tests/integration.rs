@@ -1958,14 +1958,22 @@ fn health_and_stats_expose_the_telemetry_windows() {
         Some("enabled")
     );
     let series = stats.get("series").expect("series block");
-    assert_eq!(series.get("schema_version").and_then(Json::as_u64), Some(1));
+    assert_eq!(series.get("schema_version").and_then(Json::as_u64), Some(2));
     assert_eq!(series.get("window_ms").and_then(Json::as_u64), Some(50));
     let windows = series.get("windows").and_then(Json::as_array).unwrap();
     assert!(!windows.is_empty() && windows.len() <= 4);
+    // A window is its place in time, the `/metrics` document over it,
+    // and the pooled sync fraction of the solves it attributed.
+    let metrics = get(addr, "/metrics?format=json").json();
+    let mut keys = vec!["index", "start_ms", "end_ms"];
+    keys.extend(member_names(&metrics));
+    keys.push("sync_fraction");
     for w in windows {
-        assert!(w.get("requests").and_then(Json::as_u64).is_some());
-        assert!(w.get("latency_ms").is_some());
-        assert!(w.get("cache").is_some());
+        assert_eq!(member_names(w), keys);
+        let busy = w.get("obs_busy_ns_total").and_then(Json::as_u64).unwrap();
+        let sync = w.get("obs_sync_ns_total").and_then(Json::as_u64).unwrap();
+        let pooled = (busy > 0).then(|| Json::Num(sync as f64 / busy as f64));
+        assert_eq!(w.get("sync_fraction"), Some(&pooled.unwrap_or(Json::Null)));
     }
 
     // Query and method validation.
@@ -2004,6 +2012,23 @@ fn disabled_telemetry_reports_itself_cleanly() {
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(health.get("telemetry"), Some(&Json::Bool(false)));
     assert_eq!(health.get("windows_sealed").and_then(Json::as_u64), Some(0));
+
+    // Without windows `/metrics` still counts everything, the per-kernel
+    // seconds of both physics included.
+    let fdtd = r#"{"solver": "fdtd", "size": 16, "steps": 2}"#;
+    assert_eq!(post(addr, "/v1/solve", fdtd).status, 200);
+    let prom = get(addr, "/metrics").body;
+    for kernel in ["rhs", "update_e"] {
+        let seconds = prom_value(
+            &prom,
+            &format!("llpd_kernel_seconds_total{{kernel=\"{kernel}\"}}"),
+        );
+        assert!(
+            seconds > 0.0,
+            "kernel_seconds_total for {kernel} did not move"
+        );
+    }
+    assert!(prom_value(&prom, "llpd_obs_busy_ns_total") > 0.0);
     server.shutdown();
 }
 
@@ -2032,17 +2057,26 @@ fn drain_snapshot_keeps_requests_served_moments_before_shutdown() {
         Some("llpd.drain")
     );
     let series = snapshot.get("series").expect("series");
+    assert_eq!(series.get("schema_version").and_then(Json::as_u64), Some(2));
     let windows = series.get("windows").and_then(Json::as_array).unwrap();
-    let requests: u64 = windows
-        .iter()
-        .map(|w| w.get("requests").and_then(Json::as_u64).unwrap())
-        .sum();
+    let total = |path: &[&str]| -> u64 {
+        windows
+            .iter()
+            .map(|w| {
+                let value = path.iter().try_fold(w, |j, key| j.get(key));
+                value.and_then(Json::as_u64).unwrap()
+            })
+            .sum()
+    };
+    let requests = total(&["requests_total"]);
     assert!(requests >= 2, "drain snapshot dropped requests: {requests}");
-    let solves: u64 = windows
-        .iter()
-        .map(|w| w.get("solves").and_then(Json::as_u64).unwrap())
-        .sum();
-    assert_eq!(solves, 1);
+    assert_eq!(total(&["solves_by_solver", "f3d"]), 1);
+    assert!(
+        windows
+            .iter()
+            .any(|w| w.get("sync_fraction").and_then(Json::as_f64).is_some()),
+        "the solve's window carries its pooled sync fraction"
+    );
     assert_eq!(member_names(&snapshot), ["event", "series"]);
 }
 
@@ -2237,9 +2271,14 @@ fn fdtd_solve_round_trips_and_caches() {
         1.0
     );
 
-    // The telemetry windows carry a per-solver pseudo-kernel series.
-    wait_until("fdtd series in /v1/stats", || {
-        get(addr, "/v1/stats").body.contains("solver/fdtd")
+    // The telemetry windows count solves per solver, as /metrics does.
+    wait_until("an fdtd solve in a /v1/stats window", || {
+        let stats = get(addr, "/v1/stats?windows=120").json();
+        let windows = stats.get("series").and_then(|s| s.get("windows"));
+        windows.and_then(Json::as_array).unwrap().iter().any(|w| {
+            let fdtd = w.get("solves_by_solver").and_then(|s| s.get("fdtd"));
+            fdtd.and_then(Json::as_u64) == Some(1)
+        })
     });
     server.shutdown();
 }
