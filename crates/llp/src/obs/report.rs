@@ -38,19 +38,6 @@ impl SpanKind {
             SpanKind::Other => "other",
         }
     }
-
-    /// Parse the string form.
-    #[must_use]
-    pub fn from_str_opt(s: &str) -> Option<Self> {
-        match s {
-            "step" => Some(SpanKind::Step),
-            "zone" => Some(SpanKind::Zone),
-            "kernel" => Some(SpanKind::Kernel),
-            "region" => Some(SpanKind::Region),
-            "other" => Some(SpanKind::Other),
-            _ => None,
-        }
-    }
 }
 
 /// One node of the span tree.
@@ -198,45 +185,6 @@ impl SpanNode {
         ));
         Json::object(pairs)
     }
-
-    /// Rebuild a span from its JSON form.
-    ///
-    /// # Errors
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(value: &Json) -> Result<SpanNode, String> {
-        let name = value
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("span missing `name`")?
-            .to_string();
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(SpanKind::from_str_opt)
-            .ok_or("span missing `kind`")?;
-        let get_num = |key: &str| value.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-        let get_int = |key: &str| value.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let children = value
-            .get("children")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(SpanNode::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        #[allow(clippy::cast_possible_truncation)]
-        Ok(SpanNode {
-            name,
-            kind,
-            seconds: get_num("seconds"),
-            workers: get_int("workers") as usize,
-            iterations: get_int("iterations"),
-            chunk_count: get_int("chunk_count") as usize,
-            chunk_max_seconds: get_num("chunk_max_seconds"),
-            chunk_mean_seconds: get_num("chunk_mean_seconds"),
-            sync_events: get_int("sync_events"),
-            children,
-        })
-    }
 }
 
 fn num(v: u64) -> Json {
@@ -323,8 +271,7 @@ pub struct ObsReport {
     /// Worker count originally *requested*, when it differs from
     /// `workers` because the pool clamped an oversubscribed
     /// `sized_view` request. `None` means no clamp happened. Additive
-    /// schema field: emitted only when present, defaulted to `None` on
-    /// parse.
+    /// schema field: emitted only when present.
     pub requested_workers: Option<usize>,
     /// Root spans in execution order (typically one per time step).
     pub spans: Vec<SpanNode>,
@@ -422,54 +369,6 @@ impl ObsReport {
     #[must_use]
     pub fn to_json_string(&self) -> String {
         self.to_json().to_pretty_string()
-    }
-
-    /// Parse a report back from JSON text (derived fields such as
-    /// `kernels` are recomputed from the spans, not read).
-    ///
-    /// # Errors
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json_str(text: &str) -> Result<ObsReport, String> {
-        let value = Json::parse(text)?;
-        let schema_version = value
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("report missing `schema_version`")?;
-        let source = value
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or("report missing `source`")?
-            .to_string();
-        let case = value
-            .get("case")
-            .and_then(Json::as_str)
-            .ok_or("report missing `case`")?
-            .to_string();
-        #[allow(clippy::cast_possible_truncation)]
-        let workers = value
-            .get("workers")
-            .and_then(Json::as_u64)
-            .ok_or("report missing `workers`")? as usize;
-        #[allow(clippy::cast_possible_truncation)]
-        let requested_workers = value
-            .get("requested_workers")
-            .and_then(Json::as_u64)
-            .map(|v| v as usize);
-        let spans = value
-            .get("spans")
-            .and_then(Json::as_array)
-            .ok_or("report missing `spans`")?
-            .iter()
-            .map(SpanNode::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ObsReport {
-            schema_version,
-            source,
-            case,
-            workers,
-            requested_workers,
-            spans,
-        })
     }
 }
 
@@ -584,26 +483,15 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_structure() {
-        let r = sample_report();
-        let text = r.to_json_string();
-        let back = ObsReport::from_json_str(&text).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
     fn requested_workers_marks_clamped_runs_only() {
         // Request equal to the grant: no clamp recorded, field omitted.
         let exact = sample_report().with_requested_workers(4);
         assert_eq!(exact.requested_workers, None);
         assert!(!exact.to_json_string().contains("requested_workers"));
-        // Oversubscribed request: clamp surfaced and round-tripped.
+        // Oversubscribed request: clamp surfaced.
         let clamped = sample_report().with_requested_workers(16);
         assert_eq!(clamped.requested_workers, Some(16));
-        let text = clamped.to_json_string();
-        assert!(text.contains("\"requested_workers\""));
-        let back = ObsReport::from_json_str(&text).unwrap();
-        assert_eq!(back, clamped);
+        assert!(clamped.to_json_string().contains("\"requested_workers\""));
         // Skeletons keep the clamp marker (it is structure, not timing).
         assert_eq!(clamped.without_timings().requested_workers, Some(16));
     }

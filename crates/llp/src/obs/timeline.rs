@@ -30,8 +30,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::obs::json::Json;
-
 /// Default per-lane event capacity for [`FlightRecorder::enabled`]
 /// callers that have no better number (≈128 KiB per lane).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
@@ -63,20 +61,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable string form used in JSON exports.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::ChunkStart => "chunk_start",
-            EventKind::ChunkEnd => "chunk_end",
-            EventKind::BarrierWait => "barrier_wait",
-            EventKind::ClaimWait => "claim_wait",
-            EventKind::ClaimMiss => "claim_miss",
-            EventKind::ZoneStart => "zone_start",
-            EventKind::ZoneEnd => "zone_end",
-        }
-    }
-
     fn code(self) -> u64 {
         match self {
             EventKind::ChunkStart => 0,
@@ -182,57 +166,6 @@ impl Timeline {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.total_events() == 0 && self.regions.is_empty()
-    }
-
-    /// Compact JSON form: per-lane event tuples
-    /// `[ts_ns, kind, arg, region]` plus the region log.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let lanes = self
-            .lanes
-            .iter()
-            .map(|lane| {
-                Json::object(vec![
-                    ("dropped", Json::from_u64(lane.dropped)),
-                    (
-                        "events",
-                        Json::Array(
-                            lane.events
-                                .iter()
-                                .map(|e| {
-                                    Json::Array(vec![
-                                        Json::from_u64(e.ts_ns),
-                                        Json::str(e.kind.as_str()),
-                                        Json::from_u64(e.arg),
-                                        Json::from_u64(e.region),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let regions = self
-            .regions
-            .iter()
-            .map(|r| {
-                Json::object(vec![
-                    ("seq", Json::from_u64(r.seq)),
-                    ("start_ns", Json::from_u64(r.start_ns)),
-                    ("end_ns", Json::from_u64(r.end_ns)),
-                    ("iterations", Json::from_u64(r.iterations)),
-                    ("chunks", Json::from_usize(r.chunks)),
-                    ("lanes", Json::from_usize(r.lanes)),
-                    ("workers", Json::from_usize(r.workers)),
-                    ("policy", Json::str(r.policy)),
-                ])
-            })
-            .collect();
-        Json::object(vec![
-            ("lanes", Json::Array(lanes)),
-            ("regions", Json::Array(regions)),
-        ])
     }
 }
 
@@ -708,25 +641,16 @@ mod tests {
     }
 
     #[test]
-    fn timeline_json_is_well_formed() {
+    fn drained_timeline_keeps_lanes_events_and_policy() {
         let fr = FlightRecorder::enabled(1, 8);
         let s = fr.begin_region(1, 1, 5, 1, "guided").unwrap();
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);
         s.finish();
         let t = fr.take_timeline();
-        let j = t.to_json();
-        let text = j.to_pretty_string();
-        let back = Json::parse(&text).unwrap();
-        let lanes = back.get("lanes").and_then(Json::as_array).unwrap();
-        assert_eq!(lanes.len(), 1);
-        let events = lanes[0].get("events").and_then(Json::as_array).unwrap();
-        assert_eq!(events.len(), 3);
-        let regions = back.get("regions").and_then(Json::as_array).unwrap();
-        assert_eq!(
-            regions[0].get("policy").and_then(Json::as_str),
-            Some("guided")
-        );
+        assert_eq!(t.lanes.len(), 1);
+        assert_eq!(t.lanes[0].events.len(), 3);
+        assert_eq!(t.regions[0].policy, "guided");
     }
 
     #[test]
@@ -764,22 +688,13 @@ mod tests {
     }
 
     #[test]
-    fn zone_events_round_trip_through_json() {
+    fn zone_events_drain_in_order() {
         let fr = FlightRecorder::enabled(1, 8);
         fr.zone_start(0, 2, 5);
         fr.zone_end(0, 2, 5);
-        let text = fr.take_timeline().to_json().to_pretty_string();
-        let back = Json::parse(&text).unwrap();
-        let events = back.get("lanes").and_then(Json::as_array).unwrap()[0]
-            .get("events")
-            .and_then(Json::as_array)
-            .unwrap();
-        assert_eq!(events.len(), 2);
-        let kinds: Vec<&str> = events
-            .iter()
-            .filter_map(|e| e.as_array()?.get(1)?.as_str())
-            .collect();
-        assert_eq!(kinds, ["zone_start", "zone_end"]);
+        let events = fr.take_timeline().lanes.remove(0).events;
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [EventKind::ZoneStart, EventKind::ZoneEnd]);
     }
 
     #[test]

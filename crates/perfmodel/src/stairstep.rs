@@ -71,11 +71,15 @@ pub fn speedup_curve(units: u64, max_processors: u32) -> Vec<f64> {
 /// For `units = 70` this includes 35 (ceil = 2) and 70 (ceil = 1) —
 /// explaining the paper's observed flat performance between 48 and 64
 /// processors for the 1-million-point case.
+///
+/// The scan stops at `P = units`: past it `ceil(units / P)` stays 1, so
+/// no edge exists there and the cost is O(min(units, max_processors)).
 #[must_use]
 pub fn plateau_edges(units: u64, max_processors: u32) -> Vec<u32> {
     let mut edges = Vec::new();
     let mut last = None;
-    for p in 1..=max_processors {
+    let scan = max_processors.min(u32::try_from(units.max(1)).unwrap_or(u32::MAX));
+    for p in 1..=scan {
         let m = max_units_per_processor(units, p);
         if last != Some(m) {
             edges.push(p);

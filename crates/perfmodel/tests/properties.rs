@@ -34,14 +34,24 @@ proptest! {
         prop_assert!(ideal_speedup(units, p + 1) >= ideal_speedup(units, p) - 1e-12);
     }
 
-    /// Plateau edges always start at P=1 and are strictly increasing.
+    /// Plateau edges always start at P=1, are strictly increasing, and
+    /// are exactly what a scan over every `P` up to `pmax` finds (the
+    /// function stops its own scan at `P = units`).
     #[test]
-    fn plateau_edges_strictly_increasing(units in 1u64..2_000, pmax in 1u32..256) {
+    fn plateau_edges_strictly_increasing(units in 1u64..2_000, pmax in 1u32..4_096) {
         let edges = plateau_edges(units, pmax);
         prop_assert_eq!(edges[0], 1);
         for w in edges.windows(2) {
             prop_assert!(w[1] > w[0]);
         }
+        let mut uncapped = Vec::new();
+        for p in 1..=pmax {
+            let m = max_units_per_processor(units, p);
+            if uncapped.last().is_none_or(|&q| max_units_per_processor(units, q) != m) {
+                uncapped.push(p);
+            }
+        }
+        prop_assert_eq!(edges, uncapped);
     }
 
     /// The overhead bound is exactly the break-even point.

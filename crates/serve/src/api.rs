@@ -16,6 +16,7 @@ use llp::obs::chrome::chrome_trace_with_summary;
 use llp::obs::json::Json;
 use llp::obs::KernelSummary;
 use llp::Policy;
+use perfmodel::batch::MAX_BATCH_POINTS;
 use perfmodel::overhead::{OverheadBound, PAPER_OVERHEAD_FRACTION};
 use perfmodel::stairstep::{ideal_speedup, plateau_edges};
 use perfmodel::work_per_sync::{GridNest, LoopLevel};
@@ -455,8 +456,8 @@ pub struct AdviseQuery {
 ///
 /// # Errors
 /// Rejects unknown fields, out-of-range machine parameters (which would
-/// panic inside [`Advisor::new`]), oversized loop lists, and mistyped
-/// rows.
+/// panic inside [`Advisor::new`]), oversized loop lists, a `zones`
+/// count past [`MAX_BATCH_POINTS`], and mistyped rows.
 pub fn parse_advise_body(text: &str) -> Result<AdviseQuery, String> {
     let body = Json::parse(text)?;
     parse_object(
@@ -492,6 +493,9 @@ pub fn parse_advise_body(text: &str) -> Result<AdviseQuery, String> {
     let zones = match body.get("zones") {
         None => None,
         Some(v) => match v.as_u64() {
+            Some(z) if z > MAX_BATCH_POINTS as u64 => {
+                return Err(format!("`zones` {z} exceeds limit {MAX_BATCH_POINTS}"))
+            }
             Some(z) if z >= 1 => Some(z),
             _ => return Err("`zones` must be a positive integer".to_string()),
         },

@@ -28,7 +28,7 @@
 //! to on shutdown; without it the snapshot goes to stderr.
 //!
 //! The NDJSON access log on stderr is gated by `LLPD_LOG`
-//! (`error`/`info`/`debug`, default `info`).
+//! (`error` or `info`; anything else, `debug` included, means `info`).
 //!
 //! Runs until SIGINT/SIGTERM, then drains in-flight work, emits the
 //! telemetry drain snapshot, and exits.

@@ -22,13 +22,14 @@
 //!   pre-rendered response bodies (`Arc<String>`: a hit is a clone and
 //!   a socket write, no recomputation and no JSON re-serialization).
 //!
-//! The in-flight coalescing table lives in `server.rs` next to the
-//! admission queue it guards; this module owns only the pure data
-//! structures, which keeps them directly testable.
+//! Coalescing identical solves that are queued or executing is the job
+//! queue's (`jobs.rs`); this module owns only the pure data structures,
+//! which keeps them directly testable.
 
+use crate::lock;
 use crate::solvers::AnyCase;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 /// Default [`SolveCache`] capacity (entries).
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
@@ -113,14 +114,10 @@ impl SolveCache {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Look up a result, refreshing its recency on a hit.
     #[must_use]
     pub fn get(&self, key: &ContentKey) -> Option<std::sync::Arc<String>> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         let entry = inner.map.get_mut(key.canonical())?;
@@ -134,7 +131,7 @@ impl SolveCache {
         if self.capacity == 0 {
             return 0;
         }
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         let fresh = !inner.map.contains_key(key.canonical());
@@ -163,7 +160,7 @@ impl SolveCache {
     /// Number of cached results.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// Whether the cache holds no results.

@@ -18,9 +18,10 @@
 //!   ([`llp::advisor`]) for a submitted loop profile, overlaid with the
 //!   tune database's measured choices when kernels match;
 //! * `POST /v1/tune` — start a bounded background calibration
-//!   ([`tune::calibrate_solver`]) on a dedicated pool slice (one at a time;
-//!   concurrent requests get 429); `GET /v1/tune` polls its status and
-//!   returns the current database;
+//!   ([`tune::calibrate_solver`]) on a shard-width view of the pool —
+//!   not a dedicated one: it shares executor shard 0's lanes (ROADMAP
+//!   item 3) — one at a time (concurrent requests get 429); `GET
+//!   /v1/tune` polls its status and returns the current database;
 //! * `GET /v1/model/{stairstep,overhead,work_per_sync}` — batched
 //!   performance-model queries ([`perfmodel`]);
 //! * `GET /metrics` — Prometheus text exposition of the service
@@ -43,8 +44,8 @@
 //! `llp::obs::json`, and signals are a two-line binding to `signal(2)`
 //! ([`signal`]). Identical in-flight `/v1/solve` requests coalesce into
 //! one execution and completed results land in a bounded
-//! content-addressed cache ([`cache`]). See [`server`] for the
-//! event-loop and admission-control architecture.
+//! content-addressed cache ([`cache`]). See [`server`] for the event
+//! loop, `routes` for the endpoint table and `jobs` for the executors.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,8 +55,10 @@ pub mod cache;
 pub mod evloop;
 pub mod hist;
 pub mod http;
+mod jobs;
 pub mod log;
 pub mod metrics;
+mod routes;
 pub mod server;
 pub mod signal;
 pub mod solvers;
@@ -63,3 +66,17 @@ pub mod telemetry;
 pub mod trace;
 
 pub use server::{Server, ServerConfig};
+
+use std::sync::{LockResult, Mutex, MutexGuard, PoisonError};
+
+/// Lock `mutex`, tolerating poison: every lock here guards state that
+/// is valid at rest, so a panic while holding one cannot leave it
+/// half-written, and inheriting it beats wedging every later request.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    unpoisoned(mutex.lock())
+}
+
+/// The guard of a lock or a condition-variable wait, poisoned or not.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

@@ -10,11 +10,9 @@
 //! read once per process:
 //!
 //! * `error` — only failed requests (status ≥ 500);
-//! * `info` (default) — every completed request;
-//! * `debug` — every completed request (reserved headroom for more
-//!   detail; currently identical to `info` for access lines).
+//! * `info` (default) — every completed request.
 //!
-//! Unknown values fall back to `info`. Each line is written with a
+//! Any other value falls back to `info`. Each line is written with a
 //! single locked `writeln!`, so concurrent connection threads never
 //! interleave partial lines.
 
@@ -29,8 +27,6 @@ pub enum LogLevel {
     Error,
     /// Every completed request (the default).
     Info,
-    /// Everything `info` logs, plus future diagnostic lines.
-    Debug,
 }
 
 impl LogLevel {
@@ -39,7 +35,6 @@ impl LogLevel {
     pub fn parse(value: &str) -> Self {
         match value.trim().to_ascii_lowercase().as_str() {
             "error" => Self::Error,
-            "debug" => Self::Debug,
             _ => Self::Info,
         }
     }
@@ -62,7 +57,7 @@ pub fn level() -> LogLevel {
 pub fn logs_status(level: LogLevel, status: u16) -> bool {
     match level {
         LogLevel::Error => status >= 500,
-        LogLevel::Info | LogLevel::Debug => true,
+        LogLevel::Info => true,
     }
 }
 
@@ -121,7 +116,8 @@ mod tests {
     #[test]
     fn parses_levels_with_an_info_fallback() {
         assert_eq!(LogLevel::parse("error"), LogLevel::Error);
-        assert_eq!(LogLevel::parse(" DEBUG "), LogLevel::Debug);
+        assert_eq!(LogLevel::parse(" ERROR "), LogLevel::Error);
+        assert_eq!(LogLevel::parse("debug"), LogLevel::Info);
         assert_eq!(LogLevel::parse("info"), LogLevel::Info);
         assert_eq!(LogLevel::parse("verbose?"), LogLevel::Info);
         assert_eq!(LogLevel::parse(""), LogLevel::Info);
@@ -133,7 +129,7 @@ mod tests {
         assert!(!logs_status(LogLevel::Error, 429));
         assert!(logs_status(LogLevel::Error, 500));
         assert!(logs_status(LogLevel::Info, 200));
-        assert!(logs_status(LogLevel::Debug, 404));
+        assert!(logs_status(LogLevel::Info, 404));
     }
 
     #[test]

@@ -35,10 +35,9 @@ use std::sync::Arc;
 /// The status codes the service emits, each with its own counter.
 pub const TRACKED_STATUSES: [u16; 10] = [200, 400, 404, 405, 408, 413, 429, 500, 501, 503];
 
-/// Request endpoint families, each with its own counter.
-pub const ENDPOINTS: [&str; 9] = [
-    "solve", "advise", "model", "metrics", "trace", "tune", "health", "stats", "other",
-];
+/// Request endpoint families, each with its own counter: the route
+/// table's labels in row order, then `other` for unrouted requests.
+pub const ENDPOINTS: &[&str] = &crate::routes::LABELS;
 
 /// Requested-schedule labels for executed solves.
 pub const SCHEDULES: [&str; 4] = ["static", "dynamic", "guided", "auto"];
@@ -180,7 +179,7 @@ table! {
             label: "endpoint",
             json: "endpoints",
             value: U64,
-            labels: || strings(&ENDPOINTS),
+            labels: || strings(ENDPOINTS),
             fold: Fold::Last,
             help: "Requests routed, by endpoint family.",
         },

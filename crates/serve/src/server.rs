@@ -1,7 +1,5 @@
 //! The `llpd` server: one readiness event loop, one shared doacross
-//! pool, and a bounded job queue feeding a sharded executor pool.
-//!
-//! # Architecture
+//! pool, and the job queue feeding its executor shards.
 //!
 //! A single **event-loop thread** owns the nonblocking listener and
 //! every connection, multiplexed through a hand-declared `poll(2)`
@@ -9,72 +7,39 @@
 //! machine: bytes accumulate in a read buffer, the incremental HTTP
 //! parser re-examines the prefix on every readable event, and response
 //! bytes drain through a bounded write buffer on writable events.
-//! Connections are keep-alive by default (HTTP/1.1 semantics) and
-//! serial: one request is in flight per connection, pipelined bytes
-//! wait buffered until the current response is written — that is the
-//! write-backpressure bound, since a response is never queued behind an
-//! unbounded backlog.
+//! Connections are keep-alive and serial: one request is in flight per
+//! connection and pipelined bytes wait buffered until the current
+//! response is written — the write-backpressure bound.
 //!
-//! Cheap queries (`/metrics`, `/v1/model/*`, `/v1/trace/*`, `/v1/tune`)
-//! are answered inline on the event loop. Pool-backed work
-//! (`/v1/solve`, `/v1/advise`) goes through admission control: a
-//! bounded queue in front of **N executor shards**, each a thread
-//! owning a disjoint [`Workers::shard_view`] slice of the shared pool
-//! with its own span recorder and flight recorder. Executors push
-//! completions over a channel and wake the event loop, which writes the
-//! response on the requester's connection — or drops it, if the
-//! requester hit its deadline or hung up.
+//! A framed request goes through the route table (`routes.rs`), which
+//! answers it inline or hands back a job. The event loop admits a job:
+//! an over-budget solve gets `413`, a cached one ([`SolveCache`]) is
+//! answered at once, anything else goes to the job queue (`jobs.rs`),
+//! and the requester parks until its completion arrives or its deadline
+//! passes (`503`; the late completion is dropped).
 //!
-//! # Content-addressed reuse
-//!
-//! Solves are deterministic and worker/schedule-invariant, so identical
-//! requests have identical answers. At admission every `/v1/solve` body
-//! is canonicalized to a [`ContentKey`] (built from the *parsed* case —
-//! JSON key order and whitespace cannot split the cache):
-//!
-//! * **hit** — the bounded LRU [`SolveCache`] already holds the
-//!   pre-rendered result: answered inline, no execution.
-//! * **coalesce** — an identical solve is already executing: this
-//!   requester parks on the same in-flight entry and the one execution
-//!   fans out to every waiter, each with its own `trace_id`.
-//! * **miss** — a job is enqueued and the result is cached on
-//!   completion.
-//! * `"cache": "bypass"` skips all of the above: the solve executes
-//!   unconditionally and touches neither the cache nor the in-flight
-//!   table (the escape hatch for measuring real execution).
-//!
-//! Admission control is deliberate back-pressure, not failure: when the
-//! queue is full the service answers `429` with a `Retry-After` derived
-//! from the **observed drain rate** ([`DrainEstimator`]) applied to the
-//! event loop's actual queue depth at rejection time, and each admitted
-//! request carries a deadline after which the event loop answers `503`
-//! (an executor still finishes the job; the completion is dropped).
-//!
-//! Shards are panic-proof: a job that panics is contained with
-//! [`std::panic::catch_unwind`], every parked waiter gets `500`, the
-//! in-flight entry is removed (so the next identical request executes
-//! rather than parking forever), and the shard's recorder is reset.
-//!
-//! Shutdown is graceful: draining flips first (new work gets `503`),
+//! Shutdown is graceful: the queue closes first (new work gets `503`),
 //! every shard finishes everything already admitted, the event loop
 //! delivers the final completions, closes idle keep-alive connections,
 //! and exits once every connection has flushed.
 
-use crate::api;
 use crate::cache::{ContentKey, SolveCache, DEFAULT_CACHE_CAPACITY};
 use crate::evloop::{self, Conn, PollFd, ReadOutcome, WakeReceiver, Waker, POLLIN, POLLOUT};
 use crate::http::{parse_request_bytes, render_response, Parse, Request, Response, MAX_HEAD_BYTES};
-use crate::metrics::{Family, Hist, Metrics, PoolContext, Scalar, Snapshot};
-use crate::solvers::{self, AnyCase, MAX_WORKERS};
+use crate::jobs::{self, Completion, JobKind, JobQueue, Submitted, Waiter};
+use crate::lock;
+use crate::metrics::{Hist, Metrics, PoolContext, Scalar, Snapshot};
+use crate::routes::{self, RouteOutcome, UNROUTED};
+use crate::solvers::MAX_WORKERS;
 use crate::telemetry::{self, Windows};
-use crate::trace::{TraceEntry, TraceStore, TracedRun};
+use crate::trace::TraceStore;
 use llp::obs::json::Json;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::{FlightRecorder, Recorder, Workers};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 use tune::TuneDb;
@@ -84,27 +49,12 @@ use tune::TuneDb;
 /// workers each.
 const DEFAULT_SHARD_WIDTH: usize = 2;
 
-/// Completion-time window the [`DrainEstimator`] averages over.
-const DRAIN_WINDOW: usize = 8;
-
-/// `Retry-After` ceiling in seconds; a stalled service never asks a
-/// client to back off longer than this.
-const MAX_RETRY_AFTER_SECS: f64 = 60.0;
-
 /// Hard cap on concurrently open connections; beyond it the listener
 /// is simply not polled and the kernel backlog absorbs the burst.
 const MAX_CONNECTIONS: usize = 1024;
 
 /// Poll timeout: the granularity of deadline expiry and idle sweeps.
 const POLL_TICK_MS: i32 = 25;
-
-/// Lock a mutex, tolerating poison: admission-control state is always
-/// valid at rest (push/pop/record are atomic units), so a panic while
-/// holding the lock cannot leave it half-updated. Inheriting the data
-/// beats wedging every subsequent request on an `unwrap`.
-fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -192,180 +142,48 @@ impl ServerConfig {
     }
 }
 
-/// Estimates how long a rejected client should wait before retrying,
-/// from the observed queue drain rate.
-///
-/// Completion instants of the last [`DRAIN_WINDOW`] jobs give an
-/// average per-job service interval; the estimate for a backlog of `k`
-/// jobs is `k` intervals. Two properties matter more than precision:
-///
-/// * **Stall-awareness**: the time since the *last* completion (or
-///   since startup, if nothing has completed) is a lower bound on the
-///   per-job interval. A wedged executor therefore produces estimates
-///   that grow with the stall instead of repeating a stale average —
-///   successive rejections report non-decreasing `Retry-After`.
-/// * **Bounds**: always at least 1 second (the HTTP granularity) and at
-///   most [`MAX_RETRY_AFTER_SECS`].
-#[derive(Debug)]
-pub struct DrainEstimator {
-    state: Mutex<DrainState>,
-}
-
-#[derive(Debug)]
-struct DrainState {
-    /// Last completion, or construction time before any completion.
-    last_event: Instant,
-    /// Seconds between consecutive completions, newest last.
-    intervals: VecDeque<f64>,
-}
-
-impl DrainEstimator {
-    /// A fresh estimator; "now" seeds the stall clock.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::starting_at(Instant::now())
-    }
-
-    fn starting_at(start: Instant) -> Self {
-        Self {
-            state: Mutex::new(DrainState {
-                last_event: start,
-                intervals: VecDeque::with_capacity(DRAIN_WINDOW),
-            }),
-        }
-    }
-
-    /// Record that a job just finished.
-    pub fn record_completion(&self) {
-        self.record_completion_at(Instant::now());
-    }
-
-    fn record_completion_at(&self, now: Instant) {
-        let mut s = lock_clean(&self.state);
-        let interval = now.duration_since(s.last_event).as_secs_f64();
-        if s.intervals.len() == DRAIN_WINDOW {
-            s.intervals.pop_front();
-        }
-        s.intervals.push_back(interval);
-        s.last_event = now;
-    }
-
-    /// Seconds a client with `jobs_ahead` jobs in front of it should
-    /// wait before retrying.
-    #[must_use]
-    pub fn retry_after_secs(&self, jobs_ahead: usize) -> u64 {
-        self.retry_after_secs_at(jobs_ahead, Instant::now())
-    }
-
-    fn retry_after_secs_at(&self, jobs_ahead: usize, now: Instant) -> u64 {
-        let s = lock_clean(&self.state);
-        let stall = now.duration_since(s.last_event).as_secs_f64();
-        let average = if s.intervals.is_empty() {
-            0.0
-        } else {
-            s.intervals.iter().sum::<f64>() / s.intervals.len() as f64
-        };
-        let per_job = average.max(stall);
-        let estimate = per_job * jobs_ahead.max(1) as f64;
-        estimate.ceil().clamp(1.0, MAX_RETRY_AFTER_SECS) as u64
-    }
-}
-
-impl Default for DrainEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One parked requester: the connection and the per-request token that
-/// guards against stale completions (a deadline-expired request's token
-/// no longer matches, so its late completion is dropped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Waiter {
-    conn: u64,
-    token: u64,
-}
-
-enum JobKind {
-    Solve {
-        case: AnyCase,
-        /// `"schedule": "auto"`: overlay the solver's tune database's
-        /// per-kernel configurations.
-        auto: bool,
-    },
-    Advise(Box<api::AdviseQuery>),
-}
-
-/// Where a job's completion(s) go.
-enum JobOrigin {
-    /// Reply to exactly this waiter (advise jobs, bypass solves).
-    Direct(Waiter),
-    /// Reply to every waiter parked in the in-flight table under this
-    /// key, and insert the rendered result into the solve cache.
-    Keyed(ContentKey),
-}
-
-struct Job {
-    kind: JobKind,
-    origin: JobOrigin,
-}
-
-/// One finished job reply, routed back to the event loop.
-struct Completion {
-    waiter: Waiter,
-    response: Response,
-}
-
 /// The autotuner's server-side state: which solver, if any, is being
 /// calibrated (one calibration at a time across every solver;
 /// concurrent requests get 429), one database slot per solver kind —
 /// seeded from [`ServerConfig::tune_db`], each replaced by its solver's
 /// completed calibrations — and a generation counter the solve-cache
 /// keys embed so a recalibration invalidates `auto` entries.
-struct TuneState {
-    calibrating: Mutex<Option<&'static str>>,
-    db: Mutex<HashMap<String, Arc<TuneDb>>>,
-    generation: AtomicU64,
+pub(crate) struct TuneState {
+    pub(crate) calibrating: Mutex<Option<&'static str>>,
+    pub(crate) db: Mutex<HashMap<String, Arc<TuneDb>>>,
+    pub(crate) generation: AtomicU64,
 }
 
-struct Shared {
-    metrics: Metrics,
-    pool: Workers,
-    shards: usize,
-    queue: Mutex<VecDeque<Job>>,
-    queue_signal: Condvar,
-    draining: AtomicBool,
-    drain_rate: DrainEstimator,
-    traces: TraceStore,
-    tune: TuneState,
-    cache: SolveCache,
-    /// Coalescing table: canonical key → waiters parked on the one
-    /// in-flight execution of that key. An entry exists exactly while
-    /// its job is queued or executing; the executor removes it (under
-    /// this lock) when fanning out completions, so joining an entry
-    /// and removing it cannot interleave.
-    inflight: Mutex<HashMap<String, Vec<Waiter>>>,
-    completions: mpsc::Sender<Completion>,
-    waker: Waker,
+/// What the event loop, the route handlers and the executors share.
+pub(crate) struct Shared {
+    pub(crate) metrics: Arc<Metrics>,
+    pub(crate) pool: Workers,
+    pub(crate) shards: usize,
+    pub(crate) jobs: JobQueue,
+    pub(crate) traces: TraceStore,
+    pub(crate) tune: TuneState,
+    pub(crate) cache: SolveCache,
+    pub(crate) completions: mpsc::Sender<Completion>,
+    pub(crate) waker: Waker,
     /// Monotone per-process request ids for the access log.
     request_seq: AtomicU64,
     /// Snapshots of `metrics` at the telemetry window boundaries
     /// (`/v1/stats`); `None` when [`ServerConfig::telemetry_window_ms`]
     /// is 0.
-    telemetry: Option<Windows>,
+    pub(crate) telemetry: Option<Windows>,
     /// Server start instant — the telemetry clock's origin.
     started: Instant,
-    config: ServerConfig,
+    pub(crate) config: ServerConfig,
 }
 
 impl Shared {
     /// Snapshot a solver's current tune database (cheap Arc clone).
-    fn tune_db(&self, kind: &str) -> Option<Arc<TuneDb>> {
-        lock_clean(&self.tune.db).get(kind).cloned()
+    pub(crate) fn tune_db(&self, kind: &str) -> Option<Arc<TuneDb>> {
+        lock(&self.tune.db).get(kind).cloned()
     }
 
     /// Every metric now, the pool's own counters included.
-    fn snapshot(&self) -> Snapshot {
+    pub(crate) fn snapshot(&self) -> Snapshot {
         self.metrics
             .snapshot(&pool_context(&self.pool, self.shards))
     }
@@ -410,7 +228,7 @@ impl Server {
         let workers = config.workers.clamp(1, MAX_WORKERS);
         let shards = config.resolved_shards().min(workers);
         let cache_capacity = config.cache_capacity;
-        let (metrics, pool) = (Metrics::new(), Workers::new(workers));
+        let (metrics, pool) = (Arc::new(Metrics::new()), Workers::new(workers));
         let telemetry = (config.telemetry_window_ms > 0).then(|| {
             let origin = metrics.snapshot(&pool_context(&pool, shards));
             Windows::new(
@@ -420,13 +238,10 @@ impl Server {
             )
         });
         let shared = Arc::new(Shared {
+            jobs: JobQueue::new(config.queue_capacity, Arc::clone(&metrics)),
             metrics,
             pool,
             shards,
-            queue: Mutex::new(VecDeque::new()),
-            queue_signal: Condvar::new(),
-            draining: AtomicBool::new(false),
-            drain_rate: DrainEstimator::new(),
             traces: TraceStore::default(),
             tune: TuneState {
                 calibrating: Mutex::new(None),
@@ -440,7 +255,6 @@ impl Server {
                 generation: AtomicU64::new(0),
             },
             cache: SolveCache::new(cache_capacity),
-            inflight: Mutex::new(HashMap::new()),
             completions: completions_tx,
             waker,
             request_seq: AtomicU64::new(1),
@@ -471,7 +285,7 @@ impl Server {
                     slice.processors(),
                     DEFAULT_EVENT_CAPACITY,
                 ));
-                thread::spawn(move || executor_loop(&shared, &slice))
+                thread::spawn(move || jobs::executor_loop(&shared, &slice))
             })
             .collect();
 
@@ -515,14 +329,7 @@ impl Server {
     /// on SIGTERM so an operator keeps the last windows of a dying
     /// process.
     pub fn shutdown_with_telemetry(mut self) -> Json {
-        // Set under the queue lock: an executor that has just read
-        // `draining == false` still holds it until it is waiting, so it
-        // cannot miss the wake-up and sleep through the drain.
-        {
-            let _queue = lock_clean(&self.shared.queue);
-            self.shared.draining.store(true, Ordering::SeqCst);
-        }
-        self.shared.queue_signal.notify_all();
+        self.shared.jobs.close();
         self.shared.waker.wake();
         for handle in self.executors.drain(..) {
             let _ = handle.join();
@@ -547,244 +354,6 @@ impl Server {
     }
 }
 
-// ------------------------------------------------------------ executors
-
-/// One executor shard: pop admitted jobs and run them on this shard's
-/// pool slice until drained.
-fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
-    loop {
-        let job = {
-            let mut queue = lock_clean(&shared.queue);
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    shared.metrics.set(Scalar::QueueDepth, queue.len() as u64);
-                    break job;
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared
-                    .queue_signal
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        shared.metrics.inc(Scalar::ExecutorBusy);
-        if let Some(gate) = &shared.config.job_gate {
-            // Test hook: block here while a test holds the gate.
-            drop(lock_clean(gate));
-        }
-        let completions = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(shared, slice, &job)
-        })) {
-            Ok(completions) => completions,
-            Err(_) => {
-                // A panicking job (solver bug — inputs were validated at
-                // admission) must not take the shard down with it. The
-                // recorder may hold a half-built span stack and the
-                // flight rings partial events; reset and drain so the
-                // next job's report and timeline are exactly its own.
-                // Every parked waiter gets the 500 and the in-flight
-                // entry is removed, so the next identical request
-                // executes instead of parking on a dead entry.
-                shared.metrics.inc(Scalar::ExecutorPanicsTotal);
-                slice.recorder().reset();
-                let _ = slice.flight().take_timeline();
-                fail_job(
-                    shared,
-                    &job.origin,
-                    &Response::error(500, "internal error: job panicked"),
-                )
-            }
-        };
-        shared.metrics.dec(Scalar::ExecutorBusy);
-        shared.drain_rate.record_completion();
-        for completion in completions {
-            // The event loop may already be gone at hard teardown.
-            shared.completions.send(completion).ok();
-        }
-        shared.waker.wake();
-    }
-}
-
-/// Everyone waiting on this job. For keyed solves this *removes* the
-/// in-flight entry — from that point a new identical request starts a
-/// fresh execution (or hits the cache, if the result landed there).
-fn take_waiters(shared: &Arc<Shared>, origin: &JobOrigin) -> Vec<Waiter> {
-    match origin {
-        JobOrigin::Direct(waiter) => vec![*waiter],
-        JobOrigin::Keyed(key) => lock_clean(&shared.inflight)
-            .remove(key.canonical())
-            .unwrap_or_default(),
-    }
-}
-
-fn fail_job(shared: &Arc<Shared>, origin: &JobOrigin, response: &Response) -> Vec<Completion> {
-    take_waiters(shared, origin)
-        .into_iter()
-        .map(|waiter| Completion {
-            waiter,
-            response: response.clone(),
-        })
-        .collect()
-}
-
-/// Retain the run's flight trace and return the id the response
-/// advertises. Each waiter of a coalesced fan-out gets its *own* trace
-/// entry and id over the one shared execution, so every client can
-/// fetch and correlate independently. Only the handle is stored: the
-/// documents are rendered when `GET /v1/trace/{id}` asks ([`route`]),
-/// never here on the shard.
-fn retain_trace(shared: &Arc<Shared>, traced: &Arc<TracedRun>) -> Option<u64> {
-    if traced.run.timeline().is_empty() {
-        return None;
-    }
-    let id = shared.traces.allocate_id();
-    shared.traces.insert(TraceEntry {
-        id,
-        case: traced.run.case().label(),
-        run: Arc::clone(traced),
-    });
-    Some(id)
-}
-
-fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completion> {
-    if let Some(fault) = &shared.config.job_fault {
-        assert!(
-            !fault.load(Ordering::SeqCst),
-            "injected job fault (test hook)"
-        );
-    }
-    match &job.kind {
-        JobKind::Solve { case, auto } => {
-            let spec = case.spec();
-            let view = slice.sized_view(spec.workers());
-            // "auto": overlay the solver's tune database's per-kernel
-            // configurations. The schedules only reorder work within
-            // each doacross region, so results stay bit-exact with the
-            // default path — the overlay changes cost, never answers.
-            let db = if *auto {
-                shared.tune_db(spec.kind())
-            } else {
-                None
-            };
-            let map = db.as_ref().map(|d| d.schedule_map());
-            // Tuned per-kernel widths overlay the case-level width the
-            // same way tuned schedules overlay the case-level policy:
-            // both change only the performance shape, never the answer.
-            let widths = db.as_ref().map(|d| d.width_map());
-            let tuned = if *auto {
-                api::tuned_resolution(db.as_deref())
-            } else {
-                llp::obs::json::Json::Null
-            };
-            match case.run(&view, map.as_ref(), widths.as_ref()) {
-                Ok(run) => {
-                    // Where the time went, derived once: the counters
-                    // and every waiter's trace entry share the one handle.
-                    let traced = Arc::new(TracedRun::new(run));
-                    let TracedRun { run, attr, kernels } = &*traced;
-                    shared
-                        .metrics
-                        .job_done(run.sync_events(), run.report().total_seconds());
-                    shared.metrics.add(Scalar::ObsSyncNsTotal, attr.sync_ns());
-                    shared.metrics.add(Scalar::ObsBusyNsTotal, attr.busy_ns());
-                    for k in kernels {
-                        let seconds = k.wall_ns as f64 / 1e9;
-                        shared
-                            .metrics
-                            .add_seconds(Family::KernelSeconds, &k.kernel, seconds);
-                    }
-                    shared.metrics.bump(Family::SolvesBySolver, spec.kind());
-                    shared.metrics.bump(
-                        Family::SolvesByVectorWidth,
-                        &spec.vector_width().to_string(),
-                    );
-                    shared.metrics.bump(
-                        Family::SolvesBySchedule,
-                        if *auto {
-                            "auto"
-                        } else {
-                            spec.schedule().name()
-                        },
-                    );
-                    if let Some(zones) = run.output().zone_dispatch() {
-                        shared
-                            .metrics
-                            .zone_job(zones.shards, zones.zone_tasks, zones.peak_ready);
-                    }
-                    // One render of what every copy of the body shares;
-                    // each copy adds its own trace_id/tuned/cache tail.
-                    let body = api::SolveBody::new(&**run);
-                    match &job.origin {
-                        JobOrigin::Direct(waiter) => {
-                            let trace_id = retain_trace(shared, &traced);
-                            vec![Completion {
-                                waiter: *waiter,
-                                response: Response::ok(body.finish(trace_id, tuned, "bypass"))
-                                    .with_trace_id(trace_id),
-                            }]
-                        }
-                        JobOrigin::Keyed(key) => {
-                            // Cache first, then take the waiters: a new
-                            // identical request arriving in between hits
-                            // the cache instead of duplicating work.
-                            // The cached body is rendered with a null
-                            // trace_id and a "hit" marker — a hit serves
-                            // no fresh trace.
-                            let cached = body.finish(None, tuned.clone(), "hit");
-                            let evicted = shared.cache.insert(key, Arc::new(cached));
-                            shared
-                                .metrics
-                                .cache_evicted(evicted as u64, shared.cache.len());
-                            take_waiters(shared, &job.origin)
-                                .into_iter()
-                                .map(|waiter| {
-                                    let trace_id = retain_trace(shared, &traced);
-                                    Completion {
-                                        waiter,
-                                        response: Response::ok(body.finish(
-                                            trace_id,
-                                            tuned.clone(),
-                                            "miss",
-                                        ))
-                                        .with_trace_id(trace_id),
-                                    }
-                                })
-                                .collect()
-                        }
-                    }
-                }
-                // Validation happened at admission; anything left is an
-                // internal fault.
-                Err(msg) => fail_job(shared, &job.origin, &Response::error(500, &msg)),
-            }
-        }
-        JobKind::Advise(query) => {
-            shared.metrics.inc(Scalar::JobsTotal);
-            // Measured tune-db entries overlay the analytic advice —
-            // the response reports both and their (dis)agreement.
-            let measured = shared
-                .tune_db(solvers::ADVISE_KIND)
-                .map_or_else(Vec::new, |db| db.measured_choices());
-            let advice = query
-                .advisor
-                .advise_with_measured(&query.reports, &measured);
-            let zone_level = query.zones.map_or(llp::obs::json::Json::Null, |zones| {
-                api::zone_level_advice(zones, &query.reports, &query.advisor)
-            });
-            let response = Response::ok(api::advise_response(&advice, zone_level).to_string());
-            take_waiters(shared, &job.origin)
-                .into_iter()
-                .map(|waiter| Completion {
-                    waiter,
-                    response: response.clone(),
-                })
-                .collect()
-        }
-    }
-}
-
 // ----------------------------------------------------------- event loop
 
 /// A request parked on its connection while an executor computes.
@@ -802,12 +371,6 @@ struct ConnState {
     conn: Conn,
     pending: Option<PendingReq>,
     idle_since: Instant,
-}
-
-/// What `route` decided: answer now, or queue a job.
-enum RouteOutcome {
-    Inline(Response),
-    Submit(JobKind, /* bypass: */ bool),
 }
 
 struct EventLoop {
@@ -850,7 +413,7 @@ impl EventLoop {
     }
 
     fn draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.jobs.draining()
     }
 
     fn run(&mut self) {
@@ -1029,7 +592,7 @@ impl EventLoop {
                     } else {
                         // The peer quit mid-request: same answer the
                         // one-shot parser gave on a truncated stream.
-                        self.shared.metrics.request("other");
+                        self.shared.metrics.request(UNROUTED);
                         let response = Response::error(400, "connection closed mid-request");
                         self.finish_request(id, response, false, Instant::now(), None);
                     }
@@ -1061,7 +624,7 @@ impl EventLoop {
                 Err(e) => {
                     // Framing failure: answer and close, exactly like
                     // the one-shot path did.
-                    self.shared.metrics.request("other");
+                    self.shared.metrics.request(UNROUTED);
                     let response = Response::error(e.status, &e.message);
                     self.finish_request(id, response, false, Instant::now(), None);
                     return;
@@ -1077,42 +640,23 @@ impl EventLoop {
 
     fn handle_request(&mut self, id: u64, request: Request, started: Instant) {
         let req_id = self.shared.request_seq.fetch_add(1, Ordering::Relaxed);
-        let log = Some((req_id, request.method.clone(), request.path.clone()));
-        match route(&request, &self.shared) {
+        match routes::route(&request, &self.shared) {
             RouteOutcome::Inline(response) => {
+                let log = Some((req_id, request.method.clone(), request.path.clone()));
                 self.finish_request(id, response, request.keep_alive, started, log);
             }
-            RouteOutcome::Submit(kind, bypass) => {
-                self.admit(id, &request, kind, bypass, started, req_id);
-            }
+            RouteOutcome::Submit(kind) => self.admit(id, &request, kind, started, req_id),
         }
     }
 
-    /// `Retry-After` for a rejection: the event loop's actual queue
-    /// depth at rejection time plus every job currently executing is
-    /// ahead of the client, whatever number of keep-alive connections
-    /// those jobs arrived on.
-    fn retry_after(&self, queued: usize) -> u64 {
-        let ahead = queued + self.shared.metrics.get(Scalar::ExecutorBusy) as usize;
-        self.shared.drain_rate.retry_after_secs(ahead)
-    }
-
-    /// Admission control for pool-backed work: cache lookup, coalesce,
-    /// or enqueue — then park the requester on its connection.
-    fn admit(
-        &mut self,
-        id: u64,
-        request: &Request,
-        kind: JobKind,
-        bypass: bool,
-        started: Instant,
-        req_id: u64,
-    ) {
+    /// Admission control for pool-backed work: memory budget and cache
+    /// lookup here, then the job queue — and park the requester on its
+    /// connection.
+    fn admit(&mut self, id: u64, request: &Request, kind: JobKind, started: Instant, req_id: u64) {
         let log = Some((req_id, request.method.clone(), request.path.clone()));
         if self.draining() {
-            let queued = lock_clean(&self.shared.queue).len();
-            let response =
-                Response::error(503, "shutting down").with_retry_after(self.retry_after(queued));
+            let response = Response::error(503, "shutting down")
+                .with_retry_after(self.shared.jobs.retry_after());
             self.finish_request(id, response, request.keep_alive, started, log);
             return;
         }
@@ -1121,35 +665,30 @@ impl EventLoop {
         // occupy a queue slot — bypass solves included. The estimate is
         // the solver's own formula over the validated case, so the
         // check costs arithmetic, never pool work.
-        if let JobKind::Solve { case, .. } = &kind {
-            if let Some(budget) = self.shared.config.memory_budget {
-                let estimated = case.spec().memory_usage_estimate();
-                if estimated > budget {
-                    self.shared.metrics.inc(Scalar::SolvesRejectedMemoryTotal);
-                    let body = Json::object(vec![
-                        (
-                            "error",
-                            Json::str("estimated solve memory exceeds the server budget"),
-                        ),
-                        ("estimated_bytes", Json::from_u64(estimated)),
-                        ("budget_bytes", Json::from_u64(budget)),
-                    ]);
-                    let response = Response {
-                        status: 413,
-                        body: body.to_string(),
-                        content_type: "application/json",
-                        retry_after: None,
-                        trace_id: None,
-                    };
-                    self.finish_request(id, response, request.keep_alive, started, log);
-                    return;
-                }
+        if let (JobKind::Solve(req), Some(budget)) = (&kind, self.shared.config.memory_budget) {
+            let estimated = req.case.spec().memory_usage_estimate();
+            if estimated > budget {
+                self.shared.metrics.inc(Scalar::SolvesRejectedMemoryTotal);
+                let body = Json::object(vec![
+                    (
+                        "error",
+                        Json::str("estimated solve memory exceeds the server budget"),
+                    ),
+                    ("estimated_bytes", Json::from_u64(estimated)),
+                    ("budget_bytes", Json::from_u64(budget)),
+                ]);
+                let response = Response {
+                    status: 413,
+                    ..Response::ok(body.to_string())
+                };
+                self.finish_request(id, response, request.keep_alive, started, log);
+                return;
             }
         }
         let key = match &kind {
-            JobKind::Solve { case, auto } if !bypass => {
+            JobKind::Solve(req) if !req.bypass => {
                 let generation = self.shared.tune.generation.load(Ordering::SeqCst);
-                let key = ContentKey::for_case(case, *auto, generation);
+                let key = ContentKey::for_case(&req.case, req.auto, generation);
                 if let Some(body) = self.shared.cache.get(&key) {
                     self.shared.metrics.inc(Scalar::CacheHitsTotal);
                     let response = Response::ok((*body).clone());
@@ -1158,7 +697,7 @@ impl EventLoop {
                 }
                 Some(key)
             }
-            JobKind::Solve { .. } => {
+            JobKind::Solve(_) => {
                 self.shared.metrics.inc(Scalar::CacheBypassTotal);
                 None
             }
@@ -1168,67 +707,15 @@ impl EventLoop {
             conn: id,
             token: self.alloc_token(),
         };
-        let origin = key.map_or(JobOrigin::Direct(waiter), JobOrigin::Keyed);
-        self.enqueue(request, kind, origin, waiter, started, req_id);
-    }
-
-    /// Bounded-queue admission, stated once for both origins: sample
-    /// the depth, answer 429 + `Retry-After` when full, else push,
-    /// publish the depth, wake an executor and park the requester. A
-    /// keyed job first looks for an identical solve queued or
-    /// executing and parks on its in-flight entry instead; otherwise
-    /// it reserves its own entry under the in-flight lock, held until
-    /// the job is queued (lock order inflight → queue; the executors
-    /// take them singly, and remove entries under the same lock, so a
-    /// join cannot race a fan-out).
-    fn enqueue(
-        &mut self,
-        request: &Request,
-        kind: JobKind,
-        origin: JobOrigin,
-        waiter: Waiter,
-        started: Instant,
-        req_id: u64,
-    ) {
-        let shared = Arc::clone(&self.shared);
-        let mut inflight = match &origin {
-            JobOrigin::Direct(_) => None,
-            JobOrigin::Keyed(key) => {
-                let mut inflight = lock_clean(&shared.inflight);
-                if let Some(waiters) = inflight.get_mut(key.canonical()) {
-                    waiters.push(waiter);
-                    drop(inflight);
-                    shared.metrics.inc(Scalar::CacheCoalescedTotal);
-                    self.park(waiter.conn, waiter.token, request, started, req_id);
-                    return;
-                }
-                Some(inflight)
+        match self.shared.jobs.submit(kind, key, waiter) {
+            Submitted::Queued | Submitted::Coalesced => {
+                self.park(id, waiter.token, request, started, req_id);
             }
-        };
-        let mut queue = lock_clean(&shared.queue);
-        shared
-            .metrics
-            .observe(Hist::QueueDepths, queue.len() as f64);
-        if queue.len() >= shared.config.queue_capacity {
-            let queued = queue.len();
-            drop(queue);
-            drop(inflight);
-            let response =
-                Response::error(429, "queue full").with_retry_after(self.retry_after(queued));
-            let log = Some((req_id, request.method.clone(), request.path.clone()));
-            self.finish_request(waiter.conn, response, request.keep_alive, started, log);
-            return;
+            Submitted::Full(retry_after) => {
+                let response = Response::error(429, "queue full").with_retry_after(retry_after);
+                self.finish_request(id, response, request.keep_alive, started, log);
+            }
         }
-        if let (Some(inflight), JobOrigin::Keyed(key)) = (&mut inflight, &origin) {
-            inflight.insert(key.canonical().to_string(), vec![waiter]);
-            shared.metrics.inc(Scalar::CacheMissesTotal);
-        }
-        queue.push_back(Job { kind, origin });
-        shared.metrics.set(Scalar::QueueDepth, queue.len() as u64);
-        drop(queue);
-        drop(inflight);
-        shared.queue_signal.notify_one();
-        self.park(waiter.conn, waiter.token, request, started, req_id);
     }
 
     fn park(&mut self, id: u64, token: u64, request: &Request, started: Instant, req_id: u64) {
@@ -1336,9 +823,8 @@ impl EventLoop {
                 continue;
             };
             self.shared.metrics.inc(Scalar::TimeoutsTotal);
-            let queued = lock_clean(&self.shared.queue).len();
             let response = Response::error(503, "deadline exceeded")
-                .with_retry_after(self.retry_after(queued));
+                .with_retry_after(self.shared.jobs.retry_after());
             self.finish_request(
                 id,
                 response,
@@ -1370,7 +856,7 @@ impl EventLoop {
                 .get(&id)
                 .is_some_and(|s| !s.conn.read_buf.is_empty());
             if has_partial {
-                self.shared.metrics.request("other");
+                self.shared.metrics.request(UNROUTED);
                 let response = Response::error(408, "timed out reading request");
                 self.finish_request(id, response, false, Instant::now(), None);
             } else {
@@ -1380,214 +866,11 @@ impl EventLoop {
     }
 }
 
-// -------------------------------------------------------------- routing
-
-fn route(request: &Request, shared: &Arc<Shared>) -> RouteOutcome {
-    let (endpoint, expect_post) = match request.path.as_str() {
-        "/metrics" => ("metrics", false),
-        "/v1/health" => ("health", false),
-        "/v1/stats" => ("stats", false),
-        "/v1/solve" => ("solve", true),
-        "/v1/advise" => ("advise", true),
-        // /v1/tune speaks both verbs: POST starts a calibration, GET
-        // polls its status. Expecting whichever of the two arrived
-        // still rejects every other method with 405.
-        "/v1/tune" => ("tune", request.method == "POST"),
-        p if p.starts_with("/v1/model/") => ("model", false),
-        p if p.starts_with("/v1/trace/") => ("trace", false),
-        _ => ("other", false),
-    };
-    shared.metrics.request(endpoint);
-    if endpoint == "other" {
-        return RouteOutcome::Inline(Response::error(
-            404,
-            &format!("no route for {}", request.path),
-        ));
-    }
-    let expected = if expect_post { "POST" } else { "GET" };
-    if request.method != expected {
-        return RouteOutcome::Inline(Response::error(
-            405,
-            &format!("{} requires {expected}", request.path),
-        ));
-    }
-
-    match endpoint {
-        "metrics" => RouteOutcome::Inline(metrics_response(request, shared)),
-        "health" => RouteOutcome::Inline(health_response(shared)),
-        "stats" => RouteOutcome::Inline(match api::parse_stats_query(&request.query) {
-            Err(msg) => Response::error(400, &msg),
-            Ok(newest) => {
-                let telemetry = shared.telemetry.as_ref();
-                let series = telemetry.map_or(Json::Null, |windows| windows.to_json(newest));
-                Response::ok(api::stats_response(series, telemetry.is_some()).to_string())
-            }
-        }),
-        "model" => {
-            let kind = &request.path["/v1/model/".len()..];
-            RouteOutcome::Inline(match api::model_response(kind, &request.query) {
-                Ok(json) => Response::ok(json.to_string()),
-                Err(msg) => Response::error(400, &msg),
-            })
-        }
-        "trace" => {
-            let raw = &request.path["/v1/trace/".len()..];
-            RouteOutcome::Inline(match raw.parse::<u64>() {
-                Err(_) => Response::error(400, "trace id must be a non-negative integer"),
-                Ok(id) => match shared.traces.get(id) {
-                    None => {
-                        Response::error(404, &format!("no trace {id} (evicted or never existed)"))
-                    }
-                    // The store retains the run; the document asked for
-                    // is rendered here, for the reader who did come.
-                    Some(entry) => match request.query.as_str() {
-                        "" => Response::ok(api::trace_attribution(&entry.run, id).to_string()),
-                        "trace=chrome" => Response::ok(api::trace_chrome(&entry.run).to_string()),
-                        other => Response::error(
-                            400,
-                            &format!("unknown query `{other}` (use ?trace=chrome)"),
-                        ),
-                    },
-                },
-            })
-        }
-        "solve" => {
-            let default_workers = shared.pool.processors().min(MAX_WORKERS);
-            match api::parse_solve_body(&request.body, default_workers) {
-                Ok(req) => RouteOutcome::Submit(
-                    JobKind::Solve {
-                        case: req.case,
-                        auto: req.auto,
-                    },
-                    req.bypass,
-                ),
-                Err(msg) => RouteOutcome::Inline(Response::error(400, &msg)),
-            }
-        }
-        "tune" => RouteOutcome::Inline(if request.method == "GET" {
-            match api::parse_tune_query(&request.query) {
-                Err(msg) => Response::error(400, &msg),
-                Ok(solver) => {
-                    // Flag before slot: a finishing calibration fills the
-                    // slot and then clears the flag, so a status other
-                    // than `calibrating` always comes with its result.
-                    let calibrating = *lock_clean(&shared.tune.calibrating) == Some(solver);
-                    let db = shared.tune_db(solver);
-                    let status = if calibrating {
-                        "calibrating"
-                    } else if db.is_some() {
-                        "ready"
-                    } else {
-                        "idle"
-                    };
-                    Response::ok(
-                        api::tune_status_response(solver, status, db.as_deref()).to_string(),
-                    )
-                }
-            }
-        } else {
-            start_calibration(shared, &request.body)
-        }),
-        "advise" => match api::parse_advise_body(&request.body) {
-            Ok(query) => RouteOutcome::Submit(JobKind::Advise(Box::new(query)), false),
-            Err(msg) => RouteOutcome::Inline(Response::error(400, &msg)),
-        },
-        // The match above covers every routed endpoint; answer a clean
-        // 500 rather than panicking the event loop if routing and
-        // dispatch ever drift apart.
-        _ => RouteOutcome::Inline(Response::error(500, "internal error: unroutable endpoint")),
-    }
-}
-
-/// `GET /metrics`: Prometheus text exposition by default, the JSON
-/// form via `?format=json` or an `Accept: application/json` header.
-/// `?format=prometheus` forces the text form regardless of `Accept`.
-fn metrics_response(request: &Request, shared: &Arc<Shared>) -> Response {
-    let json = match request.query.as_str() {
-        "format=json" => true,
-        "format=prometheus" => false,
-        "" => request.accept.contains("application/json"),
-        other => {
-            return Response::error(
-                400,
-                &format!("unknown query `{other}` (use ?format=json or ?format=prometheus)"),
-            )
-        }
-    };
-    let snapshot = shared.snapshot();
-    if json {
-        Response::ok(snapshot.to_json().to_string())
-    } else {
-        Response::prometheus(snapshot.to_prometheus())
-    }
-}
-
-/// `GET /v1/health`: liveness (`ok` or `draining`) and the telemetry
-/// clock.
-fn health_response(shared: &Arc<Shared>) -> Response {
-    let body = api::health_response(
-        shared.draining.load(Ordering::SeqCst),
-        shared.telemetry.is_some(),
-        shared.telemetry.as_ref().map_or(0, Windows::windows_sealed),
-    );
-    Response::ok(body.to_string())
-}
-
-/// `POST /v1/tune`: start a bounded background calibration.
-///
-/// At most one calibration runs at a time — a second request while one
-/// is in flight gets `429`. The calibration runs on a *dedicated*
-/// shard-width slice of the pool (its own thread, recorder, and flight
-/// rings — `calibrate_solver` instruments its own view), so the
-/// executor shards keep serving while it measures. With the `job_gate`
-/// test hook installed the calibration honors the gate before
-/// starting, so tests can pin it mid-flight; the hook changes nothing
-/// about how winners are selected. A completed calibration bumps the
-/// tune generation, which invalidates every cached `auto` solve (their
-/// content keys embed the generation).
-fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::error(503, "shutting down");
-    }
-    let req = match api::parse_tune_body(body) {
-        Ok(req) => req,
-        Err(msg) => return Response::error(400, &msg),
-    };
-    {
-        let mut calibrating = lock_clean(&shared.tune.calibrating);
-        if calibrating.is_some() {
-            return Response::error(429, "calibration already running").with_retry_after(1);
-        }
-        *calibrating = Some(req.solver);
-    }
-    let started = api::tune_started_response(req.solver, &req.spec);
-    let api::TuneRequest { solver, spec } = req;
-    let shared = Arc::clone(shared);
-    thread::spawn(move || {
-        if let Some(gate) = &shared.config.job_gate {
-            drop(lock_clean(gate));
-        }
-        let width = (shared.pool.processors() / shared.shards).max(1);
-        let slice = shared.pool.sized_view(width);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (solvers::known(solver)?.calibrate)(&slice, &spec)
-        }));
-        match outcome {
-            Ok(Ok(db)) => {
-                lock_clean(&shared.tune.db).insert(db.solver.clone(), Arc::new(db));
-                shared.tune.generation.fetch_add(1, Ordering::SeqCst);
-            }
-            Ok(Err(msg)) => eprintln!("llpd: calibration failed: {msg}"),
-            Err(_) => eprintln!("llpd: calibration panicked"),
-        }
-        *lock_clean(&shared.tune.calibrating) = None;
-    });
-    Response::ok(started.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api;
+    use crate::jobs::{Job, JobOrigin};
     use llp::obs::attr::{kernel_overheads, KernelOverhead};
     use llp::obs::chrome::chrome_trace_with_summary;
     use llp::obs::AttributionReport;
@@ -1602,7 +885,7 @@ mod tests {
             accept: String::new(),
             keep_alive: false,
         };
-        match route(&request, shared) {
+        match routes::route(&request, shared) {
             RouteOutcome::Inline(response) => response,
             RouteOutcome::Submit(..) => panic!("{path} is answered inline"),
         }
@@ -1631,13 +914,10 @@ mod tests {
             r#"{"solver": "fdtd", "size": 32, "steps": 4, "schedule": "dynamic", "chunk": 1}"#,
         ] {
             let job = Job {
-                kind: JobKind::Solve {
-                    case: api::parse_solve_body(body, 2).unwrap().case,
-                    auto: false,
-                },
+                kind: JobKind::Solve(api::parse_solve_body(body, 2).unwrap()),
                 origin: JobOrigin::Direct(Waiter { conn: 0, token: 0 }),
             };
-            let completions = execute_job(shared, &slice, &job);
+            let completions = jobs::execute_job(shared, &slice, &job);
             let id = completions[0].response.trace_id.expect("a flight trace");
             let entry = shared.traces.get(id).expect("retained");
             assert_eq!(entry.case, entry.run.run.case().label());
@@ -1683,62 +963,5 @@ mod tests {
         // (LLPD_SHARDS is not set in the test environment.)
         assert_eq!(config(8, 0).resolved_shards(), 4);
         assert_eq!(config(1, 0).resolved_shards(), 1);
-    }
-
-    #[test]
-    fn drain_estimate_is_monotone_under_a_stall() {
-        let t0 = Instant::now();
-        let est = DrainEstimator::starting_at(t0);
-        // A healthy phase: four jobs completing one second apart.
-        for i in 1..=4 {
-            est.record_completion_at(t0 + Duration::from_secs(i));
-        }
-        let healthy = est.retry_after_secs_at(2, t0 + Duration::from_secs(4));
-        assert_eq!(healthy, 2, "two jobs ahead at ~1 s/job");
-        // Then the executor stalls: no completions, queries drift out.
-        let stalled: Vec<u64> = [6u64, 9, 14, 30]
-            .iter()
-            .map(|&s| est.retry_after_secs_at(2, t0 + Duration::from_secs(s)))
-            .collect();
-        for pair in stalled.windows(2) {
-            assert!(pair[0] <= pair[1], "estimates shrank during a stall");
-        }
-        assert!(stalled[0] >= healthy);
-        // The stall term dominates the stale 1 s/job average.
-        assert!(stalled[3] >= 26 * 2 - 1);
-    }
-
-    #[test]
-    fn drain_estimate_stays_bounded() {
-        let t0 = Instant::now();
-        let est = DrainEstimator::starting_at(t0);
-        // Nothing observed yet: minimum one second.
-        assert_eq!(est.retry_after_secs_at(0, t0), 1);
-        assert_eq!(est.retry_after_secs_at(100, t0), 1);
-        // A very fast drain still answers at least 1.
-        est.record_completion_at(t0 + Duration::from_millis(1));
-        est.record_completion_at(t0 + Duration::from_millis(2));
-        assert_eq!(est.retry_after_secs_at(1, t0 + Duration::from_millis(2)), 1);
-        // A deeply stalled backlog is capped.
-        assert_eq!(
-            est.retry_after_secs_at(50, t0 + Duration::from_secs(10_000)),
-            MAX_RETRY_AFTER_SECS as u64
-        );
-    }
-
-    #[test]
-    fn drain_estimate_recovers_after_a_stall() {
-        let t0 = Instant::now();
-        let est = DrainEstimator::starting_at(t0);
-        est.record_completion_at(t0 + Duration::from_secs(30));
-        // The long first interval dominates...
-        assert!(est.retry_after_secs_at(1, t0 + Duration::from_secs(30)) >= 3);
-        // ...until a run of fast completions ages it out of the window.
-        let mut t = t0 + Duration::from_secs(30);
-        for _ in 0..DRAIN_WINDOW {
-            t += Duration::from_millis(100);
-            est.record_completion_at(t);
-        }
-        assert_eq!(est.retry_after_secs_at(1, t), 1);
     }
 }

@@ -15,10 +15,11 @@
 //! feeds its poll-tick clock), which keeps the ring deterministic under
 //! test.
 
+use crate::lock;
 use crate::metrics::Snapshot;
 use llp::obs::json::Json;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Schema version stamped into [`Windows::to_json`] output.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -70,12 +71,6 @@ impl Windows {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
-        // Every update below leaves the ring valid, so a panic while
-        // holding the lock cannot leave it half-written.
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Advance the clock to `now_ms`, sealing every window whose end has
     /// passed with one snapshot from `take` (not called when nothing
     /// seals). What happened since the last seal lands in the first
@@ -84,7 +79,7 @@ impl Windows {
     /// the ring materializes no more than it can retain. Returns the
     /// number of windows sealed by this call.
     pub fn tick(&self, now_ms: u64, take: impl FnOnce() -> Snapshot) -> u64 {
-        let mut ring = self.lock();
+        let mut ring = lock(&self.ring);
         let due = (now_ms / self.window_ms).saturating_sub(ring.open);
         if due == 0 {
             return 0;
@@ -104,7 +99,7 @@ impl Windows {
     /// Total windows sealed (including evicted ones).
     #[must_use]
     pub fn windows_sealed(&self) -> u64 {
-        self.lock().open
+        lock(&self.ring).open
     }
 
     /// Versioned JSON of the newest `newest` sealed windows, oldest
@@ -113,7 +108,7 @@ impl Windows {
     /// `sync_fraction` (`null` when no solve was attributed in it).
     #[must_use]
     pub fn to_json(&self, newest: usize) -> Json {
-        let ring = self.lock();
+        let ring = lock(&self.ring);
         let sealed = ring.boundaries.len() - 1;
         let first = ring.open - sealed as u64;
         let windows = (sealed - newest.min(sealed)..sealed)

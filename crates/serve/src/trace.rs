@@ -25,12 +25,13 @@
 //! record; a client that wants one fetches it promptly after the solve
 //! response hands it the `trace_id`.
 
+use crate::lock;
 use llp::obs::attr::{kernel_overheads, KernelOverhead};
 use llp::obs::AttributionReport;
 use solver::FinishedRun;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Traces retained before the oldest is evicted.
 pub const DEFAULT_TRACE_CAPACITY: usize = 16;
@@ -94,7 +95,7 @@ impl TraceStore {
 
     /// Insert a finished trace, evicting the oldest beyond capacity.
     pub fn insert(&self, entry: TraceEntry) {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = lock(&self.entries);
         if entries.len() == self.capacity {
             entries.pop_front();
         }
@@ -104,21 +105,13 @@ impl TraceStore {
     /// Look up a trace by id.
     #[must_use]
     pub fn get(&self, id: u64) -> Option<Arc<TraceEntry>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .find(|e| e.id == id)
-            .cloned()
+        lock(&self.entries).iter().find(|e| e.id == id).cloned()
     }
 
     /// Number of traces currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        lock(&self.entries).len()
     }
 
     /// Whether the store holds no traces.

@@ -499,6 +499,44 @@ fn advise_responses_match_goldens() {
     server.shutdown();
 }
 
+/// One advise body cannot hold the executor: the zone-level plateau scan
+/// stops at `P = zones` however wide the submitted machine, and a zone
+/// count past the batch cap is a 400 naming the cap.
+#[test]
+fn advise_zone_level_work_is_bounded() {
+    let server = small_server();
+    let addr = server.addr();
+    let body = |zones: u64, processors: u64| {
+        ADVISE_BODY
+            .replacen("32", &processors.to_string(), 1)
+            .replacen(
+                "\"loops\"",
+                &format!("\"zones\": {zones},\n    \"loops\""),
+                1,
+            )
+    };
+    let started = Instant::now();
+    let reply = post(addr, "/v1/advise", &body(2, 4_294_967_295));
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "took {:?}",
+        started.elapsed()
+    );
+    let splits = reply.json();
+    let splits = splits.get("zone_level").unwrap().get("splits").unwrap();
+    assert_eq!(splits.as_array().map(<[Json]>::len), Some(2));
+
+    let rejected = post(addr, "/v1/advise", &body(4097, 32));
+    assert_eq!(rejected.status, 400);
+    assert_eq!(
+        rejected.json().get("error").and_then(Json::as_str),
+        Some("`zones` 4097 exceeds limit 4096")
+    );
+    assert_eq!(post(addr, "/v1/advise", &body(4096, 32)).status, 200);
+    server.shutdown();
+}
+
 #[test]
 fn model_endpoints_answer_the_paper_tables() {
     let server = small_server();

@@ -556,9 +556,6 @@ mod tests {
         assert_eq!(region.workers, 4);
         assert_eq!(region.chunk_count, 4);
         assert!((region.imbalance() - 4.0 / 3.75).abs() < 1e-12);
-        // Round-trips through the JSON schema.
-        let back = llp::ObsReport::from_json_str(&obs.to_json_string()).unwrap();
-        assert_eq!(back, obs);
     }
 
     #[test]

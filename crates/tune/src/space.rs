@@ -61,11 +61,9 @@ impl Candidate {
 ///
 /// Degenerate inputs never panic: `units == 0` proposes only the
 /// serial count `[1]` (there is nothing to split), and `pool_width ==
-/// 0` is treated as a 1-wide pool. The plateau scan is bounded by
-/// `min(pool_width, units)` — no edge exists past `P = units`, where
-/// `ceil(units/P)` has already reached 1 — so an absurd `pool_width`
-/// (untrusted input, or a wrapped conversion upstream) costs O(units),
-/// not O(pool_width).
+/// 0` is treated as a 1-wide pool. [`plateau_edges`] stops its scan at
+/// `P = units`, so an absurd `pool_width` (untrusted input, or a wrapped
+/// conversion upstream) costs O(units), not O(pool_width).
 #[must_use]
 pub fn worker_counts(
     units: u64,
@@ -76,12 +74,8 @@ pub fn worker_counts(
     if units == 0 {
         return vec![1];
     }
-    // Saturating narrowing on both axes: a u64 unit count or a usize
-    // pool width beyond u32::MAX clamps instead of wrapping.
-    let scan_cap = u32::try_from(units)
-        .unwrap_or(u32::MAX)
-        .min(u32::try_from(width).unwrap_or(u32::MAX));
-    let mut counts: Vec<usize> = plateau_edges(units, scan_cap)
+    // A pool width beyond u32::MAX clamps instead of wrapping.
+    let mut counts: Vec<usize> = plateau_edges(units, u32::try_from(width).unwrap_or(u32::MAX))
         .into_iter()
         .map(|p| usize::try_from(p).unwrap_or(usize::MAX))
         .collect();
