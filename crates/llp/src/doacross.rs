@@ -94,10 +94,7 @@ fn run_chunks<T: Send, S>(
             // `C$doacross` behaviour the stair-step model assumes.
             let chunk_count = payloads.len();
             let mut times = chunk_time_slots(workers, chunk_count);
-            // Flight lane = chunk index: static binding means chunk i
-            // is the whole life of task i.
             let flight = workers.flight().begin_region(
-                chunk_count,
                 workers.processors(),
                 n as u64,
                 chunk_count,
@@ -110,16 +107,16 @@ fn run_chunks<T: Send, S>(
                 let mut slots = times.iter_mut();
                 for (ci, payload) in payloads.into_iter().enumerate() {
                     let slot = slots.next();
-                    scope.spawn(move || {
+                    scope.spawn_on_lane(move |lane| {
                         if let Some(f) = flight {
-                            f.chunk_start(ci, ci);
+                            f.chunk_start(lane, ci);
                         }
                         timed(slot, || {
                             let mut scratch = make_scratch();
                             work(ci, payload, &mut scratch);
                         });
                         if let Some(f) = flight {
-                            f.chunk_end(ci, ci);
+                            f.chunk_end(lane, ci);
                         }
                     });
                 }
@@ -139,10 +136,7 @@ fn run_chunks<T: Send, S>(
             let chunk_count = payloads.len();
             let mut times = chunk_time_slots(workers, claimants);
             let claimer = ChunkClaimer::blocked(chunks, claimants);
-            // Flight lane = claimant index: the claimant is the unit of
-            // execution here, chunks migrate between lanes at runtime.
             let flight = workers.flight().begin_region(
-                claimants,
                 workers.processors(),
                 n as u64,
                 chunk_count,
@@ -159,7 +153,7 @@ fn run_chunks<T: Send, S>(
                 let mut slots = times.iter_mut();
                 for ti in 0..claimants {
                     let slot = slots.next();
-                    scope.spawn(move || {
+                    scope.spawn_on_lane(move |lane| {
                         timed(slot, || {
                             let mut scratch = make_scratch();
                             // With the flight recorder on, every claim
@@ -173,7 +167,7 @@ fn run_chunks<T: Send, S>(
                             loop {
                                 let ci = claimer.claim_as(ti);
                                 if let Some(f) = flight {
-                                    f.claimed(ti, claim_from, ci);
+                                    f.claimed(lane, claim_from, ci);
                                 }
                                 let Some(ci) = ci else { break };
                                 let payload = parked[ci]
@@ -184,7 +178,7 @@ fn run_chunks<T: Send, S>(
                                     work(ci, payload, &mut scratch);
                                 }
                                 if let Some(f) = flight {
-                                    claim_from = f.chunk_end(ti, ci);
+                                    claim_from = f.chunk_end(lane, ci);
                                 }
                             }
                         });

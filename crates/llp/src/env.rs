@@ -1,6 +1,6 @@
 //! Hardened environment-variable parsing shared by every knob the
-//! suite reads from the environment (`LLP_WORKERS`, `LLPD_SHARDS`,
-//! `LLPD_TUNE_DB`, …).
+//! suite reads from the environment (`LLP_WORKERS`, `LLPD_TUNE_DB`,
+//! `LLPD_MEM_BUDGET`, …).
 //!
 //! A service must not die on a typo'd environment, but it also must
 //! not *silently* ignore one: an operator who exports

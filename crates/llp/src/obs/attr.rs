@@ -630,7 +630,7 @@ mod tests {
     /// computes 60 µs then waits 40 µs at the barrier; both claim once.
     fn synthetic() -> Timeline {
         let fr = FlightRecorder::enabled(2, 64);
-        let s = fr.begin_region(2, 2, 100, 2, "dynamic").unwrap();
+        let s = fr.begin_region(2, 100, 2, "dynamic").unwrap();
         s.claim_wait(0, 2_000);
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);
@@ -672,7 +672,7 @@ mod tests {
         let claim = [1_000u64, 10_000, 100_000, 1_000_000];
         let fr = FlightRecorder::enabled(2, 64);
         for (seq, claim) in claim.iter().enumerate() {
-            let s = fr.begin_region(2, 2, 100, 2, "dynamic").unwrap();
+            let s = fr.begin_region(2, 100, 2, "dynamic").unwrap();
             for lane in 0..2 {
                 s.claim_wait(lane, claim * (lane as u64 + 1));
                 s.chunk_start(lane, lane);
@@ -786,7 +786,7 @@ mod tests {
         // Matching flight data: two regions.
         let fr = FlightRecorder::enabled(2, 64);
         for chunk in 0..2u64 {
-            let s = fr.begin_region(1, 2, 10, 1, "static").unwrap();
+            let s = fr.begin_region(2, 10, 1, "static").unwrap();
             s.chunk_start(0, chunk as usize);
             s.chunk_end(0, chunk as usize);
             s.finish();

@@ -202,7 +202,7 @@ mod tests {
 
     fn sample() -> Timeline {
         let fr = FlightRecorder::enabled(2, 64);
-        let s = fr.begin_region(2, 2, 40, 4, "dynamic").unwrap();
+        let s = fr.begin_region(2, 40, 4, "dynamic").unwrap();
         s.claim_wait(0, 500);
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);

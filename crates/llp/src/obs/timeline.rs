@@ -12,10 +12,19 @@
 //! no atomics, no clock reads, exactly the
 //! [`crate::obs::Recorder::disabled`] contract.
 //!
+//! A lane is a *thread* of the region's view, not a chunk: the caller
+//! records as lane 0 and the helper standing in for the view's lane `l`
+//! as lane `l` (the worker team tells each task which it is). A region
+//! that ran narrower than its view — a helper was busy serving another
+//! view of the same pool, so the caller ran that helper's chunks too —
+//! therefore shows its real width: the uncovered lanes record nothing,
+//! and the caller's lane bills those chunks as compute, not as time
+//! spent waiting at the barrier.
+//!
 //! Safety of the lock-free writes rests on two structural facts rather
 //! than on `unsafe` (there is none in this module): during a region
-//! each lane has exactly one writer (the task that owns the chunk or
-//! claimant index), and the coordinator only reads lanes after the
+//! each lane has exactly one writer (the one thread running as that
+//! lane), and the coordinator only reads lanes after the
 //! region's barrier — the worker team's release/acquire barrier that
 //! *is* the synchronization event (protocol in the `team` module
 //! beneath [`crate::pool`]) — so every store happens-before every read,
@@ -114,10 +123,11 @@ pub struct RegionMark {
     pub iterations: u64,
     /// Number of chunks the schedule cut.
     pub chunks: usize,
-    /// Lanes (tasks) that executed the region: chunk count under static
-    /// scheduling, claimant count under dynamic/guided.
+    /// Lanes that executed the region: the threads that recorded an
+    /// event in it, at most [`RegionMark::workers`] — fewer when a
+    /// helper was busy elsewhere or the region had fewer tasks.
     pub lanes: usize,
-    /// Worker count of the executing team.
+    /// Worker count of the executing view (the width it asked for).
     pub workers: usize,
     /// Scheduling policy name (`"static"`, `"dynamic"`, `"guided"`).
     pub policy: &'static str,
@@ -275,7 +285,7 @@ impl FlightState {
 /// recorder holds nothing: every call is one branch. Only one region
 /// may record at a time per recorder (the coordinator serializes
 /// regions; concurrent solves must use distinct recorders, as the serve
-/// layer's executor shards do).
+/// layer's executors do).
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     inner: Option<Arc<FlightState>>,
@@ -316,20 +326,30 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
+    /// Bytes the rings occupy (0 when disabled): every slot of every
+    /// lane is allocated, and written, by [`FlightRecorder::enabled`].
+    #[must_use]
+    pub fn ring_bytes(&self) -> usize {
+        self.inner.as_ref().map_or(0, |state| {
+            let slots: usize = state.lanes.iter().map(|lane| lane.slots.len()).sum();
+            slots * std::mem::size_of::<Slot>()
+        })
+    }
+
     /// Number of worker lanes (0 when disabled).
     #[must_use]
     pub fn lanes(&self) -> usize {
         self.inner.as_ref().map_or(0, |s| s.lanes.len())
     }
 
-    /// Open a recording session for one parallel region, or `None` when
-    /// disabled — the one branch the disabled hot path pays. Called by
-    /// the doacross entry points right before entering the region;
-    /// [`RegionSession::finish`] must be called after the barrier.
+    /// Open a recording session for one parallel region of a
+    /// `workers`-wide view, or `None` when disabled — the one branch the
+    /// disabled hot path pays. Called by the doacross entry points right
+    /// before entering the region; [`RegionSession::finish`] must be
+    /// called after the barrier.
     #[must_use]
     pub fn begin_region(
         &self,
-        lanes_used: usize,
         workers: usize,
         iterations: u64,
         chunks: usize,
@@ -341,7 +361,6 @@ impl FlightRecorder {
             state,
             seq,
             start_ns: state.now_ns(),
-            lanes_used: lanes_used.min(state.lanes.len()),
             workers,
             iterations,
             chunks,
@@ -405,7 +424,6 @@ pub struct RegionSession<'a> {
     state: &'a FlightState,
     seq: u64,
     start_ns: u64,
-    lanes_used: usize,
     workers: usize,
     iterations: u64,
     chunks: usize,
@@ -482,19 +500,21 @@ impl RegionSession<'_> {
     }
 
     /// Close the region: called by the coordinator after the barrier.
-    /// Appends a [`EventKind::BarrierWait`] to every participating lane
-    /// (barrier completion minus the lane's last event — the time that
-    /// lane sat idle waiting for the stragglers) and logs the
-    /// [`RegionMark`].
+    /// Appends a [`EventKind::BarrierWait`] to every lane that executed
+    /// the region (barrier completion minus the lane's last event — the
+    /// time that lane sat idle waiting for the stragglers) and logs the
+    /// [`RegionMark`] with that executed width.
     pub fn finish(self) {
         let end_ns = self.state.now_ns();
-        for lane in self.state.lanes.iter().take(self.lanes_used) {
+        let mut lanes = 0;
+        for lane in self.state.lanes.iter().take(self.workers) {
             // Only lanes that recorded something in *this* region get a
             // barrier wait; `last_region` stores seq + 1 so lane 0 of
             // region 0 is distinguishable from "never wrote".
             if lane.last_region.load(Ordering::Relaxed) == self.seq + 1 {
                 let wait = end_ns.saturating_sub(lane.last_ts.load(Ordering::Relaxed));
                 lane.record(end_ns, EventKind::BarrierWait, wait, self.seq);
+                lanes += 1;
             }
         }
         self.state
@@ -507,7 +527,7 @@ impl RegionSession<'_> {
                 end_ns,
                 iterations: self.iterations,
                 chunks: self.chunks,
-                lanes: self.lanes_used,
+                lanes,
                 workers: self.workers,
                 policy: self.policy,
             });
@@ -523,14 +543,14 @@ mod tests {
         let fr = FlightRecorder::disabled();
         assert!(!fr.is_enabled());
         assert_eq!(fr.lanes(), 0);
-        assert!(fr.begin_region(2, 2, 10, 2, "static").is_none());
+        assert!(fr.begin_region(2, 10, 2, "static").is_none());
         assert!(fr.take_timeline().is_empty());
     }
 
     #[test]
     fn records_events_per_lane_and_region() {
         let fr = FlightRecorder::enabled(2, 64);
-        let s = fr.begin_region(2, 2, 100, 2, "static").unwrap();
+        let s = fr.begin_region(2, 100, 2, "static").unwrap();
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);
         s.chunk_start(1, 1);
@@ -550,7 +570,7 @@ mod tests {
         assert!(t.regions[0].end_ns >= t.regions[0].start_ns);
         // Drained: the next timeline is empty and seq restarts at 0.
         assert!(fr.take_timeline().is_empty());
-        let s = fr.begin_region(1, 2, 1, 1, "static").unwrap();
+        let s = fr.begin_region(2, 1, 1, "static").unwrap();
         assert_eq!(s.seq(), 0);
         s.finish();
     }
@@ -558,7 +578,7 @@ mod tests {
     #[test]
     fn a_claim_and_its_outcome_share_one_stamp() {
         let fr = FlightRecorder::enabled(1, 16);
-        let s = fr.begin_region(1, 1, 2, 2, "dynamic").unwrap();
+        let s = fr.begin_region(1, 2, 2, "dynamic").unwrap();
         let from = s.now_ns();
         s.claimed(0, from, Some(1));
         let end = s.chunk_end(0, 1);
@@ -590,12 +610,14 @@ mod tests {
     #[test]
     fn idle_lanes_get_no_barrier_wait() {
         let fr = FlightRecorder::enabled(4, 16);
-        let s = fr.begin_region(2, 4, 10, 2, "static").unwrap();
+        let s = fr.begin_region(4, 10, 2, "static").unwrap();
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);
         // Lane 1 participates but records nothing; lanes 2, 3 unused.
         s.finish();
         let t = fr.take_timeline();
+        // One lane executed the region of a four-wide view.
+        assert_eq!((t.regions[0].lanes, t.regions[0].workers), (1, 4));
         assert_eq!(t.lanes[0].events.len(), 3);
         assert!(t.lanes[1].events.is_empty());
         assert!(t.lanes[2].events.is_empty());
@@ -605,7 +627,7 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let fr = FlightRecorder::enabled(1, 4);
-        let s = fr.begin_region(1, 1, 10, 10, "dynamic").unwrap();
+        let s = fr.begin_region(1, 10, 10, "dynamic").unwrap();
         for c in 0..5 {
             s.chunk_start(0, c);
         }
@@ -623,7 +645,7 @@ mod tests {
     fn clones_share_rings() {
         let fr = FlightRecorder::enabled(1, 8);
         let clone = fr.clone();
-        let s = clone.begin_region(1, 1, 1, 1, "static").unwrap();
+        let s = clone.begin_region(1, 1, 1, "static").unwrap();
         s.chunk_start(0, 0);
         s.finish();
         assert_eq!(fr.take_timeline().total_events(), 2);
@@ -632,7 +654,7 @@ mod tests {
     #[test]
     fn out_of_range_lane_is_ignored() {
         let fr = FlightRecorder::enabled(1, 8);
-        let s = fr.begin_region(1, 1, 1, 1, "static").unwrap();
+        let s = fr.begin_region(1, 1, 1, "static").unwrap();
         s.chunk_start(7, 0); // defensive: silently dropped
         s.finish();
         let t = fr.take_timeline();
@@ -643,7 +665,7 @@ mod tests {
     #[test]
     fn drained_timeline_keeps_lanes_events_and_policy() {
         let fr = FlightRecorder::enabled(1, 8);
-        let s = fr.begin_region(1, 1, 5, 1, "guided").unwrap();
+        let s = fr.begin_region(1, 5, 1, "guided").unwrap();
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);
         s.finish();
@@ -659,7 +681,7 @@ mod tests {
         // A zone event on lane 1 whose step index collides with the
         // next region's sequence number...
         fr.zone_start(1, 3, 0);
-        let s = fr.begin_region(2, 2, 10, 2, "static").unwrap();
+        let s = fr.begin_region(2, 10, 2, "static").unwrap();
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);
         s.finish();

@@ -50,6 +50,14 @@ impl std::fmt::Debug for RegionScope<'_> {
 impl<'env> RegionScope<'env> {
     /// Queue one task for the region.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
+        self.spawn_on_lane(move |_| task());
+    }
+
+    /// Queue one task that is told the lane of the view it runs on:
+    /// 0 on the calling thread, `l` on the helper standing in for the
+    /// view's lane `l`. Two tasks one thread runs get the same lane, so
+    /// what they record per lane is what that thread did.
+    pub(crate) fn spawn_on_lane(&self, task: impl FnOnce(usize) + Send + 'env) {
         self.tasks.borrow_mut().push(TaskSlot::new(task));
     }
 }
@@ -308,7 +316,7 @@ impl Workers {
     }
 
     /// Replace the team's flight recorder — how the serve layer gives
-    /// each executor shard its own rings. Lanes should cover this
+    /// each executor its own rings. Lanes should cover this
     /// team's [`Workers::processors`]; narrower recorders silently drop
     /// events from the uncovered lanes.
     pub fn set_flight(&mut self, flight: FlightRecorder) {

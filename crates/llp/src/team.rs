@@ -38,7 +38,11 @@
 //! (`job → BUSY`) claim task indices from the shared counter until none
 //! are left, so more tasks than workers, nested regions and overlapping
 //! views all finish: the caller alone is enough. Each task runs under
-//! `catch_unwind`; the first panic payload is kept.
+//! `catch_unwind`; the first panic payload is kept. A task is told the
+//! lane it runs on, counted from the view's first: the caller is lane
+//! 0 and helper `h` is lane `h + 1 − first`, so a region that ran
+//! narrower because a helper was serving another view shows it in
+//! whatever the tasks record per lane.
 //!
 //! **The barrier.** When the caller runs out of tasks it takes the job
 //! back from every helper that has not picked it up (`job → IDLE`),
@@ -90,15 +94,16 @@ use std::time::{Duration, Instant};
 /// region it was meant to help.
 const SPIN: Duration = Duration::from_micros(50);
 
-/// A boxed task queued on a region.
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
+/// A boxed task queued on a region; its argument is the lane it runs
+/// on (see the module header).
+type Task<'env> = Box<dyn FnOnce(usize) + Send + 'env>;
 
 /// One queued task, in a cell so that whichever worker claims its index
 /// can take it through a shared reference.
 pub(crate) struct TaskSlot<'env>(UnsafeCell<Option<Task<'env>>>);
 
 impl<'env> TaskSlot<'env> {
-    pub(crate) fn new(task: impl FnOnce() + Send + 'env) -> Self {
+    pub(crate) fn new(task: impl FnOnce(usize) + Send + 'env) -> Self {
         Self(UnsafeCell::new(Some(Box::new(task))))
     }
 
@@ -136,6 +141,9 @@ struct Job {
     len: usize,
     /// Next unclaimed task index; each index is handed out once.
     next: AtomicUsize,
+    /// The view's first lane: helper `h` runs its tasks as lane
+    /// `h + 1 − first`.
+    first: usize,
     /// `DEPARTED` per helper that has let go, plus [`SLEEPING`].
     barrier: AtomicUsize,
     /// The thread to unpark when [`SLEEPING`] is set.
@@ -150,8 +158,8 @@ const SLEEPING: usize = 1;
 const DEPARTED: usize = 2;
 
 impl Job {
-    /// Claim and run tasks until none are left.
-    fn drain(&self) {
+    /// Claim and run tasks as `lane` until none are left.
+    fn drain(&self, lane: usize) {
         loop {
             // Relaxed: the index publishes nothing; the slots were
             // published with the job (release on the helper word).
@@ -167,7 +175,7 @@ impl Job {
             let task = unsafe { (*(*self.tasks.add(i)).0.get()).take() };
             let Some(task) = task else { continue };
             // The erased `'env` borrows are alive for the same reason.
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(task)) {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(lane))) {
                 self.panic
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -272,8 +280,8 @@ impl Helper {
         }
     }
 
-    /// A helper thread's whole life.
-    fn serve(&self) {
+    /// Helper `index`'s whole life.
+    fn serve(&self, index: usize) {
         let _ = self.thread.set(thread::current());
         while let Some(job) = self.next_job() {
             // SAFETY: the address was published by `Team::run`, which
@@ -281,7 +289,7 @@ impl Helper {
             // the `Job` on its stack alive — until this helper, which
             // took the job (`job → BUSY`), has departed below.
             let job = unsafe { &*job };
-            job.drain();
+            job.drain(index + 1 - job.first);
             // Free for the next region before this one's caller can
             // return and start it. Release/acquire with the next
             // publisher orders this job's task effects before its.
@@ -326,7 +334,7 @@ impl Team {
             // A serial region (one task, or a one-lane view) is a plain
             // loop on the calling thread.
             for task in tasks.into_iter().filter_map(TaskSlot::into_task) {
-                task();
+                task(0);
             }
             return;
         }
@@ -336,6 +344,7 @@ impl Team {
             tasks: tasks.as_ptr().cast(),
             len: tasks.len(),
             next: AtomicUsize::new(0),
+            first,
             barrier: AtomicUsize::new(0),
             caller: thread::current(),
             panic: Mutex::new(None),
@@ -349,7 +358,7 @@ impl Team {
         let enlisted = (first..first + wanted)
             .filter(|&index| self.enlist(index, address))
             .count();
-        job.drain();
+        job.drain(0);
         // Every task is claimed; take the job back from helpers that
         // never picked it up. Only a word this call set can still hold
         // `address`, so each success is one enlisted helper that never
@@ -410,7 +419,7 @@ impl Team {
         let helpers = Arc::clone(&self.helpers);
         let spawned = thread::Builder::new()
             .name(format!("llp-helper-{}", index + 1))
-            .spawn(move || helpers[index].serve());
+            .spawn(move || helpers[index].serve(index));
         match spawned {
             Ok(handle) => {
                 self.threads

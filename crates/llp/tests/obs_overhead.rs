@@ -86,7 +86,7 @@ fn disabled_flight_recorder_allocates_nothing() {
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        let session = flight.begin_region(4, 4, 100, 4, "static");
+        let session = flight.begin_region(4, 100, 4, "static");
         assert!(session.is_none(), "disabled recorder must yield no session");
         if let Some(s) = session {
             s.finish();
@@ -130,7 +130,7 @@ fn disabled_flight_recorder_allocates_nothing() {
     // Sanity: the enabled flight recorder does allocate (on drain).
     let enabled = llp::FlightRecorder::enabled(2, 64);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    if let Some(s) = enabled.begin_region(2, 2, 10, 2, "static") {
+    if let Some(s) = enabled.begin_region(2, 10, 2, "static") {
         s.chunk_start(0, 0);
         s.chunk_end(0, 0);
         s.finish();

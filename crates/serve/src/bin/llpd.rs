@@ -1,11 +1,15 @@
 //! `llpd` — the llpserve daemon.
 //!
 //! ```text
-//! llpd [--addr 127.0.0.1:8080] [--workers N] [--shards N] [--queue N]
+//! llpd [--addr 127.0.0.1:8080] [--workers N] [--queue N]
 //!      [--deadline-secs N] [--cache-capacity N] [--tune-db PATH]
 //!      [--memory-budget BYTES] [--telemetry-window-ms N]
 //!      [--telemetry-out PATH]
 //! ```
+//!
+//! `--workers` sizes the one worker team and the executor count: up to
+//! that many solves run at once, sharing the team region by region; a
+//! lone solve gets all of it.
 //!
 //! `--cache-capacity` bounds the content-addressed solve-result cache
 //! (entries; 0 disables caching — identical in-flight solves still
@@ -14,7 +18,8 @@
 //! `--memory-budget` (or the `LLPD_MEM_BUDGET` environment variable)
 //! caps the estimated per-solve memory footprint in bytes; over-budget
 //! solves are rejected with 413 before any pool work. Unset admits
-//! everything.
+//! everything. The cap is per solve, and up to `--workers` solves run
+//! at once.
 //!
 //! `--tune-db` (or the `LLPD_TUNE_DB` environment variable) names a
 //! tune database to load at startup; `"schedule": "auto"` solves and
@@ -68,11 +73,6 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Paths), String> {
                     return Err("--workers must be a positive integer".to_string());
                 }
             }
-            "--shards" => {
-                config.shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| "--shards must be a non-negative integer (0 = auto)".to_string())?;
-            }
             "--queue" => {
                 config.queue_capacity = value("--queue")?
                     .parse()
@@ -109,7 +109,7 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Paths), String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: llpd [--addr HOST:PORT] [--workers N] [--shards N] [--queue N] [--deadline-secs N] [--cache-capacity N] [--tune-db PATH] [--memory-budget BYTES] [--telemetry-window-ms N] [--telemetry-out PATH]"
+                    "usage: llpd [--addr HOST:PORT] [--workers N] [--queue N] [--deadline-secs N] [--cache-capacity N] [--tune-db PATH] [--memory-budget BYTES] [--telemetry-window-ms N] [--telemetry-out PATH]"
                         .to_string(),
                 )
             }
@@ -180,9 +180,8 @@ fn main() {
         }
     };
     println!(
-        "llpd listening on http://{} ({workers} workers, {} executor shards)",
-        server.addr(),
-        server.shards()
+        "llpd listening on http://{} ({workers} workers, one executor each, one team)",
+        server.addr()
     );
     signal::install();
     while !signal::requested() {
@@ -205,8 +204,6 @@ mod tests {
             "0.0.0.0:9999",
             "--workers",
             "4",
-            "--shards",
-            "2",
             "--queue",
             "3",
             "--cache-capacity",
@@ -222,8 +219,6 @@ mod tests {
         let (config, paths) = parse_args(&args).unwrap();
         assert_eq!(config.addr, "0.0.0.0:9999");
         assert_eq!(config.workers, 4);
-        assert_eq!(config.shards, 2);
-        assert_eq!(config.resolved_shards(), 2);
         assert_eq!(config.queue_capacity, 3);
         assert_eq!(config.cache_capacity, 5);
         assert_eq!(config.telemetry_window_ms, 250);
@@ -232,7 +227,8 @@ mod tests {
         assert!(parse_args(&["--cache-capacity".to_string(), "x".to_string()]).is_err());
         assert!(parse_args(&["--memory-budget".to_string(), "0".to_string()]).is_err());
         assert!(parse_args(&["--memory-budget".to_string(), "x".to_string()]).is_err());
-        assert!(parse_args(&["--shards".to_string(), "x".to_string()]).is_err());
+        // The executor partition is gone, and so is its flag.
+        assert!(parse_args(&["--shards".to_string(), "2".to_string()]).is_err());
         assert!(parse_args(&["--workers".to_string(), "0".to_string()]).is_err());
         assert!(parse_args(&["--telemetry-window-ms".to_string(), "x".to_string()]).is_err());
         assert!(parse_args(&["--bogus".to_string()]).is_err());

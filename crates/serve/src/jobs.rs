@@ -1,9 +1,15 @@
-//! The job queue and the executor shards that drain it.
+//! The job queue and the executors that drain it.
 //!
 //! Pool-backed work (`/v1/solve`, `/v1/advise`) is admitted into one
-//! bounded [`JobQueue`] in front of **N executor shards**, each a thread
-//! owning a disjoint [`Workers::shard_view`] slice of the shared pool
-//! with its own span and flight recorders. An executor sends its
+//! bounded [`JobQueue`] in front of **one executor per pool worker**.
+//! Every executor is a thread running its jobs on a view of *all* the
+//! lanes of the pool's one worker team, with its own span and flight
+//! recorders. Nothing partitions the lanes: at every region fork a job
+//! enlists whichever helpers are free and runs narrower, never waiting,
+//! while another job holds them — so a lone solve has the whole pool,
+//! and P solves at once each run at about one worker instead of
+//! queueing. A request's `workers` stays a ceiling on its view's width;
+//! what a region actually ran on is in its trace. An executor sends its
 //! completions to the event loop, which writes each reply — or drops
 //! it, if the requester hit its deadline or hung up.
 //!
@@ -16,10 +22,10 @@
 //! drain rate** ([`DrainEstimator`]) over the jobs queued and
 //! executing.
 //!
-//! Shards are panic-proof: a job that panics is contained with
+//! Executors are panic-proof: a job that panics is contained with
 //! [`std::panic::catch_unwind`], every parked waiter gets `500`, the
 //! in-flight entry is removed (so the next identical request executes
-//! rather than parking forever), and the shard's recorder is reset.
+//! rather than parking forever), and the executor's recorders are reset.
 
 use crate::api;
 use crate::cache::ContentKey;
@@ -30,7 +36,8 @@ use crate::solvers;
 use crate::trace::{TraceEntry, TracedRun};
 use crate::{lock, unpoisoned};
 use llp::obs::json::Json;
-use llp::Workers;
+use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
+use llp::{FlightRecorder, Workers};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,6 +49,12 @@ const DRAIN_WINDOW: usize = 8;
 /// `Retry-After` ceiling in seconds; a stalled service never asks a
 /// client to back off longer than this.
 const MAX_RETRY_AFTER_SECS: f64 = 60.0;
+
+/// Flight events one executor's rings hold, split evenly over its
+/// lanes: two lanes of [`DEFAULT_EVENT_CAPACITY`]. With one executor
+/// per worker, the rings of a `P`-worker server total `P` times this —
+/// linear in `P`, not `P²`.
+const EXECUTOR_FLIGHT_EVENTS: usize = 2 * DEFAULT_EVENT_CAPACITY;
 
 /// One parked requester: the connection and the per-request token that
 /// guards against stale completions (a deadline-expired request's token
@@ -275,9 +288,15 @@ impl DrainEstimator {
 
 // ------------------------------------------------------------ executors
 
-/// One executor shard: run admitted jobs on this shard's pool slice
-/// until the queue is closed and empty.
-pub(crate) fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
+/// An executor's flight recorder: one lane per worker of a `workers`-wide
+/// team, [`EXECUTOR_FLIGHT_EVENTS`] slots between them.
+pub(crate) fn executor_flight(workers: usize) -> FlightRecorder {
+    FlightRecorder::enabled(workers, (EXECUTOR_FLIGHT_EVENTS / workers).max(1))
+}
+
+/// One executor: run admitted jobs on `team`, a view of every lane of
+/// the pool, until the queue is closed and empty.
+pub(crate) fn executor_loop(shared: &Arc<Shared>, team: &Workers) {
     while let Some(job) = shared.jobs.next() {
         shared.metrics.inc(Scalar::ExecutorBusy);
         if let Some(gate) = &shared.config.job_gate {
@@ -285,12 +304,12 @@ pub(crate) fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
             drop(lock(gate));
         }
         let completions = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(shared, slice, &job)
+            execute_job(shared, team, &job)
         })) {
             Ok(completions) => completions,
             Err(_) => {
                 // A panicking job (solver bug — inputs were validated at
-                // admission) must not take the shard down with it. The
+                // admission) must not take the executor down with it. The
                 // recorder may hold a half-built span stack and the
                 // flight rings partial events; reset and drain so the
                 // next job's report and timeline are exactly its own.
@@ -298,8 +317,8 @@ pub(crate) fn executor_loop(shared: &Arc<Shared>, slice: &Workers) {
                 // entry is removed, so the next identical request
                 // executes instead of parking on a dead entry.
                 shared.metrics.inc(Scalar::ExecutorPanicsTotal);
-                slice.recorder().reset();
-                let _ = slice.flight().take_timeline();
+                team.recorder().reset();
+                let _ = team.flight().take_timeline();
                 let response = Response::error(500, "internal error: job panicked");
                 reply_to_all(shared, &job.origin, &response)
             }
@@ -332,7 +351,7 @@ fn reply_to_all(shared: &Arc<Shared>, origin: &JobOrigin, response: &Response) -
 /// entry and id over the one shared execution, so every client can
 /// fetch and correlate independently. Only the handle is stored: the
 /// documents are rendered when `GET /v1/trace/{id}` asks (the route
-/// table's handler), never here on the shard.
+/// table's handler), never here on the executor.
 fn retain_trace(shared: &Arc<Shared>, traced: &Arc<TracedRun>) -> Option<u64> {
     if traced.run.timeline().is_empty() {
         return None;
@@ -346,7 +365,7 @@ fn retain_trace(shared: &Arc<Shared>, traced: &Arc<TracedRun>) -> Option<u64> {
     Some(id)
 }
 
-pub(crate) fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> Vec<Completion> {
+pub(crate) fn execute_job(shared: &Arc<Shared>, team: &Workers, job: &Job) -> Vec<Completion> {
     if let Some(fault) = &shared.config.job_fault {
         assert!(
             !fault.load(Ordering::SeqCst),
@@ -356,7 +375,7 @@ pub(crate) fn execute_job(shared: &Arc<Shared>, slice: &Workers, job: &Job) -> V
     match &job.kind {
         JobKind::Solve(api::SolveRequest { case, auto, .. }) => {
             let spec = case.spec();
-            let view = slice.sized_view(spec.workers());
+            let view = team.sized_view(spec.workers());
             // "auto": overlay the solver's tune database's per-kernel
             // configurations. The schedules only reorder work within
             // each doacross region, so results stay bit-exact with the
@@ -575,6 +594,18 @@ mod tests {
         tokens.sort_unstable();
         assert_eq!(tokens, (0..SUBMITS).collect::<Vec<_>>());
         assert!(lock(&q.inflight).is_empty());
+    }
+
+    /// One executor per worker, each with two lanes' worth of events
+    /// however wide its team: a server's rings grow linearly in `P`.
+    #[test]
+    fn flight_rings_stay_linear_in_the_worker_count() {
+        let per_executor = 2 * 4096 * 32;
+        for p in [1, 2, 4, 64] {
+            let flight = executor_flight(p);
+            assert_eq!(flight.lanes(), p);
+            assert_eq!(p * flight.ring_bytes(), p * per_executor, "P = {p}");
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   ([`llp::advisor`]) for a submitted loop profile, overlaid with the
 //!   tune database's measured choices when kernels match;
 //! * `POST /v1/tune` — start a bounded background calibration
-//!   ([`tune::calibrate_solver`]) on a shard-width view of the pool —
-//!   not a dedicated one: it shares executor shard 0's lanes (ROADMAP
-//!   item 3) — one at a time (concurrent requests get 429); `GET
+//!   ([`tune::calibrate_solver`]) on the pool's full width, sharing
+//!   the team with the executors region by region — one at a time
+//!   (concurrent requests get 429); `GET
 //!   /v1/tune` polls its status and returns the current database;
 //! * `GET /v1/model/{stairstep,overhead,work_per_sync}` — batched
 //!   performance-model queries ([`perfmodel`]);

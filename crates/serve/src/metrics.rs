@@ -43,12 +43,13 @@ pub const ENDPOINTS: &[&str] = &crate::routes::LABELS;
 pub const SCHEDULES: [&str; 4] = ["static", "dynamic", "guided", "auto"];
 
 /// The values `/metrics` reports that the server owns, not [`Metrics`]:
-/// the shared pool's width and counters and the executor shard count.
+/// the shared pool's width and counters and the executor count.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolContext {
     /// Worker lanes in the shared pool.
     pub pool_workers: usize,
-    /// Executor shards configured.
+    /// Executors running (one per pool worker); the row keeps the name
+    /// it had when executors owned disjoint shards of the pool.
     pub executor_shards: usize,
     /// Synchronization events the pool has executed.
     pub pool_sync_events: u64,

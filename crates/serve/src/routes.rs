@@ -203,11 +203,10 @@ fn stats(request: &Request, _: &str, shared: &Arc<Shared>) -> RouteOutcome {
 /// At most one calibration runs at a time — a second request while one
 /// is in flight gets `429`. The calibration runs on its own thread with
 /// its own recorder and flight rings (`calibrate_solver` instruments
-/// its own view) over a shard-width view of the pool. That view is not
-/// dedicated: `sized_view` starts at lane 0, so it is executor shard
-/// 0's lanes, a calibration and shard 0's jobs compete for the same
-/// helpers, and each one's timings include the other (ROADMAP item 3
-/// is where lanes get handed out per job). With the `job_gate` test
+/// its own view) over the pool's full width. Like an executor it shares
+/// the one team region by region: while solves run, a calibration
+/// region takes only the helpers they leave free, and its timings
+/// include theirs. With the `job_gate` test
 /// hook installed the calibration honors the gate before starting, so
 /// tests can pin it mid-flight; the hook changes nothing about how
 /// winners are selected. A completed calibration bumps the tune
@@ -235,10 +234,8 @@ fn start_calibration(shared: &Arc<Shared>, body: &str) -> Response {
         if let Some(gate) = &shared.config.job_gate {
             drop(lock(gate));
         }
-        let width = (shared.pool.processors() / shared.shards).max(1);
-        let slice = shared.pool.sized_view(width);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (solvers::known(solver)?.calibrate)(&slice, &spec)
+            (solvers::known(solver)?.calibrate)(&shared.pool, &spec)
         }));
         match outcome {
             Ok(Ok(db)) => {

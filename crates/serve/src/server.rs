@@ -1,5 +1,5 @@
 //! The `llpd` server: one readiness event loop, one shared doacross
-//! pool, and the job queue feeding its executor shards.
+//! pool, and the job queue feeding its executors.
 //!
 //! A single **event-loop thread** owns the nonblocking listener and
 //! every connection, multiplexed through a hand-declared `poll(2)`
@@ -19,7 +19,7 @@
 //! passes (`503`; the late completion is dropped).
 //!
 //! Shutdown is graceful: the queue closes first (new work gets `503`),
-//! every shard finishes everything already admitted, the event loop
+//! the executors finish everything already admitted, the event loop
 //! delivers the final completions, closes idle keep-alive connections,
 //! and exits once every connection has flushed.
 
@@ -34,8 +34,7 @@ use crate::solvers::MAX_WORKERS;
 use crate::telemetry::{self, Windows};
 use crate::trace::TraceStore;
 use llp::obs::json::Json;
-use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use llp::{FlightRecorder, Recorder, Workers};
+use llp::{Recorder, Workers};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,11 +42,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 use tune::TuneDb;
-
-/// Default shard width used when [`ServerConfig::shards`] is 0 and
-/// `LLPD_SHARDS` is unset: the pool is cut into slices of this many
-/// workers each.
-const DEFAULT_SHARD_WIDTH: usize = 2;
 
 /// Hard cap on concurrently open connections; beyond it the listener
 /// is simply not polled and the kernel backlog absorbs the burst.
@@ -62,15 +56,9 @@ pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
     /// Worker count of the shared pool (the maximum any request can
-    /// ask for, capped at [`MAX_WORKERS`]).
+    /// ask for, capped at [`MAX_WORKERS`]), and the number of executors:
+    /// up to this many jobs run at once, all on the pool's one team.
     pub workers: usize,
-    /// Executor shard count. Each shard owns a
-    /// `workers / shards`-wide slice of the pool and executes one job
-    /// at a time, so up to `shards` jobs run concurrently. `0` means
-    /// auto: the `LLPD_SHARDS` environment variable when set to a
-    /// positive integer, else one shard per [`DEFAULT_SHARD_WIDTH`]
-    /// workers. Clamped to `1..=workers`.
-    pub shards: usize,
     /// Jobs admitted beyond the ones executing; the next is rejected
     /// with 429.
     pub queue_capacity: usize,
@@ -113,7 +101,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: llp::default_worker_count().min(MAX_WORKERS),
-            shards: 0,
             queue_capacity: 8,
             deadline: Duration::from_secs(30),
             max_body_bytes: 64 * 1024,
@@ -124,21 +111,6 @@ impl Default for ServerConfig {
             memory_budget: None,
             telemetry_window_ms: telemetry::DEFAULT_WINDOW_MS,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The shard count [`Server::start`] will actually run with: the
-    /// explicit setting, else `LLPD_SHARDS`, else one shard per
-    /// [`DEFAULT_SHARD_WIDTH`] workers — always in `1..=workers`.
-    #[must_use]
-    pub fn resolved_shards(&self) -> usize {
-        let auto = || {
-            llp::env::positive_usize("LLPD_SHARDS")
-                .unwrap_or_else(|| self.workers.max(1) / DEFAULT_SHARD_WIDTH)
-        };
-        let shards = if self.shards > 0 { self.shards } else { auto() };
-        shards.clamp(1, self.workers.max(1))
     }
 }
 
@@ -158,7 +130,6 @@ pub(crate) struct TuneState {
 pub(crate) struct Shared {
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) pool: Workers,
-    pub(crate) shards: usize,
     pub(crate) jobs: JobQueue,
     pub(crate) traces: TraceStore,
     pub(crate) tune: TuneState,
@@ -184,8 +155,7 @@ impl Shared {
 
     /// Every metric now, the pool's own counters included.
     pub(crate) fn snapshot(&self) -> Snapshot {
-        self.metrics
-            .snapshot(&pool_context(&self.pool, self.shards))
+        self.metrics.snapshot(&pool_context(&self.pool))
     }
 
     /// Milliseconds since start on the telemetry clock.
@@ -194,11 +164,12 @@ impl Shared {
     }
 }
 
-/// The `/metrics` values the pool and the shard count own.
-fn pool_context(pool: &Workers, shards: usize) -> PoolContext {
+/// The `/metrics` values the pool owns; there is one executor per
+/// worker.
+fn pool_context(pool: &Workers) -> PoolContext {
     PoolContext {
         pool_workers: pool.processors(),
-        executor_shards: shards,
+        executor_shards: pool.processors(),
         pool_sync_events: pool.sync_event_count(),
         pool_regions: pool.region_count(),
     }
@@ -214,7 +185,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, spawn the event loop and the executor shards, and return.
+    /// Bind, spawn the event loop and the executors, and return.
     ///
     /// # Errors
     /// Propagates bind and waker-setup failures.
@@ -226,11 +197,10 @@ impl Server {
         let (completions_tx, completions_rx) = mpsc::channel();
 
         let workers = config.workers.clamp(1, MAX_WORKERS);
-        let shards = config.resolved_shards().min(workers);
         let cache_capacity = config.cache_capacity;
         let (metrics, pool) = (Arc::new(Metrics::new()), Workers::new(workers));
         let telemetry = (config.telemetry_window_ms > 0).then(|| {
-            let origin = metrics.snapshot(&pool_context(&pool, shards));
+            let origin = metrics.snapshot(&pool_context(&pool));
             Windows::new(
                 config.telemetry_window_ms,
                 telemetry::DEFAULT_CAPACITY,
@@ -241,7 +211,6 @@ impl Server {
             jobs: JobQueue::new(config.queue_capacity, Arc::clone(&metrics)),
             metrics,
             pool,
-            shards,
             traces: TraceStore::default(),
             tune: TuneState {
                 calibrating: Mutex::new(None),
@@ -269,23 +238,18 @@ impl Server {
                 EventLoop::new(shared, listener, wake_rx, completions_rx).run();
             })
         };
-        let executors = (0..shards)
-            .map(|shard| {
+        let executors = (0..workers)
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                // Each shard slice is its own lanes of the pool's one
-                // worker team and shares the pool's counters, but owns
-                // a private recorder and flight recorder: concurrent
-                // jobs never compete for a helper or interleave spans
-                // or timelines, and /metrics pool totals stay exact.
-                // Jobs on one shard are serial, so each job drains
-                // exactly its own flight events.
-                let mut slice = shared.pool.shard_view(shard, shards);
-                slice.set_recorder(Recorder::enabled());
-                slice.set_flight(FlightRecorder::enabled(
-                    slice.processors(),
-                    DEFAULT_EVENT_CAPACITY,
-                ));
-                thread::spawn(move || jobs::executor_loop(&shared, &slice))
+                // All of the team's lanes (see `jobs`), the pool's
+                // counters, and recorders of its own: concurrent jobs
+                // never interleave spans or timelines, /metrics pool
+                // totals stay exact, and an executor's jobs are serial,
+                // so each job drains exactly its own flight events.
+                let mut team = shared.pool.sized_view(workers);
+                team.set_recorder(Recorder::enabled());
+                team.set_flight(jobs::executor_flight(workers));
+                thread::spawn(move || jobs::executor_loop(&shared, &team))
             })
             .collect();
 
@@ -301,12 +265,6 @@ impl Server {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Number of executor shards actually running.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shared.shards
     }
 
     /// Total requests rejected with 429 so far.
@@ -898,16 +856,15 @@ mod tests {
     fn trace_documents_on_demand_are_the_direct_renderings() {
         let server = Server::start(ServerConfig {
             workers: 2,
-            shards: 1,
             ..ServerConfig::default()
         })
         .expect("bind");
         let shared = &server.shared;
-        // A shard's slice, built as `Server::start` builds them; the
-        // server's own shard sits idle throughout.
-        let mut slice = shared.pool.shard_view(0, 1);
-        slice.set_recorder(Recorder::enabled());
-        slice.set_flight(FlightRecorder::enabled(2, DEFAULT_EVENT_CAPACITY));
+        // An executor's view, built as `Server::start` builds them; the
+        // server's own executors sit idle throughout.
+        let mut team = shared.pool.sized_view(2);
+        team.set_recorder(Recorder::enabled());
+        team.set_flight(jobs::executor_flight(2));
 
         for body in [
             r#"{"zones": 2, "steps": 2, "schedule": "dynamic", "chunk": 2}"#,
@@ -917,7 +874,7 @@ mod tests {
                 kind: JobKind::Solve(api::parse_solve_body(body, 2).unwrap()),
                 origin: JobOrigin::Direct(Waiter { conn: 0, token: 0 }),
             };
-            let completions = jobs::execute_job(shared, &slice, &job);
+            let completions = jobs::execute_job(shared, &team, &job);
             let id = completions[0].response.trace_id.expect("a flight trace");
             let entry = shared.traces.get(id).expect("retained");
             assert_eq!(entry.case, entry.run.run.case().label());
@@ -949,19 +906,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_resolution_clamps_and_defaults() {
-        let config = |workers, shards| ServerConfig {
-            workers,
-            shards,
-            ..ServerConfig::default()
-        };
-        // Explicit counts are honored but clamped to the pool width.
-        assert_eq!(config(8, 4).resolved_shards(), 4);
-        assert_eq!(config(2, 64).resolved_shards(), 2);
-        assert_eq!(config(1, 3).resolved_shards(), 1);
-        // Auto: one shard per DEFAULT_SHARD_WIDTH workers, at least 1.
-        // (LLPD_SHARDS is not set in the test environment.)
-        assert_eq!(config(8, 0).resolved_shards(), 4);
-        assert_eq!(config(1, 0).resolved_shards(), 1);
+    fn one_executor_per_worker() {
+        for (asked, executors) in [(0, 1), (1, 1), (3, 3)] {
+            let server = Server::start(ServerConfig {
+                workers: asked,
+                ..ServerConfig::default()
+            })
+            .expect("bind");
+            assert_eq!(server.executors.len(), executors);
+            let metrics = server.shared.snapshot().to_json();
+            let reported = metrics.get("executor_shards").and_then(Json::as_u64);
+            assert_eq!(reported, Some(executors as u64));
+            server.shutdown();
+        }
     }
 }

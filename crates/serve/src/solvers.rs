@@ -135,7 +135,7 @@ impl AnyCase {
 
     /// Run the case on `pool` through the one driver, with its physics
     /// erased from the result (`Send + Sync`: the trace store hands the
-    /// run from the executor shard to the event loop).
+    /// run from the executor to the event loop).
     ///
     /// # Errors
     /// As [`run_instrumented`].

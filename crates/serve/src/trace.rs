@@ -1,6 +1,6 @@
 //! Bounded in-memory trace store behind `GET /v1/trace/{id}`.
 //!
-//! Every `/v1/solve` job that runs on a flight-instrumented shard
+//! Every `/v1/solve` job that runs on a flight-instrumented executor
 //! leaves one [`TraceEntry`] per waiter here. An entry retains the
 //! *run* — a shared handle on the finished run (its drained flight
 //! timeline) and the overhead attribution derived from it once
@@ -12,11 +12,11 @@
 //!
 //! Why on request: most solves are never asked for their trace, and a
 //! Chrome document is 30–700 KB of JSON tree for an 18–23 KB reply —
-//! built on the executor shard it cost more than the solve it described
+//! built on the executor it cost more than the solve it described
 //! (4.5 ms after a 1.2 ms FDTD solve) and sixteen retained trees were
 //! ≈ 60 MiB of resident memory. What an entry pins instead is bounded by
-//! the flight rings (`DEFAULT_EVENT_CAPACITY` events per lane), and the
-//! shard does nothing for a reader who may never come. The documents
+//! the executor's flight rings (`jobs::EXECUTOR_FLIGHT_EVENTS` events),
+//! and the executor does nothing for a reader who may never come. The documents
 //! are a pure function of the retained run, so fetching twice gives the
 //! same bytes.
 //!

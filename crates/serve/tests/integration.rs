@@ -595,7 +595,6 @@ fn full_queue_rejects_with_429_and_recovers() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 1,
-        shards: 1,
         queue_capacity: 1,
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
@@ -636,7 +635,6 @@ fn deadline_expires_queued_requests_with_503() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 1,
-        shards: 1,
         deadline: Duration::from_millis(100),
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
@@ -659,7 +657,6 @@ fn graceful_shutdown_completes_in_flight_work() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
     })
@@ -688,24 +685,27 @@ fn graceful_shutdown_completes_in_flight_work() {
 
 #[test]
 fn metrics_totals_agree_with_span_reports_and_pool_counters() {
-    // Two shards over a two-worker pool: both slices share the pool's
-    // counters, so sharding must not perturb any total.
-    let server = Server::start(ServerConfig {
-        workers: 2,
-        shards: 2,
-        ..ServerConfig::default()
-    })
-    .expect("bind");
+    // Two executors over a two-worker pool, solving at once: both share
+    // the one team and the pool's counters, so concurrency must not
+    // perturb any total.
+    let server = small_server();
     let addr = server.addr();
-    assert_eq!(metric(addr, "executor_shards"), 2);
+    assert_eq!(
+        metric(addr, "executor_shards"),
+        2,
+        "one executor per worker"
+    );
 
+    let solves: Vec<_> = [(1, 2, 1), (2, 3, 2), (3, 1, 2)]
+        .into_iter()
+        .map(|(zones, steps, workers)| {
+            let body = format!(r#"{{"zones": {zones}, "steps": {steps}, "workers": {workers}}}"#);
+            std::thread::spawn(move || post(addr, "/v1/solve", &body))
+        })
+        .collect();
     let mut reported_sync_events = 0;
-    for (zones, steps, workers) in [(1, 2, 1), (2, 3, 2), (3, 1, 2)] {
-        let reply = post(
-            addr,
-            "/v1/solve",
-            &format!(r#"{{"zones": {zones}, "steps": {steps}, "workers": {workers}}}"#),
-        );
+    for solve in solves {
+        let reply = solve.join().unwrap();
         assert_eq!(reply.status, 200, "{}", reply.body);
         let served = reply.json();
         let sync_events = served.get("sync_events").unwrap().as_u64().unwrap();
@@ -824,25 +824,24 @@ fn http_robustness() {
 }
 
 #[test]
-fn concurrent_shards_execute_jobs_in_parallel() {
+fn concurrent_executors_execute_jobs_in_parallel() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 2,
         queue_capacity: 4,
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
     })
     .expect("bind");
     let addr = server.addr();
-    assert_eq!(server.shards(), 2);
+    assert_eq!(metric(addr, "executor_shards"), 2);
 
     let held = gate.lock().unwrap();
     let first = std::thread::spawn(move || post(addr, "/v1/advise", ADVISE_BODY));
     let second = std::thread::spawn(move || post(addr, "/v1/advise", ADVISE_BODY));
-    // Both shards pop a job and pin at the gate — two jobs in flight at
-    // once, which the old single-executor design could never show.
-    wait_until("both shards busy", || metric(addr, "executor_busy") == 2);
+    // Both executors pop a job and pin at the gate — two jobs in flight
+    // at once on a two-worker pool, with nothing partitioning its team.
+    wait_until("both executors busy", || metric(addr, "executor_busy") == 2);
     assert_eq!(metric(addr, "queue_depth"), 0);
 
     drop(held);
@@ -853,7 +852,7 @@ fn concurrent_shards_execute_jobs_in_parallel() {
 }
 
 #[test]
-fn solve_is_bit_exact_across_shards_and_policies() {
+fn solve_is_bit_exact_across_pool_widths_and_policies() {
     let case = f3d::service::ServiceCase {
         zones: 2,
         steps: 2,
@@ -866,10 +865,9 @@ fn solve_is_bit_exact_across_shards_and_policies() {
         .unwrap()
         .output;
 
-    for shards in [1, 2] {
+    for pool in [1, 2] {
         let server = Server::start(ServerConfig {
-            workers: 2,
-            shards,
+            workers: pool,
             ..ServerConfig::default()
         })
         .expect("bind");
@@ -879,7 +877,7 @@ fn solve_is_bit_exact_across_shards_and_policies() {
             r#"{"zones": 2, "steps": 2, "workers": 2, "schedule": "guided"}"#,
         ] {
             let reply = post(server.addr(), "/v1/solve", body);
-            assert_eq!(reply.status, 200, "shards={shards} {body}: {}", reply.body);
+            assert_eq!(reply.status, 200, "pool={pool} {body}: {}", reply.body);
             let served = reply.json();
             let residuals: Vec<f64> = served
                 .get("residuals")
@@ -888,7 +886,7 @@ fn solve_is_bit_exact_across_shards_and_policies() {
                 .iter()
                 .map(|r| r.as_f64().unwrap())
                 .collect();
-            assert_eq!(residuals, direct.residuals, "shards={shards} {body}");
+            assert_eq!(residuals, direct.residuals, "pool={pool} {body}");
             let forces = served.get("forces").unwrap();
             assert_eq!(forces.get("drag").unwrap().as_f64(), Some(direct.drag));
             assert_eq!(forces.get("lift").unwrap().as_f64(), Some(direct.lift));
@@ -901,7 +899,7 @@ fn solve_is_bit_exact_across_shards_and_policies() {
                     .iter()
                     .map(|v| v.as_f64().unwrap())
                     .collect();
-                assert_eq!(sums, direct_sum.sum.to_vec(), "shards={shards} {body}");
+                assert_eq!(sums, direct_sum.sum.to_vec(), "pool={pool} {body}");
             }
             // The response echoes which schedule actually ran.
             let schedule = served.get("case").unwrap().get("schedule").unwrap();
@@ -961,7 +959,6 @@ fn auto_solve_resolves_tuned_configs_and_stays_bit_exact() {
     // the answers are still bit-exact with the untuned direct run.
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         tune_db: Some(sample_tune_db()),
         ..ServerConfig::default()
     })
@@ -1081,7 +1078,6 @@ fn tune_calibration_runs_in_the_background_and_rejects_concurrency() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
     })
@@ -1217,17 +1213,16 @@ fn malformed_schedule_bodies_name_the_offender() {
 }
 
 #[test]
-fn panicking_job_gets_500_and_the_shard_recovers() {
+fn panicking_job_gets_500_and_the_executors_recover() {
     let fault = Arc::new(AtomicBool::new(false));
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         job_fault: Some(Arc::clone(&fault)),
         ..ServerConfig::default()
     })
     .expect("bind");
     let addr = server.addr();
-    // Bypass, so every solve below really executes on the one shard.
+    // Bypass, so every solve below really executes.
     let body = r#"{"zones": 1, "steps": 2, "workers": 2, "cache": "bypass"}"#;
     let reply = post(addr, "/v1/solve", body);
     assert_eq!(reply.status, 200, "{}", reply.body);
@@ -1248,34 +1243,35 @@ fn panicking_job_gets_500_and_the_shard_recovers() {
     );
     assert_eq!(metric(addr, "executor_panics_total"), 1);
 
-    // The same shard keeps serving on the same worker team, and its
-    // recorder was reset: the next report covers exactly the next run,
-    // at full width, and the answer is bit-exact.
+    // The executors keep serving on the same worker team, and the one
+    // that panicked reset its recorders: every next report covers
+    // exactly its own run, at full width, and the answer is bit-exact.
     fault.store(false, Ordering::SeqCst);
-    let reply = post(addr, "/v1/solve", body);
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    let served = reply.json();
-    for field in ["residuals", "checksums", "forces", "sync_events"] {
-        assert_eq!(served.get(field), reference.get(field), "{field}");
+    for _ in 0..4 {
+        let reply = post(addr, "/v1/solve", body);
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let served = reply.json();
+        for field in ["residuals", "checksums", "forces", "sync_events"] {
+            assert_eq!(served.get(field), reference.get(field), "{field}");
+        }
+        let sync_events = served.get("sync_events").unwrap().as_u64().unwrap();
+        let report = served.get("report").unwrap();
+        assert_eq!(
+            report.get("sync_events").and_then(Json::as_u64),
+            Some(sync_events)
+        );
+        assert_eq!(report.get("workers").and_then(Json::as_u64), Some(2));
     }
-    let sync_events = served.get("sync_events").unwrap().as_u64().unwrap();
-    let report = served.get("report").unwrap();
-    assert_eq!(
-        report.get("sync_events").and_then(Json::as_u64),
-        Some(sync_events)
-    );
-    assert_eq!(report.get("workers").and_then(Json::as_u64), Some(2));
     assert_eq!(metric(addr, "executor_busy"), 0);
     server.shutdown();
 }
 
 #[test]
 fn oversubscribed_solve_reports_the_worker_clamp() {
-    // Two width-1 shards: a request for 2 workers is clamped to its
-    // shard's width, and the report says so.
+    // A one-worker pool: a request for 2 workers is clamped to the
+    // pool's width, and the report says so.
     let server = Server::start(ServerConfig {
-        workers: 2,
-        shards: 2,
+        workers: 1,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -1293,11 +1289,10 @@ fn oversubscribed_solve_reports_the_worker_clamp() {
     );
     server.shutdown();
 
-    // On a single full-width shard the same request is not clamped and
-    // the report stays silent about it.
+    // On a two-worker pool the same request is not clamped and the
+    // report stays silent about it.
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -1318,7 +1313,6 @@ fn retry_after_grows_while_the_executor_is_stalled() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 1,
-        shards: 1,
         queue_capacity: 1,
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
@@ -1590,13 +1584,12 @@ fn metrics_histograms_fill_under_traffic() {
 }
 
 #[test]
-fn stress_small_shard_slices_under_concurrent_load() {
-    // A repeat-run stress smoke: many small mixed requests against
-    // width-1 shards, asserting every reply is well-formed and the
-    // exact-counter invariant survives the churn.
+fn stress_shared_team_under_concurrent_load() {
+    // A repeat-run stress smoke: many small mixed requests against two
+    // executors sharing one two-worker team, asserting every reply is
+    // well-formed and the exact-counter invariant survives the churn.
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 2,
         queue_capacity: 16,
         ..ServerConfig::default()
     })
@@ -1641,7 +1634,7 @@ fn stress_small_shard_slices_under_concurrent_load() {
     // jobs_total can exceed the 200s — but never the submissions.
     let jobs = metric(addr, "jobs_total");
     assert!(jobs >= ok && jobs <= 20, "jobs_total = {jobs}, ok = {ok}");
-    // Solve work flowed through both shard slices concurrently, yet the
+    // Solve work flowed through both executors concurrently, yet the
     // pool counter and the folded span reports agree exactly.
     assert_eq!(
         metric(addr, "pool_sync_events_total"),
@@ -1723,7 +1716,6 @@ fn identical_concurrent_solves_coalesce_into_one_execution() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         queue_capacity: 4,
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
@@ -1832,7 +1824,6 @@ fn retry_after_is_monotone_on_a_kept_alive_connection() {
     let gate = Arc::new(Mutex::new(()));
     let server = Server::start(ServerConfig {
         workers: 1,
-        shards: 1,
         queue_capacity: 1,
         job_gate: Some(Arc::clone(&gate)),
         ..ServerConfig::default()
@@ -2122,7 +2113,6 @@ fn drain_snapshot_keeps_requests_served_moments_before_shutdown() {
 fn prometheus_counters_stay_consistent_under_concurrent_scrapes() {
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 2,
         queue_capacity: 16,
         ..ServerConfig::default()
     })
@@ -2239,7 +2229,6 @@ fn fdtd_solve_round_trips_and_caches() {
 
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         telemetry_window_ms: 50,
         ..ServerConfig::default()
     })
@@ -2325,7 +2314,6 @@ fn fdtd_solve_round_trips_and_caches() {
 fn fdtd_tune_calibrates_and_auto_solves_bit_exact() {
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -2432,7 +2420,6 @@ fn memory_budget_rejects_oversized_solves_with_413() {
     let over = (32u64 * 32 * 3 * 8) + 2 * 4096;
     let server = Server::start(ServerConfig {
         workers: 2,
-        shards: 1,
         memory_budget: Some(in_budget),
         ..ServerConfig::default()
     })

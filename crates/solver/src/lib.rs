@@ -321,7 +321,7 @@ pub fn run_instrumented<S: Solver>(
 
     // Count this run's events on the policy view's *local* counter:
     // the shared pool counter also moves when other views of the same
-    // pool run concurrently (e.g. another executor shard), and this
+    // pool run concurrently (e.g. another executor), and this
     // run's bill must cover exactly its own regions.
     let sync_before = pool.local_sync_event_count();
     for step in 0..config.steps() {
