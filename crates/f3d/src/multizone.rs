@@ -354,12 +354,12 @@ mod tests {
         );
         assert_eq!(step.children[3].name, "inject");
         assert!(!step.children[3].parallelized());
-        // 6 parallel regions per zone per step.
-        assert_eq!(report.sync_events(), 18);
-        // Every zone carries the full kernel set.
+        // 5 parallel regions per zone per step.
+        assert_eq!(report.sync_events(), 15);
+        // Every zone carries the full kernel set: five parallel, `bc`.
         for zone_span in &step.children[..3] {
             assert_eq!(zone_span.kind, llp::SpanKind::Zone);
-            assert_eq!(zone_span.children.len(), 7);
+            assert_eq!(zone_span.children.len(), 6);
         }
     }
 }

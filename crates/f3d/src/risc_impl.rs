@@ -24,12 +24,13 @@
 //! * **Boundary conditions stay serial** — their work per sync event
 //!   cannot pay for a barrier (Table 2).
 //!
-//! The L factor needs one extra region: its pencils run across the
-//! L-slabs that partition memory, so workers first solve pencils into
-//! disjoint K-slabs of a second buffer (parallel over K) and a second
-//! region scatters the results (parallel over L). Safe Rust makes the
-//! two-phase structure explicit where the Fortran original relied on
-//! the programmer's disjointness argument.
+//! Every factor solves in place on `rhs`'s J-rows. The L factor's
+//! pencils run across the L-slabs that partition memory, so its region
+//! hands each worker the rows regrouped by `k` — row `(k, l)` for every
+//! `l` — rather than slabs: disjoint groups of row slices state in safe
+//! Rust the disjointness the Fortran original left to the programmer,
+//! and the step keeps the five parallel loops of the model
+//! ([`crate::trace::risc_zone_trace`]).
 
 use crate::bc::{self, ZoneBcs};
 use crate::solver::{
@@ -46,11 +47,6 @@ use solver::{for_lane_groups, LaneBody, WidthMap};
 pub struct RiscStepper {
     /// Residual / ΔQ field (AoS like the solution).
     rhs: StateField,
-    /// L-factor solutions between its two regions: one K-slab per `k`,
-    /// each `l`-major with the interior `j` (and then the component)
-    /// innermost, so a bundle of adjacent-`j` pencils writes, and the
-    /// scatter reads, contiguous runs.
-    l_solution: Vec<f64>,
     /// Longest pencil of the zone (scratch sizing).
     max_pencil: usize,
     /// Per-kernel SLP lane widths (scalar unless overridden).
@@ -89,7 +85,6 @@ impl RiscStepper {
         let d = zone.dims();
         Self {
             rhs: StateField::zeros(d, zone.q.layout(), zone.q.arrangement()),
-            l_solution: vec![0.0; d.k * d.l * (d.j - 2) * NCONS],
             max_pencil: d.j.max(d.k).max(d.l),
             widths: WidthMap::new(),
         }
@@ -99,8 +94,7 @@ impl RiscStepper {
     /// its entry — the width is how many points of a J-row its flux
     /// evaluations process per lane group, bit-exact at every width.
     /// The implicit factors run [`PENCIL_BUNDLE`] pencils per group
-    /// whatever the map says; `update` and `l_factor_scatter` are pure
-    /// data movement.
+    /// whatever the map says; `update` is pure data movement.
     pub fn set_widths(&mut self, widths: &WidthMap) {
         self.widths = widths.clone();
     }
@@ -115,10 +109,10 @@ impl RiscStepper {
     /// Advance one time step using `workers`. Each parallel phase runs
     /// on a [`Workers::scheduled_view`] carrying the worker count and
     /// policy `schedules` maps its kernel name to (`rhs`, `j_factor`,
-    /// `k_factor`, `l_factor_solve`, `l_factor_scatter`, `update`),
-    /// falling back to `workers`'s own configuration for unmapped
-    /// kernels and for `None`. Numerics are invariant to the overrides
-    /// — only the performance shape changes.
+    /// `k_factor`, `l_factor_solve`, `update`), falling back to
+    /// `workers`'s own configuration for unmapped kernels and for
+    /// `None`. Numerics are invariant to the overrides — only the
+    /// performance shape changes.
     ///
     /// Every phase opens one kernel span on `workers`' recorder (free
     /// when disabled), so the per-loop profile of a run on
@@ -141,9 +135,6 @@ impl RiscStepper {
         // AoS + JKL layout.
         let at = move |j: usize, k: usize, c: usize| (k * jmax + j) * NCONS + c;
         let w_rhs = self.widths.get("rhs");
-        // One K-slab of `l_solution`, and one of its (l) rows.
-        let l_row = (jmax - 2) * NCONS;
-        let k_slab = lmax * l_row;
         // Kernel spans (free when the recorder is disabled). Each phase
         // opens one; the doacross inside attaches its region span as a
         // child, classifying the kernel as parallelized.
@@ -186,6 +177,12 @@ impl RiscStepper {
             );
         }
 
+        // The implicit factors solve in place on the J-rows of `rhs`:
+        // row `r` holds the points (·, k, l) with `k = r % kmax` and
+        // `l = r / kmax`, so the rows of L-plane `l` are one slab of
+        // `kmax` consecutive rows.
+        let mut rows: Vec<&mut [f64]> = self.rhs.as_mut_slice().chunks_mut(jmax * NCONS).collect();
+
         // --- J factor: pencils along J, parallel over L, one pencil
         // bundle of scratch per worker (Example 3), adjacent-K pencils
         // per bundle. Boundary pencils carry zero RHS and are skipped. ---
@@ -195,10 +192,10 @@ impl RiscStepper {
             let zone_ref: &ZoneSolver = zone;
             doacross_slabs_scratch(
                 &kw,
-                self.rhs.as_mut_slice(),
-                slab,
+                &mut rows,
+                kmax,
                 || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
-                |l, slab_data, scratch| {
+                |l, plane, scratch| {
                     if l == 0 || l == lmax - 1 {
                         return;
                     }
@@ -208,9 +205,7 @@ impl RiscStepper {
                         axis: Axis::J,
                         across: Axis::K,
                         origin: Ijk::new(0, 0, l),
-                        rhs: None,
-                        out: slab_data,
-                        offset: |p: Ijk| at(p.j, p.k, 0),
+                        rows: plane,
                         scratch,
                     };
                     for_lane_groups(PENCIL_BUNDLE, 1..kmax - 1, &mut sweep);
@@ -226,10 +221,10 @@ impl RiscStepper {
             let zone_ref: &ZoneSolver = zone;
             doacross_slabs_scratch(
                 &kw,
-                self.rhs.as_mut_slice(),
-                slab,
+                &mut rows,
+                kmax,
                 || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
-                |l, slab_data, scratch| {
+                |l, plane, scratch| {
                     if l == 0 || l == lmax - 1 {
                         return;
                     }
@@ -242,9 +237,7 @@ impl RiscStepper {
                         axis: Axis::K,
                         across: Axis::J,
                         origin: Ijk::new(0, 0, l),
-                        rhs: None,
-                        out: slab_data,
-                        offset: |p: Ijk| at(p.j, p.k, 0),
+                        rows: plane,
                         scratch,
                     };
                     for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut sweep);
@@ -252,20 +245,25 @@ impl RiscStepper {
             );
         }
 
-        // --- L factor, phase 1: solve pencils along L into the K-slabs
-        // of `l_solution`; parallel over K, adjacent-J pencils per
-        // bundle. ---
+        // --- L factor: pencils along L, parallel over K, adjacent-J
+        // pencils per bundle. Its pencils cross the L-planes, so the
+        // rows are regrouped by `k` — group `k` holds rows (k, l) for
+        // every `l` — and each group is a one-element slab. ---
         {
             let _span = rec.span("l_factor_solve", SpanKind::Kernel);
             let kw = workers.scheduled_view(schedules, "l_factor_solve");
             let zone_ref: &ZoneSolver = zone;
-            let rhs_ref: &StateField = &self.rhs;
+            let mut groups: Vec<Vec<&mut [f64]>> =
+                (0..kmax).map(|_| Vec::with_capacity(lmax)).collect();
+            for (r, row) in rows.into_iter().enumerate() {
+                groups[r % kmax].push(row);
+            }
             doacross_slabs_scratch(
                 &kw,
-                &mut self.l_solution,
-                k_slab,
+                &mut groups,
+                1,
                 || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
-                |k, solution, scratch| {
+                |k, group, scratch| {
                     if k == 0 || k == kmax - 1 {
                         return;
                     }
@@ -275,27 +273,12 @@ impl RiscStepper {
                         axis: Axis::L,
                         across: Axis::J,
                         origin: Ijk::new(0, k, 0),
-                        rhs: Some(rhs_ref),
-                        out: solution,
-                        offset: |p: Ijk| p.l * l_row + (p.j - 1) * NCONS,
+                        rows: &mut group[0],
                         scratch,
                     };
                     for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut sweep);
                 },
             );
-        }
-
-        // --- L factor, phase 2: scatter solutions; parallel over L. ---
-        {
-            let _span = rec.span("l_factor_scatter", SpanKind::Kernel);
-            let kw = workers.scheduled_view(schedules, "l_factor_scatter");
-            let solution: &[f64] = &self.l_solution;
-            doacross_slabs(&kw, self.rhs.as_mut_slice(), slab, |l, slab_data| {
-                for k in 1..kmax - 1 {
-                    slab_data[at(1, k, 0)..at(jmax - 1, k, 0)]
-                        .copy_from_slice(&solution[k * k_slab + l * l_row..][..l_row]);
-                }
-            });
         }
 
         // --- Update interior points; parallel over L. ---
@@ -327,9 +310,9 @@ impl RiscStepper {
 }
 
 /// One sweep's share of an implicit factor — the pencils along `axis`
-/// that one slab of `out` receives — solved a bundle at a time: lane =
-/// pencil, adjacent along `across`.
-struct FactorSweep<'a, F, O> {
+/// through one group of `rhs` rows — solved in place a bundle at a
+/// time: lane = pencil, adjacent along `across`.
+struct FactorSweep<'a, 'r, F> {
     zone: &'a ZoneSolver,
     factor: F,
     /// The recurrence direction.
@@ -338,36 +321,39 @@ struct FactorSweep<'a, F, O> {
     across: Axis,
     /// Point 0 of pencil 0.
     origin: Ijk,
-    /// Where the right-hand sides are; `None` solves in place in `out`.
-    rhs: Option<&'a StateField>,
-    out: &'a mut [f64],
-    /// Offset of a point's five components within `out`.
-    offset: O,
+    /// The group's J-rows (`j`, then the component, innermost), indexed
+    /// by the point's coordinate along whichever of `axis` and `across`
+    /// is not J: a plane's rows by `k`, a K group's by `l`.
+    rows: &'a mut [&'r mut [f64]],
     scratch: &'a mut PencilScratch,
 }
 
-impl<F: ImplicitFactor, O: Fn(Ijk) -> usize> LaneBody for FactorSweep<'_, F, O> {
+impl<F: ImplicitFactor> LaneBody for FactorSweep<'_, '_, F> {
     #[inline]
     fn group<const W: usize>(&mut self, first: usize) {
         let n = self.zone.dims().extent(self.axis);
         let bases: [Ijk; W] =
             std::array::from_fn(|lane| pencil_point(self.origin, self.across, first + lane));
+        let row_axis = if self.axis == Axis::J {
+            self.across
+        } else {
+            self.axis
+        };
+        let at = |p: Ijk| (p.along(row_axis), p.j * NCONS);
         self.scratch.gather_bundle(self.zone, self.axis, bases);
         for i in 0..n {
             for (lane, &base) in bases.iter().enumerate() {
-                let p = pencil_point(base, self.axis, i);
-                let line = &mut self.scratch.rhs_line[i * W + lane];
-                match self.rhs {
-                    Some(field) => *line = field.get(p),
-                    None => line.copy_from_slice(&self.out[(self.offset)(p)..][..NCONS]),
-                }
+                let (row, col) = at(pencil_point(base, self.axis, i));
+                self.scratch.rhs_line[i * W + lane]
+                    .copy_from_slice(&self.rows[row][col..col + NCONS]);
             }
         }
         implicit_factor_bundle::<W, F>(self.scratch, n, &self.factor);
         for i in 0..n {
             for (lane, &base) in bases.iter().enumerate() {
-                let at = (self.offset)(pencil_point(base, self.axis, i));
-                self.out[at..at + NCONS].copy_from_slice(&self.scratch.rhs_line[i * W + lane]);
+                let (row, col) = at(pencil_point(base, self.axis, i));
+                self.rows[row][col..col + NCONS]
+                    .copy_from_slice(&self.scratch.rhs_line[i * W + lane]);
             }
         }
     }
@@ -430,6 +416,61 @@ mod tests {
         );
     }
 
+    /// Step a perturbed zone of dims `d` three times with the
+    /// one-pencil `VectorStepper` and with this stepper on `workers`
+    /// at every P in `ps` under every policy in `policies`: the fields
+    /// must agree to the bit after every step.
+    fn assert_matches_vector(
+        config: SolverConfig,
+        d: Dims,
+        ps: &[usize],
+        policies: &[llp::Policy],
+    ) {
+        let bcs = ZoneBcs::projectile();
+        let metrics = Metrics::cartesian(d, (0.3, 0.3, 0.3));
+        let perturb = |zone: &mut ZoneSolver| {
+            for p in d.iter_jkl() {
+                let mut q = zone.q.get(p);
+                q[0] *= 1.0 + 0.02 * ((p.j + 2 * p.k + 3 * p.l) as f64).sin();
+                q[4] *= 1.0 + 0.01 * ((2 * p.j + p.k + p.l) as f64).cos();
+                zone.q.set(p, q);
+            }
+        };
+        let (mut vz, mut vstep) =
+            crate::vector_impl::VectorStepper::new_zone(config, metrics.clone());
+        perturb(&mut vz);
+        let mut expected = Vec::new();
+        for _ in 0..3 {
+            vstep.step(&mut vz, &bcs);
+            expected.push(vz.q.clone());
+        }
+        for &p in ps {
+            for &policy in policies {
+                let workers = Workers::new(p).with_policy(policy);
+                let (mut rz, mut rstep) = RiscStepper::new_zone(config, metrics.clone());
+                perturb(&mut rz);
+                for (step, want) in expected.iter().enumerate() {
+                    rstep.step(&mut rz, &bcs, &workers, None);
+                    assert_eq!(
+                        want.max_abs_diff(&rz.q),
+                        0.0,
+                        "diverged at step {step}: {d:?}, P = {p}, {policy:?}, viscous {}",
+                        config.is_viscous()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Both configurations: the viscous, locally time-stepped one
+    /// exercises `mu_vis` and a per-point `dt` in every lane.
+    fn configs() -> [SolverConfig; 2] {
+        [
+            SolverConfig::subsonic(),
+            SolverConfig::viscous(2.0, 1e4).with_local_time_stepping(2.0),
+        ]
+    }
+
     #[test]
     fn matches_vector_implementation_exactly() {
         // The paper's hard constraint: the parallelized code runs the
@@ -439,49 +480,31 @@ mod tests {
         // bundles with a one-pencil remainder, through two independent
         // loop structures. The interior extents leave every remainder
         // mod PENCIL_BUNDLE in all three sweeps (J bundles over K, K and
-        // L over J); the viscous, locally time-stepped configuration
-        // exercises `mu_vis` and a per-point `dt` in every lane.
-        let bcs = ZoneBcs::projectile();
-        let configs = [
-            SolverConfig::subsonic(),
-            SolverConfig::viscous(2.0, 1e4).with_local_time_stepping(2.0),
-        ];
-        for config in configs {
+        // L over J).
+        for config in configs() {
             for (nj, nk) in (4..=7).flat_map(|nj| (4..=7).map(move |nk| (nj, nk))) {
-                let d = Dims::new(nj + 2, nk + 2, 6);
-                let metrics = Metrics::cartesian(d, (0.3, 0.3, 0.3));
-                let perturb = |zone: &mut ZoneSolver| {
-                    for p in d.iter_jkl() {
-                        let mut q = zone.q.get(p);
-                        q[0] *= 1.0 + 0.02 * ((p.j + 2 * p.k + 3 * p.l) as f64).sin();
-                        q[4] *= 1.0 + 0.01 * ((2 * p.j + p.k + p.l) as f64).cos();
-                        zone.q.set(p, q);
-                    }
-                };
-                let (mut vz, mut vstep) =
-                    crate::vector_impl::VectorStepper::new_zone(config, metrics.clone());
-                perturb(&mut vz);
-                let mut expected = Vec::new();
-                for _ in 0..3 {
-                    vstep.step(&mut vz, &bcs);
-                    expected.push(vz.q.clone());
-                }
-                for p in [1, 3] {
-                    for policy in [llp::Policy::Static, llp::Policy::Dynamic { chunk: 1 }] {
-                        let workers = Workers::new(p).with_policy(policy);
-                        let (mut rz, mut rstep) = RiscStepper::new_zone(config, metrics.clone());
-                        perturb(&mut rz);
-                        for (step, want) in expected.iter().enumerate() {
-                            rstep.step(&mut rz, &bcs, &workers, None);
-                            assert_eq!(
-                                want.max_abs_diff(&rz.q),
-                                0.0,
-                                "diverged at step {step}: {d:?}, P = {p}, {policy:?}, viscous {}",
-                                config.is_viscous()
-                            );
-                        }
-                    }
-                }
+                let policies = [llp::Policy::Static, llp::Policy::Dynamic { chunk: 1 }];
+                assert_matches_vector(config, Dims::new(nj + 2, nk + 2, 6), &[1, 3], &policies);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_l_factor_is_exact_under_every_chunking_of_the_k_groups() {
+        // The L factor hands each worker whole K groups of `rhs` rows
+        // and solves them in place, so what a chunk holds must not
+        // matter: L extents from the shortest pencil (one interior
+        // point) to ones that are not multiples of P, seven K groups
+        // against every P, every policy.
+        let policies = [
+            llp::Policy::Static,
+            llp::Policy::Dynamic { chunk: 1 },
+            llp::Policy::Dynamic { chunk: 3 },
+            llp::Policy::Guided { min_chunk: 2 },
+        ];
+        for config in configs() {
+            for lmax in [3, 6, 9] {
+                assert_matches_vector(config, Dims::new(7, 7, lmax), &[1, 2, 3, 5], &policies);
             }
         }
     }
@@ -515,8 +538,8 @@ mod tests {
         let workers = Workers::new(2);
         workers.reset_counters();
         stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, None);
-        // rhs, j, k, l-solve, l-scatter, update: 6 parallel regions.
-        assert_eq!(workers.sync_event_count(), 6);
+        // rhs, j, k, l, update: the model's 5 parallel regions.
+        assert_eq!(workers.sync_event_count(), 5);
     }
 
     #[test]
@@ -525,7 +548,7 @@ mod tests {
         let workers = Workers::recorded(2);
         stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, None);
         let report = workers.recorder().take_report("risc-step", 2);
-        assert_eq!(report.sync_events(), 6);
+        assert_eq!(report.sync_events(), 5);
         let kernels = report.kernel_summaries();
         let names: Vec<&str> = kernels.iter().map(|k| k.name.as_str()).collect();
         // Summaries are sorted by name.
@@ -535,7 +558,6 @@ mod tests {
                 "bc",
                 "j_factor",
                 "k_factor",
-                "l_factor_scatter",
                 "l_factor_solve",
                 "rhs",
                 "update"

@@ -181,11 +181,13 @@ impl SolverSpec for ServiceCase {
     }
 
     fn memory_usage_estimate(&self) -> u64 {
-        // Two full conservative-state fields per zone (Q and the RHS
-        // accumulator, 5 components of f64 per point) dominate; the
-        // pencil scratch is per worker and cache-sized by design. A
-        // deterministic formula, not a measurement — the admission
-        // contract only needs it to scale with the request.
+        // Two full conservative-state fields per zone, 5 components of
+        // f64 per point: the zone's Q and the stepper's RHS, which is
+        // all a `RiscStepper` holds (the implicit factors solve in
+        // place). The grid metrics are not counted; the pencil scratch
+        // is per worker and cache-sized by design. A deterministic
+        // formula, not a measurement — the admission contract only
+        // needs it to scale with the request.
         let points: usize = self
             .grid()
             .zones()
@@ -346,23 +348,19 @@ impl Solver for F3dSolver {
 
     const KIND: &'static str = "f3d";
 
-    // The six parallel kernels of the RISC stepper, sorted — the
-    // vocabulary the tune database and the metrics labels use. The
-    // serial `bc` phase is deliberately absent: it is never tuned and
-    // the metrics fold it into "other".
-    const KERNELS: &'static [&'static str] = &[
-        "j_factor",
-        "k_factor",
-        "l_factor_scatter",
-        "l_factor_solve",
-        "rhs",
-        "update",
-    ];
+    // The five parallel kernels of the RISC stepper — the model's five
+    // loops — sorted: the vocabulary the tune database and the metrics
+    // labels use. The serial `bc` phase is deliberately absent: it is
+    // never tuned and the metrics fold it into "other". A tune database
+    // written when the L factor still had a scatter region also names
+    // that kernel; the entry loads and selects nothing.
+    const KERNELS: &'static [&'static str] =
+        &["j_factor", "k_factor", "l_factor_solve", "rhs", "update"];
 
     // The residual evaluates its fluxes `vector_width` points of a
     // J-row at a time. The three implicit factors run a fixed bundle
-    // of pencils per group (`solver::PENCIL_BUNDLE`) and `update` /
-    // `l_factor_scatter` are data movement: one loop at every width.
+    // of pencils per group (`solver::PENCIL_BUNDLE`) and `update` is
+    // data movement: one loop at every width.
     const WIDE_KERNELS: &'static [&'static str] = &["rhs"];
 
     const OWN_FIELDS: &'static [&'static str] = &["zones", "zone_schedule"];

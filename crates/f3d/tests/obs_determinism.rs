@@ -45,6 +45,6 @@ fn sync_events_are_worker_count_invariant() {
         .collect();
     assert_eq!(counts[0], counts[1]);
     assert_eq!(counts[1], counts[2]);
-    // 6 regions per zone per step, 3 zones, 2 steps.
-    assert_eq!(counts[0], 36);
+    // 5 regions per zone per step, 3 zones, 2 steps.
+    assert_eq!(counts[0], 30);
 }

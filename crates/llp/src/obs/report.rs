@@ -307,8 +307,8 @@ impl ObsReport {
 
     /// Kernel summaries with names passed through `rename` before
     /// aggregation — used to align measured kernel names with modeled
-    /// ones (e.g. both `l_factor_solve` and `l_factor_scatter` onto
-    /// `l_factor`).
+    /// ones (e.g. `l_factor_solve` onto `l_factor`). Names that map to
+    /// one name fold into one summary.
     #[must_use]
     pub fn kernel_summaries_renamed(&self, rename: impl Fn(&str) -> String) -> Vec<KernelSummary> {
         let mut out: Vec<KernelSummary> = Vec::new();

@@ -909,7 +909,7 @@ fn solve_is_bit_exact_across_pool_widths_and_policies() {
     }
 }
 
-/// A hand-built tune database covering three of the six parallel
+/// A hand-built tune database covering three of the five parallel
 /// kernels with deliberately varied configurations.
 fn sample_tune_db() -> TuneDb {
     let entry = |kernel: &str, workers, schedule| TuneEntry {
@@ -1029,6 +1029,59 @@ fn auto_solve_resolves_tuned_configs_and_stays_bit_exact() {
     );
     assert_eq!(reply.status, 200);
     assert!(matches!(reply.json().get("tuned"), Some(Json::Null)));
+    server.shutdown();
+}
+
+/// An f3d calibration file as calibrations wrote it while the L factor
+/// still ran a second, scatter region: one entry per parallel kernel of
+/// that stepper, `l_factor_scatter` among them.
+const TUNE_DB_WITH_RETIRED_KERNEL: &str = r#"{
+  "schema_version": 4, "solver": "f3d", "pool_width": 2, "zones": 2,
+  "steps": 2, "trials": 3, "sync_cost_ns": 850,
+  "entries": [
+    {"kernel": "j_factor", "workers": 1, "schedule": "static", "vector_width": 1, "iterations": 14, "candidates_tried": 5, "measured_cost_ns": 910000, "default_cost_ns": 940000, "modeled_cost_ns": 470000, "model_agrees": false},
+    {"kernel": "k_factor", "workers": 2, "schedule": "dynamic", "chunk": 1, "vector_width": 1, "iterations": 14, "candidates_tried": 5, "measured_cost_ns": 800000, "default_cost_ns": 820000, "modeled_cost_ns": 430000, "model_agrees": false},
+    {"kernel": "l_factor_scatter", "workers": 1, "schedule": "guided", "chunk": 1, "vector_width": 1, "iterations": 14, "candidates_tried": 5, "measured_cost_ns": 30000, "default_cost_ns": 41000, "modeled_cost_ns": 25000, "model_agrees": true},
+    {"kernel": "l_factor_solve", "workers": 2, "schedule": "dynamic", "chunk": 2, "vector_width": 1, "iterations": 10, "candidates_tried": 5, "measured_cost_ns": 700000, "default_cost_ns": 760000, "modeled_cost_ns": 390000, "model_agrees": false},
+    {"kernel": "rhs", "workers": 2, "schedule": "static", "vector_width": 4, "iterations": 14, "candidates_tried": 20, "measured_cost_ns": 600000, "default_cost_ns": 790000, "modeled_cost_ns": 410000, "model_agrees": true},
+    {"kernel": "update", "workers": 1, "schedule": "static", "vector_width": 1, "iterations": 14, "candidates_tried": 5, "measured_cost_ns": 20000, "default_cost_ns": 26000, "modeled_cost_ns": 18000, "model_agrees": true}
+  ]
+}"#;
+
+#[test]
+fn tune_db_naming_a_retired_kernel_loads_and_selects_nothing_for_it() {
+    // A kernel the solver no longer has: the file still loads, the
+    // entry selects nothing, and "auto" answers what a default solve
+    // answers.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("tune_db_retired.json");
+    std::fs::write(&path, TUNE_DB_WITH_RETIRED_KERNEL).unwrap();
+    let db = TuneDb::load(&path).expect("an old calibration file loads");
+    let kernels: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
+    assert!(kernels.contains(&"l_factor_scatter"), "{kernels:?}");
+    assert_eq!(kernels.len(), 6);
+
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        tune_db: Some(db),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let solve = |body: &str| {
+        let reply = post(server.addr(), "/v1/solve", body);
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        reply.json()
+    };
+    let default = solve(r#"{"zones": 2, "steps": 2, "workers": 2}"#);
+    let auto = solve(r#"{"zones": 2, "steps": 2, "workers": 2, "schedule": "auto"}"#);
+    let tuned = auto.get("tuned").unwrap();
+    assert_eq!(tuned.get("source").and_then(Json::as_str), Some("tune-db"));
+    for field in ["checksums", "residuals", "forces", "sync_events"] {
+        assert_eq!(
+            auto.get(field).map(Json::to_string),
+            default.get(field).map(Json::to_string),
+            "{field}"
+        );
+    }
     server.shutdown();
 }
 

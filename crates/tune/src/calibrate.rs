@@ -452,7 +452,7 @@ mod tests {
         };
         for width in [1, 2, 4, 8] {
             let db = calibrated::<F3dSolver>(width, &spec);
-            assert_eq!(db.entries.len(), 6);
+            assert_eq!(db.entries.len(), 5);
             let db = calibrated::<FdtdSolver>(width, &spec);
             assert_eq!(db.entries.len(), 2);
         }

@@ -79,9 +79,10 @@ fn main() {
     let modeled = trace::modeled_obs_report(&exec, "small_test_case");
     summarize("modeled (same case, Origin 2000 model)", &modeled);
 
-    // The shared schema is the point: align split kernels and diff.
+    // The shared schema is the point: align the measured
+    // `l_factor_solve` with the model's `l_factor` and diff.
     let rename = |name: &str| match name {
-        "l_factor_solve" | "l_factor_scatter" => "l_factor".to_string(),
+        "l_factor_solve" => "l_factor".to_string(),
         other => other.to_string(),
     };
     println!("== measured vs modeled, per kernel ==");
