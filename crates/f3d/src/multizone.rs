@@ -160,18 +160,19 @@ impl MultiZoneSolver {
         }
     }
 
-    /// One time step on the [`zones`] sharded scheduler: compute tasks
-    /// dispatched across `shards` zone shards (each an
-    /// [`llp::Workers::shard_view`] of `pool` carrying the leftover
-    /// worker budget), zonal injection applied at the step barrier in
-    /// canonical interface order. Numerically bit-identical to
-    /// [`MultiZoneSolver::step_loop_level`] for every shard
-    /// count — the sequential sweep is the 1-shard degenerate case.
+    /// One time step on the [`zones`] sharded scheduler: each zone's
+    /// stepper is one task of a `shards`-wide region of `pool`'s worker
+    /// team, its loops running on the whole pool and taking whichever
+    /// helpers the other zones leave free; zonal injection is applied
+    /// after the step barrier in canonical interface order. Numerically
+    /// bit-identical to [`MultiZoneSolver::step_loop_level`] for every
+    /// shard count — the sequential sweep is the 1-shard degenerate
+    /// case.
     ///
     /// Zone occupancy events land on `pool`'s flight recorder (lane =
-    /// shard, `step` in the event's region field); span recording is
-    /// off inside the shards, so this path trades the per-kernel span
-    /// tree for zone-level concurrency.
+    /// the team lane that stepped the zone, `step` in the event's
+    /// region field); span recording is off inside the zones, so this
+    /// path trades the per-kernel span tree for zone-level concurrency.
     pub fn step_zone_parallel(
         &mut self,
         pool: &Workers,
@@ -283,6 +284,31 @@ mod tests {
             .filter(|e| e.kind == llp::obs::EventKind::ZoneStart)
             .count();
         assert_eq!(starts, 3, "one zone-start per zone");
+
+        // More shards than workers: every zone task still lands, on one
+        // of the two team lanes that ran it.
+        let grid = MultiZoneGrid::split_j(mesh::Dims::new(20, 12, 10), 4);
+        let mut s = MultiZoneSolver::from_grid(&grid, SolverConfig::supersonic(), 0.3);
+        pool.set_flight(llp::FlightRecorder::enabled(2, 256));
+        for step in 0..10 {
+            s.step_zone_parallel(&pool, 4, None, step);
+        }
+        let timeline = pool.flight().take_timeline();
+        let mut seen = std::collections::BTreeMap::new();
+        for (lane, l) in timeline.lanes.iter().enumerate() {
+            for e in &l.events {
+                let end = match e.kind {
+                    llp::obs::EventKind::ZoneStart => 0,
+                    llp::obs::EventKind::ZoneEnd => 1,
+                    _ => continue,
+                };
+                assert!(lane < 2, "lane {lane}");
+                let counts = seen.entry((e.region, e.arg)).or_insert([0, 0]);
+                counts[end] += 1;
+            }
+        }
+        assert_eq!(seen.len(), 40, "every zone task of every step");
+        assert!(seen.values().all(|&c| c == [1, 1]), "{seen:?}");
     }
 
     #[test]

@@ -740,6 +740,34 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_zone_solves_match_the_sequential_reference() {
+        // Two zone-scheduled solves at once on views of one team: their
+        // zones and loops share the helpers region by region, and
+        // neither answer moves.
+        let base = ServiceCase::calibration(4, 3, 4);
+        let reference = run(&base, &Workers::new(1)).unwrap();
+        let zoned = ServiceCase {
+            zone_schedule: ZoneSchedule::Zones(2),
+            ..base
+        };
+        let pool = Workers::new(4);
+        std::thread::scope(|threads| {
+            for _ in 0..2 {
+                threads.spawn(|| {
+                    for _ in 0..3 {
+                        let out = run(&zoned, &pool.sized_view(4)).unwrap();
+                        assert_eq!(reference.output.residuals, out.output.residuals);
+                        assert_eq!(reference.output.checksums, out.output.checksums);
+                        assert_eq!(reference.output.drag, out.output.drag);
+                        assert_eq!(reference.output.lift, out.output.lift);
+                        assert_eq!(reference.sync_events, out.sync_events);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn per_kernel_schedules_stay_bit_exact_and_bill_the_run() {
         let base = ServiceCase::calibration(2, 3, 2);
         let reference = run(&base, &Workers::new(2)).unwrap();
@@ -814,8 +842,11 @@ mod tests {
         // regions from zero.
         let again = run(&case, &pool).unwrap();
         assert_eq!(again.timeline.regions[0].seq, 0);
-        // A pool without a flight recorder yields an empty timeline.
-        let plain = run(&case, &Workers::new(2)).unwrap();
+        // A pool without a flight recorder yields an empty timeline
+        // (disabled explicitly: `LLP_FLIGHT=1` gives every new pool one).
+        let mut plain_pool = Workers::new(2);
+        plain_pool.set_flight(llp::FlightRecorder::disabled());
+        let plain = run(&case, &plain_pool).unwrap();
         assert!(plain.timeline.is_empty());
     }
 

@@ -860,18 +860,6 @@ impl LaneBody for ResidualRow<'_> {
     }
 }
 
-/// L∞ norm of a residual field stored as a `StateField`.
-#[must_use]
-pub fn residual_norm(r: &StateField) -> f64 {
-    let mut m = 0.0f64;
-    for p in r.dims().iter_jkl() {
-        for v in r.get(p) {
-            m = m.max(v.abs());
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,9 +46,10 @@ pub struct WorkerAttribution {
     pub chunks: u64,
     /// Empty claims (one per dynamic region the lane participated in).
     pub claim_misses: u64,
-    /// Nanoseconds this lane (a zone shard) spent stepping zones —
-    /// zone-scheduler occupancy, measured between parallel regions and
-    /// therefore kept out of the compute/sync split.
+    /// Nanoseconds this lane (the team lane that ran zone tasks) spent
+    /// stepping zones — zone-scheduler occupancy, measured outside the
+    /// recorded regions and therefore kept out of the compute/sync
+    /// split.
     pub zone_ns: u64,
     /// Zone compute tasks this lane executed.
     pub zone_tasks: u64,
@@ -111,18 +112,6 @@ impl RegionAttribution {
     #[must_use]
     pub fn sync_ns(&self) -> u64 {
         self.barrier_ns + self.claim_ns
-    }
-
-    /// Directly measured overhead fraction `S / (W / P)`: per-worker
-    /// sync cost over per-worker work — the quantity Table 1 bounds.
-    /// Infinite when the region did no measurable compute.
-    #[must_use]
-    pub fn measured_overhead_fraction(&self) -> f64 {
-        if self.compute_ns == 0 {
-            return f64::INFINITY;
-        }
-        // sync/lanes over compute/lanes: the lane counts cancel.
-        self.sync_ns() as f64 / self.compute_ns as f64
     }
 
     fn to_json(&self) -> Json {

@@ -320,7 +320,7 @@ mod tests {
             .iter()
             .filter_map(|e| e.get("tid").and_then(Json::as_u64))
             .collect();
-        assert_eq!(tids, [0, 1], "one zone slice per shard lane");
+        assert_eq!(tids, [0, 1], "one zone slice per team lane");
     }
 
     #[test]

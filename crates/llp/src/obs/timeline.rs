@@ -368,13 +368,14 @@ impl FlightRecorder {
         })
     }
 
-    /// Lane `lane` (a zone shard) began stepping zone `zone` of time
-    /// step `step`. Unlike the chunk/claim events these are recorded
-    /// *between* parallel regions by the zone-level scheduler, so they
-    /// bypass the barrier-wait bookkeeping ([`Lane::record_raw`]) and
-    /// store the step index in the event's `region` field. Out-of-range
-    /// lanes are ignored (a pool can run more zone shards than the
-    /// recorder has lanes); a disabled recorder is one branch.
+    /// Lane `lane` (the team lane running the zone task) began stepping
+    /// zone `zone` of time step `step`. Unlike the chunk/claim events
+    /// these are recorded by the zone-level scheduler outside any
+    /// recorded region, so they bypass the barrier-wait bookkeeping
+    /// ([`Lane::record_raw`]) and store the step index in the event's
+    /// `region` field. Lanes beyond the recorder's are ignored (a
+    /// recorder narrower than its pool); a disabled recorder is one
+    /// branch.
     pub fn zone_start(&self, lane: usize, zone: u64, step: u64) {
         self.zone_event(lane, EventKind::ZoneStart, zone, step);
     }

@@ -4,8 +4,9 @@
 //! A root [`Workers`] owns one long-lived team of helper threads (the
 //! crate-private `team` module, `src/team.rs`, states the protocol:
 //! helpers are spawned on first use, spin briefly and then park between
-//! regions, and are joined when the last handle drops); every view is a
-//! range of that team's lanes.
+//! regions, and are joined when the last handle drops); every view of
+//! `w` workers runs its regions on the team's first `w` lanes, taking
+//! whichever of those helpers are free.
 //!
 //! A parallel region publishes its tasks to the team, the calling
 //! thread works alongside the helpers, and the region ends on a
@@ -53,11 +54,12 @@ impl<'env> RegionScope<'env> {
         self.spawn_on_lane(move |_| task());
     }
 
-    /// Queue one task that is told the lane of the view it runs on:
-    /// 0 on the calling thread, `l` on the helper standing in for the
-    /// view's lane `l`. Two tasks one thread runs get the same lane, so
-    /// what they record per lane is what that thread did.
-    pub(crate) fn spawn_on_lane(&self, task: impl FnOnce(usize) + Send + 'env) {
+    /// Queue one task that is told the team lane it runs on: 0 on the
+    /// calling thread, `l` on the team's helper `l − 1`, always below
+    /// the view's [`Workers::processors`]. Two tasks one thread runs get
+    /// the same lane, so what they record per lane is what that thread
+    /// did.
+    pub fn spawn_on_lane(&self, task: impl FnOnce(usize) + Send + 'env) {
         self.tasks.borrow_mut().push(TaskSlot::new(task));
     }
 }
@@ -74,9 +76,11 @@ impl<'env> RegionScope<'env> {
 pub struct Workers {
     /// The helper threads every view of this pool shares.
     team: Arc<Team>,
-    /// This view's lanes of the team are `first_lane..first_lane +
-    /// processors`; the thread calling `region` stands in for the first.
-    first_lane: usize,
+    /// This view's width: its regions run on the team's first
+    /// `processors` lanes, the thread calling `region` being lane 0.
+    /// Views of one pool overlap; a helper another view (or an outer
+    /// region) is using is skipped, so regions share the team region
+    /// by region.
     processors: usize,
     /// What the caller asked for before any [`Workers::sized_view`]
     /// clamp; equals `processors` for a directly-constructed team.
@@ -127,7 +131,6 @@ impl Workers {
         };
         Self {
             team: Arc::new(Team::new(processors)),
-            first_lane: 0,
             processors,
             requested: processors,
             counters: Arc::new(Counters::default()),
@@ -249,7 +252,6 @@ impl Workers {
         assert!(processors > 0, "worker count must be positive");
         Self {
             team: Arc::clone(&self.team),
-            first_lane: self.first_lane,
             processors: processors.min(self.processors),
             requested: processors,
             counters: Arc::clone(&self.counters),
@@ -272,27 +274,6 @@ impl Workers {
             .and_then(|m| m.get(kernel))
             .unwrap_or((self.processors, self.policy));
         self.kernel_view(processors, policy)
-    }
-
-    /// The `index`-th of `of` disjoint shards of this view: a
-    /// [`Workers::kernel_view`] of `processors() / of` workers (at
-    /// least one) under this view's policy, on team lanes no other
-    /// shard index of the same split uses — so shards running regions
-    /// concurrently from different threads each keep their full width,
-    /// where plain views of one pool start at the same lane and
-    /// compete for its helpers. With more shards than workers every
-    /// shard is one worker wide and runs on its calling thread alone.
-    ///
-    /// # Panics
-    /// Panics if `index >= of`.
-    #[must_use]
-    pub fn shard_view(&self, index: usize, of: usize) -> Self {
-        assert!(index < of, "shard {index} of {of}");
-        let width = (self.processors / of).max(1);
-        Self {
-            first_lane: self.first_lane + (index * width).min(self.processors - width),
-            ..self.kernel_view(width, self.policy)
-        }
     }
 
     /// The team's span recorder (disabled unless enabled explicitly).
@@ -376,8 +357,7 @@ impl Workers {
             tasks: RefCell::new(Vec::new()),
         };
         let out = f(&scope);
-        self.team
-            .run(self.first_lane, self.processors, scope.tasks.into_inner());
+        self.team.run(self.processors, scope.tasks.into_inner());
         self.counters.sync_events.fetch_add(1, Ordering::Relaxed);
         self.local.sync_events.fetch_add(1, Ordering::Relaxed);
         if let Some(start) = start {
@@ -591,47 +571,6 @@ mod tests {
             assert_eq!(w.region_count(), 100_000);
         }
         assert_eq!(view.local_sync_event_count(), 100_000);
-    }
-
-    #[test]
-    fn disjoint_shards_keep_full_width_concurrently() {
-        let pool = Workers::new(4);
-        std::thread::scope(|threads| {
-            for shard in 0..2 {
-                let pool = &pool;
-                threads.spawn(move || {
-                    // A fresh-counter view of the shard, as serve makes
-                    // one per request.
-                    let view = pool.shard_view(shard, 2).sized_view(2);
-                    assert_eq!(view.processors(), 2);
-                    for _ in 0..200 {
-                        assert_eq!(concurrent_tasks(&view, 2), 2);
-                    }
-                    assert_eq!(view.local_sync_event_count(), 200);
-                });
-            }
-        });
-        assert_eq!(pool.sync_event_count(), 400);
-    }
-
-    #[test]
-    fn shard_views_partition_the_lanes() {
-        let pool = Workers::new(5);
-        let lanes = |w: &Workers| w.first_lane..w.first_lane + w.processors();
-        assert_eq!(lanes(&pool.shard_view(0, 2)), 0..2);
-        assert_eq!(lanes(&pool.shard_view(1, 2)), 2..4);
-        // Shards of a shard stay inside it.
-        assert_eq!(lanes(&pool.shard_view(1, 2).shard_view(1, 2)), 3..4);
-        // More shards than workers: one lane each, all inside the pool.
-        for shard in 0..8 {
-            let view = pool.shard_view(shard, 8);
-            assert_eq!(view.processors(), 1);
-            assert!(lanes(&view).end <= 5);
-        }
-        // Like a kernel view, a shard bills its parent's local counter.
-        let request = pool.sized_view(4);
-        request.shard_view(1, 2).region(|_| {});
-        assert_eq!(request.local_sync_event_count(), 1);
     }
 
     #[test]

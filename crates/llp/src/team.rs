@@ -27,8 +27,9 @@
 //!
 //! **Publishing a region.** [`Team::run`] builds one [`Job`] on the
 //! caller's stack — the region's task slots, an atomic next-task index,
-//! a barrier word — and offers it to the helpers of the view's lanes,
-//! at most one per task beyond the caller's own: `IDLE → job`,
+//! a barrier word — and offers it to the view's helpers (a view of `w`
+//! workers is the caller plus helpers `0..w − 1`), at most one per task
+//! beyond the caller's own: `IDLE → job`,
 //! `PARKED → job` plus an unpark, or `UNSPAWNED → job` plus the one
 //! thread spawn of that helper's life. A helper whose word holds
 //! anything else is serving another view (or a region this one is
@@ -39,10 +40,10 @@
 //! are left, so more tasks than workers, nested regions and overlapping
 //! views all finish: the caller alone is enough. Each task runs under
 //! `catch_unwind`; the first panic payload is kept. A task is told the
-//! lane it runs on, counted from the view's first: the caller is lane
-//! 0 and helper `h` is lane `h + 1 − first`, so a region that ran
-//! narrower because a helper was serving another view shows it in
-//! whatever the tasks record per lane.
+//! lane it runs on: the caller is lane 0 and helper `h` is lane
+//! `h + 1`, so a region that ran narrower because a helper was serving
+//! another view (or an outer region) shows it in whatever the tasks
+//! record per lane.
 //!
 //! **The barrier.** When the caller runs out of tasks it takes the job
 //! back from every helper that has not picked it up (`job → IDLE`),
@@ -141,9 +142,6 @@ struct Job {
     len: usize,
     /// Next unclaimed task index; each index is handed out once.
     next: AtomicUsize,
-    /// The view's first lane: helper `h` runs its tasks as lane
-    /// `h + 1 − first`.
-    first: usize,
     /// `DEPARTED` per helper that has let go, plus [`SLEEPING`].
     barrier: AtomicUsize,
     /// The thread to unpark when [`SLEEPING`] is set.
@@ -289,7 +287,7 @@ impl Helper {
             // the `Job` on its stack alive — until this helper, which
             // took the job (`job → BUSY`), has departed below.
             let job = unsafe { &*job };
-            job.drain(index + 1 - job.first);
+            job.drain(index + 1);
             // Free for the next region before this one's caller can
             // return and start it. Release/acquire with the next
             // publisher orders this job's task effects before its.
@@ -321,14 +319,14 @@ impl Team {
         }
     }
 
-    /// Run one region's tasks to completion on lanes
-    /// `first..first + width` of the team: the calling thread is lane
-    /// `first`, helper `l − 1` is lane `l`. See the module header.
+    /// Run one region's tasks to completion on the team's first `width`
+    /// lanes: the calling thread is lane 0, helper `l − 1` is lane `l`.
+    /// See the module header.
     ///
     /// # Panics
     /// Re-raises the first panic of the region's tasks, after every
     /// task has finished.
-    pub(crate) fn run(&self, first: usize, width: usize, tasks: Vec<TaskSlot<'_>>) {
+    pub(crate) fn run(&self, width: usize, tasks: Vec<TaskSlot<'_>>) {
         let wanted = width.min(tasks.len()).saturating_sub(1);
         if wanted == 0 {
             // A serial region (one task, or a one-lane view) is a plain
@@ -344,7 +342,6 @@ impl Team {
             tasks: tasks.as_ptr().cast(),
             len: tasks.len(),
             next: AtomicUsize::new(0),
-            first,
             barrier: AtomicUsize::new(0),
             caller: thread::current(),
             panic: Mutex::new(None),
@@ -354,8 +351,8 @@ impl Team {
         // to the end of `wait` nothing may unwind, or the job would die
         // under its helpers. Nothing does — task panics are caught in
         // `drain`, and a refused spawn is an `Err`, not a panic.
-        let mine = &self.helpers[first..first + wanted];
-        let enlisted = (first..first + wanted)
+        let mine = &self.helpers[..wanted];
+        let enlisted = (0..wanted)
             .filter(|&index| self.enlist(index, address))
             .count();
         job.drain(0);

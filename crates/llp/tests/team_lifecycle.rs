@@ -13,6 +13,20 @@ fn threads() -> Option<usize> {
         .map(Iterator::count)
 }
 
+/// Threads of this process once they are down to `want`, waiting up to
+/// a second: a joined thread's `join` returns when the kernel clears its
+/// thread id, a moment before the thread leaves `/proc/self/task`.
+fn threads_after_join(want: usize) -> Option<usize> {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    loop {
+        let now = threads();
+        if now == Some(want) || std::time::Instant::now() >= deadline {
+            return now;
+        }
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
     let Some(before) = threads() else { return };
@@ -33,7 +47,7 @@ fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
     let wide = Workers::new(8);
     queue_four(&serial);
     queue_four(&wide.sized_view(1));
-    queue_four(&wide.shard_view(3, 8));
+    queue_four(&wide.sized_view(4).sized_view(1));
     assert_eq!(ran.load(Ordering::Relaxed), 12);
     assert_eq!(threads(), Some(before));
     // Helpers are spawned on first use, one per task beyond the
@@ -44,18 +58,18 @@ fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
     });
     assert_eq!(threads(), Some(before + 1));
     drop((serial, wide));
-    assert_eq!(threads(), Some(before));
+    assert_eq!(threads_after_join(before), Some(before));
 
     // ...and never again: a thousand regions later the team is still
     // its three helpers, whichever view ran them.
     let pool = Workers::new(4);
     let view = pool.sized_view(4);
-    let shard = pool.shard_view(1, 2);
+    let narrow = pool.sized_view(2);
     queue_four(&pool);
     assert_eq!(threads(), Some(before + 3));
     for _ in 0..1000 {
         queue_four(&view);
-        queue_four(&shard);
+        queue_four(&narrow);
     }
     assert_eq!(threads(), Some(before + 3));
 
@@ -66,6 +80,6 @@ fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
     assert_eq!(ran.load(Ordering::Relaxed), 12 + 4 * 2002);
     drop(view);
     assert_eq!(threads(), Some(before + 3));
-    drop(shard);
-    assert_eq!(threads(), Some(before));
+    drop(narrow);
+    assert_eq!(threads_after_join(before), Some(before));
 }

@@ -110,13 +110,6 @@ impl Field3 {
         out
     }
 
-    /// Maximum absolute value over the field (0 for empty — cannot occur
-    /// since dims are positive).
-    #[must_use]
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-    }
-
     /// Sum over all points.
     #[must_use]
     pub fn sum(&self) -> f64 {

@@ -20,11 +20,11 @@
 //!   Any topological execution order of this DAG yields bit-identical
 //!   state, which is what makes zone scheduling safe for a service
 //!   whose cache keys assume determinism;
-//! * [`run_sharded`] — dispatch ready compute tasks across `shards`
-//!   zone shards ([`llp::Workers`] kernel views of one pool, so the
-//!   caller's synchronization-event bill still covers every inner
-//!   region), join at the step barrier, then apply exchanges in
-//!   canonical order.
+//! * [`run_sharded`] — run the compute tasks as one `shards`-wide
+//!   region of the [`llp::Workers`] team, each zone's loops sharing
+//!   the rest of the team region by region (and billing the caller's
+//!   synchronization events), then apply exchanges in canonical order
+//!   after the region's barrier.
 //!
 //! The 1-shard case degenerates to the classic sequential zone sweep —
 //! pinned bit-exact by the `f3d` test-suite — so callers can treat the

@@ -1,8 +1,5 @@
 //! Executing a step DAG: sequential sweep, explicit-order replay, and
-//! sharded dispatch over an [`llp::Workers`] pool.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! sharded dispatch as one region of an [`llp::Workers`] team.
 
 use llp::{FlightRecorder, Recorder, Workers};
 
@@ -16,7 +13,10 @@ use crate::topology::Topology;
 pub struct StepStats {
     /// Zone shards the step dispatched over (after clamping).
     pub shards: usize,
-    /// Inner loop workers each shard's team carried.
+    /// Each zone's even share of the pool's workers,
+    /// `processors / shards` (at least 1). Zones do not own their
+    /// share: a zone's loops run on the whole pool and take whichever
+    /// helpers the other zones leave free.
     pub loop_workers: usize,
     /// Compute tasks executed (one per block).
     pub zone_tasks: u64,
@@ -98,27 +98,33 @@ pub fn run_in_order<Z>(
 /// Dispatch one step's compute tasks across `shards` zone shards, then
 /// apply the exchanges in canonical order.
 ///
-/// Each shard owns a [`Workers::shard_view`] of `pool`: its own
-/// `pool.processors() / shards` (at least 1) lanes of the worker team,
-/// so concurrent shards never compete for a helper — shard views share
-/// the pool view's local counters, so the caller's
-/// synchronization-event bill covers every region the shards ran, and
-/// the split realizes `U_zones × U_loops`. Shard views run with span
-/// and flight recording disabled (those instruments assume one
-/// coordinator thread); instead, every compute task brackets itself
-/// with zone start/end events on the **pool's** flight recorder, lane
-/// = shard index, so a drained timeline shows zone occupancy per
-/// shard. Shards claim blocks from a shared counter in index order;
-/// the scoped join is the step barrier, after which exchanges run on
-/// the calling thread in canonical interface order — a topological
-/// order of the step DAG, so the result is bit-identical to
-/// [`run_sequential`] for every shard count.
+/// The compute tasks are one region of `pool`'s worker team, `shards`
+/// lanes wide (at most the pool's width): one task per block, claimed
+/// by the team in index order, so up to `shards` zones run at once.
+/// Each zone's own loops run on a view of the whole pool that shares
+/// its local counter — the caller's synchronization-event bill covers
+/// every loop region the zones ran — and enlists whichever helpers no
+/// other zone is using, so the team is shared between the two levels
+/// region by region (`U_zones × U_loops`) rather than split into fixed
+/// slices. The zone region's own barrier is the step barrier; it bills
+/// the pool-wide counter only. Inside the zones span and flight
+/// recording are off (those instruments assume one coordinator thread);
+/// instead, every compute task brackets itself with zone start/end
+/// events on the **pool's** flight recorder, on the team lane that ran
+/// it, so a drained timeline shows zone occupancy per thread. After the
+/// barrier, exchanges run on the calling thread in canonical interface
+/// order — a topological order of the step DAG, so the result is
+/// bit-identical to [`run_sequential`] for every shard count.
 ///
 /// `shards` is clamped to `1..=blocks.len()`; the clamped value is
-/// reported in the returned [`StepStats`].
+/// reported in the returned [`StepStats`], whose `loop_workers` is each
+/// zone's even share of the pool, `pool.processors() / shards`.
 ///
 /// # Panics
-/// Panics if `blocks.len() != topo.blocks()` or a shard panics.
+/// Panics if `blocks.len() != topo.blocks()`. A panicking compute task
+/// is re-raised with its own payload — when the region is wider than
+/// one worker, only after every other block has run — and no exchange
+/// is applied.
 pub fn run_sharded<Z, C, X>(
     pool: &Workers,
     shards: usize,
@@ -137,46 +143,21 @@ where
     let shards = shards.clamp(1, blocks.len());
     let loop_workers = (pool.processors() / shards).max(1);
     let flight = pool.flight();
-    let shard_view = |shard| {
-        let mut view = pool.shard_view(shard, shards);
-        view.set_recorder(Recorder::disabled());
-        view.set_flight(FlightRecorder::disabled());
-        view
-    };
-
-    if shards == 1 {
-        // Degenerate case: the sequential sweep on the calling thread.
-        let view = shard_view(0);
+    let mut zone_level = pool.sized_view(shards);
+    zone_level.set_recorder(Recorder::disabled());
+    let mut loops = pool.kernel_view(pool.processors(), pool.policy());
+    loops.set_recorder(Recorder::disabled());
+    loops.set_flight(FlightRecorder::disabled());
+    let (compute, loops) = (&compute, &loops);
+    zone_level.region(|scope| {
         for (b, block) in blocks.iter_mut().enumerate() {
-            flight.zone_start(0, b as u64, step);
-            compute(b, &view, block);
-            flight.zone_end(0, b as u64, step);
+            scope.spawn_on_lane(move |lane| {
+                flight.zone_start(lane, b as u64, step);
+                compute(b, loops, block);
+                flight.zone_end(lane, b as u64, step);
+            });
         }
-    } else {
-        let cells: Vec<Mutex<&mut Z>> = blocks.iter_mut().map(Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for (shard, view) in (0..shards).map(|s| (s, shard_view(s))) {
-                let cells = &cells;
-                let next = &next;
-                let compute = &compute;
-                scope.spawn(move || loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= cells.len() {
-                        break;
-                    }
-                    // Each block index is claimed exactly once, so the
-                    // lock is uncontended — it exists to hand the
-                    // `&mut Z` across the thread boundary without
-                    // unsafe code.
-                    let mut block = cells[b].lock().expect("block cell");
-                    flight.zone_start(shard, b as u64, step);
-                    compute(b, &view, &mut block);
-                    flight.zone_end(shard, b as u64, step);
-                });
-            }
-        });
-    }
+    });
     apply_exchanges(blocks, topo, &mut exchange);
     StepStats::new(topo, shards, loop_workers)
 }
@@ -266,10 +247,55 @@ mod tests {
             |_, _, _| {},
         );
         assert_eq!(stats.shards, 2);
+        // The even share is reported; the zones' loops see the whole
+        // pool and share its helpers region by region.
         assert_eq!(stats.loop_workers, 2);
-        assert_eq!(blocks, vec![2, 2, 2, 2]);
+        assert_eq!(blocks, vec![4, 4, 4, 4]);
         assert_eq!(stats.peak_ready, 4);
         assert_eq!(stats.exchange_waves, 3);
+    }
+
+    #[test]
+    fn a_panicking_zone_is_reraised_after_the_others_ran() {
+        let pool = Workers::new(2);
+        let topo = Topology::chain(4);
+        let step = |blocks: &mut Vec<u64>, faulty: Option<usize>| {
+            run_sharded(
+                &pool,
+                2,
+                0,
+                blocks,
+                &topo,
+                |b, _, z| {
+                    assert!(Some(b) != faulty, "zone one fails");
+                    mix(z, b as u64);
+                },
+                |i, a, b| {
+                    mix(a, *b ^ i as u64);
+                    mix(b, *a);
+                },
+            )
+        };
+        let start: Vec<u64> = (1..=4).collect();
+        let mut blocks = start.clone();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            step(&mut blocks, Some(1));
+        }));
+        // The block's own payload, not a generic "a thread panicked"...
+        let payload = outcome.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"zone one fails"));
+        // ...raised only after every other block had run (and before
+        // any exchange)...
+        for b in [0, 2, 3] {
+            let mut want = start[b];
+            mix(&mut want, b as u64);
+            assert_eq!(blocks[b], want, "block {b}");
+        }
+        assert_eq!(blocks[1], start[1]);
+        // ...and the next step on the same pool is exact.
+        let mut blocks = start;
+        step(&mut blocks, None);
+        assert_eq!(blocks, reference(&topo));
     }
 
     #[test]
@@ -296,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_records_zone_events_per_shard_lane() {
+    fn sharded_records_zone_events_per_team_lane() {
         let mut pool = Workers::new(2);
         pool.set_flight(FlightRecorder::enabled(2, 64));
         let topo = Topology::chain(3);
