@@ -17,7 +17,9 @@ fn main() {
     println!("Fusion / hoisting ablation ({grid})\n");
 
     // Synchronization events per time step under each structure.
-    // Baseline (hoisted + fused, as implemented): 5 regions per zone.
+    // Baseline (hoisted + fused, the paper's tuned schedule and the
+    // analytic trace's): 5 regions per zone. `f3d::risc_impl` fuses the
+    // residual and the J and K factors further, to 3.
     let zones = grid.zones();
     let hoisted: u64 = zones.len() as u64 * 5;
     // Unfused: the residual's three direction passes and the update run

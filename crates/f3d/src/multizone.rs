@@ -102,15 +102,6 @@ impl MultiZoneSolver {
         &mut self.zones[i]
     }
 
-    /// Select the SLP lane widths every zone's stepper runs its wide
-    /// kernels at (see [`RiscStepper::set_widths`] — bit-exact at every
-    /// width, only the performance shape changes).
-    pub fn set_kernel_widths(&mut self, widths: &solver::WidthMap) {
-        for stepper in &mut self.steppers {
-            stepper.set_widths(widths);
-        }
-    }
-
     /// The zonal-BC interface graph: a J-chain, zone `i` exchanging
     /// with zone `i + 1` through the one-point overlap planes.
     #[must_use]
@@ -380,12 +371,13 @@ mod tests {
         );
         assert_eq!(step.children[3].name, "inject");
         assert!(!step.children[3].parallelized());
-        // 5 parallel regions per zone per step.
-        assert_eq!(report.sync_events(), 15);
-        // Every zone carries the full kernel set: five parallel, `bc`.
+        // 3 parallel regions per zone per step.
+        assert_eq!(report.sync_events(), 9);
+        // Every zone carries the full kernel set: three parallel, `bc`.
         for zone_span in &step.children[..3] {
             assert_eq!(zone_span.kind, llp::SpanKind::Zone);
-            assert_eq!(zone_span.children.len(), 6);
+            let names: Vec<&str> = zone_span.children.iter().map(|k| k.name.as_str()).collect();
+            assert_eq!(names, ["rhs_jk", "l_factor_solve", "update", "bc"]);
         }
     }
 }

@@ -19,8 +19,16 @@
 //!   to what fits in cache, rather than all the way to one pencil.
 //! * **Outer-loop doacross parallelism** — every sweep parallelizes an
 //!   outer loop orthogonal to its recurrence: the J and K factors and
-//!   the residual over L, the L factor over K (paper Example 1). Each
-//!   phase is a single synchronization event.
+//!   the residual over L, the L factor over K (paper Example 1).
+//! * **Loops that share the outer loop are fused** — the residual and
+//!   the J and K factors all run over L, and plane `l` of each needs
+//!   only plane `l` of the one before, so one region takes each L-plane
+//!   through all three while it is in cache (paper Examples 2–3: the
+//!   parallel loop hoisted into the parent). A zone step is three
+//!   regions — `rhs_jk`, `l_factor_solve`, `update` — each a single
+//!   synchronization event. The model ([`crate::trace::risc_zone_trace`])
+//!   keeps the paper's five loops; the stepper's `rhs_jk` is its Rhs,
+//!   JFactor and KFactor at the same L parallelism.
 //! * **Boundary conditions stay serial** — their work per sync event
 //!   cannot pay for a barrier (Table 2).
 //!
@@ -28,19 +36,18 @@
 //! pencils run across the L-slabs that partition memory, so its region
 //! hands each worker the rows regrouped by `k` — row `(k, l)` for every
 //! `l` — rather than slabs: disjoint groups of row slices state in safe
-//! Rust the disjointness the Fortran original left to the programmer,
-//! and the step keeps the five parallel loops of the model
-//! ([`crate::trace::risc_zone_trace`]).
+//! Rust the disjointness the Fortran original left to the programmer.
 
 use crate::bc::{self, ZoneBcs};
+use crate::blocktri::Vec5;
 use crate::solver::{
     implicit_factor_bundle, pencil_point, residual_rhs_row_w, CentralFactor, ImplicitFactor,
-    PencilScratch, SolverConfig, UpwindFactor, ZoneSolver, PENCIL_BUNDLE,
+    PencilScratch, SolverConfig, UpwindFactor, ZoneSolver, PENCIL_BUNDLE, RESIDUAL_LANES,
 };
 use llp::obs::SpanKind;
 use llp::{doacross_slabs, doacross_slabs_scratch, ScheduleMap, Workers};
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
-use solver::{for_lane_groups, LaneBody, WidthMap};
+use solver::{for_lane_groups, LaneBody};
 
 /// The tuned stepper.
 #[derive(Debug)]
@@ -49,8 +56,6 @@ pub struct RiscStepper {
     rhs: StateField,
     /// Longest pencil of the zone (scratch sizing).
     max_pencil: usize,
-    /// Per-kernel SLP lane widths (scalar unless overridden).
-    widths: WidthMap,
 }
 
 impl RiscStepper {
@@ -86,35 +91,27 @@ impl RiscStepper {
         Self {
             rhs: StateField::zeros(d, zone.q.layout(), zone.q.arrangement()),
             max_pencil: d.j.max(d.k).max(d.l),
-            widths: WidthMap::new(),
         }
     }
 
-    /// Select the SLP lane width each kernel runs at. Only `rhs` reads
-    /// its entry — the width is how many points of a J-row its flux
-    /// evaluations process per lane group, bit-exact at every width.
-    /// The implicit factors run [`PENCIL_BUNDLE`] pencils per group
-    /// whatever the map says; `update` is pure data movement.
-    pub fn set_widths(&mut self, widths: &WidthMap) {
-        self.widths = widths.clone();
-    }
-
-    /// Bytes of scratch *per worker* — one pencil bundle, the quantity
-    /// the paper fits into cache.
+    /// Bytes of scratch *per worker* — what one worker holds in the
+    /// fused `rhs_jk` region (the residual's J-row buffer and one
+    /// pencil bundle), the most any region of the step gives it: the
+    /// quantity the paper fits into cache.
     #[must_use]
     pub fn scratch_bytes_per_worker(&self) -> usize {
-        PencilScratch::for_pencils(self.max_pencil, PENCIL_BUNDLE).bytes()
+        self.rhs.dims().j * std::mem::size_of::<Vec5>()
+            + PencilScratch::for_pencils(self.max_pencil, PENCIL_BUNDLE).bytes()
     }
 
-    /// Advance one time step using `workers`. Each parallel phase runs
+    /// Advance one time step using `workers`. Each parallel region runs
     /// on a [`Workers::scheduled_view`] carrying the worker count and
-    /// policy `schedules` maps its kernel name to (`rhs`, `j_factor`,
-    /// `k_factor`, `l_factor_solve`, `update`), falling back to
-    /// `workers`'s own configuration for unmapped kernels and for
-    /// `None`. Numerics are invariant to the overrides — only the
-    /// performance shape changes.
+    /// policy `schedules` maps its kernel name to (`rhs_jk`,
+    /// `l_factor_solve`, `update`), falling back to `workers`'s own
+    /// configuration for unmapped kernels and for `None`. Numerics are
+    /// invariant to the overrides — only the performance shape changes.
     ///
-    /// Every phase opens one kernel span on `workers`' recorder (free
+    /// Every region opens one kernel span on `workers`' recorder (free
     /// when disabled), so the per-loop profile of a run on
     /// [`Workers::recorded`] is `take_report(..).kernel_summaries()`.
     pub fn step(
@@ -129,106 +126,70 @@ impl RiscStepper {
         let eps2 = zone.config.eps2;
         let eps_imp = zone.config.eps_imp;
         let mu_vis = zone.config.viscosity;
-        let slab = jmax * kmax * NCONS;
+        // The implicit factors solve in place on the J-rows of `rhs`:
+        // row `r` holds the points (·, k, l) with `k = r % kmax` and
+        // `l = r / kmax`, so L-plane `l` is one slab of `kmax`
+        // consecutive rows.
+        let row_len = jmax * NCONS;
+        let slab = kmax * row_len;
         let max_pencil = self.max_pencil;
         // Element offset of (j, k, component c) within an L-slab under
         // AoS + JKL layout.
         let at = move |j: usize, k: usize, c: usize| (k * jmax + j) * NCONS + c;
-        let w_rhs = self.widths.get("rhs");
-        // Kernel spans (free when the recorder is disabled). Each phase
+        // Kernel spans (free when the recorder is disabled). Each region
         // opens one; the doacross inside attaches its region span as a
         // child, classifying the kernel as parallelized.
         let rec = workers.recorder();
 
-        // --- Explicit residual: rhs = -dt R(Q); parallel over L. Each
-        // worker carries a J-row buffer so interior rows run in lane
-        // groups (width from the WidthMap, one-lane tail). ---
+        // --- Residual, J factor and K factor, fused over L: each plane
+        // is filled with rhs = -dt R(Q) row by row (interior points in
+        // lane groups of RESIDUAL_LANES, one-lane tail), then solved in
+        // place along J (adjacent-K pencils per bundle) and along K
+        // (adjacent-J pencils per bundle). Each worker makes its scratch
+        // once — a J-row buffer and one pencil bundle — and reuses it
+        // across its planes (Example 3). Boundary planes and pencils
+        // carry zero RHS and are not solved. ---
         {
-            let _span = rec.span("rhs", SpanKind::Kernel);
-            let kw = workers.scheduled_view(schedules, "rhs");
+            let _span = rec.span("rhs_jk", SpanKind::Kernel);
+            let kw = workers.scheduled_view(schedules, "rhs_jk");
             let zone_ref: &ZoneSolver = zone;
             doacross_slabs_scratch(
                 &kw,
                 self.rhs.as_mut_slice(),
                 slab,
-                || vec![[0.0f64; NCONS]; jmax],
-                |l, slab_data, row| {
-                    for k in 0..kmax {
-                        if l == 0 || l == lmax - 1 || k == 0 || k == kmax - 1 {
-                            for j in 0..jmax {
-                                for c in 0..NCONS {
-                                    slab_data[at(j, k, c)] = 0.0;
-                                }
-                            }
+                || {
+                    let pencils = PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE);
+                    (vec![[0.0; NCONS]; jmax], pencils)
+                },
+                |l, plane, (row, pencils)| {
+                    let boundary = l == 0 || l == lmax - 1;
+                    for (k, out) in plane.chunks_exact_mut(row_len).enumerate() {
+                        if boundary || k == 0 || k == kmax - 1 {
+                            out.fill(0.0);
                             continue;
                         }
-                        for c in 0..NCONS {
-                            slab_data[at(0, k, c)] = 0.0;
-                            slab_data[at(jmax - 1, k, c)] = 0.0;
-                        }
-                        residual_rhs_row_w(zone_ref, k, l, eps2, w_rhs, row);
+                        out[..NCONS].fill(0.0);
+                        out[row_len - NCONS..].fill(0.0);
+                        residual_rhs_row_w(zone_ref, k, l, eps2, RESIDUAL_LANES, row);
                         for j in 1..jmax - 1 {
-                            for c in 0..NCONS {
-                                slab_data[at(j, k, c)] = row[j][c];
-                            }
+                            out[j * NCONS..(j + 1) * NCONS].copy_from_slice(&row[j]);
                         }
                     }
-                },
-            );
-        }
-
-        // The implicit factors solve in place on the J-rows of `rhs`:
-        // row `r` holds the points (·, k, l) with `k = r % kmax` and
-        // `l = r / kmax`, so the rows of L-plane `l` are one slab of
-        // `kmax` consecutive rows.
-        let mut rows: Vec<&mut [f64]> = self.rhs.as_mut_slice().chunks_mut(jmax * NCONS).collect();
-
-        // --- J factor: pencils along J, parallel over L, one pencil
-        // bundle of scratch per worker (Example 3), adjacent-K pencils
-        // per bundle. Boundary pencils carry zero RHS and are skipped. ---
-        {
-            let _span = rec.span("j_factor", SpanKind::Kernel);
-            let kw = workers.scheduled_view(schedules, "j_factor");
-            let zone_ref: &ZoneSolver = zone;
-            doacross_slabs_scratch(
-                &kw,
-                &mut rows,
-                kmax,
-                || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
-                |l, plane, scratch| {
-                    if l == 0 || l == lmax - 1 {
+                    if boundary {
                         return;
                     }
-                    let mut sweep = FactorSweep {
+                    let origin = Ijk::new(0, 0, l);
+                    let mut j_sweep = FactorSweep {
                         zone: zone_ref,
                         factor: UpwindFactor,
                         axis: Axis::J,
                         across: Axis::K,
-                        origin: Ijk::new(0, 0, l),
-                        rows: plane,
-                        scratch,
+                        origin,
+                        rows: &mut *plane,
+                        scratch: &mut *pencils,
                     };
-                    for_lane_groups(PENCIL_BUNDLE, 1..kmax - 1, &mut sweep);
-                },
-            );
-        }
-
-        // --- K factor: pencils along K, parallel over L, adjacent-J
-        // pencils per bundle. ---
-        {
-            let _span = rec.span("k_factor", SpanKind::Kernel);
-            let kw = workers.scheduled_view(schedules, "k_factor");
-            let zone_ref: &ZoneSolver = zone;
-            doacross_slabs_scratch(
-                &kw,
-                &mut rows,
-                kmax,
-                || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
-                |l, plane, scratch| {
-                    if l == 0 || l == lmax - 1 {
-                        return;
-                    }
-                    let mut sweep = FactorSweep {
+                    for_lane_groups(PENCIL_BUNDLE, 1..kmax - 1, &mut j_sweep);
+                    let mut k_sweep = FactorSweep {
                         zone: zone_ref,
                         factor: CentralFactor {
                             eps_imp,
@@ -236,11 +197,11 @@ impl RiscStepper {
                         },
                         axis: Axis::K,
                         across: Axis::J,
-                        origin: Ijk::new(0, 0, l),
+                        origin,
                         rows: plane,
-                        scratch,
+                        scratch: pencils,
                     };
-                    for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut sweep);
+                    for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut k_sweep);
                 },
             );
         }
@@ -255,7 +216,7 @@ impl RiscStepper {
             let zone_ref: &ZoneSolver = zone;
             let mut groups: Vec<Vec<&mut [f64]>> =
                 (0..kmax).map(|_| Vec::with_capacity(lmax)).collect();
-            for (r, row) in rows.into_iter().enumerate() {
+            for (r, row) in self.rhs.as_mut_slice().chunks_mut(row_len).enumerate() {
                 groups[r % kmax].push(row);
             }
             doacross_slabs_scratch(
@@ -273,7 +234,7 @@ impl RiscStepper {
                         axis: Axis::L,
                         across: Axis::J,
                         origin: Ijk::new(0, k, 0),
-                        rows: &mut group[0],
+                        rows: group[0].as_mut_slice(),
                         scratch,
                     };
                     for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut sweep);
@@ -309,10 +270,33 @@ impl RiscStepper {
     }
 }
 
+/// The J-rows of `rhs` a sweep solves on, by row index: an L-plane's
+/// `kmax` rows lie contiguously in its slab (`[f64]`, row `r` at
+/// `r * len`), a K group's rows are one slice per `l`
+/// (`[&mut [f64]]`).
+trait Rows {
+    /// Row `r`, `len` elements long.
+    fn row(&mut self, r: usize, len: usize) -> &mut [f64];
+}
+
+impl Rows for [f64] {
+    #[inline]
+    fn row(&mut self, r: usize, len: usize) -> &mut [f64] {
+        &mut self[r * len..(r + 1) * len]
+    }
+}
+
+impl Rows for [&mut [f64]] {
+    #[inline]
+    fn row(&mut self, r: usize, _len: usize) -> &mut [f64] {
+        self[r]
+    }
+}
+
 /// One sweep's share of an implicit factor — the pencils along `axis`
 /// through one group of `rhs` rows — solved in place a bundle at a
 /// time: lane = pencil, adjacent along `across`.
-struct FactorSweep<'a, 'r, F> {
+struct FactorSweep<'a, F, R: ?Sized> {
     zone: &'a ZoneSolver,
     factor: F,
     /// The recurrence direction.
@@ -324,14 +308,15 @@ struct FactorSweep<'a, 'r, F> {
     /// The group's J-rows (`j`, then the component, innermost), indexed
     /// by the point's coordinate along whichever of `axis` and `across`
     /// is not J: a plane's rows by `k`, a K group's by `l`.
-    rows: &'a mut [&'r mut [f64]],
+    rows: &'a mut R,
     scratch: &'a mut PencilScratch,
 }
 
-impl<F: ImplicitFactor> LaneBody for FactorSweep<'_, '_, F> {
+impl<F: ImplicitFactor, R: Rows + ?Sized> LaneBody for FactorSweep<'_, F, R> {
     #[inline]
     fn group<const W: usize>(&mut self, first: usize) {
         let n = self.zone.dims().extent(self.axis);
+        let len = self.zone.dims().j * NCONS;
         let bases: [Ijk; W] =
             std::array::from_fn(|lane| pencil_point(self.origin, self.across, first + lane));
         let row_axis = if self.axis == Axis::J {
@@ -345,14 +330,14 @@ impl<F: ImplicitFactor> LaneBody for FactorSweep<'_, '_, F> {
             for (lane, &base) in bases.iter().enumerate() {
                 let (row, col) = at(pencil_point(base, self.axis, i));
                 self.scratch.rhs_line[i * W + lane]
-                    .copy_from_slice(&self.rows[row][col..col + NCONS]);
+                    .copy_from_slice(&self.rows.row(row, len)[col..col + NCONS]);
             }
         }
         implicit_factor_bundle::<W, F>(self.scratch, n, &self.factor);
         for i in 0..n {
             for (lane, &base) in bases.iter().enumerate() {
                 let (row, col) = at(pencil_point(base, self.axis, i));
-                self.rows[row][col..col + NCONS]
+                self.rows.row(row, len)[col..col + NCONS]
                     .copy_from_slice(&self.scratch.rhs_line[i * W + lane]);
             }
         }
@@ -476,14 +461,23 @@ mod tests {
         // The paper's hard constraint: the parallelized code runs the
         // same algorithm. Both implementations must produce identical
         // fields from identical initial conditions — to the bit: the
-        // vector stepper solves one pencil at a time, this one solves
-        // bundles with a one-pencil remainder, through two independent
-        // loop structures. The interior extents leave every remainder
-        // mod PENCIL_BUNDLE in all three sweeps (J bundles over K, K and
-        // L over J).
+        // vector stepper evaluates the residual one point at a time and
+        // solves one pencil at a time, plane by plane and sweep by
+        // sweep; this one evaluates RESIDUAL_LANES points per group and
+        // solves bundles with a one-pencil remainder, each L-plane
+        // through residual, J and K in one fused region. The interior
+        // extents leave every remainder mod PENCIL_BUNDLE in all three
+        // sweeps (J bundles over K, K and L over J) and mod
+        // RESIDUAL_LANES along J; the self-scheduled policies chunk the
+        // fused planes unevenly.
+        let policies = [
+            llp::Policy::Static,
+            llp::Policy::Dynamic { chunk: 1 },
+            llp::Policy::Dynamic { chunk: 3 },
+            llp::Policy::Guided { min_chunk: 2 },
+        ];
         for config in configs() {
             for (nj, nk) in (4..=7).flat_map(|nj| (4..=7).map(move |nk| (nj, nk))) {
-                let policies = [llp::Policy::Static, llp::Policy::Dynamic { chunk: 1 }];
                 assert_matches_vector(config, Dims::new(nj + 2, nk + 2, 6), &[1, 3], &policies);
             }
         }
@@ -538,8 +532,8 @@ mod tests {
         let workers = Workers::new(2);
         workers.reset_counters();
         stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, None);
-        // rhs, j, k, l, update: the model's 5 parallel regions.
-        assert_eq!(workers.sync_event_count(), 5);
+        // rhs_jk (the model's rhs, J and K loops fused), l, update.
+        assert_eq!(workers.sync_event_count(), 3);
     }
 
     #[test]
@@ -548,70 +542,20 @@ mod tests {
         let workers = Workers::recorded(2);
         stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, None);
         let report = workers.recorder().take_report("risc-step", 2);
-        assert_eq!(report.sync_events(), 5);
+        assert_eq!(report.sync_events(), 3);
         let kernels = report.kernel_summaries();
         let names: Vec<&str> = kernels.iter().map(|k| k.name.as_str()).collect();
         // Summaries are sorted by name.
-        assert_eq!(
-            names,
-            [
-                "bc",
-                "j_factor",
-                "k_factor",
-                "l_factor_solve",
-                "rhs",
-                "update"
-            ]
-        );
+        assert_eq!(names, ["bc", "l_factor_solve", "rhs_jk", "update"]);
         let bc = kernels.iter().find(|k| k.name == "bc").unwrap();
         assert!(!bc.parallelized);
         assert_eq!(bc.sync_events, 0);
-        let rhs = kernels.iter().find(|k| k.name == "rhs").unwrap();
-        assert!(rhs.parallelized);
-        assert_eq!(rhs.parallelism, 6); // L extent
-        assert_eq!(rhs.sync_events, 1);
+        let fused = kernels.iter().find(|k| k.name == "rhs_jk").unwrap();
+        assert!(fused.parallelized);
+        assert_eq!(fused.parallelism, 6); // L extent
+        assert_eq!(fused.sync_events, 1);
         let solve = kernels.iter().find(|k| k.name == "l_factor_solve").unwrap();
         assert_eq!(solve.parallelism, 7); // K extent
-    }
-
-    #[test]
-    fn kernel_widths_do_not_change_results() {
-        // The whole point of the exactness policy: any width map —
-        // uniform or mixed per kernel — produces bit-identical fields.
-        let d = Dims::new(9, 8, 7);
-        let bcs = ZoneBcs::projectile();
-        let run = |widths: Option<WidthMap>| {
-            let (mut zone, mut stepper) = RiscStepper::new_zone(
-                SolverConfig::supersonic(),
-                Metrics::cartesian(d, (0.25, 0.25, 0.25)),
-            );
-            for p in d.iter_jkl() {
-                let mut q = zone.q.get(p);
-                q[0] *= 1.0 + 0.02 * ((p.j + 2 * p.k + 3 * p.l) as f64).sin();
-                zone.q.set(p, q);
-            }
-            if let Some(w) = widths {
-                stepper.set_widths(&w);
-            }
-            let workers = Workers::new(3);
-            for _ in 0..4 {
-                stepper.step(&mut zone, &bcs, &workers, None);
-            }
-            zone.q
-        };
-        let scalar = run(None);
-        for w in [2usize, 4, 8] {
-            assert_eq!(
-                scalar.max_abs_diff(&run(Some(WidthMap::uniform(w)))),
-                0.0,
-                "uniform width {w}"
-            );
-        }
-        let mut mixed = WidthMap::new();
-        mixed.set("rhs", 4);
-        mixed.set("j_factor", 2);
-        mixed.set("l_factor_solve", 8);
-        assert_eq!(scalar.max_abs_diff(&run(Some(mixed))), 0.0, "mixed widths");
     }
 
     #[test]

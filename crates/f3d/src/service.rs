@@ -45,8 +45,9 @@ pub const MAX_WORKERS: usize = 64;
 pub const MAX_CHUNK: usize = 1024;
 
 /// What [`F3dSolver::memory_usage_estimate`] charges per worker for
-/// its pencil-bundle scratch (a bound, checked against the real
-/// scratch of every service grid in this module's tests).
+/// its scratch — the fused `rhs_jk` region's J-row buffer and pencil
+/// bundle (a bound, checked against the real scratch of every service
+/// grid in this module's tests).
 const SCRATCH_PER_WORKER: u64 = 64 * 1024;
 
 /// Transverse (K × L) extent of the service grid; the J extent before
@@ -91,10 +92,10 @@ pub struct ServiceCase {
     /// selects zone shards). Results are bit-exact across every mode —
     /// pinned by tests — so this is purely a performance knob.
     pub zone_schedule: ZoneSchedule,
-    /// SLP lane width the wide kernels run at (one of
-    /// [`solver::SUPPORTED_WIDTHS`]). Results are bit-exact at every
-    /// width — see [`solver::widths`]'s exactness policy — so this too
-    /// is purely a performance knob.
+    /// Requested SLP lane width (one of [`solver::SUPPORTED_WIDTHS`]).
+    /// No F3D kernel reads it — the residual's lanes and the factors'
+    /// bundle are constants — so every width gives the same bytes; it
+    /// stays in the label and the canonical string.
     pub vector_width: usize,
 }
 
@@ -348,30 +349,32 @@ impl Solver for F3dSolver {
 
     const KIND: &'static str = "f3d";
 
-    // The five parallel kernels of the RISC stepper — the model's five
-    // loops — sorted: the vocabulary the tune database and the metrics
-    // labels use. The serial `bc` phase is deliberately absent: it is
-    // never tuned and the metrics fold it into "other". A tune database
-    // written when the L factor still had a scatter region also names
-    // that kernel; the entry loads and selects nothing.
-    const KERNELS: &'static [&'static str] =
-        &["j_factor", "k_factor", "l_factor_solve", "rhs", "update"];
+    // The three parallel regions of the RISC stepper, sorted: the
+    // vocabulary the tune database and the metrics labels use. The
+    // model's rhs, J and K loops run as one fused region, `rhs_jk`. The
+    // serial `bc` phase is deliberately absent: it is never tuned and
+    // the metrics fold it into "other". A tune database written before
+    // the fusion (naming `rhs`, `j_factor`, `k_factor`) or while the L
+    // factor still had a scatter region (naming that kernel) still
+    // loads; those entries select nothing.
+    const KERNELS: &'static [&'static str] = &["l_factor_solve", "rhs_jk", "update"];
 
-    // The residual evaluates its fluxes `vector_width` points of a
-    // J-row at a time. The three implicit factors run a fixed bundle
-    // of pencils per group (`solver::PENCIL_BUNDLE`) and `update` is
-    // data movement: one loop at every width.
-    const WIDE_KERNELS: &'static [&'static str] = &["rhs"];
+    // No kernel reads the width: the residual runs a fixed
+    // `solver::RESIDUAL_LANES` points of a J-row per group, the
+    // implicit factors a fixed bundle of pencils
+    // (`solver::PENCIL_BUNDLE`), and `update` is data movement.
+    const WIDE_KERNELS: &'static [&'static str] = &[];
 
     const OWN_FIELDS: &'static [&'static str] = &["zones", "zone_schedule"];
 
     const MAX_WORKERS: usize = self::MAX_WORKERS;
 
-    fn create_instance(case: &ServiceCase, widths: &WidthMap) -> F3dInstance {
+    /// The width map is ignored: no F3D kernel reads a width
+    /// ([`F3dSolver::WIDE_KERNELS`] is empty).
+    fn create_instance(case: &ServiceCase, _widths: &WidthMap) -> F3dInstance {
         let grid = case.grid();
         let config = SolverConfig::supersonic();
         let mut solver = MultiZoneSolver::from_grid(&grid, config, 0.3);
-        solver.set_kernel_widths(widths);
 
         // Deterministic perturbed initial condition — without it every
         // field stays exactly freestream and the checksums test
@@ -479,8 +482,9 @@ mod tests {
     #[test]
     fn memory_estimate_covers_the_real_worker_scratch() {
         // The admission formula charges a flat amount per worker; the
-        // pencil-bundle scratch a worker really allocates, on every
-        // grid a case can ask for, must fit inside it.
+        // scratch a worker really allocates (the fused region's J-row
+        // buffer and pencil bundle), on every grid a case can ask for,
+        // must fit inside it.
         for zones in 1..=MAX_ZONES {
             for zone in MultiZoneGrid::split_j(SERVICE_DIMS, zones).zones() {
                 let (_, stepper) = crate::risc_impl::RiscStepper::new_zone(
@@ -772,7 +776,7 @@ mod tests {
         let base = ServiceCase::calibration(2, 3, 2);
         let reference = run(&base, &Workers::new(2)).unwrap();
         let mut map = llp::ScheduleMap::new();
-        map.set("rhs", 1, Policy::Dynamic { chunk: 2 });
+        map.set("rhs_jk", 1, Policy::Dynamic { chunk: 2 });
         map.set("update", 2, Policy::Guided { min_chunk: 1 });
         map.set("l_factor_solve", 2, Policy::Dynamic { chunk: 1 });
         let tuned =
@@ -812,20 +816,19 @@ mod tests {
             assert_eq!(case.label(), format!("service/z2s3w2-vw{width}"));
         }
         assert_eq!(base.label(), "service/z2s3w2", "scalar keeps the old label");
-        // Per-kernel width overrides win over the case width and stay
-        // exact, mirroring the per-kernel schedule contract.
-        let mut widths = WidthMap::new();
-        widths.set("rhs", 4);
-        widths.set("j_factor", 2);
-        let case = ServiceCase {
-            vector_width: 8,
-            ..base
-        };
+        // No F3D kernel reads a width: a per-kernel width map is
+        // ignored, whatever it names, and the run's region structure
+        // is the untuned one.
+        assert!(F3dSolver::WIDE_KERNELS.is_empty());
+        let mut widths = WidthMap::uniform(8);
+        widths.set("rhs_jk", 4);
+        widths.set("l_factor_solve", 2);
         let tuned =
-            solver::run_instrumented::<F3dSolver>(&case, &Workers::new(2), None, Some(&widths))
+            solver::run_instrumented::<F3dSolver>(&base, &Workers::new(2), None, Some(&widths))
                 .unwrap();
         assert_eq!(reference.output.residuals, tuned.output.residuals);
         assert_eq!(reference.output.checksums, tuned.output.checksums);
+        assert_eq!(reference.sync_events, tuned.sync_events);
     }
 
     #[test]

@@ -223,6 +223,13 @@ pub fn local_dt(zone: &ZoneSolver, p: Ijk) -> f64 {
 /// tuning axis — every bundle size is bit-exact with one pencil.
 pub const PENCIL_BUNDLE: usize = 4;
 
+/// Points of a J-row the tuned residual evaluates per lane group
+/// ([`residual_rhs_row_w`]'s width in the RISC stepper). A constant
+/// fixed by measurement (EXPERIMENTS.md "Plane fusion": 2, 4 and 8
+/// compared), not a tuning axis — every width is bit-exact with one
+/// point at a time.
+pub const RESIDUAL_LANES: usize = 4;
+
 /// Scratch for the pencils one worker has in flight: state, metric,
 /// time-step and residual lines and the block-tridiagonal workspace.
 /// [`PencilScratch::new`] holds one pencil,

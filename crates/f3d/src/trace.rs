@@ -10,9 +10,12 @@
 //!
 //! Traces for the paper's full-size cases (59 million points) are
 //! generated analytically from the zone dimensions — no 2.4-GB field
-//! allocation required — but with exactly the loop schedule the real
-//! [`crate::risc_impl`] executes, as asserted by tests that compare the
-//! trace's phase list against a profiled run on a small grid.
+//! allocation required. They model the paper's schedule: five parallel
+//! loops per zone. The real [`crate::risc_impl`] runs the same loops
+//! with three of them fused — its `rhs_jk` region is the trace's Rhs,
+//! JFactor and KFactor at the same L parallelism — as asserted by a
+//! test that compares the trace's phase list against a profiled run on
+//! a small grid.
 
 use crate::costmodel::{kernel_cost_on, ImplKind, Kernel};
 use cachesim::patterns::page_sharing;
@@ -51,9 +54,10 @@ pub fn face_points(d: Dims) -> u64 {
 /// implementation for `grid` on a machine with memory system `mem`.
 ///
 /// Phase order per zone: rhs, J factor, K factor, L factor, update —
-/// all parallel, one region each in [`crate::risc_impl::RiscStepper`]
-/// too — then the serial boundary conditions; zonal injections close
-/// the step.
+/// all parallel, one region each in the paper's schedule (the first
+/// three are one fused region in [`crate::risc_impl::RiscStepper`]) —
+/// then the serial boundary conditions; zonal injections close the
+/// step.
 #[must_use]
 pub fn risc_step_trace(grid: &MultiZoneGrid, mem: &MachineMemory) -> WorkloadTrace {
     let mut t = WorkloadTrace::new();
@@ -140,10 +144,13 @@ pub fn injection_trace(grid: &MultiZoneGrid, mem: &MachineMemory) -> WorkloadTra
     t
 }
 
-/// Translate a trace-phase kernel name to the name the instrumented
-/// [`crate::risc_impl::RiscStepper`] reports for the same kernel, so
-/// modeled and measured reports share one vocabulary. A `[face…]`
-/// suffix from the parallel-BC ablation is preserved.
+/// Translate a trace-phase kernel name to the span vocabulary of the
+/// solver's reports (`rhs`, `j_factor`, …), so modeled and measured
+/// reports share one schema. The model keeps the paper's loops, so the
+/// stepper's fused `rhs_jk` is the sum of the modeled `rhs`,
+/// `j_factor` and `k_factor`, and its `l_factor_solve` the modeled
+/// `l_factor`. A `[face…]` suffix from the parallel-BC ablation is
+/// preserved.
 #[must_use]
 pub fn model_kernel_name(phase_kernel: &str) -> String {
     let (base, rest) = match phase_kernel.find('[') {
@@ -454,11 +461,13 @@ mod tests {
 
     #[test]
     fn trace_matches_profiled_small_run_structure() {
-        // The analytic trace's per-zone parallel phase list must be
-        // what the real RiscStepper actually executes: the same five
-        // loops (names modulo the zone prefix and the measured
-        // `l_factor_solve`), parallelism values exactly, one sync event
-        // each.
+        // The analytic trace keeps the paper's five loops; the real
+        // RiscStepper runs them as three regions. The mapping: measured
+        // `rhs_jk` is the modeled Rhs + JFactor + KFactor, all three at
+        // the same L parallelism; `l_factor_solve` is the LFactor and
+        // `update` the Update. Parallelism values match exactly, and
+        // each measured region is one sync event — two fewer than the
+        // model's five.
         use crate::bc::ZoneBcs;
         use crate::risc_impl::RiscStepper;
         use crate::solver::SolverConfig;
@@ -474,7 +483,7 @@ mod tests {
         stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, None);
         let report = workers.recorder().take_report("z", 2);
         let mut measured: Vec<(String, u64)> = report
-            .kernel_summaries_renamed(|name| name.trim_end_matches("_solve").to_string())
+            .kernel_summaries()
             .into_iter()
             .filter(|k| k.parallelized)
             .map(|k| (k.name, k.parallelism))
@@ -485,31 +494,38 @@ mod tests {
             dims: d,
         }]);
         let t = risc_step_trace(&grid, &presets::origin2000_r12k());
+        let fused = |model: String| match model.as_str() {
+            "rhs" | "j_factor" | "k_factor" => "rhs_jk".to_string(),
+            "l_factor" => "l_factor_solve".to_string(),
+            _ => model,
+        };
         let mut modeled: Vec<(String, u64)> = t
             .phases
             .iter()
             .filter_map(|p| match p {
                 smpsim::Phase::Parallel(pl) => Some((
-                    model_kernel_name(pl.name.trim_start_matches("z:")),
+                    fused(model_kernel_name(pl.name.trim_start_matches("z:"))),
                     pl.parallelism,
                 )),
                 smpsim::Phase::Serial(_) => None,
             })
             .collect();
+        assert_eq!(modeled.len(), 5, "the model keeps the paper's loops");
         measured.sort();
         modeled.sort();
-        // rhs/j/k/update parallel over L (8), the L factor over K (7).
+        // Three modeled loops fold into `rhs_jk` only if all three
+        // expose the same parallelism: a mismatch would leave two rows.
+        modeled.dedup();
+        // rhs_jk/update parallel over L (8), the L factor over K (7).
         assert_eq!(
             measured,
             [
-                ("j_factor".to_string(), 8),
-                ("k_factor".to_string(), 8),
-                ("l_factor".to_string(), 7),
-                ("rhs".to_string(), 8),
+                ("l_factor_solve".to_string(), 7),
+                ("rhs_jk".to_string(), 8),
                 ("update".to_string(), 8),
             ]
         );
         assert_eq!(measured, modeled);
-        assert_eq!(report.sync_events(), t.sync_events());
+        assert_eq!(report.sync_events(), t.sync_events() - 2);
     }
 }

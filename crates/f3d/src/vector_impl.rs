@@ -24,7 +24,6 @@ use crate::solver::{
     PencilScratch, SolverConfig, ZoneSolver,
 };
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
-use solver::WidthMap;
 
 /// The vector-style stepper: owns the plane-sized scratch (like the
 /// Fortran original's static work arrays).
@@ -35,10 +34,8 @@ pub struct VectorStepper {
     plane_scratch: Vec<PencilScratch>,
     /// The residual / ΔQ field (SoA like the solution).
     rhs: StateField,
-    /// J-row buffer for the lane residual kernel.
+    /// J-row buffer for the residual kernel.
     row_scratch: Vec<[f64; NCONS]>,
-    /// Per-kernel SLP lane widths (scalar unless overridden).
-    widths: WidthMap,
 }
 
 impl VectorStepper {
@@ -66,14 +63,7 @@ impl VectorStepper {
                 .collect(),
             rhs: StateField::zeros(d, zone.q.layout(), zone.q.arrangement()),
             row_scratch: vec![[0.0; NCONS]; d.j],
-            widths: WidthMap::new(),
         }
-    }
-
-    /// Select the SLP lane width each kernel runs at — same
-    /// contract as `RiscStepper::set_widths`: bit-exact at every width.
-    pub fn set_widths(&mut self, widths: &WidthMap) {
-        self.widths = widths.clone();
     }
 
     /// Bytes of scratch this stepper holds — plane-proportional, for
@@ -91,9 +81,9 @@ impl VectorStepper {
         let mu_vis = zone.config.viscosity;
 
         // --- Explicit residual: rhs = -dt * R(Q), faces zero. ---
-        // Legacy loop order: L outer, K middle, J inner (long vectors);
-        // interior J-rows run in lane groups of the selected width.
-        let w_rhs = self.widths.get("rhs");
+        // Legacy loop order: L outer, K middle, J inner (long vectors),
+        // one point at a time: the reference the tuned stepper's lane
+        // groups are checked against.
         for l in 0..d.l {
             for k in 0..d.k {
                 if l == 0 || l == d.l - 1 || k == 0 || k == d.k - 1 {
@@ -104,7 +94,7 @@ impl VectorStepper {
                 }
                 self.rhs.set(Ijk::new(0, k, l), [0.0; NCONS]);
                 self.rhs.set(Ijk::new(d.j - 1, k, l), [0.0; NCONS]);
-                residual_rhs_row_w(zone, k, l, eps2, w_rhs, &mut self.row_scratch);
+                residual_rhs_row_w(zone, k, l, eps2, 1, &mut self.row_scratch);
                 for j in 1..d.j - 1 {
                     self.rhs.set(Ijk::new(j, k, l), self.row_scratch[j]);
                 }

@@ -45,6 +45,7 @@ fn sync_events_are_worker_count_invariant() {
         .collect();
     assert_eq!(counts[0], counts[1]);
     assert_eq!(counts[1], counts[2]);
-    // 5 regions per zone per step, 3 zones, 2 steps.
-    assert_eq!(counts[0], 30);
+    // 3 regions per zone per step (rhs_jk, l_factor_solve, update),
+    // 3 zones, 2 steps.
+    assert_eq!(counts[0], 18);
 }

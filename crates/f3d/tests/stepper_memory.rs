@@ -2,9 +2,12 @@
 //! `RiscStepper` keeps exactly one whole-zone field (`rhs`) — the
 //! implicit factors solve in place on its rows — and a step on two
 //! workers adds nothing zone-sized on top of the zone, only two
-//! workers' pencil-bundle scratch, the L factor's per-`k` row groups
-//! and the regions' bookkeeping. Measured on the zone the
-//! `f3d_above_bound` benchmark workload steps (33 × 40 × 32).
+//! workers' scratch (the fused `rhs_jk` region's J-row buffer and
+//! pencil bundle), the L factor's per-`k` row groups and the regions'
+//! bookkeeping. Measured on the zone the `f3d_above_bound` benchmark
+//! workload steps (33 × 40 × 32). And the fused region allocates
+//! nothing per L-plane: a step makes as many allocations on that zone
+//! as on one with half its planes.
 //!
 //! This file holds exactly one test: the byte counters are process
 //! globals, so a concurrently running sibling test would pollute the
@@ -22,12 +25,14 @@ struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counters only read `layout.size()`
 // and never touch the memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
         PEAK.fetch_max(live, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
@@ -42,9 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn stepper_holds_one_field_and_a_step_adds_only_scratch() {
-    let d = Dims::new(33, 40, 32);
+fn perturbed_zone(d: Dims) -> ZoneSolver {
     let mut zone = ZoneSolver::freestream(
         SolverConfig::supersonic(),
         Metrics::cartesian(d, (0.3, 0.3, 0.3)),
@@ -56,6 +59,26 @@ fn stepper_holds_one_field_and_a_step_adds_only_scratch() {
         q[0] *= 1.0 + 0.01 * ((p.j + 2 * p.k + 3 * p.l) as f64).sin();
         zone.q.set(p, q);
     }
+    zone
+}
+
+/// Allocations of one step on one worker (so no helper's timing can
+/// change the regions' shape), after a warm-up step.
+fn allocations_per_step(d: Dims) -> usize {
+    let mut zone = perturbed_zone(d);
+    let mut stepper = RiscStepper::for_zone(&zone);
+    let workers = Workers::new(1);
+    let bcs = ZoneBcs::projectile();
+    stepper.step(&mut zone, &bcs, &workers, None);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    stepper.step(&mut zone, &bcs, &workers, None);
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn stepper_holds_one_field_and_a_step_adds_only_scratch() {
+    let d = Dims::new(33, 40, 32);
+    let mut zone = perturbed_zone(d);
     let field = d.points() * NCONS * size_of::<f64>();
 
     let before = LIVE.load(Ordering::Relaxed);
@@ -88,5 +111,21 @@ fn stepper_holds_one_field_and_a_step_adds_only_scratch() {
     println!(
         "stepper holds {held} B (rhs {field} B); a step adds at most {added} B \
          (scratch {scratch} B, groups {groups} B)"
+    );
+
+    let full = allocations_per_step(d);
+    let half = allocations_per_step(Dims::new(d.j, d.k, d.l / 2));
+    assert_eq!(
+        full,
+        half,
+        "a step allocated {full} times over {} L-planes and {half} times over {}: \
+         some region allocates per plane",
+        d.l,
+        d.l / 2
+    );
+    println!(
+        "a step allocates {full} times, at {} and at {} L-planes",
+        d.l,
+        d.l / 2
     );
 }

@@ -18,7 +18,7 @@ pub enum SpanKind {
     Step,
     /// One zone's work within a step.
     Zone,
-    /// One named loop nest / kernel (e.g. `rhs`, `j_factor`, `bc`).
+    /// One named loop nest / kernel (e.g. `rhs_jk`, `update_e`, `bc`).
     Kernel,
     /// One parallel region (a doacross); carries chunk statistics.
     Region,

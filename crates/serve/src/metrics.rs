@@ -691,9 +691,9 @@ mod tests {
             m.bump(Family::SolvesBySchedule, schedule);
         }
         for (kernel, seconds) in [
-            ("rhs", 0.5),
-            ("rhs", 0.25),
-            ("j_factor", 1.5),
+            ("rhs_jk", 0.5),
+            ("rhs_jk", 0.25),
+            ("l_factor_solve", 1.5),
             ("update_e", 0.0625),
             ("no_such_kernel", 0.125),
         ] {

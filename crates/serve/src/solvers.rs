@@ -85,7 +85,7 @@ pub const MAX_WORKERS: usize = {
 };
 
 /// The solver whose tune database overlays `/v1/advise`: the advisor
-/// speaks F3D's kernel vocabulary (`rhs`, `j_factor`, …).
+/// speaks F3D's kernel vocabulary (`rhs_jk`, `l_factor_solve`, …).
 pub const ADVISE_KIND: &str = F3dSolver::KIND;
 
 /// The row of the solver named `kind`.

@@ -909,8 +909,10 @@ fn solve_is_bit_exact_across_pool_widths_and_policies() {
     }
 }
 
-/// A hand-built tune database covering three of the five parallel
-/// kernels with deliberately varied configurations.
+/// A hand-built tune database with deliberately varied
+/// configurations: the f3d stepper's three parallel kernels, plus an
+/// `rhs` entry — the loop name the advise bodies use, and a kernel the
+/// stepper ran before its residual and J and K factors were fused.
 fn sample_tune_db() -> TuneDb {
     let entry = |kernel: &str, workers, schedule| TuneEntry {
         kernel: kernel.to_string(),
@@ -935,6 +937,7 @@ fn sample_tune_db() -> TuneDb {
         entries: vec![
             entry("l_factor_solve", 2, Policy::Dynamic { chunk: 1 }),
             entry("rhs", 1, Policy::Static),
+            entry("rhs_jk", 1, Policy::Static),
             entry("update", 2, Policy::Guided { min_chunk: 1 }),
         ],
     }
@@ -997,13 +1000,13 @@ fn auto_solve_resolves_tuned_configs_and_stays_bit_exact() {
     let tuned = served.get("tuned").expect("auto solve reports `tuned`");
     assert_eq!(tuned.get("source").and_then(Json::as_str), Some("tune-db"));
     let kernels = tuned.get("kernels").and_then(Json::as_array).unwrap();
-    assert_eq!(kernels.len(), 3);
-    let rhs = kernels
+    assert_eq!(kernels.len(), 4);
+    let fused = kernels
         .iter()
-        .find(|k| k.get("kernel").and_then(Json::as_str) == Some("rhs"))
-        .expect("rhs resolved");
-    assert_eq!(rhs.get("workers").and_then(Json::as_u64), Some(1));
-    assert_eq!(rhs.get("schedule").and_then(Json::as_str), Some("static"));
+        .find(|k| k.get("kernel").and_then(Json::as_str) == Some("rhs_jk"))
+        .expect("rhs_jk resolved");
+    assert_eq!(fused.get("workers").and_then(Json::as_u64), Some(1));
+    assert_eq!(fused.get("schedule").and_then(Json::as_str), Some("static"));
     server.shutdown();
 
     // Without a db, "auto" falls back to the defaults and says so.
@@ -1033,8 +1036,10 @@ fn auto_solve_resolves_tuned_configs_and_stays_bit_exact() {
 }
 
 /// An f3d calibration file as calibrations wrote it while the L factor
-/// still ran a second, scatter region: one entry per parallel kernel of
-/// that stepper, `l_factor_scatter` among them.
+/// still ran a second, scatter region and the residual and the J and K
+/// factors ran one region each: one entry per parallel kernel of that
+/// stepper, `rhs` (raced to `vector_width` 4), `j_factor`, `k_factor`
+/// and `l_factor_scatter` among them.
 const TUNE_DB_WITH_RETIRED_KERNEL: &str = r#"{
   "schema_version": 4, "solver": "f3d", "pool_width": 2, "zones": 2,
   "steps": 2, "trials": 3, "sync_cost_ns": 850,
@@ -1050,15 +1055,21 @@ const TUNE_DB_WITH_RETIRED_KERNEL: &str = r#"{
 
 #[test]
 fn tune_db_naming_a_retired_kernel_loads_and_selects_nothing_for_it() {
-    // A kernel the solver no longer has: the file still loads, the
-    // entry selects nothing, and "auto" answers what a default solve
-    // answers.
+    // Kernels the solver no longer has — the scatter region, and the
+    // three regions the fused `rhs_jk` replaced, one of them at width
+    // 4: the file still loads, those entries select nothing, and
+    // "auto" answers what a default solve answers.
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("tune_db_retired.json");
     std::fs::write(&path, TUNE_DB_WITH_RETIRED_KERNEL).unwrap();
     let db = TuneDb::load(&path).expect("an old calibration file loads");
     let kernels: Vec<&str> = db.entries.iter().map(|e| e.kernel.as_str()).collect();
-    assert!(kernels.contains(&"l_factor_scatter"), "{kernels:?}");
     assert_eq!(kernels.len(), 6);
+    for retired in ["j_factor", "k_factor", "l_factor_scatter", "rhs"] {
+        assert!(kernels.contains(&retired), "{kernels:?}");
+        assert!(!<f3d::service::F3dSolver as solver::Solver>::KERNELS.contains(&retired));
+    }
+    let rhs = db.entries.iter().find(|e| e.kernel == "rhs").unwrap();
+    assert_eq!(rhs.vector_width, 4);
 
     let server = Server::start(ServerConfig {
         workers: 2,
@@ -1976,7 +1987,7 @@ fn metrics_defaults_to_prometheus_and_negotiates_json() {
         .contains("llpd_solves_by_schedule_total{schedule=\"static\"}"));
     assert!(prom
         .body
-        .contains("llpd_kernel_seconds_total{kernel=\"rhs\"}"));
+        .contains("llpd_kernel_seconds_total{kernel=\"rhs_jk\"}"));
     assert_eq!(prom_value(&prom.body, "llpd_jobs_total"), 1.0);
 
     // An Accept: application/json header selects the JSON body on the
@@ -2100,7 +2111,7 @@ fn disabled_telemetry_reports_itself_cleanly() {
     let fdtd = r#"{"solver": "fdtd", "size": 16, "steps": 2}"#;
     assert_eq!(post(addr, "/v1/solve", fdtd).status, 200);
     let prom = get(addr, "/metrics").body;
-    for kernel in ["rhs", "update_e"] {
+    for kernel in ["rhs_jk", "update_e"] {
         let seconds = prom_value(
             &prom,
             &format!("llpd_kernel_seconds_total{{kernel=\"{kernel}\"}}"),

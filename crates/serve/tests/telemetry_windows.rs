@@ -199,7 +199,7 @@ impl Strategy for OpsStrategy {
                     let busy_ns = rng.gen_u64(1, 1_000_000);
                     Op::Solve {
                         kind: pick(rng, &["f3d", "fdtd"]),
-                        kernel: pick(rng, &["rhs", "j_factor", "update_e", "bc"]),
+                        kernel: pick(rng, &["rhs_jk", "l_factor_solve", "update_e", "bc"]),
                         seconds: rng.gen_u64(0, 256) as f64 / 64.0,
                         sync_ns: rng.gen_u64(0, busy_ns + 1),
                         busy_ns,
@@ -415,7 +415,7 @@ fn windows_seal_on_boundaries_and_aggregate() {
     m.inc(Scalar::CacheMissesTotal);
     m.job_done(18, 0.25);
     m.bump(Family::SolvesBySolver, "f3d");
-    m.add_seconds(Family::KernelSeconds, "rhs", 0.2);
+    m.add_seconds(Family::KernelSeconds, "rhs_jk", 0.2);
     m.add_seconds(Family::KernelSeconds, "update", 0.05);
     m.add(Scalar::ObsSyncNsTotal, 500);
     m.add(Scalar::ObsBusyNsTotal, 1000);
@@ -435,7 +435,7 @@ fn windows_seal_on_boundaries_and_aggregate() {
         ("cache/misses", 1.0),
         ("jobs_total", 1.0),
         ("solves_by_solver/f3d", 1.0),
-        ("kernel_seconds/rhs", 0.2),
+        ("kernel_seconds/rhs_jk", 0.2),
         ("sync_fraction", 0.5),
         ("zones/jobs", 1.0),
         ("zones/tasks", 4.0),

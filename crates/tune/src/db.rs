@@ -19,7 +19,7 @@ pub const TUNE_SCHEMA_VERSION: u64 = 4;
 /// One kernel's calibration outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneEntry {
-    /// Kernel name (span-tree vocabulary: `rhs`, `j_factor`, …).
+    /// Kernel name (span-tree vocabulary: `rhs_jk`, `update_e`, …).
     pub kernel: String,
     /// Winning worker count.
     pub workers: usize,

@@ -53,7 +53,7 @@ fn profiled_solver_run_drives_the_advisor() {
     // sweeps worth parallelizing on a small SMP, BCs never.
     // Large enough that each sweep invocation clears the Table-1
     // minimum-work bound below with ~2x headroom on a fast host; at
-    // 16x14x12 the per-invocation j_factor work sat within noise of
+    // 16x14x12 the per-invocation J-factor work sat within noise of
     // the 800k-cycle threshold, and since the factors run in pencil
     // bundles (roughly half the time per point) so would 20x18x16.
     let d = Dims::new(24, 22, 20);
@@ -69,8 +69,9 @@ fn profiled_solver_run_drives_the_advisor() {
         .recorder()
         .take_report("pipeline", 2)
         .kernel_summaries();
-    // The five parallel sweeps and `bc`.
-    assert_eq!(report.len(), 6);
+    // The three parallel regions (the residual and the J and K
+    // factors fused in `rhs_jk`) and `bc`.
+    assert_eq!(report.len(), 4);
 
     // Judge for a small cheap-sync SMP (host-scale work is tiny, so the
     // bound must be scaled to the host too: 1 GHz, 2k-cycle sync, 4p).
@@ -88,14 +89,9 @@ fn profiled_solver_run_drives_the_advisor() {
     let bc_share = advice_of("bc").fraction_of_total;
     assert!(bc_share < 0.1, "{bc_share}");
     assert!(
-        matches!(decision_of("j_factor"), LoopDecision::Parallelize { .. }),
+        matches!(decision_of("rhs_jk"), LoopDecision::Parallelize { .. }),
         "{:?}",
-        decision_of("j_factor")
-    );
-    assert!(
-        matches!(decision_of("k_factor"), LoopDecision::Parallelize { .. }),
-        "{:?}",
-        decision_of("k_factor")
+        decision_of("rhs_jk")
     );
     // BC: too little work even on the friendliest machine here.
     assert!(
@@ -109,7 +105,9 @@ fn profiled_solver_run_drives_the_advisor() {
 #[test]
 fn sync_events_measured_equal_trace_prediction() {
     // The llp pool's measured synchronization events per step match the
-    // analytic trace's sync_events() for the same single-zone schedule.
+    // analytic trace's sync_events() for the same single-zone schedule,
+    // less the two the stepper saves by running the model's rhs, J and
+    // K loops as one fused region.
     let d = Dims::new(8, 9, 10);
     let (mut zone, mut stepper) = RiscStepper::new_zone(
         SolverConfig::subsonic(),
@@ -125,7 +123,7 @@ fn sync_events_measured_equal_trace_prediction() {
         dims: d,
     }]);
     let trace = f3d::trace::risc_step_trace(&grid, &cachesim::presets::origin2000_r12k());
-    assert_eq!(measured, trace.sync_events());
+    assert_eq!(measured, trace.sync_events() - 2);
 }
 
 #[test]
