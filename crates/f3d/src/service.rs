@@ -359,18 +359,15 @@ impl Solver for F3dSolver {
     // loads; those entries select nothing.
     const KERNELS: &'static [&'static str] = &["l_factor_solve", "rhs_jk", "update"];
 
-    // No kernel reads the width: the residual runs a fixed
-    // `solver::RESIDUAL_LANES` points of a J-row per group, the
-    // implicit factors a fixed bundle of pencils
-    // (`solver::PENCIL_BUNDLE`), and `update` is data movement.
-    const WIDE_KERNELS: &'static [&'static str] = &[];
-
     const OWN_FIELDS: &'static [&'static str] = &["zones", "zone_schedule"];
 
     const MAX_WORKERS: usize = self::MAX_WORKERS;
 
-    /// The width map is ignored: no F3D kernel reads a width
-    /// ([`F3dSolver::WIDE_KERNELS`] is empty).
+    /// The width map is ignored: no F3D kernel reads a width. The
+    /// residual runs a fixed [`crate::solver::RESIDUAL_LANES`] points
+    /// of a J-row per group, the implicit factors a fixed bundle of
+    /// [`crate::solver::PENCIL_BUNDLE`] pencils, and `update` is data
+    /// movement.
     fn create_instance(case: &ServiceCase, _widths: &WidthMap) -> F3dInstance {
         let grid = case.grid();
         let config = SolverConfig::supersonic();
@@ -467,12 +464,12 @@ pub type ServiceRun = SolverRun<ServiceCase, F3dOutput>;
 ///
 /// This is [`solver::run_instrumented`] with no per-kernel overrides;
 /// the `"schedule": "auto"` path calls the driver with a tune
-/// database's two maps.
+/// database's schedule map.
 ///
 /// # Errors
 /// Returns the [`SolverSpec::validate`] error for out-of-bounds cases.
 pub fn run(case: &ServiceCase, pool: &Workers) -> Result<ServiceRun, String> {
-    solver::run_instrumented::<F3dSolver>(case, pool, None, None)
+    solver::run_instrumented::<F3dSolver>(case, pool, None)
 }
 
 #[cfg(test)]
@@ -780,8 +777,7 @@ mod tests {
         map.set("update", 2, Policy::Guided { min_chunk: 1 });
         map.set("l_factor_solve", 2, Policy::Dynamic { chunk: 1 });
         let tuned =
-            solver::run_instrumented::<F3dSolver>(&base, &Workers::new(2), Some(&map), None)
-                .unwrap();
+            solver::run_instrumented::<F3dSolver>(&base, &Workers::new(2), Some(&map)).unwrap();
         // Numerics are invariant to per-kernel overrides...
         assert_eq!(reference.output.residuals, tuned.output.residuals);
         assert_eq!(reference.output.checksums, tuned.output.checksums);
@@ -816,19 +812,6 @@ mod tests {
             assert_eq!(case.label(), format!("service/z2s3w2-vw{width}"));
         }
         assert_eq!(base.label(), "service/z2s3w2", "scalar keeps the old label");
-        // No F3D kernel reads a width: a per-kernel width map is
-        // ignored, whatever it names, and the run's region structure
-        // is the untuned one.
-        assert!(F3dSolver::WIDE_KERNELS.is_empty());
-        let mut widths = WidthMap::uniform(8);
-        widths.set("rhs_jk", 4);
-        widths.set("l_factor_solve", 2);
-        let tuned =
-            solver::run_instrumented::<F3dSolver>(&base, &Workers::new(2), None, Some(&widths))
-                .unwrap();
-        assert_eq!(reference.output.residuals, tuned.output.residuals);
-        assert_eq!(reference.output.checksums, tuned.output.checksums);
-        assert_eq!(reference.sync_events, tuned.sync_events);
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //! loop-level discipline — and runs its inner x loop as one plain loop
 //! over the row.
 //!
-//! **The `width` argument selects nothing.** Both sweeps take the SLP
-//! lane width every kernel of the suite is handed (validated, echoed,
-//! labelled and cache-keyed upstream) and run the same loop at every
-//! value — the policy [`solver::widths`] documents for kernels with
-//! no lanes to gain. The inner loop is a two-point stencil over an
-//! AoS `[ex, ey]` row: an explicit lane group de-interleaves on every
-//! load and measures slower than the plain loop (128², serial:
-//! `update_e` 0.7–0.8 ns/point vs 0.9–1.1 at four lanes; DESIGN §6g).
-//! Lanes belong here only if a layout change (SoA `ex`/`ey`) makes
-//! them measure faster, and then as a `solver::LaneBody` with a
-//! benchmark workload on each side of the choice.
+//! **No lanes.** Each sweep's inner loop is one plain loop over the
+//! row — the policy [`solver::widths`] documents for kernels with no
+//! lanes to gain. It is a two-point stencil over an AoS `[ex, ey]` row:
+//! an explicit lane group de-interleaves on every load and measures
+//! slower than the plain loop (128², serial: `update_e` 0.7–0.8
+//! ns/point vs 0.9–1.1 at four lanes; DESIGN §6g). Lanes belong here
+//! only if a layout change (SoA `ex`/`ey`) makes them measure faster,
+//! and then as a `solver::LaneBody` at a constant lane count with a
+//! benchmark workload on each side of the choice. [`update_h`] and
+//! [`update_e`] take a `_width` argument nothing reads; the served
+//! step passes 1.
 //!
 //! **Exactness.** Every point executes one fixed floating-point
-//! operation sequence, so results are identical across widths by
-//! construction, and bit-exact across worker counts and schedules
+//! operation sequence, so results are bit-exact across worker counts
+//! and schedules
 //! because a row's updates depend only on the *previous* half-step's
 //! other field, never on a concurrently mutated row — pinned by
 //! `tests/simd_props.rs`.
@@ -33,7 +33,7 @@ use crate::grid::{row_energy, Boundary, TezGrid};
 use llp::{doacross_slabs, doacross_slabs_zip, Workers};
 
 /// Advance `Hz` one half-step: `∂Hz/∂t = ∂Ex/∂y − ∂Ey/∂x`, parallel
-/// over rows. `_width` is accepted and ignored (see the module docs).
+/// over rows. `_width` is ignored (see the module docs).
 pub fn update_h(workers: &Workers, grid: &mut TezGrid, _width: usize) {
     let TezGrid {
         nx,
@@ -67,8 +67,7 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, _width: usize) {
 
 /// Advance `E` one half-step: `∂Ex/∂t = ∂Hz/∂y`, `∂Ey/∂t = −∂Hz/∂x`,
 /// parallel over rows. PEC walls keep tangential `E` clamped by never
-/// updating it. `_width` is accepted and ignored (see the module
-/// docs).
+/// updating it. `_width` is ignored (see the module docs).
 pub fn update_e(workers: &Workers, grid: &mut TezGrid, _width: usize) {
     let (sweep, e) = ESweep::of(grid);
     doacross_slabs(workers, e, sweep.nx, move |j, row| sweep.row(j, row));
@@ -84,12 +83,7 @@ pub fn update_e(workers: &Workers, grid: &mut TezGrid, _width: usize) {
 ///
 /// # Panics
 /// Panics unless `row_partials` holds one entry per grid row.
-pub fn update_e_energy(
-    workers: &Workers,
-    grid: &mut TezGrid,
-    _width: usize,
-    row_partials: &mut [f64],
-) {
+pub fn update_e_energy(workers: &Workers, grid: &mut TezGrid, row_partials: &mut [f64]) {
     let (sweep, e) = ESweep::of(grid);
     doacross_slabs_zip(
         workers,

@@ -13,25 +13,23 @@
 //!
 //! The update kernels (`update_e`, `update_h`) run on the same
 //! [`llp::Workers`] pool as F3D, take per-kernel schedule overrides
-//! through [`llp::ScheduleMap`] and an SLP lane width through
-//! [`solver::WidthMap`], and emit the same span/flight-recorder
+//! through [`llp::ScheduleMap`], and emit the same span/flight-recorder
 //! vocabulary — so the autotuner and Prometheus telemetry apply
-//! unchanged.
+//! unchanged. Each sweep's inner loop is one plain loop (lane groups
+//! lose on this layout; see [`kernels`]), so a request's `vector_width`
+//! selects nothing.
 //!
 //! **Exactness policy**, inherited from the suite: results are
-//! bit-exact at every width, worker count, and schedule — pinned by
-//! the `simd_props` property suite. Across widths that holds
-//! trivially: each sweep is one loop that does not read its width
-//! (lane groups lose on this layout; see [`kernels`]). Across workers
-//! and schedules it holds because a row's update reads only the other
-//! field's previous half-step. The crate has exactly one reduction,
+//! bit-exact at every worker count and schedule — pinned by the
+//! `simd_props` property suite — because a row's update reads only the
+//! other field's previous half-step. The crate has exactly one reduction,
 //! the per-step field energy, and its order is fixed *by
 //! construction*, not by being serial: [`TezGrid::energy`] is defined as each row's plain left fold
 //! of `ex² + ey² + hz²`, the `ny` row partials then folded `0..ny` and
 //! halved. A row partial depends on its row alone, so the served step
 //! computes it inside the `update_e` region, on whichever worker just
 //! wrote the row ([`kernels::update_e_energy`]), and the history is the
-//! same number at every worker count, schedule and width — there is no
+//! same number at every worker count and schedule — there is no
 //! serial pass over the fields between steps. The physics is pinned
 //! separately by an analytic
 //! plane-wave regression: the discrete scheme's exact eigenmode

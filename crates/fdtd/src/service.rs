@@ -45,10 +45,10 @@ pub struct FdtdCase {
     /// ([`Policy::Static`] unless the request selects otherwise; chunk
     /// parameters are capped at [`MAX_CHUNK`]).
     pub schedule: Policy,
-    /// SLP lane width (one of [`solver::SUPPORTED_WIDTHS`]): validated,
-    /// echoed, labelled and cache-keyed like F3D's, but neither update
-    /// sweep reads it (see [`crate::kernels`]) — results and code path
-    /// are the same at every width.
+    /// Requested SLP lane width (one of [`solver::SUPPORTED_WIDTHS`]):
+    /// validated, echoed, labelled and cache-keyed like F3D's, and read
+    /// by nothing else — each update sweep is one plain loop (see
+    /// [`crate::kernels`]).
     pub vector_width: usize,
 }
 
@@ -158,13 +158,11 @@ impl SolverSpec for FdtdCase {
 /// the generic run driver and the serving layer dispatch on.
 pub struct FdtdSolver;
 
-/// One allocated FDTD solve: the Yee-grid state, the per-kernel lane
-/// widths, the per-row energy partials the `update_e` region refills
-/// every step, and the per-step energy history the output carries.
+/// One allocated FDTD solve: the Yee-grid state, the per-row energy
+/// partials the `update_e` region refills every step, and the per-step
+/// energy history the output carries.
 pub struct FdtdInstance {
     grid: TezGrid,
-    w_e: usize,
-    w_h: usize,
     row_energy: Vec<f64>,
     energy: Vec<f64>,
 }
@@ -176,7 +174,7 @@ pub struct FdtdOutput {
     /// analogue (for a soft-sourced PEC cavity it rises during the
     /// pulse, then stays bounded). Each entry is
     /// [`TezGrid::energy`]'s value bit for bit — row partials folded in
-    /// row order — at every worker count, schedule and lane width.
+    /// row order — at every worker count and schedule.
     pub energy: Vec<f64>,
     /// Per-field checksums (`ex`, `ey`, `hz`) after the final step.
     pub checksums: Vec<FieldChecksum>,
@@ -220,18 +218,13 @@ impl Solver for FdtdSolver {
     // is deliberately absent, like F3D's `bc`.
     const KERNELS: &'static [&'static str] = &["update_e", "update_h"];
 
-    // Neither sweep reads its width (see `kernels`).
-    const WIDE_KERNELS: &'static [&'static str] = &[];
-
     const OWN_FIELDS: &'static [&'static str] = &["size"];
 
     const MAX_WORKERS: usize = self::MAX_WORKERS;
 
-    fn create_instance(case: &FdtdCase, widths: &WidthMap) -> FdtdInstance {
+    fn create_instance(case: &FdtdCase, _widths: &WidthMap) -> FdtdInstance {
         FdtdInstance {
             grid: TezGrid::new(case.size, case.size, Boundary::PecBox, SERVICE_COURANT),
-            w_e: widths.get("update_e"),
-            w_h: widths.get("update_h"),
             row_energy: vec![0.0; case.size],
             energy: Vec::with_capacity(case.steps),
         }
@@ -250,12 +243,12 @@ impl SolverInstance for FdtdInstance {
         {
             let _span = rec.span("update_h", SpanKind::Kernel);
             let kw = pool.scheduled_view(schedules, "update_h");
-            kernels::update_h(&kw, &mut self.grid, self.w_h);
+            kernels::update_h(&kw, &mut self.grid, 1);
         }
         {
             let _span = rec.span("update_e", SpanKind::Kernel);
             let kw = pool.scheduled_view(schedules, "update_e");
-            kernels::update_e_energy(&kw, &mut self.grid, self.w_e, &mut self.row_energy);
+            kernels::update_e_energy(&kw, &mut self.grid, &mut self.row_energy);
         }
         self.energy
             .push(fold_energy(self.row_energy.iter().copied()));
@@ -284,7 +277,7 @@ pub type FdtdRun = SolverRun<FdtdCase, FdtdOutput>;
 /// # Errors
 /// Returns the [`SolverSpec::validate`] error for out-of-bounds cases.
 pub fn run(case: &FdtdCase, pool: &Workers) -> Result<FdtdRun, String> {
-    solver::run_instrumented::<FdtdSolver>(case, pool, None, None)
+    solver::run_instrumented::<FdtdSolver>(case, pool, None)
 }
 
 #[cfg(test)]
@@ -394,16 +387,8 @@ mod tests {
         let mut schedules = ScheduleMap::new();
         schedules.set("update_h", 2, Policy::Dynamic { chunk: 1 });
         schedules.set("update_e", 1, Policy::Static);
-        let mut widths = WidthMap::new();
-        widths.set("update_h", 8);
-        widths.set("update_e", 2);
-        let tuned = solver::run_instrumented::<FdtdSolver>(
-            &base_case(),
-            &pool,
-            Some(&schedules),
-            Some(&widths),
-        )
-        .unwrap();
+        let tuned =
+            solver::run_instrumented::<FdtdSolver>(&base_case(), &pool, Some(&schedules)).unwrap();
         assert_eq!(tuned.output.checksums, reference.output.checksums);
         assert_eq!(tuned.output.energy, reference.output.energy);
 

@@ -142,7 +142,7 @@ fn served_energy_is_the_serial_row_fold_under_every_configuration() {
         assert!(energy.iter().all(|&bits| f64::from_bits(bits) > 0.0));
         let check = |case: &FdtdCase, schedules: Option<&ScheduleMap>| {
             let view = pool.sized_view(case.workers);
-            let run = solver::run_instrumented::<FdtdSolver>(case, &view, schedules, None).unwrap();
+            let run = solver::run_instrumented::<FdtdSolver>(case, &view, schedules).unwrap();
             let served: Vec<u64> = run.output.energy.iter().map(|e| e.to_bits()).collect();
             assert_eq!(served, energy, "{case:?} overrides {schedules:?}");
             assert_eq!(

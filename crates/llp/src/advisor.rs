@@ -54,10 +54,6 @@ pub struct MeasuredChoice {
     pub workers: usize,
     /// Measured-best schedule.
     pub schedule: Policy,
-    /// Measured-best SLP lane width for the loop's kernel (the width
-    /// vocabulary lives in the solver crate, so this layer carries it
-    /// as a plain count).
-    pub vector_width: usize,
     /// Median measured cost of the winning configuration, nanoseconds.
     pub measured_cost_ns: u64,
     /// The analytic model's predicted cost for the same configuration,
@@ -444,7 +440,6 @@ mod tests {
             MeasuredChoice {
                 workers: 8,
                 schedule: Policy::Dynamic { chunk: 2 },
-                vector_width: 4,
                 measured_cost_ns: 1_000,
                 modeled_cost_ns: 1_200,
             },

@@ -5,7 +5,7 @@
 //! to whichever worker asks first — so this test *asserts* only that
 //! every slab is visited exactly once, and *prints* the measured share
 //! (`cargo test -p llp --test affinity -- --nocapture`). The number is
-//! the evidence for or against a lane-preferred drain (ROADMAP 1(b));
+//! the evidence for or against a lane-preferred drain (ROADMAP 5(d));
 //! EXPERIMENTS.md "Owner-computes energy" records what this host read.
 
 use llp::{chunk_bounds, doacross_slabs, Workers};

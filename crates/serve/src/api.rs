@@ -131,9 +131,9 @@ fn parse_schedule(body: &Json) -> Result<(bool, Policy), String> {
 /// `"static"`; `"schedule": "auto"` defers per-kernel configuration to
 /// the solver's tune database and takes no chunk either. The solver
 /// then reads its own fields and `steps`, `workers` (default
-/// `default_workers`, the shared pool's size) and `vector_width` (the
-/// SLP lane width: 1, 2, 4, or 8; default 1 — results are bit-exact at
-/// every width) off the [`SolveFields`], and validates the case.
+/// `default_workers`, the shared pool's size) and `vector_width` (1, 2,
+/// 4, or 8; default 1 — echoed, cache-keyed and labelled, selecting
+/// nothing) off the [`SolveFields`], and validates the case.
 ///
 /// # Errors
 /// Unknown solvers, unknown fields, mistyped values, and out-of-cap
@@ -207,7 +207,6 @@ pub fn tuned_resolution(db: Option<&TuneDb>) -> Json {
                             if let Some(chunk) = e.schedule.chunk_param() {
                                 pairs.push(("chunk", Json::from_usize(chunk)));
                             }
-                            pairs.push(("vector_width", Json::from_usize(e.vector_width)));
                             Json::object(pairs)
                         })
                         .collect(),
@@ -629,7 +628,6 @@ fn measured_json(m: &MeasuredAdvice) -> Json {
         pairs.push(("chunk", Json::from_usize(chunk)));
     }
     pairs.extend([
-        ("vector_width", Json::from_usize(m.choice.vector_width)),
         (
             "measured_cost_ns",
             Json::from_u64(m.choice.measured_cost_ns),
@@ -894,7 +892,7 @@ mod tests {
         for row in &solvers::TABLE {
             let body = format!(r#"{{"solver": "{}", "steps": 2}}"#, row.kind);
             let case = parse_solve_body(&body, 2).unwrap().case;
-            let run = case.run(&llp::Workers::recorded(2), None, None).unwrap();
+            let run = case.run(&llp::Workers::recorded(2), None).unwrap();
             let spec = CalibrationSpec {
                 zones: 1,
                 steps: 1,
@@ -1053,7 +1051,6 @@ mod tests {
                 kernel: "rhs".to_string(),
                 workers: 2,
                 schedule: Policy::Dynamic { chunk: 2 },
-                vector_width: 4,
                 iterations: 10,
                 candidates_tried: 4,
                 measured_cost_ns: 100,
@@ -1072,10 +1069,7 @@ mod tests {
             Some("dynamic")
         );
         assert_eq!(kernels[0].get("chunk").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            kernels[0].get("vector_width").and_then(Json::as_u64),
-            Some(4)
-        );
+        assert!(kernels[0].get("vector_width").is_none());
     }
 
     #[test]

@@ -382,13 +382,9 @@ pub(crate) fn execute_job(shared: &Arc<Shared>, team: &Workers, job: &Job) -> Ve
             // default path — the overlay changes cost, never answers.
             let db = auto.then(|| shared.tune_db(spec.kind())).flatten();
             let map = db.as_ref().map(|d| d.schedule_map());
-            // Tuned per-kernel widths overlay the case-level width the
-            // same way tuned schedules overlay the case-level policy:
-            // both change only the performance shape, never the answer.
-            let widths = db.as_ref().map(|d| d.width_map());
             let tuned = auto.then(|| api::tuned_resolution(db.as_deref()));
             let tuned = tuned.unwrap_or(Json::Null);
-            match case.run(&view, map.as_ref(), widths.as_ref()) {
+            match case.run(&view, map.as_ref()) {
                 Ok(run) => {
                     // Where the time went, derived once: the counters
                     // and every waiter's trace entry share the one handle.
@@ -406,10 +402,6 @@ pub(crate) fn execute_job(shared: &Arc<Shared>, team: &Workers, job: &Job) -> Ve
                             .add_seconds(Family::KernelSeconds, &k.kernel, seconds);
                     }
                     shared.metrics.bump(Family::SolvesBySolver, spec.kind());
-                    shared.metrics.bump(
-                        Family::SolvesByVectorWidth,
-                        &spec.vector_width().to_string(),
-                    );
                     let schedule = auto.then_some("auto");
                     let schedule = schedule.unwrap_or_else(|| spec.schedule().name());
                     shared.metrics.bump(Family::SolvesBySchedule, schedule);

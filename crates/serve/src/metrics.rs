@@ -27,7 +27,6 @@
 use crate::hist::{add_f64, Buckets, Histogram};
 use crate::solvers;
 use llp::obs::json::Json;
-use solver::SUPPORTED_WIDTHS;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -201,15 +200,6 @@ table! {
             labels: || strings(&solvers::KINDS),
             fold: Fold::First,
             help: "Executed solves, by solver kind.",
-        },
-        SolvesByVectorWidth => FamilyRow {
-            name: "solves_by_vector_width_total",
-            label: "vector_width",
-            json: "solves_by_vector_width",
-            value: U64,
-            labels: || strings(&SUPPORTED_WIDTHS),
-            fold: Fold::First,
-            help: "Executed solves, by SLP lane width.",
         },
         SolvesBySchedule => FamilyRow {
             name: "solves_by_schedule_total",
@@ -684,9 +674,6 @@ mod tests {
             m.bump(Family::SolvesBySolver, kind);
         }
         m.inc(Scalar::SolvesRejectedMemoryTotal);
-        for width in ["1", "4", "4", "999"] {
-            m.bump(Family::SolvesByVectorWidth, width);
-        }
         for schedule in ["dynamic", "auto", "auto", "weird"] {
             m.bump(Family::SolvesBySchedule, schedule);
         }
@@ -793,7 +780,6 @@ mod tests {
         m.request("nonsense");
         m.bump(Family::Responses, "999");
         m.bump(Family::SolvesBySolver, "nonsense");
-        m.bump(Family::SolvesByVectorWidth, "999");
         m.bump(Family::SolvesBySchedule, "weird");
         m.add_seconds(Family::KernelSeconds, "bc", 0.125);
         let doc = m.snapshot(&CTX).to_json();
@@ -801,7 +787,6 @@ mod tests {
             ("requests_total", 1.0),
             ("endpoints/other", 1.0),
             ("solves_by_solver/f3d", 1.0),
-            ("solves_by_vector_width/1", 1.0),
             ("solves_by_schedule/static", 1.0),
             ("kernel_seconds/other", 0.125),
         ] {

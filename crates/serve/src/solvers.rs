@@ -15,7 +15,7 @@ use f3d::service::{F3dSolver, ServiceCase};
 use fdtd::{FdtdCase, FdtdSolver};
 use llp::{ScheduleMap, Workers};
 use solver::wire::SolveFields;
-use solver::{run_instrumented, FinishedRun, Solver, SolverSpec, WidthMap};
+use solver::{run_instrumented, FinishedRun, Solver, SolverSpec};
 use tune::{calibrate_solver, CalibrationSpec, TuneDb};
 
 /// What the service knows about one solver kind — everything but how
@@ -143,15 +143,10 @@ impl AnyCase {
         &self,
         pool: &Workers,
         schedules: Option<&ScheduleMap>,
-        widths: Option<&WidthMap>,
     ) -> Result<Box<dyn FinishedRun + Send + Sync>, String> {
         Ok(match self {
-            AnyCase::F3d(case) => Box::new(run_instrumented::<F3dSolver>(
-                case, pool, schedules, widths,
-            )?),
-            AnyCase::Fdtd(case) => Box::new(run_instrumented::<FdtdSolver>(
-                case, pool, schedules, widths,
-            )?),
+            AnyCase::F3d(case) => Box::new(run_instrumented::<F3dSolver>(case, pool, schedules)?),
+            AnyCase::Fdtd(case) => Box::new(run_instrumented::<FdtdSolver>(case, pool, schedules)?),
         })
     }
 }

@@ -60,7 +60,7 @@ fn solve(addr: SocketAddr, body: &str) -> Json {
 /// The body's checksums from a direct run on a one-worker pool.
 fn direct_checksums(body: &str) -> Json {
     let request = api::parse_solve_body(body, 1).expect("a valid body");
-    let run = request.case.run(&Workers::new(1), None, None).unwrap();
+    let run = request.case.run(&Workers::new(1), None).unwrap();
     let rendered = api::SolveBody::new(&*run).finish(None, Json::Null, "bypass");
     let reply = Json::parse(&rendered).unwrap();
     reply.get("checksums").unwrap().clone()

@@ -918,7 +918,6 @@ fn sample_tune_db() -> TuneDb {
         kernel: kernel.to_string(),
         workers,
         schedule,
-        vector_width: 1,
         iterations: 10,
         candidates_tried: 5,
         measured_cost_ns: 80_000,
@@ -1036,10 +1035,10 @@ fn auto_solve_resolves_tuned_configs_and_stays_bit_exact() {
 }
 
 /// An f3d calibration file as calibrations wrote it while the L factor
-/// still ran a second, scatter region and the residual and the J and K
-/// factors ran one region each: one entry per parallel kernel of that
-/// stepper, `rhs` (raced to `vector_width` 4), `j_factor`, `k_factor`
-/// and `l_factor_scatter` among them.
+/// still ran a second, scatter region, the residual and the J and K
+/// factors ran one region each, and entries carried a `vector_width`:
+/// one entry per parallel kernel of that stepper, `rhs` (raced to
+/// width 4), `j_factor`, `k_factor` and `l_factor_scatter` among them.
 const TUNE_DB_WITH_RETIRED_KERNEL: &str = r#"{
   "schema_version": 4, "solver": "f3d", "pool_width": 2, "zones": 2,
   "steps": 2, "trials": 3, "sync_cost_ns": 850,
@@ -1056,9 +1055,10 @@ const TUNE_DB_WITH_RETIRED_KERNEL: &str = r#"{
 #[test]
 fn tune_db_naming_a_retired_kernel_loads_and_selects_nothing_for_it() {
     // Kernels the solver no longer has — the scatter region, and the
-    // three regions the fused `rhs_jk` replaced, one of them at width
-    // 4: the file still loads, those entries select nothing, and
-    // "auto" answers what a default solve answers.
+    // three regions the fused `rhs_jk` replaced — and a retired width
+    // column: the file still loads, those entries select nothing, the
+    // widths are ignored, and "auto" answers what a default solve
+    // answers.
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("tune_db_retired.json");
     std::fs::write(&path, TUNE_DB_WITH_RETIRED_KERNEL).unwrap();
     let db = TuneDb::load(&path).expect("an old calibration file loads");
@@ -1068,8 +1068,6 @@ fn tune_db_naming_a_retired_kernel_loads_and_selects_nothing_for_it() {
         assert!(kernels.contains(&retired), "{kernels:?}");
         assert!(!<f3d::service::F3dSolver as solver::Solver>::KERNELS.contains(&retired));
     }
-    let rhs = db.entries.iter().find(|e| e.kernel == "rhs").unwrap();
-    assert_eq!(rhs.vector_width, 4);
 
     let server = Server::start(ServerConfig {
         workers: 2,
@@ -1086,6 +1084,11 @@ fn tune_db_naming_a_retired_kernel_loads_and_selects_nothing_for_it() {
     let auto = solve(r#"{"zones": 2, "steps": 2, "workers": 2, "schedule": "auto"}"#);
     let tuned = auto.get("tuned").unwrap();
     assert_eq!(tuned.get("source").and_then(Json::as_str), Some("tune-db"));
+    let tuned_kernels = tuned.get("kernels").and_then(Json::as_array).unwrap();
+    assert_eq!(tuned_kernels.len(), 6);
+    assert!(tuned_kernels
+        .iter()
+        .all(|k| k.get("vector_width").is_none()));
     for field in ["checksums", "residuals", "forces", "sync_events"] {
         assert_eq!(
             auto.get(field).map(Json::to_string),

@@ -34,8 +34,7 @@
 //!
 //! [`run_instrumented`] is the one run driver: it owns the
 //! instrumentation sequence every served solve follows — policy view,
-//! width-map resolution, local sync-event billing, span-report and
-//! flight-timeline drain (`f3d::service::run` and `fdtd::service::run`
+//! local sync-event billing, span-report and flight-timeline drain (`f3d::service::run` and `fdtd::service::run`
 //! are this call).
 
 #![forbid(unsafe_code)]
@@ -84,8 +83,9 @@ pub trait SolverSpec {
     /// Number of time steps the case runs.
     fn steps(&self) -> usize;
 
-    /// Default SLP lane width (one of [`SUPPORTED_WIDTHS`]); the
-    /// width map's per-kernel entries win over it.
+    /// The request's SLP lane width (one of [`SUPPORTED_WIDTHS`]):
+    /// echoed, cache-keyed and labelled, read by no kernel (lane counts
+    /// are kernel constants; see [`widths`]).
     fn vector_width(&self) -> usize;
 
     /// Estimated peak bytes an instance of this case allocates (fields
@@ -162,15 +162,9 @@ pub trait Solver {
     const KIND: &'static str;
 
     /// The span-tree kernel vocabulary this solver's steps emit,
-    /// sorted: the names the tune database, schedule map, width map,
-    /// and metrics labels key on.
+    /// sorted: the names the tune database, schedule map and metrics
+    /// labels key on.
     const KERNELS: &'static [&'static str];
-
-    /// The kernels whose code reads their lane width — a subset of
-    /// [`Solver::KERNELS`]. Every other kernel runs one body at every
-    /// width (see [`widths`]), so a calibration has nothing to race
-    /// there and measures it at width 1 only.
-    const WIDE_KERNELS: &'static [&'static str] = Self::KERNELS;
 
     /// The request fields only this solver reads, beside
     /// [`wire::SHARED_FIELDS`] — its size field first; anything else in
@@ -181,8 +175,7 @@ pub trait Solver {
     const MAX_WORKERS: usize;
 
     /// Allocate the instance: grids, fields, deterministic initial
-    /// condition, and the per-kernel width selection (`widths` already
-    /// has the spec's default width folded in).
+    /// condition. The [`WidthMap`] is empty and ignored.
     fn create_instance(config: &Self::Config, widths: &WidthMap) -> Self::Instance;
 }
 
@@ -197,8 +190,8 @@ pub trait SolverInstance {
     /// Advance one time step on `pool`. Kernels named in `schedules`
     /// execute on a [`Workers::scheduled_view`] carrying their tuned
     /// worker count and policy; everything else inherits the pool's
-    /// configuration. Results must be bit-exact across worker counts,
-    /// schedules, and widths — determinism is the serving contract.
+    /// configuration. Results must be bit-exact across worker counts
+    /// and schedules — determinism is the serving contract.
     fn step(&mut self, pool: &Workers, step: usize, schedules: Option<&ScheduleMap>);
 
     /// Reduce the final state to the run's output.
@@ -286,20 +279,18 @@ impl<C: SolverSpec, O: SolverOutput> FinishedRun for SolverRun<C, O> {
 /// Execute a validated spec on `pool` with the instrumentation
 /// sequence every served solve shares:
 ///
-/// 1. validate the spec and take a policy view of the pool;
-/// 2. resolve the width map (per-kernel entries over the spec's
-///    default) and allocate the instance;
-/// 3. bill sync events on the view's local counter across the step
+/// 1. validate the spec, take a policy view of the pool and allocate
+///    the instance;
+/// 2. bill sync events on the view's local counter across the step
 ///    loop;
-/// 4. drain the span report (labeled with the spec's case label and
+/// 3. drain the span report (labeled with the spec's case label and
 ///    the requested-vs-granted worker clamp) and the flight timeline;
-/// 5. reduce the instance to its output.
+/// 4. reduce the instance to its output.
 ///
-/// `schedules` and `widths` are the overlays a tune database resolves
+/// `schedules` is the overlay a tune database resolves
 /// `"schedule": "auto"` to: named kernels run on a
 /// [`Workers::scheduled_view`] with their tuned worker count and
-/// policy, and `widths` entries win over the spec's `vector_width`.
-/// Both axes are bit-exact: they change cost, never a result.
+/// policy. It is bit-exact: it changes cost, never a result.
 ///
 /// # Errors
 /// Returns the spec's [`SolverSpec::validate`] error for out-of-bounds
@@ -308,16 +299,13 @@ pub fn run_instrumented<S: Solver>(
     config: &S::Config,
     pool: &Workers,
     schedules: Option<&ScheduleMap>,
-    widths: Option<&WidthMap>,
 ) -> Result<SolverRun<S::Config, <S::Instance as SolverInstance>::Output>, String> {
     config.validate()?;
     // The spec's scheduling policy governs every doacross region of
     // the run; the view shares the caller pool's counters and
     // recorder.
     let pool = &pool.with_policy(config.schedule());
-    let mut width_map = widths.cloned().unwrap_or_default();
-    width_map.set_default(config.vector_width());
-    let mut instance = S::create_instance(config, &width_map);
+    let mut instance = S::create_instance(config, &WidthMap);
 
     // Count this run's events on the policy view's *local* counter:
     // the shared pool counter also moves when other views of the same
@@ -405,11 +393,10 @@ mod tests {
 
     struct ToyInstance {
         data: Vec<f64>,
-        width: usize,
     }
 
-    /// Output = (final sum, the width the instance was built at).
-    struct ToyOutput(f64, usize);
+    /// Output = final sum.
+    struct ToyOutput(f64);
 
     impl SolverOutput for ToyOutput {
         fn payload(&self) -> Vec<(&'static str, Json)> {
@@ -428,7 +415,7 @@ mod tests {
         }
 
         fn finish(self) -> ToyOutput {
-            ToyOutput(self.data.iter().sum(), self.width)
+            ToyOutput(self.data.iter().sum())
         }
     }
 
@@ -443,10 +430,9 @@ mod tests {
         const OWN_FIELDS: &'static [&'static str] = &["n"];
         const MAX_WORKERS: usize = 4;
 
-        fn create_instance(config: &ToySpec, widths: &WidthMap) -> ToyInstance {
+        fn create_instance(config: &ToySpec, _widths: &WidthMap) -> ToyInstance {
             ToyInstance {
                 data: vec![0.0; config.n],
-                width: widths.get("toy"),
             }
         }
     }
@@ -458,7 +444,7 @@ mod tests {
             steps: 1,
             workers: 1,
         };
-        assert!(run_instrumented::<ToySolver>(&bad, &Workers::serial(), None, None).is_err());
+        assert!(run_instrumented::<ToySolver>(&bad, &Workers::serial(), None).is_err());
 
         let spec = ToySpec {
             n: 8,
@@ -466,15 +452,14 @@ mod tests {
             workers: 2,
         };
         let pool = Workers::recorded(2);
-        let run = run_instrumented::<ToySolver>(&spec, &pool, None, None).unwrap();
+        let run = run_instrumented::<ToySolver>(&spec, &pool, None).unwrap();
         // 3 steps x 1 region each.
         assert_eq!(run.sync_events, 3);
         assert_eq!(run.report.case, "toy/n8");
         assert_eq!(run.report.sync_events(), 3);
         // Each element accumulated its index three times.
         assert_eq!(run.output.0, 3.0 * (0..8).sum::<usize>() as f64);
-        // No widths passed: the spec's scalar default applies.
-        assert_eq!(run.output.1, 1);
+        assert_eq!(spec.memory_usage_estimate(), 64);
         // The run carries its case, and reads the same with the
         // physics erased.
         assert_eq!(run.case.n, 8);
@@ -484,25 +469,8 @@ mod tests {
         assert_eq!(erased.output().payload()[0].0, "sum");
         assert!(erased.output().zone_dispatch().is_none());
         // A second run drains cleanly — the report covers only itself.
-        let again = run_instrumented::<ToySolver>(&spec, &pool, None, None).unwrap();
+        let again = run_instrumented::<ToySolver>(&spec, &pool, None).unwrap();
         assert_eq!(again.report.sync_events(), 3);
-    }
-
-    #[test]
-    fn width_map_entries_win_over_the_spec_default() {
-        let spec = ToySpec {
-            n: 4,
-            steps: 1,
-            workers: 1,
-        };
-        let mut widths = WidthMap::new();
-        widths.set("toy", 4);
-        let run =
-            run_instrumented::<ToySolver>(&spec, &Workers::serial(), None, Some(&widths)).unwrap();
-        assert_eq!(run.output.1, 4);
-        // Unless a solver says otherwise, every kernel reads its width.
-        assert_eq!(ToySolver::WIDE_KERNELS, ToySolver::KERNELS);
-        assert_eq!(spec.memory_usage_estimate(), 32);
     }
 
     #[test]
@@ -515,8 +483,8 @@ mod tests {
         let mut map = ScheduleMap::new();
         map.set("toy", 1, Policy::Dynamic { chunk: 2 });
         let pool = Workers::new(2);
-        let tuned = run_instrumented::<ToySolver>(&spec, &pool, Some(&map), None).unwrap();
-        let plain = run_instrumented::<ToySolver>(&spec, &pool, None, None).unwrap();
+        let tuned = run_instrumented::<ToySolver>(&spec, &pool, Some(&map)).unwrap();
+        let plain = run_instrumented::<ToySolver>(&spec, &pool, None).unwrap();
         // Scheduling is a performance knob: results identical.
         assert_eq!(tuned.output.0, plain.output.0);
         assert_eq!(tuned.sync_events, plain.sync_events);

@@ -13,10 +13,7 @@
 //!    models need.
 //! 2. **Search** — [`crate::space::candidates`] enumerates each
 //!    kernel's space, pruned by the stair-step plateau edges and the
-//!    Table 1 bound at the measured `W` and `S`; only the solver's
-//!    [`Solver::WIDE_KERNELS`] are raced across lane widths, the rest
-//!    run one body at every width and are measured at width 1 (racing
-//!    identical code can only publish a noise-picked width). Candidates are
+//!    Table 1 bound at the measured `W` and `S`. Candidates are
 //!    measured in rounds: round `r` assigns every kernel its
 //!    `r mod len`-th candidate (kernels are measured independently, so
 //!    one run prices one candidate per kernel), and each round is
@@ -42,7 +39,7 @@ use llp::obs::attr::{kernel_overheads, AttributionReport, KernelOverhead};
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::{FlightRecorder, Policy, Recorder, ScheduleMap, Workers};
 use perfmodel::OverheadBound;
-use solver::{check_range, Solver, SolverSpec, WidthMap, SUPPORTED_WIDTHS};
+use solver::{check_range, Solver, SolverSpec};
 
 /// Largest `zones` a calibration case may ask for.
 pub const MAX_ZONES: usize = 4;
@@ -127,7 +124,7 @@ pub fn calibrate_solver<S: Solver>(
     let case = S::Config::calibration(spec.zones, spec.steps, width);
 
     // --- Seed pass: measure U, W and S at the default config. ---
-    let seed_run = solver::run_instrumented::<S>(&case, &view, None, None)?;
+    let seed_run = solver::run_instrumented::<S>(&case, &view, None)?;
     let seed_attr = AttributionReport::from_timeline(&seed_run.timeline);
     let seed_rows = kernel_overheads(&seed_run.report, &seed_attr);
     if seed_rows.is_empty() || seed_attr.regions.is_empty() {
@@ -145,13 +142,8 @@ pub fn calibrate_solver<S: Solver>(
         .map(|row| {
             let units = row.iterations / row.regions;
             let work_ns = row.compute_ns / row.regions;
-            let lane_widths: &[usize] = if S::WIDE_KERNELS.contains(&row.kernel.as_str()) {
-                &SUPPORTED_WIDTHS
-            } else {
-                &[1]
-            };
             KernelSeed {
-                candidates: candidates(units, width, Some((&bound, work_ns)), lane_widths),
+                candidates: candidates(units, width, Some((&bound, work_ns))),
                 units,
                 row,
             }
@@ -167,14 +159,12 @@ pub fn calibrate_solver<S: Solver>(
         .collect();
     for round in 0..rounds {
         let mut map = ScheduleMap::new();
-        let mut widths = WidthMap::new();
         for seed in &seeds {
             let cand = seed.candidates[round % seed.candidates.len()];
             map.set(&seed.row.kernel, cand.workers, cand.policy);
-            widths.set(&seed.row.kernel, cand.vector_width);
         }
         for _ in 0..spec.trials {
-            let run = solver::run_instrumented::<S>(&case, &view, Some(&map), Some(&widths))?;
+            let run = solver::run_instrumented::<S>(&case, &view, Some(&map))?;
             let attr = AttributionReport::from_timeline(&run.timeline);
             let rows = kernel_overheads(&run.report, &attr);
             for (si, seed) in seeds.iter().enumerate() {
@@ -225,7 +215,6 @@ pub fn calibrate_solver<S: Solver>(
             kernel: kernel.clone(),
             workers: seed.candidates[win].workers,
             schedule: seed.candidates[win].policy,
-            vector_width: seed.candidates[win].vector_width,
             iterations: seed.units,
             candidates_tried: seed.candidates.len(),
             measured_cost_ns: measured[win],
@@ -251,16 +240,12 @@ pub fn calibrate_solver<S: Solver>(
 /// The one selection rule: among the candidates whose cost is within
 /// 2 % of the cheapest, the structurally simplest wins — fewer workers,
 /// then policy order (static < dynamic < guided), then smaller chunk,
-/// then narrower vector width, then (for identical configurations
-/// only) lower cost. The band is anchored at the minimum, which is a
+/// then (for identical configurations only) lower cost. The band is anchored at the minimum, which is a
 /// property of the candidate *set*, so the winner does not depend on
 /// the order the candidates are listed in. Costs are whatever the
 /// caller ranks: measured medians to select, predicted costs to ask
-/// what the model would have picked.
-///
-/// The width tiebreak means a wide variant only wins when it
-/// *measures* better: the cost model is width-agnostic. The slice is
-/// never empty — the default configuration is always a candidate.
+/// what the model would have picked. The slice is never empty — the
+/// default configuration is always a candidate.
 fn select(cands: &[Candidate], cost: &[u64]) -> usize {
     let cheapest = *cost.iter().min().expect("at least the default candidate");
     let key = |i: usize| {
@@ -270,7 +255,7 @@ fn select(cands: &[Candidate], cost: &[u64]) -> usize {
             Policy::Dynamic { chunk } => (1, chunk),
             Policy::Guided { min_chunk } => (2, min_chunk),
         };
-        (c.workers, policy, c.vector_width, cost[i])
+        (c.workers, policy, cost[i])
     };
     (0..cands.len())
         // Within 2 %: `(c − min)·50 ≤ c`, divided so `u64::MAX` (an
@@ -323,20 +308,16 @@ mod tests {
         assert_eq!(median(&[1, 2, 3, 1000]), 3);
     }
 
-    fn cand(workers: usize, policy: Policy, vector_width: usize) -> Candidate {
-        Candidate {
-            workers,
-            policy,
-            vector_width,
-        }
+    fn cand(workers: usize, policy: Policy) -> Candidate {
+        Candidate { workers, policy }
     }
 
     #[test]
     fn selection_is_deterministic_and_prefers_cheap_simple_configs() {
         let cands = [
-            cand(4, Policy::Static, 1),
-            cand(2, Policy::Static, 1),
-            cand(4, Policy::Dynamic { chunk: 1 }, 1),
+            cand(4, Policy::Static),
+            cand(2, Policy::Static),
+            cand(4, Policy::Dynamic { chunk: 1 }),
         ];
         // Clear winner by measured cost.
         assert_eq!(select(&cands, &[100, 50, 90]), 1);
@@ -354,28 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn width_ties_break_toward_scalar() {
-        // Same (workers, policy) at two widths with identical costs —
-        // the width-agnostic model guarantees this shape for predicted
-        // costs — must pick the scalar variant, never the wide one.
-        let cands = [cand(2, Policy::Static, 4), cand(2, Policy::Static, 1)];
-        assert_eq!(select(&cands, &[100, 100]), 1);
-        // But a measured win at a wide width takes it.
-        assert_eq!(select(&cands, &[80, 100]), 0);
-    }
-
-    #[test]
     fn selection_does_not_depend_on_candidate_order() {
         // Costs chosen so pairwise "within 2 %" is not transitive
         // (100 ~ 101.5 ~ 103, but 100 !~ 103): a pairwise tournament
         // would crown a different winner per listing order.
         let listed = [
-            (cand(4, Policy::Guided { min_chunk: 1 }, 1), 1000),
-            (cand(4, Policy::Static, 2), 1015),
-            (cand(2, Policy::Dynamic { chunk: 3 }, 1), 1030),
-            (cand(2, Policy::Dynamic { chunk: 1 }, 8), 1016),
-            (cand(1, Policy::Static, 1), 1500),
-            (cand(4, Policy::Static, 1), 1019),
+            (cand(4, Policy::Guided { min_chunk: 1 }), 1000),
+            (cand(4, Policy::Static), 1015),
+            (cand(2, Policy::Dynamic { chunk: 3 }), 1030),
+            (cand(2, Policy::Dynamic { chunk: 1 }), 1016),
+            (cand(1, Policy::Static), 1500),
+            (cand(3, Policy::Static), 1019),
         ];
         // 1030 is outside the band anchored at the minimum (1000), so
         // the simplest in-band candidate is the 2-worker dynamic one.
@@ -416,21 +386,10 @@ mod tests {
         for e in &db.entries {
             let kernel = &e.kernel;
             assert!(e.workers >= 1 && e.workers <= width, "{kernel}");
-            // Lane widths are raced only where the code reads them;
-            // a one-wide pool leaves such a kernel its default alone.
-            let wide = S::WIDE_KERNELS.contains(&kernel.as_str());
-            let floor = if wide || width > 1 { 2 } else { 1 };
+            // A one-wide pool leaves a kernel its default alone.
+            let floor = if width > 1 { 2 } else { 1 };
             assert!(e.candidates_tried >= floor, "{kernel}");
-            assert!(
-                wide || e.vector_width == 1,
-                "{kernel}: raced across identical code"
-            );
             assert!(e.iterations > 0, "{kernel}");
-            assert!(
-                solver::SUPPORTED_WIDTHS.contains(&e.vector_width),
-                "{kernel}: width {}",
-                e.vector_width
-            );
             // Measured selection: the winner never loses to the default.
             assert!(
                 e.measured_cost_ns <= e.default_cost_ns,
@@ -453,13 +412,6 @@ mod tests {
         for width in [1, 2, 4, 8] {
             let db = calibrated::<F3dSolver>(width, &spec);
             assert_eq!(db.entries.len(), 3);
-            // No f3d kernel reads a width, so none is raced across
-            // widths.
-            assert!(
-                db.entries.iter().all(|e| e.vector_width == 1),
-                "{:?}",
-                db.entries
-            );
             let db = calibrated::<FdtdSolver>(width, &spec);
             assert_eq!(db.entries.len(), 2);
         }
@@ -482,15 +434,13 @@ mod tests {
         for e in &db.entries {
             assert_eq!(e.iterations, 16, "{}", e.kernel);
             assert!(e.modeled_cost_ns > 0, "{}", e.kernel);
-            // Neither sweep reads its width, so only width 1 is
-            // measured: serial + four policies at P = 2, not 4x that.
+            // Serial + four policies at P = 2.
             assert!(
                 e.candidates_tried <= 5,
                 "{}: {}",
                 e.kernel,
                 e.candidates_tried
             );
-            assert_eq!(e.vector_width, 1, "{}", e.kernel);
         }
     }
 }

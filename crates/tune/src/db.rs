@@ -5,15 +5,18 @@
 use crate::calibrate::MAX_WORKERS;
 use llp::obs::json::Json;
 use llp::{MeasuredChoice, Policy, ScheduleMap};
-use solver::{check_range, validate_width, WidthMap};
+use solver::check_range;
 use std::path::Path;
 
 /// Schema version of [`TuneDb::to_json`]; bumped on layout changes.
 /// Version 2 added the per-entry `vector_width` (the SLP axis);
-/// version 3 added a per-entry `stale` flag that is no longer written
-/// (entries are read by key, so a version-4 file that still carries it
-/// loads unchanged); version 4 added the top-level `solver` kind for
-/// multi-physics serving. Only the current version loads.
+/// version 3 added a per-entry `stale` flag; version 4 added the
+/// top-level `solver` kind for multi-physics serving. Only the current
+/// version loads. Two per-entry keys are retired without a bump:
+/// `stale`, and `vector_width` (lane counts are kernel constants, so
+/// there is no width to tune). Entries are read by key, so a version-4
+/// file that still carries either loads with it ignored, and nothing
+/// writes them back.
 pub const TUNE_SCHEMA_VERSION: u64 = 4;
 
 /// One kernel's calibration outcome.
@@ -25,8 +28,6 @@ pub struct TuneEntry {
     pub workers: usize,
     /// Winning schedule.
     pub schedule: Policy,
-    /// Winning SLP lane width (one of [`solver::SUPPORTED_WIDTHS`]).
-    pub vector_width: usize,
     /// Mean parallel-loop iterations per region (the stair-step `U`).
     pub iterations: u64,
     /// Candidates the search measured for this kernel.
@@ -57,7 +58,6 @@ impl TuneEntry {
             pairs.push(("chunk", Json::from_usize(chunk)));
         }
         pairs.extend([
-            ("vector_width", Json::from_usize(self.vector_width)),
             ("iterations", Json::from_u64(self.iterations)),
             ("candidates_tried", Json::from_usize(self.candidates_tried)),
             ("measured_cost_ns", Json::from_u64(self.measured_cost_ns)),
@@ -73,28 +73,29 @@ impl TuneEntry {
         let name = field("schedule")?
             .as_str()
             .ok_or("schedule must be a string")?;
-        let chunk = j.get("chunk").and_then(Json::as_usize);
         let kernel = field("kernel")?
             .as_str()
             .ok_or("kernel must be a string")?
             .to_string();
         // The file is outside input (`--tune-db`, `LLPD_TUNE_DB`) and
-        // these two fields configure a pool view and a kernel: a count
+        // these fields configure a pool view and its schedule: a value
         // no calibration can write must not load.
         let in_entry = |e: String| format!("entry {kernel:?}: {e}");
         let workers = field("workers")?
             .as_usize()
             .ok_or("workers must be an integer")?;
         check_range("workers", workers, MAX_WORKERS).map_err(in_entry)?;
-        let vector_width = field("vector_width")?
-            .as_usize()
-            .ok_or("vector_width must be an integer")?;
-        validate_width(vector_width).map_err(in_entry)?;
+        let chunk = match j.get("chunk") {
+            None => None,
+            Some(v) => Some(
+                v.as_usize()
+                    .ok_or_else(|| in_entry("chunk must be a non-negative integer".to_string()))?,
+            ),
+        };
         Ok(Self {
             kernel,
             workers,
             schedule: Policy::parse(name, chunk)?,
-            vector_width,
             iterations: field("iterations")?
                 .as_u64()
                 .ok_or("iterations must be an integer")?,
@@ -239,19 +240,6 @@ impl TuneDb {
         map
     }
 
-    /// The per-kernel SLP widths a solver consumes
-    /// ([`solver::run_instrumented`]). Scalar winners are recorded too —
-    /// an explicit width-1 entry and no entry resolve identically, but
-    /// the map should say what the calibration decided.
-    #[must_use]
-    pub fn width_map(&self) -> WidthMap {
-        let mut map = WidthMap::new();
-        for e in &self.entries {
-            map.set(&e.kernel, e.vector_width);
-        }
-        map
-    }
-
     /// The measured choices for the advisor
     /// ([`llp::Advisor::advise_with_measured`]).
     #[must_use]
@@ -264,7 +252,6 @@ impl TuneDb {
                     MeasuredChoice {
                         workers: e.workers,
                         schedule: e.schedule,
-                        vector_width: e.vector_width,
                         measured_cost_ns: e.measured_cost_ns,
                         modeled_cost_ns: e.modeled_cost_ns,
                     },
@@ -302,7 +289,6 @@ mod tests {
                     kernel: "rhs".to_string(),
                     workers: 4,
                     schedule: Policy::Guided { min_chunk: 1 },
-                    vector_width: 4,
                     iterations: 10,
                     candidates_tried: 12,
                     measured_cost_ns: 80_000,
@@ -314,7 +300,6 @@ mod tests {
                     kernel: "update".to_string(),
                     workers: 2,
                     schedule: Policy::Static,
-                    vector_width: 1,
                     iterations: 10,
                     candidates_tried: 12,
                     measured_cost_ns: 40_000,
@@ -363,7 +348,6 @@ mod tests {
             "workers",
             "schedule",
             "chunk",
-            "vector_width",
             "iterations",
             "candidates_tried",
             "measured_cost_ns",
@@ -376,12 +360,6 @@ mod tests {
         assert_eq!(e.get("chunk").and_then(Json::as_u64), Some(1));
         expected.retain(|k| *k != "chunk");
         assert_eq!(keys(&entries[1]), expected);
-        // The width is always explicit, even for scalar winners.
-        assert_eq!(e.get("vector_width").and_then(Json::as_u64), Some(4));
-        assert_eq!(
-            entries[1].get("vector_width").and_then(Json::as_u64),
-            Some(1)
-        );
         // Version 4 as it was written while entries still carried a
         // `stale` boolean: entries are read by key, so such a file loads
         // to the same database, and nothing writes the key back.
@@ -437,18 +415,28 @@ mod tests {
         let err = TuneDb::from_json(&doc).unwrap_err();
         assert!(err.contains("model_agrees"), "{err}");
         // Values no calibration can write are rejected by entry and
-        // field: a worker count a pool view would panic on, a lane
-        // width outside the vocabulary.
+        // field: a worker count a pool view would panic on, a chunk
+        // that is not a count (which once loaded as no chunk — chunk 1
+        // for a dynamic entry, and a static entry that must not load).
         let text = sample().to_json().to_pretty_string();
-        for (field, good, bad) in [
-            ("workers", "\"workers\": 4", "\"workers\": 0"),
-            ("workers", "\"workers\": 4", "\"workers\": 65"),
-            ("vector_width", "\"vector_width\": 4", "\"vector_width\": 3"),
-            ("vector_width", "\"vector_width\": 4", "\"vector_width\": 0"),
+        let static_entry = "\"schedule\": \"static\"";
+        for (kernel, field, good, bad) in [
+            ("rhs", "workers", "\"workers\": 4", "\"workers\": 0"),
+            ("rhs", "workers", "\"workers\": 4", "\"workers\": 65"),
+            ("rhs", "chunk", "\"chunk\": 1", "\"chunk\": \"4\""),
+            ("rhs", "chunk", "\"chunk\": 1", "\"chunk\": -1"),
+            ("rhs", "chunk", "\"chunk\": 1", "\"chunk\": 2.5"),
+            (
+                "update",
+                "chunk",
+                static_entry,
+                "\"schedule\": \"static\", \"chunk\": \"4\"",
+            ),
         ] {
             assert!(text.contains(good), "{good} in {text}");
             let err = TuneDb::from_str(&text.replacen(good, bad, 1)).unwrap_err();
-            assert!(err.contains("\"rhs\"") && err.contains(field), "{err}");
+            let named = format!("entry {kernel:?}: {field}");
+            assert!(err.contains(&named), "{err}");
         }
     }
 
@@ -474,10 +462,21 @@ mod tests {
         assert_eq!(choices.len(), 2);
         assert_eq!(choices[0].0, "rhs");
         assert_eq!(choices[0].1.measured_cost_ns, 80_000);
-        assert_eq!(choices[0].1.vector_width, 4);
-        let widths = db.width_map();
-        assert_eq!(widths.get("rhs"), 4);
-        assert_eq!(widths.get("update"), 1);
-        assert_eq!(widths.get("unknown"), 1, "unmapped kernels stay scalar");
+    }
+
+    #[test]
+    fn retired_vector_width_column_is_ignored_and_never_written() {
+        let j = sample().to_json();
+        let text = j.to_string();
+        assert!(!text.contains("vector_width"), "{text}");
+        // A schema-4 file written without the column loads...
+        assert_eq!(TuneDb::from_str(&text).unwrap(), sample());
+        // ...and one that still carries it, even at a width no request
+        // may spell, loads to the same database with the key ignored.
+        let carried = text.replace("\"iterations\"", "\"vector_width\":3,\"iterations\"");
+        assert_eq!(carried.matches("\"vector_width\"").count(), 2);
+        let loaded = TuneDb::from_str(&carried).unwrap();
+        assert_eq!(loaded, sample());
+        assert_eq!(loaded.to_json(), j);
     }
 }

@@ -9,7 +9,8 @@
 //! model prunes and is reported.**
 //!
 //! * [`space`] enumerates per-kernel candidate configurations
-//!   (worker count × schedule policy × chunk × SLP width), pruned
+//!   (worker count × schedule policy × chunk; lane counts are kernel
+//!   constants, not a search axis), pruned
 //!   **before any measurement** by the stair-step law (never propose a
 //!   `P` whose `ceil(U/P)` duplicates a cheaper one) and the Table 1
 //!   bound.

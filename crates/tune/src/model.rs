@@ -33,9 +33,9 @@ use llp::Policy;
 /// `P·S` is a CPU-time budget, not elapsed time) would count the same
 /// interval once per lane.
 ///
-/// The form has no superword term: candidates differing only in
-/// `vector_width` are priced identically and only measurement
-/// separates them.
+/// The form has no superword term, and needs none: lane counts are
+/// kernel constants, so every candidate runs the same inner loops and
+/// differs only in workers and schedule.
 ///
 /// Degenerate inputs (`work_ns <= 0`, `u < 1`, `workers == 0`) predict
 /// 0 — a modeling hole, not a cost.

@@ -14,40 +14,32 @@
 //!
 //! The surviving worker counts are crossed with the schedule policies
 //! (static, dynamic, guided — small chunk vocabularies, since the
-//! service caps loop extents) and with the SLP lane widths the caller
-//! passes — [`solver::SUPPORTED_WIDTHS`] for a kernel that reads its
-//! width, `[1]` for one that runs the same code at every width — the
-//! paper's loop-level axis times the superword axis, searched as one
-//! space because the best `(P, schedule)` can change with the width
-//! and vice versa.
+//! service caps loop extents): the paper's loop-level axis. Lane counts
+//! are not searched — they are kernel constants (see
+//! [`solver::widths`]), fixed the way the paper fixes the inner loop's
+//! shape, by serial tuning before any parallel run.
 
 use llp::Policy;
 use perfmodel::stairstep::plateau_edges;
 use perfmodel::OverheadBound;
 
-/// One point of the search space: a worker count, a policy, and an SLP
-/// lane width.
+/// One point of the search space: a worker count and a policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Worker count.
     pub workers: usize,
     /// Chunk-scheduling policy.
     pub policy: Policy,
-    /// SLP lane width the kernel runs at (bit-exact at every width, so
-    /// purely a cost axis).
-    pub vector_width: usize,
 }
 
 impl Candidate {
     /// The default configuration the search must always include and
-    /// compare against: every pool worker, static block scheduling,
-    /// lane width 1.
+    /// compare against: every pool worker, static block scheduling.
     #[must_use]
     pub fn default_config(pool_width: usize) -> Self {
         Self {
             workers: pool_width.max(1),
             policy: Policy::Static,
-            vector_width: 1,
         }
     }
 }
@@ -95,20 +87,15 @@ pub fn worker_counts(
 }
 
 /// Enumerate the candidates for one kernel: the pruned worker counts
-/// crossed with the policy vocabulary, crossed with `widths` — the
-/// lane widths worth racing for this kernel. Serial (`P = 1`) gets
-/// only [`Policy::Static`] — scheduling is meaningless without
-/// concurrency — but still every width: the superword axis pays off
-/// regardless of worker count (a serial sweep still runs the wide
-/// inner loops). Parallel counts get static, unit and coarse dynamic
-/// chunks, and guided hand-outs, each at every width. The default
-/// configuration (width 1) is always present.
+/// crossed with the policy vocabulary. Serial (`P = 1`) gets only
+/// [`Policy::Static`] — scheduling is meaningless without concurrency.
+/// Parallel counts get static, unit and coarse dynamic chunks, and
+/// guided hand-outs. The default configuration is always present.
 #[must_use]
 pub fn candidates(
     units: u64,
     pool_width: usize,
     bound: Option<(&OverheadBound, u64)>,
-    widths: &[usize],
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
     for p in worker_counts(units, pool_width, bound) {
@@ -131,13 +118,10 @@ pub fn candidates(
             policies
         };
         for policy in policies {
-            for &vector_width in widths {
-                out.push(Candidate {
-                    workers: p.max(1),
-                    policy,
-                    vector_width,
-                });
-            }
+            out.push(Candidate {
+                workers: p.max(1),
+                policy,
+            });
         }
     }
     let default = Candidate::default_config(pool_width);
@@ -150,7 +134,6 @@ pub fn candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use solver::SUPPORTED_WIDTHS;
 
     #[test]
     fn plateau_pruning_skips_redundant_worker_counts() {
@@ -159,7 +142,7 @@ mod tests {
         // naive sweep's 8 counts shrink to the 5 edges.
         assert_eq!(worker_counts(10, 8, None), vec![1, 2, 3, 4, 5, 8]);
         // (8 survives only because the default config is kept.)
-        let c = candidates(10, 8, None, &SUPPORTED_WIDTHS);
+        let c = candidates(10, 8, None);
         assert!(!c.iter().any(|c| c.workers == 6 || c.workers == 7));
     }
 
@@ -176,7 +159,7 @@ mod tests {
 
     #[test]
     fn serial_gets_static_only_and_default_is_always_present() {
-        let c = candidates(0, 4, None, &SUPPORTED_WIDTHS);
+        let c = candidates(0, 4, None);
         assert!(c.contains(&Candidate::default_config(4)));
         for cand in &c {
             if cand.workers == 1 {
@@ -184,7 +167,7 @@ mod tests {
             }
         }
         // Parallel counts carry the full policy vocabulary.
-        let c = candidates(12, 4, None, &SUPPORTED_WIDTHS);
+        let c = candidates(12, 4, None);
         assert!(c
             .iter()
             .any(|c| c.workers == 4 && c.policy == Policy::Dynamic { chunk: 1 }));
@@ -198,43 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn every_configuration_comes_at_every_width() {
-        // The SLP axis crosses the whole (workers × policy) space:
-        // each distinct (workers, policy) pair appears once per
-        // supported width — including serial.
-        let c = candidates(12, 4, None, &SUPPORTED_WIDTHS);
-        let mut pairs: Vec<(usize, Policy)> = c.iter().map(|c| (c.workers, c.policy)).collect();
-        pairs.sort_by_key(|(w, p)| (*w, format!("{p:?}")));
-        pairs.dedup();
-        assert_eq!(c.len(), pairs.len() * SUPPORTED_WIDTHS.len());
-        for (w, p) in &pairs {
-            for vw in SUPPORTED_WIDTHS {
-                assert!(
-                    c.contains(&Candidate {
-                        workers: *w,
-                        policy: *p,
-                        vector_width: vw
-                    }),
-                    "missing ({w}, {p:?}) at width {vw}"
-                );
-            }
-        }
-        // The default config is the scalar one.
-        assert_eq!(Candidate::default_config(4).vector_width, 1);
-        // A kernel with one body at every width races width 1 only: a
-        // quarter of the space, the default still in it.
-        let narrow = candidates(12, 4, None, &[1]);
-        assert_eq!(narrow.len(), pairs.len());
-        assert!(narrow.iter().all(|c| c.vector_width == 1));
-        assert!(narrow.contains(&Candidate::default_config(4)));
-    }
-
-    #[test]
     fn degenerate_pools_and_overflow_boundaries_never_panic_or_hang() {
         // pool_width == 0: treated as a 1-wide pool, serial only.
         assert_eq!(worker_counts(10, 0, None), vec![1]);
         assert_eq!(worker_counts(0, 0, None), vec![1]);
-        let c = candidates(10, 0, None, &SUPPORTED_WIDTHS);
+        let c = candidates(10, 0, None);
         assert!(c.contains(&Candidate::default_config(0)));
         assert!(c.iter().all(|c| c.workers == 1));
 
@@ -247,7 +198,7 @@ mod tests {
         assert!(counts.contains(&1) && counts.contains(&usize::MAX));
         assert!(counts.iter().all(|&p| p == usize::MAX || p <= 3));
         // The coarse-chunk divisor saturates rather than overflowing.
-        let c = candidates(u64::MAX, 2, None, &SUPPORTED_WIDTHS);
+        let c = candidates(u64::MAX, 2, None);
         assert!(c.iter().all(|c| match c.policy {
             Policy::Dynamic { chunk } => chunk >= 1,
             _ => true,
