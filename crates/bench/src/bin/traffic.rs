@@ -13,20 +13,12 @@ use f3d::costmodel::{cycles_per_point_step, kernel_cost, ImplKind, Kernel};
 use f3d::trace::risc_step_trace;
 use mesh::MultiZoneGrid;
 
-const VOLUME_KERNELS: [Kernel; 5] = [
-    Kernel::Rhs,
-    Kernel::JFactor,
-    Kernel::KFactor,
-    Kernel::LFactor,
-    Kernel::Update,
-];
-
 fn origin2000_mem() -> cachesim::presets::MachineMemory {
     cachesim::presets::origin2000_r12k()
 }
 
 fn demand_mb_per_s(impl_kind: ImplKind, mem: &cachesim::presets::MachineMemory) -> f64 {
-    let bytes: f64 = VOLUME_KERNELS
+    let bytes: f64 = Kernel::VOLUME
         .iter()
         .map(|&k| kernel_cost(k, impl_kind).unique_bytes_per_point)
         .sum();

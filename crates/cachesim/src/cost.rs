@@ -25,28 +25,40 @@ pub struct CycleModel {
 }
 
 impl CycleModel {
+    /// The one serial price: `instr` instructions issued at `efficiency`
+    /// of the issue width (pixie's perfect-memory cycles), plus L1
+    /// misses served by L2, misses to memory and TLB misses, each times
+    /// its penalty. Counts are `f64` so `f3d`'s per-point cost table
+    /// prices average rates through it too.
+    #[must_use]
+    pub fn cycles(&self, instr: f64, efficiency: f64, l1_only: f64, memory: f64, tlb: f64) -> f64 {
+        assert!(self.issue_width > 0.0, "issue width must be positive");
+        instr / (self.issue_width * efficiency)
+            + (l1_only * self.l1_miss_penalty
+                + memory * self.l2_miss_penalty
+                + tlb * self.tlb_miss_penalty)
+    }
+
     /// Perfect-memory cycles for `instructions` instructions — what
     /// pixie would report.
     #[must_use]
     pub fn pixie_cycles(&self, instructions: u64) -> f64 {
-        assert!(self.issue_width > 0.0, "issue width must be positive");
-        instructions as f64 / self.issue_width
+        self.total_cycles(instructions, &Counters::default())
     }
 
-    /// Memory stall cycles implied by the counters. L1 misses that also
-    /// missed L2 are charged only the (larger) L2 penalty.
+    /// Memory stall cycles implied by the counters.
     #[must_use]
     pub fn stall_cycles(&self, c: &Counters) -> f64 {
-        let l1_only = c.l1_misses.saturating_sub(c.l2_misses);
-        l1_only as f64 * self.l1_miss_penalty
-            + c.l2_misses as f64 * self.l2_miss_penalty
-            + c.tlb_misses as f64 * self.tlb_miss_penalty
+        self.total_cycles(0, c)
     }
 
-    /// Total modeled cycles: pixie + stalls.
+    /// Total modeled cycles: pixie + stalls. L1 misses that also missed
+    /// L2 are charged only the (larger) L2 penalty.
     #[must_use]
     pub fn total_cycles(&self, instructions: u64, c: &Counters) -> f64 {
-        self.pixie_cycles(instructions) + self.stall_cycles(c)
+        let l1_only = c.l1_misses.saturating_sub(c.l2_misses) as f64;
+        let (memory, tlb) = (c.l2_misses as f64, c.tlb_misses as f64);
+        self.cycles(instructions as f64, 1.0, l1_only, memory, tlb)
     }
 
     /// The paper's prof-minus-pixie subtraction, as a fraction: what
@@ -59,13 +71,6 @@ impl CycleModel {
         } else {
             self.stall_cycles(c) / total
         }
-    }
-
-    /// Seconds for the modeled cycles at `clock_hz`.
-    #[must_use]
-    pub fn seconds(&self, instructions: u64, c: &Counters, clock_hz: f64) -> f64 {
-        assert!(clock_hz > 0.0, "clock must be positive");
-        self.total_cycles(instructions, c) / clock_hz
     }
 }
 
@@ -184,12 +189,16 @@ mod tests {
     }
 
     #[test]
-    fn seconds_at_clock() {
+    fn one_core_prices_counters_and_rates() {
         let m = CycleModel::default();
-        let c = counters(0, 0, 0);
-        // 2e8 instructions at 2-wide = 1e8 cycles = 1/3 s at 300 MHz.
-        let s = m.seconds(200_000_000, &c, 300e6);
-        assert!((s - 1.0 / 3.0).abs() < 1e-9);
+        let c = counters(10, 4, 2);
+        // The counter methods are the core at full issue efficiency.
+        let core = m.cycles(1000.0, 1.0, 6.0, 4.0, 2.0);
+        assert_eq!(m.total_cycles(1000, &c).to_bits(), core.to_bits());
+        // Half the issue rate doubles the pixie cycles; fractional
+        // per-point rates price like counts.
+        let half = m.cycles(1000.0, 0.5, 0.6, 0.4, 0.2);
+        assert!((half - (1000.0 + 6.0 + 32.0 + 10.0)).abs() < 1e-9);
     }
 
     #[test]

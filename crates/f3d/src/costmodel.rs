@@ -25,9 +25,13 @@
 //! the Convex Exemplar anecdote (vector version ≫ a day for 10 steps of
 //! a 3M case; tuned version ~70 minutes).
 //!
+//! The price itself is the machine's one serial price,
+//! [`cachesim::CycleModel::cycles`]; this module supplies the per-point
+//! rates:
+//!
 //! ```text
 //! cycles/point = flops·instr_per_flop / (issue_width·issue_efficiency)
-//!              + (unique_bytes / line) · conflict · miss_penalty
+//!              + (unique_bytes / line) · conflict · l2_miss_penalty
 //!              + tlb_misses · tlb_penalty
 //! ```
 
@@ -63,6 +67,16 @@ pub enum Kernel {
 }
 
 impl Kernel {
+    /// The volume kernels of one time step — the parallel loops of the
+    /// paper's schedule — in execution order.
+    pub const VOLUME: [Kernel; 5] = [
+        Kernel::Rhs,
+        Kernel::JFactor,
+        Kernel::KFactor,
+        Kernel::LFactor,
+        Kernel::Update,
+    ];
+
     /// All kernels of one time step, in execution order.
     pub const STEP_ORDER: [Kernel; 7] = [
         Kernel::Rhs,
@@ -91,36 +105,22 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// Modelled cycles per point on `mem`.
+    /// Modelled cycles per point on `mem`: the machine's
+    /// [`cachesim::CycleModel::cycles`] over this kernel's per-point
+    /// instructions, issue efficiency and misses — its unique bytes in
+    /// last-level lines are misses to memory, and its TLB misses.
     #[must_use]
     pub fn cycles_per_point(&self, mem: &MachineMemory) -> f64 {
         let instr = self.flops_per_point as f64 * self.instr_per_flop;
-        let compute = instr / (mem.cost.issue_width * self.issue_efficiency);
         let line = mem.l2.map_or(mem.l1.line_bytes, |c| c.line_bytes) as f64;
         // Direct-mapped last-level caches suffer conflict misses the
         // set-associative ones avoid.
         let assoc = mem.l2.map_or(mem.l1.associativity, |c| c.associativity);
         let conflict = if assoc == 1 { 1.4 } else { 1.0 };
-        let miss_penalty = mem.cost.l2_miss_penalty.max(mem.cost.l1_miss_penalty);
-        let stalls = self.unique_bytes_per_point / line * conflict * miss_penalty
-            + self.tlb_misses_per_point * mem.cost.tlb_miss_penalty;
-        compute + stalls
-    }
-
-    /// The memory-stall share of this kernel's cycles on `mem` — the
-    /// prof-minus-pixie fraction of Section 6.
-    #[must_use]
-    pub fn stall_fraction(&self, mem: &MachineMemory) -> f64 {
-        let total = self.cycles_per_point(mem);
-        let instr = self.flops_per_point as f64 * self.instr_per_flop;
-        let compute = instr / (mem.cost.issue_width * self.issue_efficiency);
-        (total - compute) / total
-    }
-
-    /// Modelled delivered MFLOPS of this kernel alone on `mem`.
-    #[must_use]
-    pub fn mflops(&self, mem: &MachineMemory) -> f64 {
-        self.flops_per_point as f64 / self.cycles_per_point(mem) * mem.clock_hz / 1e6
+        let misses = self.unique_bytes_per_point / line * conflict;
+        let tlb = self.tlb_misses_per_point;
+        mem.cost
+            .cycles(instr, self.issue_efficiency, 0.0, misses, tlb)
     }
 }
 
@@ -200,31 +200,19 @@ pub fn kernel_cost_on(kernel: Kernel, impl_kind: ImplKind, mem: &MachineMemory) 
 /// Total modelled cycles per interior point per time step.
 #[must_use]
 pub fn cycles_per_point_step(impl_kind: ImplKind, mem: &MachineMemory) -> f64 {
-    [
-        Kernel::Rhs,
-        Kernel::JFactor,
-        Kernel::KFactor,
-        Kernel::LFactor,
-        Kernel::Update,
-    ]
-    .iter()
-    .map(|&k| kernel_cost_on(k, impl_kind, mem).cycles_per_point(mem))
-    .sum()
+    Kernel::VOLUME
+        .iter()
+        .map(|&k| kernel_cost_on(k, impl_kind, mem).cycles_per_point(mem))
+        .sum()
 }
 
 /// Total flops per interior point per step (volume kernels only).
 #[must_use]
 pub fn flops_per_point_step() -> u64 {
-    [
-        Kernel::Rhs,
-        Kernel::JFactor,
-        Kernel::KFactor,
-        Kernel::LFactor,
-        Kernel::Update,
-    ]
-    .iter()
-    .map(|&k| kernel_cost(k, ImplKind::Risc).flops_per_point)
-    .sum()
+    Kernel::VOLUME
+        .iter()
+        .map(|&k| kernel_cost(k, ImplKind::Risc).flops_per_point)
+        .sum()
 }
 
 /// The modelled serial-tuning speedup: vector cycles / tuned cycles on
@@ -331,16 +319,10 @@ mod tests {
         // limit. Check our model's demand rate on the R12000 is the
         // same order and under the limit.
         let mem = presets::origin2000_r12k();
-        let bytes: f64 = [
-            Kernel::Rhs,
-            Kernel::JFactor,
-            Kernel::KFactor,
-            Kernel::LFactor,
-            Kernel::Update,
-        ]
-        .iter()
-        .map(|&k| kernel_cost(k, ImplKind::Risc).unique_bytes_per_point)
-        .sum();
+        let bytes: f64 = Kernel::VOLUME
+            .iter()
+            .map(|&k| kernel_cost(k, ImplKind::Risc).unique_bytes_per_point)
+            .sum();
         let secs_per_point = cycles_per_point_step(ImplKind::Risc, &mem) / mem.clock_hz;
         let mb_per_s = bytes / secs_per_point / 1e6;
         assert!(
@@ -377,14 +359,44 @@ mod tests {
         assert_eq!(on_origin, kernel_cost(Kernel::JFactor, ImplKind::Risc));
     }
 
+    /// The per-point price written out on its own, charging memory
+    /// misses the larger of the two miss penalties — the reference
+    /// `cycles_per_point` must reproduce bit for bit on every preset.
+    fn closed_form_cycles_per_point(c: &KernelCost, mem: &MachineMemory) -> f64 {
+        let instr = c.flops_per_point as f64 * c.instr_per_flop;
+        let compute = instr / (mem.cost.issue_width * c.issue_efficiency);
+        let line = mem.l2.map_or(mem.l1.line_bytes, |c| c.line_bytes) as f64;
+        let assoc = mem.l2.map_or(mem.l1.associativity, |c| c.associativity);
+        let conflict = if assoc == 1 { 1.4 } else { 1.0 };
+        let miss_penalty = mem.cost.l2_miss_penalty.max(mem.cost.l1_miss_penalty);
+        compute
+            + (c.unique_bytes_per_point / line * conflict * miss_penalty
+                + c.tlb_misses_per_point * mem.cost.tlb_miss_penalty)
+    }
+
+    #[test]
+    fn cycles_per_point_equals_the_closed_form_bit_for_bit() {
+        for mem in presets::all() {
+            for k in Kernel::STEP_ORDER {
+                for i in [ImplKind::Vector, ImplKind::Risc] {
+                    let c = kernel_cost_on(k, i, &mem);
+                    assert_eq!(
+                        c.cycles_per_point(&mem).to_bits(),
+                        closed_form_cycles_per_point(&c, &mem).to_bits(),
+                        "{} {k:?} {i:?}",
+                        mem.name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn all_kernels_priced_for_both_impls() {
         let mem = presets::origin2000_r12k();
         for k in Kernel::STEP_ORDER {
             for i in [ImplKind::Vector, ImplKind::Risc] {
-                let c = kernel_cost(k, i);
-                assert!(c.cycles_per_point(&mem) > 0.0);
-                assert!(c.mflops(&mem) > 0.0);
+                assert!(kernel_cost(k, i).cycles_per_point(&mem) > 0.0);
             }
         }
     }

@@ -77,15 +77,10 @@ pub fn risc_zone_trace(zone: &mesh::ZoneSpec, mem: &MachineMemory) -> WorkloadTr
     let page_bytes = 16 << 10;
     let d = zone.dims;
     let pts = d.points() as u64;
-    for kernel in [
-        Kernel::Rhs,
-        Kernel::JFactor,
-        Kernel::KFactor,
-        Kernel::LFactor,
-        Kernel::Update,
-    ] {
+    for kernel in Kernel::VOLUME {
         let axis = kernel_parallel_axis(kernel).expect("volume kernels are parallel");
-        let cost = kernel_cost_on(kernel, ImplKind::Risc, mem);
+        let name = format!("{}:{kernel:?}", zone.name);
+        let work = priced(name, pts, kernel, ImplKind::Risc, mem);
         let sharing = page_sharing(
             d,
             Layout::jkl(),
@@ -94,25 +89,38 @@ pub fn risc_zone_trace(zone: &mesh::ZoneSpec, mem: &MachineMemory) -> WorkloadTr
             page_bytes,
         );
         t.parallel(ParallelLoop {
-            name: format!("{}:{kernel:?}", zone.name),
+            name: work.name,
             parallelism: d.extent(axis) as u64,
-            work_cycles: pts as f64 * cost.cycles_per_point(mem),
-            flops: pts * cost.flops_per_point,
-            traffic_bytes: pts as f64 * cost.unique_bytes_per_point,
+            work_cycles: work.work_cycles,
+            flops: work.flops,
+            traffic_bytes: work.traffic_bytes,
             shared_page_fraction: sharing.shared_fraction(),
         });
     }
     // Boundary conditions: serial, face points only (Table 2's
     // justification for leaving them so).
-    let bc_cost = kernel_cost_on(Kernel::Bc, ImplKind::Risc, mem);
-    let fpts = face_points(d);
-    t.serial(SerialWork {
-        name: format!("{}:Bc", zone.name),
-        work_cycles: fpts as f64 * bc_cost.cycles_per_point(mem),
-        flops: fpts * bc_cost.flops_per_point,
-        traffic_bytes: fpts as f64 * bc_cost.unique_bytes_per_point,
-    });
+    let bc = format!("{}:Bc", zone.name);
+    t.serial(priced(bc, face_points(d), Kernel::Bc, ImplKind::Risc, mem));
     t
+}
+
+/// `pts` points of `kernel` in implementation `imp`, priced on `mem`
+/// ([`kernel_cost_on`]): the phase's work, flops and traffic. Every
+/// trace phase is built from it.
+fn priced(
+    name: String,
+    pts: u64,
+    kernel: Kernel,
+    imp: ImplKind,
+    mem: &MachineMemory,
+) -> SerialWork {
+    let cost = kernel_cost_on(kernel, imp, mem);
+    SerialWork {
+        name,
+        work_cycles: pts as f64 * cost.cycles_per_point(mem),
+        flops: pts * cost.flops_per_point,
+        traffic_bytes: pts as f64 * cost.unique_bytes_per_point,
+    }
 }
 
 /// Per-zone one-step traces, in zone order — the MLP inputs for
@@ -130,16 +138,11 @@ pub fn risc_zone_traces(grid: &MultiZoneGrid, mem: &MachineMemory) -> Vec<Worklo
 #[must_use]
 pub fn injection_trace(grid: &MultiZoneGrid, mem: &MachineMemory) -> WorkloadTrace {
     let mut t = WorkloadTrace::new();
-    let inj_cost = kernel_cost_on(Kernel::Inject, ImplKind::Risc, mem);
     for iface in grid.interfaces() {
         let d = grid.zones()[iface.upstream].dims;
         let pts = (d.k * d.l) as u64 * 2; // both overlap planes
-        t.serial(SerialWork {
-            name: format!("inject:{}->{}", iface.upstream, iface.downstream),
-            work_cycles: pts as f64 * inj_cost.cycles_per_point(mem),
-            flops: pts * inj_cost.flops_per_point,
-            traffic_bytes: pts as f64 * inj_cost.unique_bytes_per_point,
-        });
+        let name = format!("inject:{}->{}", iface.upstream, iface.downstream);
+        t.serial(priced(name, pts, Kernel::Inject, ImplKind::Risc, mem));
     }
     t
 }
@@ -229,29 +232,12 @@ pub fn vector_step_trace(grid: &MultiZoneGrid, mem: &MachineMemory) -> WorkloadT
     for zone in grid.zones() {
         let d = zone.dims;
         let pts = d.points() as u64;
-        for kernel in [
-            Kernel::Rhs,
-            Kernel::JFactor,
-            Kernel::KFactor,
-            Kernel::LFactor,
-            Kernel::Update,
-        ] {
-            let cost = kernel_cost_on(kernel, ImplKind::Vector, mem);
-            t.serial(SerialWork {
-                name: format!("{}:{kernel:?}", zone.name),
-                work_cycles: pts as f64 * cost.cycles_per_point(mem),
-                flops: pts * cost.flops_per_point,
-                traffic_bytes: pts as f64 * cost.unique_bytes_per_point,
-            });
+        for kernel in Kernel::VOLUME {
+            let name = format!("{}:{kernel:?}", zone.name);
+            t.serial(priced(name, pts, kernel, ImplKind::Vector, mem));
         }
-        let bc_cost = kernel_cost_on(Kernel::Bc, ImplKind::Vector, mem);
-        let fpts = face_points(d);
-        t.serial(SerialWork {
-            name: format!("{}:Bc", zone.name),
-            work_cycles: fpts as f64 * bc_cost.cycles_per_point(mem),
-            flops: fpts * bc_cost.flops_per_point,
-            traffic_bytes: fpts as f64 * bc_cost.unique_bytes_per_point,
-        });
+        let (bc, fpts) = (format!("{}:Bc", zone.name), face_points(d));
+        t.serial(priced(bc, fpts, Kernel::Bc, ImplKind::Vector, mem));
     }
     t
 }

@@ -22,7 +22,7 @@
 use crate::obs::KernelSummary;
 use crate::schedule::Policy;
 use perfmodel::overhead::OverheadBound;
-use perfmodel::stairstep::ideal_speedup;
+use perfmodel::stairstep::{critical_path, ideal_speedup, max_units_per_processor};
 
 /// Why a loop was or was not recommended for parallelization.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,11 +162,11 @@ impl Advisor {
                 required_cycles: required,
             };
         }
-        let stair = ideal_speedup(report.parallelism, self.processors);
-        // Parallel time per invocation = serial/stair + sync cost.
+        // Parallel time per invocation = critical path + sync cost.
         let serial_s = report.seconds_per_invocation();
+        let m = max_units_per_processor(report.parallelism, self.processors);
         let sync_s = self.bound.sync_cost_cycles as f64 / self.clock_hz;
-        let par_s = serial_s / stair + sync_s;
+        let par_s = critical_path(serial_s, report.parallelism, m) + sync_s;
         LoopDecision::Parallelize {
             predicted_speedup: serial_s / par_s,
         }
@@ -237,8 +237,9 @@ impl Advisor {
             let decision = self.judge(r);
             match decision {
                 LoopDecision::Parallelize { .. } => {
-                    let stair = ideal_speedup(r.parallelism, self.processors);
-                    predicted_time += r.seconds / stair + sync_s * r.invocations as f64;
+                    let m = max_units_per_processor(r.parallelism, self.processors);
+                    predicted_time +=
+                        critical_path(r.seconds, r.parallelism, m) + sync_s * r.invocations as f64;
                 }
                 _ => {
                     serial_time += r.seconds;

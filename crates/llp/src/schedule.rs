@@ -183,14 +183,19 @@ impl Policy {
         }
     }
 
-    /// Ideal makespan of this policy in units of one iteration's work,
-    /// computed by list-scheduling the chunk list onto `p` workers
-    /// (greedy earliest-finish, which is how a work queue behaves for
-    /// uniform iterations). `p == 0` degenerates to serial: `n`.
+    /// Ideal makespan of this policy in units of one iteration's work:
+    /// `ceil(n/p)` ([`perfmodel::max_units_per_processor`]) for `Static`;
+    /// otherwise the chunk list list-scheduled onto `p` workers (greedy
+    /// earliest-finish, which is how a work queue behaves for uniform
+    /// iterations). `p == 0` degenerates to serial: `n`.
     #[must_use]
     pub fn ideal_makespan(&self, n: usize, p: usize) -> usize {
-        if p == 0 {
+        if p == 0 || n == 0 {
             return n;
+        }
+        if *self == Policy::Static {
+            let p = u32::try_from(p).unwrap_or(u32::MAX);
+            return perfmodel::max_units_per_processor(n as u64, p) as usize;
         }
         let chunks = self.chunks(n, p);
         let mut loads = vec![0usize; p];
@@ -314,6 +319,8 @@ mod tests {
                 // Which equals ceil(n/p) because p.min(n) only matters
                 // when p > n, where both give 1.
                 assert_eq!(max_chunk, Some(n.div_ceil(p)), "n={n} p={p}");
+                // The static makespan is that chunk: the stair step.
+                assert_eq!(Some(Policy::Static.ideal_makespan(n, p)), max_chunk);
             }
         }
     }

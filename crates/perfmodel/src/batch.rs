@@ -12,7 +12,7 @@
 //! `Err(message)` naming the offending value, so panics in the
 //! underlying models become unreachable.
 
-use crate::overhead::min_work_for_overhead;
+use crate::overhead::checked_min_work;
 use crate::stairstep::{ideal_speedup, max_units_per_processor};
 use crate::work_per_sync::{GridNest, LoopLevel};
 
@@ -84,7 +84,9 @@ pub struct OverheadPoint {
 ///
 /// # Errors
 /// Rejects non-finite or out-of-range `max_overhead_fraction` (must be
-/// in `(0, 1]`), any `processors == 0`, and empty or oversized batches.
+/// in `(0, 1]`), any `processors == 0`, any point whose bound does not
+/// fit in `u64` (naming its processor count), and empty or oversized
+/// batches.
 pub fn overhead_batch(
     sync_cost_cycles: u64,
     max_overhead_fraction: f64,
@@ -102,9 +104,11 @@ pub fn overhead_batch(
             if p == 0 {
                 return Err("processors must be positive".to_string());
             }
+            let min_work_cycles = checked_min_work(sync_cost_cycles, p, max_overhead_fraction)
+                .ok_or_else(|| format!("minimum work overflows u64 at {p} processors"))?;
             Ok(OverheadPoint {
                 processors: p,
-                min_work_cycles: min_work_for_overhead(sync_cost_cycles, p, max_overhead_fraction),
+                min_work_cycles,
             })
         })
         .collect()
@@ -197,6 +201,18 @@ mod tests {
         assert!(overhead_batch(10_000, f64::INFINITY, &[2]).is_err());
         assert!(overhead_batch(10_000, 0.01, &[0]).is_err());
         assert!(overhead_batch(10_000, 0.01, &[]).is_err());
+        // A bound past u64 is rejected, naming P, not saturated.
+        assert_eq!(
+            overhead_batch(10_000, 1e-320, &[2]),
+            Err("minimum work overflows u64 at 2 processors".to_string())
+        );
+        assert_eq!(
+            overhead_batch(u64::MAX, 1.0, &[u32::MAX]),
+            Err(format!(
+                "minimum work overflows u64 at {} processors",
+                u32::MAX
+            ))
+        );
     }
 
     #[test]

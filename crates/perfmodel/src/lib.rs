@@ -12,7 +12,8 @@
 //!   nest makes available between barriers.
 //! * [`stairstep`] — the stair-step speedup law behind Table 3 and
 //!   Figure 1: the ideal speedup of a loop with a finite number of
-//!   parallel units under static scheduling, and the zone-weighted
+//!   parallel units under static scheduling, the one region price
+//!   ([`critical_path`]), and the zone-weighted
 //!   processor apportionment multi-level parallelism (Section 8) lifts
 //!   that ceiling with.
 //! * [`batch`] — validated, non-panicking batch evaluation of the three
@@ -47,6 +48,7 @@ pub use overhead::{
     max_efficient_processors, min_work_for_overhead, OverheadBound, PAPER_OVERHEAD_FRACTION,
 };
 pub use stairstep::{
-    ideal_speedup, max_units_per_processor, partition_processors, plateau_edges, speedup_curve,
+    critical_path, ideal_speedup, max_units_per_processor, partition_processors, plateau_edges,
+    speedup_curve,
 };
 pub use work_per_sync::{GridNest, LoopLevel, WorkPerSync};

@@ -121,17 +121,26 @@ impl OverheadBound {
 ///
 /// # Panics
 /// Panics if `processors == 0` or `max_fraction` is not in `(0, 1]`.
+/// A bound past `u64` (a tiny `max_fraction`, a huge `P · S`)
+/// saturates to `u64::MAX`; [`crate::overhead_batch`] rejects it.
 #[must_use]
 pub fn min_work_for_overhead(sync_cost_cycles: u64, processors: u32, max_fraction: f64) -> u64 {
+    checked_min_work(sync_cost_cycles, processors, max_fraction).unwrap_or(u64::MAX)
+}
+
+/// [`min_work_for_overhead`], or `None` when the bound does not fit in
+/// `u64` (including an infinite one).
+pub(crate) fn checked_min_work(sync_cost_cycles: u64, processors: u32, f: f64) -> Option<u64> {
     assert!(processors > 0, "processor count must be positive");
     assert!(
-        max_fraction > 0.0 && max_fraction <= 1.0,
-        "overhead fraction must be in (0, 1], got {max_fraction}"
+        f > 0.0 && f <= 1.0,
+        "overhead fraction must be in (0, 1], got {f}"
     );
-    let w = u64::from(processors) as f64 * sync_cost_cycles as f64 / max_fraction;
     // The model values divide exactly for the paper's parameters; ceil so
     // the bound is conservative for fractions that do not.
-    w.ceil() as u64
+    let w = (u64::from(processors) as f64 * sync_cost_cycles as f64 / f).ceil();
+    // `u64::MAX as f64` is 2^64, the first value that does not fit.
+    (w < u64::MAX as f64).then_some(w as u64)
 }
 
 /// The largest processor count on which a loop with `work_cycles` of

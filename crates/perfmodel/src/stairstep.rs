@@ -36,6 +36,18 @@ pub fn max_units_per_processor(units: u64, processors: u32) -> u64 {
     units.div_ceil(u64::from(processors))
 }
 
+/// The one region price: the critical path's share of a loop's `work`
+/// (cycles, seconds or bytes), `work · makespan / units`. `makespan` is
+/// the most units any one worker runs — [`max_units_per_processor`]
+/// under static scheduling, which gives the paper's `W · ceil(U/P) / U`.
+/// The `llp` advisor, the `tune` model and both `smpsim` machines call
+/// it; a region costs this plus its synchronization.
+#[must_use]
+#[allow(clippy::cast_precision_loss)]
+pub fn critical_path(work: f64, units: u64, makespan: u64) -> f64 {
+    work * makespan as f64 / units as f64
+}
+
 /// Ideal (overhead-free) speedup of a loop with `units` units of
 /// parallelism on `processors` processors under static scheduling:
 /// `units / ceil(units / processors)`.
@@ -244,6 +256,16 @@ mod tests {
         let edges = plateau_edges(70, 70);
         for e in [14u32, 18, 24, 35, 70] {
             assert!(edges.contains(&e), "edge {e} missing from {edges:?}");
+        }
+    }
+
+    #[test]
+    fn critical_path_is_the_stair_steps_share() {
+        // 15 units on 4 processors: one processor runs 4 of them.
+        assert_eq!(critical_path(15.0, 15, max_units_per_processor(15, 4)), 4.0);
+        for (units, p) in [(15u64, 8u32), (70, 48), (350, 104)] {
+            let share = critical_path(1.0, units, max_units_per_processor(units, p));
+            assert!((share - 1.0 / ideal_speedup(units, p)).abs() < 1e-15);
         }
     }
 

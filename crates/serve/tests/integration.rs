@@ -581,6 +581,8 @@ fn model_endpoints_answer_the_paper_tables() {
         "/v1/model/stairstep?units=0&processors=1",
         "/v1/model/stairstep?units=15&processors=1&junk=2",
         "/v1/model/overhead?sync_cost=1&fraction=nope&processors=1",
+        // A bound past u64 is a 400, not a saturated 200.
+        "/v1/model/overhead?sync_cost=10000&processors=2&fraction=1e-320",
         "/v1/model/work_per_sync?dims=0&work_per_point=1",
     ] {
         let reply = get(addr, bad);

@@ -3,7 +3,7 @@
 
 use crate::contention::contention_multiplier;
 use crate::machine::MachineConfig;
-use crate::workload::{Phase, WorkloadTrace};
+use crate::workload::{ParallelLoop, Phase, WorkloadTrace};
 
 /// Timing breakdown of one phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,6 +112,61 @@ impl ExecReport {
     }
 }
 
+/// The phase loop of both machine models, `machine` being `(name,
+/// installed processors, clock Hz)`. A serial phase costs `W / clock`;
+/// a parallel one its critical path ([`perfmodel::critical_path`] at
+/// `ceil(U/P)`) plus the machine's per-region term, `region(loop,
+/// processors used, compute seconds, critical-path bytes) -> (sync,
+/// numa)` seconds — the only thing the SMP and the MPP differ in.
+pub(crate) fn execute_phases(
+    (name, max_processors, clock_hz): (&str, u32, f64),
+    trace: &WorkloadTrace,
+    processors: u32,
+    region: impl Fn(&ParallelLoop, u32, f64, f64) -> (f64, f64),
+) -> ExecReport {
+    assert!(processors > 0, "processor count must be positive");
+    assert!(
+        processors <= max_processors,
+        "{name} has only {max_processors} processors (asked for {processors})"
+    );
+    let phases: Vec<PhaseTime> = trace
+        .phases
+        .iter()
+        .map(|phase| match phase {
+            Phase::Serial(s) => PhaseTime {
+                name: s.name.clone(),
+                compute_seconds: s.work_cycles / clock_hz,
+                sync_seconds: 0.0,
+                numa_seconds: 0.0,
+                parallelism: 0,
+                processors_used: 1,
+            },
+            Phase::Parallel(p) => {
+                let u = p.parallelism.max(1);
+                let m = perfmodel::max_units_per_processor(u, processors);
+                let compute_seconds = perfmodel::critical_path(p.work_cycles, u, m) / clock_hz;
+                let p_used = u32::try_from(u.min(u64::from(processors))).expect("fits");
+                let bytes = perfmodel::critical_path(p.traffic_bytes, u, m);
+                let (sync_seconds, numa_seconds) = region(p, p_used, compute_seconds, bytes);
+                PhaseTime {
+                    name: p.name.clone(),
+                    compute_seconds,
+                    sync_seconds,
+                    numa_seconds,
+                    parallelism: u,
+                    processors_used: p_used,
+                }
+            }
+        })
+        .collect();
+    ExecReport {
+        processors,
+        seconds: phases.iter().map(PhaseTime::seconds).sum(),
+        flops: trace.total_flops(),
+        phases,
+    }
+}
+
 /// A machine ready to execute traces.
 ///
 /// ```
@@ -178,69 +233,19 @@ impl Machine {
     /// Panics if `processors == 0` or exceeds the installed count.
     #[must_use]
     pub fn execute(&self, trace: &WorkloadTrace, processors: u32) -> ExecReport {
-        assert!(processors > 0, "processor count must be positive");
-        assert!(
-            processors <= self.config.max_processors,
-            "{} has only {} processors (asked for {})",
-            self.config.name,
-            self.config.max_processors,
-            processors
-        );
         let cfg = &self.config;
-        let mut phases = Vec::with_capacity(trace.phases.len());
-        let mut flops = 0u64;
-        for phase in &trace.phases {
-            flops += phase.flops();
-            let pt = match phase {
-                Phase::Serial(s) => PhaseTime {
-                    name: s.name.clone(),
-                    compute_seconds: cfg.seconds(s.work_cycles),
-                    sync_seconds: 0.0,
-                    numa_seconds: 0.0,
-                    parallelism: 0,
-                    processors_used: 1,
-                },
-                Phase::Parallel(p) => {
-                    let u = p.parallelism.max(1);
-                    let p_used = u32::try_from(u64::from(processors).min(u)).expect("fits");
-                    let chunk_factor =
-                        perfmodel::max_units_per_processor(u, processors) as f64 / u as f64;
-                    let compute_seconds = cfg.seconds(p.work_cycles * chunk_factor);
-
-                    // NUMA surcharge on the critical-path worker's bytes.
-                    let bytes = p.traffic_bytes * chunk_factor;
-                    let off = cfg.numa.off_node_fraction(processors);
-                    // Harmonic blend: local and remote bytes move in
-                    // sequence, so times add (a slow remote path cannot
-                    // be averaged away by a fast local one).
-                    let bw_eff =
-                        1e6 / ((1.0 - off) / cfg.numa.local_bw_mbs + off / cfg.numa.remote_bw_mbs);
-                    let mult = contention_multiplier(
-                        p.shared_page_fraction,
-                        p_used,
-                        cfg.numa.contention_coeff,
-                    );
-                    let numa_seconds = (bytes / bw_eff * mult - compute_seconds).max(0.0);
-
-                    PhaseTime {
-                        name: p.name.clone(),
-                        compute_seconds,
-                        sync_seconds: cfg.sync_seconds(processors),
-                        numa_seconds,
-                        parallelism: u,
-                        processors_used: p_used,
-                    }
-                }
-            };
-            phases.push(pt);
-        }
-        let seconds = phases.iter().map(PhaseTime::seconds).sum();
-        ExecReport {
-            processors,
-            seconds,
-            flops,
-            phases,
-        }
+        let numa = &cfg.numa;
+        let machine = (cfg.name, cfg.max_processors, cfg.clock_hz);
+        execute_phases(machine, trace, processors, |p, p_used, compute_s, bytes| {
+            let off = numa.off_node_fraction(processors);
+            // Harmonic blend: local and remote bytes move in sequence,
+            // so times add (a slow remote path cannot be averaged away
+            // by a fast local one).
+            let bw_eff = 1e6 / ((1.0 - off) / numa.local_bw_mbs + off / numa.remote_bw_mbs);
+            let mult = contention_multiplier(p.shared_page_fraction, p_used, numa.contention_coeff);
+            let numa_seconds = (bytes / bw_eff * mult - compute_s).max(0.0);
+            (cfg.sync_seconds(processors), numa_seconds)
+        })
     }
 
     /// Execute a set of independent traces **concurrently** on disjoint

@@ -6,7 +6,9 @@
 //! deliberately the *paper's own* model, made executable:
 //!
 //! * parallel loops complete when the largest static chunk completes —
-//!   the stair-step law (Section 4);
+//!   the stair-step law (Section 4), priced by
+//!   `perfmodel::critical_path` for both machine models ([`exec`] and
+//!   [`mpp`]);
 //! * every parallel region exit costs one synchronization event, with a
 //!   cost that grows with the processor count and the memory system
 //!   (Section 3, "2,000 to 1-million cycles");

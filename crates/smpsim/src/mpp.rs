@@ -12,9 +12,14 @@
 //!    size from 16 to 128 KB, it was impossible to perform many of the
 //!    cache optimizations" → priced by `f3d::costmodel::kernel_cost_on`
 //!    when the trace is generated against a small-cache memory preset.
+//!
+//! [`MppConfig::execute`] runs the SMP model's own phase loop
+//! (`exec::execute_phases`): the same critical-path compute, with only
+//! the per-region term swapped — barrier plus halo exchange where the
+//! SMP pays `sync(P)` plus its NUMA surcharge.
 
-use crate::exec::{ExecReport, PhaseTime};
-use crate::workload::{Phase, WorkloadTrace};
+use crate::exec::{execute_phases, ExecReport};
+use crate::workload::WorkloadTrace;
 
 /// A message-passing machine model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,64 +74,24 @@ pub fn workstation_cluster_mpi() -> MppConfig {
 impl MppConfig {
     /// Execute a trace with message-passing loop-level parallelism.
     ///
-    /// Per parallel region: stair-step compute (identical to the SMP
-    /// model) plus a communication phase — a log-tree barrier
-    /// (`latency × ceil(log2 P)`) and the per-worker halo exchange
-    /// (`traffic × halo_fraction × chunk / bandwidth + 2 latency`).
+    /// Per parallel region: the critical-path compute every machine
+    /// pays (`exec::execute_phases`) plus a communication phase — a
+    /// log-tree barrier (`latency × ceil(log2 P)`) and the per-worker
+    /// halo exchange
+    /// (`critical-path bytes × halo_fraction / bandwidth + 2 latency`).
     /// Serial phases run on one processor with no communication.
     ///
     /// # Panics
     /// Panics if `processors` is zero or exceeds the machine.
     #[must_use]
     pub fn execute(&self, trace: &WorkloadTrace, processors: u32) -> ExecReport {
-        assert!(processors > 0, "processor count must be positive");
-        assert!(
-            processors <= self.max_processors,
-            "{} has only {} processors",
-            self.name,
-            self.max_processors
-        );
-        let mut phases = Vec::with_capacity(trace.phases.len());
-        let mut flops = 0u64;
         let barrier = self.latency_s * f64::from(processors).log2().ceil().max(1.0);
-        for phase in &trace.phases {
-            flops += phase.flops();
-            let pt = match phase {
-                Phase::Serial(s) => PhaseTime {
-                    name: s.name.clone(),
-                    compute_seconds: s.work_cycles / self.clock_hz,
-                    sync_seconds: 0.0,
-                    numa_seconds: 0.0,
-                    parallelism: 0,
-                    processors_used: 1,
-                },
-                Phase::Parallel(p) => {
-                    let chunk_factor =
-                        perfmodel::max_units_per_processor(p.parallelism.max(1), processors) as f64
-                            / p.parallelism.max(1) as f64;
-                    let halo_bytes = p.traffic_bytes * self.halo_fraction * chunk_factor;
-                    let comm =
-                        barrier + 2.0 * self.latency_s + halo_bytes / (self.bandwidth_mbs * 1e6);
-                    PhaseTime {
-                        name: p.name.clone(),
-                        compute_seconds: p.work_cycles * chunk_factor / self.clock_hz,
-                        sync_seconds: comm,
-                        numa_seconds: 0.0,
-                        parallelism: p.parallelism.max(1),
-                        processors_used: processors
-                            .min(u32::try_from(p.parallelism.max(1)).unwrap_or(u32::MAX)),
-                    }
-                }
-            };
-            phases.push(pt);
-        }
-        let seconds = phases.iter().map(PhaseTime::seconds).sum();
-        ExecReport {
-            processors,
-            seconds,
-            flops,
-            phases,
-        }
+        let machine = (self.name, self.max_processors, self.clock_hz);
+        execute_phases(machine, trace, processors, |_, _, _, bytes| {
+            let halo_bytes = bytes * self.halo_fraction;
+            let comm = barrier + 2.0 * self.latency_s + halo_bytes / (self.bandwidth_mbs * 1e6);
+            (comm, 0.0)
+        })
     }
 }
 

@@ -193,7 +193,7 @@ pub fn calibrate_solver<S: Solver>(
             .map(|c| {
                 predicted_cost_ns(
                     seed.row.compute_ns as f64,
-                    seed.units as f64,
+                    seed.units,
                     c.policy,
                     c.workers,
                     seed.row.regions,

@@ -22,8 +22,9 @@
 //!   it is generic over [`solver::Solver`], and each solver states its
 //!   calibration case next to its own `Config`, so this crate names no
 //!   physics.
-//! * [`model`] is the one statement of the analytic cost form,
-//!   [`predicted_cost_ns`].
+//! * [`model`] reports the analytic price, [`predicted_cost_ns`]: the
+//!   region price `perfmodel::critical_path` over the policy's
+//!   makespan, plus one `S` per region.
 //! * [`db`] persists the outcome as a versioned, JSON-serialized
 //!   [`TuneDb`] the serve layer loads at startup and applies when a
 //!   request asks for `"schedule": "auto"`.

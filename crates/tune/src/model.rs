@@ -1,25 +1,26 @@
-//! The one statement of the paper's analytic cost form. Calibration
-//! reports it next to every measured winner
-//! ([`crate::TuneEntry::modeled_cost_ns`], `model_agrees`) and nothing
-//! else consumes it, so there is one place where the Table 1 form can
-//! be wrong and one column that shows it.
+//! The analytic price calibration reports next to every measured
+//! winner ([`crate::TuneEntry::modeled_cost_ns`], `model_agrees`).
+//! Nothing else consumes it. It states no arithmetic of its own: the
+//! region price is [`perfmodel::critical_path`] over the policy's
+//! [`Policy::ideal_makespan`], so the Table 1 form has one place to be
+//! wrong (`perfmodel`) and one column that shows it.
 
 use llp::Policy;
+use perfmodel::critical_path;
 
 /// Predicted wall nanoseconds for one kernel's parallel regions:
 ///
 /// ```text
-/// work_ns · makespan(policy, U, P) / U  +  regions · S
+/// critical_path(work_ns, U, makespan(policy, U, P))  +  regions · S
 /// ```
 ///
 /// * `work_ns` — total chunk-execution (serial work) nanoseconds over
 ///   all of the kernel's regions;
-/// * `u` — mean parallel-loop extent per region (the stair-step `U`);
-/// * `policy`, `workers` — the configuration being priced. Under
-///   [`Policy::Static`] the makespan is the stair-step `ceil(U/P)`
-///   evaluated on the real-valued mean extent; the self-scheduled
-///   policies list-schedule their chunk list over the rounded extent
-///   ([`Policy::ideal_makespan`]), which smooths the stair;
+/// * `u` — the parallel-loop extent per region (the stair-step `U`);
+/// * `policy`, `workers` — the configuration being priced. The makespan
+///   is [`Policy::ideal_makespan`]: the stair-step `ceil(U/P)` under
+///   [`Policy::Static`], the list-scheduled chunk list under the
+///   self-scheduled policies, which smooths the stair;
 /// * `regions` — parallel regions executed;
 /// * `sync_cost_ns` — the calibrated `S`.
 ///
@@ -37,38 +38,32 @@ use llp::Policy;
 /// kernel constants, so every candidate runs the same inner loops and
 /// differs only in workers and schedule.
 ///
-/// Degenerate inputs (`work_ns <= 0`, `u < 1`, `workers == 0`) predict
+/// Degenerate inputs (`work_ns <= 0`, `u == 0`, `workers == 0`) predict
 /// 0 — a modeling hole, not a cost.
 #[must_use]
-#[allow(clippy::cast_precision_loss)]
+#[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
 pub fn predicted_cost_ns(
     work_ns: f64,
-    u: f64,
+    u: u64,
     policy: Policy,
     workers: usize,
     regions: u64,
     sync_cost_ns: u64,
 ) -> f64 {
-    if work_ns <= 0.0 || u < 1.0 || workers == 0 {
+    if work_ns <= 0.0 || u == 0 || workers == 0 {
         return 0.0;
     }
-    let (makespan, extent) = match policy {
-        Policy::Static => ((u / workers as f64).ceil(), u),
-        _ => {
-            let n = u.round() as usize;
-            (policy.ideal_makespan(n, workers) as f64, n as f64)
-        }
-    };
-    work_ns * makespan / extent + regions as f64 * sync_cost_ns as f64
+    let makespan = policy.ideal_makespan(u as usize, workers) as u64;
+    critical_path(work_ns, u, makespan) + regions as f64 * sync_cost_ns as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The static arm's closed form, stair-step plus one `S` per
-    /// region, written out independently — the reference the static
-    /// arm must reproduce bit for bit.
+    /// The static closed form, stair-step plus one `S` per region,
+    /// written out independently in floating point — the reference a
+    /// static prediction must reproduce bit for bit.
     fn static_closed_form_ns(work_ns: f64, u: f64, workers: usize, regions: u64, s: u64) -> f64 {
         if work_ns <= 0.0 || u < 1.0 || workers == 0 {
             return 0.0;
@@ -78,7 +73,7 @@ mod tests {
     }
 
     const WORK: [f64; 5] = [0.0, 1.0, 977.5, 1.2e6, 3.3e9];
-    const EXTENT: [f64; 7] = [0.5, 1.0, 5.5, 10.0, 12.0, 16.0 / 3.0, 128.0];
+    const EXTENT: [u64; 5] = [0, 1, 10, 12, 128];
     const WORKERS: [usize; 7] = [0, 1, 2, 3, 4, 8, 64];
     const REGIONS: [u64; 4] = [0, 1, 18, 4096];
     const SYNC: [u64; 4] = [0, 1, 650, 70_000];
@@ -91,7 +86,7 @@ mod tests {
                     for regions in REGIONS {
                         for s in SYNC {
                             let new = predicted_cost_ns(work, u, Policy::Static, p, regions, s);
-                            let old = static_closed_form_ns(work, u, p, regions, s);
+                            let old = static_closed_form_ns(work, u as f64, p, regions, s);
                             assert_eq!(
                                 new.to_bits(),
                                 old.to_bits(),
@@ -113,7 +108,7 @@ mod tests {
             Policy::Guided { min_chunk: 1 },
         ];
         for policy in policies {
-            for u in [1.0, 10.0, 12.0, 128.0] {
+            for u in [1, 10, 12, 128] {
                 for p in [1, 2, 4, 8] {
                     let cost = |regions, s| predicted_cost_ns(1.2e6, u, policy, p, regions, s);
                     for pair in REGIONS.windows(2) {
@@ -135,7 +130,7 @@ mod tests {
         // U = 10 on 4 workers: static pays ceil(10/4) = 3 of 10 steps,
         // unit dynamic chunks list-schedule to the same 3, and chunks
         // of 4 (4 + 4 + 2) leave one worker 4 steps.
-        let cost = |policy| predicted_cost_ns(1000.0, 10.0, policy, 4, 0, 0);
+        let cost = |policy| predicted_cost_ns(1000.0, 10, policy, 4, 0, 0);
         assert!((cost(Policy::Static) - 300.0).abs() < 1e-9);
         assert!((cost(Policy::Dynamic { chunk: 1 }) - 300.0).abs() < 1e-9);
         assert!((cost(Policy::Dynamic { chunk: 4 }) - 400.0).abs() < 1e-9);
