@@ -20,7 +20,7 @@
 use crate::bc::{self, BcKind, Face, ZoneBcs};
 use crate::risc_impl::RiscStepper;
 use crate::solver::{SolverConfig, ZoneSolver};
-use llp::obs::{SpanGuard, SpanKind};
+use llp::obs::{OpenSpan, SpanKind};
 use llp::Workers;
 use mesh::{Axis, Metrics, MultiZoneGrid};
 
@@ -128,7 +128,7 @@ impl MultiZoneSolver {
         // The serial inject kernel keeps its single span covering every
         // interface exchange, opened lazily at the first exchange and
         // closed when the sweep returns.
-        let mut inject_span: Option<SpanGuard<'_>> = None;
+        let mut inject_span: Option<OpenSpan<'_>> = None;
         zones::run_sequential(
             &mut blocks,
             &topo,

@@ -27,49 +27,19 @@
 //! may run several claimants one after another, the later ones finding
 //! the chunk list already empty.
 //!
-//! When the team's [`crate::obs::Recorder`] is enabled, every entry
-//! point additionally times the work and annotates the recorded region
-//! span with the loop extent and per-slot max/mean seconds — one slot
-//! per chunk under static scheduling, one per *claimant* under the
-//! dynamic policies (what bounds the makespan there is claimant
-//! imbalance, not individual chunk durations). With the recorder
-//! disabled (the default) none of that machinery exists: no timing
-//! vector is allocated and no clock is read.
+//! When the team's [`crate::obs::FlightRecorder`] is enabled, every
+//! entry point opens a flight session for its region: each lane stamps
+//! its chunk starts and ends and its claims, and the coordinator logs
+//! the region's mark — loop extent, chunk count, policy — after the
+//! barrier. The span report's region nodes are read from those marks
+//! and timed from those stamps; no other clock is read. With the
+//! recorder disabled (the default) there is no session: one branch per
+//! region.
 
 use crate::pool::{ChunkClaimer, Workers};
 use crate::schedule::Policy;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
-
-/// Per-slot timing storage: one per chunk (static) or claimant
-/// (dynamic) when recording, none otherwise.
-fn chunk_time_slots(workers: &Workers, slots: usize) -> Vec<f64> {
-    if workers.recorder().is_enabled() {
-        vec![0.0; slots]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Run `f`, storing its wall time into `slot` when one is provided.
-fn timed(slot: Option<&mut f64>, f: impl FnOnce()) {
-    match slot {
-        None => f(),
-        Some(slot) => {
-            let start = Instant::now();
-            f();
-            *slot = start.elapsed().as_secs_f64();
-        }
-    }
-}
-
-/// Attach loop extent and chunk timings to the region just recorded.
-fn annotate_chunks(workers: &Workers, n: usize, times: &[f64]) {
-    if !times.is_empty() {
-        workers.recorder().annotate_last_region(n as u64, times);
-    }
-}
 
 /// Execute `chunks` (the policy's cut of `0..n`) with one payload per
 /// chunk as a single parallel region under the team's policy.
@@ -88,43 +58,33 @@ fn run_chunks<T: Send, S>(
     let Some(n) = chunks.last().map(|c| c.end) else {
         return;
     };
+    let flight = workers.flight().begin_region(
+        workers.processors(),
+        n as u64,
+        payloads.len(),
+        workers.policy().name(),
+    );
+    let session = &flight;
     match workers.policy() {
         Policy::Static => {
             // One task per chunk, bound at region entry: the vendor
             // `C$doacross` behaviour the stair-step model assumes.
-            let chunk_count = payloads.len();
-            let mut times = chunk_time_slots(workers, chunk_count);
-            let flight = workers.flight().begin_region(
-                workers.processors(),
-                n as u64,
-                chunk_count,
-                workers.policy().name(),
-            );
             workers.region(|scope| {
                 let work = &work;
                 let make_scratch = &make_scratch;
-                let flight = &flight;
-                let mut slots = times.iter_mut();
                 for (ci, payload) in payloads.into_iter().enumerate() {
-                    let slot = slots.next();
                     scope.spawn_on_lane(move |lane| {
-                        if let Some(f) = flight {
+                        if let Some(f) = session {
                             f.chunk_start(lane, ci);
                         }
-                        timed(slot, || {
-                            let mut scratch = make_scratch();
-                            work(ci, payload, &mut scratch);
-                        });
-                        if let Some(f) = flight {
+                        let mut scratch = make_scratch();
+                        work(ci, payload, &mut scratch);
+                        if let Some(f) = session {
                             f.chunk_end(lane, ci);
                         }
                     });
                 }
             });
-            if let Some(f) = flight {
-                f.finish();
-            }
-            annotate_chunks(workers, n, &times);
         }
         Policy::Dynamic { .. } | Policy::Guided { .. } => {
             // Self-scheduling: claimant tasks pull chunk indices from
@@ -133,15 +93,7 @@ fn run_chunks<T: Send, S>(
             // to whichever claimant wins the index — no `unsafe`, and
             // each chunk is taken exactly once.
             let claimants = workers.processors().min(payloads.len());
-            let chunk_count = payloads.len();
-            let mut times = chunk_time_slots(workers, claimants);
             let claimer = ChunkClaimer::blocked(chunks, claimants);
-            let flight = workers.flight().begin_region(
-                workers.processors(),
-                n as u64,
-                chunk_count,
-                workers.policy().name(),
-            );
             let parked: Vec<Mutex<Option<T>>> =
                 payloads.into_iter().map(|p| Mutex::new(Some(p))).collect();
             workers.region(|scope| {
@@ -149,47 +101,41 @@ fn run_chunks<T: Send, S>(
                 let make_scratch = &make_scratch;
                 let claimer = &claimer;
                 let parked = &parked;
-                let flight = &flight;
-                let mut slots = times.iter_mut();
                 for ti in 0..claimants {
-                    let slot = slots.next();
                     scope.spawn_on_lane(move |lane| {
-                        timed(slot, || {
-                            let mut scratch = make_scratch();
-                            // With the flight recorder on, every claim
-                            // attempt is timed on two clock reads per
-                            // chunk: one when the claim returns (the end
-                            // of the claim wait *is* the chunk's start;
-                            // the final, losing attempt marks the lane's
-                            // claim miss instead) and one when the work
-                            // does, where the next claim starts.
-                            let mut claim_from = flight.as_ref().map_or(0, |f| f.now_ns());
-                            loop {
-                                let ci = claimer.claim_as(ti);
-                                if let Some(f) = flight {
-                                    f.claimed(lane, claim_from, ci);
-                                }
-                                let Some(ci) = ci else { break };
-                                let payload = parked[ci]
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .take();
-                                if let Some(payload) = payload {
-                                    work(ci, payload, &mut scratch);
-                                }
-                                if let Some(f) = flight {
-                                    claim_from = f.chunk_end(lane, ci);
-                                }
+                        let mut scratch = make_scratch();
+                        // With the flight recorder on, every claim attempt
+                        // is timed on two clock reads per chunk: one when
+                        // the claim returns (the end of the claim wait
+                        // *is* the chunk's start; the final, losing
+                        // attempt marks the lane's claim miss instead)
+                        // and one when the work does, where the next
+                        // claim starts.
+                        let mut claim_from = session.as_ref().map_or(0, |f| f.now_ns());
+                        loop {
+                            let ci = claimer.claim_as(ti);
+                            if let Some(f) = session {
+                                f.claimed(lane, claim_from, ci);
                             }
-                        });
+                            let Some(ci) = ci else { break };
+                            let payload = parked[ci]
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .take();
+                            if let Some(payload) = payload {
+                                work(ci, payload, &mut scratch);
+                            }
+                            if let Some(f) = session {
+                                claim_from = f.chunk_end(lane, ci);
+                            }
+                        }
                     });
                 }
             });
-            if let Some(f) = flight {
-                f.finish();
-            }
-            annotate_chunks(workers, n, &times);
         }
+    }
+    if let Some(f) = flight {
+        f.finish();
     }
 }
 
@@ -267,7 +213,19 @@ pub fn doacross(workers: &Workers, n: usize, body: impl Fn(usize) + Sync) {
 /// loop variable. This holds under every scheduling policy: dynamic
 /// claimants receive disjoint pre-split pieces.
 pub fn doacross_into<T: Send>(workers: &Workers, out: &mut [T], body: impl Fn(usize) -> T + Sync) {
-    doacross_into_scratch(workers, out, || (), |i, (): &mut ()| body(i));
+    let chunks = workers.policy().chunks(out.len(), workers.processors());
+    let payloads = split_chunks(&chunks, out, 1).collect();
+    run_chunks(
+        workers,
+        &chunks,
+        payloads,
+        || (),
+        |ci, mine, (): &mut ()| {
+            for (off, out_slot) in mine.iter_mut().enumerate() {
+                *out_slot = body(chunks[ci].start + off);
+            }
+        },
+    );
 }
 
 /// Execute `body(s, slab)` for every length-`slab_len` slab of `data`,
@@ -437,29 +395,6 @@ pub fn doacross_slabs_zip<A: Send + Sync, B: Send + Sync>(
     );
 }
 
-/// [`doacross_into`] with per-worker scratch (created once per
-/// executing task, like [`doacross_slabs_scratch`]).
-pub fn doacross_into_scratch<T: Send, S>(
-    workers: &Workers,
-    out: &mut [T],
-    make_scratch: impl Fn() -> S + Sync,
-    body: impl Fn(usize, &mut S) -> T + Sync,
-) {
-    let chunks = workers.policy().chunks(out.len(), workers.processors());
-    let payloads = split_chunks(&chunks, out, 1).collect();
-    run_chunks(
-        workers,
-        &chunks,
-        payloads,
-        make_scratch,
-        |ci, mine, scratch| {
-            for (off, out_slot) in mine.iter_mut().enumerate() {
-                *out_slot = body(chunks[ci].start + off, scratch);
-            }
-        },
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,24 +536,6 @@ mod tests {
         assert_eq!(data[3 * 3], 304); // slab 3: fourth slab of chunk 1
         assert_eq!(data[4 * 3], 401); // slab 4: first slab of chunk 2
         assert_eq!(w.sync_event_count(), 1);
-    }
-
-    #[test]
-    fn into_scratch_produces_outputs() {
-        let w = Workers::new(3);
-        let mut out = vec![0usize; 31];
-        doacross_into_scratch(
-            &w,
-            &mut out,
-            || vec![0u8; 8],
-            |i, scratch| {
-                scratch[0] = 1;
-                i * 3
-            },
-        );
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i * 3);
-        }
     }
 
     #[test]
@@ -831,7 +748,7 @@ mod tests {
         let report = w.recorder().take_report("dyn", 3);
         let region = &report.spans[0];
         assert_eq!(region.iterations, 60);
-        // 12 chunks but only 3 claimants: timing slots are per claimant.
+        // 12 chunks but only 3 claimants: the count is of claimants.
         assert_eq!(region.chunk_count, 3);
         assert_eq!(report.sync_events(), 1);
     }

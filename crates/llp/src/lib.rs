@@ -20,7 +20,7 @@
 //! * **Loop fusion** ([`fusion`]): merging adjacent loops under one
 //!   parallel region to reduce synchronization events (paper Example 2).
 //! * **Parent-loop hoisting with pencil scratch**
-//!   ([`doacross_slabs_scratch`], [`doacross_into_scratch`]): hoisting
+//!   ([`doacross_slabs_scratch`]): hoisting
 //!   the parallel loop into a parent subroutine while each worker
 //!   carries a cache-resident 1-D scratch buffer (paper Example 3) —
 //!   this reduced synchronization events by 1–3 orders of magnitude and
@@ -31,12 +31,13 @@
 //!   MPI/HPF porting. The profile is not a second instrument: kernel
 //!   spans recorded under [`Workers::recorded`] →
 //!   [`ObsReport::kernel_summaries`] → [`Advisor::advise`].
-//! * **Observability** ([`obs`]): hierarchical span tracing (time step →
-//!   zone → kernel → parallel region) with sync-event counts and chunk
-//!   imbalance, exported as versioned JSON, free when disabled; plus a
-//!   per-worker **flight recorder** (timestamped chunk/barrier/claim
-//!   events in lock-free rings) feeding overhead attribution against
-//!   the paper's Table 1 bound and Chrome trace-event export.
+//! * **Observability** ([`obs`]): one **flight recorder**, free when
+//!   disabled. Its coordinator log holds the span hierarchy (time step →
+//!   zone → kernel → parallel region); its per-worker lock-free rings
+//!   hold timestamped chunk/barrier/claim events. The span report (sync
+//!   events, chunk imbalance, versioned JSON), the overhead attribution
+//!   against the paper's Table 1 bound and the Chrome trace-event export
+//!   are all folds of that one recording.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,13 +54,12 @@ mod team;
 
 pub use advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice, MeasuredChoice};
 pub use doacross::{
-    doacross, doacross_into, doacross_into_scratch, doacross_reduce, doacross_slabs,
-    doacross_slabs_scratch, doacross_slabs_zip,
+    doacross, doacross_into, doacross_reduce, doacross_slabs, doacross_slabs_scratch,
+    doacross_slabs_zip,
 };
 pub use fusion::FusedRegion;
 pub use obs::{
-    AttributionReport, FlightRecorder, KernelSummary, ObsReport, Recorder, SpanKind, SpanNode,
-    Timeline,
+    AttributionReport, FlightRecorder, KernelSummary, ObsReport, SpanKind, SpanNode, Timeline,
 };
 pub use pool::{default_worker_count, ChunkClaimer, Workers};
 pub use schedule::{chunk_bounds, Policy, ScheduleMap};

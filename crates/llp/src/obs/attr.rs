@@ -5,13 +5,15 @@
 //!
 //! The paper bounds the work per parallelized loop so that one
 //! synchronization event costs less than `f = 1 %` of the loop's
-//! parallel runtime: `S <= f * (W / P)`. The span recorder counts the
-//! sync events; the flight recorder measures what each one actually
-//! cost. An [`AttributionReport`] aggregates both views:
+//! parallel runtime: `S <= f * (W / P)`. The recorder's coordinator log
+//! counts the sync events (one region mark each) and names each
+//! region's kernel; its lanes measure what each event actually cost. An
+//! [`AttributionReport`] folds both:
 //!
 //! * per **worker**: nanoseconds computing chunks, waiting at region
 //!   barriers, and claiming chunks, plus chunk and claim-miss counts;
-//! * per **region**: the same split against the region's wall time;
+//! * per **region**: the same split against the region's wall time,
+//!   and per **kernel** ([`kernel_overheads`]) summed over its regions;
 //! * a [`ModelCheck`]: the measured per-worker sync cost `S` plugged
 //!   into [`perfmodel::OverheadBound`] (1 ns = 1 cycle at a nominal
 //!   1 GHz) predicts an overhead fraction per loop; comparing that
@@ -26,8 +28,9 @@
 //! integration test and the worked example in `DESIGN.md` both assert /
 //! show that bound.
 
+use std::sync::Arc;
+
 use crate::obs::json::Json;
-use crate::obs::report::{ObsReport, SpanKind, SpanNode};
 use crate::obs::timeline::{EventKind, Timeline};
 use perfmodel::{OverheadBound, PAPER_OVERHEAD_FRACTION};
 
@@ -83,7 +86,7 @@ impl WorkerAttribution {
 }
 
 /// One region's compute/sync split against its wall time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionAttribution {
     /// Region sequence number.
     pub seq: u64,
@@ -99,6 +102,8 @@ pub struct RegionAttribution {
     pub workers: usize,
     /// Scheduling policy name.
     pub policy: &'static str,
+    /// The kernel the coordinator log places the region in.
+    pub kernel: Option<Arc<str>>,
     /// Total chunk-execution nanoseconds across lanes.
     pub compute_ns: u64,
     /// Total barrier-wait nanoseconds across lanes.
@@ -169,17 +174,17 @@ impl ModelCheck {
     }
 }
 
-/// Compute/sync split for one kernel, paired from the span tree.
-#[derive(Debug, Clone, PartialEq)]
+/// Compute/sync split for one kernel, summed over its regions.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelOverhead {
-    /// Kernel name from the span tree.
+    /// Kernel name from the coordinator log.
     pub kernel: String,
     /// Regions attributed to this kernel.
     pub regions: u64,
-    /// Total wall nanoseconds of the paired regions (entry to barrier
+    /// Total wall nanoseconds of the kernel's regions (entry to barrier
     /// completion) — the parallel cost an autotuner minimizes.
     pub wall_ns: u64,
-    /// Total parallel-loop iterations across the paired regions; the
+    /// Total parallel-loop iterations across the kernel's regions; the
     /// per-region mean is the `U` of the stair-step law.
     pub iterations: u64,
     /// Total chunk-execution nanoseconds.
@@ -258,9 +263,8 @@ impl AttributionReport {
                 lanes: r.lanes,
                 workers: r.workers,
                 policy: r.policy,
-                compute_ns: 0,
-                barrier_ns: 0,
-                claim_ns: 0,
+                kernel: r.kernel.clone(),
+                ..RegionAttribution::default()
             })
             .collect();
         // `timeline.regions` is in sequence order (its contract), so
@@ -515,42 +519,23 @@ fn fraction(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Pair the span tree's region spans with the timeline's regions and
-/// fold the attribution up to the enclosing kernels.
-///
-/// Both sides observe regions in completion order on the same
-/// coordinator thread — the span recorder attaches region spans when
-/// the barrier completes, the flight recorder logs its marks at the
-/// same instant — so position `i` of the report's region spans (in
-/// depth-first order) corresponds to sequence `i` of the timeline. When
-/// the two counts disagree (spans recorded without flight data or vice
-/// versa) the shorter prefix is paired and the rest ignored.
+/// Fold the attribution's regions up to their kernels — the kernel
+/// each region's mark names, so nothing is paired by position.
 ///
 /// Regions outside any kernel span fold into a `"(no kernel)"` row.
 /// Rows are sorted by kernel name.
 #[must_use]
-pub fn kernel_overheads(report: &ObsReport, attr: &AttributionReport) -> Vec<KernelOverhead> {
+pub fn kernel_overheads(attr: &AttributionReport) -> Vec<KernelOverhead> {
     let global_sync_cost = attr.model_check().map_or(0.0, |c| c.sync_cost_ns);
-    let mut ordered: Vec<String> = Vec::new();
-    for span in &report.spans {
-        collect_region_kernels(span, None, &mut ordered);
-    }
     let mut rows: Vec<KernelOverhead> = Vec::new();
-    for (kernel, region) in ordered.iter().zip(&attr.regions) {
-        let row = match rows.iter_mut().find(|r| r.kernel == *kernel) {
+    for region in &attr.regions {
+        let kernel = region.kernel.as_deref().unwrap_or("(no kernel)");
+        let row = match rows.iter_mut().find(|r| r.kernel == kernel) {
             Some(row) => row,
             None => {
                 rows.push(KernelOverhead {
-                    kernel: kernel.clone(),
-                    regions: 0,
-                    wall_ns: 0,
-                    iterations: 0,
-                    compute_ns: 0,
-                    barrier_ns: 0,
-                    claim_ns: 0,
-                    mean_lanes: 0.0,
-                    overhead_measured: 0.0,
-                    overhead_modeled: 0.0,
+                    kernel: kernel.to_string(),
+                    ..KernelOverhead::default()
                 });
                 rows.last_mut().expect("just pushed")
             }
@@ -593,26 +578,10 @@ pub fn kernel_overheads(report: &ObsReport, attr: &AttributionReport) -> Vec<Ker
     rows
 }
 
-fn collect_region_kernels(node: &SpanNode, kernel: Option<&str>, out: &mut Vec<String>) {
-    if node.kind == SpanKind::Region {
-        out.push(kernel.unwrap_or("(no kernel)").to_string());
-        // Regions are leaves; nothing nests below them.
-        return;
-    }
-    let kernel_name = if node.kind == SpanKind::Kernel {
-        Some(node.name.as_str())
-    } else {
-        kernel
-    };
-    for child in &node.children {
-        collect_region_kernels(child, kernel_name, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::report::REPORT_SCHEMA_VERSION;
+    use crate::obs::report::SpanKind;
     use crate::obs::timeline::{FlightRecorder, TimelineEvent};
 
     /// A synthetic two-lane timeline: lane 0 computes 100 µs, lane 1
@@ -752,39 +721,31 @@ mod tests {
     }
 
     #[test]
-    fn kernel_pairing_follows_span_order() {
-        // Span tree: kernel A with 1 region, kernel B with 1 region.
-        let mut region_a = SpanNode::new("region", SpanKind::Region);
-        region_a.sync_events = 1;
-        let mut a_span = SpanNode::new("rhs", SpanKind::Kernel);
-        a_span.children.push(region_a.clone());
-        let mut b_span = SpanNode::new("update", SpanKind::Kernel);
-        b_span.children.push(region_a);
-        let mut step = SpanNode::new("step", SpanKind::Step);
-        step.children.push(a_span);
-        step.children.push(b_span);
-        let report = ObsReport {
-            schema_version: REPORT_SCHEMA_VERSION,
-            source: "measured".to_string(),
-            case: "pairing".to_string(),
-            workers: 2,
-            requested_workers: None,
-            spans: vec![step],
-        };
-
-        // Matching flight data: two regions.
+    fn kernel_rows_read_each_region_kernel_from_the_log() {
+        // A region in `rhs`, one in `update` inside a zone span, one
+        // outside any kernel.
         let fr = FlightRecorder::enabled(2, 64);
-        for chunk in 0..2u64 {
+        let region = |chunk: usize| {
             let s = fr.begin_region(2, 10, 1, "static").unwrap();
-            s.chunk_start(0, chunk as usize);
-            s.chunk_end(0, chunk as usize);
+            s.chunk_start(0, chunk);
+            s.chunk_end(0, chunk);
             s.finish();
+        };
+        {
+            let _step = fr.span("step", SpanKind::Step);
+            {
+                let _rhs = fr.span("rhs", SpanKind::Kernel);
+                region(0);
+            }
+            let _zone = fr.span("zone1", SpanKind::Zone);
+            let _update = fr.span("update", SpanKind::Kernel);
+            region(1);
         }
+        region(2);
         let attr = AttributionReport::from_timeline(&fr.take_timeline());
-        let rows = kernel_overheads(&report, &attr);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].kernel, "rhs");
-        assert_eq!(rows[1].kernel, "update");
+        let rows = kernel_overheads(&attr);
+        let names: Vec<&str> = rows.iter().map(|r| r.kernel.as_str()).collect();
+        assert_eq!(names, ["(no kernel)", "rhs", "update"]);
         for row in &rows {
             assert_eq!(row.regions, 1);
             assert_eq!(row.iterations, 10);
@@ -792,20 +753,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&row.overhead_measured));
             assert!((0.0..=1.0).contains(&row.overhead_modeled));
         }
-    }
-
-    #[test]
-    fn kernel_pairing_tolerates_count_mismatch() {
-        let report = ObsReport {
-            schema_version: REPORT_SCHEMA_VERSION,
-            source: "measured".to_string(),
-            case: "mismatch".to_string(),
-            workers: 1,
-            requested_workers: None,
-            spans: vec![],
-        };
-        let a = AttributionReport::from_timeline(&synthetic());
-        // No region spans: nothing pairs, nothing panics.
-        assert!(kernel_overheads(&report, &a).is_empty());
+        // No regions, no rows.
+        assert!(kernel_overheads(&AttributionReport::default()).is_empty());
     }
 }

@@ -1,11 +1,20 @@
-//! Observability: hierarchical span tracing and metrics export.
+//! Observability: one recorder, and the documents folded from it.
 //!
 //! The paper's methodology lives on measurement — profile the loops,
 //! count the synchronization events, watch the stair-step. This module
-//! gives the whole suite one instrument for that: a [`Recorder`] whose
-//! spans nest time step → zone → kernel → parallel region, capturing
-//! wall time, sync-event counts, worker counts, loop extents, and chunk
-//! imbalance, exported as versioned JSON ([`ObsReport`]).
+//! gives the whole suite one instrument for that: the
+//! [`FlightRecorder`] ([`timeline`]). Its coordinator log holds the
+//! spans — time step → zone → kernel — and a mark per parallel region;
+//! its per-worker rings hold timestamped chunk/barrier/claim events
+//! written lock-free from inside the doacross entry points. Every
+//! document is a fold of that one recording:
+//!
+//! * the span tree [`ObsReport`] (wall time, sync-event counts, worker
+//!   counts, loop extents and chunk imbalance, as versioned JSON);
+//! * the overhead [`attr`]ibution (compute vs. barrier vs. claim, per
+//!   worker, per region and per kernel, checked against `perfmodel`'s
+//!   Table 1 bound);
+//! * the [`chrome`] trace.
 //!
 //! Two properties shape the design:
 //!
@@ -17,27 +26,18 @@
 //!   [`crate::pool::Workers`] stepping a solver) and modeled runs (a
 //!   trace on a simulated machine) emit the same [`ObsReport`] shape,
 //!   so model and measurement can be diffed kernel-by-kernel.
-//!
-//! Beyond span tracing, the module carries the **flight recorder**
-//! ([`timeline`]): per-worker rings of timestamped chunk/barrier/claim
-//! events written lock-free from inside the doacross entry points, with
-//! the same disabled-is-free contract. Drained timelines feed the
-//! overhead [`attr`]ibution report (compute vs. barrier vs. claim, per
-//! worker and per region, checked against `perfmodel`'s Table 1 bound)
-//! and the [`chrome`] trace exporter.
 
 pub mod attr;
 pub mod chrome;
 pub mod json;
-mod recorder;
 mod report;
 pub mod timeline;
 
 pub use attr::{
     AttributionReport, KernelOverhead, ModelCheck, RegionAttribution, WorkerAttribution,
 };
-pub use recorder::{Recorder, SpanGuard};
 pub use report::{KernelSummary, ObsReport, SpanKind, SpanNode, REPORT_SCHEMA_VERSION};
 pub use timeline::{
-    EventKind, FlightRecorder, LaneTimeline, RegionMark, RegionSession, Timeline, TimelineEvent,
+    EventKind, FlightRecorder, LaneTimeline, OpenSpan, RegionMark, RegionSession, Timeline,
+    TimelineEvent,
 };

@@ -20,10 +20,9 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use crate::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use crate::obs::{FlightRecorder, Recorder};
+use crate::obs::FlightRecorder;
 use crate::schedule::{chunk_bounds, Policy, ScheduleMap};
 use crate::team::{TaskSlot, Team};
 
@@ -70,9 +69,9 @@ impl<'env> RegionScope<'env> {
 /// how many chunks the schedulers cut), and the team counts
 /// **synchronization events** — one per parallel-region exit. When
 /// built with [`Workers::recorded`] (or given a recorder via
-/// [`Workers::set_recorder`]), every region additionally records an
-/// observability span; by default the recorder is disabled and costs
-/// one branch per region.
+/// [`Workers::set_flight`]), every doacross region is additionally
+/// recorded on the team's [`FlightRecorder`]; by default the recorder
+/// is disabled and costs one branch per region.
 pub struct Workers {
     /// The helper threads every view of this pool shares.
     team: Arc<Team>,
@@ -91,9 +90,9 @@ pub struct Workers {
     /// exactly its own regions even while other views of the same pool
     /// run concurrently (the shared `counters` keep the pool total).
     local: Arc<Counters>,
-    recorder: Recorder,
-    /// Per-worker timeline flight recorder (disabled by default, like
-    /// the span recorder; force-enabled pool-wide by `LLP_FLIGHT=1`).
+    /// The one recorder: spans, region marks and per-lane events
+    /// (disabled by default; enabled on every new pool by
+    /// `LLP_FLIGHT=1`).
     flight: FlightRecorder,
     policy: Policy,
 }
@@ -111,20 +110,35 @@ impl std::fmt::Debug for Workers {
         f.debug_struct("Workers")
             .field("processors", &self.processors)
             .field("sync_events", &self.sync_event_count())
-            .field("recording", &self.recorder.is_enabled())
+            .field("recording", &self.flight.is_enabled())
             .finish()
     }
 }
 
 impl Workers {
-    /// Create a team of `processors` workers (observation disabled).
+    /// Create a team of `processors` workers (observation disabled
+    /// unless `LLP_FLIGHT=1`).
     ///
     /// # Panics
     /// Panics if `processors == 0`.
     #[must_use]
     pub fn new(processors: usize) -> Self {
+        Self::with_recording(processors, flight_force_enabled())
+    }
+
+    /// A team of `processors` workers whose recorder is on, with
+    /// [`DEFAULT_EVENT_CAPACITY`] events per lane.
+    ///
+    /// # Panics
+    /// Panics if `processors == 0`.
+    #[must_use]
+    pub fn recorded(processors: usize) -> Self {
+        Self::with_recording(processors, true)
+    }
+
+    fn with_recording(processors: usize, record: bool) -> Self {
         assert!(processors > 0, "worker count must be positive");
-        let flight = if flight_force_enabled() {
+        let flight = if record {
             FlightRecorder::enabled(processors, DEFAULT_EVENT_CAPACITY)
         } else {
             FlightRecorder::disabled()
@@ -135,36 +149,15 @@ impl Workers {
             requested: processors,
             counters: Arc::new(Counters::default()),
             local: Arc::new(Counters::default()),
-            recorder: Recorder::disabled(),
             flight,
             policy: Policy::Static,
         }
-    }
-
-    /// A team of `processors` workers with span recording enabled.
-    #[must_use]
-    pub fn recorded(processors: usize) -> Self {
-        let mut w = Self::new(processors);
-        w.recorder = Recorder::enabled();
-        w
     }
 
     /// A single-worker team (serial execution through the same API).
     #[must_use]
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// A team sized for this machine: the `LLP_WORKERS` environment
-    /// variable when set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`] (1 if unavailable).
-    ///
-    /// This is the right default for binaries and examples; experiments
-    /// that sweep processor counts should keep passing explicit values
-    /// to [`Workers::new`].
-    #[must_use]
-    pub fn default_sized() -> Self {
-        Self::new(default_worker_count())
     }
 
     /// Number of workers ("processors") in the team.
@@ -256,7 +249,6 @@ impl Workers {
             requested: processors,
             counters: Arc::clone(&self.counters),
             local: Arc::clone(&self.local),
-            recorder: self.recorder.clone(),
             flight: self.flight.clone(),
             policy,
         }
@@ -276,30 +268,26 @@ impl Workers {
         self.kernel_view(processors, policy)
     }
 
-    /// The team's span recorder (disabled unless enabled explicitly).
+    /// The team's recorder: the one [`Workers::flight`] returns, named
+    /// for the span side of it (`recorder().span(..)`,
+    /// `recorder().take_report(..)`).
     #[must_use]
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.flight
     }
 
-    /// Replace the team's recorder (e.g. to share one recorder between
-    /// a solver and its pool, or to switch recording on).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// The team's flight recorder (disabled unless enabled explicitly
-    /// or forced by `LLP_FLIGHT=1`). Views share their pool's recorder,
-    /// so one drain covers every region the pool ran.
+    /// The team's recorder (disabled unless enabled explicitly or by
+    /// `LLP_FLIGHT=1`). Views share their pool's recorder, so one drain
+    /// covers every region the pool ran.
     #[must_use]
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
 
-    /// Replace the team's flight recorder — how the serve layer gives
-    /// each executor its own rings. Lanes should cover this
-    /// team's [`Workers::processors`]; narrower recorders silently drop
-    /// events from the uncovered lanes.
+    /// Replace the team's recorder — how the serve layer gives each
+    /// executor its own, and how a view switches recording off. Lanes
+    /// should cover this team's [`Workers::processors`]; narrower
+    /// recorders silently drop events from the uncovered lanes.
     pub fn set_flight(&mut self, flight: FlightRecorder) {
         self.flight = flight;
     }
@@ -340,19 +328,15 @@ impl Workers {
 
     /// Run `f` as one parallel region: `f` receives a [`RegionScope`]
     /// in which it may spawn tasks; when all tasks complete, one
-    /// synchronization event is recorded (plus a region span when the
-    /// recorder is enabled).
+    /// synchronization event is counted. The region itself records
+    /// nothing: the doacross entry points built on it log their region
+    /// marks and lane events on the recorder.
     ///
     /// This is the primitive beneath [`crate::doacross`]; prefer the
     /// higher-level entry points.
     pub fn region<'env, R>(&self, f: impl FnOnce(&RegionScope<'env>) -> R) -> R {
         self.counters.regions.fetch_add(1, Ordering::Relaxed);
         self.local.regions.fetch_add(1, Ordering::Relaxed);
-        let start = if self.recorder.is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
         let scope = RegionScope {
             tasks: RefCell::new(Vec::new()),
         };
@@ -360,15 +344,11 @@ impl Workers {
         self.team.run(self.processors, scope.tasks.into_inner());
         self.counters.sync_events.fetch_add(1, Ordering::Relaxed);
         self.local.sync_events.fetch_add(1, Ordering::Relaxed);
-        if let Some(start) = start {
-            self.recorder
-                .attach_region(self.processors, start.elapsed().as_secs_f64());
-        }
         out
     }
 }
 
-/// Whether `LLP_FLIGHT=1` forces a flight recorder onto every team.
+/// Whether `LLP_FLIGHT=1` puts a recorder on every new team.
 /// Read once per process: the whole point of the switch is to run an
 /// unmodified test suite through the instrumented path in CI.
 fn flight_force_enabled() -> bool {
@@ -502,6 +482,7 @@ impl ChunkClaimer {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     #[test]
     fn counts_sync_events() {
@@ -688,10 +669,9 @@ mod tests {
     #[test]
     fn recorded_team_emits_region_spans() {
         let w = Workers::recorded(2);
-        w.region(|scope| {
-            scope.spawn(|| {});
-            scope.spawn(|| {});
-        });
+        crate::doacross(&w, 2, |_| {});
+        // A bare region is counted, not recorded.
+        w.region(|scope| scope.spawn(|| {}));
         let report = w.recorder().take_report("pool-test", 2);
         assert_eq!(report.spans.len(), 1);
         assert_eq!(report.spans[0].workers, 2);
@@ -700,8 +680,13 @@ mod tests {
 
     #[test]
     fn default_team_records_nothing() {
+        // `LLP_FLIGHT=1` puts a recorder on every new team.
+        if std::env::var("LLP_FLIGHT").is_ok() {
+            eprintln!("LLP_FLIGHT set: skipping the disabled-recorder assertion");
+            return;
+        }
         let w = Workers::new(2);
-        w.region(|scope| scope.spawn(|| {}));
+        crate::doacross(&w, 2, |_| {});
         assert!(w.recorder().take_report("none", 2).spans.is_empty());
     }
 
@@ -714,10 +699,10 @@ mod tests {
     #[test]
     fn sized_view_shares_counters_and_recorder() {
         let pool = Workers::recorded(4);
-        pool.region(|_| {});
+        crate::doacross(&pool, 4, |_| {});
         let view = pool.sized_view(2);
         assert_eq!(view.processors(), 2);
-        view.region(|scope| scope.spawn(|| {}));
+        crate::doacross(&view, 2, |_| {});
         // Both regions landed on the shared counters...
         assert_eq!(pool.sync_event_count(), 2);
         assert_eq!(view.sync_event_count(), 2);
@@ -926,13 +911,5 @@ mod tests {
         assert_eq!(drain_as(&claimer, 3), vec![0, 1]);
         // No chunks at all.
         assert_eq!(ChunkClaimer::blocked(&[], 3).claim_as(1), None);
-    }
-
-    #[test]
-    fn default_sized_is_positive() {
-        // Whatever the machine or environment, the team must be usable.
-        let w = Workers::default_sized();
-        assert!(w.processors() >= 1);
-        assert!(!w.recorder().is_enabled());
     }
 }

@@ -310,15 +310,14 @@ pub(crate) fn executor_loop(shared: &Arc<Shared>, team: &Workers) {
             Err(_) => {
                 // A panicking job (solver bug — inputs were validated at
                 // admission) must not take the executor down with it. The
-                // recorder may hold a half-built span stack and the
-                // flight rings partial events; reset and drain so the
-                // next job's report and timeline are exactly its own.
+                // recorder may hold a half-logged span tree and partial
+                // lane events; reset it so the next job's report and
+                // timeline are exactly its own.
                 // Every parked waiter gets the 500 and the in-flight
                 // entry is removed, so the next identical request
                 // executes instead of parking on a dead entry.
                 shared.metrics.inc(Scalar::ExecutorPanicsTotal);
                 team.recorder().reset();
-                let _ = team.flight().take_timeline();
                 let response = Response::error(500, "internal error: job panicked");
                 reply_to_all(shared, &job.origin, &response)
             }

@@ -34,7 +34,7 @@ use crate::solvers::MAX_WORKERS;
 use crate::telemetry::{self, Windows};
 use crate::trace::TraceStore;
 use llp::obs::json::Json;
-use llp::{Recorder, Workers};
+use llp::Workers;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -242,12 +242,11 @@ impl Server {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 // All of the team's lanes (see `jobs`), the pool's
-                // counters, and recorders of its own: concurrent jobs
+                // counters, and a recorder of its own: concurrent jobs
                 // never interleave spans or timelines, /metrics pool
                 // totals stay exact, and an executor's jobs are serial,
-                // so each job drains exactly its own flight events.
+                // so each job drains exactly its own recording.
                 let mut team = shared.pool.sized_view(workers);
-                team.set_recorder(Recorder::enabled());
                 team.set_flight(jobs::executor_flight(workers));
                 thread::spawn(move || jobs::executor_loop(&shared, &team))
             })
@@ -851,7 +850,7 @@ mod tests {
 
     /// The store keeps the run; what `GET /v1/trace/{id}` serves must be
     /// the documents of *that* run and id — here rendered a second time,
-    /// straight from the run's timeline and span report.
+    /// straight from the run's timeline.
     #[test]
     fn trace_documents_on_demand_are_the_direct_renderings() {
         let server = Server::start(ServerConfig {
@@ -863,7 +862,6 @@ mod tests {
         // An executor's view, built as `Server::start` builds them; the
         // server's own executors sit idle throughout.
         let mut team = shared.pool.sized_view(2);
-        team.set_recorder(Recorder::enabled());
         team.set_flight(jobs::executor_flight(2));
 
         for body in [
@@ -881,7 +879,7 @@ mod tests {
 
             let run = &*entry.run.run;
             let attr = AttributionReport::from_timeline(run.timeline());
-            let kernels = kernel_overheads(run.report(), &attr);
+            let kernels = kernel_overheads(&attr);
             let attribution = Json::object(vec![
                 ("trace_id", Json::from_u64(id)),
                 ("case", Json::str(&run.case().label())),

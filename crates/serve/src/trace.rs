@@ -44,7 +44,7 @@ pub struct TracedRun {
     pub run: Box<dyn FinishedRun + Send + Sync>,
     /// Per-worker / per-region overhead split of the run's timeline.
     pub attr: AttributionReport,
-    /// Per-kernel overheads: the span report joined with `attr`.
+    /// Per-kernel overheads: `attr`'s regions summed by kernel.
     pub kernels: Vec<KernelOverhead>,
 }
 
@@ -53,7 +53,7 @@ impl TracedRun {
     #[must_use]
     pub fn new(run: Box<dyn FinishedRun + Send + Sync>) -> Self {
         let attr = AttributionReport::from_timeline(run.timeline());
-        let kernels = kernel_overheads(run.report(), &attr);
+        let kernels = kernel_overheads(&attr);
         Self { run, attr, kernels }
     }
 }

@@ -234,12 +234,12 @@ pub struct SolverRun<C, O> {
     /// the policy view's *local* counter, so concurrent users of the
     /// same pool never leak into this run's bill).
     pub sync_events: u64,
-    /// Span report drained from the pool's recorder (empty when the
+    /// Span report folded from the pool's recorder (empty when the
     /// pool does not record).
     pub report: ObsReport,
-    /// Flight-recorder timeline drained from the pool (empty when the
-    /// pool carries no flight recorder): per-worker chunk/barrier/claim
-    /// events covering exactly this run's parallel regions.
+    /// The same recording drained as a timeline (empty when the pool
+    /// does not record): per-worker chunk/barrier/claim events and the
+    /// region marks covering exactly this run's parallel regions.
     pub timeline: Timeline,
 }
 
@@ -283,8 +283,9 @@ impl<C: SolverSpec, O: SolverOutput> FinishedRun for SolverRun<C, O> {
 ///    the instance;
 /// 2. bill sync events on the view's local counter across the step
 ///    loop;
-/// 3. drain the span report (labeled with the spec's case label and
-///    the requested-vs-granted worker clamp) and the flight timeline;
+/// 3. fold the recording into the span report (labeled with the spec's
+///    case label and the requested-vs-granted worker clamp), then drain
+///    it as the timeline;
 /// 4. reduce the instance to its output.
 ///
 /// `schedules` is the overlay a tune database resolves

@@ -37,7 +37,7 @@ use crate::model::predicted_cost_ns;
 use crate::space::{candidates, Candidate};
 use llp::obs::attr::{kernel_overheads, AttributionReport, KernelOverhead};
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use llp::{FlightRecorder, Policy, Recorder, ScheduleMap, Workers};
+use llp::{FlightRecorder, Policy, ScheduleMap, Workers};
 use perfmodel::OverheadBound;
 use solver::{check_range, Solver, SolverSpec};
 
@@ -105,8 +105,8 @@ struct KernelSeed {
 /// view's width, so this crate names no physics.
 ///
 /// The measurement runs on a `pool.sized_view` of the pool's own width
-/// with a *private* span recorder and flight recorder, so concurrent
-/// users of the pool keep their observability streams; shared
+/// with a *private* recorder, so concurrent users of the pool keep
+/// their observability streams; shared
 /// sync-event totals still accumulate on the pool, as for any view.
 ///
 /// # Errors
@@ -119,14 +119,13 @@ pub fn calibrate_solver<S: Solver>(
     spec.validate()?;
     let width = pool.processors().min(MAX_WORKERS);
     let mut view = pool.sized_view(width);
-    view.set_recorder(Recorder::enabled());
     view.set_flight(FlightRecorder::enabled(width, DEFAULT_EVENT_CAPACITY));
     let case = S::Config::calibration(spec.zones, spec.steps, width);
 
     // --- Seed pass: measure U, W and S at the default config. ---
     let seed_run = solver::run_instrumented::<S>(&case, &view, None)?;
     let seed_attr = AttributionReport::from_timeline(&seed_run.timeline);
-    let seed_rows = kernel_overheads(&seed_run.report, &seed_attr);
+    let seed_rows = kernel_overheads(&seed_attr);
     if seed_rows.is_empty() || seed_attr.regions.is_empty() {
         return Err("calibration seed pass produced no flight data".to_string());
     }
@@ -166,7 +165,7 @@ pub fn calibrate_solver<S: Solver>(
         for _ in 0..spec.trials {
             let run = solver::run_instrumented::<S>(&case, &view, Some(&map))?;
             let attr = AttributionReport::from_timeline(&run.timeline);
-            let rows = kernel_overheads(&run.report, &attr);
+            let rows = kernel_overheads(&attr);
             for (si, seed) in seeds.iter().enumerate() {
                 if let Some(row) = rows.iter().find(|r| r.kernel == seed.row.kernel) {
                     let ci = round % seed.candidates.len();

@@ -1,7 +1,7 @@
 //! Executing a step DAG: sequential sweep, explicit-order replay, and
 //! sharded dispatch as one region of an [`llp::Workers`] team.
 
-use llp::{FlightRecorder, Recorder, Workers};
+use llp::{FlightRecorder, Workers};
 
 use crate::dag::{StepDag, Task};
 use crate::topology::Topology;
@@ -107,11 +107,12 @@ pub fn run_in_order<Z>(
 /// other zone is using, so the team is shared between the two levels
 /// region by region (`U_zones × U_loops`) rather than split into fixed
 /// slices. The zone region's own barrier is the step barrier; it bills
-/// the pool-wide counter only. Inside the zones span and flight
-/// recording are off (those instruments assume one coordinator thread);
-/// instead, every compute task brackets itself with zone start/end
-/// events on the **pool's** flight recorder, on the team lane that ran
-/// it, so a drained timeline shows zone occupancy per thread. After the
+/// the pool-wide counter only. It is a bare region, so it logs no
+/// region mark, and inside the zones the recorder is off (its log
+/// assumes one coordinator thread); instead, every compute task
+/// brackets itself with zone start/end events on the **pool's**
+/// recorder, on the team lane that ran it, so a drained timeline shows
+/// zone occupancy per thread. After the
 /// barrier, exchanges run on the calling thread in canonical interface
 /// order — a topological order of the step DAG, so the result is
 /// bit-identical to [`run_sequential`] for every shard count.
@@ -143,10 +144,8 @@ where
     let shards = shards.clamp(1, blocks.len());
     let loop_workers = (pool.processors() / shards).max(1);
     let flight = pool.flight();
-    let mut zone_level = pool.sized_view(shards);
-    zone_level.set_recorder(Recorder::disabled());
+    let zone_level = pool.sized_view(shards);
     let mut loops = pool.kernel_view(pool.processors(), pool.policy());
-    loops.set_recorder(Recorder::disabled());
     loops.set_flight(FlightRecorder::disabled());
     let (compute, loops) = (&compute, &loops);
     zone_level.region(|scope| {

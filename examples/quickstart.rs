@@ -18,7 +18,7 @@ fn main() {
     // A team of "processors" — the machine parameter of every
     // experiment in the paper. `default_worker_count` is the machine's
     // parallelism (override with `LLP_WORKERS`); `recorded` turns on
-    // the span recorder, which is the profiler.
+    // the team's recorder, which is the profiler.
     let workers = Workers::recorded(llp::default_worker_count());
 
     // Example 1 of the paper: parallelize the OUTER loop. The doacross
