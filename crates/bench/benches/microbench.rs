@@ -113,6 +113,7 @@ fn bench_obs_overhead(filter: &str) {
             black_box(i);
         });
         let _ = recorded.recorder().take_report("bench", 2);
+        let _ = recorded.flight().take_timeline();
     });
 }
 
