@@ -185,10 +185,12 @@ impl SolverSpec for ServiceCase {
         // Two full conservative-state fields per zone, 5 components of
         // f64 per point: the zone's Q and the stepper's RHS, which is
         // all a `RiscStepper` holds (the implicit factors solve in
-        // place). The grid metrics are not counted; the pencil scratch
-        // is per worker and cache-sized by design. A deterministic
-        // formula, not a measurement — the admission contract only
-        // needs it to scale with the request.
+        // place). The grid metrics need no term: a service zone is
+        // Cartesian, and `Metrics::cartesian` stores its ten terms as
+        // ten numbers, not ten fields. The pencil scratch is per worker
+        // and cache-sized by design. A deterministic formula, not a
+        // measurement; `serve`'s `admission_memory` test checks that
+        // every service case holds and peaks within it.
         let points: usize = self
             .grid()
             .zones()

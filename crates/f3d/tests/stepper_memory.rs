@@ -1,6 +1,9 @@
-//! Pins what the tuned stepper holds and what one of its steps adds:
-//! `RiscStepper` keeps exactly one whole-zone field (`rhs`) — the
-//! implicit factors solve in place on its rows — and a step on two
+//! Pins what a Cartesian zone holds, what the tuned stepper holds and
+//! what one of its steps adds: a `ZoneSolver` built on
+//! `Metrics::cartesian` holds its state field and nothing zone-sized
+//! besides (its ten metric terms are ten numbers), `RiscStepper` keeps
+//! exactly one whole-zone field (`rhs`) — the implicit factors solve
+//! in place on its rows — and a step on two
 //! workers adds nothing zone-sized on top of the zone, only two
 //! workers' scratch (the fused `rhs_jk` region's J-row buffer and
 //! pencil bundle), the L factor's per-`k` row groups and the regions'
@@ -78,8 +81,15 @@ fn allocations_per_step(d: Dims) -> usize {
 #[test]
 fn stepper_holds_one_field_and_a_step_adds_only_scratch() {
     let d = Dims::new(33, 40, 32);
-    let mut zone = perturbed_zone(d);
     let field = d.points() * NCONS * size_of::<f64>();
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut zone = perturbed_zone(d);
+    let zone_held = LIVE.load(Ordering::Relaxed) - before;
+    assert!(
+        zone_held <= field + 4096,
+        "the Cartesian zone holds {zone_held} B; its `q` field is {field} B"
+    );
 
     let before = LIVE.load(Ordering::Relaxed);
     let mut stepper = RiscStepper::for_zone(&zone);
@@ -109,8 +119,8 @@ fn stepper_holds_one_field_and_a_step_adds_only_scratch() {
          and {bookkeeping} B of region bookkeeping"
     );
     println!(
-        "stepper holds {held} B (rhs {field} B); a step adds at most {added} B \
-         (scratch {scratch} B, groups {groups} B)"
+        "zone holds {zone_held} B and stepper {held} B (q and rhs {field} B each); \
+         a step adds at most {added} B (scratch {scratch} B, groups {groups} B)"
     );
 
     let full = allocations_per_step(d);

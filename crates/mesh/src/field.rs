@@ -1,7 +1,10 @@
 //! Scalar and state-vector fields over one zone.
 //!
 //! A [`Field3`] owns contiguous storage for one scalar per grid point,
-//! under an explicit [`Layout`]. A [`StateField`] stores the [`NCONS`]
+//! under an explicit [`Layout`] — or, for a field that is one constant
+//! everywhere, the constant alone (a *broadcast* field: every stride
+//! zero, one value stored; only this crate builds one, for
+//! [`crate::Metrics::cartesian`]). A [`StateField`] stores the [`NCONS`]
 //! conserved variables per point, in either component-innermost (AoS)
 //! or component-outermost (SoA) arrangement — the two choices the
 //! paper's index-reordering tuning step moves between.
@@ -12,7 +15,8 @@ use crate::layout::{Axis, Layout};
 /// Number of conserved variables: ρ, ρu, ρv, ρw, e.
 pub const NCONS: usize = 5;
 
-/// A scalar field on one zone.
+/// A scalar field on one zone. Equality compares storage, so a
+/// broadcast field equals only a broadcast field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Field3 {
     dims: Dims,
@@ -33,12 +37,25 @@ impl Field3 {
         }
     }
 
-    /// Field filled with a constant.
+    /// A field that reads `value` at every point, storing it once:
+    /// every stride is zero, so every point's offset is 0. Reads are
+    /// the ordinary ones; nothing may write it (`set` and
+    /// `as_mut_slice` debug-assert so), which is why only this crate
+    /// builds one.
     #[must_use]
-    pub fn filled(dims: Dims, layout: Layout, value: f64) -> Self {
-        let mut f = Self::zeros(dims, layout);
-        f.data.fill(value);
-        f
+    pub(crate) fn broadcast(dims: Dims, layout: Layout, value: f64) -> Self {
+        Self {
+            dims,
+            layout,
+            strides: (0, 0, 0),
+            data: vec![value],
+        }
+    }
+
+    /// Whether this field stores one value for every point. (A stored
+    /// field's innermost stride is 1, so all-zero strides mark it.)
+    fn is_broadcast(&self) -> bool {
+        self.strides == (0, 0, 0)
     }
 
     /// Field initialized from a function of the point index.
@@ -83,11 +100,13 @@ impl Field3 {
     /// Write one point.
     #[inline]
     pub fn set(&mut self, p: Ijk, v: f64) {
+        debug_assert!(!self.is_broadcast(), "a broadcast field is read-only");
         let off = self.offset(p);
         self.data[off] = v;
     }
 
-    /// Raw storage, in layout order.
+    /// Raw storage, in layout order (a broadcast field's is its one
+    /// value).
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -95,6 +114,7 @@ impl Field3 {
 
     /// Mutable raw storage, in layout order.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        debug_assert!(!self.is_broadcast(), "a broadcast field is read-only");
         &mut self.data
     }
 
@@ -110,10 +130,16 @@ impl Field3 {
         out
     }
 
-    /// Sum over all points.
+    /// Sum over all points. A broadcast field adds `points()` copies
+    /// of its value in order, so it sums bit for bit like the stored
+    /// field of the same values.
     #[must_use]
     pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
+        if self.is_broadcast() {
+            std::iter::repeat_n(self.data[0], self.dims.points()).sum()
+        } else {
+            self.data.iter().sum()
+        }
     }
 }
 
@@ -352,6 +378,31 @@ mod tests {
                 assert_ne!(f.as_slice(), g.as_slice(), "layout {lay}");
             }
         }
+    }
+
+    #[test]
+    fn broadcast_reads_and_sums_like_a_stored_field() {
+        let value = 0.1;
+        for d in [dims(), Dims::new(1, 7, 3), Dims::new(1, 1, 1)] {
+            let b = Field3::broadcast(d, Layout::kjl(), value);
+            let f = Field3::from_fn(d, Layout::kjl(), |_| value);
+            for p in d.iter_jkl() {
+                assert_eq!(b.get(p).to_bits(), f.get(p).to_bits(), "{p}");
+            }
+            // 0.1 is inexact, so summing any other way than `points()`
+            // additions in order would show in the bits.
+            assert_eq!(b.sum().to_bits(), f.sum().to_bits(), "{d}");
+            assert_eq!(b.as_slice(), &[value]);
+            assert_eq!(b.relayout(Layout::jkl()), f.relayout(Layout::jkl()));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "read-only")]
+    fn broadcast_field_refuses_writes() {
+        let mut b = Field3::broadcast(dims(), Layout::jkl(), 1.0);
+        b.set(Ijk::new(0, 0, 0), 2.0);
     }
 
     #[test]

@@ -242,20 +242,22 @@ impl Metrics {
     }
 
     /// Metrics for a uniform Cartesian zone with the given spacings —
-    /// diagonal mapping, exact values, no finite differencing. Useful
-    /// for solver tests where discrete-metric error must be excluded.
+    /// diagonal mapping, exact values, no finite differencing. Every
+    /// term is one constant over the zone, so all ten are broadcast
+    /// fields: ten numbers, however large the zone, read through the
+    /// same [`Metrics::grad`] as a curvilinear zone's per-point fields.
     #[must_use]
     pub fn cartesian(dims: Dims, spacing: (f64, f64, f64)) -> Self {
         let lay = Layout::jkl();
         let (dx, dy, dz) = spacing;
         assert!(dx > 0.0 && dy > 0.0 && dz > 0.0);
-        let mut coef: [Field3; 9] = std::array::from_fn(|_| Field3::zeros(dims, lay));
-        coef[0] = Field3::filled(dims, lay, 1.0 / dx); // xi_x
-        coef[4] = Field3::filled(dims, lay, 1.0 / dy); // eta_y
-        coef[8] = Field3::filled(dims, lay, 1.0 / dz); // zeta_z
+        let mut coef: [Field3; 9] = std::array::from_fn(|_| Field3::broadcast(dims, lay, 0.0));
+        coef[0] = Field3::broadcast(dims, lay, 1.0 / dx); // xi_x
+        coef[4] = Field3::broadcast(dims, lay, 1.0 / dy); // eta_y
+        coef[8] = Field3::broadcast(dims, lay, 1.0 / dz); // zeta_z
         Self {
             dims,
-            jac: Field3::filled(dims, lay, dx * dy * dz),
+            jac: Field3::broadcast(dims, lay, dx * dy * dz),
             coef,
         }
     }
@@ -303,6 +305,63 @@ mod tests {
                     assert!((a[c] - b[c]).abs() < 1e-12, "{p} {ax} {c}");
                 }
             }
+        }
+    }
+
+    /// The same metrics as [`Metrics::cartesian`], one stored value per
+    /// point.
+    fn stored_cartesian(dims: Dims, (dx, dy, dz): (f64, f64, f64)) -> Metrics {
+        let stored = |v: f64| Field3::from_fn(dims, Layout::jkl(), |_| v);
+        let mut coef: [Field3; 9] = std::array::from_fn(|_| stored(0.0));
+        coef[0] = stored(1.0 / dx);
+        coef[4] = stored(1.0 / dy);
+        coef[8] = stored(1.0 / dz);
+        Metrics {
+            dims,
+            jac: stored(dx * dy * dz),
+            coef,
+        }
+    }
+
+    #[test]
+    fn cartesian_metrics_read_bit_for_bit_like_stored_ones() {
+        for (d, spacing) in [
+            (Dims::new(5, 6, 7), (0.5, 0.25, 2.0)),
+            (Dims::new(1, 9, 4), (0.3, 0.3, 0.3)),
+            (Dims::new(33, 40, 32), (0.1, 0.7, 0.05)),
+        ] {
+            let broadcast = Metrics::cartesian(d, spacing);
+            let stored = stored_cartesian(d, spacing);
+            let bits = |v: [f64; 3]| v.map(f64::to_bits);
+            for p in d.iter_jkl() {
+                assert_eq!(
+                    broadcast.jacobian(p).to_bits(),
+                    stored.jacobian(p).to_bits(),
+                    "{d} {p}"
+                );
+                for direction in Axis::ALL {
+                    assert_eq!(
+                        bits(broadcast.grad(p, direction)),
+                        bits(stored.grad(p, direction)),
+                        "{d} {p} {direction}"
+                    );
+                    for component in 0..3 {
+                        let c = MetricCoef {
+                            direction,
+                            component,
+                        };
+                        assert_eq!(broadcast.coef(p, c).to_bits(), stored.coef(p, c).to_bits());
+                    }
+                }
+            }
+            assert_eq!(
+                broadcast.total_volume().to_bits(),
+                stored.total_volume().to_bits(),
+                "{d}"
+            );
+            // Ten numbers, not ten zone-sized fields.
+            assert!(broadcast.coef.iter().all(|f| f.as_slice().len() == 1));
+            assert_eq!(broadcast.jac.as_slice().len(), 1);
         }
     }
 
