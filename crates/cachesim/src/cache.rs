@@ -7,8 +7,8 @@ pub struct CacheConfig {
     pub size_bytes: usize,
     /// Line size in bytes.
     pub line_bytes: usize,
-    /// Associativity (ways per set); use `usize::MAX` via
-    /// [`CacheConfig::fully_associative`] for a fully-associative cache.
+    /// Associativity (ways per set); `size_bytes / line_bytes` ways
+    /// make a fully-associative cache.
     pub associativity: usize,
 }
 
@@ -43,12 +43,6 @@ impl CacheConfig {
             line_bytes,
             associativity,
         }
-    }
-
-    /// Fully-associative cache of the given size.
-    #[must_use]
-    pub fn fully_associative(size_bytes: usize, line_bytes: usize) -> Self {
-        Self::new(size_bytes, line_bytes, size_bytes / line_bytes)
     }
 
     /// Direct-mapped cache of the given size.
@@ -166,14 +160,6 @@ impl Cache {
         self.misses = 0;
         self.writebacks = 0;
     }
-
-    /// Empty the cache and reset counters.
-    pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.reset_counters();
-    }
 }
 
 #[cfg(test)]
@@ -237,8 +223,8 @@ mod tests {
 
     #[test]
     fn working_set_fits_or_thrashes() {
-        let cfg = CacheConfig::fully_associative(4096, 64);
-        // Working set = cache size: after warmup, all hits.
+        let cfg = CacheConfig::new(4096, 64, 64); // fully associative
+                                                  // Working set = cache size: after warmup, all hits.
         let mut c = Cache::new(cfg);
         for _ in 0..2 {
             for i in 0..64u64 {
@@ -279,14 +265,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_reset() {
+    fn reset_counters_keeps_contents() {
         let mut c = Cache::new(CacheConfig::new(1024, 32, 2));
         c.access(0);
         c.reset_counters();
         assert_eq!(c.misses(), 0);
         assert!(c.access(0)); // contents kept
-        c.flush();
-        assert!(!c.access(0)); // contents gone
     }
 
     #[test]

@@ -133,15 +133,6 @@ impl MemHierarchy {
         (self.counters.l2_misses + self.counters().writebacks) * line as u64
     }
 
-    /// Sustained memory bandwidth demand in MB/s if the trace executes
-    /// in `seconds` — the quantity compared against the Origin 2000's
-    /// 135–195 MB/s off-node limits in Section 7.
-    #[must_use]
-    pub fn traffic_mb_per_s(&self, seconds: f64) -> f64 {
-        assert!(seconds > 0.0, "duration must be positive");
-        self.memory_traffic_bytes() as f64 / seconds / 1.0e6
-    }
-
     /// Reset all counters (cache/TLB contents kept warm).
     pub fn reset_counters(&mut self) {
         self.l1.reset_counters();
@@ -198,7 +189,6 @@ mod tests {
         let mut m = small();
         m.access(0, AccessKind::Load); // one L2 miss -> one 128-B line
         assert_eq!(m.memory_traffic_bytes(), 128);
-        assert!((m.traffic_mb_per_s(1.0) - 128e-6).abs() < 1e-12);
     }
 
     #[test]

@@ -11,6 +11,11 @@ fn addr_trace() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..(1 << 20), 1..800)
 }
 
+/// A fully-associative cache: one set of `size_bytes / line_bytes` ways.
+fn fully_associative(size_bytes: usize, line_bytes: usize) -> CacheConfig {
+    CacheConfig::new(size_bytes, line_bytes, size_bytes / line_bytes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -18,8 +23,8 @@ proptest! {
     /// same line size never misses more on any trace.
     #[test]
     fn lru_inclusion(trace in addr_trace()) {
-        let mut small = Cache::new(CacheConfig::fully_associative(1 << 12, 64));
-        let mut large = Cache::new(CacheConfig::fully_associative(1 << 14, 64));
+        let mut small = Cache::new(fully_associative(1 << 12, 64));
+        let mut large = Cache::new(fully_associative(1 << 14, 64));
         for &a in &trace {
             small.access(a);
             large.access(a);
@@ -42,7 +47,7 @@ proptest! {
     /// 100% if the distinct line count fits the fully-assoc cache.
     #[test]
     fn warm_replay_hits(trace in prop::collection::vec(0u64..(1 << 14), 1..200)) {
-        let cfg = CacheConfig::fully_associative(1 << 14, 32);
+        let cfg = fully_associative(1 << 14, 32);
         let mut lines: Vec<u64> = trace.iter().map(|a| a / 32).collect();
         lines.sort_unstable();
         lines.dedup();

@@ -66,34 +66,6 @@ pub fn scale(a: &Block, s: f64) -> Block {
     out
 }
 
-/// `a * b` (matrix product).
-#[must_use]
-pub fn matmul(a: &Block, b: &Block) -> Block {
-    let mut out = [[0.0; NCONS]; NCONS];
-    for i in 0..NCONS {
-        for k in 0..NCONS {
-            let aik = a[i][k];
-            if aik == 0.0 {
-                continue;
-            }
-            for j in 0..NCONS {
-                out[i][j] += aik * b[k][j];
-            }
-        }
-    }
-    out
-}
-
-/// `a * x` (matrix–vector product).
-#[must_use]
-pub fn matvec(a: &Block, x: &Vec5) -> Vec5 {
-    let mut y = [0.0; NCONS];
-    for (yi, row) in y.iter_mut().zip(a.iter()) {
-        *yi = row.iter().zip(x.iter()).map(|(m, v)| m * v).sum();
-    }
-    y
-}
-
 /// An LU factorization of a 5×5 block with partial pivoting.
 #[derive(Debug, Clone, Copy)]
 pub struct Lu {
@@ -162,23 +134,6 @@ impl Lu {
             y[i] /= self.lu[i][i];
         }
         y
-    }
-
-    /// Solve `A X = B` for a block right-hand side.
-    #[must_use]
-    pub fn solve_block(&self, b: &Block) -> Block {
-        let mut out = [[0.0; NCONS]; NCONS];
-        for col in 0..NCONS {
-            let mut rhs = [0.0; NCONS];
-            for (r, v) in rhs.iter_mut().enumerate() {
-                *v = b[r][col];
-            }
-            let x = self.solve(&rhs);
-            for (r, &v) in x.iter().enumerate() {
-                out[r][col] = v;
-            }
-        }
-        out
     }
 }
 
@@ -277,12 +232,11 @@ impl BlockTriScratch {
             let dp = &self.dp[(i - 1) * vw..][..vw];
             for r in 0..NCONS {
                 // Row r of lower·[cp | dp]: the block columns summed
-                // from +0.0 as `matmul` does, the vector column from
-                // f64's additive identity −0.0 as `matvec` does.
-                // `matmul` skips exact-zero multipliers; their ±0.0
-                // products leave a sum that started at +0.0 unchanged
-                // bit for bit (for finite `cp`), so adding them gives
-                // its result and keeps the lanes in lockstep.
+                // from +0.0, the vector column from f64's additive
+                // identity −0.0. An exact-zero multiplier adds a ±0.0
+                // product, which leaves a sum that started at +0.0
+                // unchanged bit for bit (for finite `cp`), so no lane
+                // skips it and the lanes stay in lockstep.
                 let mut acc = [[0.0f64; W]; NCONS];
                 let mut ld = [-0.0f64; W];
                 for k in 0..NCONS {
@@ -534,6 +488,11 @@ pub fn solve_block_tridiagonal_w(
 mod tests {
     use super::*;
 
+    /// `a * x` (matrix–vector product).
+    fn matvec(a: &Block, x: &Vec5) -> Vec5 {
+        std::array::from_fn(|i| a[i].iter().zip(x).map(|(m, v)| m * v).sum())
+    }
+
     fn diag_dominant_block(seed: u64, dominance: f64) -> Block {
         // deterministic pseudo-random block with a dominant diagonal
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -594,21 +553,6 @@ mod tests {
     fn singular_block_rejected() {
         let a = [[0.0; NCONS]; NCONS];
         assert!(Lu::factor(&a).is_none());
-    }
-
-    #[test]
-    fn solve_block_right_hand_side() {
-        let a = diag_dominant_block(7, 4.0);
-        let lu = Lu::factor(&a).unwrap();
-        let x = lu.solve_block(&identity());
-        // A * A^-1 = I
-        let prod = matmul(&a, &x);
-        for (i, row) in prod.iter().enumerate() {
-            for (j, v) in row.iter().enumerate() {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((v - expect).abs() < 1e-10, "[{i}][{j}]");
-            }
-        }
     }
 
     #[test]

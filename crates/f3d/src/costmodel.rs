@@ -76,17 +76,6 @@ impl Kernel {
         Kernel::LFactor,
         Kernel::Update,
     ];
-
-    /// All kernels of one time step, in execution order.
-    pub const STEP_ORDER: [Kernel; 7] = [
-        Kernel::Rhs,
-        Kernel::JFactor,
-        Kernel::KFactor,
-        Kernel::LFactor,
-        Kernel::Update,
-        Kernel::Bc,
-        Kernel::Inject,
-    ];
 }
 
 /// The cost of one kernel per grid point.
@@ -206,15 +195,6 @@ pub fn cycles_per_point_step(impl_kind: ImplKind, mem: &MachineMemory) -> f64 {
         .sum()
 }
 
-/// Total flops per interior point per step (volume kernels only).
-#[must_use]
-pub fn flops_per_point_step() -> u64 {
-    Kernel::VOLUME
-        .iter()
-        .map(|&k| kernel_cost(k, ImplKind::Risc).flops_per_point)
-        .sum()
-}
-
 /// The modelled serial-tuning speedup: vector cycles / tuned cycles on
 /// one processor of `mem` — the paper's "speedup of more than a factor
 /// of 10" on the Power Challenge.
@@ -227,6 +207,25 @@ pub fn serial_tuning_speedup(mem: &MachineMemory) -> f64 {
 mod tests {
     use super::*;
     use cachesim::presets;
+
+    /// All kernels of one time step, in execution order.
+    const STEP_ORDER: [Kernel; 7] = [
+        Kernel::Rhs,
+        Kernel::JFactor,
+        Kernel::KFactor,
+        Kernel::LFactor,
+        Kernel::Update,
+        Kernel::Bc,
+        Kernel::Inject,
+    ];
+
+    /// Total flops per interior point per step (volume kernels only).
+    fn flops_per_point_step() -> u64 {
+        Kernel::VOLUME
+            .iter()
+            .map(|&k| kernel_cost(k, ImplKind::Risc).flops_per_point)
+            .sum()
+    }
 
     #[test]
     fn tuned_code_is_much_cheaper_everywhere() {
@@ -377,7 +376,7 @@ mod tests {
     #[test]
     fn cycles_per_point_equals_the_closed_form_bit_for_bit() {
         for mem in presets::all() {
-            for k in Kernel::STEP_ORDER {
+            for k in STEP_ORDER {
                 for i in [ImplKind::Vector, ImplKind::Risc] {
                     let c = kernel_cost_on(k, i, &mem);
                     assert_eq!(
@@ -394,7 +393,7 @@ mod tests {
     #[test]
     fn all_kernels_priced_for_both_impls() {
         let mem = presets::origin2000_r12k();
-        for k in Kernel::STEP_ORDER {
+        for k in STEP_ORDER {
             for i in [ImplKind::Vector, ImplKind::Risc] {
                 assert!(kernel_cost(k, i).cycles_per_point(&mem) > 0.0);
             }

@@ -15,20 +15,6 @@
 use crate::state::{Primitive, GAMMA};
 use mesh::NCONS;
 
-/// The directed Euler flux `F_n(Q)` for direction `n`.
-#[must_use]
-pub fn directed_flux(q: &[f64; NCONS], n: [f64; 3]) -> [f64; NCONS] {
-    let prim = Primitive::from_conserved(q);
-    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
-    [
-        q[0] * theta,
-        q[1] * theta + n[0] * prim.p,
-        q[2] * theta + n[1] * prim.p,
-        q[3] * theta + n[2] * prim.p,
-        (q[4] + prim.p) * theta,
-    ]
-}
-
 /// The three distinct eigenvalues of the directed flux Jacobian:
 /// `(θ, θ + a|n|, θ − a|n|)`.
 #[must_use]
@@ -309,6 +295,21 @@ pub fn flux_jacobian_lanes<const W: usize>(
     a
 }
 
+/// The directed Euler flux `F_n(Q)` for direction `n`, one point at a
+/// time: the reference [`directed_flux_lanes`] is pinned to.
+#[cfg(test)]
+pub(crate) fn directed_flux(q: &[f64; NCONS], n: [f64; 3]) -> [f64; NCONS] {
+    let prim = Primitive::from_conserved(q);
+    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
+    [
+        q[0] * theta,
+        q[1] * theta + n[0] * prim.p,
+        q[2] * theta + n[1] * prim.p,
+        q[3] * theta + n[2] * prim.p,
+        (q[4] + prim.p) * theta,
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,7 +388,8 @@ mod tests {
         for q in states() {
             for n in directions() {
                 let a = flux_jacobian(&q, n);
-                let aq = crate::blocktri::matvec(&a, &q);
+                let aq: [f64; NCONS] =
+                    std::array::from_fn(|i| a[i].iter().zip(&q).map(|(m, v)| m * v).sum());
                 let f = directed_flux(&q, n);
                 for i in 0..NCONS {
                     assert!(

@@ -43,7 +43,6 @@ pub mod flux;
 pub mod forces;
 pub mod multizone;
 pub mod risc_impl;
-pub mod sequencing;
 pub mod service;
 pub mod solver;
 pub mod state;

@@ -344,35 +344,6 @@ impl<F: ImplicitFactor, R: Rows + ?Sized> LaneBody for FactorSweep<'_, F, R> {
     }
 }
 
-/// Parallel max-norm deviation from freestream: a doacross reduction
-/// over L-planes (one synchronization event). Max reductions are
-/// bitwise reproducible across worker counts, which is why the paper's
-/// convergence monitors could be parallelized without perturbing the
-/// convergence history.
-#[must_use]
-pub fn parallel_freestream_deviation(zone: &ZoneSolver, workers: &Workers) -> f64 {
-    let d = zone.dims();
-    let fs = zone.config.flow.conserved();
-    llp::doacross_reduce(
-        workers,
-        d.l,
-        0.0f64,
-        |l| {
-            let mut m = 0.0f64;
-            for k in 0..d.k {
-                for j in 0..d.j {
-                    let q = zone.q.get(Ijk::new(j, k, l));
-                    for c in 0..NCONS {
-                        m = m.max((q[c] - fs[c]).abs());
-                    }
-                }
-            }
-            m
-        },
-        f64::max,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,18 +527,6 @@ mod tests {
         assert_eq!(fused.sync_events, 1);
         let solve = kernels.iter().find(|k| k.name == "l_factor_solve").unwrap();
         assert_eq!(solve.parallelism, 7); // K extent
-    }
-
-    #[test]
-    fn parallel_deviation_matches_serial() {
-        let (mut zone, mut stepper) = small_case();
-        let workers = Workers::new(3);
-        stepper.step(&mut zone, &ZoneBcs::projectile(), &workers, None);
-        let serial = zone.freestream_deviation();
-        for nw in [1usize, 2, 5] {
-            let w = Workers::new(nw);
-            assert_eq!(parallel_freestream_deviation(&zone, &w), serial);
-        }
     }
 
     #[test]

@@ -330,10 +330,6 @@ pub mod flops {
     pub const BC_POINT: u64 = 40;
     /// Zonal injection per interface point.
     pub const INJECT_POINT: u64 = 10;
-    /// Total per interior point per time step (three central directions
-    /// share RHS_CENTRAL twice: K and L).
-    pub const PER_POINT_STEP: u64 =
-        RHS_UPWIND + 2 * RHS_CENTRAL + IMPLICIT_UPWIND + 2 * IMPLICIT_CENTRAL;
 }
 
 /// The thin-layer viscous flux at the midpoint between two adjacent
@@ -440,42 +436,6 @@ impl LaneBody for RhsUpwind<'_> {
             for c in 0..NCONS {
                 self.0.rhs_line[first + lane][c] +=
                     (fp_i[lane][c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[lane][c]);
-            }
-        }
-    }
-}
-
-/// Accumulate the central residual of one K- or L-pencil into
-/// `scratch.rhs_line`: second-order central flux differences plus
-/// scalar second-difference artificial dissipation scaled by the local
-/// spectral radius. Boundary points receive zero residual. Same lane
-/// grouping and exactness contract as [`rhs_upwind_pencil_w`].
-pub fn rhs_central_pencil_w(scratch: &mut PencilScratch, n: usize, eps2: f64, width: usize) {
-    assert!(n >= 2, "pencil too short");
-    for_lane_groups(width, 1..n - 1, &mut RhsCentral { scratch, eps2 });
-    scratch.rhs_line[0] = [0.0; NCONS];
-    scratch.rhs_line[n - 1] = [0.0; NCONS];
-}
-
-struct RhsCentral<'a> {
-    scratch: &'a mut PencilScratch,
-    eps2: f64,
-}
-
-impl LaneBody for RhsCentral<'_> {
-    #[inline]
-    fn group<const W: usize>(&mut self, first: usize) {
-        let st = Stencil::<W>::gather(self.scratch, first);
-        let f_ip = flux::directed_flux_lanes(&st.q_plus, &st.n);
-        let f_im = flux::directed_flux_lanes(&st.q_minus, &st.n);
-        let sigma = flux::spectral_radius_lanes(&st.q, &st.n);
-        for lane in 0..W {
-            for c in 0..NCONS {
-                let central = 0.5 * (f_ip[lane][c] - f_im[lane][c]);
-                let diss = self.eps2
-                    * sigma[lane]
-                    * (st.q_plus[lane][c] - 2.0 * st.q[lane][c] + st.q_minus[lane][c]);
-                self.scratch.rhs_line[first + lane][c] += central - diss;
             }
         }
     }
@@ -659,78 +619,12 @@ pub fn implicit_central_pencil_w(
     implicit_factor_bundle::<1, _>(scratch, n, &CentralFactor { eps_imp, mu_vis });
 }
 
-/// The full explicit residual at one *interior* point, in a fixed
-/// direction order (J upwind, then K central, then L central) so that
-/// every implementation computes bit-identical values regardless of its
-/// loop structure.
-///
-/// # Panics
-/// Debug-panics if `p` lies on a zone face (faces belong to the BCs).
-#[must_use]
-pub fn residual_point(zone: &ZoneSolver, p: Ijk, eps2: f64) -> Vec5 {
-    debug_assert!(!zone.dims().on_boundary(p), "residual at face point {p}");
-    let mut r = [0.0; NCONS];
-
-    // J: first-order Steger–Warming upwind differences.
-    let nj = zone.metrics.grad(p, Axis::J);
-    let q_i = zone.q.get(p);
-    let q_jm = zone.q.get(p.offset(Axis::J, -1));
-    let q_jp = zone.q.get(p.offset(Axis::J, 1));
-    let fp_i = flux::steger_warming(&q_i, nj, true);
-    let fp_im = flux::steger_warming(&q_jm, nj, true);
-    let fm_ip = flux::steger_warming(&q_jp, nj, false);
-    let fm_i = flux::steger_warming(&q_i, nj, false);
-    for c in 0..NCONS {
-        r[c] += (fp_i[c] - fp_im[c]) + (fm_ip[c] - fm_i[c]);
-    }
-
-    // K and L: central differences with scalar dissipation.
-    for axis in [Axis::K, Axis::L] {
-        let n = zone.metrics.grad(p, axis);
-        let q_m = zone.q.get(p.offset(axis, -1));
-        let q_p = zone.q.get(p.offset(axis, 1));
-        let f_p = flux::directed_flux(&q_p, n);
-        let f_m = flux::directed_flux(&q_m, n);
-        let sigma = flux::spectral_radius(&q_i, n);
-        for c in 0..NCONS {
-            let central = 0.5 * (f_p[c] - f_m[c]);
-            let diss = eps2 * sigma * (q_p[c] - 2.0 * q_i[c] + q_m[c]);
-            r[c] += central - diss;
-        }
-    }
-
-    // Thin-layer viscous terms along L (F3D's thin-layer NS mode):
-    // R -= S_{l+1/2} - S_{l-1/2}.
-    if zone.config.is_viscous() {
-        let mu = zone.config.viscosity;
-        let pr = zone.config.prandtl;
-        let q_m = zone.q.get(p.offset(Axis::L, -1));
-        let q_p = zone.q.get(p.offset(Axis::L, 1));
-        let n_i = zone.metrics.grad(p, Axis::L);
-        let n_m = zone.metrics.grad(p.offset(Axis::L, -1), Axis::L);
-        let n_p = zone.metrics.grad(p.offset(Axis::L, 1), Axis::L);
-        let mid = |a: [f64; 3], b: [f64; 3]| {
-            [
-                0.5 * (a[0] + b[0]),
-                0.5 * (a[1] + b[1]),
-                0.5 * (a[2] + b[2]),
-            ]
-        };
-        let s_hi = viscous_flux_midpoint(&q_i, &q_p, mid(n_i, n_p), mu, pr);
-        let s_lo = viscous_flux_midpoint(&q_m, &q_i, mid(n_m, n_i), mu, pr);
-        for c in 0..NCONS {
-            r[c] -= s_hi[c] - s_lo[c];
-        }
-    }
-    r
-}
-
-/// [`residual_point`] at `W` consecutive interior points along J
-/// (`first.j + lane`), with the flux evaluations routed through the
-/// lane kernels. Direction and accumulation order per lane are exactly
-/// the scalar function's (J upwind, K central, L central, then the
-/// viscous terms), so each lane's residual is bit-identical to
-/// `residual_point` at that point.
+/// The full explicit residual at `W` consecutive interior points along
+/// J (`first.j + lane`), with the flux evaluations routed through the
+/// lane kernels. Every lane runs one fixed direction and accumulation
+/// order (J upwind, K central, L central, then the viscous terms), so
+/// each lane's residual is bit-identical to the one-point scalar
+/// evaluation in this module's tests, at every `W`.
 ///
 /// # Panics
 /// Debug-panics if any lane's point lies on a zone face.
@@ -820,8 +714,8 @@ pub fn residual_points_lanes<const W: usize>(
 /// Fill `row[j] = −Δt(p)·R(p)` for the interior points `j ∈ 1..jmax−1`
 /// of one `(k, l)` row, [`residual_points_lanes`] at `width` points
 /// per lane group — the `rhs`-kernel body both steppers share.
-/// Boundary entries of `row` are left untouched; every entry is
-/// bit-identical to [`residual_point`] at that point, at every width.
+/// Boundary entries of `row` are left untouched; every entry is the
+/// same bits at every width.
 ///
 /// # Panics
 /// Panics if `row` is shorter than the J extent.
@@ -871,6 +765,107 @@ impl LaneBody for ResidualRow<'_> {
 mod tests {
     use super::*;
     use mesh::Dims;
+
+    /// The full explicit residual at one *interior* point, in a fixed
+    /// direction order (J upwind, then K central, then L central) so that
+    /// every implementation computes bit-identical values regardless of its
+    /// loop structure.
+    ///
+    /// # Panics
+    /// Debug-panics if `p` lies on a zone face (faces belong to the BCs).
+    fn residual_point(zone: &ZoneSolver, p: Ijk, eps2: f64) -> Vec5 {
+        debug_assert!(!zone.dims().on_boundary(p), "residual at face point {p}");
+        let mut r = [0.0; NCONS];
+
+        // J: first-order Steger–Warming upwind differences.
+        let nj = zone.metrics.grad(p, Axis::J);
+        let q_i = zone.q.get(p);
+        let q_jm = zone.q.get(p.offset(Axis::J, -1));
+        let q_jp = zone.q.get(p.offset(Axis::J, 1));
+        let fp_i = flux::steger_warming(&q_i, nj, true);
+        let fp_im = flux::steger_warming(&q_jm, nj, true);
+        let fm_ip = flux::steger_warming(&q_jp, nj, false);
+        let fm_i = flux::steger_warming(&q_i, nj, false);
+        for c in 0..NCONS {
+            r[c] += (fp_i[c] - fp_im[c]) + (fm_ip[c] - fm_i[c]);
+        }
+
+        // K and L: central differences with scalar dissipation.
+        for axis in [Axis::K, Axis::L] {
+            let n = zone.metrics.grad(p, axis);
+            let q_m = zone.q.get(p.offset(axis, -1));
+            let q_p = zone.q.get(p.offset(axis, 1));
+            let f_p = flux::directed_flux(&q_p, n);
+            let f_m = flux::directed_flux(&q_m, n);
+            let sigma = flux::spectral_radius(&q_i, n);
+            for c in 0..NCONS {
+                let central = 0.5 * (f_p[c] - f_m[c]);
+                let diss = eps2 * sigma * (q_p[c] - 2.0 * q_i[c] + q_m[c]);
+                r[c] += central - diss;
+            }
+        }
+
+        // Thin-layer viscous terms along L (F3D's thin-layer NS mode):
+        // R -= S_{l+1/2} - S_{l-1/2}.
+        if zone.config.is_viscous() {
+            let mu = zone.config.viscosity;
+            let pr = zone.config.prandtl;
+            let q_m = zone.q.get(p.offset(Axis::L, -1));
+            let q_p = zone.q.get(p.offset(Axis::L, 1));
+            let n_i = zone.metrics.grad(p, Axis::L);
+            let n_m = zone.metrics.grad(p.offset(Axis::L, -1), Axis::L);
+            let n_p = zone.metrics.grad(p.offset(Axis::L, 1), Axis::L);
+            let mid = |a: [f64; 3], b: [f64; 3]| {
+                [
+                    0.5 * (a[0] + b[0]),
+                    0.5 * (a[1] + b[1]),
+                    0.5 * (a[2] + b[2]),
+                ]
+            };
+            let s_hi = viscous_flux_midpoint(&q_i, &q_p, mid(n_i, n_p), mu, pr);
+            let s_lo = viscous_flux_midpoint(&q_m, &q_i, mid(n_m, n_i), mu, pr);
+            for c in 0..NCONS {
+                r[c] -= s_hi[c] - s_lo[c];
+            }
+        }
+        r
+    }
+
+    /// Accumulate the central residual of one K- or L-pencil into
+    /// `scratch.rhs_line`: second-order central flux differences plus
+    /// scalar second-difference artificial dissipation scaled by the local
+    /// spectral radius. Boundary points receive zero residual. Same lane
+    /// grouping and exactness contract as [`rhs_upwind_pencil_w`].
+    fn rhs_central_pencil_w(scratch: &mut PencilScratch, n: usize, eps2: f64, width: usize) {
+        assert!(n >= 2, "pencil too short");
+        for_lane_groups(width, 1..n - 1, &mut RhsCentral { scratch, eps2 });
+        scratch.rhs_line[0] = [0.0; NCONS];
+        scratch.rhs_line[n - 1] = [0.0; NCONS];
+    }
+
+    struct RhsCentral<'a> {
+        scratch: &'a mut PencilScratch,
+        eps2: f64,
+    }
+
+    impl LaneBody for RhsCentral<'_> {
+        #[inline]
+        fn group<const W: usize>(&mut self, first: usize) {
+            let st = Stencil::<W>::gather(self.scratch, first);
+            let f_ip = flux::directed_flux_lanes(&st.q_plus, &st.n);
+            let f_im = flux::directed_flux_lanes(&st.q_minus, &st.n);
+            let sigma = flux::spectral_radius_lanes(&st.q, &st.n);
+            for lane in 0..W {
+                for c in 0..NCONS {
+                    let central = 0.5 * (f_ip[lane][c] - f_im[lane][c]);
+                    let diss = self.eps2
+                        * sigma[lane]
+                        * (st.q_plus[lane][c] - 2.0 * st.q[lane][c] + st.q_minus[lane][c]);
+                    self.scratch.rhs_line[first + lane][c] += central - diss;
+                }
+            }
+        }
+    }
 
     fn cartesian_zone(config: SolverConfig, d: Dims) -> ZoneSolver {
         let metrics = Metrics::cartesian(d, (0.2, 0.2, 0.2));
@@ -1004,7 +999,9 @@ mod tests {
     #[test]
     fn gather_reads_zone_storage() {
         let mut zone = cartesian_zone(SolverConfig::subsonic(), Dims::new(5, 4, 3));
-        zone.q.set_comp(Ijk::new(2, 1, 1), 0, 9.0);
+        let mut q = zone.q.get(Ijk::new(2, 1, 1));
+        q[0] = 9.0;
+        zone.q.set(Ijk::new(2, 1, 1), q);
         let mut s = PencilScratch::new(5);
         s.gather(&zone, Axis::J, Ijk::new(0, 1, 1));
         assert_eq!(s.q_line[2][0], 9.0);
@@ -1291,14 +1288,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn per_point_flop_budget_is_f3d_scale() {
-        // Sanity: implicit CFD does thousands of flops per point per
-        // step ("they do more work per time step").
-        assert!(flops::PER_POINT_STEP > 2_000);
-        assert!(flops::PER_POINT_STEP < 10_000);
     }
 }

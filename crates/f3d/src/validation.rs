@@ -9,11 +9,12 @@
 //!
 //! * [`FieldChecksum`] — an order-independent digest of a state field,
 //!   cheap to log per step (the "version diff" primitive);
-//! * [`ResidualHistory`] — per-step convergence monitoring, with the
-//!   paper's constraint ("no changes to … the convergence properties")
-//!   as an executable comparison;
-//! * [`compare_runs`] — the quick-and-dirty few-step equivalence test
-//!   between two solver configurations or implementations.
+//! * [`ResidualHistory`] — per-step convergence monitoring: the
+//!   history a served solve reports, where the paper's constraint ("no
+//!   changes to … the convergence properties") shows.
+//!
+//! The quick-and-dirty few-step comparison of two implementations is
+//! tier-1 `tests/solver_equivalence.rs`.
 
 use crate::solver::ZoneSolver;
 use mesh::{StateField, NCONS};
@@ -98,96 +99,14 @@ impl ResidualHistory {
     pub fn record(&mut self, zone: &ZoneSolver) {
         self.push(zone.freestream_deviation());
     }
-
-    /// Whether the history is (weakly) converging: the mean of the last
-    /// quarter is below `factor` times the mean of the first quarter.
-    #[must_use]
-    pub fn is_converging(&self, factor: f64) -> bool {
-        let n = self.values.len();
-        if n < 8 {
-            return false;
-        }
-        let quarter = n / 4;
-        let head: f64 = self.values[..quarter].iter().sum::<f64>() / quarter as f64;
-        let tail: f64 = self.values[n - quarter..].iter().sum::<f64>() / quarter as f64;
-        tail < factor * head
-    }
-
-    /// Maximum pointwise relative difference against another history —
-    /// zero iff the convergence behaviour is identical, the paper's
-    /// headline constraint.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    #[must_use]
-    pub fn max_relative_diff(&self, other: &Self) -> f64 {
-        assert_eq!(self.values.len(), other.values.len(), "length mismatch");
-        self.values
-            .iter()
-            .zip(&other.values)
-            .map(|(&a, &b)| {
-                let scale = a.abs().max(b.abs()).max(1e-300);
-                (a - b).abs() / scale
-            })
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Result of a few-step equivalence comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunComparison {
-    /// Max pointwise field difference at the end.
-    pub field_diff: f64,
-    /// Max checksum difference at the end.
-    pub checksum_diff: f64,
-    /// Max relative difference between the residual histories.
-    pub history_diff: f64,
-}
-
-impl RunComparison {
-    /// True if the runs are identical to within `tol`.
-    #[must_use]
-    pub fn equivalent(&self, tol: f64) -> bool {
-        self.field_diff <= tol && self.history_diff <= tol
-    }
-}
-
-/// The quick-and-dirty few-step test: drive two closures (each advances
-/// its own zone one step and returns a reference to it) for `steps`
-/// steps and compare fields, checksums and histories.
-pub fn compare_runs<A, B>(steps: usize, mut step_a: A, mut step_b: B) -> RunComparison
-where
-    A: FnMut() -> ZoneSolver,
-    B: FnMut() -> ZoneSolver,
-{
-    let mut ha = ResidualHistory::new();
-    let mut hb = ResidualHistory::new();
-    let (mut za, mut zb) = (None, None);
-    for _ in 0..steps {
-        let a = step_a();
-        let b = step_b();
-        ha.record(&a);
-        hb.record(&b);
-        za = Some(a);
-        zb = Some(b);
-    }
-    let za = za.expect("at least one step");
-    let zb = zb.expect("at least one step");
-    RunComparison {
-        field_diff: za.q.max_abs_diff(&zb.q),
-        checksum_diff: FieldChecksum::of(&za.q).max_diff(&FieldChecksum::of(&zb.q)),
-        history_diff: ha.max_relative_diff(&hb),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bc::ZoneBcs;
     use crate::risc_impl::RiscStepper;
     use crate::solver::SolverConfig;
     use crate::vector_impl::VectorStepper;
-    use llp::Workers;
     use mesh::{Dims, Ijk, Metrics};
 
     fn zone_pair() -> (ZoneSolver, ZoneSolver) {
@@ -237,88 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn history_convergence_detection() {
-        let mut h = ResidualHistory::new();
-        for i in 0..40 {
-            h.push(1.0 * 0.9f64.powi(i));
-        }
-        assert!(h.is_converging(0.5));
-        let mut flat = ResidualHistory::new();
-        for _ in 0..40 {
-            flat.push(1.0);
-        }
-        assert!(!flat.is_converging(0.5));
-        // Too short to judge.
-        let mut short = ResidualHistory::new();
-        short.push(1.0);
-        assert!(!short.is_converging(0.5));
-    }
-
-    #[test]
     #[should_panic(expected = "divergence")]
     fn history_rejects_nan() {
         let mut h = ResidualHistory::new();
         h.push(f64::NAN);
-    }
-
-    #[test]
-    fn compare_runs_flags_equivalent_implementations() {
-        // The full Section 6 quick test: vector vs risc for 4 steps.
-        let d = Dims::new(8, 7, 6);
-        let m = Metrics::cartesian(d, (0.25, 0.25, 0.25));
-        let cfg = SolverConfig::supersonic();
-        let bcs = ZoneBcs::projectile();
-        let (mut za, mut sa) = RiscStepper::new_zone(cfg, m.clone());
-        let (mut zb, mut sb) = VectorStepper::new_zone(cfg, m);
-        for p in d.iter_jkl() {
-            let mut q = za.q.get(p);
-            q[4] *= 1.0 + 0.01 * (p.k as f64).cos();
-            za.q.set(p, q);
-            zb.q.set(p, q);
-        }
-        let workers = Workers::new(2);
-        let cmp = compare_runs(
-            4,
-            || {
-                sa.step(&mut za, &bcs, &workers, None);
-                za.clone()
-            },
-            || {
-                sb.step(&mut zb, &bcs);
-                zb.clone()
-            },
-        );
-        assert!(cmp.equivalent(1e-13), "{cmp:?}");
-        assert_eq!(cmp.field_diff, 0.0);
-    }
-
-    #[test]
-    fn compare_runs_flags_a_seeded_bug() {
-        // Inject the class of mistake the paper's diff methodology
-        // caught: one implementation "accidentally" perturbs a cell.
-        let d = Dims::new(8, 7, 6);
-        let m = Metrics::cartesian(d, (0.25, 0.25, 0.25));
-        let cfg = SolverConfig::supersonic();
-        let bcs = ZoneBcs::all_freestream();
-        let (mut za, mut sa) = RiscStepper::new_zone(cfg, m.clone());
-        let (mut zb, mut sb) = RiscStepper::new_zone(cfg, m);
-        let workers = Workers::new(2);
-        let cmp = compare_runs(
-            3,
-            || {
-                sa.step(&mut za, &bcs, &workers, None);
-                za.clone()
-            },
-            || {
-                sb.step(&mut zb, &bcs, &workers, None);
-                // the bug
-                let mut q = zb.q.get(Ijk::new(4, 3, 3));
-                q[0] += 1e-8;
-                zb.q.set(Ijk::new(4, 3, 3), q);
-                zb.clone()
-            },
-        );
-        assert!(!cmp.equivalent(1e-13), "bug not detected: {cmp:?}");
-        assert!(cmp.field_diff > 0.0);
     }
 }

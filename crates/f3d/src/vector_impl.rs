@@ -66,13 +66,6 @@ impl VectorStepper {
         }
     }
 
-    /// Bytes of scratch this stepper holds — plane-proportional, for
-    /// the cache-fit comparisons in the benchmarks.
-    #[must_use]
-    pub fn scratch_bytes(&self) -> usize {
-        self.plane_scratch.iter().map(PencilScratch::bytes).sum()
-    }
-
     /// Advance one time step (serial).
     pub fn step(&mut self, zone: &mut ZoneSolver, bcs: &ZoneBcs) {
         let d = zone.dims();
@@ -266,7 +259,8 @@ mod tests {
         // i.e. be much larger than a single pencil's scratch.
         let one_pencil =
             PencilScratch::new(zone.dims().j.max(zone.dims().k).max(zone.dims().l)).bytes();
-        assert!(stepper.scratch_bytes() >= 6 * one_pencil);
+        let plane: usize = stepper.plane_scratch.iter().map(PencilScratch::bytes).sum();
+        assert!(plane >= 6 * one_pencil);
     }
 
     #[test]

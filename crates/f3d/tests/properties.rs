@@ -1,5 +1,8 @@
 //! Property-based tests for the solver's numerical substrates.
 
+mod common;
+
+use common::{directed_flux, matvec};
 use f3d::blocktri::{self, solve_block_tridiagonal, Block, BlockTriScratch, Vec5};
 use f3d::flux;
 use f3d::state::{Primitive, GAMMA};
@@ -42,7 +45,7 @@ proptest! {
     #[test]
     fn sw_split_sums(prim in primitive(), n in direction()) {
         let q = prim.to_conserved();
-        let full = flux::directed_flux(&q, n);
+        let full = directed_flux(&q, n);
         let plus = flux::steger_warming(&q, n, true);
         let minus = flux::steger_warming(&q, n, false);
         for c in 0..NCONS {
@@ -56,8 +59,8 @@ proptest! {
     fn flux_homogeneity(prim in primitive(), n in direction()) {
         let q = prim.to_conserved();
         let a = flux::flux_jacobian(&q, n);
-        let aq = blocktri::matvec(&a, &q);
-        let f = flux::directed_flux(&q, n);
+        let aq = matvec(&a, &q);
+        let f = directed_flux(&q, n);
         for c in 0..NCONS {
             prop_assert!((aq[c] - f[c]).abs() < 1e-9 * (1.0 + f[c].abs()));
         }
@@ -83,8 +86,8 @@ proptest! {
     fn direction_antisymmetry(prim in primitive(), n in direction()) {
         let q = prim.to_conserved();
         let neg = [-n[0], -n[1], -n[2]];
-        let f = flux::directed_flux(&q, n);
-        let f_neg = flux::directed_flux(&q, neg);
+        let f = directed_flux(&q, n);
+        let f_neg = directed_flux(&q, neg);
         for c in 0..NCONS {
             prop_assert!((f[c] + f_neg[c]).abs() < 1e-11 * (1.0 + f[c].abs()));
         }
@@ -127,7 +130,7 @@ proptest! {
         x in prop::array::uniform5(-10.0f64..10.0),
     ) {
         let a = dom_block(&vals, 6.0);
-        let b = blocktri::matvec(&a, &x);
+        let b = matvec(&a, &x);
         let lu = blocktri::Lu::factor(&a).expect("dominant => nonsingular");
         let got = lu.solve(&b);
         for c in 0..NCONS {
@@ -149,13 +152,13 @@ proptest! {
         let x: Vec<Vec5> = (0..n).map(|i| xs[i % xs.len()]).collect();
         let mut rhs: Vec<Vec5> = Vec::with_capacity(n);
         for i in 0..n {
-            let mut r = blocktri::matvec(&diag[i], &x[i]);
+            let mut r = matvec(&diag[i], &x[i]);
             if i > 0 {
-                let lx = blocktri::matvec(&lower[i], &x[i - 1]);
+                let lx = matvec(&lower[i], &x[i - 1]);
                 for (rv, lv) in r.iter_mut().zip(lx) { *rv += lv; }
             }
             if i + 1 < n {
-                let ux = blocktri::matvec(&upper[i], &x[i + 1]);
+                let ux = matvec(&upper[i], &x[i + 1]);
                 for (rv, uv) in r.iter_mut().zip(ux) { *rv += uv; }
             }
             rhs.push(r);

@@ -14,6 +14,9 @@
 //! comparisons are `==` on `f64` or on its bits: a single ULP of drift
 //! is a failure.
 
+mod common;
+
+use common::{directed_flux, matvec};
 use f3d::blocktri::{
     self, solve_block_tridiagonal, solve_block_tridiagonal_lanes, solve_block_tridiagonal_w, Block,
     BlockTriScratch, Vec5,
@@ -21,8 +24,7 @@ use f3d::blocktri::{
 use f3d::flux;
 use f3d::solver::{
     implicit_central_pencil_w, implicit_factor_bundle, implicit_upwind_pencil_w,
-    rhs_central_pencil_w, rhs_upwind_pencil_w, CentralFactor, ImplicitFactor, PencilScratch,
-    UpwindFactor,
+    rhs_upwind_pencil_w, CentralFactor, ImplicitFactor, PencilScratch, UpwindFactor,
 };
 use f3d::state::Primitive;
 use mesh::NCONS;
@@ -194,13 +196,13 @@ fn one_lane_swapping_rows_leaves_every_lane_exact() {
     let swapped = &systems[2];
     let x = &solve_in_lockstep::<4>(&systems, n)[2];
     for i in 0..n {
-        let mut residual = blocktri::matvec(&swapped.diag[i], &x[i]);
+        let mut residual = matvec(&swapped.diag[i], &x[i]);
         if i > 0 {
-            let lx = blocktri::matvec(&swapped.lower[i], &x[i - 1]);
+            let lx = matvec(&swapped.lower[i], &x[i - 1]);
             residual.iter_mut().zip(lx).for_each(|(r, v)| *r += v);
         }
         if i + 1 < n {
-            let ux = blocktri::matvec(&swapped.upper[i], &x[i + 1]);
+            let ux = matvec(&swapped.upper[i], &x[i + 1]);
             residual.iter_mut().zip(ux).for_each(|(r, v)| *r += v);
         }
         for (c, r) in residual.iter().enumerate() {
@@ -337,25 +339,6 @@ proptest! {
         }
     }
 
-    /// Same contract for the central RHS with its dissipation term.
-    #[test]
-    fn central_rhs_is_bit_exact_at_every_width(
-        n in 2usize..=MAX_PENCIL,
-        eps2 in 0.0f64..0.1,
-        prims in prop::collection::vec(primitive(), MAX_PENCIL),
-        dirs in prop::collection::vec(direction(), MAX_PENCIL),
-        dts in prop::collection::vec(0.001f64..0.05, MAX_PENCIL),
-        rhs in prop::collection::vec(vec5(), MAX_PENCIL),
-    ) {
-        let mut reference = filled_scratch(n, &prims, &dirs, &dts, &rhs);
-        rhs_central_pencil_w(&mut reference, n, eps2, 1);
-        for &w in &SUPPORTED_WIDTHS {
-            let mut s = filled_scratch(n, &prims, &dirs, &dts, &rhs);
-            rhs_central_pencil_w(&mut s, n, eps2, w);
-            prop_assert_eq!(&s.rhs_line, &reference.rhs_line, "width {}, n {}", w, n);
-        }
-    }
-
     /// `W` systems solved in lockstep give each lane the bits of that
     /// system solved alone, for random diagonally dominant systems of
     /// every length.
@@ -422,7 +405,7 @@ proptest! {
         let swp = flux::steger_warming_lanes::<4>(&q, &nv, true);
         let swm = flux::steger_warming_lanes::<4>(&q, &nv, false);
         for lane in 0..4 {
-            prop_assert_eq!(df[lane], flux::directed_flux(&q[lane], nv[lane]));
+            prop_assert_eq!(df[lane], directed_flux(&q[lane], nv[lane]));
             prop_assert_eq!(sr[lane], flux::spectral_radius(&q[lane], nv[lane]));
             prop_assert_eq!(swp[lane], flux::steger_warming(&q[lane], nv[lane], true));
             prop_assert_eq!(swm[lane], flux::steger_warming(&q[lane], nv[lane], false));

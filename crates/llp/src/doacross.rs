@@ -584,9 +584,7 @@ mod tests {
 
     /// A team of `p` workers running under `policy`.
     fn team(p: usize, policy: Policy) -> Workers {
-        let mut w = Workers::new(p);
-        w.set_policy(policy);
-        w
+        Workers::new(p).with_policy(policy)
     }
 
     const POLICIES: [Policy; 4] = [
@@ -737,11 +735,7 @@ mod tests {
 
     #[test]
     fn dynamic_recorded_regions_time_claimants() {
-        let w = {
-            let mut w = Workers::recorded(3);
-            w.set_policy(Policy::Dynamic { chunk: 5 });
-            w
-        };
+        let w = Workers::recorded(3).with_policy(Policy::Dynamic { chunk: 5 });
         doacross(&w, 60, |i| {
             std::hint::black_box((i as f64).sqrt());
         });

@@ -99,22 +99,6 @@ impl<'a> FusedRegion<'a> {
             crate::doacross::doacross(workers, self.n, &b);
         }
     }
-
-    /// Synchronization events this region will cost when run fused.
-    #[must_use]
-    pub fn fused_sync_events(&self) -> u64 {
-        u64::from(!self.bodies.is_empty() && self.n > 0)
-    }
-
-    /// Synchronization events the unfused equivalent costs.
-    #[must_use]
-    pub fn unfused_sync_events(&self) -> u64 {
-        if self.n == 0 {
-            0
-        } else {
-            self.bodies.len() as u64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,10 +129,11 @@ mod tests {
     #[test]
     fn fusion_saves_sync_events() {
         let w = Workers::new(2);
-        let region = FusedRegion::over(10).then(|_| {}).then(|_| {}).then(|_| {});
-        assert_eq!(region.fused_sync_events(), 1);
-        assert_eq!(region.unfused_sync_events(), 3);
-        region.run(&w);
+        FusedRegion::over(10)
+            .then(|_| {})
+            .then(|_| {})
+            .then(|_| {})
+            .run(&w);
         assert_eq!(w.sync_event_count(), 1);
 
         w.reset_counters();

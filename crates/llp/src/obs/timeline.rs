@@ -422,16 +422,6 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
-    /// Bytes the rings occupy (0 when disabled): every slot of every
-    /// lane is allocated, and written, by [`FlightRecorder::enabled`].
-    #[must_use]
-    pub fn ring_bytes(&self) -> usize {
-        self.inner.as_ref().map_or(0, |state| {
-            let slots: usize = state.lanes.iter().map(|lane| lane.slots.len()).sum();
-            slots * std::mem::size_of::<Slot>()
-        })
-    }
-
     /// Number of worker lanes (0 when disabled).
     #[must_use]
     pub fn lanes(&self) -> usize {
@@ -680,17 +670,6 @@ impl RegionSession<'_> {
         now_ns
     }
 
-    /// Lane `lane` spent `ns` nanoseconds inside one chunk claim.
-    pub fn claim_wait(&self, lane: usize, ns: u64) {
-        self.add_busy(lane, ns);
-        self.record(lane, EventKind::ClaimWait, ns);
-    }
-
-    /// Lane `lane` found the chunk list exhausted.
-    pub fn claim_miss(&self, lane: usize) {
-        self.record(lane, EventKind::ClaimMiss, 0);
-    }
-
     /// One self-scheduled claim by lane `lane`, begun at `since_ns` (the
     /// lane's previous [`RegionSession::chunk_end`], or
     /// [`RegionSession::now_ns`] before its first) and ended now, on one
@@ -757,6 +736,22 @@ impl RegionSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Synthetic claim events with chosen durations, for the tests that
+    /// fold hand-built timelines (the pool records claims through
+    /// [`RegionSession::claimed`]).
+    impl RegionSession<'_> {
+        /// Lane `lane` spent `ns` nanoseconds inside one chunk claim.
+        pub(crate) fn claim_wait(&self, lane: usize, ns: u64) {
+            self.add_busy(lane, ns);
+            self.record(lane, EventKind::ClaimWait, ns);
+        }
+
+        /// Lane `lane` found the chunk list exhausted.
+        pub(crate) fn claim_miss(&self, lane: usize) {
+            self.record(lane, EventKind::ClaimMiss, 0);
+        }
+    }
 
     #[test]
     fn disabled_recorder_is_inert() {

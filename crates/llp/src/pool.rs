@@ -209,11 +209,6 @@ impl Workers {
         self.policy
     }
 
-    /// Set the chunk-scheduling policy used by `doacross` entry points.
-    pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
-    }
-
     /// A same-sized view of this pool running under `policy`: shares
     /// counters and recorder, like [`Workers::sized_view`], but changes
     /// only the scheduling policy. This is how a service applies a
@@ -740,9 +735,9 @@ mod tests {
 
     #[test]
     fn views_inherit_and_override_policy() {
-        let mut pool = Workers::new(4);
+        let pool = Workers::new(4);
         assert_eq!(pool.policy(), Policy::Static);
-        pool.set_policy(Policy::Dynamic { chunk: 2 });
+        let pool = pool.with_policy(Policy::Dynamic { chunk: 2 });
         assert_eq!(pool.sized_view(2).policy(), Policy::Dynamic { chunk: 2 });
         let guided = pool.with_policy(Policy::Guided { min_chunk: 1 });
         assert_eq!(guided.policy(), Policy::Guided { min_chunk: 1 });

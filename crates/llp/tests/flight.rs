@@ -21,8 +21,7 @@ use std::thread::{self, ThreadId};
 
 /// A team of `p` workers with a private, enabled flight recorder.
 fn instrumented(p: usize, policy: Policy) -> Workers {
-    let mut w = Workers::new(p);
-    w.set_policy(policy);
+    let mut w = Workers::new(p).with_policy(policy);
     w.set_flight(FlightRecorder::enabled(p, DEFAULT_EVENT_CAPACITY));
     w
 }
@@ -222,8 +221,7 @@ fn dynamic_and_guided_timelines_hold_invariants() {
 
 #[test]
 fn ring_overflow_drops_oldest_and_counts_them() {
-    let mut w = Workers::new(2);
-    w.set_policy(Policy::Dynamic { chunk: 1 });
+    let mut w = Workers::new(2).with_policy(Policy::Dynamic { chunk: 1 });
     // Tiny rings: 256 chunks generate far more than 8 events per lane.
     w.set_flight(FlightRecorder::enabled(2, 8));
     llp::doacross(&w, 256, |i| {
@@ -286,8 +284,7 @@ fn a_thousand_regions_leave_every_lane_complete_and_monotone() {
     // here as a torn, missing or out-of-order event.
     const REGIONS: u64 = 1000;
     for policy in [Policy::Static, Policy::Dynamic { chunk: 4 }] {
-        let mut w = Workers::new(4);
-        w.set_policy(policy);
+        let mut w = Workers::new(4).with_policy(policy);
         w.set_flight(FlightRecorder::enabled(4, 32 * 1024));
         for _ in 0..REGIONS {
             llp::doacross(&w, 16, |i| {
@@ -374,8 +371,7 @@ fn a_region_that_lost_its_helper_bills_its_chunks_to_the_caller() {
             let callers: Vec<_> = (0..2)
                 .map(|_| {
                     threads.spawn(|| {
-                        let mut view = pool.sized_view(2);
-                        view.set_policy(policy);
+                        let mut view = pool.sized_view(2).with_policy(policy);
                         view.set_flight(FlightRecorder::enabled(2, 16 * 1024));
                         // Per region: the threads that ran its iterations.
                         let ran: Vec<HashSet<ThreadId>> = (0..REGIONS)

@@ -221,8 +221,7 @@ proptest! {
         guided in 0usize..2,
         seed in 0u64..1000,
     ) {
-        let mut w = Workers::new(p);
-        w.set_policy(if guided == 1 {
+        let w = Workers::new(p).with_policy(if guided == 1 {
             Policy::Guided { min_chunk: chunk }
         } else {
             Policy::Dynamic { chunk }

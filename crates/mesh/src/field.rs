@@ -117,30 +117,6 @@ impl Field3 {
         debug_assert!(!self.is_broadcast(), "a broadcast field is read-only");
         &mut self.data
     }
-
-    /// Copy this field into a new field with a different layout
-    /// (a "matrix transpose operation" in the paper's tuning toolbox).
-    #[must_use]
-    pub fn relayout(&self, layout: Layout) -> Self {
-        let mut out = Self::zeros(self.dims, layout);
-        for p in self.dims.iter_jkl() {
-            let v = self.get(p);
-            out.set(p, v);
-        }
-        out
-    }
-
-    /// Sum over all points. A broadcast field adds `points()` copies
-    /// of its value in order, so it sums bit for bit like the stored
-    /// field of the same values.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        if self.is_broadcast() {
-            std::iter::repeat_n(self.data[0], self.dims.points()).sum()
-        } else {
-            self.data.iter().sum()
-        }
-    }
 }
 
 /// How the component index of a [`StateField`] is arranged relative to
@@ -227,20 +203,6 @@ impl StateField {
         }
     }
 
-    /// Read one component at one point.
-    #[must_use]
-    #[inline]
-    pub fn get_comp(&self, p: Ijk, n: usize) -> f64 {
-        self.data[self.offset(p, n)]
-    }
-
-    /// Write one component at one point.
-    #[inline]
-    pub fn set_comp(&mut self, p: Ijk, n: usize, v: f64) {
-        let off = self.offset(p, n);
-        self.data[off] = v;
-    }
-
     /// Read the full state vector at one point.
     #[must_use]
     #[inline]
@@ -298,13 +260,6 @@ impl StateField {
         out
     }
 
-    /// Sum of one component over all points (conservation bookkeeping).
-    #[must_use]
-    pub fn component_sum(&self, n: usize) -> f64 {
-        assert!(n < NCONS);
-        self.dims.iter_jkl().map(|p| self.get_comp(p, n)).sum()
-    }
-
     /// Maximum absolute pointwise difference against another field of
     /// the same dims (arrangement/layout may differ).
     #[must_use]
@@ -357,31 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn field3_from_fn_and_sum() {
+    fn field3_from_fn_reads_back() {
         let f = Field3::from_fn(dims(), Layout::kjl(), |p| (p.j + p.k + p.l) as f64);
-        let expect: usize = dims().iter_jkl().map(|p| p.j + p.k + p.l).sum();
-        assert_eq!(f.sum(), expect as f64);
-    }
-
-    #[test]
-    fn relayout_preserves_values() {
-        let f = Field3::from_fn(dims(), Layout::jkl(), |p| {
-            (p.j * 100 + p.k * 10 + p.l) as f64
-        });
-        for lay in Layout::all() {
-            let g = f.relayout(lay);
-            for p in dims().iter_jkl() {
-                assert_eq!(f.get(p), g.get(p), "layout {lay} point {p}");
-            }
-            // but the raw order differs unless the layout matches
-            if lay != f.layout() {
-                assert_ne!(f.as_slice(), g.as_slice(), "layout {lay}");
-            }
+        for p in dims().iter_jkl() {
+            assert_eq!(f.get(p), (p.j + p.k + p.l) as f64, "{p}");
         }
     }
 
     #[test]
-    fn broadcast_reads_and_sums_like_a_stored_field() {
+    fn broadcast_reads_like_a_stored_field() {
         let value = 0.1;
         for d in [dims(), Dims::new(1, 7, 3), Dims::new(1, 1, 1)] {
             let b = Field3::broadcast(d, Layout::kjl(), value);
@@ -389,11 +328,7 @@ mod tests {
             for p in d.iter_jkl() {
                 assert_eq!(b.get(p).to_bits(), f.get(p).to_bits(), "{p}");
             }
-            // 0.1 is inexact, so summing any other way than `points()`
-            // additions in order would show in the bits.
-            assert_eq!(b.sum().to_bits(), f.sum().to_bits(), "{d}");
             assert_eq!(b.as_slice(), &[value]);
-            assert_eq!(b.relayout(Layout::jkl()), f.relayout(Layout::jkl()));
         }
     }
 
@@ -441,21 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn component_sum_is_per_component() {
-        let f = StateField::uniform(
-            dims(),
-            Layout::jkl(),
-            Arrangement::ComponentInner,
-            [1.0, 2.0, 0.0, 0.0, 5.0],
-        );
-        let n = dims().points() as f64;
-        assert_eq!(f.component_sum(0), n);
-        assert_eq!(f.component_sum(1), 2.0 * n);
-        assert_eq!(f.component_sum(2), 0.0);
-        assert_eq!(f.component_sum(4), 5.0 * n);
-    }
-
-    #[test]
     fn pencil_walks_one_axis() {
         let mut f = StateField::zeros(dims(), Layout::jkl(), Arrangement::ComponentInner);
         for p in dims().iter_jkl() {
@@ -475,7 +395,9 @@ mod tests {
         );
         let mut b = a.clone();
         assert_eq!(a.max_abs_diff(&b), 0.0);
-        b.set_comp(Ijk::new(1, 1, 1), 3, 1.5);
+        let mut q = b.get(Ijk::new(1, 1, 1));
+        q[3] = 1.5;
+        b.set(Ijk::new(1, 1, 1), q);
         assert_eq!(a.max_abs_diff(&b), 0.5);
     }
 }

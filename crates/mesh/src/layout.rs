@@ -78,12 +78,6 @@ impl Layout {
         Self::new(Axis::K, Axis::J, Axis::L)
     }
 
-    /// L-fastest order.
-    #[must_use]
-    pub fn ljk() -> Self {
-        Self::new(Axis::L, Axis::J, Axis::K)
-    }
-
     /// All six permutations.
     #[must_use]
     pub fn all() -> [Layout; 6] {
@@ -223,7 +217,7 @@ mod tests {
     fn display_names() {
         assert_eq!(Layout::jkl().to_string(), "JKL");
         assert_eq!(Layout::kjl().to_string(), "KJL");
-        assert_eq!(Layout::ljk().to_string(), "LJK");
+        assert_eq!(Layout::new(Axis::L, Axis::J, Axis::K).to_string(), "LJK");
     }
 
     #[test]

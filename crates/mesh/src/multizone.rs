@@ -82,19 +82,6 @@ impl MultiZoneGrid {
         self.zones.iter().map(|z| z.dims.points()).sum()
     }
 
-    /// Number of points on each zonal interface face (K × L of the
-    /// shared face), summed over interfaces.
-    #[must_use]
-    pub fn interface_points(&self) -> usize {
-        self.interfaces
-            .iter()
-            .map(|i| {
-                let d = self.zones[i.upstream].dims;
-                d.k * d.l
-            })
-            .sum()
-    }
-
     /// The paper's 1-million-grid-point test case.
     #[must_use]
     pub fn paper_one_million() -> Self {
@@ -217,7 +204,6 @@ mod tests {
         assert_eq!(g.interfaces().len(), 2);
         assert_eq!(g.interfaces()[0].upstream, 0);
         assert_eq!(g.interfaces()[0].downstream, 1);
-        assert_eq!(g.interface_points(), 2 * 75 * 70);
     }
 
     #[test]

@@ -50,27 +50,6 @@ impl Zone {
         })
     }
 
-    /// Cartesian zone with tanh clustering toward the low-L face (the
-    /// classic viscous wall clustering). `ratio` > 1 is the max/min
-    /// spacing ratio.
-    #[must_use]
-    pub fn wall_clustered(dims: Dims, extent: (f64, f64, f64), ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "stretch ratio must be >= 1");
-        let beta = ratio.ln().max(1e-12);
-        let nl = (dims.l - 1).max(1) as f64;
-        Self::from_fn(dims, |p| {
-            let s = p.l as f64 / nl;
-            // Exponential clustering: zeta in [0,1] mapped so spacing
-            // grows by `ratio` from wall to far field.
-            let zl = ((beta * s).exp() - 1.0) / (beta.exp() - 1.0);
-            (
-                p.j as f64 / (dims.j - 1).max(1) as f64 * extent.0,
-                p.k as f64 / (dims.k - 1).max(1) as f64 * extent.1,
-                zl * extent.2,
-            )
-        })
-    }
-
     /// A cylinder-segment zone resembling the paper's projectile grids:
     /// J runs along the body axis, K around the circumference (half
     /// plane, 0..π), L radially from the body surface to the far field.
@@ -261,12 +240,6 @@ impl Metrics {
             coef,
         }
     }
-
-    /// Total mesh volume: sum of Jacobians.
-    #[must_use]
-    pub fn total_volume(&self) -> f64 {
-        self.jac.sum()
-    }
 }
 
 #[cfg(test)]
@@ -354,41 +327,10 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(
-                broadcast.total_volume().to_bits(),
-                stored.total_volume().to_bits(),
-                "{d}"
-            );
             // Ten numbers, not ten zone-sized fields.
             assert!(broadcast.coef.iter().all(|f| f.as_slice().len() == 1));
             assert_eq!(broadcast.jac.as_slice().len(), 1);
         }
-    }
-
-    #[test]
-    fn wall_clustering_monotone_and_stretching() {
-        let d = Dims::new(3, 3, 21);
-        let zone = Zone::wall_clustered(d, (1.0, 1.0, 1.0), 20.0);
-        let mut prev = -1.0;
-        let mut first_dz = None;
-        let mut last_dz = 0.0;
-        for l in 0..d.l {
-            let (_, _, z) = zone.xyz(Ijk::new(0, 0, l));
-            assert!(z > prev, "z must increase");
-            if l > 0 {
-                let dz = z - prev.max(0.0);
-                if l == 1 {
-                    first_dz = Some(dz);
-                }
-                last_dz = dz;
-            }
-            prev = z;
-        }
-        // spacing grows toward the far field by roughly the ratio
-        let ratio = last_dz / first_dz.unwrap();
-        assert!(ratio > 5.0, "got stretch ratio {ratio}");
-        let (_, _, ztop) = zone.xyz(Ijk::new(0, 0, d.l - 1));
-        assert!((ztop - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -415,7 +357,6 @@ mod tests {
         for p in d.iter_jkl() {
             assert!(m.jacobian(p) != 0.0, "zero jacobian at {p}");
         }
-        assert!(m.total_volume().abs() > 0.0);
     }
 
     #[test]

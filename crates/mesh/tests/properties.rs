@@ -1,10 +1,15 @@
 //! Property-based tests for grids, layouts and fields.
 
-use mesh::{Arrangement, Dims, Field3, Ijk, Layout, StateField, Zone, NCONS};
+use mesh::{Arrangement, Axis, Dims, Ijk, Layout, StateField, Zone, NCONS};
 use proptest::prelude::*;
 
 fn dims() -> impl Strategy<Value = Dims> {
     (1usize..12, 1usize..12, 1usize..12).prop_map(|(j, k, l)| Dims::new(j, k, l))
+}
+
+/// Sum of one component over all points (conservation bookkeeping).
+fn component_sum(f: &StateField, n: usize) -> f64 {
+    f.dims().iter_jkl().map(|p| f.get(p)[n]).sum()
 }
 
 proptest! {
@@ -43,21 +48,6 @@ proptest! {
         }
     }
 
-    /// Field relayout preserves every value.
-    #[test]
-    fn relayout_preserves(d in dims(), seed in 0u64..1000) {
-        let f = Field3::from_fn(d, Layout::jkl(), |p| {
-            (p.j as f64 + 13.0 * p.k as f64 + 101.0 * p.l as f64) * (seed as f64 + 1.0)
-        });
-        for lay in Layout::all() {
-            let g = f.relayout(lay);
-            for p in d.iter_jkl() {
-                prop_assert_eq!(f.get(p), g.get(p));
-            }
-            prop_assert_eq!(f.sum(), g.sum());
-        }
-    }
-
     /// State rearrangement preserves every value under all combinations
     /// of arrangement and layout.
     #[test]
@@ -67,11 +57,11 @@ proptest! {
             f.set(p, [i as f64, -(i as f64), 0.5, 2.0 * i as f64, 1.0]);
         }
         for arr in [Arrangement::ComponentInner, Arrangement::ComponentOuter] {
-            for lay in [Layout::jkl(), Layout::kjl(), Layout::ljk()] {
+            for lay in [Layout::jkl(), Layout::kjl(), Layout::new(Axis::L, Axis::J, Axis::K)] {
                 let g = f.rearrange(arr, lay);
                 prop_assert_eq!(f.max_abs_diff(&g), 0.0);
                 for c in 0..NCONS {
-                    prop_assert_eq!(f.component_sum(c), g.component_sum(c));
+                    prop_assert_eq!(component_sum(&f, c), component_sum(&g, c));
                 }
             }
         }

@@ -23,22 +23,6 @@ pub fn amdahl_speedup(serial_fraction: f64, processors: u32) -> f64 {
     1.0 / (serial_fraction + (1.0 - serial_fraction) / f64::from(processors))
 }
 
-/// The asymptotic speedup limit `1 / s` as `P -> inf`.
-///
-/// Returns `f64::INFINITY` for a zero serial fraction.
-#[must_use]
-pub fn asymptotic_speedup(serial_fraction: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&serial_fraction),
-        "serial fraction must be in [0, 1], got {serial_fraction}"
-    );
-    if serial_fraction == 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / serial_fraction
-    }
-}
-
 /// The largest serial fraction that still permits a target speedup on a
 /// given processor count. Solves Amdahl for `s`:
 /// `s = (P / S - 1) / (P - 1)` where `S` is the target speedup.
@@ -58,24 +42,6 @@ pub fn serial_fraction_limit(target_speedup: f64, processors: u32) -> Option<f64
     }
     let s = (p / target_speedup - 1.0) / (p - 1.0);
     Some(s.clamp(0.0, 1.0))
-}
-
-/// Given per-phase serial runtimes, the serial fraction of the phases
-/// that are flagged serial. `phases` is `(runtime, is_serial)`.
-///
-/// Returns 0 for an empty phase list.
-#[must_use]
-pub fn serial_fraction_of_phases(phases: &[(f64, bool)]) -> f64 {
-    let total: f64 = phases.iter().map(|&(t, _)| t).sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let serial: f64 = phases
-        .iter()
-        .filter(|&&(_, is_serial)| is_serial)
-        .map(|&(t, _)| t)
-        .sum();
-    serial / total
 }
 
 #[cfg(test)]
@@ -98,7 +64,6 @@ mod tests {
 
     #[test]
     fn one_percent_serial_caps_at_100() {
-        assert!((asymptotic_speedup(0.01) - 100.0).abs() < 1e-9);
         // On 128 processors, 1% serial already costs >35% of ideal.
         let s = amdahl_speedup(0.01, 128);
         assert!(s < 0.45 * 128.0, "got {s}");
@@ -118,13 +83,6 @@ mod tests {
     fn unachievable_target_is_none() {
         assert_eq!(serial_fraction_limit(9.0, 8), None);
         assert!(serial_fraction_limit(8.0, 8).is_some());
-    }
-
-    #[test]
-    fn phase_fraction() {
-        let phases = [(90.0, false), (10.0, true)];
-        assert!((serial_fraction_of_phases(&phases) - 0.1).abs() < 1e-12);
-        assert_eq!(serial_fraction_of_phases(&[]), 0.0);
     }
 
     #[test]

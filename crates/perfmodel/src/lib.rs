@@ -43,7 +43,7 @@ pub use batch::{
     overhead_batch, stairstep_batch, work_per_sync_batch, OverheadPoint, StairstepPoint,
     WorkPerSyncPoint,
 };
-pub use metrics::{delivered_mflops, time_steps_per_hour, Efficiency};
+pub use metrics::{delivered_mflops, time_steps_per_hour};
 pub use overhead::{
     max_efficient_processors, min_work_for_overhead, OverheadBound, PAPER_OVERHEAD_FRACTION,
 };

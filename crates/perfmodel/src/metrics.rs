@@ -38,49 +38,12 @@ pub fn delivered_mflops(flops: u64, seconds: f64) -> f64 {
     flops as f64 / seconds / 1.0e6
 }
 
-/// Parallel and serial efficiency of a run, following the paper's
-/// "compare products based on their delivered performance, not their
-/// peak performance" discussion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Efficiency {
-    /// Delivered MFLOPS of the run.
-    pub delivered_mflops: f64,
-    /// Peak MFLOPS of one processor.
-    pub peak_mflops_per_processor: f64,
-    /// Number of processors used.
-    pub processors: u32,
-}
-
-impl Efficiency {
-    /// Delivered MFLOPS per processor.
-    #[must_use]
-    pub fn per_processor(&self) -> f64 {
-        self.delivered_mflops / f64::from(self.processors)
-    }
-
-    /// Fraction of aggregate peak achieved (`0.0..=1.0` for sane inputs).
-    #[must_use]
-    pub fn fraction_of_peak(&self) -> f64 {
-        self.delivered_mflops / (self.peak_mflops_per_processor * f64::from(self.processors))
-    }
-}
-
 /// Speedup relative to a single-processor run, for completeness (the
 /// paper computes it but prefers not to lead with it).
 #[must_use]
 pub fn speedup(serial_seconds: f64, parallel_seconds: f64) -> f64 {
     assert!(serial_seconds > 0.0 && parallel_seconds > 0.0);
     serial_seconds / parallel_seconds
-}
-
-/// Convert a (flops/step, seconds/step) pair into the paper's Table 4
-/// row entries: (time steps/hour, delivered MFLOPS).
-#[must_use]
-pub fn table4_entries(flops_per_step: u64, seconds_per_step: f64) -> (f64, f64) {
-    (
-        time_steps_per_hour(seconds_per_step),
-        delivered_mflops(flops_per_step, seconds_per_step),
-    )
 }
 
 #[cfg(test)]
@@ -103,31 +66,12 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_per_processor() {
-        // Paper: SGI R12000 peak 600 MFLOPS, delivered 237 serial.
-        let e = Efficiency {
-            delivered_mflops: 237.0,
-            peak_mflops_per_processor: 600.0,
-            processors: 1,
-        };
-        assert!((e.per_processor() - 237.0).abs() < 1e-9);
-        assert!((e.fraction_of_peak() - 0.395).abs() < 1e-9);
-    }
-
-    #[test]
-    fn efficiency_scales_with_processors() {
-        let e = Efficiency {
-            delivered_mflops: 4830.0,
-            peak_mflops_per_processor: 600.0,
-            processors: 64,
-        };
-        assert!((e.per_processor() - 75.46875).abs() < 1e-9);
-        assert!(e.fraction_of_peak() < 0.2);
-    }
-
-    #[test]
     fn table4_pair() {
-        let (steps, mflops) = table4_entries(2_370_000_000, 10.0);
+        // One Table 4 row: 2.37 GFLOP per step at 10 s per step.
+        let (steps, mflops) = (
+            time_steps_per_hour(10.0),
+            delivered_mflops(2_370_000_000, 10.0),
+        );
         assert!((steps - 360.0).abs() < 1e-9);
         assert!((mflops - 237.0).abs() < 1e-9);
     }

@@ -73,13 +73,6 @@ impl OverheadBound {
         )
     }
 
-    /// Whether a loop with `work_cycles` of serial work meets the
-    /// overhead budget on `processors` processors.
-    #[must_use]
-    pub fn is_efficient(&self, work_cycles: u64, processors: u32) -> bool {
-        work_cycles >= self.min_work(processors)
-    }
-
     /// The actual overhead fraction incurred by a loop with
     /// `work_cycles` of serial work on `processors` processors:
     /// `S / (W / P)`.
@@ -227,8 +220,8 @@ mod tests {
     fn bound_is_tight() {
         let b = OverheadBound::paper_default(10_000);
         let w = b.min_work(8);
-        assert!(b.is_efficient(w, 8));
-        assert!(!b.is_efficient(w - 1, 8));
+        assert!(w >= b.min_work(8));
+        assert!(w - 1 < b.min_work(8));
         // At exactly the bound the overhead is exactly the budget.
         let f = b.overhead_fraction(w, 8);
         assert!((f - 0.01).abs() < 1e-12, "got {f}");
@@ -251,14 +244,14 @@ mod tests {
     fn zero_work_has_infinite_overhead() {
         let b = OverheadBound::paper_default(2_000);
         assert!(b.overhead_fraction(0, 4).is_infinite());
-        assert!(!b.is_efficient(0, 1));
+        assert!(0 < b.min_work(1));
     }
 
     #[test]
     fn zero_sync_cost_is_always_efficient() {
         assert_eq!(max_efficient_processors(1, 0, 0.01), u32::MAX);
         let b = OverheadBound::paper_default(0);
-        assert!(b.is_efficient(1, 128));
+        assert!(1 >= b.min_work(128));
     }
 
     #[test]

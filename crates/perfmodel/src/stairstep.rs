@@ -101,14 +101,6 @@ pub fn plateau_edges(units: u64, max_processors: u32) -> Vec<u32> {
     edges
 }
 
-/// True if the curve is flat (no speedup change) over the closed
-/// processor-count interval `[lo, hi]`.
-#[must_use]
-pub fn is_plateau(units: u64, lo: u32, hi: u32) -> bool {
-    assert!(lo <= hi, "interval must be ordered");
-    max_units_per_processor(units, lo) == max_units_per_processor(units, hi)
-}
-
 /// Generate Table 3: for each processor count 1..=15, the maximum units
 /// assigned to a single processor and the predicted speedup, with a loop
 /// of [`TABLE3_UNITS`] units.
@@ -173,6 +165,13 @@ pub fn partition_processors(total: usize, weights: &[f64]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the curve is flat (no speedup change) over the closed
+    /// processor-count interval `[lo, hi]`: the plateaus of Table 4.
+    fn is_plateau(units: u64, lo: u32, hi: u32) -> bool {
+        assert!(lo <= hi, "interval must be ordered");
+        max_units_per_processor(units, lo) == max_units_per_processor(units, hi)
+    }
 
     #[test]
     fn table3_matches_paper() {

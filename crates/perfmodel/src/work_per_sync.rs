@@ -134,18 +134,6 @@ impl GridNest {
         }
     }
 
-    /// Number of grid points on a boundary face of the nest: the product
-    /// of all dimensions except the outermost (the paper's boundary
-    /// condition routines operate on one face of the zone).
-    #[must_use]
-    pub fn boundary_points(&self) -> u64 {
-        match *self {
-            GridNest::OneD { .. } => 1,
-            GridNest::TwoD { inner, .. } => inner,
-            GridNest::ThreeD { middle, inner, .. } => middle * inner,
-        }
-    }
-
     /// Grid points covered by one execution of the parallel region when
     /// `level` is the parallelized loop, or `None` if the nest has no
     /// such level (e.g. `Middle` of a 1-D or 2-D nest).
@@ -432,15 +420,5 @@ mod tests {
             work_per_point: 7,
         };
         assert_eq!(w.cycles(), 861);
-    }
-
-    #[test]
-    fn boundary_points_are_a_face() {
-        let nest = GridNest::ThreeD {
-            outer: 100,
-            middle: 100,
-            inner: 100,
-        };
-        assert_eq!(nest.boundary_points(), 10_000);
     }
 }

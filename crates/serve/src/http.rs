@@ -4,23 +4,17 @@
 //! and responses by hand. The subset is deliberately small: bodies
 //! delimited by `Content-Length` only, and hard caps on header and body
 //! sizes so a hostile peer cannot make the server allocate without
-//! bound. Two parsers share one interpretation of the protocol:
-//!
-//! * [`read_request`] — the original one-shot parser over a blocking
-//!   [`BufRead`] stream, kept as the reference implementation (and the
-//!   oracle the property tests compare against).
-//! * [`parse_request_bytes`] — the incremental parser the readiness
-//!   event loop calls against a connection's accumulated read buffer.
-//!   It either completes with a request plus its consumed byte count
-//!   (leaving pipelined bytes in place), asks for more bytes, or fails
-//!   with the same [`HttpError`] the one-shot parser would produce.
+//! bound. [`parse_request_bytes`] is the parser: the readiness event
+//! loop calls it against a connection's accumulated read buffer, and it
+//! either completes with a request plus its consumed byte count
+//! (leaving pipelined bytes in place), asks for more bytes, or fails
+//! with an [`HttpError`]. The tests keep the original one-shot parser
+//! over a blocking [`std::io::BufRead`] stream as its oracle.
 //!
 //! Keep-alive follows HTTP/1.1 defaults: connections persist unless the
 //! request says `Connection: close` (or is HTTP/1.0 without
 //! `Connection: keep-alive`). Responses to malformed requests always
 //! close.
-
-use std::io::BufRead;
 
 /// Maximum bytes of request line + headers accepted.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -256,32 +250,6 @@ fn assemble(line: RequestLine, headers: &HeaderFields, body: String) -> Request 
     }
 }
 
-/// Read one request from `stream`.
-///
-/// # Errors
-/// [`HttpError`] carries the status the connection should answer with:
-/// 400 for malformed framing, 408 when the peer stalls past the socket
-/// read timeout, 413 when the declared body exceeds `max_body`.
-pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
-    let mut head = String::new();
-    let request_line = parse_request_line(&read_crlf_line(stream, &mut head)?)?;
-
-    let mut headers = HeaderFields::default();
-    loop {
-        let line = read_crlf_line(stream, &mut head)?;
-        if line.is_empty() {
-            break;
-        }
-        headers.apply(&line)?;
-    }
-
-    let length = headers.body_length(max_body)?;
-    let mut body = vec![0u8; length];
-    std::io::Read::read_exact(stream, &mut body).map_err(io_to_http)?;
-    let body = String::from_utf8(body).map_err(|_| HttpError::new(400, "body is not UTF-8"))?;
-    Ok(assemble(request_line, &headers, body))
-}
-
 /// Outcome of [`parse_request_bytes`] over an accumulated read buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Parse {
@@ -298,14 +266,13 @@ pub enum Parse {
 /// The buffer is the connection's accumulated read bytes; the parser is
 /// stateless and re-examines the prefix on every call, which keeps it
 /// trivially restartable and is cheap at these head sizes. Outcomes are
-/// byte-for-byte identical to feeding the same bytes to
-/// [`read_request`] — the property suite enforces this at every split
-/// boundary.
+/// byte-for-byte identical to feeding the same bytes to the one-shot
+/// parser the tests keep — the property suite enforces this at every
+/// split boundary.
 ///
 /// # Errors
-/// The same [`HttpError`]s as [`read_request`]: 400 for malformed
-/// framing or non-UTF-8 content, 413 for an oversized head or declared
-/// body. Errors are terminal for the connection.
+/// 400 for malformed framing or non-UTF-8 content, 413 for an oversized
+/// head or declared body. Errors are terminal for the connection.
 pub fn parse_request_bytes(buf: &[u8], max_body: usize) -> Result<Parse, HttpError> {
     let mut pos = 0usize;
     let mut head_used = 0usize;
@@ -354,45 +321,6 @@ pub fn parse_request_bytes(buf: &[u8], max_body: usize) -> Result<Parse, HttpErr
     ))
 }
 
-/// Read one CRLF-terminated line, charging its bytes against the shared
-/// head budget in `consumed`.
-fn read_crlf_line(stream: &mut impl BufRead, consumed: &mut String) -> Result<String, HttpError> {
-    let budget = MAX_HEAD_BYTES.saturating_sub(consumed.len());
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let buf = stream.fill_buf().map_err(io_to_http)?;
-        if buf.is_empty() {
-            return Err(HttpError::new(400, "connection closed mid-request"));
-        }
-        let newline = buf.iter().position(|&b| b == b'\n');
-        let wanted = newline.map_or(buf.len(), |i| i + 1);
-        if line.len() + wanted > budget {
-            return Err(HttpError::new(413, "request head too large"));
-        }
-        line.extend_from_slice(&buf[..wanted]);
-        stream.consume(wanted);
-        if newline.is_some() {
-            break;
-        }
-    }
-    let line = String::from_utf8(line).map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
-    consumed.push_str(&line);
-    Ok(line.trim_end_matches(['\r', '\n']).to_string())
-}
-
-fn io_to_http(err: std::io::Error) -> HttpError {
-    match err.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-            HttpError::new(408, "timed out reading request")
-        }
-        // A peer hanging up mid-body is the same failure as hanging up
-        // mid-head; keeping the message identical keeps the one-shot
-        // path equivalent to the incremental parser plus an EOF event.
-        std::io::ErrorKind::UnexpectedEof => HttpError::new(400, "connection closed mid-request"),
-        _ => HttpError::new(400, format!("read failed: {err}")),
-    }
-}
-
 /// Serialize `response` to wire bytes, with the `Connection` header the
 /// event loop's keep-alive decision calls for.
 #[must_use]
@@ -417,7 +345,79 @@ pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use std::io::{BufRead, BufReader};
+
+    /// Read one request from `stream`: the original one-shot parser over a
+    /// blocking stream, the oracle [`parse_request_bytes`] is held to.
+    ///
+    /// # Errors
+    /// [`HttpError`] carries the status the connection should answer with:
+    /// 400 for malformed framing, 408 when the peer stalls past the socket
+    /// read timeout, 413 when the declared body exceeds `max_body`.
+    fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
+        let mut head = String::new();
+        let request_line = parse_request_line(&read_crlf_line(stream, &mut head)?)?;
+
+        let mut headers = HeaderFields::default();
+        loop {
+            let line = read_crlf_line(stream, &mut head)?;
+            if line.is_empty() {
+                break;
+            }
+            headers.apply(&line)?;
+        }
+
+        let length = headers.body_length(max_body)?;
+        let mut body = vec![0u8; length];
+        std::io::Read::read_exact(stream, &mut body).map_err(io_to_http)?;
+        let body = String::from_utf8(body).map_err(|_| HttpError::new(400, "body is not UTF-8"))?;
+        Ok(assemble(request_line, &headers, body))
+    }
+
+    /// Read one CRLF-terminated line, charging its bytes against the shared
+    /// head budget in `consumed`.
+    fn read_crlf_line(
+        stream: &mut impl BufRead,
+        consumed: &mut String,
+    ) -> Result<String, HttpError> {
+        let budget = MAX_HEAD_BYTES.saturating_sub(consumed.len());
+        let mut line: Vec<u8> = Vec::new();
+        loop {
+            let buf = stream.fill_buf().map_err(io_to_http)?;
+            if buf.is_empty() {
+                return Err(HttpError::new(400, "connection closed mid-request"));
+            }
+            let newline = buf.iter().position(|&b| b == b'\n');
+            let wanted = newline.map_or(buf.len(), |i| i + 1);
+            if line.len() + wanted > budget {
+                return Err(HttpError::new(413, "request head too large"));
+            }
+            line.extend_from_slice(&buf[..wanted]);
+            stream.consume(wanted);
+            if newline.is_some() {
+                break;
+            }
+        }
+        let line =
+            String::from_utf8(line).map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
+        consumed.push_str(&line);
+        Ok(line.trim_end_matches(['\r', '\n']).to_string())
+    }
+
+    fn io_to_http(err: std::io::Error) -> HttpError {
+        match err.kind() {
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                HttpError::new(408, "timed out reading request")
+            }
+            // A peer hanging up mid-body is the same failure as hanging up
+            // mid-head; keeping the message identical keeps the one-shot
+            // path equivalent to the incremental parser plus an EOF event.
+            std::io::ErrorKind::UnexpectedEof => {
+                HttpError::new(400, "connection closed mid-request")
+            }
+            _ => HttpError::new(400, format!("read failed: {err}")),
+        }
+    }
 
     fn parse(raw: &str) -> Result<Request, HttpError> {
         read_request(&mut BufReader::new(raw.as_bytes()), 1024)
@@ -593,5 +593,280 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    mod props {
+        //! Property tests for the incremental HTTP/1.1 parser.
+        //!
+        //! The event loop re-parses each connection's buffered prefix on every
+        //! readable event, so `parse_request_bytes` must behave *identically*
+        //! to the one-shot `read_request` oracle no matter how a request's
+        //! bytes are split across arrivals:
+        //!
+        //! * a prefix of a valid request is `Partial`, never an error;
+        //! * the full bytes parse to the same `Request` the oracle produces,
+        //!   consuming exactly the framed length (pipelined bytes untouched);
+        //! * malformed input fails with the oracle's exact status and message,
+        //!   and once a prefix fails, every extension fails the same way;
+        //! * nothing panics and nothing loops, for any byte soup.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        const MAX_BODY: usize = 1024;
+
+        /// The one-shot oracle over a byte buffer: exactly what the old
+        /// blocking read path did with these bytes followed by EOF.
+        fn oneshot(bytes: &[u8]) -> Result<Request, HttpError> {
+            let mut reader: &[u8] = bytes;
+            read_request(&mut reader, MAX_BODY)
+        }
+
+        fn incremental(bytes: &[u8]) -> Result<Parse, HttpError> {
+            parse_request_bytes(bytes, MAX_BODY)
+        }
+
+        /// One valid request assembled from generated parts, plus the parse
+        /// the oracle must agree on.
+        #[derive(Debug, Clone)]
+        struct ValidRequest {
+            raw: Vec<u8>,
+            expect: Request,
+        }
+
+        fn ascii_token(bytes: Vec<u8>) -> String {
+            // Letters and digits only: safe in paths, header values, bodies.
+            bytes
+                .into_iter()
+                .map(|b| {
+                    let alphabet =
+                        b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+                    alphabet[b as usize % alphabet.len()] as char
+                })
+                .collect()
+        }
+
+        /// Strategy for a well-formed request: varied method, target (with and
+        /// without query), HTTP version / `Connection` combinations, optional
+        /// extra headers, and an optional body with an exact `Content-Length`.
+        fn valid_request() -> impl Strategy<Value = ValidRequest> {
+            (
+                0usize..4,                               // method
+                prop::collection::vec(0u8..255, 0..8),   // path token
+                prop::collection::vec(0u8..255, 0..6),   // query token ("" = none)
+                0usize..4,                               // version/connection variant
+                0usize..3,                               // extra header count + accept variant
+                prop::collection::vec(32u8..127, 0..48), // body (printable ASCII)
+            )
+                .prop_map(|(m, path_tok, query_tok, variant, extra, body_bytes)| {
+                    // Reuse the header-count draw as the Accept variant so the
+                    // capture is exercised across cases.
+                    let accept = ["", "application/json", "Text/Plain"][extra];
+                    let method = ["GET", "POST", "PUT", "DELETE"][m].to_string();
+                    let path = format!("/{}", ascii_token(path_tok));
+                    let query = ascii_token(query_tok);
+                    let target = if query.is_empty() {
+                        path.clone()
+                    } else {
+                        format!("{path}?{query}")
+                    };
+                    let body: String = body_bytes.iter().map(|&b| b as char).collect();
+                    let (version, connection, keep_alive) = match variant {
+                        0 => ("HTTP/1.1", None, true),
+                        1 => ("HTTP/1.1", Some("close"), false),
+                        2 => ("HTTP/1.0", None, false),
+                        _ => ("HTTP/1.0", Some("keep-alive"), true),
+                    };
+                    let mut raw = format!("{method} {target} {version}\r\nHost: t\r\n");
+                    for i in 0..extra {
+                        raw.push_str(&format!("X-Extra-{i}: v{i}\r\n"));
+                    }
+                    if let Some(c) = connection {
+                        raw.push_str(&format!("Connection: {c}\r\n"));
+                    }
+                    if !accept.is_empty() {
+                        raw.push_str(&format!("Accept: {accept}\r\n"));
+                    }
+                    if !body.is_empty() || m == 1 {
+                        raw.push_str(&format!("Content-Length: {}\r\n", body.len()));
+                    }
+                    raw.push_str("\r\n");
+                    raw.push_str(&body);
+                    ValidRequest {
+                        raw: raw.into_bytes(),
+                        expect: Request {
+                            method,
+                            path,
+                            query,
+                            body,
+                            accept: accept.to_ascii_lowercase(),
+                            keep_alive,
+                        },
+                    }
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every byte-boundary split of a valid request: prefixes are
+            /// `Partial`, the whole parses to the oracle's request, and exactly
+            /// the request's bytes are consumed.
+            #[test]
+            fn valid_requests_parse_identically_at_every_split(req in valid_request()) {
+                let oracle = oneshot(&req.raw).expect("oracle accepts its own request");
+                prop_assert_eq!(&oracle, &req.expect);
+                for i in 0..req.raw.len() {
+                    match incremental(&req.raw[..i]) {
+                        Ok(Parse::Partial) => {
+                            // A partial request followed by EOF is the oracle's
+                            // "closed mid-request".
+                            let on_eof = oneshot(&req.raw[..i]).expect_err("truncated request");
+                            prop_assert_eq!(on_eof.status, 400);
+                            prop_assert_eq!(on_eof.message.as_str(), "connection closed mid-request");
+                        }
+                        Ok(Parse::Complete(_, _)) => {
+                            prop_assert!(false, "prefix {i} of {} completed early", req.raw.len());
+                        }
+                        Err(e) => {
+                            prop_assert!(false, "prefix {i} errored: {} {}", e.status, e.message);
+                        }
+                    }
+                }
+                match incremental(&req.raw) {
+                    Ok(Parse::Complete(parsed, consumed)) => {
+                        prop_assert_eq!(&parsed, &req.expect);
+                        prop_assert_eq!(consumed, req.raw.len());
+                    }
+                    other => prop_assert!(false, "full request did not complete: {other:?}"),
+                }
+            }
+
+            /// Two pipelined keep-alive requests in one buffer: the first parse
+            /// consumes exactly the first request, the remainder parses to the
+            /// second — regardless of where the arrival boundary falls.
+            #[test]
+            fn pipelined_pairs_frame_cleanly(a in valid_request(), b in valid_request(), cut in 0usize..=64) {
+                let mut bytes = a.raw.clone();
+                bytes.extend_from_slice(&b.raw);
+
+                // Arrival boundary anywhere in the stream: the prefix never
+                // misframes (it is Partial, or completes request A exactly).
+                let cut = cut.min(bytes.len());
+                match incremental(&bytes[..cut]) {
+                    Ok(Parse::Partial) => prop_assert!(cut < a.raw.len(), "full request A reported Partial"),
+                    Ok(Parse::Complete(parsed, consumed)) => {
+                        prop_assert_eq!(&parsed, &a.expect);
+                        prop_assert_eq!(consumed, a.raw.len());
+                    }
+                    Err(e) => prop_assert!(false, "pipelined prefix errored: {} {}", e.status, e.message),
+                }
+
+                // The full buffer: request A first, untouched bytes after it
+                // parse as request B.
+                let Ok(Parse::Complete(first, consumed)) = incremental(&bytes) else {
+                    return Err(TestCaseError::fail("first pipelined request did not complete".to_string()));
+                };
+                prop_assert_eq!(&first, &a.expect);
+                prop_assert_eq!(consumed, a.raw.len());
+                let Ok(Parse::Complete(second, consumed_b)) = incremental(&bytes[consumed..]) else {
+                    return Err(TestCaseError::fail("second pipelined request did not complete".to_string()));
+                };
+                prop_assert_eq!(&second, &b.expect);
+                prop_assert_eq!(consumed_b, b.raw.len());
+            }
+
+            /// A chunked POST with a second request pipelined behind it: the
+            /// parser has no chunk decoder, so it must refuse the request (501)
+            /// rather than frame it as body-less. At no arrival boundary does it
+            /// complete, so no byte is consumed and the chunk bytes and the
+            /// follow-on request are never parsed, let alone routed.
+            #[test]
+            fn chunked_requests_never_release_their_follow_on_bytes(
+                follow in valid_request(),
+                chunk in prop::collection::vec(32u8..127, 1..32),
+                with_length in 0usize..2,
+            ) {
+                let mut bytes = b"POST /v1/solve HTTP/1.1\r\nHost: t\r\n".to_vec();
+                if with_length == 1 {
+                    bytes.extend_from_slice(b"Content-Length: 0\r\n");
+                }
+                bytes.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
+                bytes.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                bytes.extend_from_slice(&chunk);
+                bytes.extend_from_slice(b"\r\n0\r\n\r\n");
+                bytes.extend_from_slice(&follow.raw);
+                for i in 0..=bytes.len() {
+                    match incremental(&bytes[..i]) {
+                        Ok(Parse::Partial) => {}
+                        Ok(Parse::Complete(request, consumed)) => {
+                            prop_assert!(false, "prefix {i} framed {request:?} ({consumed} bytes)");
+                        }
+                        Err(e) => prop_assert_eq!(e.status, 501, "prefix {}: {}", i, e.message),
+                    }
+                }
+                prop_assert_eq!(incremental(&bytes).expect_err("chunked request").status, 501);
+                prop_assert_eq!(oneshot(&bytes).expect_err("chunked request").status, 501);
+            }
+
+            /// Arbitrary byte soup: the incremental parser never panics, and
+            /// whenever it reaches a verdict it is exactly the oracle's. Errors
+            /// are sticky: once a prefix fails, every extension fails the same
+            /// way (the connection would already be closed).
+            #[test]
+            fn junk_bytes_agree_with_the_oracle(bytes in prop::collection::vec(0u8..=255, 0..96)) {
+                let mut first_error: Option<(usize, HttpError)> = None;
+                for i in 0..=bytes.len() {
+                    match incremental(&bytes[..i]) {
+                        Ok(Parse::Partial) => {
+                            prop_assert!(first_error.is_none(), "Partial after an error verdict");
+                        }
+                        Ok(Parse::Complete(request, consumed)) => {
+                            prop_assert!(first_error.is_none(), "Complete after an error verdict");
+                            prop_assert!(consumed <= i);
+                            let oracle = oneshot(&bytes[..i]).expect("oracle accepts what incremental accepts");
+                            prop_assert_eq!(&request, &oracle);
+                        }
+                        Err(e) => {
+                            let oracle = oneshot(&bytes[..i]).expect_err("oracle rejects what incremental rejects");
+                            prop_assert_eq!(e.status, oracle.status);
+                            prop_assert_eq!(&e.message, &oracle.message);
+                            match &first_error {
+                                None => first_error = Some((i, e)),
+                                Some((_, prior)) => prop_assert_eq!(prior, &e, "error verdict changed"),
+                            }
+                        }
+                    }
+                }
+            }
+
+            /// Oversized declared bodies are refused with 413 before any body
+            /// byte arrives, exactly like the oracle.
+            #[test]
+            fn oversized_bodies_fail_early(extra in 1usize..4096) {
+                let head = format!(
+                    "POST /v1/solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                    MAX_BODY + extra
+                );
+                let incr = incremental(head.as_bytes()).expect_err("over-budget body");
+                let oracle = oneshot(head.as_bytes()).expect_err("over-budget body");
+                prop_assert_eq!(incr.status, 413);
+                prop_assert_eq!(incr.status, oracle.status);
+                prop_assert_eq!(&incr.message, &oracle.message);
+            }
+
+            /// A head that exceeds the head budget is refused with 413 even
+            /// when no newline ever arrives (no unbounded buffering).
+            #[test]
+            fn oversized_heads_fail_without_a_terminator(pad in 0usize..64) {
+                let mut raw = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+                raw.resize(MAX_HEAD_BYTES + 1 + pad, b'a');
+                let incr = incremental(&raw).expect_err("over-budget head");
+                prop_assert_eq!(incr.status, 413);
+                let oracle = oneshot(&raw).expect_err("over-budget head");
+                prop_assert_eq!(oracle.status, 413);
+                prop_assert_eq!(&incr.message, &oracle.message);
+            }
+        }
     }
 }

@@ -587,15 +587,22 @@ mod tests {
         assert!(lock(&q.inflight).is_empty());
     }
 
-    /// One executor per worker, each with two lanes' worth of events
-    /// however wide its team: a server's rings grow linearly in `P`.
+    /// One executor per worker, each with two lanes' worth of event
+    /// slots however wide its team: a server's rings grow linearly in
+    /// `P`. Overfilling every lane leaves exactly one event per slot.
     #[test]
     fn flight_rings_stay_linear_in_the_worker_count() {
-        let per_executor = 2 * 4096 * 32;
+        let per_executor = 2 * 4096;
         for p in [1, 2, 4, 64] {
             let flight = executor_flight(p);
             assert_eq!(flight.lanes(), p);
-            assert_eq!(p * flight.ring_bytes(), p * per_executor, "P = {p}");
+            for lane in 0..p {
+                for step in 0..=per_executor as u64 {
+                    flight.zone_start(lane, 0, step);
+                }
+            }
+            let timeline = flight.take_timeline();
+            assert_eq!(p * timeline.total_events(), p * per_executor, "P = {p}");
         }
     }
 

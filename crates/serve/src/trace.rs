@@ -14,11 +14,13 @@
 //! Chrome document is 30–700 KB of JSON tree for an 18–23 KB reply —
 //! built on the executor it cost more than the solve it described
 //! (4.5 ms after a 1.2 ms FDTD solve) and sixteen retained trees were
-//! ≈ 60 MiB of resident memory. What an entry pins instead is bounded by
-//! the executor's flight rings (`jobs::EXECUTOR_FLIGHT_EVENTS` events),
-//! and the executor does nothing for a reader who may never come. The documents
-//! are a pure function of the retained run, so fetching twice gives the
-//! same bytes.
+//! ≈ 60 MiB of resident memory. What an entry pins instead is the run
+//! itself: its drained flight timeline (bounded by the executor's
+//! flight rings, `jobs::EXECUTOR_FLIGHT_EVENTS` events), its span
+//! report (which grows with the case's `steps`) and the attribution
+//! derived from them; and the executor does nothing for a reader who
+//! may never come. The documents are a pure function of the retained
+//! run, so fetching twice gives the same bytes.
 //!
 //! The store is a fixed-capacity ring: inserting beyond capacity
 //! evicts the oldest entry. Traces are a debugging aid, not a durable

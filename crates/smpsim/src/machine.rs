@@ -50,19 +50,6 @@ pub struct NumaConfig {
 }
 
 impl NumaConfig {
-    /// A uniform-memory-access configuration (infinite-node SMP): no
-    /// remote penalty, no page contention.
-    #[must_use]
-    pub fn uma(bw_mbs: f64) -> Self {
-        Self {
-            processors_per_node: u32::MAX,
-            page_bytes: 16 << 10,
-            local_bw_mbs: bw_mbs,
-            remote_bw_mbs: bw_mbs,
-            contention_coeff: 0.0,
-        }
-    }
-
     /// Fraction of memory accesses expected to be off-node when `p`
     /// processors spread over nodes access pages placed round-robin:
     /// `1 - 1/nodes`, with `nodes = ceil(p / processors_per_node)`.
@@ -124,6 +111,20 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NumaConfig {
+        /// A uniform-memory-access configuration (infinite-node SMP):
+        /// no remote penalty, no page contention.
+        pub(crate) fn uma(bw_mbs: f64) -> Self {
+            Self {
+                processors_per_node: u32::MAX,
+                page_bytes: 16 << 10,
+                local_bw_mbs: bw_mbs,
+                remote_bw_mbs: bw_mbs,
+                contention_coeff: 0.0,
+            }
+        }
+    }
 
     #[test]
     fn sync_cost_grows_with_processors() {

@@ -14,7 +14,14 @@ fn uma() -> Machine {
             base_cycles: 0.0,
             per_processor_cycles: 0.0,
         },
-        numa: NumaConfig::uma(1e6), // effectively unlimited bandwidth
+        // Uniform memory access with effectively unlimited bandwidth.
+        numa: NumaConfig {
+            processors_per_node: u32::MAX,
+            page_bytes: 16 << 10,
+            local_bw_mbs: 1e6,
+            remote_bw_mbs: 1e6,
+            contention_coeff: 0.0,
+        },
     })
 }
 

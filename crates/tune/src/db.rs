@@ -210,14 +210,6 @@ impl TuneDb {
         })
     }
 
-    /// Write the database to `path` as pretty-printed JSON.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().to_pretty_string())
-    }
-
     /// Load a database from `path`.
     ///
     /// # Errors
@@ -441,12 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips() {
+    fn written_db_loads_back() {
         let dir = std::env::temp_dir().join("tune_db_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("db.json");
         let db = sample();
-        db.save(&path).unwrap();
+        std::fs::write(&path, db.to_json().to_pretty_string()).unwrap();
         assert_eq!(TuneDb::load(&path).unwrap(), db);
         let err = TuneDb::load(&dir.join("absent.json")).unwrap_err();
         assert!(err.contains("absent.json"), "{err}");

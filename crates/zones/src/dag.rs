@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn disconnected_dag_is_one_wave() {
-        let dag = StepDag::build(&Topology::disconnected(4));
+        let dag = StepDag::build(&Topology::new(4, Vec::new()).unwrap());
         assert_eq!(dag.waves().len(), 1);
         assert_eq!(dag.peak_ready(), 4);
         assert_eq!(dag.exchange_waves(), 0);

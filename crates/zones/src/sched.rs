@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn sharded_bills_sync_events_on_the_pool() {
         let pool = Workers::new(2);
-        let topo = Topology::disconnected(3);
+        let topo = Topology::new(3, Vec::new()).unwrap();
         let before = pool.local_sync_event_count();
         let mut blocks = vec![0u64; 3];
         run_sharded(

@@ -56,19 +56,6 @@ impl Topology {
         }
     }
 
-    /// A topology with no interfaces at all — fully independent blocks.
-    ///
-    /// # Panics
-    /// Panics if `blocks == 0`.
-    #[must_use]
-    pub fn disconnected(blocks: usize) -> Self {
-        assert!(blocks > 0, "topology needs at least one block");
-        Self {
-            blocks,
-            interfaces: Vec::new(),
-        }
-    }
-
     /// Number of blocks.
     #[must_use]
     pub fn blocks(&self) -> usize {
@@ -79,23 +66,6 @@ impl Topology {
     #[must_use]
     pub fn interfaces(&self) -> &[(usize, usize)] {
         &self.interfaces
-    }
-
-    /// Blocks sharing an interface with `block`, in interface order.
-    #[must_use]
-    pub fn neighbors(&self, block: usize) -> Vec<usize> {
-        self.interfaces
-            .iter()
-            .filter_map(|&(a, b)| {
-                if a == block {
-                    Some(b)
-                } else if b == block {
-                    Some(a)
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 }
 
@@ -108,14 +78,15 @@ mod tests {
         let t = Topology::chain(4);
         assert_eq!(t.blocks(), 4);
         assert_eq!(t.interfaces(), &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(t.neighbors(1), vec![0, 2]);
-        assert_eq!(t.neighbors(3), vec![2]);
     }
 
     #[test]
     fn single_block_chain_has_no_interfaces() {
         assert!(Topology::chain(1).interfaces().is_empty());
-        assert!(Topology::disconnected(3).interfaces().is_empty());
+        assert!(Topology::new(3, Vec::new())
+            .unwrap()
+            .interfaces()
+            .is_empty());
     }
 
     #[test]

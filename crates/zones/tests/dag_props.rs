@@ -154,7 +154,7 @@ fn degenerate_single_zone() {
 
 #[test]
 fn degenerate_disconnected_zones() {
-    let topo = Topology::disconnected(5);
+    let topo = Topology::new(5, Vec::new()).unwrap();
     let dag = StepDag::build(&topo);
     // Fully independent: one wave, all five computes ready at once.
     assert_eq!(dag.waves().len(), 1);
