@@ -22,9 +22,10 @@
 //!   the residual over L, the L factor over K (paper Example 1).
 //! * **Loops that share the outer loop are fused** — the residual and
 //!   the J and K factors all run over L, and plane `l` of each needs
-//!   only plane `l` of the one before, so one region takes each L-plane
-//!   through all three while it is in cache (paper Examples 2–3: the
-//!   parallel loop hoisted into the parent). A zone step is three
+//!   only plane `l` of the one before, so they are three bodies of one
+//!   [`llp::FusedRegion`] over the L-planes of `rhs`, which takes each
+//!   plane through all three while it is in cache (paper Examples 2–3:
+//!   the parallel loop hoisted into the parent). A zone step is three
 //!   regions — `rhs_jk`, `l_factor_solve`, `update` — each a single
 //!   synchronization event. The model ([`crate::trace::risc_zone_trace`])
 //!   keeps the paper's five loops; the stepper's `rhs_jk` is its Rhs,
@@ -45,9 +46,12 @@ use crate::solver::{
     PencilScratch, SolverConfig, UpwindFactor, ZoneSolver, PENCIL_BUNDLE, RESIDUAL_LANES,
 };
 use llp::obs::SpanKind;
-use llp::{doacross_slabs, doacross_slabs_scratch, ScheduleMap, Workers};
+use llp::{doacross_slabs, doacross_slabs_scratch, FusedBodies, FusedRegion, ScheduleMap, Workers};
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
 use solver::{for_lane_groups, LaneBody};
+
+/// A worker's `rhs_jk` scratch: the residual's J-row buffer, one bundle.
+type PlaneScratch = (Vec<Vec5>, PencilScratch);
 
 /// The tuned stepper.
 #[derive(Debug)]
@@ -121,90 +125,106 @@ impl RiscStepper {
         workers: &Workers,
         schedules: Option<&ScheduleMap>,
     ) {
+        {
+            let _span = workers.recorder().span("rhs_jk", SpanKind::Kernel);
+            self.rhs_jk(zone)
+                .run(&workers.scheduled_view(schedules, "rhs_jk"));
+        }
+        self.finish_step(zone, bcs, workers, schedules);
+    }
+
+    /// The residual, J factor and K factor: three bodies over the
+    /// L-planes of `rhs`, filling each plane with rhs = -dt R(Q) row by
+    /// row, then solving it in place along J (adjacent-K pencils per
+    /// bundle) and K. Boundary planes and pencils carry zero RHS.
+    fn rhs_jk<'a>(
+        &'a mut self,
+        zone: &'a ZoneSolver,
+    ) -> FusedRegion<
+        'a,
+        f64,
+        impl Fn() -> PlaneScratch + Sync + 'a,
+        impl FusedBodies<f64, PlaneScratch> + 'a,
+    > {
         let d = zone.dims();
         let (jmax, kmax, lmax) = (d.j, d.k, d.l);
-        let eps2 = zone.config.eps2;
-        let eps_imp = zone.config.eps_imp;
-        let mu_vis = zone.config.viscosity;
-        // The implicit factors solve in place on the J-rows of `rhs`:
-        // row `r` holds the points (·, k, l) with `k = r % kmax` and
-        // `l = r / kmax`, so L-plane `l` is one slab of `kmax`
-        // consecutive rows.
+        let (eps2, eps_imp) = (zone.config.eps2, zone.config.eps_imp);
+        // J-row `r` of `rhs` holds the points (·, r % kmax, r / kmax), so
+        // L-plane `l` is one slab of `kmax` consecutive rows.
+        let row_len = jmax * NCONS;
+        let max_pencil = self.max_pencil;
+        let boundary = move |l: usize| l == 0 || l == lmax - 1;
+        FusedRegion::slabs(self.rhs.as_mut_slice(), kmax * row_len, move || {
+            let pencils = PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE);
+            (vec![[0.0; NCONS]; jmax], pencils)
+        })
+        .body(move |l, plane, (row, _)| {
+            for (k, out) in plane.chunks_exact_mut(row_len).enumerate() {
+                if boundary(l) || k == 0 || k == kmax - 1 {
+                    out.fill(0.0);
+                    continue;
+                }
+                out[..NCONS].fill(0.0);
+                out[row_len - NCONS..].fill(0.0);
+                residual_rhs_row_w(zone, k, l, eps2, RESIDUAL_LANES, row);
+                for j in 1..jmax - 1 {
+                    out[j * NCONS..(j + 1) * NCONS].copy_from_slice(&row[j]);
+                }
+            }
+        })
+        .body(move |l, plane, (_, pencils)| {
+            if boundary(l) {
+                return;
+            }
+            let mut j_sweep = FactorSweep {
+                zone,
+                factor: UpwindFactor,
+                axis: Axis::J,
+                across: Axis::K,
+                origin: Ijk::new(0, 0, l),
+                rows: plane,
+                scratch: pencils,
+            };
+            for_lane_groups(PENCIL_BUNDLE, 1..kmax - 1, &mut j_sweep);
+        })
+        .body(move |l, plane, (_, pencils)| {
+            if boundary(l) {
+                return;
+            }
+            let mut k_sweep = FactorSweep {
+                zone,
+                factor: CentralFactor {
+                    eps_imp,
+                    mu_vis: 0.0,
+                },
+                axis: Axis::K,
+                across: Axis::J,
+                origin: Ijk::new(0, 0, l),
+                rows: plane,
+                scratch: pencils,
+            };
+            for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut k_sweep);
+        })
+    }
+
+    /// The rest of a step once `rhs_jk` has run: the L factor, the
+    /// update and the boundary conditions.
+    fn finish_step(
+        &mut self,
+        zone: &mut ZoneSolver,
+        bcs: &ZoneBcs,
+        workers: &Workers,
+        schedules: Option<&ScheduleMap>,
+    ) {
+        let d = zone.dims();
+        let (jmax, kmax, lmax) = (d.j, d.k, d.l);
+        let (eps_imp, mu_vis) = (zone.config.eps_imp, zone.config.viscosity);
         let row_len = jmax * NCONS;
         let slab = kmax * row_len;
-        let max_pencil = self.max_pencil;
         // Element offset of (j, k, component c) within an L-slab under
         // AoS + JKL layout.
         let at = move |j: usize, k: usize, c: usize| (k * jmax + j) * NCONS + c;
-        // Kernel spans (free when the recorder is disabled). Each region
-        // opens one; the doacross inside attaches its region span as a
-        // child, classifying the kernel as parallelized.
         let rec = workers.recorder();
-
-        // --- Residual, J factor and K factor, fused over L: each plane
-        // is filled with rhs = -dt R(Q) row by row (interior points in
-        // lane groups of RESIDUAL_LANES, one-lane tail), then solved in
-        // place along J (adjacent-K pencils per bundle) and along K
-        // (adjacent-J pencils per bundle). Each worker makes its scratch
-        // once — a J-row buffer and one pencil bundle — and reuses it
-        // across its planes (Example 3). Boundary planes and pencils
-        // carry zero RHS and are not solved. ---
-        {
-            let _span = rec.span("rhs_jk", SpanKind::Kernel);
-            let kw = workers.scheduled_view(schedules, "rhs_jk");
-            let zone_ref: &ZoneSolver = zone;
-            doacross_slabs_scratch(
-                &kw,
-                self.rhs.as_mut_slice(),
-                slab,
-                || {
-                    let pencils = PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE);
-                    (vec![[0.0; NCONS]; jmax], pencils)
-                },
-                |l, plane, (row, pencils)| {
-                    let boundary = l == 0 || l == lmax - 1;
-                    for (k, out) in plane.chunks_exact_mut(row_len).enumerate() {
-                        if boundary || k == 0 || k == kmax - 1 {
-                            out.fill(0.0);
-                            continue;
-                        }
-                        out[..NCONS].fill(0.0);
-                        out[row_len - NCONS..].fill(0.0);
-                        residual_rhs_row_w(zone_ref, k, l, eps2, RESIDUAL_LANES, row);
-                        for j in 1..jmax - 1 {
-                            out[j * NCONS..(j + 1) * NCONS].copy_from_slice(&row[j]);
-                        }
-                    }
-                    if boundary {
-                        return;
-                    }
-                    let origin = Ijk::new(0, 0, l);
-                    let mut j_sweep = FactorSweep {
-                        zone: zone_ref,
-                        factor: UpwindFactor,
-                        axis: Axis::J,
-                        across: Axis::K,
-                        origin,
-                        rows: &mut *plane,
-                        scratch: &mut *pencils,
-                    };
-                    for_lane_groups(PENCIL_BUNDLE, 1..kmax - 1, &mut j_sweep);
-                    let mut k_sweep = FactorSweep {
-                        zone: zone_ref,
-                        factor: CentralFactor {
-                            eps_imp,
-                            mu_vis: 0.0,
-                        },
-                        axis: Axis::K,
-                        across: Axis::J,
-                        origin,
-                        rows: plane,
-                        scratch: pencils,
-                    };
-                    for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut k_sweep);
-                },
-            );
-        }
 
         // --- L factor: pencils along L, parallel over K, adjacent-J
         // pencils per bundle. Its pencils cross the L-planes, so the
@@ -223,7 +243,7 @@ impl RiscStepper {
                 &kw,
                 &mut groups,
                 1,
-                || PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE),
+                || PencilScratch::for_pencils(self.max_pencil, PENCIL_BUNDLE),
                 |k, group, scratch| {
                     if k == 0 || k == kmax - 1 {
                         return;
@@ -505,6 +525,36 @@ mod tests {
         stepper.step(&mut zone, &ZoneBcs::all_freestream(), &workers, None);
         // rhs_jk (the model's rhs, J and K loops fused), l, update.
         assert_eq!(workers.sync_event_count(), 3);
+    }
+
+    #[test]
+    fn rhs_jk_run_unfused_steps_to_the_same_bits_in_three_regions() {
+        // The paper's three loops run as three regions leave every plane
+        // as the fused region does: each body reads only its own plane.
+        let bcs = ZoneBcs::projectile();
+        let step = |fused: bool| {
+            let (mut zone, mut stepper) = small_case();
+            for p in zone.dims().iter_jkl() {
+                let mut q = zone.q.get(p);
+                q[0] *= 1.0 + 0.02 * ((p.j + 2 * p.k + 3 * p.l) as f64).sin();
+                zone.q.set(p, q);
+            }
+            let workers = Workers::new(3);
+            let region = stepper.rhs_jk(&zone);
+            if fused {
+                region.run(&workers);
+            } else {
+                region.run_unfused(&workers);
+            }
+            let regions = workers.sync_event_count();
+            stepper.finish_step(&mut zone, &bcs, &workers, None);
+            (zone.q, regions)
+        };
+        let (fused, one) = step(true);
+        let (unfused, three) = step(false);
+        assert_eq!((one, three), (1, 3));
+        assert_eq!(fused.max_abs_diff(&unfused), 0.0);
+        assert!(fused.max_abs_diff(&small_case().0.q) > 0.0);
     }
 
     #[test]

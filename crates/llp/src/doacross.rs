@@ -171,7 +171,8 @@ fn slab_count<T>(data: &[T], slab_len: usize) -> usize {
 }
 
 /// Execute `body(i)` for every `i` in `0..n` as one parallel region
-/// under the team's scheduling policy (static chunks by default).
+/// under the team's scheduling policy (static chunks by default): a
+/// one-body [`FusedRegion::over`](crate::FusedRegion::over).
 ///
 /// Exactly one synchronization event is recorded regardless of `n` —
 /// outer-loop parallelization of a nest covers the whole nest per sync,
@@ -190,46 +191,12 @@ fn slab_count<T>(data: &[T], slab_len: usize) -> usize {
 /// assert_eq!(workers.sync_event_count(), 1);
 /// ```
 pub fn doacross(workers: &Workers, n: usize, body: impl Fn(usize) + Sync) {
-    let chunks = workers.policy().chunks(n, workers.processors());
-    run_chunks(
-        workers,
-        &chunks,
-        vec![(); chunks.len()],
-        || (),
-        |ci, (), (): &mut ()| {
-            for i in chunks[ci].clone() {
-                body(i);
-            }
-        },
-    );
-}
-
-/// Execute `body(i)` for every `i` in `0..out.len()`, storing the result
-/// in `out[i]`, as one parallel region.
-///
-/// The output slice is partitioned along the chunk boundaries so every
-/// worker writes a disjoint contiguous range — the shared-memory
-/// analogue of `C$doacross` writing an array indexed by the parallel
-/// loop variable. This holds under every scheduling policy: dynamic
-/// claimants receive disjoint pre-split pieces.
-pub fn doacross_into<T: Send>(workers: &Workers, out: &mut [T], body: impl Fn(usize) -> T + Sync) {
-    let chunks = workers.policy().chunks(out.len(), workers.processors());
-    let payloads = split_chunks(&chunks, out, 1).collect();
-    run_chunks(
-        workers,
-        &chunks,
-        payloads,
-        || (),
-        |ci, mine, (): &mut ()| {
-            for (off, out_slot) in mine.iter_mut().enumerate() {
-                *out_slot = body(chunks[ci].start + off);
-            }
-        },
-    );
+    crate::FusedRegion::over(n).then(body).run(workers);
 }
 
 /// Execute `body(s, slab)` for every length-`slab_len` slab of `data`,
-/// as one parallel region.
+/// as one parallel region: a one-body, scratch-free
+/// [`FusedRegion::slabs`](crate::FusedRegion::slabs).
 ///
 /// This is the idiom for parallelizing the outer (L) loop of a field
 /// update: with an L-slowest storage layout, each L-plane is one
@@ -244,75 +211,9 @@ pub fn doacross_slabs<T: Send + Sync>(
     slab_len: usize,
     body: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    doacross_slabs_scratch(
-        workers,
-        data,
-        slab_len,
-        || (),
-        |s, slab, (): &mut ()| {
-            body(s, slab);
-        },
-    );
-}
-
-/// A doacross with a reduction: `map(i)` is evaluated for every `i` in
-/// `0..n` and the results combined with `combine`, seeded per chunk
-/// with `identity`. One parallel region, one synchronization event.
-///
-/// Per-chunk partials are folded in chunk-index order after the
-/// barrier, so for a given `n` and team the result is deterministic
-/// under every scheduling policy. `combine` must still be associative
-/// and commutative with `identity` as its neutral element — chunk
-/// shapes differ across worker counts and policies, so floating-point
-/// sums can differ by round-off between configurations. When bitwise
-/// reproducibility across worker counts is required, use a max/min
-/// style reduction (as the solver's residual monitors do), or make the
-/// partials independent of the chunking: one per iteration, written by
-/// [`doacross_slabs_zip`] or [`doacross_into`] and folded in index
-/// order afterwards (as the FDTD energy history does).
-///
-/// ```
-/// use llp::{doacross_reduce, Workers};
-/// let workers = Workers::new(4);
-/// let max = doacross_reduce(&workers, 1000, f64::NEG_INFINITY,
-///     |i| (i as f64 * 0.37).sin(),
-///     f64::max);
-/// assert!(max <= 1.0 && max > 0.99);
-/// ```
-pub fn doacross_reduce<T: Send + Clone>(
-    workers: &Workers,
-    n: usize,
-    identity: T,
-    map: impl Fn(usize) -> T + Sync,
-    combine: impl Fn(T, T) -> T + Sync,
-) -> T {
-    if n == 0 {
-        return identity;
-    }
-    let chunks = workers.policy().chunks(n, workers.processors());
-    let partials: Vec<Mutex<Option<T>>> = (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-    run_chunks(
-        workers,
-        &chunks,
-        // Seeds ride in the payloads so the tasks never share `identity`.
-        vec![identity.clone(); chunks.len()],
-        || (),
-        |ci, seed, (): &mut ()| {
-            let mut acc = seed;
-            for i in chunks[ci].clone() {
-                acc = combine(acc, map(i));
-            }
-            *partials[ci].lock().unwrap_or_else(PoisonError::into_inner) = Some(acc);
-        },
-    );
-    partials
-        .into_iter()
-        .map(|p| {
-            p.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every chunk ran")
-        })
-        .fold(identity, combine)
+    crate::FusedRegion::slabs(data, slab_len, || ())
+        .body(|s, slab, ()| body(s, slab))
+        .run(workers);
 }
 
 /// [`doacross_slabs`] with per-worker scratch: each executing task
@@ -355,8 +256,7 @@ pub fn doacross_slabs_scratch<T: Send + Sync, S>(
 /// reduction, say — while the row is still in its cache, so no later
 /// pass has to pull the whole of `a` back to one core. Folding the `b`
 /// slabs in index order afterwards gives a reduction whose value does
-/// not depend on worker count or policy (what [`doacross_reduce`] cannot
-/// promise for floating-point sums).
+/// not depend on worker count or policy, even for floating-point sums.
 ///
 /// # Panics
 /// Panics if either slab length is zero or does not divide its array,
@@ -393,6 +293,17 @@ pub fn doacross_slabs_zip<A: Send + Sync, B: Send + Sync>(
             }
         },
     );
+}
+
+/// [`doacross_slabs`] over one-element slabs, storing `body(i)` in
+/// `out[i]`: the tests' parallel map, checked against the serial one.
+#[cfg(test)]
+pub(crate) fn doacross_into<T: Send + Sync>(
+    workers: &Workers,
+    out: &mut [T],
+    body: impl Fn(usize) -> T + Sync,
+) {
+    doacross_slabs(workers, out, 1, |i, slot| slot[0] = body(i));
 }
 
 #[cfg(test)]
@@ -479,37 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums_and_maxes() {
-        let w = Workers::new(4);
-        let sum = doacross_reduce(&w, 101, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(sum, 5050);
-        let max = doacross_reduce(&w, 57, i32::MIN, |i| -(i as i32 - 30).abs(), i32::max);
-        assert_eq!(max, 0); // i = 30
-        assert_eq!(w.sync_event_count(), 2);
-    }
-
-    #[test]
-    fn reduce_empty_is_identity() {
-        let w = Workers::new(3);
-        assert_eq!(doacross_reduce(&w, 0, 42u32, |_| 7, |a, b| a + b), 42);
-        assert_eq!(w.sync_event_count(), 0);
-    }
-
-    #[test]
-    fn reduce_max_is_worker_count_independent() {
-        // max-style reductions are bitwise reproducible across teams.
-        let f = |i: usize| ((i * 2654435761) % 1000) as f64 / 7.0;
-        let results: Vec<f64> = [1usize, 2, 3, 5]
-            .iter()
-            .map(|&p| {
-                let w = Workers::new(p);
-                doacross_reduce(&w, 500, f64::NEG_INFINITY, f, f64::max)
-            })
-            .collect();
-        assert!(results.windows(2).all(|x| x[0] == x[1]));
-    }
-
-    #[test]
     fn slabs_scratch_reuses_per_chunk() {
         let w = Workers::new(4);
         let mut data = vec![0u64; 16 * 3];
@@ -555,9 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn recorded_reduce_and_slabs_annotate_extent() {
+    fn recorded_doacross_and_slabs_annotate_extent() {
         let w = Workers::recorded(3);
-        let _ = doacross_reduce(&w, 30, 0u64, |i| i as u64, |a, b| a + b);
+        doacross(&w, 30, |_| {});
         let mut data = vec![0u8; 5 * 4];
         doacross_slabs(&w, &mut data, 4, |_, _| {});
         let report = w.recorder().take_report("mixed", 3);
@@ -681,28 +561,6 @@ mod tests {
         let w = Workers::new(2);
         let (mut a, mut b) = (vec![0u8; 12], vec![0u8; 5]);
         doacross_slabs_zip(&w, &mut a, 3, &mut b, 1, |_, _, _| {});
-    }
-
-    #[test]
-    fn reduce_is_deterministic_under_dynamic_policies() {
-        // Partials fold in chunk-index order, so repeated runs of the
-        // same configuration agree bitwise even though chunk-to-worker
-        // assignment is racy.
-        let map = |i: usize| ((i * 2654435761) % 1000) as f64 / 7.0;
-        for policy in POLICIES {
-            let w = team(4, policy);
-            let first = doacross_reduce(&w, 500, f64::NEG_INFINITY, map, f64::max);
-            for _ in 0..5 {
-                let again = doacross_reduce(&w, 500, f64::NEG_INFINITY, map, f64::max);
-                assert_eq!(first, again, "{policy:?}");
-            }
-            // And max-reductions agree across policies too.
-            let st = team(4, Policy::Static);
-            assert_eq!(
-                first,
-                doacross_reduce(&st, 500, f64::NEG_INFINITY, map, f64::max)
-            );
-        }
     }
 
     #[test]

@@ -17,14 +17,12 @@
 //! * **Doacross regions** ([`doacross`]): parallel loops over index
 //!   ranges, slices and chunked slabs — the `C$doacross local(L,J,K)`
 //!   idiom (paper Example 1).
-//! * **Loop fusion** ([`fusion`]): merging adjacent loops under one
-//!   parallel region to reduce synchronization events (paper Example 2).
-//! * **Parent-loop hoisting with pencil scratch**
-//!   ([`doacross_slabs_scratch`]): hoisting
-//!   the parallel loop into a parent subroutine while each worker
-//!   carries a cache-resident 1-D scratch buffer (paper Example 3) —
-//!   this reduced synchronization events by 1–3 orders of magnitude and
-//!   shrank plane-sized scratch arrays to pencils.
+//! * **Loop fusion and parent-loop hoisting with pencil scratch**
+//!   ([`FusedRegion`], [`doacross_slabs_scratch`]): adjacent loops
+//!   merged under one parallel region (paper Example 2), hoisted into a
+//!   parent subroutine while each worker carries a cache-resident 1-D
+//!   scratch buffer (Example 3) — this reduced synchronization events by
+//!   1–3 orders of magnitude and shrank plane-sized scratch to pencils.
 //! * An **incremental parallelization advisor** ([`advisor`]): profile
 //!   first, then parallelize only the loops whose work justifies the
 //!   synchronization cost — the paper's alternative to all-or-nothing
@@ -53,11 +51,8 @@ pub mod schedule;
 mod team;
 
 pub use advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice, MeasuredChoice};
-pub use doacross::{
-    doacross, doacross_into, doacross_reduce, doacross_slabs, doacross_slabs_scratch,
-    doacross_slabs_zip,
-};
-pub use fusion::FusedRegion;
+pub use doacross::{doacross, doacross_slabs, doacross_slabs_scratch, doacross_slabs_zip};
+pub use fusion::{FusedBodies, FusedRegion};
 pub use obs::{
     AttributionReport, FlightRecorder, KernelSummary, ObsReport, SpanKind, SpanNode, Timeline,
 };

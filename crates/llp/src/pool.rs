@@ -632,7 +632,7 @@ mod tests {
             let mut out = vec![0.0f64; 90];
             // Iteration 45 sits in the middle chunk under either policy.
             let faulted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::doacross_into(&w, &mut out, |i| {
+                crate::doacross::doacross_into(&w, &mut out, |i| {
                     assert!(i != 45, "iteration 45 fails");
                     body(i)
                 });
@@ -641,7 +641,7 @@ mod tests {
             // The identical region on the same team: exact, one more
             // sync event, and every worker still there.
             let before = w.sync_event_count();
-            crate::doacross_into(&w, &mut out, body);
+            crate::doacross::doacross_into(&w, &mut out, body);
             assert_eq!(out, serial, "{policy:?}");
             assert_eq!(w.sync_event_count(), before + 1, "{policy:?}");
             assert_eq!(concurrent_tasks(&w, 3), 3, "{policy:?}");

@@ -264,9 +264,9 @@ fn attribution_and_chrome_ride_on_real_timelines() {
 }
 
 #[test]
-fn reduce_and_slabs_record_regions_too() {
+fn doacross_and_slabs_record_regions_too() {
     let w = instrumented(3, Policy::Static);
-    let _ = llp::doacross_reduce(&w, 90, 0u64, |i| i as u64, |a, b| a + b);
+    llp::doacross(&w, 90, |_| {});
     let mut data = vec![0u8; 12 * 4];
     llp::doacross_slabs(&w, &mut data, 4, |_, _| {});
     let t = w.flight().take_timeline();

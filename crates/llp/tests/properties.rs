@@ -1,9 +1,15 @@
 //! Property-based tests for the loop-level parallelism runtime.
 
 use llp::schedule::Policy;
-use llp::{chunk_bounds, doacross, doacross_into, doacross_slabs, Workers};
+use llp::{chunk_bounds, doacross, doacross_slabs, Workers};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// The parallel map under test: `out[i] = body(i)` over one-element
+/// slabs.
+fn doacross_into(w: &Workers, out: &mut [u64], body: impl Fn(usize) -> u64 + Sync) {
+    doacross_slabs(w, out, 1, |i, slot| slot[0] = body(i));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

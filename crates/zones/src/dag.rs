@@ -152,28 +152,6 @@ impl StepDag {
             .filter(|w| w.iter().any(|t| matches!(t, Task::Exchange(_))))
             .count()
     }
-
-    /// Whether `order` is a topological execution order: every task
-    /// exactly once, every task after all of its predecessors.
-    #[must_use]
-    pub fn is_topological(&self, order: &[Task]) -> bool {
-        if order.len() != self.task_count() {
-            return false;
-        }
-        let mut position = vec![usize::MAX; self.task_count()];
-        for (pos, &task) in order.iter().enumerate() {
-            let id = match task {
-                Task::Compute(b) if b < self.blocks => b,
-                Task::Exchange(i) if i < self.interfaces => self.blocks + i,
-                _ => return false,
-            };
-            if position[id] != usize::MAX {
-                return false;
-            }
-            position[id] = pos;
-        }
-        (0..self.task_count()).all(|id| self.preds[id].iter().all(|&p| position[p] < position[id]))
-    }
 }
 
 #[cfg(test)]
@@ -215,21 +193,5 @@ mod tests {
         let waves = dag.waves();
         assert_eq!(waves.len(), 2);
         assert_eq!(waves[1], vec![Task::Exchange(0), Task::Exchange(1)]);
-    }
-
-    #[test]
-    fn canonical_order_is_topological_and_violations_are_caught() {
-        let dag = StepDag::build(&Topology::chain(3));
-        let canonical: Vec<Task> = (0..dag.task_count()).map(|id| dag.task(id)).collect();
-        assert!(dag.is_topological(&canonical));
-        // Swapping the conflicting exchanges breaks the order.
-        let mut swapped = canonical.clone();
-        swapped.swap(3, 4);
-        assert!(!dag.is_topological(&swapped));
-        // Dropping or duplicating a task breaks it too.
-        assert!(!dag.is_topological(&canonical[1..]));
-        let mut duplicated = canonical;
-        duplicated[0] = Task::Compute(1);
-        assert!(!dag.is_topological(&duplicated));
     }
 }

@@ -38,5 +38,5 @@ mod sched;
 mod topology;
 
 pub use dag::{StepDag, Task};
-pub use sched::{run_in_order, run_sequential, run_sharded, StepStats};
+pub use sched::{run_sequential, run_sharded, StepStats};
 pub use topology::Topology;

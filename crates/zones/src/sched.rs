@@ -3,7 +3,7 @@
 
 use llp::{FlightRecorder, Workers};
 
-use crate::dag::{StepDag, Task};
+use crate::dag::StepDag;
 use crate::topology::Topology;
 
 /// What one sharded step did — deterministic, derived from the
@@ -59,40 +59,6 @@ pub fn run_sequential<Z>(
         compute(b, block);
     }
     apply_exchanges(blocks, topo, &mut exchange);
-}
-
-/// Replay a step in an explicit task order — the determinism harness
-/// behind the exchange-ordering-invariance property: any topological
-/// order must leave `blocks` bit-identical to [`run_sequential`].
-///
-/// # Errors
-/// Rejects an order that is not a topological order of the step DAG.
-///
-/// # Panics
-/// Panics if `blocks.len() != topo.blocks()`.
-pub fn run_in_order<Z>(
-    blocks: &mut [Z],
-    topo: &Topology,
-    order: &[Task],
-    mut compute: impl FnMut(usize, &mut Z),
-    mut exchange: impl FnMut(usize, &mut Z, &mut Z),
-) -> Result<(), String> {
-    assert_eq!(blocks.len(), topo.blocks(), "one block per topology node");
-    let dag = StepDag::build(topo);
-    if !dag.is_topological(order) {
-        return Err("order is not a topological order of the step DAG".to_string());
-    }
-    for &task in order {
-        match task {
-            Task::Compute(b) => compute(b, &mut blocks[b]),
-            Task::Exchange(i) => {
-                let (a, b) = topo.interfaces()[i];
-                let (lo, hi) = blocks.split_at_mut(b);
-                exchange(i, &mut lo[a], &mut hi[0]);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Dispatch one step's compute tasks across `shards` zone shards, then
@@ -352,36 +318,5 @@ mod tests {
         }
         assert_eq!(starts, 3, "one start per block");
         assert_eq!(ends, 3, "one end per block");
-    }
-
-    #[test]
-    fn in_order_replay_matches_sequential_for_any_topological_order() {
-        let topo = Topology::new(4, vec![(0, 1), (2, 3), (1, 2)]).unwrap();
-        let want = reference(&topo);
-        let dag = StepDag::build(&topo);
-        // Reversed-wave order: still topological, different interleaving.
-        let mut order: Vec<Task> = Vec::new();
-        for wave in dag.waves() {
-            order.extend(wave.into_iter().rev());
-        }
-        assert!(dag.is_topological(&order));
-        let mut blocks: Vec<u64> = (0..topo.blocks() as u64).map(|b| b + 1).collect();
-        run_in_order(
-            &mut blocks,
-            &topo,
-            &order,
-            |b, z| mix(z, b as u64),
-            |i, a, b| {
-                mix(a, *b ^ i as u64);
-                mix(b, *a);
-            },
-        )
-        .unwrap();
-        assert_eq!(blocks, want);
-        // A non-topological order is rejected before touching state.
-        let bad = vec![Task::Exchange(0); order.len()];
-        let mut untouched = vec![1u64; 4];
-        assert!(run_in_order(&mut untouched, &topo, &bad, |_, _| {}, |_, _, _| {}).is_err());
-        assert_eq!(untouched, vec![1; 4]);
     }
 }
