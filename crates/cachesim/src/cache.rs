@@ -125,18 +125,6 @@ impl Cache {
         self.access_rw(addr, false)
     }
 
-    /// Hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Dirty-line evictions (write-backs) so far.
     #[must_use]
     pub fn writebacks(&self) -> u64 {
@@ -165,6 +153,28 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Cache {
+        /// Hits so far.
+        fn hits(&self) -> u64 {
+            self.hits
+        }
+
+        /// Misses so far.
+        pub(crate) fn misses(&self) -> u64 {
+            self.misses
+        }
+    }
+
+    fn addr_trace() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(0u64..(1 << 20), 1..800)
+    }
+
+    /// A fully-associative cache: one set of `size_bytes / line_bytes` ways.
+    fn fully_associative(size_bytes: usize, line_bytes: usize) -> CacheConfig {
+        CacheConfig::new(size_bytes, line_bytes, size_bytes / line_bytes)
+    }
 
     #[test]
     fn cold_miss_then_hit() {
@@ -289,5 +299,53 @@ mod tests {
     #[should_panic(expected = "bad associativity")]
     fn bad_assoc_panics() {
         let _ = CacheConfig::new(1024, 32, 64);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// LRU stack property: a larger fully-associative cache with the
+        /// same line size never misses more on any trace.
+        #[test]
+        fn lru_inclusion(trace in addr_trace()) {
+            let mut small = Cache::new(fully_associative(1 << 12, 64));
+            let mut large = Cache::new(fully_associative(1 << 14, 64));
+            for &a in &trace {
+                small.access(a);
+                large.access(a);
+            }
+            prop_assert!(large.misses() <= small.misses());
+        }
+
+        /// Hits + misses equals the access count; miss rate in [0, 1].
+        #[test]
+        fn conservation(trace in addr_trace()) {
+            let mut c = Cache::new(CacheConfig::new(1 << 13, 32, 4));
+            for &a in &trace {
+                c.access(a);
+            }
+            prop_assert_eq!(c.hits() + c.misses(), trace.len() as u64);
+            prop_assert!((0.0..=1.0).contains(&c.miss_rate()));
+        }
+
+        /// Replaying a trace immediately (working set <= capacity) hits
+        /// 100% if the distinct line count fits the fully-assoc cache.
+        #[test]
+        fn warm_replay_hits(trace in prop::collection::vec(0u64..(1 << 14), 1..200)) {
+            let cfg = fully_associative(1 << 14, 32);
+            let mut lines: Vec<u64> = trace.iter().map(|a| a / 32).collect();
+            lines.sort_unstable();
+            lines.dedup();
+            prop_assume!(lines.len() <= cfg.size_bytes / cfg.line_bytes);
+            let mut c = Cache::new(cfg);
+            for &a in &trace {
+                c.access(a);
+            }
+            c.reset_counters();
+            for &a in &trace {
+                c.access(a);
+            }
+            prop_assert_eq!(c.misses(), 0);
+        }
     }
 }

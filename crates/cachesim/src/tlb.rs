@@ -84,18 +84,6 @@ impl Tlb {
         }
     }
 
-    /// Hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Miss rate in `[0, 1]`; 0 for no accesses.
     #[must_use]
     pub fn miss_rate(&self) -> f64 {
@@ -117,6 +105,23 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Tlb {
+        /// Hits so far.
+        fn hits(&self) -> u64 {
+            self.hits
+        }
+
+        /// Misses so far.
+        fn misses(&self) -> u64 {
+            self.misses
+        }
+    }
+
+    fn addr_trace() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(0u64..(1 << 20), 1..800)
+    }
 
     #[test]
     fn page_locality_hits() {
@@ -172,5 +177,25 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_panics() {
         let _ = TlbConfig::new(0, 4096);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The TLB obeys the same conservation and warm-replay laws.
+        #[test]
+        fn tlb_conservation(trace in addr_trace()) {
+            let mut t = Tlb::new(TlbConfig::new(32, 4096));
+            for &a in &trace {
+                t.access(a);
+            }
+            prop_assert_eq!(t.hits() + t.misses(), trace.len() as u64);
+            // Distinct pages bound the misses from below... and from above
+            // only without capacity evictions; check the lower bound.
+            let mut pages: Vec<u64> = trace.iter().map(|a| a / 4096).collect();
+            pages.sort_unstable();
+            pages.dedup();
+            prop_assert!(t.misses() >= pages.len() as u64);
+        }
     }
 }

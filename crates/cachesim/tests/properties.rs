@@ -1,8 +1,8 @@
 //! Property-based tests for the cache/TLB simulator.
 
-use cachesim::cache::{Cache, CacheConfig};
+use cachesim::cache::CacheConfig;
 use cachesim::patterns::{page_sharing, GridTraversal, PencilGather};
-use cachesim::tlb::{Tlb, TlbConfig};
+use cachesim::tlb::TlbConfig;
 use cachesim::{AccessKind, MemHierarchy};
 use mesh::{Axis, Dims, Layout};
 use proptest::prelude::*;
@@ -11,73 +11,8 @@ fn addr_trace() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..(1 << 20), 1..800)
 }
 
-/// A fully-associative cache: one set of `size_bytes / line_bytes` ways.
-fn fully_associative(size_bytes: usize, line_bytes: usize) -> CacheConfig {
-    CacheConfig::new(size_bytes, line_bytes, size_bytes / line_bytes)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// LRU stack property: a larger fully-associative cache with the
-    /// same line size never misses more on any trace.
-    #[test]
-    fn lru_inclusion(trace in addr_trace()) {
-        let mut small = Cache::new(fully_associative(1 << 12, 64));
-        let mut large = Cache::new(fully_associative(1 << 14, 64));
-        for &a in &trace {
-            small.access(a);
-            large.access(a);
-        }
-        prop_assert!(large.misses() <= small.misses());
-    }
-
-    /// Hits + misses equals the access count; miss rate in [0, 1].
-    #[test]
-    fn conservation(trace in addr_trace()) {
-        let mut c = Cache::new(CacheConfig::new(1 << 13, 32, 4));
-        for &a in &trace {
-            c.access(a);
-        }
-        prop_assert_eq!(c.hits() + c.misses(), trace.len() as u64);
-        prop_assert!((0.0..=1.0).contains(&c.miss_rate()));
-    }
-
-    /// Replaying a trace immediately (working set <= capacity) hits
-    /// 100% if the distinct line count fits the fully-assoc cache.
-    #[test]
-    fn warm_replay_hits(trace in prop::collection::vec(0u64..(1 << 14), 1..200)) {
-        let cfg = fully_associative(1 << 14, 32);
-        let mut lines: Vec<u64> = trace.iter().map(|a| a / 32).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        prop_assume!(lines.len() <= cfg.size_bytes / cfg.line_bytes);
-        let mut c = Cache::new(cfg);
-        for &a in &trace {
-            c.access(a);
-        }
-        c.reset_counters();
-        for &a in &trace {
-            c.access(a);
-        }
-        prop_assert_eq!(c.misses(), 0);
-    }
-
-    /// The TLB obeys the same conservation and warm-replay laws.
-    #[test]
-    fn tlb_conservation(trace in addr_trace()) {
-        let mut t = Tlb::new(TlbConfig::new(32, 4096));
-        for &a in &trace {
-            t.access(a);
-        }
-        prop_assert_eq!(t.hits() + t.misses(), trace.len() as u64);
-        // Distinct pages bound the misses from below... and from above
-        // only without capacity evictions; check the lower bound.
-        let mut pages: Vec<u64> = trace.iter().map(|a| a / 4096).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        prop_assert!(t.misses() >= pages.len() as u64);
-    }
 
     /// Hierarchy counters are consistent: L2 misses never exceed L1
     /// misses, which never exceed accesses.

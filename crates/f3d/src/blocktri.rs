@@ -21,14 +21,14 @@
 //! the one-pencil [`solve_block_tridiagonal`] is its `::<1>`
 //! instantiation, not a second elimination. A lane's result never
 //! depends on `W` or on its neighbours: each element sees the same
-//! operands in the same order, no reciprocal the dense [`Lu`] does not
+//! operands in the same order, no reciprocal the dense `Lu` does not
 //! take, nothing reassociated. The implicit kernels in
 //! [`crate::solver`] stream points through `eliminate` as they
 //! assemble them, so only what back substitution needs is ever stored.
 //!
-//! [`Lu`] is the dense statement of the same pivoted factorization,
-//! one block at a time; the solve no longer goes through it, and the
-//! tests hold the fused elimination to it bit for bit.
+//! `Lu`, in the tests, is the dense statement of the same pivoted
+//! factorization, one block at a time; the solve does not go through
+//! it, and the tests hold the fused elimination to it bit for bit.
 
 use mesh::NCONS;
 
@@ -64,77 +64,6 @@ pub fn scale(a: &Block, s: f64) -> Block {
         }
     }
     out
-}
-
-/// An LU factorization of a 5×5 block with partial pivoting.
-#[derive(Debug, Clone, Copy)]
-pub struct Lu {
-    lu: Block,
-    perm: [usize; NCONS],
-}
-
-impl Lu {
-    /// Factor `a`. Returns `None` if the block is numerically singular.
-    #[must_use]
-    #[allow(clippy::needless_range_loop)] // pivot swaps index two rows at once
-    pub fn factor(a: &Block) -> Option<Self> {
-        let mut lu = *a;
-        let mut perm = [0usize; NCONS];
-        for (i, p) in perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        for col in 0..NCONS {
-            // partial pivot
-            let mut pivot_row = col;
-            let mut pivot_val = lu[col][col].abs();
-            for r in col + 1..NCONS {
-                if lu[r][col].abs() > pivot_val {
-                    pivot_val = lu[r][col].abs();
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-300 {
-                return None;
-            }
-            if pivot_row != col {
-                lu.swap(pivot_row, col);
-                perm.swap(pivot_row, col);
-            }
-            let inv = 1.0 / lu[col][col];
-            for r in col + 1..NCONS {
-                let f = lu[r][col] * inv;
-                lu[r][col] = f;
-                for c in col + 1..NCONS {
-                    lu[r][c] -= f * lu[col][c];
-                }
-            }
-        }
-        Some(Self { lu, perm })
-    }
-
-    /// Solve `A x = b`.
-    #[must_use]
-    pub fn solve(&self, b: &Vec5) -> Vec5 {
-        // apply permutation
-        let mut y = [0.0; NCONS];
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = b[self.perm[i]];
-        }
-        // forward substitution (unit lower)
-        for i in 1..NCONS {
-            for j in 0..i {
-                y[i] -= self.lu[i][j] * y[j];
-            }
-        }
-        // back substitution
-        for i in (0..NCONS).rev() {
-            for j in i + 1..NCONS {
-                y[i] -= self.lu[i][j] * y[j];
-            }
-            y[i] /= self.lu[i][i];
-        }
-        y
-    }
 }
 
 /// Columns of the augmented matrix one point's elimination carries:
@@ -487,6 +416,78 @@ pub fn solve_block_tridiagonal_w(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// An LU factorization of a 5×5 block with partial pivoting.
+    #[derive(Debug, Clone, Copy)]
+    struct Lu {
+        lu: Block,
+        perm: [usize; NCONS],
+    }
+
+    impl Lu {
+        /// Factor `a`. Returns `None` if the block is numerically singular.
+        #[must_use]
+        #[allow(clippy::needless_range_loop)] // pivot swaps index two rows at once
+        fn factor(a: &Block) -> Option<Self> {
+            let mut lu = *a;
+            let mut perm = [0usize; NCONS];
+            for (i, p) in perm.iter_mut().enumerate() {
+                *p = i;
+            }
+            for col in 0..NCONS {
+                // partial pivot
+                let mut pivot_row = col;
+                let mut pivot_val = lu[col][col].abs();
+                for r in col + 1..NCONS {
+                    if lu[r][col].abs() > pivot_val {
+                        pivot_val = lu[r][col].abs();
+                        pivot_row = r;
+                    }
+                }
+                if pivot_val < 1e-300 {
+                    return None;
+                }
+                if pivot_row != col {
+                    lu.swap(pivot_row, col);
+                    perm.swap(pivot_row, col);
+                }
+                let inv = 1.0 / lu[col][col];
+                for r in col + 1..NCONS {
+                    let f = lu[r][col] * inv;
+                    lu[r][col] = f;
+                    for c in col + 1..NCONS {
+                        lu[r][c] -= f * lu[col][c];
+                    }
+                }
+            }
+            Some(Self { lu, perm })
+        }
+
+        /// Solve `A x = b`.
+        #[must_use]
+        fn solve(&self, b: &Vec5) -> Vec5 {
+            // apply permutation
+            let mut y = [0.0; NCONS];
+            for (i, yi) in y.iter_mut().enumerate() {
+                *yi = b[self.perm[i]];
+            }
+            // forward substitution (unit lower)
+            for i in 1..NCONS {
+                for j in 0..i {
+                    y[i] -= self.lu[i][j] * y[j];
+                }
+            }
+            // back substitution
+            for i in (0..NCONS).rev() {
+                for j in i + 1..NCONS {
+                    y[i] -= self.lu[i][j] * y[j];
+                }
+                y[i] /= self.lu[i][i];
+            }
+            y
+        }
+    }
 
     /// `a * x` (matrix–vector product).
     fn matvec(a: &Block, x: &Vec5) -> Vec5 {
@@ -712,6 +713,31 @@ mod tests {
                     reference[i].map(f64::to_bits),
                     "width {width} point {i}"
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// LU solve of a well-conditioned block reproduces a known solution.
+        #[test]
+        fn lu_solves(
+            vals in prop::array::uniform25(-1.0f64..1.0),
+            x in prop::array::uniform5(-10.0f64..10.0),
+        ) {
+            let mut a = [[0.0; NCONS]; NCONS];
+            for i in 0..NCONS {
+                for j in 0..NCONS {
+                    a[i][j] = vals[i * NCONS + j];
+                }
+                a[i][i] += 6.0;
+            }
+            let b = matvec(&a, &x);
+            let lu = Lu::factor(&a).expect("dominant => nonsingular");
+            let got = lu.solve(&b);
+            for c in 0..NCONS {
+                prop_assert!((got[c] - x[c]).abs() < 1e-8, "comp {c}");
             }
         }
     }

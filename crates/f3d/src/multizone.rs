@@ -1,6 +1,6 @@
 //! The multi-zone solver driver: zones stepped with loop-level
 //! parallelism, or with Taft-style multi-level parallelism (MLP —
-//! paper Section 8) via the [`zones`] task-graph scheduler, with zonal
+//! paper Section 8) via the [`zones`] scheduler, with zonal
 //! injection between steps.
 //!
 //! Within one time step the zones are independent (injection happens
@@ -11,16 +11,18 @@
 //! stair-step ceiling), while MLP multiplies the ceilings of zones that
 //! run concurrently at the price of zone-level load imbalance.
 //!
-//! Both the sequential sweep ([`MultiZoneSolver::step_loop_level`])
-//! and the sharded dispatch ([`MultiZoneSolver::step_zone_parallel`])
-//! run on the same [`zones`] step DAG over the J-chain topology, so
-//! the sequential order is literally the 1-shard degenerate case — the
-//! bit-exactness between them is structural, not coincidental.
+//! The zones form a J-chain. Both the sequential sweep
+//! ([`MultiZoneSolver::step_loop_level`]) and the sharded dispatch
+//! ([`MultiZoneSolver::step_zone_parallel`]) step every zone, then
+//! inject through [`zones::exchange_chain`] — the chain's exchanges in
+//! their one order — so the sequential sweep is literally the 1-shard
+//! degenerate case and the bit-exactness between them is structural,
+//! not coincidental.
 
 use crate::bc::{self, BcKind, Face, ZoneBcs};
 use crate::risc_impl::RiscStepper;
 use crate::solver::{SolverConfig, ZoneSolver};
-use llp::obs::{OpenSpan, SpanKind};
+use llp::obs::SpanKind;
 use llp::Workers;
 use mesh::{Axis, Metrics, MultiZoneGrid};
 
@@ -102,13 +104,6 @@ impl MultiZoneSolver {
         &mut self.zones[i]
     }
 
-    /// The zonal-BC interface graph: a J-chain, zone `i` exchanging
-    /// with zone `i + 1` through the one-point overlap planes.
-    #[must_use]
-    pub fn topology(&self) -> zones::Topology {
-        zones::Topology::chain(self.zones.len())
-    }
-
     /// One time step, pure loop-level parallelism: zones stepped one
     /// after another, all workers inside each zone's loops, with the
     /// per-kernel scheduling overrides of `schedules` threaded to every
@@ -117,45 +112,22 @@ impl MultiZoneSolver {
     pub fn step_loop_level(&mut self, workers: &Workers, schedules: Option<&llp::ScheduleMap>) {
         let rec = workers.recorder().clone();
         let _step = rec.span("step", SpanKind::Step);
-        let topo = self.topology();
-        let names = &self.names;
-        let bcs = &self.bcs;
-        let mut blocks: Vec<(&mut ZoneSolver, &mut RiscStepper)> = self
-            .zones
-            .iter_mut()
-            .zip(self.steppers.iter_mut())
-            .collect();
-        // The serial inject kernel keeps its single span covering every
-        // interface exchange, opened lazily at the first exchange and
-        // closed when the sweep returns.
-        let mut inject_span: Option<OpenSpan<'_>> = None;
-        zones::run_sequential(
-            &mut blocks,
-            &topo,
-            |i, (zone, stepper)| {
-                let _zone = rec.span(&names[i], SpanKind::Zone);
-                stepper.step(zone, &bcs[i], workers, schedules);
-            },
-            |_i, (up, _), (down, _)| {
-                if inject_span.is_none() {
-                    inject_span = Some(rec.span("inject", SpanKind::Kernel));
-                }
-                bc::inject(up, down);
-            },
-        );
-        drop(inject_span);
-        if topo.interfaces().is_empty() {
-            // Single-zone case: keep the (empty) inject kernel in the
-            // span tree so the report shape is zone-count-invariant.
-            let _inject = rec.span("inject", SpanKind::Kernel);
+        for (i, (zone, stepper)) in self.zones.iter_mut().zip(&mut self.steppers).enumerate() {
+            let _zone = rec.span(&self.names[i], SpanKind::Zone);
+            stepper.step(zone, &self.bcs[i], workers, schedules);
         }
+        // The serial inject kernel: one span over every exchange, and
+        // an empty one for a single zone, so the report shape is
+        // zone-count-invariant.
+        let _inject = rec.span("inject", SpanKind::Kernel);
+        zones::exchange_chain(&mut self.zones, |_, up, down| bc::inject(up, down));
     }
 
     /// One time step on the [`zones`] sharded scheduler: each zone's
     /// stepper is one task of a `shards`-wide region of `pool`'s worker
     /// team, its loops running on the whole pool and taking whichever
     /// helpers the other zones leave free; zonal injection is applied
-    /// after the step barrier in canonical interface order. Numerically
+    /// after the step barrier in chain order. Numerically
     /// bit-identical to [`MultiZoneSolver::step_loop_level`] for every
     /// shard count — the sequential sweep is the 1-shard degenerate
     /// case.
@@ -171,7 +143,6 @@ impl MultiZoneSolver {
         schedules: Option<&llp::ScheduleMap>,
         step: u64,
     ) -> zones::StepStats {
-        let topo = self.topology();
         let bcs = &self.bcs;
         let mut blocks: Vec<(&mut ZoneSolver, &mut RiscStepper)> = self
             .zones
@@ -183,7 +154,6 @@ impl MultiZoneSolver {
             shards,
             step,
             &mut blocks,
-            &topo,
             |i, shard_workers, (zone, stepper)| {
                 stepper.step(zone, &bcs[i], shard_workers, schedules);
             },
@@ -300,14 +270,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 40, "every zone task of every step");
         assert!(seen.values().all(|&c| c == [1, 1]), "{seen:?}");
-    }
-
-    #[test]
-    fn topology_matches_the_zone_chain() {
-        let s = perturbed(SolverConfig::subsonic());
-        let topo = s.topology();
-        assert_eq!(topo.blocks(), 3);
-        assert_eq!(topo.interfaces(), &[(0, 1), (1, 2)]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use mesh::{Axis, Dims, MultiZoneGrid};
 use solver::wire::{self, SolveFields};
 use solver::{
     check_range, validate_width, Solver, SolverInstance, SolverOutput, SolverRun, SolverSpec,
-    WidthMap, ZoneDispatch,
+    WidthMap, ZoneDispatch, MAX_CHUNK, MAX_WORKERS,
 };
 
 pub use solver::fnv1a64;
@@ -36,13 +36,6 @@ pub use solver::fnv1a64;
 pub const MAX_ZONES: usize = 4;
 /// Maximum time steps a service case may request.
 pub const MAX_STEPS: usize = 32;
-/// Maximum workers a service case may request.
-pub const MAX_WORKERS: usize = 64;
-/// Maximum chunk parameter (dynamic chunk size / guided floor) a
-/// service case may request — far beyond any service loop extent, but
-/// bounded so untrusted input cannot smuggle absurd values into labels
-/// and reports.
-pub const MAX_CHUNK: usize = 1024;
 
 /// What [`F3dSolver::memory_usage_estimate`] charges per worker for
 /// its scratch — the fused `rhs_jk` region's J-row buffer and pencil
@@ -286,8 +279,8 @@ pub struct F3dOutput {
     /// Per-zone field checksums after the final step.
     pub checksums: Vec<FieldChecksum>,
     /// Per-step zone-scheduler statistics (`None` for sequential zone
-    /// order). Deterministic — derived from the topology and the shard
-    /// count — so cached responses can carry it soundly.
+    /// order). Deterministic — derived from the zone count and the
+    /// shard count — so cached responses can carry it soundly.
     pub zone_stats: Option<zones::StepStats>,
 }
 
@@ -362,8 +355,6 @@ impl Solver for F3dSolver {
     const KERNELS: &'static [&'static str] = &["l_factor_solve", "rhs_jk", "update"];
 
     const OWN_FIELDS: &'static [&'static str] = &["zones", "zone_schedule"];
-
-    const MAX_WORKERS: usize = self::MAX_WORKERS;
 
     /// The width map is ignored: no F3D kernel reads a width. The
     /// residual runs a fixed [`crate::solver::RESIDUAL_LANES`] points

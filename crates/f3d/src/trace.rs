@@ -134,14 +134,15 @@ pub fn risc_zone_traces(grid: &MultiZoneGrid, mem: &MachineMemory) -> Vec<Worklo
 }
 
 /// The serial zonal-injection tail of a step (runs after all zones,
-/// under either parallelization mode).
+/// under either parallelization mode): one phase per adjacent pair of
+/// the J-chain, in chain order.
 #[must_use]
 pub fn injection_trace(grid: &MultiZoneGrid, mem: &MachineMemory) -> WorkloadTrace {
     let mut t = WorkloadTrace::new();
-    for iface in grid.interfaces() {
-        let d = grid.zones()[iface.upstream].dims;
+    for (i, pair) in grid.zones().windows(2).enumerate() {
+        let d = pair[0].dims;
         let pts = (d.k * d.l) as u64 * 2; // both overlap planes
-        let name = format!("inject:{}->{}", iface.upstream, iface.downstream);
+        let name = format!("inject:{i}->{}", i + 1);
         t.serial(priced(name, pts, Kernel::Inject, ImplKind::Risc, mem));
     }
     t

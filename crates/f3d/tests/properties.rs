@@ -3,7 +3,7 @@
 mod common;
 
 use common::{directed_flux, matvec};
-use f3d::blocktri::{self, solve_block_tridiagonal, Block, BlockTriScratch, Vec5};
+use f3d::blocktri::{solve_block_tridiagonal, Block, BlockTriScratch, Vec5};
 use f3d::flux;
 use f3d::state::{Primitive, GAMMA};
 use mesh::NCONS;
@@ -122,21 +122,6 @@ fn dom_block(vals: &[f64; 25], dominance: f64) -> Block {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// LU solve of a well-conditioned block reproduces a known solution.
-    #[test]
-    fn lu_solves(
-        vals in prop::array::uniform25(-1.0f64..1.0),
-        x in prop::array::uniform5(-10.0f64..10.0),
-    ) {
-        let a = dom_block(&vals, 6.0);
-        let b = matvec(&a, &x);
-        let lu = blocktri::Lu::factor(&a).expect("dominant => nonsingular");
-        let got = lu.solve(&b);
-        for c in 0..NCONS {
-            prop_assert!((got[c] - x[c]).abs() < 1e-8, "comp {c}");
-        }
-    }
 
     /// Block-tridiagonal Thomas solve reproduces a manufactured
     /// solution for random well-conditioned systems of random length.

@@ -9,7 +9,7 @@ use llp::{Policy, ScheduleMap, SpanKind, Workers};
 use solver::wire::{self, SolveFields};
 use solver::{
     check_range, validate_width, Solver, SolverInstance, SolverOutput, SolverRun, SolverSpec,
-    WidthMap,
+    WidthMap, MAX_CHUNK, MAX_WORKERS,
 };
 
 /// Smallest served grid edge: below this the doacross rows cannot
@@ -20,10 +20,6 @@ pub const MIN_SIZE: usize = 8;
 pub const MAX_SIZE: usize = 128;
 /// Largest served step count.
 pub const MAX_STEPS: usize = 64;
-/// Largest served worker count (matches the F3D service cap).
-pub const MAX_WORKERS: usize = 64;
-/// Largest chunk / min-chunk parameter a schedule may carry.
-pub const MAX_CHUNK: usize = 1024;
 
 /// Courant number every served case runs at — safely inside the 2-D
 /// stability bound `1/√2` and pinned so cached results never depend on
@@ -219,8 +215,6 @@ impl Solver for FdtdSolver {
     const KERNELS: &'static [&'static str] = &["update_e", "update_h"];
 
     const OWN_FIELDS: &'static [&'static str] = &["size"];
-
-    const MAX_WORKERS: usize = self::MAX_WORKERS;
 
     fn create_instance(case: &FdtdCase, _widths: &WidthMap) -> FdtdInstance {
         FdtdInstance {

@@ -422,12 +422,6 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
-    /// Number of worker lanes (0 when disabled).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.inner.as_ref().map_or(0, |s| s.lanes.len())
-    }
-
     /// Open a span of `kind` named `name`; it closes when the returned
     /// guard drops, so bind the guard to a variable (`let _span = …`),
     /// not to `_`. Spans nest by open/close order.
@@ -639,12 +633,6 @@ impl RegionSession<'_> {
         now_ns
     }
 
-    /// The region's sequence number (matches [`TimelineEvent::region`]).
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Nanoseconds since the recorder's epoch: where a claimant's first
     /// [`RegionSession::claimed`] counts from.
     #[must_use]
@@ -757,7 +745,6 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let fr = FlightRecorder::disabled();
         assert!(!fr.is_enabled());
-        assert_eq!(fr.lanes(), 0);
         assert!(fr.begin_region(2, 10, 2, "static").is_none());
         assert!(fr.take_timeline().is_empty());
     }
@@ -786,7 +773,7 @@ mod tests {
         // Drained: the next timeline is empty and seq restarts at 0.
         assert!(fr.take_timeline().is_empty());
         let s = fr.begin_region(2, 1, 1, "static").unwrap();
-        assert_eq!(s.seq(), 0);
+        assert_eq!(s.seq, 0);
         s.finish();
     }
 

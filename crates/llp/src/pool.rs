@@ -465,12 +465,6 @@ impl ChunkClaimer {
             (i < block.end).then_some(i)
         })
     }
-
-    /// Number of chunks this claimer hands out in total.
-    #[must_use]
-    pub fn limit(&self) -> usize {
-        self.blocks.last().map_or(0, |block| block.end)
-    }
 }
 
 #[cfg(test)]
@@ -478,6 +472,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
+
+    impl ChunkClaimer {
+        /// Number of chunks this claimer hands out in total.
+        fn limit(&self) -> usize {
+            self.blocks.last().map_or(0, |block| block.end)
+        }
+    }
 
     #[test]
     fn counts_sync_events() {

@@ -283,11 +283,6 @@ impl ScheduleMap {
     pub fn len(&self) -> usize {
         self.entries.len()
     }
-
-    /// Iterate the overrides in kernel-name order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, usize, Policy)> {
-        self.entries.iter().map(|(k, w, p)| (k.as_str(), *w, *p))
-    }
 }
 
 #[cfg(test)]
@@ -556,7 +551,7 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.get("rhs"), Some((3, Policy::Guided { min_chunk: 2 })));
         assert_eq!(m.get("update"), Some((4, Policy::Static)));
-        let names: Vec<&str> = m.entries().map(|(k, _, _)| k).collect();
+        let names: Vec<&str> = m.entries.iter().map(|(k, _, _)| k.as_str()).collect();
         assert_eq!(names, ["rhs", "update"]);
     }
 }

@@ -10,7 +10,7 @@
 //! paper's index-reordering tuning step moves between.
 
 use crate::dims::{Dims, Ijk};
-use crate::layout::{Axis, Layout};
+use crate::layout::Layout;
 
 /// Number of conserved variables: ρ, ρu, ρv, ρw, e.
 pub const NCONS: usize = 5;
@@ -275,21 +275,6 @@ impl StateField {
         }
         m
     }
-
-    /// Iterate over one pencil: all points along `axis` at the fixed
-    /// transverse indices of `base`, yielding state vectors in order.
-    pub fn pencil(&self, axis: Axis, base: Ijk) -> impl Iterator<Item = [f64; NCONS]> + '_ {
-        let n = self.dims.extent(axis);
-        (0..n).map(move |i| {
-            let mut p = base;
-            match axis {
-                Axis::J => p.j = i,
-                Axis::K => p.k = i,
-                Axis::L => p.l = i,
-            }
-            self.get(p)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -373,16 +358,6 @@ mod tests {
         }
         let g = f.rearrange(Arrangement::ComponentInner, Layout::kjl());
         assert_eq!(f.max_abs_diff(&g), 0.0);
-    }
-
-    #[test]
-    fn pencil_walks_one_axis() {
-        let mut f = StateField::zeros(dims(), Layout::jkl(), Arrangement::ComponentInner);
-        for p in dims().iter_jkl() {
-            f.set(p, [p.k as f64, 0.0, 0.0, 0.0, 0.0]);
-        }
-        let vals: Vec<f64> = f.pencil(Axis::K, Ijk::new(1, 0, 2)).map(|s| s[0]).collect();
-        assert_eq!(vals, vec![0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

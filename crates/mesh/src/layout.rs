@@ -91,24 +91,6 @@ impl Layout {
         ]
     }
 
-    /// The axis order, fastest first.
-    #[must_use]
-    pub fn order(&self) -> [Axis; 3] {
-        self.order
-    }
-
-    /// The stride-1 axis.
-    #[must_use]
-    pub fn fastest(&self) -> Axis {
-        self.order[0]
-    }
-
-    /// The slowest-varying axis.
-    #[must_use]
-    pub fn slowest(&self) -> Axis {
-        self.order[2]
-    }
-
     /// Element strides for a zone of the given dimensions, as
     /// (stride_j, stride_k, stride_l) in elements.
     #[must_use]
@@ -193,9 +175,9 @@ mod tests {
     fn fastest_axis_has_unit_stride() {
         let d = Dims::new(7, 8, 9);
         for lay in Layout::all() {
-            assert_eq!(lay.stride_along(d, lay.fastest()), 1, "{lay}");
+            assert_eq!(lay.stride_along(d, lay.order[0]), 1, "{lay}");
             // Slowest axis stride = product of the other two extents.
-            let slow = lay.slowest();
+            let slow = lay.order[2];
             let expect: usize = Axis::ALL
                 .iter()
                 .filter(|&&a| a != slow)
@@ -210,7 +192,7 @@ mod tests {
         let d = Dims::new(4, 5, 6);
         let lay = Layout::kjl();
         assert_eq!(lay.strides(d), (5, 1, 20));
-        assert_eq!(lay.fastest(), Axis::K);
+        assert_eq!(lay.order[0], Axis::K);
     }
 
     #[test]

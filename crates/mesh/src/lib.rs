@@ -21,7 +21,7 @@
 //! * [`layout`] — the six storage orders and stride math,
 //! * [`field`] — scalar and 5-component state fields,
 //! * [`zone`] — a curvilinear zone: coordinates + metrics,
-//! * [`multizone`] — zonal grids, interfaces, and the paper's test cases.
+//! * [`multizone`] — J-chained zonal grids and the paper's test cases.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,5 +35,5 @@ pub mod zone;
 pub use dims::{Dims, Ijk};
 pub use field::{Arrangement, Field3, StateField, NCONS};
 pub use layout::{Axis, Layout};
-pub use multizone::{MultiZoneGrid, ZonalInterface, ZoneSpec};
+pub use multizone::{MultiZoneGrid, ZoneSpec};
 pub use zone::{Metrics, Zone};

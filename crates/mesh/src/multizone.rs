@@ -1,8 +1,10 @@
-//! Multi-zone grids and zonal interfaces.
+//! Multi-zone grids: zones chained along J.
 //!
 //! F3D is a *zonal* code: the flow domain is divided into structured
 //! zones that abut in the streamwise (J) direction and exchange data at
-//! their shared K×L faces once per time step ("zonal injection"). Both
+//! their shared K×L faces once per time step ("zonal injection"). The
+//! zones form a J-chain — zone `i`'s high-J face feeds zone `i + 1`'s
+//! low-J face — so the zone order is the whole interface graph. Both
 //! of the paper's test cases are three-zone grids:
 //!
 //! * 1-million-point case: `15×75×70`, `87×75×70`, `89×75×70`;
@@ -20,21 +22,11 @@ pub struct ZoneSpec {
     pub dims: Dims,
 }
 
-/// A zonal interface: the high-J face of `upstream` abuts the low-J
-/// face of `downstream`. Both zones must share K and L extents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZonalInterface {
-    /// Index of the upstream zone.
-    pub upstream: usize,
-    /// Index of the downstream zone.
-    pub downstream: usize,
-}
-
-/// A multi-zone grid: zone specs plus the interfaces connecting them.
+/// A multi-zone grid: zone specs in J-chain order, adjacent zones
+/// sharing their K and L extents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiZoneGrid {
     zones: Vec<ZoneSpec>,
-    interfaces: Vec<ZonalInterface>,
 }
 
 impl MultiZoneGrid {
@@ -55,25 +47,13 @@ impl MultiZoneGrid {
                 w[1].name
             );
         }
-        let interfaces = (0..zones.len().saturating_sub(1))
-            .map(|i| ZonalInterface {
-                upstream: i,
-                downstream: i + 1,
-            })
-            .collect();
-        Self { zones, interfaces }
+        Self { zones }
     }
 
     /// Zone specs.
     #[must_use]
     pub fn zones(&self) -> &[ZoneSpec] {
         &self.zones
-    }
-
-    /// Zonal interfaces.
-    #[must_use]
-    pub fn interfaces(&self) -> &[ZonalInterface] {
-        &self.interfaces
     }
 
     /// Total grid points over all zones.
@@ -199,20 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn chained_interfaces() {
-        let g = MultiZoneGrid::paper_one_million();
-        assert_eq!(g.interfaces().len(), 2);
-        assert_eq!(g.interfaces()[0].upstream, 0);
-        assert_eq!(g.interfaces()[0].downstream, 1);
-    }
-
-    #[test]
     fn single_zone_has_no_interfaces() {
         let g = MultiZoneGrid::chained(vec![ZoneSpec {
             name: "only".into(),
             dims: Dims::new(10, 10, 10),
         }]);
-        assert!(g.interfaces().is_empty());
         assert_eq!(g.total_points(), 1000);
     }
 
@@ -230,7 +201,6 @@ mod tests {
             assert!(max - min <= 1);
             // Transverse extents preserved.
             assert!(g.zones().iter().all(|z| z.dims.k == 30 && z.dims.l == 20));
-            assert_eq!(g.interfaces().len(), n - 1);
         }
     }
 
@@ -239,7 +209,6 @@ mod tests {
         let total = Dims::new(17, 5, 5);
         let g = MultiZoneGrid::split_j(total, 1);
         assert_eq!(g.zones()[0].dims, total);
-        assert!(g.interfaces().is_empty());
     }
 
     #[test]

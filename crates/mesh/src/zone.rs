@@ -164,15 +164,6 @@ pub struct Metrics {
     coef: [Field3; 9],
 }
 
-/// Index of a metric coefficient: `grad(direction)[component]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricCoef {
-    /// Which computational direction's gradient (J → ξ, K → η, L → ζ).
-    pub direction: Axis,
-    /// Cartesian component 0..3 (x, y, z).
-    pub component: usize,
-}
-
 impl Metrics {
     /// Zone dimensions.
     #[must_use]
@@ -185,22 +176,6 @@ impl Metrics {
     #[inline]
     pub fn jacobian(&self, p: Ijk) -> f64 {
         self.jac.get(p)
-    }
-
-    /// One metric coefficient at a point.
-    ///
-    /// # Panics
-    /// Panics if `component >= 3`.
-    #[must_use]
-    #[inline]
-    pub fn coef(&self, p: Ijk, c: MetricCoef) -> f64 {
-        assert!(c.component < 3, "component must be 0..3");
-        let base = match c.direction {
-            Axis::J => 0,
-            Axis::K => 3,
-            Axis::L => 6,
-        };
-        self.coef[base + c.component].get(p)
     }
 
     /// The gradient of the computational coordinate for `direction` at
@@ -318,13 +293,6 @@ mod tests {
                         bits(stored.grad(p, direction)),
                         "{d} {p} {direction}"
                     );
-                    for component in 0..3 {
-                        let c = MetricCoef {
-                            direction,
-                            component,
-                        };
-                        assert_eq!(broadcast.coef(p, c).to_bits(), stored.coef(p, c).to_bits());
-                    }
                 }
             }
             // Ten numbers, not ten zone-sized fields.

@@ -38,14 +38,6 @@ pub fn delivered_mflops(flops: u64, seconds: f64) -> f64 {
     flops as f64 / seconds / 1.0e6
 }
 
-/// Speedup relative to a single-processor run, for completeness (the
-/// paper computes it but prefers not to lead with it).
-#[must_use]
-pub fn speedup(serial_seconds: f64, parallel_seconds: f64) -> f64 {
-    assert!(serial_seconds > 0.0 && parallel_seconds > 0.0);
-    serial_seconds / parallel_seconds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,11 +66,6 @@ mod tests {
         );
         assert!((steps - 360.0).abs() < 1e-9);
         assert!((mflops - 237.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn speedup_basic() {
-        assert!((speedup(100.0, 10.0) - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -448,8 +448,8 @@ impl Metrics {
 
     /// Fold one zone-scheduled solve's step statistics in: how many
     /// zone shards it dispatched over, how many zone tasks it stepped
-    /// across the whole run, and the step DAG's peak ready-queue
-    /// occupancy (`U_zones`). The shard and peak gauges keep the last
+    /// across the whole run, and its peak ready zones (`U_zones`, the
+    /// zone count of a chain). The shard and peak gauges keep the last
     /// value — the queue picture of the most recent zone job.
     pub fn zone_job(&self, shards: u64, zone_tasks: u64, peak_ready: u64) {
         self.inc(Scalar::ZoneJobsTotal);

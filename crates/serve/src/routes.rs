@@ -15,9 +15,10 @@ use crate::http::{Request, Response};
 use crate::jobs::JobKind;
 use crate::lock;
 use crate::server::Shared;
-use crate::solvers::{self, MAX_WORKERS};
+use crate::solvers;
 use crate::telemetry::Windows;
 use llp::obs::json::Json;
+use solver::MAX_WORKERS;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;

@@ -30,11 +30,11 @@ use crate::jobs::{self, Completion, JobKind, JobQueue, Submitted, Waiter};
 use crate::lock;
 use crate::metrics::{Hist, Metrics, PoolContext, Scalar, Snapshot};
 use crate::routes::{self, RouteOutcome, UNROUTED};
-use crate::solvers::MAX_WORKERS;
 use crate::telemetry::{self, Windows};
 use crate::trace::TraceStore;
 use llp::obs::json::Json;
 use llp::Workers;
+use solver::MAX_WORKERS;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -264,12 +264,6 @@ impl Server {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Total requests rejected with 429 so far.
-    #[must_use]
-    pub fn rejected_total(&self) -> u64 {
-        self.shared.metrics.get(Scalar::RejectedTotal)
     }
 
     /// Drain and stop: new work is refused with 503, everything already

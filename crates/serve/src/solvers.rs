@@ -27,8 +27,6 @@ pub struct SolverRow {
     pub kernels: &'static [&'static str],
     /// The request fields only it reads ([`Solver::OWN_FIELDS`]).
     pub own_fields: &'static [&'static str],
-    /// Most workers a case may ask for ([`Solver::MAX_WORKERS`]).
-    pub max_workers: usize,
     /// Build and validate the case a request body describes.
     pub parse: fn(&SolveFields<'_>) -> Result<AnyCase, String>,
     /// Calibrate this solver on a pool ([`calibrate_solver`]).
@@ -44,7 +42,6 @@ impl SolverRow {
             kind: S::KIND,
             kernels: S::KERNELS,
             own_fields: S::OWN_FIELDS,
-            max_workers: S::MAX_WORKERS,
             parse: |fields| {
                 let case = S::Config::from_request(fields)?;
                 case.validate()?;
@@ -68,20 +65,6 @@ pub const KINDS: [&str; TABLE.len()] = {
         i += 1;
     }
     kinds
-};
-
-/// Widest case any registered solver admits: the cap on the shared
-/// pool and on the `workers` an omitted field defaults to.
-pub const MAX_WORKERS: usize = {
-    let mut max = 0;
-    let mut i = 0;
-    while i < TABLE.len() {
-        if TABLE[i].max_workers > max {
-            max = TABLE[i].max_workers;
-        }
-        i += 1;
-    }
-    max
 };
 
 /// The solver whose tune database overlays `/v1/advise`: the advisor
@@ -164,7 +147,6 @@ mod tests {
         use crate::cache::ContentKey;
 
         assert_eq!(KINDS, ["f3d", "fdtd"]);
-        assert_eq!(MAX_WORKERS, 64);
         assert_eq!(ADVISE_KIND, KINDS[0]);
         for (row, kind) in TABLE.iter().zip(KINDS) {
             assert_eq!(row.kind, kind);

@@ -622,7 +622,7 @@ fn full_queue_rejects_with_429_and_recovers() {
         rejected.json().get("error").unwrap().as_str(),
         Some("queue full")
     );
-    assert_eq!(server.rejected_total(), 1);
+    assert_eq!(metric(addr, "rejected_total"), 1);
 
     drop(held);
     assert_eq!(first.join().unwrap().status, 200);

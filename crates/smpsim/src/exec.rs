@@ -285,15 +285,6 @@ impl Machine {
             phases,
         }
     }
-
-    /// Execute the trace at each processor count.
-    #[must_use]
-    pub fn sweep(&self, trace: &WorkloadTrace, processor_counts: &[u32]) -> Vec<ExecReport> {
-        processor_counts
-            .iter()
-            .map(|&p| self.execute(trace, p))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -523,15 +514,6 @@ mod tests {
         let m = uma_machine();
         let t = one_loop(16, 1e6, 0.0, 0.0);
         let _ = m.execute_mlp(&[t.clone(), t], &[100, 100]);
-    }
-
-    #[test]
-    fn sweep_lengths() {
-        let m = uma_machine();
-        let t = one_loop(64, 1e6, 0.0, 0.0);
-        let rs = m.sweep(&t, &[1, 2, 4, 8]);
-        assert_eq!(rs.len(), 4);
-        assert_eq!(rs[3].processors, 8);
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl MachineConfig {
     pub fn sync_seconds(&self, p: u32) -> f64 {
         self.seconds(self.sync.cycles(p))
     }
-
-    /// Aggregate peak MFLOPS at `p` processors.
-    #[must_use]
-    pub fn peak_mflops(&self, p: u32) -> f64 {
-        self.peak_mflops_per_processor * f64::from(p)
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +185,6 @@ mod tests {
         };
         assert!((m.seconds(100e6) - 1.0).abs() < 1e-12);
         assert!((m.sync_seconds(4) - 1e-5).abs() < 1e-15);
-        assert_eq!(m.peak_mflops(4), 800.0);
     }
 
     #[test]

@@ -118,6 +118,17 @@ pub trait SolverSpec {
         Self: Sized;
 }
 
+/// Most workers a served case may ask for — every solver's cap, the
+/// widest view a calibration measures on, and the widest pool the
+/// server runs.
+pub const MAX_WORKERS: usize = 64;
+
+/// Largest chunk parameter (dynamic chunk size / guided floor) a
+/// case's schedule may carry — far beyond any service loop extent, but
+/// bounded so untrusted input cannot smuggle absurd values into labels
+/// and reports.
+pub const MAX_CHUNK: usize = 1024;
+
 /// The range check every spec's `validate` applies to its counted
 /// fields: `value` must lie in `1..=max`. One statement, so every 400
 /// the service answers for an out-of-cap field reads the same.
@@ -170,9 +181,6 @@ pub trait Solver {
     /// [`wire::SHARED_FIELDS`] — its size field first; anything else in
     /// a body is a 400.
     const OWN_FIELDS: &'static [&'static str];
-
-    /// Most workers a case may ask for.
-    const MAX_WORKERS: usize;
 
     /// Allocate the instance: grids, fields, deterministic initial
     /// condition. The [`WidthMap`] is empty and ignored.
@@ -429,7 +437,6 @@ mod tests {
         const KIND: &'static str = "toy";
         const KERNELS: &'static [&'static str] = &["toy"];
         const OWN_FIELDS: &'static [&'static str] = &["n"];
-        const MAX_WORKERS: usize = 4;
 
         fn create_instance(config: &ToySpec, _widths: &WidthMap) -> ToyInstance {
             ToyInstance {

@@ -39,7 +39,7 @@ use llp::obs::attr::{kernel_overheads, AttributionReport, KernelOverhead};
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use llp::{FlightRecorder, Policy, ScheduleMap, Workers};
 use perfmodel::OverheadBound;
-use solver::{check_range, Solver, SolverSpec};
+use solver::{check_range, Solver, SolverSpec, MAX_WORKERS};
 
 /// Largest `zones` a calibration case may ask for.
 pub const MAX_ZONES: usize = 4;
@@ -47,9 +47,6 @@ pub const MAX_ZONES: usize = 4;
 pub const MAX_STEPS: usize = 32;
 /// Largest `trials` (the K of median-of-K).
 pub const MAX_TRIALS: usize = 9;
-/// Widest pool view a calibration measures on; wider pools calibrate
-/// on their first `MAX_WORKERS` lanes.
-pub const MAX_WORKERS: usize = 64;
 
 /// What to calibrate and how hard to try.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

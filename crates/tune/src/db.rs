@@ -2,10 +2,9 @@
 //! their measured and modeled costs, serialized with the suite's own
 //! JSON layer so `llpd` can persist and reload it.
 
-use crate::calibrate::MAX_WORKERS;
 use llp::obs::json::Json;
 use llp::{MeasuredChoice, Policy, ScheduleMap};
-use solver::check_range;
+use solver::{check_range, MAX_WORKERS};
 use std::path::Path;
 
 /// Schema version of [`TuneDb::to_json`]; bumped on layout changes.

@@ -1,14 +1,13 @@
-//! Executing a step DAG: sequential sweep, explicit-order replay, and
-//! sharded dispatch as one region of an [`llp::Workers`] team.
+//! The sharded zone step: one region of an [`llp::Workers`] team over
+//! the zones of a J-chain, then the chain's exchanges in order.
 
 use llp::{FlightRecorder, Workers};
 
-use crate::dag::StepDag;
-use crate::topology::Topology;
-
-/// What one sharded step did — deterministic, derived from the
-/// topology and the shard count alone, so it can ride on cached solve
-/// responses without breaking content-addressed reuse.
+/// What one sharded step did — deterministic, derived from the zone
+/// count and the shard count alone, so it can ride on cached solve
+/// responses without breaking content-addressed reuse. On a chain of
+/// `n` zones every zone is ready at once (`peak_ready` = `n`), and the
+/// `n − 1` exchanges each wait for the one before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepStats {
     /// Zone shards the step dispatched over (after clamping).
@@ -18,57 +17,24 @@ pub struct StepStats {
     /// share: a zone's loops run on the whole pool and take whichever
     /// helpers the other zones leave free.
     pub loop_workers: usize,
-    /// Compute tasks executed (one per block).
+    /// Compute tasks executed (one per zone).
     pub zone_tasks: u64,
-    /// Exchange tasks executed (one per interface).
+    /// Exchange tasks executed (one per adjacent pair).
     pub exchange_tasks: u64,
-    /// Waves in the serialized exchange tail.
+    /// Waves in the serialized exchange tail (one per exchange).
     pub exchange_waves: u64,
     /// Peak simultaneously-ready tasks — the step's `U_zones`.
     pub peak_ready: u64,
 }
 
-impl StepStats {
-    fn new(topo: &Topology, shards: usize, loop_workers: usize) -> Self {
-        let dag = StepDag::build(topo);
-        Self {
-            shards,
-            loop_workers,
-            zone_tasks: topo.blocks() as u64,
-            exchange_tasks: topo.interfaces().len() as u64,
-            exchange_waves: dag.exchange_waves() as u64,
-            peak_ready: dag.peak_ready() as u64,
-        }
-    }
-}
-
-/// The canonical sequential sweep: computes in block order, then
-/// exchanges in interface order — the order every zonal solver has
-/// always used, and always a topological order of the step DAG.
+/// Dispatch one step's zones across `shards` zone shards, then apply
+/// the chain's exchanges with [`exchange_chain`].
 ///
-/// # Panics
-/// Panics if `blocks.len() != topo.blocks()`.
-pub fn run_sequential<Z>(
-    blocks: &mut [Z],
-    topo: &Topology,
-    mut compute: impl FnMut(usize, &mut Z),
-    mut exchange: impl FnMut(usize, &mut Z, &mut Z),
-) {
-    assert_eq!(blocks.len(), topo.blocks(), "one block per topology node");
-    for (b, block) in blocks.iter_mut().enumerate() {
-        compute(b, block);
-    }
-    apply_exchanges(blocks, topo, &mut exchange);
-}
-
-/// Dispatch one step's compute tasks across `shards` zone shards, then
-/// apply the exchanges in canonical order.
-///
-/// The compute tasks are one region of `pool`'s worker team, `shards`
-/// lanes wide (at most the pool's width): one task per block, claimed
-/// by the team in index order, so up to `shards` zones run at once.
-/// Each zone's own loops run on a view of the whole pool that shares
-/// its local counter — the caller's synchronization-event bill covers
+/// The zones are one region of `pool`'s worker team, `shards` lanes
+/// wide (at most the pool's width): one task per block, claimed by the
+/// team in index order, so up to `shards` zones run at once. Each
+/// zone's own loops run on a view of the whole pool that shares its
+/// local counter — the caller's synchronization-event bill covers
 /// every loop region the zones ran — and enlists whichever helpers no
 /// other zone is using, so the team is shared between the two levels
 /// region by region (`U_zones × U_loops`) rather than split into fixed
@@ -78,35 +44,32 @@ pub fn run_sequential<Z>(
 /// assumes one coordinator thread); instead, every compute task
 /// brackets itself with zone start/end events on the **pool's**
 /// recorder, on the team lane that ran it, so a drained timeline shows
-/// zone occupancy per thread. After the
-/// barrier, exchanges run on the calling thread in canonical interface
-/// order — a topological order of the step DAG, so the result is
-/// bit-identical to [`run_sequential`] for every shard count.
+/// zone occupancy per thread. After the barrier, the exchanges run on
+/// the calling thread in chain order, so the result is bit-identical
+/// to the sequential sweep for every shard count.
 ///
 /// `shards` is clamped to `1..=blocks.len()`; the clamped value is
 /// reported in the returned [`StepStats`], whose `loop_workers` is each
 /// zone's even share of the pool, `pool.processors() / shards`.
 ///
 /// # Panics
-/// Panics if `blocks.len() != topo.blocks()`. A panicking compute task
-/// is re-raised with its own payload — when the region is wider than
-/// one worker, only after every other block has run — and no exchange
-/// is applied.
+/// Panics if `blocks` is empty. A panicking compute task is re-raised
+/// with its own payload — when the region is wider than one worker,
+/// only after every other block has run — and no exchange is applied.
 pub fn run_sharded<Z, C, X>(
     pool: &Workers,
     shards: usize,
     step: u64,
     blocks: &mut [Z],
-    topo: &Topology,
     compute: C,
-    mut exchange: X,
+    exchange: X,
 ) -> StepStats
 where
     Z: Send,
     C: Fn(usize, &Workers, &mut Z) + Sync,
     X: FnMut(usize, &mut Z, &mut Z),
 {
-    assert_eq!(blocks.len(), topo.blocks(), "one block per topology node");
+    assert!(!blocks.is_empty(), "a zone chain needs at least one zone");
     let shards = shards.clamp(1, blocks.len());
     let loop_workers = (pool.processors() / shards).max(1);
     let flight = pool.flight();
@@ -123,20 +86,25 @@ where
             });
         }
     });
-    apply_exchanges(blocks, topo, &mut exchange);
-    StepStats::new(topo, shards, loop_workers)
+    exchange_chain(blocks, exchange);
+    let zones = blocks.len() as u64;
+    StepStats {
+        shards,
+        loop_workers,
+        zone_tasks: zones,
+        exchange_tasks: zones - 1,
+        exchange_waves: zones - 1,
+        peak_ready: zones,
+    }
 }
 
-/// Exchanges in canonical interface order (endpoints are `a < b`, so
-/// `split_at_mut(b)` hands out both blocks safely).
-fn apply_exchanges<Z>(
-    blocks: &mut [Z],
-    topo: &Topology,
-    exchange: &mut impl FnMut(usize, &mut Z, &mut Z),
-) {
-    for (i, &(a, b)) in topo.interfaces().iter().enumerate() {
-        let (lo, hi) = blocks.split_at_mut(b);
-        exchange(i, &mut lo[a], &mut hi[0]);
+/// The chain's exchanges in order: `exchange(i, &mut blocks[i], &mut
+/// blocks[i + 1])` for `i` in `0..blocks.len() - 1`. Each exchange
+/// shares a zone with the next, so this is the one order there is.
+pub fn exchange_chain<Z>(blocks: &mut [Z], mut exchange: impl FnMut(usize, &mut Z, &mut Z)) {
+    for i in 1..blocks.len() {
+        let (up, down) = blocks.split_at_mut(i);
+        exchange(i - 1, &mut up[i - 1], &mut down[0]);
     }
 }
 
@@ -144,9 +112,9 @@ fn apply_exchanges<Z>(
 mod tests {
     use super::*;
 
-    /// A deliberately non-commutative exchange over integer blocks:
-    /// ordering mistakes between conflicting exchanges change the
-    /// result, ordering between disjoint exchanges cannot.
+    /// A deliberately non-commutative update over integer blocks: an
+    /// exchange out of chain order, or one applied before its zones
+    /// stepped, changes the result.
     fn mix(state: &mut u64, with: u64) {
         *state = state
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -154,26 +122,27 @@ mod tests {
             .wrapping_add(with);
     }
 
-    fn reference(topo: &Topology) -> Vec<u64> {
-        let mut blocks: Vec<u64> = (0..topo.blocks() as u64).map(|b| b + 1).collect();
-        run_sequential(
-            &mut blocks,
-            topo,
-            |b, z| mix(z, b as u64),
-            |i, a, b| {
-                mix(a, *b ^ i as u64);
-                mix(b, *a);
-            },
-        );
+    /// The sequential sweep, written out: every zone in order, then
+    /// every adjacent pair in chain order.
+    fn reference(n: usize) -> Vec<u64> {
+        let mut blocks: Vec<u64> = (0..n as u64).map(|b| b + 1).collect();
+        for (b, z) in blocks.iter_mut().enumerate() {
+            mix(z, b as u64);
+        }
+        for i in 0..n - 1 {
+            let down = blocks[i + 1];
+            mix(&mut blocks[i], down ^ i as u64);
+            let up = blocks[i];
+            mix(&mut blocks[i + 1], up);
+        }
         blocks
     }
 
     #[test]
     fn sequential_and_sharded_agree_for_every_shard_count() {
         let pool = Workers::new(2);
-        for blocks_n in 1..=4 {
-            let topo = Topology::chain(blocks_n);
-            let want = reference(&topo);
+        for blocks_n in 1..=6 {
+            let want = reference(blocks_n);
             for shards in 1..=blocks_n + 2 {
                 let mut blocks: Vec<u64> = (0..blocks_n as u64).map(|b| b + 1).collect();
                 let stats = run_sharded(
@@ -181,7 +150,6 @@ mod tests {
                     shards,
                     0,
                     &mut blocks,
-                    &topo,
                     |b, _w, z| mix(z, b as u64),
                     |i, a, b| {
                         mix(a, *b ^ i as u64);
@@ -189,10 +157,19 @@ mod tests {
                     },
                 );
                 assert_eq!(blocks, want, "blocks={blocks_n} shards={shards}");
-                assert_eq!(stats.shards, shards.clamp(1, blocks_n));
-                assert_eq!(stats.zone_tasks, blocks_n as u64);
-                assert_eq!(stats.exchange_tasks, blocks_n as u64 - 1);
-                assert!(stats.loop_workers >= 1);
+                let n = blocks_n as u64;
+                assert_eq!(
+                    stats,
+                    StepStats {
+                        shards: shards.clamp(1, blocks_n),
+                        loop_workers: (2 / shards.clamp(1, blocks_n)).max(1),
+                        zone_tasks: n,
+                        exchange_tasks: n - 1,
+                        exchange_waves: n - 1,
+                        peak_ready: n,
+                    },
+                    "blocks={blocks_n} shards={shards}"
+                );
             }
         }
     }
@@ -200,14 +177,12 @@ mod tests {
     #[test]
     fn sharded_splits_the_pool_between_levels() {
         let pool = Workers::new(4);
-        let topo = Topology::chain(4);
         let mut blocks = vec![0u64; 4];
         let stats = run_sharded(
             &pool,
             2,
             0,
             &mut blocks,
-            &topo,
             |_, w, z| *z = w.processors() as u64,
             |_, _, _| {},
         );
@@ -223,14 +198,12 @@ mod tests {
     #[test]
     fn a_panicking_zone_is_reraised_after_the_others_ran() {
         let pool = Workers::new(2);
-        let topo = Topology::chain(4);
         let step = |blocks: &mut Vec<u64>, faulty: Option<usize>| {
             run_sharded(
                 &pool,
                 2,
                 0,
                 blocks,
-                &topo,
                 |b, _, z| {
                     assert!(Some(b) != faulty, "zone one fails");
                     mix(z, b as u64);
@@ -260,13 +233,12 @@ mod tests {
         // ...and the next step on the same pool is exact.
         let mut blocks = start;
         step(&mut blocks, None);
-        assert_eq!(blocks, reference(&topo));
+        assert_eq!(blocks, reference(4));
     }
 
     #[test]
     fn sharded_bills_sync_events_on_the_pool() {
         let pool = Workers::new(2);
-        let topo = Topology::new(3, Vec::new()).unwrap();
         let before = pool.local_sync_event_count();
         let mut blocks = vec![0u64; 3];
         run_sharded(
@@ -274,7 +246,6 @@ mod tests {
             3,
             0,
             &mut blocks,
-            &topo,
             |_, w, z| {
                 w.region(|scope| {
                     scope.spawn(|| {});
@@ -290,17 +261,8 @@ mod tests {
     fn sharded_records_zone_events_per_team_lane() {
         let mut pool = Workers::new(2);
         pool.set_flight(FlightRecorder::enabled(2, 64));
-        let topo = Topology::chain(3);
         let mut blocks = vec![0u64; 3];
-        run_sharded(
-            &pool,
-            2,
-            7,
-            &mut blocks,
-            &topo,
-            |_, _, z| *z += 1,
-            |_, _, _| {},
-        );
+        run_sharded(&pool, 2, 7, &mut blocks, |_, _, z| *z += 1, |_, _, _| {});
         let timeline = pool.flight().take_timeline();
         let mut starts = 0;
         let mut ends = 0;

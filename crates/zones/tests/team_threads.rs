@@ -7,7 +7,7 @@
 
 use llp::Workers;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use zones::{run_sharded, Topology};
+use zones::run_sharded;
 
 /// Threads of this process, or `None` where `/proc` is not mounted.
 fn threads() -> Option<usize> {
@@ -20,7 +20,6 @@ fn threads() -> Option<usize> {
 fn zone_steps_spawn_no_thread_beyond_the_team() {
     let Some(before) = threads() else { return };
     let pool = Workers::new(4);
-    let topo = Topology::chain(4);
     let peak = AtomicUsize::new(0);
     for shards in [2, 4] {
         let mut blocks = vec![0u64; 4];
@@ -30,7 +29,6 @@ fn zone_steps_spawn_no_thread_beyond_the_team() {
                 shards,
                 step,
                 &mut blocks,
-                &topo,
                 |_, loops, z| {
                     // A loop region as wide as the pool, so the zone
                     // asks for every helper it can get.
