@@ -2,18 +2,14 @@
 //!
 //! Each sweep parallelizes its *outer* loop over grid rows with
 //! [`llp::doacross_slabs`] — one row is one slab, the paper's
-//! loop-level discipline — and runs its inner x loop as one plain loop
-//! over the row.
+//! loop-level discipline — and runs its inner x loops as zipped slice
+//! loops over the row's contiguous component runs (`E` is row-blocked:
+//! a row's `Ex`, then its `Ey`; see [`crate::grid`]).
 //!
-//! **No lanes.** Each sweep's inner loop is one plain loop over the
-//! row — the policy [`solver::widths`] documents for kernels with no
-//! lanes to gain. It is a two-point stencil over an AoS `[ex, ey]` row:
-//! an explicit lane group de-interleaves on every load and measures
-//! slower than the plain loop (128², serial: `update_e` 0.7–0.8
-//! ns/point vs 0.9–1.1 at four lanes; DESIGN §6g). Lanes belong here
-//! only if a layout change (SoA `ex`/`ey`) makes them measure faster,
-//! and then as a `solver::LaneBody` at a constant lane count with a
-//! benchmark workload on each side of the choice. [`update_h`] and
+//! **No lanes.** Each component's loop is one plain loop with no
+//! per-point branch — the policy [`solver::widths`] documents for
+//! kernels with no explicit lanes: rustc vectorizes the zipped loops
+//! itself, at whatever width the target has. [`update_h`] and
 //! [`update_e`] take a `_width` argument nothing reads; the served
 //! step passes 1.
 //!
@@ -27,10 +23,11 @@
 //! The aliasing discipline makes that structurally true: `update_h`
 //! mutates only `hz` while reading `e`, `update_e` mutates only `e`
 //! while reading `hz` — each doacross body takes `&mut` to its own
-//! row and shared references to the other array.
+//! rows and shared references to the other array.
 
-use crate::grid::{row_energy, Boundary, TezGrid};
+use crate::grid::{fold_run, term, Boundary, TezGrid};
 use llp::{doacross_slabs, doacross_slabs_zip, Workers};
+use std::ops::Range;
 
 /// Advance `Hz` one half-step: `∂Hz/∂t = ∂Ex/∂y − ∂Ey/∂x`, parallel
 /// over rows. `_width` is ignored (see the module docs).
@@ -45,22 +42,28 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, _width: usize) {
     } = grid;
     let (nx, ny, s) = (*nx, *ny, *courant);
     let periodic = *boundary == Boundary::Periodic;
-    let e: &[[f64; 2]] = e;
+    let e: &[f64] = e;
     doacross_slabs(workers, hz.as_mut_slice(), nx, move |j, row| {
         // PEC: the top Hz row sits outside the staggered interior.
         if !periodic && j == ny - 1 {
             return;
         }
         let jp1 = if j + 1 == ny { 0 } else { j + 1 };
-        let e_row = &e[j * nx..(j + 1) * nx];
-        let e_up = &e[jp1 * nx..jp1 * nx + nx];
-        for (i, out) in row[..nx - 1].iter_mut().enumerate() {
-            *out += s * ((e_up[i][0] - e_row[i][0]) - (e_row[i + 1][1] - e_row[i][1]));
+        let (ex, ey) = e[2 * nx * j..][..2 * nx].split_at(nx);
+        let ex_up = &e[2 * nx * jp1..][..nx];
+        let interior = row[..nx - 1]
+            .iter_mut()
+            .zip(ex_up)
+            .zip(ex)
+            .zip(ey)
+            .zip(&ey[1..]);
+        for ((((out, &x_up), &x), &y), &y_right) in interior {
+            *out += s * ((x_up - x) - (y_right - y));
         }
         if periodic {
             // Wrap column: Ey neighbor comes from i = 0.
             let i = nx - 1;
-            row[i] += s * ((e_up[i][0] - e_row[i][0]) - (e_row[0][1] - e_row[i][1]));
+            row[i] += s * ((ex_up[i] - ex[i]) - (ey[0] - ey[i]));
         }
     });
 }
@@ -70,30 +73,39 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, _width: usize) {
 /// updating it. `_width` is ignored (see the module docs).
 pub fn update_e(workers: &Workers, grid: &mut TezGrid, _width: usize) {
     let (sweep, e) = ESweep::of(grid);
-    doacross_slabs(workers, e, sweep.nx, move |j, row| sweep.row(j, row));
+    let nx = sweep.nx;
+    doacross_slabs(workers, e, 2 * nx, move |j, row| {
+        sweep.row(j, row, 0..nx, None);
+    });
 }
 
 /// [`update_e`] fused with the energy reduction (the paper's Example 2
 /// applied to the step): the same sweep, the same single region, and
-/// whichever worker just wrote row `j` also leaves that row's
-/// [`crate::grid::TezGrid::energy`] partial in `row_partials[j]` while
-/// the row is in its cache. Folding the partials `0..ny` afterwards is
-/// all the caller has left to do — no pass drags the fields back to one
-/// core.
+/// whichever worker just wrote a run of rows also leaves those rows'
+/// [`crate::grid::TezGrid::energy`] partials in `row_partials`. Each
+/// point's term is computed in the `Ey` loop that just wrote the
+/// point, and the run's rows are folded four side by side while they
+/// are in the worker's cache (the grid's run fold, which
+/// `TezGrid::energy` calls too). Folding the partials `0..ny`
+/// afterwards is all the caller has left to do — no pass drags the
+/// fields back to one core.
 ///
 /// # Panics
 /// Panics unless `row_partials` holds one entry per grid row.
 pub fn update_e_energy(workers: &Workers, grid: &mut TezGrid, row_partials: &mut [f64]) {
     let (sweep, e) = ESweep::of(grid);
+    let nx = sweep.nx;
     doacross_slabs_zip(
         workers,
         e,
-        sweep.nx,
+        2 * nx,
         row_partials,
         1,
-        move |j, row, partial| {
-            sweep.row(j, row);
-            partial[0] = row_energy(row, sweep.hz_row(j));
+        move |first, e_run, partials| {
+            fold_run(nx, partials, |r, cols, terms| {
+                let row = &mut e_run[2 * nx * r..][..2 * nx];
+                sweep.row(first + r, row, cols, Some(terms));
+            });
         },
     );
 }
@@ -112,7 +124,7 @@ struct ESweep<'g> {
 impl<'g> ESweep<'g> {
     /// Split `grid` into the sweep's read-only half and the `E` array
     /// it mutates.
-    fn of(grid: &'g mut TezGrid) -> (Self, &'g mut [[f64; 2]]) {
+    fn of(grid: &'g mut TezGrid) -> (Self, &'g mut [f64]) {
         let sweep = ESweep {
             nx: grid.nx,
             ny: grid.ny,
@@ -128,8 +140,11 @@ impl<'g> ESweep<'g> {
         &self.hz[j * self.nx..(j + 1) * self.nx]
     }
 
-    /// Update row `j` of `E` in place.
-    fn row(&self, j: usize, row: &mut [[f64; 2]]) {
+    /// Update columns `cols` of row `j` of `E` in place: its `Ex`, then
+    /// its `Ey`. With `terms`, also leave each point's energy [`term`]
+    /// in `terms[i - cols.start]`, computed from the values just
+    /// written: inside the `Ey` loop where it runs, after it elsewhere.
+    fn row(&self, j: usize, row: &mut [f64], cols: Range<usize>, terms: Option<&mut [f64]>) {
         let ESweep {
             nx,
             ny,
@@ -138,41 +153,46 @@ impl<'g> ESweep<'g> {
             ..
         } = *self;
         let hz_row = self.hz_row(j);
-        let hz_dn = self.hz_row(if j == 0 { ny - 1 } else { j - 1 });
+        let (ex, ey) = row.split_at_mut(nx);
+        // Under PEC, both components stop short of the right wall and
+        // Ey starts at i = 1; a periodic row runs to the end, Ey's
+        // i = 0 wrapping its neighbor to nx-1.
+        let end = if periodic { nx } else { nx - 1 };
         // Which components this row updates (see the grid's stagger
         // docs): under PEC, Ex is tangential to the y walls and Ey's
         // top row sits outside the box.
-        let do_ex = periodic || (j >= 1 && j < ny - 1);
-        let do_ey = periodic || j < ny - 1;
-        if !do_ex && !do_ey {
-            return;
+        if periodic || (1..ny - 1).contains(&j) {
+            let hz_dn = self.hz_row(if j == 0 { ny - 1 } else { j - 1 });
+            let xs = cols.start..cols.end.min(end);
+            let points = ex[xs.clone()].iter_mut().zip(&hz_row[xs.clone()]);
+            for ((x, &h), &h_dn) in points.zip(&hz_dn[xs]) {
+                *x += s * (h - h_dn);
+            }
         }
-        // Prologue at the x edge, then one loop over the interior.
-        let end = if periodic {
-            // i = 0 wraps Ey's neighbor to nx-1; Ex has no x stencil.
-            if do_ex {
-                row[0][0] += s * (hz_row[0] - hz_dn[0]);
+        let do_ey = periodic || j < ny - 1;
+        if periodic && cols.start == 0 {
+            ey[0] -= s * (hz_row[0] - hz_row[nx - 1]);
+        }
+        // The columns of the Ey loop (none where Ey is not updated).
+        let lo = cols.start.max(1);
+        let ys = if do_ey { lo..cols.end.min(end) } else { lo..lo };
+        let points = ey[ys.clone()]
+            .iter_mut()
+            .zip(&hz_row[ys.clone()])
+            .zip(&hz_row[ys.start - 1..]);
+        let Some(terms) = terms else {
+            for ((y, &h), &h_left) in points {
+                *y -= s * (h - h_left);
             }
-            if do_ey {
-                row[0][1] -= s * (hz_row[0] - hz_row[nx - 1]);
-            }
-            nx
-        } else {
-            // PEC: Ex also lives at i = 0 (interior in x); Ey starts
-            // at i = 1 and both stop short of the right wall.
-            if do_ex {
-                row[0][0] += s * (hz_row[0] - hz_dn[0]);
-            }
-            nx - 1
+            return;
         };
-        for (off, p) in row[1..end].iter_mut().enumerate() {
-            let i = 1 + off;
-            if do_ex {
-                p[0] += s * (hz_row[i] - hz_dn[i]);
-            }
-            if do_ey {
-                p[1] -= s * (hz_row[i] - hz_row[i - 1]);
-            }
+        let points = points.zip(&ex[ys.clone()]);
+        for ((((y, &h), &h_left), &x), t) in points.zip(&mut terms[ys.start - cols.start..]) {
+            *y -= s * (h - h_left);
+            *t = term(x, *y, h);
+        }
+        for i in (cols.start..ys.start).chain(ys.end..cols.end) {
+            terms[i - cols.start] = term(ex[i], ey[i], hz_row[i]);
         }
     }
 }
@@ -197,13 +217,14 @@ mod tests {
             update_e(&w, &mut g, 1);
         }
         let (nx, ny) = (g.nx, g.ny);
+        let (ex, ey) = (|i, j| g.e[2 * nx * j + i], |i, j| g.e[2 * nx * j + nx + i]);
         for i in 0..nx {
-            assert_eq!(g.e[i][0], 0.0, "Ex bottom wall, i={i}");
-            assert_eq!(g.e[(ny - 1) * nx + i][0], 0.0, "Ex top wall, i={i}");
+            assert_eq!(ex(i, 0), 0.0, "Ex bottom wall, i={i}");
+            assert_eq!(ex(i, ny - 1), 0.0, "Ex top wall, i={i}");
         }
         for j in 0..ny {
-            assert_eq!(g.e[j * nx][1], 0.0, "Ey left wall, j={j}");
-            assert_eq!(g.e[j * nx + nx - 1][1], 0.0, "Ey right wall, j={j}");
+            assert_eq!(ey(0, j), 0.0, "Ey left wall, j={j}");
+            assert_eq!(ey(nx - 1, j), 0.0, "Ey right wall, j={j}");
         }
         // The pulse spread: interior fields moved.
         assert!(g.energy() > 0.0);
@@ -266,8 +287,8 @@ mod tests {
         // periodic closure: nothing may move, including at the wrap
         // columns a PEC box would clamp.
         let mut g = TezGrid::new(9, 5, Boundary::Periodic, 0.5);
-        for p in &mut g.e {
-            p[1] = 3.0;
+        for row in g.e.chunks_exact_mut(2 * 9) {
+            row[9..].fill(3.0);
         }
         let w = Workers::serial();
         for _ in 0..10 {
@@ -275,6 +296,9 @@ mod tests {
             update_e(&w, &mut g, 1);
         }
         assert!(g.hz.iter().all(|&h| h == 0.0));
-        assert!(g.e.iter().all(|p| p[0] == 0.0 && p[1] == 3.0));
+        for row in g.e.chunks_exact(2 * 9) {
+            assert!(row[..9].iter().all(|&x| x == 0.0));
+            assert!(row[9..].iter().all(|&y| y == 3.0));
+        }
     }
 }

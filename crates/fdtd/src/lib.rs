@@ -15,9 +15,10 @@
 //! [`llp::Workers`] pool as F3D, take per-kernel schedule overrides
 //! through [`llp::ScheduleMap`], and emit the same span/flight-recorder
 //! vocabulary — so the autotuner and Prometheus telemetry apply
-//! unchanged. Each sweep's inner loop is one plain loop (lane groups
-//! lose on this layout; see [`kernels`]), so a request's `vector_width`
-//! selects nothing.
+//! unchanged. `E` is stored row-blocked (a row's `Ex`, then its `Ey`;
+//! see [`grid`]), so each sweep's inner loops are zipped loops over
+//! contiguous runs of one component, which rustc vectorizes itself
+//! (see [`kernels`]); a request's `vector_width` selects nothing.
 //!
 //! **Exactness policy**, inherited from the suite: results are
 //! bit-exact at every worker count and schedule — pinned by the
@@ -28,7 +29,8 @@
 //! of `ex² + ey² + hz²`, the `ny` row partials then folded `0..ny` and
 //! halved. A row partial depends on its row alone, so the served step
 //! computes it inside the `update_e` region, on whichever worker just
-//! wrote the row ([`kernels::update_e_energy`]), and the history is the
+//! wrote the row ([`kernels::update_e_energy`], four rows' folds side
+//! by side, each still its own row's chain), and the history is the
 //! same number at every worker count and schedule — there is no
 //! serial pass over the fields between steps. The physics is pinned
 //! separately by an analytic

@@ -9,7 +9,7 @@
 //! `TezGrid::energy` by one exhaustive oracle at the end.
 
 use fdtd::grid::{Boundary, TezGrid};
-use fdtd::kernels::{update_e, update_h};
+use fdtd::kernels::{update_e, update_e_energy, update_h};
 use fdtd::service::{FdtdCase, FdtdSolver, SERVICE_COURANT};
 use llp::{Policy, ScheduleMap, Workers};
 use proptest::prelude::*;
@@ -41,13 +41,30 @@ fn policy() -> impl Strategy<Value = Policy> {
 /// physical smoothness, so cancellation-order bugs cannot hide.
 fn seeded_grid(nx: usize, ny: usize, b: Boundary, e0: &[(f64, f64)], hz0: &[f64]) -> TezGrid {
     let mut g = TezGrid::new(nx, ny, b, 0.5);
-    for (p, &(ex, ey)) in g.e.iter_mut().zip(e0) {
-        *p = [ex, ey];
+    for (p, &(ex, ey)) in e0[..nx * ny].iter().enumerate() {
+        let (j, i) = (p / nx, p % nx);
+        g.e[2 * nx * j + i] = ex;
+        g.e[2 * nx * j + nx + i] = ey;
     }
     for (h, &v) in g.hz.iter_mut().zip(hz0) {
         *h = v;
     }
     g
+}
+
+/// Each row's energy partial as its definition states it: a plain left
+/// fold of `ex² + ey² + hz²` over the row's points in storage order.
+fn row_folds(g: &TezGrid) -> Vec<u64> {
+    let rows = g.e.chunks_exact(2 * g.nx).zip(g.hz.chunks_exact(g.nx));
+    rows.map(|(e_row, hz_row)| {
+        let (ex, ey) = e_row.split_at(g.nx);
+        let mut acc = 0.0;
+        for i in 0..g.nx {
+            acc += ex[i] * ex[i] + ey[i] * ey[i] + hz_row[i] * hz_row[i];
+        }
+        acc.to_bits()
+    })
+    .collect()
 }
 
 fn advance(g: &mut TezGrid, pool: &Workers, steps: usize, width: usize) {
@@ -108,6 +125,36 @@ proptest! {
             prop_assert_eq!(&g.hz, &reference.hz, "hz, width {} pol {:?}", w, pol);
         }
     }
+
+    /// The fused sweep is `update_e` plus the row folds, bit for bit,
+    /// at extents that cut a row into several term blocks (`nx` past
+    /// 128 and 256) and a run into groups with every leftover (`ny`
+    /// mod 4), under every closure, worker count and schedule — checked
+    /// against each row's own left fold, not against the shared fold.
+    #[test]
+    fn fused_energy_sweep_is_update_e_and_the_row_folds(
+        nx in 2usize..=300,
+        ny in 2usize..=11,
+        b in boundary(),
+        workers in 1usize..5,
+        pol in policy(),
+        e0 in prop::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 300 * 11),
+        hz0 in prop::collection::vec(-2.0f64..2.0, 300 * 11),
+    ) {
+        let mut reference = seeded_grid(nx, ny, b, &e0, &hz0);
+        update_e(&Workers::serial(), &mut reference, 1);
+        let folds = row_folds(&reference);
+        let total = folds.iter().fold(0.0, |acc, &bits| acc + f64::from_bits(bits)) / 2.0;
+        prop_assert_eq!(reference.energy().to_bits(), total.to_bits());
+
+        let mut g = seeded_grid(nx, ny, b, &e0, &hz0);
+        let mut partials = vec![f64::NAN; ny];
+        let pool = Workers::new(workers).with_policy(pol);
+        update_e_energy(&pool, &mut g, &mut partials);
+        prop_assert_eq!(&g.e, &reference.e, "e, {} x {} {:?}", nx, ny, pol);
+        let served: Vec<u64> = partials.iter().map(|p| p.to_bits()).collect();
+        prop_assert_eq!(served, folds, "partials, {} x {} {:?}", nx, ny, pol);
+    }
 }
 
 /// The energy history and final checksums of `size²` stepped serially
@@ -137,7 +184,7 @@ fn served_energy_is_the_serial_row_fold_under_every_configuration() {
     let mut uneven = ScheduleMap::new();
     uneven.set("update_h", 3, Policy::Guided { min_chunk: 1 });
     uneven.set("update_e", 2, Policy::Dynamic { chunk: 5 });
-    for size in [8usize, 17, 33, 128] {
+    for size in [8usize, 17, 18, 19, 33, 128] {
         let (energy, checksums) = serial_reference(size, STEPS);
         assert!(energy.iter().all(|&bits| f64::from_bits(bits) > 0.0));
         let check = |case: &FdtdCase, schedules: Option<&ScheduleMap>| {
@@ -155,8 +202,10 @@ fn served_energy_is_the_serial_row_fold_under_every_configuration() {
             for schedule in [
                 Policy::Static,
                 Policy::Dynamic { chunk: 1 },
+                Policy::Dynamic { chunk: 3 },
                 Policy::Dynamic { chunk: 4 },
                 Policy::Guided { min_chunk: 2 },
+                Policy::Guided { min_chunk: 5 },
             ] {
                 for vector_width in SUPPORTED_WIDTHS {
                     let case = FdtdCase {
@@ -179,4 +228,44 @@ fn served_energy_is_the_serial_row_fold_under_every_configuration() {
         };
         check(&case, Some(&uneven));
     }
+}
+
+/// FNV-1a over the values' bits, the digest `benchmark/golden.json`
+/// spells.
+fn digest(values: &[f64]) -> String {
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    format!("{:016x}", solver::fnv1a64(&bytes))
+}
+
+/// The served maximum (128², 64 steps) is pinned bit for bit, so every
+/// codegen this crate is tested under (CI runs it under x86-64-v3 too,
+/// where the row loops vectorize wider) must reproduce it: its field
+/// checksums are the benchmark's `fdtd_128_64steps` digests and its
+/// energy history has a digest of its own.
+#[test]
+fn served_maximum_is_pinned_bit_for_bit() {
+    let case = FdtdCase {
+        size: 128,
+        steps: 64,
+        workers: 2,
+        schedule: Policy::Static,
+        vector_width: 1,
+    };
+    let run = fdtd::service::run(&case, &Workers::new(2)).unwrap();
+    let sums: Vec<(&str, String)> = run
+        .output
+        .checksums
+        .iter()
+        .map(|s| (s.field.as_str(), digest(&[s.sum, s.sum_sq, s.min, s.max])))
+        .collect();
+    let pinned = [
+        ("ex", "37848a50cdd17d57"),
+        ("ey", "6bef1da8556c8d90"),
+        ("hz", "71549c622b47224c"),
+    ];
+    assert_eq!(sums, pinned.map(|(field, d)| (field, d.to_string())));
+    assert_eq!(digest(&run.output.energy), "3418e0243c33d960");
 }

@@ -246,17 +246,23 @@ pub fn doacross_slabs_scratch<T: Send + Sync, S>(
     );
 }
 
-/// [`doacross_slabs`] over two arrays at once: `body(s, a_slab, b_slab)`
-/// for every slab index `s`, with `a` cut into length-`a_slab_len` slabs
-/// and `b` into length-`b_slab_len` slabs along the *same* chunk
-/// boundaries, as one parallel region (one synchronization event).
+/// [`doacross_slabs`] over two arrays at once, a chunk's whole run
+/// per call: `body(first, a_run, b_run)` once per chunk, where the
+/// chunk is slabs `first..first + k`, `a` is cut into
+/// length-`a_slab_len` slabs and `b` into length-`b_slab_len` slabs
+/// along the *same* chunk boundaries, and `a_run`/`b_run` are the
+/// chunk's `k` slabs of each, contiguous — all as one parallel region
+/// (one synchronization event).
 ///
-/// This is the owner-computes idiom: whichever worker updates slab `s`
-/// of `a` also produces slab `s` of `b` — a per-row partial of a
-/// reduction, say — while the row is still in its cache, so no later
-/// pass has to pull the whole of `a` back to one core. Folding the `b`
-/// slabs in index order afterwards gives a reduction whose value does
-/// not depend on worker count or policy, even for floating-point sums.
+/// This is the owner-computes idiom: whichever worker updates slabs of
+/// `a` also produces the same slabs of `b` — per-row partials of a
+/// reduction, say — while the rows are still in its cache, so no later
+/// pass has to pull the whole of `a` back to one core; and because the
+/// body sees the run, not one slab, it can work on several slabs side
+/// by side. Folding the `b` slabs in index order afterwards gives a
+/// reduction whose value does not depend on worker count or policy,
+/// even for floating-point sums, as long as each `b` slab depends on
+/// its own slab index alone.
 ///
 /// # Panics
 /// Panics if either slab length is zero or does not divide its array,
@@ -284,14 +290,7 @@ pub fn doacross_slabs_zip<A: Send + Sync, B: Send + Sync>(
         &chunks,
         payloads,
         || (),
-        |ci, (mine_a, mine_b), (): &mut ()| {
-            let slabs = mine_a
-                .chunks_mut(a_slab_len)
-                .zip(mine_b.chunks_mut(b_slab_len));
-            for (s, (a_slab, b_slab)) in slabs.enumerate() {
-                body(chunks[ci].start + s, a_slab, b_slab);
-            }
-        },
+        |ci, (a_run, b_run), (): &mut ()| body(chunks[ci].start, a_run, b_run),
     );
 }
 
@@ -532,13 +531,17 @@ mod tests {
                 let w = team(p, policy);
                 let mut a = vec![0u32; n * 5];
                 let mut b = vec![0u64; n * 2];
-                doacross_slabs_zip(&w, &mut a, 5, &mut b, 2, |s, a_slab, b_slab| {
-                    assert_eq!((a_slab.len(), b_slab.len()), (5, 2));
-                    for v in a_slab.iter_mut() {
-                        *v += 1 + s as u32;
+                doacross_slabs_zip(&w, &mut a, 5, &mut b, 2, |first, a_run, b_run| {
+                    assert_eq!(a_run.len() / 5, b_run.len() / 2);
+                    for (s, a_slab) in (first..).zip(a_run.chunks_exact_mut(5)) {
+                        for v in a_slab.iter_mut() {
+                            *v += 1 + s as u32;
+                        }
                     }
-                    for v in b_slab.iter_mut() {
-                        *v += 1000 + s as u64;
+                    for (s, b_slab) in (first..).zip(b_run.chunks_exact_mut(2)) {
+                        for v in b_slab.iter_mut() {
+                            *v += 1000 + s as u64;
+                        }
                     }
                 });
                 // `+=` from zero: a slab visited twice, or under the

@@ -7,6 +7,12 @@
 //! (`cargo test -p llp --test affinity -- --nocapture`). The number is
 //! the evidence for or against a lane-preferred drain (ROADMAP 5(d));
 //! EXPERIMENTS.md "Owner-computes energy" records what this host read.
+//!
+//! A region whose caller ran every chunk itself also "keeps" each
+//! chunk's thread, so the share alone cannot tell a team that splits
+//! its regions from one whose helper never takes part. The test
+//! therefore also prints the share of regions whose chunks ran on two
+//! or more threads.
 
 use llp::{chunk_bounds, doacross_slabs, Workers};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,8 +25,9 @@ const ROWS: usize = 128;
 const ROW_LEN: usize = 128;
 
 /// Run the regions at width `p`; the per-chunk share of regions that
-/// kept the previous region's thread.
-fn same_thread_share(p: usize) -> Vec<f64> {
+/// kept the previous region's thread, and the share of regions whose
+/// chunks ran on two or more threads.
+fn same_thread_share(p: usize) -> (Vec<f64>, f64) {
     let workers = Workers::new(p);
     let chunks = chunk_bounds(ROWS, p);
     let mut data = vec![1.0f64; ROWS * ROW_LEN];
@@ -28,6 +35,7 @@ fn same_thread_share(p: usize) -> Vec<f64> {
     let ran_on: Vec<Mutex<Option<ThreadId>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
     let mut previous: Vec<Option<ThreadId>> = vec![None; chunks.len()];
     let mut kept = vec![0usize; chunks.len()];
+    let mut split = 0usize;
     for region in 0..REGIONS {
         doacross_slabs(&workers, &mut data, ROW_LEN, |row, slab| {
             visits[row].fetch_add(1, Ordering::Relaxed);
@@ -44,12 +52,15 @@ fn same_thread_share(p: usize) -> Vec<f64> {
             kept[k] += usize::from(region > 0 && now == previous[k]);
             previous[k] = now;
         }
+        split += usize::from(previous.iter().any(|t| *t != previous[0]));
     }
     assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == REGIONS));
     assert_eq!(workers.sync_event_count(), REGIONS as u64);
-    kept.into_iter()
+    let kept = kept
+        .into_iter()
         .map(|k| k as f64 / (REGIONS - 1) as f64)
-        .collect()
+        .collect();
+    (kept, split as f64 / REGIONS as f64)
 }
 
 #[test]
@@ -60,14 +71,17 @@ fn static_chunks_mostly_stay_on_their_thread() {
             println!("affinity witness: P = 4 skipped ({cpus} CPUs)");
             continue;
         }
-        let shares: Vec<String> = same_thread_share(p)
+        let (kept, split) = same_thread_share(p);
+        let shares: Vec<String> = kept
             .iter()
             .map(|share| format!("{:.1} %", share * 100.0))
             .collect();
         println!(
             "affinity witness: P = {p} on {cpus} CPUs, {REGIONS} static regions: chunk k kept \
-             the previous region's thread in [{}] of regions",
-            shares.join(", ")
+             the previous region's thread in [{}] of regions; the chunks ran on two or more \
+             threads in {:.1} % of regions",
+            shares.join(", "),
+            split * 100.0
         );
     }
 }

@@ -1,9 +1,10 @@
 //! Property-based tests for the loop-level parallelism runtime.
 
 use llp::schedule::Policy;
-use llp::{chunk_bounds, doacross, doacross_slabs, Workers};
+use llp::{chunk_bounds, doacross, doacross_slabs, doacross_slabs_zip, Workers};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 
 /// The parallel map under test: `out[i] = body(i)` over one-element
 /// slabs.
@@ -237,6 +238,43 @@ proptest! {
         let mut par = vec![0u64; n];
         doacross_into(&w, &mut par, f);
         prop_assert_eq!(serial, par);
+        prop_assert_eq!(w.sync_event_count(), u64::from(n > 0));
+    }
+
+    /// `doacross_slabs_zip` hands each chunk's whole run to one call:
+    /// the runs are the policy's chunks, so they cover `0..n` exactly
+    /// once, and each holds its slabs of both arrays contiguous and in
+    /// order from its first slab.
+    #[test]
+    fn zip_runs_cover_once_in_order(
+        n in 0usize..200,
+        p in 1usize..5,
+        kind in 0usize..3,
+        chunk in 1usize..9,
+        a_len in 1usize..4,
+    ) {
+        let policy = match kind {
+            0 => Policy::Static,
+            1 => Policy::Dynamic { chunk },
+            _ => Policy::Guided { min_chunk: chunk },
+        };
+        let w = Workers::new(p).with_policy(policy);
+        // Every element holds its own index, so a run shows where it
+        // was cut from.
+        let mut a: Vec<usize> = (0..n * a_len).collect();
+        let mut b: Vec<usize> = (0..n).collect();
+        let runs = Mutex::new(Vec::new());
+        doacross_slabs_zip(&w, &mut a, a_len, &mut b, 1, |first, a_run, b_run| {
+            let in_order = a_run.len() == a_len * b_run.len()
+                && a_run.iter().enumerate().all(|(k, &v)| v == first * a_len + k)
+                && b_run.iter().enumerate().all(|(k, &v)| v == first + k);
+            runs.lock().unwrap().push((first..first + b_run.len(), in_order));
+        });
+        let mut runs = runs.into_inner().unwrap();
+        runs.sort_by_key(|(run, _)| run.start);
+        prop_assert!(runs.iter().all(|(_, in_order)| *in_order), "{:?} p={}", policy, p);
+        let runs: Vec<_> = runs.into_iter().map(|(run, _)| run).collect();
+        prop_assert_eq!(runs, policy.chunks(n, p), "{:?} p={}", policy, p);
         prop_assert_eq!(w.sync_event_count(), u64::from(n > 0));
     }
 }

@@ -15,8 +15,10 @@
 //! that only adjacent pencils can overlap). [`for_lane_groups`] runs
 //! full groups at that `W` and the tail through the *same* body at
 //! `W = 1`, so width 1 is the body's `::<1>` instantiation, not a second
-//! implementation. Kernels whose inner loop is data movement or an AoS
-//! stencil (F3D's `update`, both FDTD sweeps) run one plain loop.
+//! implementation. Kernels whose inner loop is data movement or a short
+//! stencil over contiguous runs (F3D's `update`, both FDTD sweeps, whose
+//! `E` rows hold their `Ex`, then their `Ey`) run plain loops, which
+//! rustc vectorizes itself.
 //!
 //! **The request's `vector_width` selects nothing.** It is validated
 //! against [`SUPPORTED_WIDTHS`] ([`validate_width`]), echoed in the
