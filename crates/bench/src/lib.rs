@@ -1,9 +1,12 @@
-//! Shared helpers for the benchmark harness binaries: plain-text table
-//! and ASCII-chart rendering, so each `table*`/`fig*` binary prints
-//! rows directly comparable to the paper.
+//! The paper's tables and figures ([`paper::TABLES`], printed by the
+//! `paper` binary) and their shared helpers: plain-text table and
+//! ASCII-chart rendering, so each table prints rows directly comparable
+//! to the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod paper;
 
 /// A simple left-padded text table.
 #[derive(Debug, Default)]
@@ -100,13 +103,13 @@ pub fn grouped(mut n: u64) -> String {
 }
 
 /// One chart series: label, plot symbol, (x, y) points.
-pub type Series<'a> = (&'a str, char, Vec<(f64, f64)>);
+pub type Series = (String, char, Vec<(f64, f64)>);
 
 /// A crude ASCII line chart: series of (x, y) points rendered on a
 /// character grid, one symbol per series. Good enough to *see* the
 /// stair-step that Figures 1–3 show.
 #[must_use]
-pub fn ascii_chart(series: &[Series<'_>], width: usize, height: usize) -> String {
+pub fn ascii_chart(series: &[Series], width: usize, height: usize) -> String {
     let mut xmin = f64::INFINITY;
     let mut xmax = f64::NEG_INFINITY;
     let mut ymax = f64::NEG_INFINITY;
@@ -179,7 +182,7 @@ mod tests {
     #[test]
     fn chart_renders() {
         let pts: Vec<(f64, f64)> = (1..=50).map(|p| (p as f64, (p as f64).min(15.0))).collect();
-        let s = ascii_chart(&[("15 units", '*', pts)], 60, 12);
+        let s = ascii_chart(&[("15 units".into(), '*', pts)], 60, 12);
         assert!(s.contains('*'));
         assert!(s.contains("x: 1 .. 50"));
     }

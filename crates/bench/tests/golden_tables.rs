@@ -1,35 +1,38 @@
-//! Golden regression tests: every paper binary must reproduce its
-//! checked-in `paper_output/` file byte for byte. These outputs are
-//! analytic, so any diff is a real behavior change — regenerate
-//! deliberately with `./regenerate_paper.sh` and review the diff. The
-//! one exception is `serial_tuning`'s host wall-clock line, the only
-//! line that differs between runs: it is compared up to its label.
+//! Golden regression tests: for every row of `bench::paper::TABLES`,
+//! `paper NAME` must reproduce the checked-in `paper_output/NAME.txt`
+//! byte for byte. These outputs are analytic, so any diff is a real
+//! behavior change — regenerate deliberately with `./regenerate_paper.sh`
+//! and review the diff. The one exception is `serial_tuning`'s host
+//! wall-clock line, the only line that differs between runs: it is
+//! compared up to its label.
 
-use std::process::Command;
+use bench::paper::TABLES;
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn golden(bin_path: &str, name: &str) {
-    golden_masked(bin_path, name, None);
+const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../paper_output");
+
+/// The label of the one line that differs between runs.
+const VOLATILE: &str = "Host wall clock";
+
+fn paper(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("run paper {args:?}: {e}"))
 }
 
-/// Like [`golden`], but a line starting with `volatile` is compared
-/// only up to that prefix.
-fn golden_masked(bin_path: &str, name: &str, volatile: Option<&str>) {
-    let out = Command::new(bin_path)
-        .output()
-        .unwrap_or_else(|e| panic!("run {name}: {e}"));
+fn golden(name: &str) {
+    let out = paper(&[name]);
     assert!(out.status.success(), "{name} exited with {}", out.status);
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../paper_output");
-    let expected = std::fs::read_to_string(format!("{golden_path}/{name}.txt"))
+    let expected = std::fs::read_to_string(format!("{GOLDEN_DIR}/{name}.txt"))
         .unwrap_or_else(|e| panic!("read golden {name}.txt: {e}"));
     let mask = |text: &str| -> String {
-        let Some(prefix) = volatile else {
-            return text.to_string();
-        };
         text.split_inclusive('\n')
             .map(|line| {
-                if line.starts_with(prefix) {
-                    prefix
+                if line.starts_with(VOLATILE) {
+                    VOLATILE
                 } else {
                     line
                 }
@@ -45,93 +48,51 @@ fn golden_masked(bin_path: &str, name: &str, volatile: Option<&str>) {
 }
 
 #[test]
-fn table1_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_table1"), "table1");
+fn every_table_matches_its_golden() {
+    let mut goldens: Vec<String> = std::fs::read_dir(GOLDEN_DIR)
+        .expect("read paper_output/")
+        .map(|entry| entry.expect("paper_output/ entry").file_name())
+        .filter_map(|file| file.to_str()?.strip_suffix(".txt").map(String::from))
+        .collect();
+    goldens.sort();
+    let mut names = TABLES.map(|(name, _)| name);
+    names.sort_unstable();
+    assert_eq!(
+        goldens, names,
+        "paper_output/*.txt must be exactly the tables bench::paper::TABLES lists"
+    );
+
+    // At most one `paper` process per CPU: each thread runs the next
+    // row until none is left.
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    std::thread::scope(|s| {
+        for _ in 0..threads.min(TABLES.len()) {
+            s.spawn(|| {
+                while let Some(&(name, _)) = TABLES.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    golden(name);
+                }
+            });
+        }
+    });
 }
 
 #[test]
-fn table2_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_table2"), "table2");
-}
-
-#[test]
-fn table3_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_table3"), "table3");
-}
-
-#[test]
-fn table4_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_table4"), "table4");
-}
-
-#[test]
-fn table5_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_table5"), "table5");
-}
-
-#[test]
-fn amdahl_bc_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_amdahl_bc"), "amdahl_bc");
-}
-
-#[test]
-fn ablation_fusion_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_ablation_fusion"), "ablation_fusion");
-}
-
-#[test]
-fn ablation_mlp_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_ablation_mlp"), "ablation_mlp");
-}
-
-#[test]
-fn ablation_scheduling_matches_golden() {
-    golden(
-        env!("CARGO_BIN_EXE_ablation_scheduling"),
-        "ablation_scheduling",
+fn paper_alone_lists_every_table_in_order() {
+    let out = paper(&[]);
+    assert!(out.status.success(), "paper exited with {}", out.status);
+    let listed = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert_eq!(
+        listed.lines().collect::<Vec<_>>(),
+        TABLES.map(|(name, _)| name)
     );
 }
 
 #[test]
-fn example4_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_example4"), "example4");
-}
-
-#[test]
-fn fig1_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_fig1"), "fig1");
-}
-
-#[test]
-fn fig2_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_fig2"), "fig2");
-}
-
-#[test]
-fn fig3_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_fig3"), "fig3");
-}
-
-#[test]
-fn perfex_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_perfex"), "perfex");
-}
-
-#[test]
-fn related_work_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_related_work"), "related_work");
-}
-
-#[test]
-fn traffic_matches_golden() {
-    golden(env!("CARGO_BIN_EXE_traffic"), "traffic");
-}
-
-#[test]
-fn serial_tuning_matches_golden_but_its_wall_clock() {
-    golden_masked(
-        env!("CARGO_BIN_EXE_serial_tuning"),
-        "serial_tuning",
-        Some("Host wall clock"),
-    );
+fn an_unknown_table_exits_non_zero_naming_it() {
+    let out = paper(&["table1", "nosuch"]);
+    assert!(!out.status.success(), "paper nosuch exited with success");
+    assert!(out.stdout.is_empty(), "paper printed before it failed");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+    assert!(stderr.contains("`nosuch`"), "{stderr}");
 }

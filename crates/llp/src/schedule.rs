@@ -48,7 +48,7 @@ pub fn chunk_bounds(n: usize, p: usize) -> Vec<Range<usize>> {
 /// produces the stair-step curve. Dynamic and guided scheduling smooth
 /// the stair (idle processors steal the tail) at the cost of more
 /// scheduling events — the ablation quantified by
-/// `bench --bin ablation_scheduling`.
+/// `paper ablation_scheduling`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Contiguous block per worker (`ceil(n/p)` max): the paper's model.

@@ -1,21 +1,19 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of ARL-TR-2556 / IPPS 2001, plus the
-# ablations and related-work comparisons, into paper_output/.
+# ablations and related-work comparisons, into paper_output/: one file
+# per table that `paper` lists.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 out=paper_output
 mkdir -p "$out"
 
-bins=(table1 table2 table3 table4 table5 fig1 fig2 fig3 \
-      serial_tuning example4 traffic amdahl_bc \
-      ablation_mlp ablation_fusion ablation_scheduling related_work perfex)
+paper() { cargo run --release -q -p bench -- "$@"; }
 
-cargo build --release -p bench >/dev/null
-
-for b in "${bins[@]}"; do
-  echo "== $b"
-  cargo run --release -q -p bench --bin "$b" > "$out/$b.txt"
+names=$(paper)
+for name in $names; do
+  echo "== $name"
+  paper "$name" > "$out/$name.txt"
 done
 
 echo "done: $(ls "$out" | wc -l) artifacts in $out/"
