@@ -1,10 +1,10 @@
 //! Counts the heap allocations of a served FDTD step. The step's only
-//! allocations are the two regions' bookkeeping in `llp` (chunk and
-//! payload lists, and a self-scheduled region's claim slots); the
-//! sweeps, the energy terms (a stack block per run) and the row
-//! partials (instance storage) allocate nothing. The counts are pinned
-//! per worker count and schedule, so a sweep that starts allocating
-//! per region, per run or per row shows here.
+//! allocations are the two regions' bookkeeping in `llp` (the chunk
+//! list and the parked payload slots, and a self-scheduled region's
+//! claim blocks); the sweeps, the energy terms (a stack block per run)
+//! and the row partials (instance storage) allocate nothing. The
+//! counts are pinned per worker count and schedule, so a sweep that
+//! starts allocating per region, per run or per row shows here.
 //!
 //! This file holds exactly one test: the allocation counter is a
 //! process-wide global, so a concurrently running sibling test would
@@ -71,10 +71,10 @@ fn a_served_step_allocates_only_region_bookkeeping() {
         return;
     }
     for (workers, schedule, expected) in [
-        (1, Policy::Static, 8),
-        (2, Policy::Static, 10),
-        (2, Policy::Dynamic { chunk: 4 }, 16),
-        (2, Policy::Guided { min_chunk: 2 }, 18),
+        (1, Policy::Static, 4),
+        (2, Policy::Static, 4),
+        (2, Policy::Dynamic { chunk: 4 }, 8),
+        (2, Policy::Guided { min_chunk: 2 }, 10),
     ] {
         let counts = step_allocations(workers, schedule);
         println!("{workers} workers, {schedule:?}: {counts:?} allocations per step");

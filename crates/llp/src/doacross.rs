@@ -10,22 +10,26 @@
 //! stair-step analysis — and each call records exactly one
 //! synchronization event on the pool regardless of policy.
 //!
-//! Under [`Policy::Dynamic`] or [`Policy::Guided`] the chunk list is
-//! still computed up front, but chunks are *claimed* at runtime through
-//! the pool's atomic [`ChunkClaimer`]: `min(P, chunks)` claimant tasks
-//! each loop `while let Some(i) = claimer.claim_as(t)`. Claimant `t`
-//! starts on the chunks of its own static share of `0..n` and steals
-//! from the other claimants' shares only once its own is empty, so an
-//! idle worker still takes the tail instead of waiting on the largest
-//! static block, while a balanced loop keeps every iteration on the
-//! worker that ran it in the previous region. Every
-//! chunk is still executed exactly once, and mutable data is pre-split
-//! along chunk boundaries before the region starts, so the handoff
-//! needs no `unsafe` here (the crate's only `unsafe` is the worker
-//! team's job dispatch, [`crate::pool`]'s `team` module). A claimant is
-//! a task, not a thread: on a busy or oversubscribed team one worker
-//! may run several claimants one after another, the later ones finding
-//! the chunk list already empty.
+//! Under [`Policy::Static`] a region has one task per chunk. Under
+//! [`Policy::Dynamic`] or [`Policy::Guided`] the chunk list is still
+//! computed up front, but chunks are *claimed* at runtime through the
+//! pool's atomic [`ChunkClaimer`]: `min(P, chunks)` claimant tasks each
+//! loop `while let Some(i) = claimer.claim_as(t)`. Claimant `t` starts
+//! on the chunks of its own static share of `0..n` and steals from the
+//! other claimants' shares only once its own is empty, so an idle
+//! worker still takes the tail instead of waiting on the largest static
+//! block, while a balanced loop keeps every iteration on the worker
+//! that ran it in the previous region. A claimant is a task, not a
+//! thread: on a busy or oversubscribed team one worker may run several
+//! claimants one after another, the later ones finding the chunk list
+//! already empty.
+//!
+//! Either way every chunk is executed exactly once, and its payload —
+//! the mutable data pre-split along chunk boundaries before the region
+//! starts — waits in one parked slot per chunk, taken by whichever task
+//! runs the chunk. Both policies take payloads from the same store, and
+//! the handoff needs no `unsafe` here (the crate's only `unsafe` is the
+//! worker team's job dispatch, [`crate::pool`]'s `team` module).
 //!
 //! When the team's [`crate::obs::FlightRecorder`] is enabled, every
 //! entry point opens a flight session for its region: each lane stamps
@@ -50,86 +54,72 @@ use std::sync::{Mutex, PoisonError};
 fn run_chunks<T: Send, S>(
     workers: &Workers,
     chunks: &[Range<usize>],
-    payloads: Vec<T>,
+    payloads: impl Iterator<Item = T>,
     make_scratch: impl Fn() -> S + Sync,
     work: impl Fn(usize, T, &mut S) + Sync,
 ) {
-    debug_assert_eq!(chunks.len(), payloads.len());
     let Some(n) = chunks.last().map(|c| c.end) else {
         return;
     };
+    // Whichever task runs chunk `ci` takes its payload out of slot `ci`,
+    // so ownership moves to it without `unsafe`, exactly once.
+    let parked: Vec<Mutex<Option<T>>> = payloads.map(|p| Mutex::new(Some(p))).collect();
+    debug_assert_eq!(chunks.len(), parked.len());
     let flight = workers.flight().begin_region(
         workers.processors(),
         n as u64,
-        payloads.len(),
+        chunks.len(),
         workers.policy().name(),
     );
-    let session = &flight;
-    match workers.policy() {
-        Policy::Static => {
-            // One task per chunk, bound at region entry: the vendor
-            // `C$doacross` behaviour the stair-step model assumes.
-            workers.region(|scope| {
-                let work = &work;
-                let make_scratch = &make_scratch;
-                for (ci, payload) in payloads.into_iter().enumerate() {
-                    scope.spawn_on_lane(move |lane| {
-                        if let Some(f) = session {
-                            f.chunk_start(lane, ci);
-                        }
-                        let mut scratch = make_scratch();
-                        work(ci, payload, &mut scratch);
-                        if let Some(f) = session {
-                            f.chunk_end(lane, ci);
-                        }
-                    });
-                }
-            });
+    // The bodies below capture by value — the slot slice, the session
+    // and references to the closures — so a helper starting a task
+    // reads one closure, not a chain of the caller's stack slots.
+    let (slots, session, work, make_scratch) = (&parked[..], flight.as_ref(), &work, &make_scratch);
+    let run = move |ci: usize, scratch: &mut S| {
+        let payload = slots[ci]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(payload) = payload {
+            work(ci, payload, scratch);
         }
+    };
+    match workers.policy() {
+        // One task per chunk, bound at region entry: the vendor
+        // `C$doacross` behaviour the stair-step model assumes.
+        Policy::Static => workers.region(chunks.len(), move |ci, lane| {
+            if let Some(f) = session {
+                f.chunk_start(lane, ci);
+            }
+            run(ci, &mut make_scratch());
+            if let Some(f) = session {
+                f.chunk_end(lane, ci);
+            }
+        }),
         Policy::Dynamic { .. } | Policy::Guided { .. } => {
             // Self-scheduling: claimant tasks pull chunk indices from
             // the shared atomic counter until the list is exhausted.
-            // Payloads are parked in per-chunk slots so ownership moves
-            // to whichever claimant wins the index — no `unsafe`, and
-            // each chunk is taken exactly once.
-            let claimants = workers.processors().min(payloads.len());
-            let claimer = ChunkClaimer::blocked(chunks, claimants);
-            let parked: Vec<Mutex<Option<T>>> =
-                payloads.into_iter().map(|p| Mutex::new(Some(p))).collect();
-            workers.region(|scope| {
-                let work = &work;
-                let make_scratch = &make_scratch;
-                let claimer = &claimer;
-                let parked = &parked;
-                for ti in 0..claimants {
-                    scope.spawn_on_lane(move |lane| {
-                        let mut scratch = make_scratch();
-                        // With the flight recorder on, every claim attempt
-                        // is timed on two clock reads per chunk: one when
-                        // the claim returns (the end of the claim wait
-                        // *is* the chunk's start; the final, losing
-                        // attempt marks the lane's claim miss instead)
-                        // and one when the work does, where the next
-                        // claim starts.
-                        let mut claim_from = session.as_ref().map_or(0, |f| f.now_ns());
-                        loop {
-                            let ci = claimer.claim_as(ti);
-                            if let Some(f) = session {
-                                f.claimed(lane, claim_from, ci);
-                            }
-                            let Some(ci) = ci else { break };
-                            let payload = parked[ci]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .take();
-                            if let Some(payload) = payload {
-                                work(ci, payload, &mut scratch);
-                            }
-                            if let Some(f) = session {
-                                claim_from = f.chunk_end(lane, ci);
-                            }
-                        }
-                    });
+            let claimants = workers.processors().min(chunks.len());
+            let claimer = &ChunkClaimer::blocked(chunks, claimants);
+            workers.region(claimants, move |ti, lane| {
+                let mut scratch = make_scratch();
+                // With the flight recorder on, every claim attempt is
+                // timed on two clock reads per chunk: one when the claim
+                // returns (the end of the claim wait *is* the chunk's
+                // start; the final, losing attempt marks the lane's
+                // claim miss instead) and one when the work does, where
+                // the next claim starts.
+                let mut claim_from = session.map_or(0, |f| f.now_ns());
+                loop {
+                    let ci = claimer.claim_as(ti);
+                    if let Some(f) = session {
+                        f.claimed(lane, claim_from, ci);
+                    }
+                    let Some(ci) = ci else { break };
+                    run(ci, &mut scratch);
+                    if let Some(f) = session {
+                        claim_from = f.chunk_end(lane, ci);
+                    }
                 }
             });
         }
@@ -140,8 +130,8 @@ fn run_chunks<T: Send, S>(
 }
 
 /// Split `data` along the chunk boundaries (in iteration units times
-/// `stride` elements): piece `i` is chunk `i`'s share. Lazy, so a
-/// caller zipping two splits collects one payload list, not three.
+/// `stride` elements): piece `i` is chunk `i`'s share. Lazy, so the
+/// pieces go straight into the region's parked payload slots.
 fn split_chunks<'a, T>(
     chunks: &'a [Range<usize>],
     data: &'a mut [T],
@@ -232,11 +222,10 @@ pub fn doacross_slabs_scratch<T: Send + Sync, S>(
 ) {
     let n = slab_count(data, slab_len);
     let chunks = workers.policy().chunks(n, workers.processors());
-    let payloads = split_chunks(&chunks, data, slab_len).collect();
     run_chunks(
         workers,
         &chunks,
-        payloads,
+        split_chunks(&chunks, data, slab_len),
         make_scratch,
         |ci, mine, scratch| {
             for (s, slab) in mine.chunks_mut(slab_len).enumerate() {
@@ -282,13 +271,10 @@ pub fn doacross_slabs_zip<A: Send + Sync, B: Send + Sync>(
         "zipped arrays must hold the same number of slabs"
     );
     let chunks = workers.policy().chunks(n, workers.processors());
-    let payloads = split_chunks(&chunks, a, a_slab_len)
-        .zip(split_chunks(&chunks, b, b_slab_len))
-        .collect();
     run_chunks(
         workers,
         &chunks,
-        payloads,
+        split_chunks(&chunks, a, a_slab_len).zip(split_chunks(&chunks, b, b_slab_len)),
         || (),
         |ci, (a_run, b_run), (): &mut ()| body(chunks[ci].start, a_run, b_run),
     );

@@ -8,15 +8,15 @@
 //! `w` workers runs its regions on the team's first `w` lanes, taking
 //! whichever of those helpers are free.
 //!
-//! A parallel region publishes its tasks to the team, the calling
-//! thread works alongside the helpers, and the region ends on a
-//! barrier. That barrier *is* the synchronization event the paper's
-//! model charges for: each exit from a parallel region increments the
-//! counter by one, mirroring "the main cost of parallelization is … the
-//! synchronization cost associated with exiting a parallel section of
-//! code".
+//! A parallel region is a task count and one body,
+//! [`Workers::region`]`(tasks, |task, lane| …)`: the team hands the
+//! task indices out one at a time, the calling thread works alongside
+//! the helpers, and the region ends on a barrier. That barrier *is* the
+//! synchronization event the paper's model charges for: each exit from
+//! a parallel region increments the counter by one, mirroring "the main
+//! cost of parallelization is … the synchronization cost associated
+//! with exiting a parallel section of code".
 
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -24,44 +24,7 @@ use std::sync::{Arc, OnceLock};
 use crate::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use crate::obs::FlightRecorder;
 use crate::schedule::{chunk_bounds, Policy, ScheduleMap};
-use crate::team::{TaskSlot, Team};
-
-/// The spawning interface handed to a region body: tasks queued here
-/// all complete before [`Workers::region`] returns.
-///
-/// Tasks are collected first and published together when the body
-/// finishes: the calling thread and the team's helpers claim them one
-/// at a time, in order, until none are left. A region may queue more
-/// tasks than the team has workers, and a single-task (serial) region
-/// or a one-worker team involves no other thread at all — so tasks
-/// must not wait on one another.
-pub struct RegionScope<'env> {
-    tasks: RefCell<Vec<TaskSlot<'env>>>,
-}
-
-impl std::fmt::Debug for RegionScope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegionScope")
-            .field("queued", &self.tasks.borrow().len())
-            .finish()
-    }
-}
-
-impl<'env> RegionScope<'env> {
-    /// Queue one task for the region.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        self.spawn_on_lane(move |_| task());
-    }
-
-    /// Queue one task that is told the team lane it runs on: 0 on the
-    /// calling thread, `l` on the team's helper `l − 1`, always below
-    /// the view's [`Workers::processors`]. Two tasks one thread runs get
-    /// the same lane, so what they record per lane is what that thread
-    /// did.
-    pub fn spawn_on_lane(&self, task: impl FnOnce(usize) + Send + 'env) {
-        self.tasks.borrow_mut().push(TaskSlot::new(task));
-    }
-}
+use crate::team::Team;
 
 /// A shared-memory worker team of `P` "processors".
 ///
@@ -85,11 +48,12 @@ pub struct Workers {
     /// clamp; equals `processors` for a directly-constructed team.
     requested: usize,
     counters: Arc<Counters>,
-    /// Per-view counters: fresh for every [`Workers::sized_view`] /
-    /// [`Workers::with_policy`] view, so a view can attribute events to
-    /// exactly its own regions even while other views of the same pool
-    /// run concurrently (the shared `counters` keep the pool total).
-    local: Arc<Counters>,
+    /// Per-view synchronization events: fresh for every
+    /// [`Workers::sized_view`] / [`Workers::with_policy`] view, so a
+    /// view can attribute events to exactly its own regions even while
+    /// other views of the same pool run concurrently (the shared
+    /// `counters` keep the pool total).
+    local: Arc<AtomicU64>,
     /// The one recorder: spans, region marks and per-lane events
     /// (disabled by default; enabled on every new pool by
     /// `LLP_FLIGHT=1`).
@@ -148,7 +112,7 @@ impl Workers {
             processors,
             requested: processors,
             counters: Arc::new(Counters::default()),
-            local: Arc::new(Counters::default()),
+            local: Arc::new(AtomicU64::new(0)),
             flight,
             policy: Policy::Static,
         }
@@ -190,7 +154,7 @@ impl Workers {
     #[must_use]
     pub fn sized_view(&self, processors: usize) -> Self {
         Self {
-            local: Arc::new(Counters::default()),
+            local: Arc::new(AtomicU64::new(0)),
             ..self.kernel_view(processors, self.policy)
         }
     }
@@ -217,19 +181,19 @@ impl Workers {
     pub fn with_policy(&self, policy: Policy) -> Self {
         Self {
             requested: self.requested,
-            local: Arc::new(Counters::default()),
+            local: Arc::new(AtomicU64::new(0)),
             ..self.kernel_view(self.processors, policy)
         }
     }
 
     /// A per-kernel view of this view: `processors` workers (clamped to
     /// this view's width) running under `policy`, sharing **both** the
-    /// pool-wide counters *and this view's local counters*.
+    /// pool-wide counters *and this view's local counter*.
     ///
     /// This is the autotuner's substitution point: a request-scoped
     /// view hands each kernel call site a `kernel_view` carrying that
-    /// kernel's tuned configuration, and because the local counters are
-    /// shared (unlike [`Workers::sized_view`], which starts fresh ones)
+    /// kernel's tuned configuration, and because the local counter is
+    /// shared (unlike [`Workers::sized_view`], which starts a fresh one)
     /// the request's `local_sync_event_count` delta still bills every
     /// region the kernels ran.
     ///
@@ -253,7 +217,7 @@ impl Workers {
     /// its `schedules` entry's worker count and policy when it has one,
     /// this view's own otherwise. Every kernel goes through a
     /// `kernel_view` either way, so the sync accounting (shared local
-    /// counters) is the same whether or not an override applies — the
+    /// counter) is the same whether or not an override applies — the
     /// one dispatch seam every solver's step uses.
     #[must_use]
     pub fn scheduled_view(&self, schedules: Option<&ScheduleMap>, kernel: &str) -> Self {
@@ -302,7 +266,7 @@ impl Workers {
     /// when other views of the same pool execute concurrently.
     #[must_use]
     pub fn local_sync_event_count(&self) -> u64 {
-        self.local.sync_events.load(Ordering::Relaxed)
+        self.local.load(Ordering::Relaxed)
     }
 
     /// Total parallel regions entered so far (equal to
@@ -317,29 +281,36 @@ impl Workers {
     pub fn reset_counters(&self) {
         self.counters.sync_events.store(0, Ordering::Relaxed);
         self.counters.regions.store(0, Ordering::Relaxed);
-        self.local.sync_events.store(0, Ordering::Relaxed);
-        self.local.regions.store(0, Ordering::Relaxed);
+        self.local.store(0, Ordering::Relaxed);
     }
 
-    /// Run `f` as one parallel region: `f` receives a [`RegionScope`]
-    /// in which it may spawn tasks; when all tasks complete, one
-    /// synchronization event is counted. The region itself records
-    /// nothing: the doacross entry points built on it log their region
-    /// marks and lane events on the recorder.
+    /// Run one parallel region: `body(task, lane)` once for every task
+    /// in `0..tasks`; when every call has returned, one synchronization
+    /// event is counted. The region itself records nothing: the
+    /// doacross entry points built on it log their region marks and
+    /// lane events on the recorder.
+    ///
+    /// The calling thread and the free helpers of this view's lanes
+    /// claim task indices one at a time, in order, until none are left.
+    /// `lane` is the team lane a call runs on: 0 on the calling thread,
+    /// `l` on the team's helper `l − 1`, always below
+    /// [`Workers::processors`]; two tasks one thread runs get the same
+    /// lane, so what they record per lane is what that thread did. A
+    /// region may have more tasks than the view has lanes, and a
+    /// one-task region or a one-lane view involves no other thread at
+    /// all — so tasks must not wait on one another.
     ///
     /// This is the primitive beneath [`crate::doacross`]; prefer the
     /// higher-level entry points.
-    pub fn region<'env, R>(&self, f: impl FnOnce(&RegionScope<'env>) -> R) -> R {
+    ///
+    /// # Panics
+    /// Re-raises the first panic of `body`, after every other task has
+    /// run (on a one-lane view, at once).
+    pub fn region(&self, tasks: usize, body: impl Fn(usize, usize) + Sync) {
         self.counters.regions.fetch_add(1, Ordering::Relaxed);
-        self.local.regions.fetch_add(1, Ordering::Relaxed);
-        let scope = RegionScope {
-            tasks: RefCell::new(Vec::new()),
-        };
-        let out = f(&scope);
-        self.team.run(self.processors, scope.tasks.into_inner());
+        self.team.run(self.processors, tasks, &body);
         self.counters.sync_events.fetch_add(1, Ordering::Relaxed);
-        self.local.sync_events.fetch_add(1, Ordering::Relaxed);
-        out
+        self.local.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -484,27 +455,42 @@ mod tests {
     fn counts_sync_events() {
         let w = Workers::new(2);
         assert_eq!(w.sync_event_count(), 0);
-        w.region(|_| {});
-        w.region(|_| {});
+        w.region(0, |_, _| {});
+        w.region(0, |_, _| {});
         assert_eq!(w.sync_event_count(), 2);
         assert_eq!(w.region_count(), 2);
         w.reset_counters();
         assert_eq!(w.sync_event_count(), 0);
     }
 
-    #[test]
-    fn region_runs_spawned_work() {
-        let w = Workers::new(3);
-        let counter = AtomicUsize::new(0);
-        w.region(|scope| {
-            for _ in 0..10 {
-                scope.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+    /// Run one `n`-task region on `w` and return how often each task
+    /// ran, asserting that every call's lane is one of the view's.
+    fn runs_per_task(w: &Workers, n: usize) -> Vec<usize> {
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        w.region(n, |task, lane| {
+            assert!(lane < w.processors(), "lane {lane} of {}", w.processors());
+            hits[task].fetch_add(1, Ordering::Relaxed);
         });
-        // all tasks complete before region returns
-        assert_eq!(counter.load(Ordering::Relaxed), 10);
+        // Every call has returned before the region does.
+        hits.into_iter().map(AtomicUsize::into_inner).collect()
+    }
+
+    #[test]
+    fn region_runs_every_task_once_on_a_view_lane() {
+        let pool = Workers::new(3);
+        // More tasks than lanes, none, one lane of a wider pool.
+        for (w, n) in [(&pool, 10), (&pool, 0), (&pool.sized_view(1), 7)] {
+            assert_eq!(runs_per_task(w, n), vec![1; n], "{n} tasks");
+        }
+        // A region nested in every task of another.
+        let inner = std::sync::Mutex::new(vec![Vec::new(); 4]);
+        pool.region(4, |task, lane| {
+            assert!(lane < 3);
+            let runs = runs_per_task(&pool, 5);
+            inner.lock().unwrap()[task] = runs;
+        });
+        assert_eq!(inner.into_inner().unwrap(), vec![vec![1; 5]; 4]);
+        assert_eq!(pool.sync_event_count(), 3 + 1 + 4);
     }
 
     /// Run one `n`-task region whose tasks wait for one another, and
@@ -515,14 +501,10 @@ mod tests {
     fn concurrent_tasks(w: &Workers, n: usize) -> usize {
         let arrived = AtomicUsize::new(0);
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        w.region(|scope| {
-            for _ in 0..n {
-                scope.spawn(|| {
-                    arrived.fetch_add(1, Ordering::SeqCst);
-                    while arrived.load(Ordering::SeqCst) < n && Instant::now() < deadline {
-                        std::thread::yield_now();
-                    }
-                });
+        w.region(n, |_, _| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+                std::thread::yield_now();
             }
         });
         arrived.load(Ordering::SeqCst)
@@ -534,12 +516,8 @@ mod tests {
         let view = pool.sized_view(2);
         let ran = AtomicUsize::new(0);
         for _ in 0..100_000 {
-            view.region(|scope| {
-                for _ in 0..2 {
-                    scope.spawn(|| {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
+            view.region(2, |_, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
             });
         }
         assert_eq!(ran.load(Ordering::Relaxed), 200_000);
@@ -561,12 +539,8 @@ mod tests {
                 threads.spawn(|| {
                     let view = pool.sized_view(2);
                     for _ in 0..5_000 {
-                        view.region(|scope| {
-                            for _ in 0..2 {
-                                scope.spawn(|| {
-                                    ran.fetch_add(1, Ordering::Relaxed);
-                                });
-                            }
+                        view.region(2, |_, _| {
+                            ran.fetch_add(1, Ordering::Relaxed);
                         });
                     }
                     assert_eq!(view.local_sync_event_count(), 5_000);
@@ -583,18 +557,10 @@ mod tests {
         // inner region; its own helper slot reads busy and is skipped.
         let w = Workers::new(3);
         let ran = AtomicUsize::new(0);
-        w.region(|outer| {
-            for _ in 0..3 {
-                outer.spawn(|| {
-                    w.region(|inner| {
-                        for _ in 0..3 {
-                            inner.spawn(|| {
-                                ran.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
+        w.region(3, |_, _| {
+            w.region(3, |_, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
         });
         assert_eq!(ran.load(Ordering::Relaxed), 9);
         assert_eq!(w.sync_event_count(), 4);
@@ -605,14 +571,9 @@ mod tests {
         let w = Workers::new(3);
         let ran = AtomicUsize::new(0);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            w.region(|scope| {
-                for task in 0..6 {
-                    let ran = &ran;
-                    scope.spawn(move || {
-                        assert!(task != 1, "task one fails");
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
+            w.region(6, |task, _| {
+                assert!(task != 1, "task one fails");
+                ran.fetch_add(1, Ordering::Relaxed);
             });
         }));
         // The original payload, not a generic "a thread panicked"...
@@ -650,13 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn region_returns_value() {
-        let w = Workers::serial();
-        let v = w.region(|_| 42);
-        assert_eq!(v, 42);
-    }
-
-    #[test]
     fn processors_reported() {
         assert_eq!(Workers::new(4).processors(), 4);
         assert_eq!(Workers::serial().processors(), 1);
@@ -667,7 +621,7 @@ mod tests {
         let w = Workers::recorded(2);
         crate::doacross(&w, 2, |_| {});
         // A bare region is counted, not recorded.
-        w.region(|scope| scope.spawn(|| {}));
+        w.region(1, |_, _| {});
         let report = w.recorder().take_report("pool-test", 2);
         assert_eq!(report.spans.len(), 1);
         assert_eq!(report.spans[0].workers, 2);
@@ -744,7 +698,7 @@ mod tests {
         assert_eq!(guided.policy(), Policy::Guided { min_chunk: 1 });
         assert_eq!(guided.processors(), 4);
         // Policy views share the pool's counters.
-        guided.region(|_| {});
+        guided.region(0, |_, _| {});
         assert_eq!(pool.sync_event_count(), 1);
     }
 
@@ -753,9 +707,9 @@ mod tests {
         let pool = Workers::new(2);
         let a = pool.sized_view(1);
         let b = pool.with_policy(Policy::Dynamic { chunk: 1 });
-        a.region(|_| {});
-        a.region(|_| {});
-        b.region(|_| {});
+        a.region(0, |_, _| {});
+        a.region(0, |_, _| {});
+        b.region(0, |_, _| {});
         // Each view attributes exactly its own regions...
         assert_eq!(a.local_sync_event_count(), 2);
         assert_eq!(b.local_sync_event_count(), 1);
@@ -774,8 +728,8 @@ mod tests {
         let kernel = request.kernel_view(1, Policy::Dynamic { chunk: 1 });
         assert_eq!(kernel.processors(), 1);
         assert_eq!(kernel.policy(), Policy::Dynamic { chunk: 1 });
-        request.region(|_| {});
-        kernel.region(|_| {});
+        request.region(0, |_, _| {});
+        kernel.region(0, |_, _| {});
         // The kernel view bills the *request's* local counter — the
         // property that keeps a request's sync-event delta correct when
         // kernels run under per-kernel tuned views.
@@ -791,7 +745,7 @@ mod tests {
         map.set("rhs", 1, Policy::Guided { min_chunk: 2 });
         let config = |map, kernel| {
             let view = request.scheduled_view(map, kernel);
-            view.region(|_| {});
+            view.region(0, |_, _| {});
             (view.processors(), view.policy())
         };
         assert_eq!(

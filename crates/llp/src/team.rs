@@ -26,24 +26,22 @@
 //! during the window parks as soon as it runs again.
 //!
 //! **Publishing a region.** [`Team::run`] builds one [`Job`] on the
-//! caller's stack — the region's task slots, an atomic next-task index,
-//! a barrier word — and offers it to the view's helpers (a view of `w`
-//! workers is the caller plus helpers `0..w − 1`), at most one per task
-//! beyond the caller's own: `IDLE → job`,
-//! `PARKED → job` plus an unpark, or `UNSPAWNED → job` plus the one
-//! thread spawn of that helper's life. A helper whose word holds
-//! anything else is serving another view (or a region this one is
-//! nested in) and is *skipped, never waited for*.
+//! caller's stack — the region's one body and its task count, an
+//! atomic next-task index, a barrier word — and offers it to the view's
+//! helpers (a view of `w` workers is the caller plus helpers
+//! `0..w − 1`), at most one per task beyond the caller's own:
+//! `IDLE → job`, `PARKED → job` plus an unpark, or `UNSPAWNED → job`
+//! plus the one thread spawn of that helper's life. A helper whose word
+//! holds anything else is serving another view (or a region this one
+//! is nested in) and is *skipped, never waited for*.
 //!
 //! **Draining.** The caller and every helper that took the job
 //! (`job → BUSY`) claim task indices from the shared counter until none
-//! are left, so more tasks than workers, nested regions and overlapping
-//! views all finish: the caller alone is enough. Each task runs under
-//! `catch_unwind`; the first panic payload is kept. A task is told the
-//! lane it runs on: the caller is lane 0 and helper `h` is lane
-//! `h + 1`, so a region that ran narrower because a helper was serving
-//! another view (or an outer region) shows it in whatever the tasks
-//! record per lane.
+//! are left and call the body on each, so more tasks than workers,
+//! nested regions and overlapping views all finish: the caller alone is
+//! enough. Each call runs under `catch_unwind`; the first panic payload
+//! is kept. The body is told the lane it runs on: the caller is lane 0
+//! and helper `h` is lane `h + 1`.
 //!
 //! **The barrier.** When the caller runs out of tasks it takes the job
 //! back from every helper that has not picked it up (`job → IDLE`),
@@ -63,8 +61,8 @@
 //! recorder's relaxed single-writer rings, are read by the caller only
 //! after it. It is also the whole safety argument, cited by every
 //! `unsafe` block below as **the region invariant**: *`run` does not
-//! return until every task has finished and every helper has let go of
-//! the job.*
+//! return until every call of the body has finished and every helper
+//! has let go of the job.*
 //!
 //! **Shutdown.** Views hold the team through an `Arc`; helper threads
 //! hold only the slot array. Dropping the last handle therefore drops
@@ -72,7 +70,6 @@
 //! parked and joins every thread it spawned.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::hint;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
@@ -95,23 +92,8 @@ use std::time::{Duration, Instant};
 /// region it was meant to help.
 const SPIN: Duration = Duration::from_micros(50);
 
-/// A boxed task queued on a region; its argument is the lane it runs
-/// on (see the module header).
-type Task<'env> = Box<dyn FnOnce(usize) + Send + 'env>;
-
-/// One queued task, in a cell so that whichever worker claims its index
-/// can take it through a shared reference.
-pub(crate) struct TaskSlot<'env>(UnsafeCell<Option<Task<'env>>>);
-
-impl<'env> TaskSlot<'env> {
-    pub(crate) fn new(task: impl FnOnce(usize) + Send + 'env) -> Self {
-        Self(UnsafeCell::new(Some(Box::new(task))))
-    }
-
-    fn into_task(self) -> Option<Task<'env>> {
-        self.0.into_inner()
-    }
-}
+/// A region's body, `body(task, lane)`.
+type Body<'env> = dyn Fn(usize, usize) + Sync + 'env;
 
 /// Helper-word states; any other value is the address of a [`Job`]
 /// (which is word-aligned, so never one of these).
@@ -137,9 +119,10 @@ struct Helper {
 
 /// One published region. Lives on the stack of [`Team::run`].
 struct Job {
-    /// The region's task slots with their `'env` lifetime erased.
-    tasks: *const TaskSlot<'static>,
-    len: usize,
+    /// The region's body with its `'env` lifetime erased.
+    body: *const Body<'static>,
+    /// How many tasks: the body runs once for each of `0..tasks`.
+    tasks: usize,
     /// Next unclaimed task index; each index is handed out once.
     next: AtomicUsize,
     /// `DEPARTED` per helper that has let go, plus [`SLEEPING`].
@@ -156,24 +139,22 @@ const SLEEPING: usize = 1;
 const DEPARTED: usize = 2;
 
 impl Job {
-    /// Claim and run tasks as `lane` until none are left.
+    /// Claim task indices and run the body on them as `lane` until none
+    /// are left.
     fn drain(&self, lane: usize) {
+        // SAFETY: `Team::run` keeps the body alive until it returns, and
+        // by the region invariant it has not returned while this job is
+        // being drained; the erased `'env` borrows are alive for the
+        // same reason.
+        let body = unsafe { &*self.body };
         loop {
-            // Relaxed: the index publishes nothing; the slots were
+            // Relaxed: the index publishes nothing; the body was
             // published with the job (release on the helper word).
             let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.len {
+            if i >= self.tasks {
                 return;
             }
-            // SAFETY: `i < len`, so the slot is inside the `Vec` that
-            // `Team::run` keeps alive until it returns, and by the
-            // region invariant it has not returned while this job is
-            // being drained. `fetch_add` hands each index to exactly
-            // one worker, so nobody else touches this cell.
-            let task = unsafe { (*(*self.tasks.add(i)).0.get()).take() };
-            let Some(task) = task else { continue };
-            // The erased `'env` borrows are alive for the same reason.
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(lane))) {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(i, lane))) {
                 self.panic
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -246,7 +227,7 @@ impl Helper {
     fn next_job(&self) -> Option<*const Job> {
         loop {
             // Acquire pairs with the publisher's release: the job's
-            // fields and task slots are visible once its address is.
+            // fields are visible once its address is.
             let changed = spin_for(|| {
                 let word = self.word.load(Ordering::Acquire);
                 (word != IDLE).then_some(word)
@@ -319,28 +300,32 @@ impl Team {
         }
     }
 
-    /// Run one region's tasks to completion on the team's first `width`
-    /// lanes: the calling thread is lane 0, helper `l − 1` is lane `l`.
-    /// See the module header.
+    /// Run `body(task, lane)` once for every task in `0..tasks` on the
+    /// team's first `width` lanes: the calling thread is lane 0, helper
+    /// `l − 1` is lane `l`. See the module header.
     ///
     /// # Panics
-    /// Re-raises the first panic of the region's tasks, after every
-    /// task has finished.
-    pub(crate) fn run(&self, width: usize, tasks: Vec<TaskSlot<'_>>) {
-        let wanted = width.min(tasks.len()).saturating_sub(1);
+    /// Re-raises the first panic of the body, after every task has
+    /// finished.
+    pub(crate) fn run(&self, width: usize, tasks: usize, body: &Body<'_>) {
+        let wanted = width.min(tasks).saturating_sub(1);
         if wanted == 0 {
             // A serial region (one task, or a one-lane view) is a plain
             // loop on the calling thread.
-            for task in tasks.into_iter().filter_map(TaskSlot::into_task) {
-                task(0);
+            for i in 0..tasks {
+                body(i, 0);
             }
             return;
         }
         let job = Job {
-            // The lifetime erasure: helper threads are `'static`, the
-            // tasks borrow `'env`. Sound by the region invariant.
-            tasks: tasks.as_ptr().cast(),
-            len: tasks.len(),
+            // SAFETY: the lifetime erasure — helper threads are
+            // `'static`, the body borrows `'env`; only the trait
+            // object's lifetime bound changes. Sound by the region
+            // invariant.
+            body: unsafe {
+                std::mem::transmute::<*const Body<'_>, *const Body<'static>>(ptr::from_ref(body))
+            },
+            tasks,
             next: AtomicUsize::new(0),
             barrier: AtomicUsize::new(0),
             caller: thread::current(),
@@ -371,7 +356,7 @@ impl Team {
             .count();
         job.wait(enlisted - retracted);
         // The region invariant holds from here: no task is running and
-        // no helper will touch `job` or `tasks` again.
+        // no helper will touch `job` or `body` again.
         let payload = job
             .panic
             .into_inner()
@@ -449,7 +434,7 @@ impl Drop for Team {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         for handle in threads.drain(..) {
-            // A helper's thread runs tasks under `catch_unwind` only.
+            // A helper's thread runs the body under `catch_unwind` only.
             let _ = handle.join();
         }
     }

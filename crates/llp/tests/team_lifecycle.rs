@@ -35,12 +35,8 @@ fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
     // region on the calling thread: no helper is ever spawned.
     let ran = AtomicUsize::new(0);
     let queue_four = |w: &Workers| {
-        w.region(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        w.region(4, |_, _| {
+            ran.fetch_add(1, Ordering::Relaxed);
         });
     };
     let serial = Workers::new(1);
@@ -52,10 +48,7 @@ fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
     assert_eq!(threads(), Some(before));
     // Helpers are spawned on first use, one per task beyond the
     // caller's own...
-    wide.region(|scope| {
-        scope.spawn(|| {});
-        scope.spawn(|| {});
-    });
+    wide.region(2, |_, _| {});
     assert_eq!(threads(), Some(before + 1));
     drop((serial, wide));
     assert_eq!(threads_after_join(before), Some(before));

@@ -2,6 +2,7 @@
 //! the zones of a J-chain, then the chain's exchanges in order.
 
 use llp::{FlightRecorder, Workers};
+use std::sync::{Mutex, PoisonError};
 
 /// What one sharded step did — deterministic, derived from the zone
 /// count and the shard count alone, so it can ride on cached solve
@@ -32,21 +33,22 @@ pub struct StepStats {
 ///
 /// The zones are one region of `pool`'s worker team, `shards` lanes
 /// wide (at most the pool's width): one task per block, claimed by the
-/// team in index order, so up to `shards` zones run at once. Each
+/// team in index order, so up to `shards` zones run at once; each block
+/// is parked behind a lock, like a doacross chunk's payload. Each
 /// zone's own loops run on a view of the whole pool that shares its
-/// local counter — the caller's synchronization-event bill covers
-/// every loop region the zones ran — and enlists whichever helpers no
-/// other zone is using, so the team is shared between the two levels
-/// region by region (`U_zones × U_loops`) rather than split into fixed
-/// slices. The zone region's own barrier is the step barrier; it bills
-/// the pool-wide counter only. It is a bare region, so it logs no
-/// region mark, and inside the zones the recorder is off (its log
-/// assumes one coordinator thread); instead, every compute task
-/// brackets itself with zone start/end events on the **pool's**
-/// recorder, on the team lane that ran it, so a drained timeline shows
-/// zone occupancy per thread. After the barrier, the exchanges run on
-/// the calling thread in chain order, so the result is bit-identical
-/// to the sequential sweep for every shard count.
+/// local counter — the caller's synchronization-event bill covers every
+/// loop region the zones ran — and enlists whichever helpers no other
+/// zone is using, so the team is shared between the two levels region
+/// by region (`U_zones × U_loops`) rather than split into fixed slices.
+/// The zone region's own barrier is the step barrier; it bills the
+/// pool-wide counter only. It is a bare region, so it logs no region
+/// mark, and inside the zones the recorder is off (its log assumes one
+/// coordinator thread); instead, every compute task brackets itself
+/// with zone start/end events on the **pool's** recorder, on the team
+/// lane that ran it, so a drained timeline shows zone occupancy per
+/// thread. After the barrier, the exchanges run on the calling thread
+/// in chain order, so the result is bit-identical to the sequential
+/// sweep for every shard count.
 ///
 /// `shards` is clamped to `1..=blocks.len()`; the clamped value is
 /// reported in the returned [`StepStats`], whose `loop_workers` is each
@@ -76,15 +78,12 @@ where
     let zone_level = pool.sized_view(shards);
     let mut loops = pool.kernel_view(pool.processors(), pool.policy());
     loops.set_flight(FlightRecorder::disabled());
-    let (compute, loops) = (&compute, &loops);
-    zone_level.region(|scope| {
-        for (b, block) in blocks.iter_mut().enumerate() {
-            scope.spawn_on_lane(move |lane| {
-                flight.zone_start(lane, b as u64, step);
-                compute(b, loops, block);
-                flight.zone_end(lane, b as u64, step);
-            });
-        }
+    let parked: Vec<Mutex<&mut Z>> = blocks.iter_mut().map(Mutex::new).collect();
+    zone_level.region(parked.len(), |b, lane| {
+        flight.zone_start(lane, b as u64, step);
+        let mut block = parked[b].lock().unwrap_or_else(PoisonError::into_inner);
+        compute(b, &loops, &mut block);
+        flight.zone_end(lane, b as u64, step);
     });
     exchange_chain(blocks, exchange);
     let zones = blocks.len() as u64;
@@ -247,9 +246,7 @@ mod tests {
             0,
             &mut blocks,
             |_, w, z| {
-                w.region(|scope| {
-                    scope.spawn(|| {});
-                });
+                w.region(1, |_, _| {});
                 *z = 1;
             },
             |_, _, _| {},

@@ -32,11 +32,7 @@ fn zone_steps_spawn_no_thread_beyond_the_team() {
                 |_, loops, z| {
                     // A loop region as wide as the pool, so the zone
                     // asks for every helper it can get.
-                    loops.region(|scope| {
-                        for _ in 0..4 {
-                            scope.spawn(|| {});
-                        }
-                    });
+                    loops.region(4, |_, _| {});
                     peak.fetch_max(threads().unwrap_or(0), Ordering::Relaxed);
                     *z += 1;
                 },
