@@ -93,7 +93,7 @@ const TERM_COLS: usize = 128;
 
 /// One point's energy term, `ex² + ey² + hz²` (the total halves the
 /// sum of them).
-#[inline]
+#[inline(always)]
 pub(crate) fn term(ex: f64, ey: f64, hz: f64) -> f64 {
     ex * ex + ey * ey + hz * hz
 }
@@ -105,7 +105,9 @@ pub(crate) fn term(ex: f64, ey: f64, hz: f64) -> f64 {
 /// called row by row for each column block of a group of [`ABREAST`]
 /// rows, and the block's terms are then added on one chain per row,
 /// the group's rows side by side. So every partial is exactly its row's
-/// fold however the run is cut.
+/// fold however the run is cut. Always inlined, so a served run folds
+/// at its sweep's SIMD tier (see `crate::isa`).
+#[inline(always)]
 pub(crate) fn fold_run(
     nx: usize,
     out: &mut [f64],

@@ -6,19 +6,24 @@
 //! loops over the row's contiguous component runs (`E` is row-blocked:
 //! a row's `Ex`, then its `Ey`; see [`crate::grid`]).
 //!
-//! **No lanes.** Each component's loop is one plain loop with no
-//! per-point branch — the policy [`solver::widths`] documents for
-//! kernels with no explicit lanes: rustc vectorizes the zipped loops
-//! itself, at whatever width the target has. [`update_h`] and
+//! **No lanes; a SIMD tier.** Each component's loop is one plain loop
+//! with no per-point branch — the policy [`solver::widths`] documents
+//! for kernels with no explicit lanes: rustc vectorizes the zipped
+//! loops itself, at the width of the code it compiles. Each row body
+//! (`h_row`, `ESweep::row` and `ESweep::energy_run`) is one
+//! `#[inline(always)]` function that the crate-private `isa` module
+//! compiles for AVX2 and for the target's baseline; every sweep detects
+//! the widest tier the CPU reports once per call, outside its doacross
+//! body, and runs every row at it. [`update_h`] and
 //! [`update_e`] take a `_width` argument nothing reads; the served
 //! step passes 1.
 //!
 //! **Exactness.** Every point executes one fixed floating-point
-//! operation sequence, so results are bit-exact across worker counts
-//! and schedules
-//! because a row's updates depend only on the *previous* half-step's
-//! other field, never on a concurrently mutated row — pinned by
-//! `tests/simd_props.rs`.
+//! operation sequence at every SIMD tier, so results are bit-exact
+//! across tiers — pinned by the tier oracle in this module's tests —
+//! and across worker counts and schedules, because a row's updates
+//! depend only on the *previous* half-step's other field, never on a
+//! concurrently mutated row — pinned by `tests/simd_props.rs`.
 //!
 //! The aliasing discipline makes that structurally true: `update_h`
 //! mutates only `hz` while reading `e`, `update_e` mutates only `e`
@@ -26,12 +31,18 @@
 //! rows and shared references to the other array.
 
 use crate::grid::{fold_run, term, Boundary, TezGrid};
+use crate::isa::{self, Tier};
 use llp::{doacross_slabs, doacross_slabs_zip, Workers};
 use std::ops::Range;
 
 /// Advance `Hz` one half-step: `∂Hz/∂t = ∂Ex/∂y − ∂Ey/∂x`, parallel
 /// over rows. `_width` is ignored (see the module docs).
 pub fn update_h(workers: &Workers, grid: &mut TezGrid, _width: usize) {
+    h_sweep(Tier::widest(), workers, grid);
+}
+
+/// [`update_h`] with its rows at `tier`.
+fn h_sweep(tier: Tier, workers: &Workers, grid: &mut TezGrid) {
     let TezGrid {
         nx,
         ny,
@@ -51,31 +62,50 @@ pub fn update_h(workers: &Workers, grid: &mut TezGrid, _width: usize) {
         let jp1 = if j + 1 == ny { 0 } else { j + 1 };
         let (ex, ey) = e[2 * nx * j..][..2 * nx].split_at(nx);
         let ex_up = &e[2 * nx * jp1..][..nx];
-        let interior = row[..nx - 1]
-            .iter_mut()
-            .zip(ex_up)
-            .zip(ex)
-            .zip(ey)
-            .zip(&ey[1..]);
-        for ((((out, &x_up), &x), &y), &y_right) in interior {
-            *out += s * ((x_up - x) - (y_right - y));
-        }
-        if periodic {
-            // Wrap column: Ey neighbor comes from i = 0.
-            let i = nx - 1;
-            row[i] += s * ((ex_up[i] - ex[i]) - (ey[0] - ey[i]));
-        }
+        isa::h_row(tier, s, periodic, row, ex_up, ex, ey);
     });
+}
+
+/// One `Hz` row of [`update_h`], from its own `Ex` and `Ey`, and the
+/// `Ex` of the row above.
+#[inline(always)]
+pub(crate) fn h_row(
+    s: f64,
+    periodic: bool,
+    row: &mut [f64],
+    ex_up: &[f64],
+    ex: &[f64],
+    ey: &[f64],
+) {
+    let nx = row.len();
+    let interior = row[..nx - 1]
+        .iter_mut()
+        .zip(ex_up)
+        .zip(ex)
+        .zip(ey)
+        .zip(&ey[1..]);
+    for ((((out, &x_up), &x), &y), &y_right) in interior {
+        *out += s * ((x_up - x) - (y_right - y));
+    }
+    if periodic {
+        // Wrap column: Ey neighbor comes from i = 0.
+        let i = nx - 1;
+        row[i] += s * ((ex_up[i] - ex[i]) - (ey[0] - ey[i]));
+    }
 }
 
 /// Advance `E` one half-step: `∂Ex/∂t = ∂Hz/∂y`, `∂Ey/∂t = −∂Hz/∂x`,
 /// parallel over rows. PEC walls keep tangential `E` clamped by never
 /// updating it. `_width` is ignored (see the module docs).
 pub fn update_e(workers: &Workers, grid: &mut TezGrid, _width: usize) {
+    e_sweep(Tier::widest(), workers, grid);
+}
+
+/// [`update_e`] with its rows at `tier`.
+fn e_sweep(tier: Tier, workers: &Workers, grid: &mut TezGrid) {
     let (sweep, e) = ESweep::of(grid);
-    let nx = sweep.nx;
-    doacross_slabs(workers, e, 2 * nx, move |j, row| {
-        sweep.row(j, row, 0..nx, None);
+    doacross_slabs(workers, e, 2 * sweep.nx, move |j, row| {
+        isa::e_row(tier, &sweep, j, row);
     });
 }
 
@@ -93,19 +123,20 @@ pub fn update_e(workers: &Workers, grid: &mut TezGrid, _width: usize) {
 /// # Panics
 /// Panics unless `row_partials` holds one entry per grid row.
 pub fn update_e_energy(workers: &Workers, grid: &mut TezGrid, row_partials: &mut [f64]) {
+    e_energy_sweep(Tier::widest(), workers, grid, row_partials);
+}
+
+/// [`update_e_energy`] with its runs at `tier`.
+fn e_energy_sweep(tier: Tier, workers: &Workers, grid: &mut TezGrid, row_partials: &mut [f64]) {
     let (sweep, e) = ESweep::of(grid);
-    let nx = sweep.nx;
     doacross_slabs_zip(
         workers,
         e,
-        2 * nx,
+        2 * sweep.nx,
         row_partials,
         1,
         move |first, e_run, partials| {
-            fold_run(nx, partials, |r, cols, terms| {
-                let row = &mut e_run[2 * nx * r..][..2 * nx];
-                sweep.row(first + r, row, cols, Some(terms));
-            });
+            isa::e_energy_run(tier, &sweep, first, e_run, partials);
         },
     );
 }
@@ -113,8 +144,8 @@ pub fn update_e_energy(workers: &Workers, grid: &mut TezGrid, row_partials: &mut
 /// Everything one `E` row update reads besides its own row — the one
 /// statement of the row body both `E` sweeps run.
 #[derive(Clone, Copy)]
-struct ESweep<'g> {
-    nx: usize,
+pub(crate) struct ESweep<'g> {
+    pub(crate) nx: usize,
     ny: usize,
     s: f64,
     periodic: bool,
@@ -140,11 +171,35 @@ impl<'g> ESweep<'g> {
         &self.hz[j * self.nx..(j + 1) * self.nx]
     }
 
+    /// The run of [`update_e_energy`] that starts at row `first`: update
+    /// its rows of `E` (`e_run`) and leave their energy partials in
+    /// `partials`, through the grid's run fold.
+    #[inline(always)]
+    pub(crate) fn energy_run(&self, first: usize, e_run: &mut [f64], partials: &mut [f64]) {
+        let nx = self.nx;
+        fold_run(
+            nx,
+            partials,
+            #[inline(always)]
+            |r, cols, terms| {
+                let row = &mut e_run[2 * nx * r..][..2 * nx];
+                self.row(first + r, row, cols, Some(terms));
+            },
+        );
+    }
+
     /// Update columns `cols` of row `j` of `E` in place: its `Ex`, then
     /// its `Ey`. With `terms`, also leave each point's energy [`term`]
     /// in `terms[i - cols.start]`, computed from the values just
     /// written: inside the `Ey` loop where it runs, after it elsewhere.
-    fn row(&self, j: usize, row: &mut [f64], cols: Range<usize>, terms: Option<&mut [f64]>) {
+    #[inline(always)]
+    pub(crate) fn row(
+        &self,
+        j: usize,
+        row: &mut [f64],
+        cols: Range<usize>,
+        terms: Option<&mut [f64]>,
+    ) {
         let ESweep {
             nx,
             ny,
@@ -201,6 +256,8 @@ impl<'g> ESweep<'g> {
 mod tests {
     use super::*;
     use crate::grid::Boundary;
+    use llp::Policy;
+    use proptest::prelude::*;
 
     fn pulsed(nx: usize, ny: usize, boundary: Boundary) -> TezGrid {
         let mut g = TezGrid::new(nx, ny, boundary, 0.5);
@@ -299,6 +356,54 @@ mod tests {
         for row in g.e.chunks_exact(2 * 9) {
             assert!(row[..9].iter().all(|&x| x == 0.0));
             assert!(row[9..].iter().all(|&y| y == 3.0));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The tier oracle: every tier the host reports runs
+        /// `update_h`, `update_e` and `update_e_energy` bit for bit like
+        /// the baseline, fields and row partials alike, on random
+        /// fields whose rows cross one and two 128-column term blocks,
+        /// under both closures, every worker count up to 4 and every
+        /// policy.
+        #[test]
+        fn every_tier_is_the_baseline_bit_for_bit(
+            nx in 2usize..=300,
+            ny in 2usize..=11,
+            periodic in 0usize..2,
+            workers in 1usize..5,
+            policy in (0usize..3, 1usize..4),
+            e0 in prop::collection::vec(-2.0f64..2.0, 2 * 300 * 11),
+            hz0 in prop::collection::vec(-2.0f64..2.0, 300 * 11),
+        ) {
+            static TIERS: std::sync::Once = std::sync::Once::new();
+            TIERS.call_once(|| println!("tiers run: {:?}", Tier::available()));
+            let boundary = [Boundary::PecBox, Boundary::Periodic][periodic];
+            let policy = match policy {
+                (0, _) => Policy::Static,
+                (1, chunk) => Policy::Dynamic { chunk },
+                (_, min_chunk) => Policy::Guided { min_chunk },
+            };
+            let pool = Workers::new(workers).with_policy(policy);
+            let run = |tier| {
+                let mut g = TezGrid::new(nx, ny, boundary, 0.5);
+                g.e.copy_from_slice(&e0[..2 * nx * ny]);
+                g.hz.copy_from_slice(&hz0[..nx * ny]);
+                let mut partials = vec![f64::NAN; ny];
+                h_sweep(tier, &pool, &mut g);
+                e_sweep(tier, &pool, &mut g);
+                h_sweep(tier, &pool, &mut g);
+                e_energy_sweep(tier, &pool, &mut g, &mut partials);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (bits(&g.e), bits(&g.hz), bits(&partials))
+            };
+            let tiers = Tier::available();
+            let baseline = run(tiers[0]);
+            for &tier in &tiers[1..] {
+                prop_assert!(run(tier) == baseline, "{:?}, {} x {} {:?}", tier, nx, ny, policy);
+            }
         }
     }
 }

@@ -18,7 +18,11 @@
 //! unchanged. `E` is stored row-blocked (a row's `Ex`, then its `Ey`;
 //! see [`grid`]), so each sweep's inner loops are zipped loops over
 //! contiguous runs of one component, which rustc vectorizes itself
-//! (see [`kernels`]); a request's `vector_width` selects nothing.
+//! (see [`kernels`]). Each row body is compiled for AVX2 and for the
+//! target's baseline, and a sweep runs its rows at AVX2 when the CPU
+//! reports it (the crate-private `isa` module),
+//! bit for bit the same at every tier; a request's `vector_width`
+//! selects nothing.
 //!
 //! **Exactness policy**, inherited from the suite: results are
 //! bit-exact at every worker count and schedule — pinned by the
@@ -38,10 +42,11 @@
 //! propagates to machine precision, and its numerical dispersion
 //! stays within the textbook bound.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod grid;
+mod isa;
 pub mod kernels;
 pub mod service;
 

@@ -23,7 +23,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::obs::timeline::DEFAULT_EVENT_CAPACITY;
 use crate::obs::FlightRecorder;
-use crate::schedule::{chunk_bounds, Policy, ScheduleMap};
+use crate::schedule::{share_end, Policy, ScheduleMap};
 use crate::team::Team;
 
 /// A shared-memory worker team of `P` "processors".
@@ -348,11 +348,11 @@ pub fn default_worker_count() -> usize {
 ///
 /// The blocks are a static partition used as the *starting point* of a
 /// dynamic one: block `t` holds the chunks whose first iteration falls
-/// in claimant `t`'s [`chunk_bounds`] share of `0..n` — the rows the
-/// static schedule would have given it — so back-to-back regions over
-/// the same extent keep a chunk on the core whose cache holds it, and
-/// only a claimant that has drained its own block steals, round-robin,
-/// from the others. [`ChunkClaimer::new`] is the one-block case: every
+/// in claimant `t`'s [`chunk_bounds`](crate::chunk_bounds) share of
+/// `0..n` — the rows the static schedule would have given it — so
+/// back-to-back regions over the same extent keep a chunk on the core
+/// whose cache holds it, and only a claimant that has drained its own
+/// block steals, round-robin, from the others. [`ChunkClaimer::new`] is the one-block case: every
 /// claimant shares one counter and indices come out in order.
 ///
 /// Each successful claim is one scheduling interaction — the extra cost
@@ -399,13 +399,12 @@ impl ChunkClaimer {
     pub fn blocked(chunks: &[Range<usize>], claimants: usize) -> Self {
         assert!(claimants > 0, "claimant count must be positive");
         let n = chunks.last().map_or(0, |c| c.end);
-        let shares = chunk_bounds(n, claimants);
         let mut first = 0;
         let blocks = (0..claimants)
             .map(|t| {
                 // With more claimants than iterations the surplus
                 // claimants have no share: their blocks are empty.
-                let share_end = shares.get(t).map_or(n, |share| share.end);
+                let share_end = share_end(n, claimants, t);
                 let end = first + chunks[first..].partition_point(|c| c.start < share_end);
                 let next = AtomicUsize::new(first);
                 first = end;

@@ -29,17 +29,29 @@ pub fn chunk_bounds(n: usize, p: usize) -> Vec<Range<usize>> {
         return Vec::new();
     }
     let workers = p.min(n);
-    let base = n / workers;
-    let extra = n % workers;
     let mut out = Vec::with_capacity(workers);
     let mut start = 0;
     for i in 0..workers {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
+        let end = share_end(n, p, i);
+        out.push(start..end);
+        start = end;
     }
     debug_assert_eq!(start, n);
     out
+}
+
+/// The end of share `t` of [`chunk_bounds`]`(n, p)`, without building
+/// the list: `n` splits into `min(n, p)` shares, and the first
+/// `n % min(n, p)` of them hold one iteration more. A share past the
+/// last (a surplus `t`, or any `t` when `n` or `p` is 0) ends at `n`.
+#[must_use]
+pub(crate) fn share_end(n: usize, p: usize, t: usize) -> usize {
+    let shares = p.min(n);
+    if t >= shares {
+        return n;
+    }
+    let (base, extra) = (n / shares, n % shares);
+    (t + 1) * base + (t + 1).min(extra)
 }
 
 /// A scheduling policy for doacross regions.
@@ -95,13 +107,22 @@ impl Policy {
             }
             Policy::Guided { min_chunk } => {
                 let min_chunk = min_chunk.max(1);
-                let mut out = Vec::new();
+                let next = |start: usize| {
+                    let remaining = n - start;
+                    start + remaining.div_ceil(p).max(min_chunk).min(remaining)
+                };
+                // Count the chunks first, so the list is sized once.
+                let (mut count, mut start) = (0, 0);
+                while start < n {
+                    start = next(start);
+                    count += 1;
+                }
+                let mut out = Vec::with_capacity(count);
                 let mut start = 0;
                 while start < n {
-                    let remaining = n - start;
-                    let len = (remaining.div_ceil(p)).max(min_chunk).min(remaining);
-                    out.push(start..start + len);
-                    start += len;
+                    let end = next(start);
+                    out.push(start..end);
+                    start = end;
                 }
                 out
             }

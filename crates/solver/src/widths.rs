@@ -18,7 +18,9 @@
 //! implementation. Kernels whose inner loop is data movement or a short
 //! stencil over contiguous runs (F3D's `update`, both FDTD sweeps, whose
 //! `E` rows hold their `Ex`, then their `Ey`) run plain loops, which
-//! rustc vectorizes itself.
+//! rustc vectorizes itself: F3D's at the target's width, FDTD's at the
+//! widest SIMD tier the CPU reports (AVX2 or the target's baseline,
+//! each row body compiled for both; `fdtd`'s `isa` module).
 //!
 //! **The request's `vector_width` selects nothing.** It is validated
 //! against [`SUPPORTED_WIDTHS`] ([`validate_width`]), echoed in the
