@@ -123,10 +123,11 @@ pub fn flux_jacobian(q: &[f64; NCONS], n: [f64; 3]) -> [[f64; NCONS]; NCONS] {
     a
 }
 
-/// The directed flux at `W` independent states — the lane form of
-/// [`directed_flux`]. Each lane's operation sequence is identical to
-/// the scalar function, so results are bit-exact per lane; the lane
-/// loops are the fixed-trip inner loops rustc unrolls and vectorizes.
+/// The directed flux at `W` independent states — the lane form of the
+/// scalar test reference `directed_flux`. Each lane's operation
+/// sequence is identical to the scalar function, so results are
+/// bit-exact per lane; the lane loops are the fixed-trip inner loops
+/// rustc unrolls and vectorizes.
 #[must_use]
 pub fn directed_flux_lanes<const W: usize>(
     q: &[[f64; NCONS]; W],

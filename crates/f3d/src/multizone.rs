@@ -1,6 +1,6 @@
 //! The multi-zone solver driver: zones stepped with loop-level
 //! parallelism, or with Taft-style multi-level parallelism (MLP —
-//! paper Section 8) via the [`zones`] scheduler, with zonal
+//! paper Section 8) as one [`llp::zones`] region, with zonal
 //! injection between steps.
 //!
 //! Within one time step the zones are independent (injection happens
@@ -11,13 +11,15 @@
 //! stair-step ceiling), while MLP multiplies the ceilings of zones that
 //! run concurrently at the price of zone-level load imbalance.
 //!
-//! The zones form a J-chain. Both the sequential sweep
+//! The zones form a J-chain: zone `i` exchanges boundary data with
+//! zone `i + 1` through their shared K×L planes, once per step, after
+//! every zone has stepped. Both the sequential sweep
 //! ([`MultiZoneSolver::step_loop_level`]) and the sharded dispatch
 //! ([`MultiZoneSolver::step_zone_parallel`]) step every zone, then
-//! inject through [`zones::exchange_chain`] — the chain's exchanges in
-//! their one order — so the sequential sweep is literally the 1-shard
-//! degenerate case and the bit-exactness between them is structural,
-//! not coincidental.
+//! inject through one function — the chain's exchanges in their one
+//! order — so the sequential sweep is literally the 1-shard degenerate
+//! case and the bit-exactness between them is structural, not
+//! coincidental.
 
 use crate::bc::{self, BcKind, Face, ZoneBcs};
 use crate::risc_impl::RiscStepper;
@@ -120,17 +122,17 @@ impl MultiZoneSolver {
         // an empty one for a single zone, so the report shape is
         // zone-count-invariant.
         let _inject = rec.span("inject", SpanKind::Kernel);
-        zones::exchange_chain(&mut self.zones, |_, up, down| bc::inject(up, down));
+        inject_chain(&mut self.zones);
     }
 
-    /// One time step on the [`zones`] sharded scheduler: each zone's
-    /// stepper is one task of a `shards`-wide region of `pool`'s worker
-    /// team, its loops running on the whole pool and taking whichever
-    /// helpers the other zones leave free; zonal injection is applied
-    /// after the step barrier in chain order. Numerically
+    /// One time step as one [`llp::zones::run_sharded`] region: each
+    /// zone's stepper is one task of a `shards`-wide region of `pool`'s
+    /// worker team, its loops running on the whole pool and taking
+    /// whichever helpers the other zones leave free; zonal injection is
+    /// applied after the step barrier in chain order. Numerically
     /// bit-identical to [`MultiZoneSolver::step_loop_level`] for every
     /// shard count — the sequential sweep is the 1-shard degenerate
-    /// case.
+    /// case. Returns the shard count clamped to `1..=zone_count()`.
     ///
     /// Zone occupancy events land on `pool`'s flight recorder (lane =
     /// the team lane that stepped the zone, `step` in the event's
@@ -142,23 +144,22 @@ impl MultiZoneSolver {
         shards: usize,
         schedules: Option<&llp::ScheduleMap>,
         step: u64,
-    ) -> zones::StepStats {
+    ) -> usize {
         let bcs = &self.bcs;
         let mut blocks: Vec<(&mut ZoneSolver, &mut RiscStepper)> = self
             .zones
             .iter_mut()
             .zip(self.steppers.iter_mut())
             .collect();
-        zones::run_sharded(
+        let shards = llp::zones::run_sharded(
             pool,
             shards,
             step,
             &mut blocks,
-            |i, shard_workers, (zone, stepper)| {
-                stepper.step(zone, &bcs[i], shard_workers, schedules);
-            },
-            |_i, (up, _), (down, _)| bc::inject(up, down),
-        )
+            |i, loops, (zone, stepper)| stepper.step(zone, &bcs[i], loops, schedules),
+        );
+        inject_chain(&mut self.zones);
+        shards
     }
 
     /// Maximum freestream deviation over all zones.
@@ -183,6 +184,16 @@ impl MultiZoneSolver {
             .zip(&other.zones)
             .map(|(a, b)| a.q.max_abs_diff(&b.q))
             .fold(0.0, f64::max)
+    }
+}
+
+/// The chain's exchanges in order — `bc::inject` of zones `0→1`,
+/// `1→2`, … — after every zone has stepped. Adjacent exchanges share a
+/// zone, so this is the one order there is.
+fn inject_chain(zones: &mut [ZoneSolver]) {
+    for i in 1..zones.len() {
+        let (up, down) = zones.split_at_mut(i);
+        bc::inject(&mut up[i - 1], &mut down[0]);
     }
 }
 
@@ -217,10 +228,8 @@ mod tests {
             for shards in 1..=4 {
                 let mut candidate = perturbed(config);
                 for s in 0..=step {
-                    let stats = candidate.step_zone_parallel(&workers, shards, None, s);
-                    assert_eq!(stats.shards, shards.clamp(1, 3));
-                    assert_eq!(stats.zone_tasks, 3);
-                    assert_eq!(stats.exchange_tasks, 2);
+                    let clamped = candidate.step_zone_parallel(&workers, shards, None, s);
+                    assert_eq!(clamped, shards.clamp(1, 3));
                 }
                 assert_eq!(
                     reference.max_abs_diff(&candidate),

@@ -60,11 +60,11 @@ pub enum ZoneSchedule {
     /// zone's doacross loops — the classic loop-level-only mode.
     #[default]
     Sequential,
-    /// Zones dispatched across this many zone shards per step by the
-    /// [`zones`] task-graph scheduler, the worker budget split between
-    /// the zone level and the loop level (`U_zones × U_loops`). Shard
-    /// counts are clamped to the zone count at runtime; validation
-    /// bounds them by [`MAX_ZONES`].
+    /// Zones dispatched across this many zone shards per step as one
+    /// [`llp::zones`] region, the team shared between the zone level
+    /// and the loop level (`U_zones × U_loops`). Shard counts are
+    /// clamped to the zone count at runtime; validation bounds them by
+    /// [`MAX_ZONES`].
     Zones(usize),
 }
 
@@ -255,12 +255,13 @@ impl SolverSpec for ServiceCase {
 pub struct F3dSolver;
 
 /// One allocated F3D solve: the multi-zone state plus the per-step
-/// residual history and zone-scheduler statistics the output carries.
+/// residual history and the zone shard count the output carries.
 pub struct F3dInstance {
     case: ServiceCase,
     solver: MultiZoneSolver,
     residuals: ResidualHistory,
-    zone_stats: Option<zones::StepStats>,
+    zone_shards: Option<usize>,
+    processors: usize,
 }
 
 /// The physics half of a completed F3D run — everything
@@ -278,25 +279,32 @@ pub struct F3dOutput {
     pub lift: f64,
     /// Per-zone field checksums after the final step.
     pub checksums: Vec<FieldChecksum>,
-    /// Per-step zone-scheduler statistics (`None` for sequential zone
-    /// order). Deterministic — derived from the zone count and the
-    /// shard count — so cached responses can carry it soundly.
-    pub zone_stats: Option<zones::StepStats>,
+    /// Zone shards each step dispatched over, clamped to the zone count
+    /// (`None` for sequential zone order).
+    pub zone_shards: Option<usize>,
+    /// Width of the view the run stepped on.
+    pub processors: usize,
 }
 
 impl SolverOutput for F3dOutput {
     /// `zone_level`, `residuals`, `forces`, and one [`FieldChecksum`]
     /// per zone — the paper's Section 6 "diff" primitive.
+    /// `zone_level` (`null` for sequential zone order) is worked out
+    /// from the case, so cached responses carry it soundly: each of the
+    /// `n` zones gets an even share of the view as its `loop_workers`,
+    /// all `n` are ready at once, and the `n − 1` exchanges each wait
+    /// for the one before.
     fn payload(&self) -> Vec<(&'static str, Json)> {
         let nums = |v: &[f64]| Json::Array(v.iter().map(|&x| Json::Num(x)).collect());
-        let zone_level = self.zone_stats.map_or(Json::Null, |s| {
+        let (zones, num) = (self.zone_names.len(), Json::from_usize);
+        let zone_level = self.zone_shards.map_or(Json::Null, |shards| {
             Json::object(vec![
-                ("shards", Json::from_usize(s.shards)),
-                ("loop_workers", Json::from_usize(s.loop_workers)),
-                ("zone_tasks", Json::from_u64(s.zone_tasks)),
-                ("exchange_tasks", Json::from_u64(s.exchange_tasks)),
-                ("exchange_waves", Json::from_u64(s.exchange_waves)),
-                ("peak_ready", Json::from_u64(s.peak_ready)),
+                ("shards", num(shards)),
+                ("loop_workers", num((self.processors / shards).max(1))),
+                ("zone_tasks", num(zones)),
+                ("exchange_tasks", num(zones - 1)),
+                ("exchange_waves", num(zones - 1)),
+                ("peak_ready", num(zones)),
             ])
         });
         let checksums = self
@@ -328,12 +336,12 @@ impl SolverOutput for F3dOutput {
     }
 
     fn zone_dispatch(&self) -> Option<ZoneDispatch> {
-        // One residual per step: the per-step task count times the
-        // steps is the run's.
-        self.zone_stats.map(|s| ZoneDispatch {
-            shards: s.shards as u64,
-            zone_tasks: s.zone_tasks * self.residuals.len() as u64,
-            peak_ready: s.peak_ready,
+        // One task per zone per step, one residual per step.
+        let zones = self.zone_names.len() as u64;
+        self.zone_shards.map(|shards| ZoneDispatch {
+            shards: shards as u64,
+            zone_tasks: zones * self.residuals.len() as u64,
+            peak_ready: zones,
         })
     }
 }
@@ -381,7 +389,8 @@ impl Solver for F3dSolver {
             case: *case,
             solver,
             residuals: ResidualHistory::new(),
-            zone_stats: None,
+            zone_shards: None,
+            processors: 0,
         }
     }
 }
@@ -390,10 +399,11 @@ impl SolverInstance for F3dInstance {
     type Output = F3dOutput;
 
     fn step(&mut self, pool: &Workers, step: usize, schedules: Option<&llp::ScheduleMap>) {
+        self.processors = pool.processors();
         match self.case.zone_schedule {
             ZoneSchedule::Sequential => self.solver.step_loop_level(pool, schedules),
             ZoneSchedule::Zones(shards) => {
-                self.zone_stats =
+                self.zone_shards =
                     Some(
                         self.solver
                             .step_zone_parallel(pool, shards, schedules, step as u64),
@@ -434,7 +444,8 @@ impl SolverInstance for F3dInstance {
             drag,
             lift,
             checksums,
-            zone_stats: self.zone_stats,
+            zone_shards: self.zone_shards,
+            processors: self.processors,
         }
     }
 }
@@ -695,6 +706,10 @@ mod tests {
         // The acceptance pin: a many-zone solve produces byte-identical
         // results whether the zones run sequentially or are dispatched
         // across any number of zone shards, under any loop schedule.
+        let zone_level = |out: &ServiceRun| {
+            let mut payload = out.output.payload().into_iter();
+            payload.find(|(key, _)| *key == "zone_level").unwrap().1
+        };
         let base = ServiceCase::calibration(MAX_ZONES, 3, 4);
         let reference = run(&base, &Workers::new(4)).unwrap();
         for schedule in [Policy::Static, Policy::Dynamic { chunk: 2 }] {
@@ -709,20 +724,66 @@ mod tests {
                 assert_eq!(reference.output.checksums, out.output.checksums, "{case:?}");
                 assert_eq!(reference.output.drag, out.output.drag, "{case:?}");
                 assert_eq!(reference.output.lift, out.output.lift, "{case:?}");
-                let stats = out.output.zone_stats.expect("zone runs report step stats");
-                assert_eq!(stats.shards, shards.min(MAX_ZONES));
-                assert_eq!(stats.zone_tasks as usize, MAX_ZONES);
-                assert_eq!(stats.exchange_tasks as usize, MAX_ZONES - 1);
+                let stats = zone_level(&out);
+                let field = |key| stats.get(key).and_then(Json::as_u64).unwrap() as usize;
+                assert_eq!(field("shards"), shards.min(MAX_ZONES));
+                assert_eq!(field("zone_tasks"), MAX_ZONES);
+                assert_eq!(field("exchange_tasks"), MAX_ZONES - 1);
                 // The service's zone gauges read the run's totals.
                 let zones = out.output.zone_dispatch().unwrap();
-                assert_eq!(zones.shards as usize, stats.shards);
+                assert_eq!(zones.shards as usize, field("shards"));
                 assert_eq!(zones.zone_tasks as usize, MAX_ZONES * 3);
                 assert_ne!(case.label(), base.label());
             }
         }
         // Sequential runs do not fabricate zone stats.
-        assert!(reference.output.zone_stats.is_none());
+        assert_eq!(zone_level(&reference), Json::Null);
         assert!(reference.output.zone_dispatch().is_none());
+        // Both are closed forms of the case: for `n` zones on a view
+        // `width` wide, `shards` clamped to `n`, a step runs `n` zone
+        // tasks on `max(1, width / shards)` loop workers each, all `n`
+        // ready at once, then `n − 1` exchanges in as many waves. A
+        // shard count above the cap is refused, not clamped.
+        let steps = 2;
+        for workers in [1, 2, 4] {
+            let pool = Workers::new(workers);
+            for n in 1..=MAX_ZONES {
+                for asked in 1..=MAX_ZONES + 1 {
+                    let case = ServiceCase {
+                        zone_schedule: ZoneSchedule::Zones(asked),
+                        ..ServiceCase::calibration(n, steps, workers)
+                    };
+                    if asked > MAX_ZONES {
+                        assert!(run(&case, &pool).is_err(), "{case:?}");
+                        continue;
+                    }
+                    let out = run(&case, &pool).unwrap();
+                    let shards = asked.min(n);
+                    let num = Json::from_usize;
+                    assert_eq!(
+                        zone_level(&out),
+                        Json::object(vec![
+                            ("shards", num(shards)),
+                            ("loop_workers", num((workers / shards).max(1))),
+                            ("zone_tasks", num(n)),
+                            ("exchange_tasks", num(n - 1)),
+                            ("exchange_waves", num(n - 1)),
+                            ("peak_ready", num(n)),
+                        ]),
+                        "{case:?}"
+                    );
+                    assert_eq!(
+                        out.output.zone_dispatch(),
+                        Some(ZoneDispatch {
+                            shards: shards as u64,
+                            zone_tasks: (n * steps) as u64,
+                            peak_ready: n as u64,
+                        }),
+                        "{case:?}"
+                    );
+                }
+            }
+        }
         assert_eq!(
             ServiceCase {
                 zone_schedule: ZoneSchedule::Zones(2),

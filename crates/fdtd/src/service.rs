@@ -1,5 +1,5 @@
 //! Bounded, validated FDTD solves for the serving layer — the same
-//! contract [`f3d::service`] exposes, implemented over the generic
+//! contract `f3d::service` exposes, implemented over the generic
 //! [`solver::Solver`] driver.
 
 use crate::grid::{fold_energy, Boundary, FieldChecksum, TezGrid};

@@ -14,7 +14,7 @@
 //! * **Synchronization accounting** ([`pool`]): every parallel region
 //!   exit is one synchronization event, the quantity Tables 1 and 2 of
 //!   the paper budget for.
-//! * **Doacross regions** ([`doacross`]): parallel loops over index
+//! * **Doacross regions** ([`mod@doacross`]): parallel loops over index
 //!   ranges, slices and chunked slabs — the `C$doacross local(L,J,K)`
 //!   idiom (paper Example 1).
 //! * **Loop fusion and parent-loop hoisting with pencil scratch**
@@ -36,19 +36,23 @@
 //!   events, chunk imbalance, versioned JSON), the overhead attribution
 //!   against the paper's Table 1 bound and the Chrome trace-event export
 //!   are all folds of that one recording.
+//! * **Zones above loops** ([`zones`]): one step's zones as one region
+//!   of the team, each zone's loops sharing the team's helpers region
+//!   by region — Taft's multi-level parallelism (paper Section 8),
+//!   `U_zones × U_loops`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advisor;
 pub mod doacross;
-pub mod env;
 pub mod fusion;
 pub mod obs;
 pub mod pool;
 pub mod schedule;
 #[allow(unsafe_code)]
 mod team;
+pub mod zones;
 
 pub use advisor::{Advice, Advisor, LoopDecision, MeasuredAdvice, MeasuredChoice};
 pub use doacross::{doacross, doacross_slabs, doacross_slabs_scratch, doacross_slabs_zip};

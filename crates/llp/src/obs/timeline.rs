@@ -49,7 +49,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::obs::report::{ObsReport, SpanKind, SpanNode, REPORT_SCHEMA_VERSION};
-use crate::schedule::Policy;
 
 /// Default per-lane event capacity for [`FlightRecorder::enabled`]
 /// callers that have no better number (≈128 KiB per lane).
@@ -354,18 +353,16 @@ fn seconds(ns: u64) -> f64 {
     ns as f64 * 1e-9
 }
 
-/// A region's span node, read off its mark: one task per chunk under
-/// static scheduling, one per claimant under self-scheduling.
+/// A region's span node, read off its mark. Its tasks are
+/// `workers.min(chunks)` under every policy: one per chunk under static
+/// scheduling, whose chunks never outnumber the workers, and one per
+/// claimant under self-scheduling.
 fn region_node(region: &RegionMark) -> SpanNode {
     let mut node = SpanNode::new("region", SpanKind::Region);
     node.seconds = seconds(region.wall_ns());
     node.workers = region.workers;
     node.iterations = region.iterations;
-    node.chunk_count = if region.policy == Policy::Static.name() {
-        region.chunks
-    } else {
-        region.workers.min(region.chunks)
-    };
+    node.chunk_count = region.workers.min(region.chunks);
     node.sync_events = 1;
     node.chunk_max_seconds = seconds(region.busy_max_ns);
     #[allow(clippy::cast_precision_loss)]
@@ -465,9 +462,9 @@ impl FlightRecorder {
 
     /// Lane `lane` (the team lane running the zone task) began stepping
     /// zone `zone` of time step `step`. Unlike the chunk/claim events
-    /// these are recorded by the zone-level scheduler outside any
+    /// these are recorded by [`crate::zones::run_sharded`] outside any
     /// recorded region, so they bypass the barrier-wait bookkeeping
-    /// ([`Lane::record_raw`]) and store the step index in the event's
+    /// (`Lane::record_raw`) and store the step index in the event's
     /// `region` field. Lanes beyond the recorder's are ignored (a
     /// recorder narrower than its pool); a disabled recorder is one
     /// branch.

@@ -300,7 +300,7 @@ impl Workers {
     /// one-task region or a one-lane view involves no other thread at
     /// all — so tasks must not wait on one another.
     ///
-    /// This is the primitive beneath [`crate::doacross`]; prefer the
+    /// This is the primitive beneath [`mod@crate::doacross`]; prefer the
     /// higher-level entry points.
     ///
     /// # Panics
@@ -330,13 +330,33 @@ fn flight_force_enabled() -> bool {
 /// The machine-default worker count: `LLP_WORKERS` when set to a
 /// positive integer, else [`std::thread::available_parallelism`],
 /// else 1. Values that fail to parse (or are zero) are rejected with a
-/// stderr warning via [`crate::env::positive_usize`] rather than
-/// panicking — a service must not die on a typo'd environment.
+/// stderr warning rather than panicking — a service must not die on a
+/// typo'd environment, nor silently ignore one.
 #[must_use]
 pub fn default_worker_count() -> usize {
-    crate::env::positive_usize("LLP_WORKERS").unwrap_or_else(|| {
+    positive_usize("LLP_WORKERS").unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     })
+}
+
+/// Read `name` as a positive (non-zero) `usize`: `None` when it is
+/// unset, and also when it is set to something unusable — `0`, a
+/// negative number, a value that overflows `usize`, or non-numeric
+/// garbage — after a one-line warning on stderr naming the variable,
+/// the value and the fallback. Surrounding whitespace is tolerated.
+fn positive_usize(name: &str) -> Option<usize> {
+    let raw = std::env::var(name).ok()?;
+    let trimmed = raw.trim();
+    let why = match trimmed.parse::<usize>() {
+        Ok(n) if n > 0 => return Some(n),
+        Ok(_) => "must be a positive integer",
+        Err(e) if matches!(e.kind(), std::num::IntErrorKind::PosOverflow) => {
+            "overflows the machine word"
+        }
+        Err(_) => "is not a positive integer",
+    };
+    eprintln!("warning: ignoring {name}={trimmed:?}: {why}; using the default instead");
+    None
 }
 
 /// The atomic chunk-claim counters behind the dynamic (self-scheduling)
@@ -448,6 +468,47 @@ mod tests {
         fn limit(&self) -> usize {
             self.blocks.last().map_or(0, |block| block.end)
         }
+    }
+
+    // Each `positive_usize` test owns a unique variable name: tests run
+    // concurrently in one process, and the environment is
+    // process-global.
+
+    #[test]
+    fn unset_is_none() {
+        assert_eq!(positive_usize("LLP_ENV_TEST_UNSET"), None);
+    }
+
+    #[test]
+    fn well_formed_value_parses() {
+        std::env::set_var("LLP_ENV_TEST_OK", "8");
+        assert_eq!(positive_usize("LLP_ENV_TEST_OK"), Some(8));
+    }
+
+    #[test]
+    fn whitespace_is_tolerated() {
+        std::env::set_var("LLP_ENV_TEST_WS", "  12  ");
+        assert_eq!(positive_usize("LLP_ENV_TEST_WS"), Some(12));
+    }
+
+    #[test]
+    fn zero_is_rejected() {
+        std::env::set_var("LLP_ENV_TEST_ZERO", "0");
+        assert_eq!(positive_usize("LLP_ENV_TEST_ZERO"), None);
+    }
+
+    #[test]
+    fn overflow_is_rejected() {
+        std::env::set_var("LLP_ENV_TEST_OVERFLOW", "99999999999999999999999999");
+        assert_eq!(positive_usize("LLP_ENV_TEST_OVERFLOW"), None);
+    }
+
+    #[test]
+    fn garbage_is_rejected() {
+        std::env::set_var("LLP_ENV_TEST_GARBAGE", "eight");
+        assert_eq!(positive_usize("LLP_ENV_TEST_GARBAGE"), None);
+        std::env::set_var("LLP_ENV_TEST_NEGATIVE", "-4");
+        assert_eq!(positive_usize("LLP_ENV_TEST_NEGATIVE"), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! most `P` contiguous chunks, the largest holding `ceil(N / P)`
 //! iterations. The runtime of the region is then proportional to the
 //! largest chunk, producing the stair-step curve. This module computes
-//! those chunk bounds; [`crate::doacross`] executes them.
+//! those chunk bounds; [`mod@crate::doacross`] executes them.
 
 use std::ops::Range;
 

@@ -75,4 +75,29 @@ fn helpers_are_spawned_once_and_joined_with_the_last_handle() {
     assert_eq!(threads(), Some(before + 3));
     drop(narrow);
     assert_eq!(threads_after_join(before), Some(before));
+
+    // Zone steps run on the team too: whatever the shard count, the
+    // caller plus the team's three helpers, never a thread per shard
+    // on top.
+    let pool = Workers::new(4);
+    let peak = AtomicUsize::new(0);
+    for shards in [2, 4] {
+        let mut blocks = vec![0u64; 4];
+        for step in 0..50 {
+            llp::zones::run_sharded(&pool, shards, step, &mut blocks, |_, loops, z| {
+                // A loop region as wide as the pool, so the zone asks
+                // for every helper it can get.
+                loops.region(4, |_, _| {});
+                peak.fetch_max(threads().unwrap_or(0), Ordering::Relaxed);
+                *z += 1;
+            });
+        }
+        assert_eq!(blocks, vec![50; 4], "shards={shards}");
+        let peak = peak.load(Ordering::Relaxed);
+        assert!(peak > before, "shards={shards}: the team was used");
+        assert!(
+            peak <= before + 3,
+            "shards={shards}: {peak} threads, {before} before"
+        );
+    }
 }

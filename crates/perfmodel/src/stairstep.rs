@@ -118,7 +118,7 @@ pub fn table3() -> Vec<(u32, u64, f64)> {
 /// lifts the stair-step ceiling — the per-zone loop extent — by
 /// running zones concurrently on processor teams, at the price of
 /// zone-level load imbalance. This is the apportionment the MLP model
-/// and its ablation share; the runtime for it is the `zones` crate.
+/// and its ablation share; the runtime for it is `llp::zones`.
 ///
 /// Partition `total` processors across `weights.len()` teams,
 /// proportional to the weights, each team receiving at least one

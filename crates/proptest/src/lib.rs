@@ -8,7 +8,7 @@
 //! * the [`proptest!`] macro (with optional
 //!   `#![proptest_config(ProptestConfig::with_cases(n))]`),
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assume!`],
-//! * [`Strategy`] with `prop_map` / `prop_filter`,
+//! * [`Strategy`](strategy::Strategy) with `prop_map` / `prop_filter`,
 //! * range strategies for the primitive integer and float types,
 //!   tuple and fixed-array strategies,
 //! * `prop::collection::vec` and `prop::array::uniform{5,25}`.

@@ -196,7 +196,7 @@ pub mod prop {
         use crate::strategy::{Rejected, Strategy};
         use crate::test_runner::TestRng;
 
-        /// Length specification for [`vec`]: a fixed size or a range.
+        /// Length specification for [`vec()`]: a fixed size or a range.
         #[derive(Debug, Clone)]
         pub struct SizeRange {
             lo: usize,
@@ -236,7 +236,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

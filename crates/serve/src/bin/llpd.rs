@@ -15,15 +15,13 @@
 //! (entries; 0 disables caching — identical in-flight solves still
 //! coalesce).
 //!
-//! `--memory-budget` (or the `LLPD_MEM_BUDGET` environment variable)
-//! caps the estimated per-solve memory footprint in bytes; over-budget
-//! solves are rejected with 413 before any pool work. Unset admits
-//! everything. The cap is per solve, and up to `--workers` solves run
+//! `--memory-budget` caps the estimated per-solve memory footprint in
+//! bytes; over-budget solves are rejected with 413 before any pool
+//! work. Unset admits everything. The cap is per solve, and up to `--workers` solves run
 //! at once.
 //!
-//! `--tune-db` (or the `LLPD_TUNE_DB` environment variable) names a
-//! tune database to load at startup; `"schedule": "auto"` solves and
-//! `/v1/advise` resolve against it. A database that fails to load is
+//! `--tune-db` names a tune database to load at startup; `"schedule":
+//! "auto"` solves and `/v1/advise` resolve against it. A database that fails to load is
 //! warned about and skipped — the server still starts.
 //!
 //! `--telemetry-window-ms` sets the width of the continuous-telemetry
@@ -119,11 +117,11 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Paths), String> {
     Ok((config, paths))
 }
 
-/// Load the startup tune database: the `--tune-db` flag wins, else
-/// `LLPD_TUNE_DB`. Load failures warn and fall back to serving
-/// untuned — a stale path must not keep the daemon down.
-fn load_tune_db(flag: Option<PathBuf>) -> Option<tune::TuneDb> {
-    let path = flag.or_else(|| llp::env::path("LLPD_TUNE_DB"))?;
+/// Load the startup tune database named by `--tune-db`. Load failures
+/// warn and fall back to serving untuned — a stale path must not keep
+/// the daemon down.
+fn load_tune_db(path: Option<PathBuf>) -> Option<tune::TuneDb> {
+    let path = path?;
     match tune::TuneDb::load(&path) {
         Ok(db) => {
             eprintln!(
@@ -168,9 +166,6 @@ fn main() {
         }
     };
     config.tune_db = load_tune_db(paths.tune_db);
-    if config.memory_budget.is_none() {
-        config.memory_budget = llp::env::positive_usize("LLPD_MEM_BUDGET").map(|v| v as u64);
-    }
     let workers = config.workers;
     let server = match Server::start(config) {
         Ok(server) => server,

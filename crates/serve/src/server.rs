@@ -78,16 +78,15 @@ pub struct ServerConfig {
     /// computing it — exercises the panic-containment path exactly as a
     /// solver bug would.
     pub job_fault: Option<Arc<AtomicBool>>,
-    /// Tune database loaded at startup (`llpd --tune-db` /
-    /// `LLPD_TUNE_DB`): per-kernel configurations `"schedule": "auto"`
-    /// solves resolve against until a `POST /v1/tune` calibration
+    /// Tune database loaded at startup (`llpd --tune-db`): per-kernel
+    /// configurations `"schedule": "auto"` solves resolve against until a `POST /v1/tune` calibration
     /// replaces it. The database names its solver; it seeds that
     /// solver's slot and other solvers start untuned.
     pub tune_db: Option<TuneDb>,
     /// Peak estimated solve footprint in bytes admitted per request
-    /// (`llpd --memory-budget` / `LLPD_MEM_BUDGET`): a solve whose
-    /// [`solver::SolverSpec::memory_usage_estimate`] exceeds the budget is
-    /// rejected with `413` before it touches the cache, the queue, or
+    /// (`llpd --memory-budget`): a solve whose
+    /// [`solver::SolverSpec::memory_usage_estimate`] exceeds the budget
+    /// is rejected with `413` before it touches the cache, the queue, or
     /// the pool. `None` (the default) admits everything.
     pub memory_budget: Option<u64>,
     /// Width of one telemetry window in milliseconds (`/v1/stats`).

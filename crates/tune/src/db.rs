@@ -76,9 +76,9 @@ impl TuneEntry {
             .as_str()
             .ok_or("kernel must be a string")?
             .to_string();
-        // The file is outside input (`--tune-db`, `LLPD_TUNE_DB`) and
-        // these fields configure a pool view and its schedule: a value
-        // no calibration can write must not load.
+        // The file is outside input (`llpd --tune-db`) and these
+        // fields configure a pool view and its schedule: a value no
+        // calibration can write must not load.
         let in_entry = |e: String| format!("entry {kernel:?}: {e}");
         let workers = field("workers")?
             .as_usize()
