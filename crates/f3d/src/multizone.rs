@@ -247,13 +247,13 @@ mod tests {
         pool.set_flight(llp::FlightRecorder::enabled(2, 256));
         s.step_zone_parallel(&pool, 2, None, 0);
         let timeline = pool.flight().take_timeline();
-        let starts: usize = timeline
+        let zones: usize = timeline
             .lanes
             .iter()
             .flat_map(|l| &l.events)
-            .filter(|e| e.kind == llp::obs::EventKind::ZoneStart)
+            .filter(|e| e.kind() == llp::obs::EventKind::Zone)
             .count();
-        assert_eq!(starts, 3, "one zone-start per zone");
+        assert_eq!(zones, 3, "one zone interval per zone");
 
         // More shards than workers: every zone task still lands, on one
         // of the two team lanes that ran it.
@@ -267,18 +267,16 @@ mod tests {
         let mut seen = std::collections::BTreeMap::new();
         for (lane, l) in timeline.lanes.iter().enumerate() {
             for e in &l.events {
-                let end = match e.kind {
-                    llp::obs::EventKind::ZoneStart => 0,
-                    llp::obs::EventKind::ZoneEnd => 1,
-                    _ => continue,
-                };
+                if e.kind() != llp::obs::EventKind::Zone {
+                    continue;
+                }
                 assert!(lane < 2, "lane {lane}");
-                let counts = seen.entry((e.region, e.arg)).or_insert([0, 0]);
-                counts[end] += 1;
+                assert!(e.start_ns <= e.end_ns, "{e:?}");
+                *seen.entry((e.region(), e.arg)).or_insert(0) += 1;
             }
         }
         assert_eq!(seen.len(), 40, "every zone task of every step");
-        assert!(seen.values().all(|&c| c == [1, 1]), "{seen:?}");
+        assert!(seen.values().all(|&c| c == 1), "{seen:?}");
     }
 
     #[test]

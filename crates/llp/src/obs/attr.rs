@@ -28,10 +28,8 @@
 //! integration test and the worked example in `DESIGN.md` both assert /
 //! show that bound.
 
-use std::sync::Arc;
-
 use crate::obs::json::Json;
-use crate::obs::timeline::{EventKind, Timeline};
+use crate::obs::timeline::{EventKind, RegionMark, Timeline, TimelineEvent};
 use perfmodel::{OverheadBound, PAPER_OVERHEAD_FRACTION};
 
 /// Where one worker lane's time went, summed over a timeline.
@@ -47,7 +45,8 @@ pub struct WorkerAttribution {
     pub claim_ns: u64,
     /// Chunks this lane executed.
     pub chunks: u64,
-    /// Empty claims (one per dynamic region the lane participated in).
+    /// Empty claims: one per claimant task the lane ran (a lane may run
+    /// several claimants of one self-scheduled region).
     pub claim_misses: u64,
     /// Nanoseconds this lane (the team lane that ran zone tasks) spent
     /// stepping zones — zone-scheduler occupancy, measured outside the
@@ -86,24 +85,11 @@ impl WorkerAttribution {
 }
 
 /// One region's compute/sync split against its wall time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionAttribution {
-    /// Region sequence number.
-    pub seq: u64,
-    /// Wall nanoseconds from region entry to barrier completion.
-    pub wall_ns: u64,
-    /// Parallel-loop extent.
-    pub iterations: u64,
-    /// Chunks the schedule cut.
-    pub chunks: usize,
-    /// Lanes that executed the region.
-    pub lanes: usize,
-    /// Worker count of the executing team.
-    pub workers: usize,
-    /// Scheduling policy name.
-    pub policy: &'static str,
-    /// The kernel the coordinator log places the region in.
-    pub kernel: Option<Arc<str>>,
+    /// The coordinator's mark for the region: sequence number, wall
+    /// time, extent, widths, policy and kernel.
+    pub mark: RegionMark,
     /// Total chunk-execution nanoseconds across lanes.
     pub compute_ns: u64,
     /// Total barrier-wait nanoseconds across lanes.
@@ -121,13 +107,13 @@ impl RegionAttribution {
 
     fn to_json(&self) -> Json {
         Json::object(vec![
-            ("seq", Json::from_u64(self.seq)),
-            ("wall_ns", Json::from_u64(self.wall_ns)),
-            ("iterations", Json::from_u64(self.iterations)),
-            ("chunks", Json::from_usize(self.chunks)),
-            ("lanes", Json::from_usize(self.lanes)),
-            ("workers", Json::from_usize(self.workers)),
-            ("policy", Json::str(self.policy)),
+            ("seq", Json::from_u64(self.mark.seq)),
+            ("wall_ns", Json::from_u64(self.mark.wall_ns())),
+            ("iterations", Json::from_u64(self.mark.iterations)),
+            ("chunks", Json::from_usize(self.mark.chunks)),
+            ("lanes", Json::from_usize(self.mark.lanes)),
+            ("workers", Json::from_usize(self.mark.workers)),
+            ("policy", Json::str(self.mark.policy)),
             ("compute_ns", Json::from_u64(self.compute_ns)),
             ("barrier_ns", Json::from_u64(self.barrier_ns)),
             ("claim_ns", Json::from_u64(self.claim_ns)),
@@ -239,11 +225,8 @@ pub struct AttributionReport {
 }
 
 impl AttributionReport {
-    /// Derive the attribution from a drained timeline.
-    ///
-    /// Chunk compute time is the span between matching
-    /// [`EventKind::ChunkStart`] / [`EventKind::ChunkEnd`] pairs on the
-    /// same lane; unpaired starts (ring overwrite) are ignored.
+    /// Derive the attribution from a drained timeline: each interval
+    /// bills its duration to its lane and to its region.
     #[must_use]
     pub fn from_timeline(timeline: &Timeline) -> Self {
         let mut workers: Vec<WorkerAttribution> = (0..timeline.lanes.len())
@@ -255,63 +238,47 @@ impl AttributionReport {
         let mut regions: Vec<RegionAttribution> = timeline
             .regions
             .iter()
-            .map(|r| RegionAttribution {
-                seq: r.seq,
-                wall_ns: r.wall_ns(),
-                iterations: r.iterations,
-                chunks: r.chunks,
-                lanes: r.lanes,
-                workers: r.workers,
-                policy: r.policy,
-                kernel: r.kernel.clone(),
-                ..RegionAttribution::default()
+            .map(|mark| RegionAttribution {
+                mark: mark.clone(),
+                compute_ns: 0,
+                barrier_ns: 0,
+                claim_ns: 0,
             })
             .collect();
         // `timeline.regions` is in sequence order (its contract), so
-        // `regions` is too, index for index. An event whose region has
-        // no mark (a session abandoned before its barrier) counts in
+        // `regions` is too, index for index. An interval whose region
+        // has no mark (a session abandoned before its barrier) counts in
         // its lane's totals and in no region.
         let region_index = |seq: u64| timeline.regions.binary_search_by_key(&seq, |r| r.seq).ok();
-        for (lane, data) in timeline.lanes.iter().enumerate() {
-            let w = &mut workers[lane];
-            let mut open_start: Option<(u64, u64)> = None; // (ts, chunk)
-            let mut open_zone: Option<(u64, u64)> = None; // (ts, zone)
+        for (w, data) in workers.iter_mut().zip(&timeline.lanes) {
             for e in &data.events {
-                match e.kind {
-                    EventKind::ChunkStart => open_start = Some((e.ts_ns, e.arg)),
-                    EventKind::ChunkEnd => {
-                        if let Some((start, chunk)) = open_start.take() {
-                            if chunk == e.arg && e.ts_ns >= start {
-                                let dur = e.ts_ns - start;
-                                w.compute_ns += dur;
-                                w.chunks += 1;
-                                if let Some(ri) = region_index(e.region) {
-                                    regions[ri].compute_ns += dur;
-                                }
-                            }
+                let ns = e.dur_ns();
+                // A zone's region is its time step: it bills no region.
+                let region = region_index(e.region()).map(|ri| &mut regions[ri]);
+                match e.kind() {
+                    EventKind::Chunk => {
+                        w.compute_ns += ns;
+                        w.chunks += 1;
+                        if let Some(r) = region {
+                            r.compute_ns += ns;
                         }
                     }
-                    EventKind::BarrierWait => {
-                        w.barrier_ns += e.arg;
-                        if let Some(ri) = region_index(e.region) {
-                            regions[ri].barrier_ns += e.arg;
+                    EventKind::Claim => {
+                        w.claim_ns += ns;
+                        w.claim_misses += u64::from(e.arg == TimelineEvent::NO_CHUNK);
+                        if let Some(r) = region {
+                            r.claim_ns += ns;
                         }
                     }
-                    EventKind::ClaimWait => {
-                        w.claim_ns += e.arg;
-                        if let Some(ri) = region_index(e.region) {
-                            regions[ri].claim_ns += e.arg;
+                    EventKind::Barrier => {
+                        w.barrier_ns += ns;
+                        if let Some(r) = region {
+                            r.barrier_ns += ns;
                         }
                     }
-                    EventKind::ClaimMiss => w.claim_misses += 1,
-                    EventKind::ZoneStart => open_zone = Some((e.ts_ns, e.arg)),
-                    EventKind::ZoneEnd => {
-                        if let Some((start, zone)) = open_zone.take() {
-                            if zone == e.arg && e.ts_ns >= start {
-                                w.zone_ns += e.ts_ns - start;
-                                w.zone_tasks += 1;
-                            }
-                        }
+                    EventKind::Zone => {
+                        w.zone_ns += ns;
+                        w.zone_tasks += 1;
                     }
                 }
             }
@@ -423,7 +390,7 @@ impl AttributionReport {
         let measured: Vec<&RegionAttribution> = self
             .regions
             .iter()
-            .filter(|r| r.compute_ns > 0 && r.lanes > 0)
+            .filter(|r| r.compute_ns > 0 && r.mark.lanes > 0)
             .collect();
         if measured.is_empty() {
             return None;
@@ -433,13 +400,13 @@ impl AttributionReport {
         #[allow(clippy::cast_precision_loss)]
         let sync_cost_ns = measured
             .iter()
-            .map(|r| r.sync_ns() as f64 / r.lanes as f64)
+            .map(|r| r.sync_ns() as f64 / r.mark.lanes as f64)
             .sum::<f64>()
             / count;
         #[allow(clippy::cast_precision_loss)]
         let work_per_region_ns = measured.iter().map(|r| r.compute_ns as f64).sum::<f64>() / count;
         #[allow(clippy::cast_precision_loss)]
-        let mean_lanes = measured.iter().map(|r| r.lanes as f64).sum::<f64>() / count;
+        let mean_lanes = measured.iter().map(|r| r.mark.lanes as f64).sum::<f64>() / count;
         let bound = OverheadBound::paper_default(sync_cost_ns.round() as u64);
         let p = (mean_lanes.round() as u32).max(1);
         let modeled_fraction = bound.overhead_fraction(work_per_region_ns.round() as u64, p);
@@ -449,11 +416,11 @@ impl AttributionReport {
         #[allow(clippy::cast_precision_loss)]
         let measured_fraction = measured
             .iter()
-            .map(|r| r.sync_ns() as f64 / r.lanes as f64)
+            .map(|r| r.sync_ns() as f64 / r.mark.lanes as f64)
             .sum::<f64>()
             / measured
                 .iter()
-                .map(|r| r.compute_ns as f64 / r.lanes as f64)
+                .map(|r| r.compute_ns as f64 / r.mark.lanes as f64)
                 .sum::<f64>();
         Some(ModelCheck {
             sync_cost_ns,
@@ -529,7 +496,7 @@ pub fn kernel_overheads(attr: &AttributionReport) -> Vec<KernelOverhead> {
     let global_sync_cost = attr.model_check().map_or(0.0, |c| c.sync_cost_ns);
     let mut rows: Vec<KernelOverhead> = Vec::new();
     for region in &attr.regions {
-        let kernel = region.kernel.as_deref().unwrap_or("(no kernel)");
+        let kernel = region.mark.kernel.as_deref().unwrap_or("(no kernel)");
         let row = match rows.iter_mut().find(|r| r.kernel == kernel) {
             Some(row) => row,
             None => {
@@ -541,14 +508,14 @@ pub fn kernel_overheads(attr: &AttributionReport) -> Vec<KernelOverhead> {
             }
         };
         row.regions += 1;
-        row.wall_ns += region.wall_ns;
-        row.iterations += region.iterations;
+        row.wall_ns += region.mark.wall_ns();
+        row.iterations += region.mark.iterations;
         row.compute_ns += region.compute_ns;
         row.barrier_ns += region.barrier_ns;
         row.claim_ns += region.claim_ns;
         #[allow(clippy::cast_precision_loss)]
         {
-            row.mean_lanes += region.lanes as f64;
+            row.mean_lanes += region.mark.lanes as f64;
         }
     }
     for row in &mut rows {
@@ -582,23 +549,50 @@ pub fn kernel_overheads(attr: &AttributionReport) -> Vec<KernelOverhead> {
 mod tests {
     use super::*;
     use crate::obs::report::SpanKind;
-    use crate::obs::timeline::{FlightRecorder, TimelineEvent};
+    use crate::obs::timeline::{FlightRecorder, LaneTimeline};
 
-    /// A synthetic two-lane timeline: lane 0 computes 100 µs, lane 1
-    /// computes 60 µs then waits 40 µs at the barrier; both claim once.
+    /// A synthetic two-lane region: lane 0 claims for 2 µs, computes
+    /// 100 µs and waits 0.5 µs at the barrier; lane 1 claims for 3 µs,
+    /// computes 60 µs then waits 39.5 µs. Each ends with an empty claim.
     fn synthetic() -> Timeline {
-        let fr = FlightRecorder::enabled(2, 64);
-        let s = fr.begin_region(2, 100, 2, "dynamic").unwrap();
-        s.claim_wait(0, 2_000);
-        s.chunk_start(0, 0);
-        s.chunk_end(0, 0);
-        s.claim_wait(1, 3_000);
-        s.chunk_start(1, 1);
-        s.chunk_end(1, 1);
-        s.claim_miss(0);
-        s.claim_miss(1);
-        s.finish();
-        fr.take_timeline()
+        use EventKind::{Barrier, Chunk, Claim};
+        let miss = TimelineEvent::NO_CHUNK;
+        let lane = |slices: &[(EventKind, u64, u64, u64)]| LaneTimeline {
+            events: slices
+                .iter()
+                .map(|&(kind, start, end, arg)| TimelineEvent::new(kind, start, end, arg, 0))
+                .collect(),
+            dropped: 0,
+        };
+        Timeline {
+            lanes: vec![
+                lane(&[
+                    (Claim, 0, 2_000, 0),
+                    (Chunk, 2_000, 102_000, 0),
+                    (Claim, 102_000, 102_000, miss),
+                    (Barrier, 102_000, 102_500, 0),
+                ]),
+                lane(&[
+                    (Claim, 0, 3_000, 1),
+                    (Chunk, 3_000, 63_000, 1),
+                    (Claim, 63_000, 63_000, miss),
+                    (Barrier, 63_000, 102_500, 0),
+                ]),
+            ],
+            regions: vec![RegionMark {
+                seq: 0,
+                start_ns: 0,
+                end_ns: 102_500,
+                iterations: 100,
+                chunks: 2,
+                lanes: 2,
+                workers: 2,
+                policy: "dynamic",
+                kernel: None,
+                busy_max_ns: 102_000,
+                busy_sum_ns: 165_000,
+            }],
+        }
     }
 
     #[test]
@@ -608,69 +602,92 @@ mod tests {
         assert_eq!(a.workers.len(), 2);
         assert_eq!(a.workers[0].chunks, 1);
         assert_eq!(a.workers[1].chunks, 1);
+        assert_eq!(a.workers[0].compute_ns, 100_000);
+        assert_eq!(a.workers[1].compute_ns, 60_000);
         assert_eq!(a.workers[0].claim_ns, 2_000);
         assert_eq!(a.workers[1].claim_ns, 3_000);
+        assert_eq!(a.workers[0].barrier_ns, 500);
+        assert_eq!(a.workers[1].barrier_ns, 39_500);
         assert_eq!(a.workers[0].claim_misses, 1);
         assert_eq!(a.claim_ns(), 5_000);
         assert_eq!(a.regions.len(), 1);
         assert_eq!(a.regions[0].claim_ns, 5_000);
         assert_eq!(a.regions[0].compute_ns, a.compute_ns());
+        assert_eq!(a.regions[0].barrier_ns, 40_000);
         // Fractions partition the attributed time.
         let sum = a.compute_fraction() + a.barrier_fraction() + a.claim_fraction();
         assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
         assert!(a.sync_fraction() > 0.0);
-        assert!(a.imbalance() >= 1.0);
+        assert!((a.imbalance() - 1.25).abs() < 1e-9);
         assert_eq!(a.dropped_events, 0);
 
         // Four regions, the second abandoned before its barrier (its
         // session dropped without `finish`, as a panicking region's
-        // is): its events are on the lanes but it has no mark, so the
-        // marks' `seq` run 0, 2, 3. Lane `l` of region `r` claims for
-        // `(l + 1) * claim[r]` ns and runs one chunk.
+        // is): its intervals are on the lanes but it has no mark and no
+        // barrier waits, so the marks' `seq` run 0, 2, 3. Lane `l` of
+        // region `r` claims for `(l + 1) * claim[r]` ns, computes one
+        // chunk for `(l + 1) * work[r]` ns and waits `(l + 1) * wait[r]`
+        // ns at the barrier: every region's and kind's total is
+        // distinct, so an interval billed to the wrong one shows.
         let claim = [1_000u64, 10_000, 100_000, 1_000_000];
-        let fr = FlightRecorder::enabled(2, 64);
-        for (seq, claim) in claim.iter().enumerate() {
-            let s = fr.begin_region(2, 100, 2, "dynamic").unwrap();
-            for lane in 0..2 {
-                s.claim_wait(lane, claim * (lane as u64 + 1));
-                s.chunk_start(lane, lane);
-                s.chunk_end(lane, lane);
+        let work = [3_000u64, 30_000, 300_000, 3_000_000];
+        let wait = [7u64, 70, 700, 7_000];
+        let mut lanes = vec![LaneTimeline::default(); 2];
+        let mut regions = Vec::new();
+        let mut t = 0;
+        for seq in 0..4 {
+            let start_ns = t;
+            for (lane, data) in lanes.iter_mut().enumerate() {
+                let k = lane as u64 + 1;
+                let mut at = start_ns;
+                let mut slice = |kind, ns, arg| {
+                    data.events
+                        .push(TimelineEvent::new(kind, at, at + ns, arg, seq));
+                    at += ns;
+                };
+                slice(EventKind::Claim, k * claim[seq as usize], lane as u64);
+                slice(EventKind::Chunk, k * work[seq as usize], lane as u64);
+                if seq != 1 {
+                    slice(EventKind::Barrier, k * wait[seq as usize], 0);
+                }
+                t = t.max(at);
             }
             if seq != 1 {
-                s.finish();
+                regions.push(RegionMark {
+                    seq,
+                    start_ns,
+                    end_ns: t,
+                    iterations: 100,
+                    chunks: 2,
+                    lanes: 2,
+                    workers: 2,
+                    policy: "dynamic",
+                    kernel: None,
+                    busy_max_ns: 2 * (claim[seq as usize] + work[seq as usize]),
+                    busy_sum_ns: 3 * (claim[seq as usize] + work[seq as usize]),
+                });
             }
         }
-        let t = fr.take_timeline();
-        let a = AttributionReport::from_timeline(&t);
-        let seqs: Vec<u64> = a.regions.iter().map(|r| r.seq).collect();
+        let a = AttributionReport::from_timeline(&Timeline { lanes, regions });
+        let seqs: Vec<u64> = a.regions.iter().map(|r| r.mark.seq).collect();
         assert_eq!(seqs, [0, 2, 3]);
-        // Each marked region gets exactly its own events; the oracle is
-        // a linear scan of every lane for one `seq`.
-        let scan = |seq: u64, kind: EventKind, field: fn(&TimelineEvent) -> u64| -> u64 {
-            let events = t.lanes.iter().flat_map(|l| &l.events);
-            events
-                .filter(|e| e.region == seq && e.kind == kind)
-                .map(field)
-                .sum()
-        };
-        let compute = |seq| {
-            scan(seq, EventKind::ChunkEnd, |e| e.ts_ns)
-                - scan(seq, EventKind::ChunkStart, |e| e.ts_ns)
-        };
+        // Each marked region gets exactly its own intervals.
         for r in &a.regions {
-            assert_eq!(r.claim_ns, 3 * claim[r.seq as usize], "region {}", r.seq);
-            assert_eq!(r.compute_ns, compute(r.seq), "region {}", r.seq);
-            let waits = scan(r.seq, EventKind::BarrierWait, |e| e.arg);
-            assert_eq!(r.barrier_ns, waits, "region {}", r.seq);
+            let seq = r.mark.seq as usize;
+            assert_eq!(r.claim_ns, 3 * claim[seq], "region {seq}");
+            assert_eq!(r.compute_ns, 3 * work[seq], "region {seq}");
+            assert_eq!(r.barrier_ns, 3 * wait[seq], "region {seq}");
         }
-        // The unmarked region's events still count per worker — and in
-        // no region (it never reached its barrier, so it has no waits).
+        // The unmarked region's intervals still count per worker — and
+        // in no region.
         assert_eq!(a.workers[0].chunks, 4);
         assert_eq!(a.workers[1].chunks, 4);
         assert_eq!(a.claim_ns(), 3 * claim.iter().sum::<u64>());
+        assert_eq!(a.compute_ns(), 3 * work.iter().sum::<u64>());
+        assert_eq!(a.barrier_ns(), 3 * (wait.iter().sum::<u64>() - wait[1]));
         let in_regions = |f: fn(&RegionAttribution) -> u64| a.regions.iter().map(f).sum::<u64>();
         assert_eq!(a.claim_ns() - in_regions(|r| r.claim_ns), 3 * claim[1]);
-        assert_eq!(a.compute_ns() - in_regions(|r| r.compute_ns), compute(1));
+        assert_eq!(a.compute_ns() - in_regions(|r| r.compute_ns), 3 * work[1]);
         assert_eq!(a.barrier_ns(), in_regions(|r| r.barrier_ns));
     }
 
@@ -691,15 +708,9 @@ mod tests {
     #[test]
     fn zone_events_attribute_shard_occupancy() {
         let fr = FlightRecorder::enabled(2, 64);
-        fr.zone_start(0, 0, 0);
-        fr.zone_end(0, 0, 0);
-        fr.zone_start(1, 1, 0);
-        fr.zone_end(1, 1, 0);
-        fr.zone_start(0, 2, 1);
-        fr.zone_end(0, 2, 1);
-        // An unmatched start (e.g. ring overwrite ate the end) is
-        // ignored, as is a mismatched zone id.
-        fr.zone_start(1, 3, 1);
+        fr.zone(0, 0, 0, || ());
+        fr.zone(1, 1, 0, || ());
+        fr.zone(0, 2, 1, || ());
         let a = AttributionReport::from_timeline(&fr.take_timeline());
         assert_eq!(a.workers[0].zone_tasks, 2);
         assert_eq!(a.workers[1].zone_tasks, 1);

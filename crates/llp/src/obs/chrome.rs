@@ -11,7 +11,7 @@
 
 use crate::obs::attr::AttributionReport;
 use crate::obs::json::Json;
-use crate::obs::timeline::{EventKind, Timeline};
+use crate::obs::timeline::{EventKind, Timeline, TimelineEvent};
 
 /// `tid` used for the coordinator/regions track (lanes use their own
 /// index, so the track sits above every lane that can exist).
@@ -59,10 +59,10 @@ fn thread_name(tid: u64, name: &str) -> Json {
 /// Render `timeline` as a Chrome trace-event JSON document
 /// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
 ///
-/// Within every worker track the slice `ts` values are monotonically
-/// non-decreasing — wait slices are anchored so they *end* at their
-/// event timestamp and start after the preceding slice — which is what
-/// the serve integration test asserts on the `?trace=chrome` download.
+/// Every interval of a lane becomes one slice, in ring order. A lane's
+/// intervals never overlap, so within every worker track the slice
+/// `ts` values are monotonically non-decreasing — which is what the
+/// serve integration test asserts on the `?trace=chrome` download.
 #[must_use]
 pub fn chrome_trace(timeline: &Timeline) -> Json {
     let mut events: Vec<Json> = vec![thread_name(REGION_TRACK, "coordinator (regions)")];
@@ -85,87 +85,37 @@ pub fn chrome_trace(timeline: &Timeline) -> Json {
     for (lane, data) in timeline.lanes.iter().enumerate() {
         let tid = lane as u64;
         events.push(thread_name(tid, &format!("worker {lane}")));
-        // Track slices in event order; every emitted slice starts at or
-        // after `cursor`, so `ts` is monotone per track by construction.
-        let mut cursor = 0u64;
-        let mut open_chunk: Option<(u64, u64)> = None; // (ts, chunk)
-        let mut open_zone: Option<(u64, u64)> = None; // (ts, zone)
         for e in &data.events {
-            match e.kind {
-                EventKind::ChunkStart => open_chunk = Some((e.ts_ns, e.arg)),
-                EventKind::ChunkEnd => {
-                    if let Some((start, chunk)) = open_chunk.take() {
-                        if chunk == e.arg && e.ts_ns >= start {
-                            let start = start.max(cursor);
-                            events.push(slice(
-                                &format!("chunk {chunk}"),
-                                "compute",
-                                start,
-                                e.ts_ns.saturating_sub(start),
-                                tid,
-                                vec![
-                                    ("chunk", Json::from_u64(chunk)),
-                                    ("region", Json::from_u64(e.region)),
-                                ],
-                            ));
-                            cursor = e.ts_ns;
-                        }
-                    }
-                }
-                EventKind::BarrierWait | EventKind::ClaimWait => {
-                    // The event fires when the wait *ends*; anchor the
-                    // slice so it ends there without crossing `cursor`.
-                    let start = e.ts_ns.saturating_sub(e.arg).max(cursor);
-                    let name = if e.kind == EventKind::BarrierWait {
-                        "barrier"
-                    } else {
-                        "claim"
-                    };
-                    events.push(slice(
-                        name,
-                        "sync",
-                        start,
-                        e.ts_ns.saturating_sub(start),
-                        tid,
-                        vec![
-                            ("wait_ns", Json::from_u64(e.arg)),
-                            ("region", Json::from_u64(e.region)),
-                        ],
-                    ));
-                    cursor = e.ts_ns;
-                }
-                EventKind::ClaimMiss => {
-                    events.push(Json::object(vec![
-                        ("name", Json::str("claim miss")),
-                        ("cat", Json::str("sync")),
-                        ("ph", Json::str("i")),
-                        ("s", Json::str("t")),
-                        ("ts", Json::Num(us(e.ts_ns.max(cursor)))),
-                        ("pid", Json::from_u64(1)),
-                        ("tid", Json::from_u64(tid)),
-                    ]));
-                    cursor = cursor.max(e.ts_ns);
-                }
-                EventKind::ZoneStart => open_zone = Some((e.ts_ns, e.arg)),
-                EventKind::ZoneEnd => {
-                    if let Some((start, zone)) = open_zone.take() {
-                        if zone == e.arg && e.ts_ns >= start {
-                            let start = start.max(cursor);
-                            events.push(slice(
-                                &format!("zone {zone}"),
-                                "zone",
-                                start,
-                                e.ts_ns.saturating_sub(start),
-                                tid,
-                                vec![
-                                    ("zone", Json::from_u64(zone)),
-                                    ("step", Json::from_u64(e.region)),
-                                ],
-                            ));
-                            cursor = e.ts_ns;
-                        }
-                    }
-                }
+            let region = ("region", Json::from_u64(e.region()));
+            let wait = ("wait_ns", Json::from_u64(e.dur_ns()));
+            let (name, cat, args) = match e.kind() {
+                EventKind::Chunk => (
+                    format!("chunk {}", e.arg),
+                    "compute",
+                    vec![("chunk", Json::from_u64(e.arg)), region],
+                ),
+                EventKind::Claim => ("claim".to_string(), "sync", vec![wait, region]),
+                EventKind::Barrier => ("barrier".to_string(), "sync", vec![wait, region]),
+                EventKind::Zone => (
+                    format!("zone {}", e.arg),
+                    "zone",
+                    vec![
+                        ("zone", Json::from_u64(e.arg)),
+                        ("step", Json::from_u64(e.region())),
+                    ],
+                ),
+            };
+            events.push(slice(&name, cat, e.start_ns, e.dur_ns(), tid, args));
+            if e.kind() == EventKind::Claim && e.arg == TimelineEvent::NO_CHUNK {
+                events.push(Json::object(vec![
+                    ("name", Json::str("claim miss")),
+                    ("cat", Json::str("sync")),
+                    ("ph", Json::str("i")),
+                    ("s", Json::str("t")),
+                    ("ts", Json::Num(us(e.end_ns))),
+                    ("pid", Json::from_u64(1)),
+                    ("tid", Json::from_u64(tid)),
+                ]));
             }
         }
     }
@@ -203,17 +153,15 @@ mod tests {
     fn sample() -> Timeline {
         let fr = FlightRecorder::enabled(2, 64);
         let s = fr.begin_region(2, 40, 4, "dynamic").unwrap();
-        s.claim_wait(0, 500);
-        s.chunk_start(0, 0);
-        s.chunk_end(0, 0);
-        s.claim_wait(0, 300);
-        s.chunk_start(0, 2);
-        s.chunk_end(0, 2);
-        s.claim_miss(0);
-        s.claim_wait(1, 200);
-        s.chunk_start(1, 1);
-        s.chunk_end(1, 1);
-        s.claim_miss(1);
+        let mut from = s.now_ns();
+        for chunk in [0, 2] {
+            s.claimed(0, from, Some(chunk));
+            from = s.chunk_end(0, chunk);
+        }
+        s.claimed(0, from, None);
+        s.claimed(1, s.now_ns(), Some(1));
+        let from = s.chunk_end(1, 1);
+        s.claimed(1, from, None);
         s.finish();
         fr.take_timeline()
     }
@@ -296,10 +244,8 @@ mod tests {
     #[test]
     fn zone_events_become_zone_slices() {
         let fr = FlightRecorder::enabled(2, 16);
-        fr.zone_start(0, 0, 0);
-        fr.zone_end(0, 0, 0);
-        fr.zone_start(1, 1, 0);
-        fr.zone_end(1, 1, 0);
+        fr.zone(0, 0, 0, || ());
+        fr.zone(1, 1, 0, || ());
         let doc = chrome_trace(&fr.take_timeline());
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
         let zones: Vec<&Json> = events

@@ -5,9 +5,11 @@
 //! gives the whole suite one instrument for that: the
 //! [`FlightRecorder`] ([`timeline`]). Its coordinator log holds the
 //! spans — time step → zone → kernel — and a mark per parallel region;
-//! its per-worker rings hold timestamped chunk/barrier/claim events
-//! written lock-free from inside the doacross entry points. Every
-//! document is a fold of that one recording:
+//! its per-worker rings hold completed intervals — a chunk, a claim, a
+//! barrier wait or a zone task, one ring slot each — written lock-free
+//! from inside the doacross entry points. Every document is a fold of
+//! that one recording, and each reads an interval as it is, pairing
+//! nothing:
 //!
 //! * the span tree [`ObsReport`] (wall time, sync-event counts, worker
 //!   counts, loop extents and chunk imbalance, as versioned JSON);

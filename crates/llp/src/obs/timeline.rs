@@ -9,10 +9,17 @@
 //!   structure, counts and chunk timings never depend on the rings.
 //! * **The lanes**, fixed-capacity rings of [`TimelineEvent`]s written
 //!   lock-free from inside the doacross entry points with relaxed atomic
-//!   stores only — **no allocation, no locking**. They say where each
-//!   worker's time went (computing a chunk, waiting at the barrier,
-//!   claiming chunks). A ring that wraps loses its oldest events, and
-//!   [`Timeline::dropped_events`] counts the loss.
+//!   stores only — **no allocation, no locking**. Each slot holds one
+//!   completed interval of one [`EventKind`] — a chunk computed, a
+//!   chunk claimed, a barrier waited at, a zone stepped — so a lane
+//!   says where its worker's time went without any reader pairing a
+//!   start with an end. A ring that wraps loses its oldest intervals,
+//!   and [`Timeline::dropped_events`] counts the loss.
+//!
+//! One ring write per static chunk, two per self-scheduled chunk (its
+//! claim and the chunk), one for a claimant's final, empty claim, one
+//! barrier wait per lane per region and one per zone task: a chunk's
+//! start is only a stamp in the lane's bookkeeping, closed by its end.
 //!
 //! The report and the timeline drain separate parts of the log
 //! (span marks and region marks), so either may be taken first and
@@ -51,74 +58,93 @@ use std::time::Instant;
 use crate::obs::report::{ObsReport, SpanKind, SpanNode, REPORT_SCHEMA_VERSION};
 
 /// Default per-lane event capacity for [`FlightRecorder::enabled`]
-/// callers that have no better number (≈128 KiB per lane).
+/// callers that have no better number (128 KiB per lane).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-/// What a worker was doing at a timeline instant.
+/// What a lane spent one interval of its timeline doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A worker began executing chunk `arg` of the current region.
-    ChunkStart,
-    /// A worker finished executing chunk `arg`.
-    ChunkEnd,
-    /// A worker sat `arg` nanoseconds between its last event and the
-    /// region barrier completing (recorded at region exit).
-    BarrierWait,
-    /// A worker spent `arg` nanoseconds getting its next chunk from the
-    /// [`crate::ChunkClaimer`] — from the end of its previous chunk (or
-    /// its start as a claimant) to the claim's return (dynamic/guided
-    /// scheduling only).
-    ClaimWait,
-    /// A claim came back empty: the chunk list was exhausted and the
-    /// worker headed for the barrier.
-    ClaimMiss,
-    /// A zone shard began stepping zone `arg` (`region` carries the
-    /// time-step index). Recorded by the zone-level scheduler, outside
-    /// any parallel region.
-    ZoneStart,
-    /// A zone shard finished stepping zone `arg`.
-    ZoneEnd,
+    /// Executing chunk `arg` of the region.
+    Chunk,
+    /// Getting a chunk from the [`crate::ChunkClaimer`]: from the end of
+    /// the lane's previous chunk (or its start as a claimant) to the
+    /// claim's return (dynamic/guided scheduling only). `arg` is the
+    /// chunk the claim won, or [`TimelineEvent::NO_CHUNK`] for the claim
+    /// that found the list exhausted — the miss.
+    Claim,
+    /// Idle from the lane's last interval in the region to the region's
+    /// barrier completing (recorded by [`RegionSession::finish`]).
+    Barrier,
+    /// Stepping zone `arg`; the event's region is the time-step index.
+    /// Recorded by the zone-level scheduler, outside any parallel
+    /// region.
+    Zone,
 }
 
-impl EventKind {
-    fn code(self) -> u64 {
-        match self {
-            EventKind::ChunkStart => 0,
-            EventKind::ChunkEnd => 1,
-            EventKind::BarrierWait => 2,
-            EventKind::ClaimWait => 3,
-            EventKind::ClaimMiss => 4,
-            EventKind::ZoneStart => 5,
-            EventKind::ZoneEnd => 6,
-        }
-    }
+/// Every kind, indexed by its discriminant.
+const KINDS: [EventKind; 4] = [
+    EventKind::Chunk,
+    EventKind::Claim,
+    EventKind::Barrier,
+    EventKind::Zone,
+];
 
-    fn from_code(code: u64) -> Option<Self> {
-        match code {
-            0 => Some(EventKind::ChunkStart),
-            1 => Some(EventKind::ChunkEnd),
-            2 => Some(EventKind::BarrierWait),
-            3 => Some(EventKind::ClaimWait),
-            4 => Some(EventKind::ClaimMiss),
-            5 => Some(EventKind::ZoneStart),
-            6 => Some(EventKind::ZoneEnd),
-            _ => None,
-        }
-    }
-}
+/// Bits of [`TimelineEvent`]'s packed word that hold the region; the
+/// kind sits in the byte above them.
+const REGION_BITS: u32 = 56;
+const REGION_MASK: u64 = (1 << REGION_BITS) - 1;
 
-/// One captured event on one worker lane.
+/// One completed interval on one worker lane — a *slice*, the
+/// trace-event format's complete event — in 32 bytes: the kind is
+/// packed into the top byte of the region word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEvent {
-    /// Nanoseconds since the recorder's epoch.
-    pub ts_ns: u64,
-    /// Event kind.
-    pub kind: EventKind,
-    /// Kind-dependent payload: chunk index for chunk events, wait
-    /// nanoseconds for the wait events, 0 for [`EventKind::ClaimMiss`].
+    /// Start, nanoseconds since the recorder's epoch.
+    pub start_ns: u64,
+    /// End, nanoseconds since the recorder's epoch.
+    pub end_ns: u64,
+    /// Kind-dependent payload: the chunk index of a chunk, the chunk a
+    /// claim won, the zone index of a zone, 0 for a barrier wait.
     pub arg: u64,
-    /// Sequence number of the region this event belongs to.
-    pub region: u64,
+    /// The kind in the top byte, the region below it.
+    tag: u64,
+}
+
+impl TimelineEvent {
+    /// A [`EventKind::Claim`]'s `arg` when the claim found no chunk.
+    pub const NO_CHUNK: u64 = u64::MAX;
+
+    /// A `kind` interval from `start_ns` to `end_ns` in region (or, for
+    /// a zone, time step) `region`, of which the low 56 bits are kept.
+    #[must_use]
+    pub(crate) fn new(kind: EventKind, start_ns: u64, end_ns: u64, arg: u64, region: u64) -> Self {
+        debug_assert!(region <= REGION_MASK, "region {region} overflows");
+        Self {
+            start_ns,
+            end_ns,
+            arg,
+            tag: (kind as u64) << REGION_BITS | (region & REGION_MASK),
+        }
+    }
+
+    /// Event kind.
+    #[must_use]
+    pub fn kind(&self) -> EventKind {
+        KINDS[(self.tag >> REGION_BITS) as usize]
+    }
+
+    /// Sequence number of the region this interval belongs to (the
+    /// time-step index for a zone).
+    #[must_use]
+    pub fn region(&self) -> u64 {
+        self.tag & REGION_MASK
+    }
+
+    /// Nanoseconds from start to end.
+    #[must_use]
+    pub fn dur_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
+    }
 }
 
 /// Everything the coordinator knew about one completed region.
@@ -135,7 +161,7 @@ pub struct RegionMark {
     /// Number of chunks the schedule cut.
     pub chunks: usize,
     /// Lanes that executed the region: the threads that recorded an
-    /// event in it, at most [`RegionMark::workers`] — fewer when a
+    /// interval in it, at most [`RegionMark::workers`] — fewer when a
     /// helper was busy elsewhere or the region had fewer tasks.
     pub lanes: usize,
     /// Worker count of the executing view (the width it asked for).
@@ -163,9 +189,9 @@ impl RegionMark {
 /// One worker lane drained out of the recorder.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaneTimeline {
-    /// Captured events, oldest first, timestamps monotone.
+    /// Captured intervals, oldest first; none overlaps the next.
     pub events: Vec<TimelineEvent>,
-    /// Events overwritten because the ring filled (oldest are lost).
+    /// Intervals overwritten because the ring filled (oldest are lost).
     pub dropped: u64,
 }
 
@@ -179,13 +205,13 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Total captured events across all lanes.
+    /// Total captured intervals across all lanes.
     #[must_use]
     pub fn total_events(&self) -> usize {
         self.lanes.iter().map(|l| l.events.len()).sum()
     }
 
-    /// Total events lost to ring overwrite across all lanes.
+    /// Total intervals lost to ring overwrite across all lanes.
     #[must_use]
     pub fn dropped_events(&self) -> u64 {
         self.lanes.iter().map(|l| l.dropped).sum()
@@ -206,21 +232,23 @@ impl Timeline {
 #[derive(Debug)]
 struct Lane {
     head: AtomicUsize,
-    /// Timestamp of this lane's most recent event (barrier-wait input).
+    /// Where this lane's next region interval starts: the stamp of its
+    /// last chunk start, chunk end or claim.
     last_ts: AtomicU64,
-    /// Region sequence of this lane's most recent event + 1 (0 = none).
+    /// Region sequence of that stamp + 1 (0 = none).
     last_region: AtomicU64,
     /// Nanoseconds spent in chunks and claims since the last barrier.
     busy_ns: AtomicU64,
     slots: Vec<Slot>,
 }
 
+/// One ring slot: a [`TimelineEvent`]'s four words.
 #[derive(Debug, Default)]
 struct Slot {
-    ts: AtomicU64,
-    kind: AtomicU64,
+    start_ns: AtomicU64,
+    end_ns: AtomicU64,
     arg: AtomicU64,
-    region: AtomicU64,
+    tag: AtomicU64,
 }
 
 impl Lane {
@@ -234,25 +262,23 @@ impl Lane {
         }
     }
 
-    /// Append one event without touching the barrier-wait bookkeeping:
-    /// a head load and four relaxed stores into the ring slot. Used for
-    /// zone events, which happen *outside* any parallel region — they
-    /// must not make [`RegionSession::finish`] fabricate a barrier wait
-    /// for the lane.
-    fn record_raw(&self, ts_ns: u64, kind: EventKind, arg: u64, region: u64) {
+    /// Append one interval: a head load and four relaxed stores into the
+    /// ring slot, then the head store. No allocation, no lock.
+    fn write(&self, event: TimelineEvent) {
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[head % self.slots.len()];
-        slot.ts.store(ts_ns, Ordering::Relaxed);
-        slot.kind.store(kind.code(), Ordering::Relaxed);
-        slot.arg.store(arg, Ordering::Relaxed);
-        slot.region.store(region, Ordering::Relaxed);
+        slot.start_ns.store(event.start_ns, Ordering::Relaxed);
+        slot.end_ns.store(event.end_ns, Ordering::Relaxed);
+        slot.arg.store(event.arg, Ordering::Relaxed);
+        slot.tag.store(event.tag, Ordering::Relaxed);
         self.head.store(head + 1, Ordering::Relaxed);
     }
 
-    /// Append one region event. No allocation, no lock: [`Lane::record_raw`]
-    /// plus the bookkeeping stores the region barrier reads.
-    fn record(&self, ts_ns: u64, kind: EventKind, arg: u64, region: u64) {
-        self.record_raw(ts_ns, kind, arg, region);
+    /// Mark `ts_ns` in region `region` as where the lane's next interval
+    /// starts — and the lane as one that executed the region, which
+    /// earns it a barrier wait. Zone intervals, which happen outside any
+    /// region, never stamp.
+    fn stamp(&self, ts_ns: u64, region: u64) {
         self.last_ts.store(ts_ns, Ordering::Relaxed);
         self.last_region.store(region + 1, Ordering::Relaxed);
     }
@@ -274,19 +300,17 @@ impl Lane {
         let head = self.head.load(Ordering::Relaxed);
         let cap = self.slots.len();
         let kept = head.min(cap);
-        let mut events = Vec::with_capacity(kept);
-        for i in (head - kept)..head {
-            let slot = &self.slots[i % cap];
-            let Some(kind) = EventKind::from_code(slot.kind.load(Ordering::Relaxed)) else {
-                continue;
-            };
-            events.push(TimelineEvent {
-                ts_ns: slot.ts.load(Ordering::Relaxed),
-                kind,
-                arg: slot.arg.load(Ordering::Relaxed),
-                region: slot.region.load(Ordering::Relaxed),
-            });
-        }
+        let events = ((head - kept)..head)
+            .map(|i| {
+                let slot = &self.slots[i % cap];
+                TimelineEvent {
+                    start_ns: slot.start_ns.load(Ordering::Relaxed),
+                    end_ns: slot.end_ns.load(Ordering::Relaxed),
+                    arg: slot.arg.load(Ordering::Relaxed),
+                    tag: slot.tag.load(Ordering::Relaxed),
+                }
+            })
+            .collect();
         self.head.store(0, Ordering::Relaxed);
         self.last_ts.store(0, Ordering::Relaxed);
         self.last_region.store(0, Ordering::Relaxed);
@@ -460,28 +484,31 @@ impl FlightRecorder {
         })
     }
 
-    /// Lane `lane` (the team lane running the zone task) began stepping
-    /// zone `zone` of time step `step`. Unlike the chunk/claim events
-    /// these are recorded by [`crate::zones::run_sharded`] outside any
-    /// recorded region, so they bypass the barrier-wait bookkeeping
-    /// (`Lane::record_raw`) and store the step index in the event's
-    /// `region` field. Lanes beyond the recorder's are ignored (a
-    /// recorder narrower than its pool); a disabled recorder is one
-    /// branch.
-    pub fn zone_start(&self, lane: usize, zone: u64, step: u64) {
-        self.zone_event(lane, EventKind::ZoneStart, zone, step);
-    }
-
-    /// Lane `lane` finished stepping zone `zone` of time step `step`.
-    pub fn zone_end(&self, lane: usize, zone: u64, step: u64) {
-        self.zone_event(lane, EventKind::ZoneEnd, zone, step);
-    }
-
-    fn zone_event(&self, lane: usize, kind: EventKind, zone: u64, step: u64) {
-        let Some(state) = &self.inner else { return };
+    /// Run `step_zone` as lane `lane`'s (the team lane running the zone
+    /// task) stepping of zone `zone` in time step `step`, and record it
+    /// as one [`EventKind::Zone`] interval. Zone intervals are recorded
+    /// by [`crate::zones::run_sharded`] outside any recorded region, so
+    /// they leave the barrier-wait bookkeeping alone and carry the step
+    /// index as their region. A lane beyond the recorder's (a recorder
+    /// narrower than its pool) records nothing; a disabled recorder is
+    /// one branch.
+    pub fn zone<R>(&self, lane: usize, zone: u64, step: u64, step_zone: impl FnOnce() -> R) -> R {
+        let Some(state) = &self.inner else {
+            return step_zone();
+        };
+        let start_ns = state.now_ns();
+        let out = step_zone();
         if let Some(lane) = state.lanes.get(lane) {
-            lane.record_raw(state.now_ns(), kind, zone, step);
+            let end_ns = state.now_ns();
+            lane.write(TimelineEvent::new(
+                EventKind::Zone,
+                start_ns,
+                end_ns,
+                zone,
+                step,
+            ));
         }
+        out
     }
 
     /// Drain the log's span and region marks into the span tree of
@@ -609,24 +636,22 @@ pub struct RegionSession<'a> {
 }
 
 impl RegionSession<'_> {
-    /// Record one event on `lane` stamped `ts_ns`.
-    fn record_at(&self, lane: usize, ts_ns: u64, kind: EventKind, arg: u64) {
-        if let Some(lane) = self.state.lanes.get(lane) {
-            lane.record(ts_ns, kind, arg, self.seq);
-        }
+    /// Lane `lane`'s ring, if the recorder has one that wide.
+    fn lane(&self, lane: usize) -> Option<&Lane> {
+        self.state.lanes.get(lane)
     }
 
-    /// Add `ns` to lane `lane`'s busy time.
-    fn add_busy(&self, lane: usize, ns: u64) {
-        if let Some(lane) = self.state.lanes.get(lane) {
-            lane.add_busy(ns);
-        }
-    }
-
-    /// Record one event on `lane` stamped now; returns the stamp.
-    fn record(&self, lane: usize, kind: EventKind, arg: u64) -> u64 {
+    /// Write a `kind` interval from the lane's last stamp to now, or
+    /// from `since_ns` when given, bill it as busy time and stamp its
+    /// end, where the lane's next interval starts. Returns the end.
+    fn end_interval(&self, lane: usize, kind: EventKind, since_ns: Option<u64>, arg: u64) -> u64 {
         let now_ns = self.now_ns();
-        self.record_at(lane, now_ns, kind, arg);
+        if let Some(lane) = self.lane(lane) {
+            let start_ns = since_ns.unwrap_or_else(|| lane.last_ts.load(Ordering::Relaxed));
+            lane.add_busy(now_ns.saturating_sub(start_ns));
+            lane.write(TimelineEvent::new(kind, start_ns, now_ns, arg, self.seq));
+            lane.stamp(now_ns, self.seq);
+        }
         now_ns
     }
 
@@ -637,46 +662,38 @@ impl RegionSession<'_> {
         self.state.now_ns()
     }
 
-    /// Lane `lane` began executing chunk `chunk`.
-    pub fn chunk_start(&self, lane: usize, chunk: usize) {
-        self.record(lane, EventKind::ChunkStart, chunk as u64);
+    /// Lane `lane` began executing a chunk: stamps where the chunk's
+    /// interval starts, writing nothing (the chunk is named at its end).
+    pub fn chunk_start(&self, lane: usize, _chunk: usize) {
+        if let Some(lane) = self.lane(lane) {
+            lane.stamp(self.now_ns(), self.seq);
+        }
     }
 
-    /// Lane `lane` finished executing chunk `chunk`, whose start was
-    /// the lane's last event; the chunk's time adds to the lane's busy
-    /// time. Returns the event's stamp — a self-scheduled lane's next
-    /// claim starts there.
+    /// Lane `lane` finished executing chunk `chunk`, which started at
+    /// the lane's last stamp: one [`EventKind::Chunk`] interval, whose
+    /// time adds to the lane's busy time. Returns its end — a
+    /// self-scheduled lane's next claim starts there.
     pub fn chunk_end(&self, lane: usize, chunk: usize) -> u64 {
-        let now_ns = self.now_ns();
-        if let Some(lane) = self.state.lanes.get(lane) {
-            lane.add_busy(now_ns.saturating_sub(lane.last_ts.load(Ordering::Relaxed)));
-            lane.record(now_ns, EventKind::ChunkEnd, chunk as u64, self.seq);
-        }
-        now_ns
+        self.end_interval(lane, EventKind::Chunk, None, chunk as u64)
     }
 
     /// One self-scheduled claim by lane `lane`, begun at `since_ns` (the
     /// lane's previous [`RegionSession::chunk_end`], or
     /// [`RegionSession::now_ns`] before its first) and ended now, on one
-    /// clock read: a [`EventKind::ClaimWait`] of `now − since_ns`, then
-    /// the [`EventKind::ChunkStart`] of the chunk it won or, for `None`,
-    /// the [`EventKind::ClaimMiss`] — both carrying the same stamp.
+    /// clock read: one [`EventKind::Claim`] interval naming the chunk it
+    /// won — whose interval starts where the claim ends — or, for
+    /// `None`, [`TimelineEvent::NO_CHUNK`].
     pub fn claimed(&self, lane: usize, since_ns: u64, chunk: Option<usize>) {
-        let now_ns = self.now_ns();
-        let wait = now_ns.saturating_sub(since_ns);
-        self.add_busy(lane, wait);
-        self.record_at(lane, now_ns, EventKind::ClaimWait, wait);
-        match chunk {
-            Some(chunk) => self.record_at(lane, now_ns, EventKind::ChunkStart, chunk as u64),
-            None => self.record_at(lane, now_ns, EventKind::ClaimMiss, 0),
-        }
+        let won = chunk.map_or(TimelineEvent::NO_CHUNK, |chunk| chunk as u64);
+        self.end_interval(lane, EventKind::Claim, Some(since_ns), won);
     }
 
     /// Close the region: called by the coordinator after the barrier.
-    /// Appends a [`EventKind::BarrierWait`] to every lane that executed
-    /// the region (barrier completion minus the lane's last event — the
-    /// time that lane sat idle waiting for the stragglers) and logs the
-    /// [`RegionMark`] with that executed width.
+    /// Writes an [`EventKind::Barrier`] interval to every lane that
+    /// executed the region (from the lane's last stamp to barrier
+    /// completion — the time that lane sat idle waiting for the
+    /// stragglers) and logs the [`RegionMark`] with that executed width.
     pub fn finish(self) {
         let end_ns = self.state.now_ns();
         let (mut lanes, mut busy_max_ns, mut busy_sum_ns) = (0, 0, 0);
@@ -684,12 +701,18 @@ impl RegionSession<'_> {
             let busy = lane.take_busy();
             busy_max_ns = busy_max_ns.max(busy);
             busy_sum_ns += busy;
-            // Only lanes that recorded something in *this* region get a
-            // barrier wait; `last_region` stores seq + 1 so lane 0 of
-            // region 0 is distinguishable from "never wrote".
+            // Only lanes that stamped in *this* region get a barrier
+            // wait; `last_region` stores seq + 1 so lane 0 of region 0 is
+            // distinguishable from "never stamped".
             if lane.last_region.load(Ordering::Relaxed) == self.seq + 1 {
-                let wait = end_ns.saturating_sub(lane.last_ts.load(Ordering::Relaxed));
-                lane.record(end_ns, EventKind::BarrierWait, wait, self.seq);
+                let start_ns = lane.last_ts.load(Ordering::Relaxed);
+                lane.write(TimelineEvent::new(
+                    EventKind::Barrier,
+                    start_ns,
+                    end_ns,
+                    0,
+                    self.seq,
+                ));
                 lanes += 1;
             }
         }
@@ -722,19 +745,18 @@ impl RegionSession<'_> {
 mod tests {
     use super::*;
 
-    /// Synthetic claim events with chosen durations, for the tests that
-    /// fold hand-built timelines (the pool records claims through
-    /// [`RegionSession::claimed`]).
-    impl RegionSession<'_> {
-        /// Lane `lane` spent `ns` nanoseconds inside one chunk claim.
-        pub(crate) fn claim_wait(&self, lane: usize, ns: u64) {
-            self.add_busy(lane, ns);
-            self.record(lane, EventKind::ClaimWait, ns);
-        }
+    fn kinds(events: &[TimelineEvent]) -> Vec<EventKind> {
+        events.iter().map(TimelineEvent::kind).collect()
+    }
 
-        /// Lane `lane` found the chunk list exhausted.
-        pub(crate) fn claim_miss(&self, lane: usize) {
-            self.record(lane, EventKind::ClaimMiss, 0);
+    #[test]
+    fn a_slot_and_a_drained_interval_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        assert_eq!(std::mem::size_of::<TimelineEvent>(), 32);
+        // The packed word round-trips every kind and a 56-bit region.
+        for kind in KINDS {
+            let e = TimelineEvent::new(kind, 3, 5, 7, REGION_MASK);
+            assert_eq!((e.kind(), e.region(), e.dur_ns()), (kind, REGION_MASK, 2));
         }
     }
 
@@ -743,6 +765,7 @@ mod tests {
         let fr = FlightRecorder::disabled();
         assert!(!fr.is_enabled());
         assert!(fr.begin_region(2, 10, 2, "static").is_none());
+        assert_eq!(fr.zone(0, 0, 0, || 7), 7);
         assert!(fr.take_timeline().is_empty());
     }
 
@@ -757,11 +780,15 @@ mod tests {
         s.finish();
         let t = fr.take_timeline();
         assert_eq!(t.lanes.len(), 2);
-        for lane in &t.lanes {
-            // start, end, barrier wait
-            assert_eq!(lane.events.len(), 3);
-            assert_eq!(lane.events[2].kind, EventKind::BarrierWait);
-            assert!(lane.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        for (lane, data) in t.lanes.iter().enumerate() {
+            // One write per static chunk, one per barrier wait, and the
+            // wait starts where the chunk ended.
+            assert_eq!(kinds(&data.events), [EventKind::Chunk, EventKind::Barrier]);
+            let [chunk, barrier] = [data.events[0], data.events[1]];
+            assert_eq!((chunk.arg, chunk.region()), (lane as u64, 0));
+            assert!(chunk.start_ns <= chunk.end_ns);
+            assert_eq!(barrier.start_ns, chunk.end_ns);
+            assert_eq!(barrier.end_ns, t.regions[0].end_ns);
         }
         assert_eq!(t.regions.len(), 1);
         assert_eq!(t.regions[0].seq, 0);
@@ -784,26 +811,27 @@ mod tests {
         s.claimed(0, end, None);
         s.finish();
         let events = fr.take_timeline().lanes.remove(0).events;
-        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        // Two writes for the self-scheduled chunk, one for the final
+        // claim, one for the barrier.
         assert_eq!(
-            kinds,
+            kinds(&events),
             [
-                EventKind::ClaimWait,
-                EventKind::ChunkStart,
-                EventKind::ChunkEnd,
-                EventKind::ClaimWait,
-                EventKind::ClaimMiss,
-                EventKind::BarrierWait,
+                EventKind::Claim,
+                EventKind::Chunk,
+                EventKind::Claim,
+                EventKind::Barrier,
             ]
         );
-        // The wait ends where the chunk starts, and runs from the stamp
-        // the caller handed in; the next one runs from the chunk's end.
-        assert_eq!(events[0].ts_ns, events[1].ts_ns);
-        assert_eq!(events[0].arg, events[0].ts_ns - from);
-        assert_eq!(events[1].arg, 1);
-        assert_eq!(events[2].ts_ns, end);
-        assert_eq!(events[3].ts_ns, events[4].ts_ns);
-        assert_eq!(events[3].arg, events[3].ts_ns - end);
+        // The claim runs from the stamp the caller handed in and ends
+        // where the chunk it won starts; the next one runs from the
+        // chunk's end and wins nothing.
+        assert_eq!(events[0].start_ns, from);
+        assert_eq!(events[0].end_ns, events[1].start_ns);
+        assert_eq!((events[0].arg, events[1].arg), (1, 1));
+        assert_eq!(events[1].end_ns, end);
+        assert_eq!(events[2].start_ns, end);
+        assert_eq!(events[2].arg, TimelineEvent::NO_CHUNK);
+        assert_eq!(events[3].start_ns, events[2].end_ns);
     }
 
     #[test]
@@ -817,7 +845,7 @@ mod tests {
         let t = fr.take_timeline();
         // One lane executed the region of a four-wide view.
         assert_eq!((t.regions[0].lanes, t.regions[0].workers), (1, 4));
-        assert_eq!(t.lanes[0].events.len(), 3);
+        assert_eq!(t.lanes[0].events.len(), 2);
         assert!(t.lanes[1].events.is_empty());
         assert!(t.lanes[2].events.is_empty());
         assert!(t.lanes[3].events.is_empty());
@@ -826,17 +854,18 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let fr = FlightRecorder::enabled(1, 4);
-        let s = fr.begin_region(1, 10, 10, "dynamic").unwrap();
+        let s = fr.begin_region(1, 10, 10, "static").unwrap();
         for c in 0..5 {
             s.chunk_start(0, c);
+            s.chunk_end(0, c);
         }
-        s.finish(); // +1 barrier wait = 6 events into a 4-slot ring
+        s.finish(); // +1 barrier wait = 6 intervals into a 4-slot ring
         let t = fr.take_timeline();
         assert_eq!(t.lanes[0].events.len(), 4);
         assert_eq!(t.lanes[0].dropped, 2);
         assert_eq!(t.dropped_events(), 2);
-        // The newest events survive.
-        assert_eq!(t.lanes[0].events[3].kind, EventKind::BarrierWait);
+        // The newest intervals survive.
+        assert_eq!(t.lanes[0].events[3].kind(), EventKind::Barrier);
         assert_eq!(t.lanes[0].events[2].arg, 4);
     }
 
@@ -846,6 +875,7 @@ mod tests {
         let clone = fr.clone();
         let s = clone.begin_region(1, 1, 1, "static").unwrap();
         s.chunk_start(0, 0);
+        s.chunk_end(0, 0);
         s.finish();
         assert_eq!(fr.take_timeline().total_events(), 2);
     }
@@ -855,6 +885,8 @@ mod tests {
         let fr = FlightRecorder::enabled(1, 8);
         let s = fr.begin_region(1, 1, 1, "static").unwrap();
         s.chunk_start(7, 0); // defensive: silently dropped
+        s.chunk_end(7, 0);
+        s.claimed(7, 0, None);
         s.finish();
         let t = fr.take_timeline();
         assert_eq!(t.total_events(), 0);
@@ -870,52 +902,46 @@ mod tests {
         s.finish();
         let t = fr.take_timeline();
         assert_eq!(t.lanes.len(), 1);
-        assert_eq!(t.lanes[0].events.len(), 3);
+        assert_eq!(t.lanes[0].events.len(), 2);
         assert_eq!(t.regions[0].policy, "guided");
     }
 
     #[test]
     fn zone_events_do_not_fabricate_barrier_waits() {
         let fr = FlightRecorder::enabled(2, 16);
-        // A zone event on lane 1 whose step index collides with the
-        // next region's sequence number...
-        fr.zone_start(1, 3, 0);
-        let s = fr.begin_region(2, 10, 2, "static").unwrap();
-        s.chunk_start(0, 0);
-        s.chunk_end(0, 0);
-        s.finish();
-        fr.zone_end(1, 3, 0);
+        // A zone task on lane 1 whose step index collides with the
+        // sequence number of a region run inside it...
+        fr.zone(1, 3, 0, || {
+            let s = fr.begin_region(2, 10, 2, "static").unwrap();
+            s.chunk_start(0, 0);
+            s.chunk_end(0, 0);
+            s.finish();
+        });
         let t = fr.take_timeline();
         // ...must not earn lane 1 a barrier wait: only lane 0 (which
         // really executed the region) gets one.
-        assert_eq!(
-            t.lanes[1]
-                .events
-                .iter()
-                .filter(|e| e.kind == EventKind::BarrierWait)
-                .count(),
-            0
-        );
-        assert_eq!(t.lanes[1].events.len(), 2);
-        assert_eq!(t.lanes[1].events[0].kind, EventKind::ZoneStart);
-        assert_eq!(t.lanes[1].events[0].arg, 3);
-        assert_eq!(t.lanes[1].events[0].region, 0);
-        assert_eq!(t.lanes[1].events[1].kind, EventKind::ZoneEnd);
-        assert_eq!(t.lanes[0].events.len(), 3);
-        // Disabled and out-of-range calls are inert.
-        FlightRecorder::disabled().zone_start(0, 0, 0);
-        fr.zone_start(9, 0, 0);
+        assert_eq!(kinds(&t.lanes[1].events), [EventKind::Zone]);
+        let zone = t.lanes[1].events[0];
+        assert_eq!((zone.arg, zone.region()), (3, 0));
+        assert!(zone.start_ns <= t.regions[0].start_ns);
+        assert!(zone.end_ns >= t.regions[0].end_ns);
+        assert_eq!(t.lanes[0].events.len(), 2);
+        // Out-of-range lanes are inert.
+        fr.zone(9, 0, 0, || ());
         assert_eq!(fr.take_timeline().total_events(), 0);
     }
 
     #[test]
     fn zone_events_drain_in_order() {
         let fr = FlightRecorder::enabled(1, 8);
-        fr.zone_start(0, 2, 5);
-        fr.zone_end(0, 2, 5);
+        fr.zone(0, 2, 5, || ());
+        fr.zone(0, 4, 6, || ());
         let events = fr.take_timeline().lanes.remove(0).events;
-        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, [EventKind::ZoneStart, EventKind::ZoneEnd]);
+        // One write per zone task.
+        assert_eq!(kinds(&events), [EventKind::Zone, EventKind::Zone]);
+        let zones: Vec<(u64, u64)> = events.iter().map(|e| (e.arg, e.region())).collect();
+        assert_eq!(zones, [(2, 5), (4, 6)]);
+        assert!(events[0].end_ns <= events[1].start_ns);
     }
 
     #[test]
@@ -1007,9 +1033,9 @@ mod tests {
 
     #[test]
     fn ring_loss_changes_no_node_and_no_timing() {
-        // Five events per region into a six-slot ring: region 0 keeps
-        // only its barrier wait in the ring, region 1 everything.
-        let fr = FlightRecorder::enabled(1, 6);
+        // Three intervals per region into a four-slot ring: region 0
+        // keeps only its barrier wait in the ring, region 1 everything.
+        let fr = FlightRecorder::enabled(1, 4);
         static_region(&fr, 2);
         static_region(&fr, 2);
         let report = fr.take_report("wrapped", 1);
@@ -1019,7 +1045,7 @@ mod tests {
         assert_eq!((lost.chunk_count, kept.chunk_count), (2, 2));
         assert!(lost.chunk_max_seconds > 0.0);
         assert!(kept.chunk_max_seconds > 0.0);
-        assert_eq!(fr.take_timeline().dropped_events(), 4);
+        assert_eq!(fr.take_timeline().dropped_events(), 2);
     }
 
     /// Taking a report while a span is open is a drop-ordering bug:

@@ -29,10 +29,10 @@ use std::sync::{Mutex, PoisonError};
 /// The zone region's own barrier is the step barrier; it bills the
 /// pool-wide counter only. It is a bare region, so it logs no region
 /// mark, and inside the zones the recorder is off (its log assumes one
-/// coordinator thread); instead, every zone brackets itself with zone
-/// start/end events on the **pool's** recorder, on the team lane that
-/// ran it, with `step` in the events' region field, so a drained
-/// timeline shows zone occupancy per thread.
+/// coordinator thread); instead, every zone records one zone interval
+/// on the **pool's** recorder, on the team lane that ran it, with
+/// `step` as its region, so a drained timeline shows zone occupancy per
+/// thread.
 ///
 /// `shards` is clamped to `1..=blocks.len()`.
 ///
@@ -59,10 +59,10 @@ where
     loops.set_flight(FlightRecorder::disabled());
     let parked: Vec<Mutex<&mut Z>> = blocks.iter_mut().map(Mutex::new).collect();
     zone_level.region(parked.len(), |b, lane| {
-        flight.zone_start(lane, b as u64, step);
-        let mut block = parked[b].lock().unwrap_or_else(PoisonError::into_inner);
-        compute(b, &loops, &mut block);
-        flight.zone_end(lane, b as u64, step);
+        flight.zone(lane, b as u64, step, || {
+            let mut block = parked[b].lock().unwrap_or_else(PoisonError::into_inner);
+            compute(b, &loops, &mut block);
+        });
     });
     shards
 }
@@ -186,21 +186,14 @@ mod tests {
         let mut blocks = vec![0u64; 3];
         run_sharded(&pool, 2, 7, &mut blocks, |_, _, z| *z += 1);
         let timeline = pool.flight().take_timeline();
-        let mut starts = 0;
-        let mut ends = 0;
-        for lane in &timeline.lanes {
-            for e in &lane.events {
-                match e.kind {
-                    crate::obs::EventKind::ZoneStart => {
-                        starts += 1;
-                        assert_eq!(e.region, 7, "zone events carry the step index");
-                    }
-                    crate::obs::EventKind::ZoneEnd => ends += 1,
-                    _ => {}
-                }
-            }
+        let zones: Vec<_> = timeline.lanes.iter().flat_map(|l| &l.events).collect();
+        // One interval per zone task, carrying the step index.
+        let mut blocks: Vec<u64> = zones.iter().map(|e| e.arg).collect();
+        blocks.sort_unstable();
+        assert_eq!(blocks, [0, 1, 2], "one interval per block");
+        for e in zones {
+            assert_eq!(e.kind(), crate::obs::EventKind::Zone);
+            assert_eq!(e.region(), 7, "zone intervals carry the step index");
         }
-        assert_eq!(starts, 3, "one start per block");
-        assert_eq!(ends, 3, "one end per block");
     }
 }

@@ -4,16 +4,19 @@
 //! A lane is a thread of the region's view, so which lane runs which
 //! chunk is up to the worker team: a helper that is late, or busy in
 //! another view of the same pool, leaves its chunks to the caller. The
-//! tests therefore pin what that cannot change — every chunk starts and
-//! ends exactly once, on the lane of the thread that ran it; every lane
-//! that ran a region ends it with one barrier wait; a region's `lanes`
-//! is the number of threads that ran it — and, for the dynamic
-//! policies, that every claimant ends with one claim miss and claim
-//! waits count wins plus those misses.
+//! tests therefore pin what that cannot change — every chunk is one
+//! interval, exactly once, on the lane of the thread that ran it; every
+//! lane that ran a region ends it with one barrier wait; a lane's
+//! intervals never overlap; a region's `lanes` is the number of threads
+//! that ran it — and, for the dynamic policies, that every claimant
+//! ends with one claim that wins nothing and claims count wins plus
+//! those misses. Together these pin the ring writes: one per static
+//! chunk, two per self-scheduled chunk, one per final claim and one
+//! barrier wait per lane per region.
 
 use llp::obs::chrome::chrome_trace;
 use llp::obs::timeline::DEFAULT_EVENT_CAPACITY;
-use llp::obs::EventKind;
+use llp::obs::{EventKind, TimelineEvent};
 use llp::{chunk_bounds, AttributionReport, FlightRecorder, Policy, Timeline, Workers};
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -30,8 +33,27 @@ fn count(t: &Timeline, lane: usize, kind: EventKind) -> usize {
     t.lanes[lane]
         .events
         .iter()
-        .filter(|e| e.kind == kind)
+        .filter(|e| e.kind() == kind)
         .count()
+}
+
+/// Claims on `lane` that found the chunk list exhausted.
+fn misses(t: &Timeline, lane: usize) -> usize {
+    t.lanes[lane]
+        .events
+        .iter()
+        .filter(|e| e.kind() == EventKind::Claim && e.arg == TimelineEvent::NO_CHUNK)
+        .count()
+}
+
+/// A lane's intervals each end after they start, and each starts at or
+/// after the end of the one before it.
+fn assert_disjoint(events: &[TimelineEvent], what: &str) {
+    assert!(events.iter().all(|e| e.start_ns <= e.end_ns), "{what}");
+    assert!(
+        events.windows(2).all(|w| w[0].end_ns <= w[1].start_ns),
+        "{what}: intervals overlap"
+    );
 }
 
 /// Lanes that recorded anything.
@@ -69,39 +91,35 @@ fn static_chunks_land_on_the_lane_of_their_thread() {
         assert_eq!(region.lanes, threads.len(), "p={p}");
         assert_eq!(active_lanes(&t), threads.len(), "p={p}");
 
-        // Each chunk starts and ends once, on one lane; the chunks of a
-        // lane all ran on one thread, and no two lanes share a thread.
+        // Each chunk is one interval, on one lane; the chunks of a lane
+        // all ran on one thread, and no two lanes share a thread. A lane
+        // holds one write per chunk plus its barrier wait.
         let mut lane_thread: Vec<Option<ThreadId>> = vec![None; p];
-        let mut started = vec![0usize; p];
+        let mut ran = vec![0usize; p];
         for (lane, data) in t.lanes.iter().enumerate() {
             if data.events.is_empty() {
                 continue;
             }
-            assert_eq!(count(&t, lane, EventKind::BarrierWait), 1, "p={p}");
-            assert_eq!(data.events.last().unwrap().kind, EventKind::BarrierWait);
-            assert_eq!(count(&t, lane, EventKind::ClaimWait), 0, "p={p}");
-            assert_eq!(count(&t, lane, EventKind::ClaimMiss), 0, "p={p}");
-            let mut open = None;
+            assert_eq!(count(&t, lane, EventKind::Barrier), 1, "p={p}");
+            assert_eq!(data.events.last().unwrap().kind(), EventKind::Barrier);
+            assert_eq!(count(&t, lane, EventKind::Claim), 0, "p={p}");
+            assert_eq!(
+                data.events.len(),
+                count(&t, lane, EventKind::Chunk) + 1,
+                "p={p}"
+            );
             for e in &data.events {
-                assert_eq!(e.region, 0);
-                match e.kind {
-                    EventKind::ChunkStart => {
-                        assert_eq!(open, None, "p={p} lane {lane}");
-                        open = Some(e.arg);
-                        let chunk = e.arg as usize;
-                        started[chunk] += 1;
-                        let thread = ran_on[chunk];
-                        assert_eq!(*lane_thread[lane].get_or_insert(thread), thread, "p={p}");
-                    }
-                    EventKind::ChunkEnd => assert_eq!(open.take(), Some(e.arg), "p={p}"),
-                    _ => assert_eq!(open, None, "p={p}"),
+                assert_eq!(e.region(), 0);
+                if e.kind() == EventKind::Chunk {
+                    let chunk = e.arg as usize;
+                    ran[chunk] += 1;
+                    let thread = ran_on[chunk];
+                    assert_eq!(*lane_thread[lane].get_or_insert(thread), thread, "p={p}");
                 }
             }
-            // Timestamps are monotone within the lane's ring.
-            let ts: Vec<u64> = data.events.iter().map(|e| e.ts_ns).collect();
-            assert!(ts.windows(2).all(|w| w[0] <= w[1]), "p={p} ts={ts:?}");
+            assert_disjoint(&data.events, &format!("p={p} lane {lane}"));
         }
-        assert!(started.iter().all(|&n| n == 1), "p={p} {started:?}");
+        assert!(ran.iter().all(|&n| n == 1), "p={p} {ran:?}");
         let lanes: HashSet<ThreadId> = lane_thread.iter().flatten().copied().collect();
         assert_eq!(lanes.len(), lane_thread.iter().flatten().count(), "p={p}");
         assert_eq!(t.dropped_events(), 0);
@@ -120,12 +138,12 @@ fn static_regions_number_sequentially() {
     let seqs: Vec<u64> = t.regions.iter().map(|r| r.seq).collect();
     assert_eq!(seqs, vec![0, 1, 2, 3]);
     // Every lane saw its regions in order, and the three chunks of each
-    // of the four regions started once between them.
+    // of the four regions ran once between them.
     let mut starts = 0;
     for lane in 0..3 {
-        let regions: Vec<u64> = t.lanes[lane].events.iter().map(|e| e.region).collect();
+        let regions: Vec<u64> = t.lanes[lane].events.iter().map(|e| e.region()).collect();
         assert!(regions.windows(2).all(|w| w[0] <= w[1]), "{regions:?}");
-        starts += count(&t, lane, EventKind::ChunkStart);
+        starts += count(&t, lane, EventKind::Chunk);
     }
     assert_eq!(starts, 12);
     // Draining resets the sequence counter.
@@ -157,55 +175,51 @@ fn dynamic_and_guided_timelines_hold_invariants() {
             assert_eq!(region.lanes, active_lanes(&t), "{policy:?} p={p}");
             assert_eq!(region.iterations, 103);
 
-            // Every chunk index started and ended exactly once, on the
-            // same lane it started on (chunks never split mid-flight).
-            let mut started = vec![0usize; chunk_count];
-            let mut ended = vec![0usize; chunk_count];
+            // Every chunk index ran exactly once, as one interval that
+            // starts where the claim that won it ends.
+            let mut ran = vec![0usize; chunk_count];
             for (lane, data) in t.lanes.iter().enumerate() {
-                let mut open: Option<u64> = None;
-                for e in &data.events {
-                    match e.kind {
-                        EventKind::ChunkStart => {
-                            assert!(open.is_none(), "{policy:?} p={p} lane {lane}");
-                            open = Some(e.arg);
-                            started[usize::try_from(e.arg).unwrap()] += 1;
-                        }
-                        EventKind::ChunkEnd => {
-                            assert_eq!(open.take(), Some(e.arg), "{policy:?} p={p}");
-                            ended[usize::try_from(e.arg).unwrap()] += 1;
-                        }
-                        _ => {}
+                for (i, e) in data.events.iter().enumerate() {
+                    if e.kind() != EventKind::Chunk {
+                        continue;
                     }
+                    ran[usize::try_from(e.arg).unwrap()] += 1;
+                    let claim = data.events[i - 1];
+                    assert_eq!(
+                        claim.kind(),
+                        EventKind::Claim,
+                        "{policy:?} p={p} lane {lane}"
+                    );
+                    assert_eq!(claim.arg, e.arg, "{policy:?} p={p} lane {lane}");
+                    assert_eq!(claim.end_ns, e.start_ns, "{policy:?} p={p} lane {lane}");
                 }
-                assert!(open.is_none(), "chunk left open on lane {lane}");
+                assert_disjoint(&data.events, &format!("{policy:?} p={p} lane {lane}"));
             }
-            assert!(
-                started.iter().all(|&c| c == 1),
-                "{policy:?} p={p} {started:?}"
-            );
-            assert!(ended.iter().all(|&c| c == 1), "{policy:?} p={p} {ended:?}");
+            assert!(ran.iter().all(|&c| c == 1), "{policy:?} p={p} {ran:?}");
 
             // Per claimant: one losing claim (the miss). Per lane that
-            // ran any: one barrier wait, and a claim wait for every
-            // attempt — wins + the misses of the claimants it ran.
+            // ran any: one barrier wait, and a claim for every attempt —
+            // wins + the misses of the claimants it ran; so two writes
+            // per chunk, one per miss and one for the barrier.
             let (mut total_wins, mut total_misses) = (0usize, 0usize);
             for lane in 0..claimants {
                 if t.lanes[lane].events.is_empty() {
                     continue;
                 }
-                let wins = count(&t, lane, EventKind::ChunkStart);
-                let misses = count(&t, lane, EventKind::ClaimMiss);
+                let wins = count(&t, lane, EventKind::Chunk);
+                let misses = misses(&t, lane);
                 total_wins += wins;
                 total_misses += misses;
                 assert!(misses >= 1, "{policy:?} p={p} lane {lane}");
+                assert_eq!(count(&t, lane, EventKind::Barrier), 1, "{policy:?} p={p}");
                 assert_eq!(
-                    count(&t, lane, EventKind::BarrierWait),
-                    1,
-                    "{policy:?} p={p}"
+                    count(&t, lane, EventKind::Claim),
+                    wins + misses,
+                    "{policy:?} p={p} lane {lane}"
                 );
                 assert_eq!(
-                    count(&t, lane, EventKind::ClaimWait),
-                    wins + misses,
+                    t.lanes[lane].events.len(),
+                    2 * wins + misses + 1,
                     "{policy:?} p={p} lane {lane}"
                 );
             }
@@ -222,7 +236,7 @@ fn dynamic_and_guided_timelines_hold_invariants() {
 #[test]
 fn ring_overflow_drops_oldest_and_counts_them() {
     let mut w = Workers::new(2).with_policy(Policy::Dynamic { chunk: 1 });
-    // Tiny rings: 256 chunks generate far more than 8 events per lane.
+    // Tiny rings: 256 chunks generate far more than 8 intervals per lane.
     w.set_flight(FlightRecorder::enabled(2, 8));
     llp::doacross(&w, 256, |i| {
         std::hint::black_box(i);
@@ -231,9 +245,8 @@ fn ring_overflow_drops_oldest_and_counts_them() {
     assert!(t.dropped_events() > 0, "tiny ring must overflow");
     for lane in &t.lanes {
         assert!(lane.events.len() <= 8);
-        // Survivors are the newest events: monotone and region-tagged.
-        let ts: Vec<u64> = lane.events.iter().map(|e| e.ts_ns).collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
+        // Survivors are the newest intervals, still disjoint.
+        assert_disjoint(&lane.events, "a wrapped ring");
     }
 }
 
@@ -294,59 +307,38 @@ fn a_thousand_regions_leave_every_lane_complete_and_monotone() {
         let t = w.flight().take_timeline();
         assert_eq!(t.dropped_events(), 0, "{policy:?}");
         assert_eq!(t.regions.len() as u64, REGIONS, "{policy:?}");
-        let mut starts = vec![0u64; REGIONS as usize];
+        let mut ran = vec![0u64; REGIONS as usize];
         let mut waits = 0;
         for (lane, timeline) in t.lanes.iter().enumerate() {
             let events = &timeline.events;
+            assert_disjoint(events, &format!("{policy:?} lane {lane}"));
             assert!(
-                events
-                    .windows(2)
-                    .all(|w| w[0].ts_ns <= w[1].ts_ns && w[0].region <= w[1].region),
-                "{policy:?} lane {lane} is not monotone"
+                events.windows(2).all(|w| w[0].region() <= w[1].region()),
+                "{policy:?} lane {lane} is not in region order"
             );
-            // Every start is followed on its lane by its own end.
-            let mut open = None;
-            for e in events {
-                match e.kind {
-                    EventKind::ChunkStart => {
-                        assert_eq!(open, None, "{policy:?} lane {lane}");
-                        open = Some((e.arg, e.region));
-                        starts[e.region as usize] += 1;
-                    }
-                    EventKind::ChunkEnd => {
-                        assert_eq!(
-                            open.take(),
-                            Some((e.arg, e.region)),
-                            "{policy:?} lane {lane}"
-                        );
-                    }
-                    _ => assert_eq!(open, None, "{policy:?} lane {lane}"),
-                }
+            for e in events.iter().filter(|e| e.kind() == EventKind::Chunk) {
+                ran[e.region() as usize] += 1;
             }
-            assert_eq!(open, None, "{policy:?} lane {lane}");
-            waits += count(&t, lane, EventKind::BarrierWait);
+            waits += count(&t, lane, EventKind::Barrier);
         }
-        // Four chunks per region under either policy, each started once,
-        // and one barrier wait per lane that ran the region.
-        assert!(starts.iter().all(|&n| n == 4), "{policy:?}");
+        // Four chunks per region under either policy, each run once, and
+        // one barrier wait per lane that ran the region.
+        assert!(ran.iter().all(|&n| n == 4), "{policy:?}");
         assert_eq!(waits, t.regions.iter().map(|r| r.lanes).sum::<usize>());
     }
 }
 
-/// What one region's lanes were billed, summed over lanes: compute
-/// (paired chunk starts and ends), barrier and claim nanoseconds.
+/// What one region's lanes were billed, summed over lanes: compute,
+/// barrier and claim nanoseconds.
 fn billed(t: &Timeline, seq: u64) -> (u64, u64, u64) {
     let (mut compute, mut barrier, mut claim) = (0, 0, 0);
-    for lane in &t.lanes {
-        let mut open = None;
-        for e in lane.events.iter().filter(|e| e.region == seq) {
-            match e.kind {
-                EventKind::ChunkStart => open = Some(e.ts_ns),
-                EventKind::ChunkEnd => compute += e.ts_ns - open.take().expect("paired"),
-                EventKind::BarrierWait => barrier += e.arg,
-                EventKind::ClaimWait => claim += e.arg,
-                _ => {}
-            }
+    let events = t.lanes.iter().flat_map(|l| &l.events);
+    for e in events.filter(|e| e.region() == seq) {
+        match e.kind() {
+            EventKind::Chunk => compute += e.dur_ns(),
+            EventKind::Barrier => barrier += e.dur_ns(),
+            EventKind::Claim => claim += e.dur_ns(),
+            EventKind::Zone => {}
         }
     }
     (compute, barrier, claim)
@@ -416,17 +408,17 @@ fn a_region_that_lost_its_helper_bills_its_chunks_to_the_caller() {
                     if region.lanes == 1 {
                         narrow += 1;
                         let lanes: Vec<usize> = (0..2)
-                            .filter(|&l| t.lanes[l].events.iter().any(|e| e.region == seq))
+                            .filter(|&l| t.lanes[l].events.iter().any(|e| e.region() == seq))
                             .collect();
                         assert_eq!(lanes.len(), 1, "{policy:?} region {seq}");
                         // Every chunk of the region ran, as compute, on
                         // the one lane.
-                        let starts = t.lanes[lanes[0]]
+                        let ran = t.lanes[lanes[0]]
                             .events
                             .iter()
-                            .filter(|e| e.region == seq && e.kind == EventKind::ChunkStart)
+                            .filter(|e| e.region() == seq && e.kind() == EventKind::Chunk)
                             .count();
-                        assert_eq!(starts, region.chunks, "{policy:?} region {seq}");
+                        assert_eq!(ran, region.chunks, "{policy:?} region {seq}");
                     }
                 }
             }

@@ -589,7 +589,8 @@ mod tests {
 
     /// One executor per worker, each with two lanes' worth of event
     /// slots however wide its team: a server's rings grow linearly in
-    /// `P`. Overfilling every lane leaves exactly one event per slot.
+    /// `P`. Overfilling every lane with zone tasks, one interval each,
+    /// leaves exactly one interval per slot.
     #[test]
     fn flight_rings_stay_linear_in_the_worker_count() {
         let per_executor = 2 * 4096;
@@ -597,12 +598,14 @@ mod tests {
             let flight = executor_flight(p);
             for lane in 0..p {
                 for step in 0..=per_executor as u64 {
-                    flight.zone_start(lane, 0, step);
+                    flight.zone(lane, 0, step, || ());
                 }
             }
             let timeline = flight.take_timeline();
             assert_eq!(timeline.lanes.len(), p);
             assert_eq!(p * timeline.total_events(), p * per_executor, "P = {p}");
+            let mut events = timeline.lanes.iter().flat_map(|l| &l.events);
+            assert!(events.all(|e| e.kind() == llp::obs::EventKind::Zone));
         }
     }
 

@@ -88,7 +88,7 @@ struct ScalarRow {
 /// Which slot a label outside a family's vocabulary lands in.
 #[derive(Clone, Copy)]
 enum Fold {
-    /// The first label (the default: `f3d`, width `1`, `static`).
+    /// The first label (the default: `f3d`, `static`).
     First,
     /// The last label (the vocabulary's own `other`).
     Last,
