@@ -136,7 +136,7 @@ impl BlockTriScratch {
     /// # Panics
     /// Panics with `singular pivot block at {i}` if any lane's pivot
     /// block is numerically singular, or if the scratch is too small.
-    #[inline]
+    #[inline(always)]
     #[allow(clippy::needless_range_loop)] // rows, columns and lanes index several arrays at once
     pub(crate) fn eliminate<const W: usize>(
         &mut self,
@@ -268,7 +268,7 @@ impl BlockTriScratch {
     /// Back-substitute the `n` points [`eliminate`](Self::eliminate)
     /// was fed, last to first, handing each lane's solution at each
     /// point to `put(i, lane, x)`.
-    #[inline]
+    #[inline(always)]
     #[allow(clippy::needless_range_loop)] // as in `eliminate`
     pub(crate) fn back_substitute<const W: usize>(
         &self,

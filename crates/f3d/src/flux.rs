@@ -35,7 +35,7 @@ pub fn spectral_radius(q: &[f64; NCONS], n: [f64; 3]) -> f64 {
 }
 
 /// Positive/negative part of an eigenvalue: `(λ ± |λ|) / 2`.
-#[inline]
+#[inline(always)]
 fn split(lambda: f64, positive: bool) -> f64 {
     if positive {
         0.5 * (lambda + lambda.abs())
@@ -129,6 +129,7 @@ pub fn flux_jacobian(q: &[f64; NCONS], n: [f64; 3]) -> [[f64; NCONS]; NCONS] {
 /// bit-exact per lane; the lane loops are the fixed-trip inner loops
 /// rustc unrolls and vectorizes.
 #[must_use]
+#[inline(always)]
 pub fn directed_flux_lanes<const W: usize>(
     q: &[[f64; NCONS]; W],
     n: &[[f64; 3]; W],
@@ -163,6 +164,7 @@ pub fn directed_flux_lanes<const W: usize>(
 /// The spectral radius at `W` independent states — the lane form of
 /// [`spectral_radius`], bit-exact per lane.
 #[must_use]
+#[inline(always)]
 pub fn spectral_radius_lanes<const W: usize>(q: &[[f64; NCONS]; W], n: &[[f64; 3]; W]) -> [f64; W] {
     let mut theta = [0.0; W];
     let mut am = [0.0; W];
@@ -189,6 +191,7 @@ pub fn spectral_radius_lanes<const W: usize>(q: &[[f64; NCONS]; W], n: &[[f64; 3
 /// arrays filled by fixed-trip loops; each lane executes exactly the
 /// scalar operation sequence, so results are bit-exact per lane.
 #[must_use]
+#[inline(always)]
 pub fn steger_warming_lanes<const W: usize>(
     q: &[[f64; NCONS]; W],
     n: &[[f64; 3]; W],
@@ -253,6 +256,7 @@ pub fn steger_warming_lanes<const W: usize>(
 /// entries with the lane index innermost so each entry group is a
 /// fixed-trip vectorizable loop.
 #[must_use]
+#[inline(always)]
 pub fn flux_jacobian_lanes<const W: usize>(
     q: &[[f64; NCONS]; W],
     n: &[[f64; 3]; W],

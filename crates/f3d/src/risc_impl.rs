@@ -40,18 +40,19 @@
 //! Rust the disjointness the Fortran original left to the programmer.
 
 use crate::bc::{self, ZoneBcs};
-use crate::blocktri::Vec5;
 use crate::solver::{
     implicit_factor_bundle, pencil_point, residual_rhs_row_w, CentralFactor, ImplicitFactor,
-    PencilScratch, SolverConfig, UpwindFactor, ZoneSolver, PENCIL_BUNDLE, RESIDUAL_LANES,
+    PencilScratch, RowScratch, SolverConfig, UpwindFactor, ZoneSolver, PENCIL_BUNDLE,
+    RESIDUAL_LANES,
 };
 use llp::obs::SpanKind;
 use llp::{doacross_slabs, doacross_slabs_scratch, FusedBodies, FusedRegion, ScheduleMap, Workers};
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
 use solver::{for_lane_groups, LaneBody};
 
-/// A worker's `rhs_jk` scratch: the residual's J-row buffer, one bundle.
-type PlaneScratch = (Vec<Vec5>, PencilScratch);
+/// A worker's `rhs_jk` scratch: the residual's J-row buffer with the
+/// row's split fluxes, and one bundle.
+type PlaneScratch = (RowScratch, PencilScratch);
 
 /// The tuned stepper.
 #[derive(Debug)]
@@ -99,12 +100,12 @@ impl RiscStepper {
     }
 
     /// Bytes of scratch *per worker* — what one worker holds in the
-    /// fused `rhs_jk` region (the residual's J-row buffer and one
-    /// pencil bundle), the most any region of the step gives it: the
-    /// quantity the paper fits into cache.
+    /// fused `rhs_jk` region (the residual's J-row buffer with its split
+    /// fluxes, and one pencil bundle), the most any region of the step
+    /// gives it: the quantity the paper fits into cache.
     #[must_use]
     pub fn scratch_bytes_per_worker(&self) -> usize {
-        self.rhs.dims().j * std::mem::size_of::<Vec5>()
+        RowScratch::new(self.rhs.dims().j).bytes()
             + PencilScratch::for_pencils(self.max_pencil, PENCIL_BUNDLE).bytes()
     }
 
@@ -156,7 +157,7 @@ impl RiscStepper {
         let boundary = move |l: usize| l == 0 || l == lmax - 1;
         FusedRegion::slabs(self.rhs.as_mut_slice(), kmax * row_len, move || {
             let pencils = PencilScratch::for_pencils(max_pencil, PENCIL_BUNDLE);
-            (vec![[0.0; NCONS]; jmax], pencils)
+            (RowScratch::new(jmax), pencils)
         })
         .body(move |l, plane, (row, _)| {
             for (k, out) in plane.chunks_exact_mut(row_len).enumerate() {
@@ -168,7 +169,7 @@ impl RiscStepper {
                 out[row_len - NCONS..].fill(0.0);
                 residual_rhs_row_w(zone, k, l, eps2, RESIDUAL_LANES, row);
                 for j in 1..jmax - 1 {
-                    out[j * NCONS..(j + 1) * NCONS].copy_from_slice(&row[j]);
+                    out[j * NCONS..(j + 1) * NCONS].copy_from_slice(&row.row()[j]);
                 }
             }
         })

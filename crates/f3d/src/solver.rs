@@ -36,7 +36,7 @@ use crate::blocktri::{self, Block, BlockTriScratch, LaneBlock, Vec5};
 use crate::flux;
 use crate::state::FlowState;
 use mesh::{Arrangement, Axis, Dims, Ijk, Layout, Metrics, StateField, NCONS};
-use solver::{for_lane_groups, LaneBody};
+use solver::{for_lane_groups, LaneBody, Tier};
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -199,6 +199,7 @@ pub fn pencil_point(base: Ijk, axis: Axis, i: usize) -> Ijk {
 /// The time step at one point: the global `dt`, or `cfl / Σσ` under
 /// local time stepping.
 #[must_use]
+#[inline(always)]
 pub fn local_dt(zone: &ZoneSolver, p: Ijk) -> f64 {
     match zone.config.local_cfl {
         None => zone.config.dt,
@@ -346,6 +347,7 @@ pub mod flops {
 /// with `φ = |∇ζ|²` and `m₂ = ∇ζ·u_ζ`, all midpoint-averaged;
 /// derivatives are one-unit computational differences `(·)_b − (·)_a`.
 #[must_use]
+#[inline(always)]
 pub fn viscous_flux_midpoint(
     q_a: &Vec5,
     q_b: &Vec5,
@@ -442,7 +444,7 @@ impl LaneBody for RhsUpwind<'_> {
 }
 
 /// Point `i` of each lane of a `W`-pencil bundle line.
-#[inline]
+#[inline(always)]
 fn lanes_at<const W: usize, T>(line: &[T], i: usize) -> &[T; W] {
     line[i * W..]
         .first_chunk()
@@ -452,23 +454,172 @@ fn lanes_at<const W: usize, T>(line: &[T], i: usize) -> &[T; W] {
 /// One implicit factor of the approximate factorization: the
 /// block-tridiagonal coefficients it couples a pencil's points with.
 pub trait ImplicitFactor {
+    /// Which points' flux Jacobians the assembly of point `i` reads:
+    /// entry `o + 1` for point `i + o`, `o ∈ {−1, 0, +1}`.
+    const JACOBIANS: [bool; 3];
+    /// Which points' spectral radii it reads, indexed like
+    /// [`JACOBIANS`](Self::JACOBIANS).
+    const RADII: [bool; 3];
+
     /// Assemble the `[lower, diag, upper]` blocks of interior point
-    /// `i` of the `W` gathered pencils of `scratch`, lane innermost.
-    /// Each lane's blocks depend on that lane's lines alone, through
-    /// the same operation sequence at every `W`.
-    fn assemble<const W: usize>(&self, scratch: &PencilScratch, i: usize) -> [LaneBlock<W>; 3];
+    /// `i` of a `W`-pencil bundle, lane innermost, from the point's
+    /// state `q`, metric `n` and time step `dt` and from `terms`, whose
+    /// entries named in [`JACOBIANS`](Self::JACOBIANS) and
+    /// [`RADII`](Self::RADII) hold points `i − 1`, `i` and `i + 1` at
+    /// `n`. Each lane's blocks depend on that lane's values alone,
+    /// through the same operation sequence at every `W`.
+    fn assemble<const W: usize>(
+        &self,
+        terms: &PointTerms<'_, W>,
+        q: &[Vec5; W],
+        n: &[[f64; 3]; W],
+        dt: &[f64; W],
+    ) -> [LaneBlock<W>; 3];
+}
+
+/// The flux terms of points `i − 1`, `i` and `i + 1` of a bundle, all
+/// at point `i`'s metric, indexed by offset + 1: what an
+/// [`ImplicitFactor`] assembles point `i` from. Only the entries the
+/// factor names hold their point's terms.
+pub struct PointTerms<'a, const W: usize> {
+    /// Flux Jacobians, lane outermost.
+    pub jacobians: [&'a [Block; W]; 3],
+    /// Spectral radii.
+    pub radii: [&'a [f64; W]; 3],
+}
+
+/// A three-slot ring of per-point flux terms along a bundle — point `p`
+/// in slot `p % 3` — so each point's Jacobian and spectral radius are
+/// computed once per sweep rather than once per row that reads them
+/// (paper §5's most work per cache miss, one level down).
+///
+/// Every held term was computed at the metric bits in `key`. A term at
+/// point `p` evaluated with point `i`'s metric is the term point `i`'s
+/// assembly needs only while `n_i` has those bits, so the ring is kept
+/// while consecutive points' metrics are bit-equal in every lane (a
+/// Cartesian zone's broadcast metrics) and emptied where they are not
+/// (a curvilinear zone): the terms are the same bits either way.
+struct Window<const W: usize> {
+    key: [[u64; 3]; W],
+    jacobians: [[Block; W]; 3],
+    radii: [[f64; W]; 3],
+    /// The point whose term each slot holds, or `usize::MAX`.
+    jacobian_of: [usize; 3],
+    radius_of: [usize; 3],
+}
+
+/// The bits of each lane's metric.
+#[inline(always)]
+fn metric_bits<const W: usize>(n: &[[f64; 3]; W]) -> [[u64; 3]; W] {
+    let mut bits = [[0; 3]; W];
+    for (b, n) in bits.iter_mut().zip(n) {
+        *b = [n[0].to_bits(), n[1].to_bits(), n[2].to_bits()];
+    }
+    bits
+}
+
+impl<const W: usize> Window<W> {
+    #[inline(always)]
+    fn new() -> Self {
+        Self {
+            key: [[0; 3]; W],
+            jacobians: [[[[0.0; NCONS]; NCONS]; W]; 3],
+            radii: [[0.0; W]; 3],
+            jacobian_of: [usize::MAX; 3],
+            radius_of: [usize::MAX; 3],
+        }
+    }
+
+    /// The terms interior point `i` of an `n`-point bundle assembles
+    /// from, computing what the ring does not hold: what `F` reads at
+    /// `i`, and — when point `i + 1` is interior and has `n_i`'s bits,
+    /// so it will keep the ring — what `F` will read there too.
+    #[inline(always)]
+    fn advance<F: ImplicitFactor>(
+        &mut self,
+        q_line: &[Vec5],
+        n_line: &[[f64; 3]],
+        n: usize,
+        i: usize,
+    ) -> PointTerms<'_, W> {
+        let metric = lanes_at::<W, _>(n_line, i);
+        let key = metric_bits(metric);
+        if key != self.key {
+            self.key = key;
+            self.jacobian_of = [usize::MAX; 3];
+            self.radius_of = [usize::MAX; 3];
+        }
+        let keeps = i + 2 < n && metric_bits(lanes_at::<W, _>(n_line, i + 1)) == key;
+        for o in 0..3 {
+            let p = i + o - 1;
+            let slot = p % 3;
+            // Offset `o` now is offset `o − 1` at the next point.
+            let later = |reads: [bool; 3]| keeps && o > 0 && reads[o - 1];
+            if (F::JACOBIANS[o] || later(F::JACOBIANS)) && self.jacobian_of[slot] != p {
+                self.jacobians[slot] = flux::flux_jacobian_lanes(lanes_at(q_line, p), metric);
+                self.jacobian_of[slot] = p;
+                count(Term::Jacobian, W);
+            }
+            if (F::RADII[o] || later(F::RADII)) && self.radius_of[slot] != p {
+                self.radii[slot] = flux::spectral_radius_lanes(lanes_at(q_line, p), metric);
+                self.radius_of[slot] = p;
+                count(Term::Radius, W);
+            }
+        }
+        let [below, here, above] = [(i - 1) % 3, i % 3, (i + 1) % 3];
+        PointTerms {
+            jacobians: [
+                &self.jacobians[below],
+                &self.jacobians[here],
+                &self.jacobians[above],
+            ],
+            radii: [&self.radii[below], &self.radii[here], &self.radii[above]],
+        }
+    }
+}
+
+/// The flux terms the count witness tells apart.
+#[derive(Clone, Copy)]
+enum Term {
+    Jacobian,
+    Radius,
+    SplitFlux,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Flux-term evaluations on this thread, in lanes, by [`Term`]:
+    /// the count witness of the window and of the split-flux row.
+    static EVALUATIONS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
+
+/// Count `lanes` evaluations of `term` (test builds only).
+#[inline(always)]
+fn count(term: Term, lanes: usize) {
+    #[cfg(test)]
+    EVALUATIONS.with(|e| {
+        let mut counts = e.get();
+        counts[term as usize] += lanes;
+        e.set(counts);
+    });
+    #[cfg(not(test))]
+    let _ = (term, lanes);
 }
 
 /// Solve `factor` along the `W` gathered pencils of `scratch` in
 /// lockstep, identity rows pinning the boundary points: on entry
 /// `scratch.rhs_line` holds the right-hand sides, on return the
 /// solutions; the per-point time step comes from `scratch.dt_line`
-/// (the global `dt` or the local-time-stepping value).
+/// (the global `dt` or the local-time-stepping value). Runs at the
+/// widest SIMD tier the CPU reports ([`Tier::widest`]).
 ///
-/// Each point is assembled and eliminated before the next is touched,
-/// so only what back substitution needs is ever stored. Every lane's
-/// solution is bit-identical to the one-pencil (`W = 1`) solve of that
-/// pencil.
+/// Each point is assembled from a three-slot window of per-point flux
+/// terms — a point's Jacobian and spectral radius computed once per
+/// sweep wherever neighbouring metrics share their bits — and
+/// eliminated before the next is touched, so only what back
+/// substitution needs is ever stored. Every lane's solution is
+/// bit-identical to the one-pencil (`W = 1`) solve of that pencil, at
+/// every tier.
 ///
 /// # Panics
 /// Panics if `n < 2`, the scratch is too small, or a pivot block is
@@ -478,27 +629,47 @@ pub fn implicit_factor_bundle<const W: usize, F: ImplicitFactor>(
     n: usize,
     factor: &F,
 ) {
+    factor_bundle_at::<W, F>(Tier::widest(), scratch, n, factor);
+}
+
+/// [`implicit_factor_bundle`] at `tier`.
+fn factor_bundle_at<const W: usize, F: ImplicitFactor>(
+    tier: Tier,
+    scratch: &mut PencilScratch,
+    n: usize,
+    factor: &F,
+) {
     assert!(n >= 2, "pencil too short");
     assert!(scratch.tri.capacity() >= n * W, "scratch too small");
-    let zero = [[[0.0; W]; NCONS]; NCONS];
-    for i in 0..n {
-        let [lower, diag, upper] = if i == 0 || i == n - 1 {
-            [
-                zero,
-                std::array::from_fn(|r| std::array::from_fn(|c| [IDENT[r][c]; W])),
-                zero,
-            ]
-        } else {
-            factor.assemble::<W>(scratch, i)
-        };
-        scratch
-            .tri
-            .eliminate(i, &lower, &diag, &upper, lanes_at(&scratch.rhs_line, i));
-    }
-    let rhs_line = &mut scratch.rhs_line;
-    scratch
-        .tri
-        .back_substitute::<W>(n, |i, lane, x| rhs_line[i * W + lane] = x);
+    tier.run(
+        scratch,
+        #[inline(always)]
+        |scratch| {
+            let zero = [[[0.0; W]; NCONS]; NCONS];
+            let ident = std::array::from_fn(|r| std::array::from_fn(|c| [IDENT[r][c]; W]));
+            let mut window = Window::<W>::new();
+            for i in 0..n {
+                let [lower, diag, upper] = if i == 0 || i == n - 1 {
+                    [zero, ident, zero]
+                } else {
+                    let terms = window.advance::<F>(&scratch.q_line, &scratch.n_line, n, i);
+                    factor.assemble::<W>(
+                        &terms,
+                        lanes_at(&scratch.q_line, i),
+                        lanes_at(&scratch.n_line, i),
+                        lanes_at(&scratch.dt_line, i),
+                    )
+                };
+                scratch
+                    .tri
+                    .eliminate(i, &lower, &diag, &upper, lanes_at(&scratch.rhs_line, i));
+            }
+            let rhs_line = &mut scratch.rhs_line;
+            scratch
+                .tri
+                .back_substitute::<W>(n, |i, lane, x| rhs_line[i * W + lane] = x);
+        },
+    );
 }
 
 /// The assemblies below do their block algebra one element at a time,
@@ -514,19 +685,19 @@ const IDENT: Block = blocktri::identity();
 pub struct UpwindFactor;
 
 impl ImplicitFactor for UpwindFactor {
-    #[inline]
-    fn assemble<const W: usize>(&self, scratch: &PencilScratch, i: usize) -> [LaneBlock<W>; 3] {
-        let q = lanes_at::<W, _>(&scratch.q_line, i);
-        let n = lanes_at::<W, _>(&scratch.n_line, i);
-        let dt = lanes_at::<W, _>(&scratch.dt_line, i);
-        let a_i = flux::flux_jacobian_lanes(q, n);
-        let r_i = flux::spectral_radius_lanes(q, n);
-        let q_minus = lanes_at::<W, _>(&scratch.q_line, i - 1);
-        let a_im = flux::flux_jacobian_lanes(q_minus, n);
-        let r_im = flux::spectral_radius_lanes(q_minus, n);
-        let q_plus = lanes_at::<W, _>(&scratch.q_line, i + 1);
-        let a_ip = flux::flux_jacobian_lanes(q_plus, n);
-        let r_ip = flux::spectral_radius_lanes(q_plus, n);
+    const JACOBIANS: [bool; 3] = [true; 3];
+    const RADII: [bool; 3] = [true; 3];
+
+    #[inline(always)]
+    fn assemble<const W: usize>(
+        &self,
+        terms: &PointTerms<'_, W>,
+        _q: &[Vec5; W],
+        _n: &[[f64; 3]; W],
+        dt: &[f64; W],
+    ) -> [LaneBlock<W>; 3] {
+        let [a_im, a_i, a_ip] = terms.jacobians;
+        let [r_im, r_i, r_ip] = terms.radii;
         let mut out = [[[[0.0; W]; NCONS]; NCONS]; 3];
         for r in 0..NCONS {
             for c in 0..NCONS {
@@ -559,14 +730,19 @@ pub struct CentralFactor {
 }
 
 impl ImplicitFactor for CentralFactor {
-    #[inline]
-    fn assemble<const W: usize>(&self, scratch: &PencilScratch, i: usize) -> [LaneBlock<W>; 3] {
-        let q = lanes_at::<W, _>(&scratch.q_line, i);
-        let n = lanes_at::<W, _>(&scratch.n_line, i);
-        let dt = lanes_at::<W, _>(&scratch.dt_line, i);
-        let a_im = flux::flux_jacobian_lanes(lanes_at::<W, _>(&scratch.q_line, i - 1), n);
-        let a_ip = flux::flux_jacobian_lanes(lanes_at::<W, _>(&scratch.q_line, i + 1), n);
-        let sigma = flux::spectral_radius_lanes(q, n);
+    const JACOBIANS: [bool; 3] = [true, false, true];
+    const RADII: [bool; 3] = [false, true, false];
+
+    #[inline(always)]
+    fn assemble<const W: usize>(
+        &self,
+        terms: &PointTerms<'_, W>,
+        q: &[Vec5; W],
+        n: &[[f64; 3]; W],
+        dt: &[f64; W],
+    ) -> [LaneBlock<W>; 3] {
+        let [a_im, _, a_ip] = terms.jacobians;
+        let sigma = terms.radii[1];
         let mut d = [0.0; W];
         for lane in 0..W {
             let nl = n[lane];
@@ -619,142 +795,276 @@ pub fn implicit_central_pencil_w(
     implicit_factor_bundle::<1, _>(scratch, n, &CentralFactor { eps_imp, mu_vis });
 }
 
-/// The full explicit residual at `W` consecutive interior points along
-/// J (`first.j + lane`), with the flux evaluations routed through the
-/// lane kernels. Every lane runs one fixed direction and accumulation
-/// order (J upwind, K central, L central, then the viscous terms), so
-/// each lane's residual is bit-identical to the one-point scalar
-/// evaluation in this module's tests, at every `W`.
-///
-/// # Panics
-/// Debug-panics if any lane's point lies on a zone face.
-#[must_use]
-pub fn residual_points_lanes<const W: usize>(
-    zone: &ZoneSolver,
-    first: Ijk,
-    eps2: f64,
-) -> [Vec5; W] {
-    let mut r = [[0.0; NCONS]; W];
-
-    let mut q_i = [[0.0; NCONS]; W];
-    let mut q_m = [[0.0; NCONS]; W];
-    let mut q_p = [[0.0; NCONS]; W];
-    let mut nd = [[0.0; 3]; W];
-
-    // J: first-order Steger–Warming upwind differences.
-    for lane in 0..W {
-        let p = pencil_point(first, Axis::J, first.j + lane);
-        debug_assert!(!zone.dims().on_boundary(p), "residual at face point {p}");
-        nd[lane] = zone.metrics.grad(p, Axis::J);
-        q_i[lane] = zone.q.get(p);
-        q_m[lane] = zone.q.get(p.offset(Axis::J, -1));
-        q_p[lane] = zone.q.get(p.offset(Axis::J, 1));
-    }
-    let fp_i = flux::steger_warming_lanes::<W>(&q_i, &nd, true);
-    let fp_im = flux::steger_warming_lanes::<W>(&q_m, &nd, true);
-    let fm_ip = flux::steger_warming_lanes::<W>(&q_p, &nd, false);
-    let fm_i = flux::steger_warming_lanes::<W>(&q_i, &nd, false);
-    for lane in 0..W {
-        for c in 0..NCONS {
-            r[lane][c] += (fp_i[lane][c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[lane][c]);
-        }
-    }
-
-    // K and L: central differences with scalar dissipation.
-    for axis in [Axis::K, Axis::L] {
-        for lane in 0..W {
-            let p = pencil_point(first, Axis::J, first.j + lane);
-            nd[lane] = zone.metrics.grad(p, axis);
-            q_m[lane] = zone.q.get(p.offset(axis, -1));
-            q_p[lane] = zone.q.get(p.offset(axis, 1));
-        }
-        let f_p = flux::directed_flux_lanes::<W>(&q_p, &nd);
-        let f_m = flux::directed_flux_lanes::<W>(&q_m, &nd);
-        let sigma = flux::spectral_radius_lanes::<W>(&q_i, &nd);
-        for lane in 0..W {
-            for c in 0..NCONS {
-                let central = 0.5 * (f_p[lane][c] - f_m[lane][c]);
-                let diss = eps2 * sigma[lane] * (q_p[lane][c] - 2.0 * q_i[lane][c] + q_m[lane][c]);
-                r[lane][c] += central - diss;
-            }
-        }
-    }
-
-    // Thin-layer viscous terms along L: per-lane scalar evaluation —
-    // the midpoint flux mixes two points' states, so lanes gain nothing
-    // here, and the scalar call keeps the operation sequence identical.
-    if zone.config.is_viscous() {
-        let mu = zone.config.viscosity;
-        let pr = zone.config.prandtl;
-        let mid = |a: [f64; 3], b: [f64; 3]| {
-            [
-                0.5 * (a[0] + b[0]),
-                0.5 * (a[1] + b[1]),
-                0.5 * (a[2] + b[2]),
-            ]
-        };
-        for lane in 0..W {
-            let p = pencil_point(first, Axis::J, first.j + lane);
-            let q_c = q_i[lane];
-            let q_lo = zone.q.get(p.offset(Axis::L, -1));
-            let q_hi = zone.q.get(p.offset(Axis::L, 1));
-            let n_i = zone.metrics.grad(p, Axis::L);
-            let n_m = zone.metrics.grad(p.offset(Axis::L, -1), Axis::L);
-            let n_p = zone.metrics.grad(p.offset(Axis::L, 1), Axis::L);
-            let s_hi = viscous_flux_midpoint(&q_c, &q_hi, mid(n_i, n_p), mu, pr);
-            let s_lo = viscous_flux_midpoint(&q_lo, &q_c, mid(n_m, n_i), mu, pr);
-            for c in 0..NCONS {
-                r[lane][c] -= s_hi[c] - s_lo[c];
-            }
-        }
-    }
-    r
+/// A worker's residual-row scratch, one allocation: the row
+/// [`residual_rhs_row_w`] fills, then the row's Steger–Warming split
+/// fluxes `F⁺` and `F⁻`, each point's at its own J metric.
+#[derive(Debug)]
+pub struct RowScratch {
+    /// `[row | F⁺ | F⁻]`, `jmax` points each.
+    lines: Vec<Vec5>,
 }
 
-/// Fill `row[j] = −Δt(p)·R(p)` for the interior points `j ∈ 1..jmax−1`
-/// of one `(k, l)` row, [`residual_points_lanes`] at `width` points
-/// per lane group — the `rhs`-kernel body both steppers share.
-/// Boundary entries of `row` are left untouched; every entry is the
-/// same bits at every width.
+impl RowScratch {
+    /// Scratch for rows of `jmax` points.
+    #[must_use]
+    pub fn new(jmax: usize) -> Self {
+        Self {
+            lines: vec![[0.0; NCONS]; 3 * jmax],
+        }
+    }
+
+    /// The row: `row()[j]` is `−Δt(p)·R(p)` at interior point `j` of
+    /// the last row filled.
+    #[must_use]
+    pub fn row(&self) -> &[Vec5] {
+        &self.lines[..self.lines.len() / 3]
+    }
+
+    /// Scratch bytes.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.lines.len() * std::mem::size_of::<Vec5>()
+    }
+}
+
+/// Fill `scratch.row()[j] = −Δt(p)·R(p)` for the interior points
+/// `j ∈ 1..jmax−1` of one `(k, l)` row, `width` points per lane group —
+/// the `rhs`-kernel body both steppers share — at the widest SIMD tier
+/// the CPU reports. Every lane runs one fixed direction and
+/// accumulation order (J upwind, K central, L central, then the viscous
+/// terms), so each entry is bit-identical to the one-point scalar
+/// evaluation in this module's tests, at every width and tier.
+/// Boundary entries of the row are left untouched.
+///
+/// The J differences need `F⁺` and `F⁻` of each point and of its
+/// neighbours, all at the point's own J metric. Each point's own pair
+/// is evaluated once, into the scratch's flux lines; a neighbour's is
+/// reused wherever the neighbour's J metric has the point's bits, and
+/// evaluated as before elsewhere (the row's two ends, and every point
+/// of a curvilinear zone).
 ///
 /// # Panics
-/// Panics if `row` is shorter than the J extent.
+/// Panics if `scratch` holds rows shorter than the J extent.
 pub fn residual_rhs_row_w(
     zone: &ZoneSolver,
     k: usize,
     l: usize,
     eps2: f64,
     width: usize,
-    row: &mut [Vec5],
+    scratch: &mut RowScratch,
 ) {
-    let jmax = zone.dims().j;
-    assert!(row.len() >= jmax, "row buffer too small");
-    let mut body = ResidualRow {
-        zone,
-        k,
-        l,
-        eps2,
-        row,
-    };
-    for_lane_groups(width, 1..jmax - 1, &mut body);
+    residual_row_at(Tier::widest(), zone, k, l, eps2, width, scratch);
 }
 
-struct ResidualRow<'a> {
+/// [`residual_rhs_row_w`] at `tier`.
+fn residual_row_at(
+    tier: Tier,
+    zone: &ZoneSolver,
+    k: usize,
+    l: usize,
+    eps2: f64,
+    width: usize,
+    scratch: &mut RowScratch,
+) {
+    let jmax = zone.dims().j;
+    assert!(scratch.lines.len() >= 3 * jmax, "row buffer too small");
+    let len = scratch.lines.len() / 3;
+    tier.run(
+        scratch.lines.as_mut_slice(),
+        #[inline(always)]
+        |lines| {
+            let (row, fluxes) = lines.split_at_mut(len);
+            let (plus, minus) = fluxes.split_at_mut(len);
+            let mut own = SplitFluxes {
+                zone,
+                k,
+                l,
+                plus: &mut *plus,
+                minus: &mut *minus,
+            };
+            for_lane_groups(width, 1..jmax - 1, &mut own);
+            let mut body = ResidualGroup {
+                zone,
+                k,
+                l,
+                eps2,
+                plus,
+                minus,
+                row,
+            };
+            for_lane_groups(width, 1..jmax - 1, &mut body);
+        },
+    );
+}
+
+/// Each point's own `F⁺` and `F⁻` at its J metric, into the flux lines.
+struct SplitFluxes<'a> {
+    zone: &'a ZoneSolver,
+    k: usize,
+    l: usize,
+    plus: &'a mut [Vec5],
+    minus: &'a mut [Vec5],
+}
+
+impl LaneBody for SplitFluxes<'_> {
+    #[inline(always)]
+    fn group<const W: usize>(&mut self, first: usize) {
+        let mut q = [[0.0; NCONS]; W];
+        let mut n = [[0.0; 3]; W];
+        for lane in 0..W {
+            let p = Ijk::new(first + lane, self.k, self.l);
+            q[lane] = self.zone.q.get(p);
+            n[lane] = self.zone.metrics.grad(p, Axis::J);
+        }
+        let fp = flux::steger_warming_lanes::<W>(&q, &n, true);
+        let fm = flux::steger_warming_lanes::<W>(&q, &n, false);
+        count(Term::SplitFlux, 2 * W);
+        self.plus[first..first + W].copy_from_slice(&fp);
+        self.minus[first..first + W].copy_from_slice(&fm);
+    }
+}
+
+/// The full residual at `W` consecutive interior points of the row,
+/// from the split-flux lines [`SplitFluxes`] filled.
+struct ResidualGroup<'a> {
     zone: &'a ZoneSolver,
     k: usize,
     l: usize,
     eps2: f64,
+    plus: &'a [Vec5],
+    minus: &'a [Vec5],
     row: &'a mut [Vec5],
 }
 
-impl LaneBody for ResidualRow<'_> {
-    #[inline]
+impl ResidualGroup<'_> {
+    /// `F±(q_{j+step}, n_j)` at each lane's point `j`: `F⁺` of the
+    /// point below (`step` −1), `F⁻` of the point above (`step` +1).
+    /// An interior neighbour whose J metric has `n_j`'s bits already
+    /// has it in its flux line. If no lane's neighbour does, the lanes
+    /// are evaluated together; otherwise each one that does not is
+    /// evaluated alone.
+    #[inline(always)]
+    fn neighbour_fluxes<const W: usize>(
+        &self,
+        first: usize,
+        n: &[[f64; 3]; W],
+        step: isize,
+    ) -> [Vec5; W] {
+        let positive = step < 0;
+        let own = if positive { self.plus } else { self.minus };
+        let interior = 1..self.zone.dims().j - 1;
+        let mut points = [Ijk::new(0, 0, 0); W];
+        let mut kept = [false; W];
+        for lane in 0..W {
+            let p = Ijk::new(first + lane, self.k, self.l).offset(Axis::J, step);
+            points[lane] = p;
+            kept[lane] = interior.contains(&p.j)
+                && metric_bits(&[self.zone.metrics.grad(p, Axis::J)]) == metric_bits(&[n[lane]]);
+        }
+        if !kept.contains(&true) {
+            let mut q = [[0.0; NCONS]; W];
+            for lane in 0..W {
+                q[lane] = self.zone.q.get(points[lane]);
+            }
+            count(Term::SplitFlux, W);
+            return flux::steger_warming_lanes::<W>(&q, n, positive);
+        }
+        let mut out = [[0.0; NCONS]; W];
+        for lane in 0..W {
+            let p = points[lane];
+            out[lane] = if kept[lane] {
+                own[p.j]
+            } else {
+                count(Term::SplitFlux, 1);
+                flux::steger_warming_lanes::<1>(&[self.zone.q.get(p)], &[n[lane]], positive)[0]
+            };
+        }
+        out
+    }
+}
+
+impl LaneBody for ResidualGroup<'_> {
+    #[inline(always)]
     fn group<const W: usize>(&mut self, first: usize) {
-        let r = residual_points_lanes::<W>(self.zone, Ijk::new(first, self.k, self.l), self.eps2);
+        let zone = self.zone;
+        let at = |lane: usize| Ijk::new(first + lane, self.k, self.l);
+        let mut r = [[0.0; NCONS]; W];
+
+        let mut q_i = [[0.0; NCONS]; W];
+        let mut q_m = [[0.0; NCONS]; W];
+        let mut q_p = [[0.0; NCONS]; W];
+        let mut nd = [[0.0; 3]; W];
+
+        // J: first-order Steger–Warming upwind differences.
+        for lane in 0..W {
+            let p = at(lane);
+            debug_assert!(!zone.dims().on_boundary(p), "residual at face point {p}");
+            nd[lane] = zone.metrics.grad(p, Axis::J);
+            q_i[lane] = zone.q.get(p);
+        }
+        let fp_im = self.neighbour_fluxes::<W>(first, &nd, -1);
+        let fm_ip = self.neighbour_fluxes::<W>(first, &nd, 1);
+        for lane in 0..W {
+            let (fp_i, fm_i) = (self.plus[first + lane], self.minus[first + lane]);
+            for c in 0..NCONS {
+                r[lane][c] += (fp_i[c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[c]);
+            }
+        }
+
+        // K and L: central differences with scalar dissipation.
+        for axis in [Axis::K, Axis::L] {
+            for lane in 0..W {
+                let p = at(lane);
+                nd[lane] = zone.metrics.grad(p, axis);
+                q_m[lane] = zone.q.get(p.offset(axis, -1));
+                q_p[lane] = zone.q.get(p.offset(axis, 1));
+            }
+            let f_p = flux::directed_flux_lanes::<W>(&q_p, &nd);
+            let f_m = flux::directed_flux_lanes::<W>(&q_m, &nd);
+            let sigma = flux::spectral_radius_lanes::<W>(&q_i, &nd);
+            for lane in 0..W {
+                for c in 0..NCONS {
+                    let central = 0.5 * (f_p[lane][c] - f_m[lane][c]);
+                    let diss = self.eps2
+                        * sigma[lane]
+                        * (q_p[lane][c] - 2.0 * q_i[lane][c] + q_m[lane][c]);
+                    r[lane][c] += central - diss;
+                }
+            }
+        }
+
+        // Thin-layer viscous terms along L: per-lane scalar evaluation —
+        // the midpoint flux mixes two points' states, so lanes gain nothing
+        // here, and the scalar call keeps the operation sequence identical.
+        if zone.config.is_viscous() {
+            let mu = zone.config.viscosity;
+            let pr = zone.config.prandtl;
+            let mid = |a: [f64; 3], b: [f64; 3]| {
+                [
+                    0.5 * (a[0] + b[0]),
+                    0.5 * (a[1] + b[1]),
+                    0.5 * (a[2] + b[2]),
+                ]
+            };
+            for lane in 0..W {
+                let p = at(lane);
+                let q_c = q_i[lane];
+                let q_lo = zone.q.get(p.offset(Axis::L, -1));
+                let q_hi = zone.q.get(p.offset(Axis::L, 1));
+                let n_i = zone.metrics.grad(p, Axis::L);
+                let n_m = zone.metrics.grad(p.offset(Axis::L, -1), Axis::L);
+                let n_p = zone.metrics.grad(p.offset(Axis::L, 1), Axis::L);
+                let s_hi = viscous_flux_midpoint(&q_c, &q_hi, mid(n_i, n_p), mu, pr);
+                let s_lo = viscous_flux_midpoint(&q_lo, &q_c, mid(n_m, n_i), mu, pr);
+                for c in 0..NCONS {
+                    r[lane][c] -= s_hi[c] - s_lo[c];
+                }
+            }
+        }
+
         for (lane, r) in r.iter().enumerate() {
-            let j = first + lane;
-            let dt_p = local_dt(self.zone, Ijk::new(j, self.k, self.l));
-            for (out, &v) in self.row[j].iter_mut().zip(r) {
+            let dt_p = local_dt(zone, at(lane));
+            for (out, &v) in self.row[first + lane].iter_mut().zip(r) {
                 *out = -dt_p * v;
             }
         }
@@ -1267,12 +1577,13 @@ mod tests {
         let d = Dims::new(9, 6, 6);
         let zone = perturbed_zone(config, d);
         let jmax = d.j;
-        let mut row = vec![[0.0; NCONS]; jmax];
+        let mut scratch = RowScratch::new(jmax);
         for k in 1..d.k - 1 {
             for l in 1..d.l - 1 {
                 for width in solver::SUPPORTED_WIDTHS {
-                    row.iter_mut().for_each(|r| *r = [f64::NAN; NCONS]);
-                    residual_rhs_row_w(&zone, k, l, 0.08, width, &mut row);
+                    scratch.lines.fill([f64::NAN; NCONS]);
+                    residual_rhs_row_w(&zone, k, l, 0.08, width, &mut scratch);
+                    let row = scratch.row();
                     for (j, got) in row.iter().enumerate().take(jmax - 1).skip(1) {
                         let p = Ijk::new(j, k, l);
                         let dt_p = local_dt(&zone, p);
@@ -1286,6 +1597,502 @@ mod tests {
                     // Boundary entries are left untouched.
                     assert!(row[0][0].is_nan() && row[jmax - 1][0].is_nan());
                 }
+            }
+        }
+    }
+
+    /// The kernels as they were before the window and the split-flux
+    /// row: every point's terms evaluated for every row that reads
+    /// them, compiled at the baseline. The tier oracle's reference.
+    mod pre_window {
+        use super::super::*;
+
+        /// The pre-window factor interface: a factor assembled point
+        /// `i` from the gathered lines alone.
+        pub(super) trait Assemble {
+            fn assemble<const W: usize>(
+                &self,
+                scratch: &PencilScratch,
+                i: usize,
+            ) -> [LaneBlock<W>; 3];
+        }
+
+        pub(super) fn implicit_factor_bundle<const W: usize, F: Assemble>(
+            scratch: &mut PencilScratch,
+            n: usize,
+            factor: &F,
+        ) {
+            let zero = [[[0.0; W]; NCONS]; NCONS];
+            for i in 0..n {
+                let [lower, diag, upper] = if i == 0 || i == n - 1 {
+                    [
+                        zero,
+                        std::array::from_fn(|r| std::array::from_fn(|c| [IDENT[r][c]; W])),
+                        zero,
+                    ]
+                } else {
+                    factor.assemble::<W>(scratch, i)
+                };
+                scratch
+                    .tri
+                    .eliminate(i, &lower, &diag, &upper, lanes_at(&scratch.rhs_line, i));
+            }
+            let rhs_line = &mut scratch.rhs_line;
+            scratch
+                .tri
+                .back_substitute::<W>(n, |i, lane, x| rhs_line[i * W + lane] = x);
+        }
+
+        impl Assemble for UpwindFactor {
+            fn assemble<const W: usize>(
+                &self,
+                scratch: &PencilScratch,
+                i: usize,
+            ) -> [LaneBlock<W>; 3] {
+                let q = lanes_at::<W, _>(&scratch.q_line, i);
+                let n = lanes_at::<W, _>(&scratch.n_line, i);
+                let dt = lanes_at::<W, _>(&scratch.dt_line, i);
+                let a_i = flux::flux_jacobian_lanes(q, n);
+                let r_i = flux::spectral_radius_lanes(q, n);
+                let q_minus = lanes_at::<W, _>(&scratch.q_line, i - 1);
+                let a_im = flux::flux_jacobian_lanes(q_minus, n);
+                let r_im = flux::spectral_radius_lanes(q_minus, n);
+                let q_plus = lanes_at::<W, _>(&scratch.q_line, i + 1);
+                let a_ip = flux::flux_jacobian_lanes(q_plus, n);
+                let r_ip = flux::spectral_radius_lanes(q_plus, n);
+                let mut out = [[[[0.0; W]; NCONS]; NCONS]; 3];
+                for r in 0..NCONS {
+                    for c in 0..NCONS {
+                        let id = IDENT[r][c];
+                        for lane in 0..W {
+                            let ap_i = (a_i[lane][r][c] + id * r_i[lane]) * 0.5;
+                            let am_i = (a_i[lane][r][c] - id * r_i[lane]) * 0.5;
+                            let ap_im = (a_im[lane][r][c] + id * r_im[lane]) * 0.5;
+                            let am_ip = (a_ip[lane][r][c] - id * r_ip[lane]) * 0.5;
+                            out[0][r][c][lane] = ap_im * -dt[lane];
+                            out[1][r][c][lane] = id + (ap_i - am_i) * dt[lane];
+                            out[2][r][c][lane] = am_ip * dt[lane];
+                        }
+                    }
+                }
+                out
+            }
+        }
+
+        impl Assemble for CentralFactor {
+            fn assemble<const W: usize>(
+                &self,
+                scratch: &PencilScratch,
+                i: usize,
+            ) -> [LaneBlock<W>; 3] {
+                let q = lanes_at::<W, _>(&scratch.q_line, i);
+                let n = lanes_at::<W, _>(&scratch.n_line, i);
+                let dt = lanes_at::<W, _>(&scratch.dt_line, i);
+                let a_im = flux::flux_jacobian_lanes(lanes_at::<W, _>(&scratch.q_line, i - 1), n);
+                let a_ip = flux::flux_jacobian_lanes(lanes_at::<W, _>(&scratch.q_line, i + 1), n);
+                let sigma = flux::spectral_radius_lanes(q, n);
+                let mut d = [0.0; W];
+                for lane in 0..W {
+                    let nl = n[lane];
+                    let sigma_v = if self.mu_vis > 0.0 {
+                        let phi = nl[0] * nl[0] + nl[1] * nl[1] + nl[2] * nl[2];
+                        2.0 * self.mu_vis * phi / q[lane][0]
+                    } else {
+                        0.0
+                    };
+                    d[lane] = dt[lane] * (self.eps_imp * sigma[lane] + sigma_v);
+                }
+                let mut out = [[[[0.0; W]; NCONS]; NCONS]; 3];
+                for r in 0..NCONS {
+                    for c in 0..NCONS {
+                        let id = IDENT[r][c];
+                        for lane in 0..W {
+                            out[0][r][c][lane] =
+                                a_im[lane][r][c] * (-0.5 * dt[lane]) + id * -d[lane];
+                            out[1][r][c][lane] = id + id * (2.0 * d[lane]);
+                            out[2][r][c][lane] =
+                                a_ip[lane][r][c] * (0.5 * dt[lane]) + id * -d[lane];
+                        }
+                    }
+                }
+                out
+            }
+        }
+
+        /// The pre-split-flux row: `row[j] = −Δt(p)·R(p)` with all four
+        /// J split fluxes of each point evaluated at it.
+        pub(super) fn residual_rhs_row_w(
+            zone: &ZoneSolver,
+            k: usize,
+            l: usize,
+            eps2: f64,
+            width: usize,
+            row: &mut [Vec5],
+        ) {
+            let jmax = zone.dims().j;
+            let mut body = Row {
+                zone,
+                k,
+                l,
+                eps2,
+                row,
+            };
+            for_lane_groups(width, 1..jmax - 1, &mut body);
+        }
+
+        struct Row<'a> {
+            zone: &'a ZoneSolver,
+            k: usize,
+            l: usize,
+            eps2: f64,
+            row: &'a mut [Vec5],
+        }
+
+        impl LaneBody for Row<'_> {
+            fn group<const W: usize>(&mut self, first: usize) {
+                let r = residual_points_lanes::<W>(
+                    self.zone,
+                    Ijk::new(first, self.k, self.l),
+                    self.eps2,
+                );
+                for (lane, r) in r.iter().enumerate() {
+                    let j = first + lane;
+                    let dt_p = local_dt(self.zone, Ijk::new(j, self.k, self.l));
+                    for (out, &v) in self.row[j].iter_mut().zip(r) {
+                        *out = -dt_p * v;
+                    }
+                }
+            }
+        }
+
+        fn residual_points_lanes<const W: usize>(
+            zone: &ZoneSolver,
+            first: Ijk,
+            eps2: f64,
+        ) -> [Vec5; W] {
+            let mut r = [[0.0; NCONS]; W];
+            let mut q_i = [[0.0; NCONS]; W];
+            let mut q_m = [[0.0; NCONS]; W];
+            let mut q_p = [[0.0; NCONS]; W];
+            let mut nd = [[0.0; 3]; W];
+            for lane in 0..W {
+                let p = pencil_point(first, Axis::J, first.j + lane);
+                nd[lane] = zone.metrics.grad(p, Axis::J);
+                q_i[lane] = zone.q.get(p);
+                q_m[lane] = zone.q.get(p.offset(Axis::J, -1));
+                q_p[lane] = zone.q.get(p.offset(Axis::J, 1));
+            }
+            let fp_i = flux::steger_warming_lanes::<W>(&q_i, &nd, true);
+            let fp_im = flux::steger_warming_lanes::<W>(&q_m, &nd, true);
+            let fm_ip = flux::steger_warming_lanes::<W>(&q_p, &nd, false);
+            let fm_i = flux::steger_warming_lanes::<W>(&q_i, &nd, false);
+            for lane in 0..W {
+                for c in 0..NCONS {
+                    r[lane][c] +=
+                        (fp_i[lane][c] - fp_im[lane][c]) + (fm_ip[lane][c] - fm_i[lane][c]);
+                }
+            }
+            for axis in [Axis::K, Axis::L] {
+                for lane in 0..W {
+                    let p = pencil_point(first, Axis::J, first.j + lane);
+                    nd[lane] = zone.metrics.grad(p, axis);
+                    q_m[lane] = zone.q.get(p.offset(axis, -1));
+                    q_p[lane] = zone.q.get(p.offset(axis, 1));
+                }
+                let f_p = flux::directed_flux_lanes::<W>(&q_p, &nd);
+                let f_m = flux::directed_flux_lanes::<W>(&q_m, &nd);
+                let sigma = flux::spectral_radius_lanes::<W>(&q_i, &nd);
+                for lane in 0..W {
+                    for c in 0..NCONS {
+                        let central = 0.5 * (f_p[lane][c] - f_m[lane][c]);
+                        let diss =
+                            eps2 * sigma[lane] * (q_p[lane][c] - 2.0 * q_i[lane][c] + q_m[lane][c]);
+                        r[lane][c] += central - diss;
+                    }
+                }
+            }
+            if zone.config.is_viscous() {
+                let mu = zone.config.viscosity;
+                let pr = zone.config.prandtl;
+                let mid = |a: [f64; 3], b: [f64; 3]| {
+                    [
+                        0.5 * (a[0] + b[0]),
+                        0.5 * (a[1] + b[1]),
+                        0.5 * (a[2] + b[2]),
+                    ]
+                };
+                for lane in 0..W {
+                    let p = pencil_point(first, Axis::J, first.j + lane);
+                    let q_c = q_i[lane];
+                    let q_lo = zone.q.get(p.offset(Axis::L, -1));
+                    let q_hi = zone.q.get(p.offset(Axis::L, 1));
+                    let n_i = zone.metrics.grad(p, Axis::L);
+                    let n_m = zone.metrics.grad(p.offset(Axis::L, -1), Axis::L);
+                    let n_p = zone.metrics.grad(p.offset(Axis::L, 1), Axis::L);
+                    let s_hi = viscous_flux_midpoint(&q_c, &q_hi, mid(n_i, n_p), mu, pr);
+                    let s_lo = viscous_flux_midpoint(&q_lo, &q_c, mid(n_m, n_i), mu, pr);
+                    for c in 0..NCONS {
+                        r[lane][c] -= s_hi[c] - s_lo[c];
+                    }
+                }
+            }
+            r
+        }
+    }
+
+    /// The grids the oracle and the count witness run on.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Grid {
+        /// Broadcast metrics: every neighbour has a point's bits.
+        Cartesian,
+        /// `Zone::cylinder_segment`: the K and L metrics change from
+        /// point to point; the J metric (axial, uniform spacing) keeps
+        /// its bits at some neighbours and not at others.
+        Cylinder,
+        /// A cylinder segment flared and stretched along its axis, so
+        /// every metric changes from point to point along every axis.
+        Flared,
+    }
+
+    /// A perturbed zone of dims `d` on `grid`.
+    fn oracle_zone(config: SolverConfig, d: Dims, grid: Grid, phase: usize) -> ZoneSolver {
+        let metrics = match grid {
+            Grid::Cartesian => Metrics::cartesian(d, (0.2, 0.25, 0.3)),
+            Grid::Cylinder => mesh::Zone::cylinder_segment(d, 3.0, 0.5, 2.5).metrics(),
+            Grid::Flared => {
+                let [nj, nk, nl] = [d.j, d.k, d.l].map(|n| (n - 1) as f64);
+                mesh::Zone::from_fn(d, |p| {
+                    let xi = p.j as f64 / nj;
+                    let theta = p.k as f64 / nk * std::f64::consts::PI;
+                    let r = 0.5 * 5.0f64.powf(p.l as f64 / nl) * (1.0 + 0.3 * xi);
+                    (
+                        3.0 * xi * (1.0 + 0.5 * xi),
+                        r * theta.cos(),
+                        r * theta.sin(),
+                    )
+                })
+                .metrics()
+            }
+        };
+        let mut zone =
+            ZoneSolver::freestream(config, metrics, Layout::jkl(), Arrangement::ComponentInner);
+        for p in d.iter_jkl() {
+            let mut q = zone.q.get(p);
+            let t = (p.j * 3 + p.k * 5 + p.l * 7 + phase) as f64;
+            q[0] *= 1.0 + 0.02 * t.sin();
+            q[2] += 0.05 * (0.7 * t).cos();
+            q[4] *= 1.0 + 0.01 * (1.3 * t).cos();
+            zone.q.set(p, q);
+        }
+        zone
+    }
+
+    /// The three factors the steppers run: upwind (J), central without
+    /// and with the implicit viscous term.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Upwind,
+        Central,
+        Viscous,
+    }
+
+    /// `W` pencils of `zone` along `axis` from `bases`, with the
+    /// right-hand sides filled: what `FactorSweep` hands a factor.
+    fn gathered<const W: usize>(zone: &ZoneSolver, axis: Axis, bases: [Ijk; W]) -> PencilScratch {
+        let n = zone.dims().extent(axis);
+        let mut s = PencilScratch::for_pencils(n, W);
+        s.gather_bundle(zone, axis, bases);
+        for (x, r) in s.rhs_line.iter_mut().enumerate() {
+            *r = std::array::from_fn(|c| 0.01 * ((x * 7 + c * 3) as f64).sin());
+        }
+        s
+    }
+
+    /// The window's bundle at `tier` and the pre-window one, on the
+    /// same gathered pencils: their solutions' bits.
+    fn both_factors<const W: usize>(
+        tier: Tier,
+        kind: Kind,
+        zone: &ZoneSolver,
+        axis: Axis,
+        bases: [Ijk; W],
+    ) -> [Vec<u64>; 2] {
+        let n = zone.dims().extent(axis);
+        let (eps_imp, mu) = (zone.config.eps_imp, 0.004);
+        let mut new = gathered(zone, axis, bases);
+        let mut old = new.clone();
+        let central = |mu_vis| CentralFactor { eps_imp, mu_vis };
+        match kind {
+            Kind::Upwind => {
+                factor_bundle_at::<W, _>(tier, &mut new, n, &UpwindFactor);
+                pre_window::implicit_factor_bundle::<W, _>(&mut old, n, &UpwindFactor);
+            }
+            Kind::Central | Kind::Viscous => {
+                let f = central(if matches!(kind, Kind::Viscous) {
+                    mu
+                } else {
+                    0.0
+                });
+                factor_bundle_at::<W, _>(tier, &mut new, n, &f);
+                pre_window::implicit_factor_bundle::<W, _>(&mut old, n, &f);
+            }
+        }
+        [&new, &old].map(|s| {
+            s.rhs_line[..n * W]
+                .iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect()
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The tier oracle: at the baseline and at the widest tier the
+        /// host reports, the window's bundles (`::<4>` and `::<1>`, all
+        /// three factors along all three axes, every bundle of a plane,
+        /// so every remainder mod 4) and the split-flux row (at
+        /// `RESIDUAL_LANES`, every row, extents that leave every
+        /// lane-group remainder) are bit for bit the pre-window
+        /// kernels, on Cartesian zones (the window kept), on cylinder
+        /// segments (kept along J at some points) and on flared ones
+        /// (recomputed everywhere), inviscid and viscous with local time
+        /// stepping.
+        #[test]
+        fn every_tier_is_the_pre_window_kernels_bit_for_bit(
+            jmax in 3usize..=13,
+            kmax in 3usize..=10,
+            lmax in 3usize..=9,
+            grid in 0usize..3,
+            viscous in 0usize..2,
+            phase in 0usize..64,
+        ) {
+            static TIERS: std::sync::Once = std::sync::Once::new();
+            TIERS.call_once(|| println!("tiers run: {:?}", [Tier::BASELINE, Tier::widest()]));
+            let config = if viscous == 1 {
+                SolverConfig::viscous(2.0, 1.0e3).with_local_time_stepping(1.5)
+            } else {
+                SolverConfig::subsonic()
+            };
+            let d = Dims::new(jmax, kmax, lmax);
+            let grid = [Grid::Cartesian, Grid::Cylinder, Grid::Flared][grid];
+            let zone = oracle_zone(config, d, grid, phase);
+            for tier in [Tier::BASELINE, Tier::widest()] {
+                for (axis, across, at) in [
+                    (Axis::J, Axis::K, Ijk::new(0, 0, lmax / 2)),
+                    (Axis::K, Axis::J, Ijk::new(0, 0, lmax / 2)),
+                    (Axis::L, Axis::J, Ijk::new(0, kmax / 2, 0)),
+                ] {
+                    let pencils = d.extent(across);
+                    for kind in [Kind::Upwind, Kind::Central, Kind::Viscous] {
+                        let mut first = 0;
+                        while first + PENCIL_BUNDLE <= pencils {
+                            let bases: [Ijk; PENCIL_BUNDLE] =
+                                std::array::from_fn(|lane| pencil_point(at, across, first + lane));
+                            let [new, old] = both_factors(tier, kind, &zone, axis, bases);
+                            prop_assert!(new == old, "{:?} {:?} {:?} along {:?} from {}", tier, kind, d, axis, first);
+                            first += PENCIL_BUNDLE;
+                        }
+                        for lane in first..pencils {
+                            let [new, old] = both_factors(tier, kind, &zone, axis, [pencil_point(at, across, lane)]);
+                            prop_assert!(new == old, "{:?} {:?} {:?} along {:?} at {}", tier, kind, d, axis, lane);
+                        }
+                    }
+                }
+                let mut scratch = RowScratch::new(jmax);
+                let mut old = vec![[f64::NAN; NCONS]; jmax];
+                for k in 1..kmax - 1 {
+                    for l in 1..lmax - 1 {
+                        scratch.lines.fill([f64::NAN; NCONS]);
+                        residual_row_at(tier, &zone, k, l, config.eps2, RESIDUAL_LANES, &mut scratch);
+                        pre_window::residual_rhs_row_w(&zone, k, l, config.eps2, RESIDUAL_LANES, &mut old);
+                        let rows = scratch.row().iter().zip(&old).enumerate();
+                        for (j, (new, old)) in rows.take(jmax - 1).skip(1) {
+                            prop_assert!(
+                                new.map(f64::to_bits) == old.map(f64::to_bits),
+                                "{:?} row {} {} point {} of {:?}", tier, k, l, j, d
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Flux-term evaluations, in lanes, that `run` makes on this thread:
+    /// `[Jacobians, radii, split fluxes]`.
+    fn evaluations(run: impl FnOnce()) -> [usize; 3] {
+        EVALUATIONS.with(|e| e.set([0; 3]));
+        run();
+        EVALUATIONS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn each_point_computes_its_flux_terms_once_where_the_metric_allows() {
+        // The exact count witness. On a Cartesian zone a bundle's
+        // interior point computes one new Jacobian (and one radius) and
+        // a row's point its own two split fluxes; each pencil or row
+        // adds the two terms its first point reads below it and its
+        // last point above it. On a flared cylinder segment no two
+        // neighbours share a metric, so every count is the pre-window
+        // one: 3 + 3 (upwind), 2 + 1 (central), 4 split fluxes.
+        let d = Dims::new(11, 9, 8);
+        for grid in [Grid::Cartesian, Grid::Flared] {
+            let zone = oracle_zone(SolverConfig::subsonic(), d, grid, 0);
+            for (axis, across) in [(Axis::J, Axis::K), (Axis::K, Axis::J), (Axis::L, Axis::J)] {
+                let n = d.extent(axis);
+                let interior = n - 2;
+                // Four adjacent pencils, the third axis at index 3.
+                let third = Axis::ALL
+                    .into_iter()
+                    .find(|&a| a != axis && a != across)
+                    .unwrap();
+                let bases: [Ijk; 4] = std::array::from_fn(|lane| {
+                    pencil_point(pencil_point(Ijk::new(0, 0, 0), across, 2 + lane), third, 3)
+                });
+                let mut s = gathered(&zone, axis, bases);
+                let upwind =
+                    evaluations(|| implicit_factor_bundle::<4, _>(&mut s, n, &UpwindFactor));
+                let central = CentralFactor {
+                    eps_imp: 0.3,
+                    mu_vis: 0.0,
+                };
+                let mut s = gathered(&zone, axis, bases);
+                let central = evaluations(|| implicit_factor_bundle::<4, _>(&mut s, n, &central));
+                let (want_upwind, want_central) = match grid {
+                    Grid::Cartesian => {
+                        ([interior + 2, interior + 2, 0], [interior + 2, interior, 0])
+                    }
+                    _ => ([3 * interior, 3 * interior, 0], [2 * interior, interior, 0]),
+                };
+                assert_eq!(
+                    upwind,
+                    want_upwind.map(|c| 4 * c),
+                    "upwind along {axis:?} on {grid:?}"
+                );
+                assert_eq!(
+                    central,
+                    want_central.map(|c| 4 * c),
+                    "central along {axis:?} on {grid:?}"
+                );
+            }
+            let mut scratch = RowScratch::new(d.j);
+            let interior = d.j - 2;
+            for width in [1, RESIDUAL_LANES] {
+                let row =
+                    evaluations(|| residual_rhs_row_w(&zone, 3, 4, 0.08, width, &mut scratch));
+                let want = match grid {
+                    Grid::Cartesian => 2 * interior + 2,
+                    _ => 4 * interior,
+                };
+                assert_eq!(
+                    row,
+                    [0, 0, want],
+                    "residual row at width {width} on {grid:?}"
+                );
             }
         }
     }

@@ -45,6 +45,7 @@ impl Primitive {
     /// Panics on non-physical states (non-positive density or
     /// pressure) — the solver's stability guard.
     #[must_use]
+    #[inline(always)]
     pub fn from_conserved(q: &[f64; NCONS]) -> Self {
         let rho = q[0];
         assert!(rho > 0.0, "non-physical density {rho}");
@@ -59,6 +60,7 @@ impl Primitive {
 
     /// Speed of sound.
     #[must_use]
+    #[inline(always)]
     pub fn sound_speed(&self) -> f64 {
         (GAMMA * self.p / self.rho).sqrt()
     }

@@ -21,7 +21,7 @@
 use crate::bc::{self, ZoneBcs};
 use crate::solver::{
     implicit_central_pencil_w, implicit_upwind_pencil_w, pencil_point, residual_rhs_row_w,
-    PencilScratch, SolverConfig, ZoneSolver,
+    PencilScratch, RowScratch, SolverConfig, ZoneSolver,
 };
 use mesh::{Arrangement, Axis, Ijk, Layout, Metrics, StateField, NCONS};
 
@@ -35,7 +35,7 @@ pub struct VectorStepper {
     /// The residual / ΔQ field (SoA like the solution).
     rhs: StateField,
     /// J-row buffer for the residual kernel.
-    row_scratch: Vec<[f64; NCONS]>,
+    row_scratch: RowScratch,
 }
 
 impl VectorStepper {
@@ -62,7 +62,7 @@ impl VectorStepper {
                 .map(|_| PencilScratch::new(max_pencil))
                 .collect(),
             rhs: StateField::zeros(d, zone.q.layout(), zone.q.arrangement()),
-            row_scratch: vec![[0.0; NCONS]; d.j],
+            row_scratch: RowScratch::new(d.j),
         }
     }
 
@@ -89,7 +89,7 @@ impl VectorStepper {
                 self.rhs.set(Ijk::new(d.j - 1, k, l), [0.0; NCONS]);
                 residual_rhs_row_w(zone, k, l, eps2, 1, &mut self.row_scratch);
                 for j in 1..d.j - 1 {
-                    self.rhs.set(Ijk::new(j, k, l), self.row_scratch[j]);
+                    self.rhs.set(Ijk::new(j, k, l), self.row_scratch.row()[j]);
                 }
             }
         }

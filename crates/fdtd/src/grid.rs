@@ -106,7 +106,7 @@ pub(crate) fn term(ex: f64, ey: f64, hz: f64) -> f64 {
 /// rows, and the block's terms are then added on one chain per row,
 /// the group's rows side by side. So every partial is exactly its row's
 /// fold however the run is cut. Always inlined, so a served run folds
-/// at its sweep's SIMD tier (see `crate::isa`).
+/// at its sweep's SIMD tier (see [`solver::isa`]).
 #[inline(always)]
 pub(crate) fn fold_run(
     nx: usize,

@@ -11,10 +11,11 @@
 //! for kernels with no explicit lanes: rustc vectorizes the zipped
 //! loops itself, at the width of the code it compiles. Each row body
 //! (`h_row`, `ESweep::row` and `ESweep::energy_run`) is one
-//! `#[inline(always)]` function that the crate-private `isa` module
-//! compiles for AVX2 and for the target's baseline; every sweep detects
-//! the widest tier the CPU reports once per call, outside its doacross
-//! body, and runs every row at it. [`update_h`] and
+//! `#[inline(always)]` function, run through [`solver::Tier::run`] —
+//! the one tier runner F3D's bundles and residual rows go through too —
+//! so it is compiled for AVX2 and for the target's baseline; every
+//! sweep detects the widest tier the CPU reports once per call, outside
+//! its doacross body, and runs every row at it. [`update_h`] and
 //! [`update_e`] take a `_width` argument nothing reads; the served
 //! step passes 1.
 //!
@@ -31,8 +32,8 @@
 //! rows and shared references to the other array.
 
 use crate::grid::{fold_run, term, Boundary, TezGrid};
-use crate::isa::{self, Tier};
 use llp::{doacross_slabs, doacross_slabs_zip, Workers};
+use solver::Tier;
 use std::ops::Range;
 
 /// Advance `Hz` one half-step: `∂Hz/∂t = ∂Ex/∂y − ∂Ey/∂x`, parallel
@@ -62,21 +63,18 @@ fn h_sweep(tier: Tier, workers: &Workers, grid: &mut TezGrid) {
         let jp1 = if j + 1 == ny { 0 } else { j + 1 };
         let (ex, ey) = e[2 * nx * j..][..2 * nx].split_at(nx);
         let ex_up = &e[2 * nx * jp1..][..nx];
-        isa::h_row(tier, s, periodic, row, ex_up, ex, ey);
+        tier.run(
+            row,
+            #[inline(always)]
+            |row| h_row(s, periodic, row, ex_up, ex, ey),
+        );
     });
 }
 
 /// One `Hz` row of [`update_h`], from its own `Ex` and `Ey`, and the
 /// `Ex` of the row above.
 #[inline(always)]
-pub(crate) fn h_row(
-    s: f64,
-    periodic: bool,
-    row: &mut [f64],
-    ex_up: &[f64],
-    ex: &[f64],
-    ey: &[f64],
-) {
+fn h_row(s: f64, periodic: bool, row: &mut [f64], ex_up: &[f64], ex: &[f64], ey: &[f64]) {
     let nx = row.len();
     let interior = row[..nx - 1]
         .iter_mut()
@@ -105,7 +103,11 @@ pub fn update_e(workers: &Workers, grid: &mut TezGrid, _width: usize) {
 fn e_sweep(tier: Tier, workers: &Workers, grid: &mut TezGrid) {
     let (sweep, e) = ESweep::of(grid);
     doacross_slabs(workers, e, 2 * sweep.nx, move |j, row| {
-        isa::e_row(tier, &sweep, j, row);
+        tier.run(
+            row,
+            #[inline(always)]
+            |row| sweep.row(j, row, 0..sweep.nx, None),
+        );
     });
 }
 
@@ -136,7 +138,11 @@ fn e_energy_sweep(tier: Tier, workers: &Workers, grid: &mut TezGrid, row_partial
         row_partials,
         1,
         move |first, e_run, partials| {
-            isa::e_energy_run(tier, &sweep, first, e_run, partials);
+            tier.run(
+                e_run,
+                #[inline(always)]
+                |e_run| sweep.energy_run(first, e_run, partials),
+            );
         },
     );
 }
@@ -144,8 +150,8 @@ fn e_energy_sweep(tier: Tier, workers: &Workers, grid: &mut TezGrid, row_partial
 /// Everything one `E` row update reads besides its own row — the one
 /// statement of the row body both `E` sweeps run.
 #[derive(Clone, Copy)]
-pub(crate) struct ESweep<'g> {
-    pub(crate) nx: usize,
+struct ESweep<'g> {
+    nx: usize,
     ny: usize,
     s: f64,
     periodic: bool,
@@ -175,7 +181,7 @@ impl<'g> ESweep<'g> {
     /// its rows of `E` (`e_run`) and leave their energy partials in
     /// `partials`, through the grid's run fold.
     #[inline(always)]
-    pub(crate) fn energy_run(&self, first: usize, e_run: &mut [f64], partials: &mut [f64]) {
+    fn energy_run(&self, first: usize, e_run: &mut [f64], partials: &mut [f64]) {
         let nx = self.nx;
         fold_run(
             nx,
@@ -193,13 +199,7 @@ impl<'g> ESweep<'g> {
     /// in `terms[i - cols.start]`, computed from the values just
     /// written: inside the `Ey` loop where it runs, after it elsewhere.
     #[inline(always)]
-    pub(crate) fn row(
-        &self,
-        j: usize,
-        row: &mut [f64],
-        cols: Range<usize>,
-        terms: Option<&mut [f64]>,
-    ) {
+    fn row(&self, j: usize, row: &mut [f64], cols: Range<usize>, terms: Option<&mut [f64]>) {
         let ESweep {
             nx,
             ny,
@@ -379,7 +379,7 @@ mod tests {
             hz0 in prop::collection::vec(-2.0f64..2.0, 300 * 11),
         ) {
             static TIERS: std::sync::Once = std::sync::Once::new();
-            TIERS.call_once(|| println!("tiers run: {:?}", Tier::available()));
+            TIERS.call_once(|| println!("tiers run: {:?}", [Tier::BASELINE, Tier::widest()]));
             let boundary = [Boundary::PecBox, Boundary::Periodic][periodic];
             let policy = match policy {
                 (0, _) => Policy::Static,
@@ -399,11 +399,9 @@ mod tests {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 (bits(&g.e), bits(&g.hz), bits(&partials))
             };
-            let tiers = Tier::available();
-            let baseline = run(tiers[0]);
-            for &tier in &tiers[1..] {
-                prop_assert!(run(tier) == baseline, "{:?}, {} x {} {:?}", tier, nx, ny, policy);
-            }
+            let baseline = run(Tier::BASELINE);
+            let tier = Tier::widest();
+            prop_assert!(run(tier) == baseline, "{:?}, {} x {} {:?}", tier, nx, ny, policy);
         }
     }
 }

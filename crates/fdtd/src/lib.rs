@@ -20,7 +20,7 @@
 //! contiguous runs of one component, which rustc vectorizes itself
 //! (see [`kernels`]). Each row body is compiled for AVX2 and for the
 //! target's baseline, and a sweep runs its rows at AVX2 when the CPU
-//! reports it (the crate-private `isa` module),
+//! reports it (through [`solver::isa`], the tier runner F3D shares),
 //! bit for bit the same at every tier; a request's `vector_width`
 //! selects nothing.
 //!
@@ -42,11 +42,10 @@
 //! propagates to machine precision, and its numerical dispersion
 //! stays within the textbook bound.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod grid;
-mod isa;
 pub mod kernels;
 pub mod service;
 

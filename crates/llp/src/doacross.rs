@@ -89,7 +89,7 @@ fn run_chunks<T: Send, S>(
         // `C$doacross` behaviour the stair-step model assumes.
         Policy::Static => workers.region(chunks.len(), move |ci, lane| {
             if let Some(f) = session {
-                f.chunk_start(lane, ci);
+                f.chunk_start(lane);
             }
             run(ci, &mut make_scratch());
             if let Some(f) = session {

@@ -738,7 +738,7 @@ mod tests {
         let fr = FlightRecorder::enabled(2, 64);
         let region = |chunk: usize| {
             let s = fr.begin_region(2, 10, 1, "static").unwrap();
-            s.chunk_start(0, chunk);
+            s.chunk_start(0);
             s.chunk_end(0, chunk);
             s.finish();
         };

@@ -664,7 +664,7 @@ impl RegionSession<'_> {
 
     /// Lane `lane` began executing a chunk: stamps where the chunk's
     /// interval starts, writing nothing (the chunk is named at its end).
-    pub fn chunk_start(&self, lane: usize, _chunk: usize) {
+    pub fn chunk_start(&self, lane: usize) {
         if let Some(lane) = self.lane(lane) {
             lane.stamp(self.now_ns(), self.seq);
         }
@@ -773,9 +773,9 @@ mod tests {
     fn records_events_per_lane_and_region() {
         let fr = FlightRecorder::enabled(2, 64);
         let s = fr.begin_region(2, 100, 2, "static").unwrap();
-        s.chunk_start(0, 0);
+        s.chunk_start(0);
         s.chunk_end(0, 0);
-        s.chunk_start(1, 1);
+        s.chunk_start(1);
         s.chunk_end(1, 1);
         s.finish();
         let t = fr.take_timeline();
@@ -838,7 +838,7 @@ mod tests {
     fn idle_lanes_get_no_barrier_wait() {
         let fr = FlightRecorder::enabled(4, 16);
         let s = fr.begin_region(4, 10, 2, "static").unwrap();
-        s.chunk_start(0, 0);
+        s.chunk_start(0);
         s.chunk_end(0, 0);
         // Lane 1 participates but records nothing; lanes 2, 3 unused.
         s.finish();
@@ -856,7 +856,7 @@ mod tests {
         let fr = FlightRecorder::enabled(1, 4);
         let s = fr.begin_region(1, 10, 10, "static").unwrap();
         for c in 0..5 {
-            s.chunk_start(0, c);
+            s.chunk_start(0);
             s.chunk_end(0, c);
         }
         s.finish(); // +1 barrier wait = 6 intervals into a 4-slot ring
@@ -874,7 +874,7 @@ mod tests {
         let fr = FlightRecorder::enabled(1, 8);
         let clone = fr.clone();
         let s = clone.begin_region(1, 1, 1, "static").unwrap();
-        s.chunk_start(0, 0);
+        s.chunk_start(0);
         s.chunk_end(0, 0);
         s.finish();
         assert_eq!(fr.take_timeline().total_events(), 2);
@@ -884,7 +884,7 @@ mod tests {
     fn out_of_range_lane_is_ignored() {
         let fr = FlightRecorder::enabled(1, 8);
         let s = fr.begin_region(1, 1, 1, "static").unwrap();
-        s.chunk_start(7, 0); // defensive: silently dropped
+        s.chunk_start(7); // defensive: silently dropped
         s.chunk_end(7, 0);
         s.claimed(7, 0, None);
         s.finish();
@@ -897,7 +897,7 @@ mod tests {
     fn drained_timeline_keeps_lanes_events_and_policy() {
         let fr = FlightRecorder::enabled(1, 8);
         let s = fr.begin_region(1, 5, 1, "guided").unwrap();
-        s.chunk_start(0, 0);
+        s.chunk_start(0);
         s.chunk_end(0, 0);
         s.finish();
         let t = fr.take_timeline();
@@ -913,7 +913,7 @@ mod tests {
         // sequence number of a region run inside it...
         fr.zone(1, 3, 0, || {
             let s = fr.begin_region(2, 10, 2, "static").unwrap();
-            s.chunk_start(0, 0);
+            s.chunk_start(0);
             s.chunk_end(0, 0);
             s.finish();
         });
@@ -960,7 +960,7 @@ mod tests {
     fn static_region(fr: &FlightRecorder, chunks: usize) {
         let s = fr.begin_region(2, 90, chunks, "static").unwrap();
         for c in 0..chunks {
-            s.chunk_start(0, c);
+            s.chunk_start(0);
             s.chunk_end(0, c);
         }
         s.finish();

@@ -117,7 +117,7 @@ fn disabled_team_allocates_nothing_per_region() {
     let enabled = llp::FlightRecorder::enabled(2, 64);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     if let Some(s) = enabled.begin_region(2, 10, 2, "static") {
-        s.chunk_start(0, 0);
+        s.chunk_start(0);
         s.chunk_end(0, 0);
         s.finish();
     }

@@ -83,7 +83,7 @@ impl Field3 {
 
     /// Linear offset of a point (bounds-checked in debug builds).
     #[must_use]
-    #[inline]
+    #[inline(always)]
     pub fn offset(&self, p: Ijk) -> usize {
         debug_assert!(self.dims.contains(p));
         let (sj, sk, sl) = self.strides;
@@ -92,7 +92,7 @@ impl Field3 {
 
     /// Read one point.
     #[must_use]
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, p: Ijk) -> f64 {
         self.data[self.offset(p)]
     }
@@ -191,7 +191,7 @@ impl StateField {
 
     /// Linear offset of component `n` at point `p`.
     #[must_use]
-    #[inline]
+    #[inline(always)]
     pub fn offset(&self, p: Ijk, n: usize) -> usize {
         debug_assert!(self.dims.contains(p));
         debug_assert!(n < NCONS);
@@ -205,7 +205,7 @@ impl StateField {
 
     /// Read the full state vector at one point.
     #[must_use]
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, p: Ijk) -> [f64; NCONS] {
         let mut out = [0.0; NCONS];
         match self.arrangement {

@@ -181,7 +181,7 @@ impl Metrics {
     /// The gradient of the computational coordinate for `direction` at
     /// `p`, as a Cartesian 3-vector: e.g. `(ξ_x, ξ_y, ξ_z)` for `Axis::J`.
     #[must_use]
-    #[inline]
+    #[inline(always)]
     pub fn grad(&self, p: Ijk, direction: Axis) -> [f64; 3] {
         let base = match direction {
             Axis::J => 0,

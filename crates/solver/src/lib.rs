@@ -37,12 +37,14 @@
 //! local sync-event billing, span-report and flight-timeline drain (`f3d::service::run` and `fdtd::service::run`
 //! are this call).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod isa;
 pub mod widths;
 pub mod wire;
 
+pub use isa::Tier;
 pub use widths::{for_lane_groups, validate_width, LaneBody, WidthMap, SUPPORTED_WIDTHS};
 
 use llp::obs::json::Json;

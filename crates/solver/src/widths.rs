@@ -18,9 +18,16 @@
 //! implementation. Kernels whose inner loop is data movement or a short
 //! stencil over contiguous runs (F3D's `update`, both FDTD sweeps, whose
 //! `E` rows hold their `Ex`, then their `Ey`) run plain loops, which
-//! rustc vectorizes itself: F3D's at the target's width, FDTD's at the
-//! widest SIMD tier the CPU reports (AVX2 or the target's baseline,
-//! each row body compiled for both; `fdtd`'s `isa` module).
+//! rustc vectorizes itself.
+//!
+//! **A lane group's width is not the register's.** Lanes say which
+//! outputs a body computes together; how many of them one instruction
+//! holds is the SIMD tier the body runs at ([`crate::isa`]): F3D's
+//! residual rows and factor bundles and FDTD's row bodies run at the
+//! widest tier the CPU reports (AVX2, whose register holds F3D's four
+//! lanes exactly, or the target's baseline), F3D's `update` at the
+//! target's width. [`for_lane_groups`] is always inlined, so a body it
+//! drives keeps its tier.
 //!
 //! **The request's `vector_width` selects nothing.** It is validated
 //! against [`SUPPORTED_WIDTHS`] ([`validate_width`]), echoed in the
@@ -67,7 +74,10 @@ pub trait LaneBody {
 /// `width` indices, then the tail one index at a time through the same
 /// body. This is the suite's only runtime-to-compile-time width
 /// dispatch; every caller passes a kernel constant, and a width outside
-/// [`SUPPORTED_WIDTHS`] runs as width 1.
+/// [`SUPPORTED_WIDTHS`] runs as width 1. Always inlined, like the
+/// bodies it drives, so a body run at a SIMD tier ([`crate::isa`])
+/// keeps its lane groups at that tier.
+#[inline(always)]
 pub fn for_lane_groups<B: LaneBody>(width: usize, range: Range<usize>, body: &mut B) {
     match width {
         2 => lane_groups::<2, B>(range, body),
@@ -77,7 +87,7 @@ pub fn for_lane_groups<B: LaneBody>(width: usize, range: Range<usize>, body: &mu
     }
 }
 
-#[inline]
+#[inline(always)]
 fn lane_groups<const W: usize, B: LaneBody>(range: Range<usize>, body: &mut B) {
     let mut first = range.start;
     while first + W <= range.end {
