@@ -167,7 +167,7 @@ impl RiscStepper {
                 }
                 out[..NCONS].fill(0.0);
                 out[row_len - NCONS..].fill(0.0);
-                residual_rhs_row_w(zone, k, l, eps2, RESIDUAL_LANES, row);
+                residual_rhs_row_w::<RESIDUAL_LANES>(zone, k, l, eps2, row);
                 for j in 1..jmax - 1 {
                     out[j * NCONS..(j + 1) * NCONS].copy_from_slice(&row.row()[j]);
                 }
@@ -186,7 +186,7 @@ impl RiscStepper {
                 rows: plane,
                 scratch: pencils,
             };
-            for_lane_groups(PENCIL_BUNDLE, 1..kmax - 1, &mut j_sweep);
+            for_lane_groups::<PENCIL_BUNDLE, _>(1..kmax - 1, &mut j_sweep);
         })
         .body(move |l, plane, (_, pencils)| {
             if boundary(l) {
@@ -204,7 +204,7 @@ impl RiscStepper {
                 rows: plane,
                 scratch: pencils,
             };
-            for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut k_sweep);
+            for_lane_groups::<PENCIL_BUNDLE, _>(1..jmax - 1, &mut k_sweep);
         })
     }
 
@@ -258,7 +258,7 @@ impl RiscStepper {
                         rows: group[0].as_mut_slice(),
                         scratch,
                     };
-                    for_lane_groups(PENCIL_BUNDLE, 1..jmax - 1, &mut sweep);
+                    for_lane_groups::<PENCIL_BUNDLE, _>(1..jmax - 1, &mut sweep);
                 },
             );
         }

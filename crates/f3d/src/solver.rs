@@ -224,8 +224,8 @@ pub fn local_dt(zone: &ZoneSolver, p: Ijk) -> f64 {
 /// tuning axis — every bundle size is bit-exact with one pencil.
 pub const PENCIL_BUNDLE: usize = 4;
 
-/// Points of a J-row the tuned residual evaluates per lane group
-/// ([`residual_rhs_row_w`]'s width in the RISC stepper). A constant
+/// Points of a J-row the tuned residual evaluates per lane group: the
+/// RISC stepper's `W` of [`residual_rhs_row_w`]. A constant
 /// fixed by measurement (EXPERIMENTS.md "Plane fusion": 2, 4 and 8
 /// compared), not a tuning axis — every width is bit-exact with one
 /// point at a time.
@@ -411,15 +411,24 @@ impl<const W: usize> Stencil<W> {
 
 /// Accumulate the upwind (J-direction) residual of one J-pencil into
 /// `scratch.rhs_line`: `δ⁻F⁺ + δ⁺F⁻` with first-order one-sided
-/// differences, `width` interior points per lane group. Boundary
-/// points (i = 0, n−1) receive zero residual — they are owned by the
-/// boundary conditions. Bit-identical at every width and pencil
-/// length.
+/// differences. Boundary points (i = 0, n−1) receive zero residual —
+/// they are owned by the boundary conditions. The benchmark's entry
+/// point: a `width` of [`RESIDUAL_LANES`] runs lane groups of that
+/// many points, any other one point at a time, with the same bits.
 ///
 /// Requires `scratch.q_line` and `scratch.n_line` to be gathered.
 pub fn rhs_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, width: usize) {
+    if width == RESIDUAL_LANES {
+        rhs_upwind_pencil::<RESIDUAL_LANES>(scratch, n);
+    } else {
+        rhs_upwind_pencil::<1>(scratch, n);
+    }
+}
+
+/// [`rhs_upwind_pencil_w`], `W` interior points per lane group.
+fn rhs_upwind_pencil<const W: usize>(scratch: &mut PencilScratch, n: usize) {
     assert!(n >= 2, "pencil too short");
-    for_lane_groups(width, 1..n - 1, &mut RhsUpwind(scratch));
+    for_lane_groups::<W, _>(1..n - 1, &mut RhsUpwind(scratch));
     scratch.rhs_line[0] = [0.0; NCONS];
     scratch.rhs_line[n - 1] = [0.0; NCONS];
 }
@@ -780,18 +789,12 @@ pub fn implicit_upwind_pencil_w(scratch: &mut PencilScratch, n: usize, _width: u
     implicit_factor_bundle::<1, _>(scratch, n, &UpwindFactor);
 }
 
-/// Solve a central (K or L) implicit factor along one gathered pencil;
-/// same contract as [`implicit_upwind_pencil_w`].
+/// Solve a central (K or L) implicit factor along one gathered pencil:
+/// the one-pencil instantiation of [`implicit_factor_bundle`].
 ///
 /// # Panics
 /// As [`implicit_factor_bundle`].
-pub fn implicit_central_pencil_w(
-    scratch: &mut PencilScratch,
-    n: usize,
-    eps_imp: f64,
-    mu_vis: f64,
-    _width: usize,
-) {
+pub fn implicit_central_pencil_w(scratch: &mut PencilScratch, n: usize, eps_imp: f64, mu_vis: f64) {
     implicit_factor_bundle::<1, _>(scratch, n, &CentralFactor { eps_imp, mu_vis });
 }
 
@@ -828,12 +831,13 @@ impl RowScratch {
 }
 
 /// Fill `scratch.row()[j] = −Δt(p)·R(p)` for the interior points
-/// `j ∈ 1..jmax−1` of one `(k, l)` row, `width` points per lane group —
-/// the `rhs`-kernel body both steppers share — at the widest SIMD tier
-/// the CPU reports. Every lane runs one fixed direction and
+/// `j ∈ 1..jmax−1` of one `(k, l)` row, `W` points per lane group —
+/// the `rhs`-kernel body both steppers share (the RISC stepper's at
+/// [`RESIDUAL_LANES`], the vector stepper's at 1) — at the widest SIMD
+/// tier the CPU reports. Every lane runs one fixed direction and
 /// accumulation order (J upwind, K central, L central, then the viscous
 /// terms), so each entry is bit-identical to the one-point scalar
-/// evaluation in this module's tests, at every width and tier.
+/// evaluation in this module's tests, at every `W` and tier.
 /// Boundary entries of the row are left untouched.
 ///
 /// The J differences need `F⁺` and `F⁻` of each point and of its
@@ -845,25 +849,23 @@ impl RowScratch {
 ///
 /// # Panics
 /// Panics if `scratch` holds rows shorter than the J extent.
-pub fn residual_rhs_row_w(
+pub fn residual_rhs_row_w<const W: usize>(
     zone: &ZoneSolver,
     k: usize,
     l: usize,
     eps2: f64,
-    width: usize,
     scratch: &mut RowScratch,
 ) {
-    residual_row_at(Tier::widest(), zone, k, l, eps2, width, scratch);
+    residual_row_at::<W>(Tier::widest(), zone, k, l, eps2, scratch);
 }
 
 /// [`residual_rhs_row_w`] at `tier`.
-fn residual_row_at(
+fn residual_row_at<const W: usize>(
     tier: Tier,
     zone: &ZoneSolver,
     k: usize,
     l: usize,
     eps2: f64,
-    width: usize,
     scratch: &mut RowScratch,
 ) {
     let jmax = zone.dims().j;
@@ -882,7 +884,7 @@ fn residual_row_at(
                 plus: &mut *plus,
                 minus: &mut *minus,
             };
-            for_lane_groups(width, 1..jmax - 1, &mut own);
+            for_lane_groups::<W, _>(1..jmax - 1, &mut own);
             let mut body = ResidualGroup {
                 zone,
                 k,
@@ -892,7 +894,7 @@ fn residual_row_at(
                 minus,
                 row,
             };
-            for_lane_groups(width, 1..jmax - 1, &mut body);
+            for_lane_groups::<W, _>(1..jmax - 1, &mut body);
         },
     );
 }
@@ -1076,6 +1078,10 @@ mod tests {
     use super::*;
     use mesh::Dims;
 
+    /// A lane-width instance of a row fill or a pencil kernel run.
+    type RowFill = fn(&ZoneSolver, usize, usize, f64, &mut RowScratch);
+    type PencilRun = fn(&mut PencilScratch, usize, usize);
+
     /// The full explicit residual at one *interior* point, in a fixed
     /// direction order (J upwind, then K central, then L central) so that
     /// every implementation computes bit-identical values regardless of its
@@ -1146,9 +1152,9 @@ mod tests {
     /// scalar second-difference artificial dissipation scaled by the local
     /// spectral radius. Boundary points receive zero residual. Same lane
     /// grouping and exactness contract as [`rhs_upwind_pencil_w`].
-    fn rhs_central_pencil_w(scratch: &mut PencilScratch, n: usize, eps2: f64, width: usize) {
+    fn rhs_central_pencil_w<const W: usize>(scratch: &mut PencilScratch, n: usize, eps2: f64) {
         assert!(n >= 2, "pencil too short");
-        for_lane_groups(width, 1..n - 1, &mut RhsCentral { scratch, eps2 });
+        for_lane_groups::<W, _>(1..n - 1, &mut RhsCentral { scratch, eps2 });
         scratch.rhs_line[0] = [0.0; NCONS];
         scratch.rhs_line[n - 1] = [0.0; NCONS];
     }
@@ -1198,7 +1204,7 @@ mod tests {
         let mut s = PencilScratch::new(6);
         s.gather(&zone, Axis::K, Ijk::new(3, 0, 2));
         s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-        rhs_central_pencil_w(&mut s, 6, 0.1, 1);
+        rhs_central_pencil_w::<1>(&mut s, 6, 0.1);
         for r in &s.rhs_line[..6] {
             for &v in r {
                 assert!(v.abs() < 1e-13, "central residual {v}");
@@ -1262,7 +1268,7 @@ mod tests {
         let rhs_in: Vec<Vec5> = (0..n).map(|i| [i as f64 * 0.01; NCONS]).collect();
         s.rhs_line[..n].copy_from_slice(&rhs_in);
         s.dt_line[..n].fill(0.0);
-        implicit_central_pencil_w(&mut s, n, 0.3, 0.0, 1);
+        implicit_central_pencil_w(&mut s, n, 0.3, 0.0);
         for (i, r) in s.rhs_line[..n].iter().enumerate() {
             for (c, &v) in r.iter().enumerate() {
                 assert!(
@@ -1345,6 +1351,36 @@ mod tests {
         }
     }
 
+    /// The sum of the three pencil residuals at `probe`, `W` points per
+    /// lane group.
+    fn pencil_residuals_at<const W: usize>(zone: &ZoneSolver, probe: Ijk, eps2: f64) -> Vec5 {
+        let mut total = [0.0f64; NCONS];
+        for axis in Axis::ALL {
+            let n = zone.dims().extent(axis);
+            let mut s = PencilScratch::new(n);
+            s.gather(zone, axis, probe);
+            s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
+            let at = match axis {
+                Axis::J => {
+                    rhs_upwind_pencil::<W>(&mut s, n);
+                    probe.j
+                }
+                Axis::K => {
+                    rhs_central_pencil_w::<W>(&mut s, n, eps2);
+                    probe.k
+                }
+                Axis::L => {
+                    rhs_central_pencil_w::<W>(&mut s, n, eps2);
+                    probe.l
+                }
+            };
+            for (t, v) in total.iter_mut().zip(s.rhs_line[at]) {
+                *t += v;
+            }
+        }
+        total
+    }
+
     #[test]
     fn residual_point_matches_pencil_kernels() {
         // residual_point must reproduce the sum of the three pencil
@@ -1353,32 +1389,13 @@ mod tests {
         let eps2 = 0.08;
         let probe = Ijk::new(3, 2, 2);
         let direct = residual_point(&zone, probe, eps2);
-
-        for width in solver::SUPPORTED_WIDTHS {
-            let mut total = [0.0f64; NCONS];
-            for axis in Axis::ALL {
-                let n = zone.dims().extent(axis);
-                let mut s = PencilScratch::new(n);
-                s.gather(&zone, axis, probe);
-                s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
-                let at = match axis {
-                    Axis::J => {
-                        rhs_upwind_pencil_w(&mut s, n, width);
-                        probe.j
-                    }
-                    Axis::K => {
-                        rhs_central_pencil_w(&mut s, n, eps2, width);
-                        probe.k
-                    }
-                    Axis::L => {
-                        rhs_central_pencil_w(&mut s, n, eps2, width);
-                        probe.l
-                    }
-                };
-                for (t, v) in total.iter_mut().zip(s.rhs_line[at]) {
-                    *t += v;
-                }
-            }
+        let totals = [
+            (1, pencil_residuals_at::<1>(&zone, probe, eps2)),
+            (2, pencil_residuals_at::<2>(&zone, probe, eps2)),
+            (4, pencil_residuals_at::<4>(&zone, probe, eps2)),
+            (8, pencil_residuals_at::<8>(&zone, probe, eps2)),
+        ];
+        for (width, total) in totals {
             for c in 0..NCONS {
                 assert!(
                     (direct[c] - total[c]).abs() < 1e-14,
@@ -1531,7 +1548,7 @@ mod tests {
             let mut reference = PencilScratch::new(n);
             reference.gather(&zone, Axis::J, base);
             let mut wide = reference.clone();
-            let run = |s: &mut PencilScratch, kernel: usize, width: usize| {
+            fn run<const W: usize>(s: &mut PencilScratch, n: usize, kernel: usize) {
                 s.rhs_line.iter_mut().for_each(|r| *r = [0.0; NCONS]);
                 if kernel >= 2 {
                     for (i, r) in s.rhs_line.iter_mut().enumerate() {
@@ -1539,22 +1556,23 @@ mod tests {
                     }
                 }
                 match kernel {
-                    0 => rhs_upwind_pencil_w(s, n, width),
-                    1 => rhs_central_pencil_w(s, n, 0.08, width),
-                    2 => implicit_upwind_pencil_w(s, n, width),
-                    _ => implicit_central_pencil_w(s, n, 0.3, 0.002, width),
+                    0 => rhs_upwind_pencil::<W>(s, n),
+                    1 => rhs_central_pencil_w::<W>(s, n, 0.08),
+                    2 => implicit_upwind_pencil_w(s, n, W),
+                    _ => implicit_central_pencil_w(s, n, 0.3, 0.002),
                 }
-            };
+            }
+            let runs: [(usize, PencilRun); 3] = [(2, run::<2>), (4, run::<4>), (8, run::<8>)];
             for (kernel, want) in golden.into_iter().enumerate() {
-                run(&mut reference, kernel, 1);
+                run::<1>(&mut reference, n, kernel);
                 assert_eq!(
                     rhs_digest(&reference, n),
                     want,
                     "kernel {kernel} width 1 dims {d:?}: {:#018x}",
                     rhs_digest(&reference, n)
                 );
-                for width in [2, 4, 8] {
-                    run(&mut wide, kernel, width);
+                for (width, run) in runs {
+                    run(&mut wide, n, kernel);
                     for i in 0..n {
                         assert_eq!(
                             wide.rhs_line[i].map(f64::to_bits),
@@ -1578,11 +1596,17 @@ mod tests {
         let zone = perturbed_zone(config, d);
         let jmax = d.j;
         let mut scratch = RowScratch::new(jmax);
+        let rows: [(usize, RowFill); 4] = [
+            (1, residual_rhs_row_w::<1>),
+            (2, residual_rhs_row_w::<2>),
+            (4, residual_rhs_row_w::<4>),
+            (8, residual_rhs_row_w::<8>),
+        ];
         for k in 1..d.k - 1 {
             for l in 1..d.l - 1 {
-                for width in solver::SUPPORTED_WIDTHS {
+                for (width, fill) in rows {
                     scratch.lines.fill([f64::NAN; NCONS]);
-                    residual_rhs_row_w(&zone, k, l, 0.08, width, &mut scratch);
+                    fill(&zone, k, l, 0.08, &mut scratch);
                     let row = scratch.row();
                     for (j, got) in row.iter().enumerate().take(jmax - 1).skip(1) {
                         let p = Ijk::new(j, k, l);
@@ -1721,12 +1745,11 @@ mod tests {
 
         /// The pre-split-flux row: `row[j] = −Δt(p)·R(p)` with all four
         /// J split fluxes of each point evaluated at it.
-        pub(super) fn residual_rhs_row_w(
+        pub(super) fn residual_rhs_row_w<const W: usize>(
             zone: &ZoneSolver,
             k: usize,
             l: usize,
             eps2: f64,
-            width: usize,
             row: &mut [Vec5],
         ) {
             let jmax = zone.dims().j;
@@ -1737,7 +1760,7 @@ mod tests {
                 eps2,
                 row,
             };
-            for_lane_groups(width, 1..jmax - 1, &mut body);
+            for_lane_groups::<W, _>(1..jmax - 1, &mut body);
         }
 
         struct Row<'a> {
@@ -2007,8 +2030,8 @@ mod tests {
                 for k in 1..kmax - 1 {
                     for l in 1..lmax - 1 {
                         scratch.lines.fill([f64::NAN; NCONS]);
-                        residual_row_at(tier, &zone, k, l, config.eps2, RESIDUAL_LANES, &mut scratch);
-                        pre_window::residual_rhs_row_w(&zone, k, l, config.eps2, RESIDUAL_LANES, &mut old);
+                        residual_row_at::<RESIDUAL_LANES>(tier, &zone, k, l, config.eps2, &mut scratch);
+                        pre_window::residual_rhs_row_w::<RESIDUAL_LANES>(&zone, k, l, config.eps2, &mut old);
                         let rows = scratch.row().iter().zip(&old).enumerate();
                         for (j, (new, old)) in rows.take(jmax - 1).skip(1) {
                             prop_assert!(
@@ -2081,9 +2104,12 @@ mod tests {
             }
             let mut scratch = RowScratch::new(d.j);
             let interior = d.j - 2;
-            for width in [1, RESIDUAL_LANES] {
-                let row =
-                    evaluations(|| residual_rhs_row_w(&zone, 3, 4, 0.08, width, &mut scratch));
+            let rows: [(usize, RowFill); 2] = [
+                (1, residual_rhs_row_w::<1>),
+                (RESIDUAL_LANES, residual_rhs_row_w::<RESIDUAL_LANES>),
+            ];
+            for (width, fill) in rows {
+                let row = evaluations(|| fill(&zone, 3, 4, 0.08, &mut scratch));
                 let want = match grid {
                     Grid::Cartesian => 2 * interior + 2,
                     _ => 4 * interior,

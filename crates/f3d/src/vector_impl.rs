@@ -87,7 +87,7 @@ impl VectorStepper {
                 }
                 self.rhs.set(Ijk::new(0, k, l), [0.0; NCONS]);
                 self.rhs.set(Ijk::new(d.j - 1, k, l), [0.0; NCONS]);
-                residual_rhs_row_w(zone, k, l, eps2, 1, &mut self.row_scratch);
+                residual_rhs_row_w::<1>(zone, k, l, eps2, &mut self.row_scratch);
                 for j in 1..d.j - 1 {
                     self.rhs.set(Ijk::new(j, k, l), self.row_scratch.row()[j]);
                 }
@@ -132,7 +132,7 @@ impl VectorStepper {
                 }
             }
             for s in self.plane_scratch[..d.j].iter_mut() {
-                implicit_central_pencil_w(s, d.k, eps_imp, 0.0, 1);
+                implicit_central_pencil_w(s, d.k, eps_imp, 0.0);
             }
             for j in 0..d.j {
                 let base = Ijk::new(j, 0, l);
@@ -154,7 +154,7 @@ impl VectorStepper {
                 }
             }
             for s in self.plane_scratch[..d.j].iter_mut() {
-                implicit_central_pencil_w(s, d.l, eps_imp, mu_vis, 1);
+                implicit_central_pencil_w(s, d.l, eps_imp, mu_vis);
             }
             for j in 0..d.j {
                 let base = Ijk::new(j, k, 0);

@@ -25,6 +25,7 @@ use f3d::flux;
 use f3d::solver::{
     implicit_central_pencil_w, implicit_factor_bundle, implicit_upwind_pencil_w,
     rhs_upwind_pencil_w, CentralFactor, ImplicitFactor, PencilScratch, UpwindFactor,
+    RESIDUAL_LANES,
 };
 use f3d::state::Primitive;
 use mesh::NCONS;
@@ -319,9 +320,10 @@ proptest! {
         }
     }
 
-    /// The Steger–Warming RHS at every width equals its one-lane
-    /// instantiation bitwise for every pencil length — the tail points
-    /// past the last full lane group run the same body at one lane.
+    /// The Steger–Warming RHS in lane groups of `RESIDUAL_LANES` equals
+    /// its one-lane instantiation bitwise for every pencil length — the
+    /// tail points past the last full lane group run the same body at
+    /// one lane.
     #[test]
     fn upwind_rhs_is_bit_exact_at_every_width(
         n in 2usize..=MAX_PENCIL,
@@ -332,11 +334,9 @@ proptest! {
     ) {
         let mut reference = filled_scratch(n, &prims, &dirs, &dts, &rhs);
         rhs_upwind_pencil_w(&mut reference, n, 1);
-        for &w in &SUPPORTED_WIDTHS {
-            let mut s = filled_scratch(n, &prims, &dirs, &dts, &rhs);
-            rhs_upwind_pencil_w(&mut s, n, w);
-            prop_assert_eq!(&s.rhs_line, &reference.rhs_line, "width {}, n {}", w, n);
-        }
+        let mut s = filled_scratch(n, &prims, &dirs, &dts, &rhs);
+        rhs_upwind_pencil_w(&mut s, n, RESIDUAL_LANES);
+        prop_assert_eq!(&s.rhs_line, &reference.rhs_line, "n {}", n);
     }
 
     /// `W` systems solved in lockstep give each lane the bits of that
@@ -379,7 +379,7 @@ proptest! {
     ) {
         for mu_vis in [0.0, mu_vis] {
             let factor = CentralFactor { eps_imp, mu_vis };
-            let alone = |s: &mut PencilScratch| implicit_central_pencil_w(s, n, eps_imp, mu_vis, 1);
+            let alone = |s: &mut PencilScratch| implicit_central_pencil_w(s, n, eps_imp, mu_vis);
             prop_assert_eq!(lane_off_its_own_pencil::<2, _>(&factor, alone, n, 13, &input), None, "W = 2, n {}", n);
             prop_assert_eq!(lane_off_its_own_pencil::<4, _>(&factor, alone, n, 13, &input), None, "W = 4, n {}", n);
             prop_assert_eq!(lane_off_its_own_pencil::<8, _>(&factor, alone, n, 13, &input), None, "W = 8, n {}", n);

@@ -8,17 +8,19 @@
 //! **Lane counts are kernel constants.** A kernel that gains from lanes
 //! states its arithmetic once, as a [`LaneBody`] whose `group::<W>`
 //! handles `W` consecutive indices, and runs it through
-//! [`for_lane_groups`] at a width fixed by measurement: F3D's residual
+//! [`for_lane_groups::<W>`](for_lane_groups) at a width fixed by
+//! measurement and named as a type parameter: F3D's residual
 //! at `f3d::solver::RESIDUAL_LANES` points of a J-row per group, its
 //! implicit factors at a bundle of `f3d::solver::PENCIL_BUNDLE` adjacent
 //! pencils (one pencil's block-Thomas recurrence is a dependent chain
 //! that only adjacent pencils can overlap). [`for_lane_groups`] runs
 //! full groups at that `W` and the tail through the *same* body at
 //! `W = 1`, so width 1 is the body's `::<1>` instantiation, not a second
-//! implementation. Kernels whose inner loop is data movement or a short
-//! stencil over contiguous runs (F3D's `update`, both FDTD sweeps, whose
-//! `E` rows hold their `Ex`, then their `Ey`) run plain loops, which
-//! rustc vectorizes itself.
+//! implementation, and a body is compiled at its `W` and at 1 only: no
+//! kernel takes a width at run time. Kernels whose inner loop is data
+//! movement or a short stencil over contiguous runs (F3D's `update`,
+//! both FDTD sweeps, whose `E` rows hold their `Ex`, then their `Ey`)
+//! run plain loops, which rustc vectorizes itself.
 //!
 //! **A lane group's width is not the register's.** Lanes say which
 //! outputs a body computes together; how many of them one instruction
@@ -43,21 +45,21 @@
 
 use std::ops::Range;
 
-/// The `vector_width` values a request may spell, and the lane widths
-/// [`for_lane_groups`] dispatches to. Width 1 is the one-lane
-/// instantiation of the same body the wider widths run.
+/// The `vector_width` values a request may spell. A request's width
+/// is only checked against this list ([`validate_width`]); no kernel
+/// reads it.
 pub const SUPPORTED_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-/// Check a width against [`SUPPORTED_WIDTHS`].
+/// Check a request's `vector_width` against [`SUPPORTED_WIDTHS`].
 ///
 /// # Errors
 /// Returns a message naming the supported vocabulary.
-pub fn validate_width(width: usize) -> Result<(), String> {
-    if SUPPORTED_WIDTHS.contains(&width) {
+pub fn validate_width(vector_width: usize) -> Result<(), String> {
+    if SUPPORTED_WIDTHS.contains(&vector_width) {
         Ok(())
     } else {
         Err(format!(
-            "vector_width must be one of {SUPPORTED_WIDTHS:?}, got {width}"
+            "vector_width must be one of {SUPPORTED_WIDTHS:?}, got {vector_width}"
         ))
     }
 }
@@ -70,25 +72,15 @@ pub trait LaneBody {
     fn group<const W: usize>(&mut self, first: usize);
 }
 
-/// Run `body` over `range` at lane width `width`: full groups of
-/// `width` indices, then the tail one index at a time through the same
-/// body. This is the suite's only runtime-to-compile-time width
-/// dispatch; every caller passes a kernel constant, and a width outside
-/// [`SUPPORTED_WIDTHS`] runs as width 1. Always inlined, like the
-/// bodies it drives, so a body run at a SIMD tier ([`crate::isa`])
-/// keeps its lane groups at that tier.
+/// Run `body` over `range` in lane groups of `W`: full groups of `W`
+/// indices, then the tail one index at a time through the same body.
+/// `W` is a kernel constant, so each body is compiled at its `W` and
+/// at 1 and nowhere else. Always inlined, like the bodies it drives, so
+/// a body run at a SIMD tier ([`crate::isa`]) keeps its lane groups at
+/// that tier.
 #[inline(always)]
-pub fn for_lane_groups<B: LaneBody>(width: usize, range: Range<usize>, body: &mut B) {
-    match width {
-        2 => lane_groups::<2, B>(range, body),
-        4 => lane_groups::<4, B>(range, body),
-        8 => lane_groups::<8, B>(range, body),
-        _ => lane_groups::<1, B>(range, body),
-    }
-}
-
-#[inline(always)]
-fn lane_groups<const W: usize, B: LaneBody>(range: Range<usize>, body: &mut B) {
+pub fn for_lane_groups<const W: usize, B: LaneBody>(range: Range<usize>, body: &mut B) {
+    const { assert!(W > 0, "a lane group holds at least one index") };
     let mut first = range.start;
     while first + W <= range.end {
         body.group::<W>(first);
@@ -136,33 +128,24 @@ mod tests {
         }
     }
 
-    fn groups(width: usize, range: Range<usize>) -> Vec<(usize, usize)> {
-        let mut body = Recorded::default();
-        for_lane_groups(width, range, &mut body);
-        body.0
+    /// Every index exactly once and in order, for ranges that leave
+    /// every possible remainder of `W`.
+    fn full_groups_then_a_one_lane_tail<const W: usize>() {
+        for len in 0..=2 * W + 1 {
+            let mut got = Recorded::default();
+            for_lane_groups::<W, _>(3..3 + len, &mut got);
+            let full = len / W;
+            let mut want: Vec<(usize, usize)> = (0..full).map(|g| (W, 3 + g * W)).collect();
+            want.extend((full * W..len).map(|i| (1, 3 + i)));
+            assert_eq!(got.0, want, "width {W} len {len}");
+        }
     }
 
     #[test]
     fn dispatch_runs_full_groups_then_a_one_lane_tail() {
-        // Every index exactly once and in order, at every supported
-        // width and for ranges that leave every possible remainder.
-        for w in SUPPORTED_WIDTHS {
-            for len in 0..=2 * w + 1 {
-                let got = groups(w, 3..3 + len);
-                let full = len / w;
-                let mut want: Vec<(usize, usize)> = (0..full).map(|g| (w, 3 + g * w)).collect();
-                want.extend((full * w..len).map(|i| (1, 3 + i)));
-                assert_eq!(got, want, "width {w} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn unsupported_widths_run_exactly_what_width_one_runs() {
-        let scalar = groups(1, 1..20);
-        for w in [0, 3, 5, 16, usize::MAX] {
-            assert!(validate_width(w).is_err());
-            assert_eq!(groups(w, 1..20), scalar, "width {w}");
-        }
+        full_groups_then_a_one_lane_tail::<1>();
+        full_groups_then_a_one_lane_tail::<2>();
+        full_groups_then_a_one_lane_tail::<4>();
+        full_groups_then_a_one_lane_tail::<8>();
     }
 }
