@@ -36,7 +36,7 @@ pub fn print() {
             f(m.peak_mflops, 0),
             fmt_cache(&m.l1),
             m.l2.as_ref().map_or("none".into(), fmt_cache),
-            format!("{} KB", grouped((m.tlb.reach_bytes() >> 10) as u64)),
+            format!("{} KB", grouped((m.tlb.size_bytes >> 10) as u64)),
             m.l2.as_ref()
                 .map_or(m.l1.line_bytes, |c| c.line_bytes)
                 .to_string(),

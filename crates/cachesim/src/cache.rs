@@ -1,9 +1,9 @@
-//! Set-associative LRU caches.
+//! Set-associative LRU caches, and TLBs as one-set caches of pages.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total capacity in bytes.
+    /// Total capacity in bytes (a TLB's reach).
     pub size_bytes: usize,
     /// Line size in bytes.
     pub line_bytes: usize,
@@ -45,6 +45,27 @@ impl CacheConfig {
         }
     }
 
+    /// A fully-associative cache: one set of `lines` lines of
+    /// `line_bytes` each. `lines` need not be a power of two, so this
+    /// is also a TLB of `lines` entries with `line_bytes` pages, whose
+    /// reach is `size_bytes`.
+    ///
+    /// # Panics
+    /// Panics if `lines == 0` or the line size is not a power of two.
+    #[must_use]
+    pub fn fully_associative(lines: usize, line_bytes: usize) -> Self {
+        assert!(lines > 0, "a cache needs at least one line");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        Self {
+            size_bytes: lines * line_bytes,
+            line_bytes,
+            associativity: lines,
+        }
+    }
+
     /// Direct-mapped cache of the given size.
     #[must_use]
     pub fn direct_mapped(size_bytes: usize, line_bytes: usize) -> Self {
@@ -62,7 +83,9 @@ impl CacheConfig {
 ///
 /// Tags and dirty bits only — no data is stored; the simulator answers
 /// hit/miss and counts dirty evictions (write-backs), the second half
-/// of a write-back machine's memory traffic.
+/// of a write-back machine's memory traffic. A TLB is one of these with
+/// one set of page-sized lines ([`CacheConfig::fully_associative`]),
+/// looked up with [`Cache::access`].
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -119,8 +142,8 @@ impl Cache {
         }
     }
 
-    /// Access as a load (kept for API compatibility and read-only
-    /// traces).
+    /// Access as a load: a TLB's lookup (a translation dirties
+    /// nothing), and a read-only trace's.
     pub fn access(&mut self, addr: u64) -> bool {
         self.access_rw(addr, false)
     }
@@ -169,11 +192,6 @@ mod tests {
 
     fn addr_trace() -> impl Strategy<Value = Vec<u64>> {
         prop::collection::vec(0u64..(1 << 20), 1..800)
-    }
-
-    /// A fully-associative cache: one set of `size_bytes / line_bytes` ways.
-    fn fully_associative(size_bytes: usize, line_bytes: usize) -> CacheConfig {
-        CacheConfig::new(size_bytes, line_bytes, size_bytes / line_bytes)
     }
 
     #[test]
@@ -290,6 +308,80 @@ mod tests {
     }
 
     #[test]
+    fn tlb_page_locality_hits() {
+        let mut t = Cache::new(CacheConfig::fully_associative(4, 4096));
+        assert!(!t.access(0));
+        assert!(t.access(8)); // same page
+        assert!(t.access(4095));
+        assert!(!t.access(4096)); // next page
+        assert_eq!(t.misses(), 2);
+    }
+
+    #[test]
+    fn tlb_lru_eviction() {
+        let mut t = Cache::new(CacheConfig::fully_associative(2, 4096));
+        t.access(0); // page 0
+        t.access(4096); // page 1
+        t.access(0); // hit: page 0 becomes MRU
+        t.access(8192); // page 2 evicts page 1
+        assert!(t.access(0)); // still resident
+        assert!(!t.access(4096)); // was evicted
+    }
+
+    #[test]
+    fn tlb_reach() {
+        let cfg = CacheConfig::fully_associative(64, 16384);
+        assert_eq!(cfg.size_bytes, 1 << 20);
+        assert_eq!(cfg.sets(), 1);
+    }
+
+    #[test]
+    fn tlb_of_120_entries_is_one_set() {
+        // Table 5's V2500 TLB: 120 entries, not a power of two.
+        let cfg = CacheConfig::fully_associative(120, 4096);
+        assert_eq!((cfg.sets(), cfg.associativity), (1, 120));
+        assert_eq!(cfg.size_bytes, 120 * 4096);
+        let mut t = Cache::new(cfg);
+        for p in 0..120u64 {
+            assert!(!t.access(p * 4096));
+        }
+        for p in 0..120u64 {
+            assert!(t.access(p * 4096), "page {p} must still be resident");
+        }
+        assert!(!t.access(120 * 4096)); // evicts page 0, the LRU one
+        assert!(!t.access(0));
+        assert!(t.access(119 * 4096));
+    }
+
+    #[test]
+    fn tlb_stride_beyond_reach_thrashes() {
+        let mut t = Cache::new(CacheConfig::fully_associative(8, 4096));
+        // Touch 16 distinct pages repeatedly: with 8 entries and LRU,
+        // every access misses.
+        for _ in 0..3 {
+            for p in 0..16u64 {
+                t.access(p * 4096);
+            }
+        }
+        assert_eq!(t.hits(), 0);
+    }
+
+    #[test]
+    fn tlb_reset_keeps_pages() {
+        let mut t = Cache::new(CacheConfig::fully_associative(4, 4096));
+        t.access(0);
+        t.reset_counters();
+        assert_eq!(t.misses(), 0);
+        assert!(t.access(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one line")]
+    fn tlb_zero_entries_panics() {
+        let _ = CacheConfig::fully_associative(0, 4096);
+    }
+
+    #[test]
     #[should_panic(expected = "power of two")]
     fn bad_size_panics() {
         let _ = CacheConfig::new(1000, 32, 2);
@@ -308,8 +400,8 @@ mod tests {
         /// same line size never misses more on any trace.
         #[test]
         fn lru_inclusion(trace in addr_trace()) {
-            let mut small = Cache::new(fully_associative(1 << 12, 64));
-            let mut large = Cache::new(fully_associative(1 << 14, 64));
+            let mut small = Cache::new(CacheConfig::fully_associative((1 << 12) / 64, 64));
+            let mut large = Cache::new(CacheConfig::fully_associative((1 << 14) / 64, 64));
             for &a in &trace {
                 small.access(a);
                 large.access(a);
@@ -328,11 +420,28 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&c.miss_rate()));
         }
 
+        /// A TLB (a one-set cache of pages) obeys the same conservation
+        /// law, and misses at least once per distinct page.
+        #[test]
+        fn tlb_conservation(trace in addr_trace()) {
+            let mut t = Cache::new(CacheConfig::fully_associative(32, 4096));
+            for &a in &trace {
+                t.access(a);
+            }
+            prop_assert_eq!(t.hits() + t.misses(), trace.len() as u64);
+            // Distinct pages bound the misses from below... and from above
+            // only without capacity evictions; check the lower bound.
+            let mut pages: Vec<u64> = trace.iter().map(|a| a / 4096).collect();
+            pages.sort_unstable();
+            pages.dedup();
+            prop_assert!(t.misses() >= pages.len() as u64);
+        }
+
         /// Replaying a trace immediately (working set <= capacity) hits
         /// 100% if the distinct line count fits the fully-assoc cache.
         #[test]
         fn warm_replay_hits(trace in prop::collection::vec(0u64..(1 << 14), 1..200)) {
-            let cfg = fully_associative(1 << 14, 32);
+            let cfg = CacheConfig::fully_associative((1 << 14) / 32, 32);
             let mut lines: Vec<u64> = trace.iter().map(|a| a / 32).collect();
             lines.sort_unstable();
             lines.dedup();

@@ -2,7 +2,6 @@
 //! counters.
 
 use crate::cache::{Cache, CacheConfig};
-use crate::tlb::{Tlb, TlbConfig};
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,19 +37,21 @@ impl Counters {
     }
 }
 
-/// An L1/L2/TLB stack simulated per processor.
+/// An L1/L2/TLB stack simulated per processor: three LRU caches, the
+/// TLB one set of page-sized lines
+/// ([`CacheConfig::fully_associative`]).
 #[derive(Debug, Clone)]
 pub struct MemHierarchy {
     l1: Cache,
     l2: Option<Cache>,
-    tlb: Tlb,
+    tlb: Cache,
     counters: Counters,
 }
 
 impl MemHierarchy {
     /// Build a hierarchy; pass `None` for machines without an L2.
     #[must_use]
-    pub fn new(l1: CacheConfig, l2: Option<CacheConfig>, tlb: TlbConfig) -> Self {
+    pub fn new(l1: CacheConfig, l2: Option<CacheConfig>, tlb: CacheConfig) -> Self {
         if let Some(l2c) = &l2 {
             assert!(
                 l2c.size_bytes >= l1.size_bytes,
@@ -60,7 +61,7 @@ impl MemHierarchy {
         Self {
             l1: Cache::new(l1),
             l2: l2.map(Cache::new),
-            tlb: Tlb::new(tlb),
+            tlb: Cache::new(tlb),
             counters: Counters::default(),
         }
     }
@@ -152,7 +153,7 @@ mod tests {
         MemHierarchy::new(
             CacheConfig::new(1 << 12, 32, 2),
             Some(CacheConfig::new(1 << 16, 128, 2)),
-            TlbConfig::new(16, 4096),
+            CacheConfig::fully_associative(16, 4096),
         )
     }
 
@@ -196,7 +197,7 @@ mod tests {
         let mut m = MemHierarchy::new(
             CacheConfig::new(1 << 12, 64, 2),
             None,
-            TlbConfig::new(8, 4096),
+            CacheConfig::fully_associative(8, 4096),
         );
         m.access(0, AccessKind::Load);
         m.access(1 << 20, AccessKind::Load);
@@ -269,7 +270,7 @@ mod tests {
         let _ = MemHierarchy::new(
             CacheConfig::new(1 << 14, 32, 2),
             Some(CacheConfig::new(1 << 12, 128, 2)),
-            TlbConfig::new(8, 4096),
+            CacheConfig::fully_associative(8, 4096),
         );
     }
 }

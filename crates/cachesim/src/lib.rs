@@ -8,8 +8,8 @@
 //! (Section 7's 68 MB/s argument). Since the original hardware counters
 //! are unavailable, this crate reproduces them deterministically:
 //!
-//! * [`cache`] — set-associative LRU caches;
-//! * [`tlb`] — a fully-associative LRU TLB;
+//! * [`cache`] — set-associative LRU caches; a TLB is one of them,
+//!   a single set of page-sized lines;
 //! * [`hierarchy`] — an L1/L2/TLB stack with Perfex-style counters;
 //! * [`cost`] — the pixie-style cycle model: perfect-memory cycles plus
 //!   per-miss stall penalties, so `measured - pixie = memory stalls`;
@@ -27,10 +27,8 @@ pub mod cost;
 pub mod hierarchy;
 pub mod patterns;
 pub mod presets;
-pub mod tlb;
 
 pub use cache::{Cache, CacheConfig};
 pub use cost::{CycleModel, OverlapModel};
 pub use hierarchy::{AccessKind, Counters, MemHierarchy};
 pub use patterns::{page_sharing, GridTraversal, PencilGather, SolverSweep, SweepAccess};
-pub use tlb::{Tlb, TlbConfig};

@@ -9,7 +9,6 @@
 use crate::cache::CacheConfig;
 use crate::cost::CycleModel;
 use crate::hierarchy::MemHierarchy;
-use crate::tlb::TlbConfig;
 
 /// A named single-processor memory-system preset.
 #[derive(Debug, Clone, Copy)]
@@ -24,8 +23,9 @@ pub struct MachineMemory {
     pub l1: CacheConfig,
     /// Unified/external L2, if present.
     pub l2: Option<CacheConfig>,
-    /// Data TLB.
-    pub tlb: TlbConfig,
+    /// Data TLB: one set of `entries` page-sized lines
+    /// ([`CacheConfig::fully_associative`]); its reach is `size_bytes`.
+    pub tlb: CacheConfig,
     /// Cycle cost model.
     pub cost: CycleModel,
 }
@@ -56,7 +56,7 @@ pub fn origin2000_r12k() -> MachineMemory {
         peak_mflops: 600.0,
         l1: CacheConfig::new(32 << 10, 32, 2),
         l2: Some(CacheConfig::new(8 << 20, 128, 2)),
-        tlb: TlbConfig::new(64, 16 << 10),
+        tlb: CacheConfig::fully_associative(64, 16 << 10),
         cost: CycleModel {
             issue_width: 4.0,
             l1_miss_penalty: 10.0,
@@ -78,7 +78,7 @@ pub fn origin2000_r10k_195() -> MachineMemory {
         peak_mflops: 390.0,
         l1: CacheConfig::new(32 << 10, 32, 2),
         l2: Some(CacheConfig::new(4 << 20, 128, 2)),
-        tlb: TlbConfig::new(64, 16 << 10),
+        tlb: CacheConfig::fully_associative(64, 16 << 10),
         cost: CycleModel {
             issue_width: 4.0,
             l1_miss_penalty: 8.0,
@@ -99,7 +99,7 @@ pub fn hpc10000_ultrasparc2() -> MachineMemory {
         peak_mflops: 800.0,
         l1: CacheConfig::direct_mapped(16 << 10, 32),
         l2: Some(CacheConfig::direct_mapped(4 << 20, 64)),
-        tlb: TlbConfig::new(64, 8 << 10),
+        tlb: CacheConfig::fully_associative(64, 8 << 10),
         cost: CycleModel {
             issue_width: 4.0,
             l1_miss_penalty: 10.0,
@@ -124,7 +124,7 @@ pub fn power_challenge_r8k() -> MachineMemory {
         peak_mflops: 360.0,
         l1: CacheConfig::direct_mapped(16 << 10, 32),
         l2: Some(CacheConfig::new(4 << 20, 128, 4)),
-        tlb: TlbConfig::new(48, 16 << 10),
+        tlb: CacheConfig::fully_associative(48, 16 << 10),
         cost: CycleModel {
             issue_width: 4.0,
             l1_miss_penalty: 6.0,
@@ -146,7 +146,7 @@ pub fn exemplar_spp1000() -> MachineMemory {
         peak_mflops: 200.0,
         l1: CacheConfig::direct_mapped(1 << 20, 32),
         l2: None,
-        tlb: TlbConfig::new(120, 4 << 10),
+        tlb: CacheConfig::fully_associative(120, 4 << 10),
         cost: CycleModel {
             issue_width: 2.0,
             l1_miss_penalty: 0.0, // no L2: every L1 miss is a memory miss
@@ -169,7 +169,7 @@ pub fn hp_v2500() -> MachineMemory {
         peak_mflops: 1760.0,
         l1: CacheConfig::new(1 << 20, 64, 4),
         l2: None,
-        tlb: TlbConfig::new(160, 4 << 10),
+        tlb: CacheConfig::fully_associative(160, 4 << 10),
         cost: CycleModel {
             issue_width: 4.0,
             l1_miss_penalty: 0.0,
@@ -192,7 +192,7 @@ pub fn cray_t3e() -> MachineMemory {
         peak_mflops: 900.0,
         l1: CacheConfig::direct_mapped(8 << 10, 32),
         l2: Some(CacheConfig::new(128 << 10, 64, 4)),
-        tlb: TlbConfig::new(64, 8 << 10),
+        tlb: CacheConfig::fully_associative(64, 8 << 10),
         cost: CycleModel {
             issue_width: 4.0,
             l1_miss_penalty: 8.0,

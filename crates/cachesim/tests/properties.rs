@@ -2,7 +2,6 @@
 
 use cachesim::cache::CacheConfig;
 use cachesim::patterns::{page_sharing, GridTraversal, PencilGather};
-use cachesim::tlb::TlbConfig;
 use cachesim::{AccessKind, MemHierarchy};
 use mesh::{Axis, Dims, Layout};
 use proptest::prelude::*;
@@ -21,7 +20,7 @@ proptest! {
         let mut h = MemHierarchy::new(
             CacheConfig::new(1 << 12, 32, 2),
             Some(CacheConfig::new(1 << 15, 64, 4)),
-            TlbConfig::new(16, 4096),
+            CacheConfig::fully_associative(16, 4096),
         );
         for &a in &trace {
             h.access(a, AccessKind::Load);

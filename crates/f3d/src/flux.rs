@@ -11,28 +11,17 @@
 //! `n = ∇ξ` of the computational coordinate, so the directed flux is
 //! `F_n = n_x F + n_y G + n_z H` with contravariant velocity
 //! `θ = n·(u,v,w)`.
+//!
+//! Each formula has one body, its `_lanes` form over `W` independent
+//! states: every lane runs the one-point operation sequence, and the
+//! lane loops are the fixed-trip inner loops rustc unrolls and
+//! vectorizes. One point at a time is the `::<1>` instance
+//! ([`steger_warming`], [`flux_jacobian`]). Test builds keep the
+//! one-point statement of every formula as the reference its lane form
+//! is held to, bit for bit, at every width.
 
 use crate::state::{Primitive, GAMMA};
 use mesh::NCONS;
-
-/// The three distinct eigenvalues of the directed flux Jacobian:
-/// `(θ, θ + a|n|, θ − a|n|)`.
-#[must_use]
-pub fn eigenvalues(q: &[f64; NCONS], n: [f64; 3]) -> (f64, f64, f64) {
-    let prim = Primitive::from_conserved(q);
-    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
-    let m = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
-    let a = prim.sound_speed();
-    (theta, theta + a * m, theta - a * m)
-}
-
-/// Spectral radius `|θ| + a|n|` — the time-step and approximate-Jacobian
-/// scale.
-#[must_use]
-pub fn spectral_radius(q: &[f64; NCONS], n: [f64; 3]) -> f64 {
-    let (l1, l4, l5) = eigenvalues(q, n);
-    l1.abs().max(l4.abs()).max(l5.abs())
-}
 
 /// Positive/negative part of an eigenvalue: `(λ ± |λ|) / 2`.
 #[inline(always)]
@@ -44,90 +33,7 @@ fn split(lambda: f64, positive: bool) -> f64 {
     }
 }
 
-/// Steger–Warming split flux `F_n^±(Q)`.
-///
-/// The classic formula built from the split eigenvalues; the defining
-/// identity `F⁺ + F⁻ = F_n` is enforced by tests, and `F⁺` (`F⁻`) has
-/// non-negative (non-positive) eigenvalue content so that backward
-/// (forward) differencing of it is stable — the upwind property the J
-/// sweeps rely on.
-#[must_use]
-pub fn steger_warming(q: &[f64; NCONS], n: [f64; 3], positive: bool) -> [f64; NCONS] {
-    let prim = Primitive::from_conserved(q);
-    let m = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
-    assert!(m > 0.0, "direction vector must be nonzero");
-    let nt = [n[0] / m, n[1] / m, n[2] / m];
-    let a = prim.sound_speed();
-    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
-    let l1 = split(theta, positive);
-    let l4 = split(theta + a * m, positive);
-    let l5 = split(theta - a * m, positive);
-
-    let g = GAMMA;
-    let c = prim.rho / (2.0 * g);
-    let (u, v, w) = (prim.u, prim.v, prim.w);
-    let q2 = u * u + v * v + w * w;
-    let up = [u + a * nt[0], v + a * nt[1], w + a * nt[2]];
-    let um = [u - a * nt[0], v - a * nt[1], w - a * nt[2]];
-    let up2 = up[0] * up[0] + up[1] * up[1] + up[2] * up[2];
-    let um2 = um[0] * um[0] + um[1] * um[1] + um[2] * um[2];
-
-    [
-        c * (2.0 * (g - 1.0) * l1 + l4 + l5),
-        c * (2.0 * (g - 1.0) * l1 * u + l4 * up[0] + l5 * um[0]),
-        c * (2.0 * (g - 1.0) * l1 * v + l4 * up[1] + l5 * um[1]),
-        c * (2.0 * (g - 1.0) * l1 * w + l4 * up[2] + l5 * um[2]),
-        c * ((g - 1.0) * l1 * q2
-            + 0.5 * l4 * up2
-            + 0.5 * l5 * um2
-            + (3.0 - g) * (l4 + l5) * a * a / (2.0 * (g - 1.0))),
-    ]
-}
-
-/// The analytic Jacobian `A_n = ∂F_n/∂Q` (5×5, row-major).
-#[must_use]
-pub fn flux_jacobian(q: &[f64; NCONS], n: [f64; 3]) -> [[f64; NCONS]; NCONS] {
-    let prim = Primitive::from_conserved(q);
-    let (u, v, w) = (prim.u, prim.v, prim.w);
-    let theta = n[0] * u + n[1] * v + n[2] * w;
-    let q2 = u * u + v * v + w * w;
-    let g1 = GAMMA - 1.0;
-    let h = (q[4] + prim.p) / prim.rho; // total enthalpy
-
-    let vel = [u, v, w];
-    let mut a = [[0.0; NCONS]; NCONS];
-
-    // Continuity row.
-    a[0] = [0.0, n[0], n[1], n[2], 0.0];
-
-    // Momentum rows.
-    for r in 0..3 {
-        let nr = n[r];
-        let ur = vel[r];
-        a[r + 1][0] = nr * g1 * q2 / 2.0 - ur * theta;
-        for c in 0..3 {
-            let nc = n[c];
-            let uc = vel[c];
-            a[r + 1][c + 1] = nc * ur - nr * g1 * uc + if r == c { theta } else { 0.0 };
-        }
-        a[r + 1][4] = nr * g1;
-    }
-
-    // Energy row.
-    a[4][0] = theta * (g1 * q2 / 2.0 - h);
-    for c in 0..3 {
-        a[4][c + 1] = -g1 * vel[c] * theta + h * n[c];
-    }
-    a[4][4] = GAMMA * theta;
-
-    a
-}
-
-/// The directed flux at `W` independent states — the lane form of the
-/// scalar test reference `directed_flux`. Each lane's operation
-/// sequence is identical to the scalar function, so results are
-/// bit-exact per lane; the lane loops are the fixed-trip inner loops
-/// rustc unrolls and vectorizes.
+/// The directed flux `F_n(Q)` at `W` independent states.
 #[must_use]
 #[inline(always)]
 pub fn directed_flux_lanes<const W: usize>(
@@ -161,8 +67,10 @@ pub fn directed_flux_lanes<const W: usize>(
     out
 }
 
-/// The spectral radius at `W` independent states — the lane form of
-/// [`spectral_radius`], bit-exact per lane.
+/// The spectral radius `|θ| + a|n|` at `W` independent states — the
+/// time-step and approximate-Jacobian scale, the largest magnitude of
+/// the three distinct eigenvalues `θ`, `θ + a|n|`, `θ − a|n|` of the
+/// directed flux Jacobian.
 #[must_use]
 #[inline(always)]
 pub fn spectral_radius_lanes<const W: usize>(q: &[[f64; NCONS]; W], n: &[[f64; 3]; W]) -> [f64; W] {
@@ -185,11 +93,17 @@ pub fn spectral_radius_lanes<const W: usize>(q: &[[f64; NCONS]; W], n: &[[f64; 3
     out
 }
 
-/// Steger–Warming split fluxes at `W` independent states — the lane
-/// form of [`steger_warming`]. The scalar intermediates (`θ`, `a`, the
-/// split eigenvalues, the shifted velocities) become `[f64; W]` lane
-/// arrays filled by fixed-trip loops; each lane executes exactly the
-/// scalar operation sequence, so results are bit-exact per lane.
+/// Steger–Warming split fluxes `F_n^±(Q)` at `W` independent states.
+///
+/// The classic formula built from the split eigenvalues; the defining
+/// identity `F⁺ + F⁻ = F_n` is enforced by tests, and `F⁺` (`F⁻`) has
+/// non-negative (non-positive) eigenvalue content so that backward
+/// (forward) differencing of it is stable — the upwind property the J
+/// sweeps rely on. The one-point intermediates (`θ`, `a`, the split
+/// eigenvalues, the shifted velocities) are `[f64; W]` lane arrays.
+///
+/// # Panics
+/// Panics if a lane's direction vector is zero.
 #[must_use]
 #[inline(always)]
 pub fn steger_warming_lanes<const W: usize>(
@@ -251,10 +165,10 @@ pub fn steger_warming_lanes<const W: usize>(
     out
 }
 
-/// Flux Jacobians at `W` independent states — the lane form of
-/// [`flux_jacobian`], bit-exact per lane. Assembly walks the matrix
-/// entries with the lane index innermost so each entry group is a
-/// fixed-trip vectorizable loop.
+/// The analytic Jacobians `A_n = ∂F_n/∂Q` (5×5, row-major) at `W`
+/// independent states. Assembly walks the matrix entries with the lane
+/// index innermost so each entry group is a fixed-trip vectorizable
+/// loop.
 #[must_use]
 #[inline(always)]
 pub fn flux_jacobian_lanes<const W: usize>(
@@ -300,6 +214,23 @@ pub fn flux_jacobian_lanes<const W: usize>(
     a
 }
 
+/// The Steger–Warming split flux `F_n^±(Q)` at one point:
+/// [`steger_warming_lanes`]`::<1>`.
+///
+/// # Panics
+/// Panics if `n` is zero.
+#[must_use]
+pub fn steger_warming(q: &[f64; NCONS], n: [f64; 3], positive: bool) -> [f64; NCONS] {
+    steger_warming_lanes::<1>(&[*q], &[n], positive)[0]
+}
+
+/// The flux Jacobian `A_n = ∂F_n/∂Q` at one point:
+/// [`flux_jacobian_lanes`]`::<1>`.
+#[must_use]
+pub fn flux_jacobian(q: &[f64; NCONS], n: [f64; 3]) -> [[f64; NCONS]; NCONS] {
+    flux_jacobian_lanes::<1>(&[*q], &[n])[0]
+}
+
 /// The directed Euler flux `F_n(Q)` for direction `n`, one point at a
 /// time: the reference [`directed_flux_lanes`] is pinned to.
 #[cfg(test)]
@@ -313,6 +244,104 @@ pub(crate) fn directed_flux(q: &[f64; NCONS], n: [f64; 3]) -> [f64; NCONS] {
         q[3] * theta + n[2] * prim.p,
         (q[4] + prim.p) * theta,
     ]
+}
+
+/// The three distinct eigenvalues of the directed flux Jacobian,
+/// `(θ, θ + a|n|, θ − a|n|)`, one point at a time.
+#[cfg(test)]
+pub(crate) fn eigenvalues(q: &[f64; NCONS], n: [f64; 3]) -> (f64, f64, f64) {
+    let prim = Primitive::from_conserved(q);
+    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
+    let m = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
+    let a = prim.sound_speed();
+    (theta, theta + a * m, theta - a * m)
+}
+
+/// The spectral radius at one point: the reference
+/// [`spectral_radius_lanes`] is pinned to.
+#[cfg(test)]
+pub(crate) fn spectral_radius(q: &[f64; NCONS], n: [f64; 3]) -> f64 {
+    let (l1, l4, l5) = eigenvalues(q, n);
+    l1.abs().max(l4.abs()).max(l5.abs())
+}
+
+/// The Steger–Warming split flux at one point: the reference
+/// [`steger_warming_lanes`] is pinned to.
+#[cfg(test)]
+pub(crate) fn steger_warming_reference(
+    q: &[f64; NCONS],
+    n: [f64; 3],
+    positive: bool,
+) -> [f64; NCONS] {
+    let prim = Primitive::from_conserved(q);
+    let m = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
+    assert!(m > 0.0, "direction vector must be nonzero");
+    let nt = [n[0] / m, n[1] / m, n[2] / m];
+    let a = prim.sound_speed();
+    let theta = n[0] * prim.u + n[1] * prim.v + n[2] * prim.w;
+    let l1 = split(theta, positive);
+    let l4 = split(theta + a * m, positive);
+    let l5 = split(theta - a * m, positive);
+
+    let g = GAMMA;
+    let c = prim.rho / (2.0 * g);
+    let (u, v, w) = (prim.u, prim.v, prim.w);
+    let q2 = u * u + v * v + w * w;
+    let up = [u + a * nt[0], v + a * nt[1], w + a * nt[2]];
+    let um = [u - a * nt[0], v - a * nt[1], w - a * nt[2]];
+    let up2 = up[0] * up[0] + up[1] * up[1] + up[2] * up[2];
+    let um2 = um[0] * um[0] + um[1] * um[1] + um[2] * um[2];
+
+    [
+        c * (2.0 * (g - 1.0) * l1 + l4 + l5),
+        c * (2.0 * (g - 1.0) * l1 * u + l4 * up[0] + l5 * um[0]),
+        c * (2.0 * (g - 1.0) * l1 * v + l4 * up[1] + l5 * um[1]),
+        c * (2.0 * (g - 1.0) * l1 * w + l4 * up[2] + l5 * um[2]),
+        c * ((g - 1.0) * l1 * q2
+            + 0.5 * l4 * up2
+            + 0.5 * l5 * um2
+            + (3.0 - g) * (l4 + l5) * a * a / (2.0 * (g - 1.0))),
+    ]
+}
+
+/// The flux Jacobian at one point: the reference
+/// [`flux_jacobian_lanes`] is pinned to.
+#[cfg(test)]
+pub(crate) fn flux_jacobian_reference(q: &[f64; NCONS], n: [f64; 3]) -> [[f64; NCONS]; NCONS] {
+    let prim = Primitive::from_conserved(q);
+    let (u, v, w) = (prim.u, prim.v, prim.w);
+    let theta = n[0] * u + n[1] * v + n[2] * w;
+    let q2 = u * u + v * v + w * w;
+    let g1 = GAMMA - 1.0;
+    let h = (q[4] + prim.p) / prim.rho; // total enthalpy
+
+    let vel = [u, v, w];
+    let mut a = [[0.0; NCONS]; NCONS];
+
+    // Continuity row.
+    a[0] = [0.0, n[0], n[1], n[2], 0.0];
+
+    // Momentum rows.
+    for r in 0..3 {
+        let nr = n[r];
+        let ur = vel[r];
+        a[r + 1][0] = nr * g1 * q2 / 2.0 - ur * theta;
+        for c in 0..3 {
+            let nc = n[c];
+            let uc = vel[c];
+            a[r + 1][c + 1] = nc * ur - nr * g1 * uc + if r == c { theta } else { 0.0 };
+        }
+        a[r + 1][4] = nr * g1;
+    }
+
+    // Energy row.
+    a[4][0] = theta * (g1 * q2 / 2.0 - h);
+    for c in 0..3 {
+        a[4][c + 1] = -g1 * vel[c] * theta + h * n[c];
+    }
+    a[4][4] = GAMMA * theta;
+
+    a
 }
 
 #[cfg(test)]
@@ -496,13 +525,13 @@ mod tests {
             );
             assert_eq!(
                 swp[lane].map(f64::to_bits),
-                steger_warming(&q[lane], n[lane], true).map(f64::to_bits)
+                steger_warming_reference(&q[lane], n[lane], true).map(f64::to_bits)
             );
             assert_eq!(
                 swm[lane].map(f64::to_bits),
-                steger_warming(&q[lane], n[lane], false).map(f64::to_bits)
+                steger_warming_reference(&q[lane], n[lane], false).map(f64::to_bits)
             );
-            let scalar = flux_jacobian(&q[lane], n[lane]);
+            let scalar = flux_jacobian_reference(&q[lane], n[lane]);
             for r in 0..NCONS {
                 assert_eq!(ja[lane][r].map(f64::to_bits), scalar[r].map(f64::to_bits));
             }
@@ -513,6 +542,7 @@ mod tests {
     fn lane_variants_are_bit_exact_at_every_width() {
         assert_lanes_bit_exact::<1>();
         assert_lanes_bit_exact::<2>();
+        assert_lanes_bit_exact::<3>();
         assert_lanes_bit_exact::<4>();
         assert_lanes_bit_exact::<8>();
     }

@@ -386,9 +386,10 @@ proptest! {
         }
     }
 
-    /// The flux lane kernels are the scalar flux applied per lane —
-    /// each lane's arithmetic is fully independent, so equality is
-    /// bitwise, not approximate.
+    /// The flux lane kernels at W = 4 are their one-lane instances
+    /// applied per lane — each lane's arithmetic is fully independent,
+    /// so equality is bitwise, not approximate. (`flux`'s unit tests
+    /// hold every width to the test-only one-point references.)
     #[test]
     fn flux_lane_kernels_match_scalar_per_lane(
         prims in prop::collection::vec(primitive(), 4),
@@ -406,7 +407,7 @@ proptest! {
         let swm = flux::steger_warming_lanes::<4>(&q, &nv, false);
         for lane in 0..4 {
             prop_assert_eq!(df[lane], directed_flux(&q[lane], nv[lane]));
-            prop_assert_eq!(sr[lane], flux::spectral_radius(&q[lane], nv[lane]));
+            prop_assert_eq!(sr[lane], flux::spectral_radius_lanes::<1>(&[q[lane]], &[nv[lane]])[0]);
             prop_assert_eq!(swp[lane], flux::steger_warming(&q[lane], nv[lane], true));
             prop_assert_eq!(swm[lane], flux::steger_warming(&q[lane], nv[lane], false));
         }
