@@ -75,7 +75,7 @@ pub fn print() {
         "At the top of the paper's sync-cost range (~1M cycles), the unhoisted\n\
          structure spends more time synchronizing than computing — the quantitative\n\
          content of Example 3's \"reduces the number of synchronization events by\n\
-         1-3 orders of magnitude!\". Run `cargo bench loop_fusion` for the measured\n\
-         host wall-clock difference between fused and unfused regions."
+         1-3 orders of magnitude!\". `tests/pipeline.rs` runs four loop bodies on a\n\
+         real worker team and counts 1 sync event fused, 4 unfused."
     );
 }

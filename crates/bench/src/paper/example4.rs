@@ -11,7 +11,6 @@
 use crate::{f, TextTable};
 use cachesim::patterns::{page_sharing, GridTraversal, PencilGather};
 use cachesim::presets::origin2000_r12k;
-use cachesim::AccessKind;
 use mesh::{Axis, Dims, Layout};
 use smpsim::contention_multiplier;
 
@@ -37,9 +36,7 @@ pub fn print() {
 
     let mut run = |name: &str, stride: u64, addrs: Box<dyn Iterator<Item = u64>>| {
         let mut h = mem.hierarchy();
-        for addr in addrs {
-            h.access(addr, AccessKind::Load);
-        }
+        h.run_loads(addrs);
         t.row(vec![
             name.to_string(),
             stride.to_string(),

@@ -300,7 +300,11 @@ impl BlockTriScratch {
             }
             x = cur;
             for lane in 0..W {
-                put(i, lane, std::array::from_fn(|c| x[c][lane]));
+                let mut v = [0.0; NCONS];
+                for c in 0..NCONS {
+                    v[c] = x[c][lane];
+                }
+                put(i, lane, v);
             }
         }
     }

@@ -6,7 +6,6 @@
 
 use cachesim::patterns::{page_sharing, GridTraversal, PencilGather};
 use cachesim::presets::origin2000_r12k;
-use cachesim::AccessKind;
 use mesh::{Axis, Dims, Layout};
 use smpsim::contention_multiplier;
 
@@ -35,9 +34,7 @@ fn main() {
 
     for (name, addrs, stride) in cases {
         let mut h = mem.hierarchy();
-        for a in addrs {
-            h.access(a, AccessKind::Load);
-        }
+        h.run_loads(addrs);
         println!("{name}");
         println!(
             "   inner stride {stride} B | L1 miss {:5.2}% | TLB miss {:5.2}% | memory traffic {:.1} MB",

@@ -16,7 +16,6 @@
 use cachesim::cost::CycleModel;
 use cachesim::patterns::{GridTraversal, PencilGather};
 use cachesim::presets::origin2000_r12k;
-use cachesim::AccessKind;
 use f3d::validation::FieldChecksum;
 use mesh::{Arrangement, Dims, Layout, StateField};
 
@@ -52,9 +51,7 @@ fn main() {
     ];
     for (name, addrs) in orderings {
         let mut h = mem.hierarchy();
-        for a in addrs {
-            h.access(a, AccessKind::Load);
-        }
+        h.run_loads(addrs);
         let counters = h.counters();
         let prof = model.total_cycles(instructions, &counters);
         let pixie = model.pixie_cycles(instructions);
