@@ -182,8 +182,9 @@ impl SolverSpec for ServiceCase {
         // Cartesian, and `Metrics::cartesian` stores its ten terms as
         // ten numbers, not ten fields. The pencil scratch is per worker
         // and cache-sized by design. A deterministic formula, not a
-        // measurement; `serve`'s `admission_memory` test checks that
-        // every service case holds and peaks within it.
+        // measurement; `serve`'s count table (`tests/counts.rs`) checks
+        // that every case it serves holds, and unrecorded peaks, within
+        // it.
         let points: usize = self
             .grid()
             .zones()

@@ -34,18 +34,3 @@ fn two_runs_emit_identical_structure() {
         );
     }
 }
-
-#[test]
-fn sync_events_are_worker_count_invariant() {
-    // The paper's sync-event accounting (one per doacross region) does
-    // not depend on how many workers execute the region.
-    let counts: Vec<u64> = [1, 2, 4]
-        .iter()
-        .map(|&p| recorded_run(p, 2).sync_events())
-        .collect();
-    assert_eq!(counts[0], counts[1]);
-    assert_eq!(counts[1], counts[2]);
-    // 3 regions per zone per step (rhs_jk, l_factor_solve, update),
-    // 3 zones, 2 steps.
-    assert_eq!(counts[0], 18);
-}
