@@ -217,30 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_parallel_is_bit_exact_for_every_shard_count() {
-        let config = SolverConfig::supersonic();
-        let mut reference = perturbed(config);
-        let workers = Workers::new(3);
-        for step in 0..3u64 {
-            reference.step_loop_level(&workers, None);
-            // Every shard count (including over-asking) matches the
-            // sequential sweep bit for bit, step by step.
-            for shards in 1..=4 {
-                let mut candidate = perturbed(config);
-                for s in 0..=step {
-                    let clamped = candidate.step_zone_parallel(&workers, shards, None, s);
-                    assert_eq!(clamped, shards.clamp(1, 3));
-                }
-                assert_eq!(
-                    reference.max_abs_diff(&candidate),
-                    0.0,
-                    "step {step} shards {shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn zone_parallel_records_zone_occupancy() {
         let mut s = perturbed(SolverConfig::supersonic());
         let mut pool = Workers::new(2);

@@ -647,226 +647,32 @@ mod tests {
         ];
         for v in &variants {
             assert_ne!(v.canonical_string(), base.canonical_string(), "{:?}", v);
+            assert_ne!(v.label(), base.label(), "{:?}", v);
         }
         // Identical cases canonicalize identically (pure function of fields).
         assert_eq!(base.canonical_string(), { base }.canonical_string());
-    }
 
-    #[test]
-    fn runs_are_deterministic_across_worker_counts() {
-        let base = ServiceCase::calibration(2, 3, 1);
-        let a = run(&base, &Workers::new(1)).unwrap();
-        let b = run(&ServiceCase { workers: 3, ..base }, &Workers::new(3)).unwrap();
-        assert_eq!(a.output.residuals, b.output.residuals);
-        assert_eq!(a.output.checksums, b.output.checksums);
-        assert_eq!(a.output.drag, b.output.drag);
-        assert_eq!(a.output.lift, b.output.lift);
-        assert_eq!(a.output.zone_names, vec!["zone1", "zone2"]);
-        assert_eq!(a.output.residuals.len(), 3);
-        assert!(a.output.drag.is_finite() && a.output.lift.is_finite());
-    }
-
-    #[test]
-    fn runs_are_bit_exact_across_scheduling_policies() {
-        let base = ServiceCase::calibration(2, 3, 2);
-        let reference = run(&base, &Workers::new(2)).unwrap();
-        for schedule in [
-            Policy::Dynamic { chunk: 1 },
-            Policy::Dynamic { chunk: 3 },
-            Policy::Guided { min_chunk: 2 },
-        ] {
-            let case = ServiceCase { schedule, ..base };
-            let out = run(&case, &Workers::new(2)).unwrap();
-            assert_eq!(
-                reference.output.residuals, out.output.residuals,
-                "{schedule:?}"
-            );
-            assert_eq!(
-                reference.output.checksums, out.output.checksums,
-                "{schedule:?}"
-            );
-            assert_eq!(reference.output.drag, out.output.drag, "{schedule:?}");
-            assert_eq!(reference.output.lift, out.output.lift, "{schedule:?}");
-            // Same region structure, so the same sync-event bill.
-            assert_eq!(reference.sync_events, out.sync_events, "{schedule:?}");
-            assert_ne!(case.label(), base.label());
-        }
-        assert_eq!(base.label(), "service/z2s3w2");
-        assert_eq!(
-            ServiceCase {
-                schedule: Policy::Guided { min_chunk: 2 },
-                ..base
-            }
-            .label(),
-            "service/z2s3w2-gui2"
-        );
-    }
-
-    #[test]
-    fn zone_schedules_are_bit_exact_across_every_shard_count() {
-        // The acceptance pin: a many-zone solve produces byte-identical
-        // results whether the zones run sequentially or are dispatched
-        // across any number of zone shards, under any loop schedule.
-        let zone_level = |out: &ServiceRun| {
-            let mut payload = out.output.payload().into_iter();
-            payload.find(|(key, _)| *key == "zone_level").unwrap().1
+        // A static scalar run keeps the plain label; a self-scheduled,
+        // wide or zone-sharded one says so.
+        let case = ServiceCase::calibration(2, 3, 2);
+        assert_eq!(case.label(), "service/z2s3w2");
+        let guided = ServiceCase {
+            schedule: Policy::Guided { min_chunk: 2 },
+            ..case
         };
-        let base = ServiceCase::calibration(MAX_ZONES, 3, 4);
-        let reference = run(&base, &Workers::new(4)).unwrap();
-        for schedule in [Policy::Static, Policy::Dynamic { chunk: 2 }] {
-            for shards in 1..=MAX_ZONES {
-                let case = ServiceCase {
-                    schedule,
-                    zone_schedule: ZoneSchedule::Zones(shards),
-                    ..base
-                };
-                let out = run(&case, &Workers::new(4)).unwrap();
-                assert_eq!(reference.output.residuals, out.output.residuals, "{case:?}");
-                assert_eq!(reference.output.checksums, out.output.checksums, "{case:?}");
-                assert_eq!(reference.output.drag, out.output.drag, "{case:?}");
-                assert_eq!(reference.output.lift, out.output.lift, "{case:?}");
-                let stats = zone_level(&out);
-                let field = |key| stats.get(key).and_then(Json::as_u64).unwrap() as usize;
-                assert_eq!(field("shards"), shards.min(MAX_ZONES));
-                assert_eq!(field("zone_tasks"), MAX_ZONES);
-                assert_eq!(field("exchange_tasks"), MAX_ZONES - 1);
-                // The service's zone gauges read the run's totals.
-                let zones = out.output.zone_dispatch().unwrap();
-                assert_eq!(zones.shards as usize, field("shards"));
-                assert_eq!(zones.zone_tasks as usize, MAX_ZONES * 3);
-                assert_ne!(case.label(), base.label());
-            }
+        assert_eq!(guided.label(), "service/z2s3w2-gui2");
+        for width in [2, 4, 8] {
+            let wide = ServiceCase {
+                vector_width: width,
+                ..case
+            };
+            assert_eq!(wide.label(), format!("service/z2s3w2-vw{width}"));
         }
-        // Sequential runs do not fabricate zone stats.
-        assert_eq!(zone_level(&reference), Json::Null);
-        assert!(reference.output.zone_dispatch().is_none());
-        // Both are closed forms of the case: for `n` zones on a view
-        // `width` wide, `shards` clamped to `n`, a step runs `n` zone
-        // tasks on `max(1, width / shards)` loop workers each, all `n`
-        // ready at once, then `n − 1` exchanges in as many waves. A
-        // shard count above the cap is refused, not clamped.
-        let steps = 2;
-        for workers in [1, 2, 4] {
-            let pool = Workers::new(workers);
-            for n in 1..=MAX_ZONES {
-                for asked in 1..=MAX_ZONES + 1 {
-                    let case = ServiceCase {
-                        zone_schedule: ZoneSchedule::Zones(asked),
-                        ..ServiceCase::calibration(n, steps, workers)
-                    };
-                    if asked > MAX_ZONES {
-                        assert!(run(&case, &pool).is_err(), "{case:?}");
-                        continue;
-                    }
-                    let out = run(&case, &pool).unwrap();
-                    let shards = asked.min(n);
-                    let num = Json::from_usize;
-                    assert_eq!(
-                        zone_level(&out),
-                        Json::object(vec![
-                            ("shards", num(shards)),
-                            ("loop_workers", num((workers / shards).max(1))),
-                            ("zone_tasks", num(n)),
-                            ("exchange_tasks", num(n - 1)),
-                            ("exchange_waves", num(n - 1)),
-                            ("peak_ready", num(n)),
-                        ]),
-                        "{case:?}"
-                    );
-                    assert_eq!(
-                        out.output.zone_dispatch(),
-                        Some(ZoneDispatch {
-                            shards: shards as u64,
-                            zone_tasks: (n * steps) as u64,
-                            peak_ready: n as u64,
-                        }),
-                        "{case:?}"
-                    );
-                }
-            }
-        }
-        assert_eq!(
-            ServiceCase {
-                zone_schedule: ZoneSchedule::Zones(2),
-                ..base
-            }
-            .label(),
-            "service/z4s3w4-zp2"
-        );
-    }
-
-    #[test]
-    fn concurrent_zone_solves_match_the_sequential_reference() {
-        // Two zone-scheduled solves at once on views of one team: their
-        // zones and loops share the helpers region by region, and
-        // neither answer moves.
-        let base = ServiceCase::calibration(4, 3, 4);
-        let reference = run(&base, &Workers::new(1)).unwrap();
         let zoned = ServiceCase {
             zone_schedule: ZoneSchedule::Zones(2),
-            ..base
+            ..ServiceCase::calibration(MAX_ZONES, 3, 4)
         };
-        let pool = Workers::new(4);
-        std::thread::scope(|threads| {
-            for _ in 0..2 {
-                threads.spawn(|| {
-                    for _ in 0..3 {
-                        let out = run(&zoned, &pool.sized_view(4)).unwrap();
-                        assert_eq!(reference.output.residuals, out.output.residuals);
-                        assert_eq!(reference.output.checksums, out.output.checksums);
-                        assert_eq!(reference.output.drag, out.output.drag);
-                        assert_eq!(reference.output.lift, out.output.lift);
-                        assert_eq!(reference.sync_events, out.sync_events);
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn per_kernel_schedules_stay_bit_exact_and_bill_the_run() {
-        let base = ServiceCase::calibration(2, 3, 2);
-        let reference = run(&base, &Workers::new(2)).unwrap();
-        let mut map = llp::ScheduleMap::new();
-        map.set("rhs_jk", 1, Policy::Dynamic { chunk: 2 });
-        map.set("update", 2, Policy::Guided { min_chunk: 1 });
-        map.set("l_factor_solve", 2, Policy::Dynamic { chunk: 1 });
-        let tuned =
-            solver::run_instrumented::<F3dSolver>(&base, &Workers::new(2), Some(&map)).unwrap();
-        // Numerics are invariant to per-kernel overrides...
-        assert_eq!(reference.output.residuals, tuned.output.residuals);
-        assert_eq!(reference.output.checksums, tuned.output.checksums);
-        assert_eq!(reference.output.drag, tuned.output.drag);
-        assert_eq!(reference.output.lift, tuned.output.lift);
-        // ...and so is the sync bill: the kernel views share the
-        // request view's local counters, one event per region.
-        assert_eq!(reference.sync_events, tuned.sync_events);
-    }
-
-    #[test]
-    fn wide_runs_are_bit_exact_and_labeled() {
-        let base = ServiceCase::calibration(2, 3, 2);
-        let reference = run(&base, &Workers::new(2)).unwrap();
-        for width in [2, 4, 8] {
-            let case = ServiceCase {
-                vector_width: width,
-                ..base
-            };
-            let out = run(&case, &Workers::new(2)).unwrap();
-            assert_eq!(
-                reference.output.residuals, out.output.residuals,
-                "width {width}"
-            );
-            assert_eq!(
-                reference.output.checksums, out.output.checksums,
-                "width {width}"
-            );
-            assert_eq!(reference.output.drag, out.output.drag, "width {width}");
-            assert_eq!(reference.output.lift, out.output.lift, "width {width}");
-            assert_eq!(reference.sync_events, out.sync_events, "width {width}");
-            assert_eq!(case.label(), format!("service/z2s3w2-vw{width}"));
-        }
-        assert_eq!(base.label(), "service/z2s3w2", "scalar keeps the old label");
+        assert_eq!(zoned.label(), "service/z4s3w4-zp2");
     }
 
     #[test]

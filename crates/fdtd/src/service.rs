@@ -356,46 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic_and_billed() {
-        let pool = Workers::recorded(2);
-        let a = run(&base_case(), &pool).unwrap();
-        let b = run(&base_case(), &pool).unwrap();
-        assert_eq!(a.output.checksums, b.output.checksums);
-        assert_eq!(a.output.energy, b.output.energy);
-        assert_eq!(a.output.energy.len(), base_case().steps);
-        // Two doacross sweeps per step, each one synchronization.
-        assert_eq!(a.sync_events, 2 * base_case().steps as u64);
-        // The report carries all three spans under the case label.
-        let spans: Vec<&str> = a.report.spans.iter().map(|s| s.name.as_str()).collect();
-        for name in ["source", "update_h", "update_e"] {
-            assert!(spans.contains(&name), "missing span {name}: {spans:?}");
-        }
-        assert_eq!(a.report.case, base_case().label());
-    }
-
-    #[test]
-    fn tuned_overrides_never_change_results() {
-        let pool = Workers::recorded(3);
-        let reference = run(&base_case(), &pool).unwrap();
-
-        let mut schedules = ScheduleMap::new();
-        schedules.set("update_h", 2, Policy::Dynamic { chunk: 1 });
-        schedules.set("update_e", 1, Policy::Static);
-        let tuned =
-            solver::run_instrumented::<FdtdSolver>(&base_case(), &pool, Some(&schedules)).unwrap();
-        assert_eq!(tuned.output.checksums, reference.output.checksums);
-        assert_eq!(tuned.output.energy, reference.output.energy);
-
-        // The case-level width knob is equally inert on results.
-        let wide = FdtdCase {
-            vector_width: 4,
-            ..base_case()
-        };
-        let wide_run = run(&wide, &pool).unwrap();
-        assert_eq!(wide_run.output.checksums, reference.output.checksums);
-    }
-
-    #[test]
     fn memory_estimate_scales_with_the_request() {
         let small = base_case().memory_usage_estimate();
         let big = FdtdCase {

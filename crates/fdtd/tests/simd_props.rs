@@ -3,15 +3,17 @@
 //! random fields, random extents that are not multiples of the lane
 //! width, both boundary closures, and every worker count / schedule
 //! combination. All comparisons are `==` on `f64` — one ULP of drift
-//! is a failure. The served step's energy history (row partials
-//! computed inside the `update_e` region by whichever worker wrote the
-//! row) is held to the same standard against the serial
-//! `TezGrid::energy` by one exhaustive oracle at the end.
+//! is a failure. The fused sweep's row partials (computed inside the
+//! `update_e` region by whichever worker wrote the row) are held to
+//! each row's own left fold, the energy's definition; the served energy
+//! history under every run configuration is `serve`'s oracle's
+//! (`crates/serve/tests/oracle.rs`), and the served maximum is pinned
+//! bit for bit at the end.
 
 use fdtd::grid::{Boundary, TezGrid};
 use fdtd::kernels::{update_e, update_e_energy, update_h};
-use fdtd::service::{FdtdCase, FdtdSolver, SERVICE_COURANT};
-use llp::{Policy, ScheduleMap, Workers};
+use fdtd::service::FdtdCase;
+use llp::{Policy, Workers};
 use proptest::prelude::*;
 use solver::SUPPORTED_WIDTHS;
 
@@ -154,79 +156,6 @@ proptest! {
         prop_assert_eq!(&g.e, &reference.e, "e, {} x {} {:?}", nx, ny, pol);
         let served: Vec<u64> = partials.iter().map(|p| p.to_bits()).collect();
         prop_assert_eq!(served, folds, "partials, {} x {} {:?}", nx, ny, pol);
-    }
-}
-
-/// The energy history and final checksums of `size²` stepped serially
-/// with the plain kernels and `TezGrid::energy` — the definition.
-fn serial_reference(size: usize, steps: usize) -> (Vec<u64>, Vec<fdtd::FieldChecksum>) {
-    let serial = Workers::serial();
-    let mut g = TezGrid::new(size, size, Boundary::PecBox, SERVICE_COURANT);
-    let energy = (0..steps)
-        .map(|step| {
-            g.inject_soft_source(step);
-            update_h(&serial, &mut g, 1);
-            update_e(&serial, &mut g, 1);
-            g.energy().to_bits()
-        })
-        .collect();
-    (energy, g.checksums())
-}
-
-/// Owner-computes energy is one number: size × workers × policy ×
-/// width, plus per-kernel overrides that cut `update_h` and `update_e`
-/// differently, all reproduce the serial history bit for bit.
-#[test]
-fn served_energy_is_the_serial_row_fold_under_every_configuration() {
-    // Past the source's peak (t0 = 10), so the fields are well mixed.
-    const STEPS: usize = 14;
-    let pool = Workers::new(4);
-    let mut uneven = ScheduleMap::new();
-    uneven.set("update_h", 3, Policy::Guided { min_chunk: 1 });
-    uneven.set("update_e", 2, Policy::Dynamic { chunk: 5 });
-    for size in [8usize, 17, 18, 19, 33, 128] {
-        let (energy, checksums) = serial_reference(size, STEPS);
-        assert!(energy.iter().all(|&bits| f64::from_bits(bits) > 0.0));
-        let check = |case: &FdtdCase, schedules: Option<&ScheduleMap>| {
-            let view = pool.sized_view(case.workers);
-            let run = solver::run_instrumented::<FdtdSolver>(case, &view, schedules).unwrap();
-            let served: Vec<u64> = run.output.energy.iter().map(|e| e.to_bits()).collect();
-            assert_eq!(served, energy, "{case:?} overrides {schedules:?}");
-            assert_eq!(
-                run.output.checksums, checksums,
-                "{case:?} overrides {schedules:?}"
-            );
-            assert_eq!(run.sync_events, 2 * STEPS as u64, "{case:?}");
-        };
-        for workers in 1..=4 {
-            for schedule in [
-                Policy::Static,
-                Policy::Dynamic { chunk: 1 },
-                Policy::Dynamic { chunk: 3 },
-                Policy::Dynamic { chunk: 4 },
-                Policy::Guided { min_chunk: 2 },
-                Policy::Guided { min_chunk: 5 },
-            ] {
-                for vector_width in SUPPORTED_WIDTHS {
-                    let case = FdtdCase {
-                        size,
-                        steps: STEPS,
-                        workers,
-                        schedule,
-                        vector_width,
-                    };
-                    check(&case, None);
-                }
-            }
-        }
-        let case = FdtdCase {
-            size,
-            steps: STEPS,
-            workers: 4,
-            schedule: Policy::Static,
-            vector_width: 4,
-        };
-        check(&case, Some(&uneven));
     }
 }
 
